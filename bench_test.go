@@ -314,26 +314,6 @@ func BenchmarkAblationGamma(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationParallelism compares the two-level scheme against each
-// level alone (paper §4's design claim).
-func BenchmarkAblationParallelism(b *testing.B) {
-	strategies := map[string]core.Strategy{
-		"twolevel": core.StrategyTwoLevel,
-		"fine":     core.StrategyFineOnly,
-		"coarse":   core.StrategyCoarseOnly,
-	}
-	for label, s := range strategies {
-		b.Run(label, func(b *testing.B) {
-			g := benchGraph(b, "wiki-talk")
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Compute(g, core.Options{Strategy: s, Workers: 4}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkExtensionCloseness compares the per-vertex BFS baseline with the
 // articulation-point-accelerated closeness engine (our extension).
 func BenchmarkExtensionCloseness(b *testing.B) {

@@ -1,6 +1,8 @@
 #!/usr/bin/env sh
 # ci.sh — the repository's verification gauntlet:
 #   1. hygiene: gofmt -l must be clean, go vet ./... must pass
+#      (named-test gates below go through run_named, which fails when a
+#      listed test no longer exists instead of passing on zero matches)
 #   2. tier-1: go build ./... && go test ./...
 #   3. godoc gate: every internal package must open with a package comment
 #   4. race pass over the parallel hot paths and the serving subsystem
@@ -26,8 +28,33 @@
 set -eu
 cd "$(dirname "$0")"
 
+# run_named PATTERN [go test flags...] PACKAGES...: go test -run PATTERN,
+# after checking that every |-separated alternative of PATTERN names a test
+# `go test -list` finds in PACKAGES. `go test -run` exits 0 when nothing
+# matches, so without this a renamed or deleted test turns its gate vacuous.
+run_named() {
+    pattern=$1
+    shift
+    pkgs=""
+    for arg in "$@"; do
+        case $arg in
+        -*) ;;
+        *) pkgs="$pkgs $arg" ;;
+        esac
+    done
+    # shellcheck disable=SC2086
+    listed=$(go test -list "$pattern" $pkgs)
+    for name in $(echo "$pattern" | tr '|' ' '); do
+        echo "$listed" | grep -qx "$name" || {
+            echo "ci.sh: gate names test $name, which is not in$pkgs" >&2
+            exit 1
+        }
+    done
+    go test -run "$pattern" "$@"
+}
+
 echo "==> hygiene: gofmt -l"
-unformatted=$(gofmt -l cmd internal examples)
+unformatted=$(gofmt -l cmd internal examples bench ./*.go)
 if [ -n "$unformatted" ]; then
     echo "gofmt: the following files need formatting:" >&2
     echo "$unformatted" >&2
@@ -72,26 +99,22 @@ echo "==> scheduler gate: BC vs serial Brandes at workers 1,2,4(,8) under -race"
 # on all nine graph families and asserts the scores match serial Brandes
 # within the suite tolerance; the equivalence and determinism tests pin
 # static==dynamic and run-to-run bit stability.
-go test -race -count=1 \
-    -run 'TestSchedulerWorkerSweepMatchesBrandes|TestSchedulerStaticDynamicEquivalent|TestSchedulerDeterministic' \
-    ./internal/core
+run_named 'TestSchedulerWorkerSweepMatchesBrandes|TestSchedulerStaticDynamicEquivalent|TestSchedulerDeterministic' \
+    -race -count=1 ./internal/core
 
 echo "==> msbfs gate: batched engine bit-match vs scalar under -race"
 # The kernel suite pins Brandes equivalence and batch-width bit-invariance;
 # the core suite pins scalar==msbfs bit-equality at workers 1,2,4,8 across
 # all families (directed and disconnected included) and that the
 # small-graph serial-cutoff fallback never changes a bit.
-go test -race -count=1 \
-    -run 'TestKernelMatchesBrandes|TestKernelBatchWidthBitInvariant' \
-    ./internal/msbfs
-go test -race -count=1 \
-    -run 'TestMSBFSEngineBitMatchesScalar|TestMSBFSEngineDeterministic|TestDynamicSerialCutoffBoundary' \
-    ./internal/core
+run_named 'TestKernelMatchesBrandes|TestKernelBatchWidthBitInvariant' \
+    -race -count=1 ./internal/msbfs
+run_named 'TestMSBFSEngineBitMatchesScalar|TestMSBFSEngineDeterministic|TestDynamicSerialCutoffBoundary' \
+    -race -count=1 ./internal/core
 
 echo "==> alloc gates: warm sweeps and the top-K serving path allocate zero"
-go test -count=1 \
-    -run 'TestRootSweepWarmAllocs|TestSerialSweepWarmAllocs|TestTopKServingWarmAllocs|TestPoolRace' \
-    ./internal/core ./internal/brandes ./internal/server ./internal/ws
+run_named 'TestRootSweepWarmAllocs|TestSerialSweepWarmAllocs|TestTopKServingWarmAllocs|TestPoolRace' \
+    -count=1 ./internal/core ./internal/brandes ./internal/server ./internal/ws
 
 echo "==> bench smoke: go test -bench -benchmem on the arena-backed paths"
 go test -run=NONE -bench=. -benchtime=1x -benchmem ./internal/ws ./internal/core
@@ -111,7 +134,7 @@ go run ./cmd/bcbench -engine -datasets email-enron -scale 0.05 -json "$tmp/engin
 go run ./cmd/bcbench -check -tolerance 5 "$tmp/engine.json" "$tmp/engine.json"
 
 echo "==> approx smoke: K==n bit-match + tiny error-vs-speedup sweep"
-go test -race -run 'TestExactBudgetBitMatch|TestSeededDeterminism' ./internal/approx
+run_named 'TestExactBudgetBitMatch|TestSeededDeterminism' -race ./internal/approx
 go run ./cmd/bcbench -approx -datasets email-enron -scale 0.05 -json "$tmp/approx"
 
 echo "==> scale smoke: streamed gen -> stream + mmap loads agree bit-for-bit"

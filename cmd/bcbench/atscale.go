@@ -251,7 +251,7 @@ func atScaleExperiment(c config) error {
 			"inmem", "rss", "stream", "rss", "mmap", "rss", "rss/csr", "zerocopy"},
 	}
 	schedT := &metrics.Table{
-		Title:   fmt.Sprintf("At-scale scheduler sweep (root budget %d)", budget),
+		Title:   fmt.Sprintf("At-scale scheduler sweep, whole-sub-graph (static) vs root-range (dynamic) units (root budget %d)", budget),
 		Headers: []string{"graph", "scheduler", "p=1", fmt.Sprintf("p=%d", c.workers), "speedup", "gain vs static"},
 	}
 	engineT := &metrics.Table{
@@ -347,7 +347,8 @@ func atScaleExperiment(c config) error {
 			pList = append(pList, c.workers)
 		}
 
-		// Scheduler sweep: static vs dynamic at p=1 and p=workers.
+		// Scheduler sweep: whole-sub-graph vs root-range units at p=1 and
+		// p=workers.
 		static := map[int]time.Duration{}
 		var dynWall map[int]time.Duration
 		for _, sc := range []core.Scheduler{core.SchedulerStatic, core.SchedulerDynamic} {

@@ -461,16 +461,17 @@ func figure10(c config) error {
 	return nil
 }
 
-// schedulerExperiment sweeps worker counts under both work-distribution
-// schemes — the legacy static phase-A/phase-B split and the cost-ordered
-// dynamic unit scheduler (core.SchedulerDynamic) — on every selected dataset.
-// It is the Figure 9 analogue for the scheduler itself: the dynamic row's
-// speedup column is measured against the static scheduler at the same worker
-// count, so the BENCH record directly certifies the scheduler win.
+// schedulerExperiment sweeps worker counts under both unit granularities of
+// the one cost-ordered queue — whole-sub-graph units (core.SchedulerStatic,
+// the paper's coarse outer level) and root-range units
+// (core.SchedulerDynamic) — on every selected dataset. It is the Figure 9
+// analogue for the scheduler itself: the dynamic row's speedup column is
+// measured against the static row at the same worker count, so the BENCH
+// record directly certifies what root-range chunking buys.
 func schedulerExperiment(c config) error {
 	sweep := []int{1, 2, 4, 8}
 	t := &metrics.Table{
-		Title:   "Scheduler sweep. APGRE static vs dynamic unit scheduler",
+		Title:   "Scheduler sweep. APGRE whole-sub-graph (static) vs root-range (dynamic) units",
 		Headers: append([]string{"graph", "scheduler"}, append(workerHeaders(sweep), "gain@8")...),
 	}
 	scheds := []struct {

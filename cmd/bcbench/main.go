@@ -12,7 +12,7 @@
 //	bcbench -figure 9         # Figure 9: thread scaling, all algorithms
 //	bcbench -figure 10        # Figure 10: APGRE thread scaling
 //	bcbench -approx           # approximate BC: error vs speedup sweep
-//	bcbench -sched            # scheduler sweep: static vs dynamic units
+//	bcbench -sched            # scheduler sweep: whole-sub-graph vs root-range units
 //	bcbench -engine           # engine sweep: scalar vs msbfs batched sweeps
 //	bcbench -all              # everything, in paper order
 //
@@ -57,9 +57,9 @@ func main() {
 		thresh     = flag.Int("threshold", 0, "APGRE decomposition threshold (0 = default)")
 		ext        = flag.Bool("ext", false, "run the extension experiments (weighted, closeness, incremental)")
 		approxExp  = flag.Bool("approx", false, "run the approximate-BC error-vs-speedup sweep")
-		sched      = flag.Bool("sched", false, "run the static-vs-dynamic scheduler worker sweep")
+		sched      = flag.Bool("sched", false, "run the scheduler worker sweep: whole-sub-graph (static) vs root-range (dynamic) units")
 		engineExp  = flag.Bool("engine", false, "run the scalar-vs-msbfs sweep-engine comparison")
-		atscale    = flag.Bool("atscale", false, "run the at-scale load/scheduler/engine/approx profile (pair with -scale 100)")
+		atscale    = flag.Bool("atscale", false, "run the at-scale load/scheduler (whole-sub-graph vs root-range units)/engine/approx profile (pair with -scale 100)")
 		rootBudget = flag.Int("rootbudget", 256, "at-scale: total BFS-root budget per compute cell (0 = full exact)")
 		graphDir   = flag.String("graphdir", "", "at-scale: cache generated .bin graphs here (default: fresh temp dir, removed)")
 		loadprobe  = flag.String("loadprobe", "", "internal: load this .bin file, print one-line JSON load metrics, exit")

@@ -21,7 +21,7 @@ func TestIntegrationAllDatasetsExact(t *testing.T) {
 		t.Run(ds.Name, func(t *testing.T) {
 			g := ds.Build(0.1)
 			want := brandes.Serial(g)
-			got, err := core.Compute(g, core.Options{Workers: 2, FineCutoff: 200})
+			got, err := core.Compute(g, core.Options{Workers: 2})
 			if err != nil {
 				t.Fatal(err)
 			}

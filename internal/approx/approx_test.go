@@ -30,12 +30,12 @@ func testGraphs() map[string]*graph.Graph {
 	}
 }
 
-// exactReference computes BC with the exact coarse serial path: sub-graphs
+// exactReference computes BC with the exact one-worker path: sub-graphs
 // in index order, serial sweeps, roots in sg.Roots order — the schedule a
 // full-budget estimator replays.
 func exactReference(t *testing.T, g *graph.Graph) []float64 {
 	t.Helper()
-	bc, err := core.Compute(g, core.Options{Workers: 1, Strategy: core.StrategyCoarseOnly})
+	bc, err := core.Compute(g, core.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

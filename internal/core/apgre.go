@@ -12,8 +12,10 @@
 //	δ_o2o — both outside, β(root)·α(exit AP) seeds (Eq. 6)
 //
 // merged into BC scores with the γ total-redundancy weights (Eq. 7/8,
-// Theorem 3). Parallelism is two-level as in §4: coarse-grained across
-// sub-graphs, fine-grained level-synchronous inside large ones.
+// Theorem 3). Parallelism keeps the outer level of the paper's §4 scheme —
+// independent sweeps spread over workers, here as one cost-ordered queue of
+// (sub-graph, root-range) units (sched.go) — and drops the level-synchronous
+// inner level, which never won a measured cell (DESIGN.md §1).
 //
 // Correctness note (DESIGN.md §1): for undirected graphs the paper's root
 // term γ(s)·(δ_i2i(s)+δ_i2o(s)) overcounts each folded leaf's dependency by
@@ -24,7 +26,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/decompose"
@@ -32,36 +33,20 @@ import (
 	"repro/internal/par"
 )
 
-// Strategy selects the parallelization scheme.
-type Strategy int
-
-const (
-	// StrategyTwoLevel is the paper's scheme: large sub-graphs run with
-	// fine-grained level-synchronous parallelism, the remaining sub-graphs
-	// run concurrently with serial inner loops.
-	StrategyTwoLevel Strategy = iota
-	// StrategyFineOnly processes sub-graphs one at a time, each with
-	// fine-grained parallelism (the paper's inner level alone).
-	StrategyFineOnly
-	// StrategyCoarseOnly processes sub-graphs concurrently with serial
-	// inner loops (the outer level alone).
-	StrategyCoarseOnly
-)
-
-// Scheduler selects how sub-graph work is distributed over workers.
+// Scheduler selects how sub-graph work is cut into units of the one
+// cost-ordered queue every sweep drains (sched.go).
 type Scheduler int
 
 const (
-	// SchedulerDynamic is the default: one cost-ordered queue of
-	// (sub-graph, root-range) work units, estimated at |roots|·(|V|+|E|)
-	// each, drained by a fixed worker pool with per-worker scratch. Large
-	// sub-graphs are chunked into root ranges so they fan out across workers
-	// without a barrier separating them from the small sub-graphs.
+	// SchedulerDynamic is the default: (sub-graph, root-range) units,
+	// estimated at |roots|·(|V|+|E|) each. Large sub-graphs are chunked into
+	// root ranges so they fan out across workers.
 	SchedulerDynamic Scheduler = iota
-	// SchedulerStatic is the legacy two-phase scheme (fine-grained phase A
-	// over large sub-graphs, then coarse-grained phase B), kept for A/B
-	// benchmarking. StrategyFineOnly always uses it — the level-synchronous
-	// engine is phase A.
+	// SchedulerStatic keeps every sub-graph whole — one unit each, the
+	// paper's coarse outer level. Without root-range chunking the unit list
+	// does not depend on the worker count, so scores are bit-identical at
+	// every Workers value; the price is that the top sub-graph occupies one
+	// worker for its whole sweep.
 	SchedulerStatic
 )
 
@@ -87,26 +72,19 @@ type Options struct {
 	AlphaBeta decompose.AlphaBetaMethod
 	// DisableGamma turns off total-redundancy elimination (ablation).
 	DisableGamma bool
-	// Strategy selects the parallelization scheme.
-	Strategy Strategy
-	// Scheduler selects the work-distribution scheme; the zero value is
+	// Scheduler selects the work-unit granularity; the zero value is
 	// SchedulerDynamic.
 	Scheduler Scheduler
-	// RootEngine selects the sweep kernel for unweighted graphs under the
-	// dynamic scheduler; the zero value is EngineScalar. EngineMSBFS batches
-	// up to 64 roots per traversal (internal/msbfs) and is bit-identical to
-	// scalar, so this is purely a performance knob. Weighted graphs and
-	// SchedulerStatic silently use the scalar engine.
+	// RootEngine selects the sweep kernel; the zero value is EngineScalar.
+	// EngineMSBFS batches up to 64 roots per traversal (internal/msbfs) and
+	// is bit-identical to scalar, so this is purely a performance knob. It is
+	// BFS-based: combined with a weighted graph it is an error.
 	RootEngine RootEngine
-	// FineCutoff is the vertex count at or above which a sub-graph uses
-	// fine-grained parallelism under StrategyTwoLevel; <= 0 means 2048.
-	// The dynamic scheduler uses the same cutoff only to attribute time to
-	// Breakdown.TopBC vs RestBC.
-	FineCutoff int
 	// BottomUpFrac tunes the direction-optimizing σ-BFS: a level goes
 	// bottom-up when its frontier exceeds this fraction of the unvisited
 	// vertices. 0 means bfs.DefaultBottomUpFrac; negative disables bottom-up
-	// sweeps. Either setting yields bit-identical BC (see serialState).
+	// sweeps. Either setting yields bit-identical BC (see bfsRoot). Weighted
+	// graphs sweep with Dijkstra, which has no bottom-up mode.
 	BottomUpFrac float64
 	// RootBudget, when > 0, caps the total number of BFS roots processed:
 	// each sub-graph keeps a proportional prefix of its root list,
@@ -128,11 +106,11 @@ type Options struct {
 
 // Breakdown records where APGRE's time goes, mirroring Figure 8: the two
 // preprocessing phases ("extra computations") and the BC calculation split
-// into the large sub-graphs (dominated by the top sub-graph) and the rest.
+// into the top sub-graph and the rest.
 type Breakdown struct {
 	Partition time.Duration // graph partition (FINDBCC + merging + building)
 	AlphaBeta time.Duration // counting α/β per articulation point
-	TopBC     time.Duration // BC of sub-graphs processed fine-grained
+	TopBC     time.Duration // BC of the top (largest) sub-graph
 	RestBC    time.Duration // BC of the remaining sub-graphs
 	Total     time.Duration
 	// TraversedArcs counts arcs examined during BC BFS phases — the
@@ -146,7 +124,8 @@ type Breakdown struct {
 }
 
 // Compute runs the full APGRE pipeline on g and returns exact BC scores
-// (directed-sum convention, identical to internal/brandes values).
+// (directed-sum convention, identical to internal/brandes values). A
+// weighted graph is swept with Dijkstra and matches brandes.WeightedSerial.
 func Compute(g *graph.Graph, opt Options) ([]float64, error) {
 	var tm decompose.Timings
 	d, err := decompose.Decompose(g, decompose.Options{
@@ -161,70 +140,53 @@ func Compute(g *graph.Graph, opt Options) ([]float64, error) {
 	}
 	if opt.Breakdown != nil {
 		// Populate the preprocessing phases before the BC phase so
-		// computeSplit folds them into Total (Figure 8's full sum).
+		// ComputeDecomposed folds them into Total (Figure 8's full sum).
 		opt.Breakdown.Partition = tm.Partition
 		opt.Breakdown.AlphaBeta = tm.AlphaBeta
 	}
 	return ComputeDecomposed(d, opt)
 }
 
-// ComputeDecomposed runs the BC phase of APGRE on an existing decomposition.
-// The decomposition must have been built from the same graph with compatible
-// options (in particular, DisableGamma must match the decomposition's roots).
-// When opt.Breakdown is set, Total is always populated: it sums the BC phases
+// ComputeDecomposed runs the BC phase of APGRE on an existing decomposition,
+// weighted or not (the kernel follows d.G.Weighted()). The decomposition
+// must have been built from the same graph with compatible options (in
+// particular, DisableGamma must match the decomposition's roots). When
+// opt.Breakdown is set, Total is always populated: it sums the BC phases
 // plus whatever Partition/AlphaBeta values the caller pre-populated (Compute
 // fills them from the decomposition timings; direct callers that did not time
 // their own decomposition get Total = TopBC + RestBC).
 func ComputeDecomposed(d *decompose.Decomposition, opt Options) ([]float64, error) {
-	g := d.G
-	n := g.NumVertices()
-	bc := make([]float64, n)
-	if n == 0 || len(d.Subgraphs) == 0 {
-		return bc, nil
-	}
-	p := par.Workers(opt.Workers)
-	cutoff := opt.FineCutoff
-	if cutoff <= 0 {
-		cutoff = 2048
-	}
-	switch opt.Strategy {
-	case StrategyTwoLevel, StrategyFineOnly, StrategyCoarseOnly:
-	default:
-		return nil, fmt.Errorf("core: unknown strategy %d", opt.Strategy)
-	}
 	switch opt.Scheduler {
 	case SchedulerDynamic, SchedulerStatic:
 	default:
 		return nil, fmt.Errorf("core: unknown scheduler %d", opt.Scheduler)
 	}
-	switch opt.RootEngine {
-	case EngineScalar, EngineMSBFS:
-	default:
-		return nil, fmt.Errorf("core: unknown root engine %d", opt.RootEngine)
+	if err := validateEngine(d.G.Weighted(), opt.RootEngine); err != nil {
+		return nil, err
 	}
-	// StrategyFineOnly is inherently phase-structured (one level-synchronous
-	// sub-graph at a time), so it always takes the static path.
-	if opt.Scheduler == SchedulerDynamic && opt.Strategy != StrategyFineOnly {
-		return computeDynamic(d, opt, p, cutoff, bc)
+	bc := make([]float64, d.G.NumVertices())
+	if len(d.Subgraphs) == 0 {
+		return bc, nil
 	}
-	var big, small []*decompose.Subgraph
-	switch opt.Strategy {
-	case StrategyTwoLevel:
-		for i, sg := range d.Subgraphs {
-			// The top sub-graph always gets the fine-grained treatment (it
-			// dominates the runtime, §5.3); others only above the cutoff.
-			if i == d.TopIndex || sg.NumVerts() >= cutoff {
-				big = append(big, sg)
-			} else {
-				small = append(small, sg)
-			}
-		}
-	case StrategyFineOnly:
-		big = d.Subgraphs
-	case StrategyCoarseOnly:
-		small = d.Subgraphs
+	p := par.Workers(opt.Workers)
+	start := time.Now()
+	units := buildUnits(d, p, p > 1 && opt.Scheduler == SchedulerDynamic,
+		opt.RootEngine == EngineMSBFS, opt.RootBudget)
+	// Small-graph break-even guard: below the work cutoff, drain the SAME
+	// unit list with one worker instead of p. The p == 1 drain flushes each
+	// unit's local scores in canonical order — additions identical to the
+	// parallel drain's canonical partial merge — so degrading is bit-exact,
+	// and faster than paying worker startup plus per-unit partial arrays for
+	// a few milliseconds of sweep work.
+	drainP := p
+	if p > 1 && totalSweepCost(d) < dynamicSerialCutoff {
+		drainP = 1
 	}
-	return computeSplit(d, opt, big, small, p, bc)
+	traversed := drainUnits(units, drainP, d.G, opt, bc)
+	if opt.Breakdown != nil {
+		fillBreakdown(opt.Breakdown, d, units, time.Since(start), traversed)
+	}
+	return bc, nil
 }
 
 // totalRootCount sums the decomposition's root lists — the denominator of
@@ -244,133 +206,4 @@ func rootPrefix(nr int, totalRoots int64, budget int) int {
 		return nr
 	}
 	return int((int64(nr)*int64(budget) + totalRoots - 1) / totalRoots)
-}
-
-// computeSplit runs phase A (fine-grained) over big and phase B
-// (coarse-grained) over small, accumulating into bc.
-func computeSplit(d *decompose.Decomposition, opt Options,
-	big, small []*decompose.Subgraph, p int, bc []float64) ([]float64, error) {
-	g := d.G
-	directed := g.Directed()
-	frac := resolveFrac(opt.BottomUpFrac)
-	prepareHybrid(d, frac)
-	totalRoots := totalRootCount(d)
-	var traversed, roots int64
-
-	// Phase A: large sub-graphs. With several workers this is the paper's
-	// fine-grained level-synchronous engine; with one worker the serial
-	// engine does the same sweep without atomic/frontier-bag overhead (the
-	// phase split is kept so Figure 8's top/rest attribution stays correct).
-	startA := time.Now()
-	var serialBig *serialState
-	var fineBig *fineState
-	for _, sg := range big {
-		n := sg.NumVerts()
-		rs := sg.Roots[:rootPrefix(len(sg.Roots), totalRoots, opt.RootBudget)]
-		if p == 1 {
-			if serialBig == nil {
-				serialBig = &serialState{hybridFrac: frac}
-			}
-			serialBig.ensure(n)
-			for _, s := range rs {
-				serialBig.runRoot(sg, s, directed)
-			}
-			flushLocal(bc, sg, serialBig.ws.BC)
-			for l := range serialBig.ws.BC[:n] {
-				serialBig.ws.BC[l] = 0
-			}
-			traversed += serialBig.traversed
-			serialBig.traversed = 0
-		} else {
-			// One fine state serves every large sub-graph; ensure grows it
-			// and the post-flush zeroing keeps it clean for the next one.
-			if fineBig == nil {
-				fineBig = newFineState(p)
-				fineBig.hybridFrac = frac
-			}
-			fineBig.ensure(n)
-			for _, s := range rs {
-				fineBig.runRoot(sg, s, directed)
-			}
-			flushLocal(bc, sg, fineBig.ws.BC)
-			for l := range fineBig.ws.BC[:n] {
-				fineBig.ws.BC[l] = 0
-			}
-			traversed += fineBig.traversed
-			fineBig.traversed = 0
-		}
-		roots += int64(len(rs))
-	}
-	if serialBig != nil {
-		serialBig.release()
-	}
-	if fineBig != nil {
-		fineBig.release()
-	}
-	topDur := time.Since(startA)
-
-	// Phase B: remaining sub-graphs, coarse-grained with serial inner loops
-	// and per-worker scratch.
-	startB := time.Now()
-	scratches := make([]*serialState, p)
-	par.ForWorker(len(small), p, 1, func(w, i int) {
-		st := scratches[w]
-		if st == nil {
-			st = &serialState{hybridFrac: frac}
-			scratches[w] = st
-		}
-		sg := small[i]
-		st.ensure(sg.NumVerts())
-		rs := sg.Roots[:rootPrefix(len(sg.Roots), totalRoots, opt.RootBudget)]
-		for _, s := range rs {
-			st.runRoot(sg, s, directed)
-		}
-		flushLocalAtomic(bc, sg, st.ws.BC)
-		for l := range st.ws.BC[:sg.NumVerts()] {
-			st.ws.BC[l] = 0
-		}
-		atomic.AddInt64(&traversed, st.traversed)
-		st.traversed = 0
-		atomic.AddInt64(&roots, int64(len(rs)))
-	})
-	for _, st := range scratches {
-		if st != nil {
-			st.release()
-		}
-	}
-	restDur := time.Since(startB)
-
-	if opt.Breakdown != nil {
-		bd := opt.Breakdown
-		bd.TopBC = topDur
-		bd.RestBC = restDur
-		// Total always covers the BC phases; Partition/AlphaBeta are folded
-		// in when the caller (Compute, or a direct ComputeDecomposed user
-		// that timed its own decomposition) pre-populated them.
-		bd.Total = bd.Partition + bd.AlphaBeta + topDur + restDur
-		bd.TraversedArcs = traversed
-		bd.Roots = roots
-		bd.Subgraphs = len(d.Subgraphs)
-		bd.Articulations = d.NumArticulation
-	}
-	return bc, nil
-}
-
-// flushLocal adds a sub-graph's local BC scores into the global array
-// (single-threaded caller).
-func flushLocal(bc []float64, sg *decompose.Subgraph, local []float64) {
-	for l, v := range sg.Verts {
-		bc[v] += local[l]
-	}
-}
-
-// flushLocalAtomic is flushLocal for concurrent callers; only articulation
-// points are ever shared between sub-graphs, but cache-line neighbours still
-// require atomic adds.
-func flushLocalAtomic(bc []float64, sg *decompose.Subgraph, local []float64) {
-	for l, v := range sg.Verts {
-		if local[l] != 0 {
-			atomicAddFloat64(&bc[v], local[l])
-		}
-	}
 }

@@ -83,22 +83,11 @@ func TestSocialGraphsAllStrategies(t *testing.T) {
 		gen.RoadLike(gen.RoadParams{Rows: 9, Cols: 9, DeleteFrac: 0.12, SpurFrac: 0.15, SpurLen: 2, Seed: 3}),
 		gen.BarabasiAlbert(300, 2, 4),
 	}
-	for gi, g := range graphs {
-		for _, strat := range []Strategy{StrategyTwoLevel, StrategyFineOnly, StrategyCoarseOnly} {
-			for _, w := range []int{1, 3} {
-				opt := Options{Strategy: strat, Workers: w, Threshold: 8}
-				assertMatchesBrandes(t, g, opt, "social")
-				_ = gi
-			}
+	for _, g := range graphs {
+		for _, w := range []int{1, 3} {
+			assertMatchesBrandes(t, g, Options{Workers: w, Threshold: 8}, "social")
 		}
 	}
-}
-
-func TestFineCutoffForcesBothPaths(t *testing.T) {
-	g := gen.SocialLike(gen.SocialParams{N: 500, AvgDeg: 5, Communities: 8, TopShare: 0.5, LeafFrac: 0.25, Seed: 5})
-	// Cutoff 1: everything fine-grained. Huge cutoff: everything coarse.
-	assertMatchesBrandes(t, g, Options{FineCutoff: 1, Workers: 2}, "all-fine")
-	assertMatchesBrandes(t, g, Options{FineCutoff: 1 << 30, Workers: 2}, "all-coarse")
 }
 
 func TestAlphaBetaMethodsAgree(t *testing.T) {
@@ -143,7 +132,7 @@ func TestGammaReducesRoots(t *testing.T) {
 func TestBreakdownPopulated(t *testing.T) {
 	g := gen.SocialLike(gen.SocialParams{N: 300, AvgDeg: 4, Communities: 6, TopShare: 0.5, LeafFrac: 0.2, Seed: 10})
 	var bd Breakdown
-	if _, err := Compute(g, Options{Breakdown: &bd, FineCutoff: 50}); err != nil {
+	if _, err := Compute(g, Options{Breakdown: &bd}); err != nil {
 		t.Fatal(err)
 	}
 	if bd.Subgraphs <= 1 {
@@ -178,21 +167,14 @@ func TestComputeDecomposedReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := brandes.Serial(g)
-	for _, strat := range []Strategy{StrategyTwoLevel, StrategyCoarseOnly} {
-		got, err := ComputeDecomposed(d, Options{Strategy: strat})
+	for run := 0; run < 2; run++ {
+		got, err := ComputeDecomposed(d, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if i, ok := bcClose(want, got, 1e-9); !ok {
 			t.Fatalf("reused decomposition differs at %d", i)
 		}
-	}
-}
-
-func TestUnknownStrategy(t *testing.T) {
-	g := gen.Path(5)
-	if _, err := Compute(g, Options{Strategy: Strategy(99)}); err == nil {
-		t.Fatal("expected error for unknown strategy")
 	}
 }
 
@@ -225,7 +207,7 @@ func TestQuickEquivalence(t *testing.T) {
 				SpurFrac: 0.2, SpurLen: 2, Seed: seed})
 		}
 		want := brandes.Serial(g)
-		got, err := Compute(g, Options{Threshold: th, Workers: w, FineCutoff: 60})
+		got, err := Compute(g, Options{Threshold: th, Workers: w})
 		if err != nil {
 			return false
 		}

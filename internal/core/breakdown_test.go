@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/decompose"
 	"repro/internal/gen"
+	"repro/internal/graph"
 )
 
 func breakdownGraph() *gen.SocialParams {
@@ -12,20 +13,34 @@ func breakdownGraph() *gen.SocialParams {
 		TopShare: 0.45, LeafFrac: 0.35, Seed: 42}
 }
 
-// TestBreakdownTotalCompute pins Figure 8's invariant on the full pipeline:
-// Total is exactly the sum of the four phases and is never the zero value.
+// TestBreakdownTotalCompute pins Figure 8's invariant on the full pipeline,
+// for the BFS and the Dijkstra kernel: Total is exactly the sum of the four
+// phases and is never the zero value, and the top sub-graph's sweeps are
+// attributed to TopBC.
 func TestBreakdownTotalCompute(t *testing.T) {
-	g := gen.SocialLike(*breakdownGraph())
-	for _, workers := range []int{1, 4} {
-		var bd Breakdown
-		if _, err := Compute(g, Options{Workers: workers, Breakdown: &bd}); err != nil {
-			t.Fatal(err)
+	base := gen.SocialLike(*breakdownGraph())
+	for name, g := range map[string]*graph.Graph{
+		"unweighted": base,
+		"weighted":   gen.WithRandomWeights(base, 4, 9),
+	} {
+		compute := Compute
+		if g.Weighted() {
+			compute = ComputeWeighted
 		}
-		if bd.Total <= 0 {
-			t.Fatalf("workers=%d: Breakdown.Total = %v, want > 0", workers, bd.Total)
-		}
-		if sum := bd.Partition + bd.AlphaBeta + bd.TopBC + bd.RestBC; bd.Total != sum {
-			t.Fatalf("workers=%d: Total %v != phase sum %v", workers, bd.Total, sum)
+		for _, workers := range []int{1, 4} {
+			var bd Breakdown
+			if _, err := compute(g, Options{Workers: workers, Breakdown: &bd}); err != nil {
+				t.Fatal(err)
+			}
+			if bd.Total <= 0 {
+				t.Fatalf("%s workers=%d: Breakdown.Total = %v, want > 0", name, workers, bd.Total)
+			}
+			if sum := bd.Partition + bd.AlphaBeta + bd.TopBC + bd.RestBC; bd.Total != sum {
+				t.Fatalf("%s workers=%d: Total %v != phase sum %v", name, workers, bd.Total, sum)
+			}
+			if bd.TopBC <= 0 {
+				t.Fatalf("%s workers=%d: TopBC = %v, want the top sub-graph's share", name, workers, bd.TopBC)
+			}
 		}
 	}
 }
@@ -57,24 +72,4 @@ func TestBreakdownTotalComputeDecomposed(t *testing.T) {
 				workers, bd.Partition, bd.AlphaBeta)
 		}
 	}
-}
-
-// TestFineStateReuse forces every sub-graph — large and small alike — through
-// the shared fine-grained state (StrategyFineOnly, several workers) and
-// checks the scores still match textbook Brandes, guarding the ensure-style
-// reset that lets one fineState serve sub-graphs of different sizes.
-func TestFineStateReuse(t *testing.T) {
-	params := *breakdownGraph()
-	params.Communities = 20
-	g := gen.SocialLike(params)
-	assertMatchesBrandes(t, g,
-		Options{Workers: 4, Strategy: StrategyFineOnly}, "fine-state reuse")
-
-	// Directed flavour exercises the directed root correction too.
-	params.Directed = true
-	params.Reciprocity = 0.5
-	params.Seed = 43
-	dg := gen.SocialLike(params)
-	assertMatchesBrandes(t, dg,
-		Options{Workers: 4, Strategy: StrategyFineOnly}, "fine-state reuse directed")
 }

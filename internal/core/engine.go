@@ -8,25 +8,23 @@ import (
 	"repro/internal/ws"
 )
 
-// RootEngine selects the sweep kernel the dynamic scheduler drives for
-// unweighted graphs. Both engines compute bit-identical scores (see
-// internal/msbfs's package comment for why batching cannot change a bit), so
-// the choice is purely a performance knob: the batched engine amortizes one
-// CSR stream over up to 64 roots and wins on graphs whose sub-graphs keep
-// many roots after γ elimination; the scalar engine has no per-batch
-// overhead and wins on small or root-poor sub-graphs (the msbfsState
-// break-even guard picks per sub-graph automatically).
+// RootEngine selects the sweep kernel for unweighted graphs. Both engines
+// compute bit-identical scores (see internal/msbfs's package comment for why
+// batching cannot change a bit), so the choice is purely a performance knob:
+// the batched engine amortizes one CSR stream over up to 64 roots and wins on
+// graphs whose sub-graphs keep many roots after γ elimination; the scalar
+// engine has no per-batch overhead and wins on small or root-poor sub-graphs
+// (the break-even gates below pick per unit automatically).
 type RootEngine int
 
 const (
-	// EngineScalar is the default: one root per sweep (serialState), with
-	// the direction-optimizing hybrid σ-BFS on large sub-graphs.
+	// EngineScalar is the default: one root per sweep, with the
+	// direction-optimizing hybrid σ-BFS on large sub-graphs (Dijkstra on
+	// weighted graphs).
 	EngineScalar RootEngine = iota
 	// EngineMSBFS batches up to ws.LaneWidth roots per traversal using the
-	// bit-parallel multi-source kernel (internal/msbfs). Weighted graphs and
-	// the static scheduler always use the scalar engine regardless of this
-	// setting — the batched kernel is BFS-based and integrates behind the
-	// dynamic unit queue only.
+	// bit-parallel multi-source kernel (internal/msbfs). The kernel is
+	// BFS-based, so requesting it for a weighted graph is an error.
 	EngineMSBFS
 )
 
@@ -55,10 +53,24 @@ func ParseRootEngine(name string) (RootEngine, error) {
 	}
 }
 
+// validateEngine rejects engine requests no kernel can honour.
+func validateEngine(weighted bool, re RootEngine) error {
+	switch re {
+	case EngineScalar:
+	case EngineMSBFS:
+		if weighted {
+			return fmt.Errorf("core: root engine msbfs is BFS-based and cannot sweep a weighted graph (use scalar)")
+		}
+	default:
+		return fmt.Errorf("core: unknown root engine %d", re)
+	}
+	return nil
+}
+
 // Break-even gates for the batched kernel, per (sub-graph, root-range) unit:
 // below either bound the per-batch overhead (lane bookkeeping, the 64-slot
 // stride on every σ/δ access) costs more than the shared CSR stream saves,
-// and msbfsState degrades to the scalar per-root loop. The fallback is
+// and runBatch degrades to the scalar per-root loop. The fallback is
 // unobservable in the output — both paths are bit-identical — so the bounds
 // are tuned purely for speed. Measured on the power-law stand-ins (best-of-30
 // single-thread sweeps): minVerts 128→64 doubled the wiki-talk win (its many
@@ -69,28 +81,90 @@ const (
 	msbfsMinVerts = 64
 )
 
-// batchEngine extends rootEngine with a root-range entry point. drainUnits
-// feeds whole unit ranges to engines that implement it, letting the msbfs
-// kernel batch them; plain engines get the per-root loop.
-type batchEngine interface {
-	rootEngine
-	runRoots(sg *decompose.Subgraph, roots []int32, directed bool)
+// engine is one worker's sweep engine: pooled per-vertex scratch plus the
+// kernel that fits the graph and the requested RootEngine — BFS (bfsRoot),
+// bit-parallel batched BFS (internal/msbfs) or Dijkstra (dijkstraRoot). All
+// three accumulate into ws.BC, so the unit scheduler, Incremental and
+// RootSweep drive it the same way: ensure a sub-graph, run roots, drain
+// ws.BC, release. The zero value is the scalar BFS engine with the default
+// bottom-up threshold.
+type engine struct {
+	ws        *ws.Sweep
+	traversed int64
+
+	weighted bool    // Dijkstra kernel; set from the graph, never by callers' options
+	batched  bool    // RootEngine == EngineMSBFS
+	bottomUp float64 // Options.BottomUpFrac, unresolved
+	frac     float64 // effective bottom-up threshold for the ensured sub-graph; 0 = top-down only
+
+	kernel msbfs.Kernel // batched scratch
+	pq     wheap        // Dijkstra heap
 }
 
-// msbfsState is the dynamic scheduler's batched engine: the bit-parallel
-// multi-source kernel for unit ranges above the break-even gates, the
-// embedded scalar serialState below them (and for rootEngine's one-root
-// path). Both feed the same pooled ws.Sweep accumulation buffer, so a unit
-// may mix batched and scalar sweeps freely.
-type msbfsState struct {
-	serialState
-	kernel msbfs.Kernel
+// newEngine builds the engine validateEngine approved for a graph.
+func newEngine(weighted bool, opt Options) *engine {
+	return &engine{weighted: weighted, batched: opt.RootEngine == EngineMSBFS, bottomUp: opt.BottomUpFrac}
 }
 
-func (st *msbfsState) runRoots(sg *decompose.Subgraph, roots []int32, directed bool) {
+// ensure prepares the engine for sweeps over sg: scratch checked out of the
+// shared pool on first use and grown to sg's size (the clean-slot invariants
+// — dist == -1 everywhere, σ/BC zero, visited clear — are guaranteed by the
+// pool and maintained by the kernels' sparse resets), and for BFS sweeps of
+// sub-graphs worth the direction-optimizing treatment, the in-CSR the
+// bottom-up levels scan (EnsureIn is once-guarded, so concurrent workers on
+// one sub-graph are safe).
+func (e *engine) ensure(sg *decompose.Subgraph) {
+	if e.ws == nil {
+		e.ws = sweepPool.Get(0)
+	}
+	n := sg.NumVerts()
+	if e.weighted {
+		e.ws.GrowWeighted(n)
+		return
+	}
+	e.ws.Grow(n)
+	e.frac = 0
+	if n >= hybridMinVerts {
+		if e.frac = resolveFrac(e.bottomUp); e.frac > 0 {
+			sg.EnsureIn()
+		}
+	}
+}
+
+// release returns the scratch to the pool. The caller must have drained
+// ws.BC (flush + zero) first; everything else is clean by the sparse-reset
+// discipline.
+func (e *engine) release() {
+	if e.ws != nil {
+		sweepPool.Put(e.ws)
+		e.ws = nil
+	}
+}
+
+// runRoots sweeps the given roots of the ensured sub-graph in order,
+// accumulating into ws.BC.
+func (e *engine) runRoots(sg *decompose.Subgraph, roots []int32, directed bool) {
+	switch {
+	case e.weighted:
+		for _, s := range roots {
+			e.dijkstraRoot(sg, s, directed)
+		}
+	case e.batched:
+		e.runBatch(sg, roots, directed)
+	default:
+		for _, s := range roots {
+			e.bfsRoot(sg, s, directed)
+		}
+	}
+}
+
+// runBatch feeds roots to the bit-parallel kernel a lane word at a time, or
+// to the scalar loop below the break-even gates; a range may mix both freely
+// since they share the accumulation buffer.
+func (e *engine) runBatch(sg *decompose.Subgraph, roots []int32, directed bool) {
 	if len(roots) < msbfsMinLanes || sg.NumVerts() < msbfsMinVerts {
 		for _, s := range roots {
-			st.runRoot(sg, s, directed)
+			e.bfsRoot(sg, s, directed)
 		}
 		return
 	}
@@ -99,21 +173,20 @@ func (st *msbfsState) runRoots(sg *decompose.Subgraph, roots []int32, directed b
 		if hi > len(roots) {
 			hi = len(roots)
 		}
-		st.traversed += st.kernel.Run(sg, roots[lo:hi], directed, st.ws)
+		e.traversed += e.kernel.Run(sg, roots[lo:hi], directed, e.ws)
 	}
 }
 
 // dynamicSerialCutoff is the small-graph break-even guard: when the whole
 // decomposition's estimated sweep cost Σ|roots|·(|V|+|E|) falls below it,
-// computeDynamic degrades to the p == 1 serial coarse path even if more
-// workers were requested — below this much work, worker startup and the
-// per-unit partial-array merges cost more than the parallelism returns
-// (ROADMAP: road-network inputs ran 1.5× slower at p=8 than p=1). The
-// fallback is bit-invisible because it drains the SAME unit list serially:
-// unit boundaries fix each sub-graph's partial-sum association, and the
-// serial drain's in-order flushes replay the parallel drain's canonical
-// merge addition for addition. A var, not a const, so tests can pin
-// bit-equality across the boundary by moving it.
+// ComputeDecomposed drains with one worker even if more were requested —
+// below this much work, worker startup and the per-unit partial-array merges
+// cost more than the parallelism returns (road-network inputs ran 1.5×
+// slower at p=8 than p=1). The fallback is bit-invisible because it drains
+// the SAME unit list serially: unit boundaries fix each sub-graph's
+// partial-sum association, and the serial drain's in-order flushes replay
+// the parallel drain's canonical merge addition for addition. A var, not a
+// const, so tests can pin bit-equality across the boundary by moving it.
 var dynamicSerialCutoff int64 = 1 << 21
 
 // totalSweepCost estimates the decomposition's full sweep work under the

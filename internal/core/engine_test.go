@@ -56,12 +56,12 @@ func TestMSBFSEngineBitMatchesScalar(t *testing.T) {
 	forceParallel(t)
 	for name, g := range engineFamilies() {
 		for _, p := range []int{1, 2, 4, 8} {
-			want, err := Compute(g, Options{Workers: p, Threshold: 8, FineCutoff: 64})
+			want, err := Compute(g, Options{Workers: p, Threshold: 8})
 			if err != nil {
 				t.Fatalf("%s p=%d scalar: %v", name, p, err)
 			}
 			got, err := Compute(g, Options{
-				Workers: p, Threshold: 8, FineCutoff: 64, RootEngine: EngineMSBFS,
+				Workers: p, Threshold: 8, RootEngine: EngineMSBFS,
 			})
 			if err != nil {
 				t.Fatalf("%s p=%d msbfs: %v", name, p, err)
@@ -78,7 +78,7 @@ func TestMSBFSEngineMatchesBrandes(t *testing.T) {
 	for name, g := range engineFamilies() {
 		want := brandes.Serial(g)
 		got, err := Compute(g, Options{
-			Workers: 4, Threshold: 8, FineCutoff: 64, RootEngine: EngineMSBFS,
+			Workers: 4, Threshold: 8, RootEngine: EngineMSBFS,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -132,12 +132,12 @@ func TestMSBFSBatchRemainder(t *testing.T) {
 func TestMSBFSEngineDeterministic(t *testing.T) {
 	forceParallel(t)
 	g := schedFamilies()["social"]
-	base, err := Compute(g, Options{Workers: 8, Threshold: 8, FineCutoff: 64, RootEngine: EngineMSBFS})
+	base, err := Compute(g, Options{Workers: 8, Threshold: 8, RootEngine: EngineMSBFS})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for run := 0; run < 3; run++ {
-		got, err := Compute(g, Options{Workers: 8, Threshold: 8, FineCutoff: 64, RootEngine: EngineMSBFS})
+		got, err := Compute(g, Options{Workers: 8, Threshold: 8, RootEngine: EngineMSBFS})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,20 +158,43 @@ func TestDynamicSerialCutoffBoundary(t *testing.T) {
 		for _, eng := range []RootEngine{EngineScalar, EngineMSBFS} {
 			dynamicSerialCutoff = 1 << 62 // guard always fires: serial path
 			serial, err := Compute(g, Options{
-				Workers: 8, Threshold: 8, FineCutoff: 64, RootEngine: eng,
+				Workers: 8, Threshold: 8, RootEngine: eng,
 			})
 			if err != nil {
 				t.Fatalf("%s/%v serial-guarded: %v", name, eng, err)
 			}
 			dynamicSerialCutoff = 0 // guard never fires: real parallel drain
 			parallel, err := Compute(g, Options{
-				Workers: 8, Threshold: 8, FineCutoff: 64, RootEngine: eng,
+				Workers: 8, Threshold: 8, RootEngine: eng,
 			})
 			if err != nil {
 				t.Fatalf("%s/%v parallel: %v", name, eng, err)
 			}
 			bcBitsEqual(t, name+"/"+eng.String(), serial, parallel)
 		}
+	}
+}
+
+// TestStaticSchedulerHonoursMSBFS: the engine choice applies under either
+// unit granularity. Scores cannot tell (the engines are bit-identical), so
+// look at the arena: after a one-worker run from a fresh pool, its only
+// sweep must carry the lane arrays the batched kernel grows.
+func TestStaticSchedulerHonoursMSBFS(t *testing.T) {
+	g := schedFamilies()["er"] // one 300-vertex block: far above the gates
+	want, err := Compute(g, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweepPool = ws.Pool{}
+	got, err := Compute(g, Options{Workers: 1, Scheduler: SchedulerStatic, RootEngine: EngineMSBFS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bcBitsEqual(t, "static+msbfs", want, got)
+	s := sweepPool.Get(0)
+	defer sweepPool.Put(s)
+	if s.LaneSeen == nil {
+		t.Fatal("SchedulerStatic with EngineMSBFS ran the scalar kernel")
 	}
 }
 

@@ -107,10 +107,8 @@ func NewIncremental(g *graph.Graph, opt Options) (*Incremental, error) {
 	if g.Weighted() {
 		return nil, fmt.Errorf("core: incremental BC supports unweighted graphs only")
 	}
-	switch opt.RootEngine {
-	case EngineScalar, EngineMSBFS:
-	default:
-		return nil, fmt.Errorf("core: unknown root engine %d", opt.RootEngine)
+	if err := validateEngine(false, opt.RootEngine); err != nil {
+		return nil, err
 	}
 	inc := &Incremental{
 		opt:      opt,
@@ -205,25 +203,15 @@ func (inc *Incremental) rebuild() error {
 func (inc *Incremental) recompute(next *epochState, si int) error {
 	sg := next.d.Subgraphs[si]
 	n := sg.NumVerts()
-	st := &msbfsState{}
-	if n >= hybridMinVerts {
-		sg.EnsureIn()
-		st.hybridFrac = resolveFrac(inc.opt.BottomUpFrac)
-	}
-	st.ensure(n)
-	if inc.opt.RootEngine == EngineMSBFS {
-		st.runRoots(sg, sg.Roots, inc.directed)
-	} else {
-		for _, s := range sg.Roots {
-			st.runRoot(sg, s, inc.directed)
-		}
-	}
+	e := newEngine(false, inc.opt)
+	e.ensure(sg)
+	e.runRoots(sg, sg.Roots, inc.directed)
 	fresh := make([]float64, n)
-	copy(fresh, st.ws.BC[:n])
-	for l := range st.ws.BC[:n] {
-		st.ws.BC[l] = 0
+	copy(fresh, e.ws.BC[:n])
+	for l := range e.ws.BC[:n] {
+		e.ws.BC[l] = 0
 	}
-	st.release()
+	e.release()
 	old := next.contrib[si]
 	for l, v := range sg.Verts {
 		if old != nil {

@@ -5,28 +5,28 @@ import (
 	"time"
 
 	"repro/internal/decompose"
+	"repro/internal/graph"
 	"repro/internal/par"
 	"repro/internal/ws"
 )
 
-// The dynamic scheduler replaces the legacy phase-A/phase-B split with one
-// cost-ordered queue of (sub-graph, root-range) work units. Each unit's cost
-// is estimated as |roots|·(|V_i|+|E_i|) — the Brandes work bound for its
-// slice of the sub-graph — and the queue is drained largest-first by a fixed
-// worker pool (par.ForWorker with grain 1: atomic-counter claiming, the
-// work-stealing analogue). Large sub-graphs are split into several root
-// ranges so they fan out across workers, and because everything lives in one
-// queue there is no barrier holding small sub-graphs back while the top
-// sub-graph finishes.
+// Every sweep is scheduled the same way: one cost-ordered queue of
+// (sub-graph, root-range) work units. Each unit's cost is estimated as
+// |roots|·(|V_i|+|E_i|) — the Brandes work bound for its slice of the
+// sub-graph — and the queue is drained largest-first by a fixed worker pool
+// (par.ForWorker with grain 1: atomic-counter claiming, the work-stealing
+// analogue). Large sub-graphs are split into several root ranges so they fan
+// out across workers, and because everything lives in one queue there is no
+// barrier holding small sub-graphs back while the top sub-graph finishes.
 //
 // Determinism: at p == 1 units are whole sub-graphs processed in index order
-// with direct flushes — exactly the legacy coarse serial path (what
-// RootSweep/approx replay bit-for-bit). At p > 1 each unit accumulates into
-// a private partial array and the partials are merged sequentially in
-// (sub-graph index, root-range) order after the drain, so the result is a
-// deterministic function of (graph, options) regardless of worker
-// interleaving. Only articulation points are shared between sub-graphs, so
-// the extra memory is one float64 slice per unit, Σ|V_i| overall.
+// with direct flushes (what RootSweep/approx replay bit-for-bit). At p > 1
+// each unit accumulates into a private partial array and the partials are
+// merged sequentially in (sub-graph index, root-range) order after the
+// drain, so the result is a deterministic function of (graph, options)
+// regardless of worker interleaving. Only articulation points are shared
+// between sub-graphs, so the extra memory is one float64 slice per unit,
+// Σ|V_i| overall.
 
 // unitsPerWorkerTarget controls chunking: a sub-graph is split so that no
 // unit exceeds ~1/(unitsPerWorkerTarget·p) of the total estimated work,
@@ -37,51 +37,11 @@ const unitsPerWorkerTarget = 4
 type workUnit struct {
 	sg      *decompose.Subgraph
 	sgIdx   int
-	lo, hi  int // root range [lo, hi) into sg.Roots
-	big     bool
+	lo, hi  int  // root range [lo, hi) into sg.Roots
+	top     bool // unit of the top sub-graph (Breakdown.TopBC)
 	cost    int64
 	partial []float64
 	dur     time.Duration
-}
-
-// rootEngine is the per-worker sweep engine the scheduler drives: the serial
-// unweighted four-dependency engine (serialState) and its Dijkstra analogue
-// (weightedState) both implement it.
-type rootEngine interface {
-	ensure(n int)
-	runRoot(sg *decompose.Subgraph, s int32, directed bool)
-	local() []float64     // per-sub-graph BC accumulation buffer
-	takeTraversed() int64 // drain the traversed-arc counter
-	release()             // return pooled scratch (caller drained local first)
-}
-
-func (st *serialState) local() []float64 { return st.ws.BC }
-
-func (st *serialState) takeTraversed() int64 {
-	t := st.traversed
-	st.traversed = 0
-	return t
-}
-
-func (st *weightedState) local() []float64 { return st.ws.BC }
-
-func (st *weightedState) takeTraversed() int64 {
-	t := st.traversed
-	st.traversed = 0
-	return t
-}
-
-// prepareHybrid builds the in-CSR of every sub-graph large enough for the
-// direction-optimizing sweep. No-op when bottom-up is disabled.
-func prepareHybrid(d *decompose.Decomposition, frac float64) {
-	if frac <= 0 {
-		return
-	}
-	for _, sg := range d.Subgraphs {
-		if sg.NumVerts() >= hybridMinVerts {
-			sg.EnsureIn()
-		}
-	}
 }
 
 // unitCost estimates the sweep work for nr roots of sg. The scalar engine
@@ -98,7 +58,7 @@ func unitCost(sg *decompose.Subgraph, nr int, laneBatched bool) int64 {
 // buildUnits constructs the work-unit list in canonical (sgIdx, root-range)
 // order. chunking splits costly sub-graphs into root ranges sized so the
 // queue holds a few units per worker; otherwise every unit is a whole
-// sub-graph. cutoff classifies units as "big" for Breakdown attribution.
+// sub-graph.
 //
 // Unit BOUNDARIES are engine-independent: the chunk count always comes from
 // the scalar cost model, and chunk sizes are rounded up to whole lane words
@@ -114,7 +74,7 @@ func unitCost(sg *decompose.Subgraph, nr int, laneBatched bool) int64 {
 // proportional prefix BEFORE chunking, so the unit boundaries of a budgeted
 // run are again a pure function of (decomposition, options) — the
 // determinism argument above carries over unchanged.
-func buildUnits(d *decompose.Decomposition, p, cutoff int, chunking, laneBatched bool, budget int) []workUnit {
+func buildUnits(d *decompose.Decomposition, p int, chunking, laneBatched bool, budget int) []workUnit {
 	totalRoots := totalRootCount(d)
 	var total int64
 	costs := make([]int64, len(d.Subgraphs))
@@ -144,14 +104,13 @@ func buildUnits(d *decompose.Decomposition, p, cutoff int, chunking, laneBatched
 		if per%ws.LaneWidth != 0 && per < nr {
 			per += ws.LaneWidth - per%ws.LaneWidth
 		}
-		big := i == d.TopIndex || sg.NumVerts() >= cutoff
 		for lo := 0; lo < nr; lo += per {
 			hi := lo + per
 			if hi > nr {
 				hi = nr
 			}
 			units = append(units, workUnit{
-				sg: sg, sgIdx: i, lo: lo, hi: hi, big: big,
+				sg: sg, sgIdx: i, lo: lo, hi: hi, top: i == d.TopIndex,
 				cost: unitCost(sg, hi-lo, laneBatched),
 			})
 		}
@@ -160,36 +119,31 @@ func buildUnits(d *decompose.Decomposition, p, cutoff int, chunking, laneBatched
 }
 
 // drainUnits runs every unit and merges results into bc deterministically
-// (see the package comment above). newEngine constructs one per-worker
-// engine; returns the total traversed-arc count.
-func drainUnits(units []workUnit, p int, directed bool, newEngine func() rootEngine, bc []float64) int64 {
-	runUnit := func(st rootEngine, u *workUnit) {
-		n := u.sg.NumVerts()
-		st.ensure(n)
+// (see the comment at the top of this file) with one engine per worker;
+// returns the total traversed-arc count.
+func drainUnits(units []workUnit, p int, g *graph.Graph, opt Options, bc []float64) int64 {
+	weighted, directed := g.Weighted(), g.Directed()
+	// runUnit sweeps u's roots and hands back the engine's accumulation
+	// buffer for the caller to flush or copy, then zero.
+	runUnit := func(e *engine, u *workUnit) []float64 {
+		e.ensure(u.sg)
 		t0 := time.Now()
-		if be, ok := st.(batchEngine); ok {
-			be.runRoots(u.sg, u.sg.Roots[u.lo:u.hi], directed)
-		} else {
-			for _, s := range u.sg.Roots[u.lo:u.hi] {
-				st.runRoot(u.sg, s, directed)
-			}
-		}
+		e.runRoots(u.sg, u.sg.Roots[u.lo:u.hi], directed)
 		u.dur = time.Since(t0)
+		return e.ws.BC[:u.sg.NumVerts()]
 	}
 	if p <= 1 || len(units) < 2 {
-		st := newEngine()
+		e := newEngine(weighted, opt)
 		for i := range units {
 			u := &units[i]
-			runUnit(st, u)
-			loc := st.local()[:u.sg.NumVerts()]
+			loc := runUnit(e, u)
 			flushLocal(bc, u.sg, loc)
 			for l := range loc {
 				loc[l] = 0
 			}
 		}
-		t := st.takeTraversed()
-		st.release()
-		return t
+		e.release()
+		return e.traversed
 	}
 	// Drain order: descending cost, ties broken by canonical order so the
 	// queue itself is deterministic.
@@ -207,16 +161,15 @@ func drainUnits(units []workUnit, p int, directed bool, newEngine func() rootEng
 		}
 		return ua.lo < ub.lo
 	})
-	engines := make([]rootEngine, p)
+	engines := make([]*engine, p)
 	par.ForWorker(len(queue), p, 1, func(w, qi int) {
 		u := &units[queue[qi]]
-		st := engines[w]
-		if st == nil {
-			st = newEngine()
-			engines[w] = st
+		e := engines[w]
+		if e == nil {
+			e = newEngine(weighted, opt)
+			engines[w] = e
 		}
-		runUnit(st, u)
-		loc := st.local()[:u.sg.NumVerts()]
+		loc := runUnit(e, u)
 		u.partial = make([]float64, len(loc))
 		copy(u.partial, loc)
 		for l := range loc {
@@ -229,68 +182,41 @@ func drainUnits(units []workUnit, p int, directed bool, newEngine func() rootEng
 		units[i].partial = nil
 	}
 	var traversed int64
-	for _, st := range engines {
-		if st != nil {
-			traversed += st.takeTraversed()
-			st.release()
+	for _, e := range engines {
+		if e != nil {
+			traversed += e.traversed
+			e.release()
 		}
 	}
 	return traversed
 }
 
-// computeDynamic runs the unweighted BC phase with the dynamic unit
-// scheduler, accumulating into bc.
-func computeDynamic(d *decompose.Decomposition, opt Options, p, cutoff int, bc []float64) ([]float64, error) {
-	directed := d.G.Directed()
-	frac := resolveFrac(opt.BottomUpFrac)
-	start := time.Now()
-	prepareHybrid(d, frac)
-	batched := opt.RootEngine == EngineMSBFS
-	newEngine := func() rootEngine { return &serialState{hybridFrac: frac} }
-	if batched {
-		newEngine = func() rootEngine {
-			return &msbfsState{serialState: serialState{hybridFrac: frac}}
-		}
+// flushLocal adds a sub-graph's local BC scores into the global array
+// (single-threaded caller).
+func flushLocal(bc []float64, sg *decompose.Subgraph, local []float64) {
+	for l, v := range sg.Verts {
+		bc[v] += local[l]
 	}
-	// StrategyCoarseOnly promises serial whole-sub-graph processing, so only
-	// StrategyTwoLevel chunks root ranges.
-	units := buildUnits(d, p, cutoff, p > 1 && opt.Strategy == StrategyTwoLevel, batched, opt.RootBudget)
-	// Small-graph break-even guard: below the work cutoff, drain the SAME
-	// unit list with one worker instead of p. The p == 1 drain flushes each
-	// unit's local scores in canonical order — additions identical to the
-	// parallel drain's canonical partial merge — so degrading is bit-exact,
-	// and faster than paying worker startup plus per-unit partial arrays for
-	// a few milliseconds of sweep work.
-	drainP := p
-	if p > 1 && totalSweepCost(d) < dynamicSerialCutoff {
-		drainP = 1
-	}
-	traversed := drainUnits(units, drainP, directed, newEngine, bc)
-	wall := time.Since(start)
-
-	if opt.Breakdown != nil {
-		fillDynamicBreakdown(opt.Breakdown, d, units, wall, traversed)
-	}
-	return bc, nil
 }
 
-// fillDynamicBreakdown populates bd from a finished drain. Per-unit
-// durations overlap at p > 1, so the measured wall time is attributed
-// proportionally to the big/small duration shares; TopBC + RestBC == wall
-// exactly, keeping the Breakdown sum invariant the tests pin.
-func fillDynamicBreakdown(bd *Breakdown, d *decompose.Decomposition, units []workUnit, wall time.Duration, traversed int64) {
-	var bigDur, allDur time.Duration
+// fillBreakdown populates bd from a finished drain: TopBC is the time of the
+// top sub-graph's units (Figure 8's definition), RestBC everything else.
+// Per-unit durations overlap at p > 1, so the measured wall time is
+// attributed proportionally to the top/rest duration shares; TopBC + RestBC
+// == wall exactly, keeping the Breakdown sum invariant the tests pin.
+func fillBreakdown(bd *Breakdown, d *decompose.Decomposition, units []workUnit, wall time.Duration, traversed int64) {
+	var topDur, allDur time.Duration
 	var roots int64
 	for i := range units {
 		allDur += units[i].dur
-		if units[i].big {
-			bigDur += units[i].dur
+		if units[i].top {
+			topDur += units[i].dur
 		}
 		roots += int64(units[i].hi - units[i].lo)
 	}
 	var top time.Duration
 	if allDur > 0 {
-		top = time.Duration(float64(wall) * float64(bigDur) / float64(allDur))
+		top = time.Duration(float64(wall) * float64(topDur) / float64(allDur))
 	}
 	bd.TopBC = top
 	bd.RestBC = wall - top

@@ -28,17 +28,17 @@ func schedFamilies() map[string]*graph.Graph {
 	}
 }
 
-// TestSchedulerWorkerSweepMatchesBrandes is the acceptance pin for the
-// dynamic scheduler: BC at workers 1, 2, 4 and 8 matches serial Brandes
-// within the suite tolerance on all nine graph families, with a low
-// threshold and fine cutoff so decomposition, chunking and the hybrid sweep
-// all engage even at these sizes.
+// TestSchedulerWorkerSweepMatchesBrandes is the acceptance pin for the unit
+// scheduler: BC at workers 1, 2, 4 and 8 matches serial Brandes within the
+// suite tolerance on all nine graph families, with a low threshold so
+// decomposition, chunking and the hybrid sweep all engage even at these
+// sizes.
 func TestSchedulerWorkerSweepMatchesBrandes(t *testing.T) {
 	for name, g := range schedFamilies() {
 		want := brandes.Serial(g)
 		for _, p := range []int{1, 2, 4, 8} {
 			got, err := Compute(g, Options{
-				Workers: p, Threshold: 8, FineCutoff: 64,
+				Workers: p, Threshold: 8,
 			})
 			if err != nil {
 				t.Fatalf("%s p=%d: %v", name, p, err)
@@ -51,10 +51,14 @@ func TestSchedulerWorkerSweepMatchesBrandes(t *testing.T) {
 	}
 }
 
-// TestSchedulerStaticDynamicEquivalent cross-checks the two schedulers
-// against each other at several worker counts.
+// TestSchedulerStaticDynamicEquivalent cross-checks the two unit
+// granularities against each other at several worker counts, and pins what
+// whole-sub-graph units buy: SchedulerStatic's unit list does not depend on
+// the worker count, so its scores are bit-identical at 1 and 8 workers.
 func TestSchedulerStaticDynamicEquivalent(t *testing.T) {
+	forceParallel(t)
 	for name, g := range schedFamilies() {
+		var static1 []float64
 		for _, p := range []int{1, 3, 8} {
 			dyn, err := Compute(g, Options{Workers: p, Threshold: 8, Scheduler: SchedulerDynamic})
 			if err != nil {
@@ -68,35 +72,41 @@ func TestSchedulerStaticDynamicEquivalent(t *testing.T) {
 				t.Fatalf("%s p=%d: schedulers disagree at vertex %d: dynamic %v static %v",
 					name, p, i, dyn[i], sta[i])
 			}
+			if p == 1 {
+				static1 = sta
+			} else {
+				bcBitsEqual(t, name+" static across workers", static1, sta)
+			}
 		}
 	}
 }
 
 // TestSchedulerDeterministic pins the deterministic-merge design: repeated
 // multi-worker runs return bit-identical scores despite nondeterministic
-// unit-to-worker assignment.
+// unit-to-worker assignment, for the BFS and the Dijkstra kernel alike.
 func TestSchedulerDeterministic(t *testing.T) {
-	g := schedFamilies()["social"]
-	base, err := Compute(g, Options{Workers: 8, Threshold: 8, FineCutoff: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for run := 0; run < 5; run++ {
-		got, err := Compute(g, Options{Workers: 8, Threshold: 8, FineCutoff: 64})
+	forceParallel(t)
+	social := schedFamilies()["social"]
+	for name, g := range map[string]*graph.Graph{
+		"social":   social,
+		"weighted": gen.WithRandomWeights(social, 4, 9),
+	} {
+		base, err := Compute(g, Options{Workers: 8, Threshold: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for v := range base {
-			if math.Float64bits(got[v]) != math.Float64bits(base[v]) {
-				t.Fatalf("run %d: bc[%d] = %v (bits %x), first run %v (bits %x)",
-					run, v, got[v], math.Float64bits(got[v]), base[v], math.Float64bits(base[v]))
+		for run := 0; run < 5; run++ {
+			got, err := Compute(g, Options{Workers: 8, Threshold: 8})
+			if err != nil {
+				t.Fatal(err)
 			}
+			bcBitsEqual(t, name+" rerun", base, got)
 		}
 	}
 }
 
 // TestHybridSweepBitNeutral pins the direction-optimizing sweep's bit
-// neutrality claim (serialState.hybridFrac): forcing bottom-up levels on,
+// neutrality claim (bfsRoot): forcing bottom-up levels on,
 // off, or at an aggressive threshold never changes a single output bit.
 func TestHybridSweepBitNeutral(t *testing.T) {
 	for name, g := range schedFamilies() {
@@ -124,38 +134,8 @@ func TestHybridSweepBitNeutral(t *testing.T) {
 	}
 }
 
-// TestFineEngineBottomUp forces the level-synchronous engine's parallel
-// bottom-up branch: StrategyFineOnly on a graph whose top sub-graph exceeds
-// hybridMinVerts, with an aggressive switch threshold, checked against
-// Brandes and against the disabled-hybrid fine engine bit for bit.
-func TestFineEngineBottomUp(t *testing.T) {
-	g := schedFamilies()["er"] // biconnected core of 300 vertices
-	want := brandes.Serial(g)
-	var ref []float64
-	for _, frac := range []float64{-1, 0.01} {
-		got, err := Compute(g, Options{
-			Workers: 4, Threshold: 8, Strategy: StrategyFineOnly, BottomUpFrac: frac,
-		})
-		if err != nil {
-			t.Fatalf("frac=%v: %v", frac, err)
-		}
-		if i, ok := bcClose(want, got, 1e-9); !ok {
-			t.Fatalf("frac=%v: differs from Brandes at vertex %d: want %v got %v",
-				frac, i, want[i], got[i])
-		}
-		if ref == nil {
-			ref = got
-			continue
-		}
-		for v := range ref {
-			if math.Float64bits(got[v]) != math.Float64bits(ref[v]) {
-				t.Fatalf("fine engine hybrid changed bc[%d]: %v vs %v", v, got[v], ref[v])
-			}
-		}
-	}
-}
-
-// TestUnknownScheduler mirrors TestUnknownStrategy for the new option.
+// TestUnknownScheduler: an out-of-range Scheduler is an error, never a
+// default.
 func TestUnknownScheduler(t *testing.T) {
 	if _, err := Compute(gen.Path(5), Options{Scheduler: Scheduler(99)}); err == nil {
 		t.Fatal("unknown scheduler accepted")
@@ -172,10 +152,11 @@ func TestUnknownScheduler(t *testing.T) {
 // TestWeightedSchedulerEquivalent runs the weighted engine under both
 // schedulers against the serial weighted Brandes reference.
 func TestWeightedSchedulerEquivalent(t *testing.T) {
+	forceParallel(t)
 	g := gen.WithRandomWeights(gen.SocialLike(gen.SocialParams{
 		N: 200, AvgDeg: 4, Communities: 4, TopShare: 0.5, LeafFrac: 0.3, Seed: 5}), 4, 9)
 	want := brandes.WeightedSerial(g)
-	for _, p := range []int{1, 4} {
+	for _, p := range []int{1, 2, 4, 8} {
 		for _, sched := range []Scheduler{SchedulerDynamic, SchedulerStatic} {
 			got, err := ComputeWeighted(g, Options{Workers: p, Threshold: 8, Scheduler: sched})
 			if err != nil {

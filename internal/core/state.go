@@ -2,16 +2,12 @@ package core
 
 import (
 	"math/bits"
-	"sync/atomic"
 
 	"repro/internal/bfs"
 	"repro/internal/bitset"
 	"repro/internal/decompose"
-	"repro/internal/par"
 	"repro/internal/ws"
 )
-
-func atomicAddFloat64(addr *float64, delta float64) { par.AddFloat64(addr, delta) }
 
 // sweepPool is the process-wide sweep-workspace arena (internal/ws): every
 // engine in this package checks its per-vertex scratch out of it and returns
@@ -27,9 +23,7 @@ func SweepPoolStats() (size, inUse int) { return sweepPool.Stats() }
 
 // hybridMinVerts gates the direction-optimizing σ-BFS: below this size the
 // bottom-up word scan costs more than it saves, and the transpose CSR is not
-// worth building. Callers that want the hybrid sweep call sg.EnsureIn() for
-// sub-graphs at or above this size; runRoot goes bottom-up only when the
-// in-CSR is present AND hybridFrac is positive.
+// worth building.
 const hybridMinVerts = 256
 
 // resolveFrac maps Options.BottomUpFrac to the effective threshold: 0 means
@@ -56,77 +50,108 @@ func unvisitedWord(visited *bitset.Bitset, wi, n int) (word uint64, base int) {
 	return word, base
 }
 
-// The four-dependency backward step is identical in the serial and parallel
-// engines: each DAG vertex pulls from its successors (out-neighbours one
-// level deeper) and folds in the articulation-point seeds inline — δ_i2o
-// seeds α(v) at every reachable AP (Eq. 4's init) and δ_o2o seeds
-// β(s)·α(v) when the root is itself an AP (Eq. 6's init). Folding the seeds
-// into the backward step means the δ arrays never need clearing: every
-// visited vertex's slots are assigned exactly once per root.
+// The four-dependency backward step is the same in every kernel: each DAG
+// vertex pulls from its successors (out-neighbours one level, or one
+// shortest-path arc, deeper) and then settles — folding in the
+// articulation-point seeds, storing its δ values and merging its BC
+// contribution (rootTerms.settle). Folding the seeds into the backward step
+// means the δ arrays never need clearing: every visited vertex's slots are
+// assigned exactly once per root.
 
-// serialState is the per-worker scratch for coarse-grained (small sub-graph)
-// processing: one goroutine runs whole sub-graphs with serial phases. All
-// per-vertex arrays live in a pooled ws.Sweep checked out on first ensure
-// and returned clean by release.
-type serialState struct {
-	ws        *ws.Sweep
-	traversed int64
-
-	// hybridFrac > 0 enables the direction-optimizing forward sweep: a level
-	// whose frontier exceeds hybridFrac of the still-unvisited vertices runs
-	// bottom-up over the visited bitset's complement (scanning in-arcs via
-	// sg.In), the rest run top-down. Requires the sub-graph's in-CSR
-	// (sg.EnsureIn); without it the sweep stays top-down. Either mode yields
-	// bit-identical output: σ path counts are integer-valued (exact float64
-	// sums, order-independent), dist is mode-independent, and the backward
-	// phase only needs `order` grouped by non-decreasing level — within-level
-	// permutations cannot change any value it computes.
-	hybridFrac float64
+// rootTerms is the root-dependent part of the backward step: the sweep
+// root's boundary terms and the scratch the per-vertex tail writes. The BFS
+// and Dijkstra kernels fill one per root and call settle for every vertex
+// they unwind; internal/msbfs keeps the only other copy of this arithmetic,
+// strided over lanes.
+type rootTerms struct {
+	sg               *decompose.Subgraph
+	di2i, di2o, do2o []float64
+	bc               []float64
+	s                int32
+	sIsArt, directed bool
+	betaS, gammaS    float64
 }
 
-// ensure checks sweep scratch sized for n local vertices out of the shared
-// pool (growing it when a bigger sub-graph arrives); the clean-slot
-// invariants — dist == -1 everywhere, σ/BC zero, visited clear — are
-// guaranteed by the pool and maintained by runRoot's sparse resets.
-func (st *serialState) ensure(n int) {
-	if st.ws == nil {
-		st.ws = sweepPool.Get(n)
-		return
-	}
-	st.ws.Grow(n)
-}
-
-// release returns the scratch to the pool. The caller must have drained
-// ws.BC (flush + zero) first; everything else is clean by the sparse-reset
-// discipline.
-func (st *serialState) release() {
-	if st.ws != nil {
-		sweepPool.Put(st.ws)
-		st.ws = nil
+func newRootTerms(sg *decompose.Subgraph, s int32, directed bool, w *ws.Sweep) rootTerms {
+	return rootTerms{
+		sg: sg, di2i: w.Di2i, di2o: w.Di2o, do2o: w.Do2o, bc: w.BC,
+		s: s, sIsArt: sg.IsArt[s], directed: directed,
+		betaS: sg.Beta[s], gammaS: float64(sg.Gamma[s]),
 	}
 }
 
-// runRoot executes Algorithm 2 for one root s of sg: forward σ BFS (direction
-// optimizing when enabled), then the backward four-dependency accumulation
-// and BC merge (Eq. 7).
-func (st *serialState) runRoot(sg *decompose.Subgraph, s int32, directed bool) {
-	dist, sigma := st.ws.Dist, st.ws.Sigma
-	di2i, di2o, do2o := st.ws.Di2i, st.ws.Di2o, st.ws.Do2o
-	bcLocal := st.ws.BC
-	visited := st.ws.Visited
+// settle finishes vertex v of the backward sweep given the successor sums
+// the kernel accumulated for it (o2o is only meaningful when the root is an
+// articulation point): δ_i2o seeds α(v) at every reachable AP (Eq. 4's init)
+// and δ_o2o seeds β(s)·α(v) when the root is itself an AP (Eq. 6's init);
+// then the Eq. 7 merge into the sub-graph's local BC.
+func (rt *rootTerms) settle(v int32, i2i, i2o, o2o float64) {
+	sg := rt.sg
+	if v != rt.s && sg.IsArt[v] {
+		i2o += sg.Alpha[v] // δ_i2o seed (Eq. 4)
+		if rt.sIsArt {
+			o2o += rt.betaS * sg.Alpha[v] // δ_o2o seed (Eq. 6)
+		}
+	}
+	rt.di2i[v], rt.di2o[v] = i2i, i2o
+	if rt.sIsArt {
+		rt.do2o[v] = o2o
+	}
+	if v != rt.s {
+		contrib := (1+rt.gammaS)*(i2i+i2o) + o2o
+		if rt.sIsArt {
+			contrib += rt.betaS * i2i // δ_o2i = β(s)·δ_i2i (Eq. 5)
+		}
+		rt.bc[v] += contrib
+	} else if rt.gammaS > 0 {
+		root := i2i + i2o
+		if rt.sIsArt {
+			// Folded-leaf paths to every target outside the sub-graph pass
+			// through s itself when s is a boundary AP; the δ_i2o seeds
+			// exclude v == s, so add α(s) here (a gap in the paper's Eq. 7 —
+			// see DESIGN.md §1).
+			root += sg.Alpha[rt.s]
+		}
+		if !rt.directed {
+			// Undirected correction (DESIGN.md §1): each folded leaf is itself
+			// a reachable target of the root recursion and must not count
+			// toward its own dependency.
+			root--
+		}
+		rt.bc[v] += rt.gammaS * root
+	}
+}
+
+// bfsRoot executes Algorithm 2 for one root s of an unweighted sub-graph:
+// forward σ BFS, then the backward four-dependency accumulation and BC merge
+// (Eq. 7).
+//
+// e.frac > 0 (set per sub-graph by ensure, which also builds the in-CSR)
+// enables the direction-optimizing forward sweep: a level whose frontier
+// exceeds e.frac of the still-unvisited vertices runs bottom-up over the
+// visited bitset's complement (scanning in-arcs via sg.In), the rest run
+// top-down. Either mode yields bit-identical output: σ path counts are
+// integer-valued (exact float64 sums, order-independent), dist is
+// mode-independent, and the backward phase only needs `order` grouped by
+// non-decreasing level — within-level permutations cannot change any value
+// it computes.
+func (e *engine) bfsRoot(sg *decompose.Subgraph, s int32, directed bool) {
+	dist, sigma := e.ws.Dist, e.ws.Sigma
+	di2i, di2o, do2o := e.ws.Di2i, e.ws.Di2o, e.ws.Do2o
+	visited := e.ws.Visited
 	n := sg.NumVerts()
-	hybrid := st.hybridFrac > 0 && sg.HasIn()
+	hybrid := e.frac > 0
 
 	// Phase 1: forward BFS counting shortest paths, level by level. order is
 	// grouped by level (non-decreasing dist), which is all phase 2 needs.
-	order := append(st.ws.Order[:0], s)
+	order := append(e.ws.Order[:0], s)
 	dist[s] = 0
 	sigma[s] = 1
 	if hybrid {
 		visited.Set(int(s))
 	}
 	for d, lo, hi := int32(1), 0, 1; lo < hi; d++ {
-		if hybrid && bfs.ShouldBottomUp(hi-lo, n-hi, st.hybridFrac) {
+		if hybrid && bfs.ShouldBottomUp(hi-lo, n-hi, e.frac) {
 			// Bottom-up: every unvisited vertex scans its in-arcs for parents
 			// one level up; σ is the sum over all such parents — the same
 			// integer sum top-down accumulates edge by edge.
@@ -170,12 +195,11 @@ func (st *serialState) runRoot(sg *decompose.Subgraph, s int32, directed bool) {
 		}
 		lo, hi = hi, len(order)
 	}
-	st.ws.Order = order
+	e.ws.Order = order
 
 	// Phase 2: backward accumulation in reverse BFS order.
-	sIsArt := sg.IsArt[s]
-	betaS := sg.Beta[s]
-	gammaS := float64(sg.Gamma[s])
+	rt := newRootTerms(sg, s, directed, e.ws)
+	sIsArt := rt.sIsArt
 	for i := len(order) - 1; i >= 0; i-- {
 		v := order[i]
 		var i2i, i2o, o2o float64
@@ -191,39 +215,7 @@ func (st *serialState) runRoot(sg *decompose.Subgraph, s int32, directed bool) {
 				}
 			}
 		}
-		if v != s && sg.IsArt[v] {
-			i2o += sg.Alpha[v] // δ_i2o seed (Eq. 4)
-			if sIsArt {
-				o2o += betaS * sg.Alpha[v] // δ_o2o seed (Eq. 6)
-			}
-		}
-		di2i[v], di2o[v] = i2i, i2o
-		if sIsArt {
-			do2o[v] = o2o
-		}
-		if v != s {
-			contrib := (1+gammaS)*(i2i+i2o) + o2o
-			if sIsArt {
-				contrib += betaS * i2i // δ_o2i = β(s)·δ_i2i (Eq. 5)
-			}
-			bcLocal[v] += contrib
-		} else if gammaS > 0 {
-			root := i2i + i2o
-			if sIsArt {
-				// Folded-leaf paths to every target outside the sub-graph
-				// pass through s itself when s is a boundary AP; the δ_i2o
-				// seeds exclude v == s, so add α(s) here (a gap in the
-				// paper's Eq. 7 — see DESIGN.md §1).
-				root += sg.Alpha[s]
-			}
-			if !directed {
-				// Undirected correction (DESIGN.md §1): each folded leaf is
-				// itself a reachable target of the root recursion and must
-				// not count toward its own dependency.
-				root--
-			}
-			bcLocal[v] += gammaS * root
-		}
+		rt.settle(v, i2i, i2o, o2o)
 	}
 
 	// Sparse reset: only dist, sigma and visited carry state across roots,
@@ -232,7 +224,7 @@ func (st *serialState) runRoot(sg *decompose.Subgraph, s int32, directed bool) {
 	// visited vertices (what a pure top-down sweep examines) — so the work
 	// metric stays comparable across scheduler and sweep-mode choices.
 	for _, v := range order {
-		st.traversed += int64(len(sg.Out(v)))
+		e.traversed += int64(len(sg.Out(v)))
 		dist[v] = -1
 		sigma[v] = 0
 	}
@@ -241,180 +233,4 @@ func (st *serialState) runRoot(sg *decompose.Subgraph, s int32, directed bool) {
 			visited.Clear(int(v))
 		}
 	}
-}
-
-// fineState processes one (large) sub-graph with fine-grained
-// level-synchronous parallelism: frontier-parallel σ BFS with atomic adds
-// and a successor-pull backward sweep with owned writes, exactly the
-// paper's Algorithm 2 phase structure. Per-vertex arrays come from the same
-// pooled ws.Sweep as the serial engine; the frontier buckets and bag are
-// engine-private.
-type fineState struct {
-	p         int
-	ws        *ws.Sweep
-	buckets   [][]int32
-	bag       *par.Bag[int32]
-	traversed int64
-
-	// hybridFrac mirrors serialState.hybridFrac: the vertex-ratio threshold
-	// for switching a level to a bottom-up sweep (0 disables). The parallel
-	// bottom-up partitions unvisited vertices by 64-bit bitset word, so each
-	// worker owns its words' visited bits and dist/σ writes; dist is still
-	// read/written atomically because in-neighbors may be claimed at the
-	// current level concurrently (the claimed value d never equals d-1, so
-	// the parent test is unaffected).
-	hybridFrac float64
-}
-
-func newFineState(p int) *fineState {
-	return &fineState{p: p, bag: par.NewBag[int32](p)}
-}
-
-// ensure mirrors serialState.ensure: one pooled sweep serves every large
-// sub-graph without reallocating, its invariants maintained by runRoot's
-// resets.
-func (st *fineState) ensure(n int) {
-	if st.ws == nil {
-		st.ws = sweepPool.Get(n)
-		return
-	}
-	st.ws.Grow(n)
-}
-
-// release returns the scratch to the pool (see serialState.release).
-func (st *fineState) release() {
-	if st.ws != nil {
-		sweepPool.Put(st.ws)
-		st.ws = nil
-	}
-}
-
-func (st *fineState) runRoot(sg *decompose.Subgraph, s int32, directed bool) {
-	p := st.p
-	dist, sigma := st.ws.Dist, st.ws.Sigma
-	di2i, di2o, do2o := st.ws.Di2i, st.ws.Di2o, st.ws.Do2o
-	bcLocal := st.ws.BC
-	visited := st.ws.Visited
-	n := sg.NumVerts()
-	hybrid := st.hybridFrac > 0 && sg.HasIn()
-
-	// Phase 1: level-synchronous parallel forward BFS, direction-optimizing
-	// when enabled (see hybridFrac). Bucket contents are unordered within a
-	// level; phase 2 only does owned per-vertex writes, so order is free.
-	st.buckets = st.buckets[:0]
-	dist[s] = 0
-	sigma[s] = 1
-	visited.Set(int(s))
-	st.buckets = append(st.buckets, []int32{s})
-	frontier := st.buckets[0]
-	discovered := 1
-	for d := int32(1); len(frontier) > 0; d++ {
-		if hybrid && bfs.ShouldBottomUp(len(frontier), n-discovered, st.hybridFrac) {
-			// Bottom-up, one visited-bitset word per index: the word owner is
-			// the only writer of its bits and of dist/σ for its vertices.
-			par.ForWorker((n+63)/64, p, 0, func(w, wi int) {
-				word, base := unvisitedWord(visited, wi, n)
-				for word != 0 {
-					tz := bits.TrailingZeros64(word)
-					word &= word - 1
-					v := int32(base + tz)
-					var sv float64
-					for _, u := range sg.In(v) {
-						if atomic.LoadInt32(&dist[u]) == d-1 {
-							sv += sigma[u]
-						}
-					}
-					if sv != 0 {
-						atomic.StoreInt32(&dist[v], d)
-						sigma[v] = sv
-						visited.Set(int(v))
-						st.bag.Add(w, v)
-					}
-				}
-			})
-		} else {
-			par.ForWorker(len(frontier), p, 0, func(w, i int) {
-				u := frontier[i]
-				su := sigma[u]
-				for _, v := range sg.Out(u) {
-					if visited.TrySet(int(v)) {
-						atomic.StoreInt32(&dist[v], d)
-						st.bag.Add(w, v)
-						atomicAddFloat64(&sigma[v], su)
-						continue
-					}
-					// A negative distance on a claimed vertex means the claim
-					// happened during this level: v is at level d either way.
-					if dv := atomic.LoadInt32(&dist[v]); dv == d || dv < 0 {
-						atomicAddFloat64(&sigma[v], su)
-					}
-				}
-			})
-		}
-		next := st.bag.Drain(nil)
-		st.buckets = append(st.buckets, next)
-		frontier = next
-		discovered += len(next)
-	}
-
-	// Phase 2: backward sweep, one level at a time, owned writes only.
-	sIsArt := sg.IsArt[s]
-	betaS := sg.Beta[s]
-	gammaS := float64(sg.Gamma[s])
-	for d := len(st.buckets) - 1; d >= 0; d-- {
-		bucket := st.buckets[d]
-		par.For(len(bucket), p, func(i int) {
-			v := bucket[i]
-			var i2i, i2o, o2o float64
-			sv := sigma[v]
-			dv1 := dist[v] + 1
-			for _, w := range sg.Out(v) {
-				if dist[w] == dv1 {
-					r := sv / sigma[w]
-					i2i += r * (1 + di2i[w])
-					i2o += r * di2o[w]
-					if sIsArt {
-						o2o += r * do2o[w]
-					}
-				}
-			}
-			if v != s && sg.IsArt[v] {
-				i2o += sg.Alpha[v]
-				if sIsArt {
-					o2o += betaS * sg.Alpha[v]
-				}
-			}
-			di2i[v], di2o[v] = i2i, i2o
-			if sIsArt {
-				do2o[v] = o2o
-			}
-			if v != s {
-				contrib := (1+gammaS)*(i2i+i2o) + o2o
-				if sIsArt {
-					contrib += betaS * i2i
-				}
-				bcLocal[v] += contrib
-			} else if gammaS > 0 {
-				root := i2i + i2o
-				if sIsArt {
-					root += sg.Alpha[s] // see serialState.runRoot
-				}
-				if !directed {
-					root--
-				}
-				bcLocal[v] += gammaS * root
-			}
-		})
-	}
-
-	// Reset. The buckets are the dirty list here; the visited bitset was
-	// written word-parallel, so a word-granular Reset is the cheap option.
-	for _, bucket := range st.buckets {
-		for _, v := range bucket {
-			st.traversed += int64(len(sg.Out(v)))
-			dist[v] = -1
-			sigma[v] = 0
-		}
-	}
-	visited.Reset()
 }

@@ -1,16 +1,11 @@
 package core
 
-import (
-	"repro/internal/bfs"
-	"repro/internal/decompose"
-	"repro/internal/msbfs"
-	"repro/internal/ws"
-)
+import "repro/internal/decompose"
 
-// RootSweep exposes the serial four-dependency engine (state.go) one root at
-// a time, so samplers outside this package — internal/approx's per-sub-graph
+// RootSweep exposes the unweighted four-dependency engine (state.go) one root
+// at a time, so samplers outside this package — internal/approx's per-sub-graph
 // pivot estimator — run exactly the same arithmetic as the exact engine. A
-// full-budget sample therefore reproduces the coarse serial path of
+// full-budget sample therefore reproduces the one-worker path of
 // ComputeDecomposed bit-for-bit, not merely "up to rounding": same per-root
 // sweep, same in-sub-graph accumulation order, same α/β/γ seeds.
 //
@@ -24,8 +19,7 @@ import (
 // one RootSweep per worker warm across requests) should call Release when
 // idle or discarded so the workspace returns to the pool.
 type RootSweep struct {
-	st     serialState
-	kernel msbfs.Kernel
+	e engine
 }
 
 // Run executes Algorithm 2 for one root of sg (forward σ BFS plus the
@@ -33,17 +27,11 @@ type RootSweep struct {
 // adding the root's contribution into the sweep's local score buffer. The
 // scratch grows on demand and is reusable across sub-graphs. Large
 // sub-graphs get the same direction-optimizing sweep as the exact engine —
-// a per-level mode choice that is bit-neutral (see serialState.hybridFrac),
-// so the bit-for-bit replay guarantee is unaffected.
+// a per-level mode choice that is bit-neutral (see bfsRoot), so the
+// bit-for-bit replay guarantee is unaffected.
 func (rs *RootSweep) Run(sg *decompose.Subgraph, root int32, directed bool) {
-	if sg.NumVerts() >= hybridMinVerts {
-		sg.EnsureIn()
-		rs.st.hybridFrac = bfs.DefaultBottomUpFrac
-	} else {
-		rs.st.hybridFrac = 0
-	}
-	rs.st.ensure(sg.NumVerts())
-	rs.st.runRoot(sg, root, directed)
+	rs.e.ensure(sg)
+	rs.e.bfsRoot(sg, root, directed)
 }
 
 // RunBatch executes the given roots of sg through the bit-parallel
@@ -54,30 +42,18 @@ func (rs *RootSweep) Run(sg *decompose.Subgraph, root int32, directed bool) {
 // batched sample still replays the exact engine bit-for-bit. Below the
 // engine's break-even gates the scalar per-root path is used directly.
 func (rs *RootSweep) RunBatch(sg *decompose.Subgraph, roots []int32, directed bool) {
-	if len(roots) < msbfsMinLanes || sg.NumVerts() < msbfsMinVerts {
-		for _, s := range roots {
-			rs.Run(sg, s, directed)
-		}
-		return
-	}
-	rs.st.ensure(sg.NumVerts())
-	for lo := 0; lo < len(roots); lo += ws.LaneWidth {
-		hi := lo + ws.LaneWidth
-		if hi > len(roots) {
-			hi = len(roots)
-		}
-		rs.st.traversed += rs.kernel.Run(sg, roots[lo:hi], directed, rs.st.ws)
-	}
+	rs.e.ensure(sg)
+	rs.e.runBatch(sg, roots, directed)
 }
 
 // Collect adds the accumulated local scores for the first len(dst) local
 // vertices into dst and zeroes the internal buffer, leaving the sweep ready
 // for the next sub-graph or pivot batch.
 func (rs *RootSweep) Collect(dst []float64) {
-	if rs.st.ws == nil {
+	if rs.e.ws == nil {
 		return
 	}
-	bc := rs.st.ws.BC
+	bc := rs.e.ws.BC
 	for l := range dst {
 		dst[l] += bc[l]
 		bc[l] = 0
@@ -86,18 +62,18 @@ func (rs *RootSweep) Collect(dst []float64) {
 
 // Traversed returns the total number of arcs traversed by all Run calls so
 // far (the paper's work metric).
-func (rs *RootSweep) Traversed() int64 { return rs.st.traversed }
+func (rs *RootSweep) Traversed() int64 { return rs.e.traversed }
 
 // Release returns the pooled workspace to the shared arena. The sweep stays
 // usable — the next Run checks a workspace out again — but callers must
 // Collect any pending scores first (Release drops them back into the pool's
 // clean state by zeroing the accumulation buffer).
 func (rs *RootSweep) Release() {
-	if rs.st.ws == nil {
+	if rs.e.ws == nil {
 		return
 	}
-	for l := range rs.st.ws.BC {
-		rs.st.ws.BC[l] = 0
+	for l := range rs.e.ws.BC {
+		rs.e.ws.BC[l] = 0
 	}
-	rs.st.release()
+	rs.e.release()
 }

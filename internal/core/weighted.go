@@ -3,13 +3,9 @@ package core
 import (
 	"container/heap"
 	"fmt"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/decompose"
 	"repro/internal/graph"
-	"repro/internal/par"
-	"repro/internal/ws"
 )
 
 // Weighted APGRE — our extension of the paper beyond its unweighted scope.
@@ -19,192 +15,17 @@ import (
 // and the four-dependency recursions only ever use σ ratios along DAG arcs.
 // Only the traversal changes: Dijkstra replaces BFS for σ/dist, and the
 // backward sweep runs in reverse settled order instead of reverse levels.
-// Parallelism is coarse-grained across sub-graphs (the fine-grained
-// level-synchronous scheme has no direct weighted analogue; delta-stepping
-// is future work).
+// Scheduling is the same unit queue as the unweighted path (sched.go).
 
-// ComputeWeighted runs the APGRE pipeline on a weighted graph (positive
-// weights, see graph.NewWeightedFromEdges) and returns exact BC scores
-// matching brandes.WeightedSerial.
+// ComputeWeighted is Compute for callers that require a weighted graph
+// (positive weights, see graph.NewWeightedFromEdges): it returns exact BC
+// scores matching brandes.WeightedSerial, and an error instead of hop-count
+// scores when g carries no weights.
 func ComputeWeighted(g *graph.Graph, opt Options) ([]float64, error) {
 	if !g.Weighted() {
 		return nil, fmt.Errorf("core: ComputeWeighted requires a weighted graph (use Compute)")
 	}
-	var tm decompose.Timings
-	d, err := decompose.Decompose(g, decompose.Options{
-		Threshold:    opt.Threshold,
-		AlphaBeta:    opt.AlphaBeta,
-		Workers:      opt.Workers,
-		DisableGamma: opt.DisableGamma,
-		Timings:      &tm,
-	})
-	if err != nil {
-		return nil, err
-	}
-	n := g.NumVertices()
-	bc := make([]float64, n)
-	if n == 0 || len(d.Subgraphs) == 0 {
-		return bc, nil
-	}
-	p := par.Workers(opt.Workers)
-	directed := g.Directed()
-	var traversed, roots int64
-
-	// Two-level weighted scheme: sub-graphs at or above the fine cutoff are
-	// processed with root-level parallelism (each worker owns a private
-	// Dijkstra state and partial BC array — Dijkstra has no level-
-	// synchronous analogue, so source parallelism replaces it); the rest run
-	// coarse-grained, one goroutine per sub-graph.
-	cutoff := opt.FineCutoff
-	if cutoff <= 0 {
-		cutoff = 2048
-	}
-	switch opt.Scheduler {
-	case SchedulerDynamic, SchedulerStatic:
-	default:
-		return nil, fmt.Errorf("core: unknown scheduler %d", opt.Scheduler)
-	}
-	start := time.Now()
-	if opt.Scheduler == SchedulerDynamic && opt.Strategy != StrategyFineOnly {
-		// Unified cost-ordered unit scheduler with Dijkstra engines: same
-		// queue, chunking and deterministic merge as the unweighted path
-		// (sched.go); Dijkstra replaces the σ-BFS inside runRoot.
-		units := buildUnits(d, p, cutoff, p > 1 && opt.Strategy == StrategyTwoLevel, false, opt.RootBudget)
-		traversed = drainUnits(units, p, directed, func() rootEngine {
-			return &weightedState{}
-		}, bc)
-		for i := range units {
-			roots += int64(units[i].hi - units[i].lo)
-		}
-		if opt.Breakdown != nil {
-			opt.Breakdown.Partition = tm.Partition
-			opt.Breakdown.AlphaBeta = tm.AlphaBeta
-			opt.Breakdown.RestBC = time.Since(start)
-			opt.Breakdown.Total = tm.Partition + tm.AlphaBeta + opt.Breakdown.RestBC
-			opt.Breakdown.TraversedArcs = traversed
-			opt.Breakdown.Roots = roots
-			opt.Breakdown.Subgraphs = len(d.Subgraphs)
-			opt.Breakdown.Articulations = d.NumArticulation
-		}
-		return bc, nil
-	}
-	var big, small []*decompose.Subgraph
-	for i, sg := range d.Subgraphs {
-		if p > 1 && opt.Strategy != StrategyCoarseOnly &&
-			(i == d.TopIndex || sg.NumVerts() >= cutoff) {
-			big = append(big, sg)
-		} else {
-			small = append(small, sg)
-		}
-	}
-	totalRoots := totalRootCount(d)
-	for _, sg := range big {
-		rs := sg.Roots[:rootPrefix(len(sg.Roots), totalRoots, opt.RootBudget)]
-		if opt.Strategy == StrategyFineOnly {
-			// Fine-grained: delta-stepping distances + distance-group
-			// level-synchronous σ/dependency sweeps, one root at a time —
-			// the weighted analogue of the paper's inner level.
-			st := newWeightedFineState(sg, p)
-			for _, s := range rs {
-				st.runRoot(sg, s, directed)
-			}
-			flushLocal(bc, sg, st.ws.BC)
-			traversed += st.traversed
-			st.release()
-		} else {
-			// Root-parallel: workers own private Dijkstra states and
-			// partial BC arrays.
-			states := make([]*weightedState, p)
-			par.ForWorker(len(rs), p, 1, func(w, ri int) {
-				st := states[w]
-				if st == nil {
-					st = &weightedState{}
-					st.ensure(sg.NumVerts())
-					states[w] = st
-				}
-				st.runRoot(sg, rs[ri], directed)
-			})
-			n := sg.NumVerts()
-			for _, st := range states {
-				if st == nil {
-					continue
-				}
-				flushLocal(bc, sg, st.ws.BC)
-				for l := range st.ws.BC[:n] {
-					st.ws.BC[l] = 0
-				}
-				traversed += st.traversed
-				st.release()
-			}
-		}
-		roots += int64(len(rs))
-	}
-	states := make([]*weightedState, p)
-	par.ForWorker(len(small), p, 1, func(w, i int) {
-		st := states[w]
-		if st == nil {
-			st = &weightedState{}
-			states[w] = st
-		}
-		sg := small[i]
-		st.ensure(sg.NumVerts())
-		rs := sg.Roots[:rootPrefix(len(sg.Roots), totalRoots, opt.RootBudget)]
-		for _, s := range rs {
-			st.runRoot(sg, s, directed)
-		}
-		flushLocalAtomic(bc, sg, st.ws.BC)
-		for l := range st.ws.BC[:sg.NumVerts()] {
-			st.ws.BC[l] = 0
-		}
-		atomic.AddInt64(&traversed, st.traversed)
-		st.traversed = 0
-		atomic.AddInt64(&roots, int64(len(rs)))
-	})
-	for _, st := range states {
-		if st != nil {
-			st.release()
-		}
-	}
-
-	if opt.Breakdown != nil {
-		opt.Breakdown.Partition = tm.Partition
-		opt.Breakdown.AlphaBeta = tm.AlphaBeta
-		opt.Breakdown.RestBC = time.Since(start)
-		opt.Breakdown.Total = tm.Partition + tm.AlphaBeta + opt.Breakdown.RestBC
-		opt.Breakdown.TraversedArcs = traversed
-		opt.Breakdown.Roots = roots
-		opt.Breakdown.Subgraphs = len(d.Subgraphs)
-		opt.Breakdown.Articulations = d.NumArticulation
-	}
-	return bc, nil
-}
-
-// weightedState is the per-worker scratch for the weighted engine. Like
-// serialState it draws its per-vertex arrays from the shared pooled ws.Sweep
-// (using the weighted extension: FDist for float distances, Done for settled
-// flags); only the Dijkstra heap is engine-private.
-type weightedState struct {
-	ws        *ws.Sweep
-	pq        wheap
-	traversed int64
-}
-
-// ensure checks weighted sweep scratch out of the shared pool; the "dist ==
-// -1 / done == false everywhere" invariants are guaranteed by the pool and
-// maintained by runRoot's sparse resets.
-func (st *weightedState) ensure(n int) {
-	if st.ws == nil {
-		st.ws = sweepPool.Get(0)
-	}
-	st.ws.GrowWeighted(n)
-}
-
-// release returns the scratch to the pool (BC must be drained first).
-func (st *weightedState) release() {
-	if st.ws != nil {
-		sweepPool.Put(st.ws)
-		st.ws = nil
-	}
+	return Compute(g, opt)
 }
 
 type wheapItem struct {
@@ -226,22 +47,23 @@ func (q *wheap) Pop() any {
 	return it
 }
 
-// runRoot is Algorithm 2 with Dijkstra: identical four-dependency backward
-// accumulation as the unweighted serialState, over the settled order.
-func (st *weightedState) runRoot(sg *decompose.Subgraph, s int32, directed bool) {
-	dist, sigma := st.ws.FDist, st.ws.Sigma
-	di2i, di2o, do2o := st.ws.Di2i, st.ws.Di2o, st.ws.Do2o
-	bcLocal := st.ws.BC
-	done := st.ws.Done
+// dijkstraRoot is Algorithm 2 with Dijkstra: the same four-dependency
+// backward accumulation as bfsRoot, over the settled order. It uses the
+// sweep's weighted extension (FDist for float distances, Done for settled
+// flags); only the heap is engine-private.
+func (e *engine) dijkstraRoot(sg *decompose.Subgraph, s int32, directed bool) {
+	dist, sigma := e.ws.FDist, e.ws.Sigma
+	di2i, di2o, do2o := e.ws.Di2i, e.ws.Di2o, e.ws.Do2o
+	done := e.ws.Done
 
 	// Phase 1: Dijkstra with σ counting.
-	order := st.ws.Order[:0]
-	st.pq = st.pq[:0]
+	order := e.ws.Order[:0]
+	e.pq = e.pq[:0]
 	dist[s] = 0
 	sigma[s] = 1
-	heap.Push(&st.pq, wheapItem{0, s})
-	for st.pq.Len() > 0 {
-		it := heap.Pop(&st.pq).(wheapItem)
+	heap.Push(&e.pq, wheapItem{0, s})
+	for e.pq.Len() > 0 {
+		it := heap.Pop(&e.pq).(wheapItem)
 		v := it.v
 		if done[v] || it.d != dist[v] {
 			continue
@@ -250,26 +72,24 @@ func (st *weightedState) runRoot(sg *decompose.Subgraph, s int32, directed bool)
 		order = append(order, v)
 		out := sg.Out(v)
 		wts := sg.OutWeights(v)
-		st.traversed += int64(len(out))
+		e.traversed += int64(len(out))
 		for i, w := range out {
 			nd := dist[v] + wts[i]
 			switch {
 			case dist[w] < 0 || nd < dist[w]:
 				dist[w] = nd
 				sigma[w] = sigma[v]
-				heap.Push(&st.pq, wheapItem{nd, w})
+				heap.Push(&e.pq, wheapItem{nd, w})
 			case nd == dist[w]:
 				sigma[w] += sigma[v]
 			}
 		}
 	}
+	e.ws.Order = order
 
-	st.ws.Order = order
-
-	// Phase 2: backward four-dependency accumulation (cf. serialState).
-	sIsArt := sg.IsArt[s]
-	betaS := sg.Beta[s]
-	gammaS := float64(sg.Gamma[s])
+	// Phase 2: backward four-dependency accumulation (cf. bfsRoot).
+	rt := newRootTerms(sg, s, directed, e.ws)
+	sIsArt := rt.sIsArt
 	for i := len(order) - 1; i >= 0; i-- {
 		v := order[i]
 		var i2i, i2o, o2o float64
@@ -286,32 +106,7 @@ func (st *weightedState) runRoot(sg *decompose.Subgraph, s int32, directed bool)
 				}
 			}
 		}
-		if v != s && sg.IsArt[v] {
-			i2o += sg.Alpha[v]
-			if sIsArt {
-				o2o += betaS * sg.Alpha[v]
-			}
-		}
-		di2i[v], di2o[v] = i2i, i2o
-		if sIsArt {
-			do2o[v] = o2o
-		}
-		if v != s {
-			contrib := (1+gammaS)*(i2i+i2o) + o2o
-			if sIsArt {
-				contrib += betaS * i2i
-			}
-			bcLocal[v] += contrib
-		} else if gammaS > 0 {
-			root := i2i + i2o
-			if sIsArt {
-				root += sg.Alpha[s]
-			}
-			if !directed {
-				root--
-			}
-			bcLocal[v] += gammaS * root
-		}
+		rt.settle(v, i2i, i2o, o2o)
 	}
 
 	// Sparse reset over the settled order (the dirty list).

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/brandes"
+	"repro/internal/decompose"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
@@ -176,28 +177,49 @@ func TestWeightedVsUnweightedDiffer(t *testing.T) {
 	}
 }
 
-func TestWeightedFineEngineMatches(t *testing.T) {
-	// Force the delta-stepping fine engine on every sub-graph (cutoff 1,
-	// StrategyFineOnly, multiple workers) and compare with Dijkstra-Brandes.
-	cases := []*graph.Graph{
-		gen.WithRandomWeights(gen.Caveman(4, 6, false), 5, 21),
-		gen.WithRandomWeights(gen.SocialLike(gen.SocialParams{N: 300, AvgDeg: 4,
-			Communities: 5, TopShare: 0.5, LeafFrac: 0.3, Seed: 22}), 7, 22),
-		gen.WithRandomWeights(gen.SocialLike(gen.SocialParams{N: 250, AvgDeg: 4,
-			Communities: 4, TopShare: 0.5, LeafFrac: 0.25, Directed: true, Reciprocity: 0.5, Seed: 23}), 6, 23),
-		gen.WithRandomWeights(gen.Grid2D(8, 8), 4, 24),
+// TestComputeHonoursWeights: the general entry points sweep a weighted graph
+// with Dijkstra — same scores as ComputeWeighted and weighted Brandes, never
+// the hop-count scores of the same topology.
+func TestComputeHonoursWeights(t *testing.T) {
+	g := gen.WithRandomWeights(gen.SocialLike(gen.SocialParams{N: 300, AvgDeg: 4,
+		Communities: 5, TopShare: 0.5, LeafFrac: 0.3, Seed: 22}), 7, 22)
+	want := brandes.WeightedSerial(g)
+	got, err := Compute(g, Options{Workers: 2, Threshold: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for gi, g := range cases {
-		want := brandes.WeightedSerial(g)
-		got, err := ComputeWeighted(g, Options{
-			Strategy: StrategyFineOnly, FineCutoff: 1, Workers: 3, Threshold: 4,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i, ok := bcClose(want, got, 1e-9); !ok {
-			t.Fatalf("graph %d: fine weighted engine differs at %d: want %v got %v",
-				gi, i, want[i], got[i])
-		}
+	if i, ok := bcClose(want, got, 1e-9); !ok {
+		t.Fatalf("Compute ignores weights at vertex %d: want %v got %v", i, want[i], got[i])
+	}
+	d, err := decompose.Decompose(g, decompose.Options{Threshold: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err = ComputeDecomposed(d, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i, ok := bcClose(want, got, 1e-9); !ok {
+		t.Fatalf("ComputeDecomposed ignores weights at vertex %d: want %v got %v", i, want[i], got[i])
+	}
+}
+
+// TestWeightedRejectsMSBFS: the batched kernel is BFS-based, so asking for it
+// on a weighted graph is an error from every entry point, not a scalar run.
+func TestWeightedRejectsMSBFS(t *testing.T) {
+	g := gen.WithRandomWeights(gen.Caveman(4, 6, false), 5, 21)
+	opt := Options{RootEngine: EngineMSBFS}
+	if _, err := ComputeWeighted(g, opt); err == nil {
+		t.Error("ComputeWeighted accepted EngineMSBFS")
+	}
+	if _, err := Compute(g, opt); err == nil {
+		t.Error("Compute accepted EngineMSBFS on a weighted graph")
+	}
+	d, err := decompose.Decompose(g, decompose.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ComputeDecomposed(d, opt); err == nil {
+		t.Error("ComputeDecomposed accepted EngineMSBFS on a weighted graph")
 	}
 }

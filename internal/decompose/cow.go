@@ -9,10 +9,10 @@ package decompose
 // holding the previous epoch keep a fully consistent, never-changing view.
 //
 // The clones share everything a mutation does not write. Both flavors drop
-// the lazy caches (asGraph, the EnsureIn transpose) rather than share them:
-// the originals' caches may be built concurrently by readers of the old
-// epoch, and reading the cache fields outside their sync.Once would race.
-// Clones rebuild the caches lazily if and when an engine needs them.
+// the lazy EnsureIn transpose rather than share it: the original's may be
+// built concurrently by readers of the old epoch, and reading its fields
+// outside their sync.Once would race. Clones rebuild it lazily if and when
+// an engine needs it.
 
 // CloneShallow returns a Decomposition sharing every Subgraph (and the
 // graph) with d. Callers replace entries of the returned Subgraphs slice

@@ -101,8 +101,6 @@ type Subgraph struct {
 
 	directed bool // whether the parent graph is directed
 
-	asGraph *graph.Graph // lazy AsGraph cache
-
 	// Lazy transpose CSR for bottom-up sweeps; built by EnsureIn. For
 	// undirected parents the arc set is symmetric, so the in-CSR aliases the
 	// out-CSR instead of being materialized.
@@ -166,41 +164,9 @@ func (s *Subgraph) EnsureIn() {
 	})
 }
 
-// HasIn reports whether the in-CSR has been built (or aliased).
-func (s *Subgraph) HasIn() bool { return s.inOffs != nil }
-
 // In returns the local in-neighbors of local vertex l. EnsureIn must have
 // been called first.
 func (s *Subgraph) In(l int32) []int32 { return s.inAdj[s.inOffs[l]:s.inOffs[l+1]] }
-
-// AsGraph materializes the sub-graph as a standalone graph.Graph over local
-// ids (arcs reproduced exactly, so it is built "directed" even when the
-// parent graph is undirected — the arc set is already symmetric then).
-// The result is cached; callers must not mutate the sub-graph afterwards.
-func (s *Subgraph) AsGraph() *graph.Graph {
-	if s.asGraph != nil {
-		return s.asGraph
-	}
-	if s.wts != nil {
-		edges := make([]graph.WeightedEdge, 0, s.NumArcs())
-		for u := int32(0); int(u) < s.NumVerts(); u++ {
-			wts := s.OutWeights(u)
-			for i, v := range s.Out(u) {
-				edges = append(edges, graph.WeightedEdge{From: u, To: v, W: wts[i]})
-			}
-		}
-		s.asGraph = graph.NewWeightedFromEdges(s.NumVerts(), edges, true)
-	} else {
-		edges := make([]graph.Edge, 0, s.NumArcs())
-		for u := int32(0); int(u) < s.NumVerts(); u++ {
-			for _, v := range s.Out(u) {
-				edges = append(edges, graph.Edge{From: u, To: v})
-			}
-		}
-		s.asGraph = graph.NewFromEdges(s.NumVerts(), edges, true)
-	}
-	return s.asGraph
-}
 
 // Decomposition is the result of Decompose.
 type Decomposition struct {

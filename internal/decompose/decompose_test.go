@@ -513,14 +513,14 @@ func TestEnsureIn(t *testing.T) {
 	dg := gen.ErdosRenyi(60, 180, true, 11)
 	d := mustDecompose(t, dg, Options{Threshold: 4})
 	for _, sg := range d.Subgraphs {
-		if sg.HasIn() {
+		if sg.inOffs != nil {
 			t.Fatal("in-CSR present before EnsureIn")
 		}
 		if !sg.Directed() {
 			t.Fatal("directed flag lost")
 		}
 		sg.EnsureIn()
-		if !sg.HasIn() {
+		if sg.inOffs == nil {
 			t.Fatal("in-CSR missing after EnsureIn")
 		}
 		// Model transpose from Out.
@@ -562,7 +562,7 @@ func TestEnsureIn(t *testing.T) {
 	if err := sg.MutateEdge(false, lu, lv, false); err != nil {
 		t.Fatal(err)
 	}
-	if sg.HasIn() {
+	if sg.inOffs != nil {
 		t.Fatal("MutateEdge left a stale in-CSR")
 	}
 	sg.EnsureIn()

@@ -305,7 +305,7 @@ func (k *Kernel) backward(sg *decompose.Subgraph, directed bool, s *ws.Sweep, la
 				} else if k.gamma[l] > 0 {
 					root := di2i[vb+l] + di2o[vb+l]
 					if sIsArt {
-						root += alphaV // see serialState.runRoot
+						root += alphaV // see core rootTerms.settle
 					}
 					if !directed {
 						root-- // undirected folded-leaf correction (DESIGN.md §1)

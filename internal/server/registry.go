@@ -1100,6 +1100,9 @@ func (r *Registry) processBatch(e *Entry, batch []*mutRequest) {
 			req.done <- mutOutcome{err: errs[i]}
 			continue
 		}
+		// Count before acknowledging: a client that scrapes /metrics right
+		// after its 200 must find its own mutation there.
+		r.notifyMutate(result)
 		req.done <- mutOutcome{res: MutationResult{
 			Result:  result,
 			Applied: true,
@@ -1108,7 +1111,6 @@ func (r *Registry) processBatch(e *Entry, batch []*mutRequest) {
 			Batched: len(batch),
 			TookMs:  tookMs,
 		}}
-		r.notifyMutate(result)
 	}
 	r.notifyBatch(len(batch))
 	if e.wal != nil && e.wal.records >= r.cfg.SnapshotEvery {

@@ -1,6 +1,6 @@
 // Package ws provides the unified sweep-workspace arena shared by every
-// betweenness-centrality engine in the repository: the core APGRE serial,
-// fine-grained and weighted engines, the exported RootSweep used by the
+// betweenness-centrality engine in the repository: the core APGRE BFS,
+// batched and Dijkstra kernels, the exported RootSweep used by the
 // approximate estimator, the Brandes baselines, and (through core's pool)
 // the bcd serving path.
 //

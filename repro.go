@@ -10,7 +10,7 @@
 //	top := repro.TopK(bc, 10)
 //
 // The package re-exports the graph substrate (CSR storage, generators, I/O),
-// the APGRE algorithm with its two-level parallelism, the six published
+// the APGRE algorithm with its work-unit parallelism, the six published
 // baseline algorithms the paper compares against, and the analysis helpers
 // that regenerate the paper's tables and figures (see cmd/bcbench).
 package repro

@@ -1,7 +1,7 @@
 package repro
 
 // Large-scale stress tests, skipped under -short: they exercise allocation
-// behaviour, int32/int64 boundaries and two-level scheduling on graphs an
+// behaviour, int32/int64 boundaries and work-unit scheduling on graphs an
 // order of magnitude beyond the unit-test sizes.
 
 import (
