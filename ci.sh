@@ -15,15 +15,19 @@
 #      top-K serving path must be allocation-free, and the workspace pool
 #      must survive 8 concurrent checkouts under -race; then a -benchmem
 #      benchmark smoke compile-and-run
-#   6. bcbench -json smoke run on the smallest dataset, then the regression
-#      gate self-compared (identical inputs must exit 0); same for a tiny
-#      -engine sweep, whose records carry the /e=<engine> key suffix
+#   6. bcbench smokes on the smallest dataset: -table 2 and a tiny -engine
+#      sweep, whose in-run msbfs-vs-scalar bit cross-check fails the run
 #   7. approx smoke: full-budget sampling must bit-match exact BC (the
 #      estimator's own K==n self-check on a tiny graph), plus the bcbench
 #      error-vs-speedup sweep at tiny scale
-#   8. durability smoke: race-built bcd is killed with SIGKILL mid-life and
+#   8. scale smoke: streamed generation, stream-vs-mmap loads bit-compared,
+#      one budgeted -atscale family
+#   9. the repository benchmark (bench/, the one ruler): the road workload
+#      must verify every answer it times, and its -corrupt self-test must
+#      fail; no BENCH_*.json artifact may be tracked at the root
+#  10. durability smoke: race-built bcd is killed with SIGKILL mid-life and
 #      must recover its graph from snapshot+WAL with bit-exact top-K
-#   9. load smoke: bcdload drives a short mixed read/mutate phase against the
+#  11. load smoke: bcdload drives a short mixed read/mutate phase against the
 #      recovered daemon; any non-200/429 answer fails the run
 set -eu
 cd "$(dirname "$0")"
@@ -119,23 +123,19 @@ run_named 'TestRootSweepWarmAllocs|TestSerialSweepWarmAllocs|TestTopKServingWarm
 echo "==> bench smoke: go test -bench -benchmem on the arena-backed paths"
 go test -run=NONE -bench=. -benchtime=1x -benchmem ./internal/ws ./internal/core
 
-echo "==> bcbench -json smoke (email-enron, scale 0.05)"
+echo "==> bcbench smoke: -table 2 (email-enron, scale 0.05)"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-go run ./cmd/bcbench -table 2 -datasets email-enron -scale 0.05 -json "$tmp"
-artifact=$(ls "$tmp"/BENCH_*.json)
-echo "==> bcbench -check self-compare ($artifact)"
-go run ./cmd/bcbench -check -tolerance 5 "$artifact" "$artifact"
+go run ./cmd/bcbench -table 2 -datasets email-enron -scale 0.05
 
-echo "==> bcbench -engine smoke (email-enron, scale 0.05) + -check self-compare"
+echo "==> bcbench -engine smoke (email-enron, scale 0.05)"
 # The engine sweep cross-checks msbfs against scalar bit-for-bit inside the
-# run; the self-compare proves the /e=<engine> record keys round-trip.
-go run ./cmd/bcbench -engine -datasets email-enron -scale 0.05 -json "$tmp/engine.json"
-go run ./cmd/bcbench -check -tolerance 5 "$tmp/engine.json" "$tmp/engine.json"
+# run and exits non-zero on the first differing vertex.
+go run ./cmd/bcbench -engine -datasets email-enron -scale 0.05
 
 echo "==> approx smoke: K==n bit-match + tiny error-vs-speedup sweep"
 run_named 'TestExactBudgetBitMatch|TestSeededDeterminism' -race ./internal/approx
-go run ./cmd/bcbench -approx -datasets email-enron -scale 0.05 -json "$tmp/approx"
+go run ./cmd/bcbench -approx -datasets email-enron -scale 0.05
 
 echo "==> scale smoke: streamed gen -> stream + mmap loads agree bit-for-bit"
 # Capped stand-in for the at-scale pipeline: generate a ~1e5-edge composite
@@ -154,14 +154,21 @@ cmp "$tmp/bc_stream.txt" "$tmp/bc_mmap.txt" || {
     exit 1
 }
 
-echo "==> scale smoke: one budgeted at-scale cell (composite-stream) + -check"
+echo "==> scale smoke: one budgeted at-scale family (composite-stream)"
 # One family through the full -atscale path: load probes (in-memory vs
-# streaming vs mmap, with the mmap/stream graph bit-compare inside), the
-# sched/engine/approx cells on a root budget, and a -check round-trip of the
-# resulting artifact.
+# streaming vs mmap, with the mmap/stream graph bit-compare inside) and the
+# sched/engine/approx cells on a root budget, msbfs checked against scalar.
 go run ./cmd/bcbench -atscale -scale 2 -workers 2 -datasets composite-stream \
-    -rootbudget 64 -graphdir "$tmp/atscale-graphs" -json "$tmp/atscale.json"
-go run ./cmd/bcbench -check -tolerance 5 "$tmp/atscale.json" "$tmp/atscale.json"
+    -rootbudget 64 -graphdir "$tmp/atscale-graphs"
+
+echo "==> benchmark: go run ./bench -workload road (verified) and its -corrupt self-test"
+go run ./bench -workload road -trace 0
+if go run ./bench -corrupt -workload road; then
+    echo "benchmark: -corrupt passed verification; the checks are vacuous" >&2
+    exit 1
+fi
+# Result artifacts must not re-accrete at the root; results come from bench/.
+[ -z "$(git ls-files 'BENCH_*.json')" ]
 
 echo "==> durability smoke: SIGKILL bcd, recover, compare top-K bit-exact"
 go build -race -o "$tmp/bcd" ./cmd/bcd

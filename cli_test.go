@@ -160,6 +160,16 @@ func TestCLIBCBench(t *testing.T) {
 		t.Fatalf("bcbench output:\n%s", out)
 	}
 	runCLIExpectError(t, "bcbench") // no experiment selected
+	// The record/-check ledger is gone: its flags are unknown, not ignored.
+	for _, args := range [][]string{
+		{"-json", "x", "-table", "4"},
+		{"-check", "a", "b"},
+		{"-sched"},
+	} {
+		if out := runCLIExpectError(t, "bcbench", args...); !strings.Contains(out, "flag provided but not defined") {
+			t.Fatalf("bcbench %v failed for another reason:\n%s", args, out)
+		}
+	}
 }
 
 func TestCLIGraphgenVariants(t *testing.T) {

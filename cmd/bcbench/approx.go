@@ -52,9 +52,6 @@ func approxExperiment(c config) error {
 			return err
 		}
 		exactWall := time.Since(start)
-		c.record(metrics.Record{Experiment: "approx", Graph: ds.Name,
-			Algorithm: "apgre", Workers: c.workers, Verts: n, Edges: g.NumEdges(),
-			Wall: exactWall, MTEPS: metrics.MTEPS(n, g.NumEdges(), exactWall), Speedup: 1})
 		t.AddRow(ds.Name, n, "1.00", metrics.FormatDuration(exactWall), "1.0x", "0", "0", "1.000")
 
 		norm := 1.0
@@ -95,10 +92,6 @@ func approxExperiment(c config) error {
 			}
 			maxErr *= norm
 			tau := metrics.KendallTau(exact, res.BC, approxSeed)
-			c.record(metrics.Record{Experiment: "approx", Graph: ds.Name,
-				Algorithm: "approx", Workers: c.workers, Verts: n, Edges: g.NumEdges(),
-				Wall: wall, Speedup: metrics.Speedup(exactWall, wall),
-				Pivots: res.Pivots, MaxAbsErr: maxErr, KendallTau: tau})
 			t.AddRow(ds.Name, res.Pivots, fmt.Sprintf("%.2f", float64(res.Pivots)/float64(n)),
 				metrics.FormatDuration(wall), metrics.FormatSpeedup(metrics.Speedup(exactWall, wall)),
 				fmt.Sprintf("%.3g", maxErr), estErrCell(res),

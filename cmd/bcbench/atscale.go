@@ -21,15 +21,15 @@ import (
 	"repro/internal/profiling"
 )
 
-// The at-scale profile re-runs the scheduler/engine/approx sweeps on graphs
+// The at-scale profile re-runs the worker/engine/approx sweeps on graphs
 // ~100× the size of the standard harness stand-ins — the band where the
 // paper's own evaluation lives (10^5–10^7 edges) and where the dynamic
 // scheduler, bottom-up σ-BFS and MS-BFS lanes are past their break-even
 // points. Full exact BC is infeasible there (n root sweeps over 10^7 arcs),
 // so every compute cell runs under core.Options.RootBudget: a deterministic
 // proportional prefix of each sub-graph's roots, giving a Graph500-style
-// sweep-throughput measurement that is bit-comparable across schedulers,
-// engines and worker counts. Graphs are staged to .bin files so the load
+// sweep-throughput measurement that is bit-comparable across engines and
+// worker counts. Graphs are staged to .bin files so the load
 // paths (in-memory rebuild vs streaming CSR vs mmap) are measured in fresh
 // child processes whose peak RSS reflects only the load under test.
 
@@ -228,8 +228,8 @@ func bcEquivalent(a, b []float64) bool {
 }
 
 // atScaleExperiment stages every family to a .bin, measures the three load
-// paths in child processes, then runs the budgeted scheduler, engine and
-// approx sweeps on the streamed graph. See the file comment for why the
+// paths in child processes, then runs the budgeted worker, engine and approx
+// sweeps on the streamed graph. See the file comment for why the
 // compute cells use RootBudget.
 func atScaleExperiment(c config) error {
 	dir := c.graphDir
@@ -251,8 +251,8 @@ func atScaleExperiment(c config) error {
 			"inmem", "rss", "stream", "rss", "mmap", "rss", "rss/csr", "zerocopy"},
 	}
 	schedT := &metrics.Table{
-		Title:   fmt.Sprintf("At-scale scheduler sweep, whole-sub-graph (static) vs root-range (dynamic) units (root budget %d)", budget),
-		Headers: []string{"graph", "scheduler", "p=1", fmt.Sprintf("p=%d", c.workers), "speedup", "gain vs static"},
+		Title:   fmt.Sprintf("At-scale scheduler sweep, root-range (dynamic) units (root budget %d)", budget),
+		Headers: []string{"graph", "scheduler", "p=1", fmt.Sprintf("p=%d", c.workers), "speedup"},
 	}
 	engineT := &metrics.Table{
 		Title:   fmt.Sprintf("At-scale engine sweep (root budget %d)", budget),
@@ -285,10 +285,6 @@ func atScaleExperiment(c config) error {
 				return err
 			}
 			probes[mode] = p
-			c.record(metrics.Record{Experiment: "atscale-load", Graph: fam.name,
-				Algorithm: "load-" + mode, Workers: 1,
-				Verts: p.Verts, Edges: p.Arcs,
-				LoadNs: time.Duration(p.LoadNs), PeakRSSBytes: p.PeakRSSBytes})
 		}
 		sp := probes["stream"]
 		ratio := float64(maxI64(probes["stream"].PeakRSSBytes, probes["mmap"].PeakRSSBytes)) / float64(sp.CSRBytes)
@@ -329,13 +325,11 @@ func atScaleExperiment(c config) error {
 		fmt.Fprintf(c.w(), "%s: decomposed in %s (%d sub-graphs, %d boundary APs)\n",
 			fam.name, time.Since(t0).Round(time.Millisecond), len(d.Subgraphs), d.NumArticulation)
 
-		runCell := func(w int, sched core.Scheduler, eng core.RootEngine) ([]float64, core.Breakdown, time.Duration, error) {
-			var bd core.Breakdown
+		runCell := func(w int, eng core.RootEngine) ([]float64, time.Duration, error) {
 			start := time.Now()
 			bc, err := core.ComputeDecomposed(d, core.Options{Workers: w,
-				Threshold: c.threshold, Scheduler: sched, RootEngine: eng,
-				RootBudget: budget, Breakdown: &bd})
-			return bc, bd, time.Since(start), err
+				Threshold: c.threshold, RootEngine: eng, RootBudget: budget})
+			return bc, time.Since(start), err
 		}
 
 		// Worker columns for every sweep: p=1 always, p=workers when it is a
@@ -347,48 +341,23 @@ func atScaleExperiment(c config) error {
 			pList = append(pList, c.workers)
 		}
 
-		// Scheduler sweep: whole-sub-graph vs root-range units at p=1 and
-		// p=workers.
-		static := map[int]time.Duration{}
-		var dynWall map[int]time.Duration
-		for _, sc := range []core.Scheduler{core.SchedulerStatic, core.SchedulerDynamic} {
-			walls := map[int]time.Duration{}
-			var row []any
-			row = append(row, fam.name, sc.String())
-			for _, w := range pList {
-				_, bd, dur, err := runCell(w, sc, core.EngineScalar)
-				if err != nil {
-					return err
-				}
-				walls[w] = dur
-				rec := metrics.Record{Experiment: "atscale-sched", Graph: fam.name,
-					Algorithm: "apgre", Workers: w, Scheduler: sc.String(),
-					Verts: g.NumVertices(), Edges: g.NumEdges(), Wall: dur,
-					MTEPS:         metrics.MTEPS(g.NumVertices(), g.NumEdges(), dur),
-					TraversedArcs: bd.TraversedArcs, Breakdown: breakdownRecord(bd)}
-				if sc == core.SchedulerStatic {
-					static[w] = dur
-					rec.Speedup = 1
-				} else {
-					rec.Speedup = metrics.Speedup(static[w], dur)
-				}
-				c.record(rec)
-				row = append(row, metrics.FormatDuration(dur))
+		// Scheduler sweep: the scalar engine at p=1 and p=workers.
+		dynWall := map[int]time.Duration{}
+		schedRow := []any{fam.name, core.SchedulerDynamic.String()}
+		for _, w := range pList {
+			_, dur, err := runCell(w, core.EngineScalar)
+			if err != nil {
+				return err
 			}
-			pLast := pList[len(pList)-1]
-			if len(pList) == 1 {
-				row = append(row, "-", "-")
-			} else {
-				row = append(row, metrics.FormatSpeedup(metrics.Speedup(walls[1], walls[pLast])))
-			}
-			if sc == core.SchedulerDynamic {
-				row = append(row, metrics.FormatSpeedup(metrics.Speedup(static[pLast], walls[pLast])))
-				dynWall = walls
-			} else {
-				row = append(row, "-")
-			}
-			schedT.AddRow(row...)
+			dynWall[w] = dur
+			schedRow = append(schedRow, metrics.FormatDuration(dur))
 		}
+		if len(pList) == 1 {
+			schedRow = append(schedRow, "-", "-")
+		} else {
+			schedRow = append(schedRow, metrics.FormatSpeedup(metrics.Speedup(dynWall[1], dynWall[c.workers])))
+		}
+		schedT.AddRow(schedRow...)
 		// On a multi-proc host p=workers must actually win; on a 1-proc
 		// container the honest bar is overhead neutrality — timesharing the
 		// same root set across goroutines should cost no more than ~25%.
@@ -410,27 +379,17 @@ func atScaleExperiment(c config) error {
 			var row []any
 			row = append(row, fam.name, eng.String())
 			for _, w := range pList {
-				bc, bd, dur, err := runCell(w, core.SchedulerDynamic, eng)
+				bc, dur, err := runCell(w, eng)
 				if err != nil {
 					return err
 				}
 				walls[w] = dur
-				rec := metrics.Record{Experiment: "atscale-engine", Graph: fam.name,
-					Algorithm: "apgre", Workers: w, Engine: eng.String(),
-					Verts: g.NumVertices(), Edges: g.NumEdges(), Wall: dur,
-					MTEPS:         metrics.MTEPS(g.NumVertices(), g.NumEdges(), dur),
-					TraversedArcs: bd.TraversedArcs}
 				if eng == core.EngineScalar {
 					scalarWall[w] = dur
 					scalarBC[w] = bc
-					rec.Speedup = 1
-				} else {
-					rec.Speedup = metrics.Speedup(scalarWall[w], dur)
-					if !bcEquivalent(bc, scalarBC[w]) {
-						return fmt.Errorf("%s: msbfs BC differs from scalar at p=%d", fam.name, w)
-					}
+				} else if !bcEquivalent(bc, scalarBC[w]) {
+					return fmt.Errorf("%s: msbfs BC differs from scalar at p=%d", fam.name, w)
 				}
-				c.record(rec)
 				row = append(row, metrics.FormatDuration(dur))
 			}
 			if len(pList) == 1 {
@@ -452,23 +411,11 @@ func atScaleExperiment(c config) error {
 		approxWall := map[int]time.Duration{}
 		for _, w := range pList {
 			start := time.Now()
-			res, err := approx.Estimate(g, approx.Options{Pivots: budget, Seed: 1,
-				Workers: w, Threshold: c.threshold})
-			if err != nil {
+			if _, err := approx.Estimate(g, approx.Options{Pivots: budget, Seed: 1,
+				Workers: w, Threshold: c.threshold}); err != nil {
 				return err
 			}
-			dur := time.Since(start)
-			approxWall[w] = dur
-			rec := metrics.Record{Experiment: "atscale-approx", Graph: fam.name,
-				Algorithm: "approx", Workers: w, Pivots: res.Pivots,
-				Verts: g.NumVertices(), Edges: g.NumEdges(), Wall: dur,
-				MTEPS: metrics.MTEPS(g.NumVertices(), g.NumEdges(), dur)}
-			if w == 1 {
-				rec.Speedup = 1
-			} else {
-				rec.Speedup = metrics.Speedup(approxWall[1], dur)
-			}
-			c.record(rec)
+			approxWall[w] = time.Since(start)
 		}
 		if len(pList) == 1 {
 			approxT.AddRow(fam.name, metrics.FormatDuration(approxWall[1]), "-", "-")

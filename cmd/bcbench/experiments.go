@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"runtime"
 	"time"
 
 	"repro/internal/bcc"
@@ -23,10 +22,9 @@ type config struct {
 	threshold  int
 	datasets   map[string]bool
 	algos      map[string]bool
-	rootBudget int               // -atscale: total BFS-root budget per compute cell
-	graphDir   string            // -atscale: where generated .bin graphs are cached
-	out        io.Writer         // defaults to os.Stdout in main; injectable in tests
-	rec        *metrics.Recorder // nil unless -json is set; Recorder no-ops on nil
+	rootBudget int       // -atscale: total BFS-root budget per compute cell
+	graphDir   string    // -atscale: where generated .bin graphs are cached
+	out        io.Writer // defaults to os.Stdout in main; injectable in tests
 }
 
 func (c config) w() io.Writer {
@@ -34,31 +32,6 @@ func (c config) w() io.Writer {
 		return c.out
 	}
 	return os.Stdout
-}
-
-// record emits one machine-readable benchmark record alongside the text
-// tables (nil recorder → no-op).
-func (c config) record(rec metrics.Record) {
-	if rec.Scale == 0 {
-		rec.Scale = c.scale
-	}
-	c.rec.Add(rec)
-}
-
-// breakdownRecord converts core's instrumentation into the serializable
-// mirror type (internal/metrics does not import internal/core).
-func breakdownRecord(bd core.Breakdown) *metrics.PhaseBreakdown {
-	return &metrics.PhaseBreakdown{
-		Partition:     bd.Partition,
-		AlphaBeta:     bd.AlphaBeta,
-		TopBC:         bd.TopBC,
-		RestBC:        bd.RestBC,
-		Total:         bd.Total,
-		TraversedArcs: bd.TraversedArcs,
-		Roots:         bd.Roots,
-		Subgraphs:     bd.Subgraphs,
-		Articulations: bd.Articulations,
-	}
 }
 
 func (c config) keepDataset(name string) bool {
@@ -188,26 +161,22 @@ func figure7(c config) error {
 }
 
 // algoRunner runs one named algorithm, returning scores (ignored) and an
-// "unsupported" flag mirroring the paper's "-" table entries. bd is filled
-// with phase instrumentation by the algorithms that support it (APGRE); the
-// baselines ignore it.
+// error mirroring the paper's "-" table entries (unsupported cells).
 type algoRunner struct {
 	name string
-	run  func(g *graph.Graph, workers, threshold int, bd *core.Breakdown) ([]float64, error)
+	run  func(g *graph.Graph, workers, threshold int) ([]float64, error)
 }
 
 func runners() []algoRunner {
 	return []algoRunner{
-		{"apgre", func(g *graph.Graph, w, th int, bd *core.Breakdown) ([]float64, error) {
-			return core.Compute(g, core.Options{Workers: w, Threshold: th, Breakdown: bd})
+		{"apgre", func(g *graph.Graph, w, th int) ([]float64, error) {
+			return core.Compute(g, core.Options{Workers: w, Threshold: th})
 		}},
-		{"preds", func(g *graph.Graph, w, _ int, _ *core.Breakdown) ([]float64, error) { return brandes.Preds(g, w), nil }},
-		{"succs", func(g *graph.Graph, w, _ int, _ *core.Breakdown) ([]float64, error) { return brandes.Succs(g, w), nil }},
-		{"lockSyncFree", func(g *graph.Graph, w, _ int, _ *core.Breakdown) ([]float64, error) {
-			return brandes.LockSyncFree(g, w), nil
-		}},
-		{"async", func(g *graph.Graph, w, _ int, _ *core.Breakdown) ([]float64, error) { return brandes.Async(g, w) }},
-		{"hybrid", func(g *graph.Graph, w, _ int, _ *core.Breakdown) ([]float64, error) { return brandes.Hybrid(g, w), nil }},
+		{"preds", func(g *graph.Graph, w, _ int) ([]float64, error) { return brandes.Preds(g, w), nil }},
+		{"succs", func(g *graph.Graph, w, _ int) ([]float64, error) { return brandes.Succs(g, w), nil }},
+		{"lockSyncFree", func(g *graph.Graph, w, _ int) ([]float64, error) { return brandes.LockSyncFree(g, w), nil }},
+		{"async", func(g *graph.Graph, w, _ int) ([]float64, error) { return brandes.Async(g, w) }},
+		{"hybrid", func(g *graph.Graph, w, _ int) ([]float64, error) { return brandes.Hybrid(g, w), nil }},
 	}
 }
 
@@ -232,44 +201,16 @@ func timings(c config, want map[string]bool) error {
 		start := time.Now()
 		brandes.Serial(g)
 		m.serial = time.Since(start)
-		c.record(metrics.Record{Experiment: "tables2-3", Graph: ds.Name,
-			Algorithm: "serial", Workers: 1, Verts: m.n, Edges: m.m,
-			Wall: m.serial, MTEPS: metrics.MTEPS(m.n, m.m, m.serial), Speedup: 1})
 		for _, r := range rs {
 			if !c.keepAlgo(r.name) {
 				continue
 			}
-			var bd core.Breakdown
-			var ms0 runtime.MemStats
-			runtime.ReadMemStats(&ms0)
 			start = time.Now()
-			_, err := r.run(g, c.workers, c.threshold, &bd)
-			if err != nil {
+			if _, err := r.run(g, c.workers, c.threshold); err != nil {
 				m.missing[r.name] = true // e.g. async on directed graphs
-				c.record(metrics.Record{Experiment: "tables2-3", Graph: ds.Name,
-					Algorithm: r.name, Workers: c.workers, Verts: m.n, Edges: m.m,
-					Unsupported: true})
 				continue
 			}
-			d := time.Since(start)
-			m.algo[r.name] = d
-			rec := metrics.Record{Experiment: "tables2-3", Graph: ds.Name,
-				Algorithm: r.name, Workers: c.workers, Verts: m.n, Edges: m.m,
-				Wall: d, MTEPS: metrics.MTEPS(m.n, m.m, d),
-				Speedup: metrics.Speedup(m.serial, d)}
-			if r.name == "apgre" {
-				rec.Breakdown = breakdownRecord(bd)
-				rec.TraversedArcs = bd.TraversedArcs
-				if bd.Roots > 0 {
-					// Mallocs delta per root sweep: the workspace arena
-					// should keep this near zero once warm (a -check against
-					// an older artifact flags allocation regressions).
-					var ms1 runtime.MemStats
-					runtime.ReadMemStats(&ms1)
-					rec.AllocsPerSweep = float64(ms1.Mallocs-ms0.Mallocs) / float64(bd.Roots)
-				}
-			}
-			c.record(rec)
+			m.algo[r.name] = time.Since(start)
 		}
 		res = append(res, m)
 	}
@@ -361,15 +302,10 @@ func figure8(c config) error {
 	for _, ds := range c.selected() {
 		g := ds.Build(c.scale)
 		var bd core.Breakdown
-		start := time.Now()
 		if _, err := core.Compute(g, core.Options{Workers: c.workers,
 			Threshold: c.threshold, Breakdown: &bd}); err != nil {
 			return err
 		}
-		c.record(metrics.Record{Experiment: "figure8", Graph: ds.Name,
-			Algorithm: "apgre", Workers: c.workers,
-			Verts: g.NumVertices(), Edges: g.NumEdges(), Wall: time.Since(start),
-			TraversedArcs: bd.TraversedArcs, Breakdown: breakdownRecord(bd)})
 		extra := float64(bd.Partition+bd.AlphaBeta) / float64(bd.Total)
 		t.AddRow(ds.Name, bd.Partition, bd.AlphaBeta, bd.TopBC, bd.RestBC,
 			metrics.Percent(extra), bd.Total)
@@ -396,26 +332,12 @@ func figure9(c config) error {
 		}
 		row := []any{r.name}
 		for _, w := range sweep {
-			var bd core.Breakdown
 			start := time.Now()
-			if _, err := r.run(g, w, c.threshold, &bd); err != nil {
+			if _, err := r.run(g, w, c.threshold); err != nil {
 				row = append(row, "-")
-				c.record(metrics.Record{Experiment: "figure9", Graph: ds.Name,
-					Algorithm: r.name, Workers: w, Verts: g.NumVertices(),
-					Edges: g.NumEdges(), Unsupported: true})
 				continue
 			}
-			d := time.Since(start)
-			rec := metrics.Record{Experiment: "figure9", Graph: ds.Name,
-				Algorithm: r.name, Workers: w, Verts: g.NumVertices(),
-				Edges: g.NumEdges(), Wall: d,
-				MTEPS: metrics.MTEPS(g.NumVertices(), g.NumEdges(), d)}
-			if r.name == "apgre" {
-				rec.Breakdown = breakdownRecord(bd)
-				rec.TraversedArcs = bd.TraversedArcs
-			}
-			c.record(rec)
-			row = append(row, metrics.FormatDuration(d))
+			row = append(row, metrics.FormatDuration(time.Since(start)))
 		}
 		t.AddRow(row...)
 	}
@@ -441,82 +363,14 @@ func figure10(c config) error {
 		g := ds.Build(c.scale)
 		row := []any{name}
 		for _, w := range sweep {
-			var bd core.Breakdown
 			start := time.Now()
 			if _, err := core.Compute(g, core.Options{Workers: w,
-				Threshold: c.threshold, Breakdown: &bd}); err != nil {
+				Threshold: c.threshold}); err != nil {
 				return err
 			}
-			d := time.Since(start)
-			c.record(metrics.Record{Experiment: "figure10", Graph: name,
-				Algorithm: "apgre", Workers: w, Verts: g.NumVertices(),
-				Edges: g.NumEdges(), Wall: d,
-				MTEPS:         metrics.MTEPS(g.NumVertices(), g.NumEdges(), d),
-				TraversedArcs: bd.TraversedArcs, Breakdown: breakdownRecord(bd)})
-			row = append(row, metrics.FormatDuration(d))
+			row = append(row, metrics.FormatDuration(time.Since(start)))
 		}
 		t.AddRow(row...)
-	}
-	t.Render(c.w())
-	return nil
-}
-
-// schedulerExperiment sweeps worker counts under both unit granularities of
-// the one cost-ordered queue — whole-sub-graph units (core.SchedulerStatic,
-// the paper's coarse outer level) and root-range units
-// (core.SchedulerDynamic) — on every selected dataset. It is the Figure 9
-// analogue for the scheduler itself: the dynamic row's speedup column is
-// measured against the static row at the same worker count, so the BENCH
-// record directly certifies what root-range chunking buys.
-func schedulerExperiment(c config) error {
-	sweep := []int{1, 2, 4, 8}
-	t := &metrics.Table{
-		Title:   "Scheduler sweep. APGRE whole-sub-graph (static) vs root-range (dynamic) units",
-		Headers: append([]string{"graph", "scheduler"}, append(workerHeaders(sweep), "gain@8")...),
-	}
-	scheds := []struct {
-		name string
-		s    core.Scheduler
-	}{
-		{core.SchedulerStatic.String(), core.SchedulerStatic},
-		{core.SchedulerDynamic.String(), core.SchedulerDynamic},
-	}
-	for _, ds := range c.selected() {
-		g := ds.Build(c.scale)
-		static := map[int]time.Duration{}
-		for _, sc := range scheds {
-			row := []any{ds.Name, sc.name}
-			var gain string
-			for _, w := range sweep {
-				var bd core.Breakdown
-				start := time.Now()
-				if _, err := core.Compute(g, core.Options{Workers: w,
-					Threshold: c.threshold, Scheduler: sc.s, Breakdown: &bd}); err != nil {
-					return err
-				}
-				d := time.Since(start)
-				rec := metrics.Record{Experiment: "scheduler", Graph: ds.Name,
-					Algorithm: "apgre", Workers: w, Scheduler: sc.name,
-					Verts: g.NumVertices(), Edges: g.NumEdges(), Wall: d,
-					MTEPS:         metrics.MTEPS(g.NumVertices(), g.NumEdges(), d),
-					TraversedArcs: bd.TraversedArcs, Breakdown: breakdownRecord(bd)}
-				if sc.s == core.SchedulerStatic {
-					static[w] = d
-					rec.Speedup = 1
-				} else {
-					rec.Speedup = metrics.Speedup(static[w], d)
-					if w == 8 {
-						gain = metrics.FormatSpeedup(rec.Speedup)
-					}
-				}
-				c.record(rec)
-				row = append(row, metrics.FormatDuration(d))
-			}
-			if gain == "" {
-				gain = "-"
-			}
-			t.AddRow(append(row, gain)...)
-		}
 	}
 	t.Render(c.w())
 	return nil
@@ -526,12 +380,11 @@ func schedulerExperiment(c config) error {
 // sweep baseline vs the bit-parallel multi-source batched engine
 // (core.EngineMSBFS) — at serial and the harness worker count on every
 // selected dataset. The decomposition is built once per graph and kept out of
-// the timed region, so the MTEPS column isolates the sweep kernels
-// themselves; the msbfs row's speedup column is measured against the scalar
-// engine at the same worker count, so the BENCH record directly certifies the
-// batching win. Every msbfs cell is also checked bit-for-bit against the
-// scalar result at the same worker count — the engine-equivalence contract
-// rides along with each benchmark run instead of living only in unit tests.
+// the timed region, so the p= columns time the sweep kernels alone; the msbfs
+// row's gain column is scalar/msbfs wall at the sweep's largest worker count.
+// Every msbfs cell is also checked bit-for-bit against the scalar result at
+// the same worker count — the engine-equivalence contract rides along with
+// each benchmark run instead of living only in unit tests.
 func engineExperiment(c config) error {
 	sweep := []int{1, c.workers}
 	if c.workers <= 1 {
@@ -562,36 +415,27 @@ func engineExperiment(c config) error {
 				// run is the least-perturbed measurement of the same
 				// computation — the 2× claim should not hinge on scheduler
 				// jitter.
-				var bd core.Breakdown
 				var bc []float64
 				var dur time.Duration
 				for rep, spent := 0, time.Duration(0); rep == 0 || (spent < 150*time.Millisecond && rep < 20); rep++ {
-					var repBd core.Breakdown
 					start := time.Now()
 					repBC, err := core.ComputeDecomposed(d, core.Options{Workers: w,
-						Threshold: c.threshold, RootEngine: eng, Breakdown: &repBd})
+						Threshold: c.threshold, RootEngine: eng})
 					if err != nil {
 						return err
 					}
 					el := time.Since(start)
 					spent += el
 					if rep == 0 || el < dur {
-						dur, bc, bd = el, repBC, repBd
+						dur, bc = el, repBC
 					}
 				}
-				rec := metrics.Record{Experiment: "engine", Graph: ds.Name,
-					Algorithm: "apgre", Workers: w, Engine: eng.String(),
-					Verts: g.NumVertices(), Edges: g.NumEdges(), Wall: dur,
-					MTEPS:         metrics.MTEPS(g.NumVertices(), g.NumEdges(), dur),
-					TraversedArcs: bd.TraversedArcs}
 				if eng == core.EngineScalar {
 					scalarWall[w] = dur
 					scalarBC[w] = bc
-					rec.Speedup = 1
 				} else {
-					rec.Speedup = metrics.Speedup(scalarWall[w], dur)
 					if w == sweep[len(sweep)-1] {
-						gain = metrics.FormatSpeedup(rec.Speedup)
+						gain = metrics.FormatSpeedup(metrics.Speedup(scalarWall[w], dur))
 					}
 					for v := range bc {
 						if math.Float64bits(bc[v]) != math.Float64bits(scalarBC[w][v]) {
@@ -600,7 +444,6 @@ func engineExperiment(c config) error {
 						}
 					}
 				}
-				c.record(rec)
 				row = append(row, metrics.FormatDuration(dur))
 			}
 			if gain == "" {

@@ -117,20 +117,12 @@ func extWeighted(c config) error {
 		start := time.Now()
 		brandes.WeightedSerial(g)
 		base := time.Since(start)
-		c.record(metrics.Record{Experiment: "ext-weighted", Graph: ds.Name,
-			Algorithm: "dijkstra-brandes", Workers: 1,
-			Verts: g.NumVertices(), Edges: g.NumEdges(), Wall: base, Speedup: 1})
-		var bd core.Breakdown
 		start = time.Now()
 		if _, err := core.ComputeWeighted(g, core.Options{Workers: c.workers,
-			Threshold: c.threshold, Breakdown: &bd}); err != nil {
+			Threshold: c.threshold}); err != nil {
 			return err
 		}
 		apgre := time.Since(start)
-		c.record(metrics.Record{Experiment: "ext-weighted", Graph: ds.Name,
-			Algorithm: "weighted-apgre", Workers: c.workers,
-			Verts: g.NumVertices(), Edges: g.NumEdges(), Wall: apgre,
-			Speedup: metrics.Speedup(base, apgre), TraversedArcs: bd.TraversedArcs})
 		t.AddRow(ds.Name, base, apgre, metrics.FormatSpeedup(metrics.Speedup(base, apgre)))
 	}
 	t.Render(c.w())
@@ -150,18 +142,11 @@ func extCloseness(c config) error {
 		start := time.Now()
 		closeness.Exact(g, c.workers)
 		base := time.Since(start)
-		c.record(metrics.Record{Experiment: "ext-closeness", Graph: ds.Name,
-			Algorithm: "exact-bfs", Workers: c.workers,
-			Verts: g.NumVertices(), Edges: g.NumEdges(), Wall: base, Speedup: 1})
 		start = time.Now()
 		if _, err := closeness.Decomposed(g, closeness.Options{Workers: c.workers, Threshold: c.threshold}); err != nil {
 			return err
 		}
 		dec := time.Since(start)
-		c.record(metrics.Record{Experiment: "ext-closeness", Graph: ds.Name,
-			Algorithm: "decomposed", Workers: c.workers,
-			Verts: g.NumVertices(), Edges: g.NumEdges(), Wall: dec,
-			Speedup: metrics.Speedup(base, dec)})
 		t.AddRow(ds.Name, base, dec, metrics.FormatSpeedup(metrics.Speedup(base, dec)))
 	}
 	t.Render(c.w())
@@ -224,14 +209,6 @@ func extIncremental(c config) error {
 			return err
 		}
 		full := time.Since(start)
-		ig := inc.Graph()
-		c.record(metrics.Record{Experiment: "ext-incremental", Graph: name,
-			Algorithm: "incremental-update", Workers: c.workers,
-			Verts: ig.NumVertices(), Edges: ig.NumEdges(), Wall: stream / 20,
-			Speedup: metrics.Speedup(full, stream/20)})
-		c.record(metrics.Record{Experiment: "ext-incremental", Graph: name,
-			Algorithm: "full-recompute", Workers: c.workers,
-			Verts: ig.NumVertices(), Edges: ig.NumEdges(), Wall: full, Speedup: 1})
 		t.AddRow(name, build, stream/20, inc.FullRebuilds(), full)
 	}
 	t.Render(c.w())

@@ -12,23 +12,19 @@
 //	bcbench -figure 9         # Figure 9: thread scaling, all algorithms
 //	bcbench -figure 10        # Figure 10: APGRE thread scaling
 //	bcbench -approx           # approximate BC: error vs speedup sweep
-//	bcbench -sched            # scheduler sweep: whole-sub-graph vs root-range units
 //	bcbench -engine           # engine sweep: scalar vs msbfs batched sweeps
-//	bcbench -all              # everything, in paper order
+//	bcbench -ext              # extensions: weighted, closeness, incremental
+//	bcbench -all              # everything above, in paper order
+//	bcbench -atscale          # load paths + budgeted sweeps at -scale 100
 //
 // -scale multiplies dataset sizes (default 0.25 keeps a full -all run in
 // minutes); -datasets and -algos filter; -workers sets the thread count for
 // the fixed-thread tables (default GOMAXPROCS).
 //
-// Machine-readable records and the regression gate:
-//
-//	bcbench -all -json .                        # also write BENCH_<stamp>.json
-//	bcbench -check old.json new.json            # exit 1 on perf regressions
-//	bcbench -check -tolerance 25 old.json new.json
-//
-// -json writes every timing result as a structured record (see
-// internal/metrics.Document); -check compares two such documents and exits
-// non-zero when wall time or traversed arcs grew beyond -tolerance percent.
+// bcbench prints text tables and nothing else. Measurements that back a
+// performance claim come from the repository benchmark, `go run ./bench`
+// (bench/README.md), which times every layer in fresh processes and verifies
+// every answer it times.
 //
 // Profiling: -cpuprofile, -memprofile and -trace write the standard pprof/
 // trace artifacts for the whole run.
@@ -41,7 +37,6 @@ import (
 	"runtime"
 	"strings"
 
-	"repro/internal/metrics"
 	"repro/internal/profiling"
 )
 
@@ -57,16 +52,12 @@ func main() {
 		thresh     = flag.Int("threshold", 0, "APGRE decomposition threshold (0 = default)")
 		ext        = flag.Bool("ext", false, "run the extension experiments (weighted, closeness, incremental)")
 		approxExp  = flag.Bool("approx", false, "run the approximate-BC error-vs-speedup sweep")
-		sched      = flag.Bool("sched", false, "run the scheduler worker sweep: whole-sub-graph (static) vs root-range (dynamic) units")
 		engineExp  = flag.Bool("engine", false, "run the scalar-vs-msbfs sweep-engine comparison")
-		atscale    = flag.Bool("atscale", false, "run the at-scale load/scheduler (whole-sub-graph vs root-range units)/engine/approx profile (pair with -scale 100)")
+		atscale    = flag.Bool("atscale", false, "run the at-scale load/scheduler/engine/approx profile (pair with -scale 100)")
 		rootBudget = flag.Int("rootbudget", 256, "at-scale: total BFS-root budget per compute cell (0 = full exact)")
 		graphDir   = flag.String("graphdir", "", "at-scale: cache generated .bin graphs here (default: fresh temp dir, removed)")
 		loadprobe  = flag.String("loadprobe", "", "internal: load this .bin file, print one-line JSON load metrics, exit")
 		loadmode   = flag.String("loadmode", "stream", "internal: loader for -loadprobe (inmem|stream|mmap)")
-		jsonOut    = flag.String("json", "", "write a machine-readable BENCH_<stamp>.json to this file or directory")
-		check      = flag.Bool("check", false, "compare two BENCH_*.json files (old new) and fail on regressions")
-		tolerance  = flag.Float64("tolerance", 10, "allowed wall-time / traversed-arc growth for -check, in percent")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		traceOut   = flag.String("trace", "", "write a runtime execution trace to this file")
@@ -78,10 +69,6 @@ func main() {
 	// and report (see atscale.go).
 	if *loadprobe != "" {
 		os.Exit(runLoadProbe(*loadprobe, *loadmode))
-	}
-
-	if *check {
-		os.Exit(runCheck(flag.Args(), *tolerance))
 	}
 
 	prof, err := profiling.Start(*cpuprofile, *memprofile, *traceOut)
@@ -98,9 +85,6 @@ func main() {
 		algos:      splitCSV(*algos),
 		rootBudget: *rootBudget,
 		graphDir:   *graphDir,
-	}
-	if *jsonOut != "" {
-		cfg.rec = metrics.NewRecorder(*scale, *workers)
 	}
 
 	fail := func(name string, err error) {
@@ -162,10 +146,6 @@ func main() {
 		run("approx", approxExperiment)
 		ran = true
 	}
-	if *all || *sched {
-		run("scheduler", schedulerExperiment)
-		ran = true
-	}
 	if *all || *engineExp {
 		run("engine", engineExperiment)
 		ran = true
@@ -182,53 +162,10 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if cfg.rec != nil {
-		if cfg.rec.Len() == 0 {
-			fmt.Fprintln(os.Stderr, "bcbench: -json set but the selected experiments produced no timing records")
-		} else if path, err := cfg.rec.WriteFile(*jsonOut); err != nil {
-			fail("json", err)
-		} else {
-			fmt.Printf("wrote %d benchmark records to %s\n", cfg.rec.Len(), path)
-		}
-	}
 	if err := prof.Stop(); err != nil {
 		fmt.Fprintf(os.Stderr, "bcbench: profiling: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-// runCheck implements the regression gate: load old and new record documents,
-// diff them, and report. Returns the process exit code (0 clean, 1 regressed,
-// 2 usage/IO error).
-func runCheck(args []string, tolerancePct float64) int {
-	if len(args) != 2 {
-		fmt.Fprintln(os.Stderr, "bcbench: -check needs exactly two arguments: old.json new.json")
-		return 2
-	}
-	oldDoc, err := metrics.ReadDocument(args[0])
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bcbench: %v\n", err)
-		return 2
-	}
-	newDoc, err := metrics.ReadDocument(args[1])
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bcbench: %v\n", err)
-		return 2
-	}
-	regs, missing := metrics.Compare(oldDoc, newDoc, tolerancePct)
-	for _, m := range missing {
-		fmt.Fprintf(os.Stderr, "bcbench: warning: record coverage changed: %s\n", m)
-	}
-	if len(regs) > 0 {
-		fmt.Fprintf(os.Stderr, "bcbench: %d regression(s) beyond %.1f%% tolerance:\n", len(regs), tolerancePct)
-		for _, r := range regs {
-			fmt.Fprintf(os.Stderr, "  %s\n", r)
-		}
-		return 1
-	}
-	fmt.Printf("bcbench: no regressions (%d records compared, tolerance %.1f%%)\n",
-		len(oldDoc.Records), tolerancePct)
-	return 0
 }
 
 func splitCSV(s string) map[string]bool {

@@ -21,12 +21,11 @@
 // reads; 200/429 for mutations).
 //
 //	bcdload -addr http://localhost:8723 -graph load -dataset email-enron \
-//	        -readers 4 -mutators 4 -duration 10s -out bench/
+//	        -readers 4 -mutators 4 -duration 10s
 //
-// With -out, results land as a BENCH_*.json document (internal/metrics
-// schema v1). Latency-percentile records use Wall for the percentile value,
-// TraversedArcs for the request count behind it, and the "mutate" record's
-// Speedup field carries the mutations-per-epoch amortization factor.
+// The summary goes to stdout. The measured, verified serving numbers the
+// repository's claims rest on come from `go run ./bench -workload serve`
+// (bench/README.md); bcdload is the driver for a daemon that is already up.
 package main
 
 import (
@@ -59,7 +58,6 @@ func main() {
 		top       = flag.Int("top", 10, "top-K size requested by readers")
 		duration  = flag.Duration("duration", 10*time.Second, "length of the mixed phase")
 		baseline  = flag.Duration("baseline", 0, "length of the read-only baseline phase (0 = same as -duration)")
-		out       = flag.String("out", "", "BENCH_*.json output path or directory (empty = stdout summary only)")
 		maxRatio  = flag.Float64("max-p99-ratio", 0, "fail if mixed read p99 exceeds baseline p99 by this factor (0 = report only)")
 		quiet     = flag.Bool("quiet", false, "suppress progress logging")
 	)
@@ -144,39 +142,6 @@ func main() {
 			mixP99, ratio, baseP99, *maxRatio)
 		os.Exit(1)
 	}
-
-	if *out != "" {
-		rec := metrics.NewRecorder(*scale, *readers)
-		add := func(alg string, wall time.Duration, n int, speedup float64) {
-			rec.Add(metrics.Record{
-				Experiment:    "bcdload",
-				Graph:         *graphName,
-				Algorithm:     alg,
-				Workers:       *readers,
-				Scale:         *scale,
-				Verts:         infoAfter.Verts,
-				Edges:         infoAfter.Edges,
-				Wall:          wall,
-				Speedup:       speedup,
-				TraversedArcs: int64(n),
-			})
-		}
-		add("read-baseline-p50", baseP50, len(base.readLat), 0)
-		add("read-baseline-p99", baseP99, len(base.readLat), 0)
-		add("read-mixed-p50", mixP50, len(mixed.readLat), 0)
-		add("read-mixed-p99", mixP99, len(mixed.readLat), ratio)
-		add("mutate-p99", mutP99, int(applied), amortization)
-		// Overload accounting: every rejected mutation must have been a 429
-		// (any 400/500 would have failed the run above), so this count is
-		// the proof the admission-control path answered correctly.
-		add("mutate-overload-429", 0, int(mixed.mutate429.Load()), 0)
-		path, err := rec.WriteFile(*out)
-		if err != nil {
-			logger.SetOutput(os.Stderr)
-			logger.Fatalf("write records: %v", err)
-		}
-		fmt.Printf("records: %s\n", path)
-	}
 }
 
 // harness holds the shared HTTP plumbing.
@@ -192,7 +157,6 @@ type entryInfo struct {
 	State string `json:"state"`
 	Error string `json:"error"`
 	Verts int    `json:"verts"`
-	Edges int64  `json:"edges"`
 	Epoch uint64 `json:"epoch"`
 }
 

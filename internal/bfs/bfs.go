@@ -1,30 +1,19 @@
-// Package bfs provides the breadth-first-search substrate: serial BFS,
-// level-synchronous parallel BFS (the paper's fine-grained phase-1 pattern),
-// and a direction-optimizing hybrid BFS (Beamer et al. [33], the basis of the
-// "hybrid" baseline). It also provides blocked-region variants used to count
-// the α and β quantities of the decomposition (§3.1: "the number of vertices
-// which a can reach without passing through SGi").
+// Package bfs provides the breadth-first-search substrate: serial BFS with
+// the blocked-region variants used to count the α and β quantities of the
+// decomposition (§3.1: "the number of vertices which a can reach without
+// passing through SGi"), and the direction-optimizing switch heuristic
+// (Beamer et al. [33]) the σ-BFS sweeps of internal/core share.
 package bfs
 
-import (
-	"sync/atomic"
-
-	"repro/internal/bitset"
-	"repro/internal/graph"
-	"repro/internal/par"
-)
+import "repro/internal/graph"
 
 // Unreached marks vertices not reached by a traversal.
 const Unreached = int32(-1)
 
-// HybridAlpha and HybridBeta are the direction-optimizing switch parameters
-// of Beamer et al. [33]: go bottom-up when the frontier's out-edge volume
-// exceeds 1/HybridAlpha of the unexplored edge volume, and back top-down once
-// the frontier shrinks below 1/HybridBeta of the vertex count.
-const (
-	HybridAlpha = 14
-	HybridBeta  = 24
-)
+// HybridAlpha is the direction-optimizing switch parameter of Beamer et al.
+// [33]: go bottom-up when the frontier's out-edge volume exceeds
+// 1/HybridAlpha of the unexplored edge volume.
+const HybridAlpha = 14
 
 // DefaultBottomUpFrac is the frontier/unvisited vertex-ratio threshold the
 // σ-BFS sweeps (internal/core) use when Options.BottomUpFrac is unset. It is
@@ -101,117 +90,4 @@ func ReverseReachableCount(g *graph.Graph, s graph.V, blocked func(graph.V) bool
 		return ReachableCount(g, s, blocked)
 	}
 	return ReachableCount(g.Transpose(), s, blocked)
-}
-
-// ParallelDistances runs level-synchronous parallel BFS with the given worker
-// count: the frontier is processed with a parallel for; newly discovered
-// vertices are claimed with an atomic bitset and collected in per-worker bags
-// (the reduction-bag pattern the paper's implementation uses).
-func ParallelDistances(g *graph.Graph, s graph.V, workers int) []int32 {
-	n := g.NumVertices()
-	p := par.Workers(workers)
-	dist := make([]int32, n)
-	for i := range dist {
-		dist[i] = Unreached
-	}
-	visited := bitset.New(n)
-	visited.Set(int(s))
-	dist[s] = 0
-	frontier := []graph.V{s}
-	bag := par.NewBag[graph.V](p)
-	for d := int32(1); len(frontier) > 0; d++ {
-		par.ForWorker(len(frontier), p, 0, func(w, i int) {
-			u := frontier[i]
-			for _, v := range g.Out(u) {
-				if visited.TrySet(int(v)) {
-					dist[v] = d
-					bag.Add(w, v)
-				}
-			}
-		})
-		frontier = bag.Drain(frontier)
-	}
-	return dist
-}
-
-// HybridDistances runs direction-optimizing BFS: top-down steps while the
-// frontier is small, switching to bottom-up (every unvisited vertex scans its
-// in-neighbors for a frontier member) when the frontier's out-edge volume
-// exceeds alpha-th of the unexplored edge volume, and back once the frontier
-// shrinks. Parameters follow Beamer et al.'s HybridAlpha/HybridBeta.
-func HybridDistances(g *graph.Graph, s graph.V, workers int) []int32 {
-	const alpha, beta = HybridAlpha, HybridBeta
-	n := g.NumVertices()
-	p := par.Workers(workers)
-	g.EnsureTranspose()
-
-	dist := make([]int32, n)
-	for i := range dist {
-		dist[i] = Unreached
-	}
-	visited := bitset.New(n)
-	visited.Set(int(s))
-	dist[s] = 0
-
-	frontier := []graph.V{s}
-	bag := par.NewBag[graph.V](p)
-	unexploredEdges := g.NumArcs()
-	bottomUp := false
-
-	frontierEdges := func(f []graph.V) int64 {
-		var e int64
-		for _, u := range f {
-			e += int64(g.OutDegree(u))
-		}
-		return e
-	}
-
-	for d := int32(1); len(frontier) > 0; d++ {
-		if !bottomUp {
-			fe := frontierEdges(frontier)
-			if fe > unexploredEdges/alpha {
-				bottomUp = true
-			}
-			unexploredEdges -= fe
-		}
-		if bottomUp && len(frontier) < n/beta {
-			bottomUp = false
-		}
-		if bottomUp {
-			// Bottom-up: each unvisited vertex looks for any in-neighbor at
-			// distance d-1. Writes are owned (one per v), no atomics needed.
-			par.ForWorker(n, p, 0, func(w, vi int) {
-				v := graph.V(vi)
-				if dist[v] != Unreached {
-					return
-				}
-				for _, u := range g.In(v) {
-					// Atomic: a neighbour u may be concurrently claimed at
-					// level d by another worker; the claimed value d never
-					// equals d-1, so the logic is unaffected, but the
-					// accesses must still be synchronized.
-					if atomic.LoadInt32(&dist[u]) == d-1 {
-						atomic.StoreInt32(&dist[v], d)
-						visited.TrySet(int(v))
-						bag.Add(w, v)
-						return
-					}
-				}
-			})
-		} else {
-			par.ForWorker(len(frontier), p, 0, func(w, i int) {
-				u := frontier[i]
-				for _, v := range g.Out(u) {
-					if visited.TrySet(int(v)) {
-						if dist[v] == Unreached {
-							dist[v] = d
-							bag.Add(w, v)
-						}
-					}
-				}
-			})
-		}
-		frontier = bag.Drain(frontier)
-	}
-	return dist
 }

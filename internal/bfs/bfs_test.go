@@ -76,86 +76,6 @@ func TestReachableCounts(t *testing.T) {
 	}
 }
 
-func sameDist(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func TestParallelMatchesSerial(t *testing.T) {
-	graphs := []*graph.Graph{
-		gen.Path(50),
-		gen.Grid2D(15, 17),
-		gen.BarabasiAlbert(400, 3, 1),
-		gen.ErdosRenyi(300, 900, true, 2),
-		gen.SocialLike(gen.SocialParams{N: 500, AvgDeg: 5, Communities: 6, TopShare: 0.5, LeafFrac: 0.3, Seed: 3}),
-		gen.Star(100),
-	}
-	for gi, g := range graphs {
-		for _, s := range []graph.V{0, graph.V(g.NumVertices() / 2)} {
-			want := Distances(g, s)
-			for _, p := range []int{1, 2, 4} {
-				if got := ParallelDistances(g, s, p); !sameDist(got, want) {
-					t.Fatalf("graph %d src %d workers %d: parallel BFS differs", gi, s, p)
-				}
-				if got := HybridDistances(g, s, p); !sameDist(got, want) {
-					t.Fatalf("graph %d src %d workers %d: hybrid BFS differs", gi, s, p)
-				}
-			}
-		}
-	}
-}
-
-// TestNineFamiliesAllVariants runs ParallelDistances and HybridDistances
-// against serial Distances on the nine graph families the repo's equivalence
-// suites use everywhere (see internal/approx), plus directed and disconnected
-// inputs, at several worker counts and sources.
-func TestNineFamiliesAllVariants(t *testing.T) {
-	families := map[string]*graph.Graph{
-		"path":     gen.Path(20),
-		"star":     gen.Star(20),
-		"lollipop": gen.Lollipop(6, 10),
-		"tree":     gen.Tree(50, 1),
-		"caveman":  gen.Caveman(4, 6, false),
-		"grid":     gen.Grid2D(6, 6),
-		"social": gen.SocialLike(gen.SocialParams{
-			N: 400, AvgDeg: 5, Communities: 6, TopShare: 0.5, LeafFrac: 0.3, Seed: 1}),
-		"socialDir": gen.SocialLike(gen.SocialParams{
-			N: 400, AvgDeg: 5, Communities: 6, TopShare: 0.5, LeafFrac: 0.3,
-			Directed: true, Reciprocity: 0.5, Seed: 2}),
-		"er": gen.ErdosRenyi(300, 900, false, 7),
-		// Beyond the nine: a sparse directed graph with unreachable regions
-		// and an explicitly disconnected graph (two components + isolated
-		// vertices), both of which exercise the Unreached handling in the
-		// bottom-up branch.
-		"erDir": gen.ErdosRenyi(200, 400, true, 9),
-		"disconnected": graph.NewFromEdges(12, []graph.Edge{
-			{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 0},
-			{From: 4, To: 5}, {From: 5, To: 6}, {From: 6, To: 7}, {From: 7, To: 4},
-		}, false),
-	}
-	for name, g := range families {
-		n := g.NumVertices()
-		for _, s := range []graph.V{0, graph.V(n / 2), graph.V(n - 1)} {
-			want := Distances(g, s)
-			for _, p := range []int{1, 2, 4, 8} {
-				if got := ParallelDistances(g, s, p); !sameDist(got, want) {
-					t.Fatalf("%s src %d workers %d: ParallelDistances differs", name, s, p)
-				}
-				if got := HybridDistances(g, s, p); !sameDist(got, want) {
-					t.Fatalf("%s src %d workers %d: HybridDistances differs", name, s, p)
-				}
-			}
-		}
-	}
-}
-
 // TestShouldBottomUp pins the shared vertex-ratio heuristic contract.
 func TestShouldBottomUp(t *testing.T) {
 	if ShouldBottomUp(10, 100, 0) {
@@ -179,30 +99,12 @@ func TestShouldBottomUp(t *testing.T) {
 	}
 }
 
-func TestHybridDense(t *testing.T) {
-	// A dense graph forces the bottom-up branch.
-	g := gen.Complete(200)
-	want := Distances(g, 0)
-	got := HybridDistances(g, 0, 4)
-	if !sameDist(got, want) {
-		t.Fatal("hybrid BFS wrong on dense graph")
-	}
-}
-
-// Property: on random graphs, every BFS variant agrees with serial and
-// distances obey the edge relaxation property |d(u)-d(v)| <= 1 on undirected
-// edges.
+// Property: on random graphs, distances obey the edge relaxation property
+// |d(u)-d(v)| <= 1 on undirected edges.
 func TestQuickBFSAgree(t *testing.T) {
-	f := func(seed int64, pRaw uint8) bool {
+	f := func(seed int64) bool {
 		g := gen.ErdosRenyi(120, 360, false, seed)
-		p := 1 + int(pRaw%4)
 		want := Distances(g, 0)
-		if !sameDist(ParallelDistances(g, 0, p), want) {
-			return false
-		}
-		if !sameDist(HybridDistances(g, 0, p), want) {
-			return false
-		}
 		for _, e := range g.Edges() {
 			du, dv := want[e.From], want[e.To]
 			if du == Unreached != (dv == Unreached) {
@@ -224,11 +126,5 @@ func TestSingleVertex(t *testing.T) {
 	d := Distances(g, 0)
 	if len(d) != 1 || d[0] != 0 {
 		t.Fatalf("d = %v", d)
-	}
-	if got := ParallelDistances(g, 0, 4); got[0] != 0 {
-		t.Fatal("parallel single vertex wrong")
-	}
-	if got := HybridDistances(g, 0, 4); got[0] != 0 {
-		t.Fatal("hybrid single vertex wrong")
 	}
 }

@@ -3,14 +3,10 @@
 //
 // The set is not safe for concurrent mutation of the same word; callers that
 // share a set across goroutines must either partition the index space so no
-// two goroutines touch the same 64-bit word, or use the atomic variants
-// (TrySet, GetAtomic).
+// two goroutines touch the same 64-bit word, or use the atomic TrySet.
 package bitset
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Bitset is a fixed-capacity set of non-negative integers below Len().
 type Bitset struct {
@@ -54,11 +50,6 @@ func (b *Bitset) TrySet(i int) bool {
 	}
 }
 
-// GetAtomic reports membership with an atomic load. Safe for concurrent use.
-func (b *Bitset) GetAtomic(i int) bool {
-	return atomic.LoadUint64(&b.words[i>>6])&(1<<(uint(i)&63)) != 0
-}
-
 // Reset clears every bit without reallocating.
 func (b *Bitset) Reset() {
 	for i := range b.words {
@@ -66,97 +57,8 @@ func (b *Bitset) Reset() {
 	}
 }
 
-// Count returns the number of members.
-func (b *Bitset) Count() int {
-	c := 0
-	for _, w := range b.words {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
-// ForEach calls fn for every member in increasing order.
-func (b *Bitset) ForEach(fn func(i int)) {
-	for wi, w := range b.words {
-		for w != 0 {
-			tz := bits.TrailingZeros64(w)
-			fn(wi<<6 + tz)
-			w &= w - 1
-		}
-	}
-}
-
-// NumWords returns the number of 64-bit words backing the set. Together with
-// Word it lets traversals iterate word-granular — e.g. a bottom-up BFS sweep
-// claiming one word of unvisited vertices per worker so plain (non-atomic)
-// Set calls on that word are race-free.
-func (b *Bitset) NumWords() int { return len(b.words) }
-
 // Word returns the wi-th backing word; bit k of Word(wi) is member wi*64+k.
-// Bits at or beyond Len() are always zero.
+// Bits at or beyond Len() are always zero. It lets traversals iterate
+// word-granular — the bottom-up σ-BFS sweep of internal/core scans one word
+// of unvisited vertices at a time.
 func (b *Bitset) Word(wi int) uint64 { return b.words[wi] }
-
-// WordAt returns the backing word containing member i together with the base
-// member id of that word (base = i &^ 63), so bit k of word is member base+k.
-// The word-lane view of a set: the MS-BFS engine treats each 64-bit word as
-// one batch of root lanes.
-func (b *Bitset) WordAt(i int) (word uint64, base int) {
-	return b.words[i>>6], i &^ 63
-}
-
-// SetWord overwrites the wi-th backing word. The caller is responsible for
-// keeping bits at or beyond Len() zero (LaneMask helps).
-func (b *Bitset) SetWord(wi int, w uint64) { b.words[wi] = w }
-
-// OrWord merges mask into the wi-th backing word — the word-granular analogue
-// of Set, used when a traversal owns whole words of the index space.
-func (b *Bitset) OrWord(wi int, mask uint64) { b.words[wi] |= mask }
-
-// AndNotWord clears every mask bit from the wi-th backing word — the
-// word-granular analogue of Clear.
-func (b *Bitset) AndNotWord(wi int, mask uint64) { b.words[wi] &^= mask }
-
-// ForEachWord calls fn for every backing word in increasing index order,
-// including zero words; fn may inspect a whole 64-lane batch at once.
-func (b *Bitset) ForEachWord(fn func(wi int, w uint64)) {
-	for wi, w := range b.words {
-		fn(wi, w)
-	}
-}
-
-// LaneMask returns a word with the low k lanes set: the membership mask of a
-// partial batch of k < 64 roots. k is clamped to [0, 64]; LaneMask(64) is all
-// ones.
-func LaneMask(k int) uint64 {
-	if k <= 0 {
-		return 0
-	}
-	if k >= 64 {
-		return ^uint64(0)
-	}
-	return (uint64(1) << uint(k)) - 1
-}
-
-// ForEachLane calls fn for every set lane of word in increasing order. The
-// per-word iteration primitive of the MS-BFS engine's cooler paths (its hot
-// loops inline the same bit trick).
-func ForEachLane(word uint64, fn func(lane int)) {
-	for word != 0 {
-		fn(bits.TrailingZeros64(word))
-		word &= word - 1
-	}
-}
-
-// Union sets b = b ∪ other. Both sets must have the same capacity.
-func (b *Bitset) Union(other *Bitset) {
-	for i := range b.words {
-		b.words[i] |= other.words[i]
-	}
-}
-
-// Clone returns a deep copy of the set.
-func (b *Bitset) Clone() *Bitset {
-	nb := &Bitset{words: make([]uint64, len(b.words)), n: b.n}
-	copy(nb.words, b.words)
-	return nb
-}

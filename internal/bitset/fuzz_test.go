@@ -1,16 +1,12 @@
 package bitset
 
-import (
-	"math/bits"
-	"testing"
-)
+import "testing"
 
-// FuzzWordRoundTrip drives a Bitset with an interleaved op stream — bit sets,
-// bit clears and whole-word writes — against a plain map model, then checks
-// that the word-lane view (WordAt, Word, ForEachWord/ForEachLane) and the
-// bit view (Get, Count, ForEach) reconstruct exactly the same membership.
-// Each byte of data encodes one op: the low 2 bits pick the op, the rest
-// (combined with a rolling position) pick the target.
+// FuzzWordRoundTrip drives a Bitset with an interleaved op stream — plain
+// sets, clears and atomic TrySets — against a plain map model, then checks
+// that the bit view (Get) and the word view (Word) reconstruct exactly the
+// same membership. Each byte of data encodes one op: the low 2 bits pick the
+// op, the rest (combined with a rolling position) pick the target.
 func FuzzWordRoundTrip(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 255, 64, 128, 7})
 	f.Add([]byte{0x41, 0x00, 0xff, 0x81, 0x40, 0x23})
@@ -29,64 +25,30 @@ func FuzzWordRoundTrip(f *testing.F) {
 			case 1:
 				b.Clear(pos)
 				delete(model, pos)
-			case 2:
-				// Whole-word write derived from the op byte, masked so bits
-				// at or beyond Len stay zero (SetWord's contract).
-				wi := pos >> 6
-				w := uint64(op) * 0x0101010101010101
-				if base := wi << 6; n-base < 64 {
-					w &= LaneMask(n - base)
+			default:
+				if won := b.TrySet(pos); won == model[pos] {
+					t.Fatalf("TrySet(%d) = %v with the bit already %v", pos, won, model[pos])
 				}
-				b.SetWord(wi, w)
-				for k := 0; k < 64; k++ {
-					i := wi<<6 + k
-					if i >= n {
-						break
-					}
-					if w&(1<<uint(k)) != 0 {
-						model[i] = true
-					} else {
-						delete(model, i)
-					}
-				}
-			case 3:
-				mask := uint64(op) << uint(pos&63)
-				wi := pos >> 6
-				if base := wi << 6; n-base < 64 {
-					mask &= LaneMask(n - base)
-				}
-				b.OrWord(wi, mask)
-				ForEachLane(mask, func(lane int) { model[wi<<6+lane] = true })
+				model[pos] = true
 			}
-		}
-		if b.Count() != len(model) {
-			t.Fatalf("Count = %d, model has %d members", b.Count(), len(model))
 		}
 		for i := 0; i < n; i++ {
 			if b.Get(i) != model[i] {
 				t.Fatalf("Get(%d) = %v, model %v", i, b.Get(i), model[i])
 			}
 		}
-		// Word-lane round-trip: every member must be recoverable through
-		// WordAt, and the word scan must visit each exactly once.
-		visited := 0
-		b.ForEachWord(func(wi int, w uint64) {
-			if got := b.Word(wi); got != w {
-				t.Fatalf("ForEachWord word %d = %#x, Word says %#x", wi, w, got)
+		// Word round-trip: each backing word must be exactly the model's
+		// members of that word, with bits at or beyond Len zero.
+		for wi := 0; wi*64 < n; wi++ {
+			var want uint64
+			for k := 0; k < 64; k++ {
+				if model[wi<<6+k] {
+					want |= 1 << uint(k)
+				}
 			}
-			visited += bits.OnesCount64(w)
-			ForEachLane(w, func(lane int) {
-				i := wi<<6 + lane
-				if !model[i] {
-					t.Fatalf("word scan found non-member %d", i)
-				}
-				if word, base := b.WordAt(i); base != wi<<6 || word&(1<<uint(lane)) == 0 {
-					t.Fatalf("WordAt(%d) = %#x, %d: lane %d missing", i, word, base, lane)
-				}
-			})
-		})
-		if visited != len(model) {
-			t.Fatalf("word scan visited %d members, model has %d", visited, len(model))
+			if got := b.Word(wi); got != want {
+				t.Fatalf("Word(%d) = %#x, model says %#x", wi, got, want)
+			}
 		}
 	})
 }

@@ -92,7 +92,7 @@ type Options struct {
 	// one root, and ceiling may push the realized total slightly past the
 	// budget — Breakdown.Roots reports the real count). The prefix depends
 	// only on (decomposition, budget), never on workers or engine, so a
-	// budgeted run is bit-deterministic across the whole -sched/-engine
+	// budgeted run is bit-deterministic across the whole worker/engine
 	// matrix, and budget >= total roots replays the exact computation
 	// bit-for-bit. The scores are the exact contribution of the processed
 	// roots — a Graph500-style throughput measure for at-scale benchmarking,

@@ -4,8 +4,8 @@ package metrics
 // bcstats prints — the Figure 2/Table 4 measurements for one graph. It is the
 // single serialization shared by `bcstats -json` and the bcd daemon's
 // GET /v1/graphs/{name}/stats endpoint (internal/core.BuildCensus fills it),
-// so the CLI and the service can never drift apart. Like Record it is pure
-// data: internal/metrics stays dependency-free.
+// so the CLI and the service can never drift apart. It is pure data:
+// internal/metrics stays dependency-free.
 
 // CensusSchemaVersion identifies the census layout; bump on breaking changes.
 const CensusSchemaVersion = 1

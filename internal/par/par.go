@@ -107,63 +107,6 @@ func ForWorker(n, p, grain int, fn func(worker, i int)) int {
 	return p
 }
 
-// ForDynamic runs fn(i) for every i in [0, n) with dynamic chunked
-// scheduling: p workers repeatedly claim the next `chunk` consecutive indices
-// from a shared atomic counter until the range is drained. Early claimants of
-// expensive iterations naturally take fewer chunks, so skewed per-iteration
-// costs balance without any cost model — the work-stealing analogue the
-// sub-graph scheduler (internal/core) drains its cost-ordered unit queue
-// with. chunk <= 0 picks a default of n/(8p), at least 1; when p == 1 or a
-// single chunk covers the whole range the loop runs inline.
-func ForDynamic(n, p, chunk int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	p = Workers(p)
-	if p > n {
-		p = n
-	}
-	if chunk <= 0 {
-		chunk = n / (8 * p)
-		if chunk < 1 {
-			chunk = 1
-		}
-	}
-	if p <= 1 || chunk >= n {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < p; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				lo := int(atomic.AddInt64(&next, int64(chunk))) - chunk
-				if lo >= n {
-					return
-				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					fn(i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// Dynamic is ForDynamic under its historical name (grain == chunk).
-func Dynamic(n, p, grain int, fn func(i int)) {
-	ForDynamic(n, p, grain, fn)
-}
-
 // Bag accumulates values from many workers without locking: each worker
 // appends to a private slice, and Drain concatenates them. It is the
 // reduction-bag analogue used to build the next BFS frontier.
@@ -204,11 +147,4 @@ func (b *Bag[T]) Size() int {
 		s += len(p)
 	}
 	return s
-}
-
-// Pool runs tasks produced by a queue of indices with p workers; it is a thin
-// convenience over Dynamic with grain 1 for task-level (not loop-level)
-// parallelism, e.g. "one task per sub-graph".
-func Pool(tasks, p int, fn func(task int)) {
-	Dynamic(tasks, p, 1, fn)
 }

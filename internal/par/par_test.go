@@ -71,79 +71,6 @@ func TestForWorkerIDsWithinRange(t *testing.T) {
 	}
 }
 
-func TestForDynamicCoversAllIndices(t *testing.T) {
-	for _, n := range []int{0, 1, 3, 100, 5000} {
-		for _, p := range []int{1, 2, 8, 16} {
-			for _, chunk := range []int{0, 1, 7, 10000} {
-				seen := make([]int32, n)
-				ForDynamic(n, p, chunk, func(i int) { atomic.AddInt32(&seen[i], 1) })
-				for i, c := range seen {
-					if c != 1 {
-						t.Fatalf("n=%d p=%d chunk=%d: index %d visited %d times", n, p, chunk, i, c)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestForDynamicEdgeCases pins the three degenerate shapes: an empty range
-// never invokes the callback, n < p still covers every index exactly once,
-// and a chunk larger than n degrades to one inline pass.
-func TestForDynamicEdgeCases(t *testing.T) {
-	var calls int32
-	ForDynamic(0, 8, 4, func(i int) { atomic.AddInt32(&calls, 1) })
-	if calls != 0 {
-		t.Fatalf("n=0 invoked the callback %d times", calls)
-	}
-
-	const n, p = 3, 16 // n < p
-	seen := make([]int32, n)
-	ForDynamic(n, p, 1, func(i int) { atomic.AddInt32(&seen[i], 1) })
-	for i, c := range seen {
-		if c != 1 {
-			t.Fatalf("n<p: index %d visited %d times", i, c)
-		}
-	}
-
-	// chunk > n: the whole range is one chunk, which must run inline on the
-	// caller's goroutine — order is therefore sequential.
-	var order []int
-	ForDynamic(5, 4, 99, func(i int) { order = append(order, i) })
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("chunk>n order = %v, want 0..4 in order", order)
-		}
-	}
-	if len(order) != 5 {
-		t.Fatalf("chunk>n visited %d indices, want 5", len(order))
-	}
-}
-
-// TestForDynamicSkewedCoverage drives the scheduler's motivating workload —
-// one iteration several orders of magnitude more expensive than the rest —
-// and checks completeness; BenchmarkSkewed* measures the static-vs-dynamic
-// gap on the same shape.
-func TestForDynamicSkewedCoverage(t *testing.T) {
-	const n = 64
-	done := make([]int32, n)
-	ForDynamic(n, 4, 1, func(i int) {
-		if i == 0 {
-			sink := 0
-			for k := 0; k < 200000; k++ {
-				sink += k
-			}
-			_ = sink
-		}
-		atomic.AddInt32(&done[i], 1)
-	})
-	for i, c := range done {
-		if c != 1 {
-			t.Fatalf("skewed workload: index %d ran %d times", i, c)
-		}
-	}
-}
-
 // TestForSmallLoopRunsInline is the regression test for the tiny-n chunk
 // math: loops with at most ~4 iterations per worker must run inline on the
 // caller's goroutine (the plain append below would be flagged by -race
@@ -181,10 +108,11 @@ func skewedWork(i int) {
 	}
 }
 
-// BenchmarkSkewedStatic vs BenchmarkSkewedDynamic: static contiguous chunking
-// pins the heavy index-0 chunk to one worker that also owns ~n/p light
-// iterations, while dynamic claiming lets the other workers drain the light
-// tail concurrently. Run with -cpu 4 (or any p > 1) to see the gap.
+// BenchmarkSkewedStatic vs BenchmarkSkewedDynamic: For's static contiguous
+// chunking pins the heavy index-0 chunk to one worker that also owns ~n/p
+// light iterations, while ForWorker's grain-1 claiming lets the other workers
+// drain the light tail concurrently. Run with -cpu 4 (or any p > 1) to see
+// the gap.
 func BenchmarkSkewedStatic(b *testing.B) {
 	const n = 256
 	p := runtime.GOMAXPROCS(0)
@@ -197,17 +125,7 @@ func BenchmarkSkewedDynamic(b *testing.B) {
 	const n = 256
 	p := runtime.GOMAXPROCS(0)
 	for b.Loop() {
-		ForDynamic(n, p, 1, skewedWork)
-	}
-}
-
-func TestDynamicSum(t *testing.T) {
-	const n = 12345
-	var sum int64
-	Dynamic(n, 8, 10, func(i int) { atomic.AddInt64(&sum, int64(i)) })
-	want := int64(n) * int64(n-1) / 2
-	if sum != want {
-		t.Fatalf("sum = %d, want %d", sum, want)
+		ForWorker(n, p, 1, func(_, i int) { skewedWork(i) })
 	}
 }
 
@@ -278,8 +196,6 @@ func TestEmptyRange(t *testing.T) {
 	var calls int32
 	count := func(args ...int) { atomic.AddInt32(&calls, 1) }
 	For(0, 4, func(i int) { count(i) })
-	Dynamic(0, 4, 8, func(i int) { count(i) })
-	Pool(0, 4, func(task int) { count(task) })
 	if calls != 0 {
 		t.Fatalf("empty range invoked the callback %d times", calls)
 	}
@@ -299,13 +215,6 @@ func TestEmptyRange(t *testing.T) {
 func TestFewerTasksThanWorkers(t *testing.T) {
 	const n, p = 3, 16
 	seen := make([]int32, n)
-	Pool(n, p, func(task int) { atomic.AddInt32(&seen[task], 1) })
-	for i, c := range seen {
-		if c != 1 {
-			t.Fatalf("Pool: task %d ran %d times", i, c)
-		}
-	}
-	seen = make([]int32, n)
 	used := ForWorker(n, p, 0, func(w, i int) {
 		if w < 0 || w >= p {
 			t.Errorf("worker id %d out of range", w)
@@ -325,27 +234,6 @@ func TestFewerTasksThanWorkers(t *testing.T) {
 	for i, c := range seen {
 		if c != 1 {
 			t.Fatalf("For: index %d ran %d times", i, c)
-		}
-	}
-}
-
-func TestPoolUnevenTasks(t *testing.T) {
-	work := make([]int64, 9)
-	Pool(9, 3, func(task int) {
-		// Task 0 is much heavier; dynamic scheduling must still complete all.
-		iters := 1
-		if task == 0 {
-			iters = 100000
-		}
-		var s int64
-		for k := 0; k < iters; k++ {
-			s += int64(k)
-		}
-		atomic.StoreInt64(&work[task], s+1)
-	})
-	for i, v := range work {
-		if v == 0 {
-			t.Fatalf("task %d never ran", i)
 		}
 	}
 }

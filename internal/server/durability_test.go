@@ -2,7 +2,9 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -147,6 +149,45 @@ func TestRecoverTornWALTail(t *testing.T) {
 	}
 	assertBitIdentical(t, "recovered scores after torn tail",
 		got, lifecycleGraph([][2]int32{{1, 3}}, nil))
+}
+
+// TestRecoverRejectsDamagedSnapshot: a snapshot whose CSR no longer
+// describes one undirected graph must fail recovery with a DurabilityError.
+// Vertex 0's row is [1 3 7]; rewriting its first word to 2 keeps the row
+// sorted and in range but leaves arc 0→2 without its mirror (and 1→0
+// without its own), which an edge-list rebuild would accept as a different
+// graph.
+func TestRecoverRejectsDamagedSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	r1 := durableRegistry(t, dir)
+	loadLifecycle(t, r1, "dmg")
+	r1.Close()
+
+	snap := filepath.Join(dir, "dmg", snapshotFile)
+	data, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// v2 layout: 28-byte header, one uint32 degree per vertex, then rows.
+	row0 := 28 + 4*lifecycleN
+	if got := binary.LittleEndian.Uint32(data[row0:]); got != 1 {
+		t.Fatalf("snapshot row 0 starts with %d, want neighbour 1", got)
+	}
+	binary.LittleEndian.PutUint32(data[row0:], 2)
+	if err := os.WriteFile(snap, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r2 := durableRegistry(t, dir)
+	defer r2.Close()
+	names, err := r2.Recover()
+	var derr *DurabilityError
+	if !errors.As(err, &derr) {
+		t.Fatalf("Recover = %v, %v; want a DurabilityError", names, err)
+	}
+	if !strings.Contains(derr.Name, "dmg") {
+		t.Fatalf("error does not name the graph directory: %v", derr)
+	}
 }
 
 // TestCleanCloseCompactsWAL: a graceful Close writes a final snapshot and

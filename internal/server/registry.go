@@ -59,9 +59,8 @@ const (
 
 // Config tunes a Registry.
 type Config struct {
-	// Workers bounds how many build/recompute jobs run concurrently
-	// (par.Pool-style: a fixed worker set draining a shared queue).
-	// <= 0 means 2.
+	// Workers bounds how many build/recompute jobs run concurrently (a
+	// fixed worker set draining a shared queue). <= 0 means 2.
 	Workers int
 	// QueueDepth bounds the number of queued build jobs; <= 0 means 16.
 	// Loads beyond it are rejected with an error rather than queued without
@@ -306,9 +305,8 @@ func NewRegistry(cfg Config) *Registry {
 		graphs: map[string]*Entry{},
 		jobs:   make(chan buildJob, cfg.QueueDepth),
 	}
-	// A fixed worker set draining a shared queue — par.Pool's shape, hand
-	// rolled because jobs arrive over time rather than as a fixed index
-	// range.
+	// A fixed worker set draining a shared queue: jobs arrive over time
+	// rather than as a fixed index range.
 	r.wg.Add(cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
 		go r.worker()

@@ -209,13 +209,20 @@ func writeSnapshot(dir string, g *graph.Graph) error {
 	return atomicWrite(filepath.Join(dir, snapshotFile), buf.Bytes())
 }
 
+// readSnapshot adopts the snapshot's CSR through the strict reader: a
+// damaged file (unsorted or duplicated row, an undirected arc whose mirror is
+// gone) is a DurabilityError, never a quietly different graph.
 func readSnapshot(dir string) (*graph.Graph, error) {
 	f, err := os.Open(filepath.Join(dir, snapshotFile))
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return graphio.ReadBinary(f)
+	g, err := graphio.ReadBinaryCSR(f)
+	if err != nil {
+		return nil, &DurabilityError{Name: dir, Err: err}
+	}
+	return g, nil
 }
 
 // atomicWrite writes data to path via a temp file, fsync and rename.

@@ -54,7 +54,6 @@ type Sweep struct {
 	capV     int
 	weighted bool
 	lanes    bool
-	gen      uint64 // checkout epoch, bumped by Pool.Get (diagnostics)
 	Dist     []int32
 	Sigma    []float64
 	Di2i     []float64
@@ -85,10 +84,6 @@ type Sweep struct {
 
 // Cap returns the number of vertices the sweep is sized for.
 func (s *Sweep) Cap() int { return s.capV }
-
-// Gen returns the checkout epoch (how many times Pool.Get handed this sweep
-// out). Purely diagnostic.
-func (s *Sweep) Gen() uint64 { return s.gen }
 
 // Grow sizes the sweep for n local vertices, preserving every clean-slot
 // invariant. Existing clean arrays hold only invariant values, so growth
@@ -196,41 +191,6 @@ func (s *Sweep) CheckClean() error {
 	return nil
 }
 
-// Scrub unconditionally restores every invariant in O(cap); a recovery
-// hatch for callers that overwrote state wholesale (e.g. a dense distance
-// pass) and cannot enumerate what they touched.
-func (s *Sweep) Scrub() {
-	for i := range s.Dist {
-		s.Dist[i] = -1
-	}
-	for i := range s.Sigma {
-		s.Sigma[i] = 0
-	}
-	for i := range s.BC {
-		s.BC[i] = 0
-	}
-	s.Visited.Reset()
-	if s.weighted {
-		for i := range s.FDist {
-			s.FDist[i] = -1
-		}
-		for i := range s.Done {
-			s.Done[i] = false
-		}
-	}
-	if s.lanes {
-		for i := range s.LaneSigma {
-			s.LaneSigma[i] = 0
-		}
-		for i := range s.LaneSeen {
-			s.LaneSeen[i] = 0
-		}
-		for i := range s.LaneFront {
-			s.LaneFront[i] = 0
-		}
-	}
-}
-
 // Pool is a concurrency-safe free list of Sweeps. The zero value is ready to
 // use. Get prefers the largest free sweep so small requests ride on already-
 // grown arenas instead of growing small ones; the pool therefore converges
@@ -265,7 +225,6 @@ func (p *Pool) Get(n int) *Sweep {
 	}
 	p.inUse++
 	p.mu.Unlock()
-	s.gen++
 	s.Grow(n)
 	return s
 }
