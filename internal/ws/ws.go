@@ -54,6 +54,7 @@ type Sweep struct {
 	capV     int
 	weighted bool
 	lanes    bool
+	gen      uint64 // checkout epoch, bumped by Pool.Get (diagnostics)
 	Dist     []int32
 	Sigma    []float64
 	Di2i     []float64
@@ -84,6 +85,10 @@ type Sweep struct {
 
 // Cap returns the number of vertices the sweep is sized for.
 func (s *Sweep) Cap() int { return s.capV }
+
+// Gen returns the checkout epoch (how many times Pool.Get handed this sweep
+// out). Purely diagnostic.
+func (s *Sweep) Gen() uint64 { return s.gen }
 
 // Grow sizes the sweep for n local vertices, preserving every clean-slot
 // invariant. Existing clean arrays hold only invariant values, so growth
@@ -225,6 +230,7 @@ func (p *Pool) Get(n int) *Sweep {
 	}
 	p.inUse++
 	p.mu.Unlock()
+	s.gen++
 	s.Grow(n)
 	return s
 }

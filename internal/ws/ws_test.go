@@ -131,6 +131,9 @@ func TestPoolReuse(t *testing.T) {
 	if b.Cap() != 100 {
 		t.Fatalf("reused sweep shrank: Cap() = %d", b.Cap())
 	}
+	if g := b.Gen(); g != 2 {
+		t.Fatalf("Gen() = %d, want 2 after two checkouts", g)
+	}
 	// The pool prefers the largest free sweep.
 	big := p.Get(5000)
 	p.Put(b)
