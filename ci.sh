@@ -10,7 +10,9 @@
 #      plus an explicit scheduler gate: the dynamic unit scheduler must match
 #      serial Brandes at workers 1, 2, 4 and 8 under -race, and an msbfs
 #      gate: the bit-parallel engine must bit-match the scalar engine (and
-#      the serial-cutoff fallback must be bit-invisible) under -race
+#      the serial-cutoff fallback must be bit-invisible) under -race, as must
+#      the scalar sweep's three direction modes, whose edge-volume rule may
+#      never scan more than pure top-down
 #   5. allocation gates: warm pooled sweeps (core, brandes) and the bcd
 #      top-K serving path must be allocation-free, and the workspace pool
 #      must survive 8 concurrent checkouts under -race; then a -benchmem
@@ -24,7 +26,8 @@
 #      one budgeted -atscale family
 #   9. the repository benchmark (bench/, the one ruler): the road workload
 #      must verify every answer it times, and its -corrupt self-test must
-#      fail; no BENCH_*.json artifact may be tracked at the root
+#      fail; no BENCH_*.json artifact may be tracked at the root and no
+#      BottomUpFrac option may reappear in Go source
 #  10. durability smoke: race-built bcd is killed with SIGKILL mid-life and
 #      must recover its graph from snapshot+WAL with bit-exact top-K
 #  11. load smoke: bcdload drives a short mixed read/mutate phase against the
@@ -110,10 +113,13 @@ echo "==> msbfs gate: batched engine bit-match vs scalar under -race"
 # The kernel suite pins Brandes equivalence and batch-width bit-invariance;
 # the core suite pins scalar==msbfs bit-equality at workers 1,2,4,8 across
 # all families (directed and disconnected included) and that the
-# small-graph serial-cutoff fallback never changes a bit.
+# small-graph serial-cutoff fallback never changes a bit. The two direction
+# tests pin the scalar sweep's per-level top-down/bottom-up choice: bit-neutral
+# on fixtures big enough to take bottom-up levels (directed in-CSR included),
+# and never a larger scan than pure top-down.
 run_named 'TestKernelMatchesBrandes|TestKernelBatchWidthBitInvariant' \
     -race -count=1 ./internal/msbfs
-run_named 'TestMSBFSEngineBitMatchesScalar|TestMSBFSEngineDeterministic|TestDynamicSerialCutoffBoundary' \
+run_named 'TestMSBFSEngineBitMatchesScalar|TestMSBFSEngineDeterministic|TestDynamicSerialCutoffBoundary|TestHybridSweepBitNeutral|TestDirectionSwitchNeverScansMore' \
     -race -count=1 ./internal/core
 
 echo "==> alloc gates: warm sweeps and the top-K serving path allocate zero"
@@ -169,6 +175,12 @@ if go run ./bench -corrupt -workload road; then
 fi
 # Result artifacts must not re-accrete at the root; results come from bench/.
 [ -z "$(git ls-files 'BENCH_*.json')" ]
+# Nor may the bottom-up switch parameter the edge-volume rule made meaningless
+# (an `if`, because `set -e` ignores the status of a `!` pipeline).
+if grep -rn 'BottomUpFrac' --include='*.go' .; then
+    echo "ci.sh: BottomUpFrac is back; the sweep's direction rule takes no parameter" >&2
+    exit 1
+fi
 
 echo "==> durability smoke: SIGKILL bcd, recover, compare top-K bit-exact"
 go build -race -o "$tmp/bcd" ./cmd/bcd

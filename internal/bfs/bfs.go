@@ -1,36 +1,16 @@
 // Package bfs provides the breadth-first-search substrate: serial BFS with
 // the blocked-region variants used to count the α and β quantities of the
 // decomposition (§3.1: "the number of vertices which a can reach without
-// passing through SGi"), and the direction-optimizing switch heuristic
-// (Beamer et al. [33]) the σ-BFS sweeps of internal/core share.
+// passing through SGi"). The σ-counting sweeps live in internal/core, which
+// also owns their direction choice (Beamer et al. [33]): it compares the two
+// scan volumes it already tracks per level, so there is no switch parameter
+// to share.
 package bfs
 
 import "repro/internal/graph"
 
 // Unreached marks vertices not reached by a traversal.
 const Unreached = int32(-1)
-
-// HybridAlpha is the direction-optimizing switch parameter of Beamer et al.
-// [33]: go bottom-up when the frontier's out-edge volume exceeds
-// 1/HybridAlpha of the unexplored edge volume.
-const HybridAlpha = 14
-
-// DefaultBottomUpFrac is the frontier/unvisited vertex-ratio threshold the
-// σ-BFS sweeps (internal/core) use when Options.BottomUpFrac is unset. It is
-// the vertex-count analogue of the HybridAlpha edge-volume rule — cheaper to
-// evaluate inside the per-root sweep, where frontier edge volumes would have
-// to be re-summed every level for every root.
-const DefaultBottomUpFrac = 1.0 / HybridAlpha
-
-// ShouldBottomUp is the shared vertex-ratio heuristic: switch to a bottom-up
-// sweep when the frontier holds more than frac of the still-unvisited
-// vertices. frac <= 0 disables bottom-up entirely.
-func ShouldBottomUp(frontier, unvisited int, frac float64) bool {
-	if frac <= 0 || unvisited <= 0 {
-		return false
-	}
-	return float64(frontier) > frac*float64(unvisited)
-}
 
 // Distances returns BFS distances from s over out-arcs; unreached vertices
 // get Unreached.

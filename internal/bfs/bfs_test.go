@@ -76,29 +76,6 @@ func TestReachableCounts(t *testing.T) {
 	}
 }
 
-// TestShouldBottomUp pins the shared vertex-ratio heuristic contract.
-func TestShouldBottomUp(t *testing.T) {
-	if ShouldBottomUp(10, 100, 0) {
-		t.Fatal("frac 0 must disable bottom-up")
-	}
-	if ShouldBottomUp(10, 100, -1) {
-		t.Fatal("negative frac must disable bottom-up")
-	}
-	if ShouldBottomUp(5, 0, DefaultBottomUpFrac) {
-		t.Fatal("no unvisited vertices: nothing to sweep bottom-up")
-	}
-	if !ShouldBottomUp(20, 100, DefaultBottomUpFrac) {
-		t.Fatal("20 of 100 unvisited exceeds 1/14")
-	}
-	if ShouldBottomUp(5, 100, DefaultBottomUpFrac) {
-		t.Fatal("5 of 100 unvisited is below 1/14")
-	}
-	// Boundary: strictly greater-than, not >=.
-	if ShouldBottomUp(25, 100, 0.25) {
-		t.Fatal("exactly frac*unvisited must stay top-down")
-	}
-}
-
 // Property: on random graphs, distances obey the edge relaxation property
 // |d(u)-d(v)| <= 1 on undirected edges.
 func TestQuickBFSAgree(t *testing.T) {

@@ -23,11 +23,12 @@ import (
 // bit-neutral versus the old full clears: a slot the previous source never
 // touched already holds its initial value.)
 //
-// The pool is package-private on purpose: brandes reuses the sweep's Di2i
-// array as its δ accumulator, which needs a "zero everywhere" invariant the
-// shared arena does not provide (the four-dependency engines leave Di2i
-// dirty by design). Within this pool the invariant holds — fresh sweeps
-// start zeroed and every sweep here sparse-resets δ over its visit order.
+// The pool is package-private on purpose: brandes accumulates σ and its δ
+// (the record's Di2i field) in place, which needs a "zero everywhere"
+// invariant the shared arena does not provide (the four-dependency engines
+// assign both and leave the records dirty by design). Within this pool the
+// invariant holds — fresh records are zero and every sweep here
+// sparse-resets σ and δ over its visit order.
 var sweepPool ws.Pool
 
 // serialScratch bundles the pooled sweep with the CSR-style predecessor
@@ -67,10 +68,10 @@ func (st *serialScratch) release() {
 // resets over the visit order (the dirty list), so warm calls do not
 // allocate.
 func (st *serialScratch) runSource(g *graph.Graph, s graph.V, bc []float64) {
-	dist, sigma, delta := st.sw.Dist, st.sw.Sigma, st.sw.Di2i
+	dist, rec := st.sw.Dist, st.sw.Rec
 	// Forward BFS: σ counting and predecessor collection.
 	dist[s] = 0
-	sigma[s] = 1
+	rec[s].Sigma = 1
 	order := append(st.sw.Order[:0], s)
 	for head := 0; head < len(order); head++ {
 		u := order[head]
@@ -80,7 +81,7 @@ func (st *serialScratch) runSource(g *graph.Graph, s graph.V, bc []float64) {
 				order = append(order, v)
 			}
 			if dist[v] == dist[u]+1 {
-				sigma[v] += sigma[u]
+				rec[v].Sigma += rec[u].Sigma
 				st.predBuf[st.predOffs[v]+int64(st.predLen[v])] = u
 				st.predLen[v]++
 			}
@@ -90,19 +91,18 @@ func (st *serialScratch) runSource(g *graph.Graph, s graph.V, bc []float64) {
 	// Backward accumulation over predecessors.
 	for i := len(order) - 1; i > 0; i-- {
 		v := order[i]
-		coef := (1 + delta[v]) / sigma[v]
+		coef := (1 + rec[v].Di2i) / rec[v].Sigma
 		lo := st.predOffs[v]
 		for k := int32(0); k < st.predLen[v]; k++ {
 			u := st.predBuf[lo+int64(k)]
-			delta[u] += sigma[u] * coef
+			rec[u].Di2i += rec[u].Sigma * coef
 		}
-		bc[v] += delta[v]
+		bc[v] += rec[v].Di2i
 	}
 	// Sparse reset: only the visited vertices carry state.
 	for _, v := range order {
 		dist[v] = -1
-		sigma[v] = 0
-		delta[v] = 0
+		rec[v] = ws.Record{}
 		st.predLen[v] = 0
 	}
 }
@@ -127,9 +127,9 @@ func Serial(g *graph.Graph) []float64 {
 // predecessor lists; the backward sweep re-derives DAG successors from the
 // distance array), adding the source's dependencies into bc.
 func (st *serialScratch) runSourceSuccs(g *graph.Graph, s graph.V, bc []float64) {
-	dist, sigma, delta := st.sw.Dist, st.sw.Sigma, st.sw.Di2i
+	dist, rec := st.sw.Dist, st.sw.Rec
 	dist[s] = 0
-	sigma[s] = 1
+	rec[s].Sigma = 1
 	order := append(st.sw.Order[:0], s)
 	for head := 0; head < len(order); head++ {
 		u := order[head]
@@ -139,7 +139,7 @@ func (st *serialScratch) runSourceSuccs(g *graph.Graph, s graph.V, bc []float64)
 				order = append(order, v)
 			}
 			if dist[v] == dist[u]+1 {
-				sigma[v] += sigma[u]
+				rec[v].Sigma += rec[u].Sigma
 			}
 		}
 	}
@@ -149,18 +149,17 @@ func (st *serialScratch) runSourceSuccs(g *graph.Graph, s graph.V, bc []float64)
 		var acc float64
 		for _, w := range g.Out(v) {
 			if dist[w] == dist[v]+1 {
-				acc += sigma[v] / sigma[w] * (1 + delta[w])
+				acc += rec[v].Sigma / rec[w].Sigma * (1 + rec[w].Di2i)
 			}
 		}
-		delta[v] = acc
+		rec[v].Di2i = acc
 		if v != s {
 			bc[v] += acc
 		}
 	}
 	for _, v := range order {
 		dist[v] = -1
-		sigma[v] = 0
-		delta[v] = 0
+		rec[v] = ws.Record{}
 	}
 }
 

@@ -80,12 +80,6 @@ type Options struct {
 	// is bit-identical to scalar, so this is purely a performance knob. It is
 	// BFS-based: combined with a weighted graph it is an error.
 	RootEngine RootEngine
-	// BottomUpFrac tunes the direction-optimizing σ-BFS: a level goes
-	// bottom-up when its frontier exceeds this fraction of the unvisited
-	// vertices. 0 means bfs.DefaultBottomUpFrac; negative disables bottom-up
-	// sweeps. Either setting yields bit-identical BC (see bfsRoot). Weighted
-	// graphs sweep with Dijkstra, which has no bottom-up mode.
-	BottomUpFrac float64
 	// RootBudget, when > 0, caps the total number of BFS roots processed:
 	// each sub-graph keeps a proportional prefix of its root list,
 	// ⌈|roots_i|·budget/total⌉ (so every non-empty sub-graph keeps at least

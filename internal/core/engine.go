@@ -86,16 +86,21 @@ const (
 // bit-parallel batched BFS (internal/msbfs) or Dijkstra (dijkstraRoot). All
 // three accumulate into ws.BC, so the unit scheduler, Incremental and
 // RootSweep drive it the same way: ensure a sub-graph, run roots, drain
-// ws.BC, release. The zero value is the scalar BFS engine with the default
-// bottom-up threshold.
+// ws.BC, release. The zero value is the scalar BFS engine.
 type engine struct {
-	ws        *ws.Sweep
-	traversed int64
+	ws *ws.Sweep
+	// traversed is the paper's work metric, Σ out-degree over the vertices
+	// each sweep visited. examined is what bfsRoot's forward passes really
+	// scanned — frontier out-arcs in top-down levels, in-arcs of the
+	// unvisited vertices plus the bitset words in bottom-up levels — and
+	// bottomUpLevels how many levels went bottom-up; tests read both to pin
+	// the direction rule, nothing reports them.
+	traversed, examined, bottomUpLevels int64
 
-	weighted bool    // Dijkstra kernel; set from the graph, never by callers' options
-	batched  bool    // RootEngine == EngineMSBFS
-	bottomUp float64 // Options.BottomUpFrac, unresolved
-	frac     float64 // effective bottom-up threshold for the ensured sub-graph; 0 = top-down only
+	weighted bool      // Dijkstra kernel; set from the graph, never by callers' options
+	batched  bool      // RootEngine == EngineMSBFS
+	hybrid   bool      // the ensured sub-graph takes direction-optimizing BFS sweeps
+	force    direction // tests only; the zero value is the edge-volume rule
 
 	kernel msbfs.Kernel // batched scratch
 	pq     wheap        // Dijkstra heap
@@ -103,12 +108,12 @@ type engine struct {
 
 // newEngine builds the engine validateEngine approved for a graph.
 func newEngine(weighted bool, opt Options) *engine {
-	return &engine{weighted: weighted, batched: opt.RootEngine == EngineMSBFS, bottomUp: opt.BottomUpFrac}
+	return &engine{weighted: weighted, batched: opt.RootEngine == EngineMSBFS}
 }
 
 // ensure prepares the engine for sweeps over sg: scratch checked out of the
 // shared pool on first use and grown to sg's size (the clean-slot invariants
-// — dist == -1 everywhere, σ/BC zero, visited clear — are guaranteed by the
+// — dist == -1 everywhere, BC zero, visited clear — are guaranteed by the
 // pool and maintained by the kernels' sparse resets), and for BFS sweeps of
 // sub-graphs worth the direction-optimizing treatment, the in-CSR the
 // bottom-up levels scan (EnsureIn is once-guarded, so concurrent workers on
@@ -123,11 +128,9 @@ func (e *engine) ensure(sg *decompose.Subgraph) {
 		return
 	}
 	e.ws.Grow(n)
-	e.frac = 0
-	if n >= hybridMinVerts {
-		if e.frac = resolveFrac(e.bottomUp); e.frac > 0 {
-			sg.EnsureIn()
-		}
+	e.hybrid = n >= hybridMinVerts && e.force != dirTopDown
+	if e.hybrid {
+		sg.EnsureIn()
 	}
 }
 

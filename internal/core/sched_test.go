@@ -1,10 +1,11 @@
 package core
 
 import (
-	"math"
+	"fmt"
 	"testing"
 
 	"repro/internal/brandes"
+	"repro/internal/decompose"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
@@ -105,32 +106,98 @@ func TestSchedulerDeterministic(t *testing.T) {
 	}
 }
 
+// hybridFixtures adds to the nine families two graphs whose top sub-graph is
+// past hybridMinVerts — at Threshold 8 only the undirected "er" family's is,
+// so without them the bottom-up levels over a directed sub-graph's transpose
+// in-CSR (Subgraph.EnsureIn) would never run.
+func hybridFixtures() map[string]*graph.Graph {
+	fams := schedFamilies()
+	fams["lattice"] = gen.RoadLike(gen.RoadParams{
+		Rows: 24, Cols: 24, DeleteFrac: 0.12, SpurFrac: 0.18, SpurLen: 4, Seed: 3})
+	fams["socialDirBig"] = gen.SocialLike(gen.SocialParams{
+		N: 2000, AvgDeg: 6, Communities: 4, TopShare: 0.6, LeafFrac: 0.2,
+		Directed: true, Reciprocity: 0.5, Seed: 4})
+	return fams
+}
+
+// sweepForced replays ComputeDecomposed's one-worker drain with the scalar
+// engine's direction choice pinned, returning the scores and the engine for
+// its counters.
+func sweepForced(t *testing.T, g *graph.Graph, force direction) ([]float64, *engine) {
+	t.Helper()
+	d, err := decompose.Decompose(g, decompose.Options{Threshold: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bc := make([]float64, g.NumVertices())
+	e := &engine{force: force}
+	for _, sg := range d.Subgraphs {
+		if len(sg.Roots) == 0 {
+			continue
+		}
+		e.ensure(sg)
+		e.runRoots(sg, sg.Roots, g.Directed())
+		loc := e.ws.BC[:sg.NumVerts()]
+		flushLocal(bc, sg, loc)
+		for l := range loc {
+			loc[l] = 0
+		}
+	}
+	e.release()
+	return bc, e
+}
+
 // TestHybridSweepBitNeutral pins the direction-optimizing sweep's bit
-// neutrality claim (bfsRoot): forcing bottom-up levels on,
-// off, or at an aggressive threshold never changes a single output bit.
+// neutrality claim (bfsRoot): never going bottom-up, always going bottom-up
+// and the edge-volume rule produce the same bits, which are Compute's.
 func TestHybridSweepBitNeutral(t *testing.T) {
-	for name, g := range schedFamilies() {
-		var ref []float64
-		// 0 = default frac, -1 = disabled, 0.01 = nearly always bottom-up
-		// once the frontier is 1% of the unvisited set.
-		for _, frac := range []float64{-1, 0, 0.01} {
-			got, err := Compute(g, Options{
-				Workers: 1, Threshold: 8, BottomUpFrac: frac,
-			})
-			if err != nil {
-				t.Fatalf("%s frac=%v: %v", name, frac, err)
-			}
-			if ref == nil {
-				ref = got
-				continue
-			}
-			for v := range ref {
-				if math.Float64bits(got[v]) != math.Float64bits(ref[v]) {
-					t.Fatalf("%s frac=%v: bc[%d] = %v, disabled-hybrid run %v",
-						name, frac, v, got[v], ref[v])
-				}
+	for name, g := range hybridFixtures() {
+		ref, err := Compute(g, Options{Workers: 1, Threshold: 8})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, force := range []direction{dirTopDown, dirBottomUp, dirAuto} {
+			got, e := sweepForced(t, g, force)
+			bcBitsEqual(t, fmt.Sprintf("%s direction %d vs Compute", name, force), ref, got)
+			switch {
+			case force == dirTopDown && e.bottomUpLevels != 0:
+				t.Fatalf("%s: top-down run took %d bottom-up levels", name, e.bottomUpLevels)
+			case force == dirBottomUp && e.bottomUpLevels == 0 &&
+				(name == "er" || name == "lattice" || name == "socialDirBig"):
+				t.Fatalf("%s: forced bottom-up run took no bottom-up level; the fixture is vacuous", name)
 			}
 		}
+	}
+}
+
+// TestDirectionSwitchNeverScansMore pins the work bound the edge-volume rule
+// exists for: the forward passes never scan more (arcs plus bitset words)
+// than pure top-down sweeps of the same roots would, on a deep narrow
+// lattice and a directed community graph — where bottom-up levels rarely
+// pay — and on an R-MAT, where they must fire and scan strictly less.
+func TestDirectionSwitchNeverScansMore(t *testing.T) {
+	fix := hybridFixtures()
+	for name, g := range map[string]*graph.Graph{
+		"lattice":      fix["lattice"],
+		"socialDirBig": fix["socialDirBig"],
+		"rmat":         gen.RMAT(10, 8, 0.57, 0.19, 0.19, false, 5),
+	} {
+		_, never := sweepForced(t, g, dirTopDown)
+		_, auto := sweepForced(t, g, dirAuto)
+		if never.examined != never.traversed {
+			t.Fatalf("%s: top-down examined %d arcs, traversed %d", name, never.examined, never.traversed)
+		}
+		if auto.traversed != never.traversed {
+			t.Fatalf("%s: traversed depends on direction: %d vs %d", name, auto.traversed, never.traversed)
+		}
+		if auto.examined > never.examined {
+			t.Fatalf("%s: the direction rule scanned %d, pure top-down %d", name, auto.examined, never.examined)
+		}
+		if name == "rmat" && (auto.bottomUpLevels == 0 || auto.examined >= never.examined) {
+			t.Fatalf("rmat: %d bottom-up levels, scanned %d vs top-down %d — the rule never fired",
+				auto.bottomUpLevels, auto.examined, never.examined)
+		}
+		t.Logf("%s: scanned %d (top-down %d), %d bottom-up levels", name, auto.examined, never.examined, auto.bottomUpLevels)
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"math/bits"
 
-	"repro/internal/bfs"
 	"repro/internal/bitset"
 	"repro/internal/decompose"
 	"repro/internal/ws"
@@ -21,23 +20,22 @@ var sweepPool ws.Pool
 // bcd_ws_in_use on /metrics.
 func SweepPoolStats() (size, inUse int) { return sweepPool.Stats() }
 
-// hybridMinVerts gates the direction-optimizing σ-BFS: below this size the
-// bottom-up word scan costs more than it saves, and the transpose CSR is not
-// worth building.
+// hybridMinVerts gates the direction-optimizing σ-BFS: below this size a
+// bottom-up level cannot beat the frontier expansion it replaces, and the
+// transpose CSR is not worth building.
 const hybridMinVerts = 256
 
-// resolveFrac maps Options.BottomUpFrac to the effective threshold: 0 means
-// the shared default, negative disables bottom-up sweeps entirely.
-func resolveFrac(f float64) float64 {
-	switch {
-	case f == 0:
-		return bfs.DefaultBottomUpFrac
-	case f < 0:
-		return 0
-	default:
-		return f
-	}
-}
+// direction pins the forward sweep's per-level direction choice. Callers
+// cannot set it — the zero value, the edge-volume rule, is the only mode
+// outside tests, which force the other two to prove the choice bit-neutral
+// and to bound the rule's scan volume against pure top-down.
+type direction int8
+
+const (
+	dirAuto     direction = iota // per level, whichever direction scans less (bfsRoot)
+	dirTopDown                   // never bottom-up
+	dirBottomUp                  // every level bottom-up on hybrid-sized sub-graphs
+)
 
 // unvisitedWord returns the complement of the visited word wi restricted to
 // valid vertex ids below n; base is wi*64.
@@ -55,17 +53,19 @@ func unvisitedWord(visited *bitset.Bitset, wi, n int) (word uint64, base int) {
 // shortest-path arc, deeper) and then settles — folding in the
 // articulation-point seeds, storing its δ values and merging its BC
 // contribution (rootTerms.settle). Folding the seeds into the backward step
-// means the δ arrays never need clearing: every visited vertex's slots are
-// assigned exactly once per root.
+// means the δ fields never need clearing: every visited vertex's record is
+// assigned exactly once per root. σ and the three δ of a vertex share one
+// 32-byte ws.Record, so pulling from a successor costs one cache line, not
+// four.
 
 // rootTerms is the root-dependent part of the backward step: the sweep
 // root's boundary terms and the scratch the per-vertex tail writes. The BFS
-// and Dijkstra kernels fill one per root and call settle for every vertex
+// and Dijkstra kernels fill one per root and call settle for the vertices
 // they unwind; internal/msbfs keeps the only other copy of this arithmetic,
 // strided over lanes.
 type rootTerms struct {
 	sg               *decompose.Subgraph
-	di2i, di2o, do2o []float64
+	rec              []ws.Record
 	bc               []float64
 	s                int32
 	sIsArt, directed bool
@@ -74,7 +74,7 @@ type rootTerms struct {
 
 func newRootTerms(sg *decompose.Subgraph, s int32, directed bool, w *ws.Sweep) rootTerms {
 	return rootTerms{
-		sg: sg, di2i: w.Di2i, di2o: w.Di2o, do2o: w.Do2o, bc: w.BC,
+		sg: sg, rec: w.Rec, bc: w.BC,
 		s: s, sIsArt: sg.IsArt[s], directed: directed,
 		betaS: sg.Beta[s], gammaS: float64(sg.Gamma[s]),
 	}
@@ -93,9 +93,10 @@ func (rt *rootTerms) settle(v int32, i2i, i2o, o2o float64) {
 			o2o += rt.betaS * sg.Alpha[v] // δ_o2o seed (Eq. 6)
 		}
 	}
-	rt.di2i[v], rt.di2o[v] = i2i, i2o
+	r := &rt.rec[v]
+	r.Di2i, r.Di2o = i2i, i2o
 	if rt.sIsArt {
-		rt.do2o[v] = o2o
+		r.Do2o = o2o
 	}
 	if v != rt.s {
 		contrib := (1+rt.gammaS)*(i2i+i2o) + o2o
@@ -126,35 +127,52 @@ func (rt *rootTerms) settle(v int32, i2i, i2o, o2o float64) {
 // forward σ BFS, then the backward four-dependency accumulation and BC merge
 // (Eq. 7).
 //
-// e.frac > 0 (set per sub-graph by ensure, which also builds the in-CSR)
-// enables the direction-optimizing forward sweep: a level whose frontier
-// exceeds e.frac of the still-unvisited vertices runs bottom-up over the
-// visited bitset's complement (scanning in-arcs via sg.In), the rest run
-// top-down. Either mode yields bit-identical output: σ path counts are
-// integer-valued (exact float64 sums, order-independent), dist is
-// mode-independent, and the backward phase only needs `order` grouped by
-// non-decreasing level — within-level permutations cannot change any value
-// it computes.
+// On a hybrid sub-graph (e.hybrid, set by ensure, which also builds the
+// in-CSR) each level runs in whichever direction scans less: top-down
+// examines the frontier's out-arcs; bottom-up — which must sum σ over every
+// parent, so has no early exit — examines every in-arc of every unvisited
+// vertex plus the visited bitset's words. Both volumes are kept current from
+// the CSR degrees as vertices are discovered, so the rule has no parameter:
+// a level goes bottom-up exactly when that is the smaller scan. Either
+// direction yields bit-identical output: σ path counts are integer-valued
+// (exact float64 sums, order-independent), dist is direction-independent,
+// and the backward phase only needs `order` grouped by non-decreasing level
+// — within-level permutations cannot change any value it computes.
 func (e *engine) bfsRoot(sg *decompose.Subgraph, s int32, directed bool) {
-	dist, sigma := e.ws.Dist, e.ws.Sigma
-	di2i, di2o, do2o := e.ws.Di2i, e.ws.Di2o, e.ws.Do2o
+	dist, rec := e.ws.Dist, e.ws.Rec
 	visited := e.ws.Visited
 	n := sg.NumVerts()
-	hybrid := e.frac > 0
+	hybrid := e.hybrid
 
 	// Phase 1: forward BFS counting shortest paths, level by level. order is
 	// grouped by level (non-decreasing dist), which is all phase 2 needs.
+	// Discovery touches a vertex's slots once: the first arc into w assigns
+	// dist and σ (0 + σ(u) is exact, so this equals accumulating into a
+	// zeroed slot), later arcs from the same level add — which is why σ
+	// carries no clean-slot invariant and is never reset.
 	order := append(e.ws.Order[:0], s)
 	dist[s] = 0
-	sigma[s] = 1
+	rec[s].Sigma = 1
+	// frontOut: out-arcs of the current frontier; unvisIn: in-arcs of the
+	// still-unvisited vertices; words: the bitset a bottom-up level walks.
+	// bottomUpExtra: what the bottom-up levels scanned beyond the frontier
+	// expansions they replaced (negative under the rule). ensure leaves
+	// hybrid off under dirTopDown, so below e.force is the rule or bottom-up.
+	var frontOut, unvisIn, words, bottomUpExtra int64
 	if hybrid {
 		visited.Set(int(s))
+		frontOut = int64(len(sg.Out(s)))
+		unvisIn = sg.NumArcs() - int64(len(sg.In(s)))
+		words = int64(n+63) >> 6
 	}
 	for d, lo, hi := int32(1), 0, 1; lo < hi; d++ {
-		if hybrid && bfs.ShouldBottomUp(hi-lo, n-hi, e.frac) {
+		var nextOut int64
+		if hybrid && (e.force == dirBottomUp || frontOut > unvisIn+words) {
 			// Bottom-up: every unvisited vertex scans its in-arcs for parents
 			// one level up; σ is the sum over all such parents — the same
 			// integer sum top-down accumulates edge by edge.
+			e.bottomUpLevels++
+			bottomUpExtra += unvisIn + words - frontOut
 			for wi := 0; wi<<6 < n; wi++ {
 				word, base := unvisitedWord(visited, wi, n)
 				for word != 0 {
@@ -164,70 +182,111 @@ func (e *engine) bfsRoot(sg *decompose.Subgraph, s int32, directed bool) {
 					var sv float64
 					for _, u := range sg.In(v) {
 						if dist[u] == d-1 {
-							sv += sigma[u]
+							sv += rec[u].Sigma
 						}
 					}
 					if sv != 0 {
 						dist[v] = d
-						sigma[v] = sv
+						rec[v].Sigma = sv
 						visited.Set(int(v))
 						order = append(order, v)
+						nextOut += int64(len(sg.Out(v)))
+						unvisIn -= int64(len(sg.In(v)))
 					}
 				}
 			}
 		} else {
 			for i := lo; i < hi; i++ {
 				u := order[i]
-				du1 := dist[u] + 1
+				su := rec[u].Sigma
 				for _, w := range sg.Out(u) {
-					if dist[w] < 0 {
-						dist[w] = du1
+					if dw := dist[w]; dw < 0 {
+						dist[w] = d
+						rec[w].Sigma = su
+						order = append(order, w)
 						if hybrid {
 							visited.Set(int(w))
+							nextOut += int64(len(sg.Out(w)))
+							unvisIn -= int64(len(sg.In(w)))
 						}
-						order = append(order, w)
-					}
-					if dist[w] == du1 {
-						sigma[w] += sigma[u]
+					} else if dw == d {
+						rec[w].Sigma += su
 					}
 				}
 			}
 		}
+		frontOut = nextOut
 		lo, hi = hi, len(order)
 	}
 	e.ws.Order = order
 
-	// Phase 2: backward accumulation in reverse BFS order.
+	// Phase 2: backward accumulation in reverse BFS order, split once per
+	// root on its class. An articulation-point root carries all three sums
+	// through settle. Any other root (most of them) has δ_o2o ≡ 0 and
+	// no β term, so its non-root vertices need two sums, the Eq. 4 seed and
+	// the Eq. 7 merge (1+γ(s))·(δ_i2i+δ_i2o) — settle's arithmetic with the
+	// zero terms dropped, which cannot change a bit; the root vertex itself
+	// still goes through settle.
 	rt := newRootTerms(sg, s, directed, e.ws)
-	sIsArt := rt.sIsArt
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		var i2i, i2o, o2o float64
-		sv := sigma[v]
-		dv1 := dist[v] + 1
-		for _, w := range sg.Out(v) {
-			if dist[w] == dv1 {
-				r := sv / sigma[w]
-				i2i += r * (1 + di2i[w])
-				i2o += r * di2o[w]
-				if sIsArt {
-					o2o += r * do2o[w]
+	if rt.sIsArt {
+		for i := len(order) - 1; i >= 0; i-- {
+			v := order[i]
+			var i2i, i2o, o2o float64
+			sv := rec[v].Sigma
+			dv1 := dist[v] + 1
+			for _, w := range sg.Out(v) {
+				if dist[w] == dv1 {
+					rw := &rec[w]
+					r := sv / rw.Sigma
+					i2i += r * (1 + rw.Di2i)
+					i2o += r * rw.Di2o
+					o2o += r * rw.Do2o
 				}
 			}
+			rt.settle(v, i2i, i2o, o2o)
 		}
-		rt.settle(v, i2i, i2o, o2o)
+	} else {
+		isArt, alpha, bc := sg.IsArt, sg.Alpha, e.ws.BC
+		g1 := 1 + rt.gammaS
+		for i := len(order) - 1; i >= 0; i-- {
+			v := order[i]
+			var i2i, i2o float64
+			sv := rec[v].Sigma
+			dv1 := dist[v] + 1
+			for _, w := range sg.Out(v) {
+				if dist[w] == dv1 {
+					rw := &rec[w]
+					r := sv / rw.Sigma
+					i2i += r * (1 + rw.Di2i)
+					i2o += r * rw.Di2o
+				}
+			}
+			if i == 0 { // v == s
+				rt.settle(v, i2i, i2o, 0)
+				break
+			}
+			if isArt[v] {
+				i2o += alpha[v] // δ_i2o seed (Eq. 4)
+			}
+			rv := &rec[v]
+			rv.Di2i, rv.Di2o = i2i, i2o
+			bc[v] += float64(g1 * (i2i + i2o)) // rounded before the add, as settle's contrib is
+		}
 	}
 
-	// Sparse reset: only dist, sigma and visited carry state across roots,
-	// and order is exactly the dirty list — O(touched), the pool's lazy-reset
-	// contract. traversed keeps its pre-hybrid definition — Σ outdeg over
-	// visited vertices (what a pure top-down sweep examines) — so the work
-	// metric stays comparable across scheduler and sweep-mode choices.
+	// Sparse reset: only dist and visited carry state across roots, and
+	// order is exactly the dirty list — O(touched), the pool's lazy-reset
+	// contract. traversed keeps its direction-independent definition — Σ
+	// outdeg over visited vertices (what a pure top-down sweep examines) —
+	// so the work metric stays comparable across scheduler and direction
+	// choices; examined is what this sweep's forward pass really scanned.
+	var outArcs int64
 	for _, v := range order {
-		e.traversed += int64(len(sg.Out(v)))
+		outArcs += int64(len(sg.Out(v)))
 		dist[v] = -1
-		sigma[v] = 0
 	}
+	e.traversed += outArcs
+	e.examined += outArcs + bottomUpExtra
 	if hybrid {
 		for _, v := range order {
 			visited.Clear(int(v))

@@ -52,15 +52,14 @@ func (q *wheap) Pop() any {
 // sweep's weighted extension (FDist for float distances, Done for settled
 // flags); only the heap is engine-private.
 func (e *engine) dijkstraRoot(sg *decompose.Subgraph, s int32, directed bool) {
-	dist, sigma := e.ws.FDist, e.ws.Sigma
-	di2i, di2o, do2o := e.ws.Di2i, e.ws.Di2o, e.ws.Do2o
+	dist, rec := e.ws.FDist, e.ws.Rec
 	done := e.ws.Done
 
 	// Phase 1: Dijkstra with σ counting.
 	order := e.ws.Order[:0]
 	e.pq = e.pq[:0]
 	dist[s] = 0
-	sigma[s] = 1
+	rec[s].Sigma = 1
 	heap.Push(&e.pq, wheapItem{0, s})
 	for e.pq.Len() > 0 {
 		it := heap.Pop(&e.pq).(wheapItem)
@@ -78,10 +77,10 @@ func (e *engine) dijkstraRoot(sg *decompose.Subgraph, s int32, directed bool) {
 			switch {
 			case dist[w] < 0 || nd < dist[w]:
 				dist[w] = nd
-				sigma[w] = sigma[v]
+				rec[w].Sigma = rec[v].Sigma
 				heap.Push(&e.pq, wheapItem{nd, w})
 			case nd == dist[w]:
-				sigma[w] += sigma[v]
+				rec[w].Sigma += rec[v].Sigma
 			}
 		}
 	}
@@ -93,26 +92,27 @@ func (e *engine) dijkstraRoot(sg *decompose.Subgraph, s int32, directed bool) {
 	for i := len(order) - 1; i >= 0; i-- {
 		v := order[i]
 		var i2i, i2o, o2o float64
-		sv := sigma[v]
+		sv := rec[v].Sigma
 		out := sg.Out(v)
 		wts := sg.OutWeights(v)
 		for k, w := range out {
 			if dist[w] == dist[v]+wts[k] {
-				r := sv / sigma[w]
-				i2i += r * (1 + di2i[w])
-				i2o += r * di2o[w]
+				rw := &rec[w]
+				r := sv / rw.Sigma
+				i2i += r * (1 + rw.Di2i)
+				i2o += r * rw.Di2o
 				if sIsArt {
-					o2o += r * do2o[w]
+					o2o += r * rw.Do2o
 				}
 			}
 		}
 		rt.settle(v, i2i, i2o, o2o)
 	}
 
-	// Sparse reset over the settled order (the dirty list).
+	// Sparse reset over the settled order (the dirty list); σ is assigned on
+	// first relaxation, so it carries nothing across roots.
 	for _, v := range order {
 		dist[v] = -1
-		sigma[v] = 0
 		done[v] = false
 	}
 }

@@ -5,33 +5,46 @@
 // the bcd serving path.
 //
 // A Sweep bundles all per-vertex scratch one root sweep needs — distances,
-// path counts, the four dependency arrays, a local BC accumulator, a visited
-// bitset frontier and the BFS queue/order ring — sized by the largest
-// sub-graph it has seen. The lane-widened layer (GrowLanes) adds the
-// LaneWidth-slots-per-vertex σ/δ/BC arrays and per-vertex lane-mask words the
-// bit-parallel multi-source engine (internal/msbfs) batches 64 roots over.
-// A Pool hands Sweeps out to workers (Get) and takes
-// them back (Put), so steady-state computation performs zero per-sweep heap
-// allocation: the arena grows to the high-water mark once and is reused by
-// every engine, request and worker thereafter.
+// the packed σ/δ records, a local BC accumulator, a visited bitset frontier
+// and the BFS queue/order ring — sized by the largest sub-graph it has seen.
+// The lane-widened layer (GrowLanes) adds the LaneWidth-slots-per-vertex
+// σ/δ/BC arrays and per-vertex lane-mask words the bit-parallel multi-source
+// engine (internal/msbfs) batches 64 roots over. A Pool hands Sweeps out to
+// workers (Get) and takes them back (Put), so steady-state computation
+// performs zero per-sweep heap allocation: the arena grows to the high-water
+// mark once and is reused by every engine, request and worker thereafter.
 //
 // # Clean-slot invariants and lazy reset
 //
 // Instead of zeroing O(n) state per checkout, the arena relies on epoch-style
 // lazy clearing: every Sweep in the pool satisfies the clean-slot invariants
 //
-//	Dist[v]  == -1     FDist[v] == -1     Sigma[v] == 0
-//	BC[v]    == 0      Done[v]  == false  Visited   all clear
+//	Dist[v]  == -1     FDist[v] == -1     BC[v] == 0
+//	Done[v]  == false  Visited   all clear
 //
 // and every engine restores them with a dirty-list sparse reset — walking
 // only the vertices its own sweep touched (the Order ring is exactly that
-// dirty list), which is O(touched), not O(n). Di2i/Di2o/Do2o carry no
-// invariant: the four-dependency backward step assigns each visited vertex's
-// slots exactly once per root, so they never need clearing at all. Grow
-// preserves the invariants for new slots, so a freshly grown region is
-// indistinguishable from a sparsely reset one — which is why pooling is
-// bit-neutral: an engine reading a clean slot cannot tell whether the value
-// came from make(), from a sparse reset, or from another engine's reset.
+// dirty list), which is O(touched), not O(n). Rec carries no invariant: the
+// forward sweeps assign a vertex's σ when they discover it and the
+// four-dependency backward step assigns each visited vertex's δ fields
+// exactly once per root, so records never need clearing at all. (An engine
+// that does accumulate into a record — internal/brandes sums σ and its single
+// δ in place — keeps a private Pool and zeroes what it dirtied; fresh records
+// are zero.) Grow preserves the invariants for new slots, so a freshly grown
+// region is indistinguishable from a sparsely reset one — which is why
+// pooling is bit-neutral: an engine reading a clean slot cannot tell whether
+// the value came from make(), from a sparse reset, or from another engine's
+// reset.
+//
+// # Layout
+//
+// σ and the three stored dependencies of a vertex sit in one 32-byte Record,
+// half a cache line: the backward step reads all of them for every DAG arc it
+// pulls over, and four parallel arrays cost four cache misses per arc once a
+// sub-graph's state outgrows the L2. Dist stays its own dense int32 array
+// because it is read for every arc, DAG or not, and the record only for the
+// DAG arcs that pass the level test — folding it in would leave 1.6 distances
+// per cache line, not 16, on the commoner access.
 package ws
 
 import (
@@ -40,6 +53,13 @@ import (
 
 	"repro/internal/bitset"
 )
+
+// Record is one vertex's path count and stored dependencies (the fourth,
+// δ_o2i, is β(s)·δ_i2i and never stored). Engines with a single dependency
+// (internal/brandes) use Di2i as their δ.
+type Record struct {
+	Sigma, Di2i, Di2o, Do2o float64
+}
 
 // LaneWidth is the root-batch width of the lane-parallel (MS-BFS) arrays:
 // one machine word of lanes, each lane tracking one root of a batched
@@ -54,12 +74,8 @@ type Sweep struct {
 	capV     int
 	weighted bool
 	lanes    bool
-	gen      uint64 // checkout epoch, bumped by Pool.Get (diagnostics)
 	Dist     []int32
-	Sigma    []float64
-	Di2i     []float64
-	Di2o     []float64
-	Do2o     []float64
+	Rec      []Record
 	BC       []float64
 	Order    []int32 // BFS queue / settled-order ring; doubles as the dirty list
 	Visited  *bitset.Bitset
@@ -71,7 +87,7 @@ type Sweep struct {
 	// slots per vertex (slot v*LaneWidth+l belongs to root lane l), LaneSeen
 	// and LaneFront one lane-mask word per vertex. Invariants: LaneSigma,
 	// LaneSeen and LaneFront are all zero in the pool; the per-lane δ and BC
-	// arrays carry no invariant — like Di2i, the batched backward step
+	// arrays carry no invariant — like Rec, the batched backward step
 	// assigns every visited (vertex, lane) slot exactly once per batch and
 	// the fold reads only visited slots.
 	LaneSigma []float64
@@ -86,10 +102,6 @@ type Sweep struct {
 // Cap returns the number of vertices the sweep is sized for.
 func (s *Sweep) Cap() int { return s.capV }
 
-// Gen returns the checkout epoch (how many times Pool.Get handed this sweep
-// out). Purely diagnostic.
-func (s *Sweep) Gen() uint64 { return s.gen }
-
 // Grow sizes the sweep for n local vertices, preserving every clean-slot
 // invariant. Existing clean arrays hold only invariant values, so growth
 // replaces them wholesale instead of copying — O(new capacity), paid only
@@ -103,10 +115,7 @@ func (s *Sweep) Grow(n int) {
 	for i := range s.Dist {
 		s.Dist[i] = -1
 	}
-	s.Sigma = make([]float64, n)
-	s.Di2i = make([]float64, n)
-	s.Di2o = make([]float64, n)
-	s.Do2o = make([]float64, n)
+	s.Rec = make([]Record, n)
 	s.BC = make([]float64, n)
 	s.Visited = bitset.New(n)
 	if s.weighted {
@@ -164,8 +173,6 @@ func (s *Sweep) CheckClean() error {
 		switch {
 		case s.Dist[v] != -1:
 			return fmt.Errorf("ws: dirty Dist[%d] = %d", v, s.Dist[v])
-		case s.Sigma[v] != 0:
-			return fmt.Errorf("ws: dirty Sigma[%d] = %g", v, s.Sigma[v])
 		case s.BC[v] != 0:
 			return fmt.Errorf("ws: dirty BC[%d] = %g", v, s.BC[v])
 		case s.Visited.Get(v):
@@ -230,7 +237,6 @@ func (p *Pool) Get(n int) *Sweep {
 	}
 	p.inUse++
 	p.mu.Unlock()
-	s.gen++
 	s.Grow(n)
 	return s
 }

@@ -3,6 +3,7 @@ package ws
 import (
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestGrowPreservesInvariants(t *testing.T) {
@@ -14,14 +15,22 @@ func TestGrowPreservesInvariants(t *testing.T) {
 	if err := s.CheckClean(); err != nil {
 		t.Fatalf("fresh sweep dirty: %v", err)
 	}
+	// The packed record is the four float64 arrays it replaced, byte for
+	// byte, and two of them fill a cache line.
+	if sz := unsafe.Sizeof(Record{}); sz != 32 {
+		t.Fatalf("Record is %d bytes, want 32", sz)
+	}
 	// Dirty a few slots, sparse-reset them, then grow: invariants must hold
-	// across the whole new capacity.
+	// across the whole new capacity. Records carry none, so a dirty one is
+	// still clean.
 	s.Dist[3] = 7
-	s.Sigma[3] = 2
+	s.Rec[3] = Record{Sigma: 2, Di2i: 0.5}
 	s.Visited.Set(3)
 	s.Dist[3] = -1
-	s.Sigma[3] = 0
 	s.Visited.Clear(3)
+	if err := s.CheckClean(); err != nil {
+		t.Fatalf("sparse-reset sweep dirty: %v", err)
+	}
 	s.Grow(1000)
 	if err := s.CheckClean(); err != nil {
 		t.Fatalf("grown sweep dirty: %v", err)
@@ -110,7 +119,6 @@ func TestCheckCleanCatchesDirt(t *testing.T) {
 		t.Fatalf("fresh sweep dirty: %v", err)
 	}
 	s.Dist[5] = 3
-	s.Sigma[5] = 1
 	s.BC[5] = 2
 	s.FDist[5] = 0.5
 	s.Done[5] = true
@@ -130,9 +138,6 @@ func TestPoolReuse(t *testing.T) {
 	}
 	if b.Cap() != 100 {
 		t.Fatalf("reused sweep shrank: Cap() = %d", b.Cap())
-	}
-	if g := b.Gen(); g != 2 {
-		t.Fatalf("Gen() = %d, want 2 after two checkouts", g)
 	}
 	// The pool prefers the largest free sweep.
 	big := p.Get(5000)
@@ -170,15 +175,14 @@ func TestPoolRace(t *testing.T) {
 				// Exclusive use: write, verify, sparse-reset.
 				for v := 0; v < n; v++ {
 					s.Dist[v] = int32(g)
-					s.Sigma[v] = float64(i)
+					s.Rec[v].Sigma = float64(i)
 				}
 				for v := 0; v < n; v++ {
-					if s.Dist[v] != int32(g) || s.Sigma[v] != float64(i) {
-						t.Errorf("sweep shared between goroutines: got (%d,%g)", s.Dist[v], s.Sigma[v])
+					if s.Dist[v] != int32(g) || s.Rec[v].Sigma != float64(i) {
+						t.Errorf("sweep shared between goroutines: got (%d,%g)", s.Dist[v], s.Rec[v].Sigma)
 						break
 					}
 					s.Dist[v] = -1
-					s.Sigma[v] = 0
 				}
 				p.Put(s)
 			}
@@ -209,9 +213,8 @@ func BenchmarkPoolCheckout(b *testing.B) {
 		s := p.Get(4096)
 		v := int32(i % 4096)
 		s.Dist[v] = 0
-		s.Sigma[v] = 1
+		s.Rec[v].Sigma = 1
 		s.Dist[v] = -1
-		s.Sigma[v] = 0
 		p.Put(s)
 	}
 }
