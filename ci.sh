@@ -15,8 +15,10 @@
 #      never scan more than pure top-down
 #   5. allocation gates: warm pooled sweeps (core, brandes) and the bcd
 #      top-K serving path must be allocation-free, and the workspace pool
-#      must survive 8 concurrent checkouts under -race; then a -benchmem
-#      benchmark smoke compile-and-run
+#      must survive 8 concurrent checkouts under -race; the pre-sweep layer
+#      must stay linear (Decompose's allocations bounded by its outputs, the
+#      sub-graph builder and the CSR mirror check equal to their oracles);
+#      then a -benchmem benchmark smoke compile-and-run
 #   6. bcbench smokes on the smallest dataset: -table 2 and a tiny -engine
 #      sweep, whose in-run msbfs-vs-scalar bit cross-check fails the run
 #   7. approx smoke: full-budget sampling must bit-match exact BC (the
@@ -26,8 +28,8 @@
 #      one budgeted -atscale family
 #   9. the repository benchmark (bench/, the one ruler): the road workload
 #      must verify every answer it times, and its -corrupt self-test must
-#      fail; no BENCH_*.json artifact may be tracked at the root and no
-#      BottomUpFrac option may reappear in Go source
+#      fail; no BENCH_*.json artifact may be tracked at the root and neither
+#      the BottomUpFrac option nor bcc's BlockEdges may reappear in Go source
 #  10. durability smoke: race-built bcd is killed with SIGKILL mid-life and
 #      must recover its graph from snapshot+WAL with bit-exact top-K
 #  11. load smoke: bcdload drives a short mixed read/mutate phase against the
@@ -126,6 +128,15 @@ echo "==> alloc gates: warm sweeps and the top-K serving path allocate zero"
 run_named 'TestRootSweepWarmAllocs|TestSerialSweepWarmAllocs|TestTopKServingWarmAllocs|TestPoolRace' \
     -count=1 ./internal/core ./internal/brandes ./internal/server ./internal/ws
 
+echo "==> pre-sweep gates: linear Decompose, builder and mirror check vs their oracles"
+# Everything between a graph file and the first sweep is O(n+m) with no
+# per-arc temporary: Decompose's allocation count has no term in arcs, a
+# directed RefreshRoots costs its sub-graph, and the relabelling builder and
+# the cursor mirror check agree with the straightforward formulations kept in
+# their test files.
+run_named 'TestDecomposeAllocs|TestRefreshRootsDirectedAllocs|TestBuilderMatchesOracle|TestAdjacentBoundaryAPs|TestMirrorCheckMatchesOracle' \
+    -count=1 ./internal/decompose ./internal/graph
+
 echo "==> bench smoke: go test -bench -benchmem on the arena-backed paths"
 go test -run=NONE -bench=. -benchtime=1x -benchmem ./internal/ws ./internal/core
 
@@ -179,6 +190,12 @@ fi
 # (an `if`, because `set -e` ignores the status of a `!` pipeline).
 if grep -rn 'BottomUpFrac' --include='*.go' .; then
     echo "ci.sh: BottomUpFrac is back; the sweep's direction rule takes no parameter" >&2
+    exit 1
+fi
+# Nor the per-block edge lists: blocks are vertex sets, an edge's block is
+# bcc.Result.EdgeBlock.
+if grep -rn 'BlockEdges' --include='*.go' .; then
+    echo "ci.sh: BlockEdges is back; bcc keeps blocks as vertex sets only" >&2
     exit 1
 fi
 

@@ -58,6 +58,153 @@ func apSet(g *graph.Graph) map[graph.V]bool {
 	return out
 }
 
+// checkBlocks asserts that res is the biconnected decomposition of g's
+// undirected view, from the vertex form alone and against brute-force
+// oracles that never run a DFS low-link:
+//
+//   - VertexBlocks is the ascending inverse of BlockVerts, and a vertex lies
+//     in several blocks iff it is an articulation point;
+//   - two blocks share at most one vertex, and every edge's endpoints share
+//     exactly one block, which EdgeBlock names;
+//   - every block is an edge or induces a connected sub-graph that stays
+//     connected when any one of its vertices is deleted;
+//   - blocks are maximal: the block/articulation-point incidence graph is a
+//     forest with one tree per non-trivial component (a block split in two
+//     would close a cycle in it), and Σ(|block|−1) counts every non-isolated
+//     vertex but one per component.
+func checkBlocks(t *testing.T, g *graph.Graph, res *Result) {
+	t.Helper()
+	und := g.Undirected()
+	n := und.NumVertices()
+	nb := res.NumBlocks()
+
+	member := make([]map[graph.V]bool, nb)
+	seenIn := make([][]int32, n)
+	sizeSum := 0
+	for b, verts := range res.BlockVerts {
+		if len(verts) < 2 {
+			t.Fatalf("block %d has %d vertices", b, len(verts))
+		}
+		member[b] = map[graph.V]bool{}
+		for _, v := range verts {
+			if member[b][v] {
+				t.Fatalf("block %d lists vertex %d twice", b, v)
+			}
+			member[b][v] = true
+			seenIn[v] = append(seenIn[v], int32(b))
+		}
+		sizeSum += len(verts) - 1
+	}
+	incidences, aps := 0, 0
+	for v := 0; v < n; v++ {
+		if len(seenIn[v]) != len(res.VertexBlocks[v]) {
+			t.Fatalf("vertex %d: VertexBlocks %v, BlockVerts say %v", v, res.VertexBlocks[v], seenIn[v])
+		}
+		for i, b := range seenIn[v] {
+			if res.VertexBlocks[v][i] != b {
+				t.Fatalf("vertex %d: VertexBlocks %v, want ascending %v", v, res.VertexBlocks[v], seenIn[v])
+			}
+		}
+		if (len(seenIn[v]) > 1) != res.IsArticulation[v] {
+			t.Fatalf("vertex %d: in %d blocks, articulation=%v", v, len(seenIn[v]), res.IsArticulation[v])
+		}
+		if res.IsArticulation[v] {
+			aps++
+			incidences += len(seenIn[v])
+		}
+		if (len(seenIn[v]) == 0) != (und.OutDegree(graph.V(v)) == 0) {
+			t.Fatalf("vertex %d: degree %d but in %d blocks", v, und.OutDegree(graph.V(v)), len(seenIn[v]))
+		}
+	}
+
+	for a := 0; a < nb; a++ {
+		for b := a + 1; b < nb; b++ {
+			shared := 0
+			for v := range member[a] {
+				if member[b][v] {
+					shared++
+				}
+			}
+			if shared > 1 {
+				t.Fatalf("blocks %d and %d share %d vertices", a, b, shared)
+			}
+		}
+	}
+	for u := graph.V(0); int(u) < n; u++ {
+		for _, w := range und.Out(u) {
+			common := int32(-1)
+			for _, b := range seenIn[u] {
+				if member[b][w] {
+					if common >= 0 {
+						t.Fatalf("edge %d-%d lies in blocks %d and %d", u, w, common, b)
+					}
+					common = b
+				}
+			}
+			if common < 0 {
+				t.Fatalf("edge %d-%d lies in no block", u, w)
+			}
+			if got := res.EdgeBlock(u, w); got != common {
+				t.Fatalf("EdgeBlock(%d,%d) = %d, want %d", u, w, got, common)
+			}
+		}
+	}
+
+	// pieces counts the connected pieces of the sub-graph induced on `in`
+	// minus the vertex skip (-1 deletes nothing).
+	pieces := func(in map[graph.V]bool, skip graph.V) int {
+		seen := map[graph.V]bool{}
+		comps := 0
+		for s := range in {
+			if s == skip || seen[s] {
+				continue
+			}
+			comps++
+			seen[s] = true
+			stack := []graph.V{s}
+			for len(stack) > 0 {
+				u := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				for _, w := range und.Out(u) {
+					if in[w] && w != skip && !seen[w] {
+						seen[w] = true
+						stack = append(stack, w)
+					}
+				}
+			}
+		}
+		return comps
+	}
+	for b, verts := range res.BlockVerts {
+		if len(verts) == 2 {
+			if !und.HasArc(verts[0], verts[1]) {
+				t.Fatalf("2-vertex block %d %v is not an edge", b, verts)
+			}
+			continue
+		}
+		for _, skip := range append([]graph.V{-1}, verts...) {
+			if c := pieces(member[b], skip); c != 1 {
+				t.Fatalf("block %d falls into %d pieces without vertex %d", b, c, skip)
+			}
+		}
+	}
+
+	all := map[graph.V]bool{}
+	for v := 0; v < n; v++ {
+		if und.OutDegree(graph.V(v)) > 0 {
+			all[graph.V(v)] = true
+		}
+	}
+	comps := pieces(all, -1)
+	if nb+aps-incidences != comps {
+		t.Fatalf("block-cut incidence graph is not a forest: %d blocks + %d APs - %d incidences != %d components",
+			nb, aps, incidences, comps)
+	}
+	if sizeSum != len(all)-comps {
+		t.Fatalf("sum(|block|-1) = %d, want %d non-isolated vertices - %d components", sizeSum, len(all), comps)
+	}
+}
+
 func TestPaperFigure3Graph(t *testing.T) {
 	// The 13-vertex directed graph of paper Figure 3(a); its undirected view
 	// has articulation points 2, 3 and 6 (§2.2). Edges transcribed from the
@@ -106,9 +253,10 @@ func TestCycleNoAPs(t *testing.T) {
 	if res.NumBlocks() != 1 {
 		t.Fatalf("cycle blocks = %d, want 1", res.NumBlocks())
 	}
-	if len(res.BlockVerts[0]) != 12 || len(res.BlockEdges[0]) != 12 {
+	if len(res.BlockVerts[0]) != 12 {
 		t.Fatal("cycle block contents wrong")
 	}
+	checkBlocks(t, gen.Cycle(12), res)
 }
 
 func TestStarHubOnly(t *testing.T) {
@@ -165,27 +313,12 @@ func TestDisconnected(t *testing.T) {
 	}
 }
 
+// TestEdgesPartitioned: with blocks kept as vertex sets, "the blocks
+// partition the edges" reads "every edge's endpoints share exactly one
+// block"; checkBlocks asserts that and the rest of the block structure.
 func TestEdgesPartitioned(t *testing.T) {
 	g := gen.SocialLike(gen.SocialParams{N: 600, AvgDeg: 5, Communities: 8, TopShare: 0.5, LeafFrac: 0.3, Seed: 21})
-	res := Find(g)
-	total := 0
-	seen := map[[2]graph.V]bool{}
-	for _, edges := range res.BlockEdges {
-		for _, e := range edges {
-			key := [2]graph.V{e.From, e.To}
-			if e.From > e.To {
-				key = [2]graph.V{e.To, e.From}
-			}
-			if seen[key] {
-				t.Fatalf("edge %v appears in two blocks", key)
-			}
-			seen[key] = true
-			total++
-		}
-	}
-	if int64(total) != g.Undirected().NumEdges() {
-		t.Fatalf("blocks cover %d edges, graph has %d", total, g.Undirected().NumEdges())
-	}
+	checkBlocks(t, g, Find(g))
 }
 
 func TestVertexBlocksConsistency(t *testing.T) {
@@ -233,11 +366,12 @@ func TestAgainstBruteForce(t *testing.T) {
 				t.Fatalf("graph %d vertex %d: Find says %v, brute force says %v", gi, v, aps[v], want)
 			}
 		}
+		checkBlocks(t, g, Find(g))
 	}
 }
 
 // Property: on random graphs the articulation set matches brute force and
-// blocks partition the edges.
+// the blocks pass checkBlocks.
 func TestQuickBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		g := gen.ErdosRenyi(24, 30, false, seed)
@@ -247,12 +381,8 @@ func TestQuickBruteForce(t *testing.T) {
 				return false
 			}
 		}
-		res := Find(g)
-		edgeCount := 0
-		for _, es := range res.BlockEdges {
-			edgeCount += len(es)
-		}
-		return int64(edgeCount) == g.NumEdges()
+		checkBlocks(t, g, Find(g))
+		return !t.Failed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -286,5 +416,37 @@ func TestBlockVertsSortedStable(t *testing.T) {
 				t.Fatal("nondeterministic block contents")
 			}
 		}
+	}
+}
+
+// TestMillionVertexPath is ROADMAP 5(v): a path is the deepest DFS a graph
+// of its size allows, so it pins that Find stays iterative, and its answer is
+// known in closed form.
+func TestMillionVertexPath(t *testing.T) {
+	const n = 1_000_000
+	offs := make([]int64, n+1)
+	adj := make([]graph.V, 0, 2*(n-1))
+	for v := 0; v < n; v++ {
+		if v > 0 {
+			adj = append(adj, graph.V(v-1))
+		}
+		if v < n-1 {
+			adj = append(adj, graph.V(v+1))
+		}
+		offs[v+1] = int64(len(adj))
+	}
+	g, err := graph.NewFromCSR(n, offs, adj, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := Find(g)
+	if res.NumBlocks() != n-1 {
+		t.Fatalf("blocks = %d, want %d", res.NumBlocks(), n-1)
+	}
+	if aps := len(res.ArticulationPoints()); aps != n-2 {
+		t.Fatalf("articulation points = %d, want %d", aps, n-2)
+	}
+	if res.IsArticulation[0] || res.IsArticulation[n-1] {
+		t.Fatal("path endpoints marked as articulation points")
 	}
 }

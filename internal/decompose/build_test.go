@@ -1,0 +1,319 @@
+package decompose
+
+import (
+	"fmt"
+	"slices"
+	"sort"
+	"testing"
+
+	"repro/internal/bcc"
+	"repro/internal/gen"
+	"repro/internal/graph"
+)
+
+// buildFamilies rebuilds the generator families internal/core's
+// schedFamilies uses (that helper lives in another package's test files),
+// plus a windmill whose hub joins every one of its 300 groups.
+func buildFamilies() map[string]*graph.Graph {
+	var blades []graph.Edge
+	for i := int32(0); i < 300; i++ {
+		a, b := 1+2*i, 2+2*i
+		blades = append(blades, graph.Edge{From: 0, To: a}, graph.Edge{From: 0, To: b}, graph.Edge{From: a, To: b})
+	}
+	return map[string]*graph.Graph{
+		"path":     gen.Path(20),
+		"star":     gen.Star(20),
+		"lollipop": gen.Lollipop(6, 10),
+		"tree":     gen.Tree(50, 1),
+		"caveman":  gen.Caveman(4, 6, false),
+		"grid":     gen.Grid2D(6, 6),
+		"social": gen.SocialLike(gen.SocialParams{
+			N: 400, AvgDeg: 5, Communities: 6, TopShare: 0.5, LeafFrac: 0.3, Seed: 1}),
+		"socialDir": gen.SocialLike(gen.SocialParams{
+			N: 400, AvgDeg: 5, Communities: 6, TopShare: 0.5, LeafFrac: 0.3,
+			Directed: true, Reciprocity: 0.5, Seed: 2}),
+		"er":       gen.ErdosRenyi(300, 900, false, 7),
+		"windmill": graph.NewFromEdges(601, blades, false),
+	}
+}
+
+// oriented returns a directed graph with g's undirected structure: every
+// edge keeps its low-to-high arc and every third edge its reverse arc too.
+func oriented(g *graph.Graph) *graph.Graph {
+	var edges []graph.Edge
+	for i, e := range g.Undirected().Edges() {
+		edges = append(edges, e)
+		if i%3 == 0 {
+			edges = append(edges, graph.Edge{From: e.To, To: e.From})
+		}
+	}
+	return graph.NewFromEdges(g.NumVertices(), edges, true)
+}
+
+type oracleSub struct {
+	verts []graph.V
+	offs  []int64
+	adj   []int32
+	wts   []float64
+	arts  []int32
+}
+
+// oracleBuild is the reference builder: collect each group's vertices from
+// its blocks and sort them, give every arc to the group of the one block its
+// endpoints share (found by intersecting their block lists), and sort every
+// row. It shares bcc.Find and mergeBlocks with Decompose and nothing else.
+func oracleBuild(g *graph.Graph, threshold int) []oracleSub {
+	res := bcc.Find(g)
+	blockGroup, numGroups := mergeBlocks(g, res, threshold)
+	subs := make([]oracleSub, numGroups)
+	groupsOf := make([]map[int32]bool, g.NumVertices())
+	for b, verts := range res.BlockVerts {
+		for _, v := range verts {
+			if groupsOf[v] == nil {
+				groupsOf[v] = map[int32]bool{}
+			}
+			if !groupsOf[v][blockGroup[b]] {
+				groupsOf[v][blockGroup[b]] = true
+				subs[blockGroup[b]].verts = append(subs[blockGroup[b]].verts, v)
+			}
+		}
+	}
+	localOf := make([]map[graph.V]int32, numGroups)
+	for gr := range subs {
+		vs := subs[gr].verts
+		slices.Sort(vs)
+		localOf[gr] = map[graph.V]int32{}
+		for l, v := range vs {
+			localOf[gr][v] = int32(l)
+			if len(groupsOf[v]) > 1 {
+				subs[gr].arts = append(subs[gr].arts, int32(l))
+			}
+		}
+	}
+	type arc struct {
+		from, to int32
+		w        float64
+	}
+	arcs := make([][]arc, numGroups)
+	for u := graph.V(0); int(u) < g.NumVertices(); u++ {
+		for i, w := range g.Out(u) {
+			common := int32(-1)
+			for _, bu := range res.VertexBlocks[u] {
+				for _, bw := range res.VertexBlocks[w] {
+					if bu == bw {
+						if common >= 0 {
+							panic(fmt.Sprintf("arc %d->%d lies in two blocks", u, w))
+						}
+						common = bu
+					}
+				}
+			}
+			gr := blockGroup[common]
+			a := arc{from: localOf[gr][u], to: localOf[gr][w]}
+			if g.Weighted() {
+				a.w = g.OutWeights(u)[i]
+			}
+			arcs[gr] = append(arcs[gr], a)
+		}
+	}
+	for gr := range subs {
+		as := arcs[gr]
+		sort.Slice(as, func(i, j int) bool {
+			if as[i].from != as[j].from {
+				return as[i].from < as[j].from
+			}
+			return as[i].to < as[j].to
+		})
+		sub := &subs[gr]
+		sub.offs = make([]int64, len(sub.verts)+1)
+		for _, a := range as {
+			sub.offs[a.from+1]++
+			sub.adj = append(sub.adj, a.to)
+			if g.Weighted() {
+				sub.wts = append(sub.wts, a.w)
+			}
+		}
+		for l := range sub.verts {
+			sub.offs[l+1] += sub.offs[l]
+		}
+	}
+	return subs
+}
+
+// TestBuilderMatchesOracle holds buildSubgraphs to the reference builder,
+// field by field, on every family × undirected/directed/weighted × three
+// thresholds. Threshold 1 merges nothing by size, so every articulation
+// point that is not absorbed with a 2-vertex block becomes a boundary AP and
+// arcs between two boundary APs (neither end has a home group to go by)
+// occur; the test fails if none did.
+func TestBuilderMatchesOracle(t *testing.T) {
+	bothBoundary := 0
+	for name, base := range buildFamilies() {
+		variants := map[string]*graph.Graph{
+			"":          base,
+			"/weighted": gen.WithRandomWeights(base, 9, 3),
+		}
+		if !base.Directed() {
+			variants["/oriented"] = oriented(base)
+			variants["/oriented/weighted"] = gen.WithRandomWeights(variants["/oriented"], 9, 4)
+		}
+		for vname, g := range variants {
+			for _, th := range []int{1, 8, 64} {
+				label := fmt.Sprintf("%s%s threshold %d", name, vname, th)
+				want := oracleBuild(g, th)
+				d := mustDecompose(t, g, Options{Threshold: th})
+				if len(d.Subgraphs) != len(want) {
+					t.Fatalf("%s: %d sub-graphs, oracle has %d", label, len(d.Subgraphs), len(want))
+				}
+				boundary := map[graph.V]bool{}
+				for si, sg := range d.Subgraphs {
+					o := want[si]
+					switch {
+					case sg.ID != si:
+						t.Fatalf("%s: sub-graph %d has ID %d", label, si, sg.ID)
+					case !slices.Equal(sg.Verts, o.verts):
+						t.Fatalf("%s sg %d: Verts %v, oracle %v", label, si, sg.Verts, o.verts)
+					case !slices.Equal(sg.offs, o.offs):
+						t.Fatalf("%s sg %d: offs %v, oracle %v", label, si, sg.offs, o.offs)
+					case !slices.Equal(sg.adj, o.adj):
+						t.Fatalf("%s sg %d: adj %v, oracle %v", label, si, sg.adj, o.adj)
+					case !slices.Equal(sg.wts, o.wts) || sg.Weighted() != g.Weighted():
+						t.Fatalf("%s sg %d: wts %v, oracle %v", label, si, sg.wts, o.wts)
+					case !slices.Equal(sg.Arts, o.arts):
+						t.Fatalf("%s sg %d: Arts %v, oracle %v", label, si, sg.Arts, o.arts)
+					case sg.Directed() != g.Directed():
+						t.Fatalf("%s sg %d: directed flag lost", label, si)
+					}
+					isArt := make([]bool, sg.NumVerts())
+					for _, l := range sg.Arts {
+						isArt[l] = true
+						boundary[sg.Verts[l]] = true
+					}
+					if !slices.Equal(sg.IsArt, isArt) {
+						t.Fatalf("%s sg %d: IsArt disagrees with Arts", label, si)
+					}
+				}
+				if d.NumArticulation != len(boundary) {
+					t.Fatalf("%s: NumArticulation %d, want %d", label, d.NumArticulation, len(boundary))
+				}
+				for u := range boundary {
+					for _, w := range g.Out(u) {
+						if boundary[w] {
+							bothBoundary++
+						}
+					}
+				}
+			}
+		}
+	}
+	if bothBoundary == 0 {
+		t.Fatal("no arc joined two boundary articulation points: that case went untested")
+	}
+}
+
+// TestAdjacentBoundaryAPs is the smallest graph on which "an arc belongs to
+// its target's home group" has no answer: cliques T = {0..5} and D = {5..9}
+// share a = 5, the bridge a–b (b = 10) hangs off T and merges into it as a
+// 2-vertex block, and clique C = {10..14} at b stays apart. Both a and b are
+// boundary APs of T's sub-graph and adjacent inside it, so only the block
+// the two share says where the arcs a->b and b->a go.
+func TestAdjacentBoundaryAPs(t *testing.T) {
+	var edges []graph.Edge
+	clique := func(vs ...graph.V) {
+		for i, u := range vs {
+			for _, w := range vs[i+1:] {
+				edges = append(edges, graph.Edge{From: u, To: w})
+			}
+		}
+	}
+	const a, b = 5, 10
+	clique(0, 1, 2, 3, 4, a)
+	clique(a, 6, 7, 8, 9)
+	edges = append(edges, graph.Edge{From: a, To: b})
+	clique(b, 11, 12, 13, 14)
+	g := graph.NewFromEdges(15, edges, false)
+	d := mustDecompose(t, g, Options{Threshold: 4})
+	if len(d.Subgraphs) != 3 || d.NumArticulation != 2 {
+		t.Fatalf("%d sub-graphs, %d boundary APs; want 3 and 2", len(d.Subgraphs), d.NumArticulation)
+	}
+	for _, sg := range d.Subgraphs {
+		la, lb := sg.LocalID(a), sg.LocalID(b)
+		var wantVerts int
+		var wantArcs int64
+		switch {
+		case la >= 0 && lb >= 0: // T plus the bridge
+			wantVerts, wantArcs = 7, 6*5+2
+			if !sg.IsArt[la] || !sg.IsArt[lb] {
+				t.Fatal("a and b must both be boundary APs of the top sub-graph")
+			}
+			if row := sg.Out(lb); len(row) != 1 || row[0] != la {
+				t.Fatalf("b's row in the top sub-graph is %v, want just a (%d)", row, la)
+			}
+			if row := sg.Out(la); len(row) != 6 || row[5] != lb {
+				t.Fatalf("a's row in the top sub-graph is %v, want T's five others then b (%d)", row, lb)
+			}
+		case la >= 0: // D
+			wantVerts, wantArcs = 5, 5*4
+			if len(sg.Out(la)) != 4 {
+				t.Fatalf("a's row in D is %v, want D's four others", sg.Out(la))
+			}
+		case lb >= 0: // C
+			wantVerts, wantArcs = 5, 5*4
+			if len(sg.Out(lb)) != 4 {
+				t.Fatalf("b's row in C is %v, want C's four others", sg.Out(lb))
+			}
+		default:
+			t.Fatalf("sub-graph %d holds neither a nor b", sg.ID)
+		}
+		if sg.NumVerts() != wantVerts || sg.NumArcs() != wantArcs {
+			t.Fatalf("sub-graph %d: %d vertices, %d arcs; want %d and %d",
+				sg.ID, sg.NumVerts(), sg.NumArcs(), wantVerts, wantArcs)
+		}
+	}
+}
+
+// TestDecomposeAllocs bounds Decompose's allocation count by the sizes of
+// its outputs — blocks, sub-graphs, vertices — with no term in arcs: no
+// per-arc record, no sort closure per row, no slice grown per block.
+func TestDecomposeAllocs(t *testing.T) {
+	g := gen.RMAT(12, 8, 0.57, 0.19, 0.19, false, 1)
+	var d *Decomposition
+	allocs := testing.AllocsPerRun(5, func() {
+		d = mustDecompose(t, g, Options{Threshold: 8, Workers: 1})
+	})
+	blocks := bcc.Find(g).NumBlocks()
+	// Per sub-graph: the struct, six per-vertex arrays, the CSR pair and the
+	// root list's growth steps. The vertex and block terms are what maps
+	// inside alphaBetaTree may spill; the constant covers the flat arrays.
+	bound := float64(24*len(d.Subgraphs) + (blocks+g.NumVertices())/16 + 64)
+	t.Logf("%.0f allocations; %d sub-graphs, %d blocks, %d vertices, %d arcs; bound %.0f",
+		allocs, len(d.Subgraphs), blocks, g.NumVertices(), g.NumArcs(), bound)
+	if allocs > bound {
+		t.Fatalf("Decompose made %.0f allocations, bound %.0f", allocs, bound)
+	}
+}
+
+// TestRefreshRootsDirectedAllocs pins that refreshing one sub-graph's roots
+// on a directed decomposition costs that sub-graph, not the graph: it used
+// to symmetrize the whole graph (edge list, CSR, one sort per row) for a
+// result the directed rule never read.
+func TestRefreshRootsDirectedAllocs(t *testing.T) {
+	g := gen.SocialLike(gen.SocialParams{N: 4000, AvgDeg: 5, Communities: 20, TopShare: 0.4,
+		LeafFrac: 0.3, Directed: true, Reciprocity: 0.4, Seed: 3})
+	d := mustDecompose(t, g, Options{Threshold: 8})
+	small := 0
+	for i, sg := range d.Subgraphs {
+		if sg.NumVerts() < d.Subgraphs[small].NumVerts() {
+			small = i
+		}
+	}
+	before := append([]int32(nil), d.Subgraphs[small].Roots...)
+	allocs := testing.AllocsPerRun(10, func() { d.RefreshRoots(small, false) })
+	if !slices.Equal(d.Subgraphs[small].Roots, before) {
+		t.Fatal("RefreshRoots changed the roots of an unchanged sub-graph")
+	}
+	if allocs > 4 {
+		t.Fatalf("RefreshRoots on a %d-vertex sub-graph of a %d-vertex directed graph made %.0f allocations",
+			d.Subgraphs[small].NumVerts(), g.NumVertices(), allocs)
+	}
+}

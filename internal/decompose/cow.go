@@ -24,7 +24,6 @@ func (d *Decomposition) CloneShallow() *Decomposition {
 		Subgraphs:       append([]*Subgraph(nil), d.Subgraphs...),
 		TopIndex:        d.TopIndex,
 		NumArticulation: d.NumArticulation,
-		BCC:             d.BCC,
 	}
 }
 

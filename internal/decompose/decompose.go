@@ -1,7 +1,8 @@
 // Package decompose implements the paper's graph partition (Algorithm 1,
 // GRAPHPARTITION): it splits a graph into sub-graphs along articulation
 // points by contracting the block-cut tree with a size threshold, builds a
-// local CSR per sub-graph, and computes the three per-articulation-point
+// local CSR per sub-graph (the input rows relabelled, in O(|V|+|E|) with no
+// sort; see buildSubgraphs), and computes the three per-articulation-point
 // quantities the APGRE dependencies need:
 //
 //	α_SGi(a) — #vertices a reaches outside SGi      (paper §3.1)
@@ -177,9 +178,6 @@ type Decomposition struct {
 	TopIndex int
 	// NumArticulation is the number of distinct boundary articulation points.
 	NumArticulation int
-	// BCC is the underlying biconnected decomposition (retained for
-	// analyzers and tests).
-	BCC *bcc.Result
 }
 
 // Decompose runs the full partition pipeline: FINDBCC, block-tree DFS with
@@ -196,9 +194,9 @@ func Decompose(g *graph.Graph, opt Options) (*Decomposition, error) {
 	}
 	start := time.Now()
 	res := bcc.Find(g)
-	groups := mergeBlocks(g, res, opt.Threshold)
-	d := &Decomposition{G: g, TopIndex: -1, BCC: res}
-	buildSubgraphs(d, g, res, groups, opt)
+	blockGroup, numGroups := mergeBlocks(g, res, opt.Threshold)
+	d := &Decomposition{G: g, TopIndex: -1}
+	buildSubgraphs(d, g, res, blockGroup, numGroups)
 	partitionDone := time.Now()
 	if err := computeAlphaBeta(d, opt); err != nil {
 		return nil, err
@@ -219,17 +217,10 @@ func Decompose(g *graph.Graph, opt Options) (*Decomposition, error) {
 // mergeBlocks contracts the block-cut tree per Algorithm 1: a DFS from each
 // component's largest block, merging a popped block into its father when it
 // is small (or has <= 2 vertices and the father is the top block). It returns
-// for each block the group (future sub-graph) id it belongs to, or -1 for
-// none.
-func mergeBlocks(g *graph.Graph, res *bcc.Result, threshold int) (blockGroup []int32) {
+// for each block the group (future sub-graph) id it belongs to, and the
+// number of groups.
+func mergeBlocks(g *graph.Graph, res *bcc.Result, threshold int) (blockGroup []int32, numGroups int) {
 	nb := res.NumBlocks()
-	blockGroup = make([]int32, nb)
-	for i := range blockGroup {
-		blockGroup[i] = -1
-	}
-	if nb == 0 {
-		return blockGroup
-	}
 	// Union of merged blocks, tracked with a union-find onto the surviving
 	// parent block; sizes track deduplicated vertex counts (two blocks share
 	// exactly one vertex, the connecting articulation point).
@@ -343,18 +334,19 @@ func mergeBlocks(g *graph.Graph, res *bcc.Result, threshold int) (blockGroup []i
 			}
 		}
 	}
-	// Assign group ids to surviving roots.
-	next := int32(0)
-	groupID := make(map[int32]int32)
+	// Assign group ids to surviving roots, in order of each group's
+	// lowest-numbered block.
+	blockGroup = make([]int32, nb)
+	for i := range blockGroup {
+		blockGroup[i] = -1
+	}
 	for b := int32(0); int(b) < nb; b++ {
 		r := find(b)
-		id, ok := groupID[r]
-		if !ok {
-			id = next
-			next++
-			groupID[r] = id
+		if blockGroup[r] < 0 {
+			blockGroup[r] = int32(numGroups)
+			numGroups++
 		}
-		blockGroup[b] = id
+		blockGroup[b] = blockGroup[r]
 	}
-	return blockGroup
+	return blockGroup, numGroups
 }

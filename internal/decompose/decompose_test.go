@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bcc"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
@@ -150,6 +151,7 @@ func TestArcConservation(t *testing.T) {
 func TestVertexCoverage(t *testing.T) {
 	g := gen.SocialLike(gen.SocialParams{N: 500, AvgDeg: 4, Communities: 8, TopShare: 0.4, LeafFrac: 0.25, Seed: 35})
 	d := mustDecompose(t, g, Options{Threshold: 8})
+	isAP := bcc.Find(g).IsArticulation
 	seen := make([]int, g.NumVertices())
 	for _, sg := range d.Subgraphs {
 		for _, v := range sg.Verts {
@@ -160,7 +162,7 @@ func TestVertexCoverage(t *testing.T) {
 		switch {
 		case c == 0:
 			t.Fatalf("vertex %d in no subgraph", v)
-		case c > 1 && !d.BCC.IsArticulation[v]:
+		case c > 1 && !isAP[v]:
 			t.Fatalf("non-AP vertex %d in %d subgraphs", v, c)
 		}
 	}

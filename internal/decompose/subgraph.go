@@ -7,161 +7,175 @@ import (
 	"repro/internal/graph"
 )
 
-// buildSubgraphs materializes one Subgraph per merge group: vertex lists
-// (sorted by global id for determinism), local CSR with each graph arc
-// assigned to exactly one sub-graph (the one owning its undirected edge's
-// block), and the boundary articulation flags.
-func buildSubgraphs(d *Decomposition, g *graph.Graph, res *bcc.Result, blockGroup []int32, opt Options) {
-	numGroups := 0
-	for _, gr := range blockGroup {
-		if int(gr)+1 > numGroups {
-			numGroups = int(gr) + 1
-		}
-	}
+// buildSubgraphs materializes one Subgraph per merge group in O(|V|+|E|):
+// three passes over the vertices in id order and one over the sub-graphs, no
+// sort and no per-arc record.
+//
+// A vertex whose blocks all fall in one group has that group as its home; a
+// vertex whose blocks span groups is a boundary articulation point and joins
+// each of them; a vertex in no block is isolated and joins none. Groups
+// receive their vertices in increasing global id, so local ids are monotone
+// in global ids and every local row is the input row relabelled — already
+// sorted, weights parallel by position. An arc belongs to the group of its
+// undirected edge's block (bcc.Result.EdgeBlock): for a home vertex that is
+// the whole row; a boundary AP's row is dealt out arc by arc through a
+// group-indexed table of row cursors set from the AP's own (group, local id)
+// list, so each pass reads the row once however many groups the AP joins.
+func buildSubgraphs(d *Decomposition, g *graph.Graph, res *bcc.Result, blockGroup []int32, numGroups int) {
 	n := g.NumVertices()
+	const isolated, boundary = -1, -2
 
-	// Collect the vertex set of each group (dedup after sort: a vertex can
-	// appear in several blocks of the same group).
-	groupVerts := make([][]graph.V, numGroups)
-	for b := 0; b < res.NumBlocks(); b++ {
-		gr := blockGroup[b]
-		groupVerts[gr] = append(groupVerts[gr], res.BlockVerts[b]...)
+	// Pass 1: classify the vertices and size the groups. A boundary AP gets
+	// one entry per group it joins, contiguous in apGroup (and, from pass 2,
+	// apLocal): local[v] indexes apFirst, whose consecutive values bracket
+	// v's entries, until pass 4 rewrites it. For every other vertex local[v]
+	// is its local id in its home group.
+	home := make([]int32, n)
+	local := make([]int32, n)
+	vertOff := make([]int32, numGroups+1)
+	artOff := make([]int32, numGroups+1)
+	var apGroup []int32
+	apFirst := []int32{0}
+	lastAP := make([]int32, numGroups) // last boundary AP entered into each group
+	for i := range lastAP {
+		lastAP[i] = -1
 	}
-	for gr := range groupVerts {
-		vs := groupVerts[gr]
-		sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-		w := 0
-		for i, v := range vs {
-			if i > 0 && v == vs[w-1] {
-				continue
-			}
-			vs[w] = v
-			w++
-		}
-		groupVerts[gr] = vs[:w]
-	}
-
-	// Boundary articulation points: articulation vertices whose blocks span
-	// more than one group.
-	isBoundary := make([]bool, n)
 	for v := 0; v < n; v++ {
-		if !res.IsArticulation[v] {
+		blocks := res.VertexBlocks[v]
+		if len(blocks) == 0 {
+			home[v] = isolated
 			continue
 		}
-		blocks := res.VertexBlocks[v]
-		for i := 1; i < len(blocks); i++ {
-			if blockGroup[blocks[i]] != blockGroup[blocks[0]] {
-				isBoundary[v] = true
+		h := blockGroup[blocks[0]]
+		for _, b := range blocks[1:] {
+			if blockGroup[b] != h {
+				h = boundary
 				break
 			}
 		}
+		home[v] = h
+		if h != boundary {
+			vertOff[h+1]++
+			continue
+		}
+		for _, b := range blocks {
+			if gr := blockGroup[b]; lastAP[gr] != int32(v) {
+				lastAP[gr] = int32(v)
+				apGroup = append(apGroup, gr)
+				vertOff[gr+1]++
+				artOff[gr+1]++
+			}
+		}
+		local[v] = int32(len(apFirst) - 1)
+		apFirst = append(apFirst, int32(len(apGroup)))
 	}
-
-	blocksOf := make([][]int32, numGroups)
-	for b := 0; b < res.NumBlocks(); b++ {
-		blocksOf[blockGroup[b]] = append(blocksOf[blockGroup[b]], int32(b))
-	}
-
-	d.Subgraphs = make([]*Subgraph, numGroups)
-	local := make([]int32, n) // global -> local, valid only for the group being built
-	weighted := g.Weighted()
-	type arc struct {
-		from, to int32
-		w        float64
-	}
+	d.NumArticulation = len(apFirst) - 1
 	for gr := 0; gr < numGroups; gr++ {
-		sg := &Subgraph{ID: gr, Verts: groupVerts[gr], directed: g.Directed()}
-		d.Subgraphs[gr] = sg
-		for i, v := range sg.Verts {
-			local[v] = int32(i)
+		vertOff[gr+1] += vertOff[gr]
+		artOff[gr+1] += artOff[gr]
+	}
+
+	verts := make([]graph.V, vertOff[numGroups])
+	arts := make([]int32, artOff[numGroups])
+	subs := make([]*Subgraph, numGroups)
+	for gr := range subs {
+		lo, hi := vertOff[gr], vertOff[gr+1]
+		nl := int(hi - lo)
+		subs[gr] = &Subgraph{
+			ID:       gr,
+			Verts:    verts[lo:lo:hi],
+			offs:     make([]int64, nl+1),
+			IsArt:    make([]bool, nl),
+			Arts:     arts[artOff[gr]:artOff[gr]:artOff[gr+1]],
+			Alpha:    make([]float64, nl),
+			Beta:     make([]float64, nl),
+			Gamma:    make([]int32, nl),
+			directed: g.Directed(),
 		}
-		var arcs []arc
-		addArc := func(gu, gv graph.V, lu, lv int32) {
-			a := arc{from: lu, to: lv}
-			if weighted {
-				a.w = g.ArcWeight(g.ArcPos(gu, gv))
+	}
+	d.Subgraphs = subs
+
+	// Pass 2: hand out local ids in id order and size every local row.
+	apLocal := make([]int32, len(apGroup))
+	rowAt := make([]int64, numGroups) // the current AP's row cursor in each of its groups
+	for v := graph.V(0); int(v) < n; v++ {
+		switch h := home[v]; h {
+		case isolated:
+		case boundary:
+			lo, hi := apFirst[local[v]], apFirst[local[v]+1]
+			for e := lo; e < hi; e++ {
+				sg := subs[apGroup[e]]
+				apLocal[e] = int32(len(sg.Verts))
+				sg.Verts = append(sg.Verts, v)
+				sg.IsArt[apLocal[e]] = true
+				sg.Arts = append(sg.Arts, apLocal[e])
 			}
-			arcs = append(arcs, a)
-		}
-		for _, b := range blocksOf[gr] {
-			for _, e := range res.BlockEdges[b] {
-				lu, lv := local[e.From], local[e.To]
-				if g.Directed() {
-					if g.HasArc(e.From, e.To) {
-						addArc(e.From, e.To, lu, lv)
-					}
-					if g.HasArc(e.To, e.From) {
-						addArc(e.To, e.From, lv, lu)
-					}
-				} else {
-					addArc(e.From, e.To, lu, lv)
-					addArc(e.To, e.From, lv, lu)
-				}
+			for _, w := range g.Out(v) {
+				rowAt[blockGroup[res.EdgeBlock(v, w)]]++
 			}
+			for e := lo; e < hi; e++ {
+				gr := apGroup[e]
+				subs[gr].offs[apLocal[e]+1] = rowAt[gr]
+				rowAt[gr] = 0
+			}
+		default:
+			sg := subs[h]
+			local[v] = int32(len(sg.Verts))
+			sg.Verts = append(sg.Verts, v)
+			sg.offs[local[v]+1] = int64(g.OutDegree(v))
 		}
-		// Counting-sort into a local CSR.
-		nl := len(sg.Verts)
-		offs := make([]int64, nl+1)
-		for _, a := range arcs {
-			offs[a.from+1]++
+	}
+
+	weighted := g.Weighted()
+	for _, sg := range subs {
+		for l := range sg.Verts {
+			sg.offs[l+1] += sg.offs[l]
 		}
-		for i := 0; i < nl; i++ {
-			offs[i+1] += offs[i]
-		}
-		adj := make([]int32, len(arcs))
-		var wts []float64
+		sg.adj = make([]int32, sg.offs[len(sg.Verts)])
 		if weighted {
-			wts = make([]float64, len(arcs))
+			sg.wts = make([]float64, len(sg.adj))
 		}
-		cur := make([]int64, nl)
-		for _, a := range arcs {
-			pos := offs[a.from] + cur[a.from]
-			adj[pos] = a.to
-			if weighted {
-				wts[pos] = a.w
+	}
+
+	// Pass 3: copy every arc to its row, still under its global target id.
+	for v := graph.V(0); int(v) < n; v++ {
+		switch h := home[v]; h {
+		case isolated:
+		case boundary:
+			lo, hi := apFirst[local[v]], apFirst[local[v]+1]
+			for e := lo; e < hi; e++ {
+				rowAt[apGroup[e]] = subs[apGroup[e]].offs[apLocal[e]]
 			}
-			cur[a.from]++
-		}
-		for i := 0; i < nl; i++ {
-			row := adj[offs[i]:offs[i+1]]
-			if weighted {
-				wrow := wts[offs[i]:offs[i+1]]
-				sort.Sort(&arcSorter{row, wrow})
-			} else {
-				sort.Slice(row, func(x, y int) bool { return row[x] < row[y] })
+			base := g.ArcBase(v)
+			for i, w := range g.Out(v) {
+				gr := blockGroup[res.EdgeBlock(v, w)]
+				sg := subs[gr]
+				sg.adj[rowAt[gr]] = w
+				if weighted {
+					sg.wts[rowAt[gr]] = g.ArcWeight(base + int64(i))
+				}
+				rowAt[gr]++
 			}
-		}
-		sg.offs, sg.adj, sg.wts = offs, adj, wts
-		sg.IsArt = make([]bool, nl)
-		sg.Alpha = make([]float64, nl)
-		sg.Beta = make([]float64, nl)
-		sg.Gamma = make([]int32, nl)
-		for i, v := range sg.Verts {
-			if isBoundary[v] {
-				sg.IsArt[i] = true
-				sg.Arts = append(sg.Arts, int32(i))
+		default:
+			sg := subs[h]
+			at := sg.offs[local[v]]
+			copy(sg.adj[at:], g.Out(v))
+			if weighted {
+				copy(sg.wts[at:], g.OutWeights(v))
 			}
 		}
 	}
 
-	for v := 0; v < n; v++ {
-		if isBoundary[v] {
-			d.NumArticulation++
+	// Pass 4: relabel in place. Home vertices' entries of local are final;
+	// each group overwrites its boundary APs' entries before reading them.
+	for _, sg := range subs {
+		for _, l := range sg.Arts {
+			local[sg.Verts[l]] = l
+		}
+		for i, w := range sg.adj {
+			sg.adj[i] = local[w]
 		}
 	}
-}
-
-// arcSorter sorts a local adjacency row and its weights in lockstep.
-type arcSorter struct {
-	adj []int32
-	wts []float64
-}
-
-func (s *arcSorter) Len() int           { return len(s.adj) }
-func (s *arcSorter) Less(i, j int) bool { return s.adj[i] < s.adj[j] }
-func (s *arcSorter) Swap(i, j int) {
-	s.adj[i], s.adj[j] = s.adj[j], s.adj[i]
-	s.wts[i], s.wts[j] = s.wts[j], s.wts[i]
 }
 
 // LocalID returns the local id of global vertex v in sg, or -1.
@@ -180,7 +194,6 @@ func (s *Subgraph) LocalID(v graph.V) int32 {
 // edge u-s (with an id tie-break so mutually-qualifying pairs keep one root).
 func computeGammaRoots(d *Decomposition, opt Options) {
 	g := d.G
-	und := g.Undirected()
 	qualifies := func(v graph.V) (graph.V, bool) {
 		if g.Directed() {
 			if g.OutDegree(v) == 1 && g.InDegree(v) == 0 {
@@ -188,8 +201,8 @@ func computeGammaRoots(d *Decomposition, opt Options) {
 			}
 			return -1, false
 		}
-		if und.OutDegree(v) == 1 {
-			return und.Out(v)[0], true
+		if g.OutDegree(v) == 1 {
+			return g.Out(v)[0], true
 		}
 		return -1, false
 	}

@@ -17,8 +17,8 @@ import (
 // with neighbors in [0, n) and no self-loops; and for undirected graphs
 // every arc u->v must have its mirror v->u, since the whole engine stack
 // (BCC, decomposition, bottom-up BFS) assumes symmetric adjacency. The
-// validation is a single O(n + m·log d) pass — cheap next to the I/O that
-// produced the arrays.
+// validation is O(n + m): one pass over the rows, then for undirected graphs
+// one more with a read cursor per row (see below) and n int64s of scratch.
 //
 // The caller transfers ownership: adj may be backing a read-only mmap, so
 // the Graph never writes to either array (the lazily built transpose is a
@@ -55,17 +55,31 @@ func NewFromCSR(n int, offs []int64, adj []V, directed bool) (*Graph, error) {
 			prev = v
 		}
 	}
-	g := &Graph{n: n, directed: directed, offs: offs, adj: adj}
 	if !directed {
+		// Mirror check. Row v of a symmetric CSR lists exactly the sources u
+		// of arcs u->v, ascending; visiting the sources in ascending order,
+		// each arc u->v must therefore find u as the next unread entry of
+		// row v. Every accepted arc consumed its own mirror, so nothing but
+		// a symmetric CSR passes.
+		next := make([]int64, n)
+		copy(next, offs)
 		for u := 0; u < n; u++ {
-			for _, v := range g.Out(V(u)) {
-				if !g.HasArc(v, V(u)) {
-					return nil, fmt.Errorf("graph: undirected CSR missing mirror arc %d->%d", v, u)
+			for _, v := range adj[offs[u]:offs[u+1]] {
+				c := next[v]
+				if c < offs[v+1] && adj[c] == V(u) {
+					next[v] = c + 1
+					continue
 				}
+				if c < offs[v+1] && adj[c] < V(u) {
+					// An earlier source was skipped: row v names it, but
+					// its own row did not name v.
+					return nil, fmt.Errorf("graph: undirected CSR missing mirror arc %d->%d", adj[c], v)
+				}
+				return nil, fmt.Errorf("graph: undirected CSR missing mirror arc %d->%d", v, u)
 			}
 		}
 	}
-	return g, nil
+	return &Graph{n: n, directed: directed, offs: offs, adj: adj}, nil
 }
 
 // NewFromCSRUnsorted adopts a raw CSR whose rows may be unsorted and contain

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -111,4 +113,121 @@ func TestNewFromCSRUnsortedPanics(t *testing.T) {
 	mustPanic("bad offsets", func() {
 		NewFromCSRUnsorted(2, []int64{0, 2}, []V{1, 0}, true)
 	})
+}
+
+// mirrorOracle is the mirror check NewFromCSR used before it moved to one
+// cursor per row: look every arc's reverse up by binary search.
+func mirrorOracle(rows [][]V) bool {
+	for u, row := range rows {
+		for _, v := range row {
+			if _, ok := slices.BinarySearch(rows[v], V(u)); !ok {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func flattenRows(rows [][]V) ([]int64, []V) {
+	offs := make([]int64, len(rows)+1)
+	var adj []V
+	for u, row := range rows {
+		adj = append(adj, row...)
+		offs[u+1] = int64(len(adj))
+	}
+	return offs, adj
+}
+
+// insertSorted returns a copy of row with v added in order.
+func insertSorted(row []V, v V) []V {
+	i, _ := slices.BinarySearch(row, v)
+	return slices.Insert(slices.Clone(row), i, v)
+}
+
+// TestMirrorCheckMatchesOracle runs the cursor mirror check against the
+// binary-search formulation on random symmetric CSRs and on one-arc damage to
+// them: an arc removed, an arc added, and a row whose tail runs past the end
+// of its mirror's row (the cursor is already at that row's end). Undirected
+// adoption must reject exactly what the oracle rejects, naming the mirror;
+// directed adoption accepts all of them, the rows being still sorted.
+func TestMirrorCheckMatchesOracle(t *testing.T) {
+	check := func(label string, rows [][]V) {
+		t.Helper()
+		offs, adj := flattenRows(rows)
+		want := mirrorOracle(rows)
+		_, err := NewFromCSR(len(rows), offs, adj, false)
+		if (err == nil) != want {
+			t.Fatalf("%s: oracle says symmetric=%v, NewFromCSR returned %v", label, want, err)
+		}
+		if err != nil && !strings.Contains(err.Error(), "mirror") {
+			t.Fatalf("%s: error %q does not name the mirror defect", label, err)
+		}
+		if _, err := NewFromCSR(len(rows), offs, adj, true); err != nil {
+			t.Fatalf("%s: directed adoption rejected sorted rows: %v", label, err)
+		}
+	}
+	rejected := 0
+	for seed := int64(1); seed <= 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		n := 8 + r.Intn(40)
+		var edges []Edge
+		for i := 0; i < 2*n; i++ {
+			edges = append(edges, Edge{V(r.Intn(n - 1)), V(r.Intn(n - 1))}) // vertex n-1 stays isolated
+		}
+		g := NewFromEdges(n, edges, false)
+		pristine := func() [][]V {
+			rows := make([][]V, n)
+			for u := range rows {
+				rows[u] = slices.Clone(g.Out(V(u)))
+			}
+			return rows
+		}
+		check("symmetric", pristine())
+
+		// One arc removed, its mirror kept.
+		rows := pristine()
+		for u := r.Intn(n); ; u = (u + 1) % n {
+			if len(rows[u]) > 0 {
+				i := r.Intn(len(rows[u]))
+				rows[u] = slices.Delete(rows[u], i, i+1)
+				break
+			}
+		}
+		check("arc removed", rows)
+
+		// One arc added between non-adjacent vertices.
+		rows = pristine()
+		for {
+			u, v := V(r.Intn(n)), V(r.Intn(n))
+			if u != v && !g.HasArc(u, v) {
+				rows[u] = insertSorted(rows[u], v)
+				break
+			}
+		}
+		check("arc added", rows)
+
+		// Tail extended past the mirror row's end: the highest vertex with
+		// a non-empty row points at the isolated vertex n-1 (empty row) and,
+		// when it has a non-neighbour below it with a non-empty row, at
+		// that one too — every entry of whose row is a lower id.
+		rows = pristine()
+		top := n - 2
+		for len(rows[top]) == 0 {
+			top--
+		}
+		rows[top] = append(rows[top], V(n-1))
+		check("tail onto an empty row", rows)
+		rows = pristine()
+		for v := 0; v < top; v++ {
+			if len(rows[v]) > 0 && !g.HasArc(V(top), V(v)) {
+				rows[top] = insertSorted(rows[top], V(v))
+				check("tail past a consumed row", rows)
+				rejected++
+				break
+			}
+		}
+	}
+	if rejected == 0 {
+		t.Fatal("no seed produced the consumed-row case")
+	}
 }
