@@ -12,12 +12,14 @@
 #      gate: the bit-parallel engine must bit-match the scalar engine (and
 #      the serial-cutoff fallback must be bit-invisible) under -race, as must
 #      the scalar sweep's three direction modes, whose edge-volume rule may
-#      never scan more than pure top-down
+#      never scan more than pure top-down; then 20 s of the Incremental
+#      fuzz target (every op checked against serial Brandes and a fresh run)
 #   5. allocation gates: warm pooled sweeps (core, brandes) and the bcd
 #      top-K serving path must be allocation-free, and the workspace pool
 #      must survive 8 concurrent checkouts under -race; the pre-sweep layer
 #      must stay linear (Decompose's allocations bounded by its outputs, the
-#      sub-graph builder and the CSR mirror check equal to their oracles);
+#      sub-graph builder and the CSR mirror check equal to their oracles,
+#      folded vertices out of every row and edits at them exact);
 #      then a -benchmem benchmark smoke compile-and-run
 #   6. bcbench smokes on the smallest dataset: -table 2 and a tiny -engine
 #      sweep, whose in-run msbfs-vs-scalar bit cross-check fails the run
@@ -103,6 +105,12 @@ fi
 echo "==> race: internal/core internal/par internal/brandes internal/approx internal/server internal/ws internal/msbfs"
 go test -race ./internal/core ./internal/par ./internal/brandes ./internal/approx ./internal/server ./internal/ws ./internal/msbfs
 
+echo "==> fuzz: Incremental vs serial Brandes and a fresh Compute after every op (20 s)"
+# Random small graphs and toggle scripts biased towards degree-1 endpoints —
+# the vertices whose arcs are folded out of a sub-graph's rows and must come
+# back for an edit. The seed corpus and testdata/fuzz already ran in tier-1.
+go test -run '^$' -fuzz FuzzIncrementalMatchesBrandes -fuzztime 20s ./internal/core
+
 echo "==> scheduler gate: BC vs serial Brandes at workers 1,2,4(,8) under -race"
 # The worker-sweep test runs the dynamic scheduler at workers 1, 2, 4 and 8
 # on all nine graph families and asserts the scores match serial Brandes
@@ -121,7 +129,7 @@ echo "==> msbfs gate: batched engine bit-match vs scalar under -race"
 # and never a larger scan than pure top-down.
 run_named 'TestKernelMatchesBrandes|TestKernelBatchWidthBitInvariant' \
     -race -count=1 ./internal/msbfs
-run_named 'TestMSBFSEngineBitMatchesScalar|TestMSBFSEngineDeterministic|TestDynamicSerialCutoffBoundary|TestHybridSweepBitNeutral|TestDirectionSwitchNeverScansMore' \
+run_named 'TestMSBFSEngineBitMatchesScalar|TestMSBFSEngineDeterministic|TestDynamicSerialCutoffBoundary|TestSerialGuardKeepsServeParallel|TestHybridSweepBitNeutral|TestDirectionSwitchNeverScansMore' \
     -race -count=1 ./internal/core
 
 echo "==> alloc gates: warm sweeps and the top-K serving path allocate zero"
@@ -136,6 +144,11 @@ echo "==> pre-sweep gates: linear Decompose, builder and mirror check vs their o
 # their test files.
 run_named 'TestDecomposeAllocs|TestRefreshRootsDirectedAllocs|TestBuilderMatchesOracle|TestAdjacentBoundaryAPs|TestMirrorCheckMatchesOracle' \
     -count=1 ./internal/decompose ./internal/graph
+# What the sweep is handed is the swept graph: γ-folded vertices in no row,
+# and an edit at one of them (rows put back, edited, folded again) still
+# exact after every op.
+run_named 'TestFoldedVerticesLeaveTheRows|TestIncrementalLeafEdits' \
+    -count=1 ./internal/decompose ./internal/core
 
 echo "==> bench smoke: go test -bench -benchmem on the arena-backed paths"
 go test -run=NONE -bench=. -benchtime=1x -benchmem ./internal/ws ./internal/core

@@ -74,10 +74,11 @@ func table1(c config) error {
 }
 
 // table4 prints the decomposition shape: sub-graph count and the top three
-// sub-graphs' sizes with their share of the whole graph.
+// sub-graphs' sizes with their share of the whole graph. E counts swept edges
+// (decompose.SizeInfo): the folded degree-1 vertices' edges are in G.E only.
 func table4(c config) error {
 	t := &metrics.Table{
-		Title: "Table 4. Size of sub-graphs (top three)",
+		Title: "Table 4. Size of sub-graphs (top three; E = swept edges)",
 		Headers: []string{"graph", "#SG", "#AP", "top V", "top E", "V/G.V", "E/G.E",
 			"2nd V", "2nd E", "3rd V", "3rd E"},
 	}

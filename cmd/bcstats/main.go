@@ -84,7 +84,7 @@ func renderText(w *os.File, g *graph.Graph, c metrics.GraphCensus) {
 	fmt.Fprintf(w, "\ndecomposition (threshold=%d): %d sub-graphs, %d boundary APs, %d roots of %d vertices\n",
 		c.Decomposition.Threshold, c.Decomposition.Subgraphs,
 		c.Decomposition.BoundaryAPs, c.Decomposition.Roots, c.Verts)
-	t := &metrics.Table{Title: "largest sub-graphs", Headers: []string{"rank", "verts", "arcs", "V share"}}
+	t := &metrics.Table{Title: "largest sub-graphs", Headers: []string{"rank", "verts", "swept arcs", "V share"}}
 	for i, sg := range c.Decomposition.Largest {
 		t.AddRow(i+1, sg.Verts, sg.Arcs, metrics.Percent(sg.VertShare))
 	}

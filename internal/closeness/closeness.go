@@ -225,7 +225,9 @@ func (sc *bfsScratch) ensure(n int) {
 }
 
 // bfsSums BFSes sg from local root s and returns (Σ dist, #reached beyond s).
-// sc.dist stays valid until sparseReset.
+// The sub-graph's rows are its swept graph (decompose.Subgraph.Out): the
+// γ(u) folded leaves at a reached vertex u are not in them and are counted in
+// closed form, each one step past u. sc.dist stays valid until sparseReset.
 func (sc *bfsScratch) bfsSums(sg *decompose.Subgraph, s int32) (float64, int64) {
 	sc.sparseReset()
 	sc.queue = append(sc.queue[:0], s)
@@ -235,6 +237,10 @@ func (sc *bfsScratch) bfsSums(sg *decompose.Subgraph, s int32) (float64, int64) 
 	var reach int64
 	for head := 0; head < len(sc.queue); head++ {
 		u := sc.queue[head]
+		if leaves := int64(sg.Gamma[u]); leaves > 0 {
+			sum += float64(leaves * int64(sc.dist[u]+1))
+			reach += leaves
+		}
 		for _, v := range sg.Out(u) {
 			if sc.dist[v] < 0 {
 				sc.dist[v] = sc.dist[u] + 1

@@ -12,7 +12,10 @@
 //	δ_o2o — both outside, β(root)·α(exit AP) seeds (Eq. 6)
 //
 // merged into BC scores with the γ total-redundancy weights (Eq. 7/8,
-// Theorem 3). Parallelism keeps the outer level of the paper's §4 scheme —
+// Theorem 3). The sweeps walk each sub-graph's swept graph
+// (decompose.Subgraph.Out): the γ-folded vertices are out of it, and on
+// undirected graphs what each of them added as a target — exactly 1 to its
+// neighbour's δ_i2i — comes back as the seed γ(v) (DESIGN.md §1). Parallelism keeps the outer level of the paper's §4 scheme —
 // independent sweeps spread over workers, here as one cost-ordered queue of
 // (sub-graph, root-range) units (sched.go) — and drops the level-synchronous
 // inner level, which never won a measured cell (DESIGN.md §1).
@@ -172,11 +175,7 @@ func ComputeDecomposed(d *decompose.Decomposition, opt Options) ([]float64, erro
 	// parallel drain's canonical partial merge — so degrading is bit-exact,
 	// and faster than paying worker startup plus per-unit partial arrays for
 	// a few milliseconds of sweep work.
-	drainP := p
-	if p > 1 && totalSweepCost(d) < dynamicSerialCutoff {
-		drainP = 1
-	}
-	traversed := drainUnits(units, drainP, d.G, opt, bc)
+	traversed := drainUnits(units, drainWorkers(d, p), d.G, opt, bc)
 	if opt.Breakdown != nil {
 		fillBreakdown(opt.Breakdown, d, units, time.Since(start), traversed)
 	}

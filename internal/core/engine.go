@@ -128,7 +128,7 @@ func (e *engine) ensure(sg *decompose.Subgraph) {
 		return
 	}
 	e.ws.Grow(n)
-	e.hybrid = n >= hybridMinVerts && e.force != dirTopDown
+	e.hybrid = len(sg.Roots) >= hybridMinVerts && e.force != dirTopDown
 	if e.hybrid {
 		sg.EnsureIn()
 	}
@@ -181,7 +181,7 @@ func (e *engine) runBatch(sg *decompose.Subgraph, roots []int32, directed bool) 
 }
 
 // dynamicSerialCutoff is the small-graph break-even guard: when the whole
-// decomposition's estimated sweep cost Σ|roots|·(|V|+|E|) falls below it,
+// decomposition's estimated sweep cost Σ unitCost falls below it,
 // ComputeDecomposed drains with one worker even if more were requested —
 // below this much work, worker startup and the per-unit partial-array merges
 // cost more than the parallelism returns (road-network inputs ran 1.5×
@@ -190,7 +190,21 @@ func (e *engine) runBatch(sg *decompose.Subgraph, roots []int32, directed bool) 
 // partial-sum association, and the serial drain's in-order flushes replay
 // the parallel drain's canonical merge addition for addition. A var, not a
 // const, so tests can pin bit-equality across the boundary by moving it.
-var dynamicSerialCutoff int64 = 1 << 21
+//
+// The unit is roots × (vertices + arcs) of the swept graph. At 1<<20 an input
+// the size of the benchmark's serve workload (2.07 M, the smallest of the
+// four) keeps its workers, and the inputs just above the bound measure
+// 1.8–1.9× faster with two workers than with one (EXPERIMENTS.md "Leaves
+// leave the sweep", ladder).
+var dynamicSerialCutoff int64 = 1 << 20
+
+// drainWorkers applies the guard to a request for p workers.
+func drainWorkers(d *decompose.Decomposition, p int) int {
+	if p > 1 && totalSweepCost(d) < dynamicSerialCutoff {
+		return 1
+	}
+	return p
+}
 
 // totalSweepCost estimates the decomposition's full sweep work under the
 // scalar cost model (the guard is an absolute work bound, so it uses the
@@ -198,7 +212,7 @@ var dynamicSerialCutoff int64 = 1 << 21
 func totalSweepCost(d *decompose.Decomposition) int64 {
 	var total int64
 	for _, sg := range d.Subgraphs {
-		total += int64(len(sg.Roots)) * (int64(sg.NumVerts()) + sg.NumArcs())
+		total += unitCost(sg, len(sg.Roots), false)
 	}
 	return total
 }

@@ -175,6 +175,36 @@ func TestDynamicSerialCutoffBoundary(t *testing.T) {
 	}
 }
 
+// TestSerialGuardKeepsServeParallel pins the guard's decision where a change
+// of the cost unit can move it silently: an input shaped and sized like the
+// benchmark's serve workload (bench/workloads.go), whose cost is the smallest
+// of the four, asks for two workers and gets them, and a road lattice of a
+// few hundred vertices does not.
+func TestSerialGuardKeepsServeParallel(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		n := 2000
+		g := gen.SocialLike(gen.SocialParams{N: n, AvgDeg: 10,
+			Communities: int(200 * math.Sqrt(float64(n)/4400)),
+			TopShare:    0.46, LeafFrac: 0.53, Seed: seed})
+		d, err := decompose.Decompose(g, decompose.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := drainWorkers(d, 2); got != 2 {
+			t.Fatalf("seed %d: serve-sized input (sweep cost %d, cutoff %d) drains with %d worker(s), want 2",
+				seed, totalSweepCost(d), dynamicSerialCutoff, got)
+		}
+	}
+	g := gen.RoadLike(gen.RoadParams{Rows: 12, Cols: 12, DeleteFrac: 0.12, SpurFrac: 0.18, SpurLen: 4, Seed: 1})
+	d, err := decompose.Decompose(g, decompose.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := drainWorkers(d, 8); got != 1 {
+		t.Fatalf("12×12 road lattice (sweep cost %d) drains with %d workers, want 1", totalSweepCost(d), got)
+	}
+}
+
 // TestStaticSchedulerHonoursMSBFS: the engine choice applies under either
 // unit granularity. Scores cannot tell (the engines are bit-identical), so
 // look at the arena: after a one-worker run from a fresh pool, its only

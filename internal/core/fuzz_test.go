@@ -1,0 +1,87 @@
+package core
+
+import (
+	"testing"
+
+	"repro/internal/gen"
+	"repro/internal/graph"
+)
+
+// fuzzEdges flattens g's edge list into the byte pairs
+// FuzzIncrementalMatchesBrandes reads a graph from.
+func fuzzEdges(g *graph.Graph) []byte {
+	var b []byte
+	for _, e := range g.Edges() {
+		b = append(b, byte(e.From), byte(e.To))
+	}
+	return b
+}
+
+// FuzzIncrementalMatchesBrandes is ROADMAP 5(i)'s incremental half: a small
+// graph, a directed bit, a threshold and a script of edge toggles, with the
+// engine held to serial Brandes and to a fresh Compute after every op
+// (assertIncMatches). Endpoints are drawn with a bias towards degree-1
+// vertices of the current graph, because those are the ones whose rows are
+// folded out of a sub-graph and must come back for the edit.
+//
+// Encoding: n = 2 + nb%23 vertices; edges is byte pairs (u, v) taken mod n,
+// self-loops dropped; each op is two script bytes, and a byte with its top bit
+// set picks the (b mod k)-th of the k degree-1 vertices when there is one.
+func FuzzIncrementalMatchesBrandes(f *testing.F) {
+	caterpillar := graph.NewFromEdges(9, []graph.Edge{
+		{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 3},
+		{From: 0, To: 4}, {From: 1, To: 5}, {From: 1, To: 6}, {From: 2, To: 7}, {From: 3, To: 8},
+	}, false)
+	for _, g := range []*graph.Graph{gen.Star(8), gen.Path(7), caterpillar, gen.Path(2), gen.Lollipop(4, 3)} {
+		for _, directed := range []bool{false, true} {
+			f.Add(byte(g.NumVertices()-2), directed, byte(2), fuzzEdges(g),
+				[]byte{0x80, 0x81, 0x80, 1, 0x82, 0x80, 0, 0x83, 0x81, 0x80, 2, 3, 0x80, 0x81})
+		}
+	}
+	f.Fuzz(func(t *testing.T, nb byte, directed bool, th byte, edges, script []byte) {
+		n := 2 + int(nb)%23
+		if len(script) > 64 {
+			script = script[:64]
+		}
+		var es []graph.Edge
+		for i := 0; i+1 < len(edges) && len(es) < 4*n; i += 2 {
+			if u, v := graph.V(int(edges[i])%n), graph.V(int(edges[i+1])%n); u != v {
+				es = append(es, graph.Edge{From: u, To: v})
+			}
+		}
+		inc, err := NewIncremental(graph.NewFromEdges(n, es, directed), Options{Threshold: 1 + int(th)%8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertIncMatches(t, inc, "initial")
+		pick := func(b byte) graph.V {
+			g := inc.Graph()
+			if b&0x80 != 0 {
+				var leaves []graph.V
+				for v := graph.V(0); int(v) < n; v++ {
+					deg := g.OutDegree(v)
+					if directed {
+						deg += g.InDegree(v)
+					}
+					if deg == 1 {
+						leaves = append(leaves, v)
+					}
+				}
+				if len(leaves) > 0 {
+					return leaves[int(b&0x7f)%len(leaves)]
+				}
+			}
+			return graph.V(int(b) % n)
+		}
+		for i := 0; i+1 < len(script); i += 2 {
+			u, v := pick(script[i]), pick(script[i+1])
+			if u == v {
+				continue
+			}
+			if err := toggle(inc, u, v); err != nil {
+				t.Fatalf("op %d (%d,%d): %v", i/2, u, v, err)
+			}
+			assertIncMatches(t, inc, "after op")
+		}
+	})
+}

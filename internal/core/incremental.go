@@ -392,7 +392,8 @@ type localOp struct {
 // applyLocalBatch performs a batch of intra-sub-graph mutations by building
 // the next epoch copy-on-write: clone the decomposition shell, swap in
 // cloned sub-graphs for everything the batch writes (each mutated
-// sub-graph's CSR/γ/roots, plus α/β arrays everywhere when they need a
+// sub-graph's CSR/γ/roots — and those of a sub-graph that holds an edited
+// vertex folded, see below — plus α/β arrays everywhere when they need a
 // refresh), patch the clones, recompute the affected contributions once and
 // publish a single epoch. Unchanged sub-graph CSRs are shared between
 // epochs.
@@ -422,6 +423,19 @@ func (inc *Incremental) applyLocalBatch(prev *epochState, ops []localOp) error {
 		mutated[op.si] = true
 		if op.anyRemove {
 			refreshAB = true
+		}
+		// After removals a vertex two sub-graphs share can be down to one
+		// edge and γ-folded in the sub-graph that holds it. An edit at that
+		// vertex in the other sub-graph ends what the fold rested on, so the
+		// holder folds again (RefreshRoots) and is recomputed like a mutated
+		// sub-graph, with no edge of its own changed.
+		sg := prev.d.Subgraphs[op.si]
+		for _, v := range [2]graph.V{sg.Verts[op.lu], sg.Verts[op.lv]} {
+			for _, sj := range prev.sgOf[v] {
+				if holder := prev.d.Subgraphs[sj]; int(sj) != op.si && holder.Folded(holder.LocalID(v)) {
+					mutated[int(sj)] = true
+				}
+			}
 		}
 	}
 	sis := make([]int, 0, len(mutated))

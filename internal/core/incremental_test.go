@@ -10,6 +10,8 @@ import (
 	"repro/internal/graph"
 )
 
+// assertIncMatches holds the engine's scores to serial Brandes and to a fresh
+// Compute, both on the engine's current graph.
 func assertIncMatches(t *testing.T, inc *Incremental, label string) {
 	t.Helper()
 	want := brandes.Serial(inc.Graph())
@@ -17,6 +19,104 @@ func assertIncMatches(t *testing.T, inc *Incremental, label string) {
 	if i, ok := bcClose(want, got, 1e-9); !ok {
 		t.Fatalf("%s: incremental BC differs at %d: want %v got %v",
 			label, i, want[i], got[i])
+	}
+	fresh, err := Compute(inc.Graph(), inc.opt)
+	if err != nil {
+		t.Fatalf("%s: fresh Compute: %v", label, err)
+	}
+	if i, ok := bcClose(fresh, got, 1e-9); !ok {
+		t.Fatalf("%s: incremental BC differs from a fresh Compute at %d: fresh %v got %v",
+			label, i, fresh[i], got[i])
+	}
+}
+
+// toggle removes the edge (arc) u-v if the engine's graph has it and inserts
+// it otherwise.
+func toggle(inc *Incremental, u, v graph.V) error {
+	if inc.Graph().HasArc(u, v) {
+		return inc.RemoveEdge(u, v)
+	}
+	return inc.InsertEdge(u, v)
+}
+
+// leafWorld is a graph with a folded vertex of every kind. The top block is
+// K4 {0,1,2,3} with 17 on the edge 0-1; triangles {3,8,9} and {8,10,11} hang
+// off it in a chain, which at Threshold 3 makes 8 a boundary AP between their
+// two sub-graphs — and 8 is also the centre of the star 12, 13, 14. Pendants
+// 4 and 5 hang at 0, 6 at 1, 7 at 2, and {15,16} is a K2 component. Directed,
+// block edges run both ways and every pendant is a source: its arc points at
+// its anchor (15->16; 17->0 and 17->1).
+func leafWorld(directed bool) *graph.Graph {
+	block := []graph.Edge{
+		{From: 0, To: 1}, {From: 0, To: 2}, {From: 0, To: 3}, {From: 1, To: 2}, {From: 1, To: 3}, {From: 2, To: 3},
+		{From: 3, To: 8}, {From: 8, To: 9}, {From: 9, To: 3},
+		{From: 8, To: 10}, {From: 10, To: 11}, {From: 11, To: 8},
+	}
+	pendant := []graph.Edge{
+		{From: 17, To: 0}, {From: 17, To: 1},
+		{From: 4, To: 0}, {From: 5, To: 0}, {From: 6, To: 1}, {From: 7, To: 2},
+		{From: 12, To: 8}, {From: 13, To: 8}, {From: 14, To: 8},
+		{From: 15, To: 16},
+	}
+	edges := append(block, pendant...)
+	if directed {
+		for _, e := range block {
+			edges = append(edges, graph.Edge{From: e.To, To: e.From})
+		}
+	}
+	return graph.NewFromEdges(18, edges, directed)
+}
+
+// TestIncrementalLeafEdits drives edits through folded vertices: every op
+// here unfolds a sub-graph's rows, edits them and folds them again, with the
+// set of folded vertices changing under it. No op leaves its sub-graph, so
+// none may rebuild.
+func TestIncrementalLeafEdits(t *testing.T) {
+	script := []struct {
+		what string
+		u, v graph.V
+	}{
+		{"join two leaves", 4, 5},
+		{"join a leaf to a core vertex", 6, 2},
+		{"a core vertex becomes a leaf", 17, 1},
+		{"remove a leaf's only edge", 7, 2},
+		{"remove the K2 component's edge", 15, 16},
+		{"restore the K2 component's edge", 15, 16},
+		{"remove a spoke of the boundary AP's star", 12, 8},
+		{"restore the spoke", 12, 8},
+		{"join two spokes of the boundary AP's star", 12, 13},
+		{"reattach the removed leaf", 7, 2},
+		{"part the two joined leaves", 4, 5},
+		{"the leaf becomes a core vertex again", 17, 1},
+		{"part the two joined spokes", 12, 13},
+	}
+	for _, directed := range []bool{false, true} {
+		name := "undirected"
+		if directed {
+			name = "directed"
+		}
+		t.Run(name, func(t *testing.T) {
+			inc, err := NewIncremental(leafWorld(directed), Options{Threshold: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := inc.Decomposition()
+			// 18 vertices, the two APs twice, eight folded: 4-7, 12-14, 16.
+			if len(d.Subgraphs) != 4 || d.NumArticulation != 2 || d.TotalRoots() != 18+2-8 {
+				t.Fatalf("%d sub-graphs, %d boundary APs, %d roots; want 4, 2 and 12",
+					len(d.Subgraphs), d.NumArticulation, d.TotalRoots())
+			}
+			assertIncMatches(t, inc, "initial")
+			for _, op := range script {
+				if err := toggle(inc, op.u, op.v); err != nil {
+					t.Fatalf("%s: %v", op.what, err)
+				}
+				assertIncMatches(t, inc, op.what)
+			}
+			if inc.FullRebuilds() != 0 {
+				t.Fatalf("%d rebuilds; every edit was inside one sub-graph", inc.FullRebuilds())
+			}
+		})
 	}
 }
 
@@ -288,55 +388,94 @@ func TestSnapshotEpochImmutable(t *testing.T) {
 // TestIncrementalConcurrentReaders hammers lock-free snapshot reads while a
 // writer mutates — the race detector (ci runs this package under -race)
 // checks the epoch handoff, and each reader checks its epoch is internally
-// consistent (score vector sized to its own graph).
+// consistent (score vector sized to its own graph, every row of its
+// decomposition inside its sub-graph) and reads every score and every row of
+// it. The caveman writer removes and restores a clique edge, a non-leaf edit
+// in a dense sub-graph; the leafWorld writer joins and parts two folded
+// leaves, so every edit puts a sub-graph's stripped arcs back and strips
+// again: a strip that wrote an array the previous epoch shares would race
+// with the readers walking that epoch's rows.
 func TestIncrementalConcurrentReaders(t *testing.T) {
-	g := gen.Caveman(4, 6, false)
-	inc, err := NewIncremental(g, Options{Threshold: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	errs := make(chan error, 4)
-	for r := 0; r < 4; r++ {
-		go func() {
-			for {
-				select {
-				case <-done:
-					errs <- nil
-					return
-				default:
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		edit func(inc *Incremental) error
+	}{
+		{"caveman clique edge", gen.Caveman(4, 6, false), func(inc *Incremental) error {
+			for i := 0; i < 20; i++ {
+				if err := inc.RemoveEdge(1, 2); err != nil {
+					return err
 				}
-				snap := inc.Snapshot()
-				if len(snap.BCView()) != snap.Graph.NumVertices() {
-					errs <- errInconsistentEpoch
-					return
+				if err := inc.InsertEdge(1, 2); err != nil {
+					return err
 				}
-				var sum float64
-				for _, v := range snap.BCView() {
-					sum += v
-				}
-				_ = sum
 			}
-		}()
+			return nil
+		}},
+		{"leafWorld leaf pair", leafWorld(false), func(inc *Incremental) error {
+			for i := 0; i < 40; i++ {
+				if err := toggle(inc, 4, 5); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inc, err := NewIncremental(tc.g, Options{Threshold: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan struct{})
+			errs := make(chan error, 4)
+			for r := 0; r < 4; r++ {
+				go func() {
+					for {
+						select {
+						case <-done:
+							errs <- nil
+							return
+						default:
+						}
+						snap := inc.Snapshot()
+						if len(snap.BCView()) != snap.Graph.NumVertices() {
+							errs <- errInconsistentEpoch
+							return
+						}
+						var sum float64
+						for _, v := range snap.BCView() {
+							sum += v
+						}
+						_ = sum
+						for _, sg := range snap.Decomposition.Subgraphs {
+							for l := int32(0); int(l) < sg.NumVerts(); l++ {
+								for _, w := range sg.Out(l) {
+									if int(w) >= sg.NumVerts() || sg.Folded(w) {
+										errs <- errInconsistentEpoch
+										return
+									}
+								}
+							}
+						}
+					}
+				}()
+			}
+			editErr := tc.edit(inc)
+			close(done)
+			for r := 0; r < 4; r++ {
+				if err := <-errs; err != nil {
+					t.Fatal(err)
+				}
+			}
+			if editErr != nil {
+				t.Fatal(editErr)
+			}
+			assertIncMatches(t, inc, "after concurrent churn")
+		})
 	}
-	for i := 0; i < 20; i++ {
-		if err := inc.RemoveEdge(1, 2); err != nil {
-			t.Fatal(err)
-		}
-		if err := inc.InsertEdge(1, 2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(done)
-	for r := 0; r < 4; r++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
-	}
-	assertIncMatches(t, inc, "after concurrent churn")
 }
 
-var errInconsistentEpoch = fmt.Errorf("snapshot scores not sized to snapshot graph")
+var errInconsistentEpoch = fmt.Errorf("snapshot scores or rows do not fit the snapshot's own graph")
 
 func TestIncrementalRandomOps(t *testing.T) {
 	g := gen.SocialLike(gen.SocialParams{N: 90, AvgDeg: 4, Communities: 4,

@@ -14,8 +14,13 @@ import (
 //
 //	W      = Σ_s m(s)                     — Brandes' work (arcs per DAG)
 //	W_tot  = Σ_{u removed} m(u)           — folded roots' DAGs
-//	W_eff  = Σ_SGi Σ_{s∈R_SGi} m_SGi(s)   — APGRE's per-sub-graph sweeps
+//	W_eff  = Σ_SGi Σ_{s∈R_SGi} m_SGi(s)   — APGRE's per-sub-graph sweeps,
+//	                                        in swept arcs (Subgraph.NumArcs)
 //	partial = (W - W_tot - W_eff) / W
+//
+// The arcs to and from folded leaves that the remaining roots no longer walk
+// (their terms are a closed-form seed) are in W and in neither W_tot nor
+// W_eff, so they count as partial redundancy.
 type RedundancyReport struct {
 	BrandesWork   int64
 	EffectiveWork int64

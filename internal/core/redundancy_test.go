@@ -20,12 +20,14 @@ func analyze(t *testing.T, g *graph.Graph, th int) *RedundancyReport {
 
 func TestRedundancyStarExact(t *testing.T) {
 	// Star(10): W = 10 BFS × 18 arcs = 180; 9 leaves folded → W_tot = 162;
-	// one root sweeping 18 arcs → W_eff = 18; partial = 0.
+	// the one root is left with no arc to sweep → W_eff = 0, and the 18 arcs
+	// Brandes walks from the hub — all of them to folded leaves, whose terms
+	// APGRE takes in closed form — are the partial share.
 	rep := analyze(t, gen.Star(10), 64)
-	if rep.BrandesWork != 180 || rep.TotalRedWork != 162 || rep.EffectiveWork != 18 {
+	if rep.BrandesWork != 180 || rep.TotalRedWork != 162 || rep.EffectiveWork != 0 {
 		t.Fatalf("report = %+v", rep)
 	}
-	if rep.Partial != 0 || math.Abs(rep.Total-0.9) > 1e-12 || math.Abs(rep.Effective-0.1) > 1e-12 {
+	if rep.Effective != 0 || math.Abs(rep.Total-0.9) > 1e-12 || math.Abs(rep.Partial-0.1) > 1e-12 {
 		t.Fatalf("fractions = %+v", rep)
 	}
 	if rep.Sampled {

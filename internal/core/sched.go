@@ -44,11 +44,13 @@ type workUnit struct {
 	dur     time.Duration
 }
 
-// unitCost estimates the sweep work for nr roots of sg. The scalar engine
-// pays one traversal per root, |roots|·(|V|+|E|); the batched engine shares
-// each traversal across a lane word, ⌈|roots|/LaneWidth⌉·(|V|+|E|).
+// unitCost estimates the sweep work for nr roots of sg, |V|+|E| being the
+// size of the swept graph (the γ-folded vertices and their arcs are in no
+// sweep). The scalar engine pays one traversal per root, |roots|·(|V|+|E|);
+// the batched engine shares each traversal across a lane word,
+// ⌈|roots|/LaneWidth⌉·(|V|+|E|).
 func unitCost(sg *decompose.Subgraph, nr int, laneBatched bool) int64 {
-	work := int64(sg.NumVerts()) + sg.NumArcs()
+	work := int64(len(sg.Roots)) + sg.NumArcs()
 	if laneBatched {
 		return int64((nr+ws.LaneWidth-1)/ws.LaneWidth) * work
 	}

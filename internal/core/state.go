@@ -3,7 +3,6 @@ package core
 import (
 	"math/bits"
 
-	"repro/internal/bitset"
 	"repro/internal/decompose"
 	"repro/internal/ws"
 )
@@ -36,17 +35,6 @@ const (
 	dirTopDown                   // never bottom-up
 	dirBottomUp                  // every level bottom-up on hybrid-sized sub-graphs
 )
-
-// unvisitedWord returns the complement of the visited word wi restricted to
-// valid vertex ids below n; base is wi*64.
-func unvisitedWord(visited *bitset.Bitset, wi, n int) (word uint64, base int) {
-	base = wi << 6
-	word = ^visited.Word(wi)
-	if rem := n - base; rem < 64 {
-		word &= ^uint64(0) >> (64 - uint(rem))
-	}
-	return word, base
-}
 
 // The four-dependency backward step is the same in every kernel: each DAG
 // vertex pulls from its successors (out-neighbours one level, or one
@@ -82,11 +70,17 @@ func newRootTerms(sg *decompose.Subgraph, s int32, directed bool, w *ws.Sweep) r
 
 // settle finishes vertex v of the backward sweep given the successor sums
 // the kernel accumulated for it (o2o is only meaningful when the root is an
-// articulation point): δ_i2o seeds α(v) at every reachable AP (Eq. 4's init)
-// and δ_o2o seeds β(s)·α(v) when the root is itself an AP (Eq. 6's init);
-// then the Eq. 7 merge into the sub-graph's local BC.
+// articulation point): δ_i2i seeds γ(v) on undirected graphs — the folded
+// leaves at v are successors the swept graph no longer holds, each worth
+// exactly σ_v/σ_leaf·(1+0) = 1 (DESIGN.md §1; a directed folded vertex has no
+// in-arc and was never a successor); δ_i2o seeds α(v) at every reachable AP
+// (Eq. 4's init) and δ_o2o seeds β(s)·α(v) when the root is itself an AP
+// (Eq. 6's init); then the Eq. 7 merge into the sub-graph's local BC.
 func (rt *rootTerms) settle(v int32, i2i, i2o, o2o float64) {
 	sg := rt.sg
+	if !rt.directed {
+		i2i += float64(sg.Gamma[v]) // δ_i2i seed: the folded leaves at v
+	}
 	if v != rt.s && sg.IsArt[v] {
 		i2o += sg.Alpha[v] // δ_i2o seed (Eq. 4)
 		if rt.sIsArt {
@@ -159,7 +153,9 @@ func (e *engine) bfsRoot(sg *decompose.Subgraph, s int32, directed bool) {
 	// expansions they replaced (negative under the rule). ensure leaves
 	// hybrid off under dirTopDown, so below e.force is the rule or bottom-up.
 	var frontOut, unvisIn, words, bottomUpExtra int64
+	var swept []uint64
 	if hybrid {
+		swept = sg.SweptMask()
 		visited.Set(int(s))
 		frontOut = int64(len(sg.Out(s)))
 		unvisIn = sg.NumArcs() - int64(len(sg.In(s)))
@@ -174,7 +170,9 @@ func (e *engine) bfsRoot(sg *decompose.Subgraph, s int32, directed bool) {
 			e.bottomUpLevels++
 			bottomUpExtra += unvisIn + words - frontOut
 			for wi := 0; wi<<6 < n; wi++ {
-				word, base := unvisitedWord(visited, wi, n)
+				// Unvisited vertices of the swept graph: a folded vertex has no
+				// in-arc to be discovered through, and no id is past n.
+				word, base := swept[wi]&^visited.Word(wi), wi<<6
 				for word != 0 {
 					tz := bits.TrailingZeros64(word)
 					word &= word - 1
@@ -246,7 +244,7 @@ func (e *engine) bfsRoot(sg *decompose.Subgraph, s int32, directed bool) {
 			rt.settle(v, i2i, i2o, o2o)
 		}
 	} else {
-		isArt, alpha, bc := sg.IsArt, sg.Alpha, e.ws.BC
+		isArt, alpha, gamma, bc := sg.IsArt, sg.Alpha, sg.Gamma, e.ws.BC
 		g1 := 1 + rt.gammaS
 		for i := len(order) - 1; i >= 0; i-- {
 			v := order[i]
@@ -264,6 +262,9 @@ func (e *engine) bfsRoot(sg *decompose.Subgraph, s int32, directed bool) {
 			if i == 0 { // v == s
 				rt.settle(v, i2i, i2o, 0)
 				break
+			}
+			if !directed {
+				i2i += float64(gamma[v]) // δ_i2i seed, as in settle
 			}
 			if isArt[v] {
 				i2o += alpha[v] // δ_i2o seed (Eq. 4)

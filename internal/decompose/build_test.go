@@ -140,14 +140,10 @@ func oracleBuild(g *graph.Graph, threshold int) []oracleSub {
 	return subs
 }
 
-// TestBuilderMatchesOracle holds buildSubgraphs to the reference builder,
-// field by field, on every family × undirected/directed/weighted × three
+// forEachBuild decomposes every family × as-is/oriented/weighted × three
 // thresholds. Threshold 1 merges nothing by size, so every articulation
-// point that is not absorbed with a 2-vertex block becomes a boundary AP and
-// arcs between two boundary APs (neither end has a home group to go by)
-// occur; the test fails if none did.
-func TestBuilderMatchesOracle(t *testing.T) {
-	bothBoundary := 0
+// point that is not absorbed with a 2-vertex block becomes a boundary AP.
+func forEachBuild(t *testing.T, check func(label string, g *graph.Graph, threshold int, d *Decomposition)) {
 	for name, base := range buildFamilies() {
 		variants := map[string]*graph.Graph{
 			"":          base,
@@ -159,55 +155,120 @@ func TestBuilderMatchesOracle(t *testing.T) {
 		}
 		for vname, g := range variants {
 			for _, th := range []int{1, 8, 64} {
-				label := fmt.Sprintf("%s%s threshold %d", name, vname, th)
-				want := oracleBuild(g, th)
-				d := mustDecompose(t, g, Options{Threshold: th})
-				if len(d.Subgraphs) != len(want) {
-					t.Fatalf("%s: %d sub-graphs, oracle has %d", label, len(d.Subgraphs), len(want))
-				}
-				boundary := map[graph.V]bool{}
-				for si, sg := range d.Subgraphs {
-					o := want[si]
-					switch {
-					case sg.ID != si:
-						t.Fatalf("%s: sub-graph %d has ID %d", label, si, sg.ID)
-					case !slices.Equal(sg.Verts, o.verts):
-						t.Fatalf("%s sg %d: Verts %v, oracle %v", label, si, sg.Verts, o.verts)
-					case !slices.Equal(sg.offs, o.offs):
-						t.Fatalf("%s sg %d: offs %v, oracle %v", label, si, sg.offs, o.offs)
-					case !slices.Equal(sg.adj, o.adj):
-						t.Fatalf("%s sg %d: adj %v, oracle %v", label, si, sg.adj, o.adj)
-					case !slices.Equal(sg.wts, o.wts) || sg.Weighted() != g.Weighted():
-						t.Fatalf("%s sg %d: wts %v, oracle %v", label, si, sg.wts, o.wts)
-					case !slices.Equal(sg.Arts, o.arts):
-						t.Fatalf("%s sg %d: Arts %v, oracle %v", label, si, sg.Arts, o.arts)
-					case sg.Directed() != g.Directed():
-						t.Fatalf("%s sg %d: directed flag lost", label, si)
-					}
-					isArt := make([]bool, sg.NumVerts())
-					for _, l := range sg.Arts {
-						isArt[l] = true
-						boundary[sg.Verts[l]] = true
-					}
-					if !slices.Equal(sg.IsArt, isArt) {
-						t.Fatalf("%s sg %d: IsArt disagrees with Arts", label, si)
-					}
-				}
-				if d.NumArticulation != len(boundary) {
-					t.Fatalf("%s: NumArticulation %d, want %d", label, d.NumArticulation, len(boundary))
-				}
-				for u := range boundary {
-					for _, w := range g.Out(u) {
-						if boundary[w] {
-							bothBoundary++
-						}
-					}
-				}
+				check(fmt.Sprintf("%s%s threshold %d", name, vname, th), g, th, mustDecompose(t, g, Options{Threshold: th}))
 			}
 		}
 	}
+}
+
+// TestBuilderMatchesOracle holds buildSubgraphs to the reference builder,
+// field by field, on every build of forEachBuild; the rows compared are the
+// whole ones, the swept rows with the folded vertices' arcs put back. At
+// threshold 1 arcs between two boundary APs (neither end has a home group to
+// go by) occur; the test fails if none did.
+func TestBuilderMatchesOracle(t *testing.T) {
+	bothBoundary := 0
+	forEachBuild(t, func(label string, g *graph.Graph, th int, d *Decomposition) {
+		want := oracleBuild(g, th)
+		if len(d.Subgraphs) != len(want) {
+			t.Fatalf("%s: %d sub-graphs, oracle has %d", label, len(d.Subgraphs), len(want))
+		}
+		boundary := map[graph.V]bool{}
+		for si, sg := range d.Subgraphs {
+			o := want[si]
+			offs, adj, wts := sg.unfolded()
+			switch {
+			case sg.ID != si:
+				t.Fatalf("%s: sub-graph %d has ID %d", label, si, sg.ID)
+			case !slices.Equal(sg.Verts, o.verts):
+				t.Fatalf("%s sg %d: Verts %v, oracle %v", label, si, sg.Verts, o.verts)
+			case !slices.Equal(offs, o.offs):
+				t.Fatalf("%s sg %d: offs %v, oracle %v", label, si, offs, o.offs)
+			case !slices.Equal(adj, o.adj):
+				t.Fatalf("%s sg %d: adj %v, oracle %v", label, si, adj, o.adj)
+			case !slices.Equal(wts, o.wts) || sg.Weighted() != g.Weighted():
+				t.Fatalf("%s sg %d: wts %v, oracle %v", label, si, wts, o.wts)
+			case !slices.Equal(sg.Arts, o.arts):
+				t.Fatalf("%s sg %d: Arts %v, oracle %v", label, si, sg.Arts, o.arts)
+			case sg.Directed() != g.Directed():
+				t.Fatalf("%s sg %d: directed flag lost", label, si)
+			}
+			isArt := make([]bool, sg.NumVerts())
+			for _, l := range sg.Arts {
+				isArt[l] = true
+				boundary[sg.Verts[l]] = true
+			}
+			if !slices.Equal(sg.IsArt, isArt) {
+				t.Fatalf("%s sg %d: IsArt disagrees with Arts", label, si)
+			}
+		}
+		if d.NumArticulation != len(boundary) {
+			t.Fatalf("%s: NumArticulation %d, want %d", label, d.NumArticulation, len(boundary))
+		}
+		for u := range boundary {
+			for _, w := range g.Out(u) {
+				if boundary[w] {
+					bothBoundary++
+				}
+			}
+		}
+	})
 	if bothBoundary == 0 {
 		t.Fatal("no arc joined two boundary articulation points: that case went untested")
+	}
+}
+
+// TestFoldedVerticesLeaveTheRows pins what the sweep kernels rely on, on every
+// build of forEachBuild: a γ-folded vertex has an empty Out and In row and
+// occurs in no row, every other vertex is a root, γ counts exactly the folded
+// vertices, and stripping only ever shrinks the adjacency. (That the arcs put
+// back are the right ones is TestBuilderMatchesOracle's half.)
+func TestFoldedVerticesLeaveTheRows(t *testing.T) {
+	folds := map[bool]int{}
+	forEachBuild(t, func(label string, g *graph.Graph, th int, d *Decomposition) {
+		var adjLen int64
+		for si, sg := range d.Subgraphs {
+			adjLen += int64(len(sg.adj))
+			sg.EnsureIn()
+			var folded, gamma int
+			for l := int32(0); int(l) < sg.NumVerts(); l++ {
+				gamma += int(sg.Gamma[l])
+				if sg.foldedInto[l] >= 0 {
+					folded++
+					if len(sg.Out(l)) != 0 || len(sg.In(l)) != 0 {
+						t.Fatalf("%s sg %d: folded vertex %d keeps rows Out %v In %v", label, si, l, sg.Out(l), sg.In(l))
+					}
+				}
+				for _, w := range sg.Out(l) {
+					if sg.foldedInto[w] >= 0 {
+						t.Fatalf("%s sg %d: folded vertex %d is in row %d", label, si, w, l)
+					}
+				}
+				for _, w := range sg.In(l) {
+					if sg.foldedInto[w] >= 0 {
+						t.Fatalf("%s sg %d: folded vertex %d is in in-row %d", label, si, w, l)
+					}
+				}
+			}
+			for _, r := range sg.Roots {
+				if sg.foldedInto[r] >= 0 {
+					t.Fatalf("%s sg %d: folded vertex %d is a root", label, si, r)
+				}
+			}
+			if gamma != folded || len(sg.Roots)+folded != sg.NumVerts() {
+				t.Fatalf("%s sg %d: Σγ %d, %d folded, %d roots, %d vertices", label, si, gamma, folded, len(sg.Roots), sg.NumVerts())
+			}
+			if int64(len(sg.adj)) != sg.NumArcs() || sg.Weighted() && len(sg.wts) != len(sg.adj) {
+				t.Fatalf("%s sg %d: %d swept arcs in an adjacency of %d (%d weights)", label, si, sg.NumArcs(), len(sg.adj), len(sg.wts))
+			}
+			folds[g.Directed()] += folded
+		}
+		if adjLen > g.NumArcs() {
+			t.Fatalf("%s: sub-graph adjacencies hold %d arcs, the input %d", label, adjLen, g.NumArcs())
+		}
+	})
+	if folds[false] == 0 || folds[true] == 0 {
+		t.Fatalf("folded %d undirected and %d directed vertices: one case went untested", folds[false], folds[true])
 	}
 }
 
@@ -282,8 +343,9 @@ func TestDecomposeAllocs(t *testing.T) {
 		d = mustDecompose(t, g, Options{Threshold: 8, Workers: 1})
 	})
 	blocks := bcc.Find(g).NumBlocks()
-	// Per sub-graph: the struct, six per-vertex arrays, the CSR pair and the
-	// root list's growth steps. The vertex and block terms are what maps
+	// Per sub-graph: the struct, seven per-vertex arrays (foldedInto took the
+	// place of the fold pass's scratch flags), the CSR pair and the root list's
+	// growth steps. The vertex and block terms are what maps
 	// inside alphaBetaTree may spill; the constant covers the flat arrays.
 	bound := float64(24*len(d.Subgraphs) + (blocks+g.NumVertices())/16 + 64)
 	t.Logf("%.0f allocations; %d sub-graphs, %d blocks, %d vertices, %d arcs; bound %.0f",

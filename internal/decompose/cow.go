@@ -27,46 +27,51 @@ func (d *Decomposition) CloneShallow() *Decomposition {
 	}
 }
 
-// CloneForMutation returns a copy of s prepared for MutateEdge followed by
-// RefreshRoots: the γ/root bookkeeping and α/β arrays are deep-copied
-// (RefreshRoots rewrites Gamma and reuses Roots' backing array in place;
-// RecomputeAlphaBeta rewrites Alpha/Beta), while the CSR, vertex list and
-// boundary flags are shared — MutateEdge replaces offs/adj wholesale rather
-// than editing them, so sharing the pre-mutation arrays is safe.
+// CloneForMutation returns a copy of s prepared for MutateEdge and
+// RefreshRoots, together or either alone: the γ/root/fold bookkeeping and α/β
+// arrays are deep-copied (MutateEdge clears foldedInto; RefreshRoots rewrites
+// it and Gamma and reuses Roots' backing array in place; RecomputeAlphaBeta
+// rewrites Alpha/Beta), while the CSR, vertex list and boundary flags are
+// shared — MutateEdge and RefreshRoots both replace offs/adj wholesale before
+// they edit or strip them, so the pre-mutation arrays are only ever read.
 func (s *Subgraph) CloneForMutation() *Subgraph {
 	return &Subgraph{
-		ID:       s.ID,
-		Verts:    s.Verts,
-		offs:     s.offs,
-		adj:      s.adj,
-		wts:      s.wts,
-		IsArt:    s.IsArt,
-		Arts:     s.Arts,
-		Alpha:    append([]float64(nil), s.Alpha...),
-		Beta:     append([]float64(nil), s.Beta...),
-		Gamma:    append([]int32(nil), s.Gamma...),
-		Roots:    append([]int32(nil), s.Roots...),
-		directed: s.directed,
+		ID:         s.ID,
+		Verts:      s.Verts,
+		offs:       s.offs,
+		adj:        s.adj,
+		wts:        s.wts,
+		foldedInto: append([]int32(nil), s.foldedInto...),
+		foldedWt:   s.foldedWt,
+		IsArt:      s.IsArt,
+		Arts:       s.Arts,
+		Alpha:      append([]float64(nil), s.Alpha...),
+		Beta:       append([]float64(nil), s.Beta...),
+		Gamma:      append([]int32(nil), s.Gamma...),
+		Roots:      append([]int32(nil), s.Roots...),
+		directed:   s.directed,
 	}
 }
 
 // CloneForAlphaBeta returns a copy of s whose Alpha/Beta arrays are owned
 // (RecomputeAlphaBeta rewrites them for every sub-graph) and everything
-// else — CSR, vertex list, γ/roots — is shared with the original, which a
+// else — CSR, vertex list, γ/roots/folds — is shared with the original, which a
 // pure α/β refresh never touches.
 func (s *Subgraph) CloneForAlphaBeta() *Subgraph {
 	return &Subgraph{
-		ID:       s.ID,
-		Verts:    s.Verts,
-		offs:     s.offs,
-		adj:      s.adj,
-		wts:      s.wts,
-		IsArt:    s.IsArt,
-		Arts:     s.Arts,
-		Alpha:    append([]float64(nil), s.Alpha...),
-		Beta:     append([]float64(nil), s.Beta...),
-		Gamma:    s.Gamma,
-		Roots:    s.Roots,
-		directed: s.directed,
+		ID:         s.ID,
+		Verts:      s.Verts,
+		offs:       s.offs,
+		adj:        s.adj,
+		wts:        s.wts,
+		foldedInto: s.foldedInto,
+		foldedWt:   s.foldedWt,
+		IsArt:      s.IsArt,
+		Arts:       s.Arts,
+		Alpha:      append([]float64(nil), s.Alpha...),
+		Beta:       append([]float64(nil), s.Beta...),
+		Gamma:      s.Gamma,
+		Roots:      s.Roots,
+		directed:   s.directed,
 	}
 }

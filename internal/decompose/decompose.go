@@ -11,6 +11,10 @@
 //	            (no in-edges and a single out-edge to s; degree-1 leaves
 //	            in the undirected case)
 //
+// What a finished Subgraph stores is its swept graph: the γ-folded vertices
+// keep their local ids but their arcs are stripped from the CSR (see
+// Subgraph.Out), because nothing a sweep computes at them is unknown.
+//
 // Deviation from the paper, documented in DESIGN.md: disconnected inputs are
 // decomposed per connected component (each component gets its own top block)
 // instead of lumping all unvisited blocks into one residual sub-graph; this
@@ -78,11 +82,17 @@ type Subgraph struct {
 	// Verts maps local id -> global id. Boundary articulation points appear
 	// in every sub-graph they connect (paper §3.1 property 4).
 	Verts []graph.V
-	// Local CSR over out-arcs; wts is parallel to adj when the source graph
-	// is weighted (nil otherwise).
+	// Local CSR over the swept graph's out-arcs (see Out); wts is parallel to
+	// adj when the source graph is weighted (nil otherwise).
 	offs []int64
 	adj  []int32
 	wts  []float64
+	// foldedInto[l] is the local id of the neighbour a γ-folded vertex l was
+	// folded into, -1 for every vertex still in the swept graph, and
+	// foldedWt[l] the weight of the folded vertex's one arc (nil unless
+	// weighted): what it takes to put the stripped arcs back (unfolded).
+	foldedInto []int32
+	foldedWt   []float64
 
 	// IsArt[l] reports whether local vertex l is a boundary articulation
 	// point of this sub-graph (a member of A_sgi).
@@ -97,26 +107,35 @@ type Subgraph struct {
 	// from v.
 	Gamma []int32
 	// Roots lists the local ids in R_sgi (BFS roots after total-redundancy
-	// removal).
+	// removal) — exactly the vertices of the swept graph, so len(Roots) and
+	// NumArcs are the size of one sweep; NumVerts stays the size of the id
+	// space.
 	Roots []int32
 
 	directed bool // whether the parent graph is directed
 
 	// Lazy transpose CSR for bottom-up sweeps; built by EnsureIn. For
 	// undirected parents the arc set is symmetric, so the in-CSR aliases the
-	// out-CSR instead of being materialized.
+	// out-CSR instead of being materialized. swept marks the swept graph's
+	// vertices as a bitset over local ids, built with it.
 	inOnce sync.Once
 	inOffs []int64
 	inAdj  []int32
+	swept  []uint64
 }
 
 // NumVerts returns the number of local vertices.
 func (s *Subgraph) NumVerts() int { return len(s.Verts) }
 
-// NumArcs returns the number of local out-arcs.
+// NumArcs returns the number of swept arcs: the local out-arcs left after the
+// γ-folded vertices' arcs were stripped.
 func (s *Subgraph) NumArcs() int64 { return s.offs[len(s.Verts)] }
 
-// Out returns the local out-neighbors of local vertex l.
+// Out returns the out-neighbors of local vertex l in the swept graph: the
+// sub-graph without its γ-folded vertices. A folded vertex keeps its local id
+// but has an empty row and occurs in no other row; what it would have added to
+// a sweep is known in closed form (Gamma, DESIGN.md §1), so no kernel needs to
+// visit it.
 func (s *Subgraph) Out(l int32) []int32 { return s.adj[s.offs[l]:s.offs[l+1]] }
 
 // OutWeights returns the weights parallel to Out(l); nil for unweighted
@@ -134,13 +153,17 @@ func (s *Subgraph) Weighted() bool { return s.wts != nil }
 // Directed reports whether the parent graph was directed.
 func (s *Subgraph) Directed() bool { return s.directed }
 
-// EnsureIn builds the in-arc (transpose) CSR if it is not present yet, so
-// that In can be called. For undirected parents the out-CSR is already
-// symmetric and is aliased instead of copied. Safe for concurrent callers;
-// concurrent with a MutateEdge it is not (same contract as every other
-// accessor).
+// EnsureIn builds what a bottom-up sweep level reads, if it is not present
+// yet: the in-arc (transpose) CSR, so that In can be called, and SweptMask.
+// For undirected parents the out-CSR is already symmetric and is aliased
+// instead of copied. Safe for concurrent callers; concurrent with a
+// MutateEdge it is not (same contract as every other accessor).
 func (s *Subgraph) EnsureIn() {
 	s.inOnce.Do(func() {
+		s.swept = make([]uint64, (len(s.Verts)+63)>>6)
+		for _, r := range s.Roots {
+			s.swept[r>>6] |= 1 << uint(r&63)
+		}
 		if !s.directed {
 			s.inOffs, s.inAdj = s.offs, s.adj
 			return
@@ -165,9 +188,21 @@ func (s *Subgraph) EnsureIn() {
 	})
 }
 
-// In returns the local in-neighbors of local vertex l. EnsureIn must have
-// been called first.
+// In returns the in-neighbors of local vertex l in the swept graph (see Out).
+// EnsureIn must have been called first.
 func (s *Subgraph) In(l int32) []int32 { return s.inAdj[s.inOffs[l]:s.inOffs[l+1]] }
+
+// SweptMask returns the swept graph's vertices as a bitset over local ids:
+// the only vertices a bottom-up level can discover, so the only unvisited ones
+// it has to look at. EnsureIn must have been called first.
+func (s *Subgraph) SweptMask() []uint64 { return s.swept }
+
+// dropIn discards what EnsureIn built after the CSR or the root set it mirrors
+// was rewritten; the next bottom-up sweep rebuilds it.
+func (s *Subgraph) dropIn() {
+	s.inOnce = sync.Once{}
+	s.inOffs, s.inAdj, s.swept = nil, nil, nil
+}
 
 // Decomposition is the result of Decompose.
 type Decomposition struct {

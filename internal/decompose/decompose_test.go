@@ -26,13 +26,14 @@ func TestStarCollapsesToOneSubgraph(t *testing.T) {
 		t.Fatalf("subgraphs = %d, want 1", len(d.Subgraphs))
 	}
 	sg := d.Subgraphs[0]
-	if sg.NumVerts() != 10 || sg.NumArcs() != 18 {
-		t.Fatalf("top: v=%d arcs=%d", sg.NumVerts(), sg.NumArcs())
+	// All 9 leaves fold into γ(hub) and leave the swept graph with their 18
+	// arcs; only the hub remains, as a root with nothing to walk.
+	if sg.NumVerts() != 10 || len(sg.Roots) != 1 || sg.NumArcs() != 0 {
+		t.Fatalf("top: v=%d swept=%d arcs=%d", sg.NumVerts(), len(sg.Roots), sg.NumArcs())
 	}
 	if len(sg.Arts) != 0 {
 		t.Fatalf("star should have no boundary APs, got %d", len(sg.Arts))
 	}
-	// All 9 leaves fold into γ(hub); only the hub remains a root.
 	hub := sg.LocalID(0)
 	if sg.Gamma[hub] != 9 {
 		t.Fatalf("gamma(hub) = %d, want 9", sg.Gamma[hub])
@@ -137,13 +138,31 @@ func TestArcConservation(t *testing.T) {
 		gen.Tree(200, 34),
 	}
 	for gi, g := range graphs {
+		// Every arc is a swept arc of exactly one sub-graph or one of a folded
+		// vertex's: its single out-arc, and undirected the arc back.
+		perFold := int64(2)
+		if g.Directed() {
+			perFold = 1
+		}
 		d := mustDecompose(t, g, Options{Threshold: 8})
-		var arcs int64
+		var arcs, folded int64
 		for _, sg := range d.Subgraphs {
+			arcs += sg.NumArcs()
+			folded += int64(sg.NumVerts() - len(sg.Roots))
+		}
+		if folded == 0 {
+			t.Fatalf("graph %d: nothing folded", gi)
+		}
+		if arcs+perFold*folded != g.NumArcs() {
+			t.Fatalf("graph %d: %d swept arcs + %d folded vertices != graph arcs %d", gi, arcs, folded, g.NumArcs())
+		}
+		whole := mustDecompose(t, g, Options{Threshold: 8, DisableGamma: true})
+		arcs = 0
+		for _, sg := range whole.Subgraphs {
 			arcs += sg.NumArcs()
 		}
 		if arcs != g.NumArcs() {
-			t.Fatalf("graph %d: subgraph arcs %d != graph arcs %d", gi, arcs, g.NumArcs())
+			t.Fatalf("graph %d, γ disabled: subgraph arcs %d != graph arcs %d", gi, arcs, g.NumArcs())
 		}
 	}
 }

@@ -2,8 +2,7 @@ package decompose
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -19,9 +18,14 @@ import (
 // split a sub-graph internally) — internal/core.applyLocal decides.
 
 // MutateEdge adds (add=true) or removes the local edge between lu and lv,
-// rebuilding the sub-graph's CSR. For undirected decompositions both arc
-// directions change; for directed ones exactly the arc lu->lv. Weighted
-// sub-graphs are not supported (weighted incremental BC is future work).
+// rebuilding the sub-graph's CSR into arrays of its own. For undirected
+// decompositions both arc directions change; for directed ones exactly the
+// arc lu->lv. The edit is made on the whole sub-graph — the γ-folded
+// vertices' arcs are put back first, so the duplicate and absent checks see
+// them and an edit at a folded leaf is an edit like any other — and the rows
+// stay whole until RefreshRoots folds again against the mutated graph.
+// Weighted sub-graphs are not supported (weighted incremental BC is future
+// work).
 func (s *Subgraph) MutateEdge(add bool, lu, lv int32, directed bool) error {
 	if s.wts != nil {
 		return fmt.Errorf("decompose: MutateEdge on weighted sub-graph")
@@ -32,70 +36,51 @@ func (s *Subgraph) MutateEdge(add bool, lu, lv int32, directed bool) error {
 	if lu < 0 || lv < 0 || int(lu) >= s.NumVerts() || int(lv) >= s.NumVerts() {
 		return fmt.Errorf("decompose: local id out of range")
 	}
-	has := func(a, b int32) bool {
-		row := s.Out(a)
-		i := sort.Search(len(row), func(i int) bool { return row[i] >= b })
-		return i < len(row) && row[i] == b
+	offs, adj, _ := s.unfolded()
+	find := func(a, b int32) (int, bool) {
+		i, ok := slices.BinarySearch(adj[offs[a]:offs[a+1]], b)
+		return int(offs[a]) + i, ok
 	}
-	if add && has(lu, lv) {
-		return fmt.Errorf("decompose: arc %d->%d already present", lu, lv)
-	}
-	if !add && !has(lu, lv) {
+	if _, has := find(lu, lv); has == add {
+		if add {
+			return fmt.Errorf("decompose: arc %d->%d already present", lu, lv)
+		}
 		return fmt.Errorf("decompose: arc %d->%d absent", lu, lv)
 	}
-	type pair struct{ from, to int32 }
-	changes := []pair{{lu, lv}}
-	if !directed {
-		changes = append(changes, pair{lv, lu})
-	}
-	nl := s.NumVerts()
-	newOffs := make([]int64, nl+1)
-	delta := make(map[int32]int64, 2)
-	for _, c := range changes {
+	edit := func(a, b int32) {
+		at, _ := find(a, b)
+		step := int64(1)
 		if add {
-			delta[c.from]++
+			adj = slices.Insert(adj, at, b)
 		} else {
-			delta[c.from]--
+			adj = slices.Delete(adj, at, at+1)
+			step = -1
+		}
+		for l := int(a) + 1; l < len(offs); l++ {
+			offs[l] += step
 		}
 	}
-	for i := 0; i < nl; i++ {
-		newOffs[i+1] = newOffs[i] + int64(len(s.Out(int32(i)))) + delta[int32(i)]
+	edit(lu, lv)
+	if !directed {
+		edit(lv, lu)
 	}
-	newAdj := make([]int32, newOffs[nl])
-	for i := int32(0); int(i) < nl; i++ {
-		row := append([]int32(nil), s.Out(i)...)
-		for _, c := range changes {
-			if c.from != i {
-				continue
-			}
-			if add {
-				row = append(row, c.to)
-			} else {
-				for k, x := range row {
-					if x == c.to {
-						row = append(row[:k], row[k+1:]...)
-						break
-					}
-				}
-			}
-		}
-		sort.Slice(row, func(x, y int) bool { return row[x] < row[y] })
-		copy(newAdj[newOffs[i]:newOffs[i+1]], row)
+	s.offs, s.adj = offs, adj
+	for l := range s.foldedInto {
+		s.foldedInto[l] = -1
 	}
-	s.offs, s.adj = newOffs, newAdj
-	// The lazy transpose (EnsureIn) mirrors the CSR just rebuilt; drop it so
-	// the next bottom-up sweep rebuilds it from the new arcs.
-	s.inOnce = sync.Once{}
-	s.inOffs, s.inAdj = nil, nil
+	s.dropIn()
 	return nil
 }
 
 // RefreshRoots recomputes γ and the root set of sub-graph si against the
-// decomposition's (updated) graph; call after MutateEdge and after swapping
-// in the mutated graph with SetGraph.
+// decomposition's (updated) graph and strips the vertices it folds from the
+// rows again; call after MutateEdge and after swapping in the mutated graph
+// with SetGraph.
 func (d *Decomposition) RefreshRoots(si int, disableGamma bool) {
-	one := &Decomposition{G: d.G, Subgraphs: []*Subgraph{d.Subgraphs[si]}}
-	computeGammaRoots(one, Options{DisableGamma: disableGamma})
+	if d.G.Directed() {
+		d.G.EnsureTranspose()
+	}
+	d.Subgraphs[si].fold(d.G, disableGamma)
 }
 
 // SetGraph swaps the underlying graph after an edge mutation. The caller

@@ -187,55 +187,186 @@ func (s *Subgraph) LocalID(v graph.V) int32 {
 	return -1
 }
 
-// computeGammaRoots fills Gamma and Roots per sub-graph (Theorem 3's
-// total-redundancy elimination). A vertex u is removed from the root set and
-// folded into γ of its neighbour s when its whole DAG derives from D_s:
-// directed, no in-edges and a single out-edge u->s; undirected, a single
-// edge u-s (with an id tie-break so mutually-qualifying pairs keep one root).
-func computeGammaRoots(d *Decomposition, opt Options) {
-	g := d.G
-	qualifies := func(v graph.V) (graph.V, bool) {
-		if g.Directed() {
-			if g.OutDegree(v) == 1 && g.InDegree(v) == 0 {
-				return g.Out(v)[0], true
-			}
-			return -1, false
-		}
-		if g.OutDegree(v) == 1 {
-			return g.Out(v)[0], true
-		}
+// foldsInto reports whether v's whole DAG derives from its one neighbour's,
+// and returns that neighbour: directed, no in-edges and a single out-edge;
+// undirected, a single edge.
+func foldsInto(g *graph.Graph, v graph.V) (graph.V, bool) {
+	if g.OutDegree(v) != 1 || g.Directed() && g.InDegree(v) != 0 {
 		return -1, false
 	}
-	if g.Directed() {
-		g.EnsureTranspose()
+	return g.Out(v)[0], true
+}
+
+// computeGammaRoots fills Gamma and Roots per sub-graph (Theorem 3's
+// total-redundancy elimination) and leaves every CSR holding the swept graph.
+func computeGammaRoots(d *Decomposition, opt Options) {
+	if d.G.Directed() {
+		d.G.EnsureTranspose()
 	}
 	for _, sg := range d.Subgraphs {
-		for l := range sg.Gamma {
-			sg.Gamma[l] = 0 // idempotent: RefreshRoots re-runs this pass
-		}
-		removed := make([]bool, sg.NumVerts())
-		if !opt.DisableGamma {
-			for l, v := range sg.Verts {
-				s, ok := qualifies(v)
-				if !ok {
-					continue
-				}
-				if _, sToo := qualifies(s); sToo && v < s {
-					continue // keep the smaller id as the surviving root
-				}
-				ls := sg.LocalID(s)
-				if ls < 0 {
-					continue
-				}
-				removed[l] = true
-				sg.Gamma[ls]++
+		sg.fold(d.G, opt.DisableGamma)
+	}
+}
+
+// fold decides which vertices of s are γ-folded against g, whose rows it goes
+// by, and strips them from the CSR. A vertex u is removed from the root set
+// and folded into γ of its neighbour p when foldsInto says so (with an id
+// tie-break so mutually-qualifying pairs keep one root). Folding again
+// (RefreshRoots) first puts the folded arcs back, into arrays of the
+// sub-graph's own: whatever an earlier epoch shares with it is only read.
+func (s *Subgraph) fold(g *graph.Graph, disableGamma bool) {
+	if s.foldedInto == nil {
+		s.foldedInto = make([]int32, len(s.Verts)) // a fresh build: every arc is in place
+	} else {
+		s.offs, s.adj, s.wts = s.unfolded()
+		s.foldedWt = nil
+	}
+	for l := range s.Gamma {
+		s.Gamma[l] = 0
+		s.foldedInto[l] = -1
+	}
+	if !disableGamma {
+		for l, v := range s.Verts {
+			p, ok := foldsInto(g, v)
+			if !ok {
+				continue
 			}
+			if _, pToo := foldsInto(g, p); pToo && v < p {
+				continue // keep the smaller id as the surviving root
+			}
+			lp := s.LocalID(p)
+			if lp < 0 {
+				continue
+			}
+			s.foldedInto[l] = lp
+			s.Gamma[lp]++
 		}
-		sg.Roots = sg.Roots[:0]
-		for l := range sg.Verts {
-			if !removed[l] {
-				sg.Roots = append(sg.Roots, int32(l))
+	}
+	s.Roots = s.Roots[:0]
+	for l, into := range s.foldedInto {
+		if into < 0 {
+			s.Roots = append(s.Roots, int32(l))
+		}
+	}
+	s.strip()
+	s.dropIn()
+}
+
+// Folded reports whether local vertex l is γ-folded: out of the root set and
+// out of the swept graph.
+func (s *Subgraph) Folded(l int32) bool { return s.foldedInto[l] >= 0 }
+
+// strip takes the folded vertices out of the CSR in place, leaving the swept
+// graph: a folded vertex's row becomes empty (a weighted sub-graph keeps its
+// one arc's weight in foldedWt) and the rows of the vertices it was folded
+// into lose it. Only those rows are filtered — a directed folded vertex has
+// no in-arc, an undirected one occurs in its parent's row alone — and every
+// other row moves down as a block.
+func (s *Subgraph) strip() {
+	if len(s.Roots) == len(s.Verts) {
+		return
+	}
+	if s.wts != nil && s.foldedWt == nil {
+		s.foldedWt = make([]float64, len(s.Verts))
+	}
+	var at int64
+	for l := range s.Verts {
+		lo, hi := s.offs[l], s.offs[l+1]
+		s.offs[l] = at
+		switch {
+		case s.foldedInto[l] >= 0:
+			if s.wts != nil {
+				s.foldedWt[l] = s.wts[lo]
+			}
+		case s.directed || s.Gamma[l] == 0:
+			if at != lo {
+				copy(s.adj[at:], s.adj[lo:hi])
+				if s.wts != nil {
+					copy(s.wts[at:], s.wts[lo:hi])
+				}
+			}
+			at += hi - lo
+		default:
+			for i := lo; i < hi; i++ {
+				if w := s.adj[i]; s.foldedInto[w] < 0 {
+					s.adj[at] = w
+					if s.wts != nil {
+						s.wts[at] = s.wts[i]
+					}
+					at++
+				}
 			}
 		}
 	}
+	s.offs[len(s.Verts)] = at
+	s.adj = s.adj[:at]
+	if s.wts != nil {
+		s.wts = s.wts[:at]
+	}
+}
+
+// unfolded returns the sub-graph's whole CSR in fresh arrays (adj with room
+// for the two arcs of an inserted edge): the swept rows plus, for every
+// folded vertex, the arc to the vertex it was folded into and, on undirected
+// sub-graphs, the arc back. Undirected rows are written column by column —
+// source u goes to the end of every row it occurs in, in increasing u — which
+// leaves each row sorted without sorting; a directed folded vertex occurs in
+// no row, so directed rows are copied.
+func (s *Subgraph) unfolded() (offs []int64, adj []int32, wts []float64) {
+	nl := len(s.Verts)
+	// Row l is counted into cur[l+2] and summed so that cur[l+1] is where row
+	// l starts; the fill advances cur[l+1] to row l's end, which is row l+1's
+	// start, so cur[:nl+1] ends up as the offsets.
+	cur := make([]int64, nl+2)
+	for l, into := range s.foldedInto {
+		if into < 0 {
+			cur[l+2] += s.offs[l+1] - s.offs[l]
+			continue
+		}
+		cur[l+2]++
+		if !s.directed {
+			cur[into+2]++
+		}
+	}
+	for l := 0; l < nl; l++ {
+		cur[l+2] += cur[l+1]
+	}
+	adj = make([]int32, cur[nl+1], cur[nl+1]+2)
+	if s.wts != nil {
+		wts = make([]float64, len(adj))
+	}
+	var wt float64
+	put := func(row, w int32) {
+		adj[cur[row+1]] = w
+		if wts != nil {
+			wts[cur[row+1]] = wt
+		}
+		cur[row+1]++
+	}
+	for u, into := range s.foldedInto {
+		u := int32(u)
+		switch {
+		case into >= 0:
+			if wts != nil {
+				wt = s.foldedWt[u]
+			}
+			put(u, into)
+			if !s.directed {
+				put(into, u)
+			}
+		case s.directed:
+			if wts != nil {
+				copy(wts[cur[u+1]:], s.OutWeights(u))
+			}
+			cur[u+1] += int64(copy(adj[cur[u+1]:], s.Out(u)))
+		default:
+			for i, w := range s.Out(u) {
+				if wts != nil {
+					wt = s.wts[s.offs[u]+int64(i)] // u->w's weight is w->u's
+				}
+				put(w, u)
+			}
+		}
+	}
+	return cur[:nl+1], adj, wts
 }

@@ -2,7 +2,9 @@ package decompose
 
 import "sort"
 
-// SizeInfo describes one sub-graph's size for Table 4.
+// SizeInfo describes one sub-graph's size for Table 4: every local vertex,
+// and the swept arcs (Subgraph.NumArcs — the γ-folded vertices' arcs are not
+// among them).
 type SizeInfo struct {
 	Verts int
 	Arcs  int64

@@ -22,8 +22,10 @@ type DegreeCensus struct {
 
 // SubgraphCensus is one sub-graph's share of the decomposition (Table 4 row).
 type SubgraphCensus struct {
-	Verts int   `json:"verts"`
-	Arcs  int64 `json:"arcs"`
+	Verts int `json:"verts"`
+	// Arcs counts swept arcs: the γ-folded vertices' arcs are in no sweep and
+	// not in this number.
+	Arcs int64 `json:"arcs"`
 	// VertShare is Verts over the graph's vertex count, in [0,1].
 	VertShare float64 `json:"vert_share"`
 }

@@ -1,7 +1,8 @@
 // Package msbfs implements a bit-parallel multi-source batched sweep engine
 // for APGRE betweenness centrality: one traversal carries up to 64 roots at
 // once, sharing a single CSR stream across the whole batch instead of
-// re-reading the adjacency once per root.
+// re-reading the adjacency once per root. The CSR is the sub-graph's swept
+// graph (decompose.Subgraph.Out), as for the scalar engine.
 //
 // # Lane layout
 //
@@ -37,7 +38,7 @@
 //     change a single bit. This is the same argument the direction-
 //     optimizing sweep relies on.
 //   - Per lane, the backward dependency sums add successor terms in
-//     adjacency (sg.Out) order, the scalar engine's order, and the α/β
+//     adjacency (sg.Out) order, the scalar engine's order, and the γ and α/β
 //     seeds fold in at the same position in the sequence; float64 operations
 //     therefore replay the scalar engine's instruction stream operand for
 //     operand.
@@ -282,9 +283,13 @@ func (k *Kernel) backward(sg *decompose.Subgraph, directed bool, s *ws.Sweep, la
 			}
 			isArtV := sg.IsArt[v]
 			alphaV := sg.Alpha[v]
+			gammaV := float64(sg.Gamma[v])
 			for m := vm; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros64(m)
 				sIsArt := art&(1<<uint(l)) != 0
+				if !directed {
+					di2i[vb+l] += gammaV // δ_i2i seed: v's folded leaves (core rootTerms.settle)
+				}
 				if v != k.rootAt[l] {
 					if isArtV {
 						di2o[vb+l] += alphaV // δ_i2o seed (Eq. 4)

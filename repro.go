@@ -340,7 +340,9 @@ type Decomposition struct {
 	ArticulationPoints int
 	// Roots is the number of BFS roots after total-redundancy removal.
 	Roots int64
-	// TopVerts/TopArcs are the largest sub-graph's size (Table 4's shape).
+	// TopVerts/TopArcs are the largest sub-graph's size (Table 4's shape):
+	// all of its vertices, and its swept arcs — what is left once the folded
+	// degree-1 vertices' arcs are stripped.
 	TopVerts int
 	TopArcs  int64
 }
