@@ -274,25 +274,6 @@ func BenchmarkAblationThreshold(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationAlphaBeta compares the O(V+E) block-tree α/β counting
-// against the paper's per-articulation-point BFS.
-func BenchmarkAblationAlphaBeta(b *testing.B) {
-	methods := map[string]decompose.AlphaBetaMethod{
-		"tree": decompose.AlphaBetaTree,
-		"bfs":  decompose.AlphaBetaBFS,
-	}
-	for name, m := range methods {
-		b.Run(name, func(b *testing.B) {
-			g := benchGraph(b, "com-youtube") // undirected: both methods valid
-			for i := 0; i < b.N; i++ {
-				if _, err := decompose.Decompose(g, decompose.Options{AlphaBeta: m}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationGamma isolates total-redundancy elimination's
 // contribution.
 func BenchmarkAblationGamma(b *testing.B) {

@@ -19,7 +19,8 @@
 #      must survive 8 concurrent checkouts under -race; the pre-sweep layer
 #      must stay linear (Decompose's allocations bounded by its outputs, the
 #      sub-graph builder and the CSR mirror check equal to their oracles,
-#      folded vertices out of every row and edits at them exact);
+#      the α/β composition equal to the per-AP BFS and its refresh's bytes
+#      bounded, folded vertices out of every row and edits at them exact);
 #      then a -benchmem benchmark smoke compile-and-run
 #   6. bcbench smokes on the smallest dataset: -table 2 and a tiny -engine
 #      sweep, whose in-run msbfs-vs-scalar bit cross-check fails the run
@@ -31,7 +32,8 @@
 #   9. the repository benchmark (bench/, the one ruler): the road workload
 #      must verify every answer it times, and its -corrupt self-test must
 #      fail; no BENCH_*.json artifact may be tracked at the root and neither
-#      the BottomUpFrac option nor bcc's BlockEdges may reappear in Go source
+#      the BottomUpFrac option nor bcc's BlockEdges may reappear in Go source,
+#      nor the per-AP α/β BFS outside test files
 #  10. durability smoke: race-built bcd is killed with SIGKILL mid-life and
 #      must recover its graph from snapshot+WAL with bit-exact top-K
 #  11. load smoke: bcdload drives a short mixed read/mutate phase against the
@@ -144,6 +146,11 @@ echo "==> pre-sweep gates: linear Decompose, builder and mirror check vs their o
 # their test files.
 run_named 'TestDecomposeAllocs|TestRefreshRootsDirectedAllocs|TestBuilderMatchesOracle|TestAdjacentBoundaryAPs|TestMirrorCheckMatchesOracle' \
     -count=1 ./internal/decompose ./internal/graph
+# α/β is a composition along the sub-graph/AP forest: equal to the per-AP BFS
+# of the paper's definition on every build and along removal scripts, and its
+# refresh allocates no more than cloning every sub-graph used to.
+run_named 'TestComposeMatchesDefinition|TestAlphaBetaRefreshAllocs' \
+    -count=1 ./internal/decompose
 # What the sweep is handed is the swept graph: γ-folded vertices in no row,
 # and an edit at one of them (rows put back, edited, folded again) still
 # exact after every op.
@@ -209,6 +216,13 @@ fi
 # bcc.Result.EdgeBlock.
 if grep -rn 'BlockEdges' --include='*.go' .; then
     echo "ci.sh: BlockEdges is back; bcc keeps blocks as vertex sets only" >&2
+    exit 1
+fi
+
+# Nor the per-AP BFS outside test files: it is the oracle the α/β composition
+# is held to, not a path.
+if grep -rn 'AlphaBetaBFS\|alphaBetaBFS' --include='*.go' . | grep -v '_test\.go:'; then
+    echo "ci.sh: the per-AP BFS is back in non-test code; α/β is composed, the BFS is the test oracle" >&2
     exit 1
 fi
 

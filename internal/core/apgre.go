@@ -71,8 +71,6 @@ type Options struct {
 	Workers int
 	// Threshold is the decomposition merge threshold (Algorithm 1).
 	Threshold int
-	// AlphaBeta selects the α/β computation method.
-	AlphaBeta decompose.AlphaBetaMethod
 	// DisableGamma turns off total-redundancy elimination (ablation).
 	DisableGamma bool
 	// Scheduler selects the work-unit granularity; the zero value is
@@ -127,8 +125,6 @@ func Compute(g *graph.Graph, opt Options) ([]float64, error) {
 	var tm decompose.Timings
 	d, err := decompose.Decompose(g, decompose.Options{
 		Threshold:    opt.Threshold,
-		AlphaBeta:    opt.AlphaBeta,
-		Workers:      opt.Workers,
 		DisableGamma: opt.DisableGamma,
 		Timings:      &tm,
 	})

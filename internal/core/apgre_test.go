@@ -90,17 +90,33 @@ func TestSocialGraphsAllStrategies(t *testing.T) {
 	}
 }
 
+// TestAlphaBetaMethodsAgree holds the two ways a decomposition gets its α/β —
+// the connected closed form of a fresh undirected build and the component
+// labelling every refresh runs — to the same scores.
 func TestAlphaBetaMethodsAgree(t *testing.T) {
 	g := gen.SocialLike(gen.SocialParams{N: 350, AvgDeg: 4, Communities: 7, TopShare: 0.4, LeafFrac: 0.3, Seed: 6})
-	a, err := Compute(g, Options{AlphaBeta: decompose.AlphaBetaTree})
+	a, err := Compute(g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Compute(g, Options{AlphaBeta: decompose.AlphaBetaBFS})
+	d, err := decompose.Decompose(g, decompose.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if i, ok := bcClose(a, b, 1e-12); !ok {
+	owned := map[int]bool{}
+	for si, sg := range d.Subgraphs {
+		owned[si] = true
+		clear(sg.Alpha)
+		clear(sg.Beta)
+	}
+	if changed := d.RecomputeAlphaBeta(owned); len(changed) == 0 {
+		t.Fatal("the refresh restored no α/β")
+	}
+	b, err := ComputeDecomposed(d, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i, ok := bcClose(a, b, 0); !ok {
 		t.Fatalf("methods differ at %d", i)
 	}
 }

@@ -166,7 +166,6 @@ func (inc *Incremental) rebuild() error {
 	g := graph.NewFromEdges(inc.n, inc.edges, inc.directed)
 	d, err := decompose.Decompose(g, decompose.Options{
 		Threshold:    inc.opt.Threshold,
-		AlphaBeta:    inc.opt.AlphaBeta,
 		DisableGamma: inc.opt.DisableGamma,
 	})
 	if err != nil {
@@ -393,10 +392,9 @@ type localOp struct {
 // the next epoch copy-on-write: clone the decomposition shell, swap in
 // cloned sub-graphs for everything the batch writes (each mutated
 // sub-graph's CSR/γ/roots — and those of a sub-graph that holds an edited
-// vertex folded, see below — plus α/β arrays everywhere when they need a
-// refresh), patch the clones, recompute the affected contributions once and
-// publish a single epoch. Unchanged sub-graph CSRs are shared between
-// epochs.
+// vertex folded, see below — plus the α/β arrays of whatever sub-graphs a
+// refresh moves), patch the clones, recompute the affected contributions once
+// and publish a single epoch. Everything else is shared between epochs.
 //
 // Other sub-graphs' α/β can shift even though the partition stays valid:
 //
@@ -409,13 +407,14 @@ type localOp struct {
 //     bridge sub-graph: removing the bridge must drop the triangles' α from
 //     3 to 0. Insertions after such a split can reconnect those regions.
 //
-// In all those cases, refresh α/β against the mutated graph (BFS counting —
-// the undirected tree method only sees the partition shape, not internal
-// splits) and recompute every sub-graph whose values moved; the previous
-// epoch's arrays serve as the before-image, so no separate snapshot is
-// needed. The cheap path — undirected insertions with no split possible —
-// recomputes only the mutated sub-graphs. Recomputation always walks
-// sub-graphs in index order so score accumulation stays deterministic.
+// In all those cases, refresh α/β against the mutated sub-graphs (by
+// composition over their present components, decompose.RecomputeAlphaBeta —
+// it sees internal splits) and recompute every sub-graph whose values moved.
+// The refresh is copy-on-change: it compares with the previous epoch's values
+// before it writes and clones only the sub-graphs that differ. The cheap path
+// — undirected insertions with no split possible — recomputes only the
+// mutated sub-graphs. Recomputation always walks sub-graphs in index order so
+// score accumulation stays deterministic.
 func (inc *Incremental) applyLocalBatch(prev *epochState, ops []localOp) error {
 	refreshAB := inc.directed || inc.splitSinceRebuild
 	mutated := map[int]bool{}
@@ -451,13 +450,6 @@ func (inc *Incremental) applyLocalBatch(prev *epochState, ops []localOp) error {
 		contrib: append([][]float64(nil), prev.contrib...),
 		bc:      append([]float64(nil), prev.bc...),
 	}
-	if refreshAB {
-		for sj := range next.d.Subgraphs {
-			if !mutated[sj] {
-				next.d.Subgraphs[sj] = next.d.Subgraphs[sj].CloneForAlphaBeta()
-			}
-		}
-	}
 	for _, si := range sis {
 		next.d.Subgraphs[si] = prev.d.Subgraphs[si].CloneForMutation()
 	}
@@ -472,36 +464,19 @@ func (inc *Incremental) applyLocalBatch(prev *epochState, ops []localOp) error {
 		next.d.RefreshRoots(si, inc.opt.DisableGamma)
 	}
 	inc.localUpdates.Add(int64(len(ops)))
-	if !refreshAB {
-		for _, si := range sis {
-			if err := inc.recompute(next, si); err != nil {
-				return err
+	if refreshAB {
+		for _, sj := range next.d.RecomputeAlphaBeta(mutated) {
+			if !mutated[sj] {
+				sis = append(sis, sj)
 			}
 		}
-		inc.publish(next)
-		return nil
+		sort.Ints(sis)
 	}
-	if err := next.d.RecomputeAlphaBeta(0); err != nil {
-		return err
-	}
-	for sj := range next.d.Subgraphs {
-		if mutated[sj] || alphaBetaChanged(next.d.Subgraphs[sj], prev.d.Subgraphs[sj]) {
-			if err := inc.recompute(next, sj); err != nil {
-				return err
-			}
+	for _, si := range sis {
+		if err := inc.recompute(next, si); err != nil {
+			return err
 		}
 	}
 	inc.publish(next)
 	return nil
-}
-
-// alphaBetaChanged compares a clone's refreshed (α, β) against the previous
-// epoch's values over the boundary APs (Arts is shared between the two).
-func alphaBetaChanged(next, prev *decompose.Subgraph) bool {
-	for _, la := range next.Arts {
-		if next.Alpha[la] != prev.Alpha[la] || next.Beta[la] != prev.Beta[la] {
-			return true
-		}
-	}
-	return false
 }

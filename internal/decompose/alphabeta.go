@@ -1,235 +1,310 @@
 package decompose
 
 import (
-	"fmt"
+	"math/bits"
 
 	"repro/internal/graph"
-	"repro/internal/par"
 )
 
-// computeAlphaBeta fills Alpha and Beta for every boundary articulation
-// point of every sub-graph, by the method selected in opt.
-func computeAlphaBeta(d *Decomposition, opt Options) error {
-	switch opt.AlphaBeta {
-	case AlphaBetaAuto:
-		if d.G.Directed() {
-			alphaBetaBFS(d, opt)
-		} else {
-			alphaBetaTree(d)
-		}
-	case AlphaBetaTree:
-		if d.G.Directed() {
-			return fmt.Errorf("decompose: AlphaBetaTree requires an undirected graph")
-		}
-		alphaBetaTree(d)
-	case AlphaBetaBFS:
-		alphaBetaBFS(d, opt)
-	default:
-		return fmt.Errorf("decompose: unknown AlphaBeta method %d", opt.AlphaBeta)
-	}
-	return nil
+// The α/β composition. The paper counts α_SGi(a) and β_SGi(a) with one
+// forward and one reverse BFS per (sub-graph, boundary AP) over everything
+// outside the sub-graph (§4). The same integers compose along the incidence
+// forest (forest.go). For a sub-graph j and a boundary AP a of it let
+//
+//	out_j(a) = leaves(a) + Σ_{v ∈ R_j(a), v ≠ a} (1 + leaves(v) + [v ∈ A_j]·α_j(v))
+//
+// be the number of vertices a reaches through j's side of the forest: R_j(a)
+// is what a reaches inside j's own CSR, leaves(v) the γ-folded vertices that
+// hang off v in j (they are not in the CSR), and α_j(v) everything a boundary
+// AP v of j reaches beyond j. Nothing is counted twice, because the regions beyond
+// two different APs of j are different subtrees of the forest. Then
+//
+//	α_i(a) = Σ_{j ∋ a} out_j(a) − out_i(a)
+//
+// and β is the same on reversed arcs (in_j). out_j(a) needs α_j only at j's
+// other APs, so the messages resolve in two passes over the forest: leaves up,
+// where a sub-graph sends to its parent AP what that AP reaches through it,
+// and root down, where it sends to each of its other APs.
+//
+// The reach sums inside one sub-graph: label its strongly connected
+// components once (graph.SCC, labels in reverse topological order), give each
+// component the weight of its vertices, and propagate up to 64 sources at a
+// time as one bit mask per component in a single pass over the arcs — forward
+// a push in decreasing label, reverse a pull in increasing label, both over
+// out-arcs, so no transpose is built. An undirected sub-graph is the
+// degenerate case: its components have no arcs between them and nothing is
+// propagated; one known to be connected (a fresh undirected build) has the
+// closed form out_j(a) = |V_j| − 1 + Σ_{v ∈ A_j, v ≠ a} α_j(v), Farina's
+// articulation-point impact pass (PAPERS.md).
+type composer struct {
+	d         *Decomposition
+	directed  bool
+	connected bool // every sub-graph is undirected and connected
+
+	// out[e], in[e] are the messages of incidence e (forest.artOff), 0 until
+	// sent; sumOut[a], sumIn[a] what AP node a has received so far. Undirected
+	// graphs have in = out and keep only out.
+	out, in       []int64
+	sumOut, sumIn []int64
+
+	// The SCC labelling of sub-graph j, made at its first visit and kept for
+	// the second: labels and order (graph.SCC.Label) at vertOff[j], the
+	// component count in comps[j].
+	scc           graph.SCC
+	vertOff       []int32
+	labels, order []int32
+	comps         []int32
+
+	// Per visit: what the visited sub-graph's APs reach and are reached from
+	// beyond it as known so far, the components' weights, the source masks.
+	apOut, apIn []int64
+	src         []int32
+	wOut, wIn   []int64
+	mask        []uint64
 }
 
-// alphaBetaTree computes α = β for undirected graphs via subtree sums on the
-// sub-graph/articulation-point bipartite forest, in O(V + E) total: removing
-// the tree edge (SGi, a) splits a's tree in two; α_SGi(a) is the vertex
-// weight on a's side minus one (excluding a itself). Each graph vertex is
-// attributed to exactly one tree node — boundary APs to their own AP node,
-// every other vertex to its unique sub-graph — so subtree sums count
-// vertices exactly once. This is an O(#AP · (V+E)) → O(V+E) improvement over
-// the paper's per-AP BFS; TestTreeMatchesBFS pins the equivalence.
-func alphaBetaTree(d *Decomposition) {
-	numSG := len(d.Subgraphs)
-	apIndex := map[graph.V]int32{}
-	var apVerts []graph.V
-	for _, sg := range d.Subgraphs {
-		for _, la := range sg.Arts {
-			v := sg.Verts[la]
-			if _, ok := apIndex[v]; !ok {
-				apIndex[v] = int32(len(apVerts))
-				apVerts = append(apVerts, v)
-			}
-		}
+// composeAlphaBeta computes α and β of every boundary AP of every sub-graph
+// of d, against the sub-graphs' current CSRs and folds, and stores the values
+// that differ from the ones in place. A sub-graph with such a value is first
+// replaced in d.Subgraphs by its CloneForAlphaBeta when shared says an earlier
+// epoch still reads it. connected promises that d is a fresh undirected
+// build. The indices of the sub-graphs whose values moved are returned in
+// increasing order.
+func (d *Decomposition) composeAlphaBeta(connected bool, shared func(si int) bool) (changed []int) {
+	f := d.forest
+	if len(f.order) == 0 {
+		return nil
 	}
-	numAP := len(apVerts)
-	adjSG := make([][]int32, numSG) // sub-graph -> AP node ids
-	adjAP := make([][]int32, numAP) // AP node -> sub-graph ids
-	for si, sg := range d.Subgraphs {
-		for _, la := range sg.Arts {
-			ai := apIndex[sg.Verts[la]]
-			adjSG[si] = append(adjSG[si], ai)
-			adjAP[ai] = append(adjAP[ai], int32(si))
-		}
+	c := &composer{
+		d: d, directed: d.G.Directed(), connected: connected,
+		out:    make([]int64, len(f.incAP)),
+		sumOut: make([]int64, len(f.apOff)-1),
 	}
-	// Node weights: AP nodes weigh 1; a sub-graph weighs its vertices that
-	// are not boundary APs.
-	wSG := make([]int64, numSG)
-	for si, sg := range d.Subgraphs {
-		for l := range sg.Verts {
-			if !sg.IsArt[l] {
-				wSG[si]++
-			}
+	c.in, c.sumIn = c.out, c.sumOut
+	if c.directed {
+		c.in = make([]int64, len(c.out))
+		c.sumIn = make([]int64, len(c.sumOut))
+	}
+	maxVerts, maxArts := 0, 0
+	for _, j := range f.order {
+		maxVerts = max(maxVerts, d.Subgraphs[j].NumVerts())
+		maxArts = max(maxArts, len(d.Subgraphs[j].Arts))
+	}
+	c.apOut = make([]int64, maxArts)
+	c.src = make([]int32, 0, maxArts)
+	c.apIn = c.apOut
+	if c.directed {
+		c.apIn = make([]int64, maxArts)
+	}
+	if !connected {
+		c.vertOff = make([]int32, len(d.Subgraphs)+1)
+		for j, sg := range d.Subgraphs {
+			c.vertOff[j+1] = c.vertOff[j] + int32(sg.NumVerts())
+		}
+		total := c.vertOff[len(d.Subgraphs)]
+		c.labels = make([]int32, total)
+		c.order = make([]int32, total)
+		c.comps = make([]int32, len(d.Subgraphs))
+		c.scc.Reserve(maxVerts)
+		c.mask = make([]uint64, maxVerts)
+		c.wOut = make([]int64, maxVerts)
+		c.wIn = c.wOut
+		if c.directed {
+			c.wIn = make([]int64, maxVerts)
 		}
 	}
 
-	// Iterative DFS over the forest. Node encoding: sub-graphs occupy
-	// [0, numSG), AP node a is numSG + a.
-	total := numSG + numAP
-	sub := make([]int64, total)
-	parent := make([]int32, total)
-	visited := make([]bool, total)
-	treeTotal := make([]int64, total)
-	order := make([]int32, 0, total)
-	var stack []int32
+	// Leaves up: every sub-graph but a root tells its parent AP. Root down:
+	// every sub-graph tells its other APs.
+	for i := len(f.order) - 1; i >= 0; i-- {
+		if j := f.order[i]; f.parent[j] >= 0 {
+			c.send(j, true)
+		}
+	}
+	for _, j := range f.order {
+		c.send(j, false)
+	}
 
-	for root := 0; root < total; root++ {
-		if visited[root] {
+	for j, sg := range d.Subgraphs {
+		moved := false
+		for k, la := range sg.Arts {
+			e := f.artOff[j] + int32(k)
+			a := f.incAP[e]
+			alpha := float64(c.sumOut[a] - c.out[e])
+			beta := float64(c.sumIn[a] - c.in[e])
+			if alpha == sg.Alpha[la] && beta == sg.Beta[la] {
+				continue
+			}
+			if !moved {
+				moved = true
+				changed = append(changed, j)
+				if shared(j) {
+					sg = sg.CloneForAlphaBeta()
+					d.Subgraphs[j] = sg
+				}
+			}
+			sg.Alpha[la], sg.Beta[la] = alpha, beta
+		}
+	}
+	return changed
+}
+
+// send computes out_j and in_j for sub-graph j's parent AP (up) or for all
+// its other boundary APs (down) and hands them to those AP nodes. Every AP of
+// j that is not a source must have received the messages of all its other
+// sub-graphs; a source need not have, its own weight is never part of its own
+// sum.
+func (c *composer) send(j int32, up bool) {
+	f, sg := c.d.forest, c.d.Subgraphs[j]
+	first := f.artOff[j]
+	src := c.src[:0]
+	for k := range sg.Arts {
+		e := first + int32(k)
+		c.apOut[k] = c.sumOut[f.incAP[e]] - c.out[e]
+		if c.directed {
+			c.apIn[k] = c.sumIn[f.incAP[e]] - c.in[e]
+		}
+		if (e == f.parent[j]) == up {
+			src = append(src, int32(k))
+		}
+	}
+	out, in := c.out[first:], c.in[first:]
+	if c.connected {
+		reach := int64(sg.NumVerts()) - 1
+		for _, beyond := range c.apOut[:len(sg.Arts)] {
+			reach += beyond
+		}
+		for _, k := range src {
+			out[k] = reach - c.apOut[k]
+		}
+	} else if len(src) > 0 {
+		c.reach(j, src, out, in)
+	}
+	for _, k := range src {
+		a := f.incAP[first+k]
+		c.sumOut[a] += out[k]
+		if c.directed {
+			c.sumIn[a] += in[k]
+		}
+	}
+}
+
+// reach fills out[k] and in[k] for the boundary APs Arts[k], k in src, of
+// sub-graph j by mask propagation over its component DAG; c.apOut and c.apIn
+// hold what lies beyond each of j's APs.
+func (c *composer) reach(j int32, src []int32, out, in []int64) {
+	sg := c.d.Subgraphs[j]
+	labels := c.labels[c.vertOff[j]:c.vertOff[j+1]]
+	order := c.order[c.vertOff[j]:c.vertOff[j+1]]
+	if c.comps[j] == 0 {
+		c.comps[j] = int32(c.scc.Label(sg.offs, sg.adj, labels, order))
+	}
+	nc := c.comps[j]
+
+	// Component weights. A folded vertex counts as one of the leaves of the
+	// vertex it was folded into, and only on the sides a walk can reach it
+	// from — an undirected leaf both ways, a directed one (no in-arc) only
+	// against the arcs. In the swept graph it is a component of its own that
+	// nothing reaches, whose weight is never read.
+	wOut, wIn := c.wOut[:nc], c.wIn[:nc]
+	clear(wOut)
+	clear(wIn)
+	for l, lab := range labels {
+		wIn[lab] += 1 + int64(sg.Gamma[l])
+		if c.directed {
+			wOut[lab]++
+		}
+	}
+	for k, la := range sg.Arts {
+		wOut[labels[la]] += c.apOut[k]
+		if c.directed {
+			wIn[labels[la]] += c.apIn[k]
+		}
+	}
+
+	var starts [64]int32
+	var selfs, sums [64]int64
+	for ; len(src) > 0; src = src[min(64, len(src)):] {
+		chunk := src[:min(64, len(src))]
+		// Forward. A source's own weight is in its component's and comes off
+		// again, but for its leaves: they are reached. A folded source starts
+		// from the vertex it was folded into and reaches all that vertex does
+		// — but itself, on an undirected graph, as one of its leaves.
+		for b, k := range chunk {
+			la := sg.Arts[k]
+			starts[b], selfs[b] = la, 1+c.apOut[k]
+			if into := sg.foldedInto[la]; into >= 0 {
+				starts[b], selfs[b] = into, 0
+				if !c.directed {
+					selfs[b] = 1
+				}
+			}
+		}
+		c.propagate(sg, labels, order, nc, starts[:len(chunk)], true)
+		c.collect(wOut, sums[:len(chunk)])
+		for b, k := range chunk {
+			out[k] = sums[b] - selfs[b]
+		}
+		if !c.directed {
 			continue
 		}
-		visited[root] = true
-		parent[root] = -1
-		start := len(order)
-		stack = append(stack[:0], int32(root))
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			order = append(order, u)
-			if int(u) < numSG {
-				for _, a := range adjSG[u] {
-					w := int32(numSG) + a
-					if !visited[w] {
-						visited[w] = true
-						parent[w] = u
-						stack = append(stack, w)
-					}
-				}
-			} else {
-				for _, s := range adjAP[u-int32(numSG)] {
-					if !visited[s] {
-						visited[s] = true
-						parent[s] = u
-						stack = append(stack, s)
-					}
-				}
+		// Reverse. Nothing reaches a folded source: it has no in-arc.
+		for b, k := range chunk {
+			la := sg.Arts[k]
+			starts[b], selfs[b] = la, 1+c.apIn[k]
+			if sg.foldedInto[la] >= 0 {
+				starts[b], selfs[b] = -1, 0
 			}
 		}
-		// Reverse discovery order is a valid children-before-parents order
-		// for a DFS tree, so one backward pass accumulates subtree sums.
-		var tt int64
-		for i := len(order) - 1; i >= start; i-- {
+		c.propagate(sg, labels, order, nc, starts[:len(chunk)], false)
+		c.collect(wIn, sums[:len(chunk)])
+		for b, k := range chunk {
+			in[k] = sums[b] - selfs[b]
+		}
+	}
+}
+
+// propagate leaves in c.mask, per component of sg, the set of sources (bit b
+// for starts[b], none for a start of -1) that reach it when forward, that it
+// reaches otherwise. An arc between two components leads to the smaller label,
+// and order groups the vertices by increasing label.
+func (c *composer) propagate(sg *Subgraph, labels, order []int32, nc int32, starts []int32, forward bool) {
+	mask := c.mask[:nc]
+	clear(mask)
+	for b, l := range starts {
+		if l >= 0 {
+			mask[labels[l]] |= 1 << uint(b)
+		}
+	}
+	if !c.directed {
+		return // no arc joins two components
+	}
+	if forward {
+		for i := len(order) - 1; i >= 0; i-- {
 			u := order[i]
-			if int(u) < numSG {
-				sub[u] += wSG[u]
-			} else {
-				sub[u]++
-			}
-			if parent[u] >= 0 {
-				sub[parent[u]] += sub[u]
-			} else {
-				tt = sub[u]
+			if m := mask[labels[u]]; m != 0 {
+				for _, v := range sg.Out(u) {
+					mask[labels[v]] |= m
+				}
 			}
 		}
-		for i := start; i < len(order); i++ {
-			treeTotal[order[i]] = tt
-		}
+		return
 	}
-
-	for si, sg := range d.Subgraphs {
-		for _, la := range sg.Arts {
-			apNode := int32(numSG) + apIndex[sg.Verts[la]]
-			sgNode := int32(si)
-			var apSide int64
-			switch {
-			case parent[apNode] == sgNode:
-				apSide = sub[apNode]
-			case parent[sgNode] == apNode:
-				apSide = treeTotal[sgNode] - sub[sgNode]
-			default:
-				// Cannot happen in a forest: every (SGi, a) incidence is a
-				// tree edge, so one endpoint is the other's DFS parent.
-				panic("decompose: bipartite incidence is not a tree edge")
-			}
-			alpha := float64(apSide - 1)
-			sg.Alpha[la] = alpha
-			sg.Beta[la] = alpha
+	for _, u := range order {
+		m := mask[labels[u]]
+		for _, v := range sg.Out(u) {
+			m |= mask[labels[v]]
 		}
+		mask[labels[u]] = m
 	}
 }
 
-// abScratch is per-worker reusable state for alphaBetaBFS.
-type abScratch struct {
-	inSG    []int32 // sub-graph membership, epoch-marked
-	visited []int32 // BFS visited, epoch-marked
-	sgEpoch int32
-	bfsEp   int32
-	queue   []graph.V
-}
-
-// count runs a BFS from a over `from`, never entering vertices of the
-// current sub-graph other than a, and returns the number of vertices reached
-// beyond a.
-func (sc *abScratch) count(from *graph.Graph, a graph.V) float64 {
-	sc.bfsEp++
-	ep := sc.bfsEp
-	sc.visited[a] = ep
-	sc.queue = append(sc.queue[:0], a)
-	var reached int64
-	for len(sc.queue) > 0 {
-		u := sc.queue[len(sc.queue)-1]
-		sc.queue = sc.queue[:len(sc.queue)-1]
-		for _, v := range from.Out(u) {
-			if sc.visited[v] == ep {
-				continue
-			}
-			if sc.inSG[v] == sc.sgEpoch && v != a {
-				continue
-			}
-			sc.visited[v] = ep
-			sc.queue = append(sc.queue, v)
-			reached++
+// collect sets sums[b] to the weight of the components whose mask holds bit b.
+func (c *composer) collect(w []int64, sums []int64) {
+	clear(sums)
+	for lab, m := range c.mask[:len(w)] {
+		for ; m != 0; m &= m - 1 {
+			sums[bits.TrailingZeros64(m)] += w[lab]
 		}
 	}
-	return float64(reached)
-}
-
-// alphaBetaBFS computes α and β per the paper's operational definition (§4):
-// a BFS from each boundary articulation point a that never re-enters the
-// sub-graph counts "the number of vertices which a can reach without passing
-// through SGi", and a reverse BFS counts β. Sub-graphs are processed in
-// parallel with per-worker scratch, mirroring the paper's "parallel BFS"
-// step.
-func alphaBetaBFS(d *Decomposition, opt Options) {
-	g := d.G
-	n := g.NumVertices()
-	directed := g.Directed()
-	var tr *graph.Graph
-	if directed {
-		tr = g.Transpose()
-	}
-	p := par.Workers(opt.Workers)
-	scratches := make([]*abScratch, p)
-	par.ForWorker(len(d.Subgraphs), p, 1, func(w, task int) {
-		sc := scratches[w]
-		if sc == nil {
-			sc = &abScratch{inSG: make([]int32, n), visited: make([]int32, n)}
-			scratches[w] = sc
-		}
-		sg := d.Subgraphs[task]
-		if len(sg.Arts) == 0 {
-			return
-		}
-		sc.sgEpoch++
-		for _, v := range sg.Verts {
-			sc.inSG[v] = sc.sgEpoch
-		}
-		for _, la := range sg.Arts {
-			a := sg.Verts[la]
-			sg.Alpha[la] = sc.count(g, a)
-			if directed {
-				sg.Beta[la] = sc.count(tr, a)
-			} else {
-				sg.Beta[la] = sg.Alpha[la]
-			}
-		}
-	})
 }

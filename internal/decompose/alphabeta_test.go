@@ -1,0 +1,403 @@
+package decompose
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"testing"
+
+	"repro/internal/bfs"
+	"repro/internal/gen"
+	"repro/internal/graph"
+)
+
+// abScratch is the reusable state of alphaBetaBFS.
+type abScratch struct {
+	inSG    []int32 // sub-graph membership, epoch-marked
+	visited []int32 // BFS visited, epoch-marked
+	sgEpoch int32
+	bfsEp   int32
+	queue   []graph.V
+}
+
+// count runs a BFS from a over `from`, never entering vertices of the
+// current sub-graph other than a, and returns the number of vertices reached
+// beyond a.
+func (sc *abScratch) count(from *graph.Graph, a graph.V) float64 {
+	sc.bfsEp++
+	ep := sc.bfsEp
+	sc.visited[a] = ep
+	sc.queue = append(sc.queue[:0], a)
+	var reached int64
+	for len(sc.queue) > 0 {
+		u := sc.queue[len(sc.queue)-1]
+		sc.queue = sc.queue[:len(sc.queue)-1]
+		for _, v := range from.Out(u) {
+			if sc.visited[v] == ep {
+				continue
+			}
+			if sc.inSG[v] == sc.sgEpoch && v != a {
+				continue
+			}
+			sc.visited[v] = ep
+			sc.queue = append(sc.queue, v)
+			reached++
+		}
+	}
+	return float64(reached)
+}
+
+// alphaBetaBFS is the oracle the composition is held to: α and β per the
+// paper's operational definition (§4), a BFS from each boundary articulation
+// point a that never re-enters the sub-graph counting "the number of vertices
+// which a can reach without passing through SGi", and a reverse BFS counting
+// β. It walks d.G and reads nothing of a sub-graph but its vertex list and
+// boundary APs — not the CSRs, the folds or the forest.
+func alphaBetaBFS(d *Decomposition) {
+	g := d.G
+	n := g.NumVertices()
+	tr := g.Transpose()
+	sc := &abScratch{inSG: make([]int32, n), visited: make([]int32, n)}
+	for _, sg := range d.Subgraphs {
+		sc.sgEpoch++
+		for _, v := range sg.Verts {
+			sc.inSG[v] = sc.sgEpoch
+		}
+		for _, la := range sg.Arts {
+			a := sg.Verts[la]
+			sg.Alpha[la] = sc.count(g, a)
+			sg.Beta[la] = sg.Alpha[la]
+			if g.Directed() {
+				sg.Beta[la] = sc.count(tr, a)
+			}
+		}
+	}
+}
+
+// abSnapshot returns α then β of every boundary AP, sub-graph by sub-graph.
+func abSnapshot(d *Decomposition) []float64 {
+	var out []float64
+	for _, sg := range d.Subgraphs {
+		for _, la := range sg.Arts {
+			out = append(out, sg.Alpha[la], sg.Beta[la])
+		}
+	}
+	return out
+}
+
+// recompose wipes every α/β of d and has the composition restore them with no
+// connectivity promised: every sub-graph's components are labelled, as on the
+// refresh path.
+func recompose(d *Decomposition) []float64 {
+	for _, sg := range d.Subgraphs {
+		clear(sg.Alpha)
+		clear(sg.Beta)
+	}
+	d.composeAlphaBeta(false, func(int) bool { return false })
+	return abSnapshot(d)
+}
+
+// removeRandomEdge deletes one edge of d's graph (one arc when directed) the
+// way internal/core's local path does — MutateEdge on the sub-graph that holds
+// it, the mutated graph swapped in, the roots folded again, here simply in
+// every sub-graph — and keeps the partition, which thereby turns conservative.
+func removeRandomEdge(t *testing.T, d *Decomposition, rng *rand.Rand) {
+	t.Helper()
+	g := d.G
+	edges := g.Edges()
+	i := rng.Intn(len(edges))
+	e := edges[i]
+	for _, sg := range d.Subgraphs {
+		if lu, lv := sg.LocalID(e.From), sg.LocalID(e.To); lu >= 0 && lv >= 0 {
+			if err := sg.MutateEdge(false, lu, lv, g.Directed()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	d.SetGraph(graph.NewFromEdges(g.NumVertices(), slices.Delete(edges, i, i+1), g.Directed()))
+	for si := range d.Subgraphs {
+		d.RefreshRoots(si, false)
+	}
+}
+
+// checkDefinition holds the α and β sg stores to internal/bfs's reach counts
+// over g with sg's other vertices blocked.
+func checkDefinition(t *testing.T, label string, g *graph.Graph, sg *Subgraph) {
+	t.Helper()
+	inSG := make(map[graph.V]bool, sg.NumVerts())
+	for _, v := range sg.Verts {
+		inSG[v] = true
+	}
+	for _, la := range sg.Arts {
+		a := sg.Verts[la]
+		blocked := func(v graph.V) bool { return inSG[v] && v != a }
+		alpha := float64(bfs.ReachableCount(g, a, blocked) - 1)
+		beta := float64(bfs.ReverseReachableCount(g, a, blocked) - 1)
+		if sg.Alpha[la] != alpha || sg.Beta[la] != beta {
+			t.Fatalf("%s sg %d AP %d: α %v β %v, definition %v and %v",
+				label, sg.ID, a, sg.Alpha[la], sg.Beta[la], alpha, beta)
+		}
+	}
+}
+
+// TestComposeMatchesDefinition holds the composition to the paper's
+// definition three ways — its own result, the per-AP BFS oracle, and
+// internal/bfs's reach counts with the sub-graph blocked — on every build of
+// forEachBuild, folded and with the fold disabled (whole rows), and along
+// scripts of random removals that leave sub-graphs split inside and boundary
+// APs folded. The shapes the composition has a branch for must have occurred.
+func TestComposeMatchesDefinition(t *testing.T) {
+	var wide, foldedAP, manySCC, split int
+	var scc graph.SCC
+	check := func(label string, d *Decomposition) {
+		t.Helper()
+		g := d.G
+		for _, sg := range d.Subgraphs {
+			if len(sg.Arts) > 64 {
+				wide++
+			}
+			for _, la := range sg.Arts {
+				if sg.Folded(la) {
+					foldedAP++
+				}
+			}
+			labels := make([]int32, sg.NumVerts())
+			scc.Label(sg.offs, sg.adj, labels, make([]int32, sg.NumVerts()))
+			swept := map[int32]bool{}
+			for _, r := range sg.Roots {
+				swept[labels[r]] = true
+			}
+			if len(swept) > 1 {
+				if g.Directed() {
+					manySCC++
+				} else {
+					split++
+				}
+			}
+		}
+		composed := recompose(d)
+		alphaBetaBFS(d)
+		if oracle := abSnapshot(d); !slices.Equal(composed, oracle) {
+			t.Fatalf("%s: composition %v, BFS oracle %v", label, composed, oracle)
+		}
+		for _, sg := range d.Subgraphs {
+			checkDefinition(t, label, g, sg)
+		}
+	}
+
+	forEachBuild(t, func(label string, g *graph.Graph, th int, d *Decomposition) {
+		fresh := abSnapshot(d) // the closed form, when g is undirected
+		check(label, d)
+		if !slices.Equal(fresh, abSnapshot(d)) {
+			t.Fatalf("%s: Decompose stored %v, the definition is %v", label, fresh, abSnapshot(d))
+		}
+		check(label+" unfolded", mustDecompose(t, g, Options{Threshold: th, DisableGamma: true}))
+	})
+
+	families := buildFamilies()
+	for _, name := range []string{"path", "lollipop", "tree", "caveman", "grid", "social"} {
+		for _, g := range []*graph.Graph{families[name], oriented(families[name])} {
+			for _, th := range []int{1, 8} {
+				d := mustDecompose(t, g, Options{Threshold: th})
+				rng := rand.New(rand.NewSource(int64(th)))
+				for step := 1; step <= 20 && d.G.NumEdges() > 0; step++ {
+					removeRandomEdge(t, d, rng)
+					check(fmt.Sprintf("%s directed %v threshold %d after %d removals", name, g.Directed(), th, step), d)
+				}
+			}
+		}
+	}
+
+	if wide == 0 || foldedAP == 0 || manySCC == 0 || split == 0 {
+		t.Fatalf("%d sub-graphs with > 64 boundary APs, %d folded boundary APs, %d directed sub-graphs of several components, %d undirected ones split inside: a case went untested",
+			wide, foldedAP, manySCC, split)
+	}
+}
+
+// TestAlphaMatchesCutVertexCount checks α on the undirected families with
+// nothing of the decomposition but its vertex sets (SNIPPETS.md snippet 1):
+// delete the boundary AP, and α is the size of the components the AP touched
+// that hold no vertex of its sub-graph.
+func TestAlphaMatchesCutVertexCount(t *testing.T) {
+	for name, g := range buildFamilies() {
+		if g.Directed() {
+			continue
+		}
+		for _, th := range []int{1, 8, 64} {
+			d := mustDecompose(t, g, Options{Threshold: th})
+			for _, sg := range d.Subgraphs {
+				for _, la := range sg.Arts {
+					a := sg.Verts[la]
+					comp := make([]int32, g.NumVertices()) // components of g minus a, numbered from 1
+					var sizes []float64
+					for _, s := range g.Out(a) {
+						if comp[s] != 0 {
+							continue
+						}
+						id := int32(len(sizes) + 1)
+						comp[s] = id
+						stack := []graph.V{s}
+						size := 0.0
+						for len(stack) > 0 {
+							u := stack[len(stack)-1]
+							stack = stack[:len(stack)-1]
+							size++
+							for _, w := range g.Out(u) {
+								if w != a && comp[w] == 0 {
+									comp[w] = id
+									stack = append(stack, w)
+								}
+							}
+						}
+						sizes = append(sizes, size)
+					}
+					for _, v := range sg.Verts {
+						if v != a {
+							sizes[comp[v]-1] = 0
+						}
+					}
+					var want float64
+					for _, s := range sizes {
+						want += s
+					}
+					if sg.Alpha[la] != want || sg.Beta[la] != want {
+						t.Fatalf("%s threshold %d sg %d AP %d: α %v β %v, the cut leaves %v outside",
+							name, th, sg.ID, a, sg.Alpha[la], sg.Beta[la], want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestComposeDeepAndWide pins the shapes a recursive or a per-pair
+// formulation breaks on: a one-way path of 10⁵ vertices hung off the hub of a
+// 300-blade windmill of directed triangles. At a huge threshold the path is
+// one sub-graph whose labelling is 10⁵ frames deep and the hub one AP node of
+// 301 incidences; at threshold 1 the path is a chain of 10⁵ two-vertex
+// sub-graphs, so the forest is that deep. The hub's α and β have closed forms;
+// a sample of the rest is held to the definition.
+func TestComposeDeepAndWide(t *testing.T) {
+	const blades, tail = 300, 100_000
+	var edges []graph.Edge
+	for i := int32(0); i < blades; i++ {
+		a, b := 1+2*i, 2+2*i
+		edges = append(edges, graph.Edge{From: 0, To: a}, graph.Edge{From: a, To: b}, graph.Edge{From: b, To: 0})
+	}
+	prev := int32(0)
+	for v := int32(2*blades + 1); v <= 2*blades+tail; v++ {
+		edges = append(edges, graph.Edge{From: prev, To: v})
+		prev = v
+	}
+	g := graph.NewFromEdges(2*blades+tail+1, edges, true)
+
+	d := mustDecompose(t, g, Options{Threshold: 1 << 30})
+	if len(d.Subgraphs) != blades+1 || d.NumArticulation != 1 {
+		t.Fatalf("%d sub-graphs, %d boundary APs; want %d and 1", len(d.Subgraphs), d.NumArticulation, blades+1)
+	}
+	for _, sg := range d.Subgraphs {
+		hub := sg.LocalID(0)
+		alpha, beta := float64(tail+2*(blades-1)), float64(2*(blades-1))
+		if sg.NumVerts() > 3 {
+			alpha, beta = 2*blades, 2*blades
+		}
+		if sg.Alpha[hub] != alpha || sg.Beta[hub] != beta {
+			t.Fatalf("sub-graph of %d vertices: hub α %v β %v, want %v and %v", sg.NumVerts(), sg.Alpha[hub], sg.Beta[hub], alpha, beta)
+		}
+	}
+
+	d = mustDecompose(t, g, Options{Threshold: 1})
+	if len(d.Subgraphs) < tail {
+		t.Fatalf("%d sub-graphs at threshold 1, want a chain of about %d", len(d.Subgraphs), tail)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for range 40 {
+		checkDefinition(t, "chain", g, d.Subgraphs[rng.Intn(len(d.Subgraphs))])
+	}
+}
+
+// serveSized is the benchmark's serve input (bench/workloads.go) at seed 1.
+func serveSized() *graph.Graph {
+	return gen.SocialLike(gen.SocialParams{N: 2000, AvgDeg: 10, Communities: 134,
+		TopShare: 0.46, LeafFrac: 0.53, Seed: 1})
+}
+
+// TestAlphaBetaRefreshAllocs pins what the α/β refresh of one local edit
+// allocates on the serve-sized input, clones included, to the 71 KB the step
+// cost in arrays before the refresh was copy-on-change: 34 KB of Alpha/Beta
+// clones, one pair per sub-graph whether or not a value moved, and 37 KB of
+// BFS scratch (89 KB by this test's count, which sees the cloned structs too).
+func TestAlphaBetaRefreshAllocs(t *testing.T) {
+	g := serveSized()
+	prev := mustDecompose(t, g, Options{})
+	top := prev.Subgraphs[prev.TopIndex]
+	// An edge between two vertices of the top sub-graph that stay in the
+	// swept graph without it: a local edit that moves no α/β.
+	lu, lv := int32(-1), int32(-1)
+	for _, r := range top.Roots {
+		for _, w := range top.Out(r) {
+			if len(top.Out(r)) > 2 && len(top.Out(w)) > 2 && !top.IsArt[r] && !top.IsArt[w] {
+				lu, lv = r, w
+			}
+		}
+	}
+	if lu < 0 {
+		t.Fatal("no removable edge in the top sub-graph")
+	}
+	next := prev.CloneShallow()
+	mutated := next.Subgraphs[prev.TopIndex].CloneForMutation()
+	next.Subgraphs[prev.TopIndex] = mutated
+	if err := mutated.MutateEdge(false, lu, lv, false); err != nil {
+		t.Fatal(err)
+	}
+	edges := slices.DeleteFunc(g.Edges(), func(e graph.Edge) bool {
+		u, v := top.Verts[lu], top.Verts[lv]
+		return e == graph.Edge{From: min(u, v), To: max(u, v)}
+	})
+	next.SetGraph(graph.NewFromEdges(g.NumVertices(), edges, false))
+	next.RefreshRoots(prev.TopIndex, false)
+
+	owned := map[int]bool{prev.TopIndex: true}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	changed := next.RecomputeAlphaBeta(owned)
+	runtime.ReadMemStats(&after)
+	if len(changed) != 0 {
+		t.Fatalf("removing a non-bridge edge moved α/β of sub-graphs %v", changed)
+	}
+	for si, sg := range next.Subgraphs {
+		if !owned[si] && sg != prev.Subgraphs[si] {
+			t.Fatalf("sub-graph %d was cloned though none of its values moved", si)
+		}
+	}
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("refresh allocated %d bytes for %d sub-graphs, %d boundary APs", bytes, len(next.Subgraphs), next.NumArticulation)
+	if bytes > 71<<10 {
+		t.Fatalf("the α/β refresh allocated %d bytes, more than the 71 KB of cloning every sub-graph and a BFS per AP", bytes)
+	}
+}
+
+// BenchmarkAlphaBeta times the three formulations of α/β on the serve-sized
+// undirected input, where all three are valid: the connected closed form a
+// fresh build uses, the composition over labelled components every refresh
+// (and every directed build) runs, and the per-AP BFS of the paper.
+func BenchmarkAlphaBeta(b *testing.B) {
+	d, err := Decompose(serveSized(), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	never := func(int) bool { return false }
+	for name, run := range map[string]func(){
+		"tree":        func() { d.composeAlphaBeta(true, never) },
+		"composition": func() { d.composeAlphaBeta(false, never) },
+		"bfs-oracle":  func() { alphaBetaBFS(d) },
+	} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+		})
+	}
+}

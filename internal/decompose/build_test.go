@@ -13,12 +13,19 @@ import (
 
 // buildFamilies rebuilds the generator families internal/core's
 // schedFamilies uses (that helper lives in another package's test files),
-// plus a windmill whose hub joins every one of its 300 groups.
+// plus a windmill whose hub joins every one of its 300 groups and a ring of
+// 80 vertices with a triangle on each, a sub-graph of 80 boundary APs: more
+// than one 64-source mask of the α/β composition holds.
 func buildFamilies() map[string]*graph.Graph {
-	var blades []graph.Edge
+	var blades, ring []graph.Edge
 	for i := int32(0); i < 300; i++ {
 		a, b := 1+2*i, 2+2*i
 		blades = append(blades, graph.Edge{From: 0, To: a}, graph.Edge{From: 0, To: b}, graph.Edge{From: a, To: b})
+	}
+	for i := int32(0); i < 80; i++ {
+		a, b := 80+2*i, 81+2*i
+		ring = append(ring, graph.Edge{From: i, To: (i + 1) % 80},
+			graph.Edge{From: i, To: a}, graph.Edge{From: i, To: b}, graph.Edge{From: a, To: b})
 	}
 	return map[string]*graph.Graph{
 		"path":     gen.Path(20),
@@ -34,6 +41,7 @@ func buildFamilies() map[string]*graph.Graph {
 			Directed: true, Reciprocity: 0.5, Seed: 2}),
 		"er":       gen.ErdosRenyi(300, 900, false, 7),
 		"windmill": graph.NewFromEdges(601, blades, false),
+		"ring":     graph.NewFromEdges(240, ring, false),
 	}
 }
 
@@ -340,13 +348,13 @@ func TestDecomposeAllocs(t *testing.T) {
 	g := gen.RMAT(12, 8, 0.57, 0.19, 0.19, false, 1)
 	var d *Decomposition
 	allocs := testing.AllocsPerRun(5, func() {
-		d = mustDecompose(t, g, Options{Threshold: 8, Workers: 1})
+		d = mustDecompose(t, g, Options{Threshold: 8})
 	})
 	blocks := bcc.Find(g).NumBlocks()
 	// Per sub-graph: the struct, seven per-vertex arrays (foldedInto took the
 	// place of the fold pass's scratch flags), the CSR pair and the root list's
-	// growth steps. The vertex and block terms are what maps
-	// inside alphaBetaTree may spill; the constant covers the flat arrays.
+	// growth steps. The vertex and block terms are slack; the constant covers
+	// the flat arrays, the forest's and the α/β composition's among them.
 	bound := float64(24*len(d.Subgraphs) + (blocks+g.NumVertices())/16 + 64)
 	t.Logf("%.0f allocations; %d sub-graphs, %d blocks, %d vertices, %d arcs; bound %.0f",
 		allocs, len(d.Subgraphs), blocks, g.NumVertices(), g.NumArcs(), bound)

@@ -4,26 +4,29 @@ package decompose
 // (internal/core.Incremental): a mutation never edits the published
 // decomposition in place. Instead the mutator shallow-clones the
 // Decomposition, swaps cloned Subgraphs in for the ones a mutation will
-// write, applies MutateEdge/RefreshRoots/RecomputeAlphaBeta to the clones,
-// and publishes the finished epoch with one atomic pointer store. Readers
-// holding the previous epoch keep a fully consistent, never-changing view.
+// write, applies MutateEdge/RefreshRoots to the clones, lets
+// RecomputeAlphaBeta — which holds every new α/β before it writes one — clone
+// by itself the other sub-graphs whose values moved and no more, and
+// publishes the finished epoch with one atomic pointer store. Readers holding
+// the previous epoch keep a fully consistent, never-changing view.
 //
-// The clones share everything a mutation does not write. Both flavors drop
-// the lazy EnsureIn transpose rather than share it: the original's may be
-// built concurrently by readers of the old epoch, and reading its fields
-// outside their sync.Once would race. Clones rebuild it lazily if and when
-// an engine needs it.
+// The clones share everything a mutation does not write; the incidence forest
+// is shared by every epoch of a partition. Both flavors drop the lazy EnsureIn
+// transpose rather than share it: the original's may be built concurrently by
+// readers of the old epoch, and reading its fields outside their sync.Once
+// would race. Clones rebuild it lazily if and when an engine needs it.
 
-// CloneShallow returns a Decomposition sharing every Subgraph (and the
-// graph) with d. Callers replace entries of the returned Subgraphs slice
-// with clones before mutating, and swap in the post-mutation graph with
-// SetGraph.
+// CloneShallow returns a Decomposition sharing every Subgraph (and the graph
+// and the incidence forest) with d. Callers replace entries of the returned
+// Subgraphs slice with clones before mutating, and swap in the post-mutation
+// graph with SetGraph.
 func (d *Decomposition) CloneShallow() *Decomposition {
 	return &Decomposition{
 		G:               d.G,
 		Subgraphs:       append([]*Subgraph(nil), d.Subgraphs...),
 		TopIndex:        d.TopIndex,
 		NumArticulation: d.NumArticulation,
+		forest:          d.forest,
 	}
 }
 
@@ -54,9 +57,9 @@ func (s *Subgraph) CloneForMutation() *Subgraph {
 }
 
 // CloneForAlphaBeta returns a copy of s whose Alpha/Beta arrays are owned
-// (RecomputeAlphaBeta rewrites them for every sub-graph) and everything
-// else — CSR, vertex list, γ/roots/folds — is shared with the original, which a
-// pure α/β refresh never touches.
+// (RecomputeAlphaBeta makes one for a sub-graph whose values moved, before it
+// writes them) and everything else — CSR, vertex list, γ/roots/folds — is
+// shared with the original, which a pure α/β refresh never touches.
 func (s *Subgraph) CloneForAlphaBeta() *Subgraph {
 	return &Subgraph{
 		ID:         s.ID,

@@ -23,7 +23,6 @@
 package decompose
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -38,28 +37,14 @@ import (
 // and BenchmarkAblationThreshold sweeps it.
 const DefaultThreshold = 64
 
-// AlphaBetaMethod selects how α and β are computed.
-type AlphaBetaMethod int
-
-const (
-	// AlphaBetaAuto uses the O(V+E) block-tree subtree counting for
-	// undirected graphs and per-articulation-point BFS for directed ones.
-	AlphaBetaAuto AlphaBetaMethod = iota
-	// AlphaBetaTree forces subtree counting (undirected only).
-	AlphaBetaTree
-	// AlphaBetaBFS forces the paper-faithful per-articulation-point BFS
-	// (§4: "The second step uses parallel BFS to count α and β").
-	AlphaBetaBFS
-)
-
 // Options configures Decompose.
 type Options struct {
 	// Threshold is Algorithm 1's THRESHOLD: a non-top block smaller than
 	// this merges into its father. <= 0 means DefaultThreshold.
 	Threshold int
-	// AlphaBeta selects the α/β computation method.
-	AlphaBeta AlphaBetaMethod
-	// Workers bounds parallelism in the α/β step; <= 0 means GOMAXPROCS.
+	// Workers is unused: nothing in the decomposition runs in parallel since
+	// α/β became a composition over the incidence forest. It stays only while
+	// bench/, which sets it, is frozen (ROADMAP 6a).
 	Workers int
 	// DisableGamma turns off total-redundancy elimination (every vertex
 	// stays a root and γ ≡ 0); used by the ablation benchmarks.
@@ -213,34 +198,35 @@ type Decomposition struct {
 	TopIndex int
 	// NumArticulation is the number of distinct boundary articulation points.
 	NumArticulation int
+
+	// forest is the sub-graph/AP incidence forest the α/β composition walks.
+	forest *forest
 }
 
 // Decompose runs the full partition pipeline: FINDBCC, block-tree DFS with
-// threshold merging, sub-graph construction with γ/R, and α/β counting.
+// threshold merging, sub-graph construction with γ/R, and the α/β composition
+// (alphabeta.go), which reads the folded sub-graphs: the leaves enter it as γ
+// weights.
 func Decompose(g *graph.Graph, opt Options) (*Decomposition, error) {
 	if g.NumVertices() == 0 {
-		return &Decomposition{G: g, TopIndex: -1}, nil
+		return &Decomposition{G: g, TopIndex: -1, forest: new(forest)}, nil
 	}
 	if opt.Threshold <= 0 {
 		opt.Threshold = DefaultThreshold
-	}
-	if opt.AlphaBeta == AlphaBetaTree && g.Directed() {
-		return nil, fmt.Errorf("decompose: AlphaBetaTree requires an undirected graph")
 	}
 	start := time.Now()
 	res := bcc.Find(g)
 	blockGroup, numGroups := mergeBlocks(g, res, opt.Threshold)
 	d := &Decomposition{G: g, TopIndex: -1}
 	buildSubgraphs(d, g, res, blockGroup, numGroups)
-	partitionDone := time.Now()
-	if err := computeAlphaBeta(d, opt); err != nil {
-		return nil, err
-	}
-	if opt.Timings != nil {
-		opt.Timings.Partition = partitionDone.Sub(start)
-		opt.Timings.AlphaBeta = time.Since(partitionDone)
-	}
+	partition := time.Since(start)
 	computeGammaRoots(d, opt)
+	start = time.Now()
+	d.composeAlphaBeta(!g.Directed(), func(int) bool { return false })
+	if opt.Timings != nil {
+		opt.Timings.Partition = partition
+		opt.Timings.AlphaBeta = time.Since(start)
+	}
 	for i, sg := range d.Subgraphs {
 		if d.TopIndex < 0 || sg.NumVerts() > d.Subgraphs[d.TopIndex].NumVerts() {
 			d.TopIndex = i

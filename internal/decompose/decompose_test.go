@@ -210,8 +210,9 @@ func TestTreeMatchesBFS(t *testing.T) {
 		gen.Lollipop(10, 20),
 	}
 	for gi, g := range graphs {
-		dTree := mustDecompose(t, g, Options{Threshold: 6, AlphaBeta: AlphaBetaTree})
-		dBFS := mustDecompose(t, g, Options{Threshold: 6, AlphaBeta: AlphaBetaBFS})
+		dTree := mustDecompose(t, g, Options{Threshold: 6})
+		dBFS := mustDecompose(t, g, Options{Threshold: 6})
+		alphaBetaBFS(dBFS)
 		if len(dTree.Subgraphs) != len(dBFS.Subgraphs) {
 			t.Fatalf("graph %d: nondeterministic partition", gi)
 		}
@@ -227,13 +228,6 @@ func TestTreeMatchesBFS(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestTreeMethodRejectsDirected(t *testing.T) {
-	g := gen.ErdosRenyi(20, 40, true, 1)
-	if _, err := Decompose(g, Options{AlphaBeta: AlphaBetaTree}); err == nil {
-		t.Fatal("expected error for AlphaBetaTree on directed graph")
 	}
 }
 

@@ -88,14 +88,19 @@ func (d *Decomposition) RefreshRoots(si int, disableGamma bool) {
 func (d *Decomposition) SetGraph(g *graph.Graph) { d.G = g }
 
 // RecomputeAlphaBeta refreshes every sub-graph's α/β against the current
-// graph, keeping the partition. Needed after intra-sub-graph arc changes
-// whenever reachability through the mutated sub-graph can shift other
-// sub-graphs' counts: always on directed graphs, and on undirected graphs
-// after a removal may have split a sub-graph internally (and after
-// insertions while such a split persists). It always uses the BFS counting
-// method: the undirected tree method reads only the partition shape, which
-// a block-splitting removal silently invalidates, while a blocked BFS walks
-// the actual mutated graph.
-func (d *Decomposition) RecomputeAlphaBeta(workers int) error {
-	return computeAlphaBeta(d, Options{AlphaBeta: AlphaBetaBFS, Workers: workers})
+// sub-graph CSRs and folds, keeping the partition. Needed after
+// intra-sub-graph arc changes whenever reachability through the mutated
+// sub-graph can shift other sub-graphs' counts: always on directed graphs, and
+// on undirected graphs after a removal may have split a sub-graph internally
+// (and after insertions while such a split persists). The composition
+// (alphabeta.go) labels the components of every sub-graph as it is now, so a
+// split shows; it promises itself no connectivity.
+//
+// It is copy-on-change: the new values are compared with the ones in place,
+// and only a sub-graph with a value that moved is written — after being
+// replaced in d.Subgraphs by its CloneForAlphaBeta, unless owned marks it as
+// a clone the caller made already. The indices of the sub-graphs whose values
+// moved are returned in increasing order.
+func (d *Decomposition) RecomputeAlphaBeta(owned map[int]bool) (changed []int) {
+	return d.composeAlphaBeta(false, func(si int) bool { return !owned[si] })
 }

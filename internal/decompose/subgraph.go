@@ -74,6 +74,7 @@ func buildSubgraphs(d *Decomposition, g *graph.Graph, res *bcc.Result, blockGrou
 		vertOff[gr+1] += vertOff[gr]
 		artOff[gr+1] += artOff[gr]
 	}
+	d.forest = newForest(artOff, apFirst, apGroup)
 
 	verts := make([]graph.V, vertOff[numGroups])
 	arts := make([]int32, artOff[numGroups])

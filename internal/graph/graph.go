@@ -233,14 +233,46 @@ func (g *Graph) Edges() []Edge {
 }
 
 // Undirected returns the graph itself when already undirected, otherwise the
-// symmetrized version (every arc made bidirectional). The paper's
+// symmetrized, unweighted version (every arc made bidirectional). The paper's
 // decomposition step operates on the underlying undirected structure
-// (Algorithm 1's GETUNDG).
+// (Algorithm 1's GETUNDG). A vertex's undirected row is the union of its out-
+// and in-rows, both sorted, so the rows are merged one after the other into
+// an array with room for both and nothing is sorted; on a directed graph this
+// builds the transpose (see In for what that asks of concurrent callers).
 func (g *Graph) Undirected() *Graph {
 	if !g.directed {
 		return g
 	}
-	return NewFromEdges(g.n, g.Edges(), false)
+	g.EnsureTranspose()
+	offs := make([]int64, g.n+1)
+	adj := make([]V, 2*len(g.adj))
+	at := 0
+	for u := 0; u < g.n; u++ {
+		out, in := g.adj[g.offs[u]:g.offs[u+1]], g.inAdj[g.inOffs[u]:g.inOffs[u+1]]
+		at += mergeRows(adj[at:], out, in)
+		offs[u+1] = int64(at)
+	}
+	return &Graph{n: g.n, offs: offs, adj: adj[:at:at]}
+}
+
+// mergeRows writes the union of the sorted rows a and b to dst, sorted and
+// without duplicates, and returns its length.
+func mergeRows(dst, a, b []V) int {
+	i, j, n := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		x, y := a[i], b[j]
+		dst[n] = min(x, y)
+		n++
+		if x <= y {
+			i++
+		}
+		if y <= x {
+			j++
+		}
+	}
+	n += copy(dst[n:], a[i:])
+	n += copy(dst[n:], b[j:])
+	return n
 }
 
 // Transpose returns the reverse graph. For undirected graphs it returns g.

@@ -123,3 +123,35 @@ func TestSCCDeep(t *testing.T) {
 		t.Fatalf("count = %d, want %d", count, n)
 	}
 }
+
+// TestSCCLabelOrderAndReuse checks what internal/decompose's mask propagation
+// leans on: order is a permutation of the vertices grouped by increasing
+// label, and one scratch labels a smaller graph after a larger one (stale
+// index/low entries beyond the first graph's size included) like a fresh one.
+func TestSCCLabelOrderAndReuse(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	var s SCC
+	for _, n := range []int{400, 30, 1, 0, 90} {
+		var edges []Edge
+		for k := 0; k < 2*n; k++ {
+			edges = append(edges, Edge{From: V(r.Intn(n)), To: V(r.Intn(n))})
+		}
+		g := NewFromEdges(n, edges, true)
+		labels, order := make([]int32, n), make([]V, n)
+		count := s.Label(g.offs, g.adj, labels, order)
+		want, wantCount := StronglyConnectedComponents(g)
+		if count != wantCount {
+			t.Fatalf("n=%d: %d components with a reused scratch, %d with a fresh one", n, count, wantCount)
+		}
+		seen := make([]bool, n)
+		for i, v := range order {
+			if labels[v] != want[v] {
+				t.Fatalf("n=%d: vertex %d labelled %d, fresh scratch says %d", n, v, labels[v], want[v])
+			}
+			if seen[v] || i > 0 && labels[order[i-1]] > labels[v] {
+				t.Fatalf("n=%d: order %v is not the vertices by increasing label %v", n, order, labels)
+			}
+			seen[v] = true
+		}
+	}
+}
