@@ -113,6 +113,13 @@ echo "==> fuzz: Incremental vs serial Brandes and a fresh Compute after every op
 # back for an edit. The seed corpus and testdata/fuzz already ran in tier-1.
 go test -run '^$' -fuzz FuzzIncrementalMatchesBrandes -fuzztime 20s ./internal/core
 
+echo "==> fuzz: Compute vs serial Brandes, the sweep's three direction modes bit-equal (20 s)"
+# Random small graphs × directed × threshold × DisableGamma × one or two
+# workers, with hybridMinVerts lowered so that graphs this size take bottom-up
+# and push levels: pull-only, push-everywhere and the rule must agree bit for
+# bit, and Compute with serial Brandes.
+go test -run '^$' -fuzz FuzzComputeMatchesBrandes -fuzztime 20s ./internal/core
+
 echo "==> scheduler gate: BC vs serial Brandes at workers 1,2,4(,8) under -race"
 # The worker-sweep test runs the dynamic scheduler at workers 1, 2, 4 and 8
 # on all nine graph families and asserts the scores match serial Brandes
@@ -126,9 +133,10 @@ echo "==> msbfs gate: batched engine bit-match vs scalar under -race"
 # the core suite pins scalar==msbfs bit-equality at workers 1,2,4,8 across
 # all families (directed and disconnected included) and that the
 # small-graph serial-cutoff fallback never changes a bit. The two direction
-# tests pin the scalar sweep's per-level top-down/bottom-up choice: bit-neutral
-# on fixtures big enough to take bottom-up levels (directed in-CSR included),
-# and never a larger scan than pure top-down.
+# tests pin the scalar sweep's per-level choices, forward (top-down/bottom-up)
+# and backward (pull/push): bit-neutral on fixtures big enough to take
+# bottom-up and push levels (directed in-CSR, AP roots and γ seeds included),
+# and never a larger scan, either way, than pure top-down with pull.
 run_named 'TestKernelMatchesBrandes|TestKernelBatchWidthBitInvariant' \
     -race -count=1 ./internal/msbfs
 run_named 'TestMSBFSEngineBitMatchesScalar|TestMSBFSEngineDeterministic|TestDynamicSerialCutoffBoundary|TestSerialGuardKeepsServeParallel|TestHybridSweepBitNeutral|TestDirectionSwitchNeverScansMore' \
@@ -156,6 +164,9 @@ run_named 'TestComposeMatchesDefinition|TestAlphaBetaRefreshAllocs' \
 # exact after every op.
 run_named 'TestFoldedVerticesLeaveTheRows|TestIncrementalLeafEdits' \
     -count=1 ./internal/decompose ./internal/core
+# And its rows are strictly ascending, after a build and after every edit:
+# what makes the backward push add a parent's terms in its pull's order.
+run_named 'TestOutRowsStayAscending' -count=1 ./internal/decompose
 
 echo "==> bench smoke: go test -bench -benchmem on the arena-backed paths"
 go test -run=NONE -bench=. -benchtime=1x -benchmem ./internal/ws ./internal/core
@@ -223,6 +234,13 @@ fi
 # is held to, not a path.
 if grep -rn 'AlphaBetaBFS\|alphaBetaBFS' --include='*.go' . | grep -v '_test\.go:'; then
     echo "ci.sh: the per-AP BFS is back in non-test code; α/β is composed, the BFS is the test oracle" >&2
+    exit 1
+fi
+
+# hybridMinVerts is a var only so tests can lower it; no other code writes it.
+if grep -rnE 'hybridMinVerts[^=!<>]*(=[^=]|\+\+|--)' --include='*.go' . |
+    grep -v '_test\.go:' | grep -v 'internal/core/state.go:.*var hybridMinVerts = 256'; then
+    echo "ci.sh: hybridMinVerts is written outside test files; it is a constant everywhere but in tests" >&2
     exit 1
 fi
 

@@ -55,9 +55,14 @@ func BenchmarkRootSweepWarm(b *testing.B) {
 
 func TestRootSweepWarmAllocs(t *testing.T) {
 	// Small sub-graphs exercise the plain top-down sweep, the large one the
-	// direction-optimizing hybrid; both must be allocation-free warm.
-	for _, scale := range []float64{0.25, 1} {
-		d := decomposeForAlloc(t, scale)
+	// direction-optimizing hybrid — under the rule and with every level
+	// bottom-up and pushing, which fills the level table; all must be
+	// allocation-free warm and leave the workspace clean.
+	for _, c := range []struct {
+		scale float64
+		force direction
+	}{{0.25, dirAuto}, {4, dirAuto}, {4, dirBottomUp}} {
+		d := decomposeForAlloc(t, c.scale)
 		var sg *decompose.Subgraph
 		for _, cand := range d.Subgraphs {
 			if len(cand.Roots) > 1 && (sg == nil || cand.NumVerts() > sg.NumVerts()) {
@@ -67,10 +72,14 @@ func TestRootSweepWarmAllocs(t *testing.T) {
 		if sg == nil {
 			t.Fatal("no multi-root sub-graph in fixture")
 		}
-		var rs RootSweep
+		rs := RootSweep{e: engine{force: c.force}}
 		directed := d.G.Directed()
 		for _, r := range sg.Roots {
 			rs.Run(sg, r, directed)
+		}
+		if c.scale > 1 && (!rs.e.hybrid || c.force == dirBottomUp && rs.e.pushedLevels == 0) {
+			t.Fatalf("scale %v (n=%d) direction %d: hybrid %v, %d pushed levels; the case is vacuous",
+				c.scale, sg.NumVerts(), c.force, rs.e.hybrid, rs.e.pushedLevels)
 		}
 		dst := make([]float64, sg.NumVerts())
 		rs.Collect(dst)
@@ -80,10 +89,13 @@ func TestRootSweepWarmAllocs(t *testing.T) {
 			i++
 		})
 		rs.Collect(dst)
+		if err := rs.e.ws.CheckClean(); err != nil {
+			t.Fatalf("scale %v direction %d: %v", c.scale, c.force, err)
+		}
 		rs.Release()
 		if allocs != 0 {
-			t.Fatalf("scale %v (n=%d): warm RootSweep.Run allocates %.1f/op, want 0",
-				scale, sg.NumVerts(), allocs)
+			t.Fatalf("scale %v (n=%d) direction %d: warm RootSweep.Run allocates %.1f/op, want 0",
+				c.scale, sg.NumVerts(), c.force, allocs)
 		}
 	}
 }

@@ -93,9 +93,12 @@ type engine struct {
 	// each sweep visited. examined is what bfsRoot's forward passes really
 	// scanned — frontier out-arcs in top-down levels, in-arcs of the
 	// unvisited vertices plus the bitset words in bottom-up levels — and
-	// bottomUpLevels how many levels went bottom-up; tests read both to pin
-	// the direction rule, nothing reports them.
+	// bottomUpLevels how many levels went bottom-up. backScanned is the same
+	// for its backward passes — out-arcs of the levels that pulled, in-arcs of
+	// the levels that pushed — and pushedLevels how many pushed. Tests read
+	// the four to pin the direction rule, nothing reports them.
 	traversed, examined, bottomUpLevels int64
+	backScanned, pushedLevels           int64
 
 	weighted bool      // Dijkstra kernel; set from the graph, never by callers' options
 	batched  bool      // RootEngine == EngineMSBFS

@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 
+	"repro/internal/brandes"
+	"repro/internal/decompose"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
@@ -15,6 +17,18 @@ func fuzzEdges(g *graph.Graph) []byte {
 		b = append(b, byte(e.From), byte(e.To))
 	}
 	return b
+}
+
+// fuzzGraphEdges is the inverse both fuzz targets read a graph with: byte
+// pairs (u, v) taken mod n, self-loops dropped, at most max edges.
+func fuzzGraphEdges(b []byte, n, max int) []graph.Edge {
+	var es []graph.Edge
+	for i := 0; i+1 < len(b) && len(es) < max; i += 2 {
+		if u, v := graph.V(int(b[i])%n), graph.V(int(b[i+1])%n); u != v {
+			es = append(es, graph.Edge{From: u, To: v})
+		}
+	}
+	return es
 }
 
 // FuzzIncrementalMatchesBrandes is ROADMAP 5(i)'s incremental half: a small
@@ -43,13 +57,7 @@ func FuzzIncrementalMatchesBrandes(f *testing.F) {
 		if len(script) > 64 {
 			script = script[:64]
 		}
-		var es []graph.Edge
-		for i := 0; i+1 < len(edges) && len(es) < 4*n; i += 2 {
-			if u, v := graph.V(int(edges[i])%n), graph.V(int(edges[i+1])%n); u != v {
-				es = append(es, graph.Edge{From: u, To: v})
-			}
-		}
-		inc, err := NewIncremental(graph.NewFromEdges(n, es, directed), Options{Threshold: 1 + int(th)%8})
+		inc, err := NewIncremental(graph.NewFromEdges(n, fuzzGraphEdges(edges, n, 4*n), directed), Options{Threshold: 1 + int(th)%8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,6 +90,54 @@ func FuzzIncrementalMatchesBrandes(f *testing.F) {
 				t.Fatalf("op %d (%d,%d): %v", i/2, u, v, err)
 			}
 			assertIncMatches(t, inc, "after op")
+		}
+	})
+}
+
+// FuzzComputeMatchesBrandes is ROADMAP 5(i)'s batch half: a small graph, a
+// directed bit, a threshold, DisableGamma and one or two workers, with Compute
+// held to serial Brandes, and the scalar sweep's three direction modes — the
+// rule, pull only, every level bottom-up and pushing — held to each other bit
+// for bit. hybridMinVerts is lowered for the run so that sub-graphs this size
+// take bottom-up and push levels at all, and the serial guard dropped so that
+// the second worker is real.
+//
+// Encoding: n = 2 + nb%47 vertices; edges is byte pairs (u, v) taken mod n,
+// self-loops dropped; flags bit 0 directed, bit 1 DisableGamma, bit 2 a second
+// worker.
+func FuzzComputeMatchesBrandes(f *testing.F) {
+	oldMin, oldCut := hybridMinVerts, dynamicSerialCutoff
+	hybridMinVerts, dynamicSerialCutoff = 2, 0
+	f.Cleanup(func() { hybridMinVerts, dynamicSerialCutoff = oldMin, oldCut })
+	for _, g := range []*graph.Graph{gen.Star(8), gen.Path(7), gen.Lollipop(5, 4), gen.Caveman(3, 5, false),
+		gen.Grid2D(5, 5), gen.ErdosRenyi(40, 160, false, 3)} {
+		for flags := byte(0); flags < 8; flags++ {
+			f.Add(byte(g.NumVertices()-2), flags, byte(2), fuzzEdges(g))
+		}
+	}
+	f.Fuzz(func(t *testing.T, nb, flags, th byte, edges []byte) {
+		n := 2 + int(nb)%47
+		directed, disableGamma, workers := flags&1 != 0, flags&2 != 0, 1+int(flags>>2&1)
+		g := graph.NewFromEdges(n, fuzzGraphEdges(edges, n, 6*n), directed)
+		opt := Options{Workers: workers, Threshold: 1 + int(th)%8, DisableGamma: disableGamma}
+		got, err := Compute(g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i, ok := bcClose(brandes.Serial(g), got, 1e-9); !ok {
+			t.Fatalf("Compute differs from Brandes at vertex %d: %v", i, got[i])
+		}
+		d, err := decompose.Decompose(g, decompose.Options{Threshold: opt.Threshold, DisableGamma: disableGamma})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rule, _ := sweepForced(t, d, dirAuto)
+		pull, _ := sweepForced(t, d, dirTopDown)
+		push, _ := sweepForced(t, d, dirBottomUp)
+		bcBitsEqual(t, "rule vs pull only", rule, pull)
+		bcBitsEqual(t, "rule vs forced push", rule, push)
+		if workers == 1 { // the drain sweepForced replays
+			bcBitsEqual(t, "Compute vs rule", got, rule)
 		}
 	})
 }

@@ -120,61 +120,136 @@ func hybridFixtures() map[string]*graph.Graph {
 	return fams
 }
 
-// sweepForced replays ComputeDecomposed's one-worker drain with the scalar
-// engine's direction choice pinned, returning the scores and the engine for
-// its counters.
-func sweepForced(t *testing.T, g *graph.Graph, force direction) ([]float64, *engine) {
+// sweepForced replays ComputeDecomposed's one-worker drain over d with the
+// scalar engine's direction choices pinned, returning the scores and the
+// engine for its counters.
+func sweepForced(t *testing.T, d *decompose.Decomposition, force direction) ([]float64, *engine) {
 	t.Helper()
-	d, err := decompose.Decompose(g, decompose.Options{Threshold: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bc := make([]float64, g.NumVertices())
+	bc := make([]float64, d.G.NumVertices())
 	e := &engine{force: force}
 	for _, sg := range d.Subgraphs {
 		if len(sg.Roots) == 0 {
 			continue
 		}
 		e.ensure(sg)
-		e.runRoots(sg, sg.Roots, g.Directed())
+		e.runRoots(sg, sg.Roots, d.G.Directed())
 		loc := e.ws.BC[:sg.NumVerts()]
 		flushLocal(bc, sg, loc)
 		for l := range loc {
 			loc[l] = 0
 		}
 	}
+	if e.ws != nil {
+		if err := e.ws.CheckClean(); err != nil {
+			t.Fatalf("direction %d left the workspace dirty: %v", force, err)
+		}
+	}
 	e.release()
 	return bc, e
 }
 
+// decomposeAt8 is the decomposition the direction tests sweep.
+func decomposeAt8(t *testing.T, g *graph.Graph) *decompose.Decomposition {
+	t.Helper()
+	d, err := decompose.Decompose(g, decompose.Options{Threshold: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 // TestHybridSweepBitNeutral pins the direction-optimizing sweep's bit
-// neutrality claim (bfsRoot): never going bottom-up, always going bottom-up
-// and the edge-volume rule produce the same bits, which are Compute's.
+// neutrality claim (bfsRoot), forward and backward: never going bottom-up
+// (the backward pass only pulls), always going bottom-up (every level pushes
+// to its parents) and the edge-volume rule produce the same bits, which are
+// Compute's. The forced runs must really differ — no bottom-up level and no
+// push in the one, both in the other — and the sub-graphs that push must
+// include articulation-point roots and γ seeds, the terms that fold in after
+// the pushed sums.
 func TestHybridSweepBitNeutral(t *testing.T) {
+	var apRoots, gammaSeeds int
 	for name, g := range hybridFixtures() {
 		ref, err := Compute(g, Options{Workers: 1, Threshold: 8})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		d := decomposeAt8(t, g)
 		for _, force := range []direction{dirTopDown, dirBottomUp, dirAuto} {
-			got, e := sweepForced(t, g, force)
+			got, e := sweepForced(t, d, force)
 			bcBitsEqual(t, fmt.Sprintf("%s direction %d vs Compute", name, force), ref, got)
+			big := name == "er" || name == "lattice" || name == "socialDirBig"
 			switch {
-			case force == dirTopDown && e.bottomUpLevels != 0:
-				t.Fatalf("%s: top-down run took %d bottom-up levels", name, e.bottomUpLevels)
-			case force == dirBottomUp && e.bottomUpLevels == 0 &&
-				(name == "er" || name == "lattice" || name == "socialDirBig"):
-				t.Fatalf("%s: forced bottom-up run took no bottom-up level; the fixture is vacuous", name)
+			case force == dirTopDown && (e.bottomUpLevels != 0 || e.pushedLevels != 0):
+				t.Fatalf("%s: top-down run took %d bottom-up levels and pushed %d", name, e.bottomUpLevels, e.pushedLevels)
+			case force == dirBottomUp && big && (e.bottomUpLevels == 0 || e.pushedLevels == 0):
+				t.Fatalf("%s: forced bottom-up run took %d bottom-up levels and pushed %d; the fixture is vacuous",
+					name, e.bottomUpLevels, e.pushedLevels)
+			case force == dirAuto && e.pushedLevels > e.bottomUpLevels:
+				t.Fatalf("%s: the rule pushed %d levels but discovered only %d bottom-up", name, e.pushedLevels, e.bottomUpLevels)
+			}
+			if force != dirBottomUp {
+				continue
+			}
+			for _, sg := range d.Subgraphs {
+				if len(sg.Roots) < hybridMinVerts {
+					continue
+				}
+				for _, r := range sg.Roots {
+					if sg.IsArt[r] {
+						apRoots++
+					}
+					if !g.Directed() && sg.Gamma[r] > 0 {
+						gammaSeeds++
+					}
+				}
 			}
 		}
 	}
+	if apRoots == 0 || gammaSeeds == 0 {
+		t.Fatalf("pushing sub-graphs hold %d articulation-point roots and %d γ-seeded vertices: one case went untested", apRoots, gammaSeeds)
+	}
+}
+
+// deepestOut sums, over every root d's sweeps start from, the out-arcs of the
+// root's deepest BFS level — the scan the backward pass skips.
+func deepestOut(d *decompose.Decomposition) int64 {
+	var total int64
+	for _, sg := range d.Subgraphs {
+		dist := make([]int32, sg.NumVerts())
+		for _, s := range sg.Roots {
+			for l := range dist {
+				dist[l] = -1
+			}
+			dist[s] = 0
+			queue := []int32{s}
+			var deepest, out int64
+			for len(queue) > 0 {
+				v := queue[0]
+				queue = queue[1:]
+				if int64(dist[v]) > deepest {
+					deepest, out = int64(dist[v]), 0
+				}
+				out += int64(len(sg.Out(v)))
+				for _, w := range sg.Out(v) {
+					if dist[w] < 0 {
+						dist[w] = dist[v] + 1
+						queue = append(queue, w)
+					}
+				}
+			}
+			total += out
+		}
+	}
+	return total
 }
 
 // TestDirectionSwitchNeverScansMore pins the work bound the edge-volume rule
-// exists for: the forward passes never scan more (arcs plus bitset words)
-// than pure top-down sweeps of the same roots would, on a deep narrow
-// lattice and a directed community graph — where bottom-up levels rarely
-// pay — and on an R-MAT, where they must fire and scan strictly less.
+// exists for, in both halves of a sweep: the forward passes never scan more
+// (arcs plus bitset words) than pure top-down sweeps of the same roots would,
+// and the backward passes never more arcs than pulling everywhere — which is
+// itself every visited vertex's out-arcs but the deepest level's. On a deep
+// narrow lattice and a directed community graph bottom-up and push levels
+// rarely pay; on an R-MAT they must fire and scan strictly less.
 func TestDirectionSwitchNeverScansMore(t *testing.T) {
 	fix := hybridFixtures()
 	for name, g := range map[string]*graph.Graph{
@@ -182,8 +257,9 @@ func TestDirectionSwitchNeverScansMore(t *testing.T) {
 		"socialDirBig": fix["socialDirBig"],
 		"rmat":         gen.RMAT(10, 8, 0.57, 0.19, 0.19, false, 5),
 	} {
-		_, never := sweepForced(t, g, dirTopDown)
-		_, auto := sweepForced(t, g, dirAuto)
+		d := decomposeAt8(t, g)
+		_, never := sweepForced(t, d, dirTopDown)
+		_, auto := sweepForced(t, d, dirAuto)
 		if never.examined != never.traversed {
 			t.Fatalf("%s: top-down examined %d arcs, traversed %d", name, never.examined, never.traversed)
 		}
@@ -193,11 +269,20 @@ func TestDirectionSwitchNeverScansMore(t *testing.T) {
 		if auto.examined > never.examined {
 			t.Fatalf("%s: the direction rule scanned %d, pure top-down %d", name, auto.examined, never.examined)
 		}
-		if name == "rmat" && (auto.bottomUpLevels == 0 || auto.examined >= never.examined) {
-			t.Fatalf("rmat: %d bottom-up levels, scanned %d vs top-down %d — the rule never fired",
-				auto.bottomUpLevels, auto.examined, never.examined)
+		if want := never.traversed - deepestOut(d); never.backScanned != want {
+			t.Fatalf("%s: pulling everywhere scanned %d arcs backward, want %d: all of the %d traversed but the deepest levels'",
+				name, never.backScanned, want, never.traversed)
 		}
-		t.Logf("%s: scanned %d (top-down %d), %d bottom-up levels", name, auto.examined, never.examined, auto.bottomUpLevels)
+		if auto.backScanned > never.backScanned {
+			t.Fatalf("%s: the direction rule scanned %d arcs backward, pulling everywhere %d", name, auto.backScanned, never.backScanned)
+		}
+		if name == "rmat" && (auto.bottomUpLevels == 0 || auto.examined >= never.examined ||
+			auto.pushedLevels == 0 || auto.backScanned >= never.backScanned) {
+			t.Fatalf("rmat: %d bottom-up levels, scanned %d vs top-down %d; %d pushed levels, scanned %d backward vs pull %d — the rule never fired",
+				auto.bottomUpLevels, auto.examined, never.examined, auto.pushedLevels, auto.backScanned, never.backScanned)
+		}
+		t.Logf("%s: forward %d (top-down %d), %d bottom-up levels; backward %d (pull %d), %d pushed levels",
+			name, auto.examined, never.examined, auto.bottomUpLevels, auto.backScanned, never.backScanned, auto.pushedLevels)
 	}
 }
 

@@ -19,32 +19,35 @@ var sweepPool ws.Pool
 // bcd_ws_in_use on /metrics.
 func SweepPoolStats() (size, inUse int) { return sweepPool.Stats() }
 
-// hybridMinVerts gates the direction-optimizing σ-BFS: below this size a
+// hybridMinVerts gates the direction-optimizing sweep: below this size a
 // bottom-up level cannot beat the frontier expansion it replaces, and the
-// transpose CSR is not worth building.
-const hybridMinVerts = 256
+// transpose CSR is not worth building. A var, not a const, only so tests can
+// lower it and put fuzz-sized sub-graphs through bottom-up and push levels;
+// nothing outside test files writes it (ci.sh greps).
+var hybridMinVerts = 256
 
-// direction pins the forward sweep's per-level direction choice. Callers
-// cannot set it — the zero value, the edge-volume rule, is the only mode
-// outside tests, which force the other two to prove the choice bit-neutral
-// and to bound the rule's scan volume against pure top-down.
+// direction pins the sweep's per-level direction choices, forward and
+// backward. Callers cannot set it — the zero value, the edge-volume rule, is
+// the only mode outside tests, which force the other two to prove the choice
+// bit-neutral and to bound the rule's scan volume against pure top-down.
 type direction int8
 
 const (
 	dirAuto     direction = iota // per level, whichever direction scans less (bfsRoot)
-	dirTopDown                   // never bottom-up
-	dirBottomUp                  // every level bottom-up on hybrid-sized sub-graphs
+	dirTopDown                   // never bottom-up, so the backward pass only pulls
+	dirBottomUp                  // every level bottom-up on hybrid-sized sub-graphs, so every level pushes
 )
 
 // The four-dependency backward step is the same in every kernel: each DAG
-// vertex pulls from its successors (out-neighbours one level, or one
+// vertex sums over its successors (out-neighbours one level, or one
 // shortest-path arc, deeper) and then settles — folding in the
 // articulation-point seeds, storing its δ values and merging its BC
 // contribution (rootTerms.settle). Folding the seeds into the backward step
-// means the δ fields never need clearing: every visited vertex's record is
-// assigned exactly once per root. σ and the three δ of a vertex share one
-// 32-byte ws.Record, so pulling from a successor costs one cache line, not
-// four.
+// means the δ fields never need clearing between roots: a visited vertex's
+// record is assigned once per root, or — when bfsRoot has a level push to its
+// parents — zeroed, accumulated into and then assigned. σ and the three δ of
+// a vertex share one 32-byte ws.Record, so a successor costs one cache line,
+// not four.
 
 // rootTerms is the root-dependent part of the backward step: the sweep
 // root's boundary terms and the scratch the per-vertex tail writes. The BFS
@@ -132,6 +135,18 @@ func (rt *rootTerms) settle(v int32, i2i, i2o, o2o float64) {
 // (exact float64 sums, order-independent), dist is direction-independent,
 // and the backward phase only needs `order` grouped by non-decreasing level
 // — within-level permutations cannot change any value it computes.
+//
+// The backward pass takes the same choice level by level. A level pulls by
+// scanning its own out-arcs for successors; a level that was discovered
+// bottom-up instead pushes its terms over its in-arcs into its parents'
+// records (push), which is the smaller scan whenever the rule chose
+// bottom-up: the level's in-arcs are among the unvisited in-arcs the rule
+// found fewer than the parents' out-arcs. Only such a level may push, because
+// it sits in `order` in ascending id and every Out row is ascending
+// (decompose keeps them so), hence a parent receives its successors' terms
+// in exactly the order its pull adds them — the same float64 operations on
+// the same operands, bit for bit. The deepest level has no successors and
+// scans nothing in either mode.
 func (e *engine) bfsRoot(sg *decompose.Subgraph, s int32, directed bool) {
 	dist, rec := e.ws.Dist, e.ws.Rec
 	visited := e.ws.Visited
@@ -154,16 +169,24 @@ func (e *engine) bfsRoot(sg *decompose.Subgraph, s int32, directed bool) {
 	// hybrid off under dirTopDown, so below e.force is the rule or bottom-up.
 	var frontOut, unvisIn, words, bottomUpExtra int64
 	var swept []uint64
+	// deep: where the deepest level starts in order. A hybrid sweep also
+	// leaves its level table in e.ws.Levels for phase 2 — appended to in
+	// place, not through a local, which would sit in the frontier loops'
+	// registers (road: +2 % sweep time).
+	deep := 0
+	e.ws.Levels = e.ws.Levels[:0]
 	if hybrid {
 		swept = sg.SweptMask()
 		visited.Set(int(s))
 		frontOut = int64(len(sg.Out(s)))
 		unvisIn = sg.NumArcs() - int64(len(sg.In(s)))
 		words = int64(n+63) >> 6
+		e.ws.Levels = append(e.ws.Levels, ws.Level{})
 	}
 	for d, lo, hi := int32(1), 0, 1; lo < hi; d++ {
 		var nextOut int64
-		if hybrid && (e.force == dirBottomUp || frontOut > unvisIn+words) {
+		bottomUp := hybrid && (e.force == dirBottomUp || frontOut > unvisIn+words)
+		if bottomUp {
 			// Bottom-up: every unvisited vertex scans its in-arcs for parents
 			// one level up; σ is the sum over all such parents — the same
 			// integer sum top-down accumulates edge by edge.
@@ -213,65 +236,41 @@ func (e *engine) bfsRoot(sg *decompose.Subgraph, s int32, directed bool) {
 				}
 			}
 		}
+		if len(order) > hi {
+			deep = hi
+			if hybrid {
+				e.ws.Levels = append(e.ws.Levels, ws.Level{Start: int32(hi), BottomUp: bottomUp})
+			}
+		}
 		frontOut = nextOut
 		lo, hi = hi, len(order)
 	}
 	e.ws.Order = order
 
-	// Phase 2: backward accumulation in reverse BFS order, split once per
-	// root on its class. An articulation-point root carries all three sums
-	// through settle. Any other root (most of them) has δ_o2o ≡ 0 and
-	// no β term, so its non-root vertices need two sums, the Eq. 4 seed and
-	// the Eq. 7 merge (1+γ(s))·(δ_i2i+δ_i2o) — settle's arithmetic with the
-	// zero terms dropped, which cannot change a bit; the root vertex itself
-	// still goes through settle.
+	// Phase 2: backward accumulation, deepest level first. Without a pushing
+	// level — every root of a non-hybrid sub-graph, and of a deep narrow
+	// hybrid one — everything above the deepest level unwinds in one flat
+	// reverse pass over order; otherwise level by level, each one's sums
+	// pushed by the level below it or pulled from it.
 	rt := newRootTerms(sg, s, directed, e.ws)
-	if rt.sIsArt {
-		for i := len(order) - 1; i >= 0; i-- {
-			v := order[i]
-			var i2i, i2o, o2o float64
-			sv := rec[v].Sigma
-			dv1 := dist[v] + 1
-			for _, w := range sg.Out(v) {
-				if dist[w] == dv1 {
-					rw := &rec[w]
-					r := sv / rw.Sigma
-					i2i += r * (1 + rw.Di2i)
-					i2o += r * rw.Di2o
-					o2o += r * rw.Do2o
-				}
-			}
-			rt.settle(v, i2i, i2o, o2o)
-		}
+	e.unwind(&rt, deep, len(order), sumsNone)
+	levels, pushes := e.ws.Levels, false
+	for _, l := range levels {
+		pushes = pushes || l.BottomUp
+	}
+	if !pushes {
+		e.unwind(&rt, 0, deep, sumsPulled)
 	} else {
-		isArt, alpha, gamma, bc := sg.IsArt, sg.Alpha, sg.Gamma, e.ws.BC
-		g1 := 1 + rt.gammaS
-		for i := len(order) - 1; i >= 0; i-- {
-			v := order[i]
-			var i2i, i2o float64
-			sv := rec[v].Sigma
-			dv1 := dist[v] + 1
-			for _, w := range sg.Out(v) {
-				if dist[w] == dv1 {
-					rw := &rec[w]
-					r := sv / rw.Sigma
-					i2i += r * (1 + rw.Di2i)
-					i2o += r * rw.Di2o
-				}
+		mid, hi := deep, len(order)
+		for k := len(levels) - 2; k >= 0; k-- {
+			lo := int(levels[k].Start)
+			if levels[k+1].BottomUp {
+				e.push(&rt, lo, mid, hi)
+				e.unwind(&rt, lo, mid, sumsPushed)
+			} else {
+				e.unwind(&rt, lo, mid, sumsPulled)
 			}
-			if i == 0 { // v == s
-				rt.settle(v, i2i, i2o, 0)
-				break
-			}
-			if !directed {
-				i2i += float64(gamma[v]) // δ_i2i seed, as in settle
-			}
-			if isArt[v] {
-				i2o += alpha[v] // δ_i2o seed (Eq. 4)
-			}
-			rv := &rec[v]
-			rv.Di2i, rv.Di2o = i2i, i2o
-			bc[v] += float64(g1 * (i2i + i2o)) // rounded before the add, as settle's contrib is
+			mid, hi = lo, mid
 		}
 	}
 
@@ -293,4 +292,124 @@ func (e *engine) bfsRoot(sg *decompose.Subgraph, s int32, directed bool) {
 			visited.Clear(int(v))
 		}
 	}
+}
+
+// sums says where unwind finds the successor sums of the vertices it settles.
+type sums int8
+
+const (
+	sumsPulled sums = iota // scan Out(v) for the successors one level down
+	sumsPushed             // the level below has pushed them into rec[v]
+	sumsNone               // the deepest level: no successors, every sum is zero
+)
+
+// unwind settles order[lo:hi) in reverse, split once on the root's class. An
+// articulation-point root carries all three sums through settle. Any other
+// root (most of them) has δ_o2o ≡ 0 and no β term, so its non-root vertices
+// need two sums, the Eq. 4 seed and the Eq. 7 merge (1+γ(s))·(δ_i2i+δ_i2o) —
+// settle's arithmetic with the zero terms dropped, which cannot change a bit;
+// the root vertex itself still goes through settle.
+func (e *engine) unwind(rt *rootTerms, lo, hi int, from sums) {
+	sg, rec, dist, level := rt.sg, rt.rec, e.ws.Dist, e.ws.Order[lo:hi]
+	var scanned int64
+	if rt.sIsArt {
+		for i := len(level) - 1; i >= 0; i-- {
+			v := level[i]
+			var i2i, i2o, o2o float64
+			switch from {
+			case sumsPulled:
+				sv := rec[v].Sigma
+				dv1 := dist[v] + 1
+				out := sg.Out(v)
+				scanned += int64(len(out))
+				for _, w := range out {
+					if dist[w] == dv1 {
+						rw := &rec[w]
+						r := sv / rw.Sigma
+						i2i += r * (1 + rw.Di2i)
+						i2o += r * rw.Di2o
+						o2o += r * rw.Do2o
+					}
+				}
+			case sumsPushed:
+				rv := &rec[v]
+				i2i, i2o, o2o = rv.Di2i, rv.Di2o, rv.Do2o
+			}
+			rt.settle(v, i2i, i2o, o2o)
+		}
+	} else {
+		isArt, alpha, gamma, bc := sg.IsArt, sg.Alpha, sg.Gamma, rt.bc
+		g1, s, directed := 1+rt.gammaS, rt.s, rt.directed
+		for i := len(level) - 1; i >= 0; i-- {
+			v := level[i]
+			var i2i, i2o float64
+			switch from {
+			case sumsPulled:
+				sv := rec[v].Sigma
+				dv1 := dist[v] + 1
+				out := sg.Out(v)
+				scanned += int64(len(out))
+				for _, w := range out {
+					if dist[w] == dv1 {
+						rw := &rec[w]
+						r := sv / rw.Sigma
+						i2i += r * (1 + rw.Di2i)
+						i2o += r * rw.Di2o
+					}
+				}
+			case sumsPushed:
+				rv := &rec[v]
+				i2i, i2o = rv.Di2i, rv.Di2o
+			}
+			if v == s {
+				rt.settle(v, i2i, i2o, 0)
+				break
+			}
+			if !directed {
+				i2i += float64(gamma[v]) // δ_i2i seed, as in settle
+			}
+			if isArt[v] {
+				i2o += alpha[v] // δ_i2o seed (Eq. 4)
+			}
+			rv := &rec[v]
+			rv.Di2i, rv.Di2o = i2i, i2o
+			bc[v] += float64(g1 * (i2i + i2o)) // rounded before the add, as settle's contrib is
+		}
+	}
+	e.backScanned += scanned
+}
+
+// push is the pull turned around: the settled level order[mid:hi), which the
+// forward pass discovered bottom-up, adds each DAG arc's terms into the
+// records of its parents order[lo:mid), zeroed first. The terms are the
+// pull's own — σ_u/σ_w·(1+δ_i2i(w)), σ_u/σ_w·δ_i2o(w), and δ_o2o under an
+// articulation-point root — and reach a parent in ascending w, the order of
+// its Out row (see bfsRoot), so unwind finds in the record what its own scan
+// would have summed.
+func (e *engine) push(rt *rootTerms, lo, mid, hi int) {
+	sg, rec, dist, order := rt.sg, rt.rec, e.ws.Dist, e.ws.Order
+	for _, u := range order[lo:mid] {
+		ru := &rec[u]
+		ru.Di2i, ru.Di2o, ru.Do2o = 0, 0, 0
+	}
+	du := dist[order[lo]]
+	var scanned int64
+	for _, w := range order[mid:hi] {
+		rw := &rec[w]
+		in := sg.In(w)
+		scanned += int64(len(in))
+		for _, u := range in {
+			if dist[u] == du {
+				ru := &rec[u]
+				r := ru.Sigma / rw.Sigma
+				ru.Di2i += r * (1 + rw.Di2i)
+				ru.Di2o += r * rw.Di2o
+				if rt.sIsArt {
+					ru.Do2o += r * rw.Do2o
+				}
+			}
+		}
+	}
+	e.backScanned += scanned
+	e.pushedLevels++
 }

@@ -2,6 +2,7 @@ package decompose
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"sort"
 	"testing"
@@ -385,5 +386,75 @@ func TestRefreshRootsDirectedAllocs(t *testing.T) {
 	if allocs > 4 {
 		t.Fatalf("RefreshRoots on a %d-vertex sub-graph of a %d-vertex directed graph made %.0f allocations",
 			d.Subgraphs[small].NumVerts(), g.NumVertices(), allocs)
+	}
+}
+
+// checkRowsAscending fails unless every Out row of d is strictly ascending.
+func checkRowsAscending(t *testing.T, label string, d *Decomposition) {
+	t.Helper()
+	for si, sg := range d.Subgraphs {
+		for l := int32(0); int(l) < sg.NumVerts(); l++ {
+			row := sg.Out(l)
+			for i := 1; i < len(row); i++ {
+				if row[i-1] >= row[i] {
+					t.Fatalf("%s sg %d: row %d is not strictly ascending: %v", label, si, l, row)
+				}
+			}
+		}
+	}
+}
+
+// TestOutRowsStayAscending pins the property the backward push's bit-identity
+// rests on (core.bfsRoot): every Out row is strictly ascending — after
+// Decompose on every build of forEachBuild, and along edit scripts after each
+// MutateEdge (rows whole) and each RefreshRoots (folded again), with
+// insertions and removals at γ-folded endpoints among the edits.
+func TestOutRowsStayAscending(t *testing.T) {
+	forEachBuild(t, func(label string, _ *graph.Graph, _ int, d *Decomposition) {
+		checkRowsAscending(t, label, d)
+	})
+	fams := buildFamilies()
+	atFolded := map[bool]int{} // by add
+	for _, name := range []string{"social", "socialDir", "lollipop", "tree"} {
+		g := fams[name]
+		d := mustDecompose(t, g, Options{Threshold: 8})
+		rng := rand.New(rand.NewSource(5))
+		for op := 0; op < 60; op++ {
+			si := rng.Intn(len(d.Subgraphs))
+			sg := d.Subgraphs[si]
+			lu, lv := int32(rng.Intn(sg.NumVerts())), int32(rng.Intn(sg.NumVerts()))
+			if op%2 == 0 && len(sg.Roots) < sg.NumVerts() { // an edit at a folded vertex
+				for !sg.Folded(lu) {
+					lu = (lu + 1) % int32(sg.NumVerts())
+				}
+			}
+			if lu == lv {
+				continue
+			}
+			label := fmt.Sprintf("%s op %d (sg %d, %d->%d)", name, op, si, lu, lv)
+			u, v := sg.Verts[lu], sg.Verts[lv]
+			add := !d.G.HasArc(u, v)
+			if sg.Folded(lu) || sg.Folded(lv) {
+				atFolded[add]++
+			}
+			if err := sg.MutateEdge(add, lu, lv, g.Directed()); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			checkRowsAscending(t, label+" after MutateEdge", d)
+			edges := d.G.Edges()
+			if add {
+				edges = append(edges, graph.Edge{From: u, To: v})
+			} else {
+				edges = slices.DeleteFunc(edges, func(e graph.Edge) bool {
+					return e.From == u && e.To == v || !g.Directed() && e.From == v && e.To == u
+				})
+			}
+			d.SetGraph(graph.NewFromEdges(g.NumVertices(), edges, g.Directed()))
+			d.RefreshRoots(si, false)
+			checkRowsAscending(t, label+" after RefreshRoots", d)
+		}
+	}
+	if atFolded[true] == 0 || atFolded[false] == 0 {
+		t.Fatalf("%d insertions and %d removals at a folded vertex: one case went untested", atFolded[true], atFolded[false])
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -111,8 +112,8 @@ func ReadWeightedEdgeList(r io.Reader, directed bool) (*graph.Graph, []int64, er
 			if err != nil {
 				return nil, nil, fmt.Errorf("graphio: line %d: bad weight: %v", lineNo, err)
 			}
-			if !(w > 0) {
-				return nil, nil, fmt.Errorf("graphio: line %d: non-positive weight %v", lineNo, w)
+			if err := checkWeight(w); err != nil {
+				return nil, nil, fmt.Errorf("graphio: line %d: %v", lineNo, err)
 			}
 		}
 		edges = append(edges, graph.WeightedEdge{From: id(u), To: id(v), W: w})
@@ -121,6 +122,16 @@ func ReadWeightedEdgeList(r io.Reader, directed bool) (*graph.Graph, []int64, er
 		return nil, nil, fmt.Errorf("graphio: %v", err)
 	}
 	return graph.NewWeightedFromEdges(len(orig), edges, directed), orig, nil
+}
+
+// checkWeight is the one weight rule every reader applies: positive and
+// finite. NaN, zero and negatives fail w > 0; +Inf passes it and would reach
+// Dijkstra as a distance no sum can exceed.
+func checkWeight(w float64) error {
+	if !(w > 0) || math.IsInf(w, 1) {
+		return fmt.Errorf("weight %v is not positive and finite", w)
+	}
+	return nil
 }
 
 // WriteWeightedEdgeList writes g as a three-column weighted edge list.
@@ -181,8 +192,8 @@ func ReadDIMACSWeighted(r io.Reader, directed bool) (*graph.Graph, error) {
 			if u < 1 || u > n || v < 1 || v > n {
 				return nil, fmt.Errorf("graphio: line %d: vertex out of range", lineNo)
 			}
-			if !(w > 0) {
-				return nil, fmt.Errorf("graphio: line %d: non-positive weight", lineNo)
+			if err := checkWeight(w); err != nil {
+				return nil, fmt.Errorf("graphio: line %d: %v", lineNo, err)
 			}
 			edges = append(edges, graph.WeightedEdge{From: int32(u - 1), To: int32(v - 1), W: w})
 		default:

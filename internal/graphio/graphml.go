@@ -132,8 +132,8 @@ func ReadGraphML(r io.Reader) (*graph.Graph, []string, error) {
 				if err != nil {
 					return nil, nil, fmt.Errorf("graphio: graphml: bad weight %q", d.Value)
 				}
-				if !(w > 0) {
-					return nil, nil, fmt.Errorf("graphio: graphml: non-positive weight %v", w)
+				if err := checkWeight(w); err != nil {
+					return nil, nil, fmt.Errorf("graphio: graphml: %v", err)
 				}
 				we.W = w
 				weighted = true
@@ -216,8 +216,8 @@ func ReadJSON(r io.Reader) (*graph.Graph, error) {
 			if l.Weight != nil {
 				w = *l.Weight
 			}
-			if !(w > 0) {
-				return nil, fmt.Errorf("graphio: json: non-positive weight %v", w)
+			if err := checkWeight(w); err != nil {
+				return nil, fmt.Errorf("graphio: json: %v", err)
 			}
 			if badEndpoint(l, n) {
 				return nil, fmt.Errorf("graphio: json: link endpoint out of range")

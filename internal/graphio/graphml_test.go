@@ -85,6 +85,20 @@ func TestGraphMLErrors(t *testing.T) {
 	}
 }
 
+func TestGraphMLRejectsBadWeights(t *testing.T) {
+	for _, w := range badWeights {
+		in := `<?xml version="1.0"?><graphml>
+<key id="d0" for="edge" attr.name="weight" attr.type="double"/>
+<graph edgedefault="undirected">
+<node id="a"/><node id="b"/>
+<edge source="a" target="b"><data key="d0">` + w + `</data></edge>
+</graph></graphml>`
+		if _, _, err := ReadGraphML(strings.NewReader(in)); err == nil {
+			t.Fatalf("weight %s accepted", w)
+		}
+	}
+}
+
 func TestGraphMLForeignIDs(t *testing.T) {
 	in := `<?xml version="1.0"?><graphml><graph edgedefault="directed">
 <node id="alice"/><node id="bob"/><node id="carol"/>

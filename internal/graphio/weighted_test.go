@@ -66,6 +66,27 @@ func TestWeightedEdgeListErrors(t *testing.T) {
 	}
 }
 
+// badWeights is what checkWeight must stop at every reader: Dijkstra needs
+// positive finite weights, and ParseFloat hands back ±Inf and NaN without an
+// error.
+var badWeights = []string{"0", "-2", "NaN", "+Inf", "Inf", "-Inf", "infinity"}
+
+func TestWeightedEdgeListRejectsBadWeights(t *testing.T) {
+	for _, w := range badWeights {
+		if _, _, err := ReadWeightedEdgeList(strings.NewReader("0 1 "+w+"\n"), false); err == nil {
+			t.Fatalf("weight %s accepted", w)
+		}
+	}
+}
+
+func TestDIMACSWeightedRejectsBadWeights(t *testing.T) {
+	for _, w := range badWeights {
+		if _, err := ReadDIMACSWeighted(strings.NewReader("p sp 2 1\na 1 2 "+w+"\n"), false); err == nil {
+			t.Fatalf("weight %s accepted", w)
+		}
+	}
+}
+
 func TestReadDIMACSWeighted(t *testing.T) {
 	in := `c weighted road fragment
 p sp 3 4

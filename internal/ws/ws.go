@@ -25,16 +25,19 @@
 // and every engine restores them with a dirty-list sparse reset — walking
 // only the vertices its own sweep touched (the Order ring is exactly that
 // dirty list), which is O(touched), not O(n). Rec carries no invariant: the
-// forward sweeps assign a vertex's σ when they discover it and the
-// four-dependency backward step assigns each visited vertex's δ fields
-// exactly once per root, so records never need clearing at all. (An engine
-// that does accumulate into a record — internal/brandes sums σ and its single
-// δ in place — keeps a private Pool and zeroes what it dirtied; fresh records
-// are zero.) Grow preserves the invariants for new slots, so a freshly grown
-// region is indistinguishable from a sparsely reset one — which is why
-// pooling is bit-neutral: an engine reading a clean slot cannot tell whether
-// the value came from make(), from a sparse reset, or from another engine's
-// reset.
+// forward sweeps assign a vertex's σ when they discover it, and the
+// four-dependency backward step either assigns a visited vertex's δ fields
+// once (a level that pulls from its successors) or zeroes them and then
+// accumulates into them (a level its successors push to, core.bfsRoot) —
+// nothing is read that the same root did not write first, so records never
+// need clearing between roots. (An engine that accumulates without zeroing
+// first — internal/brandes sums σ and its single δ in place — keeps a private
+// Pool and zeroes what it dirtied; fresh records are zero.) Levels is plain
+// scratch, rewritten by every root that uses it. Grow preserves the
+// invariants for new slots, so a freshly grown region is indistinguishable
+// from a sparsely reset one — which is why pooling is bit-neutral: an engine
+// reading a clean slot cannot tell whether the value came from make(), from a
+// sparse reset, or from another engine's reset.
 //
 // # Layout
 //
@@ -61,6 +64,15 @@ type Record struct {
 	Sigma, Di2i, Di2o, Do2o float64
 }
 
+// Level is one BFS level of a direction-optimizing sweep, as the forward pass
+// leaves it for the backward pass: where the level starts in Order, and
+// whether it was discovered bottom-up — in ascending vertex id, the order the
+// backward push relies on (core.bfsRoot).
+type Level struct {
+	Start    int32
+	BottomUp bool
+}
+
 // LaneWidth is the root-batch width of the lane-parallel (MS-BFS) arrays:
 // one machine word of lanes, each lane tracking one root of a batched
 // multi-source sweep.
@@ -78,6 +90,7 @@ type Sweep struct {
 	Rec      []Record
 	BC       []float64
 	Order    []int32 // BFS queue / settled-order ring; doubles as the dirty list
+	Levels   []Level // level table of the current root's sweep; appended to, capacity kept across roots
 	Visited  *bitset.Bitset
 	FDist    []float64 // weighted distances; allocated by GrowWeighted
 	Done     []bool    // Dijkstra settled flags; allocated by GrowWeighted
@@ -87,9 +100,9 @@ type Sweep struct {
 	// slots per vertex (slot v*LaneWidth+l belongs to root lane l), LaneSeen
 	// and LaneFront one lane-mask word per vertex. Invariants: LaneSigma,
 	// LaneSeen and LaneFront are all zero in the pool; the per-lane δ and BC
-	// arrays carry no invariant — like Rec, the batched backward step
-	// assigns every visited (vertex, lane) slot exactly once per batch and
-	// the fold reads only visited slots.
+	// arrays carry no invariant — the batched backward step assigns every
+	// visited (vertex, lane) slot exactly once per batch and the fold reads
+	// only visited slots.
 	LaneSigma []float64
 	LaneDi2i  []float64
 	LaneDi2o  []float64
