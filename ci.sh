@@ -13,14 +13,17 @@
 #      the serial-cutoff fallback must be bit-invisible) under -race, as must
 #      the scalar sweep's three direction modes, whose edge-volume rule may
 #      never scan more than pure top-down; then 20 s of the Incremental
-#      fuzz target (every op checked against serial Brandes and a fresh run)
+#      fuzz target (every epoch checked against serial Brandes and held bit
+#      for bit to a fresh engine on its edge set)
 #   5. allocation gates: warm pooled sweeps (core, brandes) and the bcd
 #      top-K serving path must be allocation-free, and the workspace pool
 #      must survive 8 concurrent checkouts under -race; the pre-sweep layer
 #      must stay linear (Decompose's allocations bounded by its outputs, the
 #      sub-graph builder and the CSR mirror check equal to their oracles,
-#      the α/β composition equal to the per-AP BFS and its refresh's bytes
-#      bounded, folded vertices out of every row and edits at them exact);
+#      the α/β composition equal to the per-AP BFS, folded vertices out of
+#      every row and edits at them exact, sub-graph equality sensitive to
+#      every input of a sweep and an epoch reusing exactly the contributions
+#      whose inputs did not change);
 #      then a -benchmem benchmark smoke compile-and-run
 #   6. bcbench smokes on the smallest dataset: -table 2 and a tiny -engine
 #      sweep, whose in-run msbfs-vs-scalar bit cross-check fails the run
@@ -33,7 +36,8 @@
 #      must verify every answer it times, and its -corrupt self-test must
 #      fail; no BENCH_*.json artifact may be tracked at the root and neither
 #      the BottomUpFrac option nor bcc's BlockEdges may reappear in Go source,
-#      nor the per-AP α/β BFS outside test files
+#      nor the per-AP α/β BFS outside test files, nor any piece of the deleted
+#      in-place mutation path
 #  10. durability smoke: race-built bcd is killed with SIGKILL mid-life and
 #      must recover its graph from snapshot+WAL with bit-exact top-K
 #  11. load smoke: bcdload drives a short mixed read/mutate phase against the
@@ -107,10 +111,11 @@ fi
 echo "==> race: internal/core internal/par internal/brandes internal/approx internal/server internal/ws internal/msbfs"
 go test -race ./internal/core ./internal/par ./internal/brandes ./internal/approx ./internal/server ./internal/ws ./internal/msbfs
 
-echo "==> fuzz: Incremental vs serial Brandes and a fresh Compute after every op (20 s)"
+echo "==> fuzz: Incremental vs serial Brandes, a fresh Compute and, bit for bit, a fresh engine after every op (20 s)"
 # Random small graphs and toggle scripts biased towards degree-1 endpoints —
-# the vertices whose arcs are folded out of a sub-graph's rows and must come
-# back for an edit. The seed corpus and testdata/fuzz already ran in tier-1.
+# the vertices whose arcs are folded out of a sub-graph's rows, so that edits
+# keep changing what is folded. The seed corpus and testdata/fuzz already ran
+# in tier-1.
 go test -run '^$' -fuzz FuzzIncrementalMatchesBrandes -fuzztime 20s ./internal/core
 
 echo "==> fuzz: Compute vs serial Brandes, the sweep's three direction modes bit-equal (20 s)"
@@ -148,25 +153,27 @@ run_named 'TestRootSweepWarmAllocs|TestSerialSweepWarmAllocs|TestTopKServingWarm
 
 echo "==> pre-sweep gates: linear Decompose, builder and mirror check vs their oracles"
 # Everything between a graph file and the first sweep is O(n+m) with no
-# per-arc temporary: Decompose's allocation count has no term in arcs, a
-# directed RefreshRoots costs its sub-graph, and the relabelling builder and
-# the cursor mirror check agree with the straightforward formulations kept in
-# their test files.
-run_named 'TestDecomposeAllocs|TestRefreshRootsDirectedAllocs|TestBuilderMatchesOracle|TestAdjacentBoundaryAPs|TestMirrorCheckMatchesOracle' \
+# per-arc temporary: Decompose's allocation count has no term in arcs, and
+# the relabelling builder and the cursor mirror check agree with the
+# straightforward formulations kept in their test files.
+run_named 'TestDecomposeAllocs|TestBuilderMatchesOracle|TestAdjacentBoundaryAPs|TestMirrorCheckMatchesOracle' \
     -count=1 ./internal/decompose ./internal/graph
 # α/β is a composition along the sub-graph/AP forest: equal to the per-AP BFS
-# of the paper's definition on every build and along removal scripts, and its
-# refresh allocates no more than cloning every sub-graph used to.
-run_named 'TestComposeMatchesDefinition|TestAlphaBetaRefreshAllocs' \
-    -count=1 ./internal/decompose
+# of the paper's definition on every build.
+run_named 'TestComposeMatchesDefinition' -count=1 ./internal/decompose
 # What the sweep is handed is the swept graph: γ-folded vertices in no row,
-# and an edit at one of them (rows put back, edited, folded again) still
-# exact after every op.
+# and an edit at one of them still exact, and the epoch a fresh build's,
+# after every op.
 run_named 'TestFoldedVerticesLeaveTheRows|TestIncrementalLeafEdits' \
     -count=1 ./internal/decompose ./internal/core
-# And its rows are strictly ascending, after a build and after every edit:
-# what makes the backward push add a parent's terms in its pull's order.
+# And its rows are strictly ascending: what makes the backward push add a
+# parent's terms in its pull's order.
 run_named 'TestOutRowsStayAscending' -count=1 ./internal/decompose
+# An epoch reuses a contribution exactly when the sub-graph's inputs are the
+# previous epoch's (same slice, by identity), and the equality it goes by
+# notices a change to any one of them.
+run_named 'TestEpochReusesUntouchedContributions|TestSweepEqual' \
+    -count=1 ./internal/core ./internal/decompose
 
 echo "==> bench smoke: go test -bench -benchmem on the arena-backed paths"
 go test -run=NONE -bench=. -benchtime=1x -benchmem ./internal/ws ./internal/core
@@ -227,6 +234,13 @@ fi
 # bcc.Result.EdgeBlock.
 if grep -rn 'BlockEdges' --include='*.go' .; then
     echo "ci.sh: BlockEdges is back; bcc keeps blocks as vertex sets only" >&2
+    exit 1
+fi
+
+# Nor any piece of the in-place mutation path: every batch re-decomposes, and
+# core.Incremental keeps no second copy of the graph.
+if grep -rnE 'MutateEdge|RefreshRoots|RecomputeAlphaBeta|CloneForMutation|CloneForAlphaBeta|splitSinceRebuild|removeFromEdgeList' --include='*.go' .; then
+    echo "ci.sh: a piece of the local/copy-on-write mutation path is back; Incremental has one path" >&2
     exit 1
 fi
 

@@ -156,7 +156,7 @@ func extCloseness(c config) error {
 func extIncremental(c config) error {
 	t := &metrics.Table{
 		Title: "Extension E6. Incremental BC: 20 triadic edge updates",
-		Headers: []string{"graph", "initial build", "per-update", "rebuilds",
+		Headers: []string{"graph", "initial build", "per-update", "cross-sub-graph",
 			"full recompute (ref)"},
 	}
 	for _, name := range []string{"email-enron", "com-youtube"} {

@@ -67,7 +67,7 @@ func main() {
 		rebuilds += inc.FullRebuilds() - before
 	}
 	elapsed := time.Since(streamStart)
-	fmt.Printf("\napplied 30 updates in %v (%.1fms/update); %d were structural rebuilds\n",
+	fmt.Printf("\napplied 30 updates in %v (%.1fms/update); %d joined two sub-graphs\n",
 		elapsed, float64(elapsed.Milliseconds())/30, rebuilds)
 	report(inc, "t=30")
 

@@ -90,9 +90,9 @@ func main() {
 	}
 	topK("top-5 betweenness:")
 
-	// Mutate: each response reports whether the change was absorbed by
-	// recomputing only the affected sub-graph ("local") or forced a fresh
-	// decomposition ("rebuild").
+	// Mutate: each response reports whether the edge lay inside one
+	// sub-graph ("local") or joined two ("rebuild"); either way only the
+	// sub-graphs the edit changed are swept again.
 	fmt.Println("\nedge stream:")
 	for _, e := range [][2]int{{11, 17}, {100, 1900}, {42, 1337}} {
 		var mut struct {

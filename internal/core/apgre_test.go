@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bfs"
 	"repro/internal/brandes"
 	"repro/internal/decompose"
 	"repro/internal/gen"
@@ -90,34 +91,41 @@ func TestSocialGraphsAllStrategies(t *testing.T) {
 	}
 }
 
-// TestAlphaBetaMethodsAgree holds the two ways a decomposition gets its α/β —
-// the connected closed form of a fresh undirected build and the component
-// labelling every refresh runs — to the same scores.
+// TestAlphaBetaMethodsAgree holds the α/β Decompose composes along the
+// sub-graph/AP forest and the paper's definition of them — per boundary AP, a
+// count of what it reaches and is reached from with the rest of its sub-graph
+// blocked (internal/bfs) — to the same scores, undirected and directed.
 func TestAlphaBetaMethodsAgree(t *testing.T) {
-	g := gen.SocialLike(gen.SocialParams{N: 350, AvgDeg: 4, Communities: 7, TopShare: 0.4, LeafFrac: 0.3, Seed: 6})
-	a, err := Compute(g, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := decompose.Decompose(g, decompose.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	owned := map[int]bool{}
-	for si, sg := range d.Subgraphs {
-		owned[si] = true
-		clear(sg.Alpha)
-		clear(sg.Beta)
-	}
-	if changed := d.RecomputeAlphaBeta(owned); len(changed) == 0 {
-		t.Fatal("the refresh restored no α/β")
-	}
-	b, err := ComputeDecomposed(d, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if i, ok := bcClose(a, b, 0); !ok {
-		t.Fatalf("methods differ at %d", i)
+	for _, directed := range []bool{false, true} {
+		g := gen.SocialLike(gen.SocialParams{N: 350, AvgDeg: 4, Communities: 7, TopShare: 0.4, LeafFrac: 0.3,
+			Directed: directed, Reciprocity: 0.5, Seed: 6})
+		a, err := Compute(g, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := decompose.Decompose(g, decompose.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sg := range d.Subgraphs {
+			inSG := map[graph.V]bool{}
+			for _, v := range sg.Verts {
+				inSG[v] = true
+			}
+			for _, la := range sg.Arts {
+				ap := sg.Verts[la]
+				blocked := func(v graph.V) bool { return inSG[v] && v != ap }
+				sg.Alpha[la] = float64(bfs.ReachableCount(g, ap, blocked) - 1)
+				sg.Beta[la] = float64(bfs.ReverseReachableCount(g, ap, blocked) - 1)
+			}
+		}
+		b, err := ComputeDecomposed(d, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i, ok := bcClose(a, b, 0); !ok {
+			t.Fatalf("directed %v: methods differ at %d", directed, i)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/brandes"
@@ -11,7 +12,8 @@ import (
 )
 
 // assertIncMatches holds the engine's scores to serial Brandes and to a fresh
-// Compute, both on the engine's current graph.
+// Compute, both on the engine's current graph, and the whole epoch to a fresh
+// engine's on that graph: the same decomposition, the same scores bit for bit.
 func assertIncMatches(t *testing.T, inc *Incremental, label string) {
 	t.Helper()
 	want := brandes.Serial(inc.Graph())
@@ -27,6 +29,21 @@ func assertIncMatches(t *testing.T, inc *Incremental, label string) {
 	if i, ok := bcClose(fresh, got, 1e-9); !ok {
 		t.Fatalf("%s: incremental BC differs from a fresh Compute at %d: fresh %v got %v",
 			label, i, fresh[i], got[i])
+	}
+	again, err := NewIncremental(inc.Graph(), inc.opt)
+	if err != nil {
+		t.Fatalf("%s: fresh NewIncremental: %v", label, err)
+	}
+	bcBitsEqual(t, label+": fresh NewIncremental vs epoch", again.BC(), got)
+	d, fd := inc.Decomposition(), again.Decomposition()
+	if len(d.Subgraphs) != len(fd.Subgraphs) || d.TopIndex != fd.TopIndex || d.NumArticulation != fd.NumArticulation {
+		t.Fatalf("%s: the epoch's decomposition has %d sub-graphs (top %d) and %d boundary APs, a fresh one %d (top %d) and %d",
+			label, len(d.Subgraphs), d.TopIndex, d.NumArticulation, len(fd.Subgraphs), fd.TopIndex, fd.NumArticulation)
+	}
+	for si, sg := range d.Subgraphs {
+		if !sg.SweepEqual(fd.Subgraphs[si]) {
+			t.Fatalf("%s: sub-graph %d of the epoch's decomposition differs from a fresh one's", label, si)
+		}
 	}
 }
 
@@ -68,9 +85,8 @@ func leafWorld(directed bool) *graph.Graph {
 }
 
 // TestIncrementalLeafEdits drives edits through folded vertices: every op
-// here unfolds a sub-graph's rows, edits them and folds them again, with the
-// set of folded vertices changing under it. No op leaves its sub-graph, so
-// none may rebuild.
+// here changes which vertices of a sub-graph are folded, and some detach a
+// vertex altogether and attach it again.
 func TestIncrementalLeafEdits(t *testing.T) {
 	script := []struct {
 		what string
@@ -112,9 +128,6 @@ func TestIncrementalLeafEdits(t *testing.T) {
 					t.Fatalf("%s: %v", op.what, err)
 				}
 				assertIncMatches(t, inc, op.what)
-			}
-			if inc.FullRebuilds() != 0 {
-				t.Fatalf("%d rebuilds; every edit was inside one sub-graph", inc.FullRebuilds())
 			}
 		})
 	}
@@ -262,9 +275,9 @@ func bridgeWorld(directed bool) *graph.Graph {
 }
 
 // Removing a bridge edge splits its block and disconnects the two triangles.
-// This must stay a local (no-rebuild) update AND stay exact: the triangles'
-// boundary APs lose their entire outside regions, so their α/β must drop to
-// zero even though those sub-graphs were not the ones mutated.
+// The edit is inside one sub-graph (it counts as local) and must stay exact:
+// the triangles' boundary APs lose their entire outside regions, so their α/β
+// must drop to zero even though those sub-graphs were not the ones edited.
 func TestIncrementalBridgeRemoval(t *testing.T) {
 	for _, directed := range []bool{false, true} {
 		name := "undirected"
@@ -281,7 +294,7 @@ func TestIncrementalBridgeRemoval(t *testing.T) {
 				t.Fatal(err)
 			}
 			if inc.FullRebuilds() != 0 {
-				t.Fatalf("bridge removal forced %d rebuilds, want 0 (local split)", inc.FullRebuilds())
+				t.Fatalf("bridge removal counted %d rebuilds, want 0 (its endpoints share a sub-graph)", inc.FullRebuilds())
 			}
 			assertIncMatches(t, inc, "bridge removed")
 			if directed {
@@ -299,8 +312,8 @@ func TestIncrementalBridgeRemoval(t *testing.T) {
 					t.Fatalf("split triangles have no brokered paths; bc[%d] = %v", v, s)
 				}
 			}
-			// Re-inserting the bridge is intra-sub-graph again and must
-			// restore the regions (the split-aware insertion refresh path).
+			// Re-inserting the bridge joins two components again and must
+			// restore the regions.
 			if err := inc.InsertEdge(2, 3); err != nil {
 				t.Fatal(err)
 			}
@@ -309,9 +322,6 @@ func TestIncrementalBridgeRemoval(t *testing.T) {
 				if err := inc.InsertEdge(3, 2); err != nil {
 					t.Fatal(err)
 				}
-			}
-			if inc.FullRebuilds() != 0 {
-				t.Fatalf("bridge re-insertion forced %d rebuilds, want 0", inc.FullRebuilds())
 			}
 			assertIncMatches(t, inc, "bridge restored")
 		})
@@ -335,7 +345,7 @@ func TestIncrementalLeafBridgeRemoval(t *testing.T) {
 		t.Fatal(err)
 	}
 	if inc.FullRebuilds() != 0 {
-		t.Fatalf("leaf removal forced %d rebuilds, want 0", inc.FullRebuilds())
+		t.Fatalf("leaf removal counted %d rebuilds, want 0", inc.FullRebuilds())
 	}
 	assertIncMatches(t, inc, "leaf detached")
 	if err := inc.InsertEdge(2, 3); err != nil {
@@ -392,9 +402,7 @@ func TestSnapshotEpochImmutable(t *testing.T) {
 // decomposition inside its sub-graph) and reads every score and every row of
 // it. The caveman writer removes and restores a clique edge, a non-leaf edit
 // in a dense sub-graph; the leafWorld writer joins and parts two folded
-// leaves, so every edit puts a sub-graph's stripped arcs back and strips
-// again: a strip that wrote an array the previous epoch shares would race
-// with the readers walking that epoch's rows.
+// leaves, so every edit changes what a sub-graph's strip takes out.
 func TestIncrementalConcurrentReaders(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -507,5 +515,94 @@ func TestIncrementalRandomOps(t *testing.T) {
 	}
 	if inc.FullRebuilds() == 0 {
 		t.Log("note: soak run never required a structural rebuild")
+	}
+}
+
+// sweptAgain returns the vertex lists of the sub-graphs of inc's current epoch
+// whose contribution is not a slice of prev's. It fails unless reuse went by
+// identity of inputs: a sub-graph with an equal in prev holds that sub-graph's
+// contribution slice itself, same backing array, and a sub-graph without one
+// shares no array with prev.
+func sweptAgain(t *testing.T, label string, prev *epochState, inc *Incremental) (swept []string) {
+	t.Helper()
+	next := inc.cur.Load()
+	for si, sg := range next.d.Subgraphs {
+		equal, shared := -1, -1
+		for pj, psg := range prev.d.Subgraphs {
+			if psg.SweepEqual(sg) {
+				equal = pj
+			}
+			if &prev.contrib[pj][0] == &next.contrib[si][0] {
+				shared = pj
+			}
+		}
+		if equal != shared {
+			t.Fatalf("%s: sub-graph %v equals sub-graph %d of the previous epoch and holds the contribution slice of sub-graph %d (-1: none)",
+				label, sg.Verts, equal, shared)
+		}
+		if shared < 0 {
+			swept = append(swept, fmt.Sprint(sg.Verts))
+		}
+	}
+	assertIncMatches(t, inc, label)
+	return swept
+}
+
+// TestEpochReusesUntouchedContributions: an epoch sweeps the sub-graphs whose
+// inputs changed and takes every other contribution over from the epoch before
+// it, whatever the edit did to the partition.
+func TestEpochReusesUntouchedContributions(t *testing.T) {
+	// Six cliques in a chain, vertices 5c..5c+4, bridged 5c - 5c+5: a
+	// sub-graph each (the first with its bridge), and the path of the other
+	// bridges in two more.
+	inc, err := NewIncremental(gen.Caveman(6, 5, false), Options{Threshold: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(inc.Decomposition().Subgraphs); n != 8 {
+		t.Fatalf("%d sub-graphs, want 8", n)
+	}
+	for _, step := range []struct {
+		what string
+		op   EdgeOp
+		want []string
+	}{
+		{"an edit inside clique 1", EdgeOp{Add: false, U: 6, V: 9}, []string{"[5 6 7 8 9]"}},
+		{"an insertion that fuses cliques 0 and 2", EdgeOp{Add: true, U: 1, V: 11}, []string{"[0 1 2 3 4 5 10 11 12 13 14 15]"}},
+		{"the removal that splits them again", EdgeOp{Add: false, U: 1, V: 11},
+			[]string{"[0 1 2 3 4 5]", "[10 11 12 13 14]", "[5 10 15]"}},
+	} {
+		prev := inc.cur.Load()
+		if err := inc.applyOne(step.op); err != nil {
+			t.Fatalf("%s: %v", step.what, err)
+		}
+		if got := sweptAgain(t, step.what, prev, inc); !slices.Equal(got, step.want) {
+			t.Fatalf("%s swept the sub-graphs %v again, want %v", step.what, got, step.want)
+		}
+	}
+
+	// Directed, reachability runs through sub-graphs: the bridge 2-3 goes with
+	// triangle {3,4,5}, and without its arc 2->3 triangle {0,1,2} reaches
+	// nothing beyond its boundary AP 2, so it has a new α and is swept again
+	// with no arc of its own edited. Triangle {6,7,8}, a component of its own,
+	// is not.
+	var edges []graph.Edge
+	for _, e := range []graph.Edge{
+		{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 0}, {From: 2, To: 3},
+		{From: 3, To: 4}, {From: 4, To: 5}, {From: 5, To: 3},
+		{From: 6, To: 7}, {From: 7, To: 8}, {From: 8, To: 6},
+	} {
+		edges = append(edges, e, graph.Edge{From: e.To, To: e.From})
+	}
+	inc, err = NewIncremental(graph.NewFromEdges(9, edges, true), Options{Threshold: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := inc.cur.Load()
+	if err := inc.RemoveEdge(2, 3); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sweptAgain(t, "directed bridge arc removed", prev, inc), []string{"[2 3 4 5]", "[0 1 2]"}; !slices.Equal(got, want) {
+		t.Fatalf("removing 2->3 swept the sub-graphs %v again, want %v", got, want)
 	}
 }

@@ -26,20 +26,18 @@ import (
 // where a sub-graph sends to its parent AP what that AP reaches through it,
 // and root down, where it sends to each of its other APs.
 //
-// The reach sums inside one sub-graph: label its strongly connected
+// The reach sums inside one directed sub-graph: label its strongly connected
 // components once (graph.SCC, labels in reverse topological order), give each
 // component the weight of its vertices, and propagate up to 64 sources at a
 // time as one bit mask per component in a single pass over the arcs — forward
 // a push in decreasing label, reverse a pull in increasing label, both over
-// out-arcs, so no transpose is built. An undirected sub-graph is the
-// degenerate case: its components have no arcs between them and nothing is
-// propagated; one known to be connected (a fresh undirected build) has the
-// closed form out_j(a) = |V_j| − 1 + Σ_{v ∈ A_j, v ≠ a} α_j(v), Farina's
+// out-arcs, so no transpose is built. An undirected sub-graph is connected,
+// every vertex of it reaches every other, and the sum has the closed form
+// out_j(a) = |V_j| − 1 + Σ_{v ∈ A_j, v ≠ a} α_j(v), Farina's
 // articulation-point impact pass (PAPERS.md).
 type composer struct {
-	d         *Decomposition
-	directed  bool
-	connected bool // every sub-graph is undirected and connected
+	d        *Decomposition
+	directed bool
 
 	// out[e], in[e] are the messages of incidence e (forest.artOff), 0 until
 	// sent; sumOut[a], sumIn[a] what AP node a has received so far. Undirected
@@ -47,44 +45,37 @@ type composer struct {
 	out, in       []int64
 	sumOut, sumIn []int64
 
-	// The SCC labelling of sub-graph j, made at its first visit and kept for
-	// the second: labels and order (graph.SCC.Label) at vertOff[j], the
-	// component count in comps[j].
+	// Directed only. The SCC labelling of sub-graph j, made at its first visit
+	// and kept for the second: labels and order (graph.SCC.Label) at
+	// vertOff[j], the component count in comps[j].
 	scc           graph.SCC
 	vertOff       []int32
 	labels, order []int32
 	comps         []int32
 
-	// Per visit: what the visited sub-graph's APs reach and are reached from
-	// beyond it as known so far, the components' weights, the source masks.
+	// Per visit: what the visited sub-graph's APs reach and (directed) are
+	// reached from beyond it as known so far; directed, the components'
+	// weights and the source masks.
 	apOut, apIn []int64
 	src         []int32
 	wOut, wIn   []int64
 	mask        []uint64
 }
 
-// composeAlphaBeta computes α and β of every boundary AP of every sub-graph
-// of d, against the sub-graphs' current CSRs and folds, and stores the values
-// that differ from the ones in place. A sub-graph with such a value is first
-// replaced in d.Subgraphs by its CloneForAlphaBeta when shared says an earlier
-// epoch still reads it. connected promises that d is a fresh undirected
-// build. The indices of the sub-graphs whose values moved are returned in
-// increasing order.
-func (d *Decomposition) composeAlphaBeta(connected bool, shared func(si int) bool) (changed []int) {
+// composeAlphaBeta computes and stores α and β of every boundary AP of every
+// sub-graph of d, a fresh build: its sub-graphs hold their folded CSRs and
+// zeroed Alpha and Beta.
+func (d *Decomposition) composeAlphaBeta() {
 	f := d.forest
 	if len(f.order) == 0 {
-		return nil
+		return
 	}
 	c := &composer{
-		d: d, directed: d.G.Directed(), connected: connected,
+		d: d, directed: d.G.Directed(),
 		out:    make([]int64, len(f.incAP)),
 		sumOut: make([]int64, len(f.apOff)-1),
 	}
 	c.in, c.sumIn = c.out, c.sumOut
-	if c.directed {
-		c.in = make([]int64, len(c.out))
-		c.sumIn = make([]int64, len(c.sumOut))
-	}
 	maxVerts, maxArts := 0, 0
 	for _, j := range f.order {
 		maxVerts = max(maxVerts, d.Subgraphs[j].NumVerts())
@@ -92,11 +83,10 @@ func (d *Decomposition) composeAlphaBeta(connected bool, shared func(si int) boo
 	}
 	c.apOut = make([]int64, maxArts)
 	c.src = make([]int32, 0, maxArts)
-	c.apIn = c.apOut
 	if c.directed {
+		c.in = make([]int64, len(c.out))
+		c.sumIn = make([]int64, len(c.sumOut))
 		c.apIn = make([]int64, maxArts)
-	}
-	if !connected {
 		c.vertOff = make([]int32, len(d.Subgraphs)+1)
 		for j, sg := range d.Subgraphs {
 			c.vertOff[j+1] = c.vertOff[j] + int32(sg.NumVerts())
@@ -108,10 +98,7 @@ func (d *Decomposition) composeAlphaBeta(connected bool, shared func(si int) boo
 		c.scc.Reserve(maxVerts)
 		c.mask = make([]uint64, maxVerts)
 		c.wOut = make([]int64, maxVerts)
-		c.wIn = c.wOut
-		if c.directed {
-			c.wIn = make([]int64, maxVerts)
-		}
+		c.wIn = make([]int64, maxVerts)
 	}
 
 	// Leaves up: every sub-graph but a root tells its parent AP. Root down:
@@ -126,27 +113,13 @@ func (d *Decomposition) composeAlphaBeta(connected bool, shared func(si int) boo
 	}
 
 	for j, sg := range d.Subgraphs {
-		moved := false
 		for k, la := range sg.Arts {
 			e := f.artOff[j] + int32(k)
 			a := f.incAP[e]
-			alpha := float64(c.sumOut[a] - c.out[e])
-			beta := float64(c.sumIn[a] - c.in[e])
-			if alpha == sg.Alpha[la] && beta == sg.Beta[la] {
-				continue
-			}
-			if !moved {
-				moved = true
-				changed = append(changed, j)
-				if shared(j) {
-					sg = sg.CloneForAlphaBeta()
-					d.Subgraphs[j] = sg
-				}
-			}
-			sg.Alpha[la], sg.Beta[la] = alpha, beta
+			sg.Alpha[la] = float64(c.sumOut[a] - c.out[e])
+			sg.Beta[la] = float64(c.sumIn[a] - c.in[e])
 		}
 	}
-	return changed
 }
 
 // send computes out_j and in_j for sub-graph j's parent AP (up) or for all
@@ -169,7 +142,7 @@ func (c *composer) send(j int32, up bool) {
 		}
 	}
 	out, in := c.out[first:], c.in[first:]
-	if c.connected {
+	if !c.directed {
 		reach := int64(sg.NumVerts()) - 1
 		for _, beyond := range c.apOut[:len(sg.Arts)] {
 			reach += beyond
@@ -189,9 +162,9 @@ func (c *composer) send(j int32, up bool) {
 	}
 }
 
-// reach fills out[k] and in[k] for the boundary APs Arts[k], k in src, of
-// sub-graph j by mask propagation over its component DAG; c.apOut and c.apIn
-// hold what lies beyond each of j's APs.
+// reach fills out[k] and in[k] for the boundary APs Arts[k], k in src, of the
+// directed sub-graph j by mask propagation over its component DAG; c.apOut and
+// c.apIn hold what lies beyond each of j's APs.
 func (c *composer) reach(j int32, src []int32, out, in []int64) {
 	sg := c.d.Subgraphs[j]
 	labels := c.labels[c.vertOff[j]:c.vertOff[j+1]]
@@ -202,82 +175,54 @@ func (c *composer) reach(j int32, src []int32, out, in []int64) {
 	nc := c.comps[j]
 
 	// Component weights. A folded vertex counts as one of the leaves of the
-	// vertex it was folded into, and only on the sides a walk can reach it
-	// from — an undirected leaf both ways, a directed one (no in-arc) only
-	// against the arcs. In the swept graph it is a component of its own that
-	// nothing reaches, whose weight is never read.
+	// vertex it was folded into, and only against the arcs: it has no in-arc,
+	// so no walk along them reaches it. In the swept graph it is a component
+	// of its own that nothing reaches, whose weight is never read. (It is
+	// never a source: a vertex with one arc is no articulation point.)
 	wOut, wIn := c.wOut[:nc], c.wIn[:nc]
 	clear(wOut)
 	clear(wIn)
 	for l, lab := range labels {
+		wOut[lab]++
 		wIn[lab] += 1 + int64(sg.Gamma[l])
-		if c.directed {
-			wOut[lab]++
-		}
 	}
 	for k, la := range sg.Arts {
 		wOut[labels[la]] += c.apOut[k]
-		if c.directed {
-			wIn[labels[la]] += c.apIn[k]
-		}
+		wIn[labels[la]] += c.apIn[k]
 	}
 
+	// A source's own weight — itself and what lies beyond it — is in its
+	// component's and comes off again; its leaves stay in the reverse sum,
+	// they reach it.
 	var starts [64]int32
-	var selfs, sums [64]int64
+	var sums [64]int64
 	for ; len(src) > 0; src = src[min(64, len(src)):] {
 		chunk := src[:min(64, len(src))]
-		// Forward. A source's own weight is in its component's and comes off
-		// again, but for its leaves: they are reached. A folded source starts
-		// from the vertex it was folded into and reaches all that vertex does
-		// — but itself, on an undirected graph, as one of its leaves.
 		for b, k := range chunk {
-			la := sg.Arts[k]
-			starts[b], selfs[b] = la, 1+c.apOut[k]
-			if into := sg.foldedInto[la]; into >= 0 {
-				starts[b], selfs[b] = into, 0
-				if !c.directed {
-					selfs[b] = 1
-				}
-			}
+			starts[b] = sg.Arts[k]
 		}
 		c.propagate(sg, labels, order, nc, starts[:len(chunk)], true)
 		c.collect(wOut, sums[:len(chunk)])
 		for b, k := range chunk {
-			out[k] = sums[b] - selfs[b]
-		}
-		if !c.directed {
-			continue
-		}
-		// Reverse. Nothing reaches a folded source: it has no in-arc.
-		for b, k := range chunk {
-			la := sg.Arts[k]
-			starts[b], selfs[b] = la, 1+c.apIn[k]
-			if sg.foldedInto[la] >= 0 {
-				starts[b], selfs[b] = -1, 0
-			}
+			out[k] = sums[b] - 1 - c.apOut[k]
 		}
 		c.propagate(sg, labels, order, nc, starts[:len(chunk)], false)
 		c.collect(wIn, sums[:len(chunk)])
 		for b, k := range chunk {
-			in[k] = sums[b] - selfs[b]
+			in[k] = sums[b] - 1 - c.apIn[k]
 		}
 	}
 }
 
 // propagate leaves in c.mask, per component of sg, the set of sources (bit b
-// for starts[b], none for a start of -1) that reach it when forward, that it
-// reaches otherwise. An arc between two components leads to the smaller label,
-// and order groups the vertices by increasing label.
+// for starts[b]) that reach it when forward, that it reaches otherwise. An arc
+// between two components leads to the smaller label, and order groups the
+// vertices by increasing label.
 func (c *composer) propagate(sg *Subgraph, labels, order []int32, nc int32, starts []int32, forward bool) {
 	mask := c.mask[:nc]
 	clear(mask)
 	for b, l := range starts {
-		if l >= 0 {
-			mask[labels[l]] |= 1 << uint(b)
-		}
-	}
-	if !c.directed {
-		return // no arc joins two components
+		mask[labels[l]] |= 1 << uint(b)
 	}
 	if forward {
 		for i := len(order) - 1; i >= 0; i-- {

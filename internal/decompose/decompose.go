@@ -23,6 +23,7 @@
 package decompose
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -73,11 +74,8 @@ type Subgraph struct {
 	adj  []int32
 	wts  []float64
 	// foldedInto[l] is the local id of the neighbour a γ-folded vertex l was
-	// folded into, -1 for every vertex still in the swept graph, and
-	// foldedWt[l] the weight of the folded vertex's one arc (nil unless
-	// weighted): what it takes to put the stripped arcs back (unfolded).
+	// folded into, -1 for every vertex still in the swept graph.
 	foldedInto []int32
-	foldedWt   []float64
 
 	// IsArt[l] reports whether local vertex l is a boundary articulation
 	// point of this sub-graph (a member of A_sgi).
@@ -141,8 +139,7 @@ func (s *Subgraph) Directed() bool { return s.directed }
 // EnsureIn builds what a bottom-up sweep level reads, if it is not present
 // yet: the in-arc (transpose) CSR, so that In can be called, and SweptMask.
 // For undirected parents the out-CSR is already symmetric and is aliased
-// instead of copied. Safe for concurrent callers; concurrent with a
-// MutateEdge it is not (same contract as every other accessor).
+// instead of copied. Safe for concurrent callers.
 func (s *Subgraph) EnsureIn() {
 	s.inOnce.Do(func() {
 		s.swept = make([]uint64, (len(s.Verts)+63)>>6)
@@ -182,11 +179,24 @@ func (s *Subgraph) In(l int32) []int32 { return s.inAdj[s.inOffs[l]:s.inOffs[l+1
 // it has to look at. EnsureIn must have been called first.
 func (s *Subgraph) SweptMask() []uint64 { return s.swept }
 
-// dropIn discards what EnsureIn built after the CSR or the root set it mirrors
-// was rewritten; the next bottom-up sweep rebuilds it.
-func (s *Subgraph) dropIn() {
-	s.inOnce = sync.Once{}
-	s.inOffs, s.inAdj, s.swept = nil, nil, nil
+// SweepEqual reports whether s and o are the same input to a sweep: the same
+// vertices, swept rows and weights, boundary APs with the same α and β, the
+// same γ and the same roots. A sweep reads nothing else of a sub-graph, and
+// Decompose builds all of it canonically (rows in input order, local ids
+// monotone in global ids), so two equal sub-graphs of two decompositions have
+// bit-identical contributions to BC; internal/core.Incremental reuses one
+// epoch's for the next on that ground.
+func (s *Subgraph) SweepEqual(o *Subgraph) bool {
+	return s.directed == o.directed &&
+		slices.Equal(s.Verts, o.Verts) &&
+		slices.Equal(s.offs, o.offs) &&
+		slices.Equal(s.adj, o.adj) &&
+		slices.Equal(s.wts, o.wts) &&
+		slices.Equal(s.Arts, o.Arts) &&
+		slices.Equal(s.Alpha, o.Alpha) &&
+		slices.Equal(s.Beta, o.Beta) &&
+		slices.Equal(s.Gamma, o.Gamma) &&
+		slices.Equal(s.Roots, o.Roots)
 }
 
 // Decomposition is the result of Decompose.
@@ -222,7 +232,7 @@ func Decompose(g *graph.Graph, opt Options) (*Decomposition, error) {
 	partition := time.Since(start)
 	computeGammaRoots(d, opt)
 	start = time.Now()
-	d.composeAlphaBeta(!g.Directed(), func(int) bool { return false })
+	d.composeAlphaBeta()
 	if opt.Timings != nil {
 		opt.Timings.Partition = partition
 		opt.Timings.AlphaBeta = time.Since(start)

@@ -449,81 +449,9 @@ func TestThresholdMonotonic(t *testing.T) {
 	}
 }
 
-func TestMutateEdgeErrors(t *testing.T) {
-	g := gen.Caveman(2, 4, false)
-	d := mustDecompose(t, g, Options{Threshold: 3})
-	sg := d.Subgraphs[0]
-	if err := sg.MutateEdge(true, 0, 0, false); err == nil {
-		t.Fatal("self-loop accepted")
-	}
-	if err := sg.MutateEdge(true, -1, 0, false); err == nil {
-		t.Fatal("negative id accepted")
-	}
-	if err := sg.MutateEdge(true, 0, int32(sg.NumVerts()), false); err == nil {
-		t.Fatal("out-of-range id accepted")
-	}
-	// Existing arc cannot be added; absent arc cannot be removed.
-	lu, lv := int32(0), sg.Out(0)[0]
-	if err := sg.MutateEdge(true, lu, lv, false); err == nil {
-		t.Fatal("duplicate add accepted")
-	}
-	var absent int32 = -1
-	for cand := int32(0); int(cand) < sg.NumVerts(); cand++ {
-		if cand == lu {
-			continue
-		}
-		found := false
-		for _, w := range sg.Out(lu) {
-			if w == cand {
-				found = true
-			}
-		}
-		if !found {
-			absent = cand
-			break
-		}
-	}
-	if absent >= 0 {
-		if err := sg.MutateEdge(false, lu, absent, false); err == nil {
-			t.Fatal("absent removal accepted")
-		}
-	}
-	// Weighted sub-graphs refuse mutation.
-	wd := mustDecompose(t, gen.WithRandomWeights(g, 3, 1), Options{Threshold: 3})
-	if err := wd.Subgraphs[0].MutateEdge(true, 0, 1, false); err == nil {
-		t.Fatal("weighted mutation accepted")
-	}
-}
-
-func TestMutateEdgeRoundTrip(t *testing.T) {
-	g := gen.Caveman(3, 5, false)
-	d := mustDecompose(t, g, Options{Threshold: 3})
-	sg := d.Subgraphs[0]
-	lu, lv := int32(0), sg.Out(0)[0]
-	arcsBefore := sg.NumArcs()
-	if err := sg.MutateEdge(false, lu, lv, false); err != nil {
-		t.Fatal(err)
-	}
-	if sg.NumArcs() != arcsBefore-2 {
-		t.Fatalf("arcs = %d, want %d", sg.NumArcs(), arcsBefore-2)
-	}
-	if err := sg.MutateEdge(true, lu, lv, false); err != nil {
-		t.Fatal(err)
-	}
-	if sg.NumArcs() != arcsBefore {
-		t.Fatal("round trip changed arc count")
-	}
-	for _, w := range sg.Out(lu) {
-		if w == lv {
-			return
-		}
-	}
-	t.Fatal("re-added arc missing")
-}
-
 // TestEnsureIn checks the lazy transpose CSR: on directed sub-graphs In(v)
 // must list exactly the sources of arcs into v (sorted), on undirected ones
-// it must alias the out-CSR, and MutateEdge must invalidate it.
+// it must alias the out-CSR.
 func TestEnsureIn(t *testing.T) {
 	dg := gen.ErdosRenyi(60, 180, true, 11)
 	d := mustDecompose(t, dg, Options{Threshold: 4})
@@ -573,17 +501,46 @@ func TestEnsureIn(t *testing.T) {
 			}
 		}
 	}
-	lu, lv := int32(0), sg.Out(0)[0]
-	if err := sg.MutateEdge(false, lu, lv, false); err != nil {
-		t.Fatal(err)
+}
+
+// TestSweepEqual: two builds of one graph are equal sub-graph by sub-graph,
+// and a change to any one thing a sweep reads makes a pair unequal.
+func TestSweepEqual(t *testing.T) {
+	g := gen.WithRandomWeights(gen.SocialLike(gen.SocialParams{
+		N: 400, AvgDeg: 5, Communities: 6, TopShare: 0.5, LeafFrac: 0.3, Seed: 1}), 9, 3)
+	a := mustDecompose(t, g, Options{Threshold: 8})
+	b := mustDecompose(t, g, Options{Threshold: 8})
+	si := -1
+	for i, sg := range a.Subgraphs {
+		if !sg.SweepEqual(b.Subgraphs[i]) {
+			t.Fatalf("sub-graph %d differs between two builds of one graph", i)
+		}
+		if len(sg.Arts) > 0 && len(sg.Roots) < sg.NumVerts() {
+			si = i
+		}
 	}
-	if sg.inOffs != nil {
-		t.Fatal("MutateEdge left a stale in-CSR")
+	if si < 0 {
+		t.Fatal("no sub-graph with both a boundary AP and a folded vertex")
 	}
-	sg.EnsureIn()
-	for _, u := range sg.In(lv) {
-		if u == lu {
-			t.Fatal("stale arc in rebuilt in-CSR")
+	for _, tc := range []struct {
+		field  string
+		change func(s *Subgraph)
+	}{
+		{"Verts", func(s *Subgraph) { s.Verts[len(s.Verts)-1]++ }},
+		{"offs", func(s *Subgraph) { s.offs[1]++ }},
+		{"adj", func(s *Subgraph) { s.adj[0]++ }},
+		{"wts", func(s *Subgraph) { s.wts[0]++ }},
+		{"Arts", func(s *Subgraph) { s.Arts[0]++ }},
+		{"Alpha", func(s *Subgraph) { s.Alpha[s.Arts[0]]++ }},
+		{"Beta", func(s *Subgraph) { s.Beta[s.Arts[0]]++ }},
+		{"Gamma", func(s *Subgraph) { s.Gamma[0]++ }},
+		{"Roots", func(s *Subgraph) { s.Roots = s.Roots[1:] }},
+		{"directed", func(s *Subgraph) { s.directed = !s.directed }},
+	} {
+		changed := mustDecompose(t, g, Options{Threshold: 8}).Subgraphs[si]
+		tc.change(changed)
+		if a.Subgraphs[si].SweepEqual(changed) || changed.SweepEqual(a.Subgraphs[si]) {
+			t.Fatalf("sub-graphs that differ in %s compare equal", tc.field)
 		}
 	}
 }

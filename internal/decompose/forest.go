@@ -7,10 +7,8 @@ import "slices"
 // for every boundary AP of every sub-graph. It is acyclic because the
 // sub-graphs are connected pieces of the block-cut tree, so a walk that leaves
 // a sub-graph through one of its APs can only come back through the same AP;
-// the α/β composition (alphabeta.go) rests on exactly that. The forest depends
-// on the partition alone: no edit that keeps the partition changes it, so
-// buildSubgraphs builds it once and every epoch cloned from the decomposition
-// shares it.
+// the α/β composition (alphabeta.go) rests on exactly that. buildSubgraphs
+// builds it from the partition alone.
 type forest struct {
 	// Incidence artOff[j]+k is sub-graph j's k-th boundary AP, Arts[k];
 	// incAP maps an incidence to its AP node.

@@ -212,18 +212,10 @@ func computeGammaRoots(d *Decomposition, opt Options) {
 // fold decides which vertices of s are γ-folded against g, whose rows it goes
 // by, and strips them from the CSR. A vertex u is removed from the root set
 // and folded into γ of its neighbour p when foldsInto says so (with an id
-// tie-break so mutually-qualifying pairs keep one root). Folding again
-// (RefreshRoots) first puts the folded arcs back, into arrays of the
-// sub-graph's own: whatever an earlier epoch shares with it is only read.
+// tie-break so mutually-qualifying pairs keep one root).
 func (s *Subgraph) fold(g *graph.Graph, disableGamma bool) {
-	if s.foldedInto == nil {
-		s.foldedInto = make([]int32, len(s.Verts)) // a fresh build: every arc is in place
-	} else {
-		s.offs, s.adj, s.wts = s.unfolded()
-		s.foldedWt = nil
-	}
-	for l := range s.Gamma {
-		s.Gamma[l] = 0
+	s.foldedInto = make([]int32, len(s.Verts))
+	for l := range s.foldedInto {
 		s.foldedInto[l] = -1
 	}
 	if !disableGamma {
@@ -243,14 +235,12 @@ func (s *Subgraph) fold(g *graph.Graph, disableGamma bool) {
 			s.Gamma[lp]++
 		}
 	}
-	s.Roots = s.Roots[:0]
 	for l, into := range s.foldedInto {
 		if into < 0 {
 			s.Roots = append(s.Roots, int32(l))
 		}
 	}
 	s.strip()
-	s.dropIn()
 }
 
 // Folded reports whether local vertex l is γ-folded: out of the root set and
@@ -258,17 +248,13 @@ func (s *Subgraph) fold(g *graph.Graph, disableGamma bool) {
 func (s *Subgraph) Folded(l int32) bool { return s.foldedInto[l] >= 0 }
 
 // strip takes the folded vertices out of the CSR in place, leaving the swept
-// graph: a folded vertex's row becomes empty (a weighted sub-graph keeps its
-// one arc's weight in foldedWt) and the rows of the vertices it was folded
-// into lose it. Only those rows are filtered — a directed folded vertex has
-// no in-arc, an undirected one occurs in its parent's row alone — and every
-// other row moves down as a block.
+// graph: a folded vertex's row becomes empty and the rows of the vertices it
+// was folded into lose it. Only those rows are filtered — a directed folded
+// vertex has no in-arc, an undirected one occurs in its parent's row alone —
+// and every other row moves down as a block.
 func (s *Subgraph) strip() {
 	if len(s.Roots) == len(s.Verts) {
 		return
-	}
-	if s.wts != nil && s.foldedWt == nil {
-		s.foldedWt = make([]float64, len(s.Verts))
 	}
 	var at int64
 	for l := range s.Verts {
@@ -276,9 +262,6 @@ func (s *Subgraph) strip() {
 		s.offs[l] = at
 		switch {
 		case s.foldedInto[l] >= 0:
-			if s.wts != nil {
-				s.foldedWt[l] = s.wts[lo]
-			}
 		case s.directed || s.Gamma[l] == 0:
 			if at != lo {
 				copy(s.adj[at:], s.adj[lo:hi])
@@ -304,70 +287,4 @@ func (s *Subgraph) strip() {
 	if s.wts != nil {
 		s.wts = s.wts[:at]
 	}
-}
-
-// unfolded returns the sub-graph's whole CSR in fresh arrays (adj with room
-// for the two arcs of an inserted edge): the swept rows plus, for every
-// folded vertex, the arc to the vertex it was folded into and, on undirected
-// sub-graphs, the arc back. Undirected rows are written column by column —
-// source u goes to the end of every row it occurs in, in increasing u — which
-// leaves each row sorted without sorting; a directed folded vertex occurs in
-// no row, so directed rows are copied.
-func (s *Subgraph) unfolded() (offs []int64, adj []int32, wts []float64) {
-	nl := len(s.Verts)
-	// Row l is counted into cur[l+2] and summed so that cur[l+1] is where row
-	// l starts; the fill advances cur[l+1] to row l's end, which is row l+1's
-	// start, so cur[:nl+1] ends up as the offsets.
-	cur := make([]int64, nl+2)
-	for l, into := range s.foldedInto {
-		if into < 0 {
-			cur[l+2] += s.offs[l+1] - s.offs[l]
-			continue
-		}
-		cur[l+2]++
-		if !s.directed {
-			cur[into+2]++
-		}
-	}
-	for l := 0; l < nl; l++ {
-		cur[l+2] += cur[l+1]
-	}
-	adj = make([]int32, cur[nl+1], cur[nl+1]+2)
-	if s.wts != nil {
-		wts = make([]float64, len(adj))
-	}
-	var wt float64
-	put := func(row, w int32) {
-		adj[cur[row+1]] = w
-		if wts != nil {
-			wts[cur[row+1]] = wt
-		}
-		cur[row+1]++
-	}
-	for u, into := range s.foldedInto {
-		u := int32(u)
-		switch {
-		case into >= 0:
-			if wts != nil {
-				wt = s.foldedWt[u]
-			}
-			put(u, into)
-			if !s.directed {
-				put(into, u)
-			}
-		case s.directed:
-			if wts != nil {
-				copy(wts[cur[u+1]:], s.OutWeights(u))
-			}
-			cur[u+1] += int64(copy(adj[cur[u+1]:], s.Out(u)))
-		default:
-			for i, w := range s.Out(u) {
-				if wts != nil {
-					wt = s.wts[s.offs[u]+int64(i)] // u->w's weight is w->u's
-				}
-				put(w, u)
-			}
-		}
-	}
-	return cur[:nl+1], adj, wts
 }

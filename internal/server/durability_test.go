@@ -42,9 +42,10 @@ func loadLifecycle(t *testing.T, r *Registry, name string) *Entry {
 // abandon the registry WITHOUT Close (the kill -9 analogue — acknowledged
 // mutations are already fsynced to the WAL, nothing else is flushed), then
 // recover from disk in a fresh registry. The recovered scores must be
-// bit-identical to a fresh computation of the mutated graph, and the
-// recovered entry must show zero engine-replayed mutations: recovery is one
-// decomposition of snapshot+WAL, not a re-run of history.
+// bit-identical to what was served before the kill and to a fresh computation
+// of the mutated graph, and the recovered entry must show zero engine-replayed
+// mutations: recovery is one decomposition of snapshot+WAL, not a re-run of
+// history.
 func TestKillAndRecover(t *testing.T) {
 	dir := t.TempDir()
 	r1 := durableRegistry(t, dir)
@@ -68,6 +69,10 @@ func TestKillAndRecover(t *testing.T) {
 		if !res.Applied {
 			t.Fatalf("mutate %+v acknowledged without Applied", m)
 		}
+	}
+	served, err := e1.BC()
+	if err != nil {
+		t.Fatal(err)
 	}
 	// Every Mutate above returned only after its WAL append fsynced, so the
 	// full burst is durable. Abandon r1 here — no Close, no final snapshot.
@@ -109,6 +114,7 @@ func TestKillAndRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertSameBits(t, "recovered scores vs the ones served before the kill", got, served)
 	assertBitIdentical(t, "recovered scores",
 		got, lifecycleGraph([][2]int32{{1, 3}, {9, 4}}, [][2]int32{{0, 7}}))
 }
@@ -191,12 +197,17 @@ func TestRecoverRejectsDamagedSnapshot(t *testing.T) {
 }
 
 // TestCleanCloseCompactsWAL: a graceful Close writes a final snapshot and
-// truncates the WAL, so the next start replays nothing.
+// truncates the WAL, so the next start replays nothing — and serves what was
+// served before the Close, bit for bit.
 func TestCleanCloseCompactsWAL(t *testing.T) {
 	dir := t.TempDir()
 	r1 := durableRegistry(t, dir)
 	e1 := loadLifecycle(t, r1, "clean")
 	if _, err := r1.Mutate(e1, true, 1, 3); err != nil {
+		t.Fatal(err)
+	}
+	served, err := e1.BC()
+	if err != nil {
 		t.Fatal(err)
 	}
 	r1.Close()
@@ -218,6 +229,7 @@ func TestCleanCloseCompactsWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertSameBits(t, "recovered scores vs the ones served before Close", got, served)
 	assertBitIdentical(t, "recovered scores after clean close",
 		got, lifecycleGraph([][2]int32{{1, 3}}, nil))
 }

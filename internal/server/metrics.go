@@ -45,8 +45,8 @@ func NewMetrics() *Metrics {
 		graphs: reg.NewGauge("bcd_graphs_loaded",
 			"Graphs currently in the ready state."),
 		incremental: reg.NewCounter("bcd_incremental_updates_total",
-			"Edge mutations absorbed, by result: local (intra-sub-graph "+
-				"incremental update) or rebuild (full re-decomposition).",
+			"Edge mutations absorbed, by kind of edit: local (every edge of "+
+				"the batch inside one sub-graph) or rebuild (one joined two).",
 			"result"),
 		loads: reg.NewCounter("bcd_load_jobs_total",
 			"Graph build jobs finished, by status.", "status"),

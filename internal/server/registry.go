@@ -199,7 +199,8 @@ type EntryInfo struct {
 	// Subgraphs/BoundaryAPs echo the cached decomposition's shape.
 	Subgraphs   int `json:"subgraphs,omitempty"`
 	BoundaryAPs int `json:"boundary_aps,omitempty"`
-	// LocalUpdates and FullRebuilds count how mutations were absorbed.
+	// LocalUpdates and FullRebuilds count mutations by kind of edit (see
+	// MutationResult.Result).
 	LocalUpdates int `json:"local_updates"`
 	FullRebuilds int `json:"full_rebuilds"`
 	// LoadedAt/BuildMs are set once the build job finishes.
@@ -218,8 +219,11 @@ type EntryInfo struct {
 
 // MutationResult reports how an edge update was absorbed.
 type MutationResult struct {
-	// Result is "local" (intra-sub-graph incremental update) or "rebuild"
-	// (structural change forced a full re-decomposition).
+	// Result names the kind of edit, not the work done: "rebuild" when the
+	// endpoints of some edge of the batch shared no sub-graph before it (an
+	// insertion that fuses blocks or attaches an isolated vertex), "local"
+	// otherwise. Either way the batch is one fresh decomposition and a sweep
+	// of each sub-graph it changed (core.Incremental).
 	Result string `json:"result"`
 	// Applied is the unambiguous effect marker: true means the edge update
 	// was logged and published; a response without it means nothing changed.

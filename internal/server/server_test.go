@@ -141,12 +141,18 @@ func assertBitIdentical(t *testing.T, label string, got []float64, g *graph.Grap
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertSameBits(t, label+" vs a fresh compute", got, want)
+}
+
+// assertSameBits holds two score vectors to each other bit for bit.
+func assertSameBits(t *testing.T, label string, got, want []float64) {
+	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d scores, want %d", label, len(got), len(want))
 	}
 	for v := range want {
 		if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
-			t.Fatalf("%s: bc[%d] = %v (bits %x), fresh compute %v (bits %x)",
+			t.Fatalf("%s: bc[%d] = %v (bits %x), want %v (bits %x)",
 				label, v, got[v], math.Float64bits(got[v]), want[v], math.Float64bits(want[v]))
 		}
 	}

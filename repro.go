@@ -281,8 +281,8 @@ func RelabelByDegree(g *Graph) (*Graph, []V) {
 }
 
 // IncrementalBC maintains exact BC scores across edge insertions and
-// removals, recomputing only the affected sub-graph when the change is
-// confined to one (see internal/core.Incremental).
+// removals: every update decomposes the graph afresh and sweeps only the
+// sub-graphs it changed (see internal/core.Incremental).
 type IncrementalBC = core.Incremental
 
 // NewIncrementalBC builds the incremental maintainer for an unweighted graph.
