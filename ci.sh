@@ -8,13 +8,16 @@
 #   4. race pass over the parallel hot paths and the serving subsystem
 #      (core, par, brandes, approx, server, the ws arena, the msbfs kernel),
 #      plus an explicit scheduler gate: the dynamic unit scheduler must match
-#      serial Brandes at workers 1, 2, 4 and 8 under -race, and an msbfs
-#      gate: the bit-parallel engine must bit-match the scalar engine (and
-#      the serial-cutoff fallback must be bit-invisible) under -race, as must
-#      the scalar sweep's three direction modes, whose edge-volume rule may
-#      never scan more than pure top-down; then 20 s of the Incremental
-#      fuzz target (every epoch checked against serial Brandes and held bit
-#      for bit to a fresh engine on its edge set)
+#      serial Brandes at workers 1, 2, 4 and 8 under -race, and a kernel
+#      gate: the kernel rule, lanes forced on every unit and the scalar kernel
+#      everywhere (budget 0) must bit-match (and the serial-cutoff fallback
+#      must be bit-invisible) under -race, at 10^5 vertices too, each unit
+#      must take the kernel the rule says and no pooled workspace hold more
+#      than the lane budget, as must the scalar sweep's three direction modes,
+#      whose edge-volume rule may never scan more than pure top-down; then
+#      20 s of the Incremental fuzz target (every epoch checked against serial
+#      Brandes and held bit for bit to a fresh scalar engine on its edge set,
+#      a drawn bit putting the epochs through the lane kernel)
 #   5. allocation gates: warm pooled sweeps (core, brandes) and the bcd
 #      top-K serving path must be allocation-free, and the workspace pool
 #      must survive 8 concurrent checkouts under -race; the pre-sweep layer
@@ -26,7 +29,7 @@
 #      whose inputs did not change);
 #      then a -benchmem benchmark smoke compile-and-run
 #   6. bcbench smokes on the smallest dataset: -table 2 and a tiny -engine
-#      sweep, whose in-run msbfs-vs-scalar bit cross-check fails the run
+#      sweep, whose in-run rule-vs-forced-lanes bit cross-check fails the run
 #   7. approx smoke: full-budget sampling must bit-match exact BC (the
 #      estimator's own K==n self-check on a tiny graph), plus the bcbench
 #      error-vs-speedup sweep at tiny scale
@@ -37,7 +40,9 @@
 #      fail; no BENCH_*.json artifact may be tracked at the root and neither
 #      the BottomUpFrac option nor bcc's BlockEdges may reappear in Go source,
 #      nor the per-AP α/β BFS outside test files, nor any piece of the deleted
-#      in-place mutation path
+#      in-place mutation path, nor the sweep-kernel knob (ParseRootEngine,
+#      EngineScalar, RunBatch, an Engine field in LoadSpec or approx.Options),
+#      and the kernel rule's three bounds are assigned in test files only
 #  10. durability smoke: race-built bcd is killed with SIGKILL mid-life and
 #      must recover its graph from snapshot+WAL with bit-exact top-K
 #  11. load smoke: bcdload drives a short mixed read/mutate phase against the
@@ -111,18 +116,21 @@ fi
 echo "==> race: internal/core internal/par internal/brandes internal/approx internal/server internal/ws internal/msbfs"
 go test -race ./internal/core ./internal/par ./internal/brandes ./internal/approx ./internal/server ./internal/ws ./internal/msbfs
 
-echo "==> fuzz: Incremental vs serial Brandes, a fresh Compute and, bit for bit, a fresh engine after every op (20 s)"
+echo "==> fuzz: Incremental vs serial Brandes, a fresh Compute and, bit for bit, a fresh scalar engine after every op (20 s)"
 # Random small graphs and toggle scripts biased towards degree-1 endpoints —
 # the vertices whose arcs are folded out of a sub-graph's rows, so that edits
-# keep changing what is folded. The seed corpus and testdata/fuzz already ran
-# in tier-1.
+# keep changing what is folded; one drawn bit lowers the lane kernel's bounds
+# and forces it, so that its epochs meet the scalar engine's bit for bit. The
+# seed corpus and testdata/fuzz already ran in tier-1.
 go test -run '^$' -fuzz FuzzIncrementalMatchesBrandes -fuzztime 20s ./internal/core
 
-echo "==> fuzz: Compute vs serial Brandes, the sweep's three direction modes bit-equal (20 s)"
+echo "==> fuzz: Compute vs serial Brandes, both kernels and the sweep's three direction modes bit-equal (20 s)"
 # Random small graphs × directed × threshold × DisableGamma × one or two
-# workers, with hybridMinVerts lowered so that graphs this size take bottom-up
-# and push levels: pull-only, push-everywhere and the rule must agree bit for
-# bit, and Compute with serial Brandes.
+# workers × the lane kernel forced (its lower bounds dropped to fuzz size),
+# with hybridMinVerts lowered so that graphs this size take bottom-up and push
+# levels: pull-only, push-everywhere and the rule must agree bit for bit,
+# Compute with the scalar kernel at the same worker count bit for bit, and
+# with serial Brandes.
 go test -run '^$' -fuzz FuzzComputeMatchesBrandes -fuzztime 20s ./internal/core
 
 echo "==> scheduler gate: BC vs serial Brandes at workers 1,2,4(,8) under -race"
@@ -133,19 +141,27 @@ echo "==> scheduler gate: BC vs serial Brandes at workers 1,2,4(,8) under -race"
 run_named 'TestSchedulerWorkerSweepMatchesBrandes|TestSchedulerStaticDynamicEquivalent|TestSchedulerDeterministic' \
     -race -count=1 ./internal/core
 
-echo "==> msbfs gate: batched engine bit-match vs scalar under -race"
+echo "==> msbfs gate: batched engine bit-match, rule / forced lanes / budget 0, under -race"
 # The kernel suite pins Brandes equivalence and batch-width bit-invariance;
-# the core suite pins scalar==msbfs bit-equality at workers 1,2,4,8 across
-# all families (directed and disconnected included) and that the
-# small-graph serial-cutoff fallback never changes a bit. The two direction
-# tests pin the scalar sweep's per-level choices, forward (top-down/bottom-up)
+# the core suite pins the kernel rule == lanes forced on every unit == the
+# scalar kernel everywhere (lane budget 0) bit for bit at workers 1,2,4,8
+# across all families (directed and disconnected included) and on R-MATs of
+# 4,096 and 131,072 vertices, that each unit on either side of the rule's
+# three bounds takes the kernel the rule says, that no pooled workspace holds
+# more than the lane budget whatever it has swept, and that the small-graph
+# serial-cutoff fallback never changes a bit. The two direction tests pin the scalar sweep's per-level choices, forward (top-down/bottom-up)
 # and backward (pull/push): bit-neutral on fixtures big enough to take
 # bottom-up and push levels (directed in-CSR, AP roots and γ seeds included),
 # and never a larger scan, either way, than pure top-down with pull.
 run_named 'TestKernelMatchesBrandes|TestKernelBatchWidthBitInvariant' \
     -race -count=1 ./internal/msbfs
-run_named 'TestMSBFSEngineBitMatchesScalar|TestMSBFSEngineDeterministic|TestDynamicSerialCutoffBoundary|TestSerialGuardKeepsServeParallel|TestHybridSweepBitNeutral|TestDirectionSwitchNeverScansMore' \
+run_named 'TestMSBFSEngineBitMatchesScalar|TestMSBFSEngineDeterministic|TestDynamicSerialCutoffBoundary|TestSerialGuardKeepsServeParallel|TestHybridSweepBitNeutral|TestDirectionSwitchNeverScansMore|TestKernelRuleBoundary|TestLaneMemoryBounded|TestLaneKernelBitMatchesScalarAtScale' \
     -race -count=1 ./internal/core
+# The layers above core have no kernel to choose and serve either kernel's
+# bits: a load spec that still sends "engine" is a 400, a data directory whose
+# meta.json still carries one recovers bit-identical to a fresh engine.
+run_named 'TestEngineBitMatch|TestEngineExactBudgetBitMatch|TestLoadEngineBitMatchAndEcho|TestMutateEngineBitMatch|TestRecoverIgnoresLegacyEngineField|TestErrorPaths|TestGrowLanes' \
+    -race -count=1 ./internal/approx ./internal/server ./internal/ws
 
 echo "==> alloc gates: warm sweeps and the top-K serving path allocate zero"
 run_named 'TestRootSweepWarmAllocs|TestSerialSweepWarmAllocs|TestTopKServingWarmAllocs|TestPoolRace' \
@@ -184,8 +200,9 @@ trap 'rm -rf "$tmp"' EXIT
 go run ./cmd/bcbench -table 2 -datasets email-enron -scale 0.05
 
 echo "==> bcbench -engine smoke (email-enron, scale 0.05)"
-# The engine sweep cross-checks msbfs against scalar bit-for-bit inside the
-# run and exits non-zero on the first differing vertex.
+# The kernel sweep cross-checks lanes forced on every unit against the kernel
+# rule bit-for-bit inside the run and exits non-zero on the first differing
+# vertex.
 go run ./cmd/bcbench -engine -datasets email-enron -scale 0.05
 
 echo "==> approx smoke: K==n bit-match + tiny error-vs-speedup sweep"
@@ -212,7 +229,8 @@ cmp "$tmp/bc_stream.txt" "$tmp/bc_mmap.txt" || {
 echo "==> scale smoke: one budgeted at-scale family (composite-stream)"
 # One family through the full -atscale path: load probes (in-memory vs
 # streaming vs mmap, with the mmap/stream graph bit-compare inside) and the
-# sched/engine/approx cells on a root budget, msbfs checked against scalar.
+# sched/kernel/approx cells on a root budget, forced lanes checked against the
+# rule bit for bit.
 go run ./cmd/bcbench -atscale -scale 2 -workers 2 -datasets composite-stream \
     -rootbudget 64 -graphdir "$tmp/atscale-graphs"
 
@@ -255,6 +273,26 @@ fi
 if grep -rnE 'hybridMinVerts[^=!<>]*(=[^=]|\+\+|--)' --include='*.go' . |
     grep -v '_test\.go:' | grep -v 'internal/core/state.go:.*var hybridMinVerts = 256'; then
     echo "ci.sh: hybridMinVerts is written outside test files; it is a constant everywhere but in tests" >&2
+    exit 1
+fi
+
+# The kernel rule's bounds are vars only so tests can move them; no other code
+# assigns them.
+if grep -rnE '(laneBudget|msbfsMinVerts|msbfsMinLanes)[^=!<>:]*(=[^=]|\+\+|--)' --include='*.go' . |
+    grep -v '_test\.go:' | grep -vE 'internal/core/engine.go:[0-9]+:\s+(laneBudget +|msbfsMinLanes|msbfsMinVerts) = (2 << 20|8|64)$'; then
+    echo "ci.sh: laneBudget, msbfsMinVerts or msbfsMinLanes is written outside test files; the kernel rule takes no parameter" >&2
+    exit 1
+fi
+
+# Nor may the sweep kernel become a knob again above core: the parser and the
+# scalar constant are gone, RootSweep has one Run, and neither a load spec nor
+# the estimator's options carry an engine.
+if grep -rnwE 'ParseRootEngine|EngineScalar|RunBatch' --include='*.go' .; then
+    echo "ci.sh: ParseRootEngine, EngineScalar or RunBatch is back; core picks the kernel per work unit" >&2
+    exit 1
+fi
+if grep -nE '^\s+Engine\s' internal/server/registry.go internal/server/wal.go internal/approx/approx.go; then
+    echo "ci.sh: an Engine field is back in LoadSpec, EntryInfo, graphMeta or approx.Options" >&2
     exit 1
 fi
 

@@ -208,27 +208,8 @@ func sameGraph(a, b *graph.Graph) bool {
 	return true
 }
 
-// bcEquivalent checks two BC vectors agree within relative 1e-9 per vertex.
-// The engines are bit-identical on the canonical small families (pinned by
-// internal/core's engine tests), but at 10^5+ vertices the batched engine's
-// different summation association accumulates ulp-level drift on a few
-// vertices, so the at-scale gate is a tight relative tolerance rather than
-// Float64bits equality.
-func bcEquivalent(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		diff := math.Abs(a[i] - b[i])
-		if diff > 1e-9 && diff > 1e-9*math.Max(math.Abs(a[i]), math.Abs(b[i])) {
-			return false
-		}
-	}
-	return true
-}
-
 // atScaleExperiment stages every family to a .bin, measures the three load
-// paths in child processes, then runs the budgeted worker, engine and approx
+// paths in child processes, then runs the budgeted worker, kernel and approx
 // sweeps on the streamed graph. See the file comment for why the
 // compute cells use RootBudget.
 func atScaleExperiment(c config) error {
@@ -255,8 +236,8 @@ func atScaleExperiment(c config) error {
 		Headers: []string{"graph", "scheduler", "p=1", fmt.Sprintf("p=%d", c.workers), "speedup"},
 	}
 	engineT := &metrics.Table{
-		Title:   fmt.Sprintf("At-scale engine sweep (root budget %d)", budget),
-		Headers: []string{"graph", "engine", "p=1", fmt.Sprintf("p=%d", c.workers), "speedup", "gain vs scalar"},
+		Title:   fmt.Sprintf("At-scale kernel sweep: the rule vs lanes forced on every unit (root budget %d)", budget),
+		Headers: []string{"graph", "kernel", "p=1", fmt.Sprintf("p=%d", c.workers), "speedup", "gain vs rule"},
 	}
 	approxT := &metrics.Table{
 		Title:   fmt.Sprintf("At-scale approx throughput (%d pivots)", budget),
@@ -341,11 +322,11 @@ func atScaleExperiment(c config) error {
 			pList = append(pList, c.workers)
 		}
 
-		// Scheduler sweep: the scalar engine at p=1 and p=workers.
+		// Scheduler sweep: the kernel rule at p=1 and p=workers.
 		dynWall := map[int]time.Duration{}
 		schedRow := []any{fam.name, core.SchedulerDynamic.String()}
 		for _, w := range pList {
-			_, dur, err := runCell(w, core.EngineScalar)
+			_, dur, err := runCell(w, 0)
 			if err != nil {
 				return err
 			}
@@ -371,24 +352,24 @@ func atScaleExperiment(c config) error {
 			}
 		}
 
-		// Engine sweep: scalar vs msbfs, bit-verified against each other.
-		scalarWall := map[int]time.Duration{}
-		scalarBC := map[int][]float64{}
-		for _, eng := range []core.RootEngine{core.EngineScalar, core.EngineMSBFS} {
+		// Kernel sweep: the rule vs forced lanes, bit-verified against each
+		// other.
+		ruleWall := map[int]time.Duration{}
+		ruleBC := map[int][]float64{}
+		for _, k := range kernelRows {
 			walls := map[int]time.Duration{}
-			var row []any
-			row = append(row, fam.name, eng.String())
+			row := []any{fam.name, k.name}
 			for _, w := range pList {
-				bc, dur, err := runCell(w, eng)
+				bc, dur, err := runCell(w, k.eng)
 				if err != nil {
 					return err
 				}
 				walls[w] = dur
-				if eng == core.EngineScalar {
-					scalarWall[w] = dur
-					scalarBC[w] = bc
-				} else if !bcEquivalent(bc, scalarBC[w]) {
-					return fmt.Errorf("%s: msbfs BC differs from scalar at p=%d", fam.name, w)
+				if k.eng == 0 {
+					ruleWall[w] = dur
+					ruleBC[w] = bc
+				} else if v := firstBitDiff(bc, ruleBC[w]); v >= 0 {
+					return fmt.Errorf("%s: p=%d vertex %d: forced lanes %v != rule %v", fam.name, w, v, bc[v], ruleBC[w][v])
 				}
 				row = append(row, metrics.FormatDuration(dur))
 			}
@@ -397,8 +378,8 @@ func atScaleExperiment(c config) error {
 			} else {
 				row = append(row, metrics.FormatSpeedup(metrics.Speedup(walls[1], walls[c.workers])))
 			}
-			if eng == core.EngineMSBFS {
-				row = append(row, metrics.FormatSpeedup(metrics.Speedup(scalarWall[pList[len(pList)-1]], walls[pList[len(pList)-1]])))
+			if k.eng != 0 {
+				row = append(row, metrics.FormatSpeedup(metrics.Speedup(ruleWall[pList[len(pList)-1]], walls[pList[len(pList)-1]])))
 			} else {
 				row = append(row, "-")
 			}

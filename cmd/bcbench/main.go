@@ -12,7 +12,7 @@
 //	bcbench -figure 9         # Figure 9: thread scaling, all algorithms
 //	bcbench -figure 10        # Figure 10: APGRE thread scaling
 //	bcbench -approx           # approximate BC: error vs speedup sweep
-//	bcbench -engine           # engine sweep: scalar vs msbfs batched sweeps
+//	bcbench -engine           # kernel sweep: the per-unit rule vs lanes forced everywhere
 //	bcbench -ext              # extensions: weighted, closeness, incremental
 //	bcbench -all              # everything above, in paper order
 //	bcbench -atscale          # load paths + budgeted sweeps at -scale 100
@@ -52,8 +52,8 @@ func main() {
 		thresh     = flag.Int("threshold", 0, "APGRE decomposition threshold (0 = default)")
 		ext        = flag.Bool("ext", false, "run the extension experiments (weighted, closeness, incremental)")
 		approxExp  = flag.Bool("approx", false, "run the approximate-BC error-vs-speedup sweep")
-		engineExp  = flag.Bool("engine", false, "run the scalar-vs-msbfs sweep-engine comparison")
-		atscale    = flag.Bool("atscale", false, "run the at-scale load/scheduler/engine/approx profile (pair with -scale 100)")
+		engineExp  = flag.Bool("engine", false, "run the kernel sweep: the per-unit kernel rule vs bit-parallel lanes forced on every unit")
+		atscale    = flag.Bool("atscale", false, "run the at-scale load/scheduler/kernel/approx profile (pair with -scale 100)")
 		rootBudget = flag.Int("rootbudget", 256, "at-scale: total BFS-root budget per compute cell (0 = full exact)")
 		graphDir   = flag.String("graphdir", "", "at-scale: cache generated .bin graphs here (default: fresh temp dir, removed)")
 		loadprobe  = flag.String("loadprobe", "", "internal: load this .bin file, print one-line JSON load metrics, exit")

@@ -40,7 +40,6 @@ package approx
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/decompose"
 	"repro/internal/graph"
 )
@@ -92,12 +91,6 @@ type Options struct {
 	// Threshold is the decomposition merge threshold (used by Estimate,
 	// which decomposes; EstimateDecomposed ignores it).
 	Threshold int
-	// Engine selects the sweep kernel pivots run through: core.EngineScalar
-	// (the zero value) runs one root per sweep, core.EngineMSBFS batches a
-	// sub-graph's pivots bit-parallel (core.RootSweep.RunBatch). Batching is
-	// bit-identical to scalar sweeps, so estimates — including the
-	// full-budget exact replay — do not depend on the choice.
-	Engine core.RootEngine
 }
 
 // Result is a finished estimate.

@@ -1,73 +1,117 @@
 package approx
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/decompose"
 )
 
-// TestEngineBitMatch pins the estimator's engine-independence: the batched
-// msbfs pivot path must reproduce the scalar path bit for bit at partial
-// budgets (same seed → same pivot sets → identical sweep arithmetic) and at
-// the full-budget exact replay, for serial and parallel workers.
+// scalarSum sweeps roots of sg in order with the scalar kernel alone and
+// returns their summed contribution: one root per RootSweep.Run call is under
+// the kernel rule's lower bound on a root range, so it is what a lane budget
+// of 0 gives inside core — from outside it.
+func scalarSum(sg *decompose.Subgraph, roots []int32, directed bool) []float64 {
+	var sw core.RootSweep
+	for i := range roots {
+		sw.Run(sg, roots[i:i+1], directed)
+	}
+	sum := make([]float64, sg.NumVerts())
+	sw.Collect(sum)
+	sw.Release()
+	return sum
+}
+
+// laneEligible restates core's kernel rule for a root range of sg (64 swept
+// vertices, 8 roots, 64 lanes × 40 B per swept vertex within 2 MiB), so that
+// the tests below can tell a fixture that reaches the lane kernel from one
+// that does not.
+func laneEligible(sg *decompose.Subgraph, roots int) bool {
+	return len(sg.Roots) >= 64 && roots >= 8 && len(sg.Roots)*64*40 <= 2<<20
+}
+
+// TestEngineBitMatch pins the estimator's kernel-independence at partial
+// budgets: the pivot groups it hands to RootSweep.Run — which the kernel rule
+// sends through the lane kernel wherever a group is large enough — must sum to
+// what the scalar kernel gives for the same pivots one at a time, bit for bit,
+// for serial and parallel workers. After the presolve pass and one Refine, a
+// sub-graph's sum is exactly one group's contribution.
 func TestEngineBitMatch(t *testing.T) {
+	lanes := 0
 	for name, g := range testGraphs() {
-		for _, pivots := range []int{20, g.NumVertices()} {
-			for _, workers := range []int{1, 4} {
-				opt := Options{Pivots: pivots, Seed: 11, Workers: workers}
-				want, err := Estimate(g, opt)
-				if err != nil {
-					t.Fatalf("%s scalar: %v", name, err)
+		d, err := decompose.Decompose(g, decompose.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 4} {
+			est, err := NewEstimator(d, Options{Seed: 11, Workers: workers})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			est.Refine(48)
+			for si, s := range est.subs {
+				roots := s.sg.Roots // presolved: the exact schedule
+				if s.perm != nil {
+					roots = s.perm[:s.next]
 				}
-				opt.Engine = core.EngineMSBFS
-				got, err := Estimate(g, opt)
-				if err != nil {
-					t.Fatalf("%s msbfs: %v", name, err)
+				if laneEligible(s.sg, len(roots)) {
+					lanes++
 				}
-				if want.Pivots != got.Pivots || want.Exact != got.Exact {
-					t.Fatalf("%s pivots=%d w=%d: shape diverged: (%d,%v) vs (%d,%v)",
-						name, pivots, workers, want.Pivots, want.Exact, got.Pivots, got.Exact)
-				}
-				for v := range want.BC {
-					if math.Float64bits(want.BC[v]) != math.Float64bits(got.BC[v]) {
-						t.Fatalf("%s pivots=%d w=%d vertex %d: scalar %v, msbfs %v",
-							name, pivots, workers, v, want.BC[v], got.BC[v])
+				want := scalarSum(s.sg, roots, g.Directed())
+				for l := range want {
+					if s.sum[l] != want[l] {
+						t.Fatalf("%s w=%d sub-graph %d (%d pivots) vertex %d: estimator %v, scalar %v",
+							name, workers, si, len(roots), l, s.sum[l], want[l])
 					}
 				}
 			}
+			est.Release()
 		}
+	}
+	if lanes == 0 {
+		t.Fatal("no pivot group was large enough for the lane kernel: the test compared scalar with scalar")
 	}
 }
 
-// TestEngineExactBudgetBitMatch: the full-budget msbfs estimator still
-// replays the exact coarse serial path bit for bit — batching must not cost
-// the K == n guarantee.
+// TestEngineExactBudgetBitMatch: the full-budget estimator — whole root lists
+// through the kernel rule — replays the exact one-worker path bit for bit
+// whichever kernels that path uses: lanes forced onto every unit
+// (core.EngineMSBFS), and the scalar kernel for every root.
 func TestEngineExactBudgetBitMatch(t *testing.T) {
+	lanes := 0
 	for name, g := range testGraphs() {
-		want := exactReference(t, g)
-		res, err := Estimate(g, Options{
-			Pivots: g.NumVertices(), Seed: 42, Engine: core.EngineMSBFS,
-		})
+		res, err := Estimate(g, Options{Pivots: g.NumVertices(), Seed: 42})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if !res.Exact {
 			t.Errorf("%s: full budget not flagged exact", name)
 		}
-		for v := range want {
-			if res.BC[v] != want[v] {
-				t.Fatalf("%s: vertex %d: msbfs approx %v != exact %v (bit mismatch)",
-					name, v, res.BC[v], want[v])
+		d, err := decompose.Decompose(g, decompose.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		forced, err := core.ComputeDecomposed(d, core.Options{Workers: 1, RootEngine: core.EngineMSBFS})
+		if err != nil {
+			t.Fatal(err)
+		}
+		scalar := make([]float64, g.NumVertices())
+		for _, sg := range d.Subgraphs {
+			if laneEligible(sg, len(sg.Roots)) {
+				lanes++
+			}
+			for l, c := range scalarSum(sg, sg.Roots, g.Directed()) {
+				scalar[sg.Verts[l]] += c
+			}
+		}
+		for v := range res.BC {
+			if res.BC[v] != forced[v] || res.BC[v] != scalar[v] {
+				t.Fatalf("%s: vertex %d: approx %v, exact with forced lanes %v, with the scalar kernel %v (bit mismatch)",
+					name, v, res.BC[v], forced[v], scalar[v])
 			}
 		}
 	}
-}
-
-// TestEngineValidation: an out-of-range engine is rejected up front.
-func TestEngineValidation(t *testing.T) {
-	g := testGraphs()["path"]
-	if _, err := Estimate(g, Options{Pivots: 4, Engine: core.RootEngine(9)}); err == nil {
-		t.Fatal("unknown engine accepted")
+	if lanes == 0 {
+		t.Fatal("no sub-graph of the fixtures is within the lane kernel's rule")
 	}
 }

@@ -39,8 +39,6 @@ type Estimator struct {
 	seed      int64
 	workers   int
 
-	engine core.RootEngine
-
 	subs       []*subSampler // index-aligned with d.Subgraphs
 	open       []int         // indices of sub-graphs still being sampled
 	totalRoots int64
@@ -63,11 +61,6 @@ func NewEstimator(d *decompose.Decomposition, opt Options) (*Estimator, error) {
 	if d.G.Weighted() {
 		return nil, fmt.Errorf("approx: weighted graphs are not supported")
 	}
-	switch opt.Engine {
-	case core.EngineScalar, core.EngineMSBFS:
-	default:
-		return nil, fmt.Errorf("approx: unknown root engine %d", opt.Engine)
-	}
 	n := d.G.NumVertices()
 	e := &Estimator{
 		d:         d,
@@ -79,7 +72,6 @@ func NewEstimator(d *decompose.Decomposition, opt Options) (*Estimator, error) {
 		maxPivots: opt.MaxPivots,
 		seed:      opt.Seed,
 		workers:   opt.Workers,
-		engine:    opt.Engine,
 	}
 	if n > 2 {
 		e.norm = 1 / (float64(n-1) * float64(n-2))
@@ -126,20 +118,6 @@ func (e *Estimator) ensureSweeps(p int) {
 	}
 }
 
-// sweepRoots runs the given roots of one sub-graph through sw with the
-// configured engine. Both paths are bit-identical (RunBatch's contract), so
-// everything downstream — sums, batch vectors, the full-budget replay — is
-// engine-independent to the last bit.
-func (e *Estimator) sweepRoots(sw *core.RootSweep, sg *decompose.Subgraph, roots []int32) {
-	if e.engine == core.EngineMSBFS {
-		sw.RunBatch(sg, roots, e.directed)
-		return
-	}
-	for _, r := range roots {
-		sw.Run(sg, r, e.directed)
-	}
-}
-
 // growZero returns dst resized to n with every element zeroed.
 func growZero(dst []float64, n int) []float64 {
 	if cap(dst) < n {
@@ -171,7 +149,7 @@ func (e *Estimator) runExactSubs(idxs []int) {
 			roots = s.perm[s.next:]
 		}
 		sw := e.sweeps[w]
-		e.sweepRoots(sw, s.sg, roots)
+		sw.Run(s.sg, roots, e.directed)
 		s.contrib = growZero(s.contrib, s.sg.NumVerts())
 		sw.Collect(s.contrib)
 		for l, c := range s.contrib {
@@ -237,7 +215,7 @@ func (e *Estimator) Refine(budget int) int {
 	par.ForWorker(len(open), p, 1, func(w, k int) {
 		s := e.subs[open[k]]
 		sw := e.sweeps[w]
-		e.sweepRoots(sw, s.sg, s.perm[s.next:s.next+alloc[k]])
+		sw.Run(s.sg, s.perm[s.next:s.next+alloc[k]], e.directed)
 		s.contrib = growZero(s.contrib, s.sg.NumVerts())
 		sw.Collect(s.contrib)
 	})

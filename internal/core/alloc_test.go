@@ -40,13 +40,14 @@ func BenchmarkRootSweepWarm(b *testing.B) {
 		}
 	}
 	var rs RootSweep
-	rs.Run(sg, sg.Roots[0], g.Directed())
+	rs.Run(sg, sg.Roots[:1], g.Directed())
 	dst := make([]float64, sg.NumVerts())
 	rs.Collect(dst)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rs.Run(sg, sg.Roots[i%len(sg.Roots)], g.Directed())
+		r := i % len(sg.Roots)
+		rs.Run(sg, sg.Roots[r:r+1], g.Directed())
 	}
 	b.StopTimer()
 	rs.Collect(dst)
@@ -56,12 +57,16 @@ func BenchmarkRootSweepWarm(b *testing.B) {
 func TestRootSweepWarmAllocs(t *testing.T) {
 	// Small sub-graphs exercise the plain top-down sweep, the large one the
 	// direction-optimizing hybrid — under the rule and with every level
-	// bottom-up and pushing, which fills the level table; all must be
-	// allocation-free warm and leave the workspace clean.
+	// bottom-up and pushing, which fills the level table — one root per call,
+	// which is always bfsRoot; the last case hands Run sixteen roots of a
+	// sub-graph the kernel rule gives to the lane kernel, whose level lists
+	// and slot table must be as warm as the arena. All must be allocation-free
+	// warm and leave the workspace clean.
 	for _, c := range []struct {
 		scale float64
 		force direction
-	}{{0.25, dirAuto}, {4, dirAuto}, {4, dirBottomUp}} {
+		group int
+	}{{0.25, dirAuto, 1}, {4, dirAuto, 1}, {4, dirBottomUp, 1}, {1, dirAuto, 16}} {
 		d := decomposeForAlloc(t, c.scale)
 		var sg *decompose.Subgraph
 		for _, cand := range d.Subgraphs {
@@ -74,18 +79,26 @@ func TestRootSweepWarmAllocs(t *testing.T) {
 		}
 		rs := RootSweep{e: engine{force: c.force}}
 		directed := d.G.Directed()
-		for _, r := range sg.Roots {
-			rs.Run(sg, r, directed)
+		group := func(i int) []int32 {
+			lo := i * c.group % (len(sg.Roots) - c.group + 1)
+			return sg.Roots[lo : lo+c.group]
+		}
+		for i := range sg.Roots {
+			rs.Run(sg, group(i), directed)
 		}
 		if c.scale > 1 && (!rs.e.hybrid || c.force == dirBottomUp && rs.e.pushedLevels == 0) {
 			t.Fatalf("scale %v (n=%d) direction %d: hybrid %v, %d pushed levels; the case is vacuous",
 				c.scale, sg.NumVerts(), c.force, rs.e.hybrid, rs.e.pushedLevels)
 		}
+		if lanes := rs.e.examined == 0; lanes != (c.group > 1) {
+			t.Fatalf("scale %v (%d swept) groups of %d: lane kernel %v; the case is vacuous",
+				c.scale, len(sg.Roots), c.group, lanes)
+		}
 		dst := make([]float64, sg.NumVerts())
 		rs.Collect(dst)
 		i := 0
 		allocs := testing.AllocsPerRun(50, func() {
-			rs.Run(sg, sg.Roots[i%len(sg.Roots)], directed)
+			rs.Run(sg, group(i), directed)
 			i++
 		})
 		rs.Collect(dst)

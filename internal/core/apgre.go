@@ -76,18 +76,17 @@ type Options struct {
 	// Scheduler selects the work-unit granularity; the zero value is
 	// SchedulerDynamic.
 	Scheduler Scheduler
-	// RootEngine selects the sweep kernel; the zero value is EngineScalar.
-	// EngineMSBFS batches up to 64 roots per traversal (internal/msbfs) and
-	// is bit-identical to scalar, so this is purely a performance knob. It is
-	// BFS-based: combined with a weighted graph it is an error.
+	// RootEngine is not a choice callers have: leave it zero and every work
+	// unit takes the kernel the rule in engine.go gives it. EngineMSBFS, the
+	// only other value, is the benchmark probe's (see RootEngine).
 	RootEngine RootEngine
 	// RootBudget, when > 0, caps the total number of BFS roots processed:
 	// each sub-graph keeps a proportional prefix of its root list,
 	// ⌈|roots_i|·budget/total⌉ (so every non-empty sub-graph keeps at least
 	// one root, and ceiling may push the realized total slightly past the
 	// budget — Breakdown.Roots reports the real count). The prefix depends
-	// only on (decomposition, budget), never on workers or engine, so a
-	// budgeted run is bit-deterministic across the whole worker/engine
+	// only on (decomposition, budget), never on workers or kernel, so a
+	// budgeted run is bit-deterministic across the whole worker/kernel
 	// matrix, and budget >= total roots replays the exact computation
 	// bit-for-bit. The scores are the exact contribution of the processed
 	// roots — a Graph500-style throughput measure for at-scale benchmarking,

@@ -8,110 +8,122 @@ import (
 	"repro/internal/ws"
 )
 
-// RootEngine selects the sweep kernel for unweighted graphs. Both engines
-// compute bit-identical scores (see internal/msbfs's package comment for why
-// batching cannot change a bit), so the choice is purely a performance knob:
-// the batched engine amortizes one CSR stream over up to 64 roots and wins on
-// graphs whose sub-graphs keep many roots after γ elimination; the scalar
-// engine has no per-batch overhead and wins on small or root-poor sub-graphs
-// (the break-even gates below pick per unit automatically).
+// RootEngine overrides the kernel rule (useLanes). Callers have nothing to
+// choose: the zero value is the rule, and the two kernels it picks between are
+// bit-identical (internal/msbfs's package comment: the lane kernel replays the
+// scalar one operand for operand where path counts are exact, and hands a
+// batch back to it where they are not), so no score can tell which one ran.
 type RootEngine int
 
-const (
-	// EngineScalar is the default: one root per sweep, with the
-	// direction-optimizing hybrid σ-BFS on large sub-graphs (Dijkstra on
-	// weighted graphs).
-	EngineScalar RootEngine = iota
-	// EngineMSBFS batches up to ws.LaneWidth roots per traversal using the
-	// bit-parallel multi-source kernel (internal/msbfs). The kernel is
-	// BFS-based, so requesting it for a weighted graph is an error.
-	EngineMSBFS
-)
-
-// String returns the engine name used in benchmark record keys and flags.
-func (e RootEngine) String() string {
-	switch e {
-	case EngineScalar:
-		return "scalar"
-	case EngineMSBFS:
-		return "msbfs"
-	default:
-		return fmt.Sprintf("engine(%d)", int(e))
-	}
-}
-
-// ParseRootEngine maps an engine name ("scalar", "msbfs"; "" means scalar)
-// to its RootEngine value.
-func ParseRootEngine(name string) (RootEngine, error) {
-	switch name {
-	case "", "scalar":
-		return EngineScalar, nil
-	case "msbfs":
-		return EngineMSBFS, nil
-	default:
-		return 0, fmt.Errorf("core: unknown root engine %q (want scalar or msbfs)", name)
-	}
-}
+// EngineMSBFS puts every unit the bit-parallel kernel can run through it,
+// whatever its lane state weighs: bench/child.go's msbfs probe measures the
+// kernel that way, and this value leaves with the probe (ROADMAP 5a). The
+// kernel is BFS-based, so requesting it for a weighted graph is an error.
+const EngineMSBFS RootEngine = 1
 
 // validateEngine rejects engine requests no kernel can honour.
 func validateEngine(weighted bool, re RootEngine) error {
-	switch re {
-	case EngineScalar:
-	case EngineMSBFS:
-		if weighted {
-			return fmt.Errorf("core: root engine msbfs is BFS-based and cannot sweep a weighted graph (use scalar)")
-		}
-	default:
+	switch {
+	case re == 0:
+	case re != EngineMSBFS:
 		return fmt.Errorf("core: unknown root engine %d", re)
+	case weighted:
+		return fmt.Errorf("core: root engine msbfs is BFS-based and cannot sweep a weighted graph")
 	}
 	return nil
 }
 
-// Break-even gates for the batched kernel, per (sub-graph, root-range) unit:
-// below either bound the per-batch overhead (lane bookkeeping, the 64-slot
-// stride on every σ/δ access) costs more than the shared CSR stream saves,
-// and runBatch degrades to the scalar per-root loop. The fallback is
-// unobservable in the output — both paths are bit-identical — so the bounds
-// are tuned purely for speed. Measured on the power-law stand-ins (best-of-30
-// single-thread sweeps): minVerts 128→64 doubled the wiki-talk win (its many
-// 64-128-vertex sub-graphs batch profitably), while 32 and below regressed
-// the fragmented email-euall stand-in; minLanes was flat across 4/8/16.
-const (
+// The kernel rule. An unweighted (sub-graph, root-range) unit runs through the
+// bit-parallel kernel (internal/msbfs), a lane word of roots per traversal,
+// when it has at least msbfsMinLanes roots over a swept graph of at least
+// msbfsMinVerts vertices whose lane state — 64 lanes × 40 B of σ, δ and BC per
+// swept vertex (ws.GrowLanes) — fits laneBudget; every other unit runs one
+// root at a time through bfsRoot. Which one ran is unobservable in the output,
+// so the bounds are tuned purely for speed, and all three are vars only so
+// that tests can move them (budget 0 = scalar everywhere; ci.sh greps that
+// nothing else writes them).
+//
+// laneBudget is 2 MiB, 819 swept vertices. The lane kernel shares one CSR
+// stream among 64 roots but strides every σ/δ access over 64 slots, so what
+// decides is whether that state stays in cache (Quader, PAPERS.md: BC kernels
+// are bound by memory layout). Warm p=1 ladder of whole top-sub-graph sweeps,
+// scalar ÷ lanes, best of 7 (EXPERIMENTS.md "Kernel by work unit"):
+//
+//	lattices, 140–564 swept vertices (0.3–1.4 MB)       0.95–1.13×
+//	  1,139 (2.8 MB) / 2,279 (5.6 MB) / 5,726 (14 MB)    0.97× / 0.77× / 0.61×
+//	undirected community graphs, 69–432 (≤ 1.1 MB)      1.3–2.6×
+//	  864 (2.1 MB) / 1,731 (4.2 MB) / 3,462 (8.5 MB)     1.66× / 1.02× / 0.95×
+//	directed community graphs, 273–546 (≤ 1.3 MB)       1.43–1.61×
+//	R-MAT scale 8–10, 178–665 (≤ 1.6 MB)                1.6–3.2×
+//	  scale 11 (3.0 MB) / 12 (5.7 MB)                    1.49× / 1.28×
+//
+// Under the budget lanes lose at most 5 % (on a 0.8 ms sweep) and usually win
+// 1.3–3×; above it the sign depends on BFS depth — the R-MATs and community
+// graphs are 4–5 levels deep and every level carries most lanes, a lattice is
+// 50–110 levels deep, touches a few lanes of a few vertices per level and pays
+// the stride for nothing — and a worker's lane memory would no longer be
+// bounded. The two lower bounds are the per-batch overhead's break-even,
+// measured on the power-law stand-ins (best-of-30 single-thread sweeps):
+// minVerts 128→64 doubled the wiki-talk win (its many 64–128-vertex sub-graphs
+// batch profitably), 32 and below regressed the fragmented email-euall
+// stand-in; minLanes was flat across 4/8/16.
+var (
+	laneBudget    = 2 << 20
 	msbfsMinLanes = 8
 	msbfsMinVerts = 64
 )
 
+// laneBytesPerVert is the lane state of one swept vertex: σ, three δ and the
+// staged BC contribution for each of the 64 lanes.
+const laneBytesPerVert = ws.LaneWidth * 5 * 8
+
+// useLanes is the kernel rule for nr roots of sg; forced (EngineMSBFS) lifts
+// the budget, nothing else.
+func useLanes(sg *decompose.Subgraph, nr int, weighted, forced bool) bool {
+	swept := len(sg.Roots)
+	if weighted || nr < msbfsMinLanes || swept < msbfsMinVerts {
+		return false
+	}
+	return forced || swept*laneBytesPerVert <= laneBudget
+}
+
 // engine is one worker's sweep engine: pooled per-vertex scratch plus the
-// kernel that fits the graph and the requested RootEngine — BFS (bfsRoot),
-// bit-parallel batched BFS (internal/msbfs) or Dijkstra (dijkstraRoot). All
-// three accumulate into ws.BC, so the unit scheduler, Incremental and
-// RootSweep drive it the same way: ensure a sub-graph, run roots, drain
-// ws.BC, release. The zero value is the scalar BFS engine.
+// three kernels — BFS (bfsRoot), bit-parallel batched BFS (internal/msbfs) and
+// Dijkstra (dijkstraRoot). All three accumulate into ws.BC, so the unit
+// scheduler, Incremental and RootSweep drive it the same way: ensure a
+// sub-graph, run roots, drain ws.BC, release. The zero value sweeps unweighted
+// sub-graphs under the kernel rule.
 type engine struct {
 	ws *ws.Sweep
 	// traversed is the paper's work metric, Σ out-degree over the vertices
-	// each sweep visited. examined is what bfsRoot's forward passes really
-	// scanned — frontier out-arcs in top-down levels, in-arcs of the
-	// unvisited vertices plus the bitset words in bottom-up levels — and
-	// bottomUpLevels how many levels went bottom-up. backScanned is the same
-	// for its backward passes — out-arcs of the levels that pulled, in-arcs of
-	// the levels that pushed — and pushedLevels how many pushed. Tests read
-	// the four to pin the direction rule, nothing reports them.
+	// each sweep visited, whichever kernel ran. examined is what bfsRoot's
+	// forward passes really scanned — frontier out-arcs in top-down levels,
+	// in-arcs of the unvisited vertices plus the bitset words in bottom-up
+	// levels — and bottomUpLevels how many levels went bottom-up. backScanned
+	// is the same for its backward passes — out-arcs of the levels that
+	// pulled, in-arcs of the levels that pushed — and pushedLevels how many
+	// pushed. Tests read the four to pin the direction rule (and, staying zero
+	// while traversed moves, to see that a unit took the lane kernel); nothing
+	// reports them.
 	traversed, examined, bottomUpLevels int64
 	backScanned, pushedLevels           int64
 
-	weighted bool      // Dijkstra kernel; set from the graph, never by callers' options
-	batched  bool      // RootEngine == EngineMSBFS
-	hybrid   bool      // the ensured sub-graph takes direction-optimizing BFS sweeps
-	force    direction // tests only; the zero value is the edge-volume rule
+	weighted   bool      // Dijkstra kernel; set from the graph, never by callers' options
+	forceLanes bool      // RootEngine == EngineMSBFS
+	hybrid     bool      // the ensured sub-graph takes direction-optimizing BFS sweeps
+	force      direction // tests only; the zero value is the edge-volume rule
 
 	kernel msbfs.Kernel // batched scratch
-	pq     wheap        // Dijkstra heap
+	// inexact is the sub-graph whose last lane batch came back with a path
+	// count past 2⁵³ (msbfs.Kernel.Run), where the kernels' σ sums may round
+	// apart and the scalar one is the reference: its roots go one by one.
+	inexact *decompose.Subgraph
+	pq      wheap // Dijkstra heap
 }
 
 // newEngine builds the engine validateEngine approved for a graph.
 func newEngine(weighted bool, opt Options) *engine {
-	return &engine{weighted: weighted, batched: opt.RootEngine == EngineMSBFS}
+	return &engine{weighted: weighted, forceLanes: opt.RootEngine == EngineMSBFS}
 }
 
 // ensure prepares the engine for sweeps over sg: scratch checked out of the
@@ -148,38 +160,31 @@ func (e *engine) release() {
 }
 
 // runRoots sweeps the given roots of the ensured sub-graph in order,
-// accumulating into ws.BC.
+// accumulating into ws.BC — the one place a kernel is chosen. The scheduler's
+// units, Incremental's whole-sub-graph sweeps and RootSweep's pivot groups all
+// come through here and take the rule's kernel for their range; ranges of both
+// mix freely, the kernels share the accumulation buffer and are bit-identical.
 func (e *engine) runRoots(sg *decompose.Subgraph, roots []int32, directed bool) {
-	switch {
-	case e.weighted:
+	if e.weighted {
 		for _, s := range roots {
 			e.dijkstraRoot(sg, s, directed)
 		}
-	case e.batched:
-		e.runBatch(sg, roots, directed)
-	default:
-		for _, s := range roots {
-			e.bfsRoot(sg, s, directed)
-		}
-	}
-}
-
-// runBatch feeds roots to the bit-parallel kernel a lane word at a time, or
-// to the scalar loop below the break-even gates; a range may mix both freely
-// since they share the accumulation buffer.
-func (e *engine) runBatch(sg *decompose.Subgraph, roots []int32, directed bool) {
-	if len(roots) < msbfsMinLanes || sg.NumVerts() < msbfsMinVerts {
-		for _, s := range roots {
-			e.bfsRoot(sg, s, directed)
-		}
 		return
 	}
-	for lo := 0; lo < len(roots); lo += ws.LaneWidth {
-		hi := lo + ws.LaneWidth
-		if hi > len(roots) {
-			hi = len(roots)
+	if sg != e.inexact && useLanes(sg, len(roots), false, e.forceLanes) {
+		for len(roots) > 0 {
+			n := min(ws.LaneWidth, len(roots))
+			traversed, exact := e.kernel.Run(sg, roots[:n], directed, e.ws)
+			if !exact { // the batch added nothing: it and the rest are bfsRoot's
+				e.inexact = sg
+				break
+			}
+			e.traversed += traversed
+			roots = roots[n:]
 		}
-		e.traversed += e.kernel.Run(sg, roots[lo:hi], directed, e.ws)
+	}
+	for _, s := range roots {
+		e.bfsRoot(sg, s, directed)
 	}
 }
 
@@ -211,7 +216,7 @@ func drainWorkers(d *decompose.Decomposition, p int) int {
 
 // totalSweepCost estimates the decomposition's full sweep work under the
 // scalar cost model (the guard is an absolute work bound, so it uses the
-// engine-independent model).
+// kernel-independent model).
 func totalSweepCost(d *decompose.Decomposition) int64 {
 	var total int64
 	for _, sg := range d.Subgraphs {

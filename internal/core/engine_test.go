@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -34,6 +35,37 @@ func forceParallel(t *testing.T) {
 	t.Cleanup(func() { dynamicSerialCutoff = old })
 }
 
+// setKernelRule moves the kernel rule's three bounds (engine.go) for the rest
+// of the test. Budget 0 is the scalar kernel everywhere; EngineMSBFS lifts the
+// budget, never the two lower bounds.
+func setKernelRule(t testing.TB, budget, minVerts, minLanes int) {
+	t.Helper()
+	b, v, l := laneBudget, msbfsMinVerts, msbfsMinLanes
+	laneBudget, msbfsMinVerts, msbfsMinLanes = budget, minVerts, minLanes
+	t.Cleanup(func() { laneBudget, msbfsMinVerts, msbfsMinLanes = b, v, l })
+}
+
+// scalarOnly is budget 0 for the duration of fn.
+func scalarOnly(fn func()) {
+	old := laneBudget
+	laneBudget = 0
+	defer func() { laneBudget = old }()
+	fn()
+}
+
+// computeScalar is Compute with the lane kernel out of reach — the reference
+// the rule and the forced-lane runs are held to.
+func computeScalar(t *testing.T, g *graph.Graph, opt Options) (bc []float64) {
+	t.Helper()
+	opt.RootEngine = 0
+	var err error
+	scalarOnly(func() { bc, err = Compute(g, opt) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bc
+}
+
 func bcBitsEqual(t *testing.T, name string, want, got []float64) {
 	t.Helper()
 	for v := range want {
@@ -45,28 +77,25 @@ func bcBitsEqual(t *testing.T, name string, want, got []float64) {
 	}
 }
 
-// TestMSBFSEngineBitMatchesScalar is the msbfs determinism suite: on every
+// TestMSBFSEngineBitMatchesScalar is the kernel determinism suite: on every
 // family (directed and disconnected included) and at every worker count, the
-// batched engine returns bit-identical scores to the scalar engine at the
-// same worker count — the acceptance pin that makes EngineMSBFS a pure
-// performance knob. (Worker count itself legitimately shapes unit
-// boundaries and hence partial-sum association; the invariant is that the
-// ENGINE never does.)
+// rule's mix of kernels and lanes forced on every unit both return the bits
+// of the scalar kernel everywhere (budget 0) at the same worker count — the
+// pin that lets runRoots pick a kernel per unit with no caller involved.
+// (Worker count itself legitimately shapes unit boundaries and hence
+// partial-sum association; the invariant is that the KERNEL never does.)
 func TestMSBFSEngineBitMatchesScalar(t *testing.T) {
 	forceParallel(t)
 	for name, g := range engineFamilies() {
 		for _, p := range []int{1, 2, 4, 8} {
-			want, err := Compute(g, Options{Workers: p, Threshold: 8})
-			if err != nil {
-				t.Fatalf("%s p=%d scalar: %v", name, p, err)
+			want := computeScalar(t, g, Options{Workers: p, Threshold: 8})
+			for _, eng := range []RootEngine{0, EngineMSBFS} {
+				got, err := Compute(g, Options{Workers: p, Threshold: 8, RootEngine: eng})
+				if err != nil {
+					t.Fatalf("%s p=%d engine %d: %v", name, p, eng, err)
+				}
+				bcBitsEqual(t, fmt.Sprintf("%s p=%d engine %d", name, p, eng), want, got)
 			}
-			got, err := Compute(g, Options{
-				Workers: p, Threshold: 8, RootEngine: EngineMSBFS,
-			})
-			if err != nil {
-				t.Fatalf("%s p=%d msbfs: %v", name, p, err)
-			}
-			bcBitsEqual(t, name, want, got)
 		}
 	}
 }
@@ -103,8 +132,7 @@ func TestMSBFSBatchRemainder(t *testing.T) {
 	}
 	over := false
 	for _, sg := range d.Subgraphs {
-		if sg.NumVerts() >= msbfsMinVerts && len(sg.Roots) >= msbfsMinLanes &&
-			len(sg.Roots)%ws.LaneWidth != 0 {
+		if useLanes(sg, len(sg.Roots), false, false) && len(sg.Roots)%ws.LaneWidth != 0 {
 			over = true
 		}
 	}
@@ -112,17 +140,14 @@ func TestMSBFSBatchRemainder(t *testing.T) {
 		t.Fatal("test graph has no sub-graph exercising a partial batch above the gates")
 	}
 	for _, p := range []int{1, 8} {
-		want, err := ComputeDecomposed(d, Options{Workers: p, Threshold: 8})
-		if err != nil {
-			t.Fatal(err)
+		want := computeScalar(t, g, Options{Workers: p, Threshold: 8})
+		for _, eng := range []RootEngine{0, EngineMSBFS} {
+			got, err := ComputeDecomposed(d, Options{Workers: p, Threshold: 8, RootEngine: eng})
+			if err != nil {
+				t.Fatalf("p=%d: %v", p, err)
+			}
+			bcBitsEqual(t, "er500", want, got)
 		}
-		got, err := ComputeDecomposed(d, Options{
-			Workers: p, Threshold: 8, RootEngine: EngineMSBFS,
-		})
-		if err != nil {
-			t.Fatalf("p=%d: %v", p, err)
-		}
-		bcBitsEqual(t, "er500", want, got)
 	}
 }
 
@@ -148,29 +173,30 @@ func TestMSBFSEngineDeterministic(t *testing.T) {
 // TestDynamicSerialCutoffBoundary pins the small-graph break-even guard's
 // bit-neutrality: the same multi-worker request run just below the guard
 // (degraded to the serial coarse path) and with the guard disabled (true
-// 8-worker drain) must produce identical bits, for both engines. The guard
-// may therefore move freely as break-even tuning evolves without any
-// observable output change.
+// 8-worker drain) must produce identical bits, under the rule, with lanes
+// forced and with none. The guard may therefore move freely as break-even
+// tuning evolves without any observable output change.
 func TestDynamicSerialCutoffBoundary(t *testing.T) {
-	old := dynamicSerialCutoff
-	t.Cleanup(func() { dynamicSerialCutoff = old })
+	oldCut, oldBudget := dynamicSerialCutoff, laneBudget
+	t.Cleanup(func() { dynamicSerialCutoff, laneBudget = oldCut, oldBudget })
 	for name, g := range engineFamilies() {
-		for _, eng := range []RootEngine{EngineScalar, EngineMSBFS} {
+		for _, c := range []struct {
+			eng    RootEngine
+			budget int
+		}{{0, oldBudget}, {EngineMSBFS, oldBudget}, {0, 0}} {
+			laneBudget = c.budget
+			opt := Options{Workers: 8, Threshold: 8, RootEngine: c.eng}
 			dynamicSerialCutoff = 1 << 62 // guard always fires: serial path
-			serial, err := Compute(g, Options{
-				Workers: 8, Threshold: 8, RootEngine: eng,
-			})
+			serial, err := Compute(g, opt)
 			if err != nil {
-				t.Fatalf("%s/%v serial-guarded: %v", name, eng, err)
+				t.Fatalf("%s/%+v serial-guarded: %v", name, c, err)
 			}
 			dynamicSerialCutoff = 0 // guard never fires: real parallel drain
-			parallel, err := Compute(g, Options{
-				Workers: 8, Threshold: 8, RootEngine: eng,
-			})
+			parallel, err := Compute(g, opt)
 			if err != nil {
-				t.Fatalf("%s/%v parallel: %v", name, eng, err)
+				t.Fatalf("%s/%+v parallel: %v", name, c, err)
 			}
-			bcBitsEqual(t, name+"/"+eng.String(), serial, parallel)
+			bcBitsEqual(t, fmt.Sprintf("%s/%+v", name, c), serial, parallel)
 		}
 	}
 }
@@ -205,12 +231,13 @@ func TestSerialGuardKeepsServeParallel(t *testing.T) {
 	}
 }
 
-// TestStaticSchedulerHonoursMSBFS: the engine choice applies under either
-// unit granularity. Scores cannot tell (the engines are bit-identical), so
-// look at the arena: after a one-worker run from a fresh pool, its only
-// sweep must carry the lane arrays the batched kernel grows.
+// TestStaticSchedulerHonoursMSBFS: forced lanes apply under either unit
+// granularity. Scores cannot tell (the kernels are bit-identical), so look at
+// the arena: after a one-worker run from a fresh pool with the rule's budget
+// at 0, its only sweep must carry the lane arrays the batched kernel grows.
 func TestStaticSchedulerHonoursMSBFS(t *testing.T) {
-	g := schedFamilies()["er"] // one 300-vertex block: far above the gates
+	g := schedFamilies()["er"]                        // one 300-vertex block: far above the gates
+	setKernelRule(t, 0, msbfsMinVerts, msbfsMinLanes) // the rule alone would stay scalar
 	want, err := Compute(g, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -228,9 +255,10 @@ func TestStaticSchedulerHonoursMSBFS(t *testing.T) {
 	}
 }
 
-// TestRootSweepRunBatchBitMatch pins RunBatch's contract: batching pivots is
-// bit-identical to running them one at a time, above and below the
-// break-even gates.
+// TestRootSweepRunBatchBitMatch pins Run's contract: handing it a batch of
+// pivots — which the rule puts through the lane kernel above the break-even
+// gates — is bit-identical to handing them over one at a time, which is always
+// the scalar kernel.
 func TestRootSweepRunBatchBitMatch(t *testing.T) {
 	for name, g := range map[string]*graph.Graph{
 		"social": schedFamilies()["social"], // above the gates
@@ -243,46 +271,48 @@ func TestRootSweepRunBatchBitMatch(t *testing.T) {
 		var one, batch RootSweep
 		for _, sg := range d.Subgraphs {
 			n := sg.NumVerts()
-			for _, s := range sg.Roots {
-				one.Run(sg, s, g.Directed())
+			for i := range sg.Roots {
+				one.Run(sg, sg.Roots[i:i+1], g.Directed())
 			}
-			batch.RunBatch(sg, sg.Roots, g.Directed())
+			batch.Run(sg, sg.Roots, g.Directed())
 			a := make([]float64, n)
 			b := make([]float64, n)
 			one.Collect(a)
 			batch.Collect(b)
 			for l := range a {
 				if math.Float64bits(a[l]) != math.Float64bits(b[l]) {
-					t.Fatalf("%s sg %d vertex %d: Run %v, RunBatch %v", name, sg.ID, l, a[l], b[l])
+					t.Fatalf("%s sg %d vertex %d: one by one %v, batched %v", name, sg.ID, l, a[l], b[l])
 				}
 			}
 		}
 		if tr1, tr2 := one.Traversed(), batch.Traversed(); tr1 != tr2 {
-			t.Fatalf("%s: traversed metric diverged: Run %d, RunBatch %d", name, tr1, tr2)
+			t.Fatalf("%s: traversed metric diverged: one by one %d, batched %d", name, tr1, tr2)
+		}
+		// bfsRoot alone counts what it examined, so the lane kernel shows as
+		// a batched run that left less of it to bfsRoot.
+		if lanes := batch.e.examined < one.e.examined; lanes != (name == "social") {
+			t.Fatalf("%s: batched run took the lane kernel: %v (bfsRoot examined %d arcs batched, %d one by one)",
+				name, lanes, batch.e.examined, one.e.examined)
 		}
 		one.Release()
 		batch.Release()
 	}
 }
 
-// TestRootEngineStringParse covers the flag round-trip and validation.
-func TestRootEngineStringParse(t *testing.T) {
-	for _, e := range []RootEngine{EngineScalar, EngineMSBFS} {
-		got, err := ParseRootEngine(e.String())
-		if err != nil || got != e {
-			t.Fatalf("ParseRootEngine(%q) = %v, %v", e.String(), got, err)
+// TestRootEngineValidation: the option has its zero value and the probe's;
+// anything else is an error from every entry point, never a default.
+func TestRootEngineValidation(t *testing.T) {
+	for _, re := range []RootEngine{-1, 2, 99} {
+		if _, err := Compute(gen.Path(4), Options{RootEngine: re}); err == nil {
+			t.Fatalf("Compute accepted root engine %d", re)
+		}
+		if _, err := NewIncremental(gen.Path(4), Options{RootEngine: re}); err == nil {
+			t.Fatalf("NewIncremental accepted root engine %d", re)
 		}
 	}
-	if e, err := ParseRootEngine(""); err != nil || e != EngineScalar {
-		t.Fatalf("empty engine name: %v, %v", e, err)
-	}
-	if _, err := ParseRootEngine("simd"); err == nil {
-		t.Fatal("unknown engine name accepted")
-	}
-	if RootEngine(99).String() == "" {
-		t.Fatal("out-of-range String is empty")
-	}
-	if _, err := Compute(gen.Path(4), Options{RootEngine: RootEngine(99)}); err == nil {
-		t.Fatal("Compute accepted an unknown root engine")
+	for _, re := range []RootEngine{0, EngineMSBFS} {
+		if _, err := Compute(gen.Path(4), Options{RootEngine: re}); err != nil {
+			t.Fatalf("root engine %d: %v", re, err)
+		}
 	}
 }

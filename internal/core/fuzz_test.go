@@ -36,11 +36,14 @@ func fuzzGraphEdges(b []byte, n, max int) []graph.Edge {
 // engine held to serial Brandes and to a fresh Compute after every op
 // (assertIncMatches). Endpoints are drawn with a bias towards degree-1
 // vertices of the current graph, because those are the ones whose rows are
-// folded out of a sub-graph and must come back for the edit.
+// folded out of a sub-graph and must come back for the edit. th's top bit
+// puts every sweep through the lane kernel (lanesForFuzz); assertIncMatches'
+// fresh engine is scalar, so the two kernels meet bit for bit after every op.
 //
 // Encoding: n = 2 + nb%23 vertices; edges is byte pairs (u, v) taken mod n,
 // self-loops dropped; each op is two script bytes, and a byte with its top bit
-// set picks the (b mod k)-th of the k degree-1 vertices when there is one.
+// set picks the (b mod k)-th of the k degree-1 vertices when there is one; th
+// is the threshold (mod 8, plus 1) with the lane bit on top.
 func FuzzIncrementalMatchesBrandes(f *testing.F) {
 	caterpillar := graph.NewFromEdges(9, []graph.Edge{
 		{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 3},
@@ -48,8 +51,10 @@ func FuzzIncrementalMatchesBrandes(f *testing.F) {
 	}, false)
 	for _, g := range []*graph.Graph{gen.Star(8), gen.Path(7), caterpillar, gen.Path(2), gen.Lollipop(4, 3)} {
 		for _, directed := range []bool{false, true} {
-			f.Add(byte(g.NumVertices()-2), directed, byte(2), fuzzEdges(g),
-				[]byte{0x80, 0x81, 0x80, 1, 0x82, 0x80, 0, 0x83, 0x81, 0x80, 2, 3, 0x80, 0x81})
+			for _, th := range []byte{2, 0x82} {
+				f.Add(byte(g.NumVertices()-2), directed, th, fuzzEdges(g),
+					[]byte{0x80, 0x81, 0x80, 1, 0x82, 0x80, 0, 0x83, 0x81, 0x80, 2, 3, 0x80, 0x81})
+			}
 		}
 	}
 	f.Fuzz(func(t *testing.T, nb byte, directed bool, th byte, edges, script []byte) {
@@ -57,7 +62,11 @@ func FuzzIncrementalMatchesBrandes(f *testing.F) {
 		if len(script) > 64 {
 			script = script[:64]
 		}
-		inc, err := NewIncremental(graph.NewFromEdges(n, fuzzGraphEdges(edges, n, 4*n), directed), Options{Threshold: 1 + int(th)%8})
+		opt := Options{Threshold: 1 + int(th)%8}
+		if th&0x80 != 0 {
+			opt.RootEngine = lanesForFuzz(t)
+		}
+		inc, err := NewIncremental(graph.NewFromEdges(n, fuzzGraphEdges(edges, n, 4*n), directed), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,9 +103,18 @@ func FuzzIncrementalMatchesBrandes(f *testing.F) {
 	})
 }
 
+// lanesForFuzz puts fuzz-sized sub-graphs within the lane kernel's reach for
+// the rest of the test — any swept graph of two vertices, any root range — and
+// returns the engine value that lifts the budget on top.
+func lanesForFuzz(t *testing.T) RootEngine {
+	setKernelRule(t, laneBudget, 2, 1)
+	return EngineMSBFS
+}
+
 // FuzzComputeMatchesBrandes is ROADMAP 5(i)'s batch half: a small graph, a
-// directed bit, a threshold, DisableGamma and one or two workers, with Compute
-// held to serial Brandes, and the scalar sweep's three direction modes — the
+// directed bit, a threshold, DisableGamma, one or two workers and a kernel,
+// with Compute held to serial Brandes and to the scalar kernel at the same
+// worker count bit for bit, and the scalar sweep's three direction modes — the
 // rule, pull only, every level bottom-up and pushing — held to each other bit
 // for bit. hybridMinVerts is lowered for the run so that sub-graphs this size
 // take bottom-up and push levels at all, and the serial guard dropped so that
@@ -104,14 +122,14 @@ func FuzzIncrementalMatchesBrandes(f *testing.F) {
 //
 // Encoding: n = 2 + nb%47 vertices; edges is byte pairs (u, v) taken mod n,
 // self-loops dropped; flags bit 0 directed, bit 1 DisableGamma, bit 2 a second
-// worker.
+// worker, bit 3 the lane kernel for every sweep (lanesForFuzz).
 func FuzzComputeMatchesBrandes(f *testing.F) {
 	oldMin, oldCut := hybridMinVerts, dynamicSerialCutoff
 	hybridMinVerts, dynamicSerialCutoff = 2, 0
 	f.Cleanup(func() { hybridMinVerts, dynamicSerialCutoff = oldMin, oldCut })
 	for _, g := range []*graph.Graph{gen.Star(8), gen.Path(7), gen.Lollipop(5, 4), gen.Caveman(3, 5, false),
 		gen.Grid2D(5, 5), gen.ErdosRenyi(40, 160, false, 3)} {
-		for flags := byte(0); flags < 8; flags++ {
+		for flags := byte(0); flags < 16; flags++ {
 			f.Add(byte(g.NumVertices()-2), flags, byte(2), fuzzEdges(g))
 		}
 	}
@@ -120,10 +138,14 @@ func FuzzComputeMatchesBrandes(f *testing.F) {
 		directed, disableGamma, workers := flags&1 != 0, flags&2 != 0, 1+int(flags>>2&1)
 		g := graph.NewFromEdges(n, fuzzGraphEdges(edges, n, 6*n), directed)
 		opt := Options{Workers: workers, Threshold: 1 + int(th)%8, DisableGamma: disableGamma}
+		if flags&8 != 0 {
+			opt.RootEngine = lanesForFuzz(t)
+		}
 		got, err := Compute(g, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
+		bcBitsEqual(t, "Compute vs the scalar kernel", computeScalar(t, g, opt), got)
 		if i, ok := bcClose(brandes.Serial(g), got, 1e-9); !ok {
 			t.Fatalf("Compute differs from Brandes at vertex %d: %v", i, got[i])
 		}

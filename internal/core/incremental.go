@@ -92,10 +92,9 @@ func (s Snapshot) BC() []float64 {
 func (s Snapshot) BCView() []float64 { return s.bc }
 
 // NewIncremental decomposes g and computes the initial scores. The Options'
-// parallel settings are ignored (updates run serially); Threshold,
-// DisableGamma and RootEngine apply — the engine choice is bit-invisible in
-// the scores (see RootEngine), so mutations absorbed under either engine
-// publish identical epochs.
+// parallel settings are ignored (updates run serially); Threshold and
+// DisableGamma apply. Every sub-graph sweep takes the kernel the rule gives it
+// (engine.runRoots), which is bit-invisible in the scores.
 func NewIncremental(g *graph.Graph, opt Options) (*Incremental, error) {
 	if g.Weighted() {
 		return nil, fmt.Errorf("core: incremental BC supports unweighted graphs only")

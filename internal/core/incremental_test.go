@@ -14,6 +14,8 @@ import (
 // assertIncMatches holds the engine's scores to serial Brandes and to a fresh
 // Compute, both on the engine's current graph, and the whole epoch to a fresh
 // engine's on that graph: the same decomposition, the same scores bit for bit.
+// The fresh engine sweeps with the scalar kernel alone, so whatever kernels
+// inc's epochs went through — the rule's, or forced lanes — are held to it.
 func assertIncMatches(t *testing.T, inc *Incremental, label string) {
 	t.Helper()
 	want := brandes.Serial(inc.Graph())
@@ -30,11 +32,14 @@ func assertIncMatches(t *testing.T, inc *Incremental, label string) {
 		t.Fatalf("%s: incremental BC differs from a fresh Compute at %d: fresh %v got %v",
 			label, i, fresh[i], got[i])
 	}
-	again, err := NewIncremental(inc.Graph(), inc.opt)
+	var again *Incremental
+	scalarOnly(func() {
+		again, err = NewIncremental(inc.Graph(), Options{Threshold: inc.opt.Threshold, DisableGamma: inc.opt.DisableGamma})
+	})
 	if err != nil {
 		t.Fatalf("%s: fresh NewIncremental: %v", label, err)
 	}
-	bcBitsEqual(t, label+": fresh NewIncremental vs epoch", again.BC(), got)
+	bcBitsEqual(t, label+": fresh scalar NewIncremental vs epoch", again.BC(), got)
 	d, fd := inc.Decomposition(), again.Decomposition()
 	if len(d.Subgraphs) != len(fd.Subgraphs) || d.TopIndex != fd.TopIndex || d.NumArticulation != fd.NumArticulation {
 		t.Fatalf("%s: the epoch's decomposition has %d sub-graphs (top %d) and %d boundary APs, a fresh one %d (top %d) and %d",

@@ -46,12 +46,12 @@ type workUnit struct {
 
 // unitCost estimates the sweep work for nr roots of sg, |V|+|E| being the
 // size of the swept graph (the γ-folded vertices and their arcs are in no
-// sweep). The scalar engine pays one traversal per root, |roots|·(|V|+|E|);
-// the batched engine shares each traversal across a lane word,
-// ⌈|roots|/LaneWidth⌉·(|V|+|E|).
-func unitCost(sg *decompose.Subgraph, nr int, laneBatched bool) int64 {
+// sweep). The scalar kernel pays one traversal per root, |roots|·(|V|+|E|);
+// the lane kernel shares each traversal across a lane word,
+// ⌈|roots|/LaneWidth⌉·(|V|+|E|). lanes is useLanes' answer for the unit.
+func unitCost(sg *decompose.Subgraph, nr int, lanes bool) int64 {
 	work := int64(len(sg.Roots)) + sg.NumArcs()
-	if laneBatched {
+	if lanes {
 		return int64((nr+ws.LaneWidth-1)/ws.LaneWidth) * work
 	}
 	return int64(nr) * work
@@ -62,21 +62,22 @@ func unitCost(sg *decompose.Subgraph, nr int, laneBatched bool) int64 {
 // queue holds a few units per worker; otherwise every unit is a whole
 // sub-graph.
 //
-// Unit BOUNDARIES are engine-independent: the chunk count always comes from
+// Unit BOUNDARIES are kernel-independent: the chunk count always comes from
 // the scalar cost model, and chunk sizes are rounded up to whole lane words
-// for every engine. Boundaries determine the floating-point association of
-// each sub-graph's per-unit partial sums, so keeping them fixed is what
-// makes the engine choice bit-invisible (and lets the batched engine run
-// whole lane words per unit with no boundary ever splitting a batch). Unit
-// cost, by contrast, uses the requested engine's model (laneBatched switches
-// to ⌈roots/LaneWidth⌉·(|V|+|E|)); it only orders the drain queue, which the
-// canonical merge makes bit-neutral.
+// whatever kernel will run them. Boundaries determine the floating-point
+// association of each sub-graph's per-unit partial sums, so keeping them
+// fixed is what makes the kernel rule bit-invisible (and lets the lane kernel
+// run whole lane words per unit with no boundary ever splitting a batch). Unit
+// cost, by contrast, uses the model of the kernel the rule gives the unit
+// (useLanes; forced is RootEngine == EngineMSBFS); it only orders the drain
+// queue, which the canonical merge makes bit-neutral.
 //
 // budget is Options.RootBudget: each sub-graph's root list is trimmed to its
 // proportional prefix BEFORE chunking, so the unit boundaries of a budgeted
 // run are again a pure function of (decomposition, options) — the
 // determinism argument above carries over unchanged.
-func buildUnits(d *decompose.Decomposition, p int, chunking, laneBatched bool, budget int) []workUnit {
+func buildUnits(d *decompose.Decomposition, p int, chunking, forced bool, budget int) []workUnit {
+	weighted := d.G.Weighted()
 	totalRoots := totalRootCount(d)
 	var total int64
 	costs := make([]int64, len(d.Subgraphs))
@@ -113,7 +114,7 @@ func buildUnits(d *decompose.Decomposition, p int, chunking, laneBatched bool, b
 			}
 			units = append(units, workUnit{
 				sg: sg, sgIdx: i, lo: lo, hi: hi, top: i == d.TopIndex,
-				cost: unitCost(sg, hi-lo, laneBatched),
+				cost: unitCost(sg, hi-lo, useLanes(sg, hi-lo, weighted, forced)),
 			})
 		}
 	}

@@ -121,24 +121,27 @@ func hybridFixtures() map[string]*graph.Graph {
 }
 
 // sweepForced replays ComputeDecomposed's one-worker drain over d with the
-// scalar engine's direction choices pinned, returning the scores and the
-// engine for its counters.
+// scalar kernel's direction choices pinned — and the lane kernel out of reach,
+// so that every root goes through bfsRoot and its counters — returning the
+// scores and the engine for its counters.
 func sweepForced(t *testing.T, d *decompose.Decomposition, force direction) ([]float64, *engine) {
 	t.Helper()
 	bc := make([]float64, d.G.NumVertices())
 	e := &engine{force: force}
-	for _, sg := range d.Subgraphs {
-		if len(sg.Roots) == 0 {
-			continue
+	scalarOnly(func() {
+		for _, sg := range d.Subgraphs {
+			if len(sg.Roots) == 0 {
+				continue
+			}
+			e.ensure(sg)
+			e.runRoots(sg, sg.Roots, d.G.Directed())
+			loc := e.ws.BC[:sg.NumVerts()]
+			flushLocal(bc, sg, loc)
+			for l := range loc {
+				loc[l] = 0
+			}
 		}
-		e.ensure(sg)
-		e.runRoots(sg, sg.Roots, d.G.Directed())
-		loc := e.ws.BC[:sg.NumVerts()]
-		flushLocal(bc, sg, loc)
-		for l := range loc {
-			loc[l] = 0
-		}
-	}
+	})
 	if e.ws != nil {
 		if err := e.ws.CheckClean(); err != nil {
 			t.Fatalf("direction %d left the workspace dirty: %v", force, err)

@@ -132,9 +132,11 @@ func (rt *rootTerms) settle(v int32, i2i, i2o, o2o float64) {
 // the CSR degrees as vertices are discovered, so the rule has no parameter:
 // a level goes bottom-up exactly when that is the smaller scan. Either
 // direction yields bit-identical output: σ path counts are integer-valued
-// (exact float64 sums, order-independent), dist is direction-independent,
-// and the backward phase only needs `order` grouped by non-decreasing level
-// — within-level permutations cannot change any value it computes.
+// (exact float64 sums, order-independent — below 2⁵³; past it the choice can
+// move a last bit, and is still the same choice on every run: DESIGN.md §4),
+// dist is direction-independent, and the backward phase only needs `order`
+// grouped by non-decreasing level — within-level permutations cannot change
+// any value it computes.
 //
 // The backward pass takes the same choice level by level. A level pulls by
 // scanning its own out-arcs for successors; a level that was discovered

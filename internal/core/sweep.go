@@ -2,10 +2,10 @@ package core
 
 import "repro/internal/decompose"
 
-// RootSweep exposes the unweighted four-dependency engine (state.go) one root
-// at a time, so samplers outside this package — internal/approx's per-sub-graph
-// pivot estimator — run exactly the same arithmetic as the exact engine. A
-// full-budget sample therefore reproduces the one-worker path of
+// RootSweep exposes the unweighted four-dependency engine (state.go) to
+// samplers outside this package — internal/approx's per-sub-graph pivot
+// estimator — so that they run exactly the same arithmetic as the exact
+// engine. A full-budget sample therefore reproduces the one-worker path of
 // ComputeDecomposed bit-for-bit, not merely "up to rounding": same per-root
 // sweep, same in-sub-graph accumulation order, same α/β/γ seeds.
 //
@@ -22,28 +22,18 @@ type RootSweep struct {
 	e engine
 }
 
-// Run executes Algorithm 2 for one root of sg (forward σ BFS plus the
-// backward four-dependency accumulation with the α/β/γ boundary terms),
-// adding the root's contribution into the sweep's local score buffer. The
-// scratch grows on demand and is reusable across sub-graphs. Large
-// sub-graphs get the same direction-optimizing sweep as the exact engine —
-// a per-level mode choice that is bit-neutral (see bfsRoot), so the
-// bit-for-bit replay guarantee is unaffected.
-func (rs *RootSweep) Run(sg *decompose.Subgraph, root int32, directed bool) {
+// Run executes Algorithm 2 for the given roots of sg in order (forward σ BFS
+// plus the backward four-dependency accumulation with the α/β/γ boundary
+// terms), adding their contributions into the sweep's local score buffer. The
+// scratch grows on demand and is reusable across sub-graphs. The roots go
+// through whichever kernel the exact engine's rule gives the range
+// (engine.runRoots: a lane word at a time or one by one, each sweep with its
+// per-level direction choices) — all bit-neutral, so however a caller groups
+// its roots into calls, the result is that of sweeping them one after another
+// and the bit-for-bit replay guarantee holds.
+func (rs *RootSweep) Run(sg *decompose.Subgraph, roots []int32, directed bool) {
 	rs.e.ensure(sg)
-	rs.e.bfsRoot(sg, root, directed)
-}
-
-// RunBatch executes the given roots of sg through the bit-parallel
-// multi-source kernel (internal/msbfs), up to ws.LaneWidth per traversal,
-// accumulating into the same local score buffer as Run. The result is
-// bit-identical to calling Run on each root in order (see the msbfs package
-// comment), so samplers may switch between the two freely — a full-budget
-// batched sample still replays the exact engine bit-for-bit. Below the
-// engine's break-even gates the scalar per-root path is used directly.
-func (rs *RootSweep) RunBatch(sg *decompose.Subgraph, roots []int32, directed bool) {
-	rs.e.ensure(sg)
-	rs.e.runBatch(sg, roots, directed)
+	rs.e.runRoots(sg, roots, directed)
 }
 
 // Collect adds the accumulated local scores for the first len(dst) local

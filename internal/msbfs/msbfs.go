@@ -15,7 +15,11 @@
 //
 // and the per-lane numeric state (σ path counts, the four APGRE dependency
 // accumulators, the per-root BC contribution) lives in LaneWidth-strided
-// arrays carved out of the shared ws arena (slot v·64+l belongs to lane l).
+// arrays carved out of the shared ws arena, indexed by a vertex's rank in
+// sg.Roots — the swept graph's vertices — so they hold 64 × 40 B per vertex a
+// sweep can reach and nothing for the γ-folded ids (slot rank(v)·64+l belongs
+// to lane l; Kernel.slot is the id → rank table). The mask words stay indexed
+// by id: the per-arc test below reads them and pays no indirection.
 // The forward σ-BFS processes one depth level of the whole batch at a time:
 // for each vertex u in the level's union frontier, each out-arc u→w is
 // examined once, and the lanes that step from u to w fall out of one word
@@ -32,11 +36,15 @@
 // The batched engine reproduces the scalar serial engine bit for bit, which
 // is what lets it slot behind the deterministic scheduler unobserved:
 //
-//   - σ path counts are integers stored in float64. Their sums are exact
-//     (no rounding below 2⁵³), so accumulation order — where the batched
-//     level-parallel order differs from scalar BFS discovery order — cannot
-//     change a single bit. This is the same argument the direction-
-//     optimizing sweep relies on.
+//   - σ path counts are integers stored in float64. Below 2⁵³ their sums are
+//     exact, so accumulation order — where the batched level-parallel order
+//     differs from scalar BFS discovery order — cannot change a single bit.
+//     At 2⁵³ and beyond that argument is gone: a vertex with three or more
+//     same-level parents can round differently under another order (a road
+//     lattice of 57 k vertices, σ ≈ 10⁹⁶, differed from the scalar engine in
+//     the last bit of 11 scores), so a batch in which any lane's path count
+//     gets there is not finished: Run reports it inexact, adds nothing, and
+//     the caller sweeps those roots with the scalar engine.
 //   - Per lane, the backward dependency sums add successor terms in
 //     adjacency (sg.Out) order, the scalar engine's order, and the γ and α/β
 //     seeds fold in at the same position in the sequence; float64 operations
@@ -72,6 +80,10 @@ import (
 // LaneWidth is the maximum batch size: one root per bit of a lane word.
 const LaneWidth = ws.LaneWidth
 
+// maxExactSigma is where float64 stops representing every integer: a path
+// count below it is an exact sum whatever order its parents were added in.
+const maxExactSigma = 1 << 53
+
 // level is one recorded BFS depth: the vertices some lane first reached at
 // this depth, in discovery order, with the lane masks parallel to them.
 type level struct {
@@ -93,6 +105,13 @@ type Kernel struct {
 
 	levels  []level
 	touched []int32 // vertices reached by any lane this batch, in first-seen order
+	inexact bool    // some lane's path count reached maxExactSigma this batch
+
+	// slot[v] is v's rank in slotOf.Roots (its lane slots start at
+	// slot[v]·LaneWidth), rebuilt when Run meets another sub-graph. Entries of
+	// ids outside Roots are stale and never read: no sweep reaches them.
+	slot   []int32
+	slotOf *decompose.Subgraph
 }
 
 // grow returns the d-th level, extending the level list as needed. Callers
@@ -109,19 +128,33 @@ func (k *Kernel) grow(d int) *level {
 // terms per lane, and the in-root-order fold into s.BC. roots must hold at
 // most LaneWidth local vertex ids of sg (duplicates are allowed — lanes are
 // independent). Returns the traversed-arc count under the engine-wide metric,
-// Σ over (root, visited vertex) of the vertex's out-degree.
+// Σ over (root, visited vertex) of the vertex's out-degree, and whether every
+// path count of the batch stayed exact. If not (see the package comment) s.BC
+// is as it was and the count is 0: the batch did not happen, and the caller
+// owes these roots a scalar sweep.
 //
-// The scratch s is grown with the lane arrays on demand and returned to its
-// clean-slot state before Run returns, so the caller's pooled-sweep
-// discipline is unchanged.
-func (k *Kernel) Run(sg *decompose.Subgraph, roots []int32, directed bool, s *ws.Sweep) int64 {
+// The scratch s is grown with the lane arrays on demand — to sg's swept
+// size, not to s.Cap() — and returned to its clean-slot state before Run
+// returns, so the caller's pooled-sweep discipline is unchanged.
+func (k *Kernel) Run(sg *decompose.Subgraph, roots []int32, directed bool, s *ws.Sweep) (traversed int64, exact bool) {
 	if len(roots) == 0 {
-		return 0
+		return 0, true
 	}
 	if len(roots) > LaneWidth {
 		panic("msbfs: batch exceeds LaneWidth roots")
 	}
-	s.GrowLanes(sg.NumVerts())
+	s.GrowLanes(sg.NumVerts(), len(sg.Roots))
+	if k.slotOf != sg {
+		if cap(k.slot) < sg.NumVerts() {
+			k.slot = make([]int32, sg.NumVerts())
+		}
+		k.slot = k.slot[:sg.NumVerts()]
+		for rank, r := range sg.Roots {
+			k.slot[r] = int32(rank)
+		}
+		k.slotOf = sg
+	}
+	slot := k.slot
 	sigma := s.LaneSigma
 	seen := s.LaneSeen
 	dense := s.LaneFront
@@ -136,6 +169,7 @@ func (k *Kernel) Run(sg *decompose.Subgraph, roots []int32, directed bool, s *ws
 		}
 	}
 	k.touched = k.touched[:0]
+	k.inexact = false
 
 	// Depth 0: seed every root's lane. The dense scratch deduplicates
 	// repeated root vertices exactly as it deduplicates a level's frontier.
@@ -145,7 +179,7 @@ func (k *Kernel) Run(sg *decompose.Subgraph, roots []int32, directed bool, s *ws
 			lv0.verts = append(lv0.verts, r)
 		}
 		dense[r] |= 1 << uint(l)
-		sigma[int(r)*LaneWidth+l] = 1
+		sigma[int(slot[r])*LaneWidth+l] = 1
 	}
 	for _, r := range lv0.verts {
 		m := dense[r]
@@ -162,7 +196,7 @@ func (k *Kernel) Run(sg *decompose.Subgraph, roots []int32, directed bool, s *ws
 		nxt := k.grow(d + 1)
 		for i, u := range curVerts {
 			um := curMasks[i]
-			ub := int(u) * LaneWidth
+			ub := int(slot[u]) * LaneWidth
 			for _, w := range sg.Out(u) {
 				prop := um &^ seen[w]
 				if prop == 0 {
@@ -172,7 +206,7 @@ func (k *Kernel) Run(sg *decompose.Subgraph, roots []int32, directed bool, s *ws
 					nxt.verts = append(nxt.verts, w)
 				}
 				dense[w] |= prop
-				wb := int(w) * LaneWidth
+				wb := int(slot[w]) * LaneWidth
 				if prop == ^uint64(0) {
 					// All 64 lanes step together: a straight-line block add.
 					sw, su := sigma[wb:wb+LaneWidth], sigma[ub:ub+LaneWidth]
@@ -208,13 +242,18 @@ func (k *Kernel) Run(sg *decompose.Subgraph, roots []int32, directed bool, s *ws
 
 	// Fold finished per-lane contributions into the sub-graph accumulator in
 	// ascending lane (= root) order per vertex, count traversed arcs, and
-	// sparse-reset σ and seen. The δ and BC lane arrays are assign-only.
+	// sparse-reset σ and seen. The δ and BC lane arrays are assign-only. An
+	// inexact batch resets and folds nothing.
 	bcLane := s.LaneBC
 	bc := s.BC
-	var traversed int64
 	for _, v := range k.touched {
 		m := seen[v]
-		vb := int(v) * LaneWidth
+		vb := int(slot[v]) * LaneWidth
+		seen[v] = 0
+		if k.inexact {
+			clear(sigma[vb : vb+LaneWidth])
+			continue
+		}
 		traversed += int64(len(sg.Out(v))) * int64(bits.OnesCount64(m))
 		if m == ^uint64(0) {
 			x := bc[v]
@@ -230,13 +269,12 @@ func (k *Kernel) Run(sg *decompose.Subgraph, roots []int32, directed bool, s *ws
 				sigma[l] = 0
 			}
 		}
-		seen[v] = 0
 	}
 	for d := range k.levels {
 		k.levels[d].verts = k.levels[d].verts[:0]
 		k.levels[d].masks = k.levels[d].masks[:0]
 	}
-	return traversed
+	return traversed, !k.inexact
 }
 
 // backward runs the four-dependency accumulation over the recorded levels,
@@ -248,17 +286,20 @@ func (k *Kernel) backward(sg *decompose.Subgraph, directed bool, s *ws.Sweep, la
 	dense := s.LaneFront
 	di2i, di2o, do2o := s.LaneDi2i, s.LaneDi2o, s.LaneDo2o
 	bcLane := s.LaneBC
-	art := k.artMask
+	art, slot := k.artMask, k.slot
 	for d := last; d >= 0; d-- {
 		lvVerts, lvMasks := k.levels[d].verts, k.levels[d].masks
 		for i, v := range lvVerts {
 			vm := lvMasks[i]
-			vb := int(v) * LaneWidth
+			vb := int(slot[v]) * LaneWidth
 			// Zero this vertex's active accumulator slots; like the scalar
 			// engine's locals, they then collect successor terms in sg.Out
 			// order before the seeds fold in.
 			for m := vm; m != 0; m &= m - 1 {
 				l := vb + bits.TrailingZeros64(m)
+				if sigma[l] >= maxExactSigma {
+					k.inexact = true
+				}
 				di2i[l] = 0
 				di2o[l] = 0
 			}
@@ -270,7 +311,7 @@ func (k *Kernel) backward(sg *decompose.Subgraph, directed bool, s *ws.Sweep, la
 				if sm == 0 {
 					continue
 				}
-				wb := int(w) * LaneWidth
+				wb := int(slot[w]) * LaneWidth
 				for ; sm != 0; sm &= sm - 1 {
 					l := bits.TrailingZeros64(sm)
 					r := sigma[vb+l] / sigma[wb+l]

@@ -56,14 +56,14 @@ func runBatched(t *testing.T, g *graph.Graph, width int) []float64 {
 	var sw ws.Sweep
 	directed := g.Directed()
 	for _, sg := range d.Subgraphs {
-		n := sg.NumVerts()
-		sw.GrowLanes(n)
 		for lo := 0; lo < len(sg.Roots); lo += width {
 			hi := lo + width
 			if hi > len(sg.Roots) {
 				hi = len(sg.Roots)
 			}
-			k.Run(sg, sg.Roots[lo:hi], directed, &sw)
+			if _, exact := k.Run(sg, sg.Roots[lo:hi], directed, &sw); !exact {
+				t.Fatalf("sub-graph %d: a path count reached 2^53 on a test family", sg.ID)
+			}
 		}
 		for l, v := range sg.Verts {
 			bc[v] += sw.BC[l]
@@ -172,11 +172,11 @@ func TestKernelTraversedMetric(t *testing.T) {
 	sg := d.Subgraphs[0]
 	var k msbfs.Kernel
 	var sw ws.Sweep
-	traversed := k.Run(sg, sg.Roots, false, &sw)
+	traversed, exact := k.Run(sg, sg.Roots, false, &sw)
 	// Every root visits all 8 vertices, each of out-degree 7.
 	want := int64(len(sg.Roots)) * 8 * 7
-	if traversed != want {
-		t.Fatalf("traversed = %d, want %d", traversed, want)
+	if traversed != want || !exact {
+		t.Fatalf("traversed = %d (exact %v), want %d", traversed, exact, want)
 	}
 	for l := range sw.BC[:sg.NumVerts()] {
 		sw.BC[l] = 0
@@ -197,8 +197,8 @@ func TestKernelEmptyAndOversizedBatch(t *testing.T) {
 	sg := d.Subgraphs[0]
 	var k msbfs.Kernel
 	var sw ws.Sweep
-	if got := k.Run(sg, nil, false, &sw); got != 0 {
-		t.Fatalf("empty batch traversed %d arcs", got)
+	if got, exact := k.Run(sg, nil, false, &sw); got != 0 || !exact {
+		t.Fatalf("empty batch traversed %d arcs (exact %v)", got, exact)
 	}
 	defer func() {
 		if recover() == nil {
@@ -206,4 +206,59 @@ func TestKernelEmptyAndOversizedBatch(t *testing.T) {
 		}
 	}()
 	k.Run(sg, make([]int32, msbfs.LaneWidth+1), false, &sw)
+}
+
+// layered is a chain of `layers` layers of `width` vertices, complete
+// bipartite between neighbours: biconnected, every vertex past the second
+// layer has `width` same-level parents from either end, and the path count
+// between the ends is width^(layers-2).
+func layered(layers, width int) *graph.Graph {
+	var es []graph.Edge
+	for l := 0; l+1 < layers; l++ {
+		for a := 0; a < width; a++ {
+			for b := 0; b < width; b++ {
+				es = append(es, graph.Edge{From: graph.V(l*width + a), To: graph.V((l+1)*width + b)})
+			}
+		}
+	}
+	return graph.NewFromEdges(layers*width, es, false)
+}
+
+// TestKernelDeclinesInexactSigma pins the edge of the bit-exactness argument:
+// a batch in which a path count reaches 2^53 — where three same-level parents
+// no longer sum to the same float64 in every order — reports itself inexact,
+// leaves s.BC untouched and the workspace clean, and the same kernel then
+// finishes an exact batch on the same scratch. 36 layers of 3 carry 3^34 ≈
+// 1.7·10^16 paths end to end; 30 layers stay under 2^53.
+func TestKernelDeclinesInexactSigma(t *testing.T) {
+	var k msbfs.Kernel
+	var sw ws.Sweep
+	for _, c := range []struct {
+		layers int
+		exact  bool
+	}{{36, false}, {30, true}, {36, false}} {
+		d, err := decompose.Decompose(layered(c.layers, 3), decompose.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(d.Subgraphs) != 1 {
+			t.Fatalf("%d layers: %d sub-graphs", c.layers, len(d.Subgraphs))
+		}
+		sg := d.Subgraphs[0]
+		traversed, exact := k.Run(sg, sg.Roots[:8], false, &sw)
+		if exact != c.exact || exact != (traversed > 0) {
+			t.Fatalf("%d layers: exact %v, traversed %d", c.layers, exact, traversed)
+		}
+		touched := false
+		for l := range sw.BC[:sg.NumVerts()] {
+			touched = touched || sw.BC[l] != 0
+			sw.BC[l] = 0
+		}
+		if touched != c.exact {
+			t.Fatalf("%d layers: exact %v but scores written %v", c.layers, exact, touched)
+		}
+		if err := sw.CheckClean(); err != nil {
+			t.Fatalf("%d layers: %v", c.layers, err)
+		}
+	}
 }

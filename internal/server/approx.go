@@ -51,9 +51,7 @@ func (e *Entry) estimatorFor(snap core.Snapshot) (*approx.Estimator, error) {
 		e.est.Release() // return the stale estimator's pooled sweeps
 		e.est = nil
 	}
-	// The entry's engine routes pivot sweeps too (batching is bit-invisible
-	// in the estimates, so this only changes refinement speed).
-	est, err := approx.NewEstimator(snap.Decomposition, approx.Options{Seed: approxSeed, Engine: e.engine})
+	est, err := approx.NewEstimator(snap.Decomposition, approx.Options{Seed: approxSeed})
 	if err != nil {
 		return nil, err
 	}

@@ -580,3 +580,48 @@ func TestTopKCoalescing(t *testing.T) {
 		t.Fatalf("post-mutation top-5 has %d entries", len(post))
 	}
 }
+
+// TestReloadWhileUnloadStillDrops: Unload frees the name at once and deletes
+// the durable directory behind the caller's back, after the entry's mutation
+// worker has let go of the WAL. A load of the same name that arrives in
+// between must not lose its files to that deletion (it used to: a cold
+// load/unload loop failed now and then with "rename meta.json.tmp: no such
+// file", or kept serving a graph whose directory was gone). The worker is held
+// at the gate, so the deletion is still pending when the second load runs.
+func TestReloadWhileUnloadStillDrops(t *testing.T) {
+	dir := t.TempDir()
+	r := durableRegistry(t, dir)
+	defer r.Close()
+	gate, atGate := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	r.beforeMutate = func() { once.Do(func() { close(atGate); <-gate }) }
+
+	first := loadLifecycle(t, r, "again")
+	held := make(chan error, 1)
+	go func() {
+		_, err := r.Mutate(first, true, 1, 3)
+		held <- err
+	}()
+	<-atGate // the worker holds the mutation; it cannot exit before the gate opens
+	if !r.Unload("again") {
+		t.Fatal("unload failed")
+	}
+	second, err := r.Load(LoadSpec{Name: "again", N: lifecycleN, Edges: lifecycleEdges, Threshold: lifecycleThreshold})
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond) // the second build is now waiting for the drop, or has wrongly written
+	close(gate)
+	if err := <-held; err != nil {
+		t.Fatalf("the held mutation: %v", err)
+	}
+	if info := waitState(t, second); info.State != StateReady {
+		t.Fatalf("reload: state %s (%s)", info.State, info.Error)
+	}
+	<-first.mutDone
+	for _, f := range []string{metaFile, snapshotFile, walFile} {
+		if _, err := os.Stat(filepath.Join(dir, "again", f)); err != nil {
+			t.Fatalf("the reloaded graph's %s: %v", f, err)
+		}
+	}
+}

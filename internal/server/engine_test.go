@@ -1,150 +1,212 @@
 package server
 
 import (
+	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/decompose"
+	"repro/internal/graph"
 )
 
-// TestLoadEngineBitMatchAndEcho: an entry loaded with the msbfs engine must
-// serve scores bit-identical to a scalar entry of the same graph — the engine
-// is a performance knob, never an accuracy one — and Info must echo the
-// engine so clients can see what they got. The 200-vertex ER graph keeps at
-// least one sub-graph above the kernel's break-even gates, so the batched
-// path actually runs.
-func TestLoadEngineBitMatchAndEcho(t *testing.T) {
-	r := NewRegistry(Config{Workers: 2})
-	defer r.Close()
+// An entry has no sweep kernel to choose: core picks one per work unit, and no
+// score can tell which. These tests hold what the registry serves — under the
+// rule, which gives the 200-vertex ER fixture's top sub-graph to the lane
+// kernel — to the same graph swept with lanes forced onto every unit
+// (core.EngineMSBFS) and with the scalar kernel alone, bit for bit.
 
-	scalarSpec, _ := erSpec("sc")
-	msbfsSpec, _ := erSpec("ms")
-	msbfsSpec.Engine = "msbfs"
-
-	es, err := r.Load(scalarSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	em, err := r.Load(msbfsSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info := waitState(t, es); info.State != StateReady || info.Engine != "scalar" {
-		t.Fatalf("scalar entry: state %s engine %q (%s)", info.State, info.Engine, info.Error)
-	}
-	if info := waitState(t, em); info.State != StateReady || info.Engine != "msbfs" {
-		t.Fatalf("msbfs entry: state %s engine %q (%s)", info.State, info.Engine, info.Error)
-	}
-
-	want, err := es.BC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := em.BC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range want {
-		if math.Float64bits(want[v]) != math.Float64bits(got[v]) {
-			t.Fatalf("vertex %d: scalar %v, msbfs %v (bit mismatch)", v, want[v], got[v])
+// scalarScores sweeps d one root per RootSweep.Run call — under the kernel
+// rule's lower bound on a root range, so the scalar kernel — and sums the
+// sub-graphs' contributions in order, the way core.Incremental assembles an
+// epoch. It is what a lane budget of 0 gives inside core, from outside it.
+func scalarScores(d *decompose.Decomposition) []float64 {
+	bc := make([]float64, d.G.NumVertices())
+	var sw core.RootSweep
+	defer sw.Release()
+	for _, sg := range d.Subgraphs {
+		for i := range sg.Roots {
+			sw.Run(sg, sg.Roots[i:i+1], d.G.Directed())
+		}
+		loc := make([]float64, sg.NumVerts())
+		sw.Collect(loc)
+		for l, v := range sg.Verts {
+			bc[v] += loc[l]
 		}
 	}
+	return bc
 }
 
-// TestMutateEngineBitMatch: mutations absorbed under the msbfs engine publish
-// the same epochs as under scalar — the incremental recompute path routes
-// through the batched kernel without changing a bit.
-func TestMutateEngineBitMatch(t *testing.T) {
-	r := NewRegistry(Config{Workers: 2})
-	defer r.Close()
-
-	load := func(name, engine string) *Entry {
-		e, err := r.Load(LoadSpec{Name: name, N: lifecycleN, Edges: lifecycleEdges,
-			Threshold: lifecycleThreshold, Engine: engine})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info := waitState(t, e); info.State != StateReady {
-			t.Fatalf("load %q: state %s (%s)", name, info.State, info.Error)
-		}
-		return e
+// assertServesKernelFree checks e's current scores against a fresh engine on
+// e's current graph with lanes forced and against scalarScores.
+func assertServesKernelFree(t *testing.T, e *Entry, threshold int) {
+	t.Helper()
+	got, err := e.BC()
+	if err != nil {
+		t.Fatal(err)
 	}
-	es := load("sc", "")
-	em := load("ms", "msbfs")
-
-	muts := []struct {
-		add  bool
-		u, v int32
-	}{
-		{true, 1, 3},  // local chord
-		{true, 9, 4},  // structural cross-component insert
-		{false, 0, 7}, // leaf removal
+	snap := e.inc.Snapshot()
+	forced, err := core.NewIncremental(snap.Graph, core.Options{Threshold: threshold, RootEngine: core.EngineMSBFS})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, m := range muts {
-		for _, e := range []*Entry{es, em} {
-			if _, err := r.Mutate(e, m.add, m.u, m.v); err != nil {
-				t.Fatalf("mutate %+v on %q: %v", m, e.Name(), err)
+	lanes := false
+	for _, sg := range snap.Decomposition.Subgraphs {
+		lanes = lanes || len(sg.Roots) >= 64 && len(sg.Roots)*64*40 <= 2<<20 // core's kernel rule
+	}
+	if !lanes {
+		t.Fatal("no sub-graph of the fixture is within the lane kernel's rule")
+	}
+	for name, want := range map[string][]float64{"forced lanes": forced.BC(), "scalar": scalarScores(snap.Decomposition)} {
+		for v := range want {
+			if math.Float64bits(want[v]) != math.Float64bits(got[v]) {
+				t.Fatalf("vertex %d: served %v, %s %v (bit mismatch)", v, got[v], name, want[v])
 			}
 		}
 	}
-	want, err := es.BC()
+}
+
+// TestLoadEngineBitMatchAndEcho: a loaded entry serves the bits of either
+// kernel, and its Info echoes no engine — there is none to report.
+func TestLoadEngineBitMatchAndEcho(t *testing.T) {
+	r := NewRegistry(Config{Workers: 2})
+	defer r.Close()
+	spec, _ := erSpec("er")
+	e, err := r.Load(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := em.BC()
+	info := waitState(t, e)
+	if info.State != StateReady {
+		t.Fatalf("state %s (%s)", info.State, info.Error)
+	}
+	assertServesKernelFree(t, e, r.cfg.DefaultThreshold)
+	data, err := json.Marshal(info)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for v := range want {
-		if math.Float64bits(want[v]) != math.Float64bits(got[v]) {
-			t.Fatalf("post-mutation vertex %d: scalar %v, msbfs %v", v, want[v], got[v])
+	if strings.Contains(string(data), "engine") {
+		t.Fatalf("entry info still reports an engine: %s", data)
+	}
+}
+
+// TestMutateEngineBitMatch: the epochs mutations publish — each a re-sweep of
+// the sub-graphs the edit changed, through the rule's kernel — are the bits of
+// either kernel too.
+func TestMutateEngineBitMatch(t *testing.T) {
+	r := NewRegistry(Config{Workers: 2})
+	defer r.Close()
+	spec, g := erSpec("er")
+	e, err := r.Load(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info := waitState(t, e); info.State != StateReady {
+		t.Fatalf("state %s (%s)", info.State, info.Error)
+	}
+	// A removal, a new chord, and an edge to a vertex ER left isolated — a
+	// structural insertion — when there is one.
+	type mut struct {
+		add  bool
+		u, v int32
+	}
+	first := g.Edges()[0]
+	muts := []mut{{false, first.From, first.To}, {true, 0, firstNonNeighbour(g, 0)}}
+	for v := graph.V(0); int(v) < g.NumVertices(); v++ {
+		if g.OutDegree(v) == 0 {
+			muts = append(muts, mut{true, 1, v})
+			break
 		}
 	}
-}
-
-// TestLoadEngineValidation: an unknown engine name is rejected at Load time,
-// before any build job is enqueued.
-func TestLoadEngineValidation(t *testing.T) {
-	r := NewRegistry(Config{})
-	defer r.Close()
-	spec := triangleSpec("bad")
-	spec.Engine = "simd"
-	if _, err := r.Load(spec); err == nil {
-		t.Fatal("unknown engine accepted")
-	}
-	if r.Get("bad") != nil {
-		t.Fatal("rejected load left an entry registered")
+	for _, m := range muts {
+		if _, err := r.Mutate(e, m.add, m.u, m.v); err != nil {
+			t.Fatalf("mutate %+v: %v", m, err)
+		}
+		assertServesKernelFree(t, e, r.cfg.DefaultThreshold)
 	}
 }
 
-// TestRecoverKeepsEngine: the engine choice survives durable recovery via
-// the meta.json sidecar, like the threshold does.
-func TestRecoverKeepsEngine(t *testing.T) {
+// TestRecoverIgnoresLegacyEngineField: a data directory written when entries
+// still had an engine — its meta.json says "engine":"msbfs" — opens, serves
+// scores bit-identical to a fresh engine on the same graph, and the sidecar
+// written next no longer carries the field.
+func TestRecoverIgnoresLegacyEngineField(t *testing.T) {
 	dir := t.TempDir()
 	r1 := durableRegistry(t, dir)
-	e, err := r1.Load(LoadSpec{Name: "eng", N: lifecycleN, Edges: lifecycleEdges,
-		Threshold: lifecycleThreshold, Engine: "msbfs"})
+	spec, g := erSpec("old")
+	e, err := r1.Load(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if info := waitState(t, e); info.State != StateReady {
 		t.Fatalf("load: state %s (%s)", info.State, info.Error)
 	}
+	threshold := r1.cfg.DefaultThreshold
 	r1.Close()
 
+	metaPath := filepath.Join(dir, "old", metaFile)
+	legacy := `{
+  "schema": 1,
+  "name": "old",
+  "threshold": ` + strconv.Itoa(threshold) + `,
+  "directed": false,
+  "saved_at": "2026-01-02T03:04:05Z",
+  "engine": "msbfs"
+}
+`
+	if err := os.WriteFile(metaPath, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	r2 := durableRegistry(t, dir)
-	defer r2.Close()
 	names, err := r2.Recover()
+	if err != nil {
+		t.Fatalf("recover with a legacy sidecar: %v", err)
+	}
+	if len(names) != 1 || names[0] != "old" {
+		t.Fatalf("recovered %v, want [old]", names)
+	}
+	e2 := r2.Get("old")
+	if info := waitState(t, e2); info.State != StateReady || info.Threshold != threshold {
+		t.Fatalf("recovered state %s threshold %d (%s)", info.State, info.Threshold, info.Error)
+	}
+	fresh, err := core.NewIncremental(g, core.Options{Threshold: threshold})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(names) != 1 || names[0] != "eng" {
-		t.Fatalf("recovered %v, want [eng]", names)
+	got, err := e2.BC()
+	if err != nil {
+		t.Fatal(err)
 	}
-	e2 := r2.Get("eng")
-	info := waitState(t, e2)
-	if info.State != StateReady {
-		t.Fatalf("recovered state %s (%s)", info.State, info.Error)
+	for v, want := range fresh.BC() {
+		if math.Float64bits(want) != math.Float64bits(got[v]) {
+			t.Fatalf("vertex %d: recovered %v, fresh engine %v", v, got[v], want)
+		}
 	}
-	if info.Engine != "msbfs" {
-		t.Fatalf("recovered engine %q, want msbfs (meta.json lost it)", info.Engine)
+	assertServesKernelFree(t, e2, threshold)
+	// A mutation and a clean close rewrite the sidecar (compaction).
+	if _, err := r2.Mutate(e2, true, 0, firstNonNeighbour(g, 0)); err != nil {
+		t.Fatal(err)
 	}
+	r2.Close()
+	data, err := os.ReadFile(metaPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), "engine") {
+		t.Fatalf("the sidecar was not rewritten, or still carries an engine:\n%s", data)
+	}
+}
+
+func firstNonNeighbour(g *graph.Graph, u graph.V) int32 {
+	for v := graph.V(0); int(v) < g.NumVertices(); v++ {
+		if v != u && !g.HasArc(u, v) {
+			return v
+		}
+	}
+	return -1
 }

@@ -115,12 +115,6 @@ type LoadSpec struct {
 
 	// Threshold overrides the registry's default decomposition threshold.
 	Threshold int `json:"threshold,omitempty"`
-
-	// Engine selects the root-sweep kernel the entry's recomputes run
-	// through ("scalar", "msbfs"; empty means scalar — see core.RootEngine).
-	// The choice is bit-invisible in the published scores, so it is purely a
-	// performance knob; it persists across durable recovery.
-	Engine string `json:"engine,omitempty"`
 }
 
 var nameRE = regexp.MustCompile(`^[A-Za-z0-9._-]{1,64}$`)
@@ -136,7 +130,6 @@ type Entry struct {
 	err       string
 	inc       *core.Incremental
 	threshold int
-	engine    core.RootEngine
 	loadedAt  time.Time
 	buildTime time.Duration
 
@@ -193,9 +186,6 @@ type EntryInfo struct {
 	Edges    int64  `json:"edges,omitempty"`
 	// Threshold is the decomposition threshold the graph was loaded with.
 	Threshold int `json:"threshold,omitempty"`
-	// Engine is the root-sweep kernel the entry recomputes with
-	// (core.RootEngine.String()).
-	Engine string `json:"engine,omitempty"`
 	// Subgraphs/BoundaryAPs echo the cached decomposition's shape.
 	Subgraphs   int `json:"subgraphs,omitempty"`
 	BoundaryAPs int `json:"boundary_aps,omitempty"`
@@ -247,6 +237,9 @@ type Registry struct {
 	mu     sync.RWMutex
 	graphs map[string]*Entry
 	closed bool
+	// dropping holds, per name, an unloaded entry's directory removal still
+	// under way (closed when done); a new load of the name waits on it.
+	dropping map[string]chan struct{}
 
 	jobs chan buildJob
 	wg   sync.WaitGroup
@@ -303,11 +296,12 @@ func NewRegistry(cfg Config) *Registry {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	r := &Registry{
-		cfg:    cfg,
-		ctx:    ctx,
-		cancel: cancel,
-		graphs: map[string]*Entry{},
-		jobs:   make(chan buildJob, cfg.QueueDepth),
+		cfg:      cfg,
+		ctx:      ctx,
+		cancel:   cancel,
+		graphs:   map[string]*Entry{},
+		dropping: map[string]chan struct{}{},
+		jobs:     make(chan buildJob, cfg.QueueDepth),
 	}
 	// A fixed worker set draining a shared queue: jobs arrive over time
 	// rather than as a fixed index range.
@@ -374,7 +368,7 @@ func (r *Registry) runBuild(j buildJob) {
 		fail("canceled", fmt.Errorf("server: load aborted by shutdown: %w", err))
 		return
 	}
-	inc, err := core.NewIncremental(g, core.Options{Threshold: j.e.threshold, RootEngine: j.e.engine})
+	inc, err := core.NewIncremental(g, core.Options{Threshold: j.e.threshold})
 	if err != nil {
 		fail("error", err)
 		return
@@ -443,6 +437,13 @@ func (r *Registry) runBuild(j buildJob) {
 // initDurable creates the entry's durable directory and writes the
 // load-parameter sidecar plus the build-time snapshot.
 func (r *Registry) initDurable(dir string, e *Entry, g *graph.Graph) error {
+	// An unloaded predecessor of the name may still be deleting this directory.
+	r.mu.RLock()
+	gone := r.dropping[e.name]
+	r.mu.RUnlock()
+	if gone != nil {
+		<-gone
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return &DurabilityError{Name: e.name, Err: err}
 	}
@@ -451,7 +452,6 @@ func (r *Registry) initDurable(dir string, e *Entry, g *graph.Graph) error {
 		Threshold: e.threshold,
 		Directed:  g.Directed(),
 		SavedAt:   time.Now().UTC(),
-		Engine:    e.engine.String(),
 	}
 	if err := writeMeta(dir, meta); err != nil {
 		return &DurabilityError{Name: e.name, Err: err}
@@ -516,11 +516,7 @@ func (r *Registry) Load(spec LoadSpec) (*Entry, error) {
 	if threshold <= 0 {
 		threshold = r.cfg.DefaultThreshold
 	}
-	engine, err := core.ParseRootEngine(spec.Engine)
-	if err != nil {
-		return nil, err
-	}
-	e := &Entry{name: spec.Name, state: StateLoading, threshold: threshold, engine: engine}
+	e := &Entry{name: spec.Name, state: StateLoading, threshold: threshold}
 
 	// The enqueue happens under r.mu so Close (which takes r.mu before
 	// closing the channel) can never close r.jobs mid-send.
@@ -606,12 +602,20 @@ func (r *Registry) Unload(name string) bool {
 		if dir != "" {
 			// Wait for the worker to release its WAL handle, then drop the
 			// directory; async so the HTTP handler is not held behind a
-			// draining batch.
+			// draining batch; a load of the name meanwhile waits on r.dropping.
+			gone := make(chan struct{})
+			r.mu.Lock()
+			r.dropping[name] = gone
+			r.mu.Unlock()
 			go func() {
 				if done != nil {
 					<-done
 				}
 				os.RemoveAll(dir)
+				r.mu.Lock()
+				delete(r.dropping, name)
+				r.mu.Unlock()
+				close(gone)
 			}()
 		}
 		r.notifyCount(r.NumReady())
@@ -750,7 +754,6 @@ func (e *Entry) Info() EntryInfo {
 		State:     e.state,
 		Error:     e.err,
 		Threshold: e.threshold,
-		Engine:    e.engine.String(),
 	}
 	inc := e.inc
 	if inc != nil {
@@ -1166,11 +1169,7 @@ func (r *Registry) Recover() ([]string, error) {
 			}
 			return names, err
 		}
-		engine, err := core.ParseRootEngine(st.meta.Engine)
-		if err != nil {
-			return names, fmt.Errorf("server: %s: %w", dir, err)
-		}
-		e := &Entry{name: name, state: StateLoading, threshold: st.meta.Threshold, engine: engine}
+		e := &Entry{name: name, state: StateLoading, threshold: st.meta.Threshold}
 		r.mu.Lock()
 		if r.closed {
 			r.mu.Unlock()

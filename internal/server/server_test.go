@@ -294,6 +294,10 @@ func TestErrorPaths(t *testing.T) {
 	check("unknown graph unload", do(t, "DELETE", base+"/v1/graphs/nope", nil, nil), 404)
 	check("bad load body", do(t, "POST", base+"/v1/graphs",
 		map[string]any{"name": "x", "bogus": true}, nil), 400)
+	// The load field that chose a sweep kernel is gone, and says so: an old
+	// client's spec is a 400, not a load that silently ignores the request.
+	check("removed engine field", do(t, "POST", base+"/v1/graphs",
+		map[string]any{"name": "x", "n": 3, "edges": [][2]int32{{0, 1}}, "engine": "msbfs"}, nil), 400)
 	check("bad name", do(t, "POST", base+"/v1/graphs",
 		LoadSpec{Name: "bad name!", Dataset: "email-enron"}, nil), 400)
 

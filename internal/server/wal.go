@@ -58,17 +58,15 @@ const (
 )
 
 // graphMeta is the durable load-parameter sidecar. It carries what the
-// snapshot's graph bytes cannot: the decomposition threshold and root-sweep
-// engine the entry was loaded with.
+// snapshot's graph bytes cannot: the decomposition threshold the entry was
+// loaded with. Sidecars written before the kernel rule also carry an "engine"
+// name; the decoder skips it like any field it does not know.
 type graphMeta struct {
 	Schema    int       `json:"schema"`
 	Name      string    `json:"name"`
 	Threshold int       `json:"threshold"`
 	Directed  bool      `json:"directed"`
 	SavedAt   time.Time `json:"saved_at"`
-	// Engine is core.RootEngine.String(); absent in pre-engine sidecars,
-	// which core.ParseRootEngine reads as scalar.
-	Engine string `json:"engine,omitempty"`
 }
 
 // walWriter owns an entry's open WAL file. It is confined to the entry's

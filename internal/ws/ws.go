@@ -7,9 +7,12 @@
 // A Sweep bundles all per-vertex scratch one root sweep needs — distances,
 // the packed σ/δ records, a local BC accumulator, a visited bitset frontier
 // and the BFS queue/order ring — sized by the largest sub-graph it has seen.
-// The lane-widened layer (GrowLanes) adds the LaneWidth-slots-per-vertex
-// σ/δ/BC arrays and per-vertex lane-mask words the bit-parallel multi-source
-// engine (internal/msbfs) batches 64 roots over. A Pool hands Sweeps out to
+// The lane-widened layer (GrowLanes) adds what the bit-parallel multi-source
+// kernel (internal/msbfs) batches 64 roots over: one lane-mask word pair per
+// local vertex id, and LaneWidth σ/δ/BC slots per *swept* vertex — indexed by
+// the vertex's rank in the sub-graph's root list, not by its id, so the arrays
+// are as large as the sub-graph a lane sweep last walked and never as large as
+// the biggest sub-graph the workspace has seen. A Pool hands Sweeps out to
 // workers (Get) and takes them back (Put), so steady-state computation
 // performs zero per-sweep heap allocation: the arena grows to the high-water
 // mark once and is reused by every engine, request and worker thereafter.
@@ -78,14 +81,13 @@ type Level struct {
 // multi-source sweep.
 const LaneWidth = 64
 
-// Sweep is one checkout of per-vertex sweep scratch. Field slices all have
-// length Cap() (Visited has at least that many bits; the Lane* float arrays
-// have LaneWidth slots per vertex); callers index them by local vertex id.
-// See the package comment for which fields carry clean-slot invariants.
+// Sweep is one checkout of per-vertex sweep scratch. Field slices other than
+// the Lane* ones have length Cap() (Visited has at least that many bits);
+// callers index them by local vertex id. See the package comment for which
+// fields carry clean-slot invariants.
 type Sweep struct {
 	capV     int
 	weighted bool
-	lanes    bool
 	Dist     []int32
 	Rec      []Record
 	BC       []float64
@@ -95,14 +97,16 @@ type Sweep struct {
 	FDist    []float64 // weighted distances; allocated by GrowWeighted
 	Done     []bool    // Dijkstra settled flags; allocated by GrowWeighted
 
-	// Lane-parallel scratch for the MS-BFS batched engine (allocated by
-	// GrowLanes): LaneSigma/LaneDi2i/LaneDi2o/LaneDo2o/LaneBC hold LaneWidth
-	// slots per vertex (slot v*LaneWidth+l belongs to root lane l), LaneSeen
-	// and LaneFront one lane-mask word per vertex. Invariants: LaneSigma,
-	// LaneSeen and LaneFront are all zero in the pool; the per-lane δ and BC
-	// arrays carry no invariant — the batched backward step assigns every
-	// visited (vertex, lane) slot exactly once per batch and the fold reads
-	// only visited slots.
+	// Lane-parallel scratch for the MS-BFS batched kernel (allocated by
+	// GrowLanes, independent of Cap()): LaneSeen and LaneFront hold one
+	// lane-mask word per local vertex id — the per-arc test reads them, so it
+	// pays no indirection — and LaneSigma/LaneDi2i/LaneDi2o/LaneDo2o/LaneBC
+	// hold LaneWidth slots per swept vertex (slot r*LaneWidth+l belongs to
+	// root lane l of the vertex of rank r in the sub-graph's root list).
+	// Invariants: LaneSigma, LaneSeen and LaneFront are all zero in the pool;
+	// the per-lane δ and BC arrays carry no invariant — the batched backward
+	// step assigns every visited (vertex, lane) slot exactly once per batch
+	// and the fold reads only visited slots.
 	LaneSigma []float64
 	LaneDi2i  []float64
 	LaneDi2o  []float64
@@ -134,9 +138,6 @@ func (s *Sweep) Grow(n int) {
 	if s.weighted {
 		s.growWeighted()
 	}
-	if s.lanes {
-		s.growLanes()
-	}
 }
 
 // GrowWeighted is Grow plus the weighted-engine arrays (FDist, Done). Once
@@ -157,26 +158,25 @@ func (s *Sweep) growWeighted() {
 	s.Done = make([]bool, s.capV)
 }
 
-// GrowLanes is Grow plus the lane-parallel MS-BFS arrays (LaneWidth slots per
-// vertex). Once called, later Grow calls keep the lane arrays sized too.
-// Fresh allocations are zero, which is exactly the lane invariants, so — as
-// with Grow — a grown region is indistinguishable from a sparsely reset one.
-func (s *Sweep) GrowLanes(n int) {
+// GrowLanes is Grow plus the lane-parallel MS-BFS arrays for a sub-graph of n
+// local ids of which swept are in the swept graph: the mask words cover the
+// ids, the float arrays LaneWidth slots per swept vertex — 40 B × LaneWidth
+// per swept vertex in all, whatever Cap() is. Fresh allocations are zero,
+// which is exactly the lane invariants, so — as with Grow — a grown region is
+// indistinguishable from a sparsely reset one.
+func (s *Sweep) GrowLanes(n, swept int) {
 	s.Grow(n)
-	if !s.lanes || len(s.LaneSeen) < s.capV {
-		s.lanes = true
-		s.growLanes()
+	if len(s.LaneSeen) < n {
+		s.LaneSeen = make([]uint64, n)
+		s.LaneFront = make([]uint64, n)
 	}
-}
-
-func (s *Sweep) growLanes() {
-	s.LaneSigma = make([]float64, s.capV*LaneWidth)
-	s.LaneDi2i = make([]float64, s.capV*LaneWidth)
-	s.LaneDi2o = make([]float64, s.capV*LaneWidth)
-	s.LaneDo2o = make([]float64, s.capV*LaneWidth)
-	s.LaneBC = make([]float64, s.capV*LaneWidth)
-	s.LaneSeen = make([]uint64, s.capV)
-	s.LaneFront = make([]uint64, s.capV)
+	if slots := swept * LaneWidth; len(s.LaneSigma) < slots {
+		s.LaneSigma = make([]float64, slots)
+		s.LaneDi2i = make([]float64, slots)
+		s.LaneDi2o = make([]float64, slots)
+		s.LaneDo2o = make([]float64, slots)
+		s.LaneBC = make([]float64, slots)
+	}
 }
 
 // CheckClean verifies the clean-slot invariants over the whole capacity;
@@ -199,18 +199,18 @@ func (s *Sweep) CheckClean() error {
 				return fmt.Errorf("ws: dirty Done[%d]", v)
 			}
 		}
-		if s.lanes {
-			if s.LaneSeen[v] != 0 {
-				return fmt.Errorf("ws: dirty LaneSeen[%d] = %#x", v, s.LaneSeen[v])
-			}
-			if s.LaneFront[v] != 0 {
-				return fmt.Errorf("ws: dirty LaneFront[%d] = %#x", v, s.LaneFront[v])
-			}
-			for l := v * LaneWidth; l < (v+1)*LaneWidth; l++ {
-				if s.LaneSigma[l] != 0 {
-					return fmt.Errorf("ws: dirty LaneSigma[%d] = %g", l, s.LaneSigma[l])
-				}
-			}
+	}
+	for v, m := range s.LaneSeen {
+		if m != 0 {
+			return fmt.Errorf("ws: dirty LaneSeen[%d] = %#x", v, m)
+		}
+		if s.LaneFront[v] != 0 {
+			return fmt.Errorf("ws: dirty LaneFront[%d] = %#x", v, s.LaneFront[v])
+		}
+	}
+	for l, x := range s.LaneSigma {
+		if x != 0 {
+			return fmt.Errorf("ws: dirty LaneSigma[%d] = %g (rank %d, lane %d)", l, x, l/LaneWidth, l%LaneWidth)
 		}
 	}
 	return nil

@@ -73,41 +73,65 @@ func TestGrowWeighted(t *testing.T) {
 	}
 }
 
+// TestGrowLanes pins the lane layer's sizing: mask words per local id, float
+// slots per swept vertex, neither following Cap().
 func TestGrowLanes(t *testing.T) {
 	var s Sweep
-	s.GrowLanes(8)
-	if len(s.LaneSigma) != 8*LaneWidth || len(s.LaneSeen) != 8 || len(s.LaneFront) != 8 {
-		t.Fatalf("lane arrays not sized: %d/%d/%d", len(s.LaneSigma), len(s.LaneSeen), len(s.LaneFront))
+	s.GrowLanes(8, 5)
+	if len(s.LaneSeen) != 8 || len(s.LaneFront) != 8 {
+		t.Fatalf("mask words sized %d/%d, want one per id (8)", len(s.LaneSeen), len(s.LaneFront))
 	}
-	if len(s.LaneDi2i) != 8*LaneWidth || len(s.LaneDi2o) != 8*LaneWidth ||
-		len(s.LaneDo2o) != 8*LaneWidth || len(s.LaneBC) != 8*LaneWidth {
-		t.Fatal("per-lane δ/BC arrays not sized")
+	for name, a := range map[string][]float64{"LaneSigma": s.LaneSigma, "LaneDi2i": s.LaneDi2i,
+		"LaneDi2o": s.LaneDi2o, "LaneDo2o": s.LaneDo2o, "LaneBC": s.LaneBC} {
+		if len(a) != 5*LaneWidth {
+			t.Fatalf("%s sized %d, want LaneWidth slots per swept vertex (%d)", name, len(a), 5*LaneWidth)
+		}
 	}
 	if err := s.CheckClean(); err != nil {
 		t.Fatalf("laned sweep dirty: %v", err)
 	}
-	// Plain Grow must keep the lane arrays in step once enabled.
+	// Plain Grow leaves the lane arrays alone: they belong to the sub-graph a
+	// lane sweep walked, not to the workspace's high-water mark.
 	s.Grow(64)
-	if len(s.LaneSigma) != 64*LaneWidth || len(s.LaneSeen) != 64 {
-		t.Fatalf("Grow dropped lane arrays: %d/%d", len(s.LaneSigma), len(s.LaneSeen))
+	if len(s.LaneSigma) != 5*LaneWidth || len(s.LaneSeen) != 8 {
+		t.Fatalf("Grow resized the lane arrays: %d/%d", len(s.LaneSigma), len(s.LaneSeen))
 	}
-	if err := s.CheckClean(); err != nil {
+	// A smaller request keeps what is there; a larger one grows each part on
+	// its own.
+	sigma := &s.LaneSigma[0]
+	s.GrowLanes(6, 3)
+	if &s.LaneSigma[0] != sigma || s.Cap() != 64 {
+		t.Fatal("a request within the current size reallocated")
+	}
+	s.GrowLanes(100, 5)
+	if len(s.LaneSeen) != 100 || len(s.LaneSigma) != 5*LaneWidth || s.Cap() != 100 {
+		t.Fatalf("id growth: masks %d, slots %d, cap %d", len(s.LaneSeen), len(s.LaneSigma), s.Cap())
+	}
+	s.GrowLanes(10, 9)
+	if len(s.LaneSeen) != 100 || len(s.LaneBC) != 9*LaneWidth {
+		t.Fatalf("swept growth: masks %d, slots %d", len(s.LaneSeen), len(s.LaneBC))
+	}
+	// A big scalar workspace does not drag lane arrays behind it.
+	var u Sweep
+	u.Grow(100000)
+	u.GrowLanes(10, 4)
+	if len(u.LaneSigma) != 4*LaneWidth || len(u.LaneSeen) != 10 {
+		t.Fatalf("lanes sized by Cap(): slots %d, masks %d", len(u.LaneSigma), len(u.LaneSeen))
+	}
+	if err := u.CheckClean(); err != nil {
 		t.Fatalf("regrown laned sweep dirty: %v", err)
 	}
-	// GrowLanes on a larger existing sweep sizes lanes to the existing
-	// capacity, not the (smaller) request — mirroring GrowWeighted.
-	var u Sweep
-	u.Grow(100)
-	u.GrowLanes(10)
-	if len(u.LaneSigma) != 100*LaneWidth {
-		t.Fatalf("LaneSigma sized %d, want existing capacity %d", len(u.LaneSigma), 100*LaneWidth)
-	}
-	// Dirty lane state must be caught.
-	u.LaneSigma[5] = 1
-	u.LaneSeen[3] = 0xff
-	u.LaneFront[2] = 1
-	if err := u.CheckClean(); err == nil {
-		t.Fatal("expected dirty laned sweep")
+	// Dirty lane state must be caught, each kind on its own.
+	for _, dirty := range []func(){
+		func() { u.LaneSigma[3*LaneWidth+5] = 1 },
+		func() { u.LaneSeen[3] = 0xff },
+		func() { u.LaneFront[2] = 1 },
+	} {
+		dirty()
+		if err := u.CheckClean(); err == nil {
+			t.Fatal("expected dirty laned sweep")
+		}
+		u.LaneSigma[3*LaneWidth+5], u.LaneSeen[3], u.LaneFront[2] = 0, 0, 0
 	}
 }
 
