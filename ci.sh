@@ -150,9 +150,10 @@ echo "==> msbfs gate: batched engine bit-match, rule / forced lanes / budget 0, 
 # three bounds takes the kernel the rule says, that no pooled workspace holds
 # more than the lane budget whatever it has swept, and that the small-graph
 # serial-cutoff fallback never changes a bit. The two direction tests pin the scalar sweep's per-level choices, forward (top-down/bottom-up)
-# and backward (pull/push): bit-neutral on fixtures big enough to take
-# bottom-up and push levels (directed in-CSR, AP roots and γ seeds included),
-# and never a larger scan, either way, than pure top-down with pull.
+# and backward (pull off the forward pass's tape/push): bit-neutral on
+# fixtures big enough to take bottom-up and push levels (directed in-CSR, AP
+# roots and γ seeds included), a pull reading its DAG arcs and nothing else,
+# and never a larger scan, either way, than pure top-down over whole out-rows.
 run_named 'TestKernelMatchesBrandes|TestKernelBatchWidthBitInvariant' \
     -race -count=1 ./internal/msbfs
 run_named 'TestMSBFSEngineBitMatchesScalar|TestMSBFSEngineDeterministic|TestDynamicSerialCutoffBoundary|TestSerialGuardKeepsServeParallel|TestHybridSweepBitNeutral|TestDirectionSwitchNeverScansMore|TestKernelRuleBoundary|TestLaneMemoryBounded|TestLaneKernelBitMatchesScalarAtScale' \
@@ -160,11 +161,11 @@ run_named 'TestMSBFSEngineBitMatchesScalar|TestMSBFSEngineDeterministic|TestDyna
 # The layers above core have no kernel to choose and serve either kernel's
 # bits: a load spec that still sends "engine" is a 400, a data directory whose
 # meta.json still carries one recovers bit-identical to a fresh engine.
-run_named 'TestEngineBitMatch|TestEngineExactBudgetBitMatch|TestLoadEngineBitMatchAndEcho|TestMutateEngineBitMatch|TestRecoverIgnoresLegacyEngineField|TestErrorPaths|TestGrowLanes' \
+run_named 'TestEngineBitMatch|TestEngineExactBudgetBitMatch|TestLoadEngineBitMatchAndEcho|TestMutateEngineBitMatch|TestRecoverIgnoresLegacyEngineField|TestErrorPaths|TestGrowLanes|TestGrowTape' \
     -race -count=1 ./internal/approx ./internal/server ./internal/ws
 
 echo "==> alloc gates: warm sweeps and the top-K serving path allocate zero"
-run_named 'TestRootSweepWarmAllocs|TestSerialSweepWarmAllocs|TestTopKServingWarmAllocs|TestPoolRace' \
+run_named 'TestRootSweepWarmAllocs|TestSerialSweepWarmAllocs|TestTopKServingWarmAllocs|TestPoolRace|TestPoolBytes' \
     -count=1 ./internal/core ./internal/brandes ./internal/server ./internal/ws
 
 echo "==> pre-sweep gates: linear Decompose, builder and mirror check vs their oracles"

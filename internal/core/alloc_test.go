@@ -58,10 +58,10 @@ func TestRootSweepWarmAllocs(t *testing.T) {
 	// Small sub-graphs exercise the plain top-down sweep, the large one the
 	// direction-optimizing hybrid — under the rule and with every level
 	// bottom-up and pushing, which fills the level table — one root per call,
-	// which is always bfsRoot; the last case hands Run sixteen roots of a
-	// sub-graph the kernel rule gives to the lane kernel, whose level lists
-	// and slot table must be as warm as the arena. All must be allocation-free
-	// warm and leave the workspace clean.
+	// which is always bfsRoot, writing its tape and reading it back; the last
+	// case hands Run sixteen roots of a sub-graph the kernel rule gives to the
+	// lane kernel, whose level lists and slot table must be as warm as the
+	// arena. All must be allocation-free warm and leave the workspace clean.
 	for _, c := range []struct {
 		scale float64
 		force direction

@@ -100,7 +100,7 @@ type engine struct {
 	// forward passes really scanned — frontier out-arcs in top-down levels,
 	// in-arcs of the unvisited vertices plus the bitset words in bottom-up
 	// levels — and bottomUpLevels how many levels went bottom-up. backScanned
-	// is the same for its backward passes — out-arcs of the levels that
+	// is the same for its backward passes — tape slots of the levels that
 	// pulled, in-arcs of the levels that pushed — and pushedLevels how many
 	// pushed. Tests read the four to pin the direction rule (and, staying zero
 	// while traversed moves, to see that a unit took the lane kernel); nothing
@@ -182,6 +182,9 @@ func (e *engine) runRoots(sg *decompose.Subgraph, roots []int32, directed bool) 
 			e.traversed += traversed
 			roots = roots[n:]
 		}
+	}
+	if len(roots) > 0 { // only bfsRoot keeps a tape: a unit the lanes took whole reserves none
+		e.ws.GrowTape(int(sg.NumArcs()), len(sg.Roots))
 	}
 	for _, s := range roots {
 		e.bfsRoot(sg, s, directed)

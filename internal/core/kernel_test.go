@@ -185,14 +185,20 @@ func TestLaneMemoryBounded(t *testing.T) {
 	if inUse != 0 || size == 0 {
 		t.Fatalf("pool after the run: %d sweeps, %d in use", size, inUse)
 	}
+	// What a workspace weighs is ws.Sweep.Bytes, the number bcd exports as
+	// bcd_ws_bytes; the budget is the σ/δ/BC slots', the two mask words per id
+	// ride on top. The pool's own total must be the sum.
 	var held []*ws.Sweep
+	var sum ws.Bytes
 	var lanes, bigCap int
 	for i := 0; i < size; i++ {
 		s := sweepPool.Get(0)
 		held = append(held, s)
-		if b := 5 * 8 * len(s.LaneSigma); b > laneBudget {
-			t.Fatalf("pooled workspace of capacity %d holds %d B of lane arrays, budget %d", s.Cap(), b, laneBudget)
-		} else if b > 0 {
+		b := s.Bytes()
+		sum.Base, sum.Lanes, sum.Tape = sum.Base+b.Base, sum.Lanes+b.Lanes, sum.Tape+b.Tape
+		if slots := b.Lanes - 8*int64(len(s.LaneSeen)+len(s.LaneFront)); slots > int64(laneBudget) {
+			t.Fatalf("pooled workspace of capacity %d holds %d B of lane arrays, budget %d", s.Cap(), slots, laneBudget)
+		} else if slots > 0 {
 			lanes++
 		}
 		if s.Cap() >= big {
@@ -204,6 +210,9 @@ func TestLaneMemoryBounded(t *testing.T) {
 	}
 	for _, s := range held {
 		sweepPool.Put(s)
+	}
+	if got := sweepPool.Bytes(); got != sum {
+		t.Fatalf("pool reports %+v, its %d sweeps hold %+v", got, size, sum)
 	}
 	if lanes == 0 || bigCap == 0 {
 		t.Fatalf("%d workspaces grew lane arrays, %d reached the big block's capacity: the case is vacuous", lanes, bigCap)

@@ -163,12 +163,12 @@ func decomposeAt8(t *testing.T, g *graph.Graph) *decompose.Decomposition {
 
 // TestHybridSweepBitNeutral pins the direction-optimizing sweep's bit
 // neutrality claim (bfsRoot), forward and backward: never going bottom-up
-// (the backward pass only pulls), always going bottom-up (every level pushes
-// to its parents) and the edge-volume rule produce the same bits, which are
-// Compute's. The forced runs must really differ — no bottom-up level and no
-// push in the one, both in the other — and the sub-graphs that push must
-// include articulation-point roots and γ seeds, the terms that fold in after
-// the pushed sums.
+// (the backward pass only pulls, every sum off the tape), always going
+// bottom-up (every level pushes to its parents, nothing is taped) and the
+// edge-volume rule produce the same bits, which are Compute's. The forced runs
+// must really differ — no bottom-up level and no push in the one, both in the
+// other — and the sub-graphs that push must include articulation-point roots
+// and γ seeds, the terms that fold in after the pushed sums.
 func TestHybridSweepBitNeutral(t *testing.T) {
 	var apRoots, gammaSeeds int
 	for name, g := range hybridFixtures() {
@@ -213,10 +213,10 @@ func TestHybridSweepBitNeutral(t *testing.T) {
 	}
 }
 
-// deepestOut sums, over every root d's sweeps start from, the out-arcs of the
-// root's deepest BFS level — the scan the backward pass skips.
-func deepestOut(d *decompose.Decomposition) int64 {
-	var total int64
+// sweepShape sums, over every root d's sweeps start from, the out-arcs of the
+// root's deepest BFS level — the scan the backward pass skips — and the arcs of
+// its BFS DAG, those that land exactly one level down.
+func sweepShape(d *decompose.Decomposition) (deepestOut, dagArcs int64) {
 	for _, sg := range d.Subgraphs {
 		dist := make([]int32, sg.NumVerts())
 		for _, s := range sg.Roots {
@@ -238,21 +238,29 @@ func deepestOut(d *decompose.Decomposition) int64 {
 						dist[w] = dist[v] + 1
 						queue = append(queue, w)
 					}
+					if dist[w] == dist[v]+1 {
+						dagArcs++
+					}
 				}
 			}
-			total += out
+			deepestOut += out
 		}
 	}
-	return total
+	return deepestOut, dagArcs
 }
 
 // TestDirectionSwitchNeverScansMore pins the work bound the edge-volume rule
-// exists for, in both halves of a sweep: the forward passes never scan more
-// (arcs plus bitset words) than pure top-down sweeps of the same roots would,
-// and the backward passes never more arcs than pulling everywhere — which is
-// itself every visited vertex's out-arcs but the deepest level's. On a deep
-// narrow lattice and a directed community graph bottom-up and push levels
-// rarely pay; on an R-MAT they must fire and scan strictly less.
+// exists for, in both halves of a sweep. Forward: the passes never scan more
+// (arcs plus bitset words) than pure top-down sweeps of the same roots would.
+// Backward: a pull reads its vertex's DAG arcs off the tape and nothing else,
+// so pulling everywhere scans exactly the sweeps' DAG arcs (none leaves a
+// deepest level); under the rule a pushing level pays for every in-arc, which
+// may be more than its parents' stretches but is less than their out-rows
+// (that is when the rule fires), so the pass never scans more than every
+// visited vertex's out-arcs but the deepest level's — what a pull had to scan
+// before there was a tape. On a deep narrow lattice and a directed community
+// graph bottom-up and push levels rarely pay; on an R-MAT they must fire and
+// scan strictly less.
 func TestDirectionSwitchNeverScansMore(t *testing.T) {
 	fix := hybridFixtures()
 	for name, g := range map[string]*graph.Graph{
@@ -261,6 +269,7 @@ func TestDirectionSwitchNeverScansMore(t *testing.T) {
 		"rmat":         gen.RMAT(10, 8, 0.57, 0.19, 0.19, false, 5),
 	} {
 		d := decomposeAt8(t, g)
+		deepestOut, dagArcs := sweepShape(d)
 		_, never := sweepForced(t, d, dirTopDown)
 		_, auto := sweepForced(t, d, dirAuto)
 		if never.examined != never.traversed {
@@ -272,20 +281,20 @@ func TestDirectionSwitchNeverScansMore(t *testing.T) {
 		if auto.examined > never.examined {
 			t.Fatalf("%s: the direction rule scanned %d, pure top-down %d", name, auto.examined, never.examined)
 		}
-		if want := never.traversed - deepestOut(d); never.backScanned != want {
-			t.Fatalf("%s: pulling everywhere scanned %d arcs backward, want %d: all of the %d traversed but the deepest levels'",
-				name, never.backScanned, want, never.traversed)
+		if never.backScanned != dagArcs {
+			t.Fatalf("%s: pulling everywhere scanned %d arcs backward, the sweeps' DAGs hold %d", name, never.backScanned, dagArcs)
 		}
-		if auto.backScanned > never.backScanned {
-			t.Fatalf("%s: the direction rule scanned %d arcs backward, pulling everywhere %d", name, auto.backScanned, never.backScanned)
+		outRows := never.traversed - deepestOut
+		if auto.backScanned > outRows {
+			t.Fatalf("%s: the direction rule scanned %d arcs backward, the out-rows above the deepest levels hold %d", name, auto.backScanned, outRows)
 		}
 		if name == "rmat" && (auto.bottomUpLevels == 0 || auto.examined >= never.examined ||
-			auto.pushedLevels == 0 || auto.backScanned >= never.backScanned) {
-			t.Fatalf("rmat: %d bottom-up levels, scanned %d vs top-down %d; %d pushed levels, scanned %d backward vs pull %d — the rule never fired",
-				auto.bottomUpLevels, auto.examined, never.examined, auto.pushedLevels, auto.backScanned, never.backScanned)
+			auto.pushedLevels == 0 || auto.backScanned >= outRows) {
+			t.Fatalf("rmat: %d bottom-up levels, scanned %d vs top-down %d; %d pushed levels, scanned %d backward vs out-rows %d — the rule never fired",
+				auto.bottomUpLevels, auto.examined, never.examined, auto.pushedLevels, auto.backScanned, outRows)
 		}
-		t.Logf("%s: forward %d (top-down %d), %d bottom-up levels; backward %d (pull %d), %d pushed levels",
-			name, auto.examined, never.examined, auto.bottomUpLevels, auto.backScanned, never.backScanned, auto.pushedLevels)
+		t.Logf("%s: forward %d (top-down %d), %d bottom-up levels; backward %d (DAG arcs %d, out-rows %d), %d pushed levels",
+			name, auto.examined, never.examined, auto.bottomUpLevels, auto.backScanned, dagArcs, outRows, auto.pushedLevels)
 	}
 }
 

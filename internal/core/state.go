@@ -19,6 +19,11 @@ var sweepPool ws.Pool
 // bcd_ws_in_use on /metrics.
 func SweepPoolStats() (size, inUse int) { return sweepPool.Stats() }
 
+// SweepPoolBytes is what the arena's sweeps hold, by layer — per-vertex
+// arrays, lane arrays, tape — as of each one's last return to the pool; bcd
+// publishes it as bcd_ws_bytes{layer}.
+func SweepPoolBytes() ws.Bytes { return sweepPool.Bytes() }
+
 // hybridMinVerts gates the direction-optimizing sweep: below this size a
 // bottom-up level cannot beat the frontier expansion it replaces, and the
 // transpose CSR is not worth building. A var, not a const, only so tests can
@@ -128,32 +133,39 @@ func (rt *rootTerms) settle(v int32, i2i, i2o, o2o float64) {
 // in-CSR) each level runs in whichever direction scans less: top-down
 // examines the frontier's out-arcs; bottom-up — which must sum σ over every
 // parent, so has no early exit — examines every in-arc of every unvisited
-// vertex plus the visited bitset's words. Both volumes are kept current from
-// the CSR degrees as vertices are discovered, so the rule has no parameter:
-// a level goes bottom-up exactly when that is the smaller scan. Either
-// direction yields bit-identical output: σ path counts are integer-valued
-// (exact float64 sums, order-independent — below 2⁵³; past it the choice can
-// move a last bit, and is still the same choice on every run: DESIGN.md §4),
-// dist is direction-independent, and the backward phase only needs `order`
-// grouped by non-decreasing level — within-level permutations cannot change
-// any value it computes.
+// vertex plus the visited bitset's words. Both volumes are brought up to date
+// from the CSR degrees of each level once it is complete, so the rule has no
+// parameter: a level goes bottom-up exactly when that is the smaller scan.
+// The visited bitset, which only a bottom-up level reads, is filled in when
+// one starts and cleared as far as it was filled. Either direction yields
+// bit-identical output: σ path counts are integer-valued (exact float64 sums,
+// order-independent — below 2⁵³; past it the choice can move a last bit, and
+// is still the same choice on every run: DESIGN.md §4), dist is
+// direction-independent, and the backward phase only needs `order` grouped by
+// non-decreasing level — within-level permutations cannot change any value it
+// computes.
 //
-// The backward pass takes the same choice level by level. A level pulls by
-// scanning its own out-arcs for successors; a level that was discovered
-// bottom-up instead pushes its terms over its in-arcs into its parents'
-// records (push), which is the smaller scan whenever the rule chose
-// bottom-up: the level's in-arcs are among the unvisited in-arcs the rule
-// found fewer than the parents' out-arcs. Only such a level may push, because
-// it sits in `order` in ascending id and every Out row is ascending
-// (decompose keeps them so), hence a parent receives its successors' terms
-// in exactly the order its pull adds them — the same float64 operations on
-// the same operands, bit for bit. The deepest level has no successors and
-// scans nothing in either mode.
+// The backward pass takes the same choice level by level. A level that was
+// expanded top-down pulls: the forward pass wrote each DAG arc it found — an
+// arc into a vertex it discovers, or into one discovered earlier in the same
+// level — to ws.Tape, under its tail's position in `order` (ws.TapePos), and
+// the pull reads that stretch back: the vertex's successors one level down,
+// in the order of its out-row, without the row's other arcs and without dist.
+// A level that was discovered bottom-up instead pushes its terms over its
+// in-arcs into its parents' records (push); the parents were expanded
+// bottom-up and have no stretch, and the level's in-arcs are among the
+// unvisited in-arcs the rule found fewer than the parents' out-arcs. Only such
+// a level may push, because it sits in `order` in ascending id and every Out
+// row is ascending (decompose keeps them so), hence a parent receives its
+// successors' terms in exactly the order its pull would add them — the same
+// float64 operations on the same operands, bit for bit. The deepest level has
+// no successors and scans nothing in either mode.
 func (e *engine) bfsRoot(sg *decompose.Subgraph, s int32, directed bool) {
 	dist, rec := e.ws.Dist, e.ws.Rec
 	visited := e.ws.Visited
 	n := sg.NumVerts()
 	hybrid := e.hybrid
+	tape, pos := e.ws.Tape, e.ws.TapePos
 
 	// Phase 1: forward BFS counting shortest paths, level by level. order is
 	// grouped by level (non-decreasing dist), which is all phase 2 needs.
@@ -179,14 +191,16 @@ func (e *engine) bfsRoot(sg *decompose.Subgraph, s int32, directed bool) {
 	e.ws.Levels = e.ws.Levels[:0]
 	if hybrid {
 		swept = sg.SweptMask()
-		visited.Set(int(s))
 		frontOut = int64(len(sg.Out(s)))
 		unvisIn = sg.NumArcs() - int64(len(sg.In(s)))
 		words = int64(n+63) >> 6
 		e.ws.Levels = append(e.ws.Levels, ws.Level{})
 	}
+	// marked: the visited bitset covers order[:marked]. Only a bottom-up level
+	// reads it, so it is brought up to date when one starts and not before.
+	// tp: the tape's write position.
+	marked, tp := 0, int64(0)
 	for d, lo, hi := int32(1), 0, 1; lo < hi; d++ {
-		var nextOut int64
 		bottomUp := hybrid && (e.force == dirBottomUp || frontOut > unvisIn+words)
 		if bottomUp {
 			// Bottom-up: every unvisited vertex scans its in-arcs for parents
@@ -194,6 +208,10 @@ func (e *engine) bfsRoot(sg *decompose.Subgraph, s int32, directed bool) {
 			// integer sum top-down accumulates edge by edge.
 			e.bottomUpLevels++
 			bottomUpExtra += unvisIn + words - frontOut
+			for _, v := range order[marked:hi] {
+				visited.Set(int(v))
+			}
+			marked = hi
 			for wi := 0; wi<<6 < n; wi++ {
 				// Unvisited vertices of the swept graph: a folded vertex has no
 				// in-arc to be discovered through, and no id is past n.
@@ -211,40 +229,47 @@ func (e *engine) bfsRoot(sg *decompose.Subgraph, s int32, directed bool) {
 					if sv != 0 {
 						dist[v] = d
 						rec[v].Sigma = sv
-						visited.Set(int(v))
 						order = append(order, v)
-						nextOut += int64(len(sg.Out(v)))
-						unvisIn -= int64(len(sg.In(v)))
 					}
 				}
 			}
 		} else {
+			// Top-down, writing down what it finds: an arc into a vertex
+			// discovered now or earlier in this level is a DAG arc, and no
+			// other is, so u's stretch of the tape is its successors in the
+			// order of its out-row.
 			for i := lo; i < hi; i++ {
 				u := order[i]
+				pos[i] = tp
 				su := rec[u].Sigma
 				for _, w := range sg.Out(u) {
 					if dw := dist[w]; dw < 0 {
 						dist[w] = d
 						rec[w].Sigma = su
 						order = append(order, w)
-						if hybrid {
-							visited.Set(int(w))
-							nextOut += int64(len(sg.Out(w)))
-							unvisIn -= int64(len(sg.In(w)))
-						}
+						tape[tp] = w
+						tp++
 					} else if dw == d {
 						rec[w].Sigma += su
+						tape[tp] = w
+						tp++
 					}
 				}
 			}
+			pos[hi] = tp
 		}
 		if len(order) > hi {
 			deep = hi
 			if hybrid {
+				// The rule's two volumes, moved by the level just discovered.
+				frontOut = 0
+				for _, w := range order[hi:] {
+					frontOut += int64(len(sg.Out(w)))
+					unvisIn -= int64(len(sg.In(w)))
+				}
 				e.ws.Levels = append(e.ws.Levels, ws.Level{Start: int32(hi), BottomUp: bottomUp})
 			}
 		}
-		frontOut = nextOut
 		lo, hi = hi, len(order)
 	}
 	e.ws.Order = order
@@ -253,7 +278,8 @@ func (e *engine) bfsRoot(sg *decompose.Subgraph, s int32, directed bool) {
 	// level — every root of a non-hybrid sub-graph, and of a deep narrow
 	// hybrid one — everything above the deepest level unwinds in one flat
 	// reverse pass over order; otherwise level by level, each one's sums
-	// pushed by the level below it or pulled from it.
+	// pushed by the level below it or pulled off the tape. A level that pulls
+	// was expanded top-down, so its stretch of the tape is there.
 	rt := newRootTerms(sg, s, directed, e.ws)
 	e.unwind(&rt, deep, len(order), sumsNone)
 	levels, pushes := e.ws.Levels, false
@@ -261,7 +287,7 @@ func (e *engine) bfsRoot(sg *decompose.Subgraph, s int32, directed bool) {
 		pushes = pushes || l.BottomUp
 	}
 	if !pushes {
-		e.unwind(&rt, 0, deep, sumsPulled)
+		e.unwind(&rt, 0, deep, sumsTaped)
 	} else {
 		mid, hi := deep, len(order)
 		for k := len(levels) - 2; k >= 0; k-- {
@@ -270,7 +296,7 @@ func (e *engine) bfsRoot(sg *decompose.Subgraph, s int32, directed bool) {
 				e.push(&rt, lo, mid, hi)
 				e.unwind(&rt, lo, mid, sumsPushed)
 			} else {
-				e.unwind(&rt, lo, mid, sumsPulled)
+				e.unwind(&rt, lo, mid, sumsTaped)
 			}
 			mid, hi = lo, mid
 		}
@@ -289,10 +315,8 @@ func (e *engine) bfsRoot(sg *decompose.Subgraph, s int32, directed bool) {
 	}
 	e.traversed += outArcs
 	e.examined += outArcs + bottomUpExtra
-	if hybrid {
-		for _, v := range order {
-			visited.Clear(int(v))
-		}
+	for _, v := range order[:marked] {
+		visited.Clear(int(v))
 	}
 }
 
@@ -300,7 +324,7 @@ func (e *engine) bfsRoot(sg *decompose.Subgraph, s int32, directed bool) {
 type sums int8
 
 const (
-	sumsPulled sums = iota // scan Out(v) for the successors one level down
+	sumsTaped  sums = iota // read the successors one level down off the tape the forward pass left
 	sumsPushed             // the level below has pushed them into rec[v]
 	sumsNone               // the deepest level: no successors, every sum is zero
 )
@@ -312,27 +336,33 @@ const (
 // settle's arithmetic with the zero terms dropped, which cannot change a bit;
 // the root vertex itself still goes through settle.
 func (e *engine) unwind(rt *rootTerms, lo, hi int, from sums) {
-	sg, rec, dist, level := rt.sg, rt.rec, e.ws.Dist, e.ws.Order[lo:hi]
-	var scanned int64
+	sg, rec, level := rt.sg, rt.rec, e.ws.Order[lo:hi]
+	// A taped level's stretches lie back to back, so walking it in reverse
+	// each one ends where the one settled before it began.
+	var tape []int32
+	var pos []int64
+	var end int64
+	if from == sumsTaped {
+		tape, pos = e.ws.Tape, e.ws.TapePos[lo:hi+1]
+		end = pos[len(level)]
+		e.backScanned += end - pos[0]
+	}
 	if rt.sIsArt {
 		for i := len(level) - 1; i >= 0; i-- {
 			v := level[i]
 			var i2i, i2o, o2o float64
 			switch from {
-			case sumsPulled:
+			case sumsTaped:
 				sv := rec[v].Sigma
-				dv1 := dist[v] + 1
-				out := sg.Out(v)
-				scanned += int64(len(out))
-				for _, w := range out {
-					if dist[w] == dv1 {
-						rw := &rec[w]
-						r := sv / rw.Sigma
-						i2i += r * (1 + rw.Di2i)
-						i2o += r * rw.Di2o
-						o2o += r * rw.Do2o
-					}
+				start := pos[i]
+				for _, w := range tape[start:end] {
+					rw := &rec[w]
+					r := sv / rw.Sigma
+					i2i += r * (1 + rw.Di2i)
+					i2o += r * rw.Di2o
+					o2o += r * rw.Do2o
 				}
+				end = start
 			case sumsPushed:
 				rv := &rec[v]
 				i2i, i2o, o2o = rv.Di2i, rv.Di2o, rv.Do2o
@@ -346,19 +376,16 @@ func (e *engine) unwind(rt *rootTerms, lo, hi int, from sums) {
 			v := level[i]
 			var i2i, i2o float64
 			switch from {
-			case sumsPulled:
+			case sumsTaped:
 				sv := rec[v].Sigma
-				dv1 := dist[v] + 1
-				out := sg.Out(v)
-				scanned += int64(len(out))
-				for _, w := range out {
-					if dist[w] == dv1 {
-						rw := &rec[w]
-						r := sv / rw.Sigma
-						i2i += r * (1 + rw.Di2i)
-						i2o += r * rw.Di2o
-					}
+				start := pos[i]
+				for _, w := range tape[start:end] {
+					rw := &rec[w]
+					r := sv / rw.Sigma
+					i2i += r * (1 + rw.Di2i)
+					i2o += r * rw.Di2o
 				}
+				end = start
 			case sumsPushed:
 				rv := &rec[v]
 				i2i, i2o = rv.Di2i, rv.Di2o
@@ -378,7 +405,6 @@ func (e *engine) unwind(rt *rootTerms, lo, hi int, from sums) {
 			bc[v] += float64(g1 * (i2i + i2o)) // rounded before the add, as settle's contrib is
 		}
 	}
-	e.backScanned += scanned
 }
 
 // push is the pull turned around: the settled level order[mid:hi), which the

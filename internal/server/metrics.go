@@ -24,6 +24,7 @@ type Metrics struct {
 	approxError  *promtext.FloatGaugeVec // graph
 	wsPoolSize   *promtext.GaugeVec      // (none)
 	wsInUse      *promtext.GaugeVec      // (none)
+	wsBytes      *promtext.GaugeVec      // layer = base | lanes | tape
 	overload     *promtext.CounterVec    // op = build | mutation
 	batches      *promtext.CounterVec    // (none)
 	batchOps     *promtext.CounterVec    // (none)
@@ -64,6 +65,14 @@ func NewMetrics() *Metrics {
 		wsInUse: reg.NewGauge("bcd_ws_in_use",
 			"Sweep workspaces currently checked out of the shared engine "+
 				"arena, sampled at scrape time."),
+		wsBytes: reg.NewGauge("bcd_ws_bytes",
+			"Bytes the shared engine arena's sweep workspaces hold, by layer: "+
+				"base (per-vertex arrays, sized by the largest sub-graph swept), "+
+				"lanes (bit-parallel kernel state, bounded per workspace) and "+
+				"tape (recorded BFS DAG arcs, one slot per arc of the largest "+
+				"sub-graph swept root by root); each workspace counted as of "+
+				"its last return to the arena.",
+			"layer"),
 		overload: reg.NewCounter("bcd_overload_total",
 			"Requests shed by admission control (answered 429), by queue: "+
 				"build (load jobs) or mutation (per-graph edge updates).",
@@ -94,6 +103,9 @@ func NewMetrics() *Metrics {
 	m.graphs.With()
 	m.wsPoolSize.With()
 	m.wsInUse.With()
+	m.wsBytes.With("base")
+	m.wsBytes.With("lanes")
+	m.wsBytes.With("tape")
 	m.overload.With("build")
 	m.overload.With("mutation")
 	m.batches.With()
@@ -114,6 +126,10 @@ func (m *Metrics) SampleWorkspacePool() {
 	size, inUse := core.SweepPoolStats()
 	m.wsPoolSize.With().Set(int64(size))
 	m.wsInUse.With().Set(int64(inUse))
+	b := core.SweepPoolBytes()
+	m.wsBytes.With("base").Set(b.Base)
+	m.wsBytes.With("lanes").Set(b.Lanes)
+	m.wsBytes.With("tape").Set(b.Tape)
 }
 
 // Hook wires the metrics into a registry's lifecycle callbacks.

@@ -520,6 +520,14 @@ func TestMetricsEndpoint(t *testing.T) {
 	if v := values[`bcd_load_jobs_total{status="ok"}`]; v != 1 {
 		t.Fatalf("load ok counter = %v, want 1\n%s", v, text)
 	}
+	// The arena gauges say what the load and the two edits left behind: at
+	// least one workspace, with per-vertex arrays and a tape.
+	if size, base, tape := values[`bcd_ws_pool_size`], values[`bcd_ws_bytes{layer="base"}`], values[`bcd_ws_bytes{layer="tape"}`]; size < 1 || base <= 0 || tape <= 0 {
+		t.Fatalf("arena gauges: %v workspaces, %v B base, %v B tape\n%s", size, base, tape, text)
+	}
+	if _, ok := values[`bcd_ws_bytes{layer="lanes"}`]; !ok {
+		t.Fatalf("no lanes series\n%s", text)
+	}
 }
 
 // TestDirectedServing exercises the directed path end to end (load, query,

@@ -16,6 +16,11 @@
 // workers (Get) and takes them back (Put), so steady-state computation
 // performs zero per-sweep heap allocation: the arena grows to the high-water
 // mark once and is reused by every engine, request and worker thereafter.
+// The tape (GrowTape) is where a forward BFS writes down the DAG arcs it finds
+// for its own backward pass (core.bfsRoot), sized like the lanes by the
+// sub-graph that uses it and not by Cap() — one slot per swept arc, reserved
+// whole and touched only as far as a root's DAG reaches. Bytes says what all of
+// it weighs.
 //
 // # Clean-slot invariants and lazy reset
 //
@@ -35,12 +40,15 @@
 // nothing is read that the same root did not write first, so records never
 // need clearing between roots. (An engine that accumulates without zeroing
 // first — internal/brandes sums σ and its single δ in place — keeps a private
-// Pool and zeroes what it dirtied; fresh records are zero.) Levels is plain
-// scratch, rewritten by every root that uses it. Grow preserves the
-// invariants for new slots, so a freshly grown region is indistinguishable
-// from a sparsely reset one — which is why pooling is bit-neutral: an engine
-// reading a clean slot cannot tell whether the value came from make(), from a
-// sparse reset, or from another engine's reset.
+// Pool and zeroes what it dirtied; fresh records are zero.) Levels, Tape and
+// TapePos are plain scratch too: a root's backward pass reads only what its
+// own forward pass wrote there, and where it reads the tape it does not read
+// Dist, whose invariant is the forward pass's "not discovered yet" test and
+// nothing more. Grow preserves the invariants for new slots, so a freshly
+// grown region is indistinguishable from a sparsely reset one — which is why
+// pooling is bit-neutral: an engine reading a clean slot cannot tell whether
+// the value came from make(), from a sparse reset, or from another engine's
+// reset.
 //
 // # Layout
 //
@@ -56,6 +64,7 @@ package ws
 import (
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"repro/internal/bitset"
 )
@@ -82,12 +91,13 @@ type Level struct {
 const LaneWidth = 64
 
 // Sweep is one checkout of per-vertex sweep scratch. Field slices other than
-// the Lane* ones have length Cap() (Visited has at least that many bits);
-// callers index them by local vertex id. See the package comment for which
-// fields carry clean-slot invariants.
+// the tape and the Lane* ones have length Cap() (Visited has at least that
+// many bits); callers index them by local vertex id. See the package comment
+// for which fields carry clean-slot invariants.
 type Sweep struct {
 	capV     int
 	weighted bool
+	held     Bytes // Bytes() at the last Put: this sweep's share of its pool's total
 	Dist     []int32
 	Rec      []Record
 	BC       []float64
@@ -96,6 +106,14 @@ type Sweep struct {
 	Visited  *bitset.Bitset
 	FDist    []float64 // weighted distances; allocated by GrowWeighted
 	Done     []bool    // Dijkstra settled flags; allocated by GrowWeighted
+
+	// Tape holds the current root's DAG arcs as the forward pass found them:
+	// Tape[TapePos[i]:TapePos[i+1]] are the successors of Order[i], in the
+	// order of its out-row; positions are int64 like a CSR's offsets. Sized by
+	// GrowTape for the sub-graph that uses them, independent of Cap(), and kept
+	// across roots.
+	Tape    []int32
+	TapePos []int64
 
 	// Lane-parallel scratch for the MS-BFS batched kernel (allocated by
 	// GrowLanes, independent of Cap()): LaneSeen and LaneFront hold one
@@ -179,6 +197,40 @@ func (s *Sweep) GrowLanes(n, swept int) {
 	}
 }
 
+// GrowTape sizes the tape for a sub-graph of arcs swept arcs over swept
+// vertices: a root's DAG is a subset of the arcs, and Order never holds more
+// than the swept vertices. Contents are scratch, so growth does not copy.
+func (s *Sweep) GrowTape(arcs, swept int) {
+	if len(s.Tape) < arcs {
+		s.Tape = make([]int32, arcs)
+	}
+	if len(s.TapePos) < swept+1 {
+		s.TapePos = make([]int64, swept+1)
+	}
+}
+
+// Bytes is what a sweep's arrays weigh, by layer.
+type Bytes struct {
+	Base  int64 // what Grow and GrowWeighted size by Cap(), plus the Order and Levels rings
+	Lanes int64 // what GrowLanes sizes by a lane-swept sub-graph
+	Tape  int64 // what GrowTape sizes by a sub-graph swept one root at a time
+}
+
+// Bytes reports the memory the sweep holds.
+func (s *Sweep) Bytes() Bytes {
+	b := Bytes{
+		Base: int64(4*len(s.Dist)+8*len(s.BC)+4*cap(s.Order)+8*len(s.FDist)+len(s.Done)) +
+			int64(unsafe.Sizeof(Record{}))*int64(len(s.Rec)) + int64(unsafe.Sizeof(Level{}))*int64(cap(s.Levels)),
+		Lanes: int64(8 * (len(s.LaneSigma) + len(s.LaneDi2i) + len(s.LaneDi2o) + len(s.LaneDo2o) + len(s.LaneBC) +
+			len(s.LaneSeen) + len(s.LaneFront))),
+		Tape: int64(4*len(s.Tape) + 8*len(s.TapePos)),
+	}
+	if s.Visited != nil {
+		b.Base += int64((s.Visited.Len() + 63) >> 6 << 3)
+	}
+	return b
+}
+
 // CheckClean verifies the clean-slot invariants over the whole capacity;
 // it exists for tests and debugging (engines rely on sparse resets instead).
 func (s *Sweep) CheckClean() error {
@@ -225,6 +277,7 @@ type Pool struct {
 	free  []*Sweep
 	size  int // sweeps ever created and not discarded
 	inUse int
+	bytes Bytes // Σ Sweep.held over the sweeps created
 }
 
 // Get checks a sweep sized for n vertices out of the pool, creating one only
@@ -261,9 +314,14 @@ func (p *Pool) Put(s *Sweep) {
 	if s == nil {
 		return
 	}
+	b := s.Bytes()
 	p.mu.Lock()
 	p.free = append(p.free, s)
 	p.inUse--
+	p.bytes.Base += b.Base - s.held.Base
+	p.bytes.Lanes += b.Lanes - s.held.Lanes
+	p.bytes.Tape += b.Tape - s.held.Tape
+	s.held = b
 	p.mu.Unlock()
 }
 
@@ -273,4 +331,13 @@ func (p *Pool) Stats() (size, inUse int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.size, p.inUse
+}
+
+// Bytes reports what the pool's sweeps hold, free and checked out, each as of
+// its last Put: a sweep grows while a worker owns it, so the total lags a
+// running sweep's growth and is exact whenever the pool is idle.
+func (p *Pool) Bytes() Bytes {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.bytes
 }

@@ -135,6 +135,68 @@ func TestGrowLanes(t *testing.T) {
 	}
 }
 
+// TestGrowTape pins the tape's sizing — one slot per swept arc, one position
+// per swept vertex and one past it, neither following Cap() — and that Bytes
+// counts it, and every other layer, as its own.
+func TestGrowTape(t *testing.T) {
+	var s Sweep
+	s.Grow(100000)
+	if b := s.Bytes(); b.Tape != 0 || b.Lanes != 0 || b.Base < 100000*(4+32+8) {
+		t.Fatalf("a plain sweep of 100000 weighs %+v", b)
+	}
+	base := s.Bytes().Base
+	s.GrowTape(50, 20)
+	if len(s.Tape) != 50 || len(s.TapePos) != 21 {
+		t.Fatalf("tape sized %d/%d under capacity %d, want 50/21", len(s.Tape), len(s.TapePos), s.Cap())
+	}
+	if b := s.Bytes(); b.Tape != 4*50+8*21 || b.Base != base || b.Lanes != 0 {
+		t.Fatalf("taped sweep weighs %+v", b)
+	}
+	// A smaller request keeps what is there; each part grows on its own.
+	tape := &s.Tape[0]
+	s.GrowTape(40, 30)
+	if &s.Tape[0] != tape || len(s.TapePos) != 31 {
+		t.Fatalf("regrown tape: same slots %v, %d positions", &s.Tape[0] == tape, len(s.TapePos))
+	}
+	s.GrowLanes(8, 5)
+	if b := s.Bytes(); b.Lanes != 8*(2*8+5*5*LaneWidth) || b.Tape != 4*50+8*31 || b.Base != base {
+		t.Fatalf("laned sweep weighs %+v", b)
+	}
+	if err := s.CheckClean(); err != nil {
+		t.Fatalf("taped sweep dirty: %v", err)
+	}
+}
+
+// TestPoolBytes: the pool's total is its sweeps' Bytes as of each one's last
+// Put — growth shows when the sweep comes back, whoever holds the others.
+func TestPoolBytes(t *testing.T) {
+	var p Pool
+	if b := p.Bytes(); b != (Bytes{}) {
+		t.Fatalf("empty pool weighs %+v", b)
+	}
+	a, b := p.Get(100), p.Get(10)
+	a.GrowTape(50, 20)
+	if got := p.Bytes(); got != (Bytes{}) {
+		t.Fatalf("pool counted checked-out sweeps: %+v", got)
+	}
+	p.Put(a)
+	if got := p.Bytes(); got != a.Bytes() {
+		t.Fatalf("pool weighs %+v, its one returned sweep %+v", got, a.Bytes())
+	}
+	b.GrowLanes(10, 4)
+	p.Put(b)
+	a = p.Get(1000) // regrown while out: counted at its old size until it is back
+	want := Bytes{Base: a.held.Base + b.Bytes().Base, Lanes: b.Bytes().Lanes, Tape: a.Bytes().Tape}
+	if got := p.Bytes(); got != want {
+		t.Fatalf("pool weighs %+v, want %+v", got, want)
+	}
+	p.Put(a)
+	want.Base = a.Bytes().Base + b.Bytes().Base
+	if got := p.Bytes(); got != want {
+		t.Fatalf("pool weighs %+v after the regrown sweep returned, want %+v", got, want)
+	}
+}
+
 // TestCheckCleanCatchesDirt pins the oracle the msbfs tests lean on.
 func TestCheckCleanCatchesDirt(t *testing.T) {
 	var s Sweep
