@@ -26,7 +26,8 @@
 #      the α/β composition equal to the per-AP BFS, folded vertices out of
 #      every row and edits at them exact, sub-graph equality sensitive to
 #      every input of a sweep and an epoch reusing exactly the contributions
-#      whose inputs did not change);
+#      whose inputs did not change, a relabelled sub-graph the reference build
+#      under its Verts map and one without a hub in input order);
 #      then a -benchmem benchmark smoke compile-and-run
 #   6. bcbench smokes on the smallest dataset: -table 2 and a tiny -engine
 #      sweep, whose in-run rule-vs-forced-lanes bit cross-check fails the run
@@ -42,7 +43,8 @@
 #      nor the per-AP α/β BFS outside test files, nor any piece of the deleted
 #      in-place mutation path, nor the sweep-kernel knob (ParseRootEngine,
 #      EngineScalar, RunBatch, an Engine field in LoadSpec or approx.Options),
-#      and the kernel rule's three bounds are assigned in test files only
+#      the kernel rule's three bounds are assigned in test files only, and the
+#      layout rule's hub bound is a constant no code outside decompose names
 #  10. durability smoke: race-built bcd is killed with SIGKILL mid-life and
 #      must recover its graph from snapshot+WAL with bit-exact top-K
 #  11. load smoke: bcdload drives a short mixed read/mutate phase against the
@@ -158,6 +160,13 @@ run_named 'TestKernelMatchesBrandes|TestKernelBatchWidthBitInvariant' \
     -race -count=1 ./internal/msbfs
 run_named 'TestMSBFSEngineBitMatchesScalar|TestMSBFSEngineDeterministic|TestDynamicSerialCutoffBoundary|TestSerialGuardKeepsServeParallel|TestHybridSweepBitNeutral|TestDirectionSwitchNeverScansMore|TestKernelRuleBoundary|TestLaneMemoryBounded|TestLaneKernelBitMatchesScalarAtScale' \
     -race -count=1 ./internal/core
+# Both layouts a sub-graph can have go through those gates: the R-MATs' and the
+# big community graph's tops are relabelled (hubs first, then breadth-first,
+# folded vertices last), the lattices' are in input order, and the two
+# fixtures fail if they stop being so. An epoch reuses a relabelled sub-graph's
+# contribution like any other, and the census says which layout it is and why.
+run_named 'TestEpochReusesUntouchedContributions|TestCensusNamesTheLayout' \
+    -race -count=1 ./internal/core
 # The layers above core have no kernel to choose and serve either kernel's
 # bits: a load spec that still sends "engine" is a 400, a data directory whose
 # meta.json still carries one recovers bit-identical to a fresh engine.
@@ -175,6 +184,12 @@ echo "==> pre-sweep gates: linear Decompose, builder and mirror check vs their o
 # straightforward formulations kept in their test files.
 run_named 'TestDecomposeAllocs|TestBuilderMatchesOracle|TestAdjacentBoundaryAPs|TestMirrorCheckMatchesOracle' \
     -count=1 ./internal/decompose ./internal/graph
+# The sweep's vertex order: a sub-graph with a hub is the reference build under
+# its Verts map whatever order its local ids are in (rows ascending, folded ids
+# the tail, LocalID its inverse, two builds equal), the order is the one the
+# rule spells, and a sub-graph without a hub keeps the input layout.
+run_named 'TestRelabelIsIsomorphism|TestRelabelOrder|TestNoHubKeepsInputOrder' \
+    -count=1 ./internal/decompose
 # α/β is a composition along the sub-graph/AP forest: equal to the per-AP BFS
 # of the paper's definition on every build.
 run_named 'TestComposeMatchesDefinition' -count=1 ./internal/decompose
@@ -282,6 +297,16 @@ fi
 if grep -rnE '(laneBudget|msbfsMinVerts|msbfsMinLanes)[^=!<>:]*(=[^=]|\+\+|--)' --include='*.go' . |
     grep -v '_test\.go:' | grep -vE 'internal/core/engine.go:[0-9]+:\s+(laneBudget +|msbfsMinLanes|msbfsMinVerts) = (2 << 20|8|64)$'; then
     echo "ci.sh: laneBudget, msbfsMinVerts or msbfsMinLanes is written outside test files; the kernel rule takes no parameter" >&2
+    exit 1
+fi
+
+# The layout rule's one bound is a constant of internal/decompose: declared
+# once, in non-test code, and named nowhere outside the package — no option,
+# flag or test sets it, and nothing else decides by it.
+if [ "$(grep -rn 'hubRatio' --include='*.go' . | grep -v '^./internal/decompose/' | wc -l)" -ne 0 ] ||
+    [ "$(grep -rnE 'hubRatio[^=!<>:]*(:?=[^=]|\+\+|--)' --include='*.go' . |
+        grep -vcE '^./internal/decompose/decompose.go:[0-9]+:const hubRatio = 8$')" -ne 0 ]; then
+    echo "ci.sh: hubRatio is named outside internal/decompose or assigned anywhere but its declaration; the layout rule takes no parameter" >&2
     exit 1
 fi
 

@@ -84,9 +84,13 @@ func renderText(w *os.File, g *graph.Graph, c metrics.GraphCensus) {
 	fmt.Fprintf(w, "\ndecomposition (threshold=%d): %d sub-graphs, %d boundary APs, %d roots of %d vertices\n",
 		c.Decomposition.Threshold, c.Decomposition.Subgraphs,
 		c.Decomposition.BoundaryAPs, c.Decomposition.Roots, c.Verts)
-	t := &metrics.Table{Title: "largest sub-graphs", Headers: []string{"rank", "verts", "swept arcs", "V share"}}
+	t := &metrics.Table{Title: "largest sub-graphs", Headers: []string{"rank", "verts", "swept arcs", "V share", "swept", "max deg", "mean deg", "local ids"}}
 	for i, sg := range c.Decomposition.Largest {
-		t.AddRow(i+1, sg.Verts, sg.Arcs, metrics.Percent(sg.VertShare))
+		layout := "input order"
+		if sg.Relabelled {
+			layout = "hubs first"
+		}
+		t.AddRow(i+1, sg.Verts, sg.Arcs, metrics.Percent(sg.VertShare), sg.Swept, sg.MaxDegree, fmt.Sprintf("%.1f", sg.MeanDegree), layout)
 	}
 	t.Render(w)
 

@@ -56,9 +56,13 @@ func BuildCensus(name string, g *graph.Graph, d *decompose.Decomposition, opt Ce
 	sizes := d.SubgraphSizes()
 	for i := 0; i < len(sizes) && i < 5; i++ {
 		c.Decomposition.Largest = append(c.Decomposition.Largest, metrics.SubgraphCensus{
-			Verts:     sizes[i].Verts,
-			Arcs:      sizes[i].Arcs,
-			VertShare: float64(sizes[i].Verts) / float64(max(1, n)),
+			Verts:      sizes[i].Verts,
+			Arcs:       sizes[i].Arcs,
+			VertShare:  float64(sizes[i].Verts) / float64(max(1, n)),
+			Swept:      sizes[i].Swept,
+			MaxDegree:  sizes[i].MaxDegree,
+			MeanDegree: float64(sizes[i].Arcs) / float64(max(1, sizes[i].Swept)),
+			Relabelled: sizes[i].Relabelled,
 		})
 	}
 	if opt.RedundancySampleK >= 0 {

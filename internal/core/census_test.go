@@ -1,0 +1,39 @@
+package core
+
+import (
+	"testing"
+
+	"repro/internal/decompose"
+	"repro/internal/gen"
+	"repro/internal/graph"
+	"repro/internal/metrics"
+)
+
+// TestCensusNamesTheLayout: the census says of each sub-graph it lists whether
+// its local ids were laid out for the cache and the numbers that decided it —
+// an R-MAT's top has a hub and is relabelled, a lattice's is not — so "is this
+// sub-graph laid out for the cache, and why" is answered by bcstats -json and
+// GET /v1/graphs/{name}/stats alone.
+func TestCensusNamesTheLayout(t *testing.T) {
+	top := func(name string, g *graph.Graph) metrics.SubgraphCensus {
+		t.Helper()
+		d, err := decompose.Decompose(g, decompose.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sg := d.Subgraphs[d.TopIndex]
+		got := BuildCensus(name, g, d, CensusOptions{RedundancySampleK: -1}).Decomposition.Largest[0]
+		if got.Verts != sg.NumVerts() || got.Swept != len(sg.Roots) || got.Relabelled != sg.Relabelled() ||
+			got.MeanDegree != float64(sg.NumArcs())/float64(len(sg.Roots)) {
+			t.Fatalf("census row %+v does not describe the top sub-graph (%d vertices, %d swept, %d arcs, relabelled %v)",
+				got, sg.NumVerts(), len(sg.Roots), sg.NumArcs(), sg.Relabelled())
+		}
+		return got
+	}
+	if row := top("rmat", gen.RMAT(10, 8, 0.57, 0.19, 0.19, false, 3)); !row.Relabelled || float64(row.MaxDegree) < 8*row.MeanDegree {
+		t.Fatalf("R-MAT top: %+v; want relabelled, on a largest degree of eight times the mean", row)
+	}
+	if row := top("grid", gen.Grid2D(20, 20)); row.Relabelled || row.MaxDegree != 4 {
+		t.Fatalf("lattice top: %+v; want input order, largest degree 4", row)
+	}
+}

@@ -31,6 +31,40 @@ func fuzzGraphEdges(b []byte, n, max int) []graph.Edge {
 	return es
 }
 
+// hubbed returns the fuzz targets' encoding of shape with a star planted on
+// it, as a graph of n vertices: shape's edges, then one from vertex n-1 to
+// every other vertex, shape's own and the ones n adds (read as directed, an
+// arc out to each). Read as directed the graph always has a sub-graph with a
+// hub — a vertex of at least eight times the mean swept out-degree, which
+// decompose relabels — since the spokes fold nowhere and add no out-arc; read
+// as undirected it has one when shape is sparse and wide enough that n-1 is
+// eight times the mean (the vertices n adds are leaves of the hub and fold).
+func hubbed(shape *graph.Graph, n int) []byte {
+	b := fuzzEdges(shape)
+	for v := 0; v < n-1; v++ {
+		b = append(b, byte(n-1), byte(v))
+	}
+	return b
+}
+
+// seedRelabels fails the seeding unless the graph of n vertices a fuzz target
+// decodes from edges, read as directed or not, has a relabelled sub-graph at
+// threshold th: the seed is there to put one in front of the oracle.
+func seedRelabels(f *testing.F, edges []byte, n int, directed bool, th int) {
+	f.Helper()
+	d, err := decompose.Decompose(graph.NewFromEdges(n, fuzzGraphEdges(edges, n, 4*n), directed),
+		decompose.Options{Threshold: th})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, sg := range d.Subgraphs {
+		if sg.Relabelled() {
+			return
+		}
+	}
+	f.Fatalf("seed of %d vertices, directed %v: no sub-graph is relabelled", n, directed)
+}
+
 // FuzzIncrementalMatchesBrandes is ROADMAP 5(i)'s incremental half: a small
 // graph, a directed bit, a threshold and a script of edge toggles, with the
 // engine held to serial Brandes and to a fresh Compute after every op
@@ -54,6 +88,21 @@ func FuzzIncrementalMatchesBrandes(f *testing.F) {
 			for _, th := range []byte{2, 0x82} {
 				f.Add(byte(g.NumVertices()-2), directed, th, fuzzEdges(g),
 					[]byte{0x80, 0x81, 0x80, 1, 0x82, 0x80, 0, 0x83, 0x81, 0x80, 2, 3, 0x80, 0x81})
+			}
+		}
+	}
+	// The same shapes under a planted star, on the 24 vertices the encoding
+	// allows: read as directed every epoch has a sub-graph with a hub, laid
+	// out by decompose's relabel and not in input order, and the toggles move
+	// its spokes. (An undirected hub needs more than 24 vertices; those seeds
+	// just run.)
+	for _, g := range []*graph.Graph{gen.Star(8), gen.Path(7), caterpillar, gen.Lollipop(4, 3)} {
+		edges := hubbed(g, 24)
+		seedRelabels(f, edges, 24, true, 3)
+		for _, directed := range []bool{false, true} {
+			for _, th := range []byte{2, 0x82} {
+				f.Add(byte(22), directed, th, edges,
+					[]byte{0x80, 0x81, 23, 1, 0x82, 23, 0, 0x83, 23, 5, 2, 3, 0x80, 23})
 			}
 		}
 	}
@@ -131,6 +180,25 @@ func FuzzComputeMatchesBrandes(f *testing.F) {
 		gen.Grid2D(5, 5), gen.ErdosRenyi(40, 160, false, 3)} {
 		for flags := byte(0); flags < 16; flags++ {
 			f.Add(byte(g.NumVertices()-2), flags, byte(2), fuzzEdges(g))
+		}
+	}
+	// Sub-graphs with a hub, which decompose lays out hubs first and not in
+	// input order: a wheel, a fan and a lattice under an apex have one read
+	// either way, the caveman under a planted star read as directed. Every
+	// kernel, direction mode and worker count above must hold on that layout
+	// too.
+	for _, c := range []struct {
+		shape      *graph.Graph
+		n          int
+		undirected bool // the hub is one read as undirected too
+	}{{gen.Cycle(40), 41, true}, {gen.Path(40), 41, true}, {gen.Grid2D(5, 9), 46, true}, {gen.Caveman(3, 5, false), 47, false}} {
+		edges := hubbed(c.shape, c.n)
+		seedRelabels(f, edges, c.n, true, 3)
+		if c.undirected {
+			seedRelabels(f, edges, c.n, false, 3)
+		}
+		for flags := byte(0); flags < 16; flags++ {
+			f.Add(byte(c.n-2), flags, byte(2), edges)
 		}
 	}
 	f.Fuzz(func(t *testing.T, nb, flags, th byte, edges []byte) {

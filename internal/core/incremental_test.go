@@ -523,8 +523,9 @@ func TestIncrementalRandomOps(t *testing.T) {
 	}
 }
 
-// sweptAgain returns the vertex lists of the sub-graphs of inc's current epoch
-// whose contribution is not a slice of prev's. It fails unless reuse went by
+// sweptAgain returns the vertex sets — ascending, whatever the layout — of the
+// sub-graphs of inc's current epoch whose contribution is not a slice of
+// prev's. It fails unless reuse went by
 // identity of inputs: a sub-graph with an equal in prev holds that sub-graph's
 // contribution slice itself, same backing array, and a sub-graph without one
 // shares no array with prev.
@@ -546,7 +547,9 @@ func sweptAgain(t *testing.T, label string, prev *epochState, inc *Incremental) 
 				label, sg.Verts, equal, shared)
 		}
 		if shared < 0 {
-			swept = append(swept, fmt.Sprint(sg.Verts))
+			verts := slices.Clone(sg.Verts)
+			slices.Sort(verts)
+			swept = append(swept, fmt.Sprint(verts))
 		}
 	}
 	assertIncMatches(t, inc, label)
@@ -586,6 +589,37 @@ func TestEpochReusesUntouchedContributions(t *testing.T) {
 		}
 	}
 
+	// A sub-graph laid out for the cache is reused like any other, its layout
+	// being a function of its own vertices and arcs: a wheel, hub 0 and rim
+	// 1..40, has a hub and is relabelled; the bridge 1-41 goes with it, and an
+	// edit inside the clique {41..45} beyond sweeps the clique alone.
+	var wheel []graph.Edge
+	for v := graph.V(1); v <= 40; v++ {
+		wheel = append(wheel, graph.Edge{From: 0, To: v}, graph.Edge{From: v, To: v%40 + 1})
+	}
+	wheel = append(wheel, graph.Edge{From: 1, To: 41})
+	for u := graph.V(41); u <= 45; u++ {
+		for v := u + 1; v <= 45; v++ {
+			wheel = append(wheel, graph.Edge{From: u, To: v})
+		}
+	}
+	inc, err = NewIncremental(graph.NewFromEdges(46, wheel, false), Options{Threshold: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := inc.cur.Load()
+	if err := inc.RemoveEdge(42, 43); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sweptAgain(t, "an edit beside a relabelled sub-graph", prev, inc), []string{"[41 42 43 44 45]"}; !slices.Equal(got, want) {
+		t.Fatalf("removing 42-43 swept the sub-graphs %v again, want %v", got, want)
+	}
+	for _, sg := range inc.Decomposition().Subgraphs {
+		if isWheel := sg.NumVerts() == 42; sg.Relabelled() != isWheel {
+			t.Fatalf("the sub-graph of %d vertices: relabelled %v; want the wheel relabelled and the clique not", sg.NumVerts(), sg.Relabelled())
+		}
+	}
+
 	// Directed, reachability runs through sub-graphs: the bridge 2-3 goes with
 	// triangle {3,4,5}, and without its arc 2->3 triangle {0,1,2} reaches
 	// nothing beyond its boundary AP 2, so it has a new α and is swept again
@@ -603,7 +637,7 @@ func TestEpochReusesUntouchedContributions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := inc.cur.Load()
+	prev = inc.cur.Load()
 	if err := inc.RemoveEdge(2, 3); err != nil {
 		t.Fatal(err)
 	}

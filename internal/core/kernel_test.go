@@ -227,20 +227,25 @@ func TestLaneMemoryBounded(t *testing.T) {
 // which the two kernels used to differ in the last bit of a few scores per ten
 // thousand ("association order", EXPERIMENTS.md §At-scale): its path counts
 // pass 2^53 (10^60 and more), where σ sums stop being exact, and the lane
-// kernel now hands such batches back to the scalar one.
+// kernel now hands such batches back to the scalar one. The R-MATs' top
+// sub-graphs have hubs and are swept under the local ids decompose's relabel
+// chose, with Roots out of local-id order, the lattice's under input order:
+// the contract holds on both layouts, and the test fails if a fixture stops
+// being the layout it is here for.
 func TestLaneKernelBitMatchesScalarAtScale(t *testing.T) {
 	forceParallel(t)
 	for _, c := range []struct {
-		name   string
-		build  func() *graph.Graph
-		budget int
-		big    bool
+		name       string
+		build      func() *graph.Graph
+		budget     int
+		big        bool
+		relabelled bool
 	}{
-		{"R-MAT scale 12", func() *graph.Graph { return gen.RMAT(12, 8, 0.57, 0.19, 0.19, false, 11) }, 0, false},
-		{"R-MAT scale 17", func() *graph.Graph { return gen.RMAT(17, 2, 0.57, 0.19, 0.19, false, 11) }, 192, true},
+		{"R-MAT scale 12", func() *graph.Graph { return gen.RMAT(12, 8, 0.57, 0.19, 0.19, false, 11) }, 0, false, true},
+		{"R-MAT scale 17", func() *graph.Graph { return gen.RMAT(17, 2, 0.57, 0.19, 0.19, false, 11) }, 192, true, true},
 		{"lattice 120x120", func() *graph.Graph {
 			return gen.RoadLike(gen.RoadParams{Rows: 120, Cols: 120, DeleteFrac: 0.12, SpurFrac: 0.18, SpurLen: 4, Seed: 11})
-		}, 192, false},
+		}, 192, false, false},
 	} {
 		if c.big && testing.Short() {
 			continue
@@ -253,6 +258,9 @@ func TestLaneKernelBitMatchesScalarAtScale(t *testing.T) {
 		top := d.Subgraphs[d.TopIndex]
 		if useLanes(top, len(top.Roots), false, false) {
 			t.Fatalf("%s: the top sub-graph (%d swept) is within the budget; forcing proves nothing", c.name, len(top.Roots))
+		}
+		if top.Relabelled() != c.relabelled {
+			t.Fatalf("%s: top sub-graph relabelled %v, want %v", c.name, top.Relabelled(), c.relabelled)
 		}
 		for _, p := range []int{1, 2} {
 			opt := Options{Workers: p, RootBudget: c.budget}

@@ -168,9 +168,14 @@ func decomposeAt8(t *testing.T, g *graph.Graph) *decompose.Decomposition {
 // edge-volume rule produce the same bits, which are Compute's. The forced runs
 // must really differ — no bottom-up level and no push in the one, both in the
 // other — and the sub-graphs that push must include articulation-point roots
-// and γ seeds, the terms that fold in after the pushed sums.
+// and γ seeds, the terms that fold in after the pushed sums, and both layouts:
+// the big community graph's top has a hub and is swept under the ids
+// decompose's relabel chose, the lattice's and the uniform random graph's
+// under input order, and the push adds a parent's terms in its pull's order on
+// either because rows ascend on either.
 func TestHybridSweepBitNeutral(t *testing.T) {
 	var apRoots, gammaSeeds int
+	layouts := map[bool]int{}
 	for name, g := range hybridFixtures() {
 		ref, err := Compute(g, Options{Workers: 1, Threshold: 8})
 		if err != nil {
@@ -197,6 +202,7 @@ func TestHybridSweepBitNeutral(t *testing.T) {
 				if len(sg.Roots) < hybridMinVerts {
 					continue
 				}
+				layouts[sg.Relabelled()]++
 				for _, r := range sg.Roots {
 					if sg.IsArt[r] {
 						apRoots++
@@ -207,6 +213,9 @@ func TestHybridSweepBitNeutral(t *testing.T) {
 				}
 			}
 		}
+	}
+	if layouts[false] == 0 || layouts[true] == 0 {
+		t.Fatalf("%d pushing sub-graphs in input order and %d relabelled: one layout went untested", layouts[false], layouts[true])
 	}
 	if apRoots == 0 || gammaSeeds == 0 {
 		t.Fatalf("pushing sub-graphs hold %d articulation-point roots and %d γ-seeded vertices: one case went untested", apRoots, gammaSeeds)

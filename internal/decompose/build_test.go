@@ -169,6 +169,34 @@ func forEachBuild(t *testing.T, check func(label string, g *graph.Graph, thresho
 	}
 }
 
+// fold is the reference fold over o's vertices: which of them total-redundancy
+// elimination takes out of the root set, the oracle-local id each is folded
+// into (-1 for the rest) and γ. It restates the rule from the graph's rows —
+// one edge (directed: one out-arc and no in-arc), and of two such vertices
+// facing each other the smaller id stays — and shares no code with Subgraph.fold.
+func (o oracleSub) fold(g *graph.Graph, disableGamma bool) (foldedInto, gamma []int32) {
+	leaf := func(v graph.V) bool {
+		return len(g.Out(v)) == 1 && (!g.Directed() || len(g.In(v)) == 0)
+	}
+	foldedInto = make([]int32, len(o.verts))
+	gamma = make([]int32, len(o.verts))
+	for l, v := range o.verts {
+		foldedInto[l] = -1
+		if disableGamma || !leaf(v) {
+			continue
+		}
+		p := g.Out(v)[0]
+		if leaf(p) && v < p {
+			continue
+		}
+		if lp, ok := slices.BinarySearch(o.verts, p); ok {
+			foldedInto[l] = int32(lp)
+			gamma[lp]++
+		}
+	}
+	return foldedInto, gamma
+}
+
 // swept returns o's rows as a sweep walks them: the rows of the folded
 // vertices emptied, and the folded vertices taken out of every other row.
 func (o oracleSub) swept(folded func(l int32) bool) (offs []int64, adj []int32, wts []float64) {
@@ -187,13 +215,102 @@ func (o oracleSub) swept(folded func(l int32) bool) (offs []int64, adj []int32, 
 	return offs, adj, wts
 }
 
-// TestBuilderMatchesOracle holds buildSubgraphs and the strip that follows it
-// to the reference builder, field by field, on every build of forEachBuild;
-// the rows compared are the swept ones, the oracle's with the folded vertices
-// filtered out. At threshold 1 arcs between two boundary APs (neither end has
-// a home group to go by) occur; the test fails if none did.
+// matchOracle holds sg to the reference build o of its group through Verts,
+// so in whichever order sg's local ids are: the vertex set is the oracle's,
+// and spelled in global ids so are every swept row with its weights (the
+// oracle's rows with the folded vertices filtered out), IsArt, γ, the fold
+// targets, and Arts and Roots as sequences.
+func matchOracle(t *testing.T, label string, g *graph.Graph, disableGamma bool, sg *Subgraph, o oracleSub) {
+	t.Helper()
+	type arc struct {
+		to graph.V
+		w  float64
+	}
+	if sg.Directed() != g.Directed() || sg.Weighted() != g.Weighted() {
+		t.Fatalf("%s: directed or weighted flag lost", label)
+	}
+	localOf := make(map[graph.V]int32, len(sg.Verts))
+	for l, v := range sg.Verts {
+		localOf[v] = int32(l)
+	}
+	if len(localOf) != len(sg.Verts) || len(sg.Verts) != len(o.verts) {
+		t.Fatalf("%s: Verts %v is not a relabelling of the oracle's %v", label, sg.Verts, o.verts)
+	}
+	foldedInto, gamma := o.fold(g, disableGamma)
+	offs, adj, wts := o.swept(func(l int32) bool { return foldedInto[l] >= 0 })
+	isArt := make([]bool, len(o.verts))
+	for _, l := range o.arts {
+		isArt[l] = true
+	}
+	var roots []graph.V
+	for lo, v := range o.verts {
+		l, ok := localOf[v]
+		if !ok {
+			t.Fatalf("%s: vertex %d is missing from Verts %v", label, v, sg.Verts)
+		}
+		var got, want []arc
+		for i, w := range sg.Out(l) {
+			a := arc{to: sg.Verts[w]}
+			if sg.Weighted() {
+				a.w = sg.OutWeights(l)[i]
+			}
+			got = append(got, a)
+		}
+		slices.SortFunc(got, func(a, b arc) int { return int(a.to) - int(b.to) })
+		for i := offs[lo]; i < offs[lo+1]; i++ {
+			a := arc{to: o.verts[adj[i]]}
+			if wts != nil {
+				a.w = wts[i]
+			}
+			want = append(want, a)
+		}
+		into := graph.V(-1)
+		if sg.foldedInto[l] >= 0 {
+			into = sg.Verts[sg.foldedInto[l]]
+		}
+		wantInto := graph.V(-1)
+		if foldedInto[lo] >= 0 {
+			wantInto = o.verts[foldedInto[lo]]
+		} else {
+			roots = append(roots, v)
+		}
+		switch {
+		case !slices.Equal(got, want):
+			t.Fatalf("%s: vertex %d has the swept row %v, oracle %v", label, v, got, want)
+		case sg.IsArt[l] != isArt[lo]:
+			t.Fatalf("%s: vertex %d: IsArt %v, oracle %v", label, v, sg.IsArt[l], isArt[lo])
+		case sg.Gamma[l] != gamma[lo]:
+			t.Fatalf("%s: vertex %d: γ %d, oracle %d", label, v, sg.Gamma[l], gamma[lo])
+		case into != wantInto:
+			t.Fatalf("%s: vertex %d is folded into %d, oracle %d (-1: not folded)", label, v, into, wantInto)
+		}
+	}
+	global := func(ls []int32, verts []graph.V) []graph.V {
+		out := make([]graph.V, len(ls))
+		for i, l := range ls {
+			out[i] = verts[l]
+		}
+		return out
+	}
+	if got, want := global(sg.Arts, sg.Verts), global(o.arts, o.verts); !slices.Equal(got, want) {
+		t.Fatalf("%s: Arts names the vertices %v, oracle %v", label, got, want)
+	}
+	if got := global(sg.Roots, sg.Verts); !slices.Equal(got, roots) {
+		t.Fatalf("%s: Roots names the vertices %v, oracle %v", label, got, roots)
+	}
+	if int64(len(adj)) != sg.NumArcs() {
+		t.Fatalf("%s: %d swept arcs, oracle %d", label, sg.NumArcs(), len(adj))
+	}
+}
+
+// TestBuilderMatchesOracle holds buildSubgraphs — both of its builds, the
+// fold and the strip — to the reference builder through matchOracle on every
+// build of forEachBuild, some of whose sub-graphs are relabelled and most not.
+// At threshold 1 arcs between two boundary APs (neither end has a home group
+// to go by) occur; the test fails if none did.
 func TestBuilderMatchesOracle(t *testing.T) {
 	bothBoundary := 0
+	layouts := map[bool]int{}
 	forEachBuild(t, func(label string, g *graph.Graph, th int, d *Decomposition) {
 		want := oracleBuild(g, th)
 		if len(d.Subgraphs) != len(want) {
@@ -201,31 +318,13 @@ func TestBuilderMatchesOracle(t *testing.T) {
 		}
 		boundary := map[graph.V]bool{}
 		for si, sg := range d.Subgraphs {
-			o := want[si]
-			offs, adj, wts := o.swept(sg.Folded)
-			switch {
-			case sg.ID != si:
+			if sg.ID != si {
 				t.Fatalf("%s: sub-graph %d has ID %d", label, si, sg.ID)
-			case !slices.Equal(sg.Verts, o.verts):
-				t.Fatalf("%s sg %d: Verts %v, oracle %v", label, si, sg.Verts, o.verts)
-			case !slices.Equal(sg.offs, offs):
-				t.Fatalf("%s sg %d: offs %v, oracle %v", label, si, sg.offs, offs)
-			case !slices.Equal(sg.adj, adj):
-				t.Fatalf("%s sg %d: adj %v, oracle %v", label, si, sg.adj, adj)
-			case !slices.Equal(sg.wts, wts) || sg.Weighted() != g.Weighted():
-				t.Fatalf("%s sg %d: wts %v, oracle %v", label, si, sg.wts, wts)
-			case !slices.Equal(sg.Arts, o.arts):
-				t.Fatalf("%s sg %d: Arts %v, oracle %v", label, si, sg.Arts, o.arts)
-			case sg.Directed() != g.Directed():
-				t.Fatalf("%s sg %d: directed flag lost", label, si)
 			}
-			isArt := make([]bool, sg.NumVerts())
+			matchOracle(t, fmt.Sprintf("%s sg %d", label, si), g, false, sg, want[si])
+			layouts[sg.Relabelled()]++
 			for _, l := range sg.Arts {
-				isArt[l] = true
 				boundary[sg.Verts[l]] = true
-			}
-			if !slices.Equal(sg.IsArt, isArt) {
-				t.Fatalf("%s sg %d: IsArt disagrees with Arts", label, si)
 			}
 		}
 		if d.NumArticulation != len(boundary) {
@@ -241,6 +340,9 @@ func TestBuilderMatchesOracle(t *testing.T) {
 	})
 	if bothBoundary == 0 {
 		t.Fatal("no arc joined two boundary articulation points: that case went untested")
+	}
+	if layouts[false] == 0 || layouts[true] == 0 {
+		t.Fatalf("%d sub-graphs in the input layout and %d relabelled: one build went untested", layouts[false], layouts[true])
 	}
 }
 

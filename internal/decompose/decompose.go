@@ -1,9 +1,9 @@
 // Package decompose implements the paper's graph partition (Algorithm 1,
 // GRAPHPARTITION): it splits a graph into sub-graphs along articulation
 // points by contracting the block-cut tree with a size threshold, builds a
-// local CSR per sub-graph (the input rows relabelled, in O(|V|+|E|) with no
-// sort; see buildSubgraphs), and computes the three per-articulation-point
-// quantities the APGRE dependencies need:
+// local CSR per sub-graph (in O(|V|+|E|) with no sort; see buildSubgraphs),
+// and computes the three per-articulation-point quantities the APGRE
+// dependencies need:
 //
 //	α_SGi(a) — #vertices a reaches outside SGi      (paper §3.1)
 //	β_SGi(a) — #vertices outside SGi that reach a
@@ -14,6 +14,15 @@
 // What a finished Subgraph stores is its swept graph: the γ-folded vertices
 // keep their local ids but their arcs are stripped from the CSR (see
 // Subgraph.Out), because nothing a sweep computes at them is unknown.
+//
+// The order of a sub-graph's local ids is this package's choice, made for the
+// sweep's cache behaviour (relabel.go, DESIGN.md §4 "The sweep's vertex
+// order"): a sub-graph whose swept graph has a hub is laid out hubs first, the
+// rest breadth-first from them, folded vertices last; one without keeps the
+// input's order, local ids monotone in global ids. Either way every row
+// ascends, Arts and Roots are in global-id order, and the layout is a function
+// of the sub-graph's own vertices and arcs. Nothing outside this package can
+// tell which it got except through Verts and Relabelled.
 //
 // Deviation from the paper, documented in DESIGN.md: disconnected inputs are
 // decomposed per connected component (each component gets its own top block)
@@ -38,6 +47,16 @@ import (
 // and BenchmarkAblationThreshold sweeps it.
 const DefaultThreshold = 64
 
+// hubRatio is the one bound of the layout rule (relabel.go): a sub-graph's
+// local ids are chosen for the cache when its swept graph has a hub, a vertex
+// of out-degree at least hubRatio times the mean. Power-law inputs have one by
+// a wide margin and lattices do not — the benchmark's R-MAT top sub-graph reads
+// 296×, its community graph's 40×, its road lattice's 1.1× — and that is the
+// property that decides whether input order is already a good layout: 2…32
+// measure within a few points of each other on the R-MAT (EXPERIMENTS.md "The
+// sweep's vertex order"). A constant: nothing sets it, tests included.
+const hubRatio = 8
+
 // Options configures Decompose.
 type Options struct {
 	// Threshold is Algorithm 1's THRESHOLD: a non-top block smaller than
@@ -55,7 +74,12 @@ type Options struct {
 	Timings *Timings
 }
 
-// Timings records how long the two preprocessing phases took.
+// Timings records how long the two preprocessing phases took. They are
+// adjacent intervals that tile the call: Partition runs from Decompose's
+// first instruction on a non-empty graph to the last finished sub-graph —
+// FINDBCC, the block merge and buildSubgraphs with its γ fold, strip and
+// relabel — and AlphaBeta from there to the return, so the two sum to the
+// call's wall clock as a caller times it (bench's decompose.total_s).
 type Timings struct {
 	Partition time.Duration
 	AlphaBeta time.Duration
@@ -65,8 +89,9 @@ type Timings struct {
 // local CSR over local vertex ids [0, len(Verts)).
 type Subgraph struct {
 	ID int
-	// Verts maps local id -> global id. Boundary articulation points appear
-	// in every sub-graph they connect (paper §3.1 property 4).
+	// Verts maps local id -> global id, ascending unless Relabelled. Boundary
+	// articulation points appear in every sub-graph they connect (paper §3.1
+	// property 4).
 	Verts []graph.V
 	// Local CSR over the swept graph's out-arcs (see Out); wts is parallel to
 	// adj when the source graph is weighted (nil otherwise).
@@ -80,7 +105,8 @@ type Subgraph struct {
 	// IsArt[l] reports whether local vertex l is a boundary articulation
 	// point of this sub-graph (a member of A_sgi).
 	IsArt []bool
-	// Arts lists the local ids of boundary articulation points.
+	// Arts lists the local ids of boundary articulation points, in global-id
+	// order.
 	Arts []int32
 	// Alpha[l] = α_SGi(v) for boundary APs, 0 otherwise.
 	Alpha []float64
@@ -92,10 +118,12 @@ type Subgraph struct {
 	// Roots lists the local ids in R_sgi (BFS roots after total-redundancy
 	// removal) — exactly the vertices of the swept graph, so len(Roots) and
 	// NumArcs are the size of one sweep; NumVerts stays the size of the id
-	// space.
+	// space. The list is in global-id order under either layout, so a prefix
+	// or a range of it names the same vertices.
 	Roots []int32
 
-	directed bool // whether the parent graph is directed
+	directed   bool // whether the parent graph is directed
+	relabelled bool // local ids chosen by relabel, not handed out in global-id order
 
 	// Lazy transpose CSR for bottom-up sweeps; built by EnsureIn. For
 	// undirected parents the arc set is symmetric, so the in-CSR aliases the
@@ -135,6 +163,11 @@ func (s *Subgraph) Weighted() bool { return s.wts != nil }
 
 // Directed reports whether the parent graph was directed.
 func (s *Subgraph) Directed() bool { return s.directed }
+
+// Relabelled reports whether the local ids are in the order relabel chooses
+// for a swept graph with a hub — hubs, then breadth-first, folded vertices
+// last — rather than in global-id order.
+func (s *Subgraph) Relabelled() bool { return s.relabelled }
 
 // EnsureIn builds what a bottom-up sweep level reads, if it is not present
 // yet: the in-arc (transpose) CSR, so that In can be called, and SweptMask.
@@ -180,11 +213,13 @@ func (s *Subgraph) In(l int32) []int32 { return s.inAdj[s.inOffs[l]:s.inOffs[l+1
 func (s *Subgraph) SweptMask() []uint64 { return s.swept }
 
 // SweepEqual reports whether s and o are the same input to a sweep: the same
-// vertices, swept rows and weights, boundary APs with the same α and β, the
-// same γ and the same roots. A sweep reads nothing else of a sub-graph, and
-// Decompose builds all of it canonically (rows in input order, local ids
-// monotone in global ids), so two equal sub-graphs of two decompositions have
-// bit-identical contributions to BC; internal/core.Incremental reuses one
+// vertices under the same local ids, swept rows and weights, boundary APs with
+// the same α and β, the same γ and the same roots. A sweep reads nothing else
+// of a sub-graph, and Decompose builds all of it canonically — the local ids
+// in an order that is a function of the sub-graph's vertices and arcs alone
+// (input order, or relabel's with its ties by input id), every row ascending
+// — so the same sub-graph in two decompositions is equal field by field and
+// has bit-identical contributions to BC; internal/core.Incremental reuses one
 // epoch's for the next on that ground.
 func (s *Subgraph) SweepEqual(o *Subgraph) bool {
 	return s.directed == o.directed &&
@@ -228,19 +263,17 @@ func Decompose(g *graph.Graph, opt Options) (*Decomposition, error) {
 	res := bcc.Find(g)
 	blockGroup, numGroups := mergeBlocks(g, res, opt.Threshold)
 	d := &Decomposition{G: g, TopIndex: -1}
-	buildSubgraphs(d, g, res, blockGroup, numGroups)
-	partition := time.Since(start)
-	computeGammaRoots(d, opt)
-	start = time.Now()
+	buildSubgraphs(d, g, res, blockGroup, numGroups, opt.DisableGamma)
+	built := time.Now()
 	d.composeAlphaBeta()
-	if opt.Timings != nil {
-		opt.Timings.Partition = partition
-		opt.Timings.AlphaBeta = time.Since(start)
-	}
 	for i, sg := range d.Subgraphs {
 		if d.TopIndex < 0 || sg.NumVerts() > d.Subgraphs[d.TopIndex].NumVerts() {
 			d.TopIndex = i
 		}
+	}
+	if opt.Timings != nil {
+		opt.Timings.Partition = built.Sub(start)
+		opt.Timings.AlphaBeta = time.Since(built)
 	}
 	return d, nil
 }

@@ -1,27 +1,36 @@
 package decompose
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/bcc"
 	"repro/internal/graph"
 )
 
-// buildSubgraphs materializes one Subgraph per merge group in O(|V|+|E|):
-// three passes over the vertices in id order and one over the sub-graphs, no
-// sort and no per-arc record.
+// buildSubgraphs materializes one finished Subgraph per merge group in
+// O(|V|+|E|) — local ids, γ and roots, the swept CSR — with no sort over arcs
+// and no per-arc record.
 //
 // A vertex whose blocks all fall in one group has that group as its home; a
 // vertex whose blocks span groups is a boundary articulation point and joins
 // each of them; a vertex in no block is isolated and joins none. Groups
-// receive their vertices in increasing global id, so local ids are monotone
-// in global ids and every local row is the input row relabelled — already
-// sorted, weights parallel by position. An arc belongs to the group of its
-// undirected edge's block (bcc.Result.EdgeBlock): for a home vertex that is
-// the whole row; a boundary AP's row is dealt out arc by arc through a
-// group-indexed table of row cursors set from the AP's own (group, local id)
-// list, so each pass reads the row once however many groups the AP joins.
-func buildSubgraphs(d *Decomposition, g *graph.Graph, res *bcc.Result, blockGroup []int32, numGroups int) {
+// receive their vertices in increasing global id (passes 1 and 2), which also
+// sizes every row, and that is enough to fold the γ leaves and know every
+// swept degree before a single arc is stored. From there a group takes one of
+// two builds, by what its swept graph looks like (hasHub):
+//
+//   - without a hub, the input layout: local ids monotone in global ids, every
+//     local row the input row relabelled — already sorted, weights parallel by
+//     position — and then stripped of the folded vertices. An arc belongs to
+//     the group of its undirected edge's block (bcc.Result.EdgeBlock): for a
+//     home vertex that is the whole row; a boundary AP's row is dealt out arc
+//     by arc through a group-indexed table of row cursors set from the AP's
+//     own (group, local id) list, so each pass reads the row once however many
+//     groups the AP joins (passes 3 and 4);
+//   - with one, the layout relabel chooses for the cache, its rows written
+//     once, swept and under their final ids, in place of the input-order ones.
+func buildSubgraphs(d *Decomposition, g *graph.Graph, res *bcc.Result, blockGroup []int32, numGroups int, disableGamma bool) {
 	n := g.NumVertices()
 	const isolated, boundary = -1, -2
 
@@ -127,8 +136,18 @@ func buildSubgraphs(d *Decomposition, g *graph.Graph, res *bcc.Result, blockGrou
 		}
 	}
 
+	// Fold the γ leaves (Theorem 3's total-redundancy elimination) and pick
+	// each group's build. A group that keeps the input layout gets its rows at
+	// their unswept size, for passes 3 and 4 to fill and strip to cut down.
+	if g.Directed() {
+		g.EnsureTranspose()
+	}
 	weighted := g.Weighted()
 	for _, sg := range subs {
+		sg.fold(g, disableGamma)
+		if sg.relabelled = sg.hasHub(); sg.relabelled {
+			continue
+		}
 		for l := range sg.Verts {
 			sg.offs[l+1] += sg.offs[l]
 		}
@@ -138,7 +157,8 @@ func buildSubgraphs(d *Decomposition, g *graph.Graph, res *bcc.Result, blockGrou
 		}
 	}
 
-	// Pass 3: copy every arc to its row, still under its global target id.
+	// Pass 3: copy every arc of the input-layout groups to its row, still
+	// under its global target id.
 	for v := graph.V(0); int(v) < n; v++ {
 		switch h := home[v]; h {
 		case isolated:
@@ -151,6 +171,9 @@ func buildSubgraphs(d *Decomposition, g *graph.Graph, res *bcc.Result, blockGrou
 			for i, w := range g.Out(v) {
 				gr := blockGroup[res.EdgeBlock(v, w)]
 				sg := subs[gr]
+				if sg.relabelled {
+					continue
+				}
 				sg.adj[rowAt[gr]] = w
 				if weighted {
 					sg.wts[rowAt[gr]] = g.ArcWeight(base + int64(i))
@@ -159,6 +182,9 @@ func buildSubgraphs(d *Decomposition, g *graph.Graph, res *bcc.Result, blockGrou
 			}
 		default:
 			sg := subs[h]
+			if sg.relabelled {
+				continue
+			}
 			at := sg.offs[local[v]]
 			copy(sg.adj[at:], g.Out(v))
 			if weighted {
@@ -167,23 +193,41 @@ func buildSubgraphs(d *Decomposition, g *graph.Graph, res *bcc.Result, blockGrou
 		}
 	}
 
-	// Pass 4: relabel in place. Home vertices' entries of local are final;
-	// each group overwrites its boundary APs' entries before reading them.
+	// Pass 4: finish the groups one by one. Home vertices' entries of local
+	// are final in the input layout; each group overwrites its boundary APs'
+	// entries before reading them. An input-layout group relabels its rows in
+	// place and strips them; relabel does the rest of the others' build.
 	for _, sg := range subs {
 		for _, l := range sg.Arts {
 			local[sg.Verts[l]] = l
 		}
+		if sg.relabelled {
+			sg.relabel(g, res, blockGroup, home, local)
+			continue
+		}
 		for i, w := range sg.adj {
 			sg.adj[i] = local[w]
 		}
+		sg.strip()
 	}
 }
 
-// LocalID returns the local id of global vertex v in sg, or -1.
+// LocalID returns the local id of global vertex v in sg, or -1. In the input
+// layout Verts is ascending. A relabelled sub-graph keeps two ascending runs
+// to search instead: Roots lists the swept vertices in global-id order, and
+// the folded vertices are the tail of Verts, in global-id order too.
 func (s *Subgraph) LocalID(v graph.V) int32 {
-	i := sort.Search(len(s.Verts), func(i int) bool { return s.Verts[i] >= v })
-	if i < len(s.Verts) && s.Verts[i] == v {
-		return int32(i)
+	if !s.relabelled {
+		if i, ok := slices.BinarySearch(s.Verts, v); ok {
+			return int32(i)
+		}
+		return -1
+	}
+	if i, ok := sort.Find(len(s.Roots), func(i int) int { return int(v) - int(s.Verts[s.Roots[i]]) }); ok {
+		return s.Roots[i]
+	}
+	if i, ok := slices.BinarySearch(s.Verts[len(s.Roots):], v); ok {
+		return int32(len(s.Roots) + i)
 	}
 	return -1
 }
@@ -198,21 +242,11 @@ func foldsInto(g *graph.Graph, v graph.V) (graph.V, bool) {
 	return g.Out(v)[0], true
 }
 
-// computeGammaRoots fills Gamma and Roots per sub-graph (Theorem 3's
-// total-redundancy elimination) and leaves every CSR holding the swept graph.
-func computeGammaRoots(d *Decomposition, opt Options) {
-	if d.G.Directed() {
-		d.G.EnsureTranspose()
-	}
-	for _, sg := range d.Subgraphs {
-		sg.fold(d.G, opt.DisableGamma)
-	}
-}
-
 // fold decides which vertices of s are γ-folded against g, whose rows it goes
-// by, and strips them from the CSR. A vertex u is removed from the root set
-// and folded into γ of its neighbour p when foldsInto says so (with an id
-// tie-break so mutually-qualifying pairs keep one root).
+// by, and fills foldedInto, Gamma and Roots; s is still in the input layout,
+// whatever it ends in. A vertex u is removed from the root set and folded
+// into γ of its neighbour p when foldsInto says so (with an id tie-break so
+// mutually-qualifying pairs keep one root).
 func (s *Subgraph) fold(g *graph.Graph, disableGamma bool) {
 	s.foldedInto = make([]int32, len(s.Verts))
 	for l := range s.foldedInto {
@@ -240,7 +274,6 @@ func (s *Subgraph) fold(g *graph.Graph, disableGamma bool) {
 			s.Roots = append(s.Roots, int32(l))
 		}
 	}
-	s.strip()
 }
 
 // Folded reports whether local vertex l is γ-folded: out of the root set and

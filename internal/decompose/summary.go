@@ -2,12 +2,16 @@ package decompose
 
 import "sort"
 
-// SizeInfo describes one sub-graph's size for Table 4: every local vertex,
+// SizeInfo describes one sub-graph's size for Table 4 — every local vertex,
 // and the swept arcs (Subgraph.NumArcs — the γ-folded vertices' arcs are not
-// among them).
+// among them) — and what its layout was decided on: the swept graph's vertex
+// count and largest out-degree (the mean is Arcs/Swept), and the decision.
 type SizeInfo struct {
-	Verts int
-	Arcs  int64
+	Verts      int
+	Arcs       int64
+	Swept      int
+	MaxDegree  int
+	Relabelled bool
 }
 
 // SubgraphSizes returns per-sub-graph sizes sorted by decreasing vertex
@@ -16,7 +20,10 @@ type SizeInfo struct {
 func (d *Decomposition) SubgraphSizes() []SizeInfo {
 	out := make([]SizeInfo, len(d.Subgraphs))
 	for i, sg := range d.Subgraphs {
-		out[i] = SizeInfo{Verts: sg.NumVerts(), Arcs: sg.NumArcs()}
+		out[i] = SizeInfo{Verts: sg.NumVerts(), Arcs: sg.NumArcs(), Swept: len(sg.Roots), Relabelled: sg.relabelled}
+		for _, l := range sg.Roots {
+			out[i].MaxDegree = max(out[i].MaxDegree, len(sg.Out(l)))
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Verts != out[j].Verts {

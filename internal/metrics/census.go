@@ -28,6 +28,16 @@ type SubgraphCensus struct {
 	Arcs int64 `json:"arcs"`
 	// VertShare is Verts over the graph's vertex count, in [0,1].
 	VertShare float64 `json:"vert_share"`
+	// Swept counts the vertices a sweep can visit (Verts less the γ-folded
+	// ones), MaxDegree and MeanDegree are the largest and the mean out-degree
+	// among them, over swept arcs. Relabelled says whether the sub-graph's
+	// local ids were laid out for the cache — hubs first, then breadth-first,
+	// folded vertices last — which decompose does exactly when MaxDegree is at
+	// least eight times MeanDegree; otherwise they are in input order.
+	Swept      int     `json:"swept,omitempty"`
+	MaxDegree  int     `json:"max_degree,omitempty"`
+	MeanDegree float64 `json:"mean_degree,omitempty"`
+	Relabelled bool    `json:"relabelled,omitempty"`
 }
 
 // DecompositionCensus profiles the articulation-point partition.

@@ -251,6 +251,12 @@ func TestStatsEndpoint(t *testing.T) {
 			Threshold int `json:"threshold"`
 			Subgraphs int `json:"subgraphs"`
 			Roots     int `json:"roots"`
+			Largest   []struct {
+				Swept      int     `json:"swept"`
+				MaxDegree  int     `json:"max_degree"`
+				MeanDegree float64 `json:"mean_degree"`
+				Relabelled bool    `json:"relabelled"`
+			} `json:"largest"`
 		} `json:"decomposition"`
 		Redundancy struct {
 			Method string  `json:"method"`
@@ -274,6 +280,11 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if census.Redundancy.Method != "exact" {
 		t.Fatalf("redundancy method = %q, want exact for a tiny graph", census.Redundancy.Method)
+	}
+	// The layout and what decided it: cycle B's four vertices are all swept,
+	// each of degree 2, so it has no hub and keeps input order.
+	if top := census.Decomposition.Largest[0]; top.Swept != 4 || top.MaxDegree != 2 || top.MeanDegree != 2 || top.Relabelled {
+		t.Fatalf("largest sub-graph = %+v, want 4 swept vertices of degree 2 in input order", top)
 	}
 }
 

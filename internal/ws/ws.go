@@ -58,7 +58,10 @@
 // sub-graph's state outgrows the L2. Dist stays its own dense int32 array
 // because it is read for every arc, DAG or not, and the record only for the
 // DAG arcs that pass the level test — folding it in would leave 1.6 distances
-// per cache line, not 16, on the commoner access.
+// per cache line, not 16, on the commoner access. Which vertices share a line
+// is not decided here: slots are indexed by a sub-graph's local ids, and
+// internal/decompose chooses their order for exactly these arrays (hubs
+// first, then breadth-first, where the input's own order is no layout).
 package ws
 
 import (
