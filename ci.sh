@@ -43,7 +43,8 @@
 #      nor the per-AP α/β BFS outside test files, nor any piece of the deleted
 #      in-place mutation path, nor the sweep-kernel knob (ParseRootEngine,
 #      EngineScalar, RunBatch, an Engine field in LoadSpec or approx.Options),
-#      the kernel rule's three bounds are assigned in test files only, and the
+#      the kernel rule's three bounds and the direction-optimizing sweep's two
+#      are assigned in test files only, and the
 #      layout rule's hub bound is a constant no code outside decompose names
 #  10. durability smoke: race-built bcd is killed with SIGKILL mid-life and
 #      must recover its graph from snapshot+WAL with bit-exact top-K
@@ -129,8 +130,9 @@ go test -run '^$' -fuzz FuzzIncrementalMatchesBrandes -fuzztime 20s ./internal/c
 echo "==> fuzz: Compute vs serial Brandes, both kernels and the sweep's three direction modes bit-equal (20 s)"
 # Random small graphs × directed × threshold × DisableGamma × one or two
 # workers × the lane kernel forced (its lower bounds dropped to fuzz size),
-# with hybridMinVerts lowered so that graphs this size take bottom-up and push
-# levels: pull-only, push-everywhere and the rule must agree bit for bit,
+# with hybridMinVerts and hybridMinDegree lowered so that graphs this size and
+# this sparse take bottom-up and push levels under the rule: pull-only,
+# push-everywhere and the rule must agree bit for bit,
 # Compute with the scalar kernel at the same worker count bit for bit, and
 # with serial Brandes.
 go test -run '^$' -fuzz FuzzComputeMatchesBrandes -fuzztime 20s ./internal/core
@@ -139,8 +141,10 @@ echo "==> scheduler gate: BC vs serial Brandes at workers 1,2,4(,8) under -race"
 # The worker-sweep test runs the dynamic scheduler at workers 1, 2, 4 and 8
 # on all nine graph families and asserts the scores match serial Brandes
 # within the suite tolerance; the equivalence and determinism tests pin
-# static==dynamic and run-to-run bit stability.
-run_named 'TestSchedulerWorkerSweepMatchesBrandes|TestSchedulerStaticDynamicEquivalent|TestSchedulerDeterministic' \
+# static==dynamic and run-to-run bit stability; the chunking test pins that a
+# split sub-graph's units come in a multiple of the worker count, in whole lane
+# words differing by at most one.
+run_named 'TestSchedulerWorkerSweepMatchesBrandes|TestSchedulerStaticDynamicEquivalent|TestSchedulerDeterministic|TestUnitsSplitEvenly' \
     -race -count=1 ./internal/core
 
 echo "==> msbfs gate: batched engine bit-match, rule / forced lanes / budget 0, under -race"
@@ -155,10 +159,12 @@ echo "==> msbfs gate: batched engine bit-match, rule / forced lanes / budget 0, 
 # and backward (pull off the forward pass's tape/push): bit-neutral on
 # fixtures big enough to take bottom-up and push levels (directed in-CSR, AP
 # roots and γ seeds included), a pull reading its DAG arcs and nothing else,
-# and never a larger scan, either way, than pure top-down over whole out-rows.
+# and never a larger scan, either way, than pure top-down over whole out-rows;
+# and the rule runs at all only on sub-graphs dense enough for it (lattices and
+# directed community graphs top-down, R-MATs and dense graphs hybrid).
 run_named 'TestKernelMatchesBrandes|TestKernelBatchWidthBitInvariant' \
     -race -count=1 ./internal/msbfs
-run_named 'TestMSBFSEngineBitMatchesScalar|TestMSBFSEngineDeterministic|TestDynamicSerialCutoffBoundary|TestSerialGuardKeepsServeParallel|TestHybridSweepBitNeutral|TestDirectionSwitchNeverScansMore|TestKernelRuleBoundary|TestLaneMemoryBounded|TestLaneKernelBitMatchesScalarAtScale' \
+run_named 'TestMSBFSEngineBitMatchesScalar|TestMSBFSEngineDeterministic|TestDynamicSerialCutoffBoundary|TestSerialGuardKeepsServeParallel|TestHybridSweepBitNeutral|TestDirectionSwitchNeverScansMore|TestHybridGate|TestKernelRuleBoundary|TestLaneMemoryBounded|TestLaneKernelBitMatchesScalarAtScale' \
     -race -count=1 ./internal/core
 # Both layouts a sub-graph can have go through those gates: the R-MATs' and the
 # big community graph's tops are relabelled (hubs first, then breadth-first,
@@ -285,10 +291,11 @@ if grep -rn 'AlphaBetaBFS\|alphaBetaBFS' --include='*.go' . | grep -v '_test\.go
     exit 1
 fi
 
-# hybridMinVerts is a var only so tests can lower it; no other code writes it.
-if grep -rnE 'hybridMinVerts[^=!<>]*(=[^=]|\+\+|--)' --include='*.go' . |
-    grep -v '_test\.go:' | grep -v 'internal/core/state.go:.*var hybridMinVerts = 256'; then
-    echo "ci.sh: hybridMinVerts is written outside test files; it is a constant everywhere but in tests" >&2
+# hybridMinVerts and hybridMinDegree are vars only so tests can lower them; no
+# other code writes them.
+if grep -rnE '(hybridMinVerts|hybridMinDegree)[^=!<>]*(=[^=]|\+\+|--)' --include='*.go' . |
+    grep -v '_test\.go:' | grep -vE 'internal/core/state.go:[0-9]+:var (hybridMinVerts = 256|hybridMinDegree = 4)$'; then
+    echo "ci.sh: hybridMinVerts or hybridMinDegree is written outside test files; they are constants everywhere but in tests" >&2
     exit 1
 fi
 

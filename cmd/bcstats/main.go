@@ -84,13 +84,17 @@ func renderText(w *os.File, g *graph.Graph, c metrics.GraphCensus) {
 	fmt.Fprintf(w, "\ndecomposition (threshold=%d): %d sub-graphs, %d boundary APs, %d roots of %d vertices\n",
 		c.Decomposition.Threshold, c.Decomposition.Subgraphs,
 		c.Decomposition.BoundaryAPs, c.Decomposition.Roots, c.Verts)
-	t := &metrics.Table{Title: "largest sub-graphs", Headers: []string{"rank", "verts", "swept arcs", "V share", "swept", "max deg", "mean deg", "local ids"}}
+	t := &metrics.Table{Title: "largest sub-graphs", Headers: []string{"rank", "verts", "swept arcs", "V share", "swept", "max deg", "mean deg", "local ids", "sweep"}}
 	for i, sg := range c.Decomposition.Largest {
 		layout := "input order"
 		if sg.Relabelled {
 			layout = "hubs first"
 		}
-		t.AddRow(i+1, sg.Verts, sg.Arcs, metrics.Percent(sg.VertShare), sg.Swept, sg.MaxDegree, fmt.Sprintf("%.1f", sg.MeanDegree), layout)
+		sweep := "top-down"
+		if sg.Hybrid {
+			sweep = "hybrid"
+		}
+		t.AddRow(i+1, sg.Verts, sg.Arcs, metrics.Percent(sg.VertShare), sg.Swept, sg.MaxDegree, fmt.Sprintf("%.1f", sg.MeanDegree), layout, sweep)
 	}
 	t.Render(w)
 

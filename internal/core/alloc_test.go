@@ -12,9 +12,9 @@ import (
 // must not touch the heap — the dirty-list sparse resets restore the
 // clean-slot invariants without reallocating anything.
 
-func decomposeForAlloc(t *testing.T, nScale float64) *decompose.Decomposition {
+func decomposeForAlloc(t *testing.T, nScale float64, avgDeg int) *decompose.Decomposition {
 	t.Helper()
-	g := gen.SocialLike(gen.SocialParams{N: int(400 * nScale), AvgDeg: 4,
+	g := gen.SocialLike(gen.SocialParams{N: int(400 * nScale), AvgDeg: avgDeg,
 		Communities: 4, TopShare: 0.5, LeafFrac: 0.3, Seed: 7})
 	d, err := decompose.Decompose(g, decompose.Options{})
 	if err != nil {
@@ -55,19 +55,21 @@ func BenchmarkRootSweepWarm(b *testing.B) {
 }
 
 func TestRootSweepWarmAllocs(t *testing.T) {
-	// Small sub-graphs exercise the plain top-down sweep, the large one the
-	// direction-optimizing hybrid — under the rule and with every level
-	// bottom-up and pushing, which fills the level table — one root per call,
-	// which is always bfsRoot, writing its tape and reading it back; the last
-	// case hands Run sixteen roots of a sub-graph the kernel rule gives to the
-	// lane kernel, whose level lists and slot table must be as warm as the
-	// arena. All must be allocation-free warm and leave the workspace clean.
+	// Small sub-graphs exercise the plain top-down sweep, the large ones the
+	// direction-optimizing hybrid — under the rule on a sub-graph dense enough
+	// for it (sweepsHybrid), and with every level bottom-up and pushing on a
+	// sparse one, which fills the level table — one root per call, which is
+	// always bfsRoot, writing its tape and reading it back; the last case hands
+	// Run sixteen roots of a sub-graph the kernel rule gives to the lane kernel,
+	// whose level lists and slot table must be as warm as the arena. All must be
+	// allocation-free warm and leave the workspace clean.
 	for _, c := range []struct {
-		scale float64
-		force direction
-		group int
-	}{{0.25, dirAuto, 1}, {4, dirAuto, 1}, {4, dirBottomUp, 1}, {1, dirAuto, 16}} {
-		d := decomposeForAlloc(t, c.scale)
+		scale  float64
+		avgDeg int
+		force  direction
+		group  int
+	}{{0.25, 4, dirAuto, 1}, {4, 10, dirAuto, 1}, {4, 4, dirBottomUp, 1}, {1, 4, dirAuto, 16}} {
+		d := decomposeForAlloc(t, c.scale, c.avgDeg)
 		var sg *decompose.Subgraph
 		for _, cand := range d.Subgraphs {
 			if len(cand.Roots) > 1 && (sg == nil || cand.NumVerts() > sg.NumVerts()) {
@@ -86,9 +88,11 @@ func TestRootSweepWarmAllocs(t *testing.T) {
 		for i := range sg.Roots {
 			rs.Run(sg, group(i), directed)
 		}
-		if c.scale > 1 && (!rs.e.hybrid || c.force == dirBottomUp && rs.e.pushedLevels == 0) {
-			t.Fatalf("scale %v (n=%d) direction %d: hybrid %v, %d pushed levels; the case is vacuous",
-				c.scale, sg.NumVerts(), c.force, rs.e.hybrid, rs.e.pushedLevels)
+		dense := sweepsHybrid(len(sg.Roots), sg.NumArcs())
+		if c.scale > 1 && (!rs.e.hybrid || rs.e.bottomUpLevels == 0 || dense != (c.force == dirAuto) ||
+			c.force == dirBottomUp && rs.e.pushedLevels == 0) {
+			t.Fatalf("scale %v (n=%d) direction %d: dense %v, hybrid %v, %d bottom-up and %d pushed levels; the case is vacuous",
+				c.scale, sg.NumVerts(), c.force, dense, rs.e.hybrid, rs.e.bottomUpLevels, rs.e.pushedLevels)
 		}
 		if lanes := rs.e.examined == 0; lanes != (c.group > 1) {
 			t.Fatalf("scale %v (%d swept) groups of %d: lane kernel %v; the case is vacuous",

@@ -63,6 +63,7 @@ func BuildCensus(name string, g *graph.Graph, d *decompose.Decomposition, opt Ce
 			MaxDegree:  sizes[i].MaxDegree,
 			MeanDegree: float64(sizes[i].Arcs) / float64(max(1, sizes[i].Swept)),
 			Relabelled: sizes[i].Relabelled,
+			Hybrid:     !g.Weighted() && sweepsHybrid(sizes[i].Swept, sizes[i].Arcs),
 		})
 	}
 	if opt.RedundancySampleK >= 0 {

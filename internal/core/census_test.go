@@ -13,7 +13,8 @@ import (
 // its local ids were laid out for the cache and the numbers that decided it —
 // an R-MAT's top has a hub and is relabelled, a lattice's is not — so "is this
 // sub-graph laid out for the cache, and why" is answered by bcstats -json and
-// GET /v1/graphs/{name}/stats alone.
+// GET /v1/graphs/{name}/stats alone; and beside its mean degree, whether its
+// sweep is direction-optimizing (the R-MAT's) or top-down (the lattice's).
 func TestCensusNamesTheLayout(t *testing.T) {
 	top := func(name string, g *graph.Graph) metrics.SubgraphCensus {
 		t.Helper()
@@ -32,8 +33,12 @@ func TestCensusNamesTheLayout(t *testing.T) {
 	}
 	if row := top("rmat", gen.RMAT(10, 8, 0.57, 0.19, 0.19, false, 3)); !row.Relabelled || float64(row.MaxDegree) < 8*row.MeanDegree {
 		t.Fatalf("R-MAT top: %+v; want relabelled, on a largest degree of eight times the mean", row)
+	} else if !row.Hybrid {
+		t.Fatalf("R-MAT top: %+v; want a direction-optimizing sweep at %.1f arcs per swept vertex", row, row.MeanDegree)
 	}
 	if row := top("grid", gen.Grid2D(20, 20)); row.Relabelled || row.MaxDegree != 4 {
 		t.Fatalf("lattice top: %+v; want input order, largest degree 4", row)
+	} else if row.Hybrid || row.Swept < hybridMinVerts {
+		t.Fatalf("lattice top: %+v; want a top-down sweep past hybridMinVerts, at %.1f arcs per swept vertex", row, row.MeanDegree)
 	}
 }

@@ -130,9 +130,10 @@ func newEngine(weighted bool, opt Options) *engine {
 // shared pool on first use and grown to sg's size (the clean-slot invariants
 // — dist == -1 everywhere, BC zero, visited clear — are guaranteed by the
 // pool and maintained by the kernels' sparse resets), and for BFS sweeps of
-// sub-graphs worth the direction-optimizing treatment, the in-CSR the
-// bottom-up levels scan (EnsureIn is once-guarded, so concurrent workers on
-// one sub-graph are safe).
+// sub-graphs worth the direction-optimizing treatment (sweepsHybrid), the
+// in-CSR the bottom-up levels scan (EnsureIn is once-guarded, so concurrent
+// workers on one sub-graph are safe). Every other sub-graph sweeps top-down and
+// never has a transpose built.
 func (e *engine) ensure(sg *decompose.Subgraph) {
 	if e.ws == nil {
 		e.ws = sweepPool.Get(0)
@@ -143,7 +144,14 @@ func (e *engine) ensure(sg *decompose.Subgraph) {
 		return
 	}
 	e.ws.Grow(n)
-	e.hybrid = len(sg.Roots) >= hybridMinVerts && e.force != dirTopDown
+	switch e.force {
+	case dirAuto:
+		e.hybrid = sweepsHybrid(len(sg.Roots), sg.NumArcs())
+	case dirBottomUp:
+		e.hybrid = len(sg.Roots) >= hybridMinVerts
+	default:
+		e.hybrid = false
+	}
 	if e.hybrid {
 		sg.EnsureIn()
 	}

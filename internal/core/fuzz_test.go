@@ -165,17 +165,17 @@ func lanesForFuzz(t *testing.T) RootEngine {
 // with Compute held to serial Brandes and to the scalar kernel at the same
 // worker count bit for bit, and the scalar sweep's three direction modes — the
 // rule, pull only, every level bottom-up and pushing — held to each other bit
-// for bit. hybridMinVerts is lowered for the run so that sub-graphs this size
-// take bottom-up and push levels at all, and the serial guard dropped so that
-// the second worker is real.
+// for bit. hybridMinVerts and hybridMinDegree are lowered for the run so that
+// sub-graphs this size and this sparse take bottom-up and push levels under the
+// rule at all, and the serial guard dropped so that the second worker is real.
 //
 // Encoding: n = 2 + nb%47 vertices; edges is byte pairs (u, v) taken mod n,
 // self-loops dropped; flags bit 0 directed, bit 1 DisableGamma, bit 2 a second
 // worker, bit 3 the lane kernel for every sweep (lanesForFuzz).
 func FuzzComputeMatchesBrandes(f *testing.F) {
-	oldMin, oldCut := hybridMinVerts, dynamicSerialCutoff
-	hybridMinVerts, dynamicSerialCutoff = 2, 0
-	f.Cleanup(func() { hybridMinVerts, dynamicSerialCutoff = oldMin, oldCut })
+	oldMin, oldDeg, oldCut := hybridMinVerts, hybridMinDegree, dynamicSerialCutoff
+	hybridMinVerts, hybridMinDegree, dynamicSerialCutoff = 2, 0, 0
+	f.Cleanup(func() { hybridMinVerts, hybridMinDegree, dynamicSerialCutoff = oldMin, oldDeg, oldCut })
 	for _, g := range []*graph.Graph{gen.Star(8), gen.Path(7), gen.Lollipop(5, 4), gen.Caveman(3, 5, false),
 		gen.Grid2D(5, 5), gen.ErdosRenyi(40, 160, false, 3)} {
 		for flags := byte(0); flags < 16; flags++ {

@@ -31,7 +31,9 @@ import (
 // unitsPerWorkerTarget controls chunking: a sub-graph is split so that no
 // unit exceeds ~1/(unitsPerWorkerTarget·p) of the total estimated work,
 // giving the pool a few claimable pieces per worker without shredding the
-// queue into scheduling overhead.
+// queue into scheduling overhead. The pieces of a split sub-graph come in a
+// multiple of p, so that equal pieces drain evenly: a top sub-graph cut in 7
+// leaves two workers 4 : 3 (buildUnits).
 const unitsPerWorkerTarget = 4
 
 type workUnit struct {
@@ -60,12 +62,15 @@ func unitCost(sg *decompose.Subgraph, nr int, lanes bool) int64 {
 // buildUnits constructs the work-unit list in canonical (sgIdx, root-range)
 // order. chunking splits costly sub-graphs into root ranges sized so the
 // queue holds a few units per worker; otherwise every unit is a whole
-// sub-graph.
+// sub-graph. A split sub-graph's chunk count is rounded up to a multiple of p
+// and capped at its lane words, and its whole lane words are spread over the
+// chunks so that they differ by at most one word (the last one may be short:
+// it ends at the last root).
 //
 // Unit BOUNDARIES are kernel-independent: the chunk count always comes from
-// the scalar cost model, and chunk sizes are rounded up to whole lane words
-// whatever kernel will run them. Boundaries determine the floating-point
-// association of each sub-graph's per-unit partial sums, so keeping them
+// the scalar cost model, and chunks are whole lane words whatever kernel will
+// run them. Boundaries determine the floating-point association of each
+// sub-graph's per-unit partial sums, so keeping them
 // fixed is what makes the kernel rule bit-invisible (and lets the lane kernel
 // run whole lane words per unit with no boundary ever splitting a batch). Unit
 // cost, by contrast, uses the model of the kernel the rule gives the unit
@@ -96,26 +101,24 @@ func buildUnits(d *decompose.Decomposition, p int, chunking, forced bool, budget
 			if target := total / int64(unitsPerWorkerTarget*p); target > 0 {
 				chunks = int(costs[i] / target)
 			}
-			if chunks < 1 {
-				chunks = 1
-			}
-			if chunks > nr {
-				chunks = nr
+			if chunks > 1 {
+				chunks = (chunks + p - 1) / p * p
 			}
 		}
-		per := (nr + chunks - 1) / chunks
-		if per%ws.LaneWidth != 0 && per < nr {
-			per += ws.LaneWidth - per%ws.LaneWidth
-		}
-		for lo := 0; lo < nr; lo += per {
-			hi := lo + per
-			if hi > nr {
-				hi = nr
+		words := (nr + ws.LaneWidth - 1) / ws.LaneWidth
+		chunks = max(1, min(chunks, words))
+		per, extra := words/chunks, words%chunks
+		for c, lo := 0, 0; c < chunks; c++ {
+			w := per
+			if c < extra {
+				w++
 			}
+			hi := min(lo+w*ws.LaneWidth, nr)
 			units = append(units, workUnit{
 				sg: sg, sgIdx: i, lo: lo, hi: hi, top: i == d.TopIndex,
 				cost: unitCost(sg, hi-lo, useLanes(sg, hi-lo, weighted, forced)),
 			})
+			lo = hi
 		}
 	}
 	return units

@@ -8,6 +8,7 @@ import (
 	"repro/internal/decompose"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/ws"
 )
 
 // schedFamilies returns the nine graph families the repo's equivalence
@@ -109,7 +110,9 @@ func TestSchedulerDeterministic(t *testing.T) {
 // hybridFixtures adds to the nine families two graphs whose top sub-graph is
 // past hybridMinVerts — at Threshold 8 only the undirected "er" family's is,
 // so without them the bottom-up levels over a directed sub-graph's transpose
-// in-CSR (Subgraph.EnsureIn) would never run.
+// in-CSR (Subgraph.EnsureIn) would never run. The directed community graph is
+// dense enough for the rule to sweep it hybrid (4.5 arcs per swept vertex);
+// the lattice (3.4) takes bottom-up levels only when they are forced.
 func hybridFixtures() map[string]*graph.Graph {
 	fams := schedFamilies()
 	fams["lattice"] = gen.RoadLike(gen.RoadParams{
@@ -164,8 +167,10 @@ func decomposeAt8(t *testing.T, g *graph.Graph) *decompose.Decomposition {
 // TestHybridSweepBitNeutral pins the direction-optimizing sweep's bit
 // neutrality claim (bfsRoot), forward and backward: never going bottom-up
 // (the backward pass only pulls, every sum off the tape), always going
-// bottom-up (every level pushes to its parents, nothing is taped) and the
-// edge-volume rule produce the same bits, which are Compute's. The forced runs
+// bottom-up (every level pushes to its parents, nothing is taped — on the
+// lattice too, which is past hybridMinVerts but too sparse for the rule to
+// sweep anything but top-down) and the edge-volume rule produce the same bits,
+// which are Compute's. The forced runs
 // must really differ — no bottom-up level and no push in the one, both in the
 // other — and the sub-graphs that push must include articulation-point roots
 // and γ seeds, the terms that fold in after the pushed sums, and both layouts:
@@ -267,9 +272,9 @@ func sweepShape(d *decompose.Decomposition) (deepestOut, dagArcs int64) {
 // may be more than its parents' stretches but is less than their out-rows
 // (that is when the rule fires), so the pass never scans more than every
 // visited vertex's out-arcs but the deepest level's — what a pull had to scan
-// before there was a tape. On a deep narrow lattice and a directed community
-// graph bottom-up and push levels rarely pay; on an R-MAT they must fire and
-// scan strictly less.
+// before there was a tape. A deep narrow lattice is too sparse for the rule to
+// sweep it hybrid at all, on a directed community graph bottom-up and push
+// levels rarely pay; on an R-MAT they must fire and scan strictly less.
 func TestDirectionSwitchNeverScansMore(t *testing.T) {
 	fix := hybridFixtures()
 	for name, g := range map[string]*graph.Graph{
@@ -304,6 +309,142 @@ func TestDirectionSwitchNeverScansMore(t *testing.T) {
 		}
 		t.Logf("%s: forward %d (top-down %d), %d bottom-up levels; backward %d (DAG arcs %d, out-rows %d), %d pushed levels",
 			name, auto.examined, never.examined, auto.bottomUpLevels, auto.backScanned, dagArcs, outRows, auto.pushedLevels)
+	}
+}
+
+// TestHybridGate pins which sub-graphs the rule sweeps direction-optimizing:
+// those past hybridMinVerts with at least hybridMinDegree swept arcs per swept
+// vertex (sweepsHybrid). Every family's top sub-graph is past the size bound,
+// so its density decides: a lattice and a directed community graph sweep
+// top-down — no bottom-up level, no transpose built — and an undirected
+// community graph, an R-MAT and a random graph of 6 arcs per vertex sweep
+// hybrid and take bottom-up levels; the census says the same of each.
+func TestHybridGate(t *testing.T) {
+	fix := hybridFixtures()
+	for _, c := range []struct {
+		name   string
+		g      *graph.Graph
+		hybrid bool
+	}{
+		{"lattice", fix["lattice"], false},
+		{"socialDir", gen.SocialLike(gen.SocialParams{
+			N: 2000, AvgDeg: 5, Communities: 4, TopShare: 0.6, LeafFrac: 0.3,
+			Directed: true, Reciprocity: 0.3, Seed: 4}), false},
+		{"community", gen.SocialLike(gen.SocialParams{
+			N: 2000, AvgDeg: 10, Communities: 6, TopShare: 0.5, LeafFrac: 0.5, Seed: 8}), true},
+		{"rmat", gen.RMAT(10, 8, 0.57, 0.19, 0.19, false, 5), true},
+		{"er6", gen.ErdosRenyi(600, 1800, false, 7), true},
+	} {
+		d := decomposeAt8(t, c.g)
+		top := d.Subgraphs[d.TopIndex]
+		swept, arcs := len(top.Roots), top.NumArcs()
+		mean := float64(arcs) / float64(swept)
+		if swept < hybridMinVerts || (mean >= float64(hybridMinDegree)) != c.hybrid {
+			t.Fatalf("%s: top sub-graph of %d swept vertices, %.2f arcs per swept vertex; the fixture is on the wrong side of the gate",
+				c.name, swept, mean)
+		}
+		var rs RootSweep
+		scalarOnly(func() { rs.Run(top, top.Roots, c.g.Directed()) })
+		built := top.SweptMask() != nil
+		if rs.e.hybrid != c.hybrid || built != c.hybrid || (rs.e.bottomUpLevels != 0) != c.hybrid {
+			t.Fatalf("%s (%.2f arcs per swept vertex): hybrid %v, transpose built %v, %d bottom-up levels; want hybrid %v",
+				c.name, mean, rs.e.hybrid, built, rs.e.bottomUpLevels, c.hybrid)
+		}
+		rs.Release()
+		if row := BuildCensus(c.name, c.g, d, CensusOptions{Threshold: 8, RedundancySampleK: -1}).Decomposition.Largest[0]; row.Hybrid != c.hybrid {
+			t.Fatalf("%s: census row %+v, want hybrid %v", c.name, row, c.hybrid)
+		}
+		t.Logf("%s: %d swept, %.2f arcs per swept vertex, hybrid %v, %d bottom-up levels", c.name, swept, mean, c.hybrid, rs.e.bottomUpLevels)
+	}
+}
+
+// TestUnitsSplitEvenly pins buildUnits' chunking on inputs shaped like three of
+// the benchmark's, with their root budgets: the road lattice and the directed
+// community graph at the benchmark's sizes, and a smaller R-MAT under the same
+// 128-root budget, whose top sub-graph gets two lane words of roots. Each
+// sub-graph's units tile its (budgeted) root list in order; a split sub-graph
+// has a multiple of p units unless its lane words cap the count; every unit
+// but the last is a whole number of lane words, and their word counts differ
+// by at most one, the last no longer than the longest; the boundaries are a
+// pure function of (decomposition, p, budget) — the kernel the units will take
+// does not move them. The lattice's and the community graph's tops are split
+// at every p, and the budgeted R-MAT top keeps its two one-word units.
+func TestUnitsSplitEvenly(t *testing.T) {
+	for name, fx := range map[string]struct {
+		g      *graph.Graph
+		budget int
+	}{
+		"road": {gen.RoadLike(gen.RoadParams{Rows: 63, Cols: 63,
+			DeleteFrac: 0.12, SpurFrac: 0.18, SpurLen: 4, Seed: 7}), 0},
+		"social": {gen.SocialLike(gen.SocialParams{N: 12000, AvgDeg: 5, Communities: 464,
+			TopShare: 0.26, LeafFrac: 0.30, Directed: true, Reciprocity: 0.3, Seed: 7}), 0},
+		"scale": {gen.RMAT(13, 8, 0.57, 0.19, 0.19, false, 7), 128},
+	} {
+		d, err := decompose.Decompose(fx.g, decompose.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		totalRoots := totalRootCount(d)
+		for _, p := range []int{2, 3, 4} {
+			units := buildUnits(d, p, true, false, fx.budget)
+			again := buildUnits(d, p, true, true, fx.budget)
+			if len(again) != len(units) {
+				t.Fatalf("%s p=%d: %d units, %d with lanes forced", name, p, len(units), len(again))
+			}
+			for i := range units {
+				if units[i].sgIdx != again[i].sgIdx || units[i].lo != again[i].lo || units[i].hi != again[i].hi {
+					t.Fatalf("%s p=%d: unit %d is %+v, %+v with lanes forced", name, p, i, units[i], again[i])
+				}
+			}
+			bySg := map[int][]workUnit{}
+			for _, u := range units {
+				bySg[u.sgIdx] = append(bySg[u.sgIdx], u)
+			}
+			for i, sg := range d.Subgraphs {
+				nr := rootPrefix(len(sg.Roots), totalRoots, fx.budget)
+				us := bySg[i]
+				if nr == 0 {
+					if len(us) != 0 {
+						t.Fatalf("%s p=%d: sub-graph %d has no roots to sweep and %d units", name, p, i, len(us))
+					}
+					continue
+				}
+				words := (nr + ws.LaneWidth - 1) / ws.LaneWidth
+				if len(us) > 1 && len(us)%p != 0 && len(us) != words {
+					t.Fatalf("%s p=%d: sub-graph %d (%d lane words) is split in %d units", name, p, i, words, len(us))
+				}
+				lo, minW, maxW := 0, words, 0
+				for k, u := range us {
+					if u.lo != lo || u.hi <= u.lo {
+						t.Fatalf("%s p=%d: sub-graph %d unit %d is [%d, %d), want it to start at %d", name, p, i, k, u.lo, u.hi, lo)
+					}
+					lo = u.hi
+					if k == len(us)-1 {
+						continue
+					}
+					if (u.hi-u.lo)%ws.LaneWidth != 0 {
+						t.Fatalf("%s p=%d: sub-graph %d unit %d of %d roots is not whole lane words", name, p, i, k, u.hi-u.lo)
+					}
+					w := (u.hi - u.lo) / ws.LaneWidth
+					minW, maxW = min(minW, w), max(maxW, w)
+				}
+				if lo != nr {
+					t.Fatalf("%s p=%d: sub-graph %d units end at %d of %d roots", name, p, i, lo, nr)
+				}
+				last := us[len(us)-1]
+				if lastW := (last.hi - last.lo + ws.LaneWidth - 1) / ws.LaneWidth; len(us) > 1 && (maxW-minW > 1 || lastW > maxW) {
+					t.Fatalf("%s p=%d: sub-graph %d chunks of %d–%d lane words and a last one of %d", name, p, i, minW, maxW, lastW)
+				}
+			}
+			top := bySg[d.TopIndex]
+			switch {
+			case name == "scale" && len(top) != 2:
+				t.Fatalf("scale p=%d: the budgeted top sub-graph has %d units, want its 2 lane words", p, len(top))
+			case name != "scale" && (len(top) < 2 || len(top)%p != 0):
+				t.Fatalf("%s p=%d: top sub-graph in %d units, want a multiple of p", name, p, len(top))
+			}
+			t.Logf("%s p=%d: top sub-graph in %d units, %d units in all", name, p, len(top), len(units))
+		}
 	}
 }
 

@@ -24,12 +24,27 @@ func SweepPoolStats() (size, inUse int) { return sweepPool.Stats() }
 // publishes it as bcd_ws_bytes{layer}.
 func SweepPoolBytes() ws.Bytes { return sweepPool.Bytes() }
 
-// hybridMinVerts gates the direction-optimizing sweep: below this size a
-// bottom-up level cannot beat the frontier expansion it replaces, and the
-// transpose CSR is not worth building. A var, not a const, only so tests can
-// lower it and put fuzz-sized sub-graphs through bottom-up and push levels;
-// nothing outside test files writes it (ci.sh greps).
+// hybridMinVerts and hybridMinDegree gate the direction-optimizing sweep
+// (sweepsHybrid). Below hybridMinVerts swept vertices a bottom-up level cannot
+// beat the frontier expansion it replaces, and the transpose CSR is not worth
+// building. Below hybridMinDegree swept arcs per swept vertex the rule's
+// per-level upkeep — the two volume sums, the level table, the transpose —
+// costs more than the bottom-up levels it finds save: over a ladder of
+// lattices, community graphs, R-MATs and random graphs, rule ÷ forced top-down
+// reads 1.02–1.14 on every lattice and on every input below 3.5 arcs per swept
+// vertex, and 0.60–0.95 on every input from 6 up (DESIGN.md §4 "When the sweep
+// is direction-optimizing"). Vars, not consts, only so tests can lower them and
+// put fuzz-sized sparse sub-graphs through bottom-up and push levels; nothing
+// outside test files writes them (ci.sh greps).
 var hybridMinVerts = 256
+var hybridMinDegree = 4
+
+// sweepsHybrid says whether bfsRoot sweeps a swept graph of that many vertices
+// and arcs direction-optimizing under the rule. ensure and the census read it,
+// so what bcstats reports is what runs.
+func sweepsHybrid(swept int, arcs int64) bool {
+	return swept >= hybridMinVerts && arcs >= int64(hybridMinDegree)*int64(swept)
+}
 
 // direction pins the sweep's per-level direction choices, forward and
 // backward. Callers cannot set it — the zero value, the edge-volume rule, is
@@ -40,7 +55,7 @@ type direction int8
 const (
 	dirAuto     direction = iota // per level, whichever direction scans less (bfsRoot)
 	dirTopDown                   // never bottom-up, so the backward pass only pulls
-	dirBottomUp                  // every level bottom-up on hybrid-sized sub-graphs, so every level pushes
+	dirBottomUp                  // every level bottom-up past hybridMinVerts, however sparse, so every level pushes
 )
 
 // The four-dependency backward step is the same in every kernel: each DAG

@@ -33,11 +33,16 @@ type SubgraphCensus struct {
 	// among them, over swept arcs. Relabelled says whether the sub-graph's
 	// local ids were laid out for the cache — hubs first, then breadth-first,
 	// folded vertices last — which decompose does exactly when MaxDegree is at
-	// least eight times MeanDegree; otherwise they are in input order.
+	// least eight times MeanDegree; otherwise they are in input order. Hybrid
+	// says whether the scalar BFS sweep of this sub-graph is
+	// direction-optimizing — which core decides from Swept (at least 256) and
+	// MeanDegree (at least 4) — rather than top-down on every level; it is false
+	// on weighted graphs, which Dijkstra sweeps.
 	Swept      int     `json:"swept,omitempty"`
 	MaxDegree  int     `json:"max_degree,omitempty"`
 	MeanDegree float64 `json:"mean_degree,omitempty"`
 	Relabelled bool    `json:"relabelled,omitempty"`
+	Hybrid     bool    `json:"hybrid,omitempty"`
 }
 
 // DecompositionCensus profiles the articulation-point partition.

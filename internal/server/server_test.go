@@ -256,6 +256,7 @@ func TestStatsEndpoint(t *testing.T) {
 				MaxDegree  int     `json:"max_degree"`
 				MeanDegree float64 `json:"mean_degree"`
 				Relabelled bool    `json:"relabelled"`
+				Hybrid     *bool   `json:"hybrid"`
 			} `json:"largest"`
 		} `json:"decomposition"`
 		Redundancy struct {
@@ -285,6 +286,25 @@ func TestStatsEndpoint(t *testing.T) {
 	// each of degree 2, so it has no hub and keeps input order.
 	if top := census.Decomposition.Largest[0]; top.Swept != 4 || top.MaxDegree != 2 || top.MeanDegree != 2 || top.Relabelled {
 		t.Fatalf("largest sub-graph = %+v, want 4 swept vertices of degree 2 in input order", top)
+	}
+	// How it is swept: cycle B is far too small for a direction-optimizing
+	// sweep, so "hybrid" is left out; a circulant of 300 vertices and degree 6
+	// is past both of the rule's bounds, and says so.
+	if top := census.Decomposition.Largest[0]; top.Hybrid != nil {
+		t.Fatalf("largest sub-graph = %+v, want it swept top-down", top)
+	}
+	var dense [][2]int32
+	for v := int32(0); v < 300; v++ {
+		for k := int32(1); k <= 3; k++ {
+			dense = append(dense, [2]int32{v, (v + k) % 300})
+		}
+	}
+	loadAndWait(t, base, LoadSpec{Name: "dense", N: 300, Edges: dense})
+	if code := do(t, "GET", base+"/v1/graphs/dense/stats", nil, &census); code != http.StatusOK {
+		t.Fatalf("stats returned %d", code)
+	}
+	if top := census.Decomposition.Largest[0]; top.Swept != 300 || top.MeanDegree != 6 || top.Hybrid == nil || !*top.Hybrid {
+		t.Fatalf("circulant's sub-graph = %+v, want 300 swept vertices of degree 6, swept hybrid", top)
 	}
 }
 
