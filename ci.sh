@@ -161,10 +161,15 @@ echo "==> msbfs gate: batched engine bit-match, rule / forced lanes / budget 0, 
 # roots and γ seeds included), a pull reading its DAG arcs and nothing else,
 # and never a larger scan, either way, than pure top-down over whole out-rows;
 # and the rule runs at all only on sub-graphs dense enough for it (lattices and
-# directed community graphs top-down, R-MATs and dense graphs hybrid).
-run_named 'TestKernelMatchesBrandes|TestKernelBatchWidthBitInvariant' \
+# directed community graphs top-down, R-MATs and dense graphs hybrid). The lane
+# kernel keeps one record per (vertex, lane) and sums articulation-point lanes
+# apart from the others: lane words that mix both kinds of root match the
+# scalar kernel bit for bit, directed and undirected, at one and two workers,
+# and a batch that goes inexact — a full word, AP lanes and partial masks
+# included — leaves the workspace clean.
+run_named 'TestKernelMatchesBrandes|TestKernelBatchWidthBitInvariant|TestKernelDeclinesInexactSigma|TestKernelInexactFullBatchComesBackClean' \
     -race -count=1 ./internal/msbfs
-run_named 'TestMSBFSEngineBitMatchesScalar|TestMSBFSEngineDeterministic|TestDynamicSerialCutoffBoundary|TestSerialGuardKeepsServeParallel|TestHybridSweepBitNeutral|TestDirectionSwitchNeverScansMore|TestHybridGate|TestKernelRuleBoundary|TestLaneMemoryBounded|TestLaneKernelBitMatchesScalarAtScale' \
+run_named 'TestMSBFSEngineBitMatchesScalar|TestMSBFSEngineDeterministic|TestDynamicSerialCutoffBoundary|TestSerialGuardKeepsServeParallel|TestHybridSweepBitNeutral|TestDirectionSwitchNeverScansMore|TestHybridGate|TestKernelRuleBoundary|TestLaneMemoryBounded|TestLaneKernelBitMatchesScalarAtScale|TestLaneBatchesMixAPRoots' \
     -race -count=1 ./internal/core
 # Both layouts a sub-graph can have go through those gates: the R-MATs' and the
 # big community graph's tops are relabelled (hubs first, then breadth-first,

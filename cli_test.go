@@ -4,12 +4,15 @@ package repro
 // main flows, the way a user would.
 
 import (
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 var (
@@ -146,12 +149,36 @@ func TestCLIBCStats(t *testing.T) {
 			t.Fatalf("bcstats missing %q:\n%s", want, out)
 		}
 	}
+	// Which kernel re-sweeps a sub-graph: email-enron's top at ×0.5 sweeps 462
+	// vertices (lanes, inside the 64–819 band), its second 34 (scalar).
+	out = runCLI(t, "bcstats", "-dataset", "email-enron", "-scale", "0.5", "-sample", "16")
+	if rows := strings.Split(out, "\n"); !strings.HasSuffix(strings.TrimSpace(rowOf(rows, "1 ")), "lanes") ||
+		!strings.HasSuffix(strings.TrimSpace(rowOf(rows, "2 ")), "scalar") {
+		t.Fatalf("bcstats kernel column:\n%s", out)
+	}
+	var census metrics.GraphCensus
+	if err := json.Unmarshal([]byte(runCLI(t, "bcstats", "-dataset", "email-enron", "-scale", "0.5", "-sample", "16", "-json")), &census); err != nil {
+		t.Fatal(err)
+	}
+	if l := census.Decomposition.Largest; len(l) < 2 || l[0].Swept != 462 || !l[0].Lanes || l[1].Lanes {
+		t.Fatalf("bcstats -json: largest sub-graphs %+v, want the 462-vertex top on lanes and the next one not", l)
+	}
 	out = runCLI(t, "bcstats", "-dataset", "human-disease")
 	if !strings.Contains(out, "human-disease") {
 		t.Fatalf("bcstats human-disease:\n%s", out)
 	}
 	runCLIExpectError(t, "bcstats", "-dataset", "nope")
 	runCLIExpectError(t, "bcstats")
+}
+
+// rowOf returns the first line that starts with prefix.
+func rowOf(lines []string, prefix string) string {
+	for _, l := range lines {
+		if strings.HasPrefix(l, prefix) {
+			return l
+		}
+	}
+	return ""
 }
 
 func TestCLIBCBench(t *testing.T) {

@@ -84,7 +84,7 @@ func renderText(w *os.File, g *graph.Graph, c metrics.GraphCensus) {
 	fmt.Fprintf(w, "\ndecomposition (threshold=%d): %d sub-graphs, %d boundary APs, %d roots of %d vertices\n",
 		c.Decomposition.Threshold, c.Decomposition.Subgraphs,
 		c.Decomposition.BoundaryAPs, c.Decomposition.Roots, c.Verts)
-	t := &metrics.Table{Title: "largest sub-graphs", Headers: []string{"rank", "verts", "swept arcs", "V share", "swept", "max deg", "mean deg", "local ids", "sweep"}}
+	t := &metrics.Table{Title: "largest sub-graphs", Headers: []string{"rank", "verts", "swept arcs", "V share", "swept", "max deg", "mean deg", "local ids", "sweep", "kernel"}}
 	for i, sg := range c.Decomposition.Largest {
 		layout := "input order"
 		if sg.Relabelled {
@@ -94,7 +94,11 @@ func renderText(w *os.File, g *graph.Graph, c metrics.GraphCensus) {
 		if sg.Hybrid {
 			sweep = "hybrid"
 		}
-		t.AddRow(i+1, sg.Verts, sg.Arcs, metrics.Percent(sg.VertShare), sg.Swept, sg.MaxDegree, fmt.Sprintf("%.1f", sg.MeanDegree), layout, sweep)
+		kernel := "scalar"
+		if sg.Lanes {
+			kernel = "lanes"
+		}
+		t.AddRow(i+1, sg.Verts, sg.Arcs, metrics.Percent(sg.VertShare), sg.Swept, sg.MaxDegree, fmt.Sprintf("%.1f", sg.MeanDegree), layout, sweep, kernel)
 	}
 	t.Render(w)
 

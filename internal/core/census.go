@@ -64,6 +64,7 @@ func BuildCensus(name string, g *graph.Graph, d *decompose.Decomposition, opt Ce
 			MeanDegree: float64(sizes[i].Arcs) / float64(max(1, sizes[i].Swept)),
 			Relabelled: sizes[i].Relabelled,
 			Hybrid:     !g.Weighted() && sweepsHybrid(sizes[i].Swept, sizes[i].Arcs),
+			Lanes:      !g.Weighted() && sweepsLanes(sizes[i].Swept, sizes[i].Swept, false),
 		})
 	}
 	if opt.RedundancySampleK >= 0 {

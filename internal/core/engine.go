@@ -36,12 +36,12 @@ func validateEngine(weighted bool, re RootEngine) error {
 // The kernel rule. An unweighted (sub-graph, root-range) unit runs through the
 // bit-parallel kernel (internal/msbfs), a lane word of roots per traversal,
 // when it has at least msbfsMinLanes roots over a swept graph of at least
-// msbfsMinVerts vertices whose lane state — 64 lanes × 40 B of σ, δ and BC per
-// swept vertex (ws.GrowLanes) — fits laneBudget; every other unit runs one
-// root at a time through bfsRoot. Which one ran is unobservable in the output,
-// so the bounds are tuned purely for speed, and all three are vars only so
-// that tests can move them (budget 0 = scalar everywhere; ci.sh greps that
-// nothing else writes them).
+// msbfsMinVerts vertices whose lane state — ws.LaneBytesPerVert, 64 lanes ×
+// 40 B of σ, δ and BC, per swept vertex (ws.GrowLanes) — fits laneBudget; every
+// other unit runs one root at a time through bfsRoot. Which one ran is
+// unobservable in the output, so the bounds are tuned purely for speed, and all
+// three are vars only so that tests can move them (budget 0 = scalar
+// everywhere; ci.sh greps that nothing else writes them).
 //
 // laneBudget is 2 MiB, 819 swept vertices. The lane kernel shares one CSR
 // stream among 64 roots but strides every σ/δ access over 64 slots, so what
@@ -73,18 +73,21 @@ var (
 	msbfsMinVerts = 64
 )
 
-// laneBytesPerVert is the lane state of one swept vertex: σ, three δ and the
-// staged BC contribution for each of the 64 lanes.
-const laneBytesPerVert = ws.LaneWidth * 5 * 8
-
 // useLanes is the kernel rule for nr roots of sg; forced (EngineMSBFS) lifts
 // the budget, nothing else.
 func useLanes(sg *decompose.Subgraph, nr int, weighted, forced bool) bool {
-	swept := len(sg.Roots)
-	if weighted || nr < msbfsMinLanes || swept < msbfsMinVerts {
+	return !weighted && sweepsLanes(len(sg.Roots), nr, forced)
+}
+
+// sweepsLanes is the rule on an unweighted unit of nr roots over a swept graph
+// of that many vertices. runRoots (through useLanes) and the census read it, so
+// the kernel bcstats reports for a sub-graph's whole sweep — the one an edit
+// re-runs — is the kernel that runs.
+func sweepsLanes(swept, nr int, forced bool) bool {
+	if nr < msbfsMinLanes || swept < msbfsMinVerts {
 		return false
 	}
-	return forced || swept*laneBytesPerVert <= laneBudget
+	return forced || swept*ws.LaneBytesPerVert <= laneBudget
 }
 
 // engine is one worker's sweep engine: pooled per-vertex scratch plus the

@@ -64,8 +64,8 @@ func sweepUnit(t *testing.T, sg *decompose.Subgraph, roots []int32, forced bool)
 // the kernel; and on either side of every bound the scores are the scalar
 // kernel's, bit for bit.
 func TestKernelRuleBoundary(t *testing.T) {
-	fits := laneBudget / laneBytesPerVert // 819
-	if fits*laneBytesPerVert > laneBudget || (fits+1)*laneBytesPerVert <= laneBudget {
+	fits := laneBudget / ws.LaneBytesPerVert // 819
+	if fits != 819 || (fits+1)*ws.LaneBytesPerVert <= laneBudget {
 		t.Fatalf("fits = %d", fits)
 	}
 	for _, c := range []struct {
@@ -277,6 +277,66 @@ func TestLaneKernelBitMatchesScalarAtScale(t *testing.T) {
 			bcBitsEqual(t, fmt.Sprintf("%s (%d vertices, top sweeps %d) p=%d", c.name, g.NumVertices(), len(top.Roots), p), want, got)
 		}
 		sweepPool = ws.Pool{} // do not leave the forced run's lane arrays to the other tests
+	}
+}
+
+// TestLaneBatchesMixAPRoots: the lane kernel's backward step sums the lanes
+// whose root is an articulation point apart from the others — three
+// dependencies against two. On an undirected and a directed community graph
+// whose lane units carry both kinds of root in one lane word (the fixture
+// fails if none does), the rule's scores are the scalar kernel's bit for bit
+// at one and two workers: splitting the lanes changes no lane's operands or
+// their order.
+func TestLaneBatchesMixAPRoots(t *testing.T) {
+	forceParallel(t)
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"undirected", gen.SocialLike(gen.SocialParams{N: 2000, AvgDeg: 10, Communities: 134,
+			TopShare: 0.46, LeafFrac: 0.53, Seed: 5})},
+		{"directed", gen.SocialLike(gen.SocialParams{N: 3000, AvgDeg: 6, Communities: 40,
+			TopShare: 0.3, LeafFrac: 0.3, Directed: true, Reciprocity: 0.5, Seed: 5})},
+	} {
+		d, err := decompose.Decompose(c.g, decompose.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []int{1, 2} {
+			var batches, mixed int
+			for _, u := range buildUnits(d, p, p > 1, false, 0) {
+				if !useLanes(u.sg, u.hi-u.lo, false, false) {
+					continue
+				}
+				for lo := u.lo; lo < u.hi; lo += ws.LaneWidth {
+					batch := u.sg.Roots[lo:min(lo+ws.LaneWidth, u.hi)]
+					arts := 0
+					for _, r := range batch {
+						if u.sg.IsArt[r] {
+							arts++
+						}
+					}
+					batches++
+					if arts > 0 && arts < len(batch) {
+						mixed++
+					}
+				}
+			}
+			if mixed == 0 {
+				t.Fatalf("%s p=%d: none of %d lane batches mixes articulation-point and other roots", c.name, p, batches)
+			}
+			opt := Options{Workers: p}
+			var want []float64
+			scalarOnly(func() { want, err = ComputeDecomposed(d, opt) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ComputeDecomposed(d, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bcBitsEqual(t, fmt.Sprintf("%s p=%d (%d of %d lane batches mixed)", c.name, p, mixed, batches), want, got)
+		}
 	}
 }
 

@@ -36,13 +36,18 @@ type SubgraphCensus struct {
 	// least eight times MeanDegree; otherwise they are in input order. Hybrid
 	// says whether the scalar BFS sweep of this sub-graph is
 	// direction-optimizing — which core decides from Swept (at least 256) and
-	// MeanDegree (at least 4) — rather than top-down on every level; it is false
-	// on weighted graphs, which Dijkstra sweeps.
+	// MeanDegree (at least 4) — rather than top-down on every level. Lanes says
+	// whether a sweep of all of the sub-graph's roots, the one an edit inside
+	// it re-runs, takes the bit-parallel lane kernel (64 roots per traversal)
+	// rather than the scalar one: core decides it from Swept (64 to 819, the
+	// lane state fitting 2 MiB). Both are false on weighted graphs, which
+	// Dijkstra sweeps.
 	Swept      int     `json:"swept,omitempty"`
 	MaxDegree  int     `json:"max_degree,omitempty"`
 	MeanDegree float64 `json:"mean_degree,omitempty"`
 	Relabelled bool    `json:"relabelled,omitempty"`
 	Hybrid     bool    `json:"hybrid,omitempty"`
+	Lanes      bool    `json:"lanes,omitempty"`
 }
 
 // DecompositionCensus profiles the articulation-point partition.

@@ -13,13 +13,16 @@
 //	seen[v]  — lanes whose root has reached v at any depth so far
 //	mask d,v — lanes whose root reached v at exactly depth d
 //
-// and the per-lane numeric state (σ path counts, the four APGRE dependency
-// accumulators, the per-root BC contribution) lives in LaneWidth-strided
-// arrays carved out of the shared ws arena, indexed by a vertex's rank in
-// sg.Roots — the swept graph's vertices — so they hold 64 × 40 B per vertex a
-// sweep can reach and nothing for the γ-folded ids (slot rank(v)·64+l belongs
-// to lane l; Kernel.slot is the id → rank table). The mask words stay indexed
-// by id: the per-arc test below reads them and pays no indirection.
+// and the per-lane numeric state lives in two arrays carved out of the shared
+// ws arena, LaneWidth slots per vertex: ws.Sweep.LaneRec holds one ws.Record
+// per slot — σ and the three stored APGRE dependencies, packed as the scalar
+// engine packs a vertex's, because the backward step reads them together —
+// and ws.Sweep.LaneBC the per-root BC contribution the fold reads. Slots are
+// indexed by a vertex's rank in sg.Roots — the swept graph's vertices — so
+// they hold 64 × 40 B per vertex a sweep can reach and nothing for the
+// γ-folded ids (slot rank(v)·64+l belongs to lane l; Kernel.slot is the id →
+// rank table). The mask words stay indexed by id: the per-arc test below reads
+// them and pays no indirection.
 // The forward σ-BFS processes one depth level of the whole batch at a time:
 // for each vertex u in the level's union frontier, each out-arc u→w is
 // examined once, and the lanes that step from u to w fall out of one word
@@ -49,7 +52,8 @@
 //     adjacency (sg.Out) order, the scalar engine's order, and the γ and α/β
 //     seeds fold in at the same position in the sequence; float64 operations
 //     therefore replay the scalar engine's instruction stream operand for
-//     operand.
+//     operand. Running a batch's articulation-point lanes in a loop of their
+//     own reorders work across lanes, never within one.
 //   - Each lane's finished contribution is staged in a per-lane BC slot and
 //     folded into the sub-graph accumulator per vertex in ascending lane
 //     order after the batch — lane order is root order, so every BC slot
@@ -65,9 +69,9 @@
 // level in it and converts to sparse form at the level barrier; the backward
 // pass replays each level's sparse list back into it while descending.
 // All per-vertex state honours the arena's sparse-reset contract: the kernel
-// walks only the vertices the batch touched, and the per-lane δ/BC arrays
-// need no reset at all because every visited (vertex, lane) slot is written
-// before it is read.
+// walks only the vertices the batch touched, and the per-lane δ fields and BC
+// slots need no reset at all because every visited (vertex, lane) slot is
+// written before it is read.
 package msbfs
 
 import (
@@ -155,7 +159,7 @@ func (k *Kernel) Run(sg *decompose.Subgraph, roots []int32, directed bool, s *ws
 		k.slotOf = sg
 	}
 	slot := k.slot
-	sigma := s.LaneSigma
+	rec := s.LaneRec
 	seen := s.LaneSeen
 	dense := s.LaneFront
 
@@ -179,7 +183,7 @@ func (k *Kernel) Run(sg *decompose.Subgraph, roots []int32, directed bool, s *ws
 			lv0.verts = append(lv0.verts, r)
 		}
 		dense[r] |= 1 << uint(l)
-		sigma[int(slot[r])*LaneWidth+l] = 1
+		rec[int(slot[r])*LaneWidth+l].Sigma = 1
 	}
 	for _, r := range lv0.verts {
 		m := dense[r]
@@ -197,6 +201,7 @@ func (k *Kernel) Run(sg *decompose.Subgraph, roots []int32, directed bool, s *ws
 		for i, u := range curVerts {
 			um := curMasks[i]
 			ub := int(slot[u]) * LaneWidth
+			ru := rec[ub : ub+LaneWidth : ub+LaneWidth]
 			for _, w := range sg.Out(u) {
 				prop := um &^ seen[w]
 				if prop == 0 {
@@ -207,16 +212,16 @@ func (k *Kernel) Run(sg *decompose.Subgraph, roots []int32, directed bool, s *ws
 				}
 				dense[w] |= prop
 				wb := int(slot[w]) * LaneWidth
+				rw := rec[wb : wb+LaneWidth : wb+LaneWidth]
 				if prop == ^uint64(0) {
 					// All 64 lanes step together: a straight-line block add.
-					sw, su := sigma[wb:wb+LaneWidth], sigma[ub:ub+LaneWidth]
-					for l := range sw {
-						sw[l] += su[l]
+					for l := range rw {
+						rw[l].Sigma += ru[l].Sigma
 					}
 				} else {
 					for m := prop; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros64(m)
-						sigma[wb+l] += sigma[ub+l]
+						l := bits.TrailingZeros64(m) & (LaneWidth - 1)
+						rw[l].Sigma += ru[l].Sigma
 					}
 				}
 			}
@@ -242,31 +247,36 @@ func (k *Kernel) Run(sg *decompose.Subgraph, roots []int32, directed bool, s *ws
 
 	// Fold finished per-lane contributions into the sub-graph accumulator in
 	// ascending lane (= root) order per vertex, count traversed arcs, and
-	// sparse-reset σ and seen. The δ and BC lane arrays are assign-only. An
-	// inexact batch resets and folds nothing.
+	// sparse-reset σ and seen: only the lanes that saw a vertex set its σ. The
+	// δ fields and the BC lane array are assign-only. An inexact batch resets
+	// and folds nothing.
 	bcLane := s.LaneBC
 	bc := s.BC
 	for _, v := range k.touched {
 		m := seen[v]
 		vb := int(slot[v]) * LaneWidth
+		rv := rec[vb : vb+LaneWidth : vb+LaneWidth]
 		seen[v] = 0
 		if k.inexact {
-			clear(sigma[vb : vb+LaneWidth])
+			for ; m != 0; m &= m - 1 {
+				rv[bits.TrailingZeros64(m)&(LaneWidth-1)].Sigma = 0
+			}
 			continue
 		}
 		traversed += int64(len(sg.Out(v))) * int64(bits.OnesCount64(m))
+		bv := bcLane[vb : vb+LaneWidth : vb+LaneWidth]
 		if m == ^uint64(0) {
 			x := bc[v]
-			for l := vb; l < vb+LaneWidth; l++ {
-				x += bcLane[l]
-				sigma[l] = 0
+			for l := range rv {
+				x += bv[l]
+				rv[l].Sigma = 0
 			}
 			bc[v] = x
 		} else {
 			for ; m != 0; m &= m - 1 {
-				l := vb + bits.TrailingZeros64(m)
-				bc[v] += bcLane[l]
-				sigma[l] = 0
+				l := bits.TrailingZeros64(m) & (LaneWidth - 1)
+				bc[v] += bv[l]
+				rv[l].Sigma = 0
 			}
 		}
 	}
@@ -281,10 +291,16 @@ func (k *Kernel) Run(sg *decompose.Subgraph, roots []int32, directed bool, s *ws
 // deepest first. On entry the dense scratch is all zero (= the successor
 // masks of the empty level past last); while descending it always holds the
 // lane masks of level d+1 when level d is being processed.
+//
+// A vertex's 64 slots are re-sliced to exactly LaneWidth records and lane
+// numbers masked to 0…63, so the compiler proves every per-lane index in
+// bounds. The successor step runs twice per arc, once over the lanes whose
+// root is not an articulation point (two sums) and once over those whose root
+// is (three): each lane still adds its terms in sg.Out order, so splitting the
+// lanes changes no lane's operands or their order.
 func (k *Kernel) backward(sg *decompose.Subgraph, directed bool, s *ws.Sweep, last int) {
-	sigma := s.LaneSigma
+	rec := s.LaneRec
 	dense := s.LaneFront
-	di2i, di2o, do2o := s.LaneDi2i, s.LaneDi2o, s.LaneDo2o
 	bcLane := s.LaneBC
 	art, slot := k.artMask, k.slot
 	for d := last; d >= 0; d-- {
@@ -292,19 +308,17 @@ func (k *Kernel) backward(sg *decompose.Subgraph, directed bool, s *ws.Sweep, la
 		for i, v := range lvVerts {
 			vm := lvMasks[i]
 			vb := int(slot[v]) * LaneWidth
+			rv := rec[vb : vb+LaneWidth : vb+LaneWidth]
 			// Zero this vertex's active accumulator slots; like the scalar
 			// engine's locals, they then collect successor terms in sg.Out
-			// order before the seeds fold in.
+			// order before the seeds fold in. Only AP lanes add to δ_o2o, so
+			// it stays 0 in the others.
 			for m := vm; m != 0; m &= m - 1 {
-				l := vb + bits.TrailingZeros64(m)
-				if sigma[l] >= maxExactSigma {
+				x := &rv[bits.TrailingZeros64(m)&(LaneWidth-1)]
+				if x.Sigma >= maxExactSigma {
 					k.inexact = true
 				}
-				di2i[l] = 0
-				di2o[l] = 0
-			}
-			for m := vm & art; m != 0; m &= m - 1 {
-				do2o[vb+bits.TrailingZeros64(m)] = 0
+				x.Di2i, x.Di2o, x.Do2o = 0, 0, 0
 			}
 			for _, w := range sg.Out(v) {
 				sm := vm & dense[w]
@@ -312,55 +326,59 @@ func (k *Kernel) backward(sg *decompose.Subgraph, directed bool, s *ws.Sweep, la
 					continue
 				}
 				wb := int(slot[w]) * LaneWidth
-				for ; sm != 0; sm &= sm - 1 {
-					l := bits.TrailingZeros64(sm)
-					r := sigma[vb+l] / sigma[wb+l]
-					di2i[vb+l] += r * (1 + di2i[wb+l])
-					di2o[vb+l] += r * di2o[wb+l]
-					if art&(1<<uint(l)) != 0 {
-						do2o[vb+l] += r * do2o[wb+l]
-					}
+				rw := rec[wb : wb+LaneWidth : wb+LaneWidth]
+				for m := sm &^ art; m != 0; m &= m - 1 {
+					l := bits.TrailingZeros64(m) & (LaneWidth - 1)
+					x, y := &rv[l], &rw[l]
+					r := x.Sigma / y.Sigma
+					x.Di2i += r * (1 + y.Di2i)
+					x.Di2o += r * y.Di2o
+				}
+				for m := sm & art; m != 0; m &= m - 1 {
+					l := bits.TrailingZeros64(m) & (LaneWidth - 1)
+					x, y := &rv[l], &rw[l]
+					r := x.Sigma / y.Sigma
+					x.Di2i += r * (1 + y.Di2i)
+					x.Di2o += r * y.Di2o
+					x.Do2o += r * y.Do2o
 				}
 			}
 			isArtV := sg.IsArt[v]
 			alphaV := sg.Alpha[v]
 			gammaV := float64(sg.Gamma[v])
+			bv := bcLane[vb : vb+LaneWidth : vb+LaneWidth]
 			for m := vm; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros64(m)
+				l := bits.TrailingZeros64(m) & (LaneWidth - 1)
+				x := &rv[l]
 				sIsArt := art&(1<<uint(l)) != 0
 				if !directed {
-					di2i[vb+l] += gammaV // δ_i2i seed: v's folded leaves (core rootTerms.settle)
+					x.Di2i += gammaV // δ_i2i seed: v's folded leaves (core rootTerms.settle)
 				}
 				if v != k.rootAt[l] {
 					if isArtV {
-						di2o[vb+l] += alphaV // δ_i2o seed (Eq. 4)
+						x.Di2o += alphaV // δ_i2o seed (Eq. 4)
 						if sIsArt {
-							do2o[vb+l] += k.beta[l] * alphaV // δ_o2o seed (Eq. 6)
+							x.Do2o += k.beta[l] * alphaV // δ_o2o seed (Eq. 6)
 						}
 					}
-					i2i, i2o := di2i[vb+l], di2o[vb+l]
-					var o2o float64
+					contrib := (1+k.gamma[l])*(x.Di2i+x.Di2o) + x.Do2o
 					if sIsArt {
-						o2o = do2o[vb+l]
+						contrib += k.beta[l] * x.Di2i // δ_o2i = β(s)·δ_i2i (Eq. 5)
 					}
-					contrib := (1+k.gamma[l])*(i2i+i2o) + o2o
-					if sIsArt {
-						contrib += k.beta[l] * i2i // δ_o2i = β(s)·δ_i2i (Eq. 5)
-					}
-					bcLane[vb+l] = contrib
+					bv[l] = contrib
 				} else if k.gamma[l] > 0 {
-					root := di2i[vb+l] + di2o[vb+l]
+					root := x.Di2i + x.Di2o
 					if sIsArt {
 						root += alphaV // see core rootTerms.settle
 					}
 					if !directed {
 						root-- // undirected folded-leaf correction (DESIGN.md §1)
 					}
-					bcLane[vb+l] = k.gamma[l] * root
+					bv[l] = k.gamma[l] * root
 				} else {
 					// The scalar engine adds nothing for this root vertex;
 					// write the zero so the fold reads a defined slot.
-					bcLane[vb+l] = 0
+					bv[l] = 0
 				}
 			}
 		}

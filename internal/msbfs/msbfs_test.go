@@ -262,3 +262,61 @@ func TestKernelDeclinesInexactSigma(t *testing.T) {
 		}
 	}
 }
+
+// TestKernelInexactFullBatchComesBackClean: a batch that goes inexact resets
+// σ over the lanes that saw each vertex, and nothing else holds σ — so even a
+// full lane word over a sub-graph where lanes see different vertices leaves
+// the workspace clean and s.BC untouched, AP and non-AP lanes alike, and the
+// same scratch then finishes an exact batch of both kinds. The fixture is 36
+// layers of 3 with every arc pointing to the next layer, so a root reaches
+// only the layers after its own, and a directed 4-cycle hanging off every
+// ninth vertex: those vertices are articulation points and the cycles
+// sub-graphs of their own.
+func TestKernelInexactFullBatchComesBackClean(t *testing.T) {
+	var k msbfs.Kernel
+	var sw ws.Sweep
+	for _, c := range []struct {
+		layers int
+		exact  bool
+	}{{36, false}, {30, true}} {
+		base := layered(c.layers, 3)
+		n := base.NumVertices()
+		es := base.Edges()
+		for v := 0; v < base.NumVertices(); v += 9 {
+			a, b, d := graph.V(n), graph.V(n+1), graph.V(n+2)
+			es = append(es, graph.Edge{From: graph.V(v), To: a}, graph.Edge{From: a, To: b},
+				graph.Edge{From: b, To: d}, graph.Edge{From: d, To: graph.V(v)})
+			n += 3
+		}
+		dec, err := decompose.Decompose(graph.NewFromEdges(n, es, true), decompose.Options{Threshold: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sg := dec.Subgraphs[dec.TopIndex]
+		roots := sg.Roots[:msbfs.LaneWidth]
+		arts := 0
+		for _, r := range roots {
+			if sg.IsArt[r] {
+				arts++
+			}
+		}
+		if arts == 0 || arts == len(roots) {
+			t.Fatalf("%d layers: %d of %d roots are articulation points, want some of each", c.layers, arts, len(roots))
+		}
+		traversed, exact := k.Run(sg, roots, true, &sw)
+		if exact != c.exact || exact != (traversed > 0) {
+			t.Fatalf("%d layers: exact %v, traversed %d", c.layers, exact, traversed)
+		}
+		touched := false
+		for l := range sw.BC[:sg.NumVerts()] {
+			touched = touched || sw.BC[l] != 0
+			sw.BC[l] = 0
+		}
+		if touched != c.exact {
+			t.Fatalf("%d layers: exact %v but scores written %v", c.layers, exact, touched)
+		}
+		if err := sw.CheckClean(); err != nil {
+			t.Fatalf("%d layers: %v", c.layers, err)
+		}
+	}
+}

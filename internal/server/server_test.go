@@ -257,6 +257,7 @@ func TestStatsEndpoint(t *testing.T) {
 				MeanDegree float64 `json:"mean_degree"`
 				Relabelled bool    `json:"relabelled"`
 				Hybrid     *bool   `json:"hybrid"`
+				Lanes      *bool   `json:"lanes"`
 			} `json:"largest"`
 		} `json:"decomposition"`
 		Redundancy struct {
@@ -288,10 +289,11 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Fatalf("largest sub-graph = %+v, want 4 swept vertices of degree 2 in input order", top)
 	}
 	// How it is swept: cycle B is far too small for a direction-optimizing
-	// sweep, so "hybrid" is left out; a circulant of 300 vertices and degree 6
-	// is past both of the rule's bounds, and says so.
-	if top := census.Decomposition.Largest[0]; top.Hybrid != nil {
-		t.Fatalf("largest sub-graph = %+v, want it swept top-down", top)
+	// sweep or the lane kernel, so "hybrid" and "lanes" are left out; a
+	// circulant of 300 vertices and degree 6 is past both of the direction
+	// rule's bounds and inside the lane kernel's band, and says so.
+	if top := census.Decomposition.Largest[0]; top.Hybrid != nil || top.Lanes != nil {
+		t.Fatalf("largest sub-graph = %+v, want it swept top-down by the scalar kernel", top)
 	}
 	var dense [][2]int32
 	for v := int32(0); v < 300; v++ {
@@ -305,6 +307,8 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if top := census.Decomposition.Largest[0]; top.Swept != 300 || top.MeanDegree != 6 || top.Hybrid == nil || !*top.Hybrid {
 		t.Fatalf("circulant's sub-graph = %+v, want 300 swept vertices of degree 6, swept hybrid", top)
+	} else if top.Lanes == nil || !*top.Lanes {
+		t.Fatalf("circulant's sub-graph = %+v, want it re-swept by the lane kernel", top)
 	}
 }
 

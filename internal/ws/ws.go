@@ -9,13 +9,14 @@
 // and the BFS queue/order ring — sized by the largest sub-graph it has seen.
 // The lane-widened layer (GrowLanes) adds what the bit-parallel multi-source
 // kernel (internal/msbfs) batches 64 roots over: one lane-mask word pair per
-// local vertex id, and LaneWidth σ/δ/BC slots per *swept* vertex — indexed by
-// the vertex's rank in the sub-graph's root list, not by its id, so the arrays
-// are as large as the sub-graph a lane sweep last walked and never as large as
-// the biggest sub-graph the workspace has seen. A Pool hands Sweeps out to
-// workers (Get) and takes them back (Put), so steady-state computation
-// performs zero per-sweep heap allocation: the arena grows to the high-water
-// mark once and is reused by every engine, request and worker thereafter.
+// local vertex id, and LaneWidth σ/δ record and BC slots per *swept* vertex —
+// indexed by the vertex's rank in the sub-graph's root list, not by its id, so
+// the arrays are as large as the sub-graph a lane sweep last walked and never
+// as large as the biggest sub-graph the workspace has seen. A Pool hands
+// Sweeps out to workers (Get) and takes them back (Put), so steady-state
+// computation performs zero per-sweep heap allocation: the arena grows to the
+// high-water mark once and is reused by every engine, request and worker
+// thereafter.
 // The tape (GrowTape) is where a forward BFS writes down the DAG arcs it finds
 // for its own backward pass (core.bfsRoot), sized like the lanes by the
 // sub-graph that uses it and not by Cap() — one slot per swept arc, reserved
@@ -58,10 +59,14 @@
 // sub-graph's state outgrows the L2. Dist stays its own dense int32 array
 // because it is read for every arc, DAG or not, and the record only for the
 // DAG arcs that pass the level test — folding it in would leave 1.6 distances
-// per cache line, not 16, on the commoner access. Which vertices share a line
-// is not decided here: slots are indexed by a sub-graph's local ids, and
-// internal/decompose chooses their order for exactly these arrays (hubs
-// first, then breadth-first, where the input's own order is no layout).
+// per cache line, not 16, on the commoner access. The lane kernel keeps the
+// same Record per (vertex, lane) slot, LaneWidth of them per swept vertex, for
+// the same reason: per (arc, lane) its backward step reads σ and the three δ
+// of the successor's slot, one half line where four parallel arrays touched
+// four lines. Which vertices share a line is not decided here: slots are
+// indexed by a sub-graph's local ids, and internal/decompose chooses their
+// order for exactly these arrays (hubs first, then breadth-first, where the
+// input's own order is no layout).
 package ws
 
 import (
@@ -121,21 +126,27 @@ type Sweep struct {
 	// Lane-parallel scratch for the MS-BFS batched kernel (allocated by
 	// GrowLanes, independent of Cap()): LaneSeen and LaneFront hold one
 	// lane-mask word per local vertex id — the per-arc test reads them, so it
-	// pays no indirection — and LaneSigma/LaneDi2i/LaneDi2o/LaneDo2o/LaneBC
-	// hold LaneWidth slots per swept vertex (slot r*LaneWidth+l belongs to
-	// root lane l of the vertex of rank r in the sub-graph's root list).
-	// Invariants: LaneSigma, LaneSeen and LaneFront are all zero in the pool;
-	// the per-lane δ and BC arrays carry no invariant — the batched backward
-	// step assigns every visited (vertex, lane) slot exactly once per batch
-	// and the fold reads only visited slots.
-	LaneSigma []float64
-	LaneDi2i  []float64
-	LaneDi2o  []float64
-	LaneDo2o  []float64
+	// pays no indirection — and LaneRec and LaneBC hold LaneWidth slots per
+	// swept vertex (slot r*LaneWidth+l belongs to root lane l of the vertex of
+	// rank r in the sub-graph's root list). LaneRec is the scalar kernel's
+	// record per slot, for the same reason Rec is one: the backward step reads
+	// σ and the three δ of a (vertex, lane) together. LaneBC stays apart
+	// because the fold reads it, and nothing else, vertex by vertex.
+	// Invariants: every LaneRec[i].Sigma, LaneSeen and LaneFront are zero in
+	// the pool; the δ fields and LaneBC carry no invariant — the batched
+	// backward step assigns every visited (vertex, lane) slot exactly once per
+	// batch and the fold reads only visited slots.
+	LaneRec   []Record
 	LaneBC    []float64
 	LaneSeen  []uint64
 	LaneFront []uint64
 }
+
+// LaneBytesPerVert is the lane state GrowLanes holds per swept vertex: a
+// Record and a staged BC slot for each of the LaneWidth lanes (the two mask
+// words per local id come on top). Bytes counts the lane layer by it, and the
+// kernel rule's budget (internal/core) is read in it.
+const LaneBytesPerVert = LaneWidth * (int(unsafe.Sizeof(Record{})) + 8)
 
 // Cap returns the number of vertices the sweep is sized for.
 func (s *Sweep) Cap() int { return s.capV }
@@ -181,7 +192,7 @@ func (s *Sweep) growWeighted() {
 
 // GrowLanes is Grow plus the lane-parallel MS-BFS arrays for a sub-graph of n
 // local ids of which swept are in the swept graph: the mask words cover the
-// ids, the float arrays LaneWidth slots per swept vertex — 40 B × LaneWidth
+// ids, LaneRec and LaneBC LaneWidth slots per swept vertex — LaneBytesPerVert
 // per swept vertex in all, whatever Cap() is. Fresh allocations are zero,
 // which is exactly the lane invariants, so — as with Grow — a grown region is
 // indistinguishable from a sparsely reset one.
@@ -191,11 +202,8 @@ func (s *Sweep) GrowLanes(n, swept int) {
 		s.LaneSeen = make([]uint64, n)
 		s.LaneFront = make([]uint64, n)
 	}
-	if slots := swept * LaneWidth; len(s.LaneSigma) < slots {
-		s.LaneSigma = make([]float64, slots)
-		s.LaneDi2i = make([]float64, slots)
-		s.LaneDi2o = make([]float64, slots)
-		s.LaneDo2o = make([]float64, slots)
+	if slots := swept * LaneWidth; len(s.LaneRec) < slots {
+		s.LaneRec = make([]Record, slots)
 		s.LaneBC = make([]float64, slots)
 	}
 }
@@ -224,9 +232,8 @@ func (s *Sweep) Bytes() Bytes {
 	b := Bytes{
 		Base: int64(4*len(s.Dist)+8*len(s.BC)+4*cap(s.Order)+8*len(s.FDist)+len(s.Done)) +
 			int64(unsafe.Sizeof(Record{}))*int64(len(s.Rec)) + int64(unsafe.Sizeof(Level{}))*int64(cap(s.Levels)),
-		Lanes: int64(8 * (len(s.LaneSigma) + len(s.LaneDi2i) + len(s.LaneDi2o) + len(s.LaneDo2o) + len(s.LaneBC) +
-			len(s.LaneSeen) + len(s.LaneFront))),
-		Tape: int64(4*len(s.Tape) + 8*len(s.TapePos)),
+		Lanes: int64(LaneBytesPerVert*(len(s.LaneRec)/LaneWidth) + 8*(len(s.LaneSeen)+len(s.LaneFront))),
+		Tape:  int64(4*len(s.Tape) + 8*len(s.TapePos)),
 	}
 	if s.Visited != nil {
 		b.Base += int64((s.Visited.Len() + 63) >> 6 << 3)
@@ -263,9 +270,9 @@ func (s *Sweep) CheckClean() error {
 			return fmt.Errorf("ws: dirty LaneFront[%d] = %#x", v, s.LaneFront[v])
 		}
 	}
-	for l, x := range s.LaneSigma {
-		if x != 0 {
-			return fmt.Errorf("ws: dirty LaneSigma[%d] = %g (rank %d, lane %d)", l, x, l/LaneWidth, l%LaneWidth)
+	for l := range s.LaneRec {
+		if x := s.LaneRec[l].Sigma; x != 0 {
+			return fmt.Errorf("ws: dirty LaneRec[%d].Sigma = %g (rank %d, lane %d)", l, x, l/LaneWidth, l%LaneWidth)
 		}
 	}
 	return nil

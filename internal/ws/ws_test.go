@@ -73,19 +73,24 @@ func TestGrowWeighted(t *testing.T) {
 	}
 }
 
-// TestGrowLanes pins the lane layer's sizing: mask words per local id, float
-// slots per swept vertex, neither following Cap().
+// TestGrowLanes pins the lane layer's sizing — mask words per local id, one
+// record and one BC slot per (swept vertex, lane), neither following Cap() —
+// its σ invariant, and its weight: LaneBytesPerVert (40 B per lane) per swept
+// vertex, the number the kernel rule's budget is read in.
 func TestGrowLanes(t *testing.T) {
+	if LaneBytesPerVert != LaneWidth*40 {
+		t.Fatalf("LaneBytesPerVert = %d, want %d: a lane slot is a 32-byte Record and a BC slot", LaneBytesPerVert, LaneWidth*40)
+	}
 	var s Sweep
 	s.GrowLanes(8, 5)
 	if len(s.LaneSeen) != 8 || len(s.LaneFront) != 8 {
 		t.Fatalf("mask words sized %d/%d, want one per id (8)", len(s.LaneSeen), len(s.LaneFront))
 	}
-	for name, a := range map[string][]float64{"LaneSigma": s.LaneSigma, "LaneDi2i": s.LaneDi2i,
-		"LaneDi2o": s.LaneDi2o, "LaneDo2o": s.LaneDo2o, "LaneBC": s.LaneBC} {
-		if len(a) != 5*LaneWidth {
-			t.Fatalf("%s sized %d, want LaneWidth slots per swept vertex (%d)", name, len(a), 5*LaneWidth)
-		}
+	if len(s.LaneRec) != 5*LaneWidth || len(s.LaneBC) != 5*LaneWidth {
+		t.Fatalf("slots sized %d/%d, want LaneWidth per swept vertex (%d)", len(s.LaneRec), len(s.LaneBC), 5*LaneWidth)
+	}
+	if b := s.Bytes(); b.Lanes != 5*LaneWidth*(32+8)+8*(8+8) {
+		t.Fatalf("laned sweep weighs %+v", b)
 	}
 	if err := s.CheckClean(); err != nil {
 		t.Fatalf("laned sweep dirty: %v", err)
@@ -93,37 +98,44 @@ func TestGrowLanes(t *testing.T) {
 	// Plain Grow leaves the lane arrays alone: they belong to the sub-graph a
 	// lane sweep walked, not to the workspace's high-water mark.
 	s.Grow(64)
-	if len(s.LaneSigma) != 5*LaneWidth || len(s.LaneSeen) != 8 {
-		t.Fatalf("Grow resized the lane arrays: %d/%d", len(s.LaneSigma), len(s.LaneSeen))
+	if len(s.LaneRec) != 5*LaneWidth || len(s.LaneSeen) != 8 {
+		t.Fatalf("Grow resized the lane arrays: %d/%d", len(s.LaneRec), len(s.LaneSeen))
 	}
 	// A smaller request keeps what is there; a larger one grows each part on
 	// its own.
-	sigma := &s.LaneSigma[0]
+	rec := &s.LaneRec[0]
 	s.GrowLanes(6, 3)
-	if &s.LaneSigma[0] != sigma || s.Cap() != 64 {
+	if &s.LaneRec[0] != rec || s.Cap() != 64 {
 		t.Fatal("a request within the current size reallocated")
 	}
 	s.GrowLanes(100, 5)
-	if len(s.LaneSeen) != 100 || len(s.LaneSigma) != 5*LaneWidth || s.Cap() != 100 {
-		t.Fatalf("id growth: masks %d, slots %d, cap %d", len(s.LaneSeen), len(s.LaneSigma), s.Cap())
+	if len(s.LaneSeen) != 100 || len(s.LaneRec) != 5*LaneWidth || s.Cap() != 100 {
+		t.Fatalf("id growth: masks %d, slots %d, cap %d", len(s.LaneSeen), len(s.LaneRec), s.Cap())
 	}
 	s.GrowLanes(10, 9)
-	if len(s.LaneSeen) != 100 || len(s.LaneBC) != 9*LaneWidth {
-		t.Fatalf("swept growth: masks %d, slots %d", len(s.LaneSeen), len(s.LaneBC))
+	if len(s.LaneSeen) != 100 || len(s.LaneRec) != 9*LaneWidth || len(s.LaneBC) != 9*LaneWidth {
+		t.Fatalf("swept growth: masks %d, slots %d/%d", len(s.LaneSeen), len(s.LaneRec), len(s.LaneBC))
 	}
 	// A big scalar workspace does not drag lane arrays behind it.
 	var u Sweep
 	u.Grow(100000)
 	u.GrowLanes(10, 4)
-	if len(u.LaneSigma) != 4*LaneWidth || len(u.LaneSeen) != 10 {
-		t.Fatalf("lanes sized by Cap(): slots %d, masks %d", len(u.LaneSigma), len(u.LaneSeen))
+	if len(u.LaneRec) != 4*LaneWidth || len(u.LaneSeen) != 10 {
+		t.Fatalf("lanes sized by Cap(): slots %d, masks %d", len(u.LaneRec), len(u.LaneSeen))
 	}
 	if err := u.CheckClean(); err != nil {
 		t.Fatalf("regrown laned sweep dirty: %v", err)
 	}
+	// The δ fields and the staged BC carry no invariant: a sweep that leaves
+	// them behind is clean.
+	u.LaneRec[3*LaneWidth+5] = Record{Di2i: 1, Di2o: 2, Do2o: 3}
+	u.LaneBC[3*LaneWidth+5] = 4
+	if err := u.CheckClean(); err != nil {
+		t.Fatalf("δ or BC lane slots counted as dirty: %v", err)
+	}
 	// Dirty lane state must be caught, each kind on its own.
 	for _, dirty := range []func(){
-		func() { u.LaneSigma[3*LaneWidth+5] = 1 },
+		func() { u.LaneRec[3*LaneWidth+5].Sigma = 1 },
 		func() { u.LaneSeen[3] = 0xff },
 		func() { u.LaneFront[2] = 1 },
 	} {
@@ -131,7 +143,7 @@ func TestGrowLanes(t *testing.T) {
 		if err := u.CheckClean(); err == nil {
 			t.Fatal("expected dirty laned sweep")
 		}
-		u.LaneSigma[3*LaneWidth+5], u.LaneSeen[3], u.LaneFront[2] = 0, 0, 0
+		u.LaneRec[3*LaneWidth+5].Sigma, u.LaneSeen[3], u.LaneFront[2] = 0, 0, 0
 	}
 }
 
@@ -159,7 +171,7 @@ func TestGrowTape(t *testing.T) {
 		t.Fatalf("regrown tape: same slots %v, %d positions", &s.Tape[0] == tape, len(s.TapePos))
 	}
 	s.GrowLanes(8, 5)
-	if b := s.Bytes(); b.Lanes != 8*(2*8+5*5*LaneWidth) || b.Tape != 4*50+8*31 || b.Base != base {
+	if b := s.Bytes(); b.Lanes != 8*2*8+5*int64(LaneBytesPerVert) || b.Tape != 4*50+8*31 || b.Base != base {
 		t.Fatalf("laned sweep weighs %+v", b)
 	}
 	if err := s.CheckClean(); err != nil {
