@@ -334,13 +334,6 @@ func BenchmarkExtensionWeighted(b *testing.B) {
 	})
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // BenchmarkAblationRelabel measures the locality effect of vertex
 // renumbering (Cong & Makarychev [24]) on serial Brandes.
 func BenchmarkAblationRelabel(b *testing.B) {
@@ -353,26 +346,6 @@ func BenchmarkAblationRelabel(b *testing.B) {
 		b.Run(label, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				brandes.Serial(g)
-			}
-		})
-	}
-}
-
-// BenchmarkExtensionPivots measures the sampling strategies' runtime (their
-// accuracy trade-off is covered by internal/brandes tests).
-func BenchmarkExtensionPivots(b *testing.B) {
-	g := benchGraph(b, "email-enron")
-	strategies := map[string]brandes.PivotStrategy{
-		"uniform": brandes.PivotUniform,
-		"degree":  brandes.PivotDegree,
-		"maxmin":  brandes.PivotMaxMin,
-	}
-	for label, s := range strategies {
-		b.Run(label, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := brandes.SampledWith(g, g.NumVertices()/10, s, 1); err != nil {
-					b.Fatal(err)
-				}
 			}
 		})
 	}

@@ -32,10 +32,15 @@
 #   6. bcbench smokes on the smallest dataset: -table 2 and a tiny -engine
 #      sweep, whose in-run rule-vs-forced-lanes bit cross-check fails the run
 #   7. approx smoke: full-budget sampling must bit-match exact BC (the
-#      estimator's own K==n self-check on a tiny graph), plus the bcbench
-#      error-vs-speedup sweep at tiny scale
-#   8. scale smoke: streamed generation, stream-vs-mmap loads bit-compared,
-#      one budgeted -atscale family
+#      estimator's own K==n self-check on a tiny graph, and the public
+#      ApproximateBC against BetweennessCentrality), weighted input or no
+#      budget must be an error, a negative top-K must not panic, Async must be
+#      the serial successor sweep (bit for bit at one worker, under -race),
+#      plus the bcbench error-vs-speedup sweep at tiny scale
+#   8. scale smoke: streamed generation, stream-vs-mmap loads bit-compared
+#      (the loader memory bound is TestReadBinaryCSRMemoryBound's, forced
+#      lanes vs the rule the -engine smoke's and
+#      TestLaneKernelBitMatchesScalarAtScale's)
 #   9. the repository benchmark (bench/, the one ruler): the road workload
 #      must verify every answer it times, and its -corrupt self-test must
 #      fail; no BENCH_*.json artifact may be tracked at the root and neither
@@ -44,8 +49,9 @@
 #      in-place mutation path, nor the sweep-kernel knob (ParseRootEngine,
 #      EngineScalar, RunBatch, an Engine field in LoadSpec or approx.Options),
 #      the kernel rule's three bounds and the direction-optimizing sweep's two
-#      are assigned in test files only, and the
-#      layout rule's hub bound is a constant no code outside decompose names
+#      are assigned in test files only, the
+#      layout rule's hub bound is a constant no code outside decompose names,
+#      and neither a second BC sampler nor the at-scale harness comes back
 #  10. durability smoke: race-built bcd is killed with SIGKILL mid-life and
 #      must recover its graph from snapshot+WAL with bit-exact top-K
 #  11. load smoke: bcdload drives a short mixed read/mutate phase against the
@@ -234,6 +240,15 @@ go run ./cmd/bcbench -engine -datasets email-enron -scale 0.05
 
 echo "==> approx smoke: K==n bit-match + tiny error-vs-speedup sweep"
 run_named 'TestExactBudgetBitMatch|TestSeededDeterminism' -race ./internal/approx
+# internal/approx is the one estimator: the public call is it, exact bit for bit
+# at full budget, an error on weighted input or without a budget; TopK and bc
+# answer a negative k without a panic.
+run_named 'TestApproximateBC|TestApproximateBCFullBudgetIsExact|TestApproximateBCRejects|TestTopK|TestCLIBCNegativeTop' \
+    -count=1 .
+# Async runs the serial successor-pull sweep on pooled per-worker scratch: one
+# worker is SerialSuccs bit for bit, more stay within tolerance of Serial.
+run_named 'TestAsyncMatchesSerialSuccs|TestAsyncRejectsDirected' \
+    -race -count=1 ./internal/brandes
 go run ./cmd/bcbench -approx -datasets email-enron -scale 0.05
 
 echo "==> scale smoke: streamed gen -> stream + mmap loads agree bit-for-bit"
@@ -252,14 +267,6 @@ cmp "$tmp/bc_stream.txt" "$tmp/bc_mmap.txt" || {
     echo "scale smoke: streamed and mmapped loads computed different BC" >&2
     exit 1
 }
-
-echo "==> scale smoke: one budgeted at-scale family (composite-stream)"
-# One family through the full -atscale path: load probes (in-memory vs
-# streaming vs mmap, with the mmap/stream graph bit-compare inside) and the
-# sched/kernel/approx cells on a root budget, forced lanes checked against the
-# rule bit for bit.
-go run ./cmd/bcbench -atscale -scale 2 -workers 2 -datasets composite-stream \
-    -rootbudget 64 -graphdir "$tmp/atscale-graphs"
 
 echo "==> benchmark: go run ./bench -workload road (verified) and its -corrupt self-test"
 go run ./bench -workload road -trace 0
@@ -331,6 +338,13 @@ if grep -rnwE 'ParseRootEngine|EngineScalar|RunBatch' --include='*.go' .; then
 fi
 if grep -nE '^\s+Engine\s' internal/server/registry.go internal/server/wal.go internal/approx/approx.go; then
     echo "ci.sh: an Engine field is back in LoadSpec, EntryInfo, graphMeta or approx.Options" >&2
+    exit 1
+fi
+
+# Nor a second BC sampler beside internal/approx, nor the at-scale harness
+# beside bench's scale workload.
+if grep -rnwE 'SampledWith|PivotStrategy|ApproximateBCWith|ApproximateBCDecomposed|atScaleExperiment|runLoadProbe' --include='*.go' .; then
+    echo "ci.sh: a deleted sampler or the at-scale harness is back; approximate BC is internal/approx, at-scale runs are bench's" >&2
     exit 1
 fi
 

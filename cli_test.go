@@ -5,6 +5,7 @@ package repro
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -119,6 +120,23 @@ func TestCLIBCMetrics(t *testing.T) {
 	runCLIExpectError(t, "bc")
 }
 
+// TestCLIBCNegativeTop: a negative -top is a usage error (exit 2) for every
+// metric, not a slice-bounds panic.
+func TestCLIBCNegativeTop(t *testing.T) {
+	tmp := t.TempDir()
+	gpath := filepath.Join(tmp, "g.txt")
+	runCLI(t, "graphgen", "-type", "path", "-n", "8", "-o", gpath)
+	dir := buildCLIs(t)
+	for _, metric := range []string{"bc", "edge", "closeness"} {
+		out, err := exec.Command(filepath.Join(dir, "bc"), "-in", gpath, "-metric", metric, "-top", "-1").CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 ||
+			!strings.Contains(string(out), "-top must be") || strings.Contains(string(out), "panic") {
+			t.Fatalf("bc -metric %s -top -1: %v, want exit 2 naming -top:\n%s", metric, err, out)
+		}
+	}
+}
+
 func TestCLIBCWeighted(t *testing.T) {
 	tmp := t.TempDir()
 	wpath := filepath.Join(tmp, "w.txt")
@@ -187,11 +205,17 @@ func TestCLIBCBench(t *testing.T) {
 		t.Fatalf("bcbench output:\n%s", out)
 	}
 	runCLIExpectError(t, "bcbench") // no experiment selected
-	// The record/-check ledger is gone: its flags are unknown, not ignored.
+	// The record/-check ledger and the at-scale profile are gone: their flags
+	// are unknown, not ignored.
 	for _, args := range [][]string{
 		{"-json", "x", "-table", "4"},
 		{"-check", "a", "b"},
 		{"-sched"},
+		{"-atscale"},
+		{"-rootbudget", "64", "-table", "4"},
+		{"-graphdir", "x", "-table", "4"},
+		{"-loadprobe", "x.bin"},
+		{"-loadmode", "mmap", "-table", "4"},
 	} {
 		if out := runCLIExpectError(t, "bcbench", args...); !strings.Contains(out, "flag provided but not defined") {
 			t.Fatalf("bcbench %v failed for another reason:\n%s", args, out)

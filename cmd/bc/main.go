@@ -50,6 +50,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bc: -in FILE is required")
 		os.Exit(2)
 	}
+	if *topK < 0 {
+		fmt.Fprintf(os.Stderr, "bc: -top must be >= 0, got %d\n", *topK)
+		os.Exit(2)
+	}
 
 	var g *repro.Graph
 	if *useMmap {
@@ -186,7 +190,7 @@ func runApproxBC(g *repro.Graph, workers, thresh, topK, pivots int, eps float64,
 		opt.Eps = 0.05 // match bcd's default accuracy target
 	}
 	start := time.Now()
-	res, err := repro.ApproximateBCDecomposed(g, opt)
+	res, err := repro.ApproximateBC(g, opt)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bc: %v\n", err)
 		os.Exit(1)

@@ -17,14 +17,12 @@ import (
 )
 
 type config struct {
-	scale      float64
-	workers    int
-	threshold  int
-	datasets   map[string]bool
-	algos      map[string]bool
-	rootBudget int       // -atscale: total BFS-root budget per compute cell
-	graphDir   string    // -atscale: where generated .bin graphs are cached
-	out        io.Writer // defaults to os.Stdout in main; injectable in tests
+	scale     float64
+	workers   int
+	threshold int
+	datasets  map[string]bool
+	algos     map[string]bool
+	out       io.Writer // defaults to os.Stdout in main; injectable in tests
 }
 
 func (c config) w() io.Writer {

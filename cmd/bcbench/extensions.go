@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
 	"repro/internal/brandes"
@@ -27,84 +26,7 @@ func extensions(c config) error {
 		return err
 	}
 	fmt.Fprintln(c.w())
-	if err := extIncremental(c); err != nil {
-		return err
-	}
-	fmt.Fprintln(c.w())
-	return extApproximation(c)
-}
-
-// extApproximation measures the pivot strategies' top-10 recall and mean
-// relative error against exact BC at 5%/10%/20% sample rates (the Brandes &
-// Pich [20] comparison, run on the enron stand-in).
-func extApproximation(c config) error {
-	ds, err := dsByName("email-enron")
-	if err != nil {
-		return err
-	}
-	g := ds.Build(c.scale)
-	exact := brandes.Serial(g)
-	exactTop := topSet(exact, 10)
-
-	t := &metrics.Table{
-		Title:   "Extension E7+. Approximation quality (email-enron stand-in)",
-		Headers: []string{"strategy", "sample%", "recall@10", "mean rel err"},
-	}
-	strategies := []struct {
-		name string
-		s    brandes.PivotStrategy
-	}{
-		{"uniform", brandes.PivotUniform},
-		{"degree", brandes.PivotDegree},
-		{"maxmin", brandes.PivotMaxMin},
-	}
-	for _, strat := range strategies {
-		for _, frac := range []float64{0.05, 0.10, 0.20} {
-			k := int(frac * float64(g.NumVertices()))
-			approx, err := brandes.SampledWith(g, k, strat.s, 17)
-			if err != nil {
-				return err
-			}
-			hits := 0
-			for v := range topSet(approx, 10) {
-				if exactTop[v] {
-					hits++
-				}
-			}
-			var relErr float64
-			var counted int
-			for v := range exact {
-				if exact[v] > 0 {
-					d := approx[v] - exact[v]
-					if d < 0 {
-						d = -d
-					}
-					relErr += d / exact[v]
-					counted++
-				}
-			}
-			t.AddRow(strat.name, fmt.Sprintf("%.0f%%", 100*frac),
-				fmt.Sprintf("%d/10", hits), fmt.Sprintf("%.3f", relErr/float64(counted)))
-		}
-	}
-	t.Render(c.w())
-	return nil
-}
-
-func topSet(x []float64, k int) map[int]bool {
-	idx := make([]int, len(x))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return x[idx[a]] > x[idx[b]] })
-	if k > len(idx) {
-		k = len(idx)
-	}
-	out := map[int]bool{}
-	for _, i := range idx[:k] {
-		out[i] = true
-	}
-	return out
+	return extIncremental(c)
 }
 
 func extWeighted(c config) error {

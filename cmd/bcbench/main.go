@@ -15,7 +15,6 @@
 //	bcbench -engine           # kernel sweep: the per-unit rule vs lanes forced everywhere
 //	bcbench -ext              # extensions: weighted, closeness, incremental
 //	bcbench -all              # everything above, in paper order
-//	bcbench -atscale          # load paths + budgeted sweeps at -scale 100
 //
 // -scale multiplies dataset sizes (default 0.25 keeps a full -all run in
 // minutes); -datasets and -algos filter; -workers sets the thread count for
@@ -53,23 +52,11 @@ func main() {
 		ext        = flag.Bool("ext", false, "run the extension experiments (weighted, closeness, incremental)")
 		approxExp  = flag.Bool("approx", false, "run the approximate-BC error-vs-speedup sweep")
 		engineExp  = flag.Bool("engine", false, "run the kernel sweep: the per-unit kernel rule vs bit-parallel lanes forced on every unit")
-		atscale    = flag.Bool("atscale", false, "run the at-scale load/scheduler/kernel/approx profile (pair with -scale 100)")
-		rootBudget = flag.Int("rootbudget", 256, "at-scale: total BFS-root budget per compute cell (0 = full exact)")
-		graphDir   = flag.String("graphdir", "", "at-scale: cache generated .bin graphs here (default: fresh temp dir, removed)")
-		loadprobe  = flag.String("loadprobe", "", "internal: load this .bin file, print one-line JSON load metrics, exit")
-		loadmode   = flag.String("loadmode", "stream", "internal: loader for -loadprobe (inmem|stream|mmap)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		traceOut   = flag.String("trace", "", "write a runtime execution trace to this file")
 	)
 	flag.Parse()
-
-	// The load probe runs before anything else: it is the measurement child
-	// the at-scale profile spawns per load cell, and must do nothing but load
-	// and report (see atscale.go).
-	if *loadprobe != "" {
-		os.Exit(runLoadProbe(*loadprobe, *loadmode))
-	}
 
 	prof, err := profiling.Start(*cpuprofile, *memprofile, *traceOut)
 	if err != nil {
@@ -78,13 +65,11 @@ func main() {
 	}
 
 	cfg := config{
-		scale:      *scale,
-		workers:    *workers,
-		threshold:  *thresh,
-		datasets:   splitCSV(*datasets),
-		algos:      splitCSV(*algos),
-		rootBudget: *rootBudget,
-		graphDir:   *graphDir,
+		scale:     *scale,
+		workers:   *workers,
+		threshold: *thresh,
+		datasets:  splitCSV(*datasets),
+		algos:     splitCSV(*algos),
 	}
 
 	fail := func(name string, err error) {
@@ -148,13 +133,6 @@ func main() {
 	}
 	if *all || *engineExp {
 		run("engine", engineExperiment)
-		ran = true
-	}
-	// -atscale is deliberately NOT part of -all: it generates multi-million-
-	// edge graphs and belongs to its own -scale 100 invocation (see
-	// EXPERIMENTS.md "At-scale sweeps").
-	if *atscale {
-		run("atscale", atScaleExperiment)
 		ran = true
 	}
 	if !ran {

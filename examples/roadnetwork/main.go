@@ -1,7 +1,8 @@
 // Road-network analysis: rank intersections by betweenness to find the
 // corridors most traffic must pass through (the transportation use case the
-// paper cites [4]), and compare the exact APGRE result with the sampling
-// approximation used by prior GPU work.
+// paper cites [4]), and compare the exact APGRE result with a 5 % pivot
+// sample of the same decomposition (the sampling trade-off prior GPU work
+// made).
 //
 //	go run ./examples/roadnetwork
 package main
@@ -34,8 +35,12 @@ func main() {
 	fmt.Printf("exact APGRE: %v\n", time.Since(start))
 
 	start = time.Now()
-	approx := repro.ApproximateBC(g, g.NumVertices()/20, 3) // 5% sample
-	fmt.Printf("5%% sampling: %v\n", time.Since(start))
+	res, err := repro.ApproximateBC(g, repro.ApproxOptions{Pivots: g.NumVertices() / 20, Seed: 3}) // 5% sample
+	if err != nil {
+		log.Fatal(err)
+	}
+	approx := res.BC
+	fmt.Printf("5%% sampling: %v (%d pivots)\n", time.Since(start), res.Pivots)
 
 	topExact := repro.TopK(exact, 10)
 	fmt.Println("\nbusiest intersections (exact):")

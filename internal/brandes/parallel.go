@@ -278,79 +278,33 @@ func LockSyncFree(g *graph.Graph, workers int) []float64 {
 
 // Async approximates the Prountzos–Pingali asynchronous algorithm [11] at the
 // granularity the paper exploits: sources are processed concurrently by a
-// dynamic scheduler (no level barriers between sources), each worker
-// accumulating into a private BC array merged at the end. Like the original
-// Galois implementation it only handles undirected graphs.
+// dynamic scheduler (no level barriers between sources), each worker running
+// the serial successor-pull sweep on its own pooled scratch and accumulating
+// into a private BC array merged at the end, so one worker reproduces
+// SerialSuccs bit for bit. Like the original Galois implementation it only
+// handles undirected graphs.
 func Async(g *graph.Graph, workers int) ([]float64, error) {
 	if g.Directed() {
 		return nil, fmt.Errorf("brandes: async variant only supports undirected graphs")
 	}
 	n := g.NumVertices()
 	p := par.Workers(workers)
+	scratch := make([]*serialScratch, p)
 	partial := make([][]float64, p)
-	type ws struct {
-		dist  []int32
-		sigma []float64
-		delta []float64
-		order []graph.V
-	}
-	states := make([]*ws, p)
-	par.ForWorker(n, p, 1, func(w, si int) {
-		st := states[w]
-		if st == nil {
-			st = &ws{
-				dist:  make([]int32, n),
-				sigma: make([]float64, n),
-				delta: make([]float64, n),
-			}
-			for i := range st.dist {
-				st.dist[i] = -1
-			}
-			states[w] = st
+	par.ForWorker(n, p, 1, func(w, s int) {
+		if scratch[w] == nil {
+			scratch[w] = newSerialScratch(g, false)
 			partial[w] = make([]float64, n)
 		}
-		s := graph.V(si)
-		bc := partial[w]
-		// Serial Brandes iteration for this source on worker-private state.
-		st.order = st.order[:0]
-		st.dist[s] = 0
-		st.sigma[s] = 1
-		st.order = append(st.order, s)
-		for head := 0; head < len(st.order); head++ {
-			u := st.order[head]
-			for _, v := range g.Out(u) {
-				if st.dist[v] < 0 {
-					st.dist[v] = st.dist[u] + 1
-					st.order = append(st.order, v)
-				}
-				if st.dist[v] == st.dist[u]+1 {
-					st.sigma[v] += st.sigma[u]
-				}
-			}
-		}
-		for i := len(st.order) - 1; i >= 0; i-- {
-			v := st.order[i]
-			var acc float64
-			for _, w2 := range g.Out(v) {
-				if st.dist[w2] == st.dist[v]+1 {
-					acc += st.sigma[v] / st.sigma[w2] * (1 + st.delta[w2])
-				}
-			}
-			st.delta[v] = acc
-			if v != s {
-				bc[v] += acc
-			}
-		}
-		// Sparse reset along the visited order only.
-		for _, v := range st.order {
-			st.dist[v] = -1
-			st.sigma[v] = 0
-			st.delta[v] = 0
-		}
+		scratch[w].runSourceSuccs(g, graph.V(s), partial[w])
 	})
 	bc := make([]float64, n)
-	for _, part := range partial {
-		for v, x := range part {
+	for w, st := range scratch {
+		if st == nil {
+			continue
+		}
+		st.release()
+		for v, x := range partial[w] {
 			bc[v] += x
 		}
 	}

@@ -1,8 +1,8 @@
 // Package brandes implements Brandes' exact betweenness centrality algorithm
 // and the published parallel variants the paper benchmarks against (§5.1):
 // preds-serial [12], preds [12], succs [13], lockSyncFree [14], async [11]
-// and hybrid [25]/[33], plus the sampling approximation [19] mentioned for
-// GPU context.
+// and hybrid [25]/[33]. It holds no sampler: approximate BC is
+// internal/approx, which is exact at full budget.
 //
 // Conventions: scores follow the directed-sum definition
 // BC(v) = Σ_{s≠v≠t} σ_st(v)/σ_st over ordered pairs; undirected graphs count
@@ -125,7 +125,8 @@ func Serial(g *graph.Graph) []float64 {
 
 // runSourceSuccs executes one successor-pull Brandes sweep from s (no
 // predecessor lists; the backward sweep re-derives DAG successors from the
-// distance array), adding the source's dependencies into bc.
+// distance array), adding the source's dependencies into bc. SerialSuccs and
+// every Async worker run it.
 func (st *serialScratch) runSourceSuccs(g *graph.Graph, s graph.V, bc []float64) {
 	dist, rec := st.sw.Dist, st.sw.Rec
 	dist[s] = 0

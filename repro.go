@@ -11,8 +11,9 @@
 //
 // The package re-exports the graph substrate (CSR storage, generators, I/O),
 // the APGRE algorithm with its work-unit parallelism, the six published
-// baseline algorithms the paper compares against, and the analysis helpers
-// that regenerate the paper's tables and figures (see cmd/bcbench).
+// baseline algorithms the paper compares against, one approximate estimator
+// (ApproximateBC, sampling over the same decomposition), and the analysis
+// helpers that regenerate the paper's tables and figures (see cmd/bcbench).
 package repro
 
 import (
@@ -155,25 +156,21 @@ func BetweennessCentrality(g *Graph, opt Options) ([]float64, error) {
 	}
 }
 
-// ApproximateBC estimates BC from a uniform source sample (Bader et al.
-// [19]); the result is scaled to the exact magnitude.
-func ApproximateBC(g *Graph, samples int, seed int64) []float64 {
-	return brandes.Sampled(g, samples, seed)
-}
-
-// ApproxOptions configures the decomposition-aware estimator (internal/approx).
+// ApproxOptions configures ApproximateBC (internal/approx).
 type ApproxOptions = approx.Options
 
-// ApproxResult is a finished decomposition-aware estimate.
+// ApproxResult is a finished ApproximateBC estimate.
 type ApproxResult = approx.Result
 
-// ApproximateBCDecomposed estimates BC with the per-sub-graph pivot sampler
-// fused with the APGRE decomposition: sources are sampled per sub-graph and
+// ApproximateBC estimates BC with the per-sub-graph pivot sampler fused with
+// the APGRE decomposition: sources are sampled per sub-graph and
 // Horvitz–Thompson scaled while the α/β/γ boundary corrections stay exact.
-// Unlike ApproximateBC this is unbiased per vertex, reproduces exact BC when
-// the budget covers every root, and supports an adaptive eps mode
-// (ApproxOptions.Eps) with a bootstrap stopping rule. Unweighted graphs only.
-func ApproximateBCDecomposed(g *Graph, opt ApproxOptions) (*ApproxResult, error) {
+// The estimate is unbiased per vertex, reproduces exact BC bit for bit when
+// the budget covers every root, and has an adaptive eps mode
+// (ApproxOptions.Eps) with a bootstrap stopping rule. Pivots > 0 selects a
+// fixed budget, otherwise Eps > 0 an accuracy target; neither, or a weighted
+// graph, is an error.
+func ApproximateBC(g *Graph, opt ApproxOptions) (*ApproxResult, error) {
 	return approx.Estimate(g, opt)
 }
 
@@ -244,22 +241,6 @@ func Modularity(g *Graph, labels []int32) float64 {
 	return community.Modularity(g, labels)
 }
 
-// PivotStrategy selects how ApproximateBCWith chooses its sample sources.
-type PivotStrategy = brandes.PivotStrategy
-
-// The pivot-selection strategies of Brandes & Pich [20].
-const (
-	PivotUniform = brandes.PivotUniform
-	PivotDegree  = brandes.PivotDegree
-	PivotMaxMin  = brandes.PivotMaxMin
-)
-
-// ApproximateBCWith estimates BC from `samples` pivots chosen by the given
-// strategy.
-func ApproximateBCWith(g *Graph, samples int, strategy PivotStrategy, seed int64) ([]float64, error) {
-	return brandes.SampledWith(g, samples, strategy, seed)
-}
-
 // HarmonicCentrality computes H(v) = Σ 1/dist(v,t), the disconnected-robust
 // closeness variant.
 func HarmonicCentrality(g *Graph, workers int) []float64 {
@@ -314,8 +295,11 @@ type VertexScore struct {
 }
 
 // TopK returns the k highest-scoring vertices in decreasing order
-// (ties by vertex id).
+// (ties by vertex id); k < 0 gives none.
 func TopK(bc []float64, k int) []VertexScore {
+	if k < 0 {
+		return []VertexScore{}
+	}
 	all := make([]VertexScore, len(bc))
 	for v, s := range bc {
 		all[v] = VertexScore{Vertex: V(v), Score: s}

@@ -52,6 +52,9 @@ func TestTopK(t *testing.T) {
 	if got := TopK(bc, 100); len(got) != 5 {
 		t.Fatal("TopK must clamp k")
 	}
+	if got := TopK(bc, -1); got == nil || len(got) != 0 {
+		t.Fatalf("TopK(-1) = %v, want an empty slice", got)
+	}
 }
 
 func TestDecomposeAndRedundancy(t *testing.T) {
@@ -79,7 +82,11 @@ func TestDecomposeAndRedundancy(t *testing.T) {
 func TestApproximateBC(t *testing.T) {
 	g := GenerateBarabasiAlbert(200, 3, 3)
 	exact, _ := BetweennessCentrality(g, Options{Algorithm: AlgoSerial})
-	approx := ApproximateBC(g, 80, 1)
+	res, err := ApproximateBC(g, ApproxOptions{Pivots: 80, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	approx := res.BC
 	// Same argmax neighbourhood.
 	argmax := func(x []float64) int {
 		b := 0
@@ -99,6 +106,46 @@ func TestApproximateBC(t *testing.T) {
 	}
 	if rank >= 5 {
 		t.Fatalf("approximation too loose: exact rank %d", rank)
+	}
+}
+
+// TestApproximateBCFullBudgetIsExact: a budget covering every vertex runs
+// the exact one-worker schedule, so the estimate is BetweennessCentrality's
+// bit for bit.
+func TestApproximateBCFullBudgetIsExact(t *testing.T) {
+	g := GenerateSocial(SocialParams{N: 300, AvgDeg: 5, Communities: 5,
+		TopShare: 0.5, LeafFrac: 0.3, Seed: 21})
+	want, err := BetweennessCentrality(g, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ApproximateBC(g, ApproxOptions{Pivots: g.NumVertices(), Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Exact {
+		t.Fatal("full budget not flagged exact")
+	}
+	for v := range want {
+		if math.Float64bits(res.BC[v]) != math.Float64bits(want[v]) {
+			t.Fatalf("vertex %d: ApproximateBC %v != exact %v", v, res.BC[v], want[v])
+		}
+	}
+}
+
+// TestApproximateBCRejects: a weighted graph and a call that selects neither
+// a budget nor an accuracy target are errors, not hop-count estimates.
+func TestApproximateBCRejects(t *testing.T) {
+	g := GenerateSocial(SocialParams{N: 100, AvgDeg: 4, Communities: 3,
+		TopShare: 0.5, LeafFrac: 0.3, Seed: 22})
+	if _, err := ApproximateBC(AttachRandomWeights(g, 5, 1), ApproxOptions{Pivots: 20}); err == nil {
+		t.Fatal("weighted graph: want an error")
+	}
+	if _, err := ApproximateBC(g, ApproxOptions{Pivots: 0, Eps: 0}); err == nil {
+		t.Fatal("Pivots <= 0 and Eps <= 0: want an error")
+	}
+	if _, err := ApproximateBC(g, ApproxOptions{Pivots: -3, Eps: -1}); err == nil {
+		t.Fatal("negative Pivots and Eps: want an error")
 	}
 }
 
@@ -231,13 +278,6 @@ func TestNewFacadeExtensions(t *testing.T) {
 	h := HarmonicCentrality(g, 2)
 	if len(h) != 150 || h[0] < 0 {
 		t.Fatalf("harmonic = %v...", h[0])
-	}
-
-	for _, strat := range []PivotStrategy{PivotUniform, PivotDegree, PivotMaxMin} {
-		approx, err := ApproximateBCWith(g, 40, strat, 1)
-		if err != nil || len(approx) != 150 {
-			t.Fatalf("strategy %v: %v", strat, err)
-		}
 	}
 
 	// Relabeling preserves BC up to the permutation.
