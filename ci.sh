@@ -17,7 +17,8 @@
 #      whose edge-volume rule may never scan more than pure top-down; then
 #      20 s of the Incremental fuzz target (every epoch checked against serial
 #      Brandes and held bit for bit to a fresh scalar engine on its edge set,
-#      a drawn bit putting the epochs through the lane kernel)
+#      a drawn bit putting the epochs through the lane kernel) and 20 s of the
+#      Compute one (drawn bits add weights and a root budget)
 #   5. allocation gates: warm pooled sweeps (core, brandes) and the bcd
 #      top-K serving path must be allocation-free, and the workspace pool
 #      must survive 8 concurrent checkouts under -race; the pre-sweep layer
@@ -27,7 +28,9 @@
 #      every row and edits at them exact, sub-graph equality sensitive to
 #      every input of a sweep and an epoch reusing exactly the contributions
 #      whose inputs did not change, a relabelled sub-graph the reference build
-#      under its Verts map and one without a hub in input order);
+#      under its Verts map and one without a hub in input order, both written
+#      by one swept-CSR writer, and every edge list canonicalised by one
+#      routine);
 #      then a -benchmem benchmark smoke compile-and-run
 #   6. bcbench smokes on the smallest dataset: -table 2 and a tiny -engine
 #      sweep, whose in-run rule-vs-forced-lanes bit cross-check fails the run
@@ -51,7 +54,9 @@
 #      the kernel rule's three bounds and the direction-optimizing sweep's two
 #      are assigned in test files only, the
 #      layout rule's hub bound is a constant no code outside decompose names,
-#      and neither a second BC sampler nor the at-scale harness comes back
+#      neither a second BC sampler nor the at-scale harness comes back, and
+#      neither the copy → rename → strip sub-graph build nor the second
+#      edge-list canonicaliser does
 #  10. durability smoke: race-built bcd is killed with SIGKILL mid-life and
 #      must recover its graph from snapshot+WAL with bit-exact top-K
 #  11. load smoke: bcdload drives a short mixed read/mutate phase against the
@@ -140,7 +145,10 @@ echo "==> fuzz: Compute vs serial Brandes, both kernels and the sweep's three di
 # this sparse take bottom-up and push levels under the rule: pull-only,
 # push-everywhere and the rule must agree bit for bit,
 # Compute with the scalar kernel at the same worker count bit for bit, and
-# with serial Brandes.
+# with serial Brandes. Two more drawn bits give the graph integer weights
+# (held to weighted serial Brandes) and the run a root budget (held to the
+# scalar kernel bit for bit, and to the unbudgeted run when it covers every
+# root).
 go test -run '^$' -fuzz FuzzComputeMatchesBrandes -fuzztime 20s ./internal/core
 
 echo "==> scheduler gate: BC vs serial Brandes at workers 1,2,4(,8) under -race"
@@ -189,6 +197,11 @@ run_named 'TestEpochReusesUntouchedContributions|TestCensusNamesTheLayout' \
 # meta.json still carries one recovers bit-identical to a fresh engine.
 run_named 'TestEngineBitMatch|TestEngineExactBudgetBitMatch|TestLoadEngineBitMatchAndEcho|TestMutateEngineBitMatch|TestRecoverIgnoresLegacyEngineField|TestErrorPaths|TestGrowLanes|TestGrowTape' \
     -race -count=1 ./internal/approx ./internal/server ./internal/ws
+# A hostile load spec fails alone: an inline n outside [0, 2³¹] is a 400 at
+# Load, before any build is queued, a build that panics anyway fails its own
+# entry with the panic's text, and the daemon goes on loading and serving.
+run_named 'TestRegistryRejectsHostileInlineN|TestRunBuildRecoversPanic|TestHostileInlineNIs400' \
+    -race -count=1 ./internal/server
 
 echo "==> alloc gates: warm sweeps and the top-K serving path allocate zero"
 run_named 'TestRootSweepWarmAllocs|TestSerialSweepWarmAllocs|TestTopKServingWarmAllocs|TestPoolRace|TestPoolBytes' \
@@ -196,15 +209,19 @@ run_named 'TestRootSweepWarmAllocs|TestSerialSweepWarmAllocs|TestTopKServingWarm
 
 echo "==> pre-sweep gates: linear Decompose, builder and mirror check vs their oracles"
 # Everything between a graph file and the first sweep is O(n+m) with no
-# per-arc temporary: Decompose's allocation count has no term in arcs, and
-# the relabelling builder and the cursor mirror check agree with the
-# straightforward formulations kept in their test files.
-run_named 'TestDecomposeAllocs|TestBuilderMatchesOracle|TestAdjacentBoundaryAPs|TestMirrorCheckMatchesOracle' \
+# per-arc temporary: Decompose's allocation count has no term in arcs, the
+# sub-graph builder — one swept-CSR writer for both layouts — and the cursor
+# mirror check agree with the straightforward formulations kept in their test
+# files, and an edge list, shuffled with duplicates and self-loops, comes out
+# of the one canonicaliser as the edge set's sorted rows.
+run_named 'TestDecomposeAllocs|TestBuilderMatchesOracle|TestAdjacentBoundaryAPs|TestMirrorCheckMatchesOracle|TestEdgeListsCanonicalize' \
     -count=1 ./internal/decompose ./internal/graph
 # The sweep's vertex order: a sub-graph with a hub is the reference build under
 # its Verts map whatever order its local ids are in (rows ascending, folded ids
 # the tail, LocalID its inverse, two builds equal), the order is the one the
-# rule spells, and a sub-graph without a hub keeps the input layout.
+# rule spells, and a sub-graph without a hub keeps the input layout — which the
+# writer fills with its folded vertices among the swept ones, so this gate, the
+# oracle above and the two below pin the writer on that layout too.
 run_named 'TestRelabelIsIsomorphism|TestRelabelOrder|TestNoHubKeepsInputOrder' \
     -count=1 ./internal/decompose
 # α/β is a composition along the sub-graph/AP forest: equal to the per-AP BFS
@@ -345,6 +362,14 @@ fi
 # beside bench's scale workload.
 if grep -rnwE 'SampledWith|PivotStrategy|ApproximateBCWith|ApproximateBCDecomposed|atScaleExperiment|runLoadProbe' --include='*.go' .; then
     echo "ci.sh: a deleted sampler or the at-scale harness is back; approximate BC is internal/approx, at-scale runs are bench's" >&2
+    exit 1
+fi
+
+# Nor the second sub-graph build (rows copied under global ids, renamed in
+# place, then stripped of the folded vertices) beside the one swept-CSR writer,
+# nor a second edge-list canonicaliser beside graph.NewFromCSRUnsorted.
+if grep -rnE 'func \(s \*Subgraph\) strip|sortAndDedup' --include='*.go' .; then
+    echo "ci.sh: Subgraph.strip or sortAndDedup is back; decompose writes swept rows once, NewFromCSRUnsorted canonicalises every edge list" >&2
     exit 1
 fi
 

@@ -161,32 +161,44 @@ func lanesForFuzz(t *testing.T) RootEngine {
 }
 
 // FuzzComputeMatchesBrandes is ROADMAP 5(i)'s batch half: a small graph, a
-// directed bit, a threshold, DisableGamma, one or two workers and a kernel,
-// with Compute held to serial Brandes and to the scalar kernel at the same
-// worker count bit for bit, and the scalar sweep's three direction modes — the
-// rule, pull only, every level bottom-up and pushing — held to each other bit
-// for bit. hybridMinVerts and hybridMinDegree are lowered for the run so that
-// sub-graphs this size and this sparse take bottom-up and push levels under the
-// rule at all, and the serial guard dropped so that the second worker is real.
+// directed bit, a threshold, DisableGamma, one or two workers, a kernel,
+// weights and a root budget, with Compute held to serial Brandes and to the
+// scalar kernel at the same worker count bit for bit, and the scalar sweep's
+// three direction modes — the rule, pull only, every level bottom-up and
+// pushing — held to each other bit for bit. hybridMinVerts and hybridMinDegree
+// are lowered for the run so that sub-graphs this size and this sparse take
+// bottom-up and push levels under the rule at all, and the serial guard
+// dropped so that the second worker is real.
+//
+// A weighted graph is swept with Dijkstra, so it is held to
+// brandes.WeightedSerial and to the scalar run only: there is no lane kernel
+// or direction mode to compare. A budgeted run's scores are a prefix of the
+// roots' contributions, not BC, so it is held to the scalar kernel bit for bit
+// and, when the budget covers every root, to the unbudgeted run.
 //
 // Encoding: n = 2 + nb%47 vertices; edges is byte pairs (u, v) taken mod n,
-// self-loops dropped; flags bit 0 directed, bit 1 DisableGamma, bit 2 a second
-// worker, bit 3 the lane kernel for every sweep (lanesForFuzz).
+// self-loops dropped; threshold 1 + th%8; flags bit 0 directed, bit 1
+// DisableGamma, bit 2 a second worker, bit 3 the lane kernel for every
+// unweighted sweep (lanesForFuzz), bit 4 integer weights in [1, 4]
+// (gen.WithRandomWeights, seeded by th), bit 5 a RootBudget of 1 + th/8.
 func FuzzComputeMatchesBrandes(f *testing.F) {
 	oldMin, oldDeg, oldCut := hybridMinVerts, hybridMinDegree, dynamicSerialCutoff
 	hybridMinVerts, hybridMinDegree, dynamicSerialCutoff = 2, 0, 0
 	f.Cleanup(func() { hybridMinVerts, hybridMinDegree, dynamicSerialCutoff = oldMin, oldDeg, oldCut })
 	for _, g := range []*graph.Graph{gen.Star(8), gen.Path(7), gen.Lollipop(5, 4), gen.Caveman(3, 5, false),
 		gen.Grid2D(5, 5), gen.ErdosRenyi(40, 160, false, 3)} {
-		for flags := byte(0); flags < 16; flags++ {
+		for flags := byte(0); flags < 64; flags++ {
 			f.Add(byte(g.NumVertices()-2), flags, byte(2), fuzzEdges(g))
+			if flags&32 != 0 { // a budget of 32: every root of the smaller shapes
+				f.Add(byte(g.NumVertices()-2), flags, byte(250), fuzzEdges(g))
+			}
 		}
 	}
 	// Sub-graphs with a hub, which decompose lays out hubs first and not in
 	// input order: a wheel, a fan and a lattice under an apex have one read
 	// either way, the caveman under a planted star read as directed. Every
 	// kernel, direction mode and worker count above must hold on that layout
-	// too.
+	// too, and the weighted copies' Dijkstra sweeps.
 	for _, c := range []struct {
 		shape      *graph.Graph
 		n          int
@@ -197,23 +209,47 @@ func FuzzComputeMatchesBrandes(f *testing.F) {
 		if c.undirected {
 			seedRelabels(f, edges, c.n, false, 3)
 		}
-		for flags := byte(0); flags < 16; flags++ {
+		for flags := byte(0); flags < 32; flags++ {
 			f.Add(byte(c.n-2), flags, byte(2), edges)
 		}
 	}
 	f.Fuzz(func(t *testing.T, nb, flags, th byte, edges []byte) {
 		n := 2 + int(nb)%47
 		directed, disableGamma, workers := flags&1 != 0, flags&2 != 0, 1+int(flags>>2&1)
+		weighted, budgeted := flags&16 != 0, flags&32 != 0
 		g := graph.NewFromEdges(n, fuzzGraphEdges(edges, n, 6*n), directed)
+		if weighted {
+			g = gen.WithRandomWeights(g, 4, int64(th))
+		}
 		opt := Options{Workers: workers, Threshold: 1 + int(th)%8, DisableGamma: disableGamma}
-		if flags&8 != 0 {
+		if flags&8 != 0 && !weighted {
 			opt.RootEngine = lanesForFuzz(t)
 		}
+		var full Breakdown
+		opt.Breakdown = &full
 		got, err := Compute(g, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
+		opt.Breakdown = nil
 		bcBitsEqual(t, "Compute vs the scalar kernel", computeScalar(t, g, opt), got)
+		if budgeted {
+			opt.RootBudget = 1 + int(th)/8
+			part, err := Compute(g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bcBitsEqual(t, "budgeted Compute vs the scalar kernel", computeScalar(t, g, opt), part)
+			if int64(opt.RootBudget) >= full.Roots {
+				bcBitsEqual(t, "a budget covering every root vs none", got, part)
+			}
+		}
+		if weighted {
+			if i, ok := bcClose(brandes.WeightedSerial(g), got, 1e-9); !ok {
+				t.Fatalf("Compute differs from weighted Brandes at vertex %d: %v", i, got[i])
+			}
+			return
+		}
 		if i, ok := bcClose(brandes.Serial(g), got, 1e-9); !ok {
 			t.Fatalf("Compute differs from Brandes at vertex %d: %v", i, got[i])
 		}

@@ -407,7 +407,8 @@ func TestSnapshotEpochImmutable(t *testing.T) {
 // decomposition inside its sub-graph) and reads every score and every row of
 // it. The caveman writer removes and restores a clique edge, a non-leaf edit
 // in a dense sub-graph; the leafWorld writer joins and parts two folded
-// leaves, so every edit changes what a sub-graph's strip takes out.
+// leaves, so every edit changes which vertices a sub-graph's swept rows leave
+// out.
 func TestIncrementalConcurrentReaders(t *testing.T) {
 	for _, tc := range []struct {
 		name string

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/bcc"
 	"repro/internal/gen"
@@ -303,9 +304,10 @@ func matchOracle(t *testing.T, label string, g *graph.Graph, disableGamma bool, 
 	}
 }
 
-// TestBuilderMatchesOracle holds buildSubgraphs — both of its builds, the
-// fold and the strip — to the reference builder through matchOracle on every
-// build of forEachBuild, some of whose sub-graphs are relabelled and most not.
+// TestBuilderMatchesOracle holds buildSubgraphs — the fold, both layouts and
+// the one writer of their swept rows — to the reference builder through
+// matchOracle on every build of forEachBuild, some of whose sub-graphs are
+// relabelled and most not.
 // At threshold 1 arcs between two boundary APs (neither end has a home group
 // to go by) occur; the test fails if none did.
 func TestBuilderMatchesOracle(t *testing.T) {
@@ -342,15 +344,15 @@ func TestBuilderMatchesOracle(t *testing.T) {
 		t.Fatal("no arc joined two boundary articulation points: that case went untested")
 	}
 	if layouts[false] == 0 || layouts[true] == 0 {
-		t.Fatalf("%d sub-graphs in the input layout and %d relabelled: one build went untested", layouts[false], layouts[true])
+		t.Fatalf("%d sub-graphs in the input layout and %d relabelled: one layout went untested", layouts[false], layouts[true])
 	}
 }
 
 // TestFoldedVerticesLeaveTheRows pins what the sweep kernels rely on, on every
 // build of forEachBuild: a γ-folded vertex has an empty Out and In row and
 // occurs in no row, every other vertex is a root, γ counts exactly the folded
-// vertices, and stripping only ever shrinks the adjacency. (That the rows left
-// are the right ones is TestBuilderMatchesOracle's half.)
+// vertices, and the swept rows never hold more arcs than the graph. (That the
+// rows are the right ones is TestBuilderMatchesOracle's half.)
 func TestFoldedVerticesLeaveTheRows(t *testing.T) {
 	folds := map[bool]int{}
 	forEachBuild(t, func(label string, g *graph.Graph, th int, d *Decomposition) {
@@ -458,6 +460,47 @@ func TestAdjacentBoundaryAPs(t *testing.T) {
 			t.Fatalf("sub-graph %d: %d vertices, %d arcs; want %d and %d",
 				sg.ID, sg.NumVerts(), sg.NumArcs(), wantVerts, wantArcs)
 		}
+	}
+}
+
+// TestHubOfManyGroupsStaysLinear: a windmill's hub is a boundary AP of every
+// blade, each blade a group of its own, so a build that read the hub's whole
+// row once per group it joins would be quadratic in the blades. Ten times the
+// blades must cost about ten times the time (min of three), not a hundred:
+// the bound, 40×, sits between the two.
+func TestHubOfManyGroupsStaysLinear(t *testing.T) {
+	windmill := func(blades int32) *graph.Graph {
+		var edges []graph.Edge
+		for i := int32(0); i < blades; i++ {
+			a, b := 1+2*i, 2+2*i
+			edges = append(edges, graph.Edge{From: 0, To: a}, graph.Edge{From: 0, To: b}, graph.Edge{From: a, To: b})
+		}
+		return graph.NewFromEdges(int(2*blades+1), edges, false)
+	}
+	// best is the least of three builds, or the first one over limit.
+	best := func(g *graph.Graph, limit time.Duration) time.Duration {
+		var min time.Duration
+		for range 3 {
+			start := time.Now()
+			d := mustDecompose(t, g, Options{})
+			if dt := time.Since(start); min == 0 || dt < min {
+				min = dt
+			}
+			if len(d.Subgraphs) != g.NumVertices()/2 {
+				t.Fatalf("%d sub-graphs, want one per blade (%d)", len(d.Subgraphs), g.NumVertices()/2)
+			}
+			if min > limit {
+				break
+			}
+		}
+		return min
+	}
+	small := best(windmill(10_000), time.Hour)
+	large := best(windmill(100_000), 40*small)
+	t.Logf("10⁴ blades %v, 10⁵ blades %v (%.1f×)", small, large, float64(large)/float64(small))
+	if large > 40*small {
+		t.Fatalf("10× the blades took %.0f× the time (%v vs %v): the build is not linear in the hub's groups",
+			float64(large)/float64(small), large, small)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package decompose implements the paper's graph partition (Algorithm 1,
 // GRAPHPARTITION): it splits a graph into sub-graphs along articulation
-// points by contracting the block-cut tree with a size threshold, builds a
+// points by contracting the block-cut tree with a size threshold, writes a
 // local CSR per sub-graph (in O(|V|+|E|) with no sort; see buildSubgraphs),
 // and computes the three per-articulation-point quantities the APGRE
 // dependencies need:
@@ -12,17 +12,18 @@
 //	            in the undirected case)
 //
 // What a finished Subgraph stores is its swept graph: the γ-folded vertices
-// keep their local ids but their arcs are stripped from the CSR (see
+// keep their local ids but none of their arcs is in the CSR (see
 // Subgraph.Out), because nothing a sweep computes at them is unknown.
 //
 // The order of a sub-graph's local ids is this package's choice, made for the
 // sweep's cache behaviour (relabel.go, DESIGN.md §4 "The sweep's vertex
 // order"): a sub-graph whose swept graph has a hub is laid out hubs first, the
 // rest breadth-first from them, folded vertices last; one without keeps the
-// input's order, local ids monotone in global ids. Either way every row
-// ascends, Arts and Roots are in global-id order, and the layout is a function
-// of the sub-graph's own vertices and arcs. Nothing outside this package can
-// tell which it got except through Verts and Relabelled.
+// input's order, local ids monotone in global ids. Either way one routine
+// writes the swept rows, once and under the final ids, so every row ascends;
+// Arts and Roots are in global-id order, and the layout is a function of the
+// sub-graph's own vertices and arcs. Nothing outside this package can tell
+// which it got except through Verts and Relabelled.
 //
 // Deviation from the paper, documented in DESIGN.md: disconnected inputs are
 // decomposed per connected component (each component gets its own top block)
@@ -64,7 +65,7 @@ type Options struct {
 	Threshold int
 	// Workers is unused: nothing in the decomposition runs in parallel since
 	// α/β became a composition over the incidence forest. It stays only while
-	// bench/, which sets it, is frozen (ROADMAP 6a).
+	// bench/, which sets it, is frozen (ROADMAP item 2(iii)).
 	Workers int
 	// DisableGamma turns off total-redundancy elimination (every vertex
 	// stays a root and γ ≡ 0); used by the ablation benchmarks.
@@ -77,8 +78,8 @@ type Options struct {
 // Timings records how long the two preprocessing phases took. They are
 // adjacent intervals that tile the call: Partition runs from Decompose's
 // first instruction on a non-empty graph to the last finished sub-graph —
-// FINDBCC, the block merge and buildSubgraphs with its γ fold, strip and
-// relabel — and AlphaBeta from there to the return, so the two sum to the
+// FINDBCC, the block merge and buildSubgraphs with its γ fold, layout and
+// swept rows — and AlphaBeta from there to the return, so the two sum to the
 // call's wall clock as a caller times it (bench's decompose.total_s).
 type Timings struct {
 	Partition time.Duration
@@ -138,8 +139,8 @@ type Subgraph struct {
 // NumVerts returns the number of local vertices.
 func (s *Subgraph) NumVerts() int { return len(s.Verts) }
 
-// NumArcs returns the number of swept arcs: the local out-arcs left after the
-// γ-folded vertices' arcs were stripped.
+// NumArcs returns the number of swept arcs: the local out-arcs of the
+// sub-graph without its γ-folded vertices.
 func (s *Subgraph) NumArcs() int64 { return s.offs[len(s.Verts)] }
 
 // Out returns the out-neighbors of local vertex l in the swept graph: the

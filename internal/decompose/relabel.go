@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"slices"
 
-	"repro/internal/bcc"
 	"repro/internal/graph"
 )
 
@@ -17,19 +16,18 @@ import (
 // hasHub tells the two apart from the sub-graph alone, and relabel lays the
 // second kind out for the cache.
 
-// sweptDegree returns the out-degree local vertex l will have in the swept
-// graph, while offs still holds the unswept row sizes of the input layout
-// (buildSubgraphs, pass 2) and fold has run: a folded vertex keeps no arc, an
-// undirected vertex loses the leaves folded into it, and a directed folded
-// vertex, having no in-arc, was in no row to begin with.
-func (s *Subgraph) sweptDegree(l int32) int64 {
-	switch {
-	case s.foldedInto[l] >= 0:
-		return 0
-	case s.directed:
-		return s.offs[l+1]
-	default:
-		return s.offs[l+1] - int64(s.Gamma[l])
+// sweptDegrees turns offs[l+1] from row l's unswept size in the input layout
+// (buildSubgraphs, pass 2), once fold has run, into its size in the swept
+// graph: a folded vertex keeps no arc, an undirected vertex loses the leaves
+// folded into it, and a directed folded vertex, having no in-arc, was in no
+// row to begin with.
+func (s *Subgraph) sweptDegrees() {
+	for l, into := range s.foldedInto {
+		if into >= 0 {
+			s.offs[l+1] = 0
+		} else if !s.directed {
+			s.offs[l+1] -= int64(s.Gamma[l])
+		}
 	}
 }
 
@@ -39,22 +37,21 @@ func isHub(degree, arcs int64, swept int) bool {
 }
 
 // hasHub reports whether s's swept graph has a vertex of out-degree at least
-// hubRatio times the mean; s is as sweptDegree needs it.
+// hubRatio times the mean; offs holds the swept degrees (sweptDegrees).
 func (s *Subgraph) hasHub() bool {
 	var arcs, most int64
-	for _, l := range s.Roots {
-		deg := s.sweptDegree(l)
+	for _, deg := range s.offs[1:] {
 		arcs += deg
 		most = max(most, deg)
 	}
 	return isHub(most, arcs, len(s.Roots))
 }
 
-// relabel finishes the build of a sub-graph with a hub: it chooses the local
-// ids, moves everything indexed by them, and writes the swept CSR under them.
-// On entry s is as fold left it — input layout, unswept row sizes in offs, no
-// adjacency yet — and local maps every vertex of s to its local id there; on
-// return local maps them to the new ids.
+// relabel lays out a sub-graph with a hub: it chooses the local ids and moves
+// everything indexed by them, offs[l+1] — the swept out-degree of l — among
+// them. On entry s is in the input layout with no adjacency yet, and local
+// maps every vertex of s to its local id there; on return local maps them to
+// the new ids.
 //
 // The order: the hubs (isHub) by descending swept degree; then the rest of the
 // swept graph breadth-first from them, rows read in input order, restarting
@@ -70,22 +67,9 @@ func (s *Subgraph) hasHub() bool {
 // addresses, and Roots, which stays in global-id order so that a root-budget
 // prefix, a scheduler's root range and approx's pivots name the same vertices
 // under either layout.
-//
-// The rows need no sort. Row u of the swept graph is the set of w with an arc
-// u->w; walking w in ascending new id over its in-arcs in g (an undirected
-// graph's in-arcs are its out-arcs) appends w to each such row in ascending
-// order. An arc of a boundary AP is s's when its block is in s's group.
-func (s *Subgraph) relabel(g *graph.Graph, res *bcc.Result, blockGroup, home, local []int32) {
+func (s *Subgraph) relabel(g *graph.Graph, owner *apArcs, local []int32) {
 	nl, ns := len(s.Verts), len(s.Roots)
 	group := int32(s.ID)
-	// foreign reports whether the arc between x, a boundary AP of s, and y
-	// belongs to another group: y's home, if it has one, else their block's.
-	foreign := func(x, y graph.V) bool {
-		if h := home[y]; h >= 0 {
-			return h != group
-		}
-		return blockGroup[res.EdgeBlock(x, y)] != group
-	}
 	order := make([]int32, ns, nl) // new id -> input-layout id
 	perm := make([]int32, nl)      // and back
 	tmp := make([]int32, nl)       // swept degrees, then a copy of the array being moved
@@ -96,8 +80,8 @@ func (s *Subgraph) relabel(g *graph.Graph, res *bcc.Result, blockGroup, home, lo
 	// folded vertices' places are known beforehand, the hubs' once sorted.
 	var arcs int64
 	for l, v := range s.Verts {
-		tmp[l] = int32(s.sweptDegree(int32(l)))
-		arcs += int64(tmp[l])
+		tmp[l] = int32(s.offs[l+1])
+		arcs += s.offs[l+1]
 		if s.foldedInto[l] >= 0 {
 			local[v] = ^int32(len(order))
 			order = append(order, int32(l))
@@ -126,7 +110,7 @@ func (s *Subgraph) relabel(g *graph.Graph, res *bcc.Result, blockGroup, home, lo
 		v := s.Verts[order[head]]
 		art := s.IsArt[order[head]]
 		for _, w := range g.Out(v) {
-			if art && foreign(v, w) {
+			if art && owner.group(v, w) != group {
 				continue
 			}
 			if lw := local[w]; lw >= 0 {
@@ -138,14 +122,7 @@ func (s *Subgraph) relabel(g *graph.Graph, res *bcc.Result, blockGroup, home, lo
 	}
 	for i, l := range order {
 		perm[l] = int32(i)
-	}
-
-	// Until the rows are written offs[l+1] is where row l's next arc goes:
-	// its start now, its end — row l+1's start — once it is full.
-	offs := s.offs
-	offs[0], offs[1] = 0, 0
-	for i, l := range order[:nl-1] {
-		offs[i+2] = offs[i+1] + int64(tmp[l])
+		s.offs[i+1] = int64(tmp[l])
 	}
 	copy(tmp, s.Verts)
 	for i, l := range order {
@@ -170,34 +147,4 @@ func (s *Subgraph) relabel(g *graph.Graph, res *bcc.Result, blockGroup, home, lo
 	for k, l := range s.Roots {
 		s.Roots[k] = perm[l]
 	}
-
-	adj := make([]int32, arcs)
-	var wts []float64
-	if g.Weighted() {
-		wts = make([]float64, arcs)
-	}
-	for w := int32(0); int(w) < ns; w++ {
-		x := s.Verts[w]
-		art := s.IsArt[w]
-		var weights []float64
-		if wts != nil {
-			weights = g.InWeights(x)
-		}
-		for i, y := range g.In(x) {
-			if art && foreign(x, y) {
-				continue
-			}
-			u := local[y]
-			if int(u) >= ns {
-				continue // a folded leaf of x
-			}
-			pos := offs[u+1]
-			offs[u+1] = pos + 1
-			adj[pos] = w
-			if weights != nil {
-				wts[pos] = weights[i]
-			}
-		}
-	}
-	s.adj, s.wts = adj, wts
 }

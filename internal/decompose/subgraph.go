@@ -17,34 +17,33 @@ import (
 // each of them; a vertex in no block is isolated and joins none. Groups
 // receive their vertices in increasing global id (passes 1 and 2), which also
 // sizes every row, and that is enough to fold the γ leaves and know every
-// swept degree before a single arc is stored. From there a group takes one of
-// two builds, by what its swept graph looks like (hasHub):
-//
-//   - without a hub, the input layout: local ids monotone in global ids, every
-//     local row the input row relabelled — already sorted, weights parallel by
-//     position — and then stripped of the folded vertices. An arc belongs to
-//     the group of its undirected edge's block (bcc.Result.EdgeBlock): for a
-//     home vertex that is the whole row; a boundary AP's row is dealt out arc
-//     by arc through a group-indexed table of row cursors set from the AP's
-//     own (group, local id) list, so each pass reads the row once however many
-//     groups the AP joins (passes 3 and 4);
-//   - with one, the layout relabel chooses for the cache, its rows written
-//     once, swept and under their final ids, in place of the input-order ones.
+// swept degree before a single arc is stored. An arc belongs to the group of
+// its undirected edge's block (apArcs.group): for a home vertex that is the
+// whole row; a boundary AP's row is counted out, and its in-arcs dealt, arc by
+// arc through a group-indexed table, so pass 2 reads an AP's rows the same
+// few times however many groups it joins. Then each group keeps the input
+// layout, local ids monotone in global ids, or, when its swept graph has a hub
+// (hasHub), takes the layout relabel chooses for the cache; either way
+// writeRows writes its swept rows once, under their final ids.
 func buildSubgraphs(d *Decomposition, g *graph.Graph, res *bcc.Result, blockGroup []int32, numGroups int, disableGamma bool) {
 	n := g.NumVertices()
 	const isolated, boundary = -1, -2
 
 	// Pass 1: classify the vertices and size the groups. A boundary AP gets
-	// one entry per group it joins, contiguous in apGroup (and, from pass 2,
-	// apLocal): local[v] indexes apFirst, whose consecutive values bracket
-	// v's entries, until pass 4 rewrites it. For every other vertex local[v]
-	// is its local id in its home group.
+	// one entry per group it joins, contiguous in apGroup: local[v] indexes
+	// apFirst, whose consecutive values bracket v's entries, until the last
+	// loop rewrites it. For every other vertex local[v] is its local id in its
+	// home group.
+	if g.Directed() {
+		g.EnsureTranspose()
+	}
 	home := make([]int32, n)
 	local := make([]int32, n)
 	vertOff := make([]int32, numGroups+1)
 	artOff := make([]int32, numGroups+1)
 	var apGroup []int32
 	apFirst := []int32{0}
+	var apInArcs int64
 	lastAP := make([]int32, numGroups) // last boundary AP entered into each group
 	for i := range lastAP {
 		lastAP[i] = -1
@@ -77,6 +76,7 @@ func buildSubgraphs(d *Decomposition, g *graph.Graph, res *bcc.Result, blockGrou
 		}
 		local[v] = int32(len(apFirst) - 1)
 		apFirst = append(apFirst, int32(len(apGroup)))
+		apInArcs += int64(g.InDegree(graph.V(v)))
 	}
 	d.NumArticulation = len(apFirst) - 1
 	for gr := 0; gr < numGroups; gr++ {
@@ -105,28 +105,54 @@ func buildSubgraphs(d *Decomposition, g *graph.Graph, res *bcc.Result, blockGrou
 	}
 	d.Subgraphs = subs
 
-	// Pass 2: hand out local ids in id order and size every local row.
-	apLocal := make([]int32, len(apGroup))
-	rowAt := make([]int64, numGroups) // the current AP's row cursor in each of its groups
+	// Pass 2: hand out local ids in id order and size every local row: after
+	// it offs[l+1] is row l's size in the input, unswept. A boundary AP's
+	// in-arcs are dealt to its groups too (apArcs).
+	owner := &apArcs{
+		res: res, blockGroup: blockGroup, home: home, artOff: artOff,
+		slotEntry: make([]int32, artOff[numGroups]),
+		inOff:     make([]int64, len(apGroup)+1),
+		in:        make([]int32, apInArcs),
+	}
+	rowAt := make([]int64, numGroups) // the current AP's row size, then in-arc cursor, in each of its groups
 	for v := graph.V(0); int(v) < n; v++ {
 		switch h := home[v]; h {
 		case isolated:
 		case boundary:
 			lo, hi := apFirst[local[v]], apFirst[local[v]+1]
 			for e := lo; e < hi; e++ {
-				sg := subs[apGroup[e]]
-				apLocal[e] = int32(len(sg.Verts))
+				gr := apGroup[e]
+				sg := subs[gr]
+				l := int32(len(sg.Verts))
+				owner.slotEntry[artOff[gr]+int32(len(sg.Arts))] = e
 				sg.Verts = append(sg.Verts, v)
-				sg.IsArt[apLocal[e]] = true
-				sg.Arts = append(sg.Arts, apLocal[e])
+				sg.IsArt[l] = true
+				sg.Arts = append(sg.Arts, l)
 			}
 			for _, w := range g.Out(v) {
-				rowAt[blockGroup[res.EdgeBlock(v, w)]]++
+				rowAt[owner.group(v, w)]++
 			}
 			for e := lo; e < hi; e++ {
 				gr := apGroup[e]
-				subs[gr].offs[apLocal[e]+1] = rowAt[gr]
+				subs[gr].offs[len(subs[gr].Verts)] = rowAt[gr]
 				rowAt[gr] = 0
+			}
+			in := g.In(v)
+			for _, y := range in {
+				rowAt[owner.group(v, y)]++
+			}
+			for e := lo; e < hi; e++ {
+				gr := apGroup[e]
+				owner.inOff[e+1] = owner.inOff[e] + rowAt[gr]
+				rowAt[gr] = owner.inOff[e]
+			}
+			for i, y := range in {
+				gr := owner.group(v, y)
+				owner.in[rowAt[gr]] = int32(i)
+				rowAt[gr]++
+			}
+			for e := lo; e < hi; e++ {
+				rowAt[apGroup[e]] = 0
 			}
 		default:
 			sg := subs[h]
@@ -136,80 +162,122 @@ func buildSubgraphs(d *Decomposition, g *graph.Graph, res *bcc.Result, blockGrou
 		}
 	}
 
-	// Fold the γ leaves (Theorem 3's total-redundancy elimination) and pick
-	// each group's build. A group that keeps the input layout gets its rows at
-	// their unswept size, for passes 3 and 4 to fill and strip to cut down.
-	if g.Directed() {
-		g.EnsureTranspose()
-	}
-	weighted := g.Weighted()
-	for _, sg := range subs {
-		sg.fold(g, disableGamma)
-		if sg.relabelled = sg.hasHub(); sg.relabelled {
-			continue
-		}
-		for l := range sg.Verts {
-			sg.offs[l+1] += sg.offs[l]
-		}
-		sg.adj = make([]int32, sg.offs[len(sg.Verts)])
-		if weighted {
-			sg.wts = make([]float64, len(sg.adj))
-		}
-	}
-
-	// Pass 3: copy every arc of the input-layout groups to its row, still
-	// under its global target id.
-	for v := graph.V(0); int(v) < n; v++ {
-		switch h := home[v]; h {
-		case isolated:
-		case boundary:
-			lo, hi := apFirst[local[v]], apFirst[local[v]+1]
-			for e := lo; e < hi; e++ {
-				rowAt[apGroup[e]] = subs[apGroup[e]].offs[apLocal[e]]
-			}
-			base := g.ArcBase(v)
-			for i, w := range g.Out(v) {
-				gr := blockGroup[res.EdgeBlock(v, w)]
-				sg := subs[gr]
-				if sg.relabelled {
-					continue
-				}
-				sg.adj[rowAt[gr]] = w
-				if weighted {
-					sg.wts[rowAt[gr]] = g.ArcWeight(base + int64(i))
-				}
-				rowAt[gr]++
-			}
-		default:
-			sg := subs[h]
-			if sg.relabelled {
-				continue
-			}
-			at := sg.offs[local[v]]
-			copy(sg.adj[at:], g.Out(v))
-			if weighted {
-				copy(sg.wts[at:], g.OutWeights(v))
-			}
-		}
-	}
-
-	// Pass 4: finish the groups one by one. Home vertices' entries of local
-	// are final in the input layout; each group overwrites its boundary APs'
-	// entries before reading them. An input-layout group relabels its rows in
-	// place and strips them; relabel does the rest of the others' build.
+	// Finish the groups one by one: fold the γ leaves (Theorem 3's
+	// total-redundancy elimination), choose the layout and write the swept
+	// rows. Home vertices' entries of local are input-layout ids from pass 2;
+	// each group overwrites its boundary APs' entries before reading them.
 	for _, sg := range subs {
 		for _, l := range sg.Arts {
 			local[sg.Verts[l]] = l
 		}
-		if sg.relabelled {
-			sg.relabel(g, res, blockGroup, home, local)
+		sg.fold(g, disableGamma)
+		sg.sweptDegrees()
+		if sg.relabelled = sg.hasHub(); sg.relabelled {
+			sg.relabel(g, owner, local)
+		}
+		sg.writeRows(g, owner, local)
+	}
+}
+
+// apArcs tells which group an arc of a boundary AP belongs to — the group of
+// the arc's block (bcc.Result.EdgeBlock) — and holds each boundary AP's
+// in-arcs dealt to its groups, so that a group reads only its own share of an
+// AP's row: read whole once per group, the row of a hub that joins k groups
+// would cost k times its length.
+type apArcs struct {
+	res              *bcc.Result
+	blockGroup, home []int32
+	// The in-arcs of a boundary AP v that belong to one of its groups, its
+	// entry e there, are g.In(v)[i] for i in in[inOff[e]:inOff[e+1]],
+	// ascending. slotEntry maps group gr's k-th boundary AP, slot
+	// artOff[gr]+k, to its entry.
+	artOff, slotEntry []int32
+	inOff             []int64
+	in                []int32
+}
+
+// group returns the group of the arc between x, a boundary AP, and y: y's
+// home, if it has one, else their block's.
+func (o *apArcs) group(x, y graph.V) int32 {
+	if h := o.home[y]; h >= 0 {
+		return h
+	}
+	return o.blockGroup[o.res.EdgeBlock(x, y)]
+}
+
+// inArcs returns the positions in g.In(x) of the in-arcs of x, a boundary AP
+// of s, that belong to s. s.Arts is in global-id order under either layout.
+func (o *apArcs) inArcs(s *Subgraph, x graph.V) []int32 {
+	k, _ := sort.Find(len(s.Arts), func(k int) int { return int(x) - int(s.Verts[s.Arts[k]]) })
+	e := o.slotEntry[o.artOff[s.ID]+int32(k)]
+	return o.in[o.inOff[e]:o.inOff[e+1]]
+}
+
+// writeRows writes s's swept CSR under its final local ids, which local maps
+// s's vertices to; on entry offs[l+1] is vertex l's swept out-degree.
+//
+// The rows need no sort. Row u of the swept graph is the set of swept w with
+// an arc u->w; walking w in ascending local id over its in-arcs in g (an
+// undirected graph's in-arcs are its out-arcs) appends w to each such row in
+// ascending order. A boundary AP's in-arcs are the ones owner dealt to s, and
+// an arc from a folded vertex is in no row: relabel puts the folded vertices
+// last, where an id test finds them; in the input layout they lie among the
+// others, but only a vertex with γ > 0 has one among its in-arcs.
+func (s *Subgraph) writeRows(g *graph.Graph, owner *apArcs, local []int32) {
+	offs, foldedInto := s.offs, s.foldedInto
+	// Until the rows are written offs[l+1] is where row l's next arc goes:
+	// its start now, its end — row l+1's start — once it is full.
+	var arcs int64
+	for l := 1; l < len(offs); l++ {
+		deg := offs[l]
+		offs[l] = arcs
+		arcs += deg
+	}
+	adj := make([]int32, arcs)
+	var wts []float64
+	if g.Weighted() {
+		wts = make([]float64, arcs)
+	}
+	swept := int32(len(s.Verts)) // local ids from here on are folded
+	if s.relabelled {
+		swept = int32(len(s.Roots))
+	}
+	for w := int32(0); w < swept; w++ {
+		if foldedInto[w] >= 0 {
 			continue
 		}
-		for i, w := range sg.adj {
-			sg.adj[i] = local[w]
+		x := s.Verts[w]
+		in := g.In(x)
+		var weights []float64
+		if wts != nil {
+			weights = g.InWeights(x)
 		}
-		sg.strip()
+		art := s.IsArt[w]
+		var mine []int32 // an AP's in-arcs in s, by position in in
+		n := len(in)
+		if art {
+			mine = owner.inArcs(s, x)
+			n = len(mine)
+		}
+		mayFold := !s.relabelled && s.Gamma[w] > 0
+		for j := 0; j < n; j++ {
+			i := j
+			if art {
+				i = int(mine[j])
+			}
+			u := local[in[i]]
+			if u >= swept || mayFold && foldedInto[u] >= 0 {
+				continue // a folded leaf of x
+			}
+			pos := offs[u+1]
+			offs[u+1] = pos + 1
+			adj[pos] = w
+			if weights != nil {
+				wts[pos] = weights[i]
+			}
+		}
 	}
+	s.adj, s.wts = adj, wts
 }
 
 // LocalID returns the local id of global vertex v in sg, or -1. In the input
@@ -279,45 +347,3 @@ func (s *Subgraph) fold(g *graph.Graph, disableGamma bool) {
 // Folded reports whether local vertex l is γ-folded: out of the root set and
 // out of the swept graph.
 func (s *Subgraph) Folded(l int32) bool { return s.foldedInto[l] >= 0 }
-
-// strip takes the folded vertices out of the CSR in place, leaving the swept
-// graph: a folded vertex's row becomes empty and the rows of the vertices it
-// was folded into lose it. Only those rows are filtered — a directed folded
-// vertex has no in-arc, an undirected one occurs in its parent's row alone —
-// and every other row moves down as a block.
-func (s *Subgraph) strip() {
-	if len(s.Roots) == len(s.Verts) {
-		return
-	}
-	var at int64
-	for l := range s.Verts {
-		lo, hi := s.offs[l], s.offs[l+1]
-		s.offs[l] = at
-		switch {
-		case s.foldedInto[l] >= 0:
-		case s.directed || s.Gamma[l] == 0:
-			if at != lo {
-				copy(s.adj[at:], s.adj[lo:hi])
-				if s.wts != nil {
-					copy(s.wts[at:], s.wts[lo:hi])
-				}
-			}
-			at += hi - lo
-		default:
-			for i := lo; i < hi; i++ {
-				if w := s.adj[i]; s.foldedInto[w] < 0 {
-					s.adj[at] = w
-					if s.wts != nil {
-						s.wts[at] = s.wts[i]
-					}
-					at++
-				}
-			}
-		}
-	}
-	s.offs[len(s.Verts)] = at
-	s.adj = s.adj[:at]
-	if s.wts != nil {
-		s.wts = s.wts[:at]
-	}
-}

@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // NewFromCSR adopts a prebuilt CSR directly — no edge list, no copy. It is
@@ -108,7 +108,7 @@ func NewFromCSRUnsorted(n int, offs []int64, adj []V, directed bool) *Graph {
 			panic(fmt.Sprintf("graph: vertex %d: non-monotone offsets", u))
 		}
 		row := adj[lo:hi]
-		sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
+		slices.Sort(row)
 		newOffs[u] = w
 		for i, v := range row {
 			if v < 0 || int(v) >= n {

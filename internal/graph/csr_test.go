@@ -98,6 +98,76 @@ func TestNewFromCSRUnsortedCanonicalizes(t *testing.T) {
 	}
 }
 
+// TestEdgeListsCanonicalize: one canonicaliser builds every graph. A random
+// edge set, listed shuffled with duplicates, reversed duplicates and
+// self-loops mixed in, comes out of NewFromEdges — and its arcs, shuffled
+// within their rows, out of NewFromCSRUnsorted — as the strictly ascending
+// rows of the edge set itself, which NewFromCSR's validation accepts,
+// directed and undirected.
+func TestEdgeListsCanonicalize(t *testing.T) {
+	const n = 60
+	r := rand.New(rand.NewSource(5))
+	for _, directed := range []bool{false, true} {
+		rows := make([]map[V]bool, n)
+		for u := range rows {
+			rows[u] = map[V]bool{}
+		}
+		var edges []Edge
+		for len(edges) < 400 {
+			u, v := V(r.Intn(n)), V(r.Intn(n))
+			edges = append(edges, Edge{u, v})
+			switch r.Intn(4) {
+			case 0:
+				edges = append(edges, Edge{u, v})
+			case 1:
+				edges = append(edges, Edge{v, u}, Edge{u, u})
+			}
+		}
+		r.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+		for _, e := range edges {
+			if e.From != e.To {
+				rows[e.From][e.To] = true
+				if !directed {
+					rows[e.To][e.From] = true
+				}
+			}
+		}
+		offs := make([]int64, n+1)
+		var adj []V
+		for u, row := range rows {
+			for v := range row {
+				adj = append(adj, v)
+			}
+			slices.Sort(adj[offs[u]:])
+			offs[u+1] = int64(len(adj))
+		}
+		want, err := NewFromCSR(n, offs, adj, directed)
+		if err != nil {
+			t.Fatalf("directed=%v: the oracle's CSR is not canonical: %v", directed, err)
+		}
+		same := func(label string, g *Graph) {
+			t.Helper()
+			if !slices.Equal(g.offs, want.offs) || !slices.Equal(g.adj, want.adj) || g.Directed() != directed {
+				t.Fatalf("directed=%v: %s differs from the edge set's canonical rows", directed, label)
+			}
+		}
+		g := NewFromEdges(n, edges, directed)
+		same("NewFromEdges", g)
+		var raw []V
+		rawOffs := make([]int64, n+1)
+		for u := 0; u < n; u++ {
+			raw = append(raw, g.Out(V(u))...)
+			if g.OutDegree(V(u)) > 0 {
+				raw = append(raw, g.Out(V(u))[0], V(u)) // a duplicate and a self-loop
+			}
+			row := raw[rawOffs[u]:]
+			r.Shuffle(len(row), func(i, j int) { row[i], row[j] = row[j], row[i] })
+			rawOffs[u+1] = int64(len(raw))
+		}
+		same("NewFromCSRUnsorted", NewFromCSRUnsorted(n, rawOffs, raw, directed))
+	}
+}
+
 func TestNewFromCSRUnsortedPanics(t *testing.T) {
 	mustPanic := func(name string, fn func()) {
 		defer func() {

@@ -9,6 +9,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -44,77 +45,36 @@ type Graph struct {
 // {u,v} is stored as the two arcs u->v and v->u regardless of input order,
 // and duplicate opposite-order inputs collapse. Edges with endpoints outside
 // [0, n) cause a panic, since silent truncation would corrupt experiments.
+// The arcs are counted and placed row by row, and NewFromCSRUnsorted makes
+// the rows canonical.
 func NewFromEdges(n int, edges []Edge, directed bool) *Graph {
 	if n < 0 {
 		panic("graph: negative vertex count")
 	}
+	offs := make([]int64, n+1)
 	for _, e := range edges {
 		if e.From < 0 || int(e.From) >= n || e.To < 0 || int(e.To) >= n {
 			panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", e.From, e.To, n))
 		}
-	}
-	// Count arcs.
-	deg := make([]int64, n+1)
-	addArc := func(u, v V) { deg[u+1]++ }
-	for _, e := range edges {
-		if e.From == e.To {
-			continue
-		}
-		addArc(e.From, e.To)
+		offs[e.From+1]++
 		if !directed {
-			addArc(e.To, e.From)
+			offs[e.To+1]++
 		}
 	}
-	offs := make([]int64, n+1)
 	for i := 0; i < n; i++ {
-		offs[i+1] = offs[i] + deg[i+1]
+		offs[i+1] += offs[i]
 	}
 	adj := make([]V, offs[n])
-	cur := make([]int64, n)
-	put := func(u, v V) {
-		adj[offs[u]+cur[u]] = v
-		cur[u]++
-	}
+	next := slices.Clone(offs[:n])
 	for _, e := range edges {
-		if e.From == e.To {
-			continue
-		}
-		put(e.From, e.To)
+		adj[next[e.From]] = e.To
+		next[e.From]++
 		if !directed {
-			put(e.To, e.From)
+			adj[next[e.To]] = e.From
+			next[e.To]++
 		}
 	}
-	g := &Graph{n: n, directed: directed, offs: offs, adj: adj}
-	g.sortAndDedup()
-	return g
-}
-
-// sortAndDedup sorts each adjacency list and removes duplicates, compacting
-// the CSR arrays in place.
-func (g *Graph) sortAndDedup() {
-	newOffs := make([]int64, g.n+1)
-	w := int64(0)
-	for u := 0; u < g.n; u++ {
-		lo, hi := g.offs[u], g.offs[u+1]
-		row := g.adj[lo:hi]
-		sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
-		start := w
-		for i := range row {
-			if i > 0 && row[i] == row[i-1] {
-				continue
-			}
-			g.adj[w] = row[i]
-			w++
-		}
-		newOffs[u] = start
-	}
-	newOffs[g.n] = w
-	// newOffs[u] currently holds start positions; shift into offsets form.
-	offs := make([]int64, g.n+1)
-	copy(offs, newOffs)
-	offs[g.n] = w
-	g.offs = offs
-	g.adj = g.adj[:w:w]
+	return NewFromCSRUnsorted(n, offs, adj, directed)
 }
 
 // NumVertices returns the number of vertices.

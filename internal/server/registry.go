@@ -355,24 +355,12 @@ func (r *Registry) runBuild(j buildJob) {
 		fail("canceled", fmt.Errorf("server: load aborted by shutdown: %w", err))
 		return
 	}
-	g := j.pre
-	if g == nil {
-		var err error
-		g, err = buildGraph(j.spec)
-		if err != nil {
-			fail("error", err)
-			return
-		}
-	}
-	if err := r.ctx.Err(); err != nil {
-		fail("canceled", fmt.Errorf("server: load aborted by shutdown: %w", err))
-		return
-	}
-	inc, err := core.NewIncremental(g, core.Options{Threshold: j.e.threshold})
+	inc, status, err := r.buildEngine(j)
 	if err != nil {
-		fail("error", err)
+		fail(status, err)
 		return
 	}
+	g := inc.Graph()
 
 	// Only an entry still registered (not Unloaded mid-build, registry not
 	// closing) gets durable state and a mutation worker; a detached entry
@@ -432,6 +420,29 @@ func (r *Registry) runBuild(j buildJob) {
 	}
 	r.notifyLoadDone("ok")
 	r.notifyCount(r.NumReady())
+}
+
+// buildEngine materializes the graph (or takes the recovered one) and builds
+// its first epoch; status is what fail records if err is not nil.
+// A panic in either — an input Load's checks let through — fails this build
+// with the panic's text instead of taking the daemon down.
+func (r *Registry) buildEngine(j buildJob) (inc *core.Incremental, status string, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			inc, status, err = nil, "error", fmt.Errorf("server: build of %q panicked: %v", j.e.name, p)
+		}
+	}()
+	g := j.pre
+	if g == nil {
+		if g, err = buildGraph(j.spec); err != nil {
+			return nil, "error", err
+		}
+	}
+	if err := r.ctx.Err(); err != nil {
+		return nil, "canceled", fmt.Errorf("server: load aborted by shutdown: %w", err)
+	}
+	inc, err = core.NewIncremental(g, core.Options{Threshold: j.e.threshold})
+	return inc, "error", err
 }
 
 // initDurable creates the entry's durable directory and writes the
@@ -512,6 +523,9 @@ func (r *Registry) Load(spec LoadSpec) (*Entry, error) {
 	if spec.Dataset == "" && spec.Path == "" && len(spec.Edges) == 0 {
 		return nil, fmt.Errorf("server: load spec needs one of dataset, path or edges")
 	}
+	if spec.N < 0 || spec.N > 1<<31 {
+		return nil, &vertexCountError{N: spec.N}
+	}
 	threshold := spec.Threshold
 	if threshold <= 0 {
 		threshold = r.cfg.DefaultThreshold
@@ -536,6 +550,15 @@ func (r *Registry) Load(spec LoadSpec) (*Entry, error) {
 		r.notifyOverload("build")
 		return nil, &OverloadError{Op: "build", Name: spec.Name, RetryAfter: r.cfg.RetryAfter}
 	}
+}
+
+// vertexCountError reports an inline n outside [0, 2³¹] — the bound graphio
+// applies to a binary file's header, vertex ids being int32. HTTP answers it
+// with 400 before any build is queued.
+type vertexCountError struct{ N int }
+
+func (e *vertexCountError) Error() string {
+	return fmt.Sprintf("server: inline vertex count n=%d outside [0,%d]", e.N, 1<<31)
 }
 
 // ConflictError reports a Load against a name already in use.

@@ -245,3 +245,50 @@ func TestBuildGraphInlineEdges(t *testing.T) {
 		t.Fatal("negative vertex accepted")
 	}
 }
+
+// TestRegistryRejectsHostileInlineN: an inline n outside [0, 2³¹] is a typed
+// error at Load, before anything is queued or registered — n = 2⁶² used to
+// reach graph.NewFromEdges in the build worker and panic the daemon.
+func TestRegistryRejectsHostileInlineN(t *testing.T) {
+	r := NewRegistry(Config{})
+	defer r.Close()
+	for _, n := range []int{1 << 62, 1<<31 + 1, -1} {
+		spec := LoadSpec{Name: "huge", N: n, Edges: [][2]int32{{0, 1}}}
+		_, err := r.Load(spec)
+		var count *vertexCountError
+		if !errors.As(err, &count) || count.N != n {
+			t.Fatalf("n=%d: err = %v, want a vertexCountError", n, err)
+		}
+		if r.Get("huge") != nil {
+			t.Fatalf("n=%d: the rejected spec was registered", n)
+		}
+	}
+	e, err := r.Load(triangleSpec("after"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info := waitState(t, e); info.State != StateReady {
+		t.Fatalf("state after the rejections = %s (%s), want ready", info.State, info.Error)
+	}
+}
+
+// TestRunBuildRecoversPanic: a build that panics — here the n Load rejects,
+// handed to the worker directly — fails its own entry with the panic's text,
+// and the registry goes on building.
+func TestRunBuildRecoversPanic(t *testing.T) {
+	r := NewRegistry(Config{})
+	defer r.Close()
+	e := &Entry{name: "boom", state: StateLoading}
+	r.runBuild(buildJob{e: e, spec: LoadSpec{Name: "boom", N: 1 << 62, Edges: [][2]int32{{0, 1}}}})
+	if info := e.Info(); info.State != StateFailed || !strings.Contains(info.Error, "panicked") ||
+		!strings.Contains(info.Error, "makeslice") {
+		t.Fatalf("info = %+v, want failed with the panic's text", info)
+	}
+	e2, err := r.Load(triangleSpec("after"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info := waitState(t, e2); info.State != StateReady {
+		t.Fatalf("state after the panic = %s (%s), want ready", info.State, info.Error)
+	}
+}

@@ -361,6 +361,31 @@ func TestErrorPaths(t *testing.T) {
 	}
 }
 
+// TestHostileInlineNIs400: the request that used to panic the build worker
+// and kill the daemon is a 400, and the daemon goes on loading and serving.
+func TestHostileInlineNIs400(t *testing.T) {
+	ts, _ := newTestServer(t)
+	base := ts.URL
+	resp, err := http.Post(base+"/v1/graphs", "application/json",
+		strings.NewReader(`{"name":"x","n":4611686018427387904,"edges":[[0,1]]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body errorBody
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body.Error, "n=4611686018427387904") {
+		t.Fatalf("hostile n: %d %q, want 400 naming n", resp.StatusCode, body.Error)
+	}
+	if code := do(t, "GET", base+"/v1/graphs/x", nil, nil); code != http.StatusNotFound {
+		t.Fatalf("rejected graph x: status %d, want 404", code)
+	}
+	loadAndWait(t, base, LoadSpec{Name: "g", N: lifecycleN, Edges: lifecycleEdges})
+	assertBitIdentical(t, "after the hostile load", fetchScores(t, base, "g"), lifecycleGraph(nil, nil))
+}
+
 // TestConcurrentMutateQuery hammers one graph with concurrent mutations and
 // queries; run under -race this is the serving subsystem's thread-safety
 // proof. Each mutator toggles its own private edge an even number of times,
