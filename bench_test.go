@@ -333,20 +333,3 @@ func BenchmarkExtensionWeighted(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkAblationRelabel measures the locality effect of vertex
-// renumbering (Cong & Makarychev [24]) on serial Brandes.
-func BenchmarkAblationRelabel(b *testing.B) {
-	base := benchGraph(b, "com-youtube")
-	bfsG := graph.Relabel(base, graph.BFSOrder(base))
-	degG := graph.Relabel(base, graph.DegreeOrder(base))
-	for label, g := range map[string]*graph.Graph{
-		"original": base, "bfs-order": bfsG, "degree-order": degG,
-	} {
-		b.Run(label, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				brandes.Serial(g)
-			}
-		})
-	}
-}

@@ -18,7 +18,8 @@
 #      20 s of the Incremental fuzz target (every epoch checked against serial
 #      Brandes and held bit for bit to a fresh scalar engine on its edge set,
 #      a drawn bit putting the epochs through the lane kernel) and 20 s of the
-#      Compute one (drawn bits add weights and a root budget)
+#      Compute one (drawn bits add weights, a root budget and the estimator
+#      at full budget)
 #   5. allocation gates: warm pooled sweeps (core, brandes) and the bcd
 #      top-K serving path must be allocation-free, and the workspace pool
 #      must survive 8 concurrent checkouts under -race; the pre-sweep layer
@@ -56,7 +57,9 @@
 #      layout rule's hub bound is a constant no code outside decompose names,
 #      neither a second BC sampler nor the at-scale harness comes back, and
 #      neither the copy → rename → strip sub-graph build nor the second
-#      edge-list canonicaliser does
+#      edge-list canonicaliser does, nor the surface APGRE did not accelerate
+#      (edge BC, Girvan–Newman, harmonic closeness, whole-graph relabels,
+#      internal/bfs)
 #  10. durability smoke: race-built bcd is killed with SIGKILL mid-life and
 #      must recover its graph from snapshot+WAL with bit-exact top-K
 #  11. load smoke: bcdload drives a short mixed read/mutate phase against the
@@ -148,7 +151,8 @@ echo "==> fuzz: Compute vs serial Brandes, both kernels and the sweep's three di
 # with serial Brandes. Two more drawn bits give the graph integer weights
 # (held to weighted serial Brandes) and the run a root budget (held to the
 # scalar kernel bit for bit, and to the unbudgeted run when it covers every
-# root).
+# root); a third runs approx.Estimate at a full pivot budget, held to the
+# scalar kernel bit for bit.
 go test -run '^$' -fuzz FuzzComputeMatchesBrandes -fuzztime 20s ./internal/core
 
 echo "==> scheduler gate: BC vs serial Brandes at workers 1,2,4(,8) under -race"
@@ -262,6 +266,11 @@ run_named 'TestExactBudgetBitMatch|TestSeededDeterminism' -race ./internal/appro
 # answer a negative k without a panic.
 run_named 'TestApproximateBC|TestApproximateBCFullBudgetIsExact|TestApproximateBCRejects|TestTopK|TestCLIBCNegativeTop' \
     -count=1 .
+# Closeness counts hops and has one engine: bc answers a weighted graph with an
+# error (exit 1), and -approx or a BC -algo beside -metric closeness with a
+# usage error (exit 2), never with scores.
+run_named 'TestCLIClosenessRejectsWeighted|TestCLIClosenessRejectsBCFlags|TestClosenessFacade|TestDecomposedRejectsWeighted' \
+    -count=1 . ./internal/closeness
 # Async runs the serial successor-pull sweep on pooled per-worker scratch: one
 # worker is SerialSuccs bit for bit, more stay within tolerance of Serial.
 run_named 'TestAsyncMatchesSerialSuccs|TestAsyncRejectsDirected' \
@@ -370,6 +379,15 @@ fi
 # nor a second edge-list canonicaliser beside graph.NewFromCSRUnsorted.
 if grep -rnE 'func \(s \*Subgraph\) strip|sortAndDedup' --include='*.go' .; then
     echo "ci.sh: Subgraph.strip or sortAndDedup is back; decompose writes swept rows once, NewFromCSRUnsorted canonicalises every edge list" >&2
+    exit 1
+fi
+
+# Nor the surface APGRE does not accelerate: edge BC and Girvan–Newman, harmonic
+# closeness, whole-graph relabels and the BFS package whose only callers were
+# test oracles.
+if grep -rnwE 'EdgeBetweenness|EdgeBCParallel|GirvanNewman|DetectCommunities|HarmonicCentrality|RelabelBFS|RelabelByDegree|BFSOrder|DegreeOrder' --include='*.go' . ||
+    grep -rnE '"repro/internal/(community|bfs)"' --include='*.go' .; then
+    echo "ci.sh: a deleted extension (edge BC, communities, harmonic, whole-graph relabel, internal/bfs) is back" >&2
     exit 1
 fi
 

@@ -83,6 +83,18 @@ func runCLIExpectError(t *testing.T, name string, args ...string) string {
 	return string(out)
 }
 
+// runCLIExit runs a command that must fail and returns its exit code and
+// combined output.
+func runCLIExit(t *testing.T, name string, args ...string) (int, string) {
+	t.Helper()
+	out, err := exec.Command(filepath.Join(buildCLIs(t), name), args...).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) {
+		t.Fatalf("%s %v: %v, want a non-zero exit:\n%s", name, args, err, out)
+	}
+	return exit.ExitCode(), string(out)
+}
+
 func TestCLIGraphgenAndBC(t *testing.T) {
 	tmp := t.TempDir()
 	gpath := filepath.Join(tmp, "g.txt")
@@ -112,9 +124,6 @@ func TestCLIBCMetrics(t *testing.T) {
 	if out := runCLI(t, "bc", "-in", gpath, "-metric", "closeness", "-top", "3"); !strings.Contains(out, "closeness") {
 		t.Fatalf("closeness output:\n%s", out)
 	}
-	if out := runCLI(t, "bc", "-in", gpath, "-metric", "edge", "-top", "3"); !strings.Contains(out, "edges by betweenness") {
-		t.Fatalf("edge output:\n%s", out)
-	}
 	runCLIExpectError(t, "bc", "-in", gpath, "-metric", "nope")
 	runCLIExpectError(t, "bc", "-in", filepath.Join(tmp, "missing.txt"))
 	runCLIExpectError(t, "bc")
@@ -126,14 +135,43 @@ func TestCLIBCNegativeTop(t *testing.T) {
 	tmp := t.TempDir()
 	gpath := filepath.Join(tmp, "g.txt")
 	runCLI(t, "graphgen", "-type", "path", "-n", "8", "-o", gpath)
-	dir := buildCLIs(t)
-	for _, metric := range []string{"bc", "edge", "closeness"} {
-		out, err := exec.Command(filepath.Join(dir, "bc"), "-in", gpath, "-metric", metric, "-top", "-1").CombinedOutput()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 ||
-			!strings.Contains(string(out), "-top must be") || strings.Contains(string(out), "panic") {
-			t.Fatalf("bc -metric %s -top -1: %v, want exit 2 naming -top:\n%s", metric, err, out)
+	for _, metric := range []string{"bc", "closeness"} {
+		code, out := runCLIExit(t, "bc", "-in", gpath, "-metric", metric, "-top", "-1")
+		if code != 2 || !strings.Contains(out, "-top must be") || strings.Contains(out, "panic") {
+			t.Fatalf("bc -metric %s -top -1: exit %d, want 2 naming -top:\n%s", metric, code, out)
 		}
+	}
+}
+
+// TestCLIClosenessRejectsWeighted: closeness counts hops, so a weighted graph
+// is an error (exit 1), not hop-count farness. On 0-1 (1), 1-2 (1), 0-2 (100),
+// 2-3 (1) vertex 0's weighted farness is 6 and its hop farness 4.
+func TestCLIClosenessRejectsWeighted(t *testing.T) {
+	wpath := filepath.Join(t.TempDir(), "w.txt")
+	if err := os.WriteFile(wpath, []byte("0 1 1\n1 2 1\n0 2 100\n2 3 1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, directed := range []string{"-directed=false", "-directed=true"} {
+		code, out := runCLIExit(t, "bc", "-in", wpath, "-weighted", directed, "-metric", "closeness")
+		if code != 1 || !strings.Contains(out, "weighted graphs are not supported") || strings.Contains(out, "farness") {
+			t.Fatalf("bc -weighted %s -metric closeness: exit %d, want 1 naming the weights:\n%s", directed, code, out)
+		}
+	}
+}
+
+// TestCLIClosenessRejectsBCFlags: -approx and -algo select BC engines; with
+// -metric closeness they are a usage error (exit 2), not silently ignored.
+func TestCLIClosenessRejectsBCFlags(t *testing.T) {
+	gpath := filepath.Join(t.TempDir(), "g.txt")
+	runCLI(t, "graphgen", "-type", "path", "-n", "8", "-o", gpath)
+	for _, extra := range [][]string{{"-approx"}, {"-algo", "serial"}, {"-algo", "succs"}} {
+		args := append([]string{"-in", gpath, "-metric", "closeness"}, extra...)
+		if code, out := runCLIExit(t, "bc", args...); code != 2 || !strings.Contains(out, "-metric closeness") {
+			t.Fatalf("bc %v: exit %d, want 2 naming -metric closeness:\n%s", args, code, out)
+		}
+	}
+	if out := runCLI(t, "bc", "-in", gpath, "-metric", "closeness", "-algo", "apgre", "-top", "1"); !strings.Contains(out, "closeness finished") {
+		t.Fatalf("bc -metric closeness -algo apgre:\n%s", out)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Command bc computes centrality for a graph file and prints the top-scoring
-// vertices (or edges).
+// vertices.
 //
 //	bc -in graph.txt -algo apgre -top 20
 //	bc -in road.gr -format dimacs -algo succs -workers 8
@@ -7,7 +7,6 @@
 //	bc -in graph.txt -approx -pivots 512        # sampled BC, fixed budget
 //	bc -in graph.txt -approx -eps 0.01          # sampled BC, adaptive accuracy
 //	bc -in graph.txt -metric closeness
-//	bc -in graph.txt -metric edge -top 10       # edge betweenness
 //	bc -in big.bin -mmap -top 20                # mmap the CSR instead of copying it
 package main
 
@@ -31,7 +30,7 @@ func main() {
 		directed   = flag.Bool("directed", false, "treat edge-list input as directed")
 		weighted   = flag.Bool("weighted", false, "read edge weights (3rd column / DIMACS arc weights)")
 		useMmap    = flag.Bool("mmap", false, "memory-map binary input (zero-copy adjacency when supported)")
-		metric     = flag.String("metric", "bc", "metric: bc|closeness|edge")
+		metric     = flag.String("metric", "bc", "metric: bc|closeness")
 		algo       = flag.String("algo", "apgre", "algorithm: apgre|serial|preds|succs|locksyncfree|async|hybrid")
 		workers    = flag.Int("workers", 0, "worker count (0 = GOMAXPROCS)")
 		topK       = flag.Int("top", 10, "print the top-K entries")
@@ -52,6 +51,10 @@ func main() {
 	}
 	if *topK < 0 {
 		fmt.Fprintf(os.Stderr, "bc: -top must be >= 0, got %d\n", *topK)
+		os.Exit(2)
+	}
+	if *metric == "closeness" && (*approxMode || *algo != string(repro.AlgoAPGRE)) {
+		fmt.Fprintln(os.Stderr, "bc: -metric closeness takes neither -approx nor an -algo other than apgre")
 		os.Exit(2)
 	}
 
@@ -106,8 +109,6 @@ func main() {
 		runBC(g, *algo, *workers, *thresh, *topK, *verbose, *weighted)
 	case "closeness":
 		runCloseness(g, *workers, *topK)
-	case "edge":
-		runEdgeBC(g, *workers, *topK)
 	default:
 		prof.Stop()
 		fmt.Fprintf(os.Stderr, "bc: unknown -metric %q\n", *metric)
@@ -222,21 +223,6 @@ func runCloseness(g *repro.Graph, workers, topK int) {
 		Headers: []string{"rank", "vertex", "closeness", "farness"}}
 	for i, vs := range repro.TopK(res.Closeness, topK) {
 		t.AddRow(i+1, vs.Vertex, vs.Score, res.Farness[vs.Vertex])
-	}
-	t.Render(os.Stdout)
-}
-
-func runEdgeBC(g *repro.Graph, workers, topK int) {
-	start := time.Now()
-	scores := repro.EdgeBetweenness(g, workers)
-	fmt.Printf("edge betweenness finished in %s\n", metrics.FormatDuration(time.Since(start)))
-	if topK > len(scores) {
-		topK = len(scores)
-	}
-	t := &metrics.Table{Title: fmt.Sprintf("top %d edges by betweenness", topK),
-		Headers: []string{"rank", "edge", "bc"}}
-	for i, es := range scores[:topK] {
-		t.AddRow(i+1, fmt.Sprintf("%d-%d", es.Edge.From, es.Edge.To), es.Score)
 	}
 	t.Render(os.Stdout)
 }

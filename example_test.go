@@ -77,17 +77,3 @@ func ExampleNewIncrementalBC() {
 	// bc[2] = 8
 	// after closing the ring: bc[2] = 2
 }
-
-// Edge betweenness finds the links communities hang together by.
-func ExampleEdgeBetweenness() {
-	// Two triangles bridged by the edge 2-3.
-	g := repro.NewGraph(6, []repro.Edge{
-		{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 0},
-		{From: 3, To: 4}, {From: 4, To: 5}, {From: 5, To: 3},
-		{From: 2, To: 3},
-	}, false)
-	top := repro.EdgeBetweenness(g, 1)[0]
-	fmt.Printf("busiest edge: %d-%d\n", top.Edge.From, top.Edge.To)
-	// Output:
-	// busiest edge: 2-3
-}

@@ -99,8 +99,12 @@ type Options struct {
 
 // Decomposed computes exact closeness on an undirected graph through the
 // articulation-point decomposition. Directed graphs are rejected (forward
-// and reverse distance sums would need separate DPs; future work).
+// and reverse distance sums would need separate DPs; future work), and so
+// are weighted ones: every distance here is a hop count.
 func Decomposed(g *graph.Graph, opt Options) (*Result, error) {
+	if g.Weighted() {
+		return nil, fmt.Errorf("closeness: weighted graphs are not supported; closeness counts hops")
+	}
 	if g.Directed() {
 		return nil, fmt.Errorf("closeness: Decomposed requires an undirected graph")
 	}

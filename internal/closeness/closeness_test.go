@@ -91,6 +91,15 @@ func TestDecomposedRejectsDirected(t *testing.T) {
 	}
 }
 
+func TestDecomposedRejectsWeighted(t *testing.T) {
+	for _, directed := range []bool{false, true} {
+		g := graph.NewWeightedFromEdges(3, []graph.WeightedEdge{{From: 0, To: 1, W: 1}, {From: 1, To: 2, W: 5}}, directed)
+		if _, err := Decomposed(g, Options{}); err == nil {
+			t.Fatalf("expected error for weighted input (directed %v)", directed)
+		}
+	}
+}
+
 func TestDecomposedEmpty(t *testing.T) {
 	res, err := Decomposed(graph.NewFromEdges(0, nil, false), Options{})
 	if err != nil || len(res.Farness) != 0 {
@@ -136,70 +145,4 @@ func TestStarCloseness(t *testing.T) {
 			t.Fatalf("leaf farness = %v", got.Farness[v])
 		}
 	}
-}
-
-func TestHarmonicPath(t *testing.T) {
-	// Path 0-1-2: H(0) = 1 + 1/2; H(1) = 2.
-	g := gen.Path(3)
-	h := Harmonic(g, 1)
-	if math.Abs(h[0]-1.5) > 1e-12 || math.Abs(h[1]-2) > 1e-12 {
-		t.Fatalf("harmonic = %v", h)
-	}
-}
-
-func TestHarmonicDisconnected(t *testing.T) {
-	// Harmonic handles disconnection gracefully (unreachable adds 0).
-	g := graph.NewFromEdges(4, []graph.Edge{{From: 0, To: 1}}, false)
-	h := Harmonic(g, 2)
-	if h[0] != 1 || h[2] != 0 {
-		t.Fatalf("harmonic = %v", h)
-	}
-}
-
-func TestHarmonicDirected(t *testing.T) {
-	g := graph.NewFromEdges(3, []graph.Edge{{From: 0, To: 1}, {From: 1, To: 2}}, true)
-	h := Harmonic(g, 1)
-	if math.Abs(h[0]-1.5) > 1e-12 || h[2] != 0 {
-		t.Fatalf("harmonic = %v", h)
-	}
-}
-
-func TestHarmonicMatchesBruteOnSocial(t *testing.T) {
-	g := gen.SocialLike(gen.SocialParams{N: 150, AvgDeg: 4, Communities: 4,
-		TopShare: 0.5, LeafFrac: 0.3, Seed: 12})
-	h := Harmonic(g, 3)
-	// Independent check via the Exact closeness BFS distances for a few
-	// sources.
-	for _, s := range []graph.V{0, 10, 149} {
-		want := 0.0
-		dist := bfsDistances(g, s)
-		for _, d := range dist {
-			if d > 0 {
-				want += 1 / float64(d)
-			}
-		}
-		if math.Abs(h[s]-want) > 1e-9 {
-			t.Fatalf("harmonic[%d] = %v, want %v", s, h[s], want)
-		}
-	}
-}
-
-func bfsDistances(g *graph.Graph, s graph.V) []int32 {
-	n := g.NumVertices()
-	dist := make([]int32, n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[s] = 0
-	queue := []graph.V{s}
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		for _, v := range g.Out(u) {
-			if dist[v] < 0 {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return dist
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/bfs"
 	"repro/internal/brandes"
 	"repro/internal/decompose"
 	"repro/internal/gen"
@@ -94,7 +93,7 @@ func TestSocialGraphsAllStrategies(t *testing.T) {
 // TestAlphaBetaMethodsAgree holds the α/β Decompose composes along the
 // sub-graph/AP forest and the paper's definition of them — per boundary AP, a
 // count of what it reaches and is reached from with the rest of its sub-graph
-// blocked (internal/bfs) — to the same scores, undirected and directed.
+// blocked (definitionAlphaBeta) — to the same scores, undirected and directed.
 func TestAlphaBetaMethodsAgree(t *testing.T) {
 	for _, directed := range []bool{false, true} {
 		g := gen.SocialLike(gen.SocialParams{N: 350, AvgDeg: 4, Communities: 7, TopShare: 0.4, LeafFrac: 0.3,
@@ -114,9 +113,7 @@ func TestAlphaBetaMethodsAgree(t *testing.T) {
 			}
 			for _, la := range sg.Arts {
 				ap := sg.Verts[la]
-				blocked := func(v graph.V) bool { return inSG[v] && v != ap }
-				sg.Alpha[la] = float64(bfs.ReachableCount(g, ap, blocked) - 1)
-				sg.Beta[la] = float64(bfs.ReverseReachableCount(g, ap, blocked) - 1)
+				sg.Alpha[la], sg.Beta[la] = definitionAlphaBeta(g, ap, inSG)
 			}
 		}
 		b, err := ComputeDecomposed(d, Options{})
@@ -260,4 +257,31 @@ func TestQuickArticulationScores(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 3}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// definitionAlphaBeta counts by BFS over g what a reaches (α) and what reaches
+// a (β: the same count on g.Transpose() when g is directed) without entering a
+// vertex of blocked other than a — the paper's §3.1 definition, written apart
+// from the production code so that it stays an oracle.
+func definitionAlphaBeta(g *graph.Graph, a graph.V, blocked map[graph.V]bool) (alpha, beta float64) {
+	count := func(g *graph.Graph) float64 {
+		seen := make([]bool, g.NumVertices())
+		seen[a] = true
+		reached := 0
+		for queue := []graph.V{a}; len(queue) > 0; queue = queue[1:] {
+			for _, v := range g.Out(queue[0]) {
+				if !seen[v] && !blocked[v] {
+					seen[v] = true
+					reached++
+					queue = append(queue, v)
+				}
+			}
+		}
+		return float64(reached)
+	}
+	alpha = count(g)
+	if !g.Directed() {
+		return alpha, alpha
+	}
+	return alpha, count(g.Transpose())
 }

@@ -152,6 +152,12 @@ func FuzzIncrementalMatchesBrandes(f *testing.F) {
 	})
 }
 
+// EstimateFullBudget returns approx.Estimate's scores at a pivot budget of
+// every vertex. internal/approx imports core, so FuzzComputeMatchesBrandes
+// cannot call it directly: the external test package sets it
+// (approx_fuzz_test.go).
+var EstimateFullBudget func(g *graph.Graph, workers, threshold int, seed int64) ([]float64, error)
+
 // lanesForFuzz puts fuzz-sized sub-graphs within the lane kernel's reach for
 // the rest of the test — any swept graph of two vertices, any root range — and
 // returns the engine value that lifts the budget on top.
@@ -174,20 +180,23 @@ func lanesForFuzz(t *testing.T) RootEngine {
 // brandes.WeightedSerial and to the scalar run only: there is no lane kernel
 // or direction mode to compare. A budgeted run's scores are a prefix of the
 // roots' contributions, not BC, so it is held to the scalar kernel bit for bit
-// and, when the budget covers every root, to the unbudgeted run.
+// and, when the budget covers every root, to the unbudgeted run. The
+// estimator at a pivot budget of every vertex is held to the scalar kernel at
+// one worker bit for bit, which is approx's TestExactBudgetBitMatch claim.
 //
 // Encoding: n = 2 + nb%47 vertices; edges is byte pairs (u, v) taken mod n,
 // self-loops dropped; threshold 1 + th%8; flags bit 0 directed, bit 1
 // DisableGamma, bit 2 a second worker, bit 3 the lane kernel for every
 // unweighted sweep (lanesForFuzz), bit 4 integer weights in [1, 4]
-// (gen.WithRandomWeights, seeded by th), bit 5 a RootBudget of 1 + th/8.
+// (gen.WithRandomWeights, seeded by th), bit 5 a RootBudget of 1 + th/8, bit 6
+// on unweighted graphs approx.Estimate with Pivots = n (seeded by th).
 func FuzzComputeMatchesBrandes(f *testing.F) {
 	oldMin, oldDeg, oldCut := hybridMinVerts, hybridMinDegree, dynamicSerialCutoff
 	hybridMinVerts, hybridMinDegree, dynamicSerialCutoff = 2, 0, 0
 	f.Cleanup(func() { hybridMinVerts, hybridMinDegree, dynamicSerialCutoff = oldMin, oldDeg, oldCut })
 	for _, g := range []*graph.Graph{gen.Star(8), gen.Path(7), gen.Lollipop(5, 4), gen.Caveman(3, 5, false),
 		gen.Grid2D(5, 5), gen.ErdosRenyi(40, 160, false, 3)} {
-		for flags := byte(0); flags < 64; flags++ {
+		for flags := byte(0); flags < 128; flags++ {
 			f.Add(byte(g.NumVertices()-2), flags, byte(2), fuzzEdges(g))
 			if flags&32 != 0 { // a budget of 32: every root of the smaller shapes
 				f.Add(byte(g.NumVertices()-2), flags, byte(250), fuzzEdges(g))
@@ -211,6 +220,7 @@ func FuzzComputeMatchesBrandes(f *testing.F) {
 		}
 		for flags := byte(0); flags < 32; flags++ {
 			f.Add(byte(c.n-2), flags, byte(2), edges)
+			f.Add(byte(c.n-2), flags|64, byte(2), edges)
 		}
 	}
 	f.Fuzz(func(t *testing.T, nb, flags, th byte, edges []byte) {
@@ -252,6 +262,14 @@ func FuzzComputeMatchesBrandes(f *testing.F) {
 		}
 		if i, ok := bcClose(brandes.Serial(g), got, 1e-9); !ok {
 			t.Fatalf("Compute differs from Brandes at vertex %d: %v", i, got[i])
+		}
+		if flags&64 != 0 {
+			est, err := EstimateFullBudget(g, workers, opt.Threshold, int64(th))
+			if err != nil {
+				t.Fatal(err)
+			}
+			bcBitsEqual(t, "approx at full budget vs the scalar kernel",
+				computeScalar(t, g, Options{Workers: 1, Threshold: opt.Threshold}), est)
 		}
 		d, err := decompose.Decompose(g, decompose.Options{Threshold: opt.Threshold, DisableGamma: disableGamma})
 		if err != nil {

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/bfs"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
@@ -94,8 +93,8 @@ func recompose(d *Decomposition) []float64 {
 	return abSnapshot(d)
 }
 
-// checkDefinition holds the α and β sg stores to internal/bfs's reach counts
-// over g with sg's other vertices blocked.
+// checkDefinition holds the α and β sg stores to definitionAlphaBeta's reach
+// counts over g with sg's other vertices blocked.
 func checkDefinition(t *testing.T, label string, g *graph.Graph, sg *Subgraph) {
 	t.Helper()
 	inSG := make(map[graph.V]bool, sg.NumVerts())
@@ -104,9 +103,7 @@ func checkDefinition(t *testing.T, label string, g *graph.Graph, sg *Subgraph) {
 	}
 	for _, la := range sg.Arts {
 		a := sg.Verts[la]
-		blocked := func(v graph.V) bool { return inSG[v] && v != a }
-		alpha := float64(bfs.ReachableCount(g, a, blocked) - 1)
-		beta := float64(bfs.ReverseReachableCount(g, a, blocked) - 1)
+		alpha, beta := definitionAlphaBeta(g, a, inSG)
 		if sg.Alpha[la] != alpha || sg.Beta[la] != beta {
 			t.Fatalf("%s sg %d AP %d: α %v β %v, definition %v and %v",
 				label, sg.ID, a, sg.Alpha[la], sg.Beta[la], alpha, beta)
@@ -116,7 +113,7 @@ func checkDefinition(t *testing.T, label string, g *graph.Graph, sg *Subgraph) {
 
 // TestComposeMatchesDefinition holds the composition to the paper's
 // definition three ways — its own result, the per-AP BFS oracle, and
-// internal/bfs's reach counts with the sub-graph blocked — on every build of
+// definitionAlphaBeta's reach counts with the sub-graph blocked — on every build of
 // forEachBuild, folded and with the fold disabled (whole rows). The shapes the
 // composition has a branch for must have occurred.
 func TestComposeMatchesDefinition(t *testing.T) {

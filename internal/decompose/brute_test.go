@@ -3,13 +3,12 @@ package decompose
 import (
 	"testing"
 
-	"repro/internal/bfs"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
 // Cross-validation of α and β against their paper definitions computed with
-// the independent BFS package: α_SGi(a) = vertices a reaches without passing
+// an independent BFS: α_SGi(a) = vertices a reaches without passing
 // through SGi; β_SGi(a) = vertices that reach a without passing through SGi.
 func TestAlphaBetaDefinition(t *testing.T) {
 	graphs := []*graph.Graph{
@@ -32,9 +31,7 @@ func TestAlphaBetaDefinition(t *testing.T) {
 			}
 			for _, la := range sg.Arts {
 				a := sg.Verts[la]
-				blocked := func(v graph.V) bool { return inSG[v] && v != a }
-				alpha := float64(bfs.ReachableCount(g, a, blocked) - 1)
-				beta := float64(bfs.ReverseReachableCount(g, a, blocked) - 1)
+				alpha, beta := definitionAlphaBeta(g, a, inSG)
 				if sg.Alpha[la] != alpha {
 					t.Fatalf("graph %d sg %d AP %d: alpha %v, definition %v",
 						gi, sg.ID, a, sg.Alpha[la], alpha)
@@ -46,4 +43,31 @@ func TestAlphaBetaDefinition(t *testing.T) {
 			}
 		}
 	}
+}
+
+// definitionAlphaBeta counts by BFS over g what a reaches (α) and what reaches
+// a (β: the same count on g.Transpose() when g is directed) without entering a
+// vertex of blocked other than a — the paper's §3.1 definition, written apart
+// from the production code so that it stays an oracle.
+func definitionAlphaBeta(g *graph.Graph, a graph.V, blocked map[graph.V]bool) (alpha, beta float64) {
+	count := func(g *graph.Graph) float64 {
+		seen := make([]bool, g.NumVertices())
+		seen[a] = true
+		reached := 0
+		for queue := []graph.V{a}; len(queue) > 0; queue = queue[1:] {
+			for _, v := range g.Out(queue[0]) {
+				if !seen[v] && !blocked[v] {
+					seen[v] = true
+					reached++
+					queue = append(queue, v)
+				}
+			}
+		}
+		return float64(reached)
+	}
+	alpha = count(g)
+	if !g.Directed() {
+		return alpha, alpha
+	}
+	return alpha, count(g.Transpose())
 }

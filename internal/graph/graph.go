@@ -156,21 +156,6 @@ func (g *Graph) EnsureTranspose() {
 	}
 }
 
-// ArcBase returns the CSR position of u's first out-arc; u's i-th neighbor
-// in Out(u) is arc ArcBase(u)+i. Arc positions index the per-arc score
-// arrays of edge betweenness.
-func (g *Graph) ArcBase(u V) int64 { return g.offs[u] }
-
-// ArcPos returns the CSR position of arc u->v, or -1 if absent.
-func (g *Graph) ArcPos(u, v V) int64 {
-	row := g.Out(u)
-	i := sort.Search(len(row), func(i int) bool { return row[i] >= v })
-	if i < len(row) && row[i] == v {
-		return g.offs[u] + int64(i)
-	}
-	return -1
-}
-
 // HasArc reports whether the arc u->v exists, by binary search.
 func (g *Graph) HasArc(u, v V) bool {
 	row := g.Out(u)

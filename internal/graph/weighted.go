@@ -110,24 +110,18 @@ func (g *Graph) InWeights(u V) []float64 {
 	return g.inWts[g.inOffs[u]:g.inOffs[u+1]]
 }
 
-// ArcWeight returns the weight of the arc at CSR position pos
-// (see ArcBase/ArcPos). Unweighted graphs report 1 for every arc.
-func (g *Graph) ArcWeight(pos int64) float64 {
-	if g.wts == nil {
-		return 1
-	}
-	return g.wts[pos]
-}
-
 // WeightedEdges returns the logical weighted edge list (From < To once per
-// undirected edge).
+// undirected edge). An unweighted graph's edges weigh 1.
 func (g *Graph) WeightedEdges() []WeightedEdge {
 	out := make([]WeightedEdge, 0, g.NumEdges())
 	for u := 0; u < g.n; u++ {
-		base := g.offs[u]
 		for i, v := range g.Out(V(u)) {
 			if g.directed || V(u) < v {
-				out = append(out, WeightedEdge{From: V(u), To: v, W: g.ArcWeight(base + int64(i))})
+				w := 1.0
+				if g.wts != nil {
+					w = g.wts[g.offs[u]+int64(i)]
+				}
+				out = append(out, WeightedEdge{From: V(u), To: v, W: w})
 			}
 		}
 	}

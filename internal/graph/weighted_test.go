@@ -15,10 +15,10 @@ func TestWeightedBasics(t *testing.T) {
 	if g.NumEdges() != 2 || g.NumArcs() != 4 {
 		t.Fatalf("m=%d arcs=%d", g.NumEdges(), g.NumArcs())
 	}
-	if w := g.ArcWeight(g.ArcPos(0, 1)); w != 2.5 {
+	if w := g.OutWeights(0)[0]; w != 2.5 {
 		t.Fatalf("w(0,1) = %v", w)
 	}
-	if w := g.ArcWeight(g.ArcPos(1, 0)); w != 2.5 {
+	if w := g.OutWeights(1)[0]; w != 2.5 {
 		t.Fatalf("w(1,0) = %v (undirected symmetry)", w)
 	}
 	ws := g.OutWeights(1)
@@ -34,7 +34,7 @@ func TestWeightedParallelEdgesKeepMin(t *testing.T) {
 	if g.NumArcs() != 1 {
 		t.Fatalf("arcs = %d, want 1", g.NumArcs())
 	}
-	if w := g.ArcWeight(g.ArcPos(0, 1)); w != 2 {
+	if w := g.OutWeights(0)[0]; w != 2 {
 		t.Fatalf("kept weight %v, want min 2", w)
 	}
 }
@@ -45,8 +45,8 @@ func TestWeightedValidation(t *testing.T) {
 	mustPanic(t, func() { NewWeightedFromEdges(2, []WeightedEdge{{From: 0, To: 2, W: 1}}, false) })
 	g := NewFromEdges(2, []Edge{{From: 0, To: 1}}, false)
 	mustPanic(t, func() { g.OutWeights(0) })
-	if g.ArcWeight(0) != 1 {
-		t.Fatal("unweighted ArcWeight must be 1")
+	if es := g.WeightedEdges(); len(es) != 1 || es[0].W != 1 {
+		t.Fatalf("unweighted edges must weigh 1: %v", es)
 	}
 }
 
@@ -58,10 +58,10 @@ func TestWeightedTranspose(t *testing.T) {
 	if !tr.Weighted() {
 		t.Fatal("transpose lost weights")
 	}
-	if w := tr.ArcWeight(tr.ArcPos(1, 0)); w != 3 {
+	if w := tr.OutWeights(1)[0]; w != 3 {
 		t.Fatalf("transpose w(1->0) = %v, want 3", w)
 	}
-	if w := tr.ArcWeight(tr.ArcPos(1, 2)); w != 7 {
+	if w := tr.OutWeights(1)[1]; w != 7 {
 		t.Fatalf("transpose w(1->2) = %v, want 7", w)
 	}
 }

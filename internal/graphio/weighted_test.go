@@ -2,6 +2,7 @@ package graphio
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -22,11 +23,10 @@ func TestWeightedEdgeListRoundTrip(t *testing.T) {
 		t.Fatalf("round trip shape wrong: %v", g2)
 	}
 	for u := 0; u < g2.NumVertices(); u++ {
-		base := g2.ArcBase(int32(u))
 		for i, v := range g2.Out(int32(u)) {
 			gu, gv := int32(orig[u]), int32(orig[v])
-			want := g.ArcWeight(g.ArcPos(gu, gv))
-			if got := g2.ArcWeight(base + int64(i)); got != want {
+			want := g.OutWeights(gu)[slices.Index(g.Out(gu), gv)]
+			if got := g2.OutWeights(int32(u))[i]; got != want {
 				t.Fatalf("arc %d->%d weight %v, want %v", gu, gv, got, want)
 			}
 		}
@@ -39,10 +39,10 @@ func TestWeightedEdgeListDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w := g.ArcWeight(g.ArcPos(0, 1)); w != 1 {
+	if w := g.OutWeights(0)[0]; w != 1 {
 		t.Fatalf("default weight = %v, want 1", w)
 	}
-	if w := g.ArcWeight(g.ArcPos(1, 2)); w != 3.5 {
+	if w := g.OutWeights(1)[0]; w != 3.5 {
 		t.Fatalf("weight = %v, want 3.5", w)
 	}
 }
@@ -102,7 +102,7 @@ a 3 2 4
 	if !g.Weighted() || g.NumEdges() != 2 {
 		t.Fatalf("shape: %v", g)
 	}
-	if w := g.ArcWeight(g.ArcPos(0, 1)); w != 7 {
+	if w := g.OutWeights(0)[0]; w != 7 {
 		t.Fatalf("w(0,1) = %v", w)
 	}
 	bad := []string{

@@ -24,7 +24,6 @@ import (
 	"repro/internal/approx"
 	"repro/internal/brandes"
 	"repro/internal/closeness"
-	"repro/internal/community"
 	"repro/internal/core"
 	"repro/internal/decompose"
 	"repro/internal/gen"
@@ -214,53 +213,6 @@ func WeightedBetweennessCentrality(g *Graph, opt Options) ([]float64, error) {
 	}
 }
 
-// EdgeScore pairs an edge with its betweenness.
-type EdgeScore = brandes.EdgeScore
-
-// EdgeBetweenness computes exact edge betweenness centrality and returns
-// one combined score per edge, highest first (per arc for directed graphs).
-func EdgeBetweenness(g *Graph, workers int) []EdgeScore {
-	return brandes.CombineUndirectedEdges(g, brandes.EdgeBCParallel(g, workers))
-}
-
-// Communities is a detected community structure.
-type Communities = community.Result
-
-// CommunityOptions configures DetectCommunities.
-type CommunityOptions = community.Options
-
-// DetectCommunities runs Girvan–Newman divisive clustering (the paper's
-// motivating application [7]) on an undirected graph, using the exact
-// edge-betweenness engine.
-func DetectCommunities(g *Graph, opt CommunityOptions) (*Communities, error) {
-	return community.GirvanNewman(g, opt)
-}
-
-// Modularity scores a community labelling with Newman's Q.
-func Modularity(g *Graph, labels []int32) float64 {
-	return community.Modularity(g, labels)
-}
-
-// HarmonicCentrality computes H(v) = Σ 1/dist(v,t), the disconnected-robust
-// closeness variant.
-func HarmonicCentrality(g *Graph, workers int) []float64 {
-	return closeness.Harmonic(g, workers)
-}
-
-// RelabelBFS returns a locality-optimized copy of g (vertices renumbered in
-// BFS order, Cong & Makarychev [24]) and the old->new permutation; map
-// scores back with scores_old[v] = scores_new[perm[v]].
-func RelabelBFS(g *Graph) (*Graph, []V) {
-	perm := graph.BFSOrder(g)
-	return graph.Relabel(g, perm), perm
-}
-
-// RelabelByDegree renumbers vertices by decreasing degree (hub packing).
-func RelabelByDegree(g *Graph) (*Graph, []V) {
-	perm := graph.DegreeOrder(g)
-	return graph.Relabel(g, perm), perm
-}
-
 // IncrementalBC maintains exact BC scores across edge insertions and
 // removals: every update decomposes the graph afresh and sweeps only the
 // sub-graphs it changed (see internal/core.Incremental).
@@ -281,10 +233,12 @@ type ClosenessResult = closeness.Result
 // graphs route through the articulation-point-accelerated engine (the
 // paper's decomposition applied to a second centrality — see
 // internal/closeness); directed graphs use the per-vertex BFS baseline.
+// Both count hops, so a weighted graph, directed or not, is an error.
 func ClosenessCentrality(g *Graph, workers int) (*ClosenessResult, error) {
-	if g.Directed() {
+	if g.Directed() && !g.Weighted() {
 		return closeness.Exact(g, workers), nil
 	}
+	// Decomposed rejects a weighted graph before it looks at direction.
 	return closeness.Decomposed(g, closeness.Options{Workers: workers})
 }
 

@@ -218,18 +218,6 @@ func TestWeightedFacade(t *testing.T) {
 	}
 }
 
-func TestEdgeBetweennessFacade(t *testing.T) {
-	g := NewGraph(4, []Edge{{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 3}}, false)
-	es := EdgeBetweenness(g, 2)
-	if len(es) != 3 {
-		t.Fatalf("edges = %d", len(es))
-	}
-	// Middle edge of the path dominates.
-	if es[0].Edge.From != 1 || es[0].Edge.To != 2 {
-		t.Fatalf("top edge = %+v", es[0])
-	}
-}
-
 func TestClosenessFacade(t *testing.T) {
 	g := GenerateSocial(SocialParams{N: 200, AvgDeg: 4, Communities: 4,
 		TopShare: 0.5, LeafFrac: 0.3, Seed: 9})
@@ -254,50 +242,18 @@ func TestClosenessFacade(t *testing.T) {
 	if rd.Closeness[2] != 0 || rd.Closeness[0] <= 0 {
 		t.Fatalf("directed closeness = %v", rd.Closeness)
 	}
-}
-
-func TestCommunitiesFacade(t *testing.T) {
-	g := GenerateSocial(SocialParams{N: 90, AvgDeg: 4, Communities: 3,
-		TopShare: 0.34, LeafFrac: 0, Seed: 8})
-	res, err := DetectCommunities(g, CommunityOptions{MaxRemovals: 10, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Communities < 2 {
-		t.Fatalf("communities = %d", res.Communities)
-	}
-	if q := Modularity(g, res.Labels); math.Abs(q-res.Modularity) > 1e-9 {
-		t.Fatalf("modularity mismatch: %v vs %v", q, res.Modularity)
+	// Closeness counts hops: a weighted graph, either direction, is an error.
+	for _, directed := range []bool{false, true} {
+		wg := NewWeightedGraph(3, []WeightedEdge{{From: 0, To: 1, W: 1}, {From: 1, To: 2, W: 1}, {From: 0, To: 2, W: 100}}, directed)
+		if _, err := ClosenessCentrality(wg, 1); err == nil {
+			t.Fatalf("weighted closeness (directed %v): want an error", directed)
+		}
 	}
 }
 
 func TestNewFacadeExtensions(t *testing.T) {
 	g := GenerateSocial(SocialParams{N: 150, AvgDeg: 4, Communities: 4,
 		TopShare: 0.5, LeafFrac: 0.3, Seed: 13})
-
-	h := HarmonicCentrality(g, 2)
-	if len(h) != 150 || h[0] < 0 {
-		t.Fatalf("harmonic = %v...", h[0])
-	}
-
-	// Relabeling preserves BC up to the permutation.
-	want, _ := BetweennessCentrality(g, Options{Algorithm: AlgoSerial})
-	g2, perm := RelabelBFS(g)
-	got, err := BetweennessCentrality(g2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range want {
-		if math.Abs(want[v]-got[perm[v]]) > 1e-9*(1+want[v]) {
-			t.Fatalf("relabeled BC differs at %d", v)
-		}
-	}
-	g3, perm3 := RelabelByDegree(g)
-	if g3.NumArcs() != g.NumArcs() || len(perm3) != 150 {
-		t.Fatal("degree relabel shape wrong")
-	}
-
-	// Incremental facade.
 	inc, err := NewIncrementalBC(g, Options{})
 	if err != nil {
 		t.Fatal(err)
