@@ -59,7 +59,8 @@
 #      neither the copy → rename → strip sub-graph build nor the second
 #      edge-list canonicaliser does, nor the surface APGRE did not accelerate
 #      (edge BC, Girvan–Newman, harmonic closeness, whole-graph relabels,
-#      internal/bfs)
+#      internal/bfs), nor bcd's metrics relay (hook fields, notify wrappers,
+#      Metrics.Hook, Server.Metrics) or the unused topKOf ranker
 #  10. durability smoke: race-built bcd is killed with SIGKILL mid-life and
 #      must recover its graph from snapshot+WAL with bit-exact top-K
 #  11. load smoke: bcdload drives a short mixed read/mutate phase against the
@@ -205,6 +206,13 @@ run_named 'TestEngineBitMatch|TestEngineExactBudgetBitMatch|TestLoadEngineBitMat
 # Load, before any build is queued, a build that panics anyway fails its own
 # entry with the panic's text, and the daemon goes on loading and serving.
 run_named 'TestRegistryRejectsHostileInlineN|TestRunBuildRecoversPanic|TestHostileInlineNIs400' \
+    -race -count=1 ./internal/server
+# The registry owns one metrics bundle and its code paths increment it: every
+# event (overloads, batches, top-K hits and misses, WAL appends, compactions,
+# Recover, a queued load canceled by Close) reaches /metrics at its exact
+# count. A bc query that names pivots or eps where they would be ignored is a
+# 400, not a silently exact answer.
+run_named 'TestMetricsCountEveryRegistryEvent|TestMetricsEndpoint|TestApproxBadParams' \
     -race -count=1 ./internal/server
 
 echo "==> alloc gates: warm sweeps and the top-K serving path allocate zero"
@@ -362,7 +370,8 @@ if grep -rnwE 'ParseRootEngine|EngineScalar|RunBatch' --include='*.go' .; then
     echo "ci.sh: ParseRootEngine, EngineScalar or RunBatch is back; core picks the kernel per work unit" >&2
     exit 1
 fi
-if grep -nE '^\s+Engine\s' internal/server/registry.go internal/server/wal.go internal/approx/approx.go; then
+# shellcheck disable=SC2046
+if grep -nE '^\s+Engine\s' $(ls internal/server/*.go | grep -v '_test\.go$') internal/approx/approx.go; then
     echo "ci.sh: an Engine field is back in LoadSpec, EntryInfo, graphMeta or approx.Options" >&2
     exit 1
 fi
@@ -388,6 +397,14 @@ fi
 if grep -rnwE 'EdgeBetweenness|EdgeBCParallel|GirvanNewman|DetectCommunities|HarmonicCentrality|RelabelBFS|RelabelByDegree|BFSOrder|DegreeOrder' --include='*.go' . ||
     grep -rnE '"repro/internal/(community|bfs)"' --include='*.go' .; then
     echo "ci.sh: a deleted extension (edge BC, communities, harmonic, whole-graph relabel, internal/bfs) is back" >&2
+    exit 1
+fi
+
+# Nor the metrics relay: the registry owns one Metrics and increments it where
+# events happen, with no hook fields, notify wrappers or second owner, and the
+# unused rankers stay gone.
+if grep -rnE 'topKOf|notify(LoadDone|Mutate|Count|Overload|Batch|TopK|Durability|Approx)\b|\bon(LoadDone|Mutate|Count|Approx|Overload|Batch|TopK|Durability)\b|func \(m \*Metrics\) Hook|func \(s \*Server\) Metrics' --include='*.go' .; then
+    echo "ci.sh: the registry's metrics relay (on* hooks, notify* wrappers, Metrics.Hook, Server.Metrics) or topKOf is back" >&2
     exit 1
 fi
 

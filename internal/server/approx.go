@@ -96,7 +96,7 @@ func (r *Registry) ApproxBC(e *Entry, pivots int, eps float64) ([]float64, Appro
 		ErrorEstimate: finiteOrZero(est.ErrorEstimate()),
 		Exact:         est.Exact(),
 	}
-	r.notifyApprox(e.name, est.Pivots()-before, info.ErrorEstimate)
+	r.m.observeApprox(e.name, est.Pivots()-before, info.ErrorEstimate)
 	scores := est.Estimate()
 	if !info.Exact {
 		r.refineInBackground(e)
@@ -122,15 +122,9 @@ func (r *Registry) refineInBackground(e *Entry) {
 		}
 		before := e.est.Pivots()
 		if e.est.Refine(approx.DefaultBatchSize) > 0 {
-			r.notifyApprox(e.name, e.est.Pivots()-before, finiteOrZero(e.est.ErrorEstimate()))
+			r.m.observeApprox(e.name, e.est.Pivots()-before, finiteOrZero(e.est.ErrorEstimate()))
 		}
 	}()
-}
-
-func (r *Registry) notifyApprox(name string, pivots int, errEstimate float64) {
-	if r.onApprox != nil {
-		r.onApprox(name, pivots, errEstimate)
-	}
 }
 
 // finiteOrZero clamps the estimator's +Inf "no batches yet" sentinel for

@@ -143,15 +143,22 @@ func TestApproxSampledQuery(t *testing.T) {
 func TestApproxBadParams(t *testing.T) {
 	ts, _ := newTestServer(t)
 	loadAndWait(t, ts.URL, LoadSpec{Name: "g", N: lifecycleN, Edges: lifecycleEdges})
-	for _, q := range []string{
-		"mode=bogus",
-		"mode=approx&pivots=0",
-		"mode=approx&pivots=-3",
-		"mode=approx&eps=0",
-		"mode=approx&eps=nope",
+	for _, c := range []struct{ q, names string }{
+		{"mode=bogus", "mode"},
+		{"mode=approx&pivots=0", "pivots"},
+		{"mode=approx&pivots=-3", "pivots"},
+		{"mode=approx&eps=0", "eps"},
+		{"mode=approx&eps=nope", "eps"},
+		// An option that is accepted and ignored is a design bug: exact
+		// mode takes neither pivots nor eps, and approx takes one of them.
+		{"pivots=40", "pivots and eps"},
+		{"mode=exact&eps=0.5", "pivots and eps"},
+		{"mode=approx&pivots=40&eps=0.5", "pivots and eps"},
 	} {
-		if code, _, _ := getWithHeaders(t, ts.URL+"/v1/graphs/g/bc?"+q, nil); code != http.StatusBadRequest {
-			t.Fatalf("query %q returned %d, want 400", q, code)
+		var body errorBody
+		code, _, _ := getWithHeaders(t, ts.URL+"/v1/graphs/g/bc?"+c.q, &body)
+		if code != http.StatusBadRequest || !strings.Contains(body.Error, c.names) {
+			t.Fatalf("query %q returned %d %q, want 400 naming %q", c.q, code, body.Error, c.names)
 		}
 	}
 }

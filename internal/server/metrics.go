@@ -10,7 +10,9 @@ import (
 	"repro/internal/server/promtext"
 )
 
-// Metrics bundles the daemon's Prometheus families. Label cardinality is
+// Metrics bundles the daemon's Prometheus families. NewRegistry builds one
+// per registry; the registry's code paths increment it directly and the
+// Server over the registry serves it on /metrics. Label cardinality is
 // bounded by construction: routes are mux patterns, never raw paths.
 type Metrics struct {
 	reg *promtext.Registry
@@ -32,8 +34,8 @@ type Metrics struct {
 	durability   *promtext.CounterVec    // event = append | snapshot | recover | error
 }
 
-// NewMetrics builds the metric families.
-func NewMetrics() *Metrics {
+// newMetrics builds the metric families.
+func newMetrics() *Metrics {
 	reg := promtext.NewRegistry()
 	m := &Metrics{
 		reg: reg,
@@ -132,28 +134,11 @@ func (m *Metrics) SampleWorkspacePool() {
 	m.wsBytes.With("tape").Set(b.Tape)
 }
 
-// Hook wires the metrics into a registry's lifecycle callbacks.
-func (m *Metrics) Hook(r *Registry) {
-	r.onLoadDone = func(status string) { m.loads.With(status).Inc() }
-	r.onMutate = func(result string) { m.incremental.With(result).Inc() }
-	r.onCount = func(n int) { m.graphs.With().Set(int64(n)) }
-	r.onApprox = func(name string, pivots int, errEstimate float64) {
-		m.approxPivots.With(name).Add(pivots)
-		m.approxError.With(name).Set(errEstimate)
-	}
-	r.onOverload = func(op string) { m.overload.With(op).Inc() }
-	r.onBatch = func(ops int) {
-		m.batches.With().Inc()
-		m.batchOps.With().Add(ops)
-	}
-	r.onTopK = func(hit bool) {
-		if hit {
-			m.topk.With("hit").Inc()
-		} else {
-			m.topk.With("miss").Inc()
-		}
-	}
-	r.onDurability = func(event string) { m.durability.With(event).Inc() }
+// observeApprox records an estimator refinement of graph name: pivots more
+// sweeps, and its latest error estimate.
+func (m *Metrics) observeApprox(name string, pivots int, errEstimate float64) {
+	m.approxPivots.With(name).Add(pivots)
+	m.approxError.With(name).Set(errEstimate)
 }
 
 // ObserveRequest records one served request.

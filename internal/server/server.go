@@ -31,16 +31,14 @@ import (
 //	GET    /metrics                        Prometheus text format
 type Server struct {
 	reg *Registry
-	m   *Metrics
 	mux *http.ServeMux
 	log *log.Logger
 }
 
-// New builds a Server over reg. logger may be nil for silence. The returned
-// server owns reg's metrics hooks.
+// New builds a Server over reg. logger may be nil for silence. /metrics
+// serves reg's metrics.
 func New(reg *Registry, logger *log.Logger) *Server {
-	s := &Server{reg: reg, m: NewMetrics(), mux: http.NewServeMux(), log: logger}
-	s.m.Hook(reg)
+	s := &Server{reg: reg, mux: http.NewServeMux(), log: logger}
 	s.route("POST /v1/graphs", s.handleLoad)
 	s.route("GET /v1/graphs", s.handleList)
 	s.route("GET /v1/graphs/{name}", s.handleGraph)
@@ -57,9 +55,6 @@ func New(reg *Registry, logger *log.Logger) *Server {
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-// Metrics exposes the server's metric bundle (the bcd main preloads gauges).
-func (s *Server) Metrics() *Metrics { return s.m }
 
 // statusWriter captures the response code for instrumentation.
 type statusWriter struct {
@@ -81,7 +76,7 @@ func (s *Server) route(pattern string, h http.HandlerFunc) {
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		h(sw, r)
 		took := time.Since(start)
-		s.m.ObserveRequest(pattern, r.Method, sw.code, took)
+		s.reg.m.ObserveRequest(pattern, r.Method, sw.code, took)
 		if s.log != nil {
 			s.log.Printf("%s %s -> %d (%s)", r.Method, r.URL.Path, sw.code, took)
 		}
@@ -240,6 +235,10 @@ func (s *Server) handleBC(w http.ResponseWriter, r *http.Request) {
 	var scores []float64
 	switch mode := q.Get("mode"); mode {
 	case "", "exact":
+		if q.Get("pivots") != "" || q.Get("eps") != "" {
+			s.writeJSON(w, http.StatusBadRequest, errorBody{Error: "pivots and eps apply to mode=approx only"})
+			return
+		}
 		if top > 0 {
 			// Exact top-K: coalesced path. Identical queries on the same
 			// epoch share one ranking pass (and concurrent duplicates block
@@ -250,7 +249,11 @@ func (s *Server) handleBC(w http.ResponseWriter, r *http.Request) {
 				s.writeError(w, err)
 				return
 			}
-			s.reg.notifyTopK(hit)
+			result := "miss"
+			if hit {
+				result = "hit"
+			}
+			s.reg.m.topk.With(result).Inc()
 			resp.Verts = n
 			resp.Top = ranked
 			s.writeJSON(w, http.StatusOK, resp)
@@ -265,6 +268,10 @@ func (s *Server) handleBC(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	case "approx":
+		if q.Get("pivots") != "" && q.Get("eps") != "" {
+			s.writeJSON(w, http.StatusBadRequest, errorBody{Error: "pivots and eps conflict: name a pivot budget or an eps target, not both"})
+			return
+		}
 		pivots := 0
 		if raw := q.Get("pivots"); raw != "" {
 			v, err := strconv.Atoi(raw)
@@ -421,8 +428,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.m.SampleWorkspacePool()
-	if _, err := s.m.WriteTo(w); err != nil && s.log != nil {
+	s.reg.m.SampleWorkspacePool()
+	if _, err := s.reg.m.WriteTo(w); err != nil && s.log != nil {
 		s.log.Printf("server: write metrics: %v", err)
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -12,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -587,6 +589,194 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if _, ok := values[`bcd_ws_bytes{layer="lanes"}`]; !ok {
 		t.Fatalf("no lanes series\n%s", text)
+	}
+}
+
+// scrapeMetrics reads /metrics into a map from series (name plus label set)
+// to value.
+func scrapeMetrics(t *testing.T, base string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := map[string]float64{}
+	for _, line := range strings.Split(strings.TrimRight(string(raw), "\n"), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		m := promSample.FindStringSubmatch(line)
+		if m == nil {
+			t.Fatalf("malformed sample line %q", line)
+		}
+		v, err := strconv.ParseFloat(m[3], 64)
+		if err != nil {
+			t.Fatalf("bad value in %q: %v", line, err)
+		}
+		values[m[1]+m[2]] = v
+	}
+	return values
+}
+
+// TestMetricsCountEveryRegistryEvent scripts one of each registry event —
+// both overloads (workers held through beforeBuild and beforeMutate), a
+// coalesced mutation batch, a top-K cache miss and hit, WAL appends and
+// compactions, a queued load canceled by Close, and a Recover — and holds
+// each /metrics counter to the exact count the script implies.
+func TestMetricsCountEveryRegistryEvent(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Workers: 1, QueueDepth: 1, DataDir: dir, SnapshotEvery: 2, MutationQueueDepth: 1}
+	reg := NewRegistry(cfg)
+	var holdBuild, holdMutate atomic.Bool
+	var buildOnce, mutOnce sync.Once
+	buildGate, buildHeld := make(chan struct{}), make(chan struct{})
+	mutGate, mutHeld := make(chan struct{}), make(chan struct{})
+	reg.beforeBuild = func() {
+		if holdBuild.Load() {
+			buildOnce.Do(func() { close(buildHeld); <-buildGate })
+		}
+	}
+	reg.beforeMutate = func() {
+		if holdMutate.Load() {
+			mutOnce.Do(func() { close(mutHeld); <-mutGate })
+		}
+	}
+	ts := httptest.NewServer(New(reg, nil))
+	t.Cleanup(func() {
+		ts.Close()
+		reg.Close()
+	})
+	base := ts.URL
+	loadAndWait(t, base, LoadSpec{
+		Name: "m", N: lifecycleN, Edges: lifecycleEdges, Threshold: lifecycleThreshold,
+	})
+
+	// Top-K: one miss, then a hit on the same epoch.
+	do(t, "GET", base+"/v1/graphs/m/bc?top=3", nil, nil)
+	do(t, "GET", base+"/v1/graphs/m/bc?top=3", nil, nil)
+
+	// Two single-op batches: two appends, and the second reaches
+	// SnapshotEvery and compacts.
+	for _, edge := range []edgeRequest{{From: 1, To: 3}, {From: 9, To: 4}} {
+		if code := do(t, "POST", base+"/v1/graphs/m/edges", edge, nil); code != http.StatusOK {
+			t.Fatalf("mutation %v returned %d", edge, code)
+		}
+	}
+
+	// Mutation overload: the first op holds the worker, the second fills the
+	// depth-1 queue, the third is shed. The held op and the queued one then
+	// apply as one batch of two (one append, one compaction).
+	holdMutate.Store(true)
+	codes := make(chan int, 2)
+	send := func(method, query string) {
+		req, _ := http.NewRequest(method, base+"/v1/graphs/m/edges?"+query, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			codes <- -1
+			return
+		}
+		resp.Body.Close()
+		codes <- resp.StatusCode
+	}
+	go send("POST", "from=0&to=2")
+	<-mutHeld
+	go send("DELETE", "from=1&to=3")
+	e := reg.Get("m")
+	for deadline := time.Now().Add(10 * time.Second); e.pending.Load() < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("second mutation never queued")
+		}
+	}
+	if code := do(t, "POST", base+"/v1/graphs/m/edges?from=9&to=3", nil, nil); code != http.StatusTooManyRequests {
+		t.Fatalf("mutation into a full queue returned %d, want 429", code)
+	}
+	close(mutGate)
+	for i := 0; i < 2; i++ {
+		if code := <-codes; code != http.StatusOK {
+			t.Fatalf("held mutation returned %d", code)
+		}
+	}
+
+	// Build overload: b1 holds the worker, b2 fills the depth-1 queue, b3 is
+	// shed. Close then cancels both b1 and the still-queued b2.
+	holdBuild.Store(true)
+	if _, err := reg.Load(triangleSpec("b1")); err != nil {
+		t.Fatal(err)
+	}
+	<-buildHeld
+	if _, err := reg.Load(triangleSpec("b2")); err != nil {
+		t.Fatal(err)
+	}
+	var overload *OverloadError
+	if _, err := reg.Load(triangleSpec("b3")); !errors.As(err, &overload) {
+		t.Fatalf("load into a full queue: err = %v, want *OverloadError", err)
+	}
+	closed := make(chan struct{})
+	go func() {
+		reg.Close()
+		close(closed)
+	}()
+	for reg.ctx.Err() == nil {
+		time.Sleep(time.Millisecond)
+	}
+	close(buildGate)
+	<-closed
+
+	// Close has drained every worker, so each counter is final. Snapshots:
+	// the build-time one, the two compactions and Close's final one.
+	got := scrapeMetrics(t, base)
+	for series, want := range map[string]float64{
+		`bcd_load_jobs_total{status="ok"}`:                1,
+		`bcd_load_jobs_total{status="canceled"}`:          2,
+		`bcd_overload_total{op="build"}`:                  1,
+		`bcd_overload_total{op="mutation"}`:               1,
+		`bcd_mutation_batches_total`:                      3,
+		`bcd_mutation_batch_ops_total`:                    4,
+		`bcd_topk_cache_total{result="miss"}`:             1,
+		`bcd_topk_cache_total{result="hit"}`:              1,
+		`bcd_durability_total{event="append"}`:            3,
+		`bcd_durability_total{event="snapshot"}`:          4,
+		`bcd_durability_total{event="recover"}`:           0,
+		`bcd_durability_total{event="error"}`:             0,
+		`bcd_incremental_updates_total{result="rebuild"}`: 1,
+		`bcd_incremental_updates_total{result="local"}`:   3,
+	} {
+		if v, ok := got[series]; !ok || v != want {
+			t.Errorf("%s = %v (present %v), want %v", series, v, ok, want)
+		}
+	}
+
+	// Recover in a fresh registry: one recover event, and two snapshots (the
+	// build-time one and Close's final one).
+	reg2 := NewRegistry(cfg)
+	ts2 := httptest.NewServer(New(reg2, nil))
+	t.Cleanup(func() {
+		ts2.Close()
+		reg2.Close()
+	})
+	names, err := reg2.Recover()
+	if err != nil || len(names) != 1 || names[0] != "m" {
+		t.Fatalf("Recover = %v, %v; want [m]", names, err)
+	}
+	if info := waitState(t, reg2.Get("m")); info.State != StateReady {
+		t.Fatalf("recovered state %s (%s)", info.State, info.Error)
+	}
+	reg2.Close() // the build job counts its load after the entry turns ready
+	got = scrapeMetrics(t, ts2.URL)
+	for series, want := range map[string]float64{
+		`bcd_durability_total{event="recover"}`:  1,
+		`bcd_durability_total{event="snapshot"}`: 2,
+		`bcd_load_jobs_total{status="ok"}`:       1,
+		`bcd_graphs_loaded`:                      1,
+	} {
+		if v, ok := got[series]; !ok || v != want {
+			t.Errorf("after Recover: %s = %v (present %v), want %v", series, v, ok, want)
+		}
 	}
 }
 

@@ -16,7 +16,7 @@ package server
 // and replay stops there — by the write-ahead ordering a torn record was
 // never acknowledged, so dropping it is correct.
 //
-// Recovery (Registry.Recover) reads the snapshot, replays the WAL over its
+// Recovery (Registry.Recover, below) reads the snapshot, replays the WAL over its
 // edge list in memory, and hands the reconstructed graph to the normal
 // build pipeline: the daemon pays ONE decomposition of the recovered state
 // instead of re-materializing the original source and re-absorbing the
@@ -73,23 +73,19 @@ type graphMeta struct {
 // mutation worker goroutine — no locking.
 type walWriter struct {
 	f       *os.File
-	path    string
 	records int // records currently in the file
 	buf     []byte
 }
 
-// openWAL opens (creating if needed) the WAL at path and counts the intact
-// records already present, so the snapshot cadence survives restarts.
+// openWAL creates the WAL at path, or empties the one there: the entry's
+// build-time snapshot already holds the full graph (for a recovered entry it
+// compacts the replayed WAL), so the log starts empty.
 func openWAL(path string) (*walWriter, error) {
-	ops, _, err := replayWALFile(path)
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, err
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	return &walWriter{f: f, path: path, records: len(ops)}, nil
+	return &walWriter{f: f}, nil
 }
 
 // Append encodes ops as framed records, writes them in one syscall and
@@ -319,4 +315,80 @@ func replayOps(g *graph.Graph, ops []core.EdgeOp) *graph.Graph {
 		}
 	}
 	return graph.NewFromEdges(n, edges, directed)
+}
+
+// initDurable creates the entry's durable directory, writes the
+// load-parameter sidecar plus the build-time snapshot, and opens its WAL.
+func (r *Registry) initDurable(dir string, e *Entry, g *graph.Graph) (*walWriter, error) {
+	// An unloaded predecessor of the name may still be deleting this directory.
+	r.mu.RLock()
+	gone := r.dropping[e.name]
+	r.mu.RUnlock()
+	if gone != nil {
+		<-gone
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, &DurabilityError{Name: e.name, Err: err}
+	}
+	meta := graphMeta{
+		Name:      e.name,
+		Threshold: e.threshold,
+		Directed:  g.Directed(),
+		SavedAt:   time.Now().UTC(),
+	}
+	if err := writeMeta(dir, meta); err != nil {
+		return nil, &DurabilityError{Name: e.name, Err: err}
+	}
+	if err := writeSnapshot(dir, g); err != nil {
+		return nil, &DurabilityError{Name: e.name, Err: err}
+	}
+	r.m.durability.With("snapshot").Inc()
+	wal, err := openWAL(filepath.Join(dir, walFile))
+	if err != nil {
+		return nil, &DurabilityError{Name: e.name, Err: err}
+	}
+	return wal, nil
+}
+
+// Recover scans DataDir for durable graph directories and re-enqueues a
+// build job for each: snapshot + WAL-tail replay reconstructs the final
+// graph in memory, and the daemon pays one decomposition of that state
+// instead of re-materializing the original source and re-absorbing the whole
+// mutation history. A name already loaded is skipped. It returns the names
+// it enqueued. Call it once, before serving.
+func (r *Registry) Recover() ([]string, error) {
+	if r.cfg.DataDir == "" {
+		return nil, nil
+	}
+	dirents, err := os.ReadDir(r.cfg.DataDir)
+	if err != nil {
+		if errors.Is(err, os.ErrNotExist) {
+			return nil, nil
+		}
+		return nil, err
+	}
+	var names []string
+	for _, de := range dirents {
+		name := de.Name()
+		if !de.IsDir() || !nameRE.MatchString(name) {
+			continue
+		}
+		st, err := loadDurable(filepath.Join(r.cfg.DataDir, name))
+		if errors.Is(err, os.ErrNotExist) {
+			// Not a durable graph directory (no meta/snapshot yet).
+			continue
+		} else if err != nil {
+			return names, err
+		}
+		e := &Entry{name: name, state: StateLoading, threshold: st.meta.Threshold}
+		var conflict *ConflictError
+		if err := r.admit(buildJob{e: e, spec: LoadSpec{Name: name}, pre: st.g}); errors.As(err, &conflict) {
+			continue
+		} else if err != nil {
+			return names, err
+		}
+		names = append(names, name)
+		r.m.durability.With("recover").Inc()
+	}
+	return names, nil
 }
