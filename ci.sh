@@ -34,7 +34,10 @@
 #      routine);
 #      then a -benchmem benchmark smoke compile-and-run
 #   6. bcbench smokes on the smallest dataset: -table 2 and a tiny -engine
-#      sweep, whose in-run rule-vs-forced-lanes bit cross-check fails the run
+#      sweep, whose in-run rule-vs-forced-lanes bit cross-check fails the run;
+#      then the docs gates: DESIGN.md + EXPERIMENTS.md stay under a line cap,
+#      and the count-only tables in EXPERIMENTS.md (Tables 1 and 4, Figures 2
+#      and 7) equal a fresh bcbench run byte for byte
 #   7. approx smoke: full-budget sampling must bit-match exact BC (the
 #      estimator's own K==n self-check on a tiny graph, and the public
 #      ApproximateBC against BetweennessCentrality), weighted input or no
@@ -55,7 +58,8 @@
 #      the kernel rule's three bounds and the direction-optimizing sweep's two
 #      are assigned in test files only, the
 #      layout rule's hub bound is a constant no code outside decompose names,
-#      neither a second BC sampler nor the at-scale harness comes back, and
+#      neither a second BC sampler (nor approx.EstimateDecomposed) nor the
+#      at-scale harness comes back, and
 #      neither the copy → rename → strip sub-graph build nor the second
 #      edge-list canonicaliser does, nor the surface APGRE did not accelerate
 #      (edge BC, Girvan–Newman, harmonic closeness, whole-graph relabels,
@@ -267,6 +271,38 @@ echo "==> bcbench -engine smoke (email-enron, scale 0.05)"
 # vertex.
 go run ./cmd/bcbench -engine -datasets email-enron -scale 0.05
 
+echo "==> docs gates: DESIGN.md + EXPERIMENTS.md line cap, count-only tables current"
+# The two documents state the current design; history lives in CHANGES.md and
+# git. Raising the cap is an explicit edit, noted in CHANGES.md.
+doc_lines=$(cat DESIGN.md EXPERIMENTS.md | wc -l)
+if [ "$doc_lines" -gt 2059 ]; then
+    echo "ci.sh: DESIGN.md + EXPERIMENTS.md are $doc_lines lines, over the 2059-line cap" >&2
+    exit 1
+fi
+# Tables 1 and 4 and Figures 2 and 7 hold counts only, so EXPERIMENTS.md
+# carries them verbatim in a fenced block that opens with the command; each
+# must equal a fresh run of that command byte for byte.
+go build -o "$tmp/bcbench" ./cmd/bcbench
+for args in "-table 1" "-table 4" "-figure 2" "-figure 7"; do
+    cmd="\$ go run ./cmd/bcbench $args -scale 1.0"
+    want=$(awk -v cmd="$cmd" '$0 == cmd {on = 1; found = 1; next}
+        on && /^```/ {exit}
+        on {print}
+        END {exit !found}' EXPERIMENTS.md) || {
+        echo "ci.sh: EXPERIMENTS.md has no block opening with '$cmd'" >&2
+        exit 1
+    }
+    # shellcheck disable=SC2086
+    got=$("$tmp/bcbench" $args -scale 1.0)
+    if [ "$want" != "$got" ]; then
+        printf '%s\n' "$want" >"$tmp/doc_want.txt"
+        printf '%s\n' "$got" >"$tmp/doc_got.txt"
+        diff -u "$tmp/doc_want.txt" "$tmp/doc_got.txt" >&2 || true
+        echo "ci.sh: EXPERIMENTS.md's block for '$cmd' differs from a fresh run" >&2
+        exit 1
+    fi
+done
+
 echo "==> approx smoke: K==n bit-match + tiny error-vs-speedup sweep"
 run_named 'TestExactBudgetBitMatch|TestSeededDeterminism' -race ./internal/approx
 # internal/approx is the one estimator: the public call is it, exact bit for bit
@@ -376,10 +412,10 @@ if grep -nE '^\s+Engine\s' $(ls internal/server/*.go | grep -v '_test\.go$') int
     exit 1
 fi
 
-# Nor a second BC sampler beside internal/approx, nor the at-scale harness
-# beside bench's scale workload.
-if grep -rnwE 'SampledWith|PivotStrategy|ApproximateBCWith|ApproximateBCDecomposed|atScaleExperiment|runLoadProbe' --include='*.go' .; then
-    echo "ci.sh: a deleted sampler or the at-scale harness is back; approximate BC is internal/approx, at-scale runs are bench's" >&2
+# Nor a second BC sampler or entry point beside approx.Estimate, nor the
+# at-scale harness beside bench's scale workload.
+if grep -rnwE 'SampledWith|PivotStrategy|ApproximateBCWith|ApproximateBCDecomposed|EstimateDecomposed|atScaleExperiment|runLoadProbe' --include='*.go' .; then
+    echo "ci.sh: a deleted sampler, approx.EstimateDecomposed or the at-scale harness is back; approximate BC is approx.Estimate, at-scale runs are bench's" >&2
     exit 1
 fi
 

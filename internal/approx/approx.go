@@ -64,8 +64,8 @@ const (
 )
 
 // Options configures an estimate. Exactly one of Pivots or Eps selects the
-// mode for Estimate/EstimateDecomposed; NewEstimator accepts either (the
-// caller drives refinement explicitly).
+// mode for Estimate; NewEstimator accepts either (the caller drives
+// refinement explicitly).
 type Options struct {
 	// Pivots is the fixed source-sample budget. Budgets >= the vertex count
 	// (or the decomposition's total root count) are served by the exact
@@ -89,7 +89,7 @@ type Options struct {
 	// Workers bounds goroutine parallelism; <= 0 means GOMAXPROCS.
 	Workers int
 	// Threshold is the decomposition merge threshold (used by Estimate,
-	// which decomposes; EstimateDecomposed ignores it).
+	// which decomposes; NewEstimator ignores it).
 	Threshold int
 }
 
@@ -113,7 +113,8 @@ type Result struct {
 	ErrEstimate float64
 }
 
-// Estimate decomposes g and runs EstimateDecomposed.
+// Estimate decomposes g and runs the estimator in the mode Options selects:
+// fixed budget (Pivots > 0) or adaptive (Eps > 0).
 func Estimate(g *graph.Graph, opt Options) (*Result, error) {
 	if g.Weighted() {
 		return nil, fmt.Errorf("approx: weighted graphs are not supported")
@@ -125,12 +126,6 @@ func Estimate(g *graph.Graph, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return EstimateDecomposed(d, opt)
-}
-
-// EstimateDecomposed runs the estimator over an existing decomposition in
-// the mode Options selects: fixed budget (Pivots > 0) or adaptive (Eps > 0).
-func EstimateDecomposed(d *decompose.Decomposition, opt Options) (*Result, error) {
 	est, err := NewEstimator(d, opt)
 	if err != nil {
 		return nil, err

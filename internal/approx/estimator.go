@@ -266,9 +266,9 @@ func (e *Estimator) collapseBatches() {
 	e.batches = e.batches[:half]
 }
 
-// RunExact finishes every open sub-graph exactly; afterwards Exact() is true
+// runExact finishes every open sub-graph exactly; afterwards Exact() is true
 // and ErrorEstimate() is 0.
-func (e *Estimator) RunExact() {
+func (e *Estimator) runExact() {
 	if len(e.open) == 0 {
 		return
 	}
@@ -286,7 +286,7 @@ func (e *Estimator) RunExact() {
 // budget into two batches so the bootstrap has something to resample.
 func (e *Estimator) EnsureBudget(pivots int) {
 	if pivots >= e.n || int64(pivots)+int64(e.presolved) >= e.totalRoots {
-		e.RunExact()
+		e.runExact()
 		return
 	}
 	target := e.presolved + pivots
@@ -320,7 +320,7 @@ func (e *Estimator) EnsureBudget(pivots int) {
 // hit. eps <= 0 demands exactness.
 func (e *Estimator) EnsureEps(eps float64) {
 	if eps <= 0 {
-		e.RunExact()
+		e.runExact()
 		return
 	}
 	for len(e.open) > 0 && (e.maxPivots <= 0 || e.pivots < e.maxPivots) {

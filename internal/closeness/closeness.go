@@ -127,65 +127,64 @@ func Decomposed(g *graph.Graph, opt Options) (*Result, error) {
 
 	dp := buildDistanceDP(d, opt.Workers)
 
-	// Per-sub-graph farness assembly: one BFS per root within the sub-graph,
-	// plus the precomputed cross terms. Sub-graphs run in parallel; each
-	// vertex's farness is owned by one sub-graph run (shared APs are
-	// assembled only in their first sub-graph).
-	p := par.Workers(opt.Workers)
-	assembled := make([]int32, n) // epoch: -1 not yet; used to claim APs
-	for i := range assembled {
-		assembled[i] = -1
+	// Farness assembly: one BFS per root within its sub-graph, plus the
+	// precomputed cross terms. The (sub-graph, root) items are spread over
+	// the workers, so the top sub-graph fans out too; each farness is one
+	// item's sum in a fixed order, so no score depends on the worker count.
+	// A shared AP is assembled only in the first sub-graph that holds it.
+	owner := make([]int32, n)
+	for i := range owner {
+		owner[i] = -1
 	}
-	// Claim pass (sequential, cheap): vertex assembled by first sub-graph
-	// containing it.
+	type cross struct {
+		la    int32
+		alpha float64
+		s     float64
+	}
+	crosses := make([][]cross, len(d.Subgraphs))
+	var items []item
 	for si, sg := range d.Subgraphs {
 		for _, v := range sg.Verts {
-			if assembled[v] < 0 {
-				assembled[v] = int32(si)
+			if owner[v] < 0 {
+				owner[v] = int32(si)
+			}
+		}
+		// For each boundary AP a: its beyond-count α and beyond-distance-sum S.
+		for _, la := range sg.Arts {
+			crosses[si] = append(crosses[si], cross{
+				la:    la,
+				alpha: sg.Alpha[la],
+				s:     dp.sBeyond(si, sg.Verts[la]),
+			})
+		}
+		for k, ls := range sg.Roots {
+			if owner[sg.Verts[ls]] == int32(si) {
+				items = append(items, item{int32(si), int32(k)})
 			}
 		}
 	}
+	p := par.Workers(opt.Workers)
 	scratches := make([]*bfsScratch, p)
-	par.ForWorker(len(d.Subgraphs), p, 1, func(w, si int) {
+	for w := range scratches {
+		scratches[w] = new(bfsScratch)
+	}
+	par.ForWorker(len(items), p, itemGrain, func(w, i int) {
 		sc := scratches[w]
-		if sc == nil {
-			sc = &bfsScratch{}
-			scratches[w] = sc
-		}
-		sg := d.Subgraphs[si]
+		it := items[i]
+		sg := d.Subgraphs[it.si]
 		sc.ensure(sg.NumVerts())
-		// Cross-term constants for this sub-graph: for each boundary AP a,
-		// its beyond-count α and beyond-distance-sum S.
-		type cross struct {
-			la    int32
-			alpha float64
-			s     float64
-		}
-		var crosses []cross
-		for _, la := range sg.Arts {
-			crosses = append(crosses, cross{
-				la:    la,
-				alpha: sg.Alpha[la],
-				s:     dp.beyondSum(si, sg.Verts[la]),
-			})
-		}
-		for _, ls := range sg.Roots {
-			v := sg.Verts[ls]
-			if assembled[v] != int32(si) {
-				continue // AP assembled by an earlier sub-graph
+		ls := sg.Roots[it.k]
+		far, _ := sc.bfsSums(sg, ls)
+		for _, c := range crosses[it.si] {
+			dla := sc.dist[c.la]
+			if dla < 0 {
+				continue // other component inside a (merged) sub-graph
 			}
-			inner, _ := sc.bfsSums(sg, ls)
-			far := inner
-			for _, c := range crosses {
-				dla := sc.dist[c.la]
-				if dla < 0 {
-					continue // other component inside a (merged) sub-graph
-				}
-				far += float64(dla)*c.alpha + c.s
-			}
-			res.Farness[v] = far
-			res.Reach[v] = compSize[labels[v]] - 1
+			far += float64(dla)*c.alpha + c.s
 		}
+		v := sg.Verts[ls]
+		res.Farness[v] = far
+		res.Reach[v] = compSize[labels[v]] - 1
 		sc.sparseReset()
 	})
 
@@ -208,13 +207,19 @@ func Decomposed(g *graph.Graph, opt Options) (*Result, error) {
 	return res, nil
 }
 
+// item is one BFS of the farness assembly or of the DP's AP tables: the k-th
+// root or boundary AP of sub-graph si.
+type item struct{ si, k int32 }
+
+// itemGrain is how many items a worker claims at once.
+const itemGrain = 16
+
 // bfsScratch runs sub-graph-local BFS keeping the dist array for cross-term
-// lookups until sparseReset.
+// lookups until sparseReset; queue lists the vertices the last BFS reached.
 type bfsScratch struct {
 	alloc int
 	dist  []int32
 	queue []int32
-	seen  []int32
 }
 
 func (sc *bfsScratch) ensure(n int) {
@@ -234,33 +239,34 @@ func (sc *bfsScratch) ensure(n int) {
 // closed form, each one step past u. sc.dist stays valid until sparseReset.
 func (sc *bfsScratch) bfsSums(sg *decompose.Subgraph, s int32) (float64, int64) {
 	sc.sparseReset()
-	sc.queue = append(sc.queue[:0], s)
-	sc.seen = append(sc.seen[:0], s)
-	sc.dist[s] = 0
+	// The loop keeps queue and dist in locals: the workers' scratch structs
+	// may share a cache line, so no per-vertex write goes through sc.
+	queue, dist := append(sc.queue, s), sc.dist
+	dist[s] = 0
 	var sum float64
 	var reach int64
-	for head := 0; head < len(sc.queue); head++ {
-		u := sc.queue[head]
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
 		if leaves := int64(sg.Gamma[u]); leaves > 0 {
-			sum += float64(leaves * int64(sc.dist[u]+1))
+			sum += float64(leaves * int64(dist[u]+1))
 			reach += leaves
 		}
 		for _, v := range sg.Out(u) {
-			if sc.dist[v] < 0 {
-				sc.dist[v] = sc.dist[u] + 1
-				sum += float64(sc.dist[v])
+			if dist[v] < 0 {
+				dist[v] = dist[u] + 1
+				sum += float64(dist[v])
 				reach++
-				sc.queue = append(sc.queue, v)
-				sc.seen = append(sc.seen, v)
+				queue = append(queue, v)
 			}
 		}
 	}
+	sc.queue = queue
 	return sum, reach
 }
 
 func (sc *bfsScratch) sparseReset() {
-	for _, v := range sc.seen {
+	for _, v := range sc.queue {
 		sc.dist[v] = -1
 	}
-	sc.seen = sc.seen[:0]
+	sc.queue = sc.queue[:0]
 }

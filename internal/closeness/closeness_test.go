@@ -5,14 +5,18 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/decompose"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
+// assertResultsEqual holds Decomposed to Exact, and Decomposed at 2 and 8
+// workers to its 1-worker run bit for bit: each farness is one item's sum,
+// whichever worker runs it.
 func assertResultsEqual(t *testing.T, g *graph.Graph, label string) {
 	t.Helper()
 	want := Exact(g, 2)
-	got, err := Decomposed(g, Options{Workers: 2, Threshold: 4})
+	got, err := Decomposed(g, Options{Workers: 1, Threshold: 4})
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -27,6 +31,19 @@ func assertResultsEqual(t *testing.T, g *graph.Graph, label string) {
 		}
 		if math.Abs(want.Closeness[v]-got.Closeness[v]) > 1e-9 {
 			t.Fatalf("%s: closeness differs at %d", label, v)
+		}
+	}
+	for _, p := range []int{2, 8} {
+		again, err := Decomposed(g, Options{Workers: p, Threshold: 4})
+		if err != nil {
+			t.Fatalf("%s p=%d: %v", label, p, err)
+		}
+		for v := range got.Farness {
+			if math.Float64bits(again.Farness[v]) != math.Float64bits(got.Farness[v]) ||
+				again.Reach[v] != got.Reach[v] {
+				t.Fatalf("%s: p=%d differs from p=1 at %d: %v vs %v", label, p, v,
+					again.Farness[v], got.Farness[v])
+			}
 		}
 	}
 }
@@ -68,13 +85,27 @@ func TestDecomposedMatchesExact(t *testing.T) {
 			TopShare: 0.4, LeafFrac: 0.35, Seed: 2}),
 		"road": gen.RoadLike(gen.RoadParams{Rows: 8, Cols: 9, DeleteFrac: 0.12,
 			SpurFrac: 0.2, SpurLen: 2, Seed: 3}),
-		"grid": gen.Grid2D(6, 6),
-		"K2":   graph.NewFromEdges(2, []graph.Edge{{From: 0, To: 1}}, false),
+		"road-large": roadLarge,
+		"grid":       gen.Grid2D(6, 6),
+		"K2":         graph.NewFromEdges(2, []graph.Edge{{From: 0, To: 1}}, false),
 	}
 	for label, g := range cases {
 		assertResultsEqual(t, g, label)
 	}
+	// The worker sweep above means something only if the top sub-graph's
+	// roots are spread over the workers next to other sub-graphs.
+	d, err := decompose.Decompose(roadLarge, decompose.Options{Threshold: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if top := len(d.Subgraphs[d.TopIndex].Roots); len(d.Subgraphs) < 2 || top < 8*itemGrain {
+		t.Fatalf("road-large: %d sub-graphs, %d top roots", len(d.Subgraphs), top)
+	}
 }
+
+// roadLarge is a road stand-in whose top sub-graph spans many work items.
+var roadLarge = gen.RoadLike(gen.RoadParams{Rows: 24, Cols: 24, DeleteFrac: 0.12,
+	SpurFrac: 0.2, SpurLen: 2, Seed: 5})
 
 func TestDecomposedDisconnected(t *testing.T) {
 	// Two components, one with leaves.

@@ -34,7 +34,7 @@ type incRef struct {
 }
 
 // buildDistanceDP precomputes the per-sub-graph AP distance tables (one BFS
-// per AP per sub-graph, parallel across sub-graphs) and resolves the DP.
+// per AP per sub-graph, spread over the workers) and resolves the DP.
 func buildDistanceDP(d *decompose.Decomposition, workers int) *distDP {
 	dp := &distDP{
 		d:      d,
@@ -54,26 +54,29 @@ func buildDistanceDP(d *decompose.Decomposition, workers int) *distDP {
 		}
 	}
 
-	// Per-AP BFS tables.
+	// Per-AP BFS tables, one (sub-graph, AP) item at a time.
+	var items []item
+	for si, sg := range d.Subgraphs {
+		for k := range sg.Arts {
+			items = append(items, item{int32(si), int32(k)})
+		}
+	}
 	p := par.Workers(workers)
 	scratches := make([]*bfsScratch, p)
-	par.ForWorker(len(d.Subgraphs), p, 1, func(wk, si int) {
+	for w := range scratches {
+		scratches[w] = new(bfsScratch)
+	}
+	par.ForWorker(len(items), p, itemGrain, func(wk, i int) {
 		sc := scratches[wk]
-		if sc == nil {
-			sc = &bfsScratch{}
-			scratches[wk] = sc
-		}
-		sg := d.Subgraphs[si]
+		it := items[i]
+		sg := d.Subgraphs[it.si]
 		sc.ensure(sg.NumVerts())
-		for k, la := range sg.Arts {
-			sum, _ := sc.bfsSums(sg, la)
-			dp.w[si][k] = sum
-			row := make([]int32, len(sg.Arts))
-			for k2, lb := range sg.Arts {
-				row[k2] = sc.dist[lb] // -1 if unreachable (cannot happen: connected)
-			}
-			dp.distAP[si][k] = row
+		dp.w[it.si][it.k], _ = sc.bfsSums(sg, sg.Arts[it.k])
+		row := make([]int32, len(sg.Arts))
+		for k2, lb := range sg.Arts {
+			row[k2] = sc.dist[lb] // -1 if unreachable (cannot happen: connected)
 		}
+		dp.distAP[it.si][it.k] = row
 		sc.sparseReset()
 	})
 
@@ -138,8 +141,9 @@ func (dp *distDP) resolve() {
 	}
 }
 
-// sBeyond returns S_j(b) = Σ_{SGk ∋ b, k≠j} E(b→SGk); callers guarantee the
-// inputs are resolved.
+// sBeyond returns S_j(b) = Σ_{SGk ∋ b, k≠j} E(b→SGk), which is also the
+// cross term the farness assembly adds per boundary AP b: Σ_{t beyond b, away
+// from SG_j} dist(b, t). Callers guarantee the inputs are resolved.
 func (dp *distDP) sBeyond(si int, b graph.V) float64 {
 	var s float64
 	for _, inc := range dp.incsOf[b] {
@@ -148,10 +152,4 @@ func (dp *distDP) sBeyond(si int, b graph.V) float64 {
 		}
 	}
 	return s
-}
-
-// beyondSum returns Σ_{t beyond AP a, away from SG_si} dist(a, t) — the
-// cross term the farness assembly adds per boundary AP.
-func (dp *distDP) beyondSum(si int, a graph.V) float64 {
-	return dp.sBeyond(si, a)
 }
