@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -175,26 +176,71 @@ func TestCLIClosenessRejectsBCFlags(t *testing.T) {
 	}
 }
 
-func TestCLIBCWeighted(t *testing.T) {
-	tmp := t.TempDir()
-	wpath := filepath.Join(tmp, "w.txt")
-	if err := os.WriteFile(wpath, []byte("0 1 2\n1 2 2\n0 2 10\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out := runCLI(t, "bc", "-in", wpath, "-weighted", "-top", "3")
-	if !strings.Contains(out, "apgre finished") {
-		t.Fatalf("weighted output:\n%s", out)
-	}
-	// Vertex 1 must top the list: the heavy direct edge is bypassed.
-	lines := strings.Split(out, "\n")
-	found := false
-	for _, l := range lines {
-		if strings.HasPrefix(l, "1 ") && strings.Contains(l, " 1 ") {
-			found = true
+// topRows returns the rows of the ranking table bc prints, split into
+// fields (rank, vertex, score...).
+func topRows(out string) [][]string {
+	var rows [][]string
+	inTable := false
+	for _, l := range strings.Split(out, "\n") {
+		if strings.HasPrefix(l, "----") {
+			inTable = true
+			continue
+		}
+		if f := strings.Fields(l); inTable && len(f) > 0 {
+			rows = append(rows, f)
 		}
 	}
-	if !found && !strings.Contains(out, "1     1") {
-		t.Fatalf("vertex 1 not ranked first:\n%s", out)
+	return rows
+}
+
+// TestCLIBCWeighted: -weighted reads weights from every text format. On
+// 0-1 (2), 1-2 (2), 0-2 (10) the heavy direct edge is bypassed, so the
+// middle vertex — 1, or 2 in the 1-based DIMACS file, which bc prints
+// 0-based — ranks first with BC 2.
+func TestCLIBCWeighted(t *testing.T) {
+	tmp := t.TempDir()
+	files := map[string]string{
+		"w.txt": "0 1 2\n1 2 2\n0 2 10\n",
+		"w.gr":  "p sp 3 6\na 1 2 2\na 2 1 2\na 2 3 2\na 3 2 2\na 1 3 10\na 3 1 10\n",
+		"w.graphml": `<?xml version="1.0"?>
+<graphml><key id="d0" for="edge" attr.name="weight" attr.type="double"/>
+<graph edgedefault="undirected"><node id="0"/><node id="1"/><node id="2"/>
+<edge source="0" target="1"><data key="d0">2</data></edge>
+<edge source="1" target="2"><data key="d0">2</data></edge>
+<edge source="0" target="2"><data key="d0">10</data></edge>
+</graph></graphml>`,
+		"w.json": `{"directed":false,"nodes":[{"id":0},{"id":1},{"id":2}],"links":[
+{"source":0,"target":1,"weight":2},{"source":1,"target":2,"weight":2},{"source":0,"target":2,"weight":10}]}`,
+	}
+	for name, body := range files {
+		wpath := filepath.Join(tmp, name)
+		if err := os.WriteFile(wpath, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out := runCLI(t, "bc", "-in", wpath, "-weighted", "-top", "3")
+		rows := topRows(out)
+		if !strings.Contains(out, "apgre finished") || len(rows) != 3 || rows[0][1] != "1" || rows[0][2] != "2.000" {
+			t.Fatalf("%s: want vertex 1 first with BC 2:\n%s", name, out)
+		}
+	}
+}
+
+// TestCLIBCNamesFileIDs: bc names the vertices of an edge list by the file's
+// own ids, not by the dense ids it assigns in first-appearance order.
+func TestCLIBCNamesFileIDs(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sparse.txt")
+	if err := os.WriteFile(path, []byte("10 20\n20 30\n30 40\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, extra := range [][]string{nil, {"-weighted"}, {"-metric", "closeness"}} {
+		args := append([]string{"-in", path, "-top", "2"}, extra...)
+		rows := topRows(runCLI(t, "bc", args...))
+		if len(rows) != 2 {
+			t.Fatalf("bc %v: rows %v", args, rows)
+		}
+		if got := []string{rows[0][1], rows[1][1]}; !slices.Equal(got, []string{"20", "30"}) && !slices.Equal(got, []string{"30", "20"}) {
+			t.Fatalf("bc %v: top two %v, want the file's 20 and 30", args, got)
+		}
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"repro"
@@ -25,10 +24,10 @@ import (
 
 func main() {
 	var (
-		in         = flag.String("in", "", "graph file (edge list, .gr, or .bin)")
+		in         = flag.String("in", "", "graph file (edge list, .gr, .graphml, .json or .bin)")
 		format     = flag.String("format", "", "input format override")
 		directed   = flag.Bool("directed", false, "treat edge-list input as directed")
-		weighted   = flag.Bool("weighted", false, "read edge weights (3rd column / DIMACS arc weights)")
+		weighted   = flag.Bool("weighted", false, "read edge weights (3rd column / DIMACS arc weights; GraphML and JSON carry their own)")
 		useMmap    = flag.Bool("mmap", false, "memory-map binary input (zero-copy adjacency when supported)")
 		metric     = flag.String("metric", "bc", "metric: bc|closeness")
 		algo       = flag.String("algo", "apgre", "algorithm: apgre|serial|preds|succs|locksyncfree|async|hybrid")
@@ -58,9 +57,12 @@ func main() {
 		os.Exit(2)
 	}
 
+	// ids names each vertex as an edge-list input does; nil means the
+	// format's ids are already dense.
 	var g *repro.Graph
+	var ids []int64
 	if *useMmap {
-		if *weighted || (*format != "" && *format != "bin") || (*format == "" && !strings.HasSuffix(*in, ".bin")) {
+		if *weighted || (*format != "" && *format != "bin") {
 			fmt.Fprintln(os.Stderr, "bc: -mmap requires unweighted binary (.bin) input")
 			os.Exit(2)
 		}
@@ -81,7 +83,7 @@ func main() {
 		fmt.Printf("loaded %v (mmap, %s)\n", g, mode)
 	} else {
 		var err error
-		g, err = load(*in, *format, *directed, *weighted)
+		g, ids, err = graphio.Load(*in, *format, *directed, *weighted)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bc: %v\n", err)
 			os.Exit(1)
@@ -103,12 +105,12 @@ func main() {
 				fmt.Fprintln(os.Stderr, "bc: -approx supports unweighted graphs only")
 				os.Exit(2)
 			}
-			runApproxBC(g, *workers, *thresh, *topK, *pivots, *eps, *seed)
+			runApproxBC(g, ids, *workers, *thresh, *topK, *pivots, *eps, *seed)
 			break
 		}
-		runBC(g, *algo, *workers, *thresh, *topK, *verbose, *weighted)
+		runBC(g, ids, *algo, *workers, *thresh, *topK, *verbose, *weighted)
 	case "closeness":
-		runCloseness(g, *workers, *topK)
+		runCloseness(g, ids, *workers, *topK)
 	default:
 		prof.Stop()
 		fmt.Fprintf(os.Stderr, "bc: unknown -metric %q\n", *metric)
@@ -120,27 +122,15 @@ func main() {
 	}
 }
 
-func load(in, format string, directed, weighted bool) (*repro.Graph, error) {
-	if !weighted {
-		return repro.LoadGraph(in, format, directed)
+// vertexName is v as the input file names it.
+func vertexName(ids []int64, v repro.V) int64 {
+	if ids == nil {
+		return int64(v)
 	}
-	f, err := os.Open(in)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if format == "dimacs" || (format == "" && hasSuffix(in, ".gr")) {
-		return graphio.ReadDIMACSWeighted(f, directed)
-	}
-	g, _, err := graphio.ReadWeightedEdgeList(f, directed)
-	return g, err
+	return ids[v]
 }
 
-func hasSuffix(s, suf string) bool {
-	return len(s) >= len(suf) && s[len(s)-len(suf):] == suf
-}
-
-func runBC(g *repro.Graph, algo string, workers, thresh, topK int, verbose, weighted bool) {
+func runBC(g *repro.Graph, ids []int64, algo string, workers, thresh, topK int, verbose, weighted bool) {
 	var bd repro.Breakdown
 	opt := repro.Options{
 		Algorithm: repro.Algorithm(algo),
@@ -174,12 +164,12 @@ func runBC(g *repro.Graph, algo string, workers, thresh, topK int, verbose, weig
 	t := &metrics.Table{Title: fmt.Sprintf("top %d vertices by betweenness", topK),
 		Headers: []string{"rank", "vertex", "bc"}}
 	for i, vs := range repro.TopK(bc, topK) {
-		t.AddRow(i+1, vs.Vertex, vs.Score)
+		t.AddRow(i+1, vertexName(ids, vs.Vertex), vs.Score)
 	}
 	t.Render(os.Stdout)
 }
 
-func runApproxBC(g *repro.Graph, workers, thresh, topK, pivots int, eps float64, seed int64) {
+func runApproxBC(g *repro.Graph, ids []int64, workers, thresh, topK, pivots int, eps float64, seed int64) {
 	opt := repro.ApproxOptions{
 		Pivots:    pivots,
 		Eps:       eps,
@@ -206,12 +196,12 @@ func runApproxBC(g *repro.Graph, workers, thresh, topK, pivots int, eps float64,
 	t := &metrics.Table{Title: fmt.Sprintf("top %d vertices by approximate betweenness", topK),
 		Headers: []string{"rank", "vertex", "bc"}}
 	for i, vs := range repro.TopK(res.BC, topK) {
-		t.AddRow(i+1, vs.Vertex, vs.Score)
+		t.AddRow(i+1, vertexName(ids, vs.Vertex), vs.Score)
 	}
 	t.Render(os.Stdout)
 }
 
-func runCloseness(g *repro.Graph, workers, topK int) {
+func runCloseness(g *repro.Graph, ids []int64, workers, topK int) {
 	start := time.Now()
 	res, err := repro.ClosenessCentrality(g, workers)
 	if err != nil {
@@ -222,7 +212,7 @@ func runCloseness(g *repro.Graph, workers, topK int) {
 	t := &metrics.Table{Title: fmt.Sprintf("top %d vertices by closeness", topK),
 		Headers: []string{"rank", "vertex", "closeness", "farness"}}
 	for i, vs := range repro.TopK(res.Closeness, topK) {
-		t.AddRow(i+1, vs.Vertex, vs.Score, res.Farness[vs.Vertex])
+		t.AddRow(i+1, vertexName(ids, vs.Vertex), vs.Score, res.Farness[vs.Vertex])
 	}
 	t.Render(os.Stdout)
 }

@@ -9,7 +9,7 @@ import (
 
 // binHeader assembles a binary-format header (magic, flags, n, arcs) plus an
 // optional degree table — the raw material for hardening tests and fuzz
-// seeds targeting ReadBinary's pre-allocation validation.
+// seeds targeting ReadBinaryCSR's pre-allocation validation.
 func binHeader(flags uint32, n, arcs uint64, degs []uint32) []byte {
 	var buf bytes.Buffer
 	buf.WriteString(binMagic)
@@ -45,17 +45,7 @@ func FuzzReadEdgeList(f *testing.F) {
 		f.Add([]byte(s), false)
 	}
 	f.Fuzz(func(t *testing.T, data []byte, directed bool) {
-		g, _, err := ReadEdgeList(bytes.NewReader(data), directed)
-		if err == nil && g != nil {
-			// Returned graphs must be internally consistent.
-			if g.NumArcs() < 0 || g.NumVertices() < 0 {
-				t.Fatal("negative sizes")
-			}
-			var buf bytes.Buffer
-			if werr := WriteEdgeList(&buf, g); werr != nil {
-				t.Fatalf("write-back failed: %v", werr)
-			}
-		}
+		fuzzEdgeList(t, data, directed, false)
 	})
 }
 
@@ -72,18 +62,36 @@ func FuzzReadWeightedEdgeList(f *testing.F) {
 		f.Add([]byte(s), false)
 	}
 	f.Fuzz(func(t *testing.T, data []byte, directed bool) {
-		g, _, err := ReadWeightedEdgeList(bytes.NewReader(data), directed)
-		if err == nil && g != nil && g.NumArcs() > 0 {
-			// Every accepted weight must be positive.
-			for u := int32(0); int(u) < g.NumVertices(); u++ {
-				for _, w := range g.OutWeights(u) {
-					if !(w > 0) {
-						t.Fatalf("accepted non-positive weight %v", w)
-					}
-				}
+		fuzzEdgeList(t, data, directed, true)
+	})
+}
+
+// fuzzEdgeList is the body of both edge-list fuzz targets, which differ only
+// in the weighted argument they hand the one parser.
+func fuzzEdgeList(t *testing.T, data []byte, directed, weighted bool) {
+	g, _, err := ReadEdgeList(bytes.NewReader(data), directed, weighted)
+	if err != nil || g == nil {
+		return
+	}
+	// Returned graphs must be internally consistent, carry weights exactly
+	// when asked to, and every accepted weight must be positive.
+	if g.NumArcs() < 0 || g.NumVertices() < 0 {
+		t.Fatal("negative sizes")
+	}
+	if g.Weighted() != weighted {
+		t.Fatalf("Weighted() = %v, asked for %v", g.Weighted(), weighted)
+	}
+	for u := int32(0); weighted && int(u) < g.NumVertices(); u++ {
+		for _, w := range g.OutWeights(u) {
+			if !(w > 0) {
+				t.Fatalf("accepted non-positive weight %v", w)
 			}
 		}
-	})
+	}
+	var buf bytes.Buffer
+	if werr := WriteEdgeList(&buf, g); werr != nil {
+		t.Fatalf("write-back failed: %v", werr)
+	}
 }
 
 func FuzzReadDIMACS(f *testing.F) {
@@ -93,45 +101,18 @@ func FuzzReadDIMACS(f *testing.F) {
 		"p sp 0 0\n",
 		"p sp -1 2\n",
 		"p sp 2 1\na 1 2 1\nq\n",
+		// A vertex count past 2^31 must be refused before it sizes a graph.
+		"p sp 3000000000 1\na 2500000000 1 1\n",
+		"p sp 2147483649 0\n",
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := ReadDIMACS(bytes.NewReader(data), false)
+		g, err := ReadDIMACS(bytes.NewReader(data), false, false)
 		if err == nil && g != nil && g.NumVertices() < 0 {
 			t.Fatal("negative vertex count accepted")
 		}
-		ReadDIMACSWeighted(bytes.NewReader(data), true)
-	})
-}
-
-func FuzzReadBinary(f *testing.F) {
-	// A valid file plus mutations.
-	var buf bytes.Buffer
-	g, _, err := ReadEdgeList(strings.NewReader("0 1\n1 2\n"), false)
-	if err != nil {
-		f.Fatal(err)
-	}
-	if err := WriteBinary(&buf, g); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add(valid[:len(valid)-3])
-	f.Add([]byte("APGR\x01garbage"))
-	f.Add([]byte{})
-	// Header claims 2 vertices / 1 arc but the first degree already exceeds
-	// the arc count (prefix sum past arcs).
-	f.Add(binHeader(0, 2, 1, []uint32{5, 0}))
-	// A degree that would wrap an int32 CSR offset (non-monotonic).
-	f.Add(binHeader(0, 2, 1, []uint32{0x8000_0000, 0}))
-	// Huge arc count with no adjacency payload: must fail on the degree
-	// stream, not allocate per the header's claim.
-	f.Add(binHeader(0, 4, 1<<30, nil))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		// Must never panic and never allocate absurdly (the header caps
-		// guard that); errors are fine.
-		ReadBinary(bytes.NewReader(data))
+		ReadDIMACS(bytes.NewReader(data), true, true)
 	})
 }

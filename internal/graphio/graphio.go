@@ -1,12 +1,15 @@
 // Package graphio reads and writes graphs in the formats the paper's inputs
-// come in: SNAP-style whitespace edge lists, DIMACS shortest-path challenge
-// files (the road networks), plus a fast binary CSR format for caching
-// generated datasets between harness runs.
+// come in: SNAP-style whitespace edge lists and DIMACS shortest-path
+// challenge files (the road networks), each optionally weighted; GraphML and
+// d3 node-link JSON for interchange; and a binary CSR format for caching
+// generated datasets between harness runs. There is one reader per format,
+// and Load is the one place a file's format is chosen.
 package graphio
 
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -20,9 +23,10 @@ import (
 // ReadEdgeList parses a SNAP-style edge list: one "src dst" pair per line,
 // '#' or '%' lines are comments, blank lines ignored. Vertex ids may be
 // arbitrary non-negative integers; they are remapped to a dense [0, n) space
-// in first-appearance order. Returns the graph and the dense->original id
-// mapping.
-func ReadEdgeList(r io.Reader, directed bool) (*graph.Graph, []int64, error) {
+// in first-appearance order. With weighted, a third column is the edge's
+// weight (1 where it is missing); without, columns past the second are
+// ignored. Returns the graph and the dense->original id mapping.
+func ReadEdgeList(r io.Reader, directed, weighted bool) (*graph.Graph, []int64, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	remap := make(map[int64]int32)
@@ -37,53 +41,7 @@ func ReadEdgeList(r io.Reader, directed bool) (*graph.Graph, []int64, error) {
 		return v
 	}
 	var edges []graph.Edge
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || line[0] == '#' || line[0] == '%' {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return nil, nil, fmt.Errorf("graphio: line %d: want 2 fields, got %q", lineNo, line)
-		}
-		u, err := strconv.ParseInt(fields[0], 10, 64)
-		if err != nil {
-			return nil, nil, fmt.Errorf("graphio: line %d: %v", lineNo, err)
-		}
-		v, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			return nil, nil, fmt.Errorf("graphio: line %d: %v", lineNo, err)
-		}
-		if u < 0 || v < 0 {
-			return nil, nil, fmt.Errorf("graphio: line %d: negative vertex id", lineNo)
-		}
-		edges = append(edges, graph.Edge{From: id(u), To: id(v)})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, nil, fmt.Errorf("graphio: %v", err)
-	}
-	return graph.NewFromEdges(len(orig), edges, directed), orig, nil
-}
-
-// ReadWeightedEdgeList parses a three-column "src dst weight" list with the
-// same comment/remap rules as ReadEdgeList. Missing weights default to 1.
-func ReadWeightedEdgeList(r io.Reader, directed bool) (*graph.Graph, []int64, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	remap := make(map[int64]int32)
-	var orig []int64
-	id := func(raw int64) int32 {
-		if v, ok := remap[raw]; ok {
-			return v
-		}
-		v := int32(len(orig))
-		remap[raw] = v
-		orig = append(orig, raw)
-		return v
-	}
-	var edges []graph.WeightedEdge
+	var wedges []graph.WeightedEdge
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -106,22 +64,28 @@ func ReadWeightedEdgeList(r io.Reader, directed bool) (*graph.Graph, []int64, er
 		if u < 0 || v < 0 {
 			return nil, nil, fmt.Errorf("graphio: line %d: negative vertex id", lineNo)
 		}
+		if !weighted {
+			edges = append(edges, graph.Edge{From: id(u), To: id(v)})
+			continue
+		}
 		w := 1.0
 		if len(fields) >= 3 {
-			w, err = strconv.ParseFloat(fields[2], 64)
-			if err != nil {
+			if w, err = strconv.ParseFloat(fields[2], 64); err != nil {
 				return nil, nil, fmt.Errorf("graphio: line %d: bad weight: %v", lineNo, err)
 			}
 			if err := checkWeight(w); err != nil {
 				return nil, nil, fmt.Errorf("graphio: line %d: %v", lineNo, err)
 			}
 		}
-		edges = append(edges, graph.WeightedEdge{From: id(u), To: id(v), W: w})
+		wedges = append(wedges, graph.WeightedEdge{From: id(u), To: id(v), W: w})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, nil, fmt.Errorf("graphio: %v", err)
 	}
-	return graph.NewWeightedFromEdges(len(orig), edges, directed), orig, nil
+	if weighted {
+		return graph.NewWeightedFromEdges(len(orig), wedges, directed), orig, nil
+	}
+	return graph.NewFromEdges(len(orig), edges, directed), orig, nil
 }
 
 // checkWeight is the one weight rule every reader applies: positive and
@@ -134,104 +98,43 @@ func checkWeight(w float64) error {
 	return nil
 }
 
-// WriteWeightedEdgeList writes g as a three-column weighted edge list.
-func WriteWeightedEdgeList(w io.Writer, g *graph.Graph) error {
-	if !g.Weighted() {
-		return fmt.Errorf("graphio: graph is unweighted; use WriteEdgeList")
-	}
-	bw := bufio.NewWriter(w)
-	kind := "Undirected"
-	if g.Directed() {
-		kind = "Directed"
-	}
-	fmt.Fprintf(bw, "# %s weighted graph\n# Nodes: %d Edges: %d\n", kind, g.NumVertices(), g.NumEdges())
-	for _, e := range g.WeightedEdges() {
-		fmt.Fprintf(bw, "%d\t%d\t%g\n", e.From, e.To, e.W)
-	}
-	return bw.Flush()
-}
-
-// ReadDIMACSWeighted parses a DIMACS .gr file keeping arc weights (the road
-// networks' travel times), unlike ReadDIMACS which drops them.
-func ReadDIMACSWeighted(r io.Reader, directed bool) (*graph.Graph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	n := -1
-	var edges []graph.WeightedEdge
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || line[0] == 'c' {
-			continue
-		}
-		fields := strings.Fields(line)
-		switch fields[0] {
-		case "p":
-			if len(fields) < 4 {
-				return nil, fmt.Errorf("graphio: line %d: bad problem line", lineNo)
-			}
-			nn, err := strconv.Atoi(fields[2])
-			if err != nil {
-				return nil, fmt.Errorf("graphio: line %d: %v", lineNo, err)
-			}
-			n = nn
-		case "a", "e":
-			if n < 0 {
-				return nil, fmt.Errorf("graphio: line %d: arc before problem line", lineNo)
-			}
-			if len(fields) < 4 {
-				return nil, fmt.Errorf("graphio: line %d: weighted arc needs 3 fields", lineNo)
-			}
-			u, err1 := strconv.Atoi(fields[1])
-			v, err2 := strconv.Atoi(fields[2])
-			w, err3 := strconv.ParseFloat(fields[3], 64)
-			if err1 != nil || err2 != nil || err3 != nil {
-				return nil, fmt.Errorf("graphio: line %d: bad arc", lineNo)
-			}
-			if u < 1 || u > n || v < 1 || v > n {
-				return nil, fmt.Errorf("graphio: line %d: vertex out of range", lineNo)
-			}
-			if err := checkWeight(w); err != nil {
-				return nil, fmt.Errorf("graphio: line %d: %v", lineNo, err)
-			}
-			edges = append(edges, graph.WeightedEdge{From: int32(u - 1), To: int32(v - 1), W: w})
-		default:
-			return nil, fmt.Errorf("graphio: line %d: unknown record %q", lineNo, fields[0])
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if n < 0 {
-		return nil, fmt.Errorf("graphio: missing problem line")
-	}
-	return graph.NewWeightedFromEdges(n, edges, directed), nil
-}
-
-// WriteEdgeList writes g as a SNAP-style edge list with a descriptive header.
+// WriteEdgeList writes g as a SNAP-style edge list with a descriptive
+// header; a weighted graph gets a third column, its edge weights.
 func WriteEdgeList(w io.Writer, g *graph.Graph) error {
 	bw := bufio.NewWriter(w)
 	kind := "Undirected"
 	if g.Directed() {
 		kind = "Directed"
 	}
+	if g.Weighted() {
+		kind += " weighted"
+	}
 	fmt.Fprintf(bw, "# %s graph\n# Nodes: %d Edges: %d\n", kind, g.NumVertices(), g.NumEdges())
-	for _, e := range g.Edges() {
-		fmt.Fprintf(bw, "%d\t%d\n", e.From, e.To)
+	if g.Weighted() {
+		for _, e := range g.WeightedEdges() {
+			fmt.Fprintf(bw, "%d\t%d\t%g\n", e.From, e.To, e.W)
+		}
+	} else {
+		for _, e := range g.Edges() {
+			fmt.Fprintf(bw, "%d\t%d\n", e.From, e.To)
+		}
 	}
 	return bw.Flush()
 }
 
 // ReadDIMACS parses a DIMACS shortest-path challenge graph ("p sp n m"
-// problem line, "a u v w" arc lines, 1-indexed vertices; weights are ignored
-// since the paper treats road networks as unweighted). DIMACS files list each
-// undirected road segment as two arcs; pass directed=false to collapse them.
-func ReadDIMACS(r io.Reader, directed bool) (*graph.Graph, error) {
+// problem line, "a u v w" arc lines, 1-indexed vertices). With weighted the
+// arc weights are kept (the road networks' travel times); without, they are
+// not read, since the paper treats road networks as unweighted. DIMACS files
+// list each undirected road segment as two arcs; pass directed=false to
+// collapse them. The problem line's n must lie in [0, 2^31], the binary
+// header's bound: it sizes the graph before any arc backs it.
+func ReadDIMACS(r io.Reader, directed, weighted bool) (*graph.Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	n := -1
 	var edges []graph.Edge
+	var wedges []graph.WeightedEdge
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -249,12 +152,15 @@ func ReadDIMACS(r io.Reader, directed bool) (*graph.Graph, error) {
 			if err != nil {
 				return nil, fmt.Errorf("graphio: line %d: %v", lineNo, err)
 			}
+			if nn < 0 || nn > 1<<31 {
+				return nil, fmt.Errorf("graphio: line %d: vertex count %d outside [0, 2^31]", lineNo, nn)
+			}
 			n = nn
 		case "a", "e":
 			if n < 0 {
 				return nil, fmt.Errorf("graphio: line %d: arc before problem line", lineNo)
 			}
-			if len(fields) < 3 {
+			if len(fields) < 3 || (weighted && len(fields) < 4) {
 				return nil, fmt.Errorf("graphio: line %d: bad arc line", lineNo)
 			}
 			u, err1 := strconv.Atoi(fields[1])
@@ -265,7 +171,18 @@ func ReadDIMACS(r io.Reader, directed bool) (*graph.Graph, error) {
 			if u < 1 || u > n || v < 1 || v > n {
 				return nil, fmt.Errorf("graphio: line %d: vertex out of range", lineNo)
 			}
-			edges = append(edges, graph.Edge{From: int32(u - 1), To: int32(v - 1)})
+			if !weighted {
+				edges = append(edges, graph.Edge{From: int32(u - 1), To: int32(v - 1)})
+				continue
+			}
+			w, err := strconv.ParseFloat(fields[3], 64)
+			if err != nil {
+				return nil, fmt.Errorf("graphio: line %d: bad weight: %v", lineNo, err)
+			}
+			if err := checkWeight(w); err != nil {
+				return nil, fmt.Errorf("graphio: line %d: %v", lineNo, err)
+			}
+			wedges = append(wedges, graph.WeightedEdge{From: int32(u - 1), To: int32(v - 1), W: w})
 		default:
 			return nil, fmt.Errorf("graphio: line %d: unknown record %q", lineNo, fields[0])
 		}
@@ -275,6 +192,9 @@ func ReadDIMACS(r io.Reader, directed bool) (*graph.Graph, error) {
 	}
 	if n < 0 {
 		return nil, fmt.Errorf("graphio: missing problem line")
+	}
+	if weighted {
+		return graph.NewWeightedFromEdges(n, wedges, directed), nil
 	}
 	return graph.NewFromEdges(n, edges, directed), nil
 }
@@ -365,126 +285,74 @@ func readBinHeader(br io.Reader) (flags uint32, n, arcs uint64, hdrLen int, err 
 	return flags, n, arcs, hdrLen, nil
 }
 
-// ReadBinary reads a graph written by WriteBinary (either format version).
-// It is the lenient reader: rows are rebuilt through graph.NewFromEdges, so
-// unsorted or duplicate neighbors in a hand-crafted file are tolerated.
-// Loading pipelines use ReadBinaryCSR, which adopts the CSR directly with
-// bounded working memory and strict row validation.
-func ReadBinary(r io.Reader) (*graph.Graph, error) {
-	br := bufio.NewReader(r)
-	flags, n, arcs, _, err := readBinHeader(br)
-	if err != nil {
-		return nil, err
-	}
-	// Stream the degree table in bounded chunks, validating the derived CSR
-	// offsets as they accumulate: a degree that would wrap an int32 offset
-	// (non-monotonic in CSR space) or push the prefix sum past the declared
-	// arc count is rejected before the adjacency array is ever sized — a
-	// hostile header cannot make us allocate ahead of the data it actually
-	// ships. (append grows degs geometrically with bytes read, so a
-	// truncated stream costs memory proportional to its real length, not to
-	// the header's claim.)
-	const binChunk = 1 << 16
-	degs := make([]uint32, 0, min(n, binChunk))
-	buf := make([]uint32, min(n, binChunk))
-	var total uint64
-	for read := uint64(0); read < n; {
-		chunk := buf[:min(n-read, binChunk)]
-		if err := binary.Read(br, binary.LittleEndian, chunk); err != nil {
-			return nil, err
-		}
-		for i, d := range chunk {
-			if d > 1<<31-1 {
-				return nil, fmt.Errorf("graphio: vertex %d degree %d wraps the CSR offset (non-monotonic)", read+uint64(i), d)
-			}
-			total += uint64(d)
-			if total > arcs {
-				return nil, fmt.Errorf("graphio: degree prefix sum %d at vertex %d exceeds arc count %d", total, read+uint64(i), arcs)
-			}
-		}
-		degs = append(degs, chunk...)
-		read += uint64(len(chunk))
-	}
-	if total != arcs {
-		return nil, fmt.Errorf("graphio: degree sum %d != arc count %d", total, arcs)
-	}
-	directed := flags&1 != 0
-	// Stream the adjacency the same way, walking the degree table in step;
-	// neighbors are range-checked as they arrive.
-	var edges []graph.Edge
-	abuf := make([]int32, min(arcs, binChunk))
-	u, consumed := uint64(0), uint32(0)
-	for read := uint64(0); read < arcs; {
-		chunk := abuf[:min(arcs-read, binChunk)]
-		if err := binary.Read(br, binary.LittleEndian, chunk); err != nil {
-			return nil, err
-		}
-		for _, v := range chunk {
-			for consumed == degs[u] {
-				u++
-				consumed = 0
-			}
-			if v < 0 || uint64(v) >= n {
-				return nil, fmt.Errorf("graphio: neighbor %d out of range", v)
-			}
-			if directed || int32(u) <= v {
-				edges = append(edges, graph.Edge{From: int32(u), To: v})
-			}
-			consumed++
-		}
-		read += uint64(len(chunk))
-	}
-	return graph.NewFromEdges(int(n), edges, directed), nil
-}
-
-// Format names accepted by LoadFile/SaveFile.
+// Format names accepted by Load and SaveFile.
 const (
-	FormatEdgeList = "edgelist"
-	FormatDIMACS   = "dimacs"
-	FormatBinary   = "bin"
-	FormatGraphML  = "graphml"
-	FormatJSON     = "json"
+	formatEdgeList = "edgelist"
+	formatDIMACS   = "dimacs"
+	formatBinary   = "bin"
+	formatGraphML  = "graphml"
+	formatJSON     = "json"
 )
 
-// LoadFile reads a graph file, inferring format from the extension
-// (.txt/.el -> edge list, .gr -> DIMACS, .bin -> binary) unless format is
-// non-empty.
-func LoadFile(path, format string, directed bool) (*graph.Graph, error) {
+// ErrNoWeights is the error for weights asked of, or given to, the binary
+// CSR format, which has no weight array.
+var ErrNoWeights = errors.New("graphio: the binary format has no weights")
+
+// Load reads a graph file. It is the one place a file's format is chosen:
+// format names it, or "" infers it from the extension (.gr DIMACS, .bin
+// binary CSR, .graphml/.xml GraphML, .json d3 node-link, anything else an
+// edge list). weighted asks the edge list and DIMACS readers for their
+// weight column; asking it of a .bin file is ErrNoWeights. GraphML and JSON
+// take their weights, and their directedness, from the file. The ids are the
+// file's id for each vertex of an edge list, and nil for every other format.
+func Load(path, format string, directed, weighted bool) (*graph.Graph, []int64, error) {
 	if format == "" {
 		format = inferFormat(path)
 	}
+	if format == formatBinary && weighted {
+		return nil, nil, fmt.Errorf("%w: cannot read weights from %s", ErrNoWeights, path)
+	}
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer f.Close()
+	var g *graph.Graph
 	switch format {
-	case FormatEdgeList:
-		g, _, err := ReadEdgeList(f, directed)
-		return g, err
-	case FormatDIMACS:
-		return ReadDIMACS(f, directed)
-	case FormatBinary:
+	case formatEdgeList:
+		return ReadEdgeList(f, directed, weighted)
+	case formatDIMACS:
+		g, err = ReadDIMACS(f, directed, weighted)
+	case formatBinary:
 		size := int64(-1)
 		if fi, err := f.Stat(); err == nil {
 			size = fi.Size()
 		}
-		return readBinaryCSRSized(f, size)
-	case FormatGraphML:
-		g, _, err := ReadGraphML(f)
-		return g, err
-	case FormatJSON:
-		return ReadJSON(f)
+		g, err = readBinaryCSRSized(f, size)
+	case formatGraphML:
+		g, _, err = ReadGraphML(f)
+	case formatJSON:
+		g, err = ReadJSON(f)
 	default:
-		return nil, fmt.Errorf("graphio: unknown format %q", format)
+		err = fmt.Errorf("graphio: unknown format %q", format)
 	}
+	return g, nil, err
 }
 
-// SaveFile writes a graph file; format inference mirrors LoadFile
-// (DIMACS output is not supported).
+// LoadFile is Load without weights or ids: the graph alone.
+func LoadFile(path, format string, directed bool) (*graph.Graph, error) {
+	g, _, err := Load(path, format, directed, false)
+	return g, err
+}
+
+// SaveFile writes a graph file; format inference mirrors Load (DIMACS output
+// is not supported, and a weighted graph cannot be written as .bin).
 func SaveFile(path, format string, g *graph.Graph) error {
 	if format == "" {
 		format = inferFormat(path)
+	}
+	if format == formatBinary && g.Weighted() {
+		return fmt.Errorf("%w: cannot write weighted graph to %s", ErrNoWeights, path)
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -492,13 +360,13 @@ func SaveFile(path, format string, g *graph.Graph) error {
 	}
 	defer f.Close()
 	switch format {
-	case FormatEdgeList:
+	case formatEdgeList:
 		return WriteEdgeList(f, g)
-	case FormatBinary:
+	case formatBinary:
 		return WriteBinary(f, g)
-	case FormatGraphML:
+	case formatGraphML:
 		return WriteGraphML(f, g)
-	case FormatJSON:
+	case formatJSON:
 		return WriteJSON(f, g)
 	default:
 		return fmt.Errorf("graphio: cannot write format %q", format)
@@ -508,14 +376,14 @@ func SaveFile(path, format string, g *graph.Graph) error {
 func inferFormat(path string) string {
 	switch {
 	case strings.HasSuffix(path, ".gr"):
-		return FormatDIMACS
+		return formatDIMACS
 	case strings.HasSuffix(path, ".bin"):
-		return FormatBinary
+		return formatBinary
 	case strings.HasSuffix(path, ".graphml") || strings.HasSuffix(path, ".xml"):
-		return FormatGraphML
+		return formatGraphML
 	case strings.HasSuffix(path, ".json"):
-		return FormatJSON
+		return formatJSON
 	default:
-		return FormatEdgeList
+		return formatEdgeList
 	}
 }

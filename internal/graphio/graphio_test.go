@@ -19,7 +19,7 @@ func TestReadEdgeListBasic(t *testing.T) {
 20 30
 10 30
 `
-	g, orig, err := ReadEdgeList(strings.NewReader(in), false)
+	g, orig, err := ReadEdgeList(strings.NewReader(in), false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,8 +40,10 @@ func TestReadEdgeListErrors(t *testing.T) {
 		"3 -7\n", // negative id
 	}
 	for _, in := range cases {
-		if _, _, err := ReadEdgeList(strings.NewReader(in), true); err == nil {
-			t.Fatalf("input %q: expected error", in)
+		for _, weighted := range []bool{false, true} {
+			if _, _, err := ReadEdgeList(strings.NewReader(in), true, weighted); err == nil {
+				t.Fatalf("input %q (weighted %v): expected error", in, weighted)
+			}
 		}
 	}
 }
@@ -52,7 +54,7 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	if err := WriteEdgeList(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	g2, orig, err := ReadEdgeList(&buf, true)
+	g2, orig, err := ReadEdgeList(&buf, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +81,7 @@ a 2 3 4
 a 3 2 4
 a 1 4 2
 `
-	g, err := ReadDIMACS(strings.NewReader(in), false)
+	g, err := ReadDIMACS(strings.NewReader(in), false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,10 +103,22 @@ func TestReadDIMACSErrors(t *testing.T) {
 		"p sp 2 1\nq 1 2\n",   // unknown record
 		"c only comments\n",   // no problem line
 		"p sp 2 1\na 1 z 1\n", // bad endpoint
+		"p sp -1 0\n",         // negative vertex count
+		// A vertex count past 2^31 sizes an offset array no file backs.
+		"p sp 3000000000 1\na 2500000000 1 1\n",
+		"p sp 2147483649 0\n",
 	}
 	for _, in := range cases {
-		if _, err := ReadDIMACS(strings.NewReader(in), false); err == nil {
-			t.Fatalf("input %q: expected error", in)
+		for _, weighted := range []bool{false, true} {
+			if _, err := ReadDIMACS(strings.NewReader(in), false, weighted); err == nil {
+				t.Fatalf("input %q (weighted %v): expected error", in, weighted)
+			}
+		}
+	}
+	for _, in := range []string{"p sp -1 0\n", "p sp 3000000000 1\n"} {
+		_, err := ReadDIMACS(strings.NewReader(in), false, false)
+		if err == nil || !strings.Contains(err.Error(), "line 1: vertex count") {
+			t.Fatalf("input %q: got %v, want a line-1 vertex-count error", in, err)
 		}
 	}
 }
@@ -115,7 +129,7 @@ func TestBinaryRoundTripUndirected(t *testing.T) {
 	if err := WriteBinary(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := ReadBinary(&buf)
+	g2, err := ReadBinaryCSR(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +142,7 @@ func TestBinaryRoundTripDirected(t *testing.T) {
 	if err := WriteBinary(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := ReadBinary(&buf)
+	g2, err := ReadBinaryCSR(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,10 +153,10 @@ func TestBinaryRoundTripDirected(t *testing.T) {
 }
 
 func TestBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader([]byte("not a graph file at all"))); err == nil {
+	if _, err := ReadBinaryCSR(bytes.NewReader([]byte("not a graph file at all"))); err == nil {
 		t.Fatal("expected magic error")
 	}
-	if _, err := ReadBinary(bytes.NewReader(nil)); err == nil {
+	if _, err := ReadBinaryCSR(bytes.NewReader(nil)); err == nil {
 		t.Fatal("expected EOF error")
 	}
 	// Truncated valid prefix.
@@ -152,7 +166,7 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:buf.Len()-4]
-	if _, err := ReadBinary(bytes.NewReader(trunc)); err == nil {
+	if _, err := ReadBinaryCSR(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("expected truncation error")
 	}
 }
@@ -161,24 +175,24 @@ func TestBinaryRejectsBadOffsets(t *testing.T) {
 	// Degree prefix sum exceeding the declared arc count must fail during
 	// the degree stream, before the adjacency array is sized.
 	bad := binHeader(0, 3, 2, []uint32{1, 5, 0})
-	if _, err := ReadBinary(bytes.NewReader(bad)); err == nil {
+	if _, err := ReadBinaryCSR(bytes.NewReader(bad)); err == nil {
 		t.Fatal("expected prefix-sum-exceeds-arcs error")
 	}
 	// A degree that would wrap an int32 CSR offset is non-monotonic in
 	// offset space and must be rejected outright.
 	wrap := binHeader(0, 2, 1<<32, []uint32{0x8000_0000, 0x8000_0000})
-	if _, err := ReadBinary(bytes.NewReader(wrap)); err == nil {
+	if _, err := ReadBinaryCSR(bytes.NewReader(wrap)); err == nil {
 		t.Fatal("expected offset-wrap error")
 	}
 	// Degree sum smaller than the header's arc claim is also inconsistent.
 	short := binHeader(0, 2, 10, []uint32{1, 1})
-	if _, err := ReadBinary(bytes.NewReader(short)); err == nil {
+	if _, err := ReadBinaryCSR(bytes.NewReader(short)); err == nil {
 		t.Fatal("expected degree-sum mismatch error")
 	}
 	// A header claiming a huge arc count with no payload must fail cheaply
 	// on the missing degree stream instead of allocating per the claim.
 	huge := binHeader(0, 1<<20, 1<<39, nil)
-	if _, err := ReadBinary(bytes.NewReader(huge)); err == nil {
+	if _, err := ReadBinaryCSR(bytes.NewReader(huge)); err == nil {
 		t.Fatal("expected error for payloadless huge header")
 	}
 }
@@ -226,7 +240,7 @@ func TestQuickBinaryRoundTrip(t *testing.T) {
 		if err := WriteBinary(&buf, g); err != nil {
 			return false
 		}
-		g2, err := ReadBinary(&buf)
+		g2, err := ReadBinaryCSR(&buf)
 		if err != nil {
 			return false
 		}

@@ -15,20 +15,21 @@ import (
 const streamChunk = 1 << 16
 
 // ReadBinaryCSR reads a WriteBinary stream (v1 or v2) directly into CSR
-// form. Unlike ReadBinary it never materializes an edge list: the offset
-// array is derived from the degree table as it streams past, and neighbors
-// land in their final adjacency slots chunk by chunk, so the load's memory
-// high-water is the returned CSR plus one fixed 256 KiB chunk buffer. This
-// is the reader behind LoadFile(".bin") and bcd's -preload path.
+// form, the package's one binary reader (MmapGraph falls back to it). It
+// never materializes an edge list: the offset array is derived from the
+// degree table as it streams past, and neighbors land in their final
+// adjacency slots chunk by chunk, so the load's memory high-water is the
+// returned CSR plus one fixed 256 KiB chunk buffer. This is the reader
+// behind Load(".bin"), bcd's WAL snapshots and the mmap fallback.
 //
-// Hostile-header discipline matches ReadBinary: both CSR arrays grow
+// Hostile headers cost only what they ship: both CSR arrays grow
 // geometrically with bytes actually read, so a header that claims 2^40 arcs
 // costs memory proportional to the data it really ships, and a degree that
 // would wrap an int32 CSR offset or overrun the declared arc count is
-// rejected before the adjacency is touched. The reader is also strict where
-// ReadBinary is lenient: rows must arrive sorted, duplicate-free, self-loop
-// -free and (for undirected graphs) mirror-complete — everything WriteBinary
-// guarantees — because the CSR is adopted as-is rather than rebuilt.
+// rejected before the adjacency is touched. Rows must arrive sorted,
+// duplicate-free, self-loop-free and (for undirected graphs)
+// mirror-complete — everything WriteBinary guarantees — because the CSR is
+// adopted as-is rather than rebuilt.
 func ReadBinaryCSR(r io.Reader) (*graph.Graph, error) {
 	return readBinaryCSRSized(r, -1)
 }
@@ -38,7 +39,7 @@ func ReadBinaryCSR(r io.Reader) (*graph.Graph, error) {
 // size the header implies, the header is no longer hostile — every byte it
 // promises demonstrably exists — so both CSR arrays are preallocated at
 // final size and the load's transient memory is exactly the chunk buffer.
-// This is the path behind LoadFile and the mmap fallback, where the source
+// This is the path behind Load and the mmap fallback, where the source
 // is a regular file with a known size; a mismatched hint silently falls
 // back to geometric growth (the stream may legitimately be a prefix of a
 // longer pipe). Validation is identical either way.

@@ -1,8 +1,11 @@
 package graphio
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"io"
 	"runtime"
 	"strings"
 	"testing"
@@ -78,16 +81,16 @@ func TestReadBinaryCSRMatchesReadBinary(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		data := buf.Bytes()
-		inmem, err := ReadBinary(bytes.NewReader(data))
+		inmem, err := readBinary(bytes.NewReader(data))
 		if err != nil {
-			t.Fatalf("%s: ReadBinary: %v", name, err)
+			t.Fatalf("%s: readBinary: %v", name, err)
 		}
 		stream, err := ReadBinaryCSR(bytes.NewReader(data))
 		if err != nil {
 			t.Fatalf("%s: ReadBinaryCSR: %v", name, err)
 		}
 		if !sameCSR(g, inmem) {
-			t.Fatalf("%s: ReadBinary round trip diverged", name)
+			t.Fatalf("%s: readBinary round trip diverged", name)
 		}
 		if !sameCSR(inmem, stream) {
 			t.Fatalf("%s: streaming reader differs from in-memory reader", name)
@@ -182,7 +185,7 @@ func TestReadBinaryCSRMemoryBound(t *testing.T) {
 	}
 
 	stream := measure(func() (*graph.Graph, error) { return ReadBinaryCSR(bytes.NewReader(data)) })
-	inmem := measure(func() (*graph.Graph, error) { return ReadBinary(bytes.NewReader(data)) })
+	inmem := measure(func() (*graph.Graph, error) { return readBinary(bytes.NewReader(data)) })
 
 	if limit := 3*csr + 1<<20; stream > limit {
 		t.Errorf("streaming load allocated %d bytes, over the %d-byte bound (csr=%d)", stream, limit, csr)
@@ -235,18 +238,115 @@ func FuzzReadBinaryCSR(f *testing.F) {
 	f.Add(binHeader(0, 2, 1, []uint32{5, 0}))
 	f.Add(binHeader(0, 4, 1<<30, nil))
 	f.Add([]byte("APGR\x02\x00\x00\x00"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		// Must never panic; when it accepts, the lenient reader must agree.
-		g, err := ReadBinaryCSR(bytes.NewReader(data))
-		if err != nil {
-			return
+	f.Fuzz(fuzzBinary)
+}
+
+// FuzzReadBinary runs the hostile-header seeds of the retired in-memory
+// loader through the same check: a path file and its truncation, a bare v1
+// magic, nothing at all, a prefix sum past the arc count, a degree that
+// would wrap an int32 CSR offset (non-monotonic), and a huge arc count with
+// no adjacency payload, which must fail on the degree stream rather than
+// allocate per the header's claim.
+func FuzzReadBinary(f *testing.F) {
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, gen.Path(3)); err != nil {
+		f.Fatal(err)
+	}
+	valid := buf.Bytes()
+	f.Add(valid)
+	f.Add(valid[:len(valid)-3])
+	f.Add([]byte("APGR\x01garbage"))
+	f.Add([]byte{})
+	f.Add(binHeader(0, 2, 1, []uint32{5, 0}))
+	f.Add(binHeader(0, 2, 1, []uint32{0x8000_0000, 0}))
+	f.Add(binHeader(0, 4, 1<<30, nil))
+	f.Fuzz(fuzzBinary)
+}
+
+// fuzzBinary is the body of both binary fuzz targets: ReadBinaryCSR must
+// never panic, and when it accepts, the lenient oracle must agree.
+func fuzzBinary(t *testing.T, data []byte) {
+	g, err := ReadBinaryCSR(bytes.NewReader(data))
+	if err != nil {
+		return
+	}
+	g2, err := readBinary(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("strict reader accepted what lenient rejected: %v", err)
+	}
+	if !sameCSR(g, g2) {
+		t.Fatal("readers disagree on accepted input")
+	}
+}
+
+// readBinary is the oracle ReadBinaryCSR is checked against: a lenient
+// reader of either format version that rebuilds the rows through
+// graph.NewFromEdges, so unsorted or duplicate neighbors in a hand-crafted
+// file are tolerated, and that materializes the edge list ReadBinaryCSR
+// never does.
+func readBinary(r io.Reader) (*graph.Graph, error) {
+	br := bufio.NewReader(r)
+	flags, n, arcs, _, err := readBinHeader(br)
+	if err != nil {
+		return nil, err
+	}
+	// Stream the degree table in bounded chunks, validating the derived CSR
+	// offsets as they accumulate: a degree that would wrap an int32 offset
+	// (non-monotonic in CSR space) or push the prefix sum past the declared
+	// arc count is rejected before the adjacency array is ever sized — a
+	// hostile header cannot make us allocate ahead of the data it actually
+	// ships. (append grows degs geometrically with bytes read, so a
+	// truncated stream costs memory proportional to its real length, not to
+	// the header's claim.)
+	const binChunk = 1 << 16
+	degs := make([]uint32, 0, min(n, binChunk))
+	buf := make([]uint32, min(n, binChunk))
+	var total uint64
+	for read := uint64(0); read < n; {
+		chunk := buf[:min(n-read, binChunk)]
+		if err := binary.Read(br, binary.LittleEndian, chunk); err != nil {
+			return nil, err
 		}
-		g2, err := ReadBinary(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("strict reader accepted what lenient rejected: %v", err)
+		for i, d := range chunk {
+			if d > 1<<31-1 {
+				return nil, fmt.Errorf("graphio: vertex %d degree %d wraps the CSR offset (non-monotonic)", read+uint64(i), d)
+			}
+			total += uint64(d)
+			if total > arcs {
+				return nil, fmt.Errorf("graphio: degree prefix sum %d at vertex %d exceeds arc count %d", total, read+uint64(i), arcs)
+			}
 		}
-		if !sameCSR(g, g2) {
-			t.Fatal("readers disagree on accepted input")
+		degs = append(degs, chunk...)
+		read += uint64(len(chunk))
+	}
+	if total != arcs {
+		return nil, fmt.Errorf("graphio: degree sum %d != arc count %d", total, arcs)
+	}
+	directed := flags&1 != 0
+	// Stream the adjacency the same way, walking the degree table in step;
+	// neighbors are range-checked as they arrive.
+	var edges []graph.Edge
+	abuf := make([]int32, min(arcs, binChunk))
+	u, consumed := uint64(0), uint32(0)
+	for read := uint64(0); read < arcs; {
+		chunk := abuf[:min(arcs-read, binChunk)]
+		if err := binary.Read(br, binary.LittleEndian, chunk); err != nil {
+			return nil, err
 		}
-	})
+		for _, v := range chunk {
+			for consumed == degs[u] {
+				u++
+				consumed = 0
+			}
+			if v < 0 || uint64(v) >= n {
+				return nil, fmt.Errorf("graphio: neighbor %d out of range", v)
+			}
+			if directed || int32(u) <= v {
+				edges = append(edges, graph.Edge{From: int32(u), To: v})
+			}
+			consumed++
+		}
+		read += uint64(len(chunk))
+	}
+	return graph.NewFromEdges(int(n), edges, directed), nil
 }
