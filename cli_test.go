@@ -160,12 +160,13 @@ func TestCLIClosenessRejectsWeighted(t *testing.T) {
 	}
 }
 
-// TestCLIClosenessRejectsBCFlags: -approx and -algo select BC engines; with
-// -metric closeness they are a usage error (exit 2), not silently ignored.
+// TestCLIClosenessRejectsBCFlags: -approx, -algo, -v and -threshold
+// configure BC engines; with -metric closeness they are a usage error
+// (exit 2), not silently ignored.
 func TestCLIClosenessRejectsBCFlags(t *testing.T) {
 	gpath := filepath.Join(t.TempDir(), "g.txt")
 	runCLI(t, "graphgen", "-type", "path", "-n", "8", "-o", gpath)
-	for _, extra := range [][]string{{"-approx"}, {"-algo", "serial"}, {"-algo", "succs"}} {
+	for _, extra := range [][]string{{"-approx"}, {"-algo", "serial"}, {"-algo", "succs"}, {"-v"}, {"-threshold", "8"}} {
 		args := append([]string{"-in", gpath, "-metric", "closeness"}, extra...)
 		if code, out := runCLIExit(t, "bc", args...); code != 2 || !strings.Contains(out, "-metric closeness") {
 			t.Fatalf("bc %v: exit %d, want 2 naming -metric closeness:\n%s", args, code, out)
@@ -193,10 +194,13 @@ func topRows(out string) [][]string {
 	return rows
 }
 
-// TestCLIBCWeighted: -weighted reads weights from every text format. On
+// TestCLIBCWeighted: weights come from the file, not from the algorithm. On
 // 0-1 (2), 1-2 (2), 0-2 (10) the heavy direct edge is bypassed, so the
 // middle vertex — 1, or 2 in the 1-based DIMACS file, which bc prints
-// 0-based — ranks first with BC 2.
+// 0-based — ranks first with BC 2. -weighted reads the weight column of the
+// text formats; GraphML and JSON carry their weights with or without it.
+// apgre and the serial reference print the same table, and a hop-count
+// baseline exits 1 naming the weights instead of printing hop-count BC.
 func TestCLIBCWeighted(t *testing.T) {
 	tmp := t.TempDir()
 	files := map[string]string{
@@ -217,10 +221,58 @@ func TestCLIBCWeighted(t *testing.T) {
 		if err := os.WriteFile(wpath, []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		out := runCLI(t, "bc", "-in", wpath, "-weighted", "-top", "3")
-		rows := topRows(out)
-		if !strings.Contains(out, "apgre finished") || len(rows) != 3 || rows[0][1] != "1" || rows[0][2] != "2.000" {
-			t.Fatalf("%s: want vertex 1 first with BC 2:\n%s", name, out)
+		flagSets := [][]string{{"-weighted"}}
+		if ext := filepath.Ext(name); ext == ".graphml" || ext == ".json" {
+			flagSets = append(flagSets, nil)
+		}
+		for _, flags := range flagSets {
+			args := slices.Concat([]string{"-in", wpath, "-top", "3"}, flags)
+			var tables [][][]string
+			for _, algo := range []string{"apgre", "serial"} {
+				out := runCLI(t, "bc", append(args, "-algo", algo)...)
+				rows := topRows(out)
+				if !strings.Contains(out, algo+" finished") || len(rows) != 3 || rows[0][1] != "1" || rows[0][2] != "2.000" {
+					t.Fatalf("%s %v -algo %s: want vertex 1 first with BC 2:\n%s", name, flags, algo, out)
+				}
+				tables = append(tables, rows)
+			}
+			if !slices.EqualFunc(tables[0], tables[1], slices.Equal) {
+				t.Fatalf("%s %v: apgre printed %v, serial %v", name, flags, tables[0], tables[1])
+			}
+			code, out := runCLIExit(t, "bc", append(args, "-algo", "preds")...)
+			if code != 1 || !strings.Contains(out, `"preds"`) || !strings.Contains(out, "weights") || strings.Contains(out, "rank") {
+				t.Fatalf("%s %v -algo preds: exit %d, want 1 naming the weights:\n%s", name, flags, code, out)
+			}
+		}
+	}
+}
+
+// TestCLIBCRejectsIgnoredFlags: a flag the chosen computation would drop is
+// a usage error (exit 2) naming it. The baselines do not decompose, so -v
+// and -threshold need -algo apgre; -approx is its own estimator, so it takes
+// neither -v nor another -algo. Each flag still works where it applies.
+func TestCLIBCRejectsIgnoredFlags(t *testing.T) {
+	gpath := filepath.Join(t.TempDir(), "g.txt")
+	runCLI(t, "graphgen", "-type", "path", "-n", "8", "-o", gpath)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-algo", "serial", "-v"}, "-v and -threshold"},
+		{[]string{"-algo", "succs", "-threshold", "8"}, "-v and -threshold"},
+		{[]string{"-algo", "hybrid", "-v", "-threshold", "8"}, "-v and -threshold"},
+		{[]string{"-approx", "-algo", "serial"}, "-approx takes"},
+		{[]string{"-approx", "-v"}, "-approx takes"},
+	} {
+		args := append([]string{"-in", gpath}, tc.args...)
+		if code, out := runCLIExit(t, "bc", args...); code != 2 || !strings.Contains(out, tc.want) || strings.Contains(out, "rank") {
+			t.Fatalf("bc %v: exit %d, want 2 naming %q:\n%s", args, code, tc.want, out)
+		}
+	}
+	for _, extra := range [][]string{{"-v", "-threshold", "8"}, {"-approx", "-threshold", "8", "-pivots", "8"}} {
+		args := append([]string{"-in", gpath, "-top", "1"}, extra...)
+		if out := runCLI(t, "bc", args...); !strings.Contains(out, "finished") {
+			t.Fatalf("bc %v:\n%s", args, out)
 		}
 	}
 }

@@ -52,8 +52,17 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bc: -top must be >= 0, got %d\n", *topK)
 		os.Exit(2)
 	}
-	if *metric == "closeness" && (*approxMode || *algo != string(repro.AlgoAPGRE)) {
-		fmt.Fprintln(os.Stderr, "bc: -metric closeness takes neither -approx nor an -algo other than apgre")
+	baseline := *algo != string(repro.AlgoAPGRE)
+	if *metric == "closeness" && (*approxMode || baseline || *verbose || *thresh != 0) {
+		fmt.Fprintln(os.Stderr, "bc: -metric closeness takes none of -approx, -v, -threshold or an -algo other than apgre")
+		os.Exit(2)
+	}
+	if *approxMode && (baseline || *verbose) {
+		fmt.Fprintln(os.Stderr, "bc: -approx takes neither -v nor an -algo other than apgre")
+		os.Exit(2)
+	}
+	if baseline && (*verbose || *thresh != 0) {
+		fmt.Fprintln(os.Stderr, "bc: -v and -threshold apply to -algo apgre only; the baselines do not decompose")
 		os.Exit(2)
 	}
 
@@ -100,15 +109,10 @@ func main() {
 	switch *metric {
 	case "bc":
 		if *approxMode {
-			if *weighted {
-				prof.Stop()
-				fmt.Fprintln(os.Stderr, "bc: -approx supports unweighted graphs only")
-				os.Exit(2)
-			}
 			runApproxBC(g, ids, *workers, *thresh, *topK, *pivots, *eps, *seed)
 			break
 		}
-		runBC(g, ids, *algo, *workers, *thresh, *topK, *verbose, *weighted)
+		runBC(g, ids, *algo, *workers, *thresh, *topK, *verbose)
 	case "closeness":
 		runCloseness(g, ids, *workers, *topK)
 	default:
@@ -130,7 +134,7 @@ func vertexName(ids []int64, v repro.V) int64 {
 	return ids[v]
 }
 
-func runBC(g *repro.Graph, ids []int64, algo string, workers, thresh, topK int, verbose, weighted bool) {
+func runBC(g *repro.Graph, ids []int64, algo string, workers, thresh, topK int, verbose bool) {
 	var bd repro.Breakdown
 	opt := repro.Options{
 		Algorithm: repro.Algorithm(algo),
@@ -141,13 +145,7 @@ func runBC(g *repro.Graph, ids []int64, algo string, workers, thresh, topK int, 
 		opt.Breakdown = &bd
 	}
 	start := time.Now()
-	var bc []float64
-	var err error
-	if weighted {
-		bc, err = repro.WeightedBetweennessCentrality(g, opt)
-	} else {
-		bc, err = repro.BetweennessCentrality(g, opt)
-	}
+	bc, err := repro.BetweennessCentrality(g, opt)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bc: %v\n", err)
 		os.Exit(1)
@@ -155,7 +153,7 @@ func runBC(g *repro.Graph, ids []int64, algo string, workers, thresh, topK int, 
 	elapsed := time.Since(start)
 	fmt.Printf("%s finished in %s (%s MTEPS)\n", algo,
 		metrics.FormatDuration(elapsed), metrics.FormatMTEPS(metrics.MTEPS(g.NumVertices(), g.NumEdges(), elapsed)))
-	if verbose && opt.Algorithm == repro.AlgoAPGRE {
+	if verbose {
 		fmt.Printf("breakdown: partition=%s alpha/beta=%s bc(top)=%s bc(rest)=%s subgraphs=%d APs=%d roots=%d\n",
 			metrics.FormatDuration(bd.Partition), metrics.FormatDuration(bd.AlphaBeta),
 			metrics.FormatDuration(bd.TopBC), metrics.FormatDuration(bd.RestBC),

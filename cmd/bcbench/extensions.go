@@ -37,10 +37,10 @@ func extWeighted(c config) error {
 	for _, ds := range c.selected() {
 		g := gen.WithRandomWeights(ds.Build(c.scale), 9, 7)
 		start := time.Now()
-		brandes.WeightedSerial(g)
+		brandes.Serial(g)
 		base := time.Since(start)
 		start = time.Now()
-		if _, err := core.ComputeWeighted(g, core.Options{Workers: c.workers,
+		if _, err := core.Compute(g, core.Options{Workers: c.workers,
 			Threshold: c.threshold}); err != nil {
 			return err
 		}

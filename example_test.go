@@ -25,14 +25,14 @@ func ExampleBetweennessCentrality() {
 	// vertex 3: 6
 }
 
-// Weighted graphs route shortest paths by length, not hop count.
-func ExampleWeightedBetweennessCentrality() {
+// A weighted graph's shortest paths are its lightest, not its fewest hops.
+func ExampleBetweennessCentrality_weighted() {
 	// Square 0-1-2-3-0 with one heavy edge: paths avoid it.
 	g := repro.NewWeightedGraph(4, []repro.WeightedEdge{
 		{From: 0, To: 1, W: 1}, {From: 1, To: 2, W: 1},
 		{From: 2, To: 3, W: 1}, {From: 3, To: 0, W: 10},
 	}, false)
-	bc, err := repro.WeightedBetweennessCentrality(g, repro.Options{})
+	bc, err := repro.BetweennessCentrality(g, repro.Options{})
 	if err != nil {
 		panic(err)
 	}

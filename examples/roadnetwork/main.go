@@ -73,7 +73,7 @@ func main() {
 	// weighted APGRE engine (Dijkstra sweeps over the same decomposition).
 	wg := repro.AttachRandomWeights(g, 9, 5)
 	start = time.Now()
-	weighted, err := repro.WeightedBetweennessCentrality(wg, repro.Options{})
+	weighted, err := repro.BetweennessCentrality(wg, repro.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -39,6 +39,7 @@ type serialScratch struct {
 	predOffs []int64
 	predBuf  []graph.V
 	predLen  []int32
+	pq       wpq // Dijkstra's heap, weighted graphs only
 }
 
 func newSerialScratch(g *graph.Graph, preds bool) *serialScratch {
@@ -109,7 +110,12 @@ func (st *serialScratch) runSource(g *graph.Graph, s graph.V, bc []float64) {
 
 // Serial is the textbook sequential Brandes algorithm with predecessor lists
 // ("preds-serial", the baseline every speedup in the paper is relative to).
+// A weighted graph is swept with Dijkstra instead of BFS, so Serial is the
+// exact oracle for every graph core.Compute accepts.
 func Serial(g *graph.Graph) []float64 {
+	if g.Weighted() {
+		return weightedSerial(g)
+	}
 	n := g.NumVertices()
 	bc := make([]float64, n)
 	if n == 0 {

@@ -4,13 +4,14 @@ import (
 	"container/heap"
 
 	"repro/internal/graph"
-	"repro/internal/par"
+	"repro/internal/ws"
 )
 
 // Weighted betweenness centrality via Brandes' original Dijkstra
-// formulation. The paper scopes APGRE to unweighted graphs; this engine is
-// the weighted substrate our weighted APGRE extension (internal/core) is
-// verified against.
+// formulation, which Serial runs on a weighted graph. The paper scopes APGRE
+// to unweighted graphs; this engine is the weighted substrate our weighted
+// APGRE extension (internal/core) is verified against. The parallel
+// baselines count hops.
 //
 // Equality of path lengths uses exact float64 comparison: along a relaxation
 // chain Dijkstra computes each distance as the same sum of the same weights,
@@ -18,29 +19,6 @@ import (
 // are integers or other values without rounding (the generators produce
 // integer weights). Arbitrary float weights with near-ties may split σ
 // counts; see DESIGN.md.
-
-// dijkstraState is the reusable per-run scratch for weighted BC.
-type dijkstraState struct {
-	dist  []float64
-	sigma []float64
-	delta []float64
-	done  []bool
-	order []graph.V // settled order; reverse = dependency order
-	pq    wpq
-}
-
-func newDijkstraState(n int) *dijkstraState {
-	st := &dijkstraState{
-		dist:  make([]float64, n),
-		sigma: make([]float64, n),
-		delta: make([]float64, n),
-		done:  make([]bool, n),
-	}
-	for i := range st.dist {
-		st.dist[i] = -1
-	}
-	return st
-}
 
 type wpqItem struct {
 	d float64
@@ -56,97 +34,73 @@ func (q wpq) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
 func (q *wpq) Push(x any)        { *q = append(*q, x.(wpqItem)) }
 func (q *wpq) Pop() any          { old := *q; n := len(old); it := old[n-1]; *q = old[:n-1]; return it }
 
-// runSource accumulates source s's dependency contributions into bc.
-// g must be weighted (positive weights).
-func (st *dijkstraState) runSource(g *graph.Graph, s graph.V, bc []float64) {
-	dist, sigma, delta := st.dist, st.sigma, st.delta
-	st.order = st.order[:0]
+// runSourceDijkstra is runSourceSuccs with Dijkstra in place of BFS, on the
+// sweep's weighted arrays (FDist, Done): it adds source s's dependencies into
+// bc and sparse-resets what it touched. g must be weighted.
+func (st *serialScratch) runSourceDijkstra(g *graph.Graph, s graph.V, bc []float64) {
+	dist, rec, done := st.sw.FDist, st.sw.Rec, st.sw.Done
+	order := st.sw.Order[:0]
 	st.pq = st.pq[:0]
 	dist[s] = 0
-	sigma[s] = 1
+	rec[s].Sigma = 1
 	heap.Push(&st.pq, wpqItem{0, s})
 	for st.pq.Len() > 0 {
 		it := heap.Pop(&st.pq).(wpqItem)
 		v := it.v
-		if st.done[v] || it.d != dist[v] {
+		if done[v] || it.d != dist[v] {
 			continue // stale heap entry
 		}
-		st.done[v] = true
-		st.order = append(st.order, v)
+		done[v] = true
+		order = append(order, v)
 		wts := g.OutWeights(v)
 		for i, w := range g.Out(v) {
 			nd := dist[v] + wts[i]
 			switch {
 			case dist[w] < 0 || nd < dist[w]:
 				dist[w] = nd
-				sigma[w] = sigma[v]
+				rec[w].Sigma = rec[v].Sigma
 				heap.Push(&st.pq, wpqItem{nd, w})
 			case nd == dist[w]:
-				sigma[w] += sigma[v]
+				rec[w].Sigma += rec[v].Sigma
 			}
 		}
 	}
+	st.sw.Order = order
 	// Backward: successor pull in reverse settled order.
-	for i := len(st.order) - 1; i >= 0; i-- {
-		v := st.order[i]
+	for i := len(order) - 1; i >= 0; i-- {
+		v := order[i]
 		var acc float64
 		wts := g.OutWeights(v)
 		for k, w := range g.Out(v) {
 			if dist[w] == dist[v]+wts[k] {
-				acc += sigma[v] / sigma[w] * (1 + delta[w])
+				acc += rec[v].Sigma / rec[w].Sigma * (1 + rec[w].Di2i)
 			}
 		}
-		delta[v] = acc
+		rec[v].Di2i = acc
 		if v != s {
 			bc[v] += acc
 		}
 	}
-	// Sparse reset.
-	for _, v := range st.order {
+	for _, v := range order {
 		dist[v] = -1
-		sigma[v] = 0
-		delta[v] = 0
-		st.done[v] = false
+		rec[v] = ws.Record{}
+		done[v] = false
 	}
 }
 
-// WeightedSerial computes exact BC of a weighted graph with one Dijkstra
-// sweep per source (O(n·(m log n)) time).
-func WeightedSerial(g *graph.Graph) []float64 {
+// weightedSerial is Serial on a weighted graph: one Dijkstra sweep per
+// source (O(n·(m log n)) time).
+func weightedSerial(g *graph.Graph) []float64 {
 	n := g.NumVertices()
 	bc := make([]float64, n)
 	if n == 0 {
 		return bc
 	}
-	st := newDijkstraState(n)
+	st := newSerialScratch(g, false)
+	st.sw.GrowWeighted(n)
 	for s := graph.V(0); int(s) < n; s++ {
-		st.runSource(g, s, bc)
+		st.runSourceDijkstra(g, s, bc)
 	}
-	return bc
-}
-
-// WeightedParallel computes weighted BC with coarse-grained source
-// parallelism and per-worker partial accumulators.
-func WeightedParallel(g *graph.Graph, workers int) []float64 {
-	n := g.NumVertices()
-	p := par.Workers(workers)
-	if p <= 1 || n == 0 {
-		return WeightedSerial(g)
-	}
-	states := make([]*dijkstraState, p)
-	partials := make([][]float64, p)
-	par.ForWorker(n, p, 1, func(w, si int) {
-		if states[w] == nil {
-			states[w] = newDijkstraState(n)
-			partials[w] = make([]float64, n)
-		}
-		states[w].runSource(g, graph.V(si), partials[w])
-	})
-	bc := make([]float64, n)
-	for _, part := range partials {
-		for v, x := range part {
-			bc[v] += x
-		}
-	}
+	st.release()
 	return bc
 }

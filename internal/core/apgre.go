@@ -119,7 +119,8 @@ type Breakdown struct {
 
 // Compute runs the full APGRE pipeline on g and returns exact BC scores
 // (directed-sum convention, identical to internal/brandes values). A
-// weighted graph is swept with Dijkstra and matches brandes.WeightedSerial.
+// weighted graph is swept with Dijkstra; either way the scores match
+// brandes.Serial.
 func Compute(g *graph.Graph, opt Options) ([]float64, error) {
 	var tm decompose.Timings
 	d, err := decompose.Decompose(g, decompose.Options{

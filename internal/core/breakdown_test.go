@@ -23,13 +23,9 @@ func TestBreakdownTotalCompute(t *testing.T) {
 		"unweighted": base,
 		"weighted":   gen.WithRandomWeights(base, 4, 9),
 	} {
-		compute := Compute
-		if g.Weighted() {
-			compute = ComputeWeighted
-		}
 		for _, workers := range []int{1, 4} {
 			var bd Breakdown
-			if _, err := compute(g, Options{Workers: workers, Breakdown: &bd}); err != nil {
+			if _, err := Compute(g, Options{Workers: workers, Breakdown: &bd}); err != nil {
 				t.Fatal(err)
 			}
 			if bd.Total <= 0 {

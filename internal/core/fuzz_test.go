@@ -176,8 +176,8 @@ func lanesForFuzz(t *testing.T) RootEngine {
 // bottom-up and push levels under the rule at all, and the serial guard
 // dropped so that the second worker is real.
 //
-// A weighted graph is swept with Dijkstra, so it is held to
-// brandes.WeightedSerial and to the scalar run only: there is no lane kernel
+// A weighted graph is swept with Dijkstra, so it is held to brandes.Serial
+// (Dijkstra-Brandes on it) and to the scalar run only: there is no lane kernel
 // or direction mode to compare. A budgeted run's scores are a prefix of the
 // roots' contributions, not BC, so it is held to the scalar kernel bit for bit
 // and, when the budget covers every root, to the unbudgeted run. The
@@ -255,7 +255,7 @@ func FuzzComputeMatchesBrandes(f *testing.F) {
 			}
 		}
 		if weighted {
-			if i, ok := bcClose(brandes.WeightedSerial(g), got, 1e-9); !ok {
+			if i, ok := bcClose(brandes.Serial(g), got, 1e-9); !ok {
 				t.Fatalf("Compute differs from weighted Brandes at vertex %d: %v", i, got[i])
 			}
 			return

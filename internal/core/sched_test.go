@@ -454,7 +454,7 @@ func TestUnknownScheduler(t *testing.T) {
 	if _, err := Compute(gen.Path(5), Options{Scheduler: Scheduler(99)}); err == nil {
 		t.Fatal("unknown scheduler accepted")
 	}
-	if _, err := ComputeWeighted(gen.WithRandomWeights(gen.Path(5), 3, 1),
+	if _, err := Compute(gen.WithRandomWeights(gen.Path(5), 3, 1),
 		Options{Scheduler: Scheduler(99)}); err == nil {
 		t.Fatal("weighted: unknown scheduler accepted")
 	}
@@ -469,10 +469,10 @@ func TestWeightedSchedulerEquivalent(t *testing.T) {
 	forceParallel(t)
 	g := gen.WithRandomWeights(gen.SocialLike(gen.SocialParams{
 		N: 200, AvgDeg: 4, Communities: 4, TopShare: 0.5, LeafFrac: 0.3, Seed: 5}), 4, 9)
-	want := brandes.WeightedSerial(g)
+	want := brandes.Serial(g)
 	for _, p := range []int{1, 2, 4, 8} {
 		for _, sched := range []Scheduler{SchedulerDynamic, SchedulerStatic} {
-			got, err := ComputeWeighted(g, Options{Workers: p, Threshold: 8, Scheduler: sched})
+			got, err := Compute(g, Options{Workers: p, Threshold: 8, Scheduler: sched})
 			if err != nil {
 				t.Fatalf("p=%d %v: %v", p, sched, err)
 			}

@@ -2,10 +2,8 @@ package core
 
 import (
 	"container/heap"
-	"fmt"
 
 	"repro/internal/decompose"
-	"repro/internal/graph"
 )
 
 // Weighted APGRE — our extension of the paper beyond its unweighted scope.
@@ -15,18 +13,8 @@ import (
 // and the four-dependency recursions only ever use σ ratios along DAG arcs.
 // Only the traversal changes: Dijkstra replaces BFS for σ/dist, and the
 // backward sweep runs in reverse settled order instead of reverse levels.
-// Scheduling is the same unit queue as the unweighted path (sched.go).
-
-// ComputeWeighted is Compute for callers that require a weighted graph
-// (positive weights, see graph.NewWeightedFromEdges): it returns exact BC
-// scores matching brandes.WeightedSerial, and an error instead of hop-count
-// scores when g carries no weights.
-func ComputeWeighted(g *graph.Graph, opt Options) ([]float64, error) {
-	if !g.Weighted() {
-		return nil, fmt.Errorf("core: ComputeWeighted requires a weighted graph (use Compute)")
-	}
-	return Compute(g, opt)
-}
+// Scheduling is the same unit queue as the unweighted path (sched.go), and
+// Compute picks dijkstraRoot whenever g.Weighted().
 
 type wheapItem struct {
 	d float64

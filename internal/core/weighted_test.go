@@ -13,8 +13,8 @@ import (
 
 func assertWeightedMatches(t *testing.T, g *graph.Graph, opt Options, label string) {
 	t.Helper()
-	want := brandes.WeightedSerial(g)
-	got, err := ComputeWeighted(g, opt)
+	want := brandes.Serial(g)
+	got, err := Compute(g, opt)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -32,7 +32,7 @@ func TestWeightedSerialHand(t *testing.T) {
 		{From: 0, To: 1, W: 1}, {From: 0, To: 2, W: 2},
 		{From: 1, To: 3, W: 1}, {From: 2, To: 3, W: 1},
 	}, false)
-	bc := brandes.WeightedSerial(g)
+	bc := brandes.Serial(g)
 	if bc[1] != 2 || bc[2] != 0 {
 		t.Fatalf("bc = %v, want [0 2 0 0]", bc)
 	}
@@ -42,7 +42,7 @@ func TestWeightedSerialHand(t *testing.T) {
 		{From: 0, To: 1, W: 1}, {From: 0, To: 2, W: 1},
 		{From: 1, To: 3, W: 1}, {From: 2, To: 3, W: 1},
 	}, false)
-	bc2 := brandes.WeightedSerial(g2)
+	bc2 := brandes.Serial(g2)
 	if bc2[1] != 1 || bc2[2] != 1 {
 		t.Fatalf("bc2 = %v, want middles 1", bc2)
 	}
@@ -59,11 +59,11 @@ func TestWeightedUnitMatchesUnweighted(t *testing.T) {
 	for gi, g := range graphs {
 		want := brandes.Serial(g)
 		wg := g.UnitWeights()
-		got := brandes.WeightedSerial(wg)
+		got := brandes.Serial(wg)
 		if i, ok := bcClose(want, got, 1e-9); !ok {
 			t.Fatalf("graph %d: unit-weight mismatch at %d", gi, i)
 		}
-		got2, err := ComputeWeighted(wg, Options{})
+		got2, err := Compute(wg, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,21 +94,6 @@ func TestWeightedAPGREMatchesDijkstra(t *testing.T) {
 	}
 }
 
-func TestWeightedParallelMatchesSerial(t *testing.T) {
-	g := gen.WithRandomWeights(gen.BarabasiAlbert(150, 3, 6), 5, 7)
-	want := brandes.WeightedSerial(g)
-	got := brandes.WeightedParallel(g, 3)
-	if i, ok := bcClose(want, got, 1e-9); !ok {
-		t.Fatalf("parallel weighted differs at %d", i)
-	}
-}
-
-func TestComputeWeightedRejectsUnweighted(t *testing.T) {
-	if _, err := ComputeWeighted(gen.Path(5), Options{}); err == nil {
-		t.Fatal("expected error for unweighted graph")
-	}
-}
-
 func TestWeightedGammaElimination(t *testing.T) {
 	// Star with weighted spokes: all leaves fold into the hub.
 	var wedges []graph.WeightedEdge
@@ -117,14 +102,14 @@ func TestWeightedGammaElimination(t *testing.T) {
 	}
 	g := graph.NewWeightedFromEdges(9, wedges, false)
 	var bd Breakdown
-	got, err := ComputeWeighted(g, Options{Breakdown: &bd})
+	got, err := Compute(g, Options{Breakdown: &bd})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bd.Roots != 1 {
 		t.Fatalf("roots = %d, want 1 (all leaves folded)", bd.Roots)
 	}
-	want := brandes.WeightedSerial(g)
+	want := brandes.Serial(g)
 	if i, ok := bcClose(want, got, 1e-9); !ok {
 		t.Fatalf("weighted star differs at %d", i)
 	}
@@ -141,8 +126,8 @@ func TestQuickWeightedEquivalence(t *testing.T) {
 		base := gen.SocialLike(gen.SocialParams{N: 100, AvgDeg: 4, Communities: 4,
 			TopShare: 0.5, LeafFrac: 0.3, Directed: directed, Reciprocity: 0.5, Seed: seed})
 		g := gen.WithRandomWeights(base, 1+int(cfg>>1)%8, seed+1)
-		want := brandes.WeightedSerial(g)
-		got, err := ComputeWeighted(g, Options{Threshold: 4, DisableGamma: cfg&2 != 0})
+		want := brandes.Serial(g)
+		got, err := Compute(g, Options{Threshold: 4, DisableGamma: cfg&2 != 0})
 		if err != nil {
 			return false
 		}
@@ -168,7 +153,7 @@ func TestWeightedVsUnweightedDiffer(t *testing.T) {
 		wedges = append(wedges, graph.WeightedEdge{From: e.From, To: e.To, W: w})
 	}
 	wg := graph.NewWeightedFromEdges(6, wedges, false)
-	w := brandes.WeightedSerial(wg)
+	w := brandes.Serial(wg)
 	if _, same := bcClose(unw, w, 1e-9); same {
 		t.Fatal("weights had no effect on cycle BC")
 	}
@@ -177,13 +162,13 @@ func TestWeightedVsUnweightedDiffer(t *testing.T) {
 	}
 }
 
-// TestComputeHonoursWeights: the general entry points sweep a weighted graph
-// with Dijkstra — same scores as ComputeWeighted and weighted Brandes, never
-// the hop-count scores of the same topology.
+// TestComputeHonoursWeights: both entry points sweep a weighted graph with
+// Dijkstra — the scores of Dijkstra-Brandes, never the hop-count scores of
+// the same topology.
 func TestComputeHonoursWeights(t *testing.T) {
 	g := gen.WithRandomWeights(gen.SocialLike(gen.SocialParams{N: 300, AvgDeg: 4,
 		Communities: 5, TopShare: 0.5, LeafFrac: 0.3, Seed: 22}), 7, 22)
-	want := brandes.WeightedSerial(g)
+	want := brandes.Serial(g)
 	got, err := Compute(g, Options{Workers: 2, Threshold: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -209,9 +194,6 @@ func TestComputeHonoursWeights(t *testing.T) {
 func TestWeightedRejectsMSBFS(t *testing.T) {
 	g := gen.WithRandomWeights(gen.Caveman(4, 6, false), 5, 21)
 	opt := Options{RootEngine: EngineMSBFS}
-	if _, err := ComputeWeighted(g, opt); err == nil {
-		t.Error("ComputeWeighted accepted EngineMSBFS")
-	}
 	if _, err := Compute(g, opt); err == nil {
 		t.Error("Compute accepted EngineMSBFS on a weighted graph")
 	}

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 )
@@ -94,6 +95,14 @@ func NewFromCSR(n int, offs []int64, adj []V, directed bool) (*Graph, error) {
 // preserved by construction). Out-of-range neighbors panic, mirroring
 // NewFromEdges: silent truncation would corrupt experiments.
 func NewFromCSRUnsorted(n int, offs []int64, adj []V, directed bool) *Graph {
+	return canonicalize(n, offs, adj, nil, directed)
+}
+
+// canonicalize is the one edge-list canonicaliser: NewFromCSRUnsorted,
+// NewFromEdges and NewWeightedFromEdges all finish here. wts, when non-nil,
+// is parallel to adj; a weighted row sorts by (target, weight) and keeps the
+// lightest of any parallel arcs.
+func canonicalize(n int, offs []int64, adj []V, wts []float64, directed bool) *Graph {
 	if n < 0 {
 		panic("graph: negative vertex count")
 	}
@@ -102,13 +111,18 @@ func NewFromCSRUnsorted(n int, offs []int64, adj []V, directed bool) *Graph {
 	}
 	w := int64(0)
 	newOffs := make([]int64, n+1)
+	var arcs []WeightedEdge
 	for u := 0; u < n; u++ {
 		lo, hi := offs[u], offs[u+1]
 		if hi < lo {
 			panic(fmt.Sprintf("graph: vertex %d: non-monotone offsets", u))
 		}
 		row := adj[lo:hi]
-		slices.Sort(row)
+		if wts == nil {
+			slices.Sort(row)
+		} else {
+			arcs = keepLightest(V(u), row, wts[lo:hi], wts[w:], arcs[:0])
+		}
 		newOffs[u] = w
 		for i, v := range row {
 			if v < 0 || int(v) >= n {
@@ -122,5 +136,31 @@ func NewFromCSRUnsorted(n int, offs []int64, adj []V, directed bool) *Graph {
 		}
 	}
 	newOffs[n] = w
-	return &Graph{n: n, directed: directed, offs: newOffs, adj: adj[:w:w]}
+	g := &Graph{n: n, directed: directed, offs: newOffs, adj: adj[:w:w]}
+	if wts != nil {
+		g.wts = wts[:w:w]
+	}
+	return g
+}
+
+// keepLightest sorts row u by (target, weight), carrying rw along, and writes
+// to dst, in row order, the weight of every arc canonicalize keeps: the first,
+// so lightest, of each target. dst may overlap rw; arcs is scratch, returned
+// for the next row.
+func keepLightest(u V, row []V, rw, dst []float64, arcs []WeightedEdge) []WeightedEdge {
+	for i, v := range row {
+		arcs = append(arcs, WeightedEdge{u, v, rw[i]})
+	}
+	slices.SortFunc(arcs, func(a, b WeightedEdge) int {
+		return cmp.Or(cmp.Compare(a.To, b.To), cmp.Compare(a.W, b.W))
+	})
+	k := 0
+	for i, a := range arcs {
+		row[i] = a.To
+		if a.To != u && (i == 0 || a.To != arcs[i-1].To) {
+			dst[k] = a.W
+			k++
+		}
+	}
+	return arcs
 }

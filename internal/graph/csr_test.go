@@ -103,15 +103,13 @@ func TestNewFromCSRUnsortedCanonicalizes(t *testing.T) {
 // self-loops mixed in, comes out of NewFromEdges — and its arcs, shuffled
 // within their rows, out of NewFromCSRUnsorted — as the strictly ascending
 // rows of the edge set itself, which NewFromCSR's validation accepts,
-// directed and undirected.
+// directed and undirected. Given a weight per listed edge, parallel arcs
+// differing in weight, NewWeightedFromEdges gives the same rows, each arc
+// weighing the least of its copies.
 func TestEdgeListsCanonicalize(t *testing.T) {
 	const n = 60
 	r := rand.New(rand.NewSource(5))
 	for _, directed := range []bool{false, true} {
-		rows := make([]map[V]bool, n)
-		for u := range rows {
-			rows[u] = map[V]bool{}
-		}
 		var edges []Edge
 		for len(edges) < 400 {
 			u, v := V(r.Intn(n)), V(r.Intn(n))
@@ -124,21 +122,37 @@ func TestEdgeListsCanonicalize(t *testing.T) {
 			}
 		}
 		r.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
-		for _, e := range edges {
+		// rows is the map oracle: the edge set, each arc at its least weight.
+		rows := make([]map[V]float64, n)
+		for u := range rows {
+			rows[u] = map[V]float64{}
+		}
+		keep := func(u, v V, w float64) {
+			if old, ok := rows[u][v]; !ok || w < old {
+				rows[u][v] = w
+			}
+		}
+		wedges := make([]WeightedEdge, len(edges))
+		for i, e := range edges {
+			wedges[i] = WeightedEdge{e.From, e.To, float64(1+r.Intn(9)) / 4}
 			if e.From != e.To {
-				rows[e.From][e.To] = true
+				keep(e.From, e.To, wedges[i].W)
 				if !directed {
-					rows[e.To][e.From] = true
+					keep(e.To, e.From, wedges[i].W)
 				}
 			}
 		}
 		offs := make([]int64, n+1)
 		var adj []V
+		var wts []float64
 		for u, row := range rows {
 			for v := range row {
 				adj = append(adj, v)
 			}
 			slices.Sort(adj[offs[u]:])
+			for _, v := range adj[offs[u]:] {
+				wts = append(wts, row[v])
+			}
 			offs[u+1] = int64(len(adj))
 		}
 		want, err := NewFromCSR(n, offs, adj, directed)
@@ -153,6 +167,14 @@ func TestEdgeListsCanonicalize(t *testing.T) {
 		}
 		g := NewFromEdges(n, edges, directed)
 		same("NewFromEdges", g)
+		if g.Weighted() {
+			t.Fatalf("directed=%v: NewFromEdges gave a weighted graph", directed)
+		}
+		gw := NewWeightedFromEdges(n, wedges, directed)
+		same("NewWeightedFromEdges", gw)
+		if !slices.Equal(gw.wts, wts) {
+			t.Fatalf("directed=%v: NewWeightedFromEdges kept other weights than each arc's least", directed)
+		}
 		var raw []V
 		rawOffs := make([]int64, n+1)
 		for u := 0; u < n; u++ {

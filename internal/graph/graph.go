@@ -2,7 +2,8 @@
 // whole repository is built on, mirroring the storage the paper uses (§5.1:
 // "the graphs are stored in Compressed Sparse Row (CSR) format").
 //
-// Graphs are unweighted and either directed or undirected. An undirected
+// Graphs are directed or undirected, and unweighted unless built by
+// NewWeightedFromEdges (positive arc weights; see weighted.go). An undirected
 // graph stores each edge as two arcs, so NumArcs == 2*NumEdges for it.
 // Vertices are dense int32 identifiers in [0, NumVertices()).
 package graph
@@ -45,8 +46,8 @@ type Graph struct {
 // {u,v} is stored as the two arcs u->v and v->u regardless of input order,
 // and duplicate opposite-order inputs collapse. Edges with endpoints outside
 // [0, n) cause a panic, since silent truncation would corrupt experiments.
-// The arcs are counted and placed row by row, and NewFromCSRUnsorted makes
-// the rows canonical.
+// The arcs are counted and placed row by row, and the one canonicaliser
+// behind NewFromCSRUnsorted makes the rows canonical.
 func NewFromEdges(n int, edges []Edge, directed bool) *Graph {
 	if n < 0 {
 		panic("graph: negative vertex count")
@@ -74,7 +75,7 @@ func NewFromEdges(n int, edges []Edge, directed bool) *Graph {
 			next[e.To]++
 		}
 	}
-	return NewFromCSRUnsorted(n, offs, adj, directed)
+	return canonicalize(n, offs, adj, nil, directed)
 }
 
 // NumVertices returns the number of vertices.

@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // WeightedEdge is an edge with a positive length. Weighted graphs extend the
@@ -20,11 +20,14 @@ type WeightedEdge struct {
 // can lie on a shortest path). Weights must be positive — zero or negative
 // weights would break both Dijkstra and the biconnected shortest-path
 // arguments — and violations panic, since silently accepting them would
-// corrupt every downstream score.
+// corrupt every downstream score. The arcs are counted and placed as
+// NewFromEdges places them, with their weights alongside, and the one
+// canonicaliser makes the rows canonical.
 func NewWeightedFromEdges(n int, edges []WeightedEdge, directed bool) *Graph {
 	if n < 0 {
 		panic("graph: negative vertex count")
 	}
+	offs := make([]int64, n+1)
 	for _, e := range edges {
 		if e.From < 0 || int(e.From) >= n || e.To < 0 || int(e.To) >= n {
 			panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", e.From, e.To, n))
@@ -32,54 +35,26 @@ func NewWeightedFromEdges(n int, edges []WeightedEdge, directed bool) *Graph {
 		if !(e.W > 0) {
 			panic(fmt.Sprintf("graph: edge (%d,%d) has non-positive weight %v", e.From, e.To, e.W))
 		}
-	}
-	type arc struct {
-		to V
-		w  float64
-	}
-	rows := make([][]arc, n)
-	add := func(u, v V, w float64) { rows[u] = append(rows[u], arc{v, w}) }
-	for _, e := range edges {
-		if e.From == e.To {
-			continue
-		}
-		add(e.From, e.To, e.W)
+		offs[e.From+1]++
 		if !directed {
-			add(e.To, e.From, e.W)
+			offs[e.To+1]++
 		}
 	}
-	offs := make([]int64, n+1)
-	var total int64
-	for u := 0; u < n; u++ {
-		row := rows[u]
-		sort.Slice(row, func(i, j int) bool {
-			if row[i].to != row[j].to {
-				return row[i].to < row[j].to
-			}
-			return row[i].w < row[j].w
-		})
-		w := 0
-		for i := range row {
-			if i > 0 && row[i].to == row[w-1].to {
-				continue // duplicate: the sort put the lightest first
-			}
-			row[w] = row[i]
-			w++
-		}
-		rows[u] = row[:w]
-		offs[u+1] = offs[u] + int64(w)
-		total += int64(w)
+	for i := 0; i < n; i++ {
+		offs[i+1] += offs[i]
 	}
-	adj := make([]V, total)
-	wts := make([]float64, total)
-	for u := 0; u < n; u++ {
-		base := offs[u]
-		for i, a := range rows[u] {
-			adj[base+int64(i)] = a.to
-			wts[base+int64(i)] = a.w
+	adj := make([]V, offs[n])
+	wts := make([]float64, offs[n])
+	next := slices.Clone(offs[:n])
+	for _, e := range edges {
+		adj[next[e.From]], wts[next[e.From]] = e.To, e.W
+		next[e.From]++
+		if !directed {
+			adj[next[e.To]], wts[next[e.To]] = e.From, e.W
+			next[e.To]++
 		}
 	}
-	return &Graph{n: n, directed: directed, offs: offs, adj: adj, wts: wts}
+	return canonicalize(n, offs, adj, wts, directed)
 }
 
 // Weighted reports whether the graph carries edge weights.

@@ -19,7 +19,6 @@ package repro
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/approx"
 	"repro/internal/brandes"
@@ -128,8 +127,19 @@ type Options struct {
 // BetweennessCentrality computes exact BC scores for every vertex using the
 // selected algorithm. Scores use the directed-sum convention (each unordered
 // pair of an undirected graph counts in both directions), identical across
-// all algorithms.
+// all algorithms. A weighted graph's shortest paths are its lightest:
+// AlgoAPGRE sweeps it with Dijkstra over the same decomposition — our
+// extension of the paper beyond its unweighted scope — and AlgoSerial is the
+// textbook Dijkstra-Brandes reference. The five parallel baselines count
+// hops, so on a weighted graph they return an error.
 func BetweennessCentrality(g *Graph, opt Options) ([]float64, error) {
+	switch opt.Algorithm {
+	case AlgoPreds, AlgoSuccs, AlgoLockSyncFree, AlgoAsync, AlgoHybrid:
+		if g.Weighted() {
+			return nil, fmt.Errorf("repro: algorithm %q counts hops and would ignore the graph's edge weights (use %q or %q)",
+				opt.Algorithm, AlgoAPGRE, AlgoSerial)
+		}
+	}
 	switch opt.Algorithm {
 	case AlgoAPGRE, "":
 		return core.Compute(g, core.Options{
@@ -177,8 +187,8 @@ func ApproximateBC(g *Graph, opt ApproxOptions) (*ApproxResult, error) {
 type WeightedEdge = graph.WeightedEdge
 
 // NewWeightedGraph builds a weighted graph (positive weights; parallel edges
-// keep the minimum). Weighted graphs work with AlgoAPGRE and AlgoSerial via
-// WeightedBetweennessCentrality.
+// keep the minimum). BetweennessCentrality honours its weights with
+// AlgoAPGRE and AlgoSerial.
 func NewWeightedGraph(n int, edges []WeightedEdge, directed bool) *Graph {
 	return graph.NewWeightedFromEdges(n, edges, directed)
 }
@@ -187,30 +197,6 @@ func NewWeightedGraph(n int, edges []WeightedEdge, directed bool) *Graph {
 // [1, maxW].
 func AttachRandomWeights(g *Graph, maxW int, seed int64) *Graph {
 	return gen.WithRandomWeights(g, maxW, seed)
-}
-
-// WeightedBetweennessCentrality computes exact BC on a weighted graph.
-// AlgoAPGRE (default) uses the articulation-point decomposition with
-// Dijkstra sweeps — our extension of the paper beyond its unweighted scope —
-// and AlgoSerial the textbook Dijkstra-Brandes reference; other algorithm
-// names are rejected.
-func WeightedBetweennessCentrality(g *Graph, opt Options) ([]float64, error) {
-	switch opt.Algorithm {
-	case AlgoAPGRE, "":
-		return core.ComputeWeighted(g, core.Options{
-			Workers:      opt.Workers,
-			Threshold:    opt.Threshold,
-			DisableGamma: opt.DisableGamma,
-			Breakdown:    opt.Breakdown,
-		})
-	case AlgoSerial:
-		if !g.Weighted() {
-			return nil, fmt.Errorf("repro: graph is unweighted; use BetweennessCentrality")
-		}
-		return brandes.WeightedParallel(g, opt.Workers), nil
-	default:
-		return nil, fmt.Errorf("repro: algorithm %q has no weighted variant", opt.Algorithm)
-	}
 }
 
 // IncrementalBC maintains exact BC scores across edge insertions and
@@ -323,11 +309,3 @@ func AnalyzeRedundancy(g *Graph, threshold int) (Redundancy, error) {
 
 // Breakdown re-exports APGRE's phase breakdown type.
 type Breakdown = core.Breakdown
-
-// Timing runs fn and returns its duration — a convenience for benchmarks
-// and examples.
-func Timing(fn func()) time.Duration {
-	start := time.Now()
-	fn()
-	return time.Since(start)
-}

@@ -3,6 +3,8 @@ package repro
 import (
 	"math"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -175,47 +177,100 @@ func TestBreakdownExposed(t *testing.T) {
 	}
 }
 
-func TestTiming(t *testing.T) {
-	if d := Timing(func() {}); d < 0 {
-		t.Fatal("negative duration")
-	}
-}
-
+// TestWeightedFacade: BetweennessCentrality reads a graph's weights from the
+// graph. APGRE and the serial reference answer with the weighted scores of a
+// first-principles oracle; the five hop-count baselines refuse, naming the
+// algorithm and the weights, instead of answering with hop-count BC.
 func TestWeightedFacade(t *testing.T) {
-	base := GenerateSocial(SocialParams{N: 250, AvgDeg: 4, Communities: 5,
-		TopShare: 0.5, LeafFrac: 0.3, Seed: 6})
-	g := AttachRandomWeights(base, 5, 7)
+	g := AttachRandomWeights(GenerateSocial(SocialParams{N: 150, AvgDeg: 4, Communities: 5,
+		TopShare: 0.5, LeafFrac: 0.3, Seed: 6}), 5, 7)
 	if !g.Weighted() {
 		t.Fatal("AttachRandomWeights lost weights")
 	}
-	want, err := WeightedBetweennessCentrality(g, Options{Algorithm: AlgoSerial})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := WeightedBetweennessCentrality(g, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range want {
-		if math.Abs(want[v]-got[v]) > 1e-9*math.Max(1, want[v]) {
-			t.Fatalf("weighted APGRE differs at %d", v)
+	want := weightedBCOracle(g)
+	for _, algo := range Algorithms() {
+		got, err := BetweennessCentrality(g, Options{Algorithm: algo, Workers: 2})
+		if algo != AlgoAPGRE && algo != AlgoSerial {
+			if err == nil || !strings.Contains(err.Error(), string(algo)) || !strings.Contains(err.Error(), "weights") {
+				t.Fatalf("%s on a weighted graph: err %v, want one naming the algorithm and the weights", algo, err)
+			}
+			continue
 		}
-	}
-	if _, err := WeightedBetweennessCentrality(g, Options{Algorithm: AlgoSuccs}); err == nil {
-		t.Fatal("expected error for unsupported weighted algorithm")
-	}
-	if _, err := WeightedBetweennessCentrality(base, Options{Algorithm: AlgoSerial}); err == nil {
-		t.Fatal("expected error for unweighted graph")
+		if err != nil {
+			t.Fatalf("%s: %v", algo, err)
+		}
+		for v := range want {
+			if math.Abs(want[v]-got[v]) > 1e-9*math.Max(1, want[v]) {
+				t.Fatalf("%s: vertex %d scores %v, the weighted oracle %v", algo, v, got[v], want[v])
+			}
+		}
 	}
 	// Direct construction.
 	wg := NewWeightedGraph(3, []WeightedEdge{{From: 0, To: 1, W: 2}, {From: 1, To: 2, W: 3}}, false)
-	bc, err := WeightedBetweennessCentrality(wg, Options{})
+	bc, err := BetweennessCentrality(wg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bc[1] != 2 {
 		t.Fatalf("middle bc = %v, want 2", bc[1])
 	}
+}
+
+// weightedBCOracle is exact BC of a small weighted graph from first
+// principles: all-pairs distances by Floyd–Warshall, σ_st summed over the
+// last arc of each shortest s–t path, then Σ σ_sv·σ_vt/σ_st over every pair
+// s, t whose shortest paths pass through v. Integer weights keep every
+// distance comparison exact.
+func weightedBCOracle(g *Graph) []float64 {
+	n := g.NumVertices()
+	dist := make([][]float64, n)
+	for s := range dist {
+		dist[s] = make([]float64, n)
+		for t := range dist[s] {
+			dist[s][t] = math.Inf(1)
+		}
+		dist[s][s] = 0
+		for i, t := range g.Out(V(s)) {
+			dist[s][t] = g.OutWeights(V(s))[i]
+		}
+	}
+	for k := range dist {
+		for s := range dist {
+			for t := range dist {
+				if d := dist[s][k] + dist[k][t]; d < dist[s][t] {
+					dist[s][t] = d
+				}
+			}
+		}
+	}
+	sigma := make([][]float64, n)
+	for s := range sigma {
+		sigma[s] = make([]float64, n)
+		sigma[s][s] = 1
+		order := make([]int, n)
+		for t := range order {
+			order[t] = t
+		}
+		sort.Slice(order, func(i, j int) bool { return dist[s][order[i]] < dist[s][order[j]] })
+		for _, t := range order[1:] {
+			for i, u := range g.In(V(t)) {
+				if dist[s][u]+g.InWeights(V(t))[i] == dist[s][t] {
+					sigma[s][t] += sigma[s][u]
+				}
+			}
+		}
+	}
+	bc := make([]float64, n)
+	for v := range bc {
+		for s := range dist {
+			for t := range dist {
+				if s != v && t != v && s != t && sigma[s][t] > 0 && dist[s][v]+dist[v][t] == dist[s][t] {
+					bc[v] += sigma[s][v] * sigma[v][t] / sigma[s][t]
+				}
+			}
+		}
+	}
+	return bc
 }
 
 func TestClosenessFacade(t *testing.T) {
