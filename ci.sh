@@ -67,7 +67,10 @@
 #      Metrics.Hook, Server.Metrics) or the unused topKOf ranker, nor
 #      graphio's weighted twin readers/writer or a non-test ReadBinary, nor
 #      a command that calls graphio's text parsers instead of graphio.Load,
-#      nor a weighted twin of a BC entry point or repro.Timing
+#      nor a weighted twin of a BC entry point or repro.Timing; nothing ships
+#      that nothing runs: no main program under examples/, every Example in
+#      the root test files checks its // Output:, and the exports only tests
+#      called stay in test files
 #  10. durability smoke: race-built bcd is killed with SIGKILL mid-life and
 #      must recover its graph from snapshot+WAL with bit-exact top-K
 #  11. load smoke: bcdload drives a short mixed read/mutate phase against the
@@ -101,7 +104,7 @@ run_named() {
 }
 
 echo "==> hygiene: gofmt -l"
-unformatted=$(gofmt -l cmd internal examples bench ./*.go)
+unformatted=$(gofmt -l cmd internal bench ./*.go)
 if [ -n "$unformatted" ]; then
     echo "gofmt: the following files need formatting:" >&2
     echo "$unformatted" >&2
@@ -469,6 +472,33 @@ fi
 if grep -rnwE 'WeightedBetweennessCentrality|ComputeWeighted|WeightedParallel|WeightedSerial' --include='*.go' . ||
     grep -rnE 'func Timing\(|repro\.Timing\b' --include='*.go' .; then
     echo "ci.sh: a weighted twin of a BC entry point or repro.Timing is back; BetweennessCentrality, core.Compute and brandes.Serial follow g.Weighted()" >&2
+    exit 1
+fi
+
+# Nothing ships that nothing runs. The README's scenarios are Examples whose
+# printed output go test checks, not main programs CI compiles and never runs;
+# an Example without an // Output: line is compiled and never run either.
+if [ -d examples ] && grep -rlE '^package main' --include='*.go' examples; then
+    echo "ci.sh: a main program is back under examples/; write the scenario as an output-checked Example in example_test.go" >&2
+    exit 1
+fi
+unchecked=$(awk '
+    FNR == 1 { name = "" }
+    /^func Example/ { name = $2; sub(/\(.*/, "", name); name = FILENAME ": " name; out = 0; next }
+    name != "" && /^[[:space:]]*\/\/ (Unordered output|Output):/ { out = 1 }
+    name != "" && /^}/ { if (!out) print name; name = "" }
+' ./*_test.go)
+if [ -n "$unchecked" ]; then
+    echo "ci.sh: Examples without an // Output: line, which go test compiles and never runs:" >&2
+    echo "$unchecked" >&2
+    exit 1
+fi
+# Nor may an export that only tests call come back to non-test code: each
+# lives in its package's export_test.go or as a helper in the tests that use it.
+if grep -rnwE 'DegreeHistogram' --include='*.go' . ||
+    grep -rnE 'func \(s \*Sweep\) (CheckClean|Cap)\(|func \(g \*Graph\) (Transpose|UnitWeights)\(|func \(s \*Subgraph\) Folded\(|func \(rs \*RootSweep\) Traversed\(|func SerialSuccs\(' --include='*.go' . |
+    grep -v '_test\.go:'; then
+    echo "ci.sh: a test-only export (Sweep.CheckClean/Cap, DegreeHistogram, Graph.Transpose/UnitWeights, Subgraph.Folded, RootSweep.Traversed, SerialSuccs) is back in non-test code" >&2
     exit 1
 fi
 

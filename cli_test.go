@@ -250,7 +250,8 @@ func TestCLIBCWeighted(t *testing.T) {
 // TestCLIBCRejectsIgnoredFlags: a flag the chosen computation would drop is
 // a usage error (exit 2) naming it. The baselines do not decompose, so -v
 // and -threshold need -algo apgre; -approx is its own estimator, so it takes
-// neither -v nor another -algo. Each flag still works where it applies.
+// neither -v nor another -algo, and its -pivots, -eps and -seed mean nothing
+// without it. Each flag still works where it applies.
 func TestCLIBCRejectsIgnoredFlags(t *testing.T) {
 	gpath := filepath.Join(t.TempDir(), "g.txt")
 	runCLI(t, "graphgen", "-type", "path", "-n", "8", "-o", gpath)
@@ -263,13 +264,17 @@ func TestCLIBCRejectsIgnoredFlags(t *testing.T) {
 		{[]string{"-algo", "hybrid", "-v", "-threshold", "8"}, "-v and -threshold"},
 		{[]string{"-approx", "-algo", "serial"}, "-approx takes"},
 		{[]string{"-approx", "-v"}, "-approx takes"},
+		{[]string{"-pivots", "8"}, "apply to -approx only"},
+		{[]string{"-eps", "0.01"}, "apply to -approx only"},
+		{[]string{"-seed", "3"}, "apply to -approx only"},
+		{[]string{"-metric", "closeness", "-seed", "1"}, "apply to -approx only"},
 	} {
 		args := append([]string{"-in", gpath}, tc.args...)
 		if code, out := runCLIExit(t, "bc", args...); code != 2 || !strings.Contains(out, tc.want) || strings.Contains(out, "rank") {
 			t.Fatalf("bc %v: exit %d, want 2 naming %q:\n%s", args, code, tc.want, out)
 		}
 	}
-	for _, extra := range [][]string{{"-v", "-threshold", "8"}, {"-approx", "-threshold", "8", "-pivots", "8"}} {
+	for _, extra := range [][]string{{"-v", "-threshold", "8"}, {"-approx", "-threshold", "8", "-pivots", "8"}, {"-approx", "-pivots", "8", "-seed", "3"}} {
 		args := append([]string{"-in", gpath, "-top", "1"}, extra...)
 		if out := runCLI(t, "bc", args...); !strings.Contains(out, "finished") {
 			t.Fatalf("bc %v:\n%s", args, out)

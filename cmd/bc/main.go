@@ -61,6 +61,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bc: -approx takes neither -v nor an -algo other than apgre")
 		os.Exit(2)
 	}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if !*approxMode && (set["pivots"] || set["eps"] || set["seed"]) {
+		fmt.Fprintln(os.Stderr, "bc: -pivots, -eps and -seed apply to -approx only")
+		os.Exit(2)
+	}
 	if baseline && (*verbose || *thresh != 0) {
 		fmt.Fprintln(os.Stderr, "bc: -v and -threshold apply to -algo apgre only; the baselines do not decompose")
 		os.Exit(2)

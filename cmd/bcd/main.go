@@ -2,11 +2,13 @@
 // named graphs loaded with their articulation-point decomposition and BC
 // scores cached, serves queries over a JSON HTTP API, and absorbs edge
 // updates through the incremental engine instead of recomputing from
-// scratch.
+// scratch. It has no authentication and opens any path a client posts, so it
+// listens on the loopback interface unless -addr names another.
 //
-//	bcd -addr :8723
-//	bcd -addr :8723 -preload enron=email-enron:0.05
-//	bcd -addr :8723 -preload big=@/data/big.bin    # stream a graph file from disk
+//	bcd                                     # listens on 127.0.0.1:8723
+//	bcd -preload enron=email-enron:0.05
+//	bcd -preload big=@/data/big.bin         # stream a graph file from disk
+//	bcd -addr :8723                         # every interface: anyone who can reach it
 //
 // Endpoints (see README "Serving" for curl examples):
 //
@@ -44,7 +46,7 @@ import (
 
 func main() {
 	var (
-		addr      = flag.String("addr", ":8723", "listen address")
+		addr      = flag.String("addr", "127.0.0.1:8723", "listen address (the API has no authentication)")
 		workers   = flag.Int("workers", 2, "concurrent graph build jobs")
 		queue     = flag.Int("queue", 16, "build job queue depth")
 		threshold = flag.Int("threshold", 0, "default decomposition threshold (0 = library default)")

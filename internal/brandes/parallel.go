@@ -280,9 +280,9 @@ func LockSyncFree(g *graph.Graph, workers int) []float64 {
 // granularity the paper exploits: sources are processed concurrently by a
 // dynamic scheduler (no level barriers between sources), each worker running
 // the serial successor-pull sweep on its own pooled scratch and accumulating
-// into a private BC array merged at the end, so one worker reproduces
-// SerialSuccs bit for bit. Like the original Galois implementation it only
-// handles undirected graphs.
+// into a private BC array merged at the end, so one worker reproduces the
+// serial successor-pull sweep over every source bit for bit. Like the
+// original Galois implementation it only handles undirected graphs.
 func Async(g *graph.Graph, workers int) ([]float64, error) {
 	if g.Directed() {
 		return nil, fmt.Errorf("brandes: async variant only supports undirected graphs")

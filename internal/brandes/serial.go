@@ -131,8 +131,8 @@ func Serial(g *graph.Graph) []float64 {
 
 // runSourceSuccs executes one successor-pull Brandes sweep from s (no
 // predecessor lists; the backward sweep re-derives DAG successors from the
-// distance array), adding the source's dependencies into bc. SerialSuccs and
-// every Async worker run it.
+// distance array), adding the source's dependencies into bc. Every Async
+// worker runs it.
 func (st *serialScratch) runSourceSuccs(g *graph.Graph, s graph.V, bc []float64) {
 	dist, rec := st.sw.Dist, st.sw.Rec
 	dist[s] = 0
@@ -168,22 +168,4 @@ func (st *serialScratch) runSourceSuccs(g *graph.Graph, s graph.V, bc []float64)
 		dist[v] = -1
 		rec[v] = ws.Record{}
 	}
-}
-
-// SerialSuccs is the sequential successor-pull formulation: no predecessor
-// lists are stored; the backward sweep re-derives DAG successors from the
-// distance array. It is the serial skeleton the succs/lockSyncFree parallel
-// variants build on.
-func SerialSuccs(g *graph.Graph) []float64 {
-	n := g.NumVertices()
-	bc := make([]float64, n)
-	if n == 0 {
-		return bc
-	}
-	st := newSerialScratch(g, false)
-	for s := graph.V(0); int(s) < n; s++ {
-		st.runSourceSuccs(g, s, bc)
-	}
-	st.release()
-	return bc
 }

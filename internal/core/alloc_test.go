@@ -106,7 +106,7 @@ func TestRootSweepWarmAllocs(t *testing.T) {
 			i++
 		})
 		rs.Collect(dst)
-		if err := rs.e.ws.CheckClean(); err != nil {
+		if err := checkClean(rs.e.ws); err != nil {
 			t.Fatalf("scale %v direction %d: %v", c.scale, c.force, err)
 		}
 		rs.Release()

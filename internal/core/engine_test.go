@@ -285,7 +285,7 @@ func TestRootSweepRunBatchBitMatch(t *testing.T) {
 				}
 			}
 		}
-		if tr1, tr2 := one.Traversed(), batch.Traversed(); tr1 != tr2 {
+		if tr1, tr2 := one.e.traversed, batch.e.traversed; tr1 != tr2 {
 			t.Fatalf("%s: traversed metric diverged: one by one %d, batched %d", name, tr1, tr2)
 		}
 		// bfsRoot alone counts what it examined, so the lane kernel shows as

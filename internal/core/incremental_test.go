@@ -1,12 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"repro/internal/brandes"
+	"repro/internal/decompose"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
@@ -464,7 +466,7 @@ func TestIncrementalConcurrentReaders(t *testing.T) {
 						for _, sg := range snap.Decomposition.Subgraphs {
 							for l := int32(0); int(l) < sg.NumVerts(); l++ {
 								for _, w := range sg.Out(l) {
-									if int(w) >= sg.NumVerts() || sg.Folded(w) {
+									if int(w) >= sg.NumVerts() || folded(sg, w) {
 										errs <- errInconsistentEpoch
 										return
 									}
@@ -645,4 +647,11 @@ func TestEpochReusesUntouchedContributions(t *testing.T) {
 	if got, want := sweptAgain(t, "directed bridge arc removed", prev, inc), []string{"[2 3 4 5]", "[0 1 2]"}; !slices.Equal(got, want) {
 		t.Fatalf("removing 2->3 swept the sub-graphs %v again, want %v", got, want)
 	}
+}
+
+// folded reports whether local vertex l of sg is γ-folded: not one of its
+// roots, which list the swept vertices in global-id order.
+func folded(sg *decompose.Subgraph, l int32) bool {
+	_, root := slices.BinarySearchFunc(sg.Roots, sg.Verts[l], func(r int32, v graph.V) int { return cmp.Compare(sg.Verts[r], v) })
+	return !root
 }

@@ -47,7 +47,7 @@ func sweepUnit(t *testing.T, sg *decompose.Subgraph, roots []int32, forced bool)
 	e.runRoots(sg, roots, false)
 	bc = append(bc, e.ws.BC[:sg.NumVerts()]...)
 	clear(e.ws.BC[:sg.NumVerts()])
-	if err := e.ws.CheckClean(); err != nil {
+	if err := checkClean(e.ws); err != nil {
 		t.Fatal(err)
 	}
 	e.release()
@@ -197,14 +197,14 @@ func TestLaneMemoryBounded(t *testing.T) {
 		b := s.Bytes()
 		sum.Base, sum.Lanes, sum.Tape = sum.Base+b.Base, sum.Lanes+b.Lanes, sum.Tape+b.Tape
 		if slots := b.Lanes - 8*int64(len(s.LaneSeen)+len(s.LaneFront)); slots > int64(laneBudget) {
-			t.Fatalf("pooled workspace of capacity %d holds %d B of lane arrays, budget %d", s.Cap(), slots, laneBudget)
+			t.Fatalf("pooled workspace of capacity %d holds %d B of lane arrays, budget %d", len(s.Dist), slots, laneBudget)
 		} else if slots > 0 {
 			lanes++
 		}
-		if s.Cap() >= big {
+		if len(s.Dist) >= big {
 			bigCap++
 		}
-		if err := s.CheckClean(); err != nil {
+		if err := checkClean(s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -384,4 +384,28 @@ func TestLaneKernelYieldsWhereSigmaIsInexact(t *testing.T) {
 		}
 		bcBitsEqual(t, fmt.Sprintf("%d layers, rule vs scalar", c.layers), want, got)
 	}
+}
+
+// checkClean holds s to ws's clean-slot invariants over its whole capacity
+// (len(s.Dist)) and every lane slot, reading only exported fields.
+func checkClean(s *ws.Sweep) error {
+	for v := range s.Dist {
+		if s.Dist[v] != -1 || s.BC[v] != 0 || s.Visited.Get(v) {
+			return fmt.Errorf("dirty slot %d: Dist %d, BC %g, Visited %v", v, s.Dist[v], s.BC[v], s.Visited.Get(v))
+		}
+		if s.FDist != nil && (s.FDist[v] != -1 || s.Done[v]) {
+			return fmt.Errorf("dirty weighted slot %d: FDist %g, Done %v", v, s.FDist[v], s.Done[v])
+		}
+	}
+	for v, m := range s.LaneSeen {
+		if m|s.LaneFront[v] != 0 {
+			return fmt.Errorf("dirty lane masks %d: LaneSeen %#x, LaneFront %#x", v, m, s.LaneFront[v])
+		}
+	}
+	for i, r := range s.LaneRec {
+		if r.Sigma != 0 {
+			return fmt.Errorf("dirty LaneRec[%d].Sigma = %g", i, r.Sigma)
+		}
+	}
+	return nil
 }

@@ -146,7 +146,7 @@ func sweepForced(t *testing.T, d *decompose.Decomposition, force direction) ([]f
 		}
 	})
 	if e.ws != nil {
-		if err := e.ws.CheckClean(); err != nil {
+		if err := checkClean(e.ws); err != nil {
 			t.Fatalf("direction %d left the workspace dirty: %v", force, err)
 		}
 	}

@@ -50,10 +50,6 @@ func (rs *RootSweep) Collect(dst []float64) {
 	}
 }
 
-// Traversed returns the total number of arcs traversed by all Run calls so
-// far (the paper's work metric).
-func (rs *RootSweep) Traversed() int64 { return rs.e.traversed }
-
 // Release returns the pooled workspace to the shared arena. The sweep stays
 // usable — the next Run checks a workspace out again — but callers must
 // Collect any pending scores first (Release drops them back into the pool's

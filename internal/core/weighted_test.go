@@ -58,7 +58,7 @@ func TestWeightedUnitMatchesUnweighted(t *testing.T) {
 	}
 	for gi, g := range graphs {
 		want := brandes.Serial(g)
-		wg := g.UnitWeights()
+		wg := unitWeights(g)
 		got := brandes.Serial(wg)
 		if i, ok := bcClose(want, got, 1e-9); !ok {
 			t.Fatalf("graph %d: unit-weight mismatch at %d", gi, i)
@@ -204,4 +204,13 @@ func TestWeightedRejectsMSBFS(t *testing.T) {
 	if _, err := ComputeDecomposed(d, opt); err == nil {
 		t.Error("ComputeDecomposed accepted EngineMSBFS on a weighted graph")
 	}
+}
+
+// unitWeights returns a weighted copy of g with every edge at weight 1.
+func unitWeights(g *graph.Graph) *graph.Graph {
+	var wedges []graph.WeightedEdge
+	for _, e := range g.Edges() {
+		wedges = append(wedges, graph.WeightedEdge{From: e.From, To: e.To, W: 1})
+	}
+	return graph.NewWeightedFromEdges(g.NumVertices(), wedges, g.Directed())
 }

@@ -18,10 +18,10 @@ type abScratch struct {
 	queue   []graph.V
 }
 
-// count runs a BFS from a over `from`, never entering vertices of the
-// current sub-graph other than a, and returns the number of vertices reached
-// beyond a.
-func (sc *abScratch) count(from *graph.Graph, a graph.V) float64 {
+// count runs a BFS from a along next (a graph's Out, or its In for the reverse
+// BFS), never entering vertices of the current sub-graph other than a, and
+// returns the number of vertices reached beyond a.
+func (sc *abScratch) count(next func(graph.V) []graph.V, a graph.V) float64 {
 	sc.bfsEp++
 	ep := sc.bfsEp
 	sc.visited[a] = ep
@@ -30,7 +30,7 @@ func (sc *abScratch) count(from *graph.Graph, a graph.V) float64 {
 	for len(sc.queue) > 0 {
 		u := sc.queue[len(sc.queue)-1]
 		sc.queue = sc.queue[:len(sc.queue)-1]
-		for _, v := range from.Out(u) {
+		for _, v := range next(u) {
 			if sc.visited[v] == ep {
 				continue
 			}
@@ -54,7 +54,7 @@ func (sc *abScratch) count(from *graph.Graph, a graph.V) float64 {
 func alphaBetaBFS(d *Decomposition) {
 	g := d.G
 	n := g.NumVertices()
-	tr := g.Transpose()
+	g.EnsureTranspose()
 	sc := &abScratch{inSG: make([]int32, n), visited: make([]int32, n)}
 	for _, sg := range d.Subgraphs {
 		sc.sgEpoch++
@@ -63,10 +63,10 @@ func alphaBetaBFS(d *Decomposition) {
 		}
 		for _, la := range sg.Arts {
 			a := sg.Verts[la]
-			sg.Alpha[la] = sc.count(g, a)
+			sg.Alpha[la] = sc.count(g.Out, a)
 			sg.Beta[la] = sg.Alpha[la]
 			if g.Directed() {
-				sg.Beta[la] = sc.count(tr, a)
+				sg.Beta[la] = sc.count(g.In, a)
 			}
 		}
 	}

@@ -46,16 +46,16 @@ func TestAlphaBetaDefinition(t *testing.T) {
 }
 
 // definitionAlphaBeta counts by BFS over g what a reaches (α) and what reaches
-// a (β: the same count on g.Transpose() when g is directed) without entering a
+// a (β: the same count along in-arcs when g is directed) without entering a
 // vertex of blocked other than a — the paper's §3.1 definition, written apart
 // from the production code so that it stays an oracle.
 func definitionAlphaBeta(g *graph.Graph, a graph.V, blocked map[graph.V]bool) (alpha, beta float64) {
-	count := func(g *graph.Graph) float64 {
+	count := func(next func(graph.V) []graph.V) float64 {
 		seen := make([]bool, g.NumVertices())
 		seen[a] = true
 		reached := 0
 		for queue := []graph.V{a}; len(queue) > 0; queue = queue[1:] {
-			for _, v := range g.Out(queue[0]) {
+			for _, v := range next(queue[0]) {
 				if !seen[v] && !blocked[v] {
 					seen[v] = true
 					reached++
@@ -65,9 +65,9 @@ func definitionAlphaBeta(g *graph.Graph, a graph.V, blocked map[graph.V]bool) (a
 		}
 		return float64(reached)
 	}
-	alpha = count(g)
+	alpha = count(g.Out)
 	if !g.Directed() {
 		return alpha, alpha
 	}
-	return alpha, count(g.Transpose())
+	return alpha, count(g.In)
 }

@@ -343,7 +343,3 @@ func (s *Subgraph) fold(g *graph.Graph, disableGamma bool) {
 		}
 	}
 }
-
-// Folded reports whether local vertex l is γ-folded: out of the root set and
-// out of the swept graph.
-func (s *Subgraph) Folded(l int32) bool { return s.foldedInto[l] >= 0 }

@@ -221,17 +221,6 @@ func mergeRows(dst, a, b []V) int {
 	return n
 }
 
-// Transpose returns the reverse graph. For undirected graphs it returns g.
-func (g *Graph) Transpose() *Graph {
-	if !g.directed {
-		return g
-	}
-	g.EnsureTranspose()
-	t := &Graph{n: g.n, directed: true, offs: g.inOffs, adj: g.inAdj, wts: g.inWts,
-		inOffs: g.offs, inAdj: g.adj, inWts: g.wts}
-	return t
-}
-
 // String implements fmt.Stringer with a short summary.
 func (g *Graph) String() string {
 	kind := "undirected"

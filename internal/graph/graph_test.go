@@ -207,17 +207,6 @@ func TestStatsDirectedSources(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	g := NewFromEdges(5, []Edge{{0, 1}, {0, 2}, {0, 3}, {0, 4}}, false)
-	degs, counts := DegreeHistogram(g)
-	if len(degs) != 2 || degs[0] != 1 || degs[1] != 4 {
-		t.Fatalf("degs = %v", degs)
-	}
-	if counts[0] != 4 || counts[1] != 1 {
-		t.Fatalf("counts = %v", counts)
-	}
-}
-
 // Property: arc count of an undirected graph is always even and every arc has
 // its reverse.
 func TestQuickUndirectedSymmetry(t *testing.T) {

@@ -1,7 +1,5 @@
 package graph
 
-import "sort"
-
 // DegreeStats summarizes a graph's degree distribution; it backs the
 // motivation census (paper Figure 2: articulation points and single-edge
 // vertices in real graphs).
@@ -59,22 +57,4 @@ func Stats(g *Graph) DegreeStats {
 	}
 	st.MeanOut = float64(sum) / float64(n)
 	return st
-}
-
-// DegreeHistogram returns sorted (degree, count) pairs of out-degrees,
-// used to eyeball power-law shape in the dataset tests.
-func DegreeHistogram(g *Graph) (degrees []int, counts []int64) {
-	h := map[int]int64{}
-	for u := 0; u < g.NumVertices(); u++ {
-		h[g.OutDegree(V(u))]++
-	}
-	for d := range h {
-		degrees = append(degrees, d)
-	}
-	sort.Ints(degrees)
-	counts = make([]int64, len(degrees))
-	for i, d := range degrees {
-		counts[i] = h[d]
-	}
-	return degrees, counts
 }

@@ -102,14 +102,3 @@ func (g *Graph) WeightedEdges() []WeightedEdge {
 	}
 	return out
 }
-
-// UnitWeights returns a weighted copy of an unweighted graph with every
-// edge at weight 1 (useful for cross-checking the weighted engines against
-// the unweighted ones).
-func (g *Graph) UnitWeights() *Graph {
-	var wedges []WeightedEdge
-	for _, e := range g.Edges() {
-		wedges = append(wedges, WeightedEdge{From: e.From, To: e.To, W: 1})
-	}
-	return NewWeightedFromEdges(g.n, wedges, g.directed)
-}

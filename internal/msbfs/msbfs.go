@@ -138,7 +138,7 @@ func (k *Kernel) grow(d int) *level {
 // owes these roots a scalar sweep.
 //
 // The scratch s is grown with the lane arrays on demand — to sg's swept
-// size, not to s.Cap() — and returned to its clean-slot state before Run
+// size, not to s's capacity — and returned to its clean-slot state before Run
 // returns, so the caller's pooled-sweep discipline is unchanged.
 func (k *Kernel) Run(sg *decompose.Subgraph, roots []int32, directed bool, s *ws.Sweep) (traversed int64, exact bool) {
 	if len(roots) == 0 {

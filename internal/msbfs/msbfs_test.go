@@ -1,6 +1,7 @@
 package msbfs_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -70,7 +71,7 @@ func runBatched(t *testing.T, g *graph.Graph, width int) []float64 {
 			sw.BC[l] = 0
 		}
 	}
-	if err := sw.CheckClean(); err != nil {
+	if err := checkClean(&sw); err != nil {
 		t.Fatalf("sweep dirty after batched runs: %v", err)
 	}
 	return bc
@@ -181,7 +182,7 @@ func TestKernelTraversedMetric(t *testing.T) {
 	for l := range sw.BC[:sg.NumVerts()] {
 		sw.BC[l] = 0
 	}
-	if err := sw.CheckClean(); err != nil {
+	if err := checkClean(&sw); err != nil {
 		t.Fatalf("sweep dirty: %v", err)
 	}
 }
@@ -257,7 +258,7 @@ func TestKernelDeclinesInexactSigma(t *testing.T) {
 		if touched != c.exact {
 			t.Fatalf("%d layers: exact %v but scores written %v", c.layers, exact, touched)
 		}
-		if err := sw.CheckClean(); err != nil {
+		if err := checkClean(&sw); err != nil {
 			t.Fatalf("%d layers: %v", c.layers, err)
 		}
 	}
@@ -315,8 +316,32 @@ func TestKernelInexactFullBatchComesBackClean(t *testing.T) {
 		if touched != c.exact {
 			t.Fatalf("%d layers: exact %v but scores written %v", c.layers, exact, touched)
 		}
-		if err := sw.CheckClean(); err != nil {
+		if err := checkClean(&sw); err != nil {
 			t.Fatalf("%d layers: %v", c.layers, err)
 		}
 	}
+}
+
+// checkClean holds s to ws's clean-slot invariants over its whole capacity
+// (len(s.Dist)) and every lane slot, reading only exported fields.
+func checkClean(s *ws.Sweep) error {
+	for v := range s.Dist {
+		if s.Dist[v] != -1 || s.BC[v] != 0 || s.Visited.Get(v) {
+			return fmt.Errorf("dirty slot %d: Dist %d, BC %g, Visited %v", v, s.Dist[v], s.BC[v], s.Visited.Get(v))
+		}
+		if s.FDist != nil && (s.FDist[v] != -1 || s.Done[v]) {
+			return fmt.Errorf("dirty weighted slot %d: FDist %g, Done %v", v, s.FDist[v], s.Done[v])
+		}
+	}
+	for v, m := range s.LaneSeen {
+		if m|s.LaneFront[v] != 0 {
+			return fmt.Errorf("dirty lane masks %d: LaneSeen %#x, LaneFront %#x", v, m, s.LaneFront[v])
+		}
+	}
+	for i, r := range s.LaneRec {
+		if r.Sigma != 0 {
+			return fmt.Errorf("dirty LaneRec[%d].Sigma = %g", i, r.Sigma)
+		}
+	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -87,14 +88,23 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
+// writeJSON encodes v before it commits to code, so a value JSON cannot carry
+// (a NaN or infinite score) is a 500 with an error body, not a 200 with none.
 func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		if s.log != nil {
+			s.log.Printf("server: encode response: %v", err)
+		}
+		buf.Reset()
+		code = http.StatusInternalServerError
+		_ = enc.Encode(errorBody{Error: "encode response: " + err.Error()}) // a string always encodes
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil && s.log != nil {
-		s.log.Printf("server: encode response: %v", err)
-	}
+	_, _ = w.Write(buf.Bytes()) // a failed write means the client has gone: nobody is left to tell
 }
 
 // writeError maps registry errors onto HTTP status codes. Overload and

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -360,6 +361,28 @@ func TestErrorPaths(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 200 || strings.TrimSpace(string(body)) != "ok" {
 		t.Fatalf("healthz = %d %q", resp.StatusCode, body)
+	}
+}
+
+// TestUnencodableResponseIs500: a response JSON cannot carry — a NaN score —
+// reaches the client as a 500 with an error body, and is logged, instead of
+// the 200 with an empty body that writing the status before encoding gave.
+func TestUnencodableResponseIs500(t *testing.T) {
+	reg := NewRegistry(Config{Workers: 1})
+	defer reg.Close()
+	var logged bytes.Buffer
+	s := New(reg, log.New(&logged, "", 0))
+	s.route("GET /nan", func(w http.ResponseWriter, r *http.Request) {
+		s.writeJSON(w, http.StatusOK, map[string]float64{"score": math.NaN()})
+	})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	var body errorBody
+	if code := do(t, "GET", ts.URL+"/nan", nil, &body); code != http.StatusInternalServerError || !strings.Contains(body.Error, "NaN") {
+		t.Fatalf("status %d, body %+v; want 500 naming the NaN", code, body)
+	}
+	if !strings.Contains(logged.String(), "encode response") || !strings.Contains(logged.String(), "GET /nan -> 500") {
+		t.Fatalf("log %q: want the encode failure and the 500", logged.String())
 	}
 }
 

@@ -19,7 +19,7 @@
 // thereafter.
 // The tape (GrowTape) is where a forward BFS writes down the DAG arcs it finds
 // for its own backward pass (core.bfsRoot), sized like the lanes by the
-// sub-graph that uses it and not by Cap() — one slot per swept arc, reserved
+// sub-graph that uses it and not by its capacity — one slot per swept arc, reserved
 // whole and touched only as far as a root's DAG reaches. Bytes says what all of
 // it weighs.
 //
@@ -70,7 +70,6 @@
 package ws
 
 import (
-	"fmt"
 	"sync"
 	"unsafe"
 
@@ -99,9 +98,10 @@ type Level struct {
 const LaneWidth = 64
 
 // Sweep is one checkout of per-vertex sweep scratch. Field slices other than
-// the tape and the Lane* ones have length Cap() (Visited has at least that
-// many bits); callers index them by local vertex id. See the package comment
-// for which fields carry clean-slot invariants.
+// the tape and the Lane* ones have the sweep's capacity as their length — the
+// largest n it was grown to (Visited has at least that many bits); callers
+// index them by local vertex id. See the package comment for which fields
+// carry clean-slot invariants.
 type Sweep struct {
 	capV     int
 	weighted bool
@@ -118,13 +118,13 @@ type Sweep struct {
 	// Tape holds the current root's DAG arcs as the forward pass found them:
 	// Tape[TapePos[i]:TapePos[i+1]] are the successors of Order[i], in the
 	// order of its out-row; positions are int64 like a CSR's offsets. Sized by
-	// GrowTape for the sub-graph that uses them, independent of Cap(), and kept
+	// GrowTape for the sub-graph that uses them, independent of the capacity, and kept
 	// across roots.
 	Tape    []int32
 	TapePos []int64
 
 	// Lane-parallel scratch for the MS-BFS batched kernel (allocated by
-	// GrowLanes, independent of Cap()): LaneSeen and LaneFront hold one
+	// GrowLanes, independent of the capacity): LaneSeen and LaneFront hold one
 	// lane-mask word per local vertex id — the per-arc test reads them, so it
 	// pays no indirection — and LaneRec and LaneBC hold LaneWidth slots per
 	// swept vertex (slot r*LaneWidth+l belongs to root lane l of the vertex of
@@ -147,9 +147,6 @@ type Sweep struct {
 // words per local id come on top). Bytes counts the lane layer by it, and the
 // kernel rule's budget (internal/core) is read in it.
 const LaneBytesPerVert = LaneWidth * (int(unsafe.Sizeof(Record{})) + 8)
-
-// Cap returns the number of vertices the sweep is sized for.
-func (s *Sweep) Cap() int { return s.capV }
 
 // Grow sizes the sweep for n local vertices, preserving every clean-slot
 // invariant. Existing clean arrays hold only invariant values, so growth
@@ -193,7 +190,7 @@ func (s *Sweep) growWeighted() {
 // GrowLanes is Grow plus the lane-parallel MS-BFS arrays for a sub-graph of n
 // local ids of which swept are in the swept graph: the mask words cover the
 // ids, LaneRec and LaneBC LaneWidth slots per swept vertex — LaneBytesPerVert
-// per swept vertex in all, whatever Cap() is. Fresh allocations are zero,
+// per swept vertex in all, whatever the capacity is. Fresh allocations are zero,
 // which is exactly the lane invariants, so — as with Grow — a grown region is
 // indistinguishable from a sparsely reset one.
 func (s *Sweep) GrowLanes(n, swept int) {
@@ -222,7 +219,7 @@ func (s *Sweep) GrowTape(arcs, swept int) {
 
 // Bytes is what a sweep's arrays weigh, by layer.
 type Bytes struct {
-	Base  int64 // what Grow and GrowWeighted size by Cap(), plus the Order and Levels rings
+	Base  int64 // what Grow and GrowWeighted size by the capacity, plus the Order and Levels rings
 	Lanes int64 // what GrowLanes sizes by a lane-swept sub-graph
 	Tape  int64 // what GrowTape sizes by a sub-graph swept one root at a time
 }
@@ -239,43 +236,6 @@ func (s *Sweep) Bytes() Bytes {
 		b.Base += int64((s.Visited.Len() + 63) >> 6 << 3)
 	}
 	return b
-}
-
-// CheckClean verifies the clean-slot invariants over the whole capacity;
-// it exists for tests and debugging (engines rely on sparse resets instead).
-func (s *Sweep) CheckClean() error {
-	for v := 0; v < s.capV; v++ {
-		switch {
-		case s.Dist[v] != -1:
-			return fmt.Errorf("ws: dirty Dist[%d] = %d", v, s.Dist[v])
-		case s.BC[v] != 0:
-			return fmt.Errorf("ws: dirty BC[%d] = %g", v, s.BC[v])
-		case s.Visited.Get(v):
-			return fmt.Errorf("ws: dirty Visited[%d]", v)
-		}
-		if s.weighted {
-			if s.FDist[v] != -1 {
-				return fmt.Errorf("ws: dirty FDist[%d] = %g", v, s.FDist[v])
-			}
-			if s.Done[v] {
-				return fmt.Errorf("ws: dirty Done[%d]", v)
-			}
-		}
-	}
-	for v, m := range s.LaneSeen {
-		if m != 0 {
-			return fmt.Errorf("ws: dirty LaneSeen[%d] = %#x", v, m)
-		}
-		if s.LaneFront[v] != 0 {
-			return fmt.Errorf("ws: dirty LaneFront[%d] = %#x", v, s.LaneFront[v])
-		}
-	}
-	for l := range s.LaneRec {
-		if x := s.LaneRec[l].Sigma; x != 0 {
-			return fmt.Errorf("ws: dirty LaneRec[%d].Sigma = %g (rank %d, lane %d)", l, x, l/LaneWidth, l%LaneWidth)
-		}
-	}
-	return nil
 }
 
 // Pool is a concurrency-safe free list of Sweeps. The zero value is ready to
