@@ -73,14 +73,17 @@
 #      called stay in test files
 #  10. durability smoke: race-built bcd is killed with SIGKILL mid-life and
 #      must recover its graph from snapshot+WAL with bit-exact top-K
-#  11. load smoke: bcdload drives a short mixed read/mutate phase against the
-#      recovered daemon; any non-200/429 answer fails the run
+#  11. bcd's model test, concurrent phase, under -race (30 s box): readers
+#      beside bursting mutators over HTTP answer only 200 (reads) and 200/429
+#      (mutations), no reader sees the epoch go down, some ack shares its
+#      epoch, and the quiesced and recovered scores equal the model's
 set -eu
 cd "$(dirname "$0")"
 
 # run_named PATTERN [go test flags...] PACKAGES...: go test -run PATTERN,
 # after checking that every |-separated alternative of PATTERN names a test
-# `go test -list` finds in PACKAGES. `go test -run` exits 0 when nothing
+# `go test -list` finds in PACKAGES (a Test/sub alternative by its top-level
+# test, the only level -list sees). `go test -run` exits 0 when nothing
 # matches, so without this a renamed or deleted test turns its gate vacuous.
 run_named() {
     pattern=$1
@@ -92,9 +95,10 @@ run_named() {
         *) pkgs="$pkgs $arg" ;;
         esac
     done
+    tops=$(echo "$pattern" | sed 's#/[^|]*##g')
     # shellcheck disable=SC2086
-    listed=$(go test -list "$pattern" $pkgs)
-    for name in $(echo "$pattern" | tr '|' ' '); do
+    listed=$(go test -list "$tops" $pkgs)
+    for name in $(echo "$tops" | tr '|' ' '); do
         echo "$listed" | grep -qx "$name" || {
             echo "ci.sh: gate names test $name, which is not in$pkgs" >&2
             exit 1
@@ -214,8 +218,9 @@ run_named 'TestEngineBitMatch|TestEngineExactBudgetBitMatch|TestLoadEngineBitMat
     -race -count=1 ./internal/approx ./internal/server ./internal/ws
 # A hostile load spec fails alone: an inline n outside [0, 2³¹] is a 400 at
 # Load, before any build is queued, a build that panics anyway fails its own
-# entry with the panic's text, and the daemon goes on loading and serving.
-run_named 'TestRegistryRejectsHostileInlineN|TestRunBuildRecoversPanic|TestHostileInlineNIs400' \
+# entry with the panic's text, and the daemon goes on loading and serving. A
+# file that does not parse tells the client its line, never its text.
+run_named 'TestRegistryRejectsHostileInlineN|TestRunBuildRecoversPanic|TestHostileInlineNIs400|TestLoadErrorKeepsFileContentsInTheLog' \
     -race -count=1 ./internal/server
 # The registry owns one metrics bundle and its code paths increment it: every
 # event (overloads, batches, top-K hits and misses, WAL appends, compactions,
@@ -282,8 +287,8 @@ echo "==> docs gates: DESIGN.md + EXPERIMENTS.md line cap, count-only tables cur
 # The two documents state the current design; history lives in CHANGES.md and
 # git. Raising the cap is an explicit edit, noted in CHANGES.md.
 doc_lines=$(cat DESIGN.md EXPERIMENTS.md | wc -l)
-if [ "$doc_lines" -gt 1946 ]; then
-    echo "ci.sh: DESIGN.md + EXPERIMENTS.md are $doc_lines lines, over the 1946-line cap" >&2
+if [ "$doc_lines" -gt 1886 ]; then
+    echo "ci.sh: DESIGN.md + EXPERIMENTS.md are $doc_lines lines, over the 1886-line cap" >&2
     exit 1
 fi
 # Tables 1 and 4 and Figures 2 and 7 hold counts only, so EXPERIMENTS.md
@@ -504,7 +509,6 @@ fi
 
 echo "==> durability smoke: SIGKILL bcd, recover, compare top-K bit-exact"
 go build -race -o "$tmp/bcd" ./cmd/bcd
-go build -race -o "$tmp/bcdload" ./cmd/bcdload
 bcd_addr=127.0.0.1:8741
 bcd_pid=""
 trap '[ -n "${bcd_pid:-}" ] && kill "$bcd_pid" 2>/dev/null; rm -rf "$tmp"' EXIT
@@ -553,13 +557,15 @@ cmp "$tmp/top_before.json" "$tmp/top_after.json" || {
     echo "durability smoke: recovered top-K differs from pre-kill top-K" >&2
     exit 1
 }
-
-echo "==> load smoke: bcdload mixed read/mutate phase (429-only overload)"
-"$tmp/bcdload" -addr "http://$bcd_addr" -graph mix -dataset email-enron \
-    -scale 0.05 -readers 2 -mutators 1 -burst 4 -pace 300ms -top 5 \
-    -baseline 2s -duration 4s
 kill "$bcd_pid"
 wait "$bcd_pid" 2>/dev/null || true
 bcd_pid=""
+
+echo "==> bcd model test: readers beside bursting mutators over HTTP, under -race"
+# The phase that replaced the bcdload smoke: every read 200, every mutation
+# 200 or 429, no reader sees the epoch go down, some ack shares its epoch, and
+# the quiesced scores — recovered ones too — equal serial Brandes on the acked
+# edge set at 1e-9 and a fresh NewIncremental bit for bit.
+run_named 'TestRegistryMatchesModel/concurrent' -race -count=1 -timeout=30s ./internal/server
 
 echo "ci.sh: all checks passed"

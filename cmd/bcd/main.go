@@ -62,7 +62,8 @@ func main() {
 	)
 	flag.Parse()
 
-	logger := log.New(os.Stderr, "bcd: ", log.LstdFlags)
+	log.SetPrefix("bcd: ") // the registry logs through the standard logger too
+	logger := log.Default()
 	reqLog := logger
 	if *quiet {
 		reqLog = nil

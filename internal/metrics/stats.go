@@ -74,8 +74,8 @@ func KendallTau(x, y []float64, seed int64) float64 {
 
 // Percentile returns the p-th percentile (0 < p <= 100) of samples by the
 // nearest-rank definition, sorting a copy so the caller's order is
-// preserved. Empty input returns 0. The load harness (cmd/bcdload) uses it
-// for its latency records.
+// preserved. Empty input returns 0. The benchmark (bench/) uses it for its
+// latency records.
 func Percentile(samples []time.Duration, p float64) time.Duration {
 	if len(samples) == 0 {
 		return 0

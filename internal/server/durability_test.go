@@ -625,3 +625,29 @@ func TestReloadWhileUnloadStillDrops(t *testing.T) {
 		}
 	}
 }
+
+// TestUnloadedGraphStaysGoneAfterRestart: Close waits for an unloaded graph's
+// directory removal. It used to return first, so a restart recovered the
+// unloaded graph, or the removal deleted the files of the name's next load
+// (TestRegistryMatchesModel's script, seeds 1–6, found both).
+func TestUnloadedGraphStaysGoneAfterRestart(t *testing.T) {
+	dir := t.TempDir()
+	r1 := durableRegistry(t, dir)
+	e1 := loadLifecycle(t, r1, "gone")
+	if _, err := r1.Mutate(e1, true, 1, 3); err != nil {
+		t.Fatal(err)
+	}
+	if !r1.Unload("gone") {
+		t.Fatal("unload failed")
+	}
+	r1.Close()
+	if _, err := os.Stat(filepath.Join(dir, "gone")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("the unloaded graph's directory outlived Close (stat: %v)", err)
+	}
+	r2 := durableRegistry(t, dir)
+	defer r2.Close()
+	if names, err := r2.Recover(); err != nil || len(names) != 0 {
+		t.Fatalf("recover after unload: %v, %v; want nothing", names, err)
+	}
+	loadLifecycle(t, r2, "gone")
+}

@@ -1,9 +1,13 @@
 package server
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
+	"log"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -235,7 +239,12 @@ func buildGraph(spec LoadSpec) (*graph.Graph, error) {
 		}
 		return ds.Build(scale), nil
 	case spec.Path != "":
-		return graphio.LoadFile(spec.Path, spec.Format, spec.Directed)
+		g, err := graphio.LoadFile(spec.Path, spec.Format, spec.Directed)
+		if err != nil {
+			log.Printf("server: load %q from %s: %v", spec.Name, spec.Path, err)
+			return nil, fileError(err)
+		}
+		return g, nil
 	case len(spec.Edges) > 0:
 		n := spec.N
 		edges := make([]graph.Edge, len(spec.Edges))
@@ -254,4 +263,21 @@ func buildGraph(spec LoadSpec) (*graph.Graph, error) {
 	default:
 		return nil, fmt.Errorf("server: load spec needs one of dataset, path or edges")
 	}
+}
+
+// fileError is what a client is told about a graph file that did not load:
+// the error class and, for a text format, the line. The parser's own text
+// quotes the file — the first line of a secret, say — so it goes only to the
+// log. An OS error names just the client's own path.
+func fileError(err error) error {
+	var pathErr *fs.PathError
+	if errors.As(err, &pathErr) {
+		return err
+	}
+	where := ""
+	if line, ok := strings.CutPrefix(err.Error(), "graphio: line "); ok {
+		where, _, _ = strings.Cut(line, ":")
+		where = " at line " + where
+	}
+	return fmt.Errorf("server: graph file: parse error%s (the daemon's log has the details)", where)
 }

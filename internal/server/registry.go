@@ -283,8 +283,8 @@ func (r *Registry) NumReady() int {
 // Close shuts the registry down: queued builds are aborted (marked
 // StateAborted, distinguishable from genuine failures), running builds
 // finish, every mutation worker drains its queue, writes a final snapshot
-// and closes its WAL, and no further loads are accepted. Safe to call more
-// than once.
+// and closes its WAL, unloaded graphs' directories are gone, and no further
+// loads are accepted. Safe to call more than once.
 func (r *Registry) Close() {
 	r.mu.Lock()
 	if r.closed {
@@ -308,4 +308,15 @@ func (r *Registry) Close() {
 		e.stopMutations(false)
 	}
 	r.mutWg.Wait()
+	// With the workers gone every unloaded graph's directory removal can
+	// finish; wait for it, or a restart would recover the graph.
+	r.mu.RLock()
+	var drops []chan struct{}
+	for _, gone := range r.dropping {
+		drops = append(drops, gone)
+	}
+	r.mu.RUnlock()
+	for _, gone := range drops {
+		<-gone
+	}
 }

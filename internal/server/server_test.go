@@ -4,12 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"log"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -411,85 +412,63 @@ func TestHostileInlineNIs400(t *testing.T) {
 	assertBitIdentical(t, "after the hostile load", fetchScores(t, base, "g"), lifecycleGraph(nil, nil))
 }
 
-// TestConcurrentMutateQuery hammers one graph with concurrent mutations and
-// queries; run under -race this is the serving subsystem's thread-safety
-// proof. Each mutator toggles its own private edge an even number of times,
-// so the final state must equal the base graph — bit for bit.
-func TestConcurrentMutateQuery(t *testing.T) {
-	ts, _ := newTestServer(t)
+// TestLoadErrorKeepsFileContentsInTheLog: a path load that fails to parse
+// tells the client the error class and the line, never the parser's text,
+// which quotes the file. The full text goes to the daemon's log. A missing
+// file is still named as such.
+func TestLoadErrorKeepsFileContentsInTheLog(t *testing.T) {
+	var logged bytes.Buffer
+	prev := log.Writer()
+	log.SetOutput(&logged)
+	t.Cleanup(func() { log.SetOutput(prev) })
+	ts, reg := newTestServer(t)
 	base := ts.URL
-	loadAndWait(t, base, LoadSpec{
-		Name: "conc", N: lifecycleN, Edges: lifecycleEdges, Threshold: lifecycleThreshold,
-	})
+	secret := filepath.Join(t.TempDir(), "secret.txt")
+	if err := os.WriteFile(secret, []byte("root-secret-line here\n0 1\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	failed := func(name, path string) EntryInfo {
+		t.Helper()
+		if code := do(t, "POST", base+"/v1/graphs", LoadSpec{Name: name, Path: path}, nil); code != http.StatusAccepted {
+			t.Fatalf("load %s: status %d, want 202", path, code)
+		}
+		if info := waitState(t, reg.Get(name)); info.State != StateFailed {
+			t.Fatalf("load %s: state %s, want failed", path, info.State)
+		}
+		var info EntryInfo
+		do(t, "GET", base+"/v1/graphs/"+name, nil, &info)
+		return info
+	}
 
-	const rounds = 10
-	toggles := [][2]int32{
-		{1, 3}, // intra-block chord (local path)
-		{9, 4}, // cross-component (rebuild path)
-		{9, 3}, // another cross-component edge
+	info := failed("s", secret)
+	var body errorBody
+	code := do(t, "GET", base+"/v1/graphs/s/bc", nil, &body)
+	var list struct{ Graphs []EntryInfo }
+	do(t, "GET", base+"/v1/graphs", nil, &list)
+	for label, text := range map[string]string{"info": info.Error, "bc": body.Error, "list": list.Graphs[0].Error} {
+		if strings.Contains(text, "root-secret") || !strings.Contains(text, "parse error at line 1") {
+			t.Errorf("%s told the client %q; want the class and line, not the file's text", label, text)
+		}
 	}
-	var wg sync.WaitGroup
-	errs := make(chan string, 64)
-	for _, e := range toggles {
-		wg.Add(1)
-		go func(e [2]int32) {
-			defer wg.Done()
-			url := fmt.Sprintf("%s/v1/graphs/conc/edges", base)
-			for i := 0; i < rounds; i++ {
-				for _, method := range []string{"POST", "DELETE"} {
-					req, _ := http.NewRequest(method,
-						fmt.Sprintf("%s?from=%d&to=%d", url, e[0], e[1]), nil)
-					resp, err := http.DefaultClient.Do(req)
-					if err != nil {
-						errs <- err.Error()
-						return
-					}
-					io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-					if resp.StatusCode != 200 {
-						errs <- fmt.Sprintf("%s %v: status %d", method, e, resp.StatusCode)
-						return
-					}
-				}
-			}
-		}(e)
+	if code != http.StatusUnprocessableEntity {
+		t.Errorf("bc on the failed graph: status %d, want 422", code)
 	}
-	for w := 0; w < 3; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			paths := []string{
-				"/v1/graphs/conc/bc?top=5",
-				"/v1/graphs/conc/vertices/3",
-				"/v1/graphs/conc/stats",
-				"/v1/graphs",
-				"/metrics",
-			}
-			for i := 0; i < rounds*4; i++ {
-				resp, err := http.Get(base + paths[i%len(paths)])
-				if err != nil {
-					errs <- err.Error()
-					return
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != 200 {
-					errs <- fmt.Sprintf("GET %s: status %d", paths[i%len(paths)], resp.StatusCode)
-					return
-				}
-			}
-		}()
+	// A one-field line is quoted by another parser error.
+	host := filepath.Join(t.TempDir(), "hostname")
+	if err := os.WriteFile(host, []byte("0 1\nvm\n"), 0o600); err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Error(e)
+	if text := failed("h", host).Error; strings.Contains(text, "vm") || !strings.Contains(text, "parse error at line 2") {
+		t.Errorf("a one-field line told the client %q", text)
 	}
-	if t.Failed() {
-		t.FailNow()
+	if !strings.Contains(logged.String(), "root-secret-line") {
+		t.Errorf("the log %q lacks the parser's full text", logged.String())
 	}
-	assertBitIdentical(t, "after concurrent toggles",
-		fetchScores(t, base, "conc"), lifecycleGraph(nil, nil))
+
+	missing := failed("gone", filepath.Join(t.TempDir(), "missing.txt"))
+	if !strings.Contains(missing.Error, "no such file") {
+		t.Errorf("a missing file told the client %q", missing.Error)
+	}
 }
 
 // promSample matches one exposition sample line. Label values are matched as
