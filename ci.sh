@@ -44,7 +44,9 @@
 #      budget must be an error, a negative top-K must not panic, Async must be
 #      the serial successor sweep (bit for bit at one worker, under -race),
 #      plus the bcbench error-vs-speedup sweep at tiny scale
-#   8. scale smoke: streamed generation, stream-vs-mmap loads bit-compared
+#   8. scale smoke: the generators' graphs equal their pinned digests, byte
+#      for byte at every worker count, and BuildCSR stays within its memory
+#      bound; streamed generation, stream-vs-mmap loads bit-compared
 #      (the loader memory bound is TestReadBinaryCSRMemoryBound's, forced
 #      lanes vs the rule the -engine smoke's and
 #      TestLaneKernelBitMatchesScalarAtScale's)
@@ -333,7 +335,9 @@ run_named 'TestAsyncMatchesSerialSuccs|TestAsyncRejectsDirected' \
     -race -count=1 ./internal/brandes
 go run ./cmd/bcbench -approx -datasets email-enron -scale 0.05
 
-echo "==> scale smoke: streamed gen -> stream + mmap loads agree bit-for-bit"
+echo "==> scale smoke: generator digests and memory bound; streamed gen -> stream + mmap loads agree bit-for-bit"
+run_named 'TestGeneratorDigests|TestBuildCSRMemoryBound|TestBuildCSRDeterministicAcrossWorkers' \
+    -count=1 ./internal/gen
 # Capped stand-in for the at-scale pipeline: generate a ~1e5-edge composite
 # graph straight to binary, load it through the streaming reader and through
 # mmap, and demand bit-identical approximate BC (same seed => same pivots, so

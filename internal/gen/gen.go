@@ -8,7 +8,6 @@
 package gen
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/graph"
@@ -100,30 +99,13 @@ func BarabasiAlbert(n, k int, seed int64) *graph.Graph {
 // (a,b,c,d) quadrant probabilities. Duplicate samples collapse in CSR
 // construction, so the realized edge count is slightly lower.
 func RMAT(scale int, edgeFactor int, a, b, c float64, directed bool, seed int64) *graph.Graph {
+	checkRMAT(a, b, c)
 	n := 1 << uint(scale)
-	d := 1 - a - b - c
-	if d < 0 {
-		panic(fmt.Sprintf("gen: RMAT probabilities sum to %v > 1", a+b+c))
-	}
 	r := rand.New(rand.NewSource(seed))
 	m := int64(edgeFactor) * int64(n)
 	edges := make([]graph.Edge, 0, m)
 	for e := int64(0); e < m; e++ {
-		u, v := 0, 0
-		for bit := n >> 1; bit >= 1; bit >>= 1 {
-			p := r.Float64()
-			switch {
-			case p < a:
-			case p < a+b:
-				v += bit
-			case p < a+b+c:
-				u += bit
-			default:
-				u += bit
-				v += bit
-			}
-		}
-		if u != v {
+		if u, v := rmatSample(r, n, a, b, c); u != v {
 			edges = append(edges, graph.Edge{From: int32(u), To: int32(v)})
 		}
 	}

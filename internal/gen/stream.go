@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -45,15 +46,19 @@ type Stream struct {
 // chunk indices from a shared counter, first bumping per-vertex degree
 // counters, then — after a serial prefix sum — placing each arc at an
 // atomically claimed slot in its final row. Rows land in nondeterministic
-// order, so the result goes through graph.NewFromCSRUnsorted, which sorts,
-// dedups, and drops self-loops; the returned graph is byte-identical for any
-// worker count.
+// order, so the workers then sort them, in blocks of about streamGenChunk
+// arcs, and graph.NewFromCSRUnsorted — whose own sort finds every row in
+// order — dedups and drops self-loops; the returned graph is byte-identical
+// for any worker count. Besides the CSR it returns, BuildCSR allocates one
+// 8n-byte cursor array (TestBuildCSRMemoryBound).
 func BuildCSR(s *Stream, workers int) *graph.Graph {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	n := s.N
-	run := func(visit func(u, v int32)) {
+	// each runs do(0 … count−1) on the workers, which pull indices from a
+	// shared counter.
+	each := func(count int, do func(i int)) {
 		var next atomic.Int64
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -61,15 +66,18 @@ func BuildCSR(s *Stream, workers int) *graph.Graph {
 			go func() {
 				defer wg.Done()
 				for {
-					c := int(next.Add(1) - 1)
-					if c >= s.Chunks {
+					i := int(next.Add(1) - 1)
+					if i >= count {
 						return
 					}
-					s.Emit(c, visit)
+					do(i)
 				}
 			}()
 		}
 		wg.Wait()
+	}
+	run := func(visit func(u, v int32)) {
+		each(s.Chunks, func(c int) { s.Emit(c, visit) })
 	}
 
 	// Degree pass. degs is offset by one so the prefix sum below turns it
@@ -92,6 +100,17 @@ func BuildCSR(s *Stream, workers int) *graph.Graph {
 	run(func(u, v int32) {
 		adj[atomic.AddInt64(&cursors[u], 1)-1] = v
 	})
+
+	// Row sort. Block b holds the rows that start in arcs [b·B, (b+1)·B), so
+	// a hub's row is one block however long it is.
+	const B = streamGenChunk
+	each(int(degs[n]/B)+1, func(b int) {
+		lo, _ := slices.BinarySearch(degs[:n], int64(b)*B)
+		hi, _ := slices.BinarySearch(degs[:n], int64(b+1)*B)
+		for u := lo; u < hi; u++ {
+			slices.Sort(adj[degs[u]:degs[u+1]])
+		}
+	})
 	return graph.NewFromCSRUnsorted(n, degs, adj, s.Directed)
 }
 
@@ -111,24 +130,37 @@ func chunkSeed(seed int64, tag, chunk uint64) int64 {
 	return int64(splitmix64(splitmix64(uint64(seed)^tag*0x9e3779b97f4a7c15) + chunk))
 }
 
-// rmatSample draws one R-MAT arc by the standard quadrant walk (same
-// recurrence as the in-memory RMAT generator).
+// rmatSample draws one R-MAT arc by the standard quadrant walk, one r.Float64
+// per level; RMAT, RMATStream and CompositeStream all sample through it. The
+// quadrant is counted, not branched on: q = [p≥a] + [p≥a+b] + [p≥a+b+c] is
+// 0–3 for the a, b, c, d quadrants (which needs a, b, c ≥ 0 — checkRMAT),
+// its high bit sets u's bit and its low bit v's. A branch on a random draw
+// is mispredicted about as often as the quadrant changes; the sum has none.
 func rmatSample(r *rand.Rand, n int, a, b, c float64) (int, int) {
+	ab, abc := a+b, a+b+c
 	u, v := 0, 0
 	for bit := n >> 1; bit >= 1; bit >>= 1 {
 		p := r.Float64()
-		switch {
-		case p < a:
-		case p < a+b:
-			v += bit
-		case p < a+b+c:
-			u += bit
-		default:
-			u += bit
-			v += bit
-		}
+		q := b2i(p >= a) + b2i(p >= ab) + b2i(p >= abc)
+		u += bit & -(q >> 1)
+		v += bit & -(q & 1)
 	}
 	return u, v
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// checkRMAT panics unless the quadrant probabilities a, b, c and
+// d = 1 − a − b − c are all non-negative.
+func checkRMAT(a, b, c float64) {
+	if d := 1 - a - b - c; !(a >= 0 && b >= 0 && c >= 0 && d >= 0) {
+		panic(fmt.Sprintf("gen: RMAT probabilities a=%v b=%v c=%v d=%v must all be non-negative", a, b, c, d))
+	}
 }
 
 // RMATStream is the streaming counterpart of RMAT: 2^scale vertices,
@@ -140,10 +172,8 @@ func rmatSample(r *rand.Rand, n int, a, b, c float64) (int, int) {
 // chunked.) Self-loop samples are skipped; duplicate samples collapse in
 // CSR canonicalization, matching the in-memory generator's semantics.
 func RMATStream(scale, edgeFactor int, a, b, c float64, directed bool, seed int64) *Stream {
+	checkRMAT(a, b, c)
 	n := 1 << uint(scale)
-	if d := 1 - a - b - c; d < 0 {
-		panic(fmt.Sprintf("gen: RMAT probabilities sum to %v > 1", a+b+c))
-	}
 	m := int64(edgeFactor) * int64(n)
 	chunks := int((m + streamGenChunk - 1) / streamGenChunk)
 	return &Stream{
@@ -212,9 +242,7 @@ func CompositeStream(p CompositeParams) *Stream {
 	if p.PeriphFrac > 0.9 {
 		p.PeriphFrac = 0.9
 	}
-	if d := 1 - p.A - p.B - p.C; d < 0 {
-		panic(fmt.Sprintf("gen: composite core probabilities sum to %v > 1", p.A+p.B+p.C))
-	}
+	checkRMAT(p.A, p.B, p.C)
 	coreN := 1 << uint(p.CoreScale)
 	coresTotal := p.Cores * coreN
 	periph := int(float64(coresTotal) * p.PeriphFrac / (1 - p.PeriphFrac))

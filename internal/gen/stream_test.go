@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/bcc"
@@ -141,5 +142,60 @@ func TestCompositeStreamConnectivity(t *testing.T) {
 	}
 	if n := g.NumVertices(); count < n*8/10 {
 		t.Fatalf("giant component has %d of %d vertices, want >= 80%%", count, n)
+	}
+}
+
+// TestBuildCSRMemoryBound pins DESIGN §7's bound on generation. BuildCSR
+// allocates the degree prefix and the cursors (≈ 16(n+1) bytes), 4 bytes per
+// arc yielded, and graph.NewFromCSRUnsorted's fresh 8(n+1)-byte offsets:
+// 1.12–1.13× the first two terms here, and nothing that grows with the
+// worker count or copies the arcs. The limit is 1.25×; emitting each chunk
+// once into per-chunk buffers (2.7×) or giving each worker its own cursors
+// (1.32× at two workers) fails it.
+func TestBuildCSRMemoryBound(t *testing.T) {
+	s := RMATStream(15, 8, 0.57, 0.19, 0.19, false, 1)
+	var yielded uint64
+	for c := 0; c < s.Chunks; c++ {
+		s.Emit(c, func(u, v int32) { yielded++ })
+	}
+	bound := 16*uint64(s.N+1) + 4*yielded
+	for _, w := range []int{1, 2, 8} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		g := BuildCSR(s, w)
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(g)
+		alloc := after.TotalAlloc - before.TotalAlloc
+		if ratio := float64(alloc) / float64(bound); ratio > 1.25 {
+			t.Errorf("workers=%d: BuildCSR allocated %d bytes, %.2f× the %d-byte CSR-plus-cursors bound (limit 1.25×)",
+				w, alloc, ratio, bound)
+		}
+	}
+}
+
+// A negative quadrant probability would silently skew the graph (and break
+// rmatSample's counted quadrant), so every R-MAT entry point rejects one.
+func TestRMATRejectsNegativeProbabilities(t *testing.T) {
+	for _, abc := range [][3]float64{
+		{-0.1, 0.5, 0.3}, {0.5, -0.1, 0.3}, {0.5, 0.3, -0.1}, {0.5, 0.4, 0.3}, // d < 0
+	} {
+		a, b, c := abc[0], abc[1], abc[2]
+		for name, build := range map[string]func(){
+			"RMAT":       func() { RMAT(4, 2, a, b, c, false, 1) },
+			"RMATStream": func() { RMATStream(4, 2, a, b, c, false, 1) },
+			"CompositeStream": func() {
+				CompositeStream(CompositeParams{Cores: 1, CoreScale: 4, EdgeFactor: 2, A: a, B: b, C: c})
+			},
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(a=%v, b=%v, c=%v) did not panic", name, a, b, c)
+					}
+				}()
+				build()
+			}()
+		}
 	}
 }

@@ -215,36 +215,46 @@ const (
 	binHdrSize = 28
 )
 
-// WriteBinary writes g in the repository's binary CSR cache format (v2).
+// WriteBinary writes g in the repository's binary CSR cache format (v2). It
+// encodes through one reused streamChunk-byte buffer, handing w a full buffer
+// at a time, the way ReadBinaryCSR reads.
 func WriteBinary(w io.Writer, g *graph.Graph) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binMagic2); err != nil {
-		return err
-	}
-	if _, err := bw.Write(make([]byte, binPad)); err != nil {
-		return err
-	}
+	n := g.NumVertices()
 	flags := uint32(0)
 	if g.Directed() {
 		flags = 1
 	}
-	hdr := []any{flags, uint64(g.NumVertices()), uint64(g.NumArcs())}
-	for _, h := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
-			return err
+	buf := append(make([]byte, 0, streamChunk), binMagic2...)
+	buf = append(buf, make([]byte, binPad)...)
+	buf = binary.LittleEndian.AppendUint32(buf, flags)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(g.NumArcs()))
+	// len(buf) stays a multiple of 4 (the 28-byte header, then 4-byte
+	// words), as cap(buf) is, so flushing when full means no append grows buf.
+	flush := func() error {
+		_, err := w.Write(buf)
+		buf = buf[:0]
+		return err
+	}
+	for u := 0; u < n; u++ {
+		if len(buf) == cap(buf) {
+			if err := flush(); err != nil {
+				return err
+			}
+		}
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(g.OutDegree(graph.V(u))))
+	}
+	for u := 0; u < n; u++ {
+		for _, v := range g.Out(graph.V(u)) {
+			if len(buf) == cap(buf) {
+				if err := flush(); err != nil {
+					return err
+				}
+			}
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
 		}
 	}
-	for u := 0; u < g.NumVertices(); u++ {
-		if err := binary.Write(bw, binary.LittleEndian, uint32(g.OutDegree(int32(u)))); err != nil {
-			return err
-		}
-	}
-	for u := 0; u < g.NumVertices(); u++ {
-		if err := binary.Write(bw, binary.LittleEndian, g.Out(int32(u))); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return flush()
 }
 
 // readBinHeader consumes a v1 or v2 header and returns the declared shape

@@ -2,7 +2,11 @@ package graphio
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -121,35 +125,6 @@ func TestReadDIMACSErrors(t *testing.T) {
 			t.Fatalf("input %q: got %v, want a line-1 vertex-count error", in, err)
 		}
 	}
-}
-
-func TestBinaryRoundTripUndirected(t *testing.T) {
-	g := gen.SocialLike(gen.SocialParams{N: 300, AvgDeg: 4, Communities: 5, TopShare: 0.5, LeafFrac: 0.2, Seed: 3})
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadBinaryCSR(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameGraph(t, g, g2)
-}
-
-func TestBinaryRoundTripDirected(t *testing.T) {
-	g := gen.ErdosRenyi(120, 500, true, 9)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadBinaryCSR(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g2.Directed() {
-		t.Fatal("directedness lost")
-	}
-	assertSameGraph(t, g, g2)
 }
 
 func TestBinaryRejectsGarbage(t *testing.T) {
@@ -289,5 +264,64 @@ func TestLoadSaveGraphMLJSON(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		assertSameGraph(t, g, g2)
+	}
+}
+
+// TestWriteBinaryDigest pins WriteBinary's bytes across commits: the sha256
+// of every binFamilies graph written in name order.
+func TestWriteBinaryDigest(t *testing.T) {
+	fams := binFamilies()
+	var names []string
+	for name := range fams {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	h := sha256.New()
+	for _, name := range names {
+		if err := WriteBinary(h, fams[name]); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	if got, want := hex.EncodeToString(h.Sum(nil)), "e3834223a7f20418eac0501b78c92a2892b04dfc6f562a4b4251e2d5ed55a95a"; got != want {
+		t.Errorf("digest %s, want %s", got, want)
+	}
+}
+
+// failAfter accepts k bytes, then fails every write.
+type failAfter struct{ k int }
+
+var errSink = errors.New("sink full")
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if len(p) <= f.k {
+		f.k -= len(p)
+		return len(p), nil
+	}
+	n := f.k
+	f.k = 0
+	return n, errSink
+}
+
+// A sink that fails part way must fail WriteBinary, wherever the failure
+// lands: in the header, the degree table, the adjacency, or the last flush.
+func TestWriteBinaryReportsWriteErrors(t *testing.T) {
+	g := binFamilies()["wide"]
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	size, degEnd := buf.Len(), binHdrSize+4*g.NumVertices()
+	if degEnd <= streamChunk || size <= 3*streamChunk {
+		t.Fatalf("wide is %d bytes with its degree table ending at %d: it must cross the %d-byte buffer in both", size, degEnd, streamChunk)
+	}
+	for name, k := range map[string]int{
+		"header":    10,
+		"degrees":   degEnd - 6,
+		"adjacency": degEnd + 4*int(g.NumArcs())/2,
+		"flush":     size - 1,
+	} {
+		if err := WriteBinary(&failAfter{k}, g); !errors.Is(err, errSink) {
+			t.Errorf("%s (sink fails after %d of %d bytes): err = %v, want %v", name, k, size, err, errSink)
+		}
 	}
 }

@@ -15,10 +15,17 @@ import (
 )
 
 // binFamilies returns the nine graph families the repo's equivalence suites
-// standardize on (see internal/core schedFamilies) — here the fixture for
-// proving the streaming reader reproduces the in-memory reader bit for bit.
+// standardize on (see internal/core schedFamilies) plus the writer's edge
+// cases — the fixture every WriteBinary round trip (ReadBinaryCSR, MmapGraph)
+// runs over. "empty" has no vertices; "isolated" has degree-0 rows at both
+// ends and in the middle; "wide" is 240 KiB on disk, so its degree table
+// crosses the writer's 64 KiB buffer once and the file crosses it three times.
 func binFamilies() map[string]*graph.Graph {
 	return map[string]*graph.Graph{
+		"empty": graph.NewFromEdges(0, nil, false),
+		"isolated": graph.NewFromEdges(12, []graph.Edge{
+			{From: 1, To: 2}, {From: 2, To: 3}, {From: 3, To: 1}, {From: 7, To: 9}}, false),
+		"wide":     gen.ErdosRenyi(20000, 40000, true, 1),
 		"path":     gen.Path(20),
 		"star":     gen.Star(20),
 		"lollipop": gen.Lollipop(6, 10),
