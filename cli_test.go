@@ -322,6 +322,9 @@ func TestCLIBCStats(t *testing.T) {
 	if l := census.Decomposition.Largest; len(l) < 2 || l[0].Swept != 462 || !l[0].Lanes || l[1].Lanes {
 		t.Fatalf("bcstats -json: largest sub-graphs %+v, want the 462-vertex top on lanes and the next one not", l)
 	}
+	if census.Decomposition.Threshold != 64 {
+		t.Fatalf("bcstats -json: threshold %d, want the 64 Decompose applied when -threshold is unset", census.Decomposition.Threshold)
+	}
 	out = runCLI(t, "bcstats", "-dataset", "human-disease")
 	if !strings.Contains(out, "human-disease") {
 		t.Fatalf("bcstats human-disease:\n%s", out)

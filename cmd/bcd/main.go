@@ -7,7 +7,7 @@
 //
 //	bcd                                     # listens on 127.0.0.1:8723
 //	bcd -preload enron=email-enron:0.05
-//	bcd -preload big=@/data/big.bin         # stream a graph file from disk
+//	bcd -preload big=@/data/big.bin         # read a graph file from disk
 //	bcd -addr :8723                         # every interface: anyone who can reach it
 //
 // Endpoints (see README "Serving" for curl examples):
@@ -126,9 +126,9 @@ func main() {
 
 // preloadGraphs parses "name=dataset[:scale],..." and enqueues the loads.
 // An "@"-prefixed source is a file path instead of a dataset name
-// ("big=@/data/big.bin"); .bin files go through graphio's streaming CSR
-// reader, so preloading a 10^7-edge graph does not spike beyond the CSR
-// it keeps resident.
+// ("big=@/data/big.bin"); graphio.LoadFile reads a .bin file into the buffer
+// the graph adopts, so preloading a 10^7-edge graph does not spike beyond the
+// CSR it keeps resident.
 func preloadGraphs(reg *server.Registry, spec string) error {
 	if spec == "" {
 		return nil

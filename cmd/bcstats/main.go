@@ -48,11 +48,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bcstats: %v\n", err)
 		os.Exit(1)
 	}
-	c := core.BuildCensus(name, g, d, core.CensusOptions{
-		Threshold:         *thresh,
-		RedundancySampleK: *sample,
-		Seed:              1,
-	})
+	c := core.BuildCensus(name, g, d, core.CensusOptions{RedundancySampleK: *sample})
 
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)

@@ -142,7 +142,7 @@ func emitCensus(g *graph.Graph, name, path string, workers int) error {
 	if err != nil {
 		return err
 	}
-	c := core.BuildCensus(name, g, d, core.CensusOptions{RedundancySampleK: 64, Seed: 1})
+	c := core.BuildCensus(name, g, d, core.CensusOptions{RedundancySampleK: 64})
 	data, err := json.MarshalIndent(c, "", "  ")
 	if err != nil {
 		return err

@@ -48,9 +48,10 @@ import (
 const (
 	// DefaultBatchSize is the pivot count per adaptive refinement batch.
 	DefaultBatchSize = 64
-	// DefaultConfidence is the two-sided confidence level of the adaptive
-	// stopping rule's per-vertex intervals.
-	DefaultConfidence = 0.95
+	// z95 is Φ⁻¹(0.975), the two-sided 95 % standard-normal critical value
+	// of the adaptive stopping rule's per-vertex intervals, as Acklam's
+	// inverse-normal approximation gives it in float64.
+	z95 = 1.959963986120195
 	// presolveRoots: sub-graphs with at most this many roots are solved
 	// exactly during estimator construction instead of being sampled.
 	presolveRoots = 32
@@ -75,14 +76,6 @@ type Options struct {
 	// Eps selects adaptive mode: sample until the maximum per-vertex
 	// confidence-interval half-width on normalized BC drops below Eps.
 	Eps float64
-	// MaxPivots caps adaptive refinement; <= 0 means "until exact".
-	MaxPivots int
-	// BatchSize is the pivots per refinement batch; <= 0 means
-	// DefaultBatchSize.
-	BatchSize int
-	// Confidence is the level of the stopping rule's intervals; outside
-	// (0,1) means DefaultConfidence.
-	Confidence float64
 	// Seed makes the sampler deterministic: the same seed, options and
 	// graph reproduce identical estimates for any worker count.
 	Seed int64

@@ -44,7 +44,6 @@ func (e *Estimator) ErrorEstimate() float64 {
 			m2[v] += m * m
 		}
 	}
-	z := zQuantile(e.conf)
 	invR := 1 / float64(bootstrapResamples)
 	maxHW := 0.0
 	for v := range m1 {
@@ -53,72 +52,11 @@ func (e *Estimator) ErrorEstimate() float64 {
 		if va <= 0 {
 			continue
 		}
-		if hw := z * math.Sqrt(va); hw > maxHW {
+		if hw := z95 * math.Sqrt(va); hw > maxHW {
 			maxHW = hw
 		}
 	}
 	e.errCached = maxHW * e.norm
 	e.errValid = true
 	return e.errCached
-}
-
-// zQuantile returns the two-sided standard-normal critical value for the
-// given confidence level (e.g. 0.95 → ≈1.96), via Acklam's rational
-// approximation of the inverse normal CDF (relative error < 1.2e-9 — far
-// below the bootstrap's own noise).
-func zQuantile(confidence float64) float64 {
-	p := (1 + confidence) / 2
-	return probit(p)
-}
-
-// probit is Acklam's inverse standard-normal CDF approximation.
-func probit(p float64) float64 {
-	const (
-		a1 = -3.969683028665376e+01
-		a2 = 2.209460984245205e+02
-		a3 = -2.759285104469687e+02
-		a4 = 1.383577518672690e+02
-		a5 = -3.066479806614716e+01
-		a6 = 2.506628277459239e+00
-
-		b1 = -5.447609879822406e+01
-		b2 = 1.615858368580409e+02
-		b3 = -1.556989798598866e+02
-		b4 = 6.680131188771972e+01
-		b5 = -1.328068155288572e+01
-
-		c1 = -7.784894002430293e-03
-		c2 = -3.223964580411365e-01
-		c3 = -2.400758277161838e+00
-		c4 = -2.549732539343734e+00
-		c5 = 4.374664141464968e+00
-		c6 = 2.938163982698783e+00
-
-		d1 = 7.784695709041462e-03
-		d2 = 3.224671290700398e-01
-		d3 = 2.445134137142996e+00
-		d4 = 3.754408661907416e+00
-
-		pLow  = 0.02425
-		pHigh = 1 - pLow
-	)
-	switch {
-	case p <= 0:
-		return math.Inf(-1)
-	case p >= 1:
-		return math.Inf(1)
-	case p < pLow:
-		q := math.Sqrt(-2 * math.Log(p))
-		return (((((c1*q+c2)*q+c3)*q+c4)*q+c5)*q + c6) /
-			((((d1*q+d2)*q+d3)*q+d4)*q + 1)
-	case p <= pHigh:
-		q := p - 0.5
-		r := q * q
-		return (((((a1*r+a2)*r+a3)*r+a4)*r+a5)*r + a6) * q /
-			(((((b1*r+b2)*r+b3)*r+b4)*r+b5)*r + 1)
-	default:
-		q := math.Sqrt(-2 * math.Log(1-p))
-		return -(((((c1*q+c2)*q+c3)*q+c4)*q+c5)*q + c6) /
-			((((d1*q+d2)*q+d3)*q+d4)*q + 1)
-	}
 }

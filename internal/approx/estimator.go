@@ -29,15 +29,12 @@ func (s *subSampler) rootCount() int { return len(s.sg.Roots) }
 // Estimator is a refinable per-sub-graph pivot sampler. It is not safe for
 // concurrent use; callers (the bcd registry) serialize access externally.
 type Estimator struct {
-	d         *decompose.Decomposition
-	directed  bool
-	n         int     // vertices in the whole graph
-	norm      float64 // 1/((n-1)(n-2)) — normalized-BC divisor
-	conf      float64
-	batch     int
-	maxPivots int
-	seed      int64
-	workers   int
+	d        *decompose.Decomposition
+	directed bool
+	n        int     // vertices in the whole graph
+	norm     float64 // 1/((n-1)(n-2)) — normalized-BC divisor
+	seed     int64
+	workers  int
 
 	subs       []*subSampler // index-aligned with d.Subgraphs
 	open       []int         // indices of sub-graphs still being sampled
@@ -63,24 +60,15 @@ func NewEstimator(d *decompose.Decomposition, opt Options) (*Estimator, error) {
 	}
 	n := d.G.NumVertices()
 	e := &Estimator{
-		d:         d,
-		directed:  d.G.Directed(),
-		n:         n,
-		norm:      1,
-		conf:      opt.Confidence,
-		batch:     opt.BatchSize,
-		maxPivots: opt.MaxPivots,
-		seed:      opt.Seed,
-		workers:   opt.Workers,
+		d:        d,
+		directed: d.G.Directed(),
+		n:        n,
+		norm:     1,
+		seed:     opt.Seed,
+		workers:  opt.Workers,
 	}
 	if n > 2 {
 		e.norm = 1 / (float64(n-1) * float64(n-2))
-	}
-	if e.conf <= 0 || e.conf >= 1 {
-		e.conf = DefaultConfidence
-	}
-	if e.batch <= 0 {
-		e.batch = DefaultBatchSize
 	}
 	e.rngShuffle(opt.Seed)
 	e.presolved = e.pivots
@@ -292,7 +280,7 @@ func (e *Estimator) EnsureBudget(pivots int) {
 	target := e.presolved + pivots
 	for e.pivots < target && len(e.open) > 0 {
 		rem := target - e.pivots
-		b := e.batch
+		b := DefaultBatchSize
 		if len(e.batches) == 0 && rem <= b && rem >= 2 {
 			b = (rem + 1) / 2
 		}
@@ -316,18 +304,18 @@ func (e *Estimator) EnsureBudget(pivots int) {
 }
 
 // EnsureEps refines until the bootstrap error estimate drops to eps (on the
-// normalized BC scale), every sub-graph saturates, or Options.MaxPivots is
-// hit. eps <= 0 demands exactness.
+// normalized BC scale) or every sub-graph saturates. eps <= 0 demands
+// exactness.
 func (e *Estimator) EnsureEps(eps float64) {
 	if eps <= 0 {
 		e.runExact()
 		return
 	}
-	for len(e.open) > 0 && (e.maxPivots <= 0 || e.pivots < e.maxPivots) {
+	for len(e.open) > 0 {
 		if len(e.batches) >= 2 && e.ErrorEstimate() <= eps {
 			return
 		}
-		if e.Refine(e.batch) == 0 {
+		if e.Refine(DefaultBatchSize) == 0 {
 			break
 		}
 	}

@@ -9,15 +9,15 @@ import (
 
 // CensusOptions tunes BuildCensus.
 type CensusOptions struct {
-	// Threshold echoes the decomposition threshold into the census.
-	Threshold int
 	// RedundancySampleK bounds the redundancy analysis: 0 means exact,
 	// > 0 samples that many sources (the bcd stats endpoint uses sampling so
 	// a census stays cheap on loaded graphs), < 0 skips the analysis.
 	RedundancySampleK int
-	// Seed drives source sampling when RedundancySampleK > 0.
-	Seed int64
 }
+
+// censusSeed drives the redundancy analysis's source sampling, so a sampled
+// census is the same on every run.
+const censusSeed = 1
 
 // BuildCensus assembles the articulation-point census of g under the
 // decomposition d — the one serializer behind both `bcstats -json` and the
@@ -47,7 +47,7 @@ func BuildCensus(name string, g *graph.Graph, d *decompose.Decomposition, opt Ce
 		c.SCC = &metrics.SCCCensus{Count: count, Largest: graph.LargestSCCSize(g)}
 	}
 	c.Decomposition = metrics.DecompositionCensus{
-		Threshold:   opt.Threshold,
+		Threshold:   d.Threshold,
 		Subgraphs:   len(d.Subgraphs),
 		BoundaryAPs: d.NumArticulation,
 		Roots:       d.TotalRoots(),
@@ -68,7 +68,7 @@ func BuildCensus(name string, g *graph.Graph, d *decompose.Decomposition, opt Ce
 		})
 	}
 	if opt.RedundancySampleK >= 0 {
-		rep := AnalyzeRedundancy(g, d, opt.RedundancySampleK, opt.Seed)
+		rep := AnalyzeRedundancy(g, d, opt.RedundancySampleK, censusSeed)
 		method := "exact"
 		if rep.Sampled {
 			method = "sampled"

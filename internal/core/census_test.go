@@ -48,3 +48,19 @@ func TestCensusNamesTheLayout(t *testing.T) {
 		t.Fatalf("lattice top: %+v; want the scalar kernel past the lane budget", row)
 	}
 }
+
+// TestCensusReportsAppliedThreshold: the census reports the threshold the
+// decomposition applied — DefaultThreshold when the caller left it unset —
+// never the zero a caller passed to ask for the default.
+func TestCensusReportsAppliedThreshold(t *testing.T) {
+	g := gen.Lollipop(6, 10)
+	for asked, want := range map[int]int{0: decompose.DefaultThreshold, -3: decompose.DefaultThreshold, 8: 8} {
+		d, err := decompose.Decompose(g, decompose.Options{Threshold: asked})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := BuildCensus("lollipop", g, d, CensusOptions{RedundancySampleK: -1}).Decomposition.Threshold; got != want {
+			t.Errorf("Decompose(Threshold: %d): census threshold %d, want %d", asked, got, want)
+		}
+	}
+}

@@ -351,7 +351,7 @@ func TestHybridGate(t *testing.T) {
 				c.name, mean, rs.e.hybrid, built, rs.e.bottomUpLevels, c.hybrid)
 		}
 		rs.Release()
-		if row := BuildCensus(c.name, c.g, d, CensusOptions{Threshold: 8, RedundancySampleK: -1}).Decomposition.Largest[0]; row.Hybrid != c.hybrid {
+		if row := BuildCensus(c.name, c.g, d, CensusOptions{RedundancySampleK: -1}).Decomposition.Largest[0]; row.Hybrid != c.hybrid {
 			t.Fatalf("%s: census row %+v, want hybrid %v", c.name, row, c.hybrid)
 		}
 		t.Logf("%s: %d swept, %.2f arcs per swept vertex, hybrid %v, %d bottom-up levels", c.name, swept, mean, c.hybrid, rs.e.bottomUpLevels)

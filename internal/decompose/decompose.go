@@ -244,6 +244,9 @@ type Decomposition struct {
 	TopIndex int
 	// NumArticulation is the number of distinct boundary articulation points.
 	NumArticulation int
+	// Threshold is the block-merge threshold Decompose applied, after
+	// defaulting.
+	Threshold int
 
 	// forest is the sub-graph/AP incidence forest the α/β composition walks.
 	forest *forest
@@ -254,16 +257,16 @@ type Decomposition struct {
 // (alphabeta.go), which reads the folded sub-graphs: the leaves enter it as γ
 // weights.
 func Decompose(g *graph.Graph, opt Options) (*Decomposition, error) {
-	if g.NumVertices() == 0 {
-		return &Decomposition{G: g, TopIndex: -1, forest: new(forest)}, nil
-	}
 	if opt.Threshold <= 0 {
 		opt.Threshold = DefaultThreshold
+	}
+	if g.NumVertices() == 0 {
+		return &Decomposition{G: g, TopIndex: -1, Threshold: opt.Threshold, forest: new(forest)}, nil
 	}
 	start := time.Now()
 	res := bcc.Find(g)
 	blockGroup, numGroups := mergeBlocks(g, res, opt.Threshold)
-	d := &Decomposition{G: g, TopIndex: -1}
+	d := &Decomposition{G: g, TopIndex: -1, Threshold: opt.Threshold}
 	buildSubgraphs(d, g, res, blockGroup, numGroups, opt.DisableGamma)
 	built := time.Now()
 	d.composeAlphaBeta()

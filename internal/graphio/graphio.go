@@ -215,9 +215,12 @@ const (
 	binHdrSize = 28
 )
 
+// streamChunk is the size of WriteBinary's one reused buffer.
+const streamChunk = 1 << 16
+
 // WriteBinary writes g in the repository's binary CSR cache format (v2). It
 // encodes through one reused streamChunk-byte buffer, handing w a full buffer
-// at a time, the way ReadBinaryCSR reads.
+// at a time.
 func WriteBinary(w io.Writer, g *graph.Graph) error {
 	n := g.NumVertices()
 	flags := uint32(0)
@@ -260,35 +263,32 @@ func WriteBinary(w io.Writer, g *graph.Graph) error {
 // readBinHeader consumes a v1 or v2 header and returns the declared shape
 // after the shared plausibility checks. Readers must still validate the
 // degree table against the declared arc count before trusting either number.
-func readBinHeader(br io.Reader) (flags uint32, n, arcs uint64, hdrLen int, err error) {
-	magic := make([]byte, len(binMagic))
-	if _, err = io.ReadFull(br, magic); err != nil {
+func readBinHeader(r io.Reader) (flags uint32, n, arcs uint64, hdrLen int, err error) {
+	hdr := make([]byte, binHdrSize)
+	if _, err = io.ReadFull(r, hdr[:len(binMagic)]); err != nil {
 		return 0, 0, 0, 0, fmt.Errorf("graphio: reading magic: %v", err)
 	}
-	hdrLen = len(binMagic) + 4 + 8 + 8
-	switch string(magic) {
+	switch magic := hdr[:len(binMagic)]; string(magic) {
 	case binMagic:
+		hdrLen = binHdrSize - binPad
 	case binMagic2:
 		hdrLen = binHdrSize
-		pad := make([]byte, binPad)
-		if _, err = io.ReadFull(br, pad); err != nil {
-			return 0, 0, 0, 0, fmt.Errorf("graphio: reading header pad: %v", err)
-		}
-		if pad[0] != 0 || pad[1] != 0 || pad[2] != 0 {
-			return 0, 0, 0, 0, fmt.Errorf("graphio: non-zero header padding %v", pad)
-		}
 	default:
 		return 0, 0, 0, 0, fmt.Errorf("graphio: bad magic %q", magic)
 	}
-	if err = binary.Read(br, binary.LittleEndian, &flags); err != nil {
-		return 0, 0, 0, 0, err
+	rest := hdr[len(binMagic):hdrLen]
+	if _, err = io.ReadFull(r, rest); err != nil {
+		return 0, 0, 0, 0, fmt.Errorf("graphio: reading header: %v", err)
 	}
-	if err = binary.Read(br, binary.LittleEndian, &n); err != nil {
-		return 0, 0, 0, 0, err
+	if hdrLen == binHdrSize {
+		if pad := rest[:binPad]; pad[0]|pad[1]|pad[2] != 0 {
+			return 0, 0, 0, 0, fmt.Errorf("graphio: non-zero header padding %v", pad)
+		}
+		rest = rest[binPad:]
 	}
-	if err = binary.Read(br, binary.LittleEndian, &arcs); err != nil {
-		return 0, 0, 0, 0, err
-	}
+	flags = binary.LittleEndian.Uint32(rest)
+	n = binary.LittleEndian.Uint64(rest[4:])
+	arcs = binary.LittleEndian.Uint64(rest[12:])
 	if n > 1<<31 || arcs > 1<<40 {
 		return 0, 0, 0, 0, fmt.Errorf("graphio: implausible sizes n=%d arcs=%d", n, arcs)
 	}
@@ -334,11 +334,7 @@ func Load(path, format string, directed, weighted bool) (*graph.Graph, []int64, 
 	case formatDIMACS:
 		g, err = ReadDIMACS(f, directed, weighted)
 	case formatBinary:
-		size := int64(-1)
-		if fi, err := f.Stat(); err == nil {
-			size = fi.Size()
-		}
-		g, err = readBinaryCSRSized(f, size)
+		g, err = readBinaryFile(f)
 	case formatGraphML:
 		g, _, err = ReadGraphML(f)
 	case formatJSON:

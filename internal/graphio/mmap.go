@@ -1,8 +1,6 @@
 package graphio
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -15,10 +13,10 @@ import (
 // mapping of the source file. ZeroCopy reports which way the load went: true
 // means Out() slices point into the mapping (the OS pages neighbors in on
 // demand and can drop them under pressure), false means the portable
-// fallback streamed the file into heap arrays via ReadBinaryCSR. Either way
-// the Graph is safe for the full engine stack — graph.NewFromCSR never
-// writes to the adopted arrays, and the lazily built transpose is a fresh
-// allocation.
+// fallback read the file's payload into one heap buffer via ReadBinaryCSR,
+// the decoder's other byte source. Either way the Graph is safe for the full
+// engine stack — graph.NewFromCSR never writes to the adopted arrays, and the
+// lazily built transpose is a fresh allocation.
 //
 // Close unmaps the file. After Close, a ZeroCopy graph's adjacency is gone —
 // the caller owns the ordering, exactly like the internal/ws epoch contract:
@@ -52,12 +50,13 @@ func (m *Mapped) Close() error {
 //     mapping's bytes are the in-memory representation.
 //
 // Otherwise it falls back to ReadBinaryCSR, which accepts both versions on
-// any platform. The offset array is always materialized on the heap (the
-// file stores u32 degrees, the CSR wants an int64 prefix sum): zero-copy
-// saves the 4·arcs-byte adjacency — the dominant term — not the header walk.
+// any platform. The offset array is always materialized on the heap by
+// offsets, the walk the heap path shares (the file stores u32 degrees, the
+// CSR wants an int64 prefix sum): zero-copy saves the 4·arcs-byte adjacency —
+// the dominant term — not the degree walk.
 //
-// The mapped path validates exactly like the streaming path (hostile-header
-// checks, strict row validation in graph.NewFromCSR) plus an exact file-size
+// The mapped path validates exactly like the heap path (the same degree
+// walk, strict row validation in graph.NewFromCSR) plus an exact file-size
 // check: a v2 file must be precisely 28 + 4n + 4·arcs bytes, so truncated or
 // oversized files are rejected before any CSR is built.
 func MmapGraph(path string) (*Mapped, error) {
@@ -71,27 +70,19 @@ func MmapGraph(path string) (*Mapped, error) {
 		if _, err := f.Seek(0, io.SeekStart); err != nil {
 			return nil, err
 		}
-		size := int64(-1)
-		if fi, err := f.Stat(); err == nil {
-			size = fi.Size()
-		}
-		g, err := readBinaryCSRSized(f, size)
+		g, err := readBinaryFile(f)
 		if err != nil {
 			return nil, err
 		}
 		return &Mapped{Graph: g}, nil
 	}
 
-	hdr := make([]byte, binHdrSize)
-	if _, err := io.ReadFull(f, hdr); err != nil {
-		return nil, fmt.Errorf("graphio: reading header of %s: %v", path, err)
-	}
-	if !mmapSupported || !nativeLittleEndian() || !bytes.HasPrefix(hdr, []byte(binMagic2)) {
-		return fallback()
-	}
-	flags, n, arcs, _, err := readBinHeader(bytes.NewReader(hdr))
+	flags, n, arcs, hdrLen, err := readBinHeader(f)
 	if err != nil {
 		return nil, err
+	}
+	if !mmapSupported || !nativeLittleEndian() || hdrLen != binHdrSize {
+		return fallback()
 	}
 	st, err := f.Stat()
 	if err != nil {
@@ -108,46 +99,15 @@ func MmapGraph(path string) (*Mapped, error) {
 		// a filesystem that refuses MAP_SHARED); the file itself is fine.
 		return fallback()
 	}
-	reject := func(err error) (*Mapped, error) {
+	offs, err := offsets(data[binHdrSize:binHdrSize+4*int64(n)], n, arcs)
+	var g *graph.Graph
+	if err == nil {
+		adj := unsafe.Slice((*graph.V)(unsafe.Pointer(unsafe.SliceData(data[binHdrSize+4*int64(n):]))), arcs)
+		g, err = graph.NewFromCSR(int(n), offs, adj, flags&1 != 0)
+	}
+	if err != nil {
 		munmapBytes(data)
 		return nil, err
 	}
-
-	degBytes := data[binHdrSize : binHdrSize+4*int64(n)]
-	offs := make([]int64, n+1)
-	var total uint64
-	for i := uint64(0); i < n; i++ {
-		d := binary.LittleEndian.Uint32(degBytes[4*i:])
-		if d > 1<<31-1 {
-			return reject(fmt.Errorf("graphio: vertex %d degree %d wraps the CSR offset (non-monotonic)", i, d))
-		}
-		total += uint64(d)
-		if total > arcs {
-			return reject(fmt.Errorf("graphio: degree prefix sum %d at vertex %d exceeds arc count %d", total, i, arcs))
-		}
-		offs[i+1] = int64(total)
-	}
-	if total != arcs {
-		return reject(fmt.Errorf("graphio: degree sum %d != arc count %d", total, arcs))
-	}
-
-	var adj []graph.V
-	if arcs > 0 {
-		adjBytes := data[binHdrSize+4*int64(n):]
-		adj = unsafe.Slice((*graph.V)(unsafe.Pointer(unsafe.SliceData(adjBytes))), arcs)
-	}
-	g, err := graph.NewFromCSR(int(n), offs, adj, flags&1 != 0)
-	if err != nil {
-		return reject(err)
-	}
 	return &Mapped{Graph: g, ZeroCopy: true, data: data}, nil
-}
-
-// nativeLittleEndian reports whether the host byte order matches the
-// little-endian on-disk order, the precondition for reinterpreting mapped
-// bytes as []int32.
-func nativeLittleEndian() bool {
-	var buf [2]byte
-	binary.NativeEndian.PutUint16(buf[:], 0x0102)
-	return buf[0] == 0x02
 }

@@ -316,9 +316,5 @@ func (e *Entry) Census() (metrics.GraphCensus, error) {
 	if g.NumVertices() > sampleCutoff {
 		sampleK = 64
 	}
-	return core.BuildCensus(e.name, g, snap.Decomposition, core.CensusOptions{
-		Threshold:         e.threshold,
-		RedundancySampleK: sampleK,
-		Seed:              1,
-	}), nil
+	return core.BuildCensus(e.name, g, snap.Decomposition, core.CensusOptions{RedundancySampleK: sampleK}), nil
 }
