@@ -68,15 +68,16 @@ type benchAlgo struct {
 }
 
 func benchAlgos() []benchAlgo {
-	return []benchAlgo{
+	algos := []benchAlgo{
 		{"serial", func(g *graph.Graph) ([]float64, error) { return brandes.Serial(g), nil }},
 		{"apgre", func(g *graph.Graph) ([]float64, error) { return core.Compute(g, core.Options{}) }},
-		{"preds", func(g *graph.Graph) ([]float64, error) { return brandes.Preds(g, 0), nil }},
-		{"succs", func(g *graph.Graph) ([]float64, error) { return brandes.Succs(g, 0), nil }},
-		{"lockSyncFree", func(g *graph.Graph) ([]float64, error) { return brandes.LockSyncFree(g, 0), nil }},
-		{"async", func(g *graph.Graph) ([]float64, error) { return brandes.Async(g, 0) }},
-		{"hybrid", func(g *graph.Graph) ([]float64, error) { return brandes.Hybrid(g, 0), nil }},
 	}
+	for _, b := range brandes.Baselines {
+		if b.Name != "serial" {
+			algos = append(algos, benchAlgo{b.Name, func(g *graph.Graph) ([]float64, error) { return b.Run(g, 0) }})
+		}
+	}
+	return algos
 }
 
 // BenchmarkTable2 measures execution time of every algorithm on every
@@ -238,7 +239,9 @@ func BenchmarkFigure9(b *testing.B) {
 		b.Run(fmt.Sprintf("succs/p=%d", p), func(b *testing.B) {
 			g := benchGraph(b, "dblp-2010")
 			for i := 0; i < b.N; i++ {
-				brandes.Succs(g, p)
+				if _, err := BetweennessCentrality(g, Options{Algorithm: AlgoSuccs, Workers: p}); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

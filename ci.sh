@@ -75,7 +75,9 @@
 #      nor a weighted twin of a BC entry point or repro.Timing; nothing ships
 #      that nothing runs: no main program under examples/, every Example in
 #      the root test files checks its // Output:, and the exports only tests
-#      called stay in test files
+#      called stay in test files; one table runs the paper's baselines: no
+#      non-test code outside internal/brandes calls one by name, and the
+#      atomicAddFloat64 wrapper over par.AddFloat64 stays gone
 #  10. durability smoke: race-built bcd is killed with SIGKILL mid-life and
 #      must recover its graph from snapshot+WAL with bit-exact top-K
 #  11. bcd's model test, concurrent phase, under -race (30 s box): readers
@@ -340,6 +342,16 @@ run_named 'TestCLIClosenessRejectsWeighted|TestCLIClosenessRejectsBCFlags|TestCl
 # worker is SerialSuccs bit for bit, more stay within tolerance of Serial.
 run_named 'TestAsyncMatchesSerialSuccs|TestAsyncRejectsDirected' \
     -race -count=1 ./internal/brandes
+# A shortest-path count past float64 is an error, never scores: every
+# algorithm of the facade and its incremental and approximate entry points,
+# each baseline of brandes' table (which also refuse a weighted graph
+# themselves), every core kernel and direction mode, an ApplyBatch that would
+# overflow (no epoch published) and a bcd load (failed, never served, no read
+# answering 500).
+run_named 'TestPathCountOverflowIsAnError' -count=1 .
+run_named 'TestBaselinesReportPathCountOverflow|TestBaselinesRejectWeighted' -race -count=1 ./internal/brandes
+run_named 'TestPathCountOverflowEveryKernel|TestApplyBatchOverflowPublishesNothing' -count=1 ./internal/core
+run_named 'TestOverflowLoadFails' -race -count=1 ./internal/server
 go run ./cmd/bcbench -approx -datasets email-enron -scale 0.05
 
 echo "==> scale smoke: generator digests and memory bound; streamed gen -> stream + mmap loads agree bit-for-bit"
@@ -520,9 +532,18 @@ fi
 # Nor may an export that only tests call come back to non-test code: each
 # lives in its package's export_test.go or as a helper in the tests that use it.
 if grep -rnwE 'DegreeHistogram' --include='*.go' . ||
-    grep -rnE 'func \(s \*Sweep\) (CheckClean|Cap)\(|func \(g \*Graph\) (Transpose|UnitWeights)\(|func \(s \*Subgraph\) Folded\(|func \(rs \*RootSweep\) Traversed\(|func SerialSuccs\(' --include='*.go' . |
+    grep -rnE 'func \(s \*Sweep\) (CheckClean|Cap)\(|func \(g \*Graph\) (Transpose|UnitWeights)\(|func \(s \*Subgraph\) Folded\(|func \(rs \*RootSweep\) Traversed\(|func SerialSuccs\(|func \(inc \*Incremental\) Decomposition\(|func \(e \*Estimator\) Batches\(|func \(e \*Entry\) BC\(|func \(b \*Bag\[T\]\) Size\(' --include='*.go' . |
     grep -v '_test\.go:'; then
-    echo "ci.sh: a test-only export (Sweep.CheckClean/Cap, DegreeHistogram, Graph.Transpose/UnitWeights, Subgraph.Folded, RootSweep.Traversed, SerialSuccs) is back in non-test code" >&2
+    echo "ci.sh: a test-only export (Sweep.CheckClean/Cap, DegreeHistogram, Graph.Transpose/UnitWeights, Subgraph.Folded, RootSweep.Traversed, SerialSuccs, Incremental.Decomposition, Estimator.Batches, Entry.BC, Bag.Size) is back in non-test code" >&2
+    exit 1
+fi
+# The paper's baselines run through one table, brandes.Baselines: no non-test
+# code outside internal/brandes calls one by name, and the float-add wrapper the
+# baselines once shared is par.AddFloat64 itself.
+if grep -rnE 'brandes\.(Preds|Succs|LockSyncFree|Async|Hybrid)\(' --include='*.go' . |
+    grep -v '_test\.go:' | grep -v '^\./internal/brandes/' ||
+    grep -rn 'atomicAddFloat64' --include='*.go' .; then
+    echo "ci.sh: a baseline is called by name outside internal/brandes, or atomicAddFloat64 is back; run baselines through brandes.Baselines" >&2
     exit 1
 fi
 

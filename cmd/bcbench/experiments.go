@@ -167,16 +167,15 @@ type algoRunner struct {
 }
 
 func runners() []algoRunner {
-	return []algoRunner{
-		{"apgre", func(g *graph.Graph, w, th int) ([]float64, error) {
-			return core.Compute(g, core.Options{Workers: w, Threshold: th})
-		}},
-		{"preds", func(g *graph.Graph, w, _ int) ([]float64, error) { return brandes.Preds(g, w), nil }},
-		{"succs", func(g *graph.Graph, w, _ int) ([]float64, error) { return brandes.Succs(g, w), nil }},
-		{"lockSyncFree", func(g *graph.Graph, w, _ int) ([]float64, error) { return brandes.LockSyncFree(g, w), nil }},
-		{"async", func(g *graph.Graph, w, _ int) ([]float64, error) { return brandes.Async(g, w) }},
-		{"hybrid", func(g *graph.Graph, w, _ int) ([]float64, error) { return brandes.Hybrid(g, w), nil }},
+	rs := []algoRunner{{"apgre", func(g *graph.Graph, w, th int) ([]float64, error) {
+		return core.Compute(g, core.Options{Workers: w, Threshold: th})
+	}}}
+	for _, b := range brandes.Baselines {
+		if b.Name != "serial" { // the tables time serial as their reference column
+			rs = append(rs, algoRunner{b.Name, func(g *graph.Graph, w, _ int) ([]float64, error) { return b.Run(g, w) }})
+		}
 	}
+	return rs
 }
 
 // timings runs serial Brandes plus every algorithm on every dataset once and

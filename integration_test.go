@@ -52,16 +52,15 @@ func TestIntegrationBaselinesAgree(t *testing.T) {
 				}
 			}
 		}
-		check("preds", brandes.Preds(g, 2))
-		check("succs", brandes.Succs(g, 2))
-		check("lockSyncFree", brandes.LockSyncFree(g, 2))
-		check("hybrid", brandes.Hybrid(g, 2))
-		if !g.Directed() {
-			got, err := brandes.Async(g, 2)
+		for _, b := range brandes.Baselines {
+			if b.Name == "async" && g.Directed() {
+				continue
+			}
+			got, err := b.Run(g, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			check("async", got)
+			check(b.Name, got)
 		}
 	}
 }

@@ -107,7 +107,8 @@ type Result struct {
 }
 
 // Estimate decomposes g and runs the estimator in the mode Options selects:
-// fixed budget (Pivots > 0) or adaptive (Eps > 0).
+// fixed budget (Pivots > 0) or adaptive (Eps > 0). A sweep whose path counts
+// overflow float64 makes it return graph.ErrPathCountOverflow.
 func Estimate(g *graph.Graph, opt Options) (*Result, error) {
 	if g.Weighted() {
 		return nil, fmt.Errorf("approx: weighted graphs are not supported")
@@ -123,6 +124,7 @@ func Estimate(g *graph.Graph, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer est.Release()
 	switch {
 	case opt.Pivots > 0:
 		est.EnsureBudget(opt.Pivots)
@@ -130,6 +132,9 @@ func Estimate(g *graph.Graph, opt Options) (*Result, error) {
 		est.EnsureEps(opt.Eps)
 	default:
 		return nil, fmt.Errorf("approx: Options needs Pivots > 0 or Eps > 0")
+	}
+	if est.overflow.Load() {
+		return nil, graph.ErrPathCountOverflow
 	}
 	r := est.Result()
 	return &r, nil

@@ -264,3 +264,19 @@ func TestZQuantile(t *testing.T) {
 		t.Errorf("z95 = %v, want 1.959963986120195", z95)
 	}
 }
+
+// TestEstimateReturnsItsWorkspaces: Estimate hands every pooled sweep
+// workspace it checked out back to core's arena, so repeated calls reuse them
+// instead of each leaving its own checked out.
+func TestEstimateReturnsItsWorkspaces(t *testing.T) {
+	g := gen.SocialLike(gen.SocialParams{N: 300, AvgDeg: 4, Communities: 6, TopShare: 0.4, LeafFrac: 0.2, Seed: 3})
+	_, before := core.SweepPoolStats()
+	for _, opt := range []Options{{Pivots: 40, Seed: 1, Workers: 2}, {Eps: 0.05, Seed: 1, Workers: 2}} {
+		if _, err := Estimate(g, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, after := core.SweepPoolStats(); after != before {
+		t.Fatalf("%d workspaces checked out after Estimate, %d before", after, before)
+	}
+}

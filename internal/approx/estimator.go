@@ -3,9 +3,11 @@ package approx
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/decompose"
+	"repro/internal/graph"
 	"repro/internal/par"
 )
 
@@ -49,6 +51,9 @@ type Estimator struct {
 	sweeps    []*core.RootSweep // per-worker exact-arithmetic sweeps
 	errCached float64
 	errValid  bool
+	// overflow: a sweep met a path count past float64
+	// (graph.ErrPathCountOverflow), so the estimate is meaningless.
+	overflow atomic.Bool
 }
 
 // NewEstimator prepares sampling state over d (seeded root shuffles) and
@@ -72,6 +77,10 @@ func NewEstimator(d *decompose.Decomposition, opt Options) (*Estimator, error) {
 	}
 	e.rngShuffle(opt.Seed)
 	e.presolved = e.pivots
+	if e.overflow.Load() {
+		e.Release()
+		return nil, graph.ErrPathCountOverflow
+	}
 	return e, nil
 }
 
@@ -137,7 +146,9 @@ func (e *Estimator) runExactSubs(idxs []int) {
 			roots = s.perm[s.next:]
 		}
 		sw := e.sweeps[w]
-		sw.Run(s.sg, roots, e.directed)
+		if sw.Run(s.sg, roots, e.directed) != nil {
+			e.overflow.Store(true)
+		}
 		s.contrib = growZero(s.contrib, s.sg.NumVerts())
 		sw.Collect(s.contrib)
 		for l, c := range s.contrib {
@@ -203,7 +214,9 @@ func (e *Estimator) Refine(budget int) int {
 	par.ForWorker(len(open), p, 1, func(w, k int) {
 		s := e.subs[open[k]]
 		sw := e.sweeps[w]
-		sw.Run(s.sg, s.perm[s.next:s.next+alloc[k]], e.directed)
+		if sw.Run(s.sg, s.perm[s.next:s.next+alloc[k]], e.directed) != nil {
+			e.overflow.Store(true)
+		}
 		s.contrib = growZero(s.contrib, s.sg.NumVerts())
 		sw.Collect(s.contrib)
 	})
@@ -354,9 +367,6 @@ func (e *Estimator) Pivots() int { return e.pivots }
 
 // ExactRoots returns the sweep count of the exact engine (Σ|R_i|).
 func (e *Estimator) ExactRoots() int64 { return e.totalRoots }
-
-// Batches returns the number of stored stochastic batch vectors.
-func (e *Estimator) Batches() int { return len(e.batches) }
 
 // Release returns the estimator's pooled sweep workspaces to the shared
 // core arena. The estimator stays usable — ensureSweeps re-acquires scratch

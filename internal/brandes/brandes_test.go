@@ -1,12 +1,14 @@
 package brandes
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/ws"
 )
 
 // bcClose compares BC vectors with a relative tolerance.
@@ -123,25 +125,16 @@ func TestParallelVariantsMatchSerial(t *testing.T) {
 	for gi, g := range testGraphs() {
 		want := Serial(g)
 		for _, p := range []int{1, 3} {
-			if got := Preds(g, p); !okBC(t, want, got) {
-				t.Fatalf("graph %d workers %d: Preds differs", gi, p)
-			}
-			if got := Succs(g, p); !okBC(t, want, got) {
-				t.Fatalf("graph %d workers %d: Succs differs", gi, p)
-			}
-			if got := LockSyncFree(g, p); !okBC(t, want, got) {
-				t.Fatalf("graph %d workers %d: LockSyncFree differs", gi, p)
-			}
-			if got := Hybrid(g, p); !okBC(t, want, got) {
-				t.Fatalf("graph %d workers %d: Hybrid differs", gi, p)
-			}
-			if !g.Directed() {
-				got, err := Async(g, p)
+			for _, b := range Baselines {
+				if b.Name == "async" && g.Directed() {
+					continue
+				}
+				got, err := b.Run(g, p)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !okBC(t, want, got) {
-					t.Fatalf("graph %d workers %d: Async differs", gi, p)
+					t.Fatalf("graph %d workers %d: %s differs", gi, p, b.Name)
 				}
 			}
 		}
@@ -159,7 +152,7 @@ func okBC(t *testing.T, want, got []float64) bool {
 
 func TestAsyncRejectsDirected(t *testing.T) {
 	g := gen.ErdosRenyi(10, 20, true, 1)
-	if _, err := Async(g, 2); err == nil {
+	if _, err := async(g, 2); err == nil {
 		t.Fatal("expected error for directed input")
 	}
 }
@@ -175,7 +168,7 @@ func TestAsyncMatchesSerialSuccs(t *testing.T) {
 			continue
 		}
 		want := SerialSuccs(g)
-		got, err := Async(g, 1)
+		got, err := async(g, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +179,7 @@ func TestAsyncMatchesSerialSuccs(t *testing.T) {
 		}
 		serial := Serial(g)
 		for _, p := range []int{2, 4} {
-			got, err := Async(g, p)
+			got, err := async(g, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -199,8 +192,10 @@ func TestAsyncMatchesSerialSuccs(t *testing.T) {
 
 func TestEmptyAndTiny(t *testing.T) {
 	empty := graph.NewFromEdges(0, nil, false)
-	if len(Serial(empty)) != 0 || len(Succs(empty, 2)) != 0 || len(Hybrid(empty, 2)) != 0 || len(Preds(empty, 2)) != 0 || len(LockSyncFree(empty, 2)) != 0 {
-		t.Fatal("empty graph must give empty scores")
+	for _, b := range Baselines {
+		if bc, err := b.Run(empty, 2); err != nil || len(bc) != 0 {
+			t.Fatalf("%s: empty graph gave %v, %v; want empty scores", b.Name, bc, err)
+		}
 	}
 	one := graph.NewFromEdges(1, nil, false)
 	if bc := Serial(one); bc[0] != 0 {
@@ -225,8 +220,13 @@ func TestQuickAllVariantsAgree(t *testing.T) {
 				return false
 			}
 		}
-		for _, got := range [][]float64{Succs(g, 2), LockSyncFree(g, 2), Hybrid(g, 2), Preds(g, 2)} {
-			if _, ok := bcClose(want, got, 1e-9); !ok {
+		for _, b := range Baselines {
+			if b.Name == "async" && directed {
+				continue
+			}
+			if got, err := b.Run(g, 2); err != nil {
+				return false
+			} else if _, ok := bcClose(want, got, 1e-9); !ok {
 				return false
 			}
 		}
@@ -234,5 +234,99 @@ func TestQuickAllVariantsAgree(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBaselinesRejectWeighted: the baselines but serial count hops, so a
+// weighted graph is an error for each of them whoever calls it, and serial
+// sweeps it with Dijkstra.
+func TestBaselinesRejectWeighted(t *testing.T) {
+	g := gen.WithRandomWeights(gen.Grid2D(4, 5), 5, 1)
+	for _, b := range Baselines {
+		bc, err := b.Run(g, 2)
+		if b.Name == "serial" {
+			if err != nil || !okBC(t, Serial(g), bc) {
+				t.Fatalf("serial on a weighted graph: %v", err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s accepted a weighted graph", b.Name)
+		}
+	}
+}
+
+// ladder is a width-2 complete-bipartite ladder of the given number of
+// layers between two apexes: vertex 0, whose two neighbours are layer 0, and
+// vertex 2·layers+1, whose two are the last layer. From vertex 0, layer j has
+// σ = 2^j and the far apex 2^layers, which is +Inf in float64 from 1,024
+// layers on.
+func ladder(layers int) *graph.Graph {
+	far := graph.V(2*layers + 1)
+	edges := []graph.Edge{{From: 0, To: 1}, {From: 0, To: 2}, {From: far - 2, To: far}, {From: far - 1, To: far}}
+	for j := graph.V(0); j < graph.V(layers-1); j++ {
+		for _, a := range []graph.V{1 + 2*j, 2 + 2*j} {
+			edges = append(edges, graph.Edge{From: a, To: 3 + 2*j}, graph.Edge{From: a, To: 4 + 2*j})
+		}
+	}
+	return graph.NewFromEdges(int(far)+1, edges, false)
+}
+
+// TestBaselinesReportPathCountOverflow: once a σ passes float64, every
+// baseline returns ErrPathCountOverflow instead of scores — at 1,024 layers,
+// where only the far apex's σ is +Inf and the scores would be finite but
+// wrong, and at 1,100, where most would be NaN — and Serial, which has no
+// error to return, panics with it. A σ of 2^1023 is no overflow, a short
+// ladder every baseline answers, and serial's Dijkstra leaves its pooled
+// scratch clean when it stops at an overflow.
+func TestBaselinesReportPathCountOverflow(t *testing.T) {
+	for _, layers := range []int{1024, 1100} {
+		g := ladder(layers)
+		for _, b := range Baselines {
+			if _, err := b.Run(g, 2); !errors.Is(err, graph.ErrPathCountOverflow) {
+				t.Errorf("%d layers: %s returned %v, want ErrPathCountOverflow", layers, b.Name, err)
+			}
+		}
+		func() {
+			defer func() {
+				if p := recover(); p != graph.ErrPathCountOverflow {
+					t.Errorf("%d layers: Serial panicked with %v, want ErrPathCountOverflow", layers, p)
+				}
+			}()
+			Serial(g)
+		}()
+	}
+	Serial(ladder(1023))
+	g := ladder(40)
+	for _, b := range Baselines {
+		if bc, err := b.Run(g, 2); err != nil || !okBC(t, Serial(g), bc) {
+			t.Errorf("40 layers: %s: %v", b.Name, err)
+		}
+	}
+	// Dijkstra stops at the overflow with a relaxed vertex still in its heap
+	// (the other one of layer 1,024); the pooled scratch it hands back must
+	// still be clean.
+	wg := gen.WithRandomWeights(ladder(1100), 1, 1)
+	if _, err := serial(wg, 1); !errors.Is(err, graph.ErrPathCountOverflow) {
+		t.Errorf("weighted serial returned %v, want ErrPathCountOverflow", err)
+	}
+	// The pool holds async's sweeps too: check every one that has the
+	// weighted arrays.
+	weighted := 0
+	for range 8 {
+		sw := sweepPool.Get(wg.NumVertices())
+		defer sweepPool.Put(sw)
+		if len(sw.FDist) < wg.NumVertices() {
+			continue
+		}
+		weighted++
+		for v := range wg.NumVertices() {
+			if sw.FDist[v] != -1 || sw.Done[v] || sw.Rec[v] != (ws.Record{}) {
+				t.Fatalf("weighted serial left vertex %d dirty after an overflow: dist %v, done %v, %+v", v, sw.FDist[v], sw.Done[v], sw.Rec[v])
+			}
+		}
+	}
+	if weighted == 0 {
+		t.Fatal("no pooled sweep has the weighted arrays")
 	}
 }

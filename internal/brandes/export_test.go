@@ -9,13 +9,12 @@ import "repro/internal/graph"
 func SerialSuccs(g *graph.Graph) []float64 {
 	n := g.NumVertices()
 	bc := make([]float64, n)
-	if n == 0 {
-		return bc
-	}
 	st := newSerialScratch(g, false)
+	defer st.release()
 	for s := graph.V(0); int(s) < n; s++ {
-		st.runSourceSuccs(g, s, bc)
+		if err := st.runSourceSuccs(g, s, bc); err != nil {
+			panic(err)
+		}
 	}
-	st.release()
 	return bc
 }

@@ -3,105 +3,62 @@ package brandes
 import (
 	"sync/atomic"
 
-	"repro/internal/bitset"
 	"repro/internal/graph"
 	"repro/internal/par"
 )
 
-// Hybrid is the Ligra-style BC [25] built on direction-optimizing BFS [33]:
-// the forward σ phase switches between top-down frontier pushes and
-// bottom-up sweeps (each undiscovered vertex pulls σ from in-neighbors one
-// level up) based on frontier edge volume, and the backward phase is
-// successor-pull. Beamer's α=14, β=24 heuristics select the direction.
-func Hybrid(g *graph.Graph, workers int) []float64 {
+// hybrid is the Ligra-style BC [25] built on direction-optimizing BFS [33]:
+// each level is either the top-down push or a bottom-up pull (every
+// undiscovered vertex sums σ over its in-neighbours one level up), chosen by
+// frontier edge volume with Beamer's α=14, β=24 heuristics, and the backward
+// phase is successor-pull.
+func hybrid(g *graph.Graph, workers int) ([]float64, error) {
 	const alphaDiv, betaDiv = 14, 24
-	n := g.NumVertices()
-	p := par.Workers(workers)
-	bc := make([]float64, n)
-	if n == 0 {
-		return bc
+	sw, err := newSweep("hybrid", g, workers, true)
+	if err != nil {
+		return nil, err
 	}
-	g.EnsureTranspose()
-	dist := make([]int32, n)
-	sigma := make([]float64, n)
-	delta := make([]float64, n)
-	visited := bitset.New(n)
-	lv := &levels{}
-	bag := par.NewBag[graph.V](p)
-
-	for s := graph.V(0); int(s) < n; s++ {
-		for i := 0; i < n; i++ {
-			dist[i] = -1
-			sigma[i] = 0
-			delta[i] = 0
+	n, dist, sigma, visited, bag := g.NumVertices(), sw.dist, sw.sigma, sw.visited, sw.bag
+	var unexplored int64
+	var bottomUp bool
+	return sw.run(func(d int32, frontier []graph.V) []graph.V {
+		if d == 1 {
+			unexplored, bottomUp = g.NumArcs(), false
 		}
-		visited.Reset()
-		lv.reset()
-
-		dist[s] = 0
-		sigma[s] = 1
-		visited.Set(int(s))
-		lv.push(0, s)
-		frontier := lv.level(0)
-		unexplored := g.NumArcs()
-		bottomUp := false
-		for d := int32(1); len(frontier) > 0; d++ {
-			if !bottomUp {
-				var fe int64
-				for _, u := range frontier {
-					fe += int64(g.OutDegree(u))
-				}
-				if fe > unexplored/alphaDiv {
-					bottomUp = true
-				}
-				unexplored -= fe
-			} else if len(frontier) < n/betaDiv {
-				bottomUp = false
+		if !bottomUp {
+			var fe int64
+			for _, u := range frontier {
+				fe += int64(g.OutDegree(u))
 			}
-			if bottomUp {
-				// Bottom-up: owned writes, no atomics needed for σ.
-				par.ForWorker(n, p, 0, func(w, vi int) {
-					v := graph.V(vi)
-					if dist[v] >= 0 {
-						return
-					}
-					var sg float64
-					for _, u := range g.In(v) {
-						// Atomic: u may be claimed at level d concurrently;
-						// the claimed value never equals d-1 so only the
-						// synchronization matters, not the logic.
-						if atomic.LoadInt32(&dist[u]) == d-1 {
-							sg += sigma[u]
-						}
-					}
-					if sg > 0 {
-						atomic.StoreInt32(&dist[v], d)
-						sigma[v] = sg
-						visited.TrySet(vi)
-						bag.Add(w, v)
-					}
-				})
-			} else {
-				par.ForWorker(len(frontier), p, 0, func(w, i int) {
-					u := frontier[i]
-					for _, v := range g.Out(u) {
-						if visited.TrySet(int(v)) {
-							atomic.StoreInt32(&dist[v], d)
-							bag.Add(w, v)
-							atomicAddFloat64(&sigma[v], sigma[u])
-							continue
-						}
-						if dv := atomic.LoadInt32(&dist[v]); dv == d || dv < 0 {
-							atomicAddFloat64(&sigma[v], sigma[u])
-						}
-					}
-				})
-			}
-			next := bag.Drain(nil)
-			lv.push(int(d), next...)
-			frontier = lv.level(int(d))
+			bottomUp = fe > unexplored/alphaDiv
+			unexplored -= fe
+		} else if len(frontier) < n/betaDiv {
+			bottomUp = false
 		}
-		backwardSuccs(g, s, p, dist, sigma, delta, lv, bc)
-	}
-	return bc
+		if !bottomUp {
+			return sw.push(d, frontier, nil)
+		}
+		// Bottom-up: owned σ writes.
+		par.ForWorker(n, sw.p, 0, func(w, vi int) {
+			v := graph.V(vi)
+			if dist[v] >= 0 {
+				return
+			}
+			var sg float64
+			for _, u := range g.In(v) {
+				// Atomic: u may be claimed at level d concurrently, which
+				// matters for the synchronization only, never the logic.
+				if atomic.LoadInt32(&dist[u]) == d-1 {
+					sg += sigma[u]
+				}
+			}
+			if sg > 0 {
+				atomic.StoreInt32(&dist[v], d)
+				sigma[v] = sg
+				visited.TrySet(vi)
+				bag.Add(w, v)
+			}
+		})
+		return sw.drain()
+	}, sw.backSuccs)
 }

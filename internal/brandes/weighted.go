@@ -2,13 +2,14 @@ package brandes
 
 import (
 	"container/heap"
+	"math"
 
 	"repro/internal/graph"
 	"repro/internal/ws"
 )
 
 // Weighted betweenness centrality via Brandes' original Dijkstra
-// formulation, which Serial runs on a weighted graph. The paper scopes APGRE
+// formulation, which serial runs on a weighted graph. The paper scopes APGRE
 // to unweighted graphs; this engine is the weighted substrate our weighted
 // APGRE extension (internal/core) is verified against. The parallel
 // baselines count hops.
@@ -36,8 +37,10 @@ func (q *wpq) Pop() any          { old := *q; n := len(old); it := old[n-1]; *q 
 
 // runSourceDijkstra is runSourceSuccs with Dijkstra in place of BFS, on the
 // sweep's weighted arrays (FDist, Done): it adds source s's dependencies into
-// bc and sparse-resets what it touched. g must be weighted.
-func (st *serialScratch) runSourceDijkstra(g *graph.Graph, s graph.V, bc []float64) {
+// bc, or returns graph.ErrPathCountOverflow when a σ reaches +Inf (tested once
+// per vertex, when it settles), and sparse-resets what it touched. g must be
+// weighted.
+func (st *serialScratch) runSourceDijkstra(g *graph.Graph, s graph.V, bc []float64) (err error) {
 	dist, rec, done := st.sw.FDist, st.sw.Rec, st.sw.Done
 	order := st.sw.Order[:0]
 	st.pq = st.pq[:0]
@@ -52,6 +55,10 @@ func (st *serialScratch) runSourceDijkstra(g *graph.Graph, s graph.V, bc []float
 		}
 		done[v] = true
 		order = append(order, v)
+		if math.IsInf(rec[v].Sigma, 1) {
+			err = graph.ErrPathCountOverflow
+			break
+		}
 		wts := g.OutWeights(v)
 		for i, w := range g.Out(v) {
 			nd := dist[v] + wts[i]
@@ -67,7 +74,7 @@ func (st *serialScratch) runSourceDijkstra(g *graph.Graph, s graph.V, bc []float
 	}
 	st.sw.Order = order
 	// Backward: successor pull in reverse settled order.
-	for i := len(order) - 1; i >= 0; i-- {
+	for i := len(order) - 1; i >= 0 && err == nil; i-- {
 		v := order[i]
 		var acc float64
 		wts := g.OutWeights(v)
@@ -81,26 +88,16 @@ func (st *serialScratch) runSourceDijkstra(g *graph.Graph, s graph.V, bc []float
 			bc[v] += acc
 		}
 	}
+	// Sparse reset. A break leaves relaxed but unsettled vertices in the
+	// heap: they are reset too.
 	for _, v := range order {
 		dist[v] = -1
 		rec[v] = ws.Record{}
 		done[v] = false
 	}
-}
-
-// weightedSerial is Serial on a weighted graph: one Dijkstra sweep per
-// source (O(n·(m log n)) time).
-func weightedSerial(g *graph.Graph) []float64 {
-	n := g.NumVertices()
-	bc := make([]float64, n)
-	if n == 0 {
-		return bc
+	for _, it := range st.pq {
+		dist[it.v] = -1
+		rec[it.v] = ws.Record{}
 	}
-	st := newSerialScratch(g, false)
-	st.sw.GrowWeighted(n)
-	for s := graph.V(0); int(s) < n; s++ {
-		st.runSourceDijkstra(g, s, bc)
-	}
-	st.release()
-	return bc
+	return err
 }

@@ -120,7 +120,8 @@ type Breakdown struct {
 // Compute runs the full APGRE pipeline on g and returns exact BC scores
 // (directed-sum convention, identical to internal/brandes values). A
 // weighted graph is swept with Dijkstra; either way the scores match
-// brandes.Serial.
+// brandes.Serial. A sweep whose path counts overflow float64 makes it return
+// graph.ErrPathCountOverflow instead.
 func Compute(g *graph.Graph, opt Options) ([]float64, error) {
 	var tm decompose.Timings
 	d, err := decompose.Decompose(g, decompose.Options{
@@ -171,7 +172,10 @@ func ComputeDecomposed(d *decompose.Decomposition, opt Options) ([]float64, erro
 	// parallel drain's canonical partial merge — so degrading is bit-exact,
 	// and faster than paying worker startup plus per-unit partial arrays for
 	// a few milliseconds of sweep work.
-	traversed := drainUnits(units, drainWorkers(d, p), d.G, opt, bc)
+	traversed, overflow := drainUnits(units, drainWorkers(d, p), d.G, opt, bc)
+	if overflow {
+		return nil, graph.ErrPathCountOverflow
+	}
 	if opt.Breakdown != nil {
 		fillBreakdown(opt.Breakdown, d, units, time.Since(start), traversed)
 	}

@@ -122,6 +122,11 @@ type engine struct {
 	// apart and the scalar one is the reference: its roots go one by one.
 	inexact *decompose.Subgraph
 	pq      wheap // Dijkstra heap
+	// overflow: a sweep since it was last cleared met a σ of +Inf
+	// (graph.ErrPathCountOverflow). bfsRoot and dijkstraRoot test each σ once,
+	// when it is final, and finish their root; runRoots starts no further one,
+	// and whoever drains the engine discards the scores and returns the error.
+	overflow bool
 }
 
 // newEngine builds the engine validateEngine approved for a graph.
@@ -175,10 +180,11 @@ func (e *engine) release() {
 // units, Incremental's whole-sub-graph sweeps and RootSweep's pivot groups all
 // come through here and take the rule's kernel for their range; ranges of both
 // mix freely, the kernels share the accumulation buffer and are bit-identical.
+// Once a sweep has set e.overflow it starts no further root.
 func (e *engine) runRoots(sg *decompose.Subgraph, roots []int32, directed bool) {
 	if e.weighted {
-		for _, s := range roots {
-			e.dijkstraRoot(sg, s, directed)
+		for i := 0; i < len(roots) && !e.overflow; i++ {
+			e.dijkstraRoot(sg, roots[i], directed)
 		}
 		return
 	}
@@ -197,8 +203,8 @@ func (e *engine) runRoots(sg *decompose.Subgraph, roots []int32, directed bool) 
 	if len(roots) > 0 { // only bfsRoot keeps a tape: a unit the lanes took whole reserves none
 		e.ws.GrowTape(int(sg.NumArcs()), len(sg.Roots))
 	}
-	for _, s := range roots {
-		e.bfsRoot(sg, s, directed)
+	for i := 0; i < len(roots) && !e.overflow; i++ {
+		e.bfsRoot(sg, roots[i], directed)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/brandes"
@@ -184,12 +185,19 @@ func lanesForFuzz(t *testing.T) RootEngine {
 // estimator at a pivot budget of every vertex is held to the scalar kernel at
 // one worker bit for bit, which is approx's TestExactBudgetBitMatch claim.
 //
+// Past float64's path counts nothing is compared but the refusal: when serial
+// Brandes returns graph.ErrPathCountOverflow, Compute, the scalar kernel, a
+// budgeted run and the estimator must too, and Compute may return it on no
+// other graph.
+//
 // Encoding: n = 2 + nb%47 vertices; edges is byte pairs (u, v) taken mod n,
 // self-loops dropped; threshold 1 + th%8; flags bit 0 directed, bit 1
 // DisableGamma, bit 2 a second worker, bit 3 the lane kernel for every
 // unweighted sweep (lanesForFuzz), bit 4 integer weights in [1, 4]
 // (gen.WithRandomWeights, seeded by th), bit 5 a RootBudget of 1 + th/8, bit 6
-// on unweighted graphs approx.Estimate with Pivots = n (seeded by th).
+// on unweighted graphs approx.Estimate with Pivots = n (seeded by th), bit 7 on
+// unweighted graphs a second component beside those n vertices: the ladder of
+// overflow_test.go, 1,024 + th%77 layers long, whose σ reach +Inf.
 func FuzzComputeMatchesBrandes(f *testing.F) {
 	oldMin, oldDeg, oldCut := hybridMinVerts, hybridMinDegree, dynamicSerialCutoff
 	hybridMinVerts, hybridMinDegree, dynamicSerialCutoff = 2, 0, 0
@@ -223,11 +231,22 @@ func FuzzComputeMatchesBrandes(f *testing.F) {
 			f.Add(byte(c.n-2), flags|64, byte(2), edges)
 		}
 	}
+	for _, flags := range []byte{0, 1 | 32, 2 | 4 | 8 | 64} {
+		f.Add(byte(5), flags|128, byte(2), fuzzEdges(gen.Path(7)))
+	}
 	f.Fuzz(func(t *testing.T, nb, flags, th byte, edges []byte) {
 		n := 2 + int(nb)%47
 		directed, disableGamma, workers := flags&1 != 0, flags&2 != 0, 1+int(flags>>2&1)
 		weighted, budgeted := flags&16 != 0, flags&32 != 0
-		g := graph.NewFromEdges(n, fuzzGraphEdges(edges, n, 6*n), directed)
+		es, nv := fuzzGraphEdges(edges, n, 6*n), n
+		if flags&128 != 0 && !weighted {
+			layers := 1024 + int(th)%77
+			for _, e := range ladder(layers, false) {
+				es = append(es, graph.Edge{From: e.From + graph.V(n), To: e.To + graph.V(n)})
+			}
+			nv += 2*layers + 2
+		}
+		g := graph.NewFromEdges(nv, es, directed)
 		if weighted {
 			g = gen.WithRandomWeights(g, 4, int64(th))
 		}
@@ -238,8 +257,13 @@ func FuzzComputeMatchesBrandes(f *testing.F) {
 		var full Breakdown
 		opt.Breakdown = &full
 		got, err := Compute(g, opt)
-		if err != nil {
-			t.Fatal(err)
+		want, werr := serialOracle(g)
+		if errors.Is(werr, graph.ErrPathCountOverflow) {
+			refusesOverflow(t, g, opt, err, budgeted, flags&64 != 0 && !weighted, int64(th))
+			return
+		}
+		if err != nil || werr != nil {
+			t.Fatal(err, werr)
 		}
 		opt.Breakdown = nil
 		bcBitsEqual(t, "Compute vs the scalar kernel", computeScalar(t, g, opt), got)
@@ -255,12 +279,12 @@ func FuzzComputeMatchesBrandes(f *testing.F) {
 			}
 		}
 		if weighted {
-			if i, ok := bcClose(brandes.Serial(g), got, 1e-9); !ok {
+			if i, ok := bcClose(want, got, 1e-9); !ok {
 				t.Fatalf("Compute differs from weighted Brandes at vertex %d: %v", i, got[i])
 			}
 			return
 		}
-		if i, ok := bcClose(brandes.Serial(g), got, 1e-9); !ok {
+		if i, ok := bcClose(want, got, 1e-9); !ok {
 			t.Fatalf("Compute differs from Brandes at vertex %d: %v", i, got[i])
 		}
 		if flags&64 != 0 {
@@ -284,4 +308,42 @@ func FuzzComputeMatchesBrandes(f *testing.F) {
 			bcBitsEqual(t, "Compute vs rule", got, rule)
 		}
 	})
+}
+
+// serialOracle is brandes' serial Brandes with its error: the overflow it
+// reports, instead of panicking as brandes.Serial does.
+func serialOracle(g *graph.Graph) ([]float64, error) {
+	for _, b := range brandes.Baselines {
+		if b.Name == "serial" {
+			return b.Run(g, 1)
+		}
+	}
+	panic("brandes.Baselines has no serial")
+}
+
+// refusesOverflow holds every engine the fuzz target runs to the refusal
+// serial Brandes gave g: Compute's err, the scalar kernel, a budgeted run (its
+// prefix of a sub-graph's roots is never empty, and the ladder's first root is
+// an apex, which reaches the other over 2^layers paths) and the estimator at
+// full budget.
+func refusesOverflow(t *testing.T, g *graph.Graph, opt Options, err error, budgeted, estimate bool, th int64) {
+	t.Helper()
+	opt.Breakdown = nil
+	var scalar error
+	scalarOnly(func() {
+		_, scalar = Compute(g, Options{Workers: opt.Workers, Threshold: opt.Threshold, DisableGamma: opt.DisableGamma})
+	})
+	errs := map[string]error{"Compute": err, "the scalar kernel": scalar}
+	if budgeted {
+		opt.RootBudget = 1 + int(th)/8
+		_, errs["a budgeted Compute"] = Compute(g, opt)
+	}
+	if estimate {
+		_, errs["approx at full budget"] = EstimateFullBudget(g, opt.Workers, opt.Threshold, th)
+	}
+	for name, err := range errs {
+		if !errors.Is(err, graph.ErrPathCountOverflow) {
+			t.Fatalf("serial Brandes overflows, %s returned %v", name, err)
+		}
+	}
 }

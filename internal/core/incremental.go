@@ -125,10 +125,6 @@ func (inc *Incremental) BC() []float64 { return inc.Snapshot().BC() }
 // Graph returns the current graph.
 func (inc *Incremental) Graph() *graph.Graph { return inc.cur.Load().g }
 
-// Decomposition returns the current decomposition: decompose.Decompose of the
-// current graph. Callers must treat it as read-only.
-func (inc *Incremental) Decomposition() *decompose.Decomposition { return inc.cur.Load().d }
-
 // FullRebuilds counts the batches with an op whose endpoints shared no
 // sub-graph (for tests and telemetry).
 func (inc *Incremental) FullRebuilds() int { return int(inc.fullRebuilds.Load()) }
@@ -175,7 +171,9 @@ func (inc *Incremental) build(prev *epochState, edges []graph.Edge) (*epochState
 		}
 		c := prev.contribution(sg)
 		if c == nil {
-			c = inc.sweep(sg)
+			if c, err = inc.sweep(sg); err != nil {
+				return nil, err
+			}
 		}
 		next.contrib[si] = c
 		for l, v := range sg.Verts {
@@ -200,10 +198,10 @@ func (e *epochState) contribution(sg *decompose.Subgraph) []float64 {
 	return nil
 }
 
-// sweep computes sub-graph sg's contribution. The sweep scratch is pooled; the
-// result is a private copy (epochs share contributions, so workspace memory
-// must never leak into one).
-func (inc *Incremental) sweep(sg *decompose.Subgraph) []float64 {
+// sweep computes sub-graph sg's contribution, or graph.ErrPathCountOverflow.
+// The sweep scratch is pooled; the result is a private copy (epochs share
+// contributions, so workspace memory must never leak into one).
+func (inc *Incremental) sweep(sg *decompose.Subgraph) ([]float64, error) {
 	n := sg.NumVerts()
 	e := newEngine(false, inc.opt)
 	e.ensure(sg)
@@ -212,7 +210,10 @@ func (inc *Incremental) sweep(sg *decompose.Subgraph) []float64 {
 	copy(fresh, e.ws.BC[:n])
 	clear(e.ws.BC[:n])
 	e.release()
-	return fresh
+	if e.overflow {
+		return nil, graph.ErrPathCountOverflow
+	}
+	return fresh, nil
 }
 
 // commonSubgraph returns the sub-graph index containing both endpoints, or
@@ -272,7 +273,8 @@ func (inc *Incremental) applyOne(op EdgeOp) error {
 // removal — judged against the graph state with the batch's earlier ops
 // staged in) are skipped and reported per-index in the first return value;
 // the remaining ops all apply. The second return value is a batch-level
-// failure (decomposition error), after which no epoch was published.
+// failure (a decomposition error, or graph.ErrPathCountOverflow when the next
+// epoch's path counts overflow float64), after which no epoch was published.
 func (inc *Incremental) ApplyBatch(ops []EdgeOp) ([]error, error) {
 	errs := make([]error, len(ops))
 	inc.mu.Lock()

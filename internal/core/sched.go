@@ -126,8 +126,9 @@ func buildUnits(d *decompose.Decomposition, p int, chunking, forced bool, budget
 
 // drainUnits runs every unit and merges results into bc deterministically
 // (see the comment at the top of this file) with one engine per worker;
-// returns the total traversed-arc count.
-func drainUnits(units []workUnit, p int, g *graph.Graph, opt Options, bc []float64) int64 {
+// returns the total traversed-arc count, and whether a sweep overflowed σ
+// (bc is then meaningless).
+func drainUnits(units []workUnit, p int, g *graph.Graph, opt Options, bc []float64) (int64, bool) {
 	weighted, directed := g.Weighted(), g.Directed()
 	// runUnit sweeps u's roots and hands back the engine's accumulation
 	// buffer for the caller to flush or copy, then zero.
@@ -149,7 +150,7 @@ func drainUnits(units []workUnit, p int, g *graph.Graph, opt Options, bc []float
 			}
 		}
 		e.release()
-		return e.traversed
+		return e.traversed, e.overflow
 	}
 	// Drain order: descending cost, ties broken by canonical order so the
 	// queue itself is deterministic.
@@ -188,13 +189,15 @@ func drainUnits(units []workUnit, p int, g *graph.Graph, opt Options, bc []float
 		units[i].partial = nil
 	}
 	var traversed int64
+	overflow := false
 	for _, e := range engines {
 		if e != nil {
 			traversed += e.traversed
+			overflow = overflow || e.overflow
 			e.release()
 		}
 	}
-	return traversed
+	return traversed, overflow
 }
 
 // flushLocal adds a sub-graph's local BC scores into the global array

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/bits"
 
 	"repro/internal/decompose"
@@ -175,6 +176,10 @@ func (rt *rootTerms) settle(v int32, i2i, i2o, o2o float64) {
 // successors' terms in exactly the order its pull would add them — the same
 // float64 operations on the same operands, bit for bit. The deepest level has
 // no successors and scans nothing in either mode.
+//
+// Each σ is tested once, when its vertex is in the frontier and its σ final —
+// as it is read for a top-down expansion, or in a scan of the frontier that
+// starts a bottom-up level — and one of +Inf sets e.overflow.
 func (e *engine) bfsRoot(sg *decompose.Subgraph, s int32, directed bool) {
 	dist, rec := e.ws.Dist, e.ws.Rec
 	visited := e.ws.Visited
@@ -226,6 +231,11 @@ func (e *engine) bfsRoot(sg *decompose.Subgraph, s int32, directed bool) {
 			for _, v := range order[marked:hi] {
 				visited.Set(int(v))
 			}
+			for _, u := range order[lo:hi] {
+				if math.IsInf(rec[u].Sigma, 1) {
+					e.overflow = true
+				}
+			}
 			marked = hi
 			for wi := 0; wi<<6 < n; wi++ {
 				// Unvisited vertices of the swept graph: a folded vertex has no
@@ -257,6 +267,9 @@ func (e *engine) bfsRoot(sg *decompose.Subgraph, s int32, directed bool) {
 				u := order[i]
 				pos[i] = tp
 				su := rec[u].Sigma
+				if math.IsInf(su, 1) {
+					e.overflow = true
+				}
 				for _, w := range sg.Out(u) {
 					if dw := dist[w]; dw < 0 {
 						dist[w] = d

@@ -1,6 +1,9 @@
 package core
 
-import "repro/internal/decompose"
+import (
+	"repro/internal/decompose"
+	"repro/internal/graph"
+)
 
 // RootSweep exposes the unweighted four-dependency engine (state.go) to
 // samplers outside this package — internal/approx's per-sub-graph pivot
@@ -30,10 +33,17 @@ type RootSweep struct {
 // (engine.runRoots: a lane word at a time or one by one, each sweep with its
 // per-level direction choices) — all bit-neutral, so however a caller groups
 // its roots into calls, the result is that of sweeping them one after another
-// and the bit-for-bit replay guarantee holds.
-func (rs *RootSweep) Run(sg *decompose.Subgraph, roots []int32, directed bool) {
+// and the bit-for-bit replay guarantee holds. A root whose path counts
+// overflow float64 makes Run return graph.ErrPathCountOverflow, and the
+// scores it accumulated are meaningless.
+func (rs *RootSweep) Run(sg *decompose.Subgraph, roots []int32, directed bool) error {
 	rs.e.ensure(sg)
+	rs.e.overflow = false
 	rs.e.runRoots(sg, roots, directed)
+	if rs.e.overflow {
+		return graph.ErrPathCountOverflow
+	}
+	return nil
 }
 
 // Collect adds the accumulated local scores for the first len(dst) local

@@ -2,6 +2,7 @@ package core
 
 import (
 	"container/heap"
+	"math"
 
 	"repro/internal/decompose"
 )
@@ -57,6 +58,9 @@ func (e *engine) dijkstraRoot(sg *decompose.Subgraph, s int32, directed bool) {
 		}
 		done[v] = true
 		order = append(order, v)
+		if math.IsInf(rec[v].Sigma, 1) { // settled: every path into v is counted
+			e.overflow = true
+		}
 		out := sg.Out(v)
 		wts := sg.OutWeights(v)
 		e.traversed += int64(len(out))

@@ -9,6 +9,7 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -18,6 +19,14 @@ import (
 // for cache efficiency, matching the scale of the paper's inputs (<= a few
 // million vertices).
 type V = int32
+
+// ErrPathCountOverflow is what every betweenness engine returns, instead of
+// scores, when a shortest-path count σ reaches +Inf: some vertex is reached
+// over more than ~1.8·10³⁰⁸ shortest paths from one source, and every score
+// that divides by its σ would be wrong (σ/+Inf reads 0, +Inf/+Inf NaN). An
+// inexact σ, past 2⁵³, is not an error: it rounds the scores, it does not
+// corrupt them.
+var ErrPathCountOverflow = errors.New("shortest-path count overflows float64")
 
 // Edge is a single (From, To) pair in an edge list.
 type Edge struct {

@@ -2,6 +2,7 @@ package graphio
 
 import (
 	"bytes"
+	"math"
 	"runtime"
 	"testing"
 )
@@ -27,19 +28,26 @@ func TestLoadSizedAllocatesOnlyTheGraph(t *testing.T) {
 			want += 8 * n
 		}
 
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		got, _, err := Load(path, "", false, false)
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
+		// TotalAlloc is process-wide: a runtime or test-harness goroutine
+		// allocating during one Load reads as the Load's, so the bound holds
+		// the least of five GC-then-Load measurements.
+		least := uint64(math.MaxUint64)
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			got, _, err := Load(path, "", false, false)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameCSR(g, got) {
+				t.Fatalf("%s: loaded graph differs from source", name)
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
 		}
-		if !sameCSR(g, got) {
-			t.Fatalf("%s: loaded graph differs from source", name)
-		}
-		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > want+4<<10 {
-			t.Errorf("%s: Load allocated %d bytes, over the graph's %d + 4 KiB", name, alloc, want)
+		if least > want+4<<10 {
+			t.Errorf("%s: Load allocated %d bytes, over the graph's %d + 4 KiB", name, least, want)
 		}
 	}
 }

@@ -18,25 +18,19 @@ import (
 // engine stack — graph.NewFromCSR never writes to the adopted arrays, and the
 // lazily built transpose is a fresh allocation.
 //
-// Close unmaps the file. After Close, a ZeroCopy graph's adjacency is gone —
-// the caller owns the ordering, exactly like the internal/ws epoch contract:
-// retire the graph from every workspace before closing. Close on a fallback
-// load is a no-op.
+// The mapping lives as long as the process: a ZeroCopy graph's adjacency is
+// the mapping, and any later sweep over the graph would fault once it was
+// gone. Only one-shot programs map (cmd/bc, the benchmark), so nothing is
+// lost by not unmapping early.
 type Mapped struct {
 	*graph.Graph
 	ZeroCopy bool
-	data     []byte
 }
 
-// Close releases the mapping, if any. Safe to call twice.
-func (m *Mapped) Close() error {
-	if m.data == nil {
-		return nil
-	}
-	d := m.data
-	m.data = nil
-	return munmapBytes(d)
-}
+// Close is a no-op, kept so callers can treat a Mapped like any other
+// resource: the mapping is released when the process exits. Safe to call
+// any number of times.
+func (m *Mapped) Close() error { return nil }
 
 // MmapGraph opens a binary CSR file (WriteBinary format) as a read-only
 // graph, memory-mapping the adjacency when the platform and the file allow
@@ -106,8 +100,8 @@ func MmapGraph(path string) (*Mapped, error) {
 		g, err = graph.NewFromCSR(int(n), offs, adj, flags&1 != 0)
 	}
 	if err != nil {
-		munmapBytes(data)
+		munmapBytes(data) // no graph points into the mapping
 		return nil, err
 	}
-	return &Mapped{Graph: g, ZeroCopy: true, data: data}, nil
+	return &Mapped{Graph: g, ZeroCopy: true}, nil
 }

@@ -139,12 +139,3 @@ func (b *Bag[T]) Drain(dst []T) []T {
 	}
 	return dst
 }
-
-// Size returns the total number of buffered values.
-func (b *Bag[T]) Size() int {
-	s := 0
-	for _, p := range b.parts {
-		s += len(p)
-	}
-	return s
-}

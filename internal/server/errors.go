@@ -46,19 +46,23 @@ func (e *DurabilityError) Error() string {
 
 func (e *DurabilityError) Unwrap() error { return e.Err }
 
-// NotReadyError reports an operation against an entry that is not serving.
+// NotReadyError reports an operation against an entry that is not serving;
+// Cause is why its build failed, if it did (errors.Is sees through it, to
+// graph.ErrPathCountOverflow for one).
 type NotReadyError struct {
 	Name  string
 	State State
-	Cause string
+	Cause error
 }
 
 func (e *NotReadyError) Error() string {
-	if e.Cause != "" {
-		return fmt.Sprintf("server: graph %q is %s: %s", e.Name, e.State, e.Cause)
+	if e.Cause != nil {
+		return fmt.Sprintf("server: graph %q is %s: %v", e.Name, e.State, e.Cause)
 	}
 	return fmt.Sprintf("server: graph %q is %s", e.Name, e.State)
 }
+
+func (e *NotReadyError) Unwrap() error { return e.Cause }
 
 // VertexRangeError reports a vertex id outside [0, N).
 type VertexRangeError struct{ Vertex, N int }

@@ -129,7 +129,7 @@ func (e *Entry) fail(m *Metrics, status string, err error) {
 	}
 	e.mu.Lock()
 	e.state = state
-	e.err = err.Error()
+	e.err = err
 	e.mu.Unlock()
 	m.loads.With(status).Inc()
 }

@@ -51,8 +51,10 @@ func (e *Entry) Info() EntryInfo {
 	info := EntryInfo{
 		Name:      e.name,
 		State:     e.state,
-		Error:     e.err,
 		Threshold: e.threshold,
+	}
+	if e.err != nil {
+		info.Error = e.err.Error()
 	}
 	inc := e.inc
 	if inc != nil {
@@ -94,15 +96,6 @@ func (e *Entry) ready() (*core.Incremental, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.readyLocked()
-}
-
-// BC returns a copy of the current scores.
-func (e *Entry) BC() ([]float64, error) {
-	inc, err := e.ready()
-	if err != nil {
-		return nil, err
-	}
-	return inc.Snapshot().BC(), nil
 }
 
 // BCView returns the current epoch's score vector without copying. The

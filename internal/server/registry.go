@@ -94,7 +94,7 @@ type Entry struct {
 
 	mu        sync.RWMutex
 	state     State
-	err       string
+	err       error // why the build failed (StateFailed, StateAborted)
 	inc       *core.Incremental
 	threshold int
 	loadedAt  time.Time

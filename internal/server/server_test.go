@@ -819,3 +819,42 @@ func TestDirectedServing(t *testing.T) {
 		}
 	}
 }
+
+// TestOverflowLoadFails: a graph whose shortest-path counts overflow float64
+// (a width-2 complete-bipartite ladder of 1,100 layers between two apexes) is
+// never served. Its load fails with graph.ErrPathCountOverflow as the cause,
+// and every read of its scores answers 422, the failed state's status, not
+// 500.
+func TestOverflowLoadFails(t *testing.T) {
+	ts, reg := newTestServer(t)
+	const layers = 1100
+	far := int32(2*layers + 1)
+	edges := [][2]int32{{0, 1}, {0, 2}, {far - 2, far}, {far - 1, far}}
+	for j := int32(0); j < layers-1; j++ {
+		for _, a := range []int32{1 + 2*j, 2 + 2*j} {
+			edges = append(edges, [2]int32{a, 3 + 2*j}, [2]int32{a, 4 + 2*j})
+		}
+	}
+	if code := do(t, "POST", ts.URL+"/v1/graphs", LoadSpec{Name: "ladder", N: int(far) + 1, Edges: edges}, nil); code != http.StatusAccepted {
+		t.Fatalf("load returned %d, want 202", code)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	var info EntryInfo
+	for do(t, "GET", ts.URL+"/v1/graphs/ladder", nil, &info); info.State == StateLoading; do(t, "GET", ts.URL+"/v1/graphs/ladder", nil, &info) {
+		if time.Now().After(deadline) {
+			t.Fatal("ladder load still loading after 30s")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if info.State != StateFailed {
+		t.Fatalf("ladder load: state %s, want %s", info.State, StateFailed)
+	}
+	if _, err := reg.Get("ladder").ready(); !errors.Is(err, graph.ErrPathCountOverflow) {
+		t.Fatalf("ladder entry: %v, want ErrPathCountOverflow as the cause", err)
+	}
+	for _, path := range []string{"/bc", "/bc?top=3", "/bc?mode=approx&pivots=16", "/vertices/0", "/stats"} {
+		if code := do(t, "GET", ts.URL+"/v1/graphs/ladder"+path, nil, nil); code != http.StatusUnprocessableEntity {
+			t.Errorf("GET %s of the failed load: %d, want 422", path, code)
+		}
+	}
+}

@@ -103,11 +103,22 @@ const (
 	AlgoHybrid       Algorithm = "hybrid"       // Ligra/direction-optimizing [25][33]
 )
 
-// Algorithms lists every algorithm name accepted by Options.Algorithm.
+// Algorithms lists every algorithm name accepted by Options.Algorithm: APGRE
+// and the baselines of internal/brandes' table, in its order.
 func Algorithms() []Algorithm {
-	return []Algorithm{AlgoAPGRE, AlgoSerial, AlgoPreds, AlgoSuccs,
-		AlgoLockSyncFree, AlgoAsync, AlgoHybrid}
+	algos := []Algorithm{AlgoAPGRE}
+	for _, b := range brandes.Baselines {
+		algos = append(algos, Algorithm(b.Name))
+	}
+	return algos
 }
+
+// ErrPathCountOverflow is what BetweennessCentrality returns, for every
+// algorithm, and what ApproximateBC and NewIncrementalBC return, instead of
+// scores on a graph where some source reaches some vertex over more shortest
+// paths than float64 can count (σ = +Inf, past ~1.8·10³⁰⁸). Check it with
+// errors.Is.
+var ErrPathCountOverflow = graph.ErrPathCountOverflow
 
 // Options configures BetweennessCentrality.
 type Options struct {
@@ -131,38 +142,23 @@ type Options struct {
 // AlgoAPGRE sweeps it with Dijkstra over the same decomposition — our
 // extension of the paper beyond its unweighted scope — and AlgoSerial is the
 // textbook Dijkstra-Brandes reference. The five parallel baselines count
-// hops, so on a weighted graph they return an error.
+// hops, so on a weighted graph they return an error. A graph whose path
+// counts overflow float64 is ErrPathCountOverflow, whatever the algorithm.
 func BetweennessCentrality(g *Graph, opt Options) ([]float64, error) {
-	switch opt.Algorithm {
-	case AlgoPreds, AlgoSuccs, AlgoLockSyncFree, AlgoAsync, AlgoHybrid:
-		if g.Weighted() {
-			return nil, fmt.Errorf("repro: algorithm %q counts hops and would ignore the graph's edge weights (use %q or %q)",
-				opt.Algorithm, AlgoAPGRE, AlgoSerial)
-		}
-	}
-	switch opt.Algorithm {
-	case AlgoAPGRE, "":
+	if opt.Algorithm == AlgoAPGRE || opt.Algorithm == "" {
 		return core.Compute(g, core.Options{
 			Workers:      opt.Workers,
 			Threshold:    opt.Threshold,
 			DisableGamma: opt.DisableGamma,
 			Breakdown:    opt.Breakdown,
 		})
-	case AlgoSerial:
-		return brandes.Serial(g), nil
-	case AlgoPreds:
-		return brandes.Preds(g, opt.Workers), nil
-	case AlgoSuccs:
-		return brandes.Succs(g, opt.Workers), nil
-	case AlgoLockSyncFree:
-		return brandes.LockSyncFree(g, opt.Workers), nil
-	case AlgoAsync:
-		return brandes.Async(g, opt.Workers)
-	case AlgoHybrid:
-		return brandes.Hybrid(g, opt.Workers), nil
-	default:
-		return nil, fmt.Errorf("repro: unknown algorithm %q", opt.Algorithm)
 	}
+	for _, b := range brandes.Baselines {
+		if b.Name == string(opt.Algorithm) {
+			return b.Run(g, opt.Workers)
+		}
+	}
+	return nil, fmt.Errorf("repro: unknown algorithm %q", opt.Algorithm)
 }
 
 // ApproxOptions configures ApproximateBC (internal/approx).

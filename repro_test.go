@@ -1,8 +1,10 @@
 package repro
 
 import (
+	"errors"
 	"math"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -14,6 +16,10 @@ func TestFacadeAlgorithmsAgree(t *testing.T) {
 	want, err := BetweennessCentrality(g, Options{Algorithm: AlgoSerial})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The names come from brandes' table; the constants must spell them.
+	if want := []Algorithm{AlgoAPGRE, AlgoSerial, AlgoPreds, AlgoSuccs, AlgoLockSyncFree, AlgoAsync, AlgoHybrid}; !slices.Equal(Algorithms(), want) {
+		t.Fatalf("Algorithms() = %v, want the constants %v", Algorithms(), want)
 	}
 	for _, algo := range Algorithms() {
 		got, err := BetweennessCentrality(g, Options{Algorithm: algo, Workers: 2})
@@ -315,5 +321,50 @@ func TestNewFacadeExtensions(t *testing.T) {
 	}
 	if len(inc.BC()) != 150 {
 		t.Fatal("incremental BC length")
+	}
+}
+
+// pathCountLadder is a width-2 complete-bipartite ladder of the given number
+// of layers between two apexes: vertex 0, joined to both vertices of layer 0,
+// and vertex 2·layers+1, joined to both of the last layer. From either apex
+// the other is reached over 2^layers shortest paths, +Inf in float64 from
+// 1,024 layers on.
+func pathCountLadder(layers int) *Graph {
+	far := V(2*layers + 1)
+	edges := []Edge{{From: 0, To: 1}, {From: 0, To: 2}, {From: far - 2, To: far}, {From: far - 1, To: far}}
+	for j := V(0); j < V(layers-1); j++ {
+		for _, a := range []V{1 + 2*j, 2 + 2*j} {
+			edges = append(edges, Edge{From: a, To: 3 + 2*j}, Edge{From: a, To: 4 + 2*j})
+		}
+	}
+	return NewGraph(int(far)+1, edges, false)
+}
+
+// TestPathCountOverflowIsAnError: once a shortest-path count passes float64,
+// every algorithm — on the weighted copy too, where APGRE and serial sweep
+// with Dijkstra — and the incremental and approximate entry points return
+// ErrPathCountOverflow instead of scores. At 1,024 layers only the apexes'
+// σ from each other is +Inf and the scores would be finite but wrong (a
+// layer-0 vertex 2046.5 for 2047); at 1,100 most would be NaN or ±Inf.
+func TestPathCountOverflowIsAnError(t *testing.T) {
+	for _, layers := range []int{1024, 1100} {
+		g := pathCountLadder(layers)
+		wg := AttachRandomWeights(g, 1, 1) // every weight 1: the same shortest paths
+		for _, algo := range Algorithms() {
+			if _, err := BetweennessCentrality(g, Options{Algorithm: algo, Workers: 2}); !errors.Is(err, ErrPathCountOverflow) {
+				t.Errorf("%d layers: %s returned %v, want ErrPathCountOverflow", layers, algo, err)
+			}
+		}
+		for _, algo := range []Algorithm{AlgoAPGRE, AlgoSerial} {
+			if _, err := BetweennessCentrality(wg, Options{Algorithm: algo, Workers: 2}); !errors.Is(err, ErrPathCountOverflow) {
+				t.Errorf("%d layers, weighted: %s returned %v, want ErrPathCountOverflow", layers, algo, err)
+			}
+		}
+		if _, err := NewIncrementalBC(g, Options{}); !errors.Is(err, ErrPathCountOverflow) {
+			t.Errorf("%d layers: NewIncrementalBC returned %v, want ErrPathCountOverflow", layers, err)
+		}
+		if _, err := ApproximateBC(g, ApproxOptions{Pivots: g.NumVertices(), Seed: 1}); !errors.Is(err, ErrPathCountOverflow) {
+			t.Errorf("%d layers: ApproximateBC returned %v, want ErrPathCountOverflow", layers, err)
+		}
 	}
 }

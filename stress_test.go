@@ -8,7 +8,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/brandes"
 	"repro/internal/closeness"
 	"repro/internal/core"
 	"repro/internal/decompose"
@@ -40,7 +39,10 @@ func TestStressLargeSocial(t *testing.T) {
 		}
 	}
 	// Full comparison against succs (cheaper constant than preds-serial).
-	want := brandes.Succs(g, 0)
+	want, err := BetweennessCentrality(g, Options{Algorithm: AlgoSuccs})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for v := range want {
 		if math.Abs(want[v]-bc[v]) > 1e-6*math.Max(1, want[v]) {
 			t.Fatalf("stress mismatch at %d: %v vs %v", v, want[v], bc[v])
