@@ -77,7 +77,9 @@
 #      the root test files checks its // Output:, and the exports only tests
 #      called stay in test files; one table runs the paper's baselines: no
 #      non-test code outside internal/brandes calls one by name, and the
-#      atomicAddFloat64 wrapper over par.AddFloat64 stays gone
+#      atomicAddFloat64 wrapper over par.AddFloat64 stays gone; bcd has no
+#      sampling mode (no mode=approx, ApproxBC, estimatorFor or FloatGauge in
+#      non-test code, no NewEstimator outside internal/approx)
 #  10. durability smoke: race-built bcd is killed with SIGKILL mid-life and
 #      must recover its graph from snapshot+WAL with bit-exact top-K
 #  11. bcd's model test, concurrent phase, under -race (30 s box): readers
@@ -236,9 +238,10 @@ run_named 'TestRegistryRejectsHostileInlineN|TestRunBuildRecoversPanic|TestHosti
 # The registry owns one metrics bundle and its code paths increment it: every
 # event (overloads, batches, top-K hits and misses, WAL appends, compactions,
 # Recover, a queued load canceled by Close) reaches /metrics at its exact
-# count. A bc query that names pivots or eps where they would be ignored is a
-# 400, not a silently exact answer.
-run_named 'TestMetricsCountEveryRegistryEvent|TestMetricsEndpoint|TestApproxBadParams' \
+# count. bc serves the exact scores bcd maintains: a query that names mode,
+# pivots or eps is a 400 naming that contract, not an option accepted and
+# ignored.
+run_named 'TestMetricsCountEveryRegistryEvent|TestMetricsEndpoint|TestBCServesExactOnly' \
     -race -count=1 ./internal/server
 
 echo "==> alloc gates: warm sweeps and the top-K serving path allocate zero"
@@ -298,8 +301,8 @@ echo "==> docs gates: DESIGN.md + EXPERIMENTS.md line cap, count-only tables cur
 # The two documents state the current design; history lives in CHANGES.md and
 # git. Raising the cap is an explicit edit, noted in CHANGES.md.
 doc_lines=$(cat DESIGN.md EXPERIMENTS.md | wc -l)
-if [ "$doc_lines" -gt 1885 ]; then
-    echo "ci.sh: DESIGN.md + EXPERIMENTS.md are $doc_lines lines, over the 1885-line cap" >&2
+if [ "$doc_lines" -gt 1884 ]; then
+    echo "ci.sh: DESIGN.md + EXPERIMENTS.md are $doc_lines lines, over the 1884-line cap" >&2
     exit 1
 fi
 # Tables 1 and 4 and Figures 2 and 7 hold counts only, so EXPERIMENTS.md
@@ -346,12 +349,13 @@ run_named 'TestAsyncMatchesSerialSuccs|TestAsyncRejectsDirected' \
 # algorithm of the facade and its incremental and approximate entry points,
 # each baseline of brandes' table (which also refuse a weighted graph
 # themselves), every core kernel and direction mode, an ApplyBatch that would
-# overflow (no epoch published) and a bcd load (failed, never served, no read
-# answering 500).
+# overflow (no epoch published), a bcd load (failed, never served, no read
+# answering 500) and a bcd batch that would overflow (truncated back out of the
+# WAL, so a crash recovers the graph as it was).
 run_named 'TestPathCountOverflowIsAnError' -count=1 .
 run_named 'TestBaselinesReportPathCountOverflow|TestBaselinesRejectWeighted' -race -count=1 ./internal/brandes
 run_named 'TestPathCountOverflowEveryKernel|TestApplyBatchOverflowPublishesNothing' -count=1 ./internal/core
-run_named 'TestOverflowLoadFails' -race -count=1 ./internal/server
+run_named 'TestOverflowLoadFails|TestRefusedBatchLeavesTheWAL' -race -count=1 ./internal/server
 go run ./cmd/bcbench -approx -datasets email-enron -scale 0.05
 
 echo "==> scale smoke: generator digests and memory bound; streamed gen -> stream + mmap loads agree bit-for-bit"
@@ -454,6 +458,15 @@ if grep -rnwE 'SampledWith|PivotStrategy|ApproximateBCWith|ApproximateBCDecompos
     exit 1
 fi
 
+# bcd serves the exact scores it maintains and has no sampling mode: its
+# estimator cache, the approx query and the float gauge only that mode used
+# stay gone, and the refinable estimator stays internal to internal/approx.
+if grep -rnE 'mode=approx|\bApproxBC\b|estimatorFor|FloatGauge|NewEstimator' --include='*.go' . |
+    grep -v '_test\.go:' | grep -v '^\./internal/approx/'; then
+    echo "ci.sh: bcd's sampling mode (mode=approx, ApproxBC, estimatorFor), FloatGauge or an exported NewEstimator is back; bcd serves exact scores, sampling is bc -approx" >&2
+    exit 1
+fi
+
 # Nor the second sub-graph build (rows copied under global ids, renamed in
 # place, then stripped of the folded vertices) beside the one swept-CSR writer,
 # nor a second edge-list canonicaliser beside graph.NewFromCSRUnsorted.
@@ -532,9 +545,9 @@ fi
 # Nor may an export that only tests call come back to non-test code: each
 # lives in its package's export_test.go or as a helper in the tests that use it.
 if grep -rnwE 'DegreeHistogram' --include='*.go' . ||
-    grep -rnE 'func \(s \*Sweep\) (CheckClean|Cap)\(|func \(g \*Graph\) (Transpose|UnitWeights)\(|func \(s \*Subgraph\) Folded\(|func \(rs \*RootSweep\) Traversed\(|func SerialSuccs\(|func \(inc \*Incremental\) Decomposition\(|func \(e \*Estimator\) Batches\(|func \(e \*Entry\) BC\(|func \(b \*Bag\[T\]\) Size\(' --include='*.go' . |
+    grep -rnE 'func \(s \*Sweep\) (CheckClean|Cap)\(|func \(g \*Graph\) (Transpose|UnitWeights)\(|func \(s \*Subgraph\) Folded\(|func \(rs \*RootSweep\) Traversed\(|func SerialSuccs\(|func \(inc \*Incremental\) Decomposition\(|func \(e \*Estimator\) Batches\(|func \(e \*Entry\) BC\(|func \(b \*Bag\[T\]\) Size\(|func \(g \*Gauge\) Add\(' --include='*.go' . |
     grep -v '_test\.go:'; then
-    echo "ci.sh: a test-only export (Sweep.CheckClean/Cap, DegreeHistogram, Graph.Transpose/UnitWeights, Subgraph.Folded, RootSweep.Traversed, SerialSuccs, Incremental.Decomposition, Estimator.Batches, Entry.BC, Bag.Size) is back in non-test code" >&2
+    echo "ci.sh: a test-only export (Sweep.CheckClean/Cap, DegreeHistogram, Graph.Transpose/UnitWeights, Subgraph.Folded, RootSweep.Traversed, SerialSuccs, Incremental.Decomposition, Estimator.Batches, Entry.BC, Bag.Size, Gauge.Add) is back in non-test code" >&2
     exit 1
 fi
 # The paper's baselines run through one table, brandes.Baselines: no non-test

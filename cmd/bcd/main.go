@@ -16,9 +16,8 @@
 //	GET    /v1/graphs                      list
 //	GET    /v1/graphs/{name}               status / info
 //	DELETE /v1/graphs/{name}               unload
-//	GET    /v1/graphs/{name}/bc?top=K      top-K BC scores
-//	  ...?mode=approx&pivots=K|eps=E       sampled estimate (headers carry
-//	                                       X-BC-Pivots / X-BC-Error-Estimate)
+//	GET    /v1/graphs/{name}/bc?top=K      top-K BC scores, exact only: kept exact per
+//	                                       edit, no sample beats them (bc -approx samples)
 //	GET    /v1/graphs/{name}/vertices/{v}  one vertex
 //	POST   /v1/graphs/{name}/edges         insert edge
 //	DELETE /v1/graphs/{name}/edges         remove edge

@@ -46,8 +46,8 @@ import (
 
 // Defaults and tuning constants.
 const (
-	// DefaultBatchSize is the pivot count per adaptive refinement batch.
-	DefaultBatchSize = 64
+	// batchSize is the pivot count per adaptive refinement batch.
+	batchSize = 64
 	// z95 is Φ⁻¹(0.975), the two-sided 95 % standard-normal critical value
 	// of the adaptive stopping rule's per-vertex intervals, as Acklam's
 	// inverse-normal approximation gives it in float64.
@@ -64,9 +64,8 @@ const (
 	bootstrapResamples = 64
 )
 
-// Options configures an estimate. Exactly one of Pivots or Eps selects the
-// mode for Estimate; NewEstimator accepts either (the caller drives
-// refinement explicitly).
+// Options configures an estimate. Exactly one of Pivots or Eps selects
+// Estimate's mode.
 type Options struct {
 	// Pivots is the fixed source-sample budget. Budgets >= the vertex count
 	// (or the decomposition's total root count) are served by the exact
@@ -81,8 +80,7 @@ type Options struct {
 	Seed int64
 	// Workers bounds goroutine parallelism; <= 0 means GOMAXPROCS.
 	Workers int
-	// Threshold is the decomposition merge threshold (used by Estimate,
-	// which decomposes; NewEstimator ignores it).
+	// Threshold is the merge threshold Estimate decomposes g with.
 	Threshold int
 }
 
@@ -120,22 +118,22 @@ func Estimate(g *graph.Graph, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	est, err := NewEstimator(d, opt)
+	est, err := newEstimator(d, opt)
 	if err != nil {
 		return nil, err
 	}
-	defer est.Release()
+	defer est.release()
 	switch {
 	case opt.Pivots > 0:
-		est.EnsureBudget(opt.Pivots)
+		est.ensureBudget(opt.Pivots)
 	case opt.Eps > 0:
-		est.EnsureEps(opt.Eps)
+		est.ensureEps(opt.Eps)
 	default:
 		return nil, fmt.Errorf("approx: Options needs Pivots > 0 or Eps > 0")
 	}
 	if est.overflow.Load() {
 		return nil, graph.ErrPathCountOverflow
 	}
-	r := est.Result()
+	r := est.result()
 	return &r, nil
 }

@@ -179,34 +179,34 @@ func TestAdaptiveEps(t *testing.T) {
 	}
 }
 
-// TestEstimatorRefinement drives an Estimator by hand, as bcd does: pivots
+// TestEstimatorRefinement drives an estimator by hand, batch by batch: pivots
 // grow monotonically, the error estimate becomes finite after two batches,
 // and saturation reaches the exact scores.
 func TestEstimatorRefinement(t *testing.T) {
 	g := testGraphs()["caveman"]
 	exact := exactReference(t, g)
-	est, err := NewEstimator(mustDecompose(t, g), Options{Seed: 9})
+	est, err := newEstimator(mustDecompose(t, g), Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := est.Pivots()
-	for i := 0; i < 100 && !est.Exact(); i++ {
-		ran := est.Refine(4)
-		if ran < 0 || est.Pivots() < prev {
-			t.Fatalf("pivot count went backwards: %d -> %d", prev, est.Pivots())
+	prev := est.pivots
+	for i := 0; i < 100 && !est.exact(); i++ {
+		ran := est.refine(4)
+		if ran < 0 || est.pivots < prev {
+			t.Fatalf("pivot count went backwards: %d -> %d", prev, est.pivots)
 		}
-		prev = est.Pivots()
-		if est.Batches() >= 2 && math.IsInf(est.ErrorEstimate(), 1) {
+		prev = est.pivots
+		if len(est.batches) >= 2 && math.IsInf(est.errorEstimate(), 1) {
 			t.Fatal("error estimate still infinite with >= 2 batches")
 		}
 	}
-	if !est.Exact() {
-		t.Fatalf("estimator failed to saturate after %d pivots", est.Pivots())
+	if !est.exact() {
+		t.Fatalf("estimator failed to saturate after %d pivots", est.pivots)
 	}
-	if est.ErrorEstimate() != 0 {
-		t.Fatalf("saturated estimator reports error %g", est.ErrorEstimate())
+	if est.errorEstimate() != 0 {
+		t.Fatalf("saturated estimator reports error %g", est.errorEstimate())
 	}
-	got := est.Estimate()
+	got := est.estimate()
 	for v := range exact {
 		if math.Abs(got[v]-exact[v]) > 1e-9*(1+math.Abs(exact[v])) {
 			t.Fatalf("saturated estimate differs at %d: %v vs %v", v, got[v], exact[v])

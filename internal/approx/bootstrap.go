@@ -5,14 +5,14 @@ import (
 	"math/rand"
 )
 
-// ErrorEstimate bootstraps the stored batch vectors into a per-vertex
+// errorEstimate bootstraps the stored batch vectors into a per-vertex
 // confidence-interval half-width for the mean batch estimate and returns the
 // maximum over vertices on the normalized BC scale (divided by (n−1)(n−2)).
 // It returns 0 once the estimate is exact and +Inf while fewer than two
 // batches exist. Results are cached until the next refinement and are
 // deterministic: the bootstrap RNG is derived from the seed and the pivot
 // count.
-func (e *Estimator) ErrorEstimate() float64 {
+func (e *estimator) errorEstimate() float64 {
 	if len(e.open) == 0 {
 		return 0
 	}

@@ -34,7 +34,7 @@ func laneEligible(sg *decompose.Subgraph, roots int) bool {
 // budgets: the pivot groups it hands to RootSweep.Run — which the kernel rule
 // sends through the lane kernel wherever a group is large enough — must sum to
 // what the scalar kernel gives for the same pivots one at a time, bit for bit,
-// for serial and parallel workers. After the presolve pass and one Refine, a
+// for serial and parallel workers. After the presolve pass and one refine, a
 // sub-graph's sum is exactly one group's contribution.
 func TestEngineBitMatch(t *testing.T) {
 	lanes := 0
@@ -44,11 +44,11 @@ func TestEngineBitMatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 4} {
-			est, err := NewEstimator(d, Options{Seed: 11, Workers: workers})
+			est, err := newEstimator(d, Options{Seed: 11, Workers: workers})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			est.Refine(48)
+			est.refine(48)
 			for si, s := range est.subs {
 				roots := s.sg.Roots // presolved: the exact schedule
 				if s.perm != nil {
@@ -65,7 +65,7 @@ func TestEngineBitMatch(t *testing.T) {
 					}
 				}
 			}
-			est.Release()
+			est.release()
 		}
 	}
 	if lanes == 0 {

@@ -28,9 +28,9 @@ type subSampler struct {
 
 func (s *subSampler) rootCount() int { return len(s.sg.Roots) }
 
-// Estimator is a refinable per-sub-graph pivot sampler. It is not safe for
-// concurrent use; callers (the bcd registry) serialize access externally.
-type Estimator struct {
+// estimator is a refinable per-sub-graph pivot sampler behind Estimate. It is
+// not safe for concurrent use.
+type estimator struct {
 	d        *decompose.Decomposition
 	directed bool
 	n        int     // vertices in the whole graph
@@ -56,15 +56,15 @@ type Estimator struct {
 	overflow atomic.Bool
 }
 
-// NewEstimator prepares sampling state over d (seeded root shuffles) and
+// newEstimator prepares sampling state over d (seeded root shuffles) and
 // presolves every sub-graph with at most presolveRoots roots exactly. No
-// stochastic sampling happens until Refine/EnsureBudget/EnsureEps.
-func NewEstimator(d *decompose.Decomposition, opt Options) (*Estimator, error) {
+// stochastic sampling happens until refine/ensureBudget/ensureEps.
+func newEstimator(d *decompose.Decomposition, opt Options) (*estimator, error) {
 	if d.G.Weighted() {
 		return nil, fmt.Errorf("approx: weighted graphs are not supported")
 	}
 	n := d.G.NumVertices()
-	e := &Estimator{
+	e := &estimator{
 		d:        d,
 		directed: d.G.Directed(),
 		n:        n,
@@ -78,15 +78,15 @@ func NewEstimator(d *decompose.Decomposition, opt Options) (*Estimator, error) {
 	e.rngShuffle(opt.Seed)
 	e.presolved = e.pivots
 	if e.overflow.Load() {
-		e.Release()
+		e.release()
 		return nil, graph.ErrPathCountOverflow
 	}
 	return e, nil
 }
 
 // rngShuffle builds the per-sub-graph samplers with seeded permutations and
-// runs the presolve pass. Split out of NewEstimator only for clarity.
-func (e *Estimator) rngShuffle(seed int64) {
+// runs the presolve pass. Split out of newEstimator only for clarity.
+func (e *estimator) rngShuffle(seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	var presolve []int
 	for i, sg := range e.d.Subgraphs {
@@ -109,7 +109,7 @@ func (e *Estimator) rngShuffle(seed int64) {
 }
 
 // ensureSweeps sizes the per-worker scratch pool.
-func (e *Estimator) ensureSweeps(p int) {
+func (e *estimator) ensureSweeps(p int) {
 	for len(e.sweeps) < p {
 		e.sweeps = append(e.sweeps, &core.RootSweep{})
 	}
@@ -132,7 +132,7 @@ func growZero(dst []float64, n int) []float64 {
 // makes untouched-estimator full-budget runs bit-identical to the exact
 // coarse serial path; partially sampled ones finish their permutation tail
 // (exact values, root order differs, so last-bit rounding may differ).
-func (e *Estimator) runExactSubs(idxs []int) {
+func (e *estimator) runExactSubs(idxs []int) {
 	if len(idxs) == 0 {
 		return
 	}
@@ -170,7 +170,7 @@ func (e *Estimator) runExactSubs(idxs []int) {
 }
 
 // dropDone removes finished sub-graphs from the open list.
-func (e *Estimator) dropDone() {
+func (e *estimator) dropDone() {
 	open := e.open[:0]
 	for _, si := range e.open {
 		if !e.subs[si].done {
@@ -180,12 +180,12 @@ func (e *Estimator) dropDone() {
 	e.open = open
 }
 
-// Refine draws one stochastic batch of roughly `budget` pivots, allocated
+// refine draws one stochastic batch of roughly `budget` pivots, allocated
 // across the open sub-graphs proportionally to sub-graph size with at least
 // one pivot each (every open sub-graph must appear in every batch for the
 // batch vector to be an unbiased estimate of the open part). Returns the
 // number of pivots actually run; 0 means the estimate is already exact.
-func (e *Estimator) Refine(budget int) int {
+func (e *estimator) refine(budget int) int {
 	if len(e.open) == 0 || budget <= 0 {
 		return 0
 	}
@@ -255,7 +255,7 @@ func (e *Estimator) Refine(budget int) int {
 // count. Pair averages are themselves unbiased batch estimates, and the mean
 // over the collapsed set equals the mean over the originals, so the
 // bootstrap's variance-of-the-mean target is preserved.
-func (e *Estimator) collapseBatches() {
+func (e *estimator) collapseBatches() {
 	half := len(e.batches) / 2
 	for j := 0; j < half; j++ {
 		a, b := e.batches[2*j], e.batches[2*j+1]
@@ -268,8 +268,8 @@ func (e *Estimator) collapseBatches() {
 }
 
 // runExact finishes every open sub-graph exactly; afterwards Exact() is true
-// and ErrorEstimate() is 0.
-func (e *Estimator) runExact() {
+// and errorEstimate() is 0.
+func (e *estimator) runExact() {
 	if len(e.open) == 0 {
 		return
 	}
@@ -277,7 +277,7 @@ func (e *Estimator) runExact() {
 	e.batches = nil
 }
 
-// EnsureBudget refines until at least `pivots` stochastic root sweeps have
+// ensureBudget refines until at least `pivots` stochastic root sweeps have
 // run beyond the construction-time presolve pass. Presolve sweeps are not
 // charged against the budget: they cover the many tiny sub-graphs whose
 // sweeps are near-free, and charging them would starve the large sub-graphs
@@ -285,7 +285,7 @@ func (e *Estimator) runExact() {
 // paying for. Budgets covering every root (>= the vertex count or the total
 // root count) switch to the exact schedule. A fresh estimator splits a small
 // budget into two batches so the bootstrap has something to resample.
-func (e *Estimator) EnsureBudget(pivots int) {
+func (e *estimator) ensureBudget(pivots int) {
 	if pivots >= e.n || int64(pivots)+int64(e.presolved) >= e.totalRoots {
 		e.runExact()
 		return
@@ -293,51 +293,46 @@ func (e *Estimator) EnsureBudget(pivots int) {
 	target := e.presolved + pivots
 	for e.pivots < target && len(e.open) > 0 {
 		rem := target - e.pivots
-		b := DefaultBatchSize
+		b := batchSize
 		if len(e.batches) == 0 && rem <= b && rem >= 2 {
 			b = (rem + 1) / 2
 		}
 		if b > rem {
 			b = rem
 		}
-		if e.Refine(b) == 0 {
+		if e.refine(b) == 0 {
 			break
 		}
 	}
 	// The presolve pass may have exhausted the budget on its own, but an
 	// estimate must never silently drop the open sub-graphs (that would be
 	// biased, not just noisy), and one batch cannot bootstrap an error bar.
-	// Top up to two minimal batches: Refine gives every open sub-graph at
+	// Top up to two minimal batches: refine gives every open sub-graph at
 	// least one pivot regardless of the budget passed.
 	for len(e.batches) < 2 && len(e.open) > 0 {
-		if e.Refine(len(e.open)) == 0 {
+		if e.refine(len(e.open)) == 0 {
 			break
 		}
 	}
 }
 
-// EnsureEps refines until the bootstrap error estimate drops to eps (on the
-// normalized BC scale) or every sub-graph saturates. eps <= 0 demands
-// exactness.
-func (e *Estimator) EnsureEps(eps float64) {
-	if eps <= 0 {
-		e.runExact()
-		return
-	}
+// ensureEps refines until the bootstrap error estimate drops to eps > 0 (on
+// the normalized BC scale) or every sub-graph saturates.
+func (e *estimator) ensureEps(eps float64) {
 	for len(e.open) > 0 {
-		if len(e.batches) >= 2 && e.ErrorEstimate() <= eps {
+		if len(e.batches) >= 2 && e.errorEstimate() <= eps {
 			return
 		}
-		if e.Refine(DefaultBatchSize) == 0 {
+		if e.refine(batchSize) == 0 {
 			break
 		}
 	}
 }
 
-// Estimate assembles the current scores: exact sums for finished sub-graphs,
+// estimate assembles the current scores: exact sums for finished sub-graphs,
 // Horvitz–Thompson scaled sums (|R_i|/k_i) for sampled ones, folded in
 // sub-graph index order so results are deterministic for any worker count.
-func (e *Estimator) Estimate() []float64 {
+func (e *estimator) estimate() []float64 {
 	out := make([]float64, e.n)
 	for _, s := range e.subs {
 		switch {
@@ -359,35 +354,26 @@ func (e *Estimator) Estimate() []float64 {
 	return out
 }
 
-// Exact reports whether every sub-graph has been solved in full.
-func (e *Estimator) Exact() bool { return len(e.open) == 0 }
+// exact reports whether every sub-graph has been solved in full.
+func (e *estimator) exact() bool { return len(e.open) == 0 }
 
-// Pivots returns the number of root sweeps run so far.
-func (e *Estimator) Pivots() int { return e.pivots }
-
-// ExactRoots returns the sweep count of the exact engine (Σ|R_i|).
-func (e *Estimator) ExactRoots() int64 { return e.totalRoots }
-
-// Release returns the estimator's pooled sweep workspaces to the shared
-// core arena. The estimator stays usable — ensureSweeps re-acquires scratch
-// on the next Refine/EnsureBudget call — so long-lived holders (the bcd
-// estimator cache) call Release when discarding or idling an estimator to
-// keep the pool's in-use gauge honest.
-func (e *Estimator) Release() {
+// release returns the estimator's pooled sweep workspaces to the shared
+// core arena.
+func (e *estimator) release() {
 	for _, sw := range e.sweeps {
 		sw.Release()
 	}
 	e.sweeps = e.sweeps[:0]
 }
 
-// Result snapshots the estimator into a finished Result.
-func (e *Estimator) Result() Result {
+// result snapshots the estimator into a finished Result.
+func (e *estimator) result() Result {
 	return Result{
-		BC:          e.Estimate(),
+		BC:          e.estimate(),
 		Pivots:      e.pivots,
 		ExactRoots:  e.totalRoots,
 		Batches:     len(e.batches),
-		Exact:       e.Exact(),
-		ErrEstimate: e.ErrorEstimate(),
+		Exact:       e.exact(),
+		ErrEstimate: e.errorEstimate(),
 	}
 }

@@ -73,7 +73,7 @@ type epochState struct {
 type Snapshot struct {
 	// Seq increments with every published epoch (mutation or rebuild); equal
 	// Seq values denote the identical epoch, so caches keyed by Seq (e.g.
-	// bcd's approx estimator) invalidate exactly when the graph changes.
+	// bcd's top-K cache) invalidate exactly when the graph changes.
 	Seq           uint64
 	Graph         *graph.Graph
 	Decomposition *decompose.Decomposition

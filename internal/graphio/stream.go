@@ -16,8 +16,8 @@ import (
 // other is MmapGraph's mapping, and both derive the offset array through
 // offsets. The payload — degree table, then adjacency — is read into one
 // []int32 buffer, whose tail the graph adopts as its adjacency, so no arc is
-// copied once read. This is the reader behind Load(".bin"), bcd's WAL
-// snapshots and the mmap fallback.
+// copied once read. Load(".bin") — bcd's WAL snapshots included — and the
+// mmap fallback run it sized by the file's Stat (readBinaryFile).
 //
 // Hostile headers cost only what they ship: the buffer grows with bytes
 // actually read, so a header that claims 2^40 arcs costs memory proportional

@@ -38,23 +38,8 @@ type Gauge struct {
 // Set replaces the level.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// Add moves the level by n (use a negative n to decrease).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
 // Value returns the current level.
 func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// FloatGauge is a Gauge for continuous quantities (error estimates, ratios);
-// the value is stored as float64 bits so Set/Value stay lock-free.
-type FloatGauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the level.
-func (g *FloatGauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current level.
-func (g *FloatGauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram accumulates observations into fixed buckets. Bounds are the
 // inclusive upper edges of the finite buckets; observations above the last

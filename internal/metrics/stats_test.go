@@ -56,18 +56,3 @@ func TestKendallTauSampledAgreesWithExact(t *testing.T) {
 		t.Fatalf("sampled tau %v vs exact %v", got, exact)
 	}
 }
-
-func TestFloatGauge(t *testing.T) {
-	var g FloatGauge
-	if g.Value() != 0 {
-		t.Fatalf("zero value: %v", g.Value())
-	}
-	g.Set(0.125)
-	if g.Value() != 0.125 {
-		t.Fatalf("after Set: %v", g.Value())
-	}
-	g.Set(-3.5)
-	if g.Value() != -3.5 {
-		t.Fatalf("after negative Set: %v", g.Value())
-	}
-}

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 )
 
 // lifecycleSpec is the standard durable-test load; bigSnapshotEvery keeps
@@ -194,6 +195,65 @@ func TestRecoverRejectsDamagedSnapshot(t *testing.T) {
 	if !strings.Contains(derr.Name, "dmg") {
 		t.Fatalf("error does not name the graph directory: %v", derr)
 	}
+}
+
+// TestRefusedBatchLeavesTheWAL: a batch the engine refuses as a whole is
+// truncated back out of the WAL before it is answered. The fixture is a
+// width-2 ladder of 1,024 layers between two apexes, its last apex arc left
+// out (2^1023 apex-to-apex paths, finite); the insert that completes it would
+// make 2^1024, past float64, so ApplyBatch refuses it. Recovering the disk as
+// a crash right after the refusal leaves it must serve the pre-edit graph,
+// not replay the refused op into a failed entry.
+func TestRefusedBatchLeavesTheWAL(t *testing.T) {
+	const layers = 1024
+	far := int32(2*layers + 1)
+	edges := [][2]int32{{0, 1}, {0, 2}, {far - 2, far}}
+	for j := int32(0); j < layers-1; j++ {
+		for _, a := range []int32{1 + 2*j, 2 + 2*j} {
+			edges = append(edges, [2]int32{a, 3 + 2*j}, [2]int32{a, 4 + 2*j})
+		}
+	}
+	dir := t.TempDir()
+	r1 := durableRegistry(t, dir)
+	defer r1.Close()
+	e1, err := r1.Load(LoadSpec{Name: "ladder", N: int(far) + 1, Edges: edges})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info := waitState(t, e1); info.State != StateReady {
+		t.Fatalf("ladder load: state %s (%s)", info.State, info.Error)
+	}
+	if _, err := r1.Mutate(e1, true, far-1, far); !errors.Is(err, graph.ErrPathCountOverflow) {
+		t.Fatalf("completing the ladder: %v, want ErrPathCountOverflow", err)
+	}
+	if fi, err := os.Stat(filepath.Join(dir, "ladder", walFile)); err != nil {
+		t.Fatal(err)
+	} else if fi.Size() != 0 {
+		t.Errorf("the refused batch left %d bytes in the WAL", fi.Size())
+	}
+
+	r2 := durableRegistry(t, crashCopy(t, dir))
+	defer r2.Close()
+	if _, err := r2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	info := waitState(t, r2.Get("ladder"))
+	if info.State != StateReady {
+		t.Fatalf("recovered state %s (%s)", info.State, info.Error)
+	}
+	got, err := r2.Get("ladder").BC()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre := make([]graph.Edge, len(edges))
+	for i, e := range edges {
+		pre[i] = graph.Edge{From: e[0], To: e[1]}
+	}
+	fresh, err := core.NewIncremental(graph.NewFromEdges(int(far)+1, pre, false), core.Options{Threshold: info.Threshold})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameBits(t, "recovered ladder vs a fresh NewIncremental of the pre-edit graph", got, fresh.BC())
 }
 
 // TestCleanCloseCompactsWAL: a graceful Close writes a final snapshot and

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/decompose"
+	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
@@ -19,6 +20,17 @@ import (
 // rule, which gives the 200-vertex ER fixture's top sub-graph to the lane
 // kernel — to the same graph swept with lanes forced onto every unit
 // (core.EngineMSBFS) and with the scalar kernel alone, bit for bit.
+
+// erSpec loads a 200-vertex Erdős–Rényi graph inline: essentially one big
+// biconnected block, whose sub-graph the kernel rule gives to the lane kernel.
+func erSpec(name string) (LoadSpec, *graph.Graph) {
+	g := gen.ErdosRenyi(200, 800, false, 3)
+	edges := make([][2]int32, 0, g.NumEdges())
+	for _, e := range g.Edges() {
+		edges = append(edges, [2]int32{e.From, e.To})
+	}
+	return LoadSpec{Name: name, N: g.NumVertices(), Edges: edges}, g
+}
 
 // scalarScores sweeps d one root per RootSweep.Run call — under the kernel
 // rule's lower bound on a root range, so the scalar kernel — and sums the

@@ -17,21 +17,19 @@ import (
 type Metrics struct {
 	reg *promtext.Registry
 
-	requests     *promtext.CounterVec    // route, method, code
-	latency      *promtext.HistogramVec  // route
-	graphs       *promtext.GaugeVec      // (none)
-	incremental  *promtext.CounterVec    // result = local | rebuild
-	loads        *promtext.CounterVec    // status = ok | error | canceled
-	approxPivots *promtext.CounterVec    // graph
-	approxError  *promtext.FloatGaugeVec // graph
-	wsPoolSize   *promtext.GaugeVec      // (none)
-	wsInUse      *promtext.GaugeVec      // (none)
-	wsBytes      *promtext.GaugeVec      // layer = base | lanes | tape
-	overload     *promtext.CounterVec    // op = build | mutation
-	batches      *promtext.CounterVec    // (none)
-	batchOps     *promtext.CounterVec    // (none)
-	topk         *promtext.CounterVec    // result = hit | miss
-	durability   *promtext.CounterVec    // event = append | snapshot | recover | error
+	requests    *promtext.CounterVec   // route, method, code
+	latency     *promtext.HistogramVec // route
+	graphs      *promtext.GaugeVec     // (none)
+	incremental *promtext.CounterVec   // result = local | rebuild
+	loads       *promtext.CounterVec   // status = ok | error | canceled
+	wsPoolSize  *promtext.GaugeVec     // (none)
+	wsInUse     *promtext.GaugeVec     // (none)
+	wsBytes     *promtext.GaugeVec     // layer = base | lanes | tape
+	overload    *promtext.CounterVec   // op = build | mutation
+	batches     *promtext.CounterVec   // (none)
+	batchOps    *promtext.CounterVec   // (none)
+	topk        *promtext.CounterVec   // result = hit | miss
+	durability  *promtext.CounterVec   // event = append | snapshot | recover | error
 }
 
 // newMetrics builds the metric families.
@@ -53,14 +51,6 @@ func newMetrics() *Metrics {
 			"result"),
 		loads: reg.NewCounter("bcd_load_jobs_total",
 			"Graph build jobs finished, by status.", "status"),
-		approxPivots: reg.NewCounter("bcd_approx_pivots_total",
-			"Pivot sweeps run by the approximate-BC estimator, by graph "+
-				"(foreground query refinement plus background batches).",
-			"graph"),
-		approxError: reg.NewFloatGauge("bcd_approx_error_estimate",
-			"Latest bootstrap CI half-width of the approximate-BC estimate "+
-				"on the normalized scale, by graph (0 once exact).",
-			"graph"),
 		wsPoolSize: reg.NewGauge("bcd_ws_pool_size",
 			"Sweep workspaces held by the shared engine arena "+
 				"(free + checked out), sampled at scrape time."),
@@ -132,13 +122,6 @@ func (m *Metrics) SampleWorkspacePool() {
 	m.wsBytes.With("base").Set(b.Base)
 	m.wsBytes.With("lanes").Set(b.Lanes)
 	m.wsBytes.With("tape").Set(b.Tape)
-}
-
-// observeApprox records an estimator refinement of graph name: pivots more
-// sweeps, and its latest error estimate.
-func (m *Metrics) observeApprox(name string, pivots int, errEstimate float64) {
-	m.approxPivots.With(name).Add(pivots)
-	m.approxError.With(name).Set(errEstimate)
 }
 
 // ObserveRequest records one served request.

@@ -139,7 +139,8 @@ func (r *Registry) mutWorker(e *Entry) {
 // processBatch logs, applies and acknowledges one coalesced batch. Ordering
 // is write-ahead: the WAL append+fsync happens BEFORE the engine apply, so
 // an acknowledged mutation is always recoverable, and a WAL failure means
-// the batch was not applied at all.
+// the batch was not applied at all. A batch the engine refuses is truncated
+// back out of the WAL.
 func (r *Registry) processBatch(e *Entry, batch []*mutRequest) {
 	start := time.Now()
 	ops := make([]core.EdgeOp, len(batch))
@@ -157,6 +158,13 @@ func (r *Registry) processBatch(e *Entry, batch []*mutRequest) {
 	before := inc.FullRebuilds()
 	errs, err := inc.ApplyBatch(ops)
 	if err != nil {
+		// The engine refused the whole batch and published nothing: take it
+		// back out of the log, or a restart would replay it.
+		if e.wal != nil {
+			if werr := e.wal.Unappend(len(ops)); werr != nil {
+				r.walFailed(e, werr)
+			}
+		}
 		failBatch(batch, err)
 		return
 	}

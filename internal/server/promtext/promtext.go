@@ -108,22 +108,6 @@ func (gv *GaugeVec) With(values ...string) *metrics.Gauge {
 	return gv.f.get(values, func() any { return &metrics.Gauge{} }).(*metrics.Gauge)
 }
 
-// FloatGaugeVec is a gauge family over continuous values (error estimates,
-// ratios) keyed by label values.
-type FloatGaugeVec struct{ f *family }
-
-// NewFloatGauge registers a float-valued gauge family with the given label
-// schema. It renders with TYPE gauge — Prometheus gauges are float-valued;
-// the int/float split exists only on the instrument side.
-func (r *Registry) NewFloatGauge(name, help string, labels ...string) *FloatGaugeVec {
-	return &FloatGaugeVec{r.register(name, help, "gauge", labels, nil)}
-}
-
-// With returns the gauge for the given label values, creating it on first use.
-func (gv *FloatGaugeVec) With(values ...string) *metrics.FloatGauge {
-	return gv.f.get(values, func() any { return &metrics.FloatGauge{} }).(*metrics.FloatGauge)
-}
-
 // HistogramVec is a histogram family keyed by label values; every series
 // shares the family's bucket bounds.
 type HistogramVec struct{ f *family }
@@ -205,9 +189,6 @@ func (f *family) writeTo(w io.Writer) (int64, error) {
 		case *metrics.Gauge:
 			fmt.Fprintf(&b, "%s%s %s\n", f.name, labelSet(f.labels, values, "", ""),
 				strconv.FormatInt(m.Value(), 10))
-		case *metrics.FloatGauge:
-			fmt.Fprintf(&b, "%s%s %s\n", f.name, labelSet(f.labels, values, "", ""),
-				strconv.FormatFloat(m.Value(), 'g', -1, 64))
 		case *metrics.Histogram:
 			buckets, sum, count := m.Snapshot()
 			var cum uint64

@@ -40,7 +40,7 @@ func TestCounterAndGauge(t *testing.T) {
 	c.With("/bc", "200").Add(2)
 	c.With("/bc", "404").Inc()
 	g.With().Set(7)
-	g.With().Add(-2)
+	g.With().Set(5) // the last Set is the level
 
 	text := render(t, r)
 	checkFormat(t, text)
@@ -132,24 +132,5 @@ func TestPanicsOnMisuse(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestFloatGauge(t *testing.T) {
-	r := NewRegistry()
-	fg := r.NewFloatGauge("approx_error_estimate", "CI half-width.", "graph")
-	fg.With("wiki").Set(0.0125)
-	fg.With("road").Set(0)
-
-	text := render(t, r)
-	checkFormat(t, text)
-	for _, want := range []string{
-		"# TYPE approx_error_estimate gauge",
-		`approx_error_estimate{graph="wiki"} 0.0125`,
-		`approx_error_estimate{graph="road"} 0`,
-	} {
-		if !strings.Contains(text, want+"\n") {
-			t.Fatalf("output missing %q:\n%s", want, text)
-		}
 	}
 }

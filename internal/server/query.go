@@ -115,15 +115,15 @@ type VertexScore struct {
 	Score  float64 `json:"bc"`
 }
 
-// rankScratch is reusable top-K ranking scratch. Handlers check one out of
-// topKScratch per request and return it after the response is encoded, so a
-// warm daemon ranks without allocating.
+// rankScratch is reusable top-K ranking scratch. A ranking checks one out of
+// topKScratch and returns it once the result is copied out, so a warm daemon
+// ranks without allocating scratch.
 type rankScratch struct {
 	all []VertexScore
 }
 
-// topKScratch pools rankScratch instances across requests: the bc handler's
-// uncached rankings and TopKCoalesced's cache misses.
+// topKScratch pools rankScratch instances across TopKCoalesced's cache
+// misses.
 var topKScratch = sync.Pool{New: func() any { return new(rankScratch) }}
 
 // compareVertexScore orders score desc, ties by vertex id. A named function

@@ -19,8 +19,8 @@
 // JSON encoding.
 //
 // Files: registry.go (registry, unload, close), load.go (load and build
-// jobs), mutate.go (mutation pipeline), query.go (read paths), approx.go,
-// wal.go (durability, Recover), errors.go, metrics.go, server.go (HTTP).
+// jobs), mutate.go (mutation pipeline), query.go (read paths), wal.go
+// (durability, Recover), errors.go, metrics.go, server.go (HTTP).
 package server
 
 import (
@@ -31,7 +31,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/approx"
 	"repro/internal/core"
 )
 
@@ -99,18 +98,6 @@ type Entry struct {
 	threshold int
 	loadedAt  time.Time
 	buildTime time.Duration
-
-	// est is the lazily built approximate-mode estimator (approx.go),
-	// pinned to the epoch sequence number it sampled (estSeq) — a mutation
-	// publishes a new epoch and the next approx query notices the stale seq
-	// and rebuilds, so Mutate never touches estimator state. estMu is
-	// separate from mu (never acquired while holding mu) so long-running
-	// refinement cannot block exact queries or mutations; refining guards
-	// the single background refinement goroutine.
-	estMu    sync.Mutex
-	est      *approx.Estimator
-	estSeq   uint64
-	refining atomic.Bool
 
 	// Durability + admission control (set once when the build job finishes,
 	// before the mutation worker starts; dir/wal are then confined to that
@@ -217,17 +204,15 @@ func (r *Registry) entries() []*Entry {
 
 // Unload removes name from the registry. In-flight queries finish on their
 // epoch snapshots; a build job still running for it completes into the
-// detached entry and is garbage afterwards. The entry's cached estimator is
-// released so its pooled sweep workspaces return to the shared arena, its
-// mutation worker drains and exits, and its durable directory is deleted —
-// an unloaded graph does not come back on Recover.
+// detached entry and is garbage afterwards. The entry's mutation worker
+// drains and exits, and its durable directory is deleted — an unloaded graph
+// does not come back on Recover.
 func (r *Registry) Unload(name string) bool {
 	r.mu.Lock()
 	e, ok := r.graphs[name]
 	delete(r.graphs, name)
 	r.mu.Unlock()
 	if ok {
-		e.dropEstimator()
 		e.stopMutations(true)
 		e.mu.RLock()
 		dir, done := e.dir, e.mutDone

@@ -21,9 +21,8 @@ import (
 //	GET    /v1/graphs                      list loaded graphs
 //	GET    /v1/graphs/{name}               status / info of one graph
 //	DELETE /v1/graphs/{name}               unload
-//	GET    /v1/graphs/{name}/bc?top=K      top-K scores (top=0: full array)
-//	       …/bc?mode=approx&eps=E|pivots=K approximate scores from the cached
-//	                                       sampling estimator (approx.go)
+//	GET    /v1/graphs/{name}/bc?top=K      top-K scores (top=0: full array), exact
+//	                                       only: kept exact per edit, no sample beats them
 //	GET    /v1/graphs/{name}/vertices/{v}  one vertex's score, rank, degrees
 //	POST   /v1/graphs/{name}/edges         insert an edge
 //	DELETE /v1/graphs/{name}/edges         remove an edge
@@ -211,26 +210,28 @@ func (s *Server) handleUnload(w http.ResponseWriter, r *http.Request) {
 type bcResponse struct {
 	Name  string `json:"name"`
 	Verts int    `json:"verts"`
-	// Mode is "approx" for sampled responses (absent for exact ones), with
-	// Approx carrying the estimator's accounting.
-	Mode   string      `json:"mode,omitempty"`
-	Approx *ApproxInfo `json:"approx,omitempty"`
 	// Top is the top-K list; Scores is the full per-vertex array when the
 	// request asked for everything (top=0).
 	Top    []VertexScore `json:"top,omitempty"`
 	Scores []float64     `json:"scores,omitempty"`
 }
 
-// defaultApproxEps is the eps target used when mode=approx names neither a
-// pivot budget nor an eps.
-const defaultApproxEps = 0.05
-
+// handleBC serves the exact scores the entry maintains; top is the one query
+// parameter. bcd has no sampling mode: a sampled estimate of scores it already
+// holds exactly could be neither cheaper nor closer (sampling is `bc -approx`).
 func (s *Server) handleBC(w http.ResponseWriter, r *http.Request) {
 	e := s.entry(w, r)
 	if e == nil {
 		return
 	}
 	q := r.URL.Query()
+	for key := range q {
+		if key != "top" {
+			s.writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf(
+				"bc takes only top, not %q: bcd serves the exact scores it maintains (sampled BC is `bc -approx`)", key)})
+			return
+		}
+	}
 	top := 10
 	if raw := q.Get("top"); raw != "" {
 		v, err := strconv.Atoi(raw)
@@ -241,92 +242,32 @@ func (s *Server) handleBC(w http.ResponseWriter, r *http.Request) {
 		top = v
 	}
 
-	resp := bcResponse{Name: e.Name()}
-	var scores []float64
-	switch mode := q.Get("mode"); mode {
-	case "", "exact":
-		if q.Get("pivots") != "" || q.Get("eps") != "" {
-			s.writeJSON(w, http.StatusBadRequest, errorBody{Error: "pivots and eps apply to mode=approx only"})
-			return
-		}
-		if top > 0 {
-			// Exact top-K: coalesced path. Identical queries on the same
-			// epoch share one ranking pass (and concurrent duplicates block
-			// on the first instead of redoing the sort), so the cached-read
-			// lane costs O(k) per request while mutations rebuild.
-			ranked, n, hit, err := e.TopKCoalesced(top)
-			if err != nil {
-				s.writeError(w, err)
-				return
-			}
-			result := "miss"
-			if hit {
-				result = "hit"
-			}
-			s.reg.m.topk.With(result).Inc()
-			resp.Verts = n
-			resp.Top = ranked
-			s.writeJSON(w, http.StatusOK, resp)
-			return
-		}
+	if top == 0 {
 		// The epoch's score vector is immutable, so the handler serves it
 		// without copying; JSON encoding only reads it.
-		var err error
-		scores, err = e.BCView()
+		scores, err := e.BCView()
 		if err != nil {
 			s.writeError(w, err)
 			return
 		}
-	case "approx":
-		if q.Get("pivots") != "" && q.Get("eps") != "" {
-			s.writeJSON(w, http.StatusBadRequest, errorBody{Error: "pivots and eps conflict: name a pivot budget or an eps target, not both"})
-			return
-		}
-		pivots := 0
-		if raw := q.Get("pivots"); raw != "" {
-			v, err := strconv.Atoi(raw)
-			if err != nil || v <= 0 {
-				s.writeJSON(w, http.StatusBadRequest, errorBody{Error: "pivots must be a positive integer"})
-				return
-			}
-			pivots = v
-		}
-		eps := defaultApproxEps
-		if raw := q.Get("eps"); raw != "" {
-			v, err := strconv.ParseFloat(raw, 64)
-			if err != nil || v <= 0 {
-				s.writeJSON(w, http.StatusBadRequest, errorBody{Error: "eps must be a positive number"})
-				return
-			}
-			eps = v
-		}
-		var info ApproxInfo
-		var err error
-		scores, info, err = s.reg.ApproxBC(e, pivots, eps)
-		if err != nil {
-			s.writeError(w, err)
-			return
-		}
-		resp.Mode = "approx"
-		resp.Approx = &info
-		w.Header().Set("X-BC-Error-Estimate", strconv.FormatFloat(info.ErrorEstimate, 'g', -1, 64))
-		w.Header().Set("X-BC-Pivots", strconv.Itoa(info.Pivots))
-	default:
-		s.writeJSON(w, http.StatusBadRequest, errorBody{Error: "mode must be exact or approx"})
+		s.writeJSON(w, http.StatusOK, bcResponse{Name: e.Name(), Verts: len(scores), Scores: scores})
 		return
 	}
-
-	resp.Verts = len(scores)
-	if top == 0 {
-		resp.Scores = scores
-	} else {
-		// Rank into pooled scratch; the slice aliases it, so the scratch
-		// goes back to the pool only after the response is encoded.
-		scr := topKScratch.Get().(*rankScratch)
-		defer topKScratch.Put(scr)
-		resp.Top = scr.topK(scores, top)
+	// Top-K: coalesced path. Identical queries on the same epoch share one
+	// ranking pass (and concurrent duplicates block on the first instead of
+	// redoing the sort), so the cached-read lane costs O(k) per request while
+	// mutations rebuild.
+	ranked, n, hit, err := e.TopKCoalesced(top)
+	if err != nil {
+		s.writeError(w, err)
+		return
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	result := "miss"
+	if hit {
+		result = "hit"
+	}
+	s.reg.m.topk.With(result).Inc()
+	s.writeJSON(w, http.StatusOK, bcResponse{Name: e.Name(), Verts: n, Top: ranked})
 }
 
 func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request) {

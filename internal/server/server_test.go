@@ -365,6 +365,32 @@ func TestErrorPaths(t *testing.T) {
 	}
 }
 
+// TestBCServesExactOnly: bc takes top and nothing else. bcd holds every ready
+// graph's exact scores and keeps them exact edit by edit, so it has no
+// sampling mode: a sampling parameter, or a mode naming either kind, is a 400
+// that names the exact-only contract, not an option accepted and ignored. No
+// sampler's metric family is exported either.
+func TestBCServesExactOnly(t *testing.T) {
+	ts, _ := newTestServer(t)
+	loadAndWait(t, ts.URL, LoadSpec{Name: "g", N: lifecycleN, Edges: lifecycleEdges})
+	for _, q := range []string{"mode=approx&pivots=16", "mode=exact", "mode=bogus", "pivots=40", "eps=0.05", "top=3&eps=0.05"} {
+		var body errorBody
+		code := do(t, "GET", ts.URL+"/v1/graphs/g/bc?"+q, nil, &body)
+		if code != http.StatusBadRequest || !strings.Contains(body.Error, "exact scores it maintains") {
+			t.Errorf("bc?%s: %d %q, want 400 naming the exact-only contract", q, code, body.Error)
+		}
+	}
+	var top bcResponse
+	if code := do(t, "GET", ts.URL+"/v1/graphs/g/bc?top=3", nil, &top); code != http.StatusOK || len(top.Top) != 3 {
+		t.Fatalf("bc?top=3: %d with %d entries", code, len(top.Top))
+	}
+	for series := range scrapeMetrics(t, ts.URL) {
+		if strings.HasPrefix(series, "bcd_approx_") {
+			t.Errorf("/metrics still exports %s", series)
+		}
+	}
+}
+
 // TestUnencodableResponseIs500: a response JSON cannot carry — a NaN score —
 // reaches the client as a 500 with an error body, and is logged, instead of
 // the 200 with an empty body that writing the status before encoding gave.
@@ -852,7 +878,7 @@ func TestOverflowLoadFails(t *testing.T) {
 	if _, err := reg.Get("ladder").ready(); !errors.Is(err, graph.ErrPathCountOverflow) {
 		t.Fatalf("ladder entry: %v, want ErrPathCountOverflow as the cause", err)
 	}
-	for _, path := range []string{"/bc", "/bc?top=3", "/bc?mode=approx&pivots=16", "/vertices/0", "/stats"} {
+	for _, path := range []string{"/bc", "/bc?top=3", "/vertices/0", "/stats"} {
 		if code := do(t, "GET", ts.URL+"/v1/graphs/ladder"+path, nil, nil); code != http.StatusUnprocessableEntity {
 			t.Errorf("GET %s of the failed load: %d, want 422", path, code)
 		}

@@ -22,7 +22,9 @@ package server
 // instead of re-materializing the original source and re-absorbing the
 // whole mutation history. Replay is idempotent — records already compacted
 // into the snapshot (a crash can land between snapshot rename and WAL
-// truncate) and records that failed engine validation are skipped.
+// truncate) and records that failed engine validation are skipped. A batch
+// the engine refuses as a whole (a path-count overflow, a decomposition
+// error) is truncated back out of the log before it is answered.
 //
 // Snapshots compact the WAL: after Config.SnapshotEvery records the worker
 // rewrites snapshot.bin (write-temp + rename) and truncates the log, so
@@ -102,6 +104,20 @@ func (w *walWriter) Append(ops []core.EdgeOp) error {
 		return fmt.Errorf("server: wal sync: %w", err)
 	}
 	w.records += len(ops)
+	return nil
+}
+
+// Unappend takes the last n appended records back out of the log and fsyncs:
+// the engine refused their batch, and a replay must not apply what no epoch
+// ever held.
+func (w *walWriter) Unappend(n int) error {
+	if err := w.f.Truncate(int64(w.records-n) * walRecordSize); err != nil {
+		return fmt.Errorf("server: wal rollback: %w", err)
+	}
+	if err := w.f.Sync(); err != nil {
+		return fmt.Errorf("server: wal sync: %w", err)
+	}
+	w.records -= n
 	return nil
 }
 
@@ -203,16 +219,12 @@ func writeSnapshot(dir string, g *graph.Graph) error {
 	return atomicWrite(filepath.Join(dir, snapshotFile), buf.Bytes())
 }
 
-// readSnapshot adopts the snapshot's CSR through the strict reader: a
-// damaged file (unsorted or duplicated row, an undirected arc whose mirror is
-// gone) is a DurabilityError, never a quietly different graph.
+// readSnapshot adopts the snapshot's CSR through graphio's sized file path
+// and strict reader: a damaged file (unsorted or duplicated row, an
+// undirected arc whose mirror is gone) is a DurabilityError, never a quietly
+// different graph. A missing file is one too, and unwraps to os.ErrNotExist.
 func readSnapshot(dir string) (*graph.Graph, error) {
-	f, err := os.Open(filepath.Join(dir, snapshotFile))
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	g, err := graphio.ReadBinaryCSR(f)
+	g, err := graphio.LoadFile(filepath.Join(dir, snapshotFile), "bin", false)
 	if err != nil {
 		return nil, &DurabilityError{Name: dir, Err: err}
 	}
