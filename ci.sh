@@ -79,9 +79,14 @@
 #      non-test code outside internal/brandes calls one by name, and the
 #      atomicAddFloat64 wrapper over par.AddFloat64 stays gone; bcd has no
 #      sampling mode (no mode=approx, ApproxBC, estimatorFor or FloatGauge in
-#      non-test code, no NewEstimator outside internal/approx)
+#      non-test code, no NewEstimator outside internal/approx); bcd is
+#      configured by where it runs: server.Config holds DataDir and LoadRoot
+#      only, no bcd tuning flag comes back, and no non-test code builds
+#      registry bounds other than defaultLimits
 #  10. durability smoke: race-built bcd is killed with SIGKILL mid-life and
-#      must recover its graph from snapshot+WAL with bit-exact top-K
+#      must recover its graph from snapshot+WAL with bit-exact top-K; then a
+#      posted path outside -load-root (absolute, or ../) must be a 4xx and a
+#      relative one under it must load
 #  11. bcd's model test, concurrent phase, under -race (30 s box): readers
 #      beside bursting mutators over HTTP answer only 200 (reads) and 200/429
 #      (mutations), no reader sees the epoch go down, some ack shares its
@@ -545,9 +550,9 @@ fi
 # Nor may an export that only tests call come back to non-test code: each
 # lives in its package's export_test.go or as a helper in the tests that use it.
 if grep -rnwE 'DegreeHistogram' --include='*.go' . ||
-    grep -rnE 'func \(s \*Sweep\) (CheckClean|Cap)\(|func \(g \*Graph\) (Transpose|UnitWeights)\(|func \(s \*Subgraph\) Folded\(|func \(rs \*RootSweep\) Traversed\(|func SerialSuccs\(|func \(inc \*Incremental\) Decomposition\(|func \(e \*Estimator\) Batches\(|func \(e \*Entry\) BC\(|func \(b \*Bag\[T\]\) Size\(|func \(g \*Gauge\) Add\(' --include='*.go' . |
+    grep -rnE 'func \(s \*Sweep\) (CheckClean|Cap)\(|func \(g \*Graph\) (Transpose|UnitWeights)\(|func \(s \*Subgraph\) (Folded|Weighted|Directed)\(|func \(rs \*RootSweep\) Traversed\(|func SerialSuccs\(|func \(inc \*Incremental\) Decomposition\(|func \(e \*Estimator\) Batches\(|func \(e \*Entry\) BC\(|func \(b \*Bag\[T\]\) Size\(|func \(g \*Gauge\) Add\(' --include='*.go' . |
     grep -v '_test\.go:'; then
-    echo "ci.sh: a test-only export (Sweep.CheckClean/Cap, DegreeHistogram, Graph.Transpose/UnitWeights, Subgraph.Folded, RootSweep.Traversed, SerialSuccs, Incremental.Decomposition, Estimator.Batches, Entry.BC, Bag.Size, Gauge.Add) is back in non-test code" >&2
+    echo "ci.sh: a test-only export (Sweep.CheckClean/Cap, DegreeHistogram, Graph.Transpose/UnitWeights, Subgraph.Folded/Weighted/Directed, RootSweep.Traversed, SerialSuccs, Incremental.Decomposition, Estimator.Batches, Entry.BC, Bag.Size, Gauge.Add) is back in non-test code" >&2
     exit 1
 fi
 # The paper's baselines run through one table, brandes.Baselines: no non-test
@@ -557,6 +562,23 @@ if grep -rnE 'brandes\.(Preds|Succs|LockSyncFree|Async|Hybrid)\(' --include='*.g
     grep -v '_test\.go:' | grep -v '^\./internal/brandes/' ||
     grep -rn 'atomicAddFloat64' --include='*.go' .; then
     echo "ci.sh: a baseline is called by name outside internal/brandes, or atomicAddFloat64 is back; run baselines through brandes.Baselines" >&2
+    exit 1
+fi
+
+# bcd is configured by where it runs: server.Config holds DataDir and LoadRoot
+# only, the registry's bounds are the constants of defaultLimits (tests lower
+# them through newRegistry), and bcd has no tuning flag.
+config_fields=$(awk '/^type Config struct \{/ {on = 1; next} on && /^\}/ {exit}
+    on && $1 !~ /^\/\// && NF {print $1}' internal/server/registry.go | tr '\n' ' ')
+if [ "$config_fields" != "DataDir LoadRoot " ]; then
+    echo "ci.sh: server.Config has fields '$config_fields'; it holds DataDir and LoadRoot, the bounds are constants" >&2
+    exit 1
+fi
+if grep -rnE '\bcfg\.(Workers|QueueDepth|DefaultThreshold|SnapshotEvery|MutationQueueDepth|MutationBatch|RetryAfter)\b|Config\{[^}]*\b(Workers|QueueDepth|DefaultThreshold|SnapshotEvery|MutationQueueDepth|MutationBatch|RetryAfter):' --include='*.go' . ||
+    grep -nE 'flag\.[A-Za-z]+\("(workers|queue|threshold|snapshot-every|mutation-queue|mutation-batch|retry-after)"' cmd/bcd/main.go ||
+    grep -rnE 'limits\{|newRegistry\(|(defaultLimits|\.lim)\.[a-zA-Z]+[^=!<>]*(=[^=]|\+\+|--)' --include='*.go' internal cmd bench ./*.go |
+    grep -v '_test\.go:' | grep -vE '^internal/server/registry\.go:[0-9]+:(var defaultLimits = limits\{|func NewRegistry\(cfg Config\) \*Registry \{ return newRegistry\(cfg, defaultLimits\) \}|func newRegistry\(cfg Config, lim limits\) \*Registry \{)$'; then
+    echo "ci.sh: a removed server.Config knob or bcd tuning flag is back, or non-test code builds limits other than defaultLimits" >&2
     exit 1
 fi
 
@@ -583,7 +605,10 @@ wait_ready() {
     done
 }
 
-"$tmp/bcd" -addr "$bcd_addr" -quiet -data-dir "$tmp/bcddata" >"$tmp/bcd.log" 2>&1 &
+mkdir "$tmp/graphs"
+printf '0 1\n1 2\n2 0\n2 3\n' >"$tmp/graphs/g.txt"
+cp "$tmp/graphs/g.txt" "$tmp/outside.txt"
+"$tmp/bcd" -addr "$bcd_addr" -quiet -data-dir "$tmp/bcddata" -load-root "$tmp/graphs" >"$tmp/bcd.log" 2>&1 &
 bcd_pid=$!
 wait_healthz
 curl -fsS -X POST "http://$bcd_addr/v1/graphs" -d \
@@ -596,7 +621,7 @@ curl -fsS -X DELETE "http://$bcd_addr/v1/graphs/kill/edges?from=0&to=7" >/dev/nu
 curl -fsS "http://$bcd_addr/v1/graphs/kill/bc?top=12" >"$tmp/top_before.json"
 kill -9 "$bcd_pid"
 wait "$bcd_pid" 2>/dev/null || true
-"$tmp/bcd" -addr "$bcd_addr" -quiet -data-dir "$tmp/bcddata" >"$tmp/bcd2.log" 2>&1 &
+"$tmp/bcd" -addr "$bcd_addr" -quiet -data-dir "$tmp/bcddata" -load-root "$tmp/graphs" >"$tmp/bcd2.log" 2>&1 &
 bcd_pid=$!
 wait_healthz
 grep -q 'recovering 1 graph' "$tmp/bcd2.log" || {
@@ -610,6 +635,20 @@ cmp "$tmp/top_before.json" "$tmp/top_after.json" || {
     echo "durability smoke: recovered top-K differs from pre-kill top-K" >&2
     exit 1
 }
+# A path a client posts opens only under -load-root: an absolute path and one
+# that climbs out with ../ are refused with a 4xx, a relative one loads.
+for path in "$tmp/outside.txt" ../outside.txt g.txt; do
+    code=$(curl -sS -o /dev/null -w '%{http_code}' -X POST "http://$bcd_addr/v1/graphs" \
+        -d "{\"name\":\"file\",\"path\":\"$path\"}")
+    case $path:$code in
+    g.txt:202 | [!g]*:4[0-9][0-9]) ;;
+    *)
+        echo "durability smoke: POST path $path answered $code (want 4xx outside -load-root, 202 under it)" >&2
+        exit 1
+        ;;
+    esac
+done
+wait_ready file
 kill "$bcd_pid"
 wait "$bcd_pid" 2>/dev/null || true
 bcd_pid=""

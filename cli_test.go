@@ -23,7 +23,7 @@ var (
 	cliErr  error
 )
 
-// buildCLIs compiles all four commands into a shared temp dir.
+// buildCLIs compiles all five commands into a shared temp dir.
 func buildCLIs(t *testing.T) string {
 	t.Helper()
 	cliOnce.Do(func() {
@@ -31,7 +31,7 @@ func buildCLIs(t *testing.T) string {
 		if cliErr != nil {
 			return
 		}
-		for _, cmd := range []string{"bc", "bcstats", "graphgen", "bcbench"} {
+		for _, cmd := range []string{"bc", "bcstats", "graphgen", "bcbench", "bcd"} {
 			out := filepath.Join(cliDir, cmd)
 			c := exec.Command("go", "build", "-o", out, "./cmd/"+cmd)
 			c.Dir = mustGetwd()
@@ -382,4 +382,36 @@ func TestCLIGraphgenVariants(t *testing.T) {
 	runCLIExpectError(t, "graphgen", "-type", "nope", "-o", p)
 	runCLIExpectError(t, "graphgen", "-type", "er")
 	runCLIExpectError(t, "graphgen", "-dataset", "nope", "-o", p)
+}
+
+// TestCLIBCDFlagsSayWhereItRuns: bcd's settings say where it runs — where it
+// listens, what it writes and reads, what it loads first, how long it drains —
+// and its bounds are constants. Each removed tuning flag is a usage error
+// (exit 2); -addr names a port nothing can listen on, so a bcd that still
+// took the flag fails with exit 1 instead of serving.
+func TestCLIBCDFlagsSayWhereItRuns(t *testing.T) {
+	for _, args := range [][]string{
+		{"-workers", "2"},
+		{"-queue", "16"},
+		{"-threshold", "8"},
+		{"-snapshot-every", "256"},
+		{"-mutation-queue", "128"},
+		{"-mutation-batch", "64"},
+		{"-retry-after", "1s"},
+	} {
+		args = append(args, "-addr", "127.0.0.1:-1")
+		if code, out := runCLIExit(t, "bcd", args...); code != 2 || !strings.Contains(out, "flag provided but not defined: "+args[0]) {
+			t.Errorf("bcd %v: exit %d, want 2 naming the flag:\n%s", args, code, out)
+		}
+	}
+	out, _ := exec.Command(filepath.Join(buildCLIs(t), "bcd"), "-h").CombinedOutput()
+	var flags []string
+	for _, line := range strings.Split(string(out), "\n") {
+		if name, ok := strings.CutPrefix(line, "  -"); ok {
+			flags = append(flags, strings.Fields(name)[0])
+		}
+	}
+	if want := []string{"addr", "data-dir", "drain", "load-root", "preload", "quiet"}; !slices.Equal(flags, want) {
+		t.Fatalf("bcd -h lists %v, want %v", flags, want)
+	}
 }

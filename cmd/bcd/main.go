@@ -2,12 +2,15 @@
 // named graphs loaded with their articulation-point decomposition and BC
 // scores cached, serves queries over a JSON HTTP API, and absorbs edge
 // updates through the incremental engine instead of recomputing from
-// scratch. It has no authentication and opens any path a client posts, so it
-// listens on the loopback interface unless -addr names another.
+// scratch. It has no authentication, so it listens on the loopback interface
+// unless -addr names another, and a path a client posts opens only under
+// -load-root (403 outside it). Its flags say where it runs; its bounds are
+// constants (DESIGN.md §5).
 //
 //	bcd                                     # listens on 127.0.0.1:8723
 //	bcd -preload enron=email-enron:0.05
-//	bcd -preload big=@/data/big.bin         # read a graph file from disk
+//	bcd -preload big=@/data/big.bin         # the operator's file: any path
+//	bcd -load-root /data/graphs             # clients post paths relative to it
 //	bcd -addr :8723                         # every interface: anyone who can reach it
 //
 // Endpoints (see README "Serving" for curl examples):
@@ -45,19 +48,12 @@ import (
 
 func main() {
 	var (
-		addr      = flag.String("addr", "127.0.0.1:8723", "listen address (the API has no authentication)")
-		workers   = flag.Int("workers", 2, "concurrent graph build jobs")
-		queue     = flag.Int("queue", 16, "build job queue depth")
-		threshold = flag.Int("threshold", 0, "default decomposition threshold (0 = library default)")
-		preload   = flag.String("preload", "", "comma-separated name=dataset[:scale] or name=@/path/file graphs to load at startup")
-		drain     = flag.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
-		quiet     = flag.Bool("quiet", false, "suppress per-request logging")
-
-		dataDir    = flag.String("data-dir", "", "durability directory: per-graph WAL + snapshots, replayed on restart (empty = in-memory only)")
-		snapEvery  = flag.Int("snapshot-every", 256, "WAL records between snapshot compactions")
-		mutQueue   = flag.Int("mutation-queue", 128, "per-graph pending-mutation queue depth (beyond it: 429)")
-		mutBatch   = flag.Int("mutation-batch", 64, "max mutations coalesced into one epoch publish")
-		retryAfter = flag.Duration("retry-after", time.Second, "Retry-After hint attached to 429 overload responses")
+		addr     = flag.String("addr", "127.0.0.1:8723", "listen address (the API has no authentication)")
+		preload  = flag.String("preload", "", "comma-separated name=dataset[:scale] or name=@/path/file graphs to load at startup (paths unconfined)")
+		drain    = flag.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
+		quiet    = flag.Bool("quiet", false, "suppress per-request logging")
+		dataDir  = flag.String("data-dir", "", "durability directory: per-graph WAL + snapshots, replayed on restart (empty = in-memory only)")
+		loadRoot = flag.String("load-root", ".", "directory a path posted to POST /v1/graphs must lie under (empty = any path bcd can read)")
 	)
 	flag.Parse()
 
@@ -68,16 +64,7 @@ func main() {
 		reqLog = nil
 	}
 
-	reg := server.NewRegistry(server.Config{
-		Workers:            *workers,
-		QueueDepth:         *queue,
-		DefaultThreshold:   *threshold,
-		DataDir:            *dataDir,
-		SnapshotEvery:      *snapEvery,
-		MutationQueueDepth: *mutQueue,
-		MutationBatch:      *mutBatch,
-		RetryAfter:         *retryAfter,
-	})
+	reg := server.NewRegistry(server.Config{DataDir: *dataDir, LoadRoot: *loadRoot})
 	srv := server.New(reg, reqLog)
 
 	// Recovery before preload: a graph that survives on disk wins over a
@@ -103,7 +90,7 @@ func main() {
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
-	logger.Printf("serving on %s (workers=%d, queue=%d)", *addr, *workers, *queue)
+	logger.Printf("serving on %s (load root %q)", *addr, *loadRoot)
 
 	select {
 	case err := <-errCh:
@@ -125,9 +112,9 @@ func main() {
 
 // preloadGraphs parses "name=dataset[:scale],..." and enqueues the loads.
 // An "@"-prefixed source is a file path instead of a dataset name
-// ("big=@/data/big.bin"); graphio.LoadFile reads a .bin file into the buffer
-// the graph adopts, so preloading a 10^7-edge graph does not spike beyond the
-// CSR it keeps resident.
+// ("big=@/data/big.bin"), the operator's, so -load-root does not confine it.
+// A .bin file is read into the buffer the graph adopts, so preloading a
+// 10^7-edge graph does not spike beyond the CSR it keeps resident.
 func preloadGraphs(reg *server.Registry, spec string) error {
 	if spec == "" {
 		return nil

@@ -159,12 +159,6 @@ func (s *Subgraph) OutWeights(l int32) []float64 {
 	return s.wts[s.offs[l]:s.offs[l+1]]
 }
 
-// Weighted reports whether the sub-graph carries arc weights.
-func (s *Subgraph) Weighted() bool { return s.wts != nil }
-
-// Directed reports whether the parent graph was directed.
-func (s *Subgraph) Directed() bool { return s.directed }
-
 // Relabelled reports whether the local ids are in the order relabel chooses
 // for a swept graph with a hub — hubs, then breadth-first, folded vertices
 // last — rather than in global-id order.

@@ -295,7 +295,7 @@ func readBinHeader(r io.Reader) (flags uint32, n, arcs uint64, hdrLen int, err e
 	return flags, n, arcs, hdrLen, nil
 }
 
-// Format names accepted by Load and SaveFile.
+// Format names accepted by ReadFile and SaveFile.
 const (
 	formatEdgeList = "edgelist"
 	formatDIMACS   = "dimacs"
@@ -308,26 +308,30 @@ const (
 // CSR format, which has no weight array.
 var ErrNoWeights = errors.New("graphio: the binary format has no weights")
 
-// Load reads a graph file. It is the one place a file's format is chosen:
-// format names it, or "" infers it from the extension (.gr DIMACS, .bin
-// binary CSR, .graphml/.xml GraphML, .json d3 node-link, anything else an
-// edge list). weighted asks the edge list and DIMACS readers for their
-// weight column; asking it of a .bin file is ErrNoWeights. GraphML and JSON
-// take their weights, and their directedness, from the file. The ids are the
-// file's id for each vertex of an edge list, and nil for every other format.
+// Load opens path and reads it with ReadFile.
 func Load(path, format string, directed, weighted bool) (*graph.Graph, []int64, error) {
-	if format == "" {
-		format = inferFormat(path)
-	}
-	if format == formatBinary && weighted {
-		return nil, nil, fmt.Errorf("%w: cannot read weights from %s", ErrNoWeights, path)
-	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer f.Close()
-	var g *graph.Graph
+	return ReadFile(f, format, directed, weighted)
+}
+
+// ReadFile reads an opened graph file. It is the one place a file's format is
+// chosen: format names it, or "" infers it from f.Name()'s extension (.gr
+// DIMACS, .bin binary CSR read sized by its Stat, .graphml/.xml GraphML, .json
+// d3 node-link, anything else an edge list). weighted asks the edge list and
+// DIMACS readers for their weight column, and is ErrNoWeights on .bin; GraphML
+// and JSON take weights and directedness from the file. The ids are an edge
+// list's file ids, and nil for every other format.
+func ReadFile(f *os.File, format string, directed, weighted bool) (g *graph.Graph, ids []int64, err error) {
+	if format == "" {
+		format = inferFormat(f.Name())
+	}
+	if format == formatBinary && weighted {
+		return nil, nil, fmt.Errorf("%w: cannot read weights from %s", ErrNoWeights, f.Name())
+	}
 	switch format {
 	case formatEdgeList:
 		return ReadEdgeList(f, directed, weighted)
@@ -351,7 +355,7 @@ func LoadFile(path, format string, directed bool) (*graph.Graph, error) {
 	return g, err
 }
 
-// SaveFile writes a graph file; format inference mirrors Load (DIMACS output
+// SaveFile writes a graph file; format inference mirrors ReadFile (DIMACS output
 // is not supported, and a weighted graph cannot be written as .bin).
 func SaveFile(path, format string, g *graph.Graph) error {
 	if format == "" {

@@ -24,7 +24,7 @@ const bigSnapshotEvery = 1 << 20
 
 func durableRegistry(t *testing.T, dir string) *Registry {
 	t.Helper()
-	return NewRegistry(Config{Workers: 2, DataDir: dir, SnapshotEvery: bigSnapshotEvery})
+	return newRegistry(Config{DataDir: dir}, limits{snapshotEvery: bigSnapshotEvery}.orDefaults())
 }
 
 func loadLifecycle(t *testing.T, r *Registry, name string) *Entry {
@@ -299,7 +299,7 @@ func TestCleanCloseCompactsWAL(t *testing.T) {
 // bounded.
 func TestSnapshotCompaction(t *testing.T) {
 	dir := t.TempDir()
-	r := NewRegistry(Config{Workers: 1, DataDir: dir, SnapshotEvery: 2, MutationBatch: 1})
+	r := newRegistry(Config{DataDir: dir}, limits{workers: 1, snapshotEvery: 2, mutationBatch: 1}.orDefaults())
 	defer r.Close()
 	e := loadLifecycle(t, r, "compact")
 	for i, m := range []struct {
@@ -395,7 +395,7 @@ func TestDecodeWALTornTail(t *testing.T) {
 // TestMutationBurstCoalesces: N concurrent mutations while the worker is
 // held at the gate must land in far fewer than N epoch publishes.
 func TestMutationBurstCoalesces(t *testing.T) {
-	r := NewRegistry(Config{Workers: 1, MutationQueueDepth: 64, MutationBatch: 64})
+	r := newRegistry(Config{}, limits{workers: 1, mutationQueue: 64, mutationBatch: 64}.orDefaults())
 	defer r.Close()
 	gate := make(chan struct{})
 	var once sync.Once
@@ -472,10 +472,10 @@ func TestMutationBurstCoalesces(t *testing.T) {
 // the worker held and the queue full, mutations get 429 + Retry-After (never
 // 400/500) while reads keep being served from the epoch snapshot.
 func TestOverloadAnswers429(t *testing.T) {
-	reg := NewRegistry(Config{
-		Workers: 1, MutationQueueDepth: 1, MutationBatch: 1,
-		RetryAfter: 3 * time.Second,
-	})
+	reg := newRegistry(Config{}, limits{
+		workers: 1, mutationQueue: 1, mutationBatch: 1,
+		retryAfter: 3 * time.Second,
+	}.orDefaults())
 	gate := make(chan struct{})
 	held := make(chan struct{}, 16)
 	var once sync.Once
@@ -559,7 +559,7 @@ func TestOverloadAnswers429(t *testing.T) {
 // TestMutateCanceledClient: a mutation whose client is already gone is
 // answered 499 with an explicit applied=false, and nothing is written.
 func TestMutateCanceledClient(t *testing.T) {
-	reg := NewRegistry(Config{Workers: 2})
+	reg := NewRegistry(Config{})
 	defer reg.Close()
 	srv := New(reg, nil)
 	e, err := reg.Load(LoadSpec{Name: "cancel", N: lifecycleN, Edges: lifecycleEdges, Threshold: lifecycleThreshold})
@@ -594,7 +594,7 @@ func TestMutateCanceledClient(t *testing.T) {
 // TestTopKCoalescing: identical top-K queries on one epoch share a ranking;
 // a mutation invalidates it by bumping the epoch seq.
 func TestTopKCoalescing(t *testing.T) {
-	r := NewRegistry(Config{Workers: 2})
+	r := NewRegistry(Config{})
 	defer r.Close()
 	e, err := r.Load(LoadSpec{Name: "co", N: lifecycleN, Edges: lifecycleEdges, Threshold: lifecycleThreshold})
 	if err != nil {

@@ -85,7 +85,7 @@ func assertServesKernelFree(t *testing.T, e *Entry, threshold int) {
 // TestLoadEngineBitMatchAndEcho: a loaded entry serves the bits of either
 // kernel, and its Info echoes no engine — there is none to report.
 func TestLoadEngineBitMatchAndEcho(t *testing.T) {
-	r := NewRegistry(Config{Workers: 2})
+	r := NewRegistry(Config{})
 	defer r.Close()
 	spec, _ := erSpec("er")
 	e, err := r.Load(spec)
@@ -96,7 +96,7 @@ func TestLoadEngineBitMatchAndEcho(t *testing.T) {
 	if info.State != StateReady {
 		t.Fatalf("state %s (%s)", info.State, info.Error)
 	}
-	assertServesKernelFree(t, e, r.cfg.DefaultThreshold)
+	assertServesKernelFree(t, e, 0)
 	data, err := json.Marshal(info)
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +110,7 @@ func TestLoadEngineBitMatchAndEcho(t *testing.T) {
 // the sub-graphs the edit changed, through the rule's kernel — are the bits of
 // either kernel too.
 func TestMutateEngineBitMatch(t *testing.T) {
-	r := NewRegistry(Config{Workers: 2})
+	r := NewRegistry(Config{})
 	defer r.Close()
 	spec, g := erSpec("er")
 	e, err := r.Load(spec)
@@ -138,7 +138,7 @@ func TestMutateEngineBitMatch(t *testing.T) {
 		if _, err := r.Mutate(e, m.add, m.u, m.v); err != nil {
 			t.Fatalf("mutate %+v: %v", m, err)
 		}
-		assertServesKernelFree(t, e, r.cfg.DefaultThreshold)
+		assertServesKernelFree(t, e, 0)
 	}
 }
 
@@ -157,7 +157,7 @@ func TestRecoverIgnoresLegacyEngineField(t *testing.T) {
 	if info := waitState(t, e); info.State != StateReady {
 		t.Fatalf("load: state %s (%s)", info.State, info.Error)
 	}
-	threshold := r1.cfg.DefaultThreshold
+	threshold := 0
 	r1.Close()
 
 	metaPath := filepath.Join(dir, "old", metaFile)

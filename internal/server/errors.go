@@ -79,3 +79,13 @@ type vertexCountError struct{ N int }
 func (e *vertexCountError) Error() string {
 	return fmt.Sprintf("server: inline vertex count n=%d outside [0,%d]", e.N, 1<<31)
 }
+
+// loadRootError is a path the load root would not open: absolute, climbing
+// out with "..", leaving through a symlink (HTTP 403), or missing (404).
+type loadRootError struct{ err error }
+
+func (e loadRootError) Error() string {
+	return "server: not a file under the load root: " + e.err.Error()
+}
+
+func (e loadRootError) Unwrap() error { return e.err }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io/fs"
 	"log"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -28,8 +29,8 @@ type LoadSpec struct {
 	Dataset string  `json:"dataset,omitempty"`
 	Scale   float64 `json:"scale,omitempty"`
 
-	// Path is a graph file readable by graphio.LoadFile; Format overrides
-	// extension sniffing and Directed applies to edge-list input.
+	// Path is a graph file (graphio.ReadFile); Format overrides extension
+	// sniffing and Directed applies to edge-list input.
 	Path     string `json:"path,omitempty"`
 	Format   string `json:"format,omitempty"`
 	Directed bool   `json:"directed,omitempty"`
@@ -38,7 +39,7 @@ type LoadSpec struct {
 	N     int        `json:"n,omitempty"`
 	Edges [][2]int32 `json:"edges,omitempty"`
 
-	// Threshold overrides the registry's default decomposition threshold.
+	// Threshold is the decomposition threshold (0: decompose.DefaultThreshold).
 	Threshold int `json:"threshold,omitempty"`
 }
 
@@ -51,11 +52,18 @@ type buildJob struct {
 	// (Recover): the job skips source materialization and pays only the
 	// decomposition of the recovered state.
 	pre *graph.Graph
+	// file is spec.Path opened under the load root, or nil (Close is nil-safe).
+	file *os.File
 }
 
 // Load registers spec.Name and enqueues the build job. It returns
-// immediately; poll Get until the state leaves StateLoading.
-func (r *Registry) Load(spec LoadSpec) (*Entry, error) {
+// immediately; poll Get until the state leaves StateLoading. spec.Path opens
+// as given: only a load over HTTP is confined to Config.LoadRoot.
+func (r *Registry) Load(spec LoadSpec) (*Entry, error) { return r.load(spec, "") }
+
+// load is Load with spec.Path opened under root, when set, before anything is
+// queued, so that no file outside root is ever opened.
+func (r *Registry) load(spec LoadSpec, root string) (*Entry, error) {
 	// "." and ".." pass nameRE but would escape DataDir via filepath.Join;
 	// reject them outright.
 	if !nameRE.MatchString(spec.Name) || spec.Name == "." || spec.Name == ".." {
@@ -67,15 +75,19 @@ func (r *Registry) Load(spec LoadSpec) (*Entry, error) {
 	if spec.N < 0 || spec.N > 1<<31 {
 		return nil, &vertexCountError{N: spec.N}
 	}
-	threshold := spec.Threshold
-	if threshold <= 0 {
-		threshold = r.cfg.DefaultThreshold
+	j := buildJob{e: &Entry{name: spec.Name, state: StateLoading, threshold: max(spec.Threshold, 0)}, spec: spec}
+	if spec.Path != "" && root != "" {
+		f, err := os.OpenInRoot(root, spec.Path)
+		if err != nil {
+			return nil, loadRootError{err}
+		}
+		j.file = f
 	}
-	e := &Entry{name: spec.Name, state: StateLoading, threshold: threshold}
-	if err := r.admit(buildJob{e: e, spec: spec}); err != nil {
+	if err := r.admit(j); err != nil {
+		j.file.Close()
 		return nil, err
 	}
-	return e, nil
+	return j.e, nil
 }
 
 // admit registers j's entry and queues its build: ErrShutdown once the
@@ -98,7 +110,7 @@ func (r *Registry) admit(j buildJob) error {
 		return nil
 	default:
 		r.m.overload.With("build").Inc()
-		return &OverloadError{Op: "build", Name: name, RetryAfter: r.cfg.RetryAfter}
+		return &OverloadError{Op: "build", Name: name, RetryAfter: r.lim.retryAfter}
 	}
 }
 
@@ -139,6 +151,7 @@ func (e *Entry) fail(m *Metrics, status string, err error) {
 // start the entry's mutation worker. The coarse-grained cancellation points
 // are between phases — the phases themselves are CPU-bound library calls.
 func (r *Registry) runBuild(j buildJob) {
+	defer j.file.Close()
 	if r.beforeBuild != nil {
 		r.beforeBuild()
 	}
@@ -188,7 +201,7 @@ func (r *Registry) runBuild(j buildJob) {
 	if attached {
 		j.e.dir = dir
 		j.e.wal = wal
-		j.e.mutCh = make(chan *mutRequest, r.cfg.MutationQueueDepth)
+		j.e.mutCh = make(chan *mutRequest, r.lim.mutationQueue)
 		j.e.mutDone = make(chan struct{})
 	}
 	j.e.mu.Unlock()
@@ -211,7 +224,7 @@ func (r *Registry) buildEngine(j buildJob) (inc *core.Incremental, status string
 	}()
 	g := j.pre
 	if g == nil {
-		if g, err = buildGraph(j.spec); err != nil {
+		if g, err = buildGraph(j.spec, j.file); err != nil {
 			return nil, "error", err
 		}
 	}
@@ -222,7 +235,8 @@ func (r *Registry) buildEngine(j buildJob) (inc *core.Incremental, status string
 	return inc, "error", err
 }
 
-func buildGraph(spec LoadSpec) (*graph.Graph, error) {
+// buildGraph materializes spec's graph; f is spec.Path opened, or nil.
+func buildGraph(spec LoadSpec, f *os.File) (*graph.Graph, error) {
 	switch {
 	case spec.Dataset != "":
 		scale := spec.Scale
@@ -239,7 +253,13 @@ func buildGraph(spec LoadSpec) (*graph.Graph, error) {
 		}
 		return ds.Build(scale), nil
 	case spec.Path != "":
-		g, err := graphio.LoadFile(spec.Path, spec.Format, spec.Directed)
+		var g *graph.Graph
+		var err error
+		if f != nil {
+			g, _, err = graphio.ReadFile(f, spec.Format, spec.Directed, false)
+		} else {
+			g, err = graphio.LoadFile(spec.Path, spec.Format, spec.Directed)
+		}
 		if err != nil {
 			log.Printf("server: load %q from %s: %v", spec.Name, spec.Path, err)
 			return nil, fileError(err)

@@ -139,8 +139,9 @@ const modelScriptSteps = 120
 func runModelScript(t *testing.T, seed int64, directed bool) {
 	const name = "m"
 	rng := rand.New(rand.NewSource(seed))
-	cfg := Config{Workers: 1, DataDir: t.TempDir(), SnapshotEvery: 4 + rng.Intn(8)}
-	reg := NewRegistry(cfg)
+	cfg := Config{DataDir: t.TempDir()}
+	lim := limits{workers: 1, snapshotEvery: 4 + rng.Intn(8)}.orDefaults()
+	reg := newRegistry(cfg, lim)
 	t.Cleanup(func() { reg.Close() })
 	m := randomModel(rng, 24+rng.Intn(24), directed)
 
@@ -195,7 +196,7 @@ func runModelScript(t *testing.T, seed int64, directed bool) {
 		}
 		reg.Close()
 		cfg.DataDir = dir
-		reg = NewRegistry(cfg)
+		reg = newRegistry(cfg, lim)
 		names, err := reg.Recover()
 		if err != nil {
 			t.Fatalf("%s: recover: %v", label, err)
@@ -280,7 +281,7 @@ func runModelScript(t *testing.T, seed int64, directed bool) {
 			if rng.Intn(2) == 0 {
 				// An unloaded graph stays gone across a restart.
 				reg.Close()
-				reg = NewRegistry(cfg)
+				reg = newRegistry(cfg, lim)
 				if names, err := reg.Recover(); err != nil || len(names) != 0 {
 					t.Fatalf("%s: recover after unload: %v, %v; want nothing", label, names, err)
 				}
@@ -368,8 +369,9 @@ func runModelConcurrent(t *testing.T, seed int64, directed bool) {
 		readers   = 2
 	)
 	rng := rand.New(rand.NewSource(seed))
-	cfg := Config{Workers: 1, DataDir: t.TempDir(), MutationQueueDepth: 4, MutationBatch: 16}
-	reg := NewRegistry(cfg)
+	cfg := Config{DataDir: t.TempDir()}
+	lim := limits{workers: 1, mutationQueue: 4, mutationBatch: 16}.orDefaults()
+	reg := newRegistry(cfg, lim)
 	t.Cleanup(func() { reg.Close() })
 	// Hold the first batch until a second mutation queues behind it, so that
 	// at least one drain coalesces.
@@ -525,7 +527,7 @@ func runModelConcurrent(t *testing.T, seed int64, directed bool) {
 
 	ts.Close()
 	reg.Close()
-	rec := NewRegistry(cfg)
+	rec := newRegistry(cfg, lim)
 	defer rec.Close()
 	if _, err := rec.Recover(); err != nil {
 		t.Fatal(err)

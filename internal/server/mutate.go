@@ -69,7 +69,7 @@ func (r *Registry) Mutate(e *Entry, add bool, u, v int32) (MutationResult, error
 	default:
 		e.mu.RUnlock()
 		r.m.overload.With("mutation").Inc()
-		return MutationResult{}, &OverloadError{Op: "mutation", Name: e.name, RetryAfter: r.cfg.RetryAfter}
+		return MutationResult{}, &OverloadError{Op: "mutation", Name: e.name, RetryAfter: r.lim.retryAfter}
 	}
 	out := <-req.done
 	e.pending.Add(-1)
@@ -119,9 +119,9 @@ func (r *Registry) mutWorker(e *Entry) {
 		if r.beforeMutate != nil {
 			r.beforeMutate()
 		}
-		batch := append(make([]*mutRequest, 0, r.cfg.MutationBatch), req)
+		batch := append(make([]*mutRequest, 0, r.lim.mutationBatch), req)
 	drain:
-		for len(batch) < r.cfg.MutationBatch {
+		for len(batch) < r.lim.mutationBatch {
 			select {
 			case more, ok := <-e.mutCh:
 				if !ok {
@@ -193,7 +193,7 @@ func (r *Registry) processBatch(e *Entry, batch []*mutRequest) {
 	}
 	r.m.batches.With().Inc()
 	r.m.batchOps.With().Add(len(batch))
-	if e.wal != nil && e.wal.records >= r.cfg.SnapshotEvery {
+	if e.wal != nil && e.wal.records >= r.lim.snapshotEvery {
 		if err := writeSnapshot(e.dir, snap.Graph); err != nil {
 			r.walFailed(e, err)
 		} else if err := e.wal.Reset(); err == nil {

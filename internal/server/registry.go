@@ -1,22 +1,15 @@
 // Package server is the serving subsystem behind the bcd daemon: a Registry
 // of named loaded graphs, each holding a core.Incremental handle, plus the
 // net/http JSON API over it (server.go) and its Prometheus metrics
-// (metrics.go).
-//
-// The decomposition-based structure is what makes serving cheap: biconnected
-// blocks and α/β/γ weights are computed once at load time and reused across
-// every query, and intra-block edge updates flow through core.Incremental
-// instead of recomputing the world.
+// (metrics.go). A graph is decomposed and swept once per load, and an edit
+// re-sweeps only the sub-graphs it changed.
 //
 // Concurrency model: core.Incremental publishes immutable epochs behind an
-// atomic pointer, so queries read through inc.Snapshot() without holding any
-// entry lock during the read — the per-entry RWMutex only guards the entry
-// lifecycle fields (state, error, the inc pointer itself), and a mutation's
-// exclusive window is the pointer swap inside the engine, not the recompute.
-// Per-request scratch (top-K ranking) and the engines' per-vertex sweep
-// state come from pooled arenas (sync.Pool here, internal/ws in core), so a
-// warm daemon serves queries without per-request heap allocation outside
-// JSON encoding.
+// atomic pointer, so queries read inc.Snapshot() holding no entry lock; the
+// per-entry RWMutex guards only the lifecycle fields (state, error, the inc
+// pointer). Per-request scratch and the engines' sweep state come from pooled
+// arenas, so a warm daemon serves queries without per-request heap allocation
+// outside JSON encoding. DESIGN.md §5 has the whole model.
 //
 // Files: registry.go (registry, unload, close), load.go (load and build
 // jobs), mutate.go (mutation pipeline), query.go (read paths), wal.go
@@ -51,38 +44,35 @@ const (
 	StateAborted State = "aborted"
 )
 
-// Config tunes a Registry.
+// Config says where a Registry runs: what it writes and what it may read.
 type Config struct {
-	// Workers bounds how many build/recompute jobs run concurrently (a
-	// fixed worker set draining a shared queue). <= 0 means 2.
-	Workers int
-	// QueueDepth bounds the number of queued build jobs; <= 0 means 16.
-	// Loads beyond it are rejected with an error rather than queued without
-	// bound.
-	QueueDepth int
-	// DefaultThreshold is the decomposition threshold used when a LoadSpec
-	// does not set one; <= 0 means decompose.DefaultThreshold.
-	DefaultThreshold int
-
 	// DataDir enables durability: each graph gets a WAL + snapshot directory
 	// under it (see wal.go) and Recover can rebuild the registry after a
 	// crash or restart. Empty disables durability.
 	DataDir string
-	// SnapshotEvery bounds the WAL: after this many logged mutation records
-	// the worker writes a fresh snapshot and truncates the log. <= 0 means
-	// 256.
-	SnapshotEvery int
-	// MutationQueueDepth bounds each graph's pending-mutation queue;
-	// mutations beyond it are rejected with an OverloadError (HTTP 429)
-	// instead of queueing without bound. <= 0 means 128.
-	MutationQueueDepth int
-	// MutationBatch caps how many queued mutations the worker coalesces into
-	// one engine batch — one WAL fsync and ONE published epoch per batch,
-	// instead of one rebuild per edge. <= 0 means 64.
-	MutationBatch int
-	// RetryAfter is the backoff hint attached to OverloadErrors (the HTTP
-	// layer's Retry-After header). <= 0 means 1s.
-	RetryAfter time.Duration
+	// LoadRoot, when set, confines the path of a load posted over HTTP to
+	// this directory (os.OpenInRoot). Empty, or Registry.Load, opens any path.
+	LoadRoot string
+}
+
+// limits are the registry's bounds, each one value (defaultLimits; DESIGN §5
+// says why). The type exists so tests can lower them through newRegistry.
+type limits struct {
+	workers       int           // build jobs running at once
+	queueDepth    int           // queued build jobs; one more is an OverloadError
+	snapshotEvery int           // WAL records between snapshot compactions
+	mutationQueue int           // queued mutations per graph; one more is an OverloadError
+	mutationBatch int           // mutations coalesced into one WAL fsync and one epoch
+	retryAfter    time.Duration // an OverloadError's Retry-After
+}
+
+var defaultLimits = limits{
+	workers:       2,
+	queueDepth:    16,
+	snapshotEvery: 256,
+	mutationQueue: 128,
+	mutationBatch: 64,
+	retryAfter:    time.Second,
 }
 
 // Entry is one named graph in the registry. mu guards the lifecycle fields
@@ -120,6 +110,7 @@ type Entry struct {
 // Registry is the set of loaded graphs plus the bounded build-job pool.
 type Registry struct {
 	cfg    Config
+	lim    limits
 	ctx    context.Context
 	cancel context.CancelFunc
 	// m is the registry's metrics; the Server over it serves them.
@@ -146,39 +137,24 @@ type Registry struct {
 }
 
 // NewRegistry starts the worker pool. Close must be called to release it.
-func NewRegistry(cfg Config) *Registry {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 2
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 16
-	}
-	if cfg.SnapshotEvery <= 0 {
-		cfg.SnapshotEvery = 256
-	}
-	if cfg.MutationQueueDepth <= 0 {
-		cfg.MutationQueueDepth = 128
-	}
-	if cfg.MutationBatch <= 0 {
-		cfg.MutationBatch = 64
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
-	}
+func NewRegistry(cfg Config) *Registry { return newRegistry(cfg, defaultLimits) }
+
+func newRegistry(cfg Config, lim limits) *Registry {
 	ctx, cancel := context.WithCancel(context.Background())
 	r := &Registry{
 		cfg:      cfg,
+		lim:      lim,
 		ctx:      ctx,
 		cancel:   cancel,
 		m:        newMetrics(),
 		graphs:   map[string]*Entry{},
 		dropping: map[string]chan struct{}{},
-		jobs:     make(chan buildJob, cfg.QueueDepth),
+		jobs:     make(chan buildJob, lim.queueDepth),
 	}
 	// A fixed worker set draining a shared queue: jobs arrive over time
 	// rather than as a fixed index range.
-	r.wg.Add(cfg.Workers)
-	for w := 0; w < cfg.Workers; w++ {
+	r.wg.Add(lim.workers)
+	for w := 0; w < lim.workers; w++ {
 		go r.worker()
 	}
 	return r
@@ -284,6 +260,7 @@ func (r *Registry) Close() {
 	r.wg.Wait()
 	// Workers have exited; whatever is still queued was never started.
 	for j := range r.jobs {
+		j.file.Close()
 		j.e.fail(r.m, "canceled", errAborted)
 	}
 	// All build workers are done, so the set of mutation workers is final:

@@ -109,7 +109,7 @@ func TestRegistryLoadValidation(t *testing.T) {
 }
 
 func TestRegistryBoundedQueue(t *testing.T) {
-	r := NewRegistry(Config{Workers: 1, QueueDepth: 1})
+	r := newRegistry(Config{}, limits{workers: 1, queueDepth: 1}.orDefaults())
 	gate := make(chan struct{})
 	started := make(chan struct{}, 8)
 	r.beforeBuild = func() {
@@ -151,7 +151,7 @@ func TestRegistryBoundedQueue(t *testing.T) {
 }
 
 func TestRegistryCloseAbortsQueued(t *testing.T) {
-	r := NewRegistry(Config{Workers: 1, QueueDepth: 4})
+	r := newRegistry(Config{}, limits{workers: 1, queueDepth: 4}.orDefaults())
 	gate := make(chan struct{})
 	started := make(chan struct{}, 8)
 	r.beforeBuild = func() {
@@ -205,7 +205,7 @@ func TestRegistryLoadRejectsTraversalNames(t *testing.T) {
 }
 
 func TestRegistryOverloadTyped(t *testing.T) {
-	r := NewRegistry(Config{Workers: 1, QueueDepth: 1, RetryAfter: 2 * time.Second})
+	r := newRegistry(Config{}, limits{workers: 1, queueDepth: 1, retryAfter: 2 * time.Second}.orDefaults())
 	gate := make(chan struct{})
 	started := make(chan struct{}, 8)
 	r.beforeBuild = func() {
@@ -234,14 +234,14 @@ func TestRegistryOverloadTyped(t *testing.T) {
 }
 
 func TestBuildGraphInlineEdges(t *testing.T) {
-	g, err := buildGraph(LoadSpec{Edges: [][2]int32{{0, 5}}, Directed: true})
+	g, err := buildGraph(LoadSpec{Edges: [][2]int32{{0, 5}}, Directed: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.NumVertices() != 6 || !g.Directed() {
 		t.Fatalf("got %v, want 6 directed vertices", g)
 	}
-	if _, err := buildGraph(LoadSpec{Edges: [][2]int32{{-1, 2}}}); err == nil {
+	if _, err := buildGraph(LoadSpec{Edges: [][2]int32{{-1, 2}}}, nil); err == nil {
 		t.Fatal("negative vertex accepted")
 	}
 }

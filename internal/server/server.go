@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"log"
 	"net/http"
 	"strconv"
@@ -116,6 +117,7 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	var vrange *VertexRangeError
 	var overload *OverloadError
 	var durability *DurabilityError
+	var outside loadRootError
 	switch {
 	case errors.As(err, &overload):
 		// Admission control: load shedding with an explicit backoff hint.
@@ -145,6 +147,10 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 		}
 	case errors.As(err, &vrange):
 		code = http.StatusNotFound
+	case errors.As(err, &outside) && errors.Is(err, fs.ErrNotExist):
+		code = http.StatusNotFound
+	case errors.As(err, &outside):
+		code = http.StatusForbidden
 	}
 	s.writeJSON(w, code, errorBody{Error: err.Error()})
 }
@@ -173,7 +179,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad load spec: " + err.Error()})
 		return
 	}
-	e, err := s.reg.Load(spec)
+	e, err := s.reg.load(spec, s.reg.cfg.LoadRoot)
 	if err != nil {
 		s.writeError(w, err)
 		return

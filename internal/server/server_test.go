@@ -64,7 +64,7 @@ func lifecycleGraph(extra [][2]int32, removed [][2]int32) *graph.Graph {
 
 func newTestServer(t *testing.T) (*httptest.Server, *Registry) {
 	t.Helper()
-	reg := NewRegistry(Config{Workers: 2})
+	reg := NewRegistry(Config{})
 	ts := httptest.NewServer(New(reg, nil))
 	t.Cleanup(func() {
 		ts.Close()
@@ -395,7 +395,7 @@ func TestBCServesExactOnly(t *testing.T) {
 // reaches the client as a 500 with an error body, and is logged, instead of
 // the 200 with an empty body that writing the status before encoding gave.
 func TestUnencodableResponseIs500(t *testing.T) {
-	reg := NewRegistry(Config{Workers: 1})
+	reg := newRegistry(Config{}, limits{workers: 1}.orDefaults())
 	defer reg.Close()
 	var logged bytes.Buffer
 	s := New(reg, log.New(&logged, "", 0))
@@ -658,8 +658,9 @@ func scrapeMetrics(t *testing.T, base string) map[string]float64 {
 // each /metrics counter to the exact count the script implies.
 func TestMetricsCountEveryRegistryEvent(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Workers: 1, QueueDepth: 1, DataDir: dir, SnapshotEvery: 2, MutationQueueDepth: 1}
-	reg := NewRegistry(cfg)
+	cfg := Config{DataDir: dir}
+	lim := limits{workers: 1, queueDepth: 1, snapshotEvery: 2, mutationQueue: 1}.orDefaults()
+	reg := newRegistry(cfg, lim)
 	var holdBuild, holdMutate atomic.Bool
 	var buildOnce, mutOnce sync.Once
 	buildGate, buildHeld := make(chan struct{}), make(chan struct{})
@@ -781,7 +782,7 @@ func TestMetricsCountEveryRegistryEvent(t *testing.T) {
 
 	// Recover in a fresh registry: one recover event, and two snapshots (the
 	// build-time one and Close's final one).
-	reg2 := NewRegistry(cfg)
+	reg2 := newRegistry(cfg, lim)
 	ts2 := httptest.NewServer(New(reg2, nil))
 	t.Cleanup(func() {
 		ts2.Close()
