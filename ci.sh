@@ -237,8 +237,9 @@ run_named 'TestEngineBitMatch|TestEngineExactBudgetBitMatch|TestLoadEngineBitMat
 # A hostile load spec fails alone: an inline n outside [0, 2³¹] is a 400 at
 # Load, before any build is queued, a build that panics anyway fails its own
 # entry with the panic's text, and the daemon goes on loading and serving. A
-# file that does not parse tells the client its line, never its text.
-run_named 'TestRegistryRejectsHostileInlineN|TestRunBuildRecoversPanic|TestHostileInlineNIs400|TestLoadErrorKeepsFileContentsInTheLog' \
+# file that does not parse tells the client its line, never its text, and a
+# path that names a FIFO is a 400 at once, rooted or not, never a hung open.
+run_named 'TestRegistryRejectsHostileInlineN|TestRunBuildRecoversPanic|TestHostileInlineNIs400|TestLoadErrorKeepsFileContentsInTheLog|TestLoadRefusesFIFO' \
     -race -count=1 ./internal/server
 # The registry owns one metrics bundle and its code paths increment it: every
 # event (overloads, batches, top-K hits and misses, WAL appends, compactions,
@@ -250,7 +251,7 @@ run_named 'TestMetricsCountEveryRegistryEvent|TestMetricsEndpoint|TestBCServesEx
     -race -count=1 ./internal/server
 
 echo "==> alloc gates: warm sweeps and the top-K serving path allocate zero"
-run_named 'TestRootSweepWarmAllocs|TestSerialSweepWarmAllocs|TestTopKServingWarmAllocs|TestPoolRace|TestPoolBytes' \
+run_named 'TestEngineWarmAllocs|TestSerialSweepWarmAllocs|TestTopKServingWarmAllocs|TestPoolRace|TestPoolBytes' \
     -count=1 ./internal/core ./internal/brandes ./internal/server ./internal/ws
 
 echo "==> pre-sweep gates: linear Decompose, builder and mirror check vs their oracles"
@@ -444,8 +445,8 @@ if [ "$(grep -rn 'hubRatio' --include='*.go' . | grep -v '^./internal/decompose/
 fi
 
 # Nor may the sweep kernel become a knob again above core: the parser and the
-# scalar constant are gone, RootSweep has one Run, and neither a load spec nor
-# the estimator's options carry an engine.
+# scalar constant are gone, a work unit's roots go to runRoots whole, and
+# neither a load spec nor the estimator's options carry an engine.
 if grep -rnwE 'ParseRootEngine|EngineScalar|RunBatch' --include='*.go' .; then
     echo "ci.sh: ParseRootEngine, EngineScalar or RunBatch is back; core picks the kernel per work unit" >&2
     exit 1
@@ -453,6 +454,17 @@ fi
 # shellcheck disable=SC2046
 if grep -nE '^\s+Engine\s' $(ls internal/server/*.go | grep -v '_test\.go$') internal/approx/approx.go; then
     echo "ci.sh: an Engine field is back in LoadSpec, EntryInfo, graphMeta or approx.Options" >&2
+    exit 1
+fi
+
+# One sweep driver: drainUnits (internal/core/sched.go) is the only non-test
+# code that builds an engine or runs roots through one — Compute's units,
+# Incremental's re-sweeps and the sampler's pivot groups (core.SweepRoots) all
+# go through it — and the exported per-root sweep beside it stays gone.
+if grep -rn 'RootSweep' --include='*.go' . ||
+    grep -rnE 'newEngine\(|\.runRoots\(' --include='*.go' . | grep -v '_test\.go:' |
+    grep -v '^\./internal/core/sched\.go:' | grep -vE '^\./internal/core/engine\.go:[0-9]+:func newEngine\('; then
+    echo "ci.sh: RootSweep is back, or non-test code outside internal/core/sched.go builds an engine or runs roots; drainUnits is the one sweep driver" >&2
     exit 1
 fi
 
@@ -550,9 +562,9 @@ fi
 # Nor may an export that only tests call come back to non-test code: each
 # lives in its package's export_test.go or as a helper in the tests that use it.
 if grep -rnwE 'DegreeHistogram' --include='*.go' . ||
-    grep -rnE 'func \(s \*Sweep\) (CheckClean|Cap)\(|func \(g \*Graph\) (Transpose|UnitWeights)\(|func \(s \*Subgraph\) (Folded|Weighted|Directed)\(|func \(rs \*RootSweep\) Traversed\(|func SerialSuccs\(|func \(inc \*Incremental\) Decomposition\(|func \(e \*Estimator\) Batches\(|func \(e \*Entry\) BC\(|func \(b \*Bag\[T\]\) Size\(|func \(g \*Gauge\) Add\(' --include='*.go' . |
+    grep -rnE 'func \(s \*Sweep\) (CheckClean|Cap)\(|func \(g \*Graph\) (Transpose|UnitWeights)\(|func \(s \*Subgraph\) (Folded|Weighted|Directed)\(|func SerialSuccs\(|func \(inc \*Incremental\) Decomposition\(|func \(e \*Estimator\) Batches\(|func \(e \*Entry\) BC\(|func \(b \*Bag\[T\]\) Size\(|func \(g \*Gauge\) Add\(' --include='*.go' . |
     grep -v '_test\.go:'; then
-    echo "ci.sh: a test-only export (Sweep.CheckClean/Cap, DegreeHistogram, Graph.Transpose/UnitWeights, Subgraph.Folded/Weighted/Directed, RootSweep.Traversed, SerialSuccs, Incremental.Decomposition, Estimator.Batches, Entry.BC, Bag.Size, Gauge.Add) is back in non-test code" >&2
+    echo "ci.sh: a test-only export (Sweep.CheckClean/Cap, DegreeHistogram, Graph.Transpose/UnitWeights, Subgraph.Folded/Weighted/Directed, SerialSuccs, Incremental.Decomposition, Estimator.Batches, Entry.BC, Bag.Size, Gauge.Add) is back in non-test code" >&2
     exit 1
 fi
 # The paper's baselines run through one table, brandes.Baselines: no non-test

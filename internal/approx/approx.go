@@ -21,9 +21,12 @@
 // Budgets are allocated across sub-graphs proportionally to sub-graph size
 // and capped at |R_i|, so a budget of n (the whole-graph root count) or more
 // saturates every sub-graph: each scale factor becomes exactly 1 and the
-// estimator replays the exact engine's root schedule through the same
-// core.RootSweep arithmetic — full-budget results bit-match the exact
-// coarse serial path (see TestExactBudgetBitMatch). Sub-graphs with at most
+// estimator hands core.SweepRoots each sub-graph's whole root list, which
+// core's unit drain sweeps with the exact engine's arithmetic — full-budget
+// results bit-match the exact coarse serial path (see
+// TestExactBudgetBitMatch). Every sweep, presolve or pivot batch, is such a
+// (sub-graph, roots) group, spread over Options.Workers by that drain and
+// folded back in sub-graph order. Sub-graphs with at most
 // presolveRoots roots are always solved exactly up front; sampling only
 // pays off in large sub-graphs, and exactness there is nearly free.
 //
@@ -111,10 +114,7 @@ func Estimate(g *graph.Graph, opt Options) (*Result, error) {
 	if g.Weighted() {
 		return nil, fmt.Errorf("approx: weighted graphs are not supported")
 	}
-	d, err := decompose.Decompose(g, decompose.Options{
-		Threshold: opt.Threshold,
-		Workers:   opt.Workers,
-	})
+	d, err := decompose.Decompose(g, decompose.Options{Threshold: opt.Threshold})
 	if err != nil {
 		return nil, err
 	}
@@ -122,17 +122,16 @@ func Estimate(g *graph.Graph, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer est.release()
 	switch {
 	case opt.Pivots > 0:
-		est.ensureBudget(opt.Pivots)
+		err = est.ensureBudget(opt.Pivots)
 	case opt.Eps > 0:
-		est.ensureEps(opt.Eps)
+		err = est.ensureEps(opt.Eps)
 	default:
 		return nil, fmt.Errorf("approx: Options needs Pivots > 0 or Eps > 0")
 	}
-	if est.overflow.Load() {
-		return nil, graph.ErrPathCountOverflow
+	if err != nil {
+		return nil, err
 	}
 	r := est.result()
 	return &r, nil

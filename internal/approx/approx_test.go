@@ -191,7 +191,10 @@ func TestEstimatorRefinement(t *testing.T) {
 	}
 	prev := est.pivots
 	for i := 0; i < 100 && !est.exact(); i++ {
-		ran := est.refine(4)
+		ran, err := est.refine(4)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if ran < 0 || est.pivots < prev {
 			t.Fatalf("pivot count went backwards: %d -> %d", prev, est.pivots)
 		}

@@ -7,21 +7,6 @@ import (
 	"repro/internal/decompose"
 )
 
-// scalarSum sweeps roots of sg in order with the scalar kernel alone and
-// returns their summed contribution: one root per RootSweep.Run call is under
-// the kernel rule's lower bound on a root range, so it is what a lane budget
-// of 0 gives inside core — from outside it.
-func scalarSum(sg *decompose.Subgraph, roots []int32, directed bool) []float64 {
-	var sw core.RootSweep
-	for i := range roots {
-		sw.Run(sg, roots[i:i+1], directed)
-	}
-	sum := make([]float64, sg.NumVerts())
-	sw.Collect(sum)
-	sw.Release()
-	return sum
-}
-
 // laneEligible restates core's kernel rule for a root range of sg (64 swept
 // vertices, 8 roots, 64 lanes × 40 B per swept vertex within 2 MiB), so that
 // the tests below can tell a fixture that reaches the lane kernel from one
@@ -31,11 +16,12 @@ func laneEligible(sg *decompose.Subgraph, roots int) bool {
 }
 
 // TestEngineBitMatch pins the estimator's kernel-independence at partial
-// budgets: the pivot groups it hands to RootSweep.Run — which the kernel rule
-// sends through the lane kernel wherever a group is large enough — must sum to
-// what the scalar kernel gives for the same pivots one at a time, bit for bit,
-// for serial and parallel workers. After the presolve pass and one refine, a
-// sub-graph's sum is exactly one group's contribution.
+// budgets: the pivot groups it hands to core.SweepRoots — which the kernel
+// rule sends through the lane kernel wherever a group is large enough — must
+// sum to what the same pivots give handed over one per group (under the
+// rule's lower bound on a unit, so the scalar kernel), bit for bit, for serial
+// and parallel workers. After the presolve pass and one refine, a sub-graph's
+// sum is exactly one group's contribution.
 func TestEngineBitMatch(t *testing.T) {
 	lanes := 0
 	for name, g := range testGraphs() {
@@ -48,7 +34,9 @@ func TestEngineBitMatch(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			est.refine(48)
+			if _, err := est.refine(48); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
 			for si, s := range est.subs {
 				roots := s.sg.Roots // presolved: the exact schedule
 				if s.perm != nil {
@@ -57,15 +45,27 @@ func TestEngineBitMatch(t *testing.T) {
 				if laneEligible(s.sg, len(roots)) {
 					lanes++
 				}
-				want := scalarSum(s.sg, roots, g.Directed())
+				ones := make([]core.RootGroup, len(roots))
+				for i := range roots {
+					ones[i] = core.RootGroup{Subgraph: s.sg, Roots: roots[i : i+1]}
+				}
+				contribs, err := core.SweepRoots(g, ones, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := make([]float64, s.sg.NumVerts())
+				for _, c := range contribs {
+					for l := range want {
+						want[l] += c[l]
+					}
+				}
 				for l := range want {
 					if s.sum[l] != want[l] {
-						t.Fatalf("%s w=%d sub-graph %d (%d pivots) vertex %d: estimator %v, scalar %v",
+						t.Fatalf("%s w=%d sub-graph %d (%d pivots) vertex %d: estimator %v, one root per group %v",
 							name, workers, si, len(roots), l, s.sum[l], want[l])
 					}
 				}
 			}
-			est.release()
 		}
 	}
 	if lanes == 0 {
@@ -75,8 +75,9 @@ func TestEngineBitMatch(t *testing.T) {
 
 // TestEngineExactBudgetBitMatch: the full-budget estimator — whole root lists
 // through the kernel rule — replays the exact one-worker path bit for bit
-// whichever kernels that path uses: lanes forced onto every unit
-// (core.EngineMSBFS), and the scalar kernel for every root.
+// whichever kernels that path uses: the rule's, and lanes forced onto every
+// unit (core.EngineMSBFS). core's TestMSBFSEngineBitMatchesScalar holds both
+// to the scalar kernel everywhere.
 func TestEngineExactBudgetBitMatch(t *testing.T) {
 	lanes := 0
 	for name, g := range testGraphs() {
@@ -95,19 +96,19 @@ func TestEngineExactBudgetBitMatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scalar := make([]float64, g.NumVertices())
+		rule, err := core.ComputeDecomposed(d, core.Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, sg := range d.Subgraphs {
 			if laneEligible(sg, len(sg.Roots)) {
 				lanes++
 			}
-			for l, c := range scalarSum(sg, sg.Roots, g.Directed()) {
-				scalar[sg.Verts[l]] += c
-			}
 		}
 		for v := range res.BC {
-			if res.BC[v] != forced[v] || res.BC[v] != scalar[v] {
-				t.Fatalf("%s: vertex %d: approx %v, exact with forced lanes %v, with the scalar kernel %v (bit mismatch)",
-					name, v, res.BC[v], forced[v], scalar[v])
+			if res.BC[v] != forced[v] || res.BC[v] != rule[v] {
+				t.Fatalf("%s: vertex %d: approx %v, exact with forced lanes %v, under the kernel rule %v (bit mismatch)",
+					name, v, res.BC[v], forced[v], rule[v])
 			}
 		}
 	}

@@ -3,12 +3,9 @@ package approx
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/decompose"
-	"repro/internal/graph"
-	"repro/internal/par"
 )
 
 // subSampler is the per-sub-graph sampling state.
@@ -21,9 +18,8 @@ type subSampler struct {
 	next int
 	// sum accumulates ΣC over consumed roots (local ids); once done, it is
 	// the sub-graph's exact contribution.
-	sum     []float64
-	contrib []float64 // per-batch scratch
-	done    bool      // every root consumed: contribution is exact
+	sum  []float64
+	done bool // every root consumed: contribution is exact
 }
 
 func (s *subSampler) rootCount() int { return len(s.sg.Roots) }
@@ -31,12 +27,11 @@ func (s *subSampler) rootCount() int { return len(s.sg.Roots) }
 // estimator is a refinable per-sub-graph pivot sampler behind Estimate. It is
 // not safe for concurrent use.
 type estimator struct {
-	d        *decompose.Decomposition
-	directed bool
-	n        int     // vertices in the whole graph
-	norm     float64 // 1/((n-1)(n-2)) — normalized-BC divisor
-	seed     int64
-	workers  int
+	d       *decompose.Decomposition
+	n       int     // vertices in the whole graph
+	norm    float64 // 1/((n-1)(n-2)) — normalized-BC divisor
+	seed    int64
+	workers int
 
 	subs       []*subSampler // index-aligned with d.Subgraphs
 	open       []int         // indices of sub-graphs still being sampled
@@ -48,45 +43,39 @@ type estimator struct {
 	// part of BC (global ids), the bootstrap's resampling units.
 	batches [][]float64
 
-	sweeps    []*core.RootSweep // per-worker exact-arithmetic sweeps
 	errCached float64
 	errValid  bool
-	// overflow: a sweep met a path count past float64
-	// (graph.ErrPathCountOverflow), so the estimate is meaningless.
-	overflow atomic.Bool
 }
 
 // newEstimator prepares sampling state over d (seeded root shuffles) and
 // presolves every sub-graph with at most presolveRoots roots exactly. No
-// stochastic sampling happens until refine/ensureBudget/ensureEps.
+// stochastic sampling happens until refine/ensureBudget/ensureEps. A presolve
+// sweep whose path counts overflow float64 is graph.ErrPathCountOverflow.
 func newEstimator(d *decompose.Decomposition, opt Options) (*estimator, error) {
 	if d.G.Weighted() {
 		return nil, fmt.Errorf("approx: weighted graphs are not supported")
 	}
 	n := d.G.NumVertices()
 	e := &estimator{
-		d:        d,
-		directed: d.G.Directed(),
-		n:        n,
-		norm:     1,
-		seed:     opt.Seed,
-		workers:  opt.Workers,
+		d:       d,
+		n:       n,
+		norm:    1,
+		seed:    opt.Seed,
+		workers: opt.Workers,
 	}
 	if n > 2 {
 		e.norm = 1 / (float64(n-1) * float64(n-2))
 	}
-	e.rngShuffle(opt.Seed)
-	e.presolved = e.pivots
-	if e.overflow.Load() {
-		e.release()
-		return nil, graph.ErrPathCountOverflow
+	if err := e.rngShuffle(opt.Seed); err != nil {
+		return nil, err
 	}
+	e.presolved = e.pivots
 	return e, nil
 }
 
 // rngShuffle builds the per-sub-graph samplers with seeded permutations and
 // runs the presolve pass. Split out of newEstimator only for clarity.
-func (e *estimator) rngShuffle(seed int64) {
+func (e *estimator) rngShuffle(seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
 	var presolve []int
 	for i, sg := range e.d.Subgraphs {
@@ -105,26 +94,7 @@ func (e *estimator) rngShuffle(seed int64) {
 		})
 		e.open = append(e.open, i)
 	}
-	e.runExactSubs(presolve)
-}
-
-// ensureSweeps sizes the per-worker scratch pool.
-func (e *estimator) ensureSweeps(p int) {
-	for len(e.sweeps) < p {
-		e.sweeps = append(e.sweeps, &core.RootSweep{})
-	}
-}
-
-// growZero returns dst resized to n with every element zeroed.
-func growZero(dst []float64, n int) []float64 {
-	if cap(dst) < n {
-		return make([]float64, n)
-	}
-	dst = dst[:n]
-	for i := range dst {
-		dst[i] = 0
-	}
-	return dst
+	return e.runExactSubs(presolve)
 }
 
 // runExactSubs finishes the listed sub-graphs exactly. Sub-graphs that were
@@ -132,41 +102,36 @@ func growZero(dst []float64, n int) []float64 {
 // makes untouched-estimator full-budget runs bit-identical to the exact
 // coarse serial path; partially sampled ones finish their permutation tail
 // (exact values, root order differs, so last-bit rounding may differ).
-func (e *estimator) runExactSubs(idxs []int) {
+func (e *estimator) runExactSubs(idxs []int) error {
 	if len(idxs) == 0 {
-		return
+		return nil
 	}
-	p := par.Workers(e.workers)
-	e.ensureSweeps(p)
-	ran := make([]int, len(idxs))
-	par.ForWorker(len(idxs), p, 1, func(w, k int) {
-		s := e.subs[idxs[k]]
-		roots := s.sg.Roots
+	groups := make([]core.RootGroup, len(idxs))
+	for k, si := range idxs {
+		s := e.subs[si]
+		groups[k] = core.RootGroup{Subgraph: s.sg, Roots: s.sg.Roots}
 		if s.next > 0 {
-			roots = s.perm[s.next:]
+			groups[k].Roots = s.perm[s.next:]
 		}
-		sw := e.sweeps[w]
-		if sw.Run(s.sg, roots, e.directed) != nil {
-			e.overflow.Store(true)
-		}
-		s.contrib = growZero(s.contrib, s.sg.NumVerts())
-		sw.Collect(s.contrib)
-		for l, c := range s.contrib {
+	}
+	contribs, err := core.SweepRoots(e.d.G, groups, e.workers)
+	if err != nil {
+		return err
+	}
+	for k, si := range idxs {
+		s := e.subs[si]
+		for l, c := range contribs[k] {
 			if c != 0 {
 				s.sum[l] += c
 			}
 		}
-		ran[k] = len(roots)
-	})
-	for k, si := range idxs {
-		s := e.subs[si]
-		e.pivots += ran[k]
+		e.pivots += len(groups[k].Roots)
 		s.next = s.rootCount()
 		s.done = true
-		s.contrib = nil
 	}
 	e.dropDone()
 	e.errValid = false
+	return nil
 }
 
 // dropDone removes finished sub-graphs from the open list.
@@ -185,9 +150,9 @@ func (e *estimator) dropDone() {
 // one pivot each (every open sub-graph must appear in every batch for the
 // batch vector to be an unbiased estimate of the open part). Returns the
 // number of pivots actually run; 0 means the estimate is already exact.
-func (e *estimator) refine(budget int) int {
+func (e *estimator) refine(budget int) (int, error) {
 	if len(e.open) == 0 || budget <= 0 {
-		return 0
+		return 0, nil
 	}
 	e.errValid = false
 
@@ -195,7 +160,7 @@ func (e *estimator) refine(budget int) int {
 	for _, si := range e.open {
 		totalN += int64(e.subs[si].sg.NumVerts())
 	}
-	alloc := make([]int, len(e.open))
+	groups := make([]core.RootGroup, len(e.open))
 	for k, si := range e.open {
 		s := e.subs[si]
 		a := int(int64(budget) * int64(s.sg.NumVerts()) / totalN)
@@ -205,42 +170,31 @@ func (e *estimator) refine(budget int) int {
 		if rem := s.rootCount() - s.next; a > rem {
 			a = rem
 		}
-		alloc[k] = a
+		groups[k] = core.RootGroup{Subgraph: s.sg, Roots: s.perm[s.next : s.next+a]}
+	}
+	contribs, err := core.SweepRoots(e.d.G, groups, e.workers)
+	if err != nil {
+		return 0, err
 	}
 
-	p := par.Workers(e.workers)
-	e.ensureSweeps(p)
-	open := append([]int(nil), e.open...)
-	par.ForWorker(len(open), p, 1, func(w, k int) {
-		s := e.subs[open[k]]
-		sw := e.sweeps[w]
-		if sw.Run(s.sg, s.perm[s.next:s.next+alloc[k]], e.directed) != nil {
-			e.overflow.Store(true)
-		}
-		s.contrib = growZero(s.contrib, s.sg.NumVerts())
-		sw.Collect(s.contrib)
-	})
-
 	// Serial fold in sub-graph index order: deterministic for any worker
-	// count (each sub-graph's contribution was computed sequentially by one
-	// worker; only the fold below touches shared vectors).
+	// count (each group was swept in root order by one engine; only the fold
+	// below touches shared vectors).
 	bvec := make([]float64, e.n)
 	ran := 0
-	for k, si := range open {
+	for k, si := range e.open {
 		s := e.subs[si]
-		scale := float64(s.rootCount()) / float64(alloc[k])
+		a := len(groups[k].Roots)
+		scale := float64(s.rootCount()) / float64(a)
 		for l, v := range s.sg.Verts {
-			if c := s.contrib[l]; c != 0 {
+			if c := contribs[k][l]; c != 0 {
 				s.sum[l] += c
 				bvec[v] += scale * c
 			}
 		}
-		s.next += alloc[k]
-		if s.next == s.rootCount() {
-			s.done = true
-			s.contrib = nil
-		}
-		ran += alloc[k]
+		s.next += a
+		s.done = s.next == s.rootCount()
+		ran += a
 	}
 	e.pivots += ran
 	e.batches = append(e.batches, bvec)
@@ -248,7 +202,7 @@ func (e *estimator) refine(budget int) int {
 		e.collapseBatches()
 	}
 	e.dropDone()
-	return ran
+	return ran, nil
 }
 
 // collapseBatches averages adjacent batch-vector pairs, halving the stored
@@ -269,12 +223,15 @@ func (e *estimator) collapseBatches() {
 
 // runExact finishes every open sub-graph exactly; afterwards Exact() is true
 // and errorEstimate() is 0.
-func (e *estimator) runExact() {
+func (e *estimator) runExact() error {
 	if len(e.open) == 0 {
-		return
+		return nil
 	}
-	e.runExactSubs(append([]int(nil), e.open...))
+	if err := e.runExactSubs(append([]int(nil), e.open...)); err != nil {
+		return err
+	}
 	e.batches = nil
+	return nil
 }
 
 // ensureBudget refines until at least `pivots` stochastic root sweeps have
@@ -285,10 +242,9 @@ func (e *estimator) runExact() {
 // paying for. Budgets covering every root (>= the vertex count or the total
 // root count) switch to the exact schedule. A fresh estimator splits a small
 // budget into two batches so the bootstrap has something to resample.
-func (e *estimator) ensureBudget(pivots int) {
+func (e *estimator) ensureBudget(pivots int) error {
 	if pivots >= e.n || int64(pivots)+int64(e.presolved) >= e.totalRoots {
-		e.runExact()
-		return
+		return e.runExact()
 	}
 	target := e.presolved + pivots
 	for e.pivots < target && len(e.open) > 0 {
@@ -300,7 +256,11 @@ func (e *estimator) ensureBudget(pivots int) {
 		if b > rem {
 			b = rem
 		}
-		if e.refine(b) == 0 {
+		ran, err := e.refine(b)
+		if err != nil {
+			return err
+		}
+		if ran == 0 {
 			break
 		}
 	}
@@ -310,23 +270,25 @@ func (e *estimator) ensureBudget(pivots int) {
 	// Top up to two minimal batches: refine gives every open sub-graph at
 	// least one pivot regardless of the budget passed.
 	for len(e.batches) < 2 && len(e.open) > 0 {
-		if e.refine(len(e.open)) == 0 {
-			break
+		if ran, err := e.refine(len(e.open)); ran == 0 || err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
 // ensureEps refines until the bootstrap error estimate drops to eps > 0 (on
 // the normalized BC scale) or every sub-graph saturates.
-func (e *estimator) ensureEps(eps float64) {
+func (e *estimator) ensureEps(eps float64) error {
 	for len(e.open) > 0 {
 		if len(e.batches) >= 2 && e.errorEstimate() <= eps {
-			return
+			return nil
 		}
-		if e.refine(batchSize) == 0 {
-			break
+		if ran, err := e.refine(batchSize); ran == 0 || err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
 // estimate assembles the current scores: exact sums for finished sub-graphs,
@@ -356,15 +318,6 @@ func (e *estimator) estimate() []float64 {
 
 // exact reports whether every sub-graph has been solved in full.
 func (e *estimator) exact() bool { return len(e.open) == 0 }
-
-// release returns the estimator's pooled sweep workspaces to the shared
-// core arena.
-func (e *estimator) release() {
-	for _, sw := range e.sweeps {
-		sw.Release()
-	}
-	e.sweeps = e.sweeps[:0]
-}
 
 // result snapshots the estimator into a finished Result.
 func (e *estimator) result() Result {

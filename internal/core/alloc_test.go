@@ -23,10 +23,10 @@ func decomposeForAlloc(t *testing.T, nScale float64, avgDeg int) *decompose.Deco
 	return d
 }
 
-// BenchmarkRootSweepWarm measures the steady-state per-root sweep on the
+// BenchmarkEngineWarm measures the steady-state per-root sweep on the
 // largest sub-graph of the fixture; -benchmem should report 0 allocs/op
 // (EXPERIMENTS.md records the before/after of the arena refactor).
-func BenchmarkRootSweepWarm(b *testing.B) {
+func BenchmarkEngineWarm(b *testing.B) {
 	g := gen.SocialLike(gen.SocialParams{N: 400, AvgDeg: 4,
 		Communities: 4, TopShare: 0.5, LeafFrac: 0.3, Seed: 7})
 	d, err := decompose.Decompose(g, decompose.Options{})
@@ -39,30 +39,31 @@ func BenchmarkRootSweepWarm(b *testing.B) {
 			sg = cand
 		}
 	}
-	var rs RootSweep
-	rs.Run(sg, sg.Roots[:1], g.Directed())
-	dst := make([]float64, sg.NumVerts())
-	rs.Collect(dst)
+	var e engine
+	e.ensure(sg)
+	e.runRoots(sg, sg.Roots[:1], g.Directed())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := i % len(sg.Roots)
-		rs.Run(sg, sg.Roots[r:r+1], g.Directed())
+		e.ensure(sg)
+		e.runRoots(sg, sg.Roots[r:r+1], g.Directed())
 	}
 	b.StopTimer()
-	rs.Collect(dst)
-	rs.Release()
+	clear(e.ws.BC)
+	e.release()
 }
 
-func TestRootSweepWarmAllocs(t *testing.T) {
+func TestEngineWarmAllocs(t *testing.T) {
 	// Small sub-graphs exercise the plain top-down sweep, the large ones the
 	// direction-optimizing hybrid — under the rule on a sub-graph dense enough
 	// for it (sweepsHybrid), and with every level bottom-up and pushing on a
 	// sparse one, which fills the level table — one root per call, which is
 	// always bfsRoot, writing its tape and reading it back; the last case hands
-	// Run sixteen roots of a sub-graph the kernel rule gives to the lane kernel,
-	// whose level lists and slot table must be as warm as the arena. All must be
-	// allocation-free warm and leave the workspace clean.
+	// runRoots sixteen roots of a sub-graph the kernel rule gives to the lane
+	// kernel, whose level lists and slot table must be as warm as the arena.
+	// All must be allocation-free warm (ensure and runRoots, what drainUnits
+	// does per unit) and leave the workspace clean once ws.BC is drained.
 	for _, c := range []struct {
 		scale  float64
 		avgDeg int
@@ -79,39 +80,38 @@ func TestRootSweepWarmAllocs(t *testing.T) {
 		if sg == nil {
 			t.Fatal("no multi-root sub-graph in fixture")
 		}
-		rs := RootSweep{e: engine{force: c.force}}
+		e := engine{force: c.force}
 		directed := d.G.Directed()
-		group := func(i int) []int32 {
+		run := func(i int) {
 			lo := i * c.group % (len(sg.Roots) - c.group + 1)
-			return sg.Roots[lo : lo+c.group]
+			e.ensure(sg)
+			e.runRoots(sg, sg.Roots[lo:lo+c.group], directed)
 		}
 		for i := range sg.Roots {
-			rs.Run(sg, group(i), directed)
+			run(i)
 		}
 		dense := sweepsHybrid(len(sg.Roots), sg.NumArcs())
-		if c.scale > 1 && (!rs.e.hybrid || rs.e.bottomUpLevels == 0 || dense != (c.force == dirAuto) ||
-			c.force == dirBottomUp && rs.e.pushedLevels == 0) {
+		if c.scale > 1 && (!e.hybrid || e.bottomUpLevels == 0 || dense != (c.force == dirAuto) ||
+			c.force == dirBottomUp && e.pushedLevels == 0) {
 			t.Fatalf("scale %v (n=%d) direction %d: dense %v, hybrid %v, %d bottom-up and %d pushed levels; the case is vacuous",
-				c.scale, sg.NumVerts(), c.force, dense, rs.e.hybrid, rs.e.bottomUpLevels, rs.e.pushedLevels)
+				c.scale, sg.NumVerts(), c.force, dense, e.hybrid, e.bottomUpLevels, e.pushedLevels)
 		}
-		if lanes := rs.e.examined == 0; lanes != (c.group > 1) {
+		if lanes := e.examined == 0; lanes != (c.group > 1) {
 			t.Fatalf("scale %v (%d swept) groups of %d: lane kernel %v; the case is vacuous",
 				c.scale, len(sg.Roots), c.group, lanes)
 		}
-		dst := make([]float64, sg.NumVerts())
-		rs.Collect(dst)
 		i := 0
 		allocs := testing.AllocsPerRun(50, func() {
-			rs.Run(sg, group(i), directed)
+			run(i)
 			i++
 		})
-		rs.Collect(dst)
-		if err := checkClean(rs.e.ws); err != nil {
+		clear(e.ws.BC)
+		if err := checkClean(e.ws); err != nil {
 			t.Fatalf("scale %v direction %d: %v", c.scale, c.force, err)
 		}
-		rs.Release()
+		e.release()
 		if allocs != 0 {
-			t.Fatalf("scale %v (n=%d) direction %d: warm RootSweep.Run allocates %.1f/op, want 0",
+			t.Fatalf("scale %v (n=%d) direction %d: a warm unit allocates %.1f/op, want 0",
 				c.scale, sg.NumVerts(), c.force, allocs)
 		}
 	}

@@ -167,14 +167,16 @@ func ComputeDecomposed(d *decompose.Decomposition, opt Options) ([]float64, erro
 	units := buildUnits(d, p, p > 1 && opt.Scheduler == SchedulerDynamic,
 		opt.RootEngine == EngineMSBFS, opt.RootBudget)
 	// Small-graph break-even guard: below the work cutoff, drain the SAME
-	// unit list with one worker instead of p. The p == 1 drain flushes each
-	// unit's local scores in canonical order — additions identical to the
-	// parallel drain's canonical partial merge — so degrading is bit-exact,
-	// and faster than paying worker startup plus per-unit partial arrays for
-	// a few milliseconds of sweep work.
-	traversed, overflow := drainUnits(units, drainWorkers(d, p), d.G, opt, bc)
+	// unit list with one worker instead of p — the flush below adds the
+	// units' slices in list order whoever swept them, so degrading is
+	// bit-exact, and faster than paying worker startup for a few milliseconds
+	// of sweep work.
+	traversed, overflow := drainUnits(units, drainWorkers(d, p), d.G, opt)
 	if overflow {
 		return nil, graph.ErrPathCountOverflow
+	}
+	for i := range units {
+		flushLocal(bc, units[i].sg, units[i].local)
 	}
 	if opt.Breakdown != nil {
 		fillBreakdown(opt.Breakdown, d, units, time.Since(start), traversed)

@@ -92,9 +92,10 @@ func sweepsLanes(swept, nr int, forced bool) bool {
 
 // engine is one worker's sweep engine: pooled per-vertex scratch plus the
 // three kernels — BFS (bfsRoot), bit-parallel batched BFS (internal/msbfs) and
-// Dijkstra (dijkstraRoot). All three accumulate into ws.BC, so the unit
-// scheduler, Incremental and RootSweep drive it the same way: ensure a
-// sub-graph, run roots, drain ws.BC, release. The zero value sweeps unweighted
+// Dijkstra (dijkstraRoot). All three accumulate into ws.BC. drainUnits
+// (sched.go) is the one driver: per work unit it ensures the sub-graph, runs
+// the unit's roots, copies ws.BC out and zeroes it, and it releases the
+// engine when the queue is empty. The zero value sweeps unweighted
 // sub-graphs under the kernel rule.
 type engine struct {
 	ws *ws.Sweep
@@ -165,8 +166,8 @@ func (e *engine) ensure(sg *decompose.Subgraph) {
 	}
 }
 
-// release returns the scratch to the pool. The caller must have drained
-// ws.BC (flush + zero) first; everything else is clean by the sparse-reset
+// release returns the scratch to the pool. The caller must have copied ws.BC
+// out and zeroed it first; everything else is clean by the sparse-reset
 // discipline.
 func (e *engine) release() {
 	if e.ws != nil {
@@ -176,11 +177,11 @@ func (e *engine) release() {
 }
 
 // runRoots sweeps the given roots of the ensured sub-graph in order,
-// accumulating into ws.BC — the one place a kernel is chosen. The scheduler's
-// units, Incremental's whole-sub-graph sweeps and RootSweep's pivot groups all
-// come through here and take the rule's kernel for their range; ranges of both
-// mix freely, the kernels share the accumulation buffer and are bit-identical.
-// Once a sweep has set e.overflow it starts no further root.
+// accumulating into ws.BC — the one place a kernel is chosen. Every work unit
+// comes through here, whoever made it (Compute's root ranges, Incremental's
+// whole sub-graphs, the approx sampler's pivot groups), and takes the rule's
+// kernel for its roots; the kernels share the accumulation buffer and are
+// bit-identical. Once a sweep has set e.overflow it starts no further root.
 func (e *engine) runRoots(sg *decompose.Subgraph, roots []int32, directed bool) {
 	if e.weighted {
 		for i := 0; i < len(roots) && !e.overflow; i++ {
@@ -211,13 +212,12 @@ func (e *engine) runRoots(sg *decompose.Subgraph, roots []int32, directed bool) 
 // dynamicSerialCutoff is the small-graph break-even guard: when the whole
 // decomposition's estimated sweep cost Σ unitCost falls below it,
 // ComputeDecomposed drains with one worker even if more were requested —
-// below this much work, worker startup and the per-unit partial-array merges
-// cost more than the parallelism returns (road-network inputs ran 1.5×
-// slower at p=8 than p=1). The fallback is bit-invisible because it drains
-// the SAME unit list serially: unit boundaries fix each sub-graph's
-// partial-sum association, and the serial drain's in-order flushes replay
-// the parallel drain's canonical merge addition for addition. A var, not a
-// const, so tests can pin bit-equality across the boundary by moving it.
+// below this much work, worker startup costs more than the parallelism
+// returns (road-network inputs ran 1.5× slower at p=8 than p=1). The fallback
+// is bit-invisible because it drains the SAME unit list with one worker: unit
+// boundaries fix each sub-graph's partial-sum association, and the units'
+// slices are added up in list order whoever swept them. A var, not a const,
+// so tests can pin bit-equality across the boundary by moving it.
 //
 // The unit is roots × (vertices + arcs) of the swept graph. At 1<<20 an input
 // the size of the benchmark's serve workload (2.07 M, the smallest of the

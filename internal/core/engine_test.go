@@ -255,11 +255,11 @@ func TestStaticSchedulerHonoursMSBFS(t *testing.T) {
 	}
 }
 
-// TestRootSweepRunBatchBitMatch pins Run's contract: handing it a batch of
-// pivots — which the rule puts through the lane kernel above the break-even
-// gates — is bit-identical to handing them over one at a time, which is always
-// the scalar kernel.
-func TestRootSweepRunBatchBitMatch(t *testing.T) {
+// TestRunRootsBatchBitMatch pins what lets a work unit hold any number of
+// roots: handing runRoots a batch of them — which the rule puts through the
+// lane kernel above the break-even gates — is bit-identical to handing them
+// over one at a time, which is always the scalar kernel.
+func TestRunRootsBatchBitMatch(t *testing.T) {
 	for name, g := range map[string]*graph.Graph{
 		"social": schedFamilies()["social"], // above the gates
 		"path":   gen.Path(20),              // below: scalar fallback path
@@ -268,34 +268,35 @@ func TestRootSweepRunBatchBitMatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var one, batch RootSweep
+		var one, batch engine
 		for _, sg := range d.Subgraphs {
 			n := sg.NumVerts()
+			one.ensure(sg)
 			for i := range sg.Roots {
-				one.Run(sg, sg.Roots[i:i+1], g.Directed())
+				one.runRoots(sg, sg.Roots[i:i+1], g.Directed())
 			}
-			batch.Run(sg, sg.Roots, g.Directed())
-			a := make([]float64, n)
-			b := make([]float64, n)
-			one.Collect(a)
-			batch.Collect(b)
+			batch.ensure(sg)
+			batch.runRoots(sg, sg.Roots, g.Directed())
+			a, b := one.ws.BC[:n], batch.ws.BC[:n]
 			for l := range a {
 				if math.Float64bits(a[l]) != math.Float64bits(b[l]) {
 					t.Fatalf("%s sg %d vertex %d: one by one %v, batched %v", name, sg.ID, l, a[l], b[l])
 				}
 			}
+			clear(a)
+			clear(b)
 		}
-		if tr1, tr2 := one.e.traversed, batch.e.traversed; tr1 != tr2 {
+		if tr1, tr2 := one.traversed, batch.traversed; tr1 != tr2 {
 			t.Fatalf("%s: traversed metric diverged: one by one %d, batched %d", name, tr1, tr2)
 		}
 		// bfsRoot alone counts what it examined, so the lane kernel shows as
 		// a batched run that left less of it to bfsRoot.
-		if lanes := batch.e.examined < one.e.examined; lanes != (name == "social") {
+		if lanes := batch.examined < one.examined; lanes != (name == "social") {
 			t.Fatalf("%s: batched run took the lane kernel: %v (bfsRoot examined %d arcs batched, %d one by one)",
-				name, lanes, batch.e.examined, one.e.examined)
+				name, lanes, batch.examined, one.examined)
 		}
-		one.Release()
-		batch.Release()
+		one.release()
+		batch.release()
 	}
 }
 

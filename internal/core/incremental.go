@@ -91,13 +91,17 @@ func (s Snapshot) BC() []float64 {
 // immutable (it belongs to a published epoch); callers must not modify it.
 func (s Snapshot) BCView() []float64 { return s.bc }
 
-// NewIncremental decomposes g and computes the initial scores. The Options'
-// parallel settings are ignored (updates run serially); Threshold and
-// DisableGamma apply. Every sub-graph sweep takes the kernel the rule gives it
-// (engine.runRoots), which is bit-invisible in the scores.
+// NewIncremental decomposes g and computes the initial scores. Threshold and
+// DisableGamma apply; Workers, Scheduler, RootBudget and Breakdown have no
+// meaning for an engine whose epochs are serial, exact and untimed, and
+// setting any of them is an error. Every sub-graph sweep takes the kernel the
+// rule gives it (engine.runRoots), which is bit-invisible in the scores.
 func NewIncremental(g *graph.Graph, opt Options) (*Incremental, error) {
 	if g.Weighted() {
 		return nil, fmt.Errorf("core: incremental BC supports unweighted graphs only")
+	}
+	if opt.Workers != 0 || opt.Scheduler != SchedulerDynamic || opt.RootBudget != 0 || opt.Breakdown != nil {
+		return nil, fmt.Errorf("core: incremental BC takes no Workers, Scheduler, RootBudget or Breakdown")
 	}
 	if err := validateEngine(false, opt.RootEngine); err != nil {
 		return nil, err
@@ -145,6 +149,9 @@ func (inc *Incremental) publish(next *epochState) {
 // build makes the epoch after prev (nil for the first) over edges: a fresh
 // decomposition, prev's contribution for every sub-graph prev has an equal of
 // and a sweep for the rest, and the scores as their sum in sub-graph order.
+// The sweeps are whole-sub-graph work units drained by one worker: an epoch
+// is serial, so that a mutation leaves the other cores to the readers (a
+// parallel re-sweep cost bcd more in read latency than it saved).
 // Caller holds mu (or is the constructor).
 func (inc *Incremental) build(prev *epochState, edges []graph.Edge) (*epochState, error) {
 	g := graph.NewFromEdges(inc.n, edges, inc.directed)
@@ -165,20 +172,25 @@ func (inc *Incremental) build(prev *epochState, edges []graph.Edge) (*epochState
 	if prev != nil {
 		next.seq = prev.seq + 1
 	}
+	var units []workUnit
+	var swept []int // the sub-graph of each unit
 	for si, sg := range d.Subgraphs {
 		for _, v := range sg.Verts {
 			next.sgOf[v] = append(next.sgOf[v], int32(si))
 		}
-		c := prev.contribution(sg)
-		if c == nil {
-			if c, err = inc.sweep(sg); err != nil {
-				return nil, err
-			}
+		if next.contrib[si] = prev.contribution(sg); next.contrib[si] == nil {
+			units = append(units, newUnit(sg, sg.Roots, false, inc.opt.RootEngine == EngineMSBFS))
+			swept = append(swept, si)
 		}
-		next.contrib[si] = c
-		for l, v := range sg.Verts {
-			next.bc[v] += c[l]
-		}
+	}
+	if _, overflow := drainUnits(units, 1, g, inc.opt); overflow {
+		return nil, graph.ErrPathCountOverflow
+	}
+	for k, si := range swept {
+		next.contrib[si] = units[k].local
+	}
+	for si, sg := range d.Subgraphs {
+		flushLocal(next.bc, sg, next.contrib[si])
 	}
 	return next, nil
 }
@@ -196,24 +208,6 @@ func (e *epochState) contribution(sg *decompose.Subgraph) []float64 {
 		}
 	}
 	return nil
-}
-
-// sweep computes sub-graph sg's contribution, or graph.ErrPathCountOverflow.
-// The sweep scratch is pooled; the result is a private copy (epochs share
-// contributions, so workspace memory must never leak into one).
-func (inc *Incremental) sweep(sg *decompose.Subgraph) ([]float64, error) {
-	n := sg.NumVerts()
-	e := newEngine(false, inc.opt)
-	e.ensure(sg)
-	e.runRoots(sg, sg.Roots, inc.directed)
-	fresh := make([]float64, n)
-	copy(fresh, e.ws.BC[:n])
-	clear(e.ws.BC[:n])
-	e.release()
-	if e.overflow {
-		return nil, graph.ErrPathCountOverflow
-	}
-	return fresh, nil
 }
 
 // commonSubgraph returns the sub-graph index containing both endpoints, or

@@ -262,6 +262,28 @@ func TestIncrementalValidation(t *testing.T) {
 	}
 }
 
+// TestIncrementalRejectsIgnoredOptions: the options an epoch has no use for
+// are an error, never accepted and dropped; the ones it honours are accepted.
+func TestIncrementalRejectsIgnoredOptions(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		opt  Options
+		ok   bool
+	}{
+		{"Workers", Options{Workers: 2}, false},
+		{"Scheduler", Options{Scheduler: SchedulerStatic}, false},
+		{"RootBudget", Options{RootBudget: 8}, false},
+		{"Breakdown", Options{Breakdown: &Breakdown{}}, false},
+		{"Threshold and DisableGamma", Options{Threshold: 3, DisableGamma: true}, true},
+		{"RootEngine", Options{RootEngine: EngineMSBFS}, true},
+	} {
+		_, err := NewIncremental(gen.Path(5), c.opt)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: NewIncremental returned %v, want accepted %v", c.name, err, c.ok)
+		}
+	}
+}
+
 // bridgeWorld builds two triangles joined by a bridge: {0,1,2} - (2,3) -
 // {3,4,5}. With Threshold 1 the decomposition keeps three sub-graphs: the
 // two triangles and the bridge block {2,3}, with boundary APs 2 and 3.

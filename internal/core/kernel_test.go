@@ -305,11 +305,11 @@ func TestLaneBatchesMixAPRoots(t *testing.T) {
 		for _, p := range []int{1, 2} {
 			var batches, mixed int
 			for _, u := range buildUnits(d, p, p > 1, false, 0) {
-				if !useLanes(u.sg, u.hi-u.lo, false, false) {
+				if !useLanes(u.sg, len(u.roots), false, false) {
 					continue
 				}
-				for lo := u.lo; lo < u.hi; lo += ws.LaneWidth {
-					batch := u.sg.Roots[lo:min(lo+ws.LaneWidth, u.hi)]
+				for lo := 0; lo < len(u.roots); lo += ws.LaneWidth {
+					batch := u.roots[lo:min(lo+ws.LaneWidth, len(u.roots))]
 					arts := 0
 					for _, r := range batch {
 						if u.sg.IsArt[r] {

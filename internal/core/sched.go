@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -11,22 +12,26 @@ import (
 )
 
 // Every sweep is scheduled the same way: one cost-ordered queue of
-// (sub-graph, root-range) work units. Each unit's cost is estimated as
-// |roots|·(|V_i|+|E_i|) — the Brandes work bound for its slice of the
-// sub-graph — and the queue is drained largest-first by a fixed worker pool
-// (par.ForWorker with grain 1: atomic-counter claiming, the work-stealing
-// analogue). Large sub-graphs are split into several root ranges so they fan
-// out across workers, and because everything lives in one queue there is no
-// barrier holding small sub-graphs back while the top sub-graph finishes.
+// (sub-graph, roots) work units, drained by drainUnits — the only code that
+// builds an engine and runs roots through it. ComputeDecomposed's units come
+// from buildUnits, Incremental's are the sub-graphs an epoch has to re-sweep,
+// and the approx sampler's are its pivot groups (SweepRoots). Each unit's
+// cost is estimated as |roots|·(|V_i|+|E_i|) — the Brandes work bound for its
+// slice of the sub-graph — and the queue is drained largest-first by a fixed
+// worker pool (par.ForWorker with grain 1: atomic-counter claiming, the
+// work-stealing analogue). Large sub-graphs are split into several root ranges
+// so they fan out across workers, and because everything lives in one queue
+// there is no barrier holding small sub-graphs back while the top sub-graph
+// finishes.
 //
-// Determinism: at p == 1 units are whole sub-graphs processed in index order
-// with direct flushes (what RootSweep/approx replay bit-for-bit). At p > 1
-// each unit accumulates into a private partial array and the partials are
-// merged sequentially in (sub-graph index, root-range) order after the
-// drain, so the result is a deterministic function of (graph, options)
-// regardless of worker interleaving. Only articulation points are shared
-// between sub-graphs, so the extra memory is one float64 slice per unit,
-// Σ|V_i| overall.
+// Determinism: every unit accumulates into a private slice of its own, which
+// one engine fills root after root, and the caller adds those slices up in
+// the order of the unit list — ComputeDecomposed in (sub-graph, root range)
+// order, Incremental in sub-graph order. The result is therefore a
+// deterministic function of the unit list whatever the worker count and the
+// worker interleaving. Only articulation points are shared between
+// sub-graphs, so the extra memory is one float64 slice per unit, Σ|V_i|
+// overall.
 
 // unitsPerWorkerTarget controls chunking: a sub-graph is split so that no
 // unit exceeds ~1/(unitsPerWorkerTarget·p) of the total estimated work,
@@ -37,13 +42,21 @@ import (
 const unitsPerWorkerTarget = 4
 
 type workUnit struct {
-	sg      *decompose.Subgraph
-	sgIdx   int
-	lo, hi  int  // root range [lo, hi) into sg.Roots
-	top     bool // unit of the top sub-graph (Breakdown.TopBC)
-	cost    int64
-	partial []float64
-	dur     time.Duration
+	sg    *decompose.Subgraph
+	roots []int32 // swept in order by one engine
+	top   bool    // unit of the top sub-graph (Breakdown.TopBC)
+	cost  int64
+	// local is what the roots contribute, indexed by sg's local ids; the
+	// drain leaves it in a fresh slice that nothing else refers to.
+	local []float64
+	dur   time.Duration
+}
+
+// newUnit is a unit of roots of sg, its cost under the model of the kernel
+// the rule gives it (forced is RootEngine == EngineMSBFS).
+func newUnit(sg *decompose.Subgraph, roots []int32, weighted, forced bool) workUnit {
+	return workUnit{sg: sg, roots: roots,
+		cost: unitCost(sg, len(roots), useLanes(sg, len(roots), weighted, forced))}
 }
 
 // unitCost estimates the sweep work for nr roots of sg, |V|+|E| being the
@@ -59,23 +72,22 @@ func unitCost(sg *decompose.Subgraph, nr int, lanes bool) int64 {
 	return int64(nr) * work
 }
 
-// buildUnits constructs the work-unit list in canonical (sgIdx, root-range)
-// order. chunking splits costly sub-graphs into root ranges sized so the
-// queue holds a few units per worker; otherwise every unit is a whole
-// sub-graph. A split sub-graph's chunk count is rounded up to a multiple of p
-// and capped at its lane words, and its whole lane words are spread over the
-// chunks so that they differ by at most one word (the last one may be short:
-// it ends at the last root).
+// buildUnits constructs ComputeDecomposed's unit list in canonical
+// (sub-graph, root-range) order. chunking splits costly sub-graphs into root
+// ranges sized so the queue holds a few units per worker; otherwise every
+// unit is a whole sub-graph. A split sub-graph's chunk count is rounded up to
+// a multiple of p and capped at its lane words, and its whole lane words are
+// spread over the chunks so that they differ by at most one word (the last
+// one may be short: it ends at the last root).
 //
 // Unit BOUNDARIES are kernel-independent: the chunk count always comes from
 // the scalar cost model, and chunks are whole lane words whatever kernel will
 // run them. Boundaries determine the floating-point association of each
-// sub-graph's per-unit partial sums, so keeping them
-// fixed is what makes the kernel rule bit-invisible (and lets the lane kernel
-// run whole lane words per unit with no boundary ever splitting a batch). Unit
-// cost, by contrast, uses the model of the kernel the rule gives the unit
-// (useLanes; forced is RootEngine == EngineMSBFS); it only orders the drain
-// queue, which the canonical merge makes bit-neutral.
+// sub-graph's per-unit sums, so keeping them fixed is what makes the kernel
+// rule bit-invisible (and lets the lane kernel run whole lane words per unit
+// with no boundary ever splitting a batch). Unit cost, by contrast, uses the
+// model of the kernel the rule gives the unit (newUnit); it only orders the
+// drain queue, which the in-order flush makes bit-neutral.
 //
 // budget is Options.RootBudget: each sub-graph's root list is trimmed to its
 // proportional prefix BEFORE chunking, so the unit boundaries of a budgeted
@@ -114,60 +126,34 @@ func buildUnits(d *decompose.Decomposition, p int, chunking, forced bool, budget
 				w++
 			}
 			hi := min(lo+w*ws.LaneWidth, nr)
-			units = append(units, workUnit{
-				sg: sg, sgIdx: i, lo: lo, hi: hi, top: i == d.TopIndex,
-				cost: unitCost(sg, hi-lo, useLanes(sg, hi-lo, weighted, forced)),
-			})
+			u := newUnit(sg, sg.Roots[lo:hi], weighted, forced)
+			u.top = i == d.TopIndex
+			units = append(units, u)
 			lo = hi
 		}
 	}
 	return units
 }
 
-// drainUnits runs every unit and merges results into bc deterministically
-// (see the comment at the top of this file) with one engine per worker;
-// returns the total traversed-arc count, and whether a sweep overflowed σ
-// (bc is then meaningless).
-func drainUnits(units []workUnit, p int, g *graph.Graph, opt Options, bc []float64) (int64, bool) {
-	weighted, directed := g.Weighted(), g.Directed()
-	// runUnit sweeps u's roots and hands back the engine's accumulation
-	// buffer for the caller to flush or copy, then zero.
-	runUnit := func(e *engine, u *workUnit) []float64 {
-		e.ensure(u.sg)
-		t0 := time.Now()
-		e.runRoots(u.sg, u.sg.Roots[u.lo:u.hi], directed)
-		u.dur = time.Since(t0)
-		return e.ws.BC[:u.sg.NumVerts()]
-	}
-	if p <= 1 || len(units) < 2 {
-		e := newEngine(weighted, opt)
-		for i := range units {
-			u := &units[i]
-			loc := runUnit(e, u)
-			flushLocal(bc, u.sg, loc)
-			for l := range loc {
-				loc[l] = 0
-			}
-		}
-		e.release()
-		return e.traversed, e.overflow
-	}
-	// Drain order: descending cost, ties broken by canonical order so the
-	// queue itself is deterministic.
+// drainUnits sweeps every unit with p workers, one engine each, and leaves
+// each unit's contribution in its local slice (see the comment at the top of
+// this file); it returns the total traversed-arc count, and whether a sweep
+// overflowed σ (the local slices are then meaningless).
+func drainUnits(units []workUnit, p int, g *graph.Graph, opt Options) (int64, bool) {
+	// Drain order: descending cost, ties broken by position in the unit
+	// list, so the queue itself is deterministic.
 	queue := make([]int, len(units))
 	for i := range queue {
 		queue[i] = i
 	}
 	sort.Slice(queue, func(a, b int) bool {
-		ua, ub := &units[queue[a]], &units[queue[b]]
-		if ua.cost != ub.cost {
-			return ua.cost > ub.cost
+		ca, cb := units[queue[a]].cost, units[queue[b]].cost
+		if ca != cb {
+			return ca > cb
 		}
-		if ua.sgIdx != ub.sgIdx {
-			return ua.sgIdx < ub.sgIdx
-		}
-		return ua.lo < ub.lo
+		return queue[a] < queue[b]
 	})
+	weighted, directed := g.Weighted(), g.Directed()
 	engines := make([]*engine, p)
 	par.ForWorker(len(queue), p, 1, func(w, qi int) {
 		u := &units[queue[qi]]
@@ -176,18 +162,14 @@ func drainUnits(units []workUnit, p int, g *graph.Graph, opt Options, bc []float
 			e = newEngine(weighted, opt)
 			engines[w] = e
 		}
-		loc := runUnit(e, u)
-		u.partial = make([]float64, len(loc))
-		copy(u.partial, loc)
-		for l := range loc {
-			loc[l] = 0
-		}
+		e.ensure(u.sg)
+		t0 := time.Now()
+		e.runRoots(u.sg, u.roots, directed)
+		u.dur = time.Since(t0)
+		loc := e.ws.BC[:u.sg.NumVerts()]
+		u.local = slices.Clone(loc)
+		clear(loc)
 	})
-	// Deterministic merge: canonical (sgIdx, lo) order.
-	for i := range units {
-		flushLocal(bc, units[i].sg, units[i].partial)
-		units[i].partial = nil
-	}
 	var traversed int64
 	overflow := false
 	for _, e := range engines {
@@ -198,6 +180,35 @@ func drainUnits(units []workUnit, p int, g *graph.Graph, opt Options, bc []float
 		}
 	}
 	return traversed, overflow
+}
+
+// RootGroup is one request to SweepRoots: roots of a sub-graph, swept in order.
+type RootGroup struct {
+	Subgraph *decompose.Subgraph
+	Roots    []int32
+}
+
+// SweepRoots sweeps each group's roots of its sub-graph — a sub-graph of a
+// decomposition of g — through the drain every exact computation uses, with
+// up to workers workers (<= 0: GOMAXPROCS), and returns each group's
+// contribution under its sub-graph's local ids, or
+// graph.ErrPathCountOverflow. A group runs what the exact engine runs for the
+// same roots, bit for bit, however the groups are spread over the workers: a
+// group holding a sub-graph's whole root list is that sub-graph's one-worker
+// contribution to Compute. internal/approx's pivot sampler is the caller.
+func SweepRoots(g *graph.Graph, groups []RootGroup, workers int) ([][]float64, error) {
+	units := make([]workUnit, len(groups))
+	for i, gr := range groups {
+		units[i] = newUnit(gr.Subgraph, gr.Roots, g.Weighted(), false)
+	}
+	if _, overflow := drainUnits(units, par.Workers(workers), g, Options{}); overflow {
+		return nil, graph.ErrPathCountOverflow
+	}
+	out := make([][]float64, len(units))
+	for i := range units {
+		out[i] = units[i].local
+	}
+	return out, nil
 }
 
 // flushLocal adds a sub-graph's local BC scores into the global array
@@ -221,7 +232,7 @@ func fillBreakdown(bd *Breakdown, d *decompose.Decomposition, units []workUnit, 
 		if units[i].top {
 			topDur += units[i].dur
 		}
-		roots += int64(units[i].hi - units[i].lo)
+		roots += int64(len(units[i].roots))
 	}
 	var top time.Duration
 	if allDur > 0 {

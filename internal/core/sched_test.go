@@ -343,18 +343,22 @@ func TestHybridGate(t *testing.T) {
 			t.Fatalf("%s: top sub-graph of %d swept vertices, %.2f arcs per swept vertex; the fixture is on the wrong side of the gate",
 				c.name, swept, mean)
 		}
-		var rs RootSweep
-		scalarOnly(func() { rs.Run(top, top.Roots, c.g.Directed()) })
+		var e engine
+		scalarOnly(func() {
+			e.ensure(top)
+			e.runRoots(top, top.Roots, c.g.Directed())
+		})
 		built := top.SweptMask() != nil
-		if rs.e.hybrid != c.hybrid || built != c.hybrid || (rs.e.bottomUpLevels != 0) != c.hybrid {
+		if e.hybrid != c.hybrid || built != c.hybrid || (e.bottomUpLevels != 0) != c.hybrid {
 			t.Fatalf("%s (%.2f arcs per swept vertex): hybrid %v, transpose built %v, %d bottom-up levels; want hybrid %v",
-				c.name, mean, rs.e.hybrid, built, rs.e.bottomUpLevels, c.hybrid)
+				c.name, mean, e.hybrid, built, e.bottomUpLevels, c.hybrid)
 		}
-		rs.Release()
+		clear(e.ws.BC)
+		e.release()
 		if row := BuildCensus(c.name, c.g, d, CensusOptions{RedundancySampleK: -1}).Decomposition.Largest[0]; row.Hybrid != c.hybrid {
 			t.Fatalf("%s: census row %+v, want hybrid %v", c.name, row, c.hybrid)
 		}
-		t.Logf("%s: %d swept, %.2f arcs per swept vertex, hybrid %v, %d bottom-up levels", c.name, swept, mean, c.hybrid, rs.e.bottomUpLevels)
+		t.Logf("%s: %d swept, %.2f arcs per swept vertex, hybrid %v, %d bottom-up levels", c.name, swept, mean, c.hybrid, e.bottomUpLevels)
 	}
 }
 
@@ -392,13 +396,13 @@ func TestUnitsSplitEvenly(t *testing.T) {
 				t.Fatalf("%s p=%d: %d units, %d with lanes forced", name, p, len(units), len(again))
 			}
 			for i := range units {
-				if units[i].sgIdx != again[i].sgIdx || units[i].lo != again[i].lo || units[i].hi != again[i].hi {
+				if units[i].sg != again[i].sg || &units[i].roots[0] != &again[i].roots[0] || len(units[i].roots) != len(again[i].roots) {
 					t.Fatalf("%s p=%d: unit %d is %+v, %+v with lanes forced", name, p, i, units[i], again[i])
 				}
 			}
 			bySg := map[int][]workUnit{}
 			for _, u := range units {
-				bySg[u.sgIdx] = append(bySg[u.sgIdx], u)
+				bySg[u.sg.ID] = append(bySg[u.sg.ID], u)
 			}
 			for i, sg := range d.Subgraphs {
 				nr := rootPrefix(len(sg.Roots), totalRoots, fx.budget)
@@ -415,24 +419,24 @@ func TestUnitsSplitEvenly(t *testing.T) {
 				}
 				lo, minW, maxW := 0, words, 0
 				for k, u := range us {
-					if u.lo != lo || u.hi <= u.lo {
-						t.Fatalf("%s p=%d: sub-graph %d unit %d is [%d, %d), want it to start at %d", name, p, i, k, u.lo, u.hi, lo)
+					if len(u.roots) == 0 || &u.roots[0] != &sg.Roots[lo] {
+						t.Fatalf("%s p=%d: sub-graph %d unit %d has %d roots, want them to start at root %d", name, p, i, k, len(u.roots), lo)
 					}
-					lo = u.hi
+					lo += len(u.roots)
 					if k == len(us)-1 {
 						continue
 					}
-					if (u.hi-u.lo)%ws.LaneWidth != 0 {
-						t.Fatalf("%s p=%d: sub-graph %d unit %d of %d roots is not whole lane words", name, p, i, k, u.hi-u.lo)
+					if len(u.roots)%ws.LaneWidth != 0 {
+						t.Fatalf("%s p=%d: sub-graph %d unit %d of %d roots is not whole lane words", name, p, i, k, len(u.roots))
 					}
-					w := (u.hi - u.lo) / ws.LaneWidth
+					w := len(u.roots) / ws.LaneWidth
 					minW, maxW = min(minW, w), max(maxW, w)
 				}
 				if lo != nr {
 					t.Fatalf("%s p=%d: sub-graph %d units end at %d of %d roots", name, p, i, lo, nr)
 				}
 				last := us[len(us)-1]
-				if lastW := (last.hi - last.lo + ws.LaneWidth - 1) / ws.LaneWidth; len(us) > 1 && (maxW-minW > 1 || lastW > maxW) {
+				if lastW := (len(last.roots) + ws.LaneWidth - 1) / ws.LaneWidth; len(us) > 1 && (maxW-minW > 1 || lastW > maxW) {
 					t.Fatalf("%s p=%d: sub-graph %d chunks of %d–%d lane words and a last one of %d", name, p, i, minW, maxW, lastW)
 				}
 			}

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/decompose"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
@@ -19,7 +18,8 @@ import (
 // score can tell which. These tests hold what the registry serves — under the
 // rule, which gives the 200-vertex ER fixture's top sub-graph to the lane
 // kernel — to the same graph swept with lanes forced onto every unit
-// (core.EngineMSBFS) and with the scalar kernel alone, bit for bit.
+// (core.EngineMSBFS) and computed by core.Compute's one-worker path, bit for
+// bit.
 
 // erSpec loads a 200-vertex Erdős–Rényi graph inline: essentially one big
 // biconnected block, whose sub-graph the kernel rule gives to the lane kernel.
@@ -32,29 +32,11 @@ func erSpec(name string) (LoadSpec, *graph.Graph) {
 	return LoadSpec{Name: name, N: g.NumVertices(), Edges: edges}, g
 }
 
-// scalarScores sweeps d one root per RootSweep.Run call — under the kernel
-// rule's lower bound on a root range, so the scalar kernel — and sums the
-// sub-graphs' contributions in order, the way core.Incremental assembles an
-// epoch. It is what a lane budget of 0 gives inside core, from outside it.
-func scalarScores(d *decompose.Decomposition) []float64 {
-	bc := make([]float64, d.G.NumVertices())
-	var sw core.RootSweep
-	defer sw.Release()
-	for _, sg := range d.Subgraphs {
-		for i := range sg.Roots {
-			sw.Run(sg, sg.Roots[i:i+1], d.G.Directed())
-		}
-		loc := make([]float64, sg.NumVerts())
-		sw.Collect(loc)
-		for l, v := range sg.Verts {
-			bc[v] += loc[l]
-		}
-	}
-	return bc
-}
-
 // assertServesKernelFree checks e's current scores against a fresh engine on
-// e's current graph with lanes forced and against scalarScores.
+// e's current graph with lanes forced and against core.ComputeDecomposed at
+// one worker on its decomposition, which adds the sub-graphs' contributions
+// in order as an epoch does (core's TestMSBFSEngineBitMatchesScalar holds
+// that to the scalar kernel).
 func assertServesKernelFree(t *testing.T, e *Entry, threshold int) {
 	t.Helper()
 	got, err := e.BC()
@@ -73,7 +55,11 @@ func assertServesKernelFree(t *testing.T, e *Entry, threshold int) {
 	if !lanes {
 		t.Fatal("no sub-graph of the fixture is within the lane kernel's rule")
 	}
-	for name, want := range map[string][]float64{"forced lanes": forced.BC(), "scalar": scalarScores(snap.Decomposition)} {
+	computed, err := core.ComputeDecomposed(snap.Decomposition, core.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string][]float64{"forced lanes": forced.BC(), "Compute at one worker": computed} {
 		for v := range want {
 			if math.Float64bits(want[v]) != math.Float64bits(got[v]) {
 				t.Fatalf("vertex %d: served %v, %s %v (bit mismatch)", v, got[v], name, want[v])

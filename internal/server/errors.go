@@ -89,3 +89,12 @@ func (e loadRootError) Error() string {
 }
 
 func (e loadRootError) Unwrap() error { return e.err }
+
+// notRegularError is a graph path that names no regular file: a FIFO, a
+// device, a socket or a directory. Load refuses it before queueing a build
+// (HTTP 400), since reading one could block a build worker for good.
+type notRegularError struct{ Path string }
+
+func (e *notRegularError) Error() string {
+	return fmt.Sprintf("server: graph path %q is not a regular file", e.Path)
+}

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"syscall"
 	"time"
 
 	"repro/internal/core"
@@ -52,8 +53,10 @@ type buildJob struct {
 	// (Recover): the job skips source materialization and pays only the
 	// decomposition of the recovered state.
 	pre *graph.Graph
-	// file is spec.Path opened under the load root, or nil (Close is nil-safe).
-	file *os.File
+	// file is spec.Path opened, or nil (Close is nil-safe); fileErr is why an
+	// unconfined spec.Path did not open, which fails the build.
+	file    *os.File
+	fileErr error
 }
 
 // Load registers spec.Name and enqueues the build job. It returns
@@ -61,8 +64,11 @@ type buildJob struct {
 // as given: only a load over HTTP is confined to Config.LoadRoot.
 func (r *Registry) Load(spec LoadSpec) (*Entry, error) { return r.load(spec, "") }
 
-// load is Load with spec.Path opened under root, when set, before anything is
-// queued, so that no file outside root is ever opened.
+// load is Load with spec.Path opened under root, when set. The path is opened
+// before anything is queued, so that no file outside root is ever opened and
+// a path that names no regular file — a FIFO, whose open would block until a
+// writer came, a device, a directory — is refused here instead of hanging or
+// failing a build.
 func (r *Registry) load(spec LoadSpec, root string) (*Entry, error) {
 	// "." and ".." pass nameRE but would escape DataDir via filepath.Join;
 	// reject them outright.
@@ -76,18 +82,53 @@ func (r *Registry) load(spec LoadSpec, root string) (*Entry, error) {
 		return nil, &vertexCountError{N: spec.N}
 	}
 	j := buildJob{e: &Entry{name: spec.Name, state: StateLoading, threshold: max(spec.Threshold, 0)}, spec: spec}
-	if spec.Path != "" && root != "" {
-		f, err := os.OpenInRoot(root, spec.Path)
-		if err != nil {
+	if spec.Path != "" {
+		f, err := openGraphFile(root, spec.Path)
+		var irregular *notRegularError
+		switch {
+		case errors.As(err, &irregular):
+			return nil, err
+		case err != nil && root != "":
 			return nil, loadRootError{err}
 		}
-		j.file = f
+		j.file, j.fileErr = f, err
 	}
 	if err := r.admit(j); err != nil {
 		j.file.Close()
 		return nil, err
 	}
 	return j.e, nil
+}
+
+// openGraphFile opens path — under root when root is set — without blocking
+// (O_NONBLOCK: a FIFO opens at once instead of waiting for a writer) and
+// keeps it only if it is a regular file.
+func openGraphFile(root, path string) (*os.File, error) {
+	const flag = os.O_RDONLY | syscall.O_NONBLOCK
+	var f *os.File
+	var err error
+	if root == "" {
+		f, err = os.OpenFile(path, flag, 0)
+	} else {
+		var rt *os.Root
+		if rt, err = os.OpenRoot(root); err == nil {
+			f, err = rt.OpenFile(path, flag, 0)
+			rt.Close()
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	st, err := f.Stat()
+	switch {
+	case err != nil:
+	case !st.Mode().IsRegular():
+		err = &notRegularError{Path: path}
+	default:
+		return f, nil
+	}
+	f.Close()
+	return nil, err
 }
 
 // admit registers j's entry and queues its build: ErrShutdown once the
@@ -224,6 +265,9 @@ func (r *Registry) buildEngine(j buildJob) (inc *core.Incremental, status string
 	}()
 	g := j.pre
 	if g == nil {
+		if j.fileErr != nil {
+			return nil, "error", j.fileErr
+		}
 		if g, err = buildGraph(j.spec, j.file); err != nil {
 			return nil, "error", err
 		}
@@ -235,7 +279,7 @@ func (r *Registry) buildEngine(j buildJob) (inc *core.Incremental, status string
 	return inc, "error", err
 }
 
-// buildGraph materializes spec's graph; f is spec.Path opened, or nil.
+// buildGraph materializes spec's graph; f is spec.Path opened.
 func buildGraph(spec LoadSpec, f *os.File) (*graph.Graph, error) {
 	switch {
 	case spec.Dataset != "":
@@ -253,13 +297,7 @@ func buildGraph(spec LoadSpec, f *os.File) (*graph.Graph, error) {
 		}
 		return ds.Build(scale), nil
 	case spec.Path != "":
-		var g *graph.Graph
-		var err error
-		if f != nil {
-			g, _, err = graphio.ReadFile(f, spec.Format, spec.Directed, false)
-		} else {
-			g, err = graphio.LoadFile(spec.Path, spec.Format, spec.Directed)
-		}
+		g, _, err := graphio.ReadFile(f, spec.Format, spec.Directed, false)
 		if err != nil {
 			log.Printf("server: load %q from %s: %v", spec.Name, spec.Path, err)
 			return nil, fileError(err)

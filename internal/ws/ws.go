@@ -1,8 +1,8 @@
 // Package ws provides the unified sweep-workspace arena shared by every
 // betweenness-centrality engine in the repository: the core APGRE BFS,
-// batched and Dijkstra kernels, the exported RootSweep used by the
-// approximate estimator, the Brandes baselines, and (through core's pool)
-// the bcd serving path.
+// batched and Dijkstra kernels — which core's one unit drain runs for exact
+// BC, Incremental's epochs, the approximate estimator's pivot groups and
+// (through core's pool) the bcd serving path — and the Brandes baselines.
 //
 // A Sweep bundles all per-vertex scratch one root sweep needs — distances,
 // the packed σ/δ records, a local BC accumulator, a visited bitset frontier

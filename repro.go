@@ -201,7 +201,13 @@ func AttachRandomWeights(g *Graph, maxW int, seed int64) *Graph {
 type IncrementalBC = core.Incremental
 
 // NewIncrementalBC builds the incremental maintainer for an unweighted graph.
+// Threshold and DisableGamma apply. The maintainer is APGRE's and its epochs
+// are serial and untimed, so another Algorithm, Workers or a Breakdown is an
+// error.
 func NewIncrementalBC(g *Graph, opt Options) (*IncrementalBC, error) {
+	if (opt.Algorithm != "" && opt.Algorithm != AlgoAPGRE) || opt.Workers != 0 || opt.Breakdown != nil {
+		return nil, fmt.Errorf("repro: incremental BC is APGRE's and takes no Algorithm, Workers or Breakdown")
+	}
 	return core.NewIncremental(g, core.Options{
 		Threshold:    opt.Threshold,
 		DisableGamma: opt.DisableGamma,

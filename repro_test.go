@@ -157,6 +157,29 @@ func TestApproximateBCRejects(t *testing.T) {
 	}
 }
 
+// TestNewIncrementalBCRejectsIgnoredOptions: the maintainer is APGRE's,
+// serial and untimed, so an Options field it would drop is an error.
+func TestNewIncrementalBCRejectsIgnoredOptions(t *testing.T) {
+	g := GenerateSocial(SocialParams{N: 60, AvgDeg: 4, Communities: 3,
+		TopShare: 0.5, LeafFrac: 0.3, Seed: 22})
+	for _, c := range []struct {
+		name string
+		opt  Options
+		ok   bool
+	}{
+		{"Algorithm serial", Options{Algorithm: AlgoSerial}, false},
+		{"Workers", Options{Workers: 2}, false},
+		{"Breakdown", Options{Breakdown: &Breakdown{}}, false},
+		{"Algorithm apgre", Options{Algorithm: AlgoAPGRE}, true},
+		{"Threshold and DisableGamma", Options{Threshold: 3, DisableGamma: true}, true},
+	} {
+		_, err := NewIncrementalBC(g, c.opt)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: NewIncrementalBC returned %v, want accepted %v", c.name, err, c.ok)
+		}
+	}
+}
+
 func TestGraphIORoundTrip(t *testing.T) {
 	g := GenerateRoad(RoadParams{Rows: 10, Cols: 10, DeleteFrac: 0.1, SpurFrac: 0.1, SpurLen: 2, Seed: 4})
 	path := filepath.Join(t.TempDir(), "g.bin")
