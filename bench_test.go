@@ -149,7 +149,11 @@ func BenchmarkTable4(b *testing.B) {
 // BenchmarkFigure2 measures the articulation-point census of the motivation
 // figure.
 func BenchmarkFigure2(b *testing.B) {
-	_, g := datasets.HumanDisease()
+	hd, err := datasets.ByName("human-disease")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := hd.Build(1)
 	var aps, deg1 int
 	for i := 0; i < b.N; i++ {
 		aps, deg1 = bcc.CountArticulationPoints(g)

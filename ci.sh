@@ -11,8 +11,9 @@
 #      plus an explicit scheduler gate: the dynamic unit scheduler must match
 #      serial Brandes at workers 1, 2, 4 and 8 under -race, and a kernel
 #      gate: the kernel rule, lanes forced on every unit and the scalar kernel
-#      everywhere (budget 0) must bit-match (and the serial-cutoff fallback
-#      must be bit-invisible) under -race, at 10^5 vertices too, each unit
+#      everywhere (budget 0) must bit-match (and one unit list drained by one
+#      worker and by eight must flush to the same bits) under -race, at 10^5
+#      vertices too, each unit
 #      must take the kernel the rule says and no pooled workspace hold more
 #      than the lane budget, as must the scalar sweep's three direction modes,
 #      whose edge-volume rule may never scan more than pure top-down; then
@@ -22,7 +23,8 @@
 #      Compute one (drawn bits add weights, a root budget and the estimator
 #      at full budget)
 #   5. allocation gates: warm pooled sweeps (core, brandes) and the bcd
-#      top-K serving path must be allocation-free, and the workspace pool
+#      top-K read of an already ranked epoch must be allocation-free, and the
+#      workspace pool
 #      must survive 8 concurrent checkouts under -race; the pre-sweep layer
 #      must stay linear (Decompose's allocations bounded by its outputs, the
 #      sub-graph builder and the CSR mirror check equal to their oracles,
@@ -82,7 +84,9 @@
 #      non-test code, no NewEstimator outside internal/approx); bcd is
 #      configured by where it runs: server.Config holds DataDir and LoadRoot
 #      only, no bcd tuning flag comes back, and no non-test code builds
-#      registry bounds other than defaultLimits
+#      registry bounds other than defaultLimits; bcd ranks an epoch once, in
+#      one slot per entry (no per-K top-K cache or ranking scratch pool), and
+#      the drain has no small-graph serial cutoff
 #  10. durability smoke: race-built bcd is killed with SIGKILL mid-life and
 #      must recover its graph from snapshot+WAL with bit-exact top-K; then a
 #      posted path outside -load-root (absolute, or ../) must be a 4xx and a
@@ -205,8 +209,8 @@ echo "==> msbfs gate: batched engine bit-match, rule / forced lanes / budget 0, 
 # across all families (directed and disconnected included) and on R-MATs of
 # 4,096 and 131,072 vertices, that each unit on either side of the rule's
 # three bounds takes the kernel the rule says, that no pooled workspace holds
-# more than the lane budget whatever it has swept, and that the small-graph
-# serial-cutoff fallback never changes a bit. The two direction tests pin the scalar sweep's per-level choices, forward (top-down/bottom-up)
+# more than the lane budget whatever it has swept, and that one unit list
+# drained by one worker and by eight flushes to the same bits. The two direction tests pin the scalar sweep's per-level choices, forward (top-down/bottom-up)
 # and backward (pull off the forward pass's tape/push): bit-neutral on
 # fixtures big enough to take bottom-up and push levels (directed in-CSR, AP
 # roots and γ seeds included), a pull reading its DAG arcs and nothing else,
@@ -220,7 +224,7 @@ echo "==> msbfs gate: batched engine bit-match, rule / forced lanes / budget 0, 
 # included — leaves the workspace clean.
 run_named 'TestKernelMatchesBrandes|TestKernelBatchWidthBitInvariant|TestKernelDeclinesInexactSigma|TestKernelInexactFullBatchComesBackClean' \
     -race -count=1 ./internal/msbfs
-run_named 'TestMSBFSEngineBitMatchesScalar|TestMSBFSEngineDeterministic|TestDynamicSerialCutoffBoundary|TestSerialGuardKeepsServeParallel|TestHybridSweepBitNeutral|TestDirectionSwitchNeverScansMore|TestHybridGate|TestKernelRuleBoundary|TestLaneMemoryBounded|TestLaneKernelBitMatchesScalarAtScale|TestLaneBatchesMixAPRoots' \
+run_named 'TestMSBFSEngineBitMatchesScalar|TestMSBFSEngineDeterministic|TestDrainWorkerCountBitNeutral|TestHybridSweepBitNeutral|TestDirectionSwitchNeverScansMore|TestHybridGate|TestKernelRuleBoundary|TestLaneMemoryBounded|TestLaneKernelBitMatchesScalarAtScale|TestLaneBatchesMixAPRoots' \
     -race -count=1 ./internal/core
 # Both layouts a sub-graph can have go through those gates: the R-MATs' and the
 # big community graph's tops are relabelled (hubs first, then breadth-first,
@@ -250,8 +254,8 @@ run_named 'TestRegistryRejectsHostileInlineN|TestRunBuildRecoversPanic|TestHosti
 run_named 'TestMetricsCountEveryRegistryEvent|TestMetricsEndpoint|TestBCServesExactOnly' \
     -race -count=1 ./internal/server
 
-echo "==> alloc gates: warm sweeps and the top-K serving path allocate zero"
-run_named 'TestEngineWarmAllocs|TestSerialSweepWarmAllocs|TestTopKServingWarmAllocs|TestPoolRace|TestPoolBytes' \
+echo "==> alloc gates: warm sweeps and the top-K hit path allocate zero"
+run_named 'TestEngineWarmAllocs|TestSerialSweepWarmAllocs|TestTopKCoalescedHitAllocs|TestPoolRace|TestPoolBytes' \
     -count=1 ./internal/core ./internal/brandes ./internal/server ./internal/ws
 
 echo "==> pre-sweep gates: linear Decompose, builder and mirror check vs their oracles"
@@ -591,6 +595,15 @@ if grep -rnE '\bcfg\.(Workers|QueueDepth|DefaultThreshold|SnapshotEvery|Mutation
     grep -rnE 'limits\{|newRegistry\(|(defaultLimits|\.lim)\.[a-zA-Z]+[^=!<>]*(=[^=]|\+\+|--)' --include='*.go' internal cmd bench ./*.go |
     grep -v '_test\.go:' | grep -vE '^internal/server/registry\.go:[0-9]+:(var defaultLimits = limits\{|func NewRegistry\(cfg Config\) \*Registry \{ return newRegistry\(cfg, defaultLimits\) \}|func newRegistry\(cfg Config, lim limits\) \*Registry \{)$'; then
     echo "ci.sh: a removed server.Config knob or bcd tuning flag is back, or non-test code builds limits other than defaultLimits" >&2
+    exit 1
+fi
+
+# bcd ranks each epoch once: one ranking slot per entry serves every K, so the
+# per-(epoch, K) top-K cache, its singleflight calls and cap, and the pooled
+# ranking scratch stay gone. Every unit list drains with the workers asked
+# for: no small-graph serial cutoff picks fewer.
+if grep -rnwE 'topkCache|topkCall|topkCoalesceCap|rankScratch|topKScratch|dynamicSerialCutoff|drainWorkers' --include='*.go' .; then
+    echo "ci.sh: the per-K top-K cache, its scratch pool or the serial cutoff is back; bcd ranks an epoch once (Entry.rank) and the drain uses the workers it is given" >&2
     exit 1
 fi
 

@@ -250,8 +250,9 @@ func TestCLIBCWeighted(t *testing.T) {
 // TestCLIBCRejectsIgnoredFlags: a flag the chosen computation would drop is
 // a usage error (exit 2) naming it. The baselines do not decompose, so -v
 // and -threshold need -algo apgre; -approx is its own estimator, so it takes
-// neither -v nor another -algo, and its -pivots, -eps and -seed mean nothing
-// without it. Each flag still works where it applies.
+// neither -v nor another -algo, nor both -pivots and -eps, and its -pivots,
+// -eps and -seed mean nothing without it. Each flag still works where it
+// applies.
 func TestCLIBCRejectsIgnoredFlags(t *testing.T) {
 	gpath := filepath.Join(t.TempDir(), "g.txt")
 	runCLI(t, "graphgen", "-type", "path", "-n", "8", "-o", gpath)
@@ -264,6 +265,7 @@ func TestCLIBCRejectsIgnoredFlags(t *testing.T) {
 		{[]string{"-algo", "hybrid", "-v", "-threshold", "8"}, "-v and -threshold"},
 		{[]string{"-approx", "-algo", "serial"}, "-approx takes"},
 		{[]string{"-approx", "-v"}, "-approx takes"},
+		{[]string{"-approx", "-pivots", "8", "-eps", "0.01"}, "not both"},
 		{[]string{"-pivots", "8"}, "apply to -approx only"},
 		{[]string{"-eps", "0.01"}, "apply to -approx only"},
 		{[]string{"-seed", "3"}, "apply to -approx only"},

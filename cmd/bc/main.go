@@ -67,6 +67,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bc: -pivots, -eps and -seed apply to -approx only")
 		os.Exit(2)
 	}
+	if *pivots > 0 && *eps > 0 {
+		fmt.Fprintln(os.Stderr, "bc: -approx takes one of -pivots (a fixed budget) or -eps (an accuracy target), not both")
+		os.Exit(2)
+	}
 	if baseline && (*verbose || *thresh != 0) {
 		fmt.Fprintln(os.Stderr, "bc: -v and -threshold apply to -algo apgre only; the baselines do not decompose")
 		os.Exit(2)
@@ -182,7 +186,7 @@ func runApproxBC(g *repro.Graph, ids []int64, workers, thresh, topK, pivots int,
 		Threshold: thresh,
 	}
 	if opt.Pivots <= 0 && opt.Eps <= 0 {
-		opt.Eps = 0.05 // match bcd's default accuracy target
+		opt.Eps = 0.05
 	}
 	start := time.Now()
 	res, err := repro.ApproximateBC(g, opt)

@@ -82,7 +82,7 @@ func table4(c config) error {
 	}
 	for _, ds := range c.selected() {
 		g := ds.Build(c.scale)
-		d, err := decompose.Decompose(g, decompose.Options{Threshold: c.threshold, Workers: c.workers})
+		d, err := decompose.Decompose(g, decompose.Options{Threshold: c.threshold})
 		if err != nil {
 			return err
 		}
@@ -126,8 +126,11 @@ func figure2(c config) error {
 		t.AddRow(name, g.NumVertices(), g.NumEdges(), aps, metrics.Percent(float64(aps)/n),
 			deg1, metrics.Percent(float64(deg1)/n))
 	}
-	hd, hg := datasets.HumanDisease()
-	row(hd.Name, hg)
+	hd, err := datasets.ByName("human-disease")
+	if err != nil {
+		return err
+	}
+	row(hd.Name, hd.Build(c.scale))
 	for _, d := range c.selected() {
 		row(d.Name, d.Build(c.scale))
 	}
@@ -143,7 +146,7 @@ func figure7(c config) error {
 	}
 	for _, ds := range c.selected() {
 		g := ds.Build(c.scale)
-		d, err := decompose.Decompose(g, decompose.Options{Threshold: c.threshold, Workers: c.workers})
+		d, err := decompose.Decompose(g, decompose.Options{Threshold: c.threshold})
 		if err != nil {
 			return err
 		}

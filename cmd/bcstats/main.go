@@ -109,10 +109,6 @@ func load(in, format string, directed bool, dataset string, scale float64) (*gra
 	case dataset != "":
 		ds, err := datasets.ByName(dataset)
 		if err != nil {
-			if dataset == "human-disease" {
-				d, g := datasets.HumanDisease()
-				return g, d.Name, nil
-			}
 			return nil, "", err
 		}
 		return ds.Build(scale), ds.Name, nil
@@ -122,11 +118,4 @@ func load(in, format string, directed bool, dataset string, scale float64) (*gra
 	default:
 		return nil, "", fmt.Errorf("need -in FILE or -dataset NAME (one of %v)", datasets.Names())
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -125,7 +125,7 @@ func main() {
 	fmt.Printf("wrote %v to %s\n", g, *out)
 
 	if *census || *censusOut != "" {
-		if err := emitCensus(g, *out, *censusOut, *workers); err != nil {
+		if err := emitCensus(g, *out, *censusOut); err != nil {
 			fmt.Fprintf(os.Stderr, "graphgen: census: %v\n", err)
 			os.Exit(1)
 		}
@@ -137,8 +137,8 @@ func main() {
 // checked against what the generator promised. The redundancy analysis runs
 // sampled (it would otherwise cost a full sweep per source on a
 // multi-million-edge graph).
-func emitCensus(g *graph.Graph, name, path string, workers int) error {
-	d, err := decompose.Decompose(g, decompose.Options{Workers: workers})
+func emitCensus(g *graph.Graph, name, path string) error {
+	d, err := decompose.Decompose(g, decompose.Options{})
 	if err != nil {
 		return err
 	}

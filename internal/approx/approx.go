@@ -108,11 +108,15 @@ type Result struct {
 }
 
 // Estimate decomposes g and runs the estimator in the mode Options selects:
-// fixed budget (Pivots > 0) or adaptive (Eps > 0). A sweep whose path counts
-// overflow float64 makes it return graph.ErrPathCountOverflow.
+// fixed budget (Pivots > 0) or adaptive (Eps > 0). Options that select
+// neither mode or both are an error, returned before any work. A sweep whose
+// path counts overflow float64 makes it return graph.ErrPathCountOverflow.
 func Estimate(g *graph.Graph, opt Options) (*Result, error) {
 	if g.Weighted() {
 		return nil, fmt.Errorf("approx: weighted graphs are not supported")
+	}
+	if (opt.Pivots > 0) == (opt.Eps > 0) {
+		return nil, fmt.Errorf("approx: Options needs exactly one of Pivots > 0 or Eps > 0, got Pivots=%d Eps=%g", opt.Pivots, opt.Eps)
 	}
 	d, err := decompose.Decompose(g, decompose.Options{Threshold: opt.Threshold})
 	if err != nil {
@@ -122,13 +126,10 @@ func Estimate(g *graph.Graph, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case opt.Pivots > 0:
+	if opt.Pivots > 0 {
 		err = est.ensureBudget(opt.Pivots)
-	case opt.Eps > 0:
+	} else {
 		err = est.ensureEps(opt.Eps)
-	default:
-		return nil, fmt.Errorf("approx: Options needs Pivots > 0 or Eps > 0")
 	}
 	if err != nil {
 		return nil, err

@@ -226,12 +226,18 @@ func mustDecompose(t *testing.T, g *graph.Graph) *decompose.Decomposition {
 	return d
 }
 
-// TestOptionValidation covers the error paths: no mode selected and
-// weighted input.
+// TestOptionValidation covers the error paths: no mode selected, both modes
+// selected, and weighted input. A mode error comes before the decomposition,
+// so it costs no more allocations than the error itself.
 func TestOptionValidation(t *testing.T) {
-	g := gen.Path(10)
-	if _, err := Estimate(g, Options{}); err == nil {
-		t.Fatal("expected error when neither Pivots nor Eps is set")
+	g := gen.Path(1000)
+	for _, opt := range []Options{{}, {Pivots: -3, Eps: -1}, {Pivots: 8, Eps: 0.01}} {
+		if _, err := Estimate(g, opt); err == nil {
+			t.Fatalf("%+v: want an error (exactly one of Pivots and Eps selects the mode)", opt)
+		}
+		if allocs := testing.AllocsPerRun(5, func() { Estimate(g, opt) }); allocs > 8 {
+			t.Fatalf("%+v: refusing the options allocated %.0f times; the graph was decomposed first", opt, allocs)
+		}
 	}
 	w := gen.WithRandomWeights(gen.Lollipop(4, 4), 5, 3)
 	if _, err := Estimate(w, Options{Pivots: 4}); err == nil {

@@ -113,9 +113,7 @@ func Decomposed(g *graph.Graph, opt Options) (*Result, error) {
 	if n == 0 {
 		return res, nil
 	}
-	d, err := decompose.Decompose(g, decompose.Options{
-		Threshold: opt.Threshold, Workers: opt.Workers,
-	})
+	d, err := decompose.Decompose(g, decompose.Options{Threshold: opt.Threshold})
 	if err != nil {
 		return nil, err
 	}

@@ -166,12 +166,7 @@ func ComputeDecomposed(d *decompose.Decomposition, opt Options) ([]float64, erro
 	start := time.Now()
 	units := buildUnits(d, p, p > 1 && opt.Scheduler == SchedulerDynamic,
 		opt.RootEngine == EngineMSBFS, opt.RootBudget)
-	// Small-graph break-even guard: below the work cutoff, drain the SAME
-	// unit list with one worker instead of p — the flush below adds the
-	// units' slices in list order whoever swept them, so degrading is
-	// bit-exact, and faster than paying worker startup for a few milliseconds
-	// of sweep work.
-	traversed, overflow := drainUnits(units, drainWorkers(d, p), d.G, opt)
+	traversed, overflow := drainUnits(units, p, d.G, opt)
 	if overflow {
 		return nil, graph.ErrPathCountOverflow
 	}
@@ -182,16 +177,6 @@ func ComputeDecomposed(d *decompose.Decomposition, opt Options) ([]float64, erro
 		fillBreakdown(opt.Breakdown, d, units, time.Since(start), traversed)
 	}
 	return bc, nil
-}
-
-// totalRootCount sums the decomposition's root lists — the denominator of
-// RootBudget's proportional prefix.
-func totalRootCount(d *decompose.Decomposition) int64 {
-	var t int64
-	for _, sg := range d.Subgraphs {
-		t += int64(len(sg.Roots))
-	}
-	return t
 }
 
 // rootPrefix returns how many of a sub-graph's nr roots a budgeted run

@@ -51,7 +51,7 @@ func TestRootBudgetExactAndTrimmed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := int(totalRootCount(d))
+	total := int(d.TotalRoots())
 	if total < 20 {
 		t.Fatalf("fixture too small: %d roots", total)
 	}

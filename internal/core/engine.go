@@ -208,39 +208,3 @@ func (e *engine) runRoots(sg *decompose.Subgraph, roots []int32, directed bool) 
 		e.bfsRoot(sg, roots[i], directed)
 	}
 }
-
-// dynamicSerialCutoff is the small-graph break-even guard: when the whole
-// decomposition's estimated sweep cost Σ unitCost falls below it,
-// ComputeDecomposed drains with one worker even if more were requested —
-// below this much work, worker startup costs more than the parallelism
-// returns (road-network inputs ran 1.5× slower at p=8 than p=1). The fallback
-// is bit-invisible because it drains the SAME unit list with one worker: unit
-// boundaries fix each sub-graph's partial-sum association, and the units'
-// slices are added up in list order whoever swept them. A var, not a const,
-// so tests can pin bit-equality across the boundary by moving it.
-//
-// The unit is roots × (vertices + arcs) of the swept graph. At 1<<20 an input
-// the size of the benchmark's serve workload (2.07 M, the smallest of the
-// four) keeps its workers, and the inputs just above the bound measure
-// 1.8–1.9× faster with two workers than with one (EXPERIMENTS.md "Leaves
-// leave the sweep", ladder).
-var dynamicSerialCutoff int64 = 1 << 20
-
-// drainWorkers applies the guard to a request for p workers.
-func drainWorkers(d *decompose.Decomposition, p int) int {
-	if p > 1 && totalSweepCost(d) < dynamicSerialCutoff {
-		return 1
-	}
-	return p
-}
-
-// totalSweepCost estimates the decomposition's full sweep work under the
-// scalar cost model (the guard is an absolute work bound, so it uses the
-// kernel-independent model).
-func totalSweepCost(d *decompose.Decomposition) int64 {
-	var total int64
-	for _, sg := range d.Subgraphs {
-		total += unitCost(sg, len(sg.Roots), false)
-	}
-	return total
-}

@@ -26,15 +26,6 @@ func engineFamilies() map[string]*graph.Graph {
 	return fams
 }
 
-// forceParallel drops the small-graph serial guard for the duration of a
-// test so multi-worker paths genuinely engage on test-sized graphs.
-func forceParallel(t *testing.T) {
-	t.Helper()
-	old := dynamicSerialCutoff
-	dynamicSerialCutoff = 0
-	t.Cleanup(func() { dynamicSerialCutoff = old })
-}
-
 // setKernelRule moves the kernel rule's three bounds (engine.go) for the rest
 // of the test. Budget 0 is the scalar kernel everywhere; EngineMSBFS lifts the
 // budget, never the two lower bounds.
@@ -85,7 +76,6 @@ func bcBitsEqual(t *testing.T, name string, want, got []float64) {
 // (Worker count itself legitimately shapes unit boundaries and hence
 // partial-sum association; the invariant is that the KERNEL never does.)
 func TestMSBFSEngineBitMatchesScalar(t *testing.T) {
-	forceParallel(t)
 	for name, g := range engineFamilies() {
 		for _, p := range []int{1, 2, 4, 8} {
 			want := computeScalar(t, g, Options{Workers: p, Threshold: 8})
@@ -103,7 +93,6 @@ func TestMSBFSEngineBitMatchesScalar(t *testing.T) {
 // TestMSBFSEngineMatchesBrandes anchors the batched engine to ground truth
 // (two engines could be bit-equal and both wrong).
 func TestMSBFSEngineMatchesBrandes(t *testing.T) {
-	forceParallel(t)
 	for name, g := range engineFamilies() {
 		want := brandes.Serial(g)
 		got, err := Compute(g, Options{
@@ -124,7 +113,6 @@ func TestMSBFSEngineMatchesBrandes(t *testing.T) {
 // must route its tail roots through a partial-word batch and still match the
 // scalar engine bit for bit.
 func TestMSBFSBatchRemainder(t *testing.T) {
-	forceParallel(t)
 	g := gen.ErdosRenyi(500, 1500, false, 3)
 	d, err := decompose.Decompose(g, decompose.Options{Threshold: 8})
 	if err != nil {
@@ -155,7 +143,6 @@ func TestMSBFSBatchRemainder(t *testing.T) {
 // bit-identical output — the scheduler's deterministic merge must hold with
 // batch-granular units too.
 func TestMSBFSEngineDeterministic(t *testing.T) {
-	forceParallel(t)
 	g := schedFamilies()["social"]
 	base, err := Compute(g, Options{Workers: 8, Threshold: 8, RootEngine: EngineMSBFS})
 	if err != nil {
@@ -170,64 +157,38 @@ func TestMSBFSEngineDeterministic(t *testing.T) {
 	}
 }
 
-// TestDynamicSerialCutoffBoundary pins the small-graph break-even guard's
-// bit-neutrality: the same multi-worker request run just below the guard
-// (degraded to the serial coarse path) and with the guard disabled (true
-// 8-worker drain) must produce identical bits, under the rule, with lanes
-// forced and with none. The guard may therefore move freely as break-even
-// tuning evolves without any observable output change.
-func TestDynamicSerialCutoffBoundary(t *testing.T) {
-	oldCut, oldBudget := dynamicSerialCutoff, laneBudget
-	t.Cleanup(func() { dynamicSerialCutoff, laneBudget = oldCut, oldBudget })
+// TestDrainWorkerCountBitNeutral pins the drain's bit-neutrality in the
+// worker count: one chunked unit list, drained by one worker and by eight,
+// flushes to identical bits, under the rule, with lanes forced and with none.
+// Each unit fills a slice of its own and the flush adds them in list order,
+// whoever swept them.
+func TestDrainWorkerCountBitNeutral(t *testing.T) {
+	oldBudget := laneBudget
+	t.Cleanup(func() { laneBudget = oldBudget })
 	for name, g := range engineFamilies() {
+		d, err := decompose.Decompose(g, decompose.Options{Threshold: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, c := range []struct {
 			eng    RootEngine
 			budget int
 		}{{0, oldBudget}, {EngineMSBFS, oldBudget}, {0, 0}} {
 			laneBudget = c.budget
-			opt := Options{Workers: 8, Threshold: 8, RootEngine: c.eng}
-			dynamicSerialCutoff = 1 << 62 // guard always fires: serial path
-			serial, err := Compute(g, opt)
-			if err != nil {
-				t.Fatalf("%s/%+v serial-guarded: %v", name, c, err)
+			opt := Options{RootEngine: c.eng}
+			var scores [2][]float64
+			for i, p := range []int{1, 8} {
+				units := buildUnits(d, 8, true, c.eng == EngineMSBFS, 0)
+				if _, overflow := drainUnits(units, p, g, opt); overflow {
+					t.Fatalf("%s/%+v p=%d: overflow", name, c, p)
+				}
+				scores[i] = make([]float64, g.NumVertices())
+				for _, u := range units {
+					flushLocal(scores[i], u.sg, u.local)
+				}
 			}
-			dynamicSerialCutoff = 0 // guard never fires: real parallel drain
-			parallel, err := Compute(g, opt)
-			if err != nil {
-				t.Fatalf("%s/%+v parallel: %v", name, c, err)
-			}
-			bcBitsEqual(t, fmt.Sprintf("%s/%+v", name, c), serial, parallel)
+			bcBitsEqual(t, fmt.Sprintf("%s/%+v", name, c), scores[0], scores[1])
 		}
-	}
-}
-
-// TestSerialGuardKeepsServeParallel pins the guard's decision where a change
-// of the cost unit can move it silently: an input shaped and sized like the
-// benchmark's serve workload (bench/workloads.go), whose cost is the smallest
-// of the four, asks for two workers and gets them, and a road lattice of a
-// few hundred vertices does not.
-func TestSerialGuardKeepsServeParallel(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		n := 2000
-		g := gen.SocialLike(gen.SocialParams{N: n, AvgDeg: 10,
-			Communities: int(200 * math.Sqrt(float64(n)/4400)),
-			TopShare:    0.46, LeafFrac: 0.53, Seed: seed})
-		d, err := decompose.Decompose(g, decompose.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := drainWorkers(d, 2); got != 2 {
-			t.Fatalf("seed %d: serve-sized input (sweep cost %d, cutoff %d) drains with %d worker(s), want 2",
-				seed, totalSweepCost(d), dynamicSerialCutoff, got)
-		}
-	}
-	g := gen.RoadLike(gen.RoadParams{Rows: 12, Cols: 12, DeleteFrac: 0.12, SpurFrac: 0.18, SpurLen: 4, Seed: 1})
-	d, err := decompose.Decompose(g, decompose.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := drainWorkers(d, 8); got != 1 {
-		t.Fatalf("12×12 road lattice (sweep cost %d) drains with %d workers, want 1", totalSweepCost(d), got)
 	}
 }
 

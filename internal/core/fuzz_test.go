@@ -174,8 +174,7 @@ func lanesForFuzz(t *testing.T) RootEngine {
 // three direction modes — the rule, pull only, every level bottom-up and
 // pushing — held to each other bit for bit. hybridMinVerts and hybridMinDegree
 // are lowered for the run so that sub-graphs this size and this sparse take
-// bottom-up and push levels under the rule at all, and the serial guard
-// dropped so that the second worker is real.
+// bottom-up and push levels under the rule at all.
 //
 // A weighted graph is swept with Dijkstra, so it is held to brandes.Serial
 // (Dijkstra-Brandes on it) and to the scalar run only: there is no lane kernel
@@ -199,9 +198,9 @@ func lanesForFuzz(t *testing.T) RootEngine {
 // unweighted graphs a second component beside those n vertices: the ladder of
 // overflow_test.go, 1,024 + th%77 layers long, whose σ reach +Inf.
 func FuzzComputeMatchesBrandes(f *testing.F) {
-	oldMin, oldDeg, oldCut := hybridMinVerts, hybridMinDegree, dynamicSerialCutoff
-	hybridMinVerts, hybridMinDegree, dynamicSerialCutoff = 2, 0, 0
-	f.Cleanup(func() { hybridMinVerts, hybridMinDegree, dynamicSerialCutoff = oldMin, oldDeg, oldCut })
+	oldMin, oldDeg := hybridMinVerts, hybridMinDegree
+	hybridMinVerts, hybridMinDegree = 2, 0
+	f.Cleanup(func() { hybridMinVerts, hybridMinDegree = oldMin, oldDeg })
 	for _, g := range []*graph.Graph{gen.Star(8), gen.Path(7), gen.Lollipop(5, 4), gen.Caveman(3, 5, false),
 		gen.Grid2D(5, 5), gen.ErdosRenyi(40, 160, false, 3)} {
 		for flags := byte(0); flags < 128; flags++ {

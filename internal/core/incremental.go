@@ -73,7 +73,7 @@ type epochState struct {
 type Snapshot struct {
 	// Seq increments with every published epoch (mutation or rebuild); equal
 	// Seq values denote the identical epoch, so caches keyed by Seq (e.g.
-	// bcd's top-K cache) invalidate exactly when the graph changes.
+	// bcd's top-K ranking) invalidate exactly when the graph changes.
 	Seq           uint64
 	Graph         *graph.Graph
 	Decomposition *decompose.Decomposition
@@ -224,21 +224,68 @@ func commonSubgraph(sgOf [][]int32, u, v graph.V) int {
 	return -1
 }
 
-func (inc *Incremental) validate(u, v graph.V) error {
-	if u == v {
-		return fmt.Errorf("core: self-loop %d", u)
-	}
-	if u < 0 || int(u) >= inc.n || v < 0 || int(v) >= inc.n {
-		return fmt.Errorf("core: vertex out of range")
-	}
-	return nil
-}
-
 // EdgeOp is one staged mutation for ApplyBatch: Add true inserts the edge
 // (U,V) — the arc U->V for directed graphs — and false removes it.
 type EdgeOp struct {
 	Add  bool
 	U, V graph.V
+}
+
+// StageEdits applies ops in order to g's edge list: the one edit semantics
+// of ApplyBatch and of bcd's write-ahead-log replay. Each op is judged against
+// g with the batch's earlier ops staged in, so an insert-then-remove sequence
+// behaves exactly as it would applied one at a time. An op that is a
+// self-loop, has an endpoint outside g, inserts a present edge or removes an
+// absent one is skipped and reported at its index in errs; the others all
+// apply. edges is the edit's result: g's edge list less the staged removals,
+// plus the staged insertions, unsorted (graph.NewFromEdges sorts); it is nil
+// when no op applies. It costs one pass over g's edges plus a row search per
+// op.
+func StageEdits(g *graph.Graph, ops []EdgeOp) (edges []graph.Edge, errs []error) {
+	n, directed := g.NumVertices(), g.Directed()
+	type arcKey struct{ u, v graph.V }
+	norm := func(u, v graph.V) arcKey {
+		if !directed && u > v {
+			u, v = v, u
+		}
+		return arcKey{u, v}
+	}
+	staged := make(map[arcKey]bool, len(ops)) // key -> present after staged ops
+	present := func(u, v graph.V) bool {
+		if p, ok := staged[norm(u, v)]; ok {
+			return p
+		}
+		return g.HasArc(u, v)
+	}
+	errs = make([]error, len(ops))
+	for i, op := range ops {
+		switch {
+		case op.U == op.V:
+			errs[i] = fmt.Errorf("core: self-loop %d", op.U)
+		case op.U < 0 || int(op.U) >= n || op.V < 0 || int(op.V) >= n:
+			errs[i] = fmt.Errorf("core: vertex out of range")
+		case op.Add && present(op.U, op.V):
+			errs[i] = fmt.Errorf("core: edge %d->%d already present", op.U, op.V)
+		case !op.Add && !present(op.U, op.V):
+			errs[i] = fmt.Errorf("core: edge %d->%d absent", op.U, op.V)
+		default:
+			staged[norm(op.U, op.V)] = op.Add
+		}
+	}
+	if len(staged) == 0 {
+		return nil, errs
+	}
+	// Edges lists an undirected edge once, with From < To: its norm.
+	edges = slices.DeleteFunc(g.Edges(), func(e graph.Edge) bool {
+		p, ok := staged[arcKey{e.From, e.To}]
+		return ok && !p
+	})
+	for k, p := range staged {
+		if p && !g.HasArc(k.u, k.v) {
+			edges = append(edges, graph.Edge{From: k.u, To: k.v})
+		}
+	}
+	return edges, errs
 }
 
 // InsertEdge adds the edge (u,v) — the arc u->v for directed graphs — and
@@ -262,71 +309,26 @@ func (inc *Incremental) applyOne(op EdgeOp) error {
 
 // ApplyBatch applies ops in order and publishes at most ONE new epoch for
 // the whole batch — a burst of N mutations costs one decomposition, one sweep
-// of each sub-graph it changes and one pointer swap. Ops that fail
-// validation (self-loop, out-of-range vertex, duplicate insert, absent
-// removal — judged against the graph state with the batch's earlier ops
-// staged in) are skipped and reported per-index in the first return value;
-// the remaining ops all apply. The second return value is a batch-level
+// of each sub-graph it changes and one pointer swap. Ops are staged by
+// StageEdits: the ones it skips are reported per-index in the first return
+// value, the remaining ops all apply. The second return value is a batch-level
 // failure (a decomposition error, or graph.ErrPathCountOverflow when the next
 // epoch's path counts overflow float64), after which no epoch was published.
 func (inc *Incremental) ApplyBatch(ops []EdgeOp) ([]error, error) {
-	errs := make([]error, len(ops))
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
 	prev := inc.cur.Load()
-
-	// Stage: validate each op against the current graph plus the batch's own
-	// earlier deltas, so intra-batch insert-then-remove sequences behave
-	// exactly as they would applied one at a time.
-	type arcKey struct{ u, v graph.V }
-	norm := func(u, v graph.V) arcKey {
-		if !inc.directed && u > v {
-			u, v = v, u
-		}
-		return arcKey{u, v}
-	}
-	staged := make(map[arcKey]bool, len(ops)) // key -> present after staged ops
-	present := func(u, v graph.V) bool {
-		if p, ok := staged[norm(u, v)]; ok {
-			return p
-		}
-		return prev.g.HasArc(u, v)
-	}
+	edges, errs := StageEdits(prev.g, ops)
 	// structural classifies the batch by what its edits are (see Incremental).
 	valid, structural := 0, false
 	for i, op := range ops {
-		if err := inc.validate(op.U, op.V); err != nil {
-			errs[i] = err
-			continue
-		}
-		if op.Add && present(op.U, op.V) {
-			errs[i] = fmt.Errorf("core: edge %d->%d already present", op.U, op.V)
-			continue
-		}
-		if !op.Add && !present(op.U, op.V) {
-			errs[i] = fmt.Errorf("core: edge %d->%d absent", op.U, op.V)
-			continue
-		}
-		staged[norm(op.U, op.V)] = op.Add
-		valid++
-		if commonSubgraph(prev.sgOf, op.U, op.V) < 0 {
-			structural = true
+		if errs[i] == nil {
+			valid++
+			structural = structural || commonSubgraph(prev.sgOf, op.U, op.V) < 0
 		}
 	}
 	if valid == 0 {
 		return errs, nil
-	}
-
-	// The next edge list: the current one less the staged removals, plus the
-	// staged insertions (NewFromEdges sorts, so their order is immaterial).
-	edges := slices.DeleteFunc(prev.g.Edges(), func(e graph.Edge) bool {
-		p, ok := staged[arcKey{e.From, e.To}]
-		return ok && !p
-	})
-	for k, p := range staged {
-		if p && !prev.g.HasArc(k.u, k.v) {
-			edges = append(edges, graph.Edge{From: k.u, To: k.v})
-		}
 	}
 	next, err := inc.build(prev, edges)
 	if err != nil {

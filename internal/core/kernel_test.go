@@ -140,7 +140,6 @@ func TestKernelRuleBoundary(t *testing.T) {
 // — and goes back clean. One 5,000-vertex block (scalar by the rule) with
 // twenty blocks of 100–500 vertices hanging off it (lanes).
 func TestLaneMemoryBounded(t *testing.T) {
-	forceParallel(t)
 	const big = 5000
 	es := chordRing(nil, 0, big)
 	n := big
@@ -233,7 +232,6 @@ func TestLaneMemoryBounded(t *testing.T) {
 // the contract holds on both layouts, and the test fails if a fixture stops
 // being the layout it is here for.
 func TestLaneKernelBitMatchesScalarAtScale(t *testing.T) {
-	forceParallel(t)
 	for _, c := range []struct {
 		name       string
 		build      func() *graph.Graph
@@ -288,7 +286,6 @@ func TestLaneKernelBitMatchesScalarAtScale(t *testing.T) {
 // at one and two workers: splitting the lanes changes no lane's operands or
 // their order.
 func TestLaneBatchesMixAPRoots(t *testing.T) {
-	forceParallel(t)
 	for _, c := range []struct {
 		name string
 		g    *graph.Graph

@@ -29,7 +29,8 @@ import (
 // the order of the unit list — ComputeDecomposed in (sub-graph, root range)
 // order, Incremental in sub-graph order. The result is therefore a
 // deterministic function of the unit list whatever the worker count and the
-// worker interleaving. Only articulation points are shared between
+// worker interleaving, and the drain runs as many workers as its caller asks
+// for, however small the input. Only articulation points are shared between
 // sub-graphs, so the extra memory is one float64 slice per unit, Σ|V_i|
 // overall.
 
@@ -95,7 +96,7 @@ func unitCost(sg *decompose.Subgraph, nr int, lanes bool) int64 {
 // determinism argument above carries over unchanged.
 func buildUnits(d *decompose.Decomposition, p int, chunking, forced bool, budget int) []workUnit {
 	weighted := d.G.Weighted()
-	totalRoots := totalRootCount(d)
+	totalRoots := d.TotalRoots()
 	var total int64
 	costs := make([]int64, len(d.Subgraphs))
 	for i, sg := range d.Subgraphs {

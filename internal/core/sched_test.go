@@ -58,7 +58,6 @@ func TestSchedulerWorkerSweepMatchesBrandes(t *testing.T) {
 // whole-sub-graph units buy: SchedulerStatic's unit list does not depend on
 // the worker count, so its scores are bit-identical at 1 and 8 workers.
 func TestSchedulerStaticDynamicEquivalent(t *testing.T) {
-	forceParallel(t)
 	for name, g := range schedFamilies() {
 		var static1 []float64
 		for _, p := range []int{1, 3, 8} {
@@ -87,7 +86,6 @@ func TestSchedulerStaticDynamicEquivalent(t *testing.T) {
 // multi-worker runs return bit-identical scores despite nondeterministic
 // unit-to-worker assignment, for the BFS and the Dijkstra kernel alike.
 func TestSchedulerDeterministic(t *testing.T) {
-	forceParallel(t)
 	social := schedFamilies()["social"]
 	for name, g := range map[string]*graph.Graph{
 		"social":   social,
@@ -388,7 +386,7 @@ func TestUnitsSplitEvenly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		totalRoots := totalRootCount(d)
+		totalRoots := d.TotalRoots()
 		for _, p := range []int{2, 3, 4} {
 			units := buildUnits(d, p, true, false, fx.budget)
 			again := buildUnits(d, p, true, true, fx.budget)
@@ -470,7 +468,6 @@ func TestUnknownScheduler(t *testing.T) {
 // TestWeightedSchedulerEquivalent runs the weighted engine under both
 // schedulers against the serial weighted Brandes reference.
 func TestWeightedSchedulerEquivalent(t *testing.T) {
-	forceParallel(t)
 	g := gen.WithRandomWeights(gen.SocialLike(gen.SocialParams{
 		N: 200, AvgDeg: 4, Communities: 4, TopShare: 0.5, LeafFrac: 0.3, Seed: 5}), 4, 9)
 	want := brandes.Serial(g)

@@ -96,7 +96,11 @@ func TestStandInsHaveRedundancy(t *testing.T) {
 }
 
 func TestHumanDisease(t *testing.T) {
-	d, g := HumanDisease()
+	d, err := ByName("human-disease")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := d.Build(0.05)
 	if d.Name != "human-disease" || g.NumVertices() != 1419 {
 		t.Fatalf("human disease stand-in wrong: %v %v", d, g)
 	}

@@ -4,40 +4,9 @@ import (
 	"testing"
 )
 
-// The bc?top=K serving path — epoch score view plus pooled top-K ranking —
-// must not allocate once the scratch pool is warm. (JSON encoding sits
-// outside this gate; the handler's own data path is what the workspace
-// arena pins to zero.)
-func TestTopKServingWarmAllocs(t *testing.T) {
-	r := NewRegistry(Config{})
-	defer r.Close()
-	e, err := r.Load(triangleSpec("alloc"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info := waitState(t, e); info.State != StateReady {
-		t.Fatalf("state = %s (%s)", info.State, info.Error)
-	}
-
-	serve := func() {
-		scores, err := e.BCView()
-		if err != nil {
-			t.Fatal(err)
-		}
-		scr := topKScratch.Get().(*rankScratch)
-		if top := scr.topK(scores, 2); len(top) != 2 {
-			t.Fatalf("topK returned %d entries", len(top))
-		}
-		topKScratch.Put(scr)
-	}
-	serve() // warm the pooled scratch
-	if allocs := testing.AllocsPerRun(100, serve); allocs != 0 {
-		t.Fatalf("warm top-K serving allocates %.1f/op, want 0", allocs)
-	}
-}
-
-// The coalesced top-K hit path — the lane overloaded readers live on — must
-// also be allocation-free once the epoch's ranking is cached.
+// The top-K hit path — the lane overloaded readers live on — must be
+// allocation-free once the epoch's ranking is built. (JSON encoding sits
+// outside this gate; the handler's own data path is what it pins to zero.)
 func TestTopKCoalescedHitAllocs(t *testing.T) {
 	r := NewRegistry(Config{})
 	defer r.Close()

@@ -9,8 +9,10 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -392,6 +394,84 @@ func TestDecodeWALTornTail(t *testing.T) {
 	}
 }
 
+// TestReplayMatchesApplyBatch: WAL replay and the live engine share one edit
+// semantics (core.StageEdits), so a script replayed onto a graph gives, bit
+// for bit, the graph ApplyBatch leaves, whether the script is one batch or
+// one op at a time, and skips the same ops. The script holds every kind of op
+// the engine refuses, an insert-then-remove and an edge removed then put back.
+func TestReplayMatchesApplyBatch(t *testing.T) {
+	for _, directed := range []bool{false, true} {
+		base := graph.NewFromEdges(6, []graph.Edge{
+			{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 3}, {From: 3, To: 4}, {From: 4, To: 0},
+		}, directed)
+		script := []core.EdgeOp{
+			{Add: true, U: 1, V: 0},  // duplicate of 0-1 undirected, a new arc directed
+			{Add: true, U: 0, V: 1},  // duplicate either way
+			{Add: false, U: 2, V: 4}, // absent
+			{Add: true, U: 3, V: 3},  // self-loop
+			{Add: true, U: 5, V: 6},  // out of range
+			{Add: true, U: 2, V: 5},  // insert ...
+			{Add: false, U: 2, V: 5}, // ... then remove
+			{Add: false, U: 3, V: 4}, // remove ...
+			{Add: true, U: 3, V: 4},  // ... then put back
+			{Add: true, U: 1, V: 5},
+			{Add: false, U: 4, V: 0},
+		}
+		replayed := replayOps(base, script)
+
+		batch, err := core.NewIncremental(base, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		errs, err := batch.ApplyBatch(script)
+		if err != nil {
+			t.Fatal(err)
+		}
+		single, err := core.NewIncremental(base, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, op := range script {
+			one, err := single.ApplyBatch([]core.EdgeOp{op})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (one[0] == nil) != (errs[i] == nil) {
+				t.Fatalf("directed=%v op %d %+v: alone err %v, in the batch err %v", directed, i, op, one[0], errs[i])
+			}
+		}
+		skipped := 0
+		for _, e := range errs {
+			if e != nil {
+				skipped++
+			}
+		}
+		want := 4 // absent, self-loop, out of range, the second 0-1
+		if !directed {
+			want++ // 1-0 is 0-1
+		}
+		if skipped != want {
+			t.Fatalf("directed=%v: ApplyBatch skipped %d ops, want %d: %v", directed, skipped, want, errs)
+		}
+		for name, g := range map[string]*graph.Graph{"batch": batch.Graph(), "one at a time": single.Graph()} {
+			if g.Directed() != replayed.Directed() || g.NumVertices() != replayed.NumVertices() {
+				t.Fatalf("directed=%v %s: shape differs from the replay", directed, name)
+			}
+			for u := range g.NumVertices() {
+				if !slices.Equal(g.Out(graph.V(u)), replayed.Out(graph.V(u))) {
+					t.Fatalf("directed=%v %s: row %d is %v, replay has %v",
+						directed, name, u, g.Out(graph.V(u)), replayed.Out(graph.V(u)))
+				}
+			}
+		}
+	}
+	// A script that applies nothing replays to the graph itself.
+	base := graph.NewFromEdges(3, []graph.Edge{{From: 0, To: 1}}, false)
+	if got := replayOps(base, []core.EdgeOp{{Add: true, U: 1, V: 0}, {Add: false, U: 1, V: 2}}); got != base {
+		t.Fatal("a script of refused ops rebuilt the graph")
+	}
+}
+
 // TestMutationBurstCoalesces: N concurrent mutations while the worker is
 // held at the gate must land in far fewer than N epoch publishes.
 func TestMutationBurstCoalesces(t *testing.T) {
@@ -591,8 +671,8 @@ func TestMutateCanceledClient(t *testing.T) {
 	}
 }
 
-// TestTopKCoalescing: identical top-K queries on one epoch share a ranking;
-// a mutation invalidates it by bumping the epoch seq.
+// TestTopKCoalescing: every top-K query on one epoch, whatever its k, shares
+// one ranking; a mutation invalidates it by bumping the epoch seq.
 func TestTopKCoalescing(t *testing.T) {
 	r := NewRegistry(Config{})
 	defer r.Close()
@@ -620,12 +700,24 @@ func TestTopKCoalescing(t *testing.T) {
 			t.Fatalf("coalesced result differs at %d: %+v vs %+v", i, first[i], second[i])
 		}
 	}
-	// A different k is its own cache line.
-	if _, _, hit, _ := e.TopKCoalesced(3); hit {
-		t.Fatal("distinct k reported a cache hit")
-	}
-	if _, _, hit, _ := e.TopKCoalesced(3); !hit {
-		t.Fatal("repeated k missed the cache")
+	// The epoch is ranked once: any other k slices the same ranking.
+	for _, k := range []int{3, 0, lifecycleN + 7} {
+		top, n, hit, err := e.TopKCoalesced(k)
+		if err != nil || !hit {
+			t.Fatalf("k=%d after the epoch's first ranked read: hit=%v err=%v, want hit", k, hit, err)
+		}
+		want := n // k <= 0 or k > n: every vertex
+		if k > 0 && k < n {
+			want = k
+		}
+		if len(top) != want {
+			t.Fatalf("k=%d: %d entries of %d, want %d", k, len(top), n, want)
+		}
+		for i := range min(len(top), len(first)) {
+			if top[i] != first[i] {
+				t.Fatalf("k=%d differs from k=5 at %d: %+v vs %+v", k, i, top[i], first[i])
+			}
+		}
 	}
 
 	// Mutation publishes a new epoch: the cache must invalidate.
@@ -638,6 +730,84 @@ func TestTopKCoalescing(t *testing.T) {
 	}
 	if len(post) != 5 {
 		t.Fatalf("post-mutation top-5 has %d entries", len(post))
+	}
+}
+
+// TestRankSlotOnlyRollsForward: a reader whose epoch a newer one has
+// overtaken ranks its own epoch and leaves the newer ranking in the slot, so
+// the newer epoch's next read is still a hit. Both ways a reader can be
+// overtaken are covered: before it loads the slot, and between its load and
+// its store.
+func TestRankSlotOnlyRollsForward(t *testing.T) {
+	var e Entry
+	newer, older := []float64{1, 3, 2}, []float64{3, 1, 2}
+	if _, hit := e.rankEpoch(6, newer); hit {
+		t.Fatal("first read of epoch 6 reported a hit")
+	}
+	all, hit := e.rankEpoch(5, older)
+	if hit || all[0].Vertex != 0 || all[1].Vertex != 2 {
+		t.Fatalf("overtaken reader of epoch 5 got %+v (hit=%v), want its own epoch ranked", all, hit)
+	}
+	if seq := e.rank.Load().seq; seq != 6 {
+		t.Fatalf("slot holds epoch %d after an overtaken read, want 6", seq)
+	}
+	if all, hit := e.rankEpoch(6, newer); !hit || all[0].Vertex != 1 {
+		t.Fatalf("second read of epoch 6: %+v (hit=%v), want the stored ranking", all, hit)
+	}
+
+	// A reader of epoch 7 loads the slot (epoch 6); epoch 8 is stored before
+	// the reader stores epoch 7 over what it loaded.
+	seen := e.rank.Load()
+	if r := e.slot(e.rank.Load(), 8); r.seq != 8 || e.rank.Load() != r {
+		t.Fatalf("epoch 8 did not take the slot: %d", e.rank.Load().seq)
+	}
+	if r := e.slot(seen, 7); r.seq != 7 || e.rank.Load().seq != 8 {
+		t.Fatalf("overtaken reader of epoch 7 got epoch %d and left epoch %d in the slot, want 7 and 8",
+			r.seq, e.rank.Load().seq)
+	}
+}
+
+// TestRankSlotConcurrentReaders: readers of many epochs, racing in no
+// order, each get their own epoch's ranking; the slot ends on the newest
+// epoch, which exactly one of its readers ranked.
+func TestRankSlotConcurrentReaders(t *testing.T) {
+	const n, epochs, readers, reads = 64, 12, 8, 60
+	scores := make([][]float64, epochs+1)
+	want := make([][]VertexScore, epochs+1)
+	for seq := 1; seq <= epochs; seq++ {
+		scores[seq] = make([]float64, n)
+		for v := range scores[seq] {
+			scores[seq][v] = float64(v * seq % 17)
+			want[seq] = append(want[seq], VertexScore{Vertex: graph.V(v), Score: scores[seq][v]})
+		}
+		slices.SortFunc(want[seq], compareVertexScore)
+	}
+	var e Entry
+	var newestMisses atomic.Int64
+	var wg sync.WaitGroup
+	for r := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range reads {
+				seq := 1 + (r*7+i*5)%epochs
+				all, hit := e.rankEpoch(uint64(seq), scores[seq])
+				if !slices.Equal(all, want[seq]) {
+					t.Errorf("reader %d read %d: epoch %d ranked wrong", r, i, seq)
+					return
+				}
+				if seq == epochs && !hit {
+					newestMisses.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if seq := e.rank.Load().seq; seq != epochs {
+		t.Fatalf("slot ends on epoch %d, want %d", seq, epochs)
+	}
+	if m := newestMisses.Load(); m != 1 {
+		t.Fatalf("the newest epoch was ranked %d times, want once", m)
 	}
 }
 

@@ -287,10 +287,6 @@ func buildGraph(spec LoadSpec, f *os.File) (*graph.Graph, error) {
 		if scale <= 0 {
 			scale = 0.25
 		}
-		if spec.Dataset == "human-disease" {
-			_, g := datasets.HumanDisease()
-			return g, nil
-		}
 		ds, err := datasets.ByName(spec.Dataset)
 		if err != nil {
 			return nil, err

@@ -76,8 +76,8 @@ func newMetrics() *Metrics {
 			"Edge mutations carried inside coalesced batches; the ratio to "+
 				"bcd_mutation_batches_total is the burst amortization factor."),
 		topk: reg.NewCounter("bcd_topk_cache_total",
-			"Exact top-K queries, by result: hit (ranking reused from the "+
-				"epoch-keyed cache) or miss (ranked fresh).",
+			"Exact top-K queries, by result: hit (an earlier query had ranked "+
+				"the epoch) or miss (this query ranked it).",
 			"result"),
 		durability: reg.NewCounter("bcd_durability_total",
 			"WAL/snapshot events: append (batch fsynced), snapshot "+

@@ -115,17 +115,6 @@ type VertexScore struct {
 	Score  float64 `json:"bc"`
 }
 
-// rankScratch is reusable top-K ranking scratch. A ranking checks one out of
-// topKScratch and returns it once the result is copied out, so a warm daemon
-// ranks without allocating scratch.
-type rankScratch struct {
-	all []VertexScore
-}
-
-// topKScratch pools rankScratch instances across TopKCoalesced's cache
-// misses.
-var topKScratch = sync.Pool{New: func() any { return new(rankScratch) }}
-
 // compareVertexScore orders score desc, ties by vertex id. A named function
 // (not a capturing closure) keeps the sort allocation-free.
 func compareVertexScore(a, b VertexScore) int {
@@ -142,103 +131,72 @@ func compareVertexScore(a, b VertexScore) int {
 	return 0
 }
 
-// topK ranks a score vector into the scratch's reusable buffer: score desc,
-// ties by vertex id, k <= 0 means all vertices. The returned slice aliases
-// the scratch and is valid until the next topK call on it.
-func (scr *rankScratch) topK(scores []float64, k int) []VertexScore {
-	if cap(scr.all) < len(scores) {
-		scr.all = make([]VertexScore, len(scores))
-	}
-	all := scr.all[:len(scores)]
-	for v, s := range scores {
-		all[v] = VertexScore{Vertex: graph.V(v), Score: s}
-	}
-	slices.SortFunc(all, compareVertexScore)
-	if k <= 0 || k > len(all) {
-		k = len(all)
-	}
-	return all[:k]
+// ranking is one epoch's vertices in rank order: score desc, ties by vertex
+// id. all is written once, under once, and is immutable after.
+type ranking struct {
+	seq  uint64
+	once sync.Once
+	all  []VertexScore
 }
 
-// Query coalescing: identical top-K queries against the same published epoch
-// share one ranking pass.
+// rankEpoch returns epoch seq's ranking of its scores bc, and whether an
+// earlier read of the epoch had built it.
 //
-// The cache key is (epoch sequence number, k). The epoch seq is perfect for
-// this: core.Incremental bumps it exactly once per published epoch, so a
-// cached ranking can never serve stale scores — the first query after a
-// mutation lands sees a new seq and recomputes. Within one epoch, the first
-// request for a given k ranks (singleflight); concurrent duplicates block on
-// its done channel instead of redoing the O(n log n) sort, and later
-// requests at the same epoch hit the stored result outright. That makes the
-// hot cached-read path O(1) and allocation-free, which is what keeps read
-// p99 flat while the mutation worker is busy rebuilding.
-
-// topkCoalesceCap bounds the per-epoch result map so a client probing many
-// distinct k values cannot grow it without bound; overflow queries just rank
-// uncached.
-const topkCoalesceCap = 64
-
-// topkCall is one in-flight or completed ranking; done closes when top/n are
-// set. The result slice is immutable after close(done).
-type topkCall struct {
-	done chan struct{}
-	top  []VertexScore
-	n    int
+// An entry keeps one ranking, its newest ranked epoch's, in e.rank. The first
+// top-K read of an epoch sorts all n vertices once; concurrent readers of the
+// epoch wait on that sort, and every later read, for any K, slices it. The
+// epoch seq is the right key: core.Incremental bumps it exactly once per
+// published epoch, so the first read after a mutation lands sees a new seq
+// and ranks again.
+func (e *Entry) rankEpoch(seq uint64, bc []float64) (all []VertexScore, hit bool) {
+	r := e.slot(e.rank.Load(), seq)
+	hit = true
+	r.once.Do(func() {
+		hit = false
+		ranked := make([]VertexScore, len(bc))
+		for v, s := range bc {
+			ranked[v] = VertexScore{Vertex: graph.V(v), Score: s}
+		}
+		slices.SortFunc(ranked, compareVertexScore)
+		r.all = ranked
+	})
+	return r.all, hit
 }
 
-// topkCache is the per-entry epoch-keyed singleflight table. Zero value is
-// ready to use.
-type topkCache struct {
-	mu    sync.Mutex
-	seq   uint64
-	calls map[int]*topkCall
+// slot returns the ranking a reader of epoch seq uses, given seen, e.rank as
+// the reader loaded it. The slot only rolls forward: a seq newer than seen's
+// replaces seen by CompareAndSwap, so that an epoch stored since the load is
+// never replaced by an older one, and a reader whose epoch a newer one has
+// overtaken gets a ranking of its own that nothing stores.
+func (e *Entry) slot(seen *ranking, seq uint64) *ranking {
+	for seen == nil || seen.seq < seq {
+		next := &ranking{seq: seq}
+		if e.rank.CompareAndSwap(seen, next) {
+			return next
+		}
+		seen = e.rank.Load()
+	}
+	if seen.seq == seq {
+		return seen
+	}
+	return &ranking{seq: seq}
 }
 
-// TopKCoalesced returns the k highest-BC vertices and the vertex count,
-// sharing work with concurrent and recent identical queries on the same
-// epoch. hit reports whether the ranking was reused (for the cache metric).
-// The returned slice is shared and must not be mutated.
+// TopKCoalesced returns the k highest-BC vertices (k <= 0: all of them) and
+// the vertex count, from the current epoch's ranking. hit reports whether an
+// earlier read had built that ranking (for the cache metric). The returned
+// slice is shared and must not be mutated.
 func (e *Entry) TopKCoalesced(k int) (top []VertexScore, n int, hit bool, err error) {
 	inc, err := e.ready()
 	if err != nil {
 		return nil, 0, false, err
 	}
 	snap := inc.Snapshot()
-	c := &e.topk
-	c.mu.Lock()
-	if c.calls == nil || snap.Seq > c.seq {
-		c.seq = snap.Seq
-		c.calls = make(map[int]*topkCall, 8)
+	all, hit := e.rankEpoch(snap.Seq, snap.BCView())
+	if k <= 0 || k > len(all) {
+		k = len(all)
 	}
-	var call *topkCall
-	if snap.Seq == c.seq {
-		if cached, ok := c.calls[k]; ok {
-			c.mu.Unlock()
-			<-cached.done
-			return cached.top, cached.n, true, nil
-		}
-		if len(c.calls) < topkCoalesceCap {
-			call = &topkCall{done: make(chan struct{})}
-			c.calls[k] = call
-		}
-	}
-	// snap.Seq < c.seq means a publish raced us after we took the snapshot:
-	// rank this one uncached rather than rolling the cache backwards.
-	c.mu.Unlock()
-
-	// Rank against this call's snapshot. A newer epoch may publish while we
-	// sort; that only means the next query at the new seq recomputes — the
-	// stored result stays pinned to the seq it was keyed under.
-	bc := snap.BCView()
-	scr := topKScratch.Get().(*rankScratch)
-	ranked := append([]VertexScore(nil), scr.topK(bc, k)...)
-	topKScratch.Put(scr)
-	if call != nil {
-		call.top = ranked
-		call.n = len(bc)
-		close(call.done)
-	}
-	return ranked, len(bc), false, nil
+	return all[:k:k], len(all), hit, nil
 }
 
 // VertexInfo is the single-vertex view.

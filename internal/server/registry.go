@@ -103,8 +103,9 @@ type Entry struct {
 	mutDone     chan struct{}
 	pending     atomic.Int64
 
-	// topk is the epoch-seq-keyed top-K singleflight cache (query.go).
-	topk topkCache
+	// rank is the newest ranked epoch's ranking, which every top-K read of
+	// that epoch slices (query.go).
+	rank atomic.Pointer[ranking]
 }
 
 // Registry is the set of loaded graphs plus the bounded build-job pool.

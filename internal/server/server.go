@@ -259,10 +259,9 @@ func (s *Server) handleBC(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusOK, bcResponse{Name: e.Name(), Verts: len(scores), Scores: scores})
 		return
 	}
-	// Top-K: coalesced path. Identical queries on the same epoch share one
-	// ranking pass (and concurrent duplicates block on the first instead of
-	// redoing the sort), so the cached-read lane costs O(k) per request while
-	// mutations rebuild.
+	// Top-K: the first query of an epoch ranks it, every later one (any K)
+	// slices that ranking, so the cached-read lane costs O(K) per request
+	// while mutations rebuild.
 	ranked, n, hit, err := e.TopKCoalesced(top)
 	if err != nil {
 		s.writeError(w, err)

@@ -286,47 +286,18 @@ func loadDurable(dir string) (recoveredState, error) {
 	return recoveredState{meta: meta, g: g}, nil
 }
 
-// replayOps applies WAL records to g's edge list and rebuilds the graph
-// once at the final state. Inapplicable ops (duplicate insert, absent
-// removal, out-of-range endpoint) are skipped: they are either records the
-// engine rejected after logging, or records already compacted into the
-// snapshot by a crash between snapshot rename and WAL truncate.
+// replayOps applies WAL records to g with ApplyBatch's edit semantics
+// (core.StageEdits) and rebuilds the graph once at the final state.
+// Inapplicable ops (duplicate insert, absent removal, out-of-range endpoint)
+// are skipped: they are either records the engine rejected after logging, or
+// records already compacted into the snapshot by a crash between snapshot
+// rename and WAL truncate.
 func replayOps(g *graph.Graph, ops []core.EdgeOp) *graph.Graph {
-	n := g.NumVertices()
-	directed := g.Directed()
-	type arcKey struct{ u, v graph.V }
-	norm := func(u, v graph.V) arcKey {
-		if !directed && u > v {
-			u, v = v, u
-		}
-		return arcKey{u, v}
+	edges, _ := core.StageEdits(g, ops)
+	if edges == nil {
+		return g
 	}
-	edges := g.Edges()
-	present := make(map[arcKey]bool, len(edges))
-	for _, e := range edges {
-		present[norm(e.From, e.To)] = true
-	}
-	for _, op := range ops {
-		if op.U == op.V || op.U < 0 || int(op.U) >= n || op.V < 0 || int(op.V) >= n {
-			continue
-		}
-		k := norm(op.U, op.V)
-		if op.Add == present[k] {
-			continue
-		}
-		present[k] = op.Add
-		if op.Add {
-			edges = append(edges, graph.Edge{From: op.U, To: op.V})
-		} else {
-			for i, e := range edges {
-				if norm(e.From, e.To) == k {
-					edges = append(edges[:i], edges[i+1:]...)
-					break
-				}
-			}
-		}
-	}
-	return graph.NewFromEdges(n, edges, directed)
+	return graph.NewFromEdges(g.NumVertices(), edges, g.Directed())
 }
 
 // initDurable creates the entry's durable directory, writes the

@@ -173,8 +173,8 @@ type ApproxResult = approx.Result
 // The estimate is unbiased per vertex, reproduces exact BC bit for bit when
 // the budget covers every root, and has an adaptive eps mode
 // (ApproxOptions.Eps) with a bootstrap stopping rule. Pivots > 0 selects a
-// fixed budget, otherwise Eps > 0 an accuracy target; neither, or a weighted
-// graph, is an error.
+// fixed budget and Eps > 0 an accuracy target; neither, both, or a weighted
+// graph is an error.
 func ApproximateBC(g *Graph, opt ApproxOptions) (*ApproxResult, error) {
 	return approx.Estimate(g, opt)
 }
