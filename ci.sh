@@ -12,8 +12,9 @@
 #      serial Brandes at workers 1, 2, 4 and 8 under -race, and a kernel
 #      gate: the kernel rule, lanes forced on every unit and the scalar kernel
 #      everywhere (budget 0) must bit-match (and one unit list drained by one
-#      worker and by eight must flush to the same bits) under -race, at 10^5
-#      vertices too, each unit
+#      worker and by eight must flush to the same bits, Compute must return the
+#      same bits at workers 1, 2, 4 and 8, and a first Incremental epoch must
+#      be Compute's bit for bit) under -race, at 10^5 vertices too, each unit
 #      must take the kernel the rule says and no pooled workspace hold more
 #      than the lane budget, as must the scalar sweep's three direction modes,
 #      whose edge-volume rule may never scan more than pure top-down; then
@@ -86,7 +87,8 @@
 #      only, no bcd tuning flag comes back, and no non-test code builds
 #      registry bounds other than defaultLimits; bcd ranks an epoch once, in
 #      one slot per entry (no per-K top-K cache or ranking scratch pool), and
-#      the drain has no small-graph serial cutoff
+#      the drain has no small-graph serial cutoff and one non-test caller
+#      (sweepGroups: Compute, Incremental and SweepRoots share one split)
 #  10. durability smoke: race-built bcd is killed with SIGKILL mid-life and
 #      must recover its graph from snapshot+WAL with bit-exact top-K; then a
 #      posted path outside -load-root (absolute, or ../) must be a 4xx and a
@@ -196,9 +198,10 @@ echo "==> scheduler gate: BC vs serial Brandes at workers 1,2,4(,8) under -race"
 # The worker-sweep test runs the dynamic scheduler at workers 1, 2, 4 and 8
 # on all nine graph families and asserts the scores match serial Brandes
 # within the suite tolerance; the equivalence and determinism tests pin
-# static==dynamic and run-to-run bit stability; the chunking test pins that a
-# split sub-graph's units come in a multiple of the worker count, in whole lane
-# words differing by at most one.
+# static==dynamic and run-to-run bit stability; the chunking test pins that the
+# unit boundaries do not depend on the worker count, and that a split
+# sub-graph's units come in an even number, in whole lane words differing by at
+# most one.
 run_named 'TestSchedulerWorkerSweepMatchesBrandes|TestSchedulerStaticDynamicEquivalent|TestSchedulerDeterministic|TestUnitsSplitEvenly' \
     -race -count=1 ./internal/core
 
@@ -209,8 +212,11 @@ echo "==> msbfs gate: batched engine bit-match, rule / forced lanes / budget 0, 
 # across all families (directed and disconnected included) and on R-MATs of
 # 4,096 and 131,072 vertices, that each unit on either side of the rule's
 # three bounds takes the kernel the rule says, that no pooled workspace holds
-# more than the lane budget whatever it has swept, and that one unit list
-# drained by one worker and by eight flushes to the same bits. The two direction tests pin the scalar sweep's per-level choices, forward (top-down/bottom-up)
+# more than the lane budget whatever it has swept, that one unit list
+# drained by one worker and by eight flushes to the same bits, that Compute's
+# scores are the same bits at workers 1, 2, 4 and 8 (weighted, budgeted and
+# with lanes forced too), and that a first Incremental epoch is Compute's bit
+# for bit. The two direction tests pin the scalar sweep's per-level choices, forward (top-down/bottom-up)
 # and backward (pull off the forward pass's tape/push): bit-neutral on
 # fixtures big enough to take bottom-up and push levels (directed in-CSR, AP
 # roots and γ seeds included), a pull reading its DAG arcs and nothing else,
@@ -224,7 +230,7 @@ echo "==> msbfs gate: batched engine bit-match, rule / forced lanes / budget 0, 
 # included — leaves the workspace clean.
 run_named 'TestKernelMatchesBrandes|TestKernelBatchWidthBitInvariant|TestKernelDeclinesInexactSigma|TestKernelInexactFullBatchComesBackClean' \
     -race -count=1 ./internal/msbfs
-run_named 'TestMSBFSEngineBitMatchesScalar|TestMSBFSEngineDeterministic|TestDrainWorkerCountBitNeutral|TestHybridSweepBitNeutral|TestDirectionSwitchNeverScansMore|TestHybridGate|TestKernelRuleBoundary|TestLaneMemoryBounded|TestLaneKernelBitMatchesScalarAtScale|TestLaneBatchesMixAPRoots' \
+run_named 'TestMSBFSEngineBitMatchesScalar|TestMSBFSEngineDeterministic|TestDrainWorkerCountBitNeutral|TestComputeBitIdenticalAcrossWorkers|TestFirstEpochEqualsCompute|TestHybridSweepBitNeutral|TestDirectionSwitchNeverScansMore|TestHybridGate|TestKernelRuleBoundary|TestLaneMemoryBounded|TestLaneKernelBitMatchesScalarAtScale|TestLaneBatchesMixAPRoots' \
     -race -count=1 ./internal/core
 # Both layouts a sub-graph can have go through those gates: the R-MATs' and the
 # big community graph's tops are relabelled (hubs first, then breadth-first,
@@ -469,6 +475,16 @@ if grep -rn 'RootSweep' --include='*.go' . ||
     grep -rnE 'newEngine\(|\.runRoots\(' --include='*.go' . | grep -v '_test\.go:' |
     grep -v '^\./internal/core/sched\.go:' | grep -vE '^\./internal/core/engine\.go:[0-9]+:func newEngine\('; then
     echo "ci.sh: RootSweep is back, or non-test code outside internal/core/sched.go builds an engine or runs roots; drainUnits is the one sweep driver" >&2
+    exit 1
+fi
+
+# One path from sub-graphs to scores: sweepGroups (internal/core/sched.go) holds
+# the only non-test call of drainUnits, so Compute, an Incremental epoch and
+# core.SweepRoots cut their roots into the same units and sum them the same way.
+drain_calls=$(grep -rn 'drainUnits(' --include='*.go' . | grep -v '_test\.go:' | grep -vc 'func drainUnits(' || true)
+if [ "$drain_calls" -gt 1 ]; then
+    grep -rn 'drainUnits(' --include='*.go' . | grep -v '_test\.go:' | grep -v 'func drainUnits(' >&2
+    echo "ci.sh: non-test code calls drainUnits from $drain_calls places; sweepGroups is the one caller, so every sweep shares one unit split" >&2
     exit 1
 fi
 

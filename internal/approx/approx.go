@@ -21,14 +21,12 @@
 // Budgets are allocated across sub-graphs proportionally to sub-graph size
 // and capped at |R_i|, so a budget of n (the whole-graph root count) or more
 // saturates every sub-graph: each scale factor becomes exactly 1 and the
-// estimator hands core.SweepRoots each sub-graph's whole root list, which
-// core's unit drain sweeps with the exact engine's arithmetic — full-budget
-// results bit-match the exact coarse serial path (see
-// TestExactBudgetBitMatch). Every sweep, presolve or pivot batch, is such a
-// (sub-graph, roots) group, spread over Options.Workers by that drain and
-// folded back in sub-graph order. Sub-graphs with at most
-// presolveRoots roots are always solved exactly up front; sampling only
-// pays off in large sub-graphs, and exactness there is nearly free.
+// estimator hands core.SweepRoots each sub-graph's whole root list: full-budget
+// results bit-match core.Compute at any worker count (TestExactBudgetBitMatch).
+// Every sweep, presolve or pivot batch, is such a (sub-graph, roots) group,
+// swept on Options.Workers and folded back in sub-graph order. Sub-graphs with
+// at most presolveRoots roots are always solved exactly up front; sampling
+// only pays off in large sub-graphs, and exactness there is nearly free.
 //
 // The adaptive mode (Options.Eps) keeps drawing fixed-size pivot batches.
 // Each batch is itself an unbiased estimate of the still-sampled part of

@@ -49,7 +49,7 @@ func TestEngineBitMatch(t *testing.T) {
 				for i := range roots {
 					ones[i] = core.RootGroup{Subgraph: s.sg, Roots: roots[i : i+1]}
 				}
-				contribs, err := core.SweepRoots(g, ones, workers)
+				contribs, err := core.SweepRoots(d, ones, workers)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -99,9 +99,9 @@ func (e *estimator) rngShuffle(seed int64) error {
 
 // runExactSubs finishes the listed sub-graphs exactly. Sub-graphs that were
 // never sampled replay sg.Roots in the exact engine's order, which is what
-// makes untouched-estimator full-budget runs bit-identical to the exact
-// coarse serial path; partially sampled ones finish their permutation tail
-// (exact values, root order differs, so last-bit rounding may differ).
+// makes untouched-estimator full-budget runs bit-identical to core.Compute;
+// partially sampled ones finish their permutation tail (exact values, root
+// order differs, so last-bit rounding may differ).
 func (e *estimator) runExactSubs(idxs []int) error {
 	if len(idxs) == 0 {
 		return nil
@@ -114,7 +114,7 @@ func (e *estimator) runExactSubs(idxs []int) error {
 			groups[k].Roots = s.perm[s.next:]
 		}
 	}
-	contribs, err := core.SweepRoots(e.d.G, groups, e.workers)
+	contribs, err := core.SweepRoots(e.d, groups, e.workers)
 	if err != nil {
 		return err
 	}
@@ -172,14 +172,13 @@ func (e *estimator) refine(budget int) (int, error) {
 		}
 		groups[k] = core.RootGroup{Subgraph: s.sg, Roots: s.perm[s.next : s.next+a]}
 	}
-	contribs, err := core.SweepRoots(e.d.G, groups, e.workers)
+	contribs, err := core.SweepRoots(e.d, groups, e.workers)
 	if err != nil {
 		return 0, err
 	}
 
 	// Serial fold in sub-graph index order: deterministic for any worker
-	// count (each group was swept in root order by one engine; only the fold
-	// below touches shared vectors).
+	// count, as each group's contribution is (core.SweepRoots).
 	bvec := make([]float64, e.n)
 	ran := 0
 	for k, si := range e.open {

@@ -41,15 +41,12 @@ import (
 type Scheduler int
 
 const (
-	// SchedulerDynamic is the default: (sub-graph, root-range) units,
-	// estimated at |roots|·(|V|+|E|) each. Large sub-graphs are chunked into
-	// root ranges so they fan out across workers.
+	// SchedulerDynamic is the default: (sub-graph, root-range) units. Large
+	// sub-graphs are cut into root ranges so they fan out across workers.
 	SchedulerDynamic Scheduler = iota
 	// SchedulerStatic keeps every sub-graph whole — one unit each, the
-	// paper's coarse outer level. Without root-range chunking the unit list
-	// does not depend on the worker count, so scores are bit-identical at
-	// every Workers value; the price is that the top sub-graph occupies one
-	// worker for its whole sweep.
+	// paper's coarse outer level: the top sub-graph occupies one worker for
+	// its whole sweep.
 	SchedulerStatic
 )
 
@@ -158,25 +155,29 @@ func ComputeDecomposed(d *decompose.Decomposition, opt Options) ([]float64, erro
 	if err := validateEngine(d.G.Weighted(), opt.RootEngine); err != nil {
 		return nil, err
 	}
+	groups := rootGroups(d, opt.RootBudget)
+	contribs, err := sweepGroups(d, groups, par.Workers(opt.Workers), opt)
+	if err != nil {
+		return nil, err
+	}
 	bc := make([]float64, d.G.NumVertices())
-	if len(d.Subgraphs) == 0 {
-		return bc, nil
-	}
-	p := par.Workers(opt.Workers)
-	start := time.Now()
-	units := buildUnits(d, p, p > 1 && opt.Scheduler == SchedulerDynamic,
-		opt.RootEngine == EngineMSBFS, opt.RootBudget)
-	traversed, overflow := drainUnits(units, p, d.G, opt)
-	if overflow {
-		return nil, graph.ErrPathCountOverflow
-	}
-	for i := range units {
-		flushLocal(bc, units[i].sg, units[i].local)
-	}
-	if opt.Breakdown != nil {
-		fillBreakdown(opt.Breakdown, d, units, time.Since(start), traversed)
+	for i, gr := range groups {
+		flushLocal(bc, gr.Subgraph, contribs[i])
 	}
 	return bc, nil
+}
+
+// rootGroups is what Compute sweeps: every sub-graph's budgeted root prefix
+// (rootPrefix), in sub-graph order, leaving out the empty ones.
+func rootGroups(d *decompose.Decomposition, budget int) []RootGroup {
+	totalRoots := d.TotalRoots()
+	var groups []RootGroup
+	for _, sg := range d.Subgraphs {
+		if nr := rootPrefix(len(sg.Roots), totalRoots, budget); nr > 0 {
+			groups = append(groups, RootGroup{Subgraph: sg, Roots: sg.Roots[:nr]})
+		}
+	}
+	return groups
 }
 
 // rootPrefix returns how many of a sub-graph's nr roots a budgeted run

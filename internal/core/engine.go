@@ -178,9 +178,8 @@ func (e *engine) release() {
 
 // runRoots sweeps the given roots of the ensured sub-graph in order,
 // accumulating into ws.BC — the one place a kernel is chosen. Every work unit
-// comes through here, whoever made it (Compute's root ranges, Incremental's
-// whole sub-graphs, the approx sampler's pivot groups), and takes the rule's
-// kernel for its roots; the kernels share the accumulation buffer and are
+// comes through here, whoever asked for it (Compute, an Incremental epoch, the
+// approx sampler's pivot groups), and takes the rule's kernel for its roots; the kernels share the accumulation buffer and are
 // bit-identical. Once a sweep has set e.overflow it starts no further root.
 func (e *engine) runRoots(sg *decompose.Subgraph, roots []int32, directed bool) {
 	if e.weighted {

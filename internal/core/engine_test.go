@@ -178,7 +178,7 @@ func TestDrainWorkerCountBitNeutral(t *testing.T) {
 			opt := Options{RootEngine: c.eng}
 			var scores [2][]float64
 			for i, p := range []int{1, 8} {
-				units := buildUnits(d, 8, true, c.eng == EngineMSBFS, 0)
+				units := buildUnits(d, rootGroups(d, 0), opt)
 				if _, overflow := drainUnits(units, p, g, opt); overflow {
 					t.Fatalf("%s/%+v p=%d: overflow", name, c, p)
 				}
@@ -199,7 +199,7 @@ func TestDrainWorkerCountBitNeutral(t *testing.T) {
 func TestStaticSchedulerHonoursMSBFS(t *testing.T) {
 	g := schedFamilies()["er"]                        // one 300-vertex block: far above the gates
 	setKernelRule(t, 0, msbfsMinVerts, msbfsMinLanes) // the rule alone would stay scalar
-	want, err := Compute(g, Options{Workers: 1})
+	want, err := Compute(g, Options{Workers: 1, Scheduler: SchedulerStatic})
 	if err != nil {
 		t.Fatal(err)
 	}

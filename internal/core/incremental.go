@@ -8,22 +8,23 @@ import (
 
 	"repro/internal/decompose"
 	"repro/internal/graph"
+	"repro/internal/par"
 )
 
 // Incremental maintains exact BC scores across edge insertions and removals
 // — the dynamic-graph direction the paper's decomposition naturally enables.
 //
 // BC is a sum of per-sub-graph contributions, and a sub-graph's contribution
-// is a function of what its sweeps read (decompose.Subgraph.SweepEqual). Every
-// batch of mutations therefore takes one path: build the next graph, decompose
-// it from scratch — linear, and small beside one sweep — and sweep only the
-// sub-graphs that have no equal in the previous epoch; the others take over
-// that epoch's contribution. Reuse is decided by comparing inputs, never by
-// reasoning about what an edit can move, so an edit inside a sub-graph costs
-// O(|SGi|·|E_SGi|) plus the sub-graphs whose α/β it shifts, a block fusion or
-// split costs the sub-graphs it makes, and every epoch's scores are the
-// contributions summed in sub-graph order: bit-identical to NewIncremental on
-// the same edge set.
+// is a function of what its sweeps read (decompose.Subgraph.SweepEqual) and of
+// the units its roots are cut into. Every batch of mutations therefore takes
+// one path: build the next graph, decompose it from scratch — linear, and small
+// beside one sweep — and sweep only the sub-graphs that have no equal, cut
+// alike, in the previous epoch; the others take over that epoch's
+// contribution. Reuse is decided by comparing inputs, never by reasoning about
+// what an edit can move, so an edit inside a sub-graph costs O(|SGi|·|E_SGi|)
+// plus the sub-graphs whose α/β it shifts, a block fusion or split costs the
+// sub-graphs it makes, and every epoch's scores are bit-identical to Compute's
+// and NewIncremental's on the same edge set.
 //
 // FullRebuilds and LocalUpdates describe the edits, not the work: a batch
 // counts as a rebuild when some applied op's endpoints shared no sub-graph of
@@ -62,6 +63,7 @@ type epochState struct {
 	seq     uint64
 	g       *graph.Graph
 	d       *decompose.Decomposition
+	target  int64       // d's split target (splitTarget)
 	sgOf    [][]int32   // vertex -> sub-graph indices
 	contrib [][]float64 // per-sub-graph local BC contributions
 	bc      []float64
@@ -91,11 +93,11 @@ func (s Snapshot) BC() []float64 {
 // immutable (it belongs to a published epoch); callers must not modify it.
 func (s Snapshot) BCView() []float64 { return s.bc }
 
-// NewIncremental decomposes g and computes the initial scores. Threshold and
-// DisableGamma apply; Workers, Scheduler, RootBudget and Breakdown have no
-// meaning for an engine whose epochs are serial, exact and untimed, and
-// setting any of them is an error. Every sub-graph sweep takes the kernel the
-// rule gives it (engine.runRoots), which is bit-invisible in the scores.
+// NewIncremental decomposes g and computes the initial scores on every core.
+// Threshold and DisableGamma apply; Workers, Scheduler, RootBudget and
+// Breakdown have no meaning for an engine whose epochs are exact and untimed
+// and pick their own workers, and setting any of them is an error. Every sweep
+// takes the kernel the rule gives it, which is bit-invisible in the scores.
 func NewIncremental(g *graph.Graph, opt Options) (*Incremental, error) {
 	if g.Weighted() {
 		return nil, fmt.Errorf("core: incremental BC supports unweighted graphs only")
@@ -148,11 +150,11 @@ func (inc *Incremental) publish(next *epochState) {
 
 // build makes the epoch after prev (nil for the first) over edges: a fresh
 // decomposition, prev's contribution for every sub-graph prev has an equal of
-// and a sweep for the rest, and the scores as their sum in sub-graph order.
-// The sweeps are whole-sub-graph work units drained by one worker: an epoch
-// is serial, so that a mutation leaves the other cores to the readers (a
-// parallel re-sweep cost bcd more in read latency than it saved).
-// Caller holds mu (or is the constructor).
+// and Compute's sweep (sweepGroups) for the rest, and the scores as their sum
+// in sub-graph order. A first epoch drains on every core; a later one on one
+// worker, which leaves the other cores to the readers (a parallel re-sweep cost
+// bcd more in read latency than it saved). Caller holds mu (or is the
+// constructor).
 func (inc *Incremental) build(prev *epochState, edges []graph.Edge) (*epochState, error) {
 	g := graph.NewFromEdges(inc.n, edges, inc.directed)
 	d, err := decompose.Decompose(g, decompose.Options{
@@ -165,29 +167,31 @@ func (inc *Incremental) build(prev *epochState, edges []graph.Edge) (*epochState
 	next := &epochState{
 		g:       g,
 		d:       d,
+		target:  splitTarget(d, 0),
 		sgOf:    make([][]int32, inc.n),
 		contrib: make([][]float64, len(d.Subgraphs)),
 		bc:      make([]float64, inc.n),
 	}
+	workers := par.Workers(0)
 	if prev != nil {
 		next.seq = prev.seq + 1
+		workers = 1
 	}
-	var units []workUnit
-	var swept []int // the sub-graph of each unit
+	var groups []RootGroup
 	for si, sg := range d.Subgraphs {
 		for _, v := range sg.Verts {
 			next.sgOf[v] = append(next.sgOf[v], int32(si))
 		}
-		if next.contrib[si] = prev.contribution(sg); next.contrib[si] == nil {
-			units = append(units, newUnit(sg, sg.Roots, false, inc.opt.RootEngine == EngineMSBFS))
-			swept = append(swept, si)
+		if next.contrib[si] = prev.contribution(sg, chunkCount(sg, len(sg.Roots), next.target)); next.contrib[si] == nil {
+			groups = append(groups, RootGroup{Subgraph: sg, Roots: sg.Roots})
 		}
 	}
-	if _, overflow := drainUnits(units, 1, g, inc.opt); overflow {
-		return nil, graph.ErrPathCountOverflow
+	contribs, err := sweepGroups(d, groups, workers, inc.opt)
+	if err != nil {
+		return nil, err
 	}
-	for k, si := range swept {
-		next.contrib[si] = units[k].local
+	for k, gr := range groups {
+		next.contrib[gr.Subgraph.ID] = contribs[k]
 	}
 	for si, sg := range d.Subgraphs {
 		flushLocal(next.bc, sg, next.contrib[si])
@@ -195,15 +199,16 @@ func (inc *Incremental) build(prev *epochState, edges []graph.Edge) (*epochState
 	return next, nil
 }
 
-// contribution returns what the sub-graph of e equal to sg contributes, nil
-// if e is nil or has none. An equal sub-graph has sg's vertices, so it is one
-// of those that hold sg's first.
-func (e *epochState) contribution(sg *decompose.Subgraph) []float64 {
+// contribution returns what the sub-graph of e equal to sg and cut into n units
+// contributes, nil if e is nil or has none: the units set the sum's bits as
+// much as the sub-graph does. An equal sub-graph has sg's vertices, so it is
+// one of those that hold sg's first.
+func (e *epochState) contribution(sg *decompose.Subgraph, n int) []float64 {
 	if e == nil {
 		return nil
 	}
 	for _, si := range e.sgOf[sg.Verts[0]] {
-		if e.d.Subgraphs[si].SweepEqual(sg) {
+		if old := e.d.Subgraphs[si]; old.SweepEqual(sg) && chunkCount(old, len(old.Roots), e.target) == n {
 			return e.contrib[si]
 		}
 	}

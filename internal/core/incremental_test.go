@@ -551,16 +551,16 @@ func TestIncrementalRandomOps(t *testing.T) {
 // sweptAgain returns the vertex sets — ascending, whatever the layout — of the
 // sub-graphs of inc's current epoch whose contribution is not a slice of
 // prev's. It fails unless reuse went by
-// identity of inputs: a sub-graph with an equal in prev holds that sub-graph's
-// contribution slice itself, same backing array, and a sub-graph without one
-// shares no array with prev.
+// identity of inputs: a sub-graph with an equal in prev, split in as many
+// units, holds that sub-graph's contribution slice itself, same backing array,
+// and a sub-graph without one shares no array with prev.
 func sweptAgain(t *testing.T, label string, prev *epochState, inc *Incremental) (swept []string) {
 	t.Helper()
 	next := inc.cur.Load()
 	for si, sg := range next.d.Subgraphs {
 		equal, shared := -1, -1
 		for pj, psg := range prev.d.Subgraphs {
-			if psg.SweepEqual(sg) {
+			if psg.SweepEqual(sg) && chunkCount(psg, len(psg.Roots), prev.target) == chunkCount(sg, len(sg.Roots), next.target) {
 				equal = pj
 			}
 			if &prev.contrib[pj][0] == &next.contrib[si][0] {
@@ -676,4 +676,73 @@ func TestEpochReusesUntouchedContributions(t *testing.T) {
 func folded(sg *decompose.Subgraph, l int32) bool {
 	_, root := slices.BinarySearchFunc(sg.Roots, sg.Verts[l], func(r int32, v graph.V) int { return cmp.Compare(sg.Verts[r], v) })
 	return !root
+}
+
+// TestFirstEpochEqualsCompute: a first epoch takes Compute's path, drained by
+// every core, so NewIncremental's scores are Compute's bit for bit at the
+// default worker count and at one worker, directed and undirected.
+func TestFirstEpochEqualsCompute(t *testing.T) {
+	for name, g := range hybridFixtures() {
+		for _, threshold := range []int{0, 8} {
+			label := fmt.Sprintf("%s threshold %d", name, threshold)
+			inc, err := NewIncremental(g, Options{Threshold: threshold})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			for _, p := range []int{0, 1} {
+				want, err := Compute(g, Options{Workers: p, Threshold: threshold})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				bcBitsEqual(t, fmt.Sprintf("%s: Compute at workers %d vs first epoch", label, p), want, inc.BC())
+			}
+		}
+	}
+}
+
+// TestEpochResweepsAResplitSubgraph: a sub-graph's units set its
+// contribution's bits, and the split target is a share of the whole
+// decomposition's cost, so an edit elsewhere can cut an unchanged sub-graph
+// otherwise. Its old contribution then is not what a fresh build would sum,
+// and the epoch sweeps it again. The top is a 24×24 grid, nine lane words of
+// roots; beside it, in a component of its own, a 300-cycle holds enough of
+// the cost to cut the top in 6 units. Opening the cycle into a path of
+// bridges leaves the grid the whole cost, and 8 units; closing it again goes
+// back to 6.
+func TestEpochResweepsAResplitSubgraph(t *testing.T) {
+	const side, ring = 24, 300
+	edges := gen.Grid2D(side, side).Edges()
+	for i := range ring {
+		edges = append(edges, graph.Edge{From: graph.V(side*side + i), To: graph.V(side*side + (i+1)%ring)})
+	}
+	inc, err := NewIncremental(graph.NewFromEdges(side*side+ring, edges, false), Options{Threshold: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := graph.V(side*side + ring - 1)
+	for _, step := range []struct {
+		op    EdgeOp
+		units int
+	}{
+		{EdgeOp{Add: false, U: side * side, V: last}, 8},
+		{EdgeOp{Add: true, U: side * side, V: last}, 6},
+	} {
+		prev := inc.cur.Load()
+		if err := inc.applyOne(step.op); err != nil {
+			t.Fatal(err)
+		}
+		next := inc.cur.Load()
+		pt, nt := prev.d.Subgraphs[prev.d.TopIndex], next.d.Subgraphs[next.d.TopIndex]
+		if !pt.SweepEqual(nt) {
+			t.Fatalf("%+v: the grid's sub-graph changed", step.op)
+		}
+		before, after := chunkCount(pt, len(pt.Roots), prev.target), chunkCount(nt, len(nt.Roots), next.target)
+		if before == after || after != step.units {
+			t.Fatalf("%+v: the grid is cut in %d units before and %d after, want a change to %d", step.op, before, after, step.units)
+		}
+		if &prev.contrib[prev.d.TopIndex][0] == &next.contrib[next.d.TopIndex][0] {
+			t.Fatalf("%+v: the grid's contribution was taken over, summed from %d units where a fresh build sums %d", step.op, before, after)
+		}
+		sweptAgain(t, fmt.Sprintf("%+v", step.op), prev, inc)
+	}
 }

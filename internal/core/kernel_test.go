@@ -301,7 +301,7 @@ func TestLaneBatchesMixAPRoots(t *testing.T) {
 		}
 		for _, p := range []int{1, 2} {
 			var batches, mixed int
-			for _, u := range buildUnits(d, p, p > 1, false, 0) {
+			for _, u := range buildUnits(d, rootGroups(d, 0), Options{}) {
 				if !useLanes(u.sg, len(u.roots), false, false) {
 					continue
 				}

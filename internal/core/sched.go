@@ -11,53 +11,35 @@ import (
 	"repro/internal/ws"
 )
 
-// Every sweep is scheduled the same way: one cost-ordered queue of
-// (sub-graph, roots) work units, drained by drainUnits — the only code that
-// builds an engine and runs roots through it. ComputeDecomposed's units come
-// from buildUnits, Incremental's are the sub-graphs an epoch has to re-sweep,
-// and the approx sampler's are its pivot groups (SweepRoots). Each unit's
-// cost is estimated as |roots|·(|V_i|+|E_i|) — the Brandes work bound for its
-// slice of the sub-graph — and the queue is drained largest-first by a fixed
-// worker pool (par.ForWorker with grain 1: atomic-counter claiming, the
-// work-stealing analogue). Large sub-graphs are split into several root ranges
-// so they fan out across workers, and because everything lives in one queue
-// there is no barrier holding small sub-graphs back while the top sub-graph
-// finishes.
+// Every sweep takes one path, sweepGroups: the requested (sub-graph, roots)
+// groups — all of them for ComputeDecomposed, the sub-graphs an epoch re-sweeps
+// for Incremental, the approx sampler's pivot groups (SweepRoots) — are cut
+// into work units (buildUnits) that drainUnits, the only code that builds an
+// engine, drains largest cost first with a fixed worker pool (par.ForWorker,
+// grain 1). Large groups fan out across workers as root ranges, and one queue
+// holds every unit, so no barrier keeps small sub-graphs waiting on the top.
 //
-// Determinism: every unit accumulates into a private slice of its own, which
-// one engine fills root after root, and the caller adds those slices up in
-// the order of the unit list — ComputeDecomposed in (sub-graph, root range)
-// order, Incremental in sub-graph order. The result is therefore a
-// deterministic function of the unit list whatever the worker count and the
-// worker interleaving, and the drain runs as many workers as its caller asks
-// for, however small the input. Only articulation points are shared between
-// sub-graphs, so the extra memory is one float64 slice per unit, Σ|V_i|
-// overall.
+// Determinism: the cut depends on the decomposition, the root budget and the
+// group alone, never on the worker count. Each unit fills a private slice; a
+// group's contribution is its units' slices summed in unit order, and callers
+// add contributions in sub-graph order. So Compute at any worker count, an
+// epoch and a whole-root-list SweepRoots group give the same bits, for one
+// float64 slice per unit of extra memory.
 
-// unitsPerWorkerTarget controls chunking: a sub-graph is split so that no
-// unit exceeds ~1/(unitsPerWorkerTarget·p) of the total estimated work,
-// giving the pool a few claimable pieces per worker without shredding the
-// queue into scheduling overhead. The pieces of a split sub-graph come in a
-// multiple of p, so that equal pieces drain evenly: a top sub-graph cut in 7
-// leaves two workers 4 : 3 (buildUnits).
-const unitsPerWorkerTarget = 4
+// splitShares sets the cut: no unit is meant to exceed about 1/splitShares of
+// the decomposition's total estimated work. A cut into 32 shares was no faster
+// at p=2 and slower at p=1 (EXPERIMENTS.md "Sized and rejected" 51).
+const splitShares = 8
 
 type workUnit struct {
 	sg    *decompose.Subgraph
 	roots []int32 // swept in order by one engine
-	top   bool    // unit of the top sub-graph (Breakdown.TopBC)
+	group int     // index of the group the roots belong to
 	cost  int64
 	// local is what the roots contribute, indexed by sg's local ids; the
 	// drain leaves it in a fresh slice that nothing else refers to.
 	local []float64
 	dur   time.Duration
-}
-
-// newUnit is a unit of roots of sg, its cost under the model of the kernel
-// the rule gives it (forced is RootEngine == EngineMSBFS).
-func newUnit(sg *decompose.Subgraph, roots []int32, weighted, forced bool) workUnit {
-	return workUnit{sg: sg, roots: roots,
-		cost: unitCost(sg, len(roots), useLanes(sg, len(roots), weighted, forced))}
 }
 
 // unitCost estimates the sweep work for nr roots of sg, |V|+|E| being the
@@ -73,63 +55,62 @@ func unitCost(sg *decompose.Subgraph, nr int, lanes bool) int64 {
 	return int64(nr) * work
 }
 
-// buildUnits constructs ComputeDecomposed's unit list in canonical
-// (sub-graph, root-range) order. chunking splits costly sub-graphs into root
-// ranges sized so the queue holds a few units per worker; otherwise every
-// unit is a whole sub-graph. A split sub-graph's chunk count is rounded up to
-// a multiple of p and capped at its lane words, and its whole lane words are
-// spread over the chunks so that they differ by at most one word (the last
-// one may be short: it ends at the last root).
-//
-// Unit BOUNDARIES are kernel-independent: the chunk count always comes from
-// the scalar cost model, and chunks are whole lane words whatever kernel will
-// run them. Boundaries determine the floating-point association of each
-// sub-graph's per-unit sums, so keeping them fixed is what makes the kernel
-// rule bit-invisible (and lets the lane kernel run whole lane words per unit
-// with no boundary ever splitting a batch). Unit cost, by contrast, uses the
-// model of the kernel the rule gives the unit (newUnit); it only orders the
-// drain queue, which the in-order flush makes bit-neutral.
-//
-// budget is Options.RootBudget: each sub-graph's root list is trimmed to its
-// proportional prefix BEFORE chunking, so the unit boundaries of a budgeted
-// run are again a pure function of (decomposition, options) — the
-// determinism argument above carries over unchanged.
-func buildUnits(d *decompose.Decomposition, p int, chunking, forced bool, budget int) []workUnit {
-	weighted := d.G.Weighted()
+// splitTarget is the unit size the split aims at: the decomposition's total
+// scalar cost under the root budget (Options.RootBudget, <= 0 none) over
+// splitShares, or 0 when nothing is worth splitting.
+func splitTarget(d *decompose.Decomposition, budget int) int64 {
 	totalRoots := d.TotalRoots()
 	var total int64
-	costs := make([]int64, len(d.Subgraphs))
-	for i, sg := range d.Subgraphs {
-		costs[i] = unitCost(sg, rootPrefix(len(sg.Roots), totalRoots, budget), false)
-		total += costs[i]
+	for _, sg := range d.Subgraphs {
+		total += unitCost(sg, rootPrefix(len(sg.Roots), totalRoots, budget), false)
 	}
+	return total / splitShares
+}
+
+// chunkCount is how many units nr roots of sg are cut into under a split
+// target (0: none): the scalar cost over the target, rounded up to even so that
+// two workers drain equal pieces (7 would leave them 4 : 3), and capped at the
+// roots' lane words.
+func chunkCount(sg *decompose.Subgraph, nr int, target int64) int {
+	if target == 0 {
+		return 1
+	}
+	c := int(unitCost(sg, nr, false) / target)
+	if c > 1 {
+		c += c & 1
+	}
+	return max(1, min(c, (nr+ws.LaneWidth-1)/ws.LaneWidth))
+}
+
+// buildUnits cuts groups into work units in (group, root-range) order:
+// chunkCount ranges per group under SchedulerDynamic, one under
+// SchedulerStatic, whole lane words spread so that ranges differ by at most
+// one word (the last may be short); a group with no roots is one empty unit,
+// so it still has a contribution. The boundaries fix each group's
+// floating-point association, so they come from the scalar cost model and
+// whole lane words whatever kernel runs a unit: the worker count and the
+// kernel rule are bit-invisible, and no boundary splits a lane batch. A unit's
+// cost uses its kernel's model; it only orders the queue.
+func buildUnits(d *decompose.Decomposition, groups []RootGroup, opt Options) []workUnit {
+	var target int64
+	if opt.Scheduler == SchedulerDynamic {
+		target = splitTarget(d, opt.RootBudget)
+	}
+	weighted, forced := d.G.Weighted(), opt.RootEngine == EngineMSBFS
 	var units []workUnit
-	for i, sg := range d.Subgraphs {
-		nr := rootPrefix(len(sg.Roots), totalRoots, budget)
-		if nr == 0 {
-			continue
-		}
-		chunks := 1
-		if chunking {
-			if target := total / int64(unitsPerWorkerTarget*p); target > 0 {
-				chunks = int(costs[i] / target)
-			}
-			if chunks > 1 {
-				chunks = (chunks + p - 1) / p * p
-			}
-		}
+	for gi, gr := range groups {
+		sg, nr := gr.Subgraph, len(gr.Roots)
+		n := chunkCount(sg, nr, target)
 		words := (nr + ws.LaneWidth - 1) / ws.LaneWidth
-		chunks = max(1, min(chunks, words))
-		per, extra := words/chunks, words%chunks
-		for c, lo := 0, 0; c < chunks; c++ {
+		per, extra := words/n, words%n
+		for c, lo := 0, 0; c < n; c++ {
 			w := per
 			if c < extra {
 				w++
 			}
 			hi := min(lo+w*ws.LaneWidth, nr)
-			u := newUnit(sg, sg.Roots[lo:hi], weighted, forced)
-			u.top = i == d.TopIndex
-			units = append(units, u)
+			units = append(units, workUnit{sg: sg, roots: gr.Roots[lo:hi], group: gi,
+				cost: unitCost(sg, hi-lo, useLanes(sg, hi-lo, weighted, forced))})
 			lo = hi
 		}
 	}
@@ -189,27 +170,42 @@ type RootGroup struct {
 	Roots    []int32
 }
 
-// SweepRoots sweeps each group's roots of its sub-graph — a sub-graph of a
-// decomposition of g — through the drain every exact computation uses, with
-// up to workers workers (<= 0: GOMAXPROCS), and returns each group's
-// contribution under its sub-graph's local ids, or
-// graph.ErrPathCountOverflow. A group runs what the exact engine runs for the
-// same roots, bit for bit, however the groups are spread over the workers: a
-// group holding a sub-graph's whole root list is that sub-graph's one-worker
-// contribution to Compute. internal/approx's pivot sampler is the caller.
-func SweepRoots(g *graph.Graph, groups []RootGroup, workers int) ([][]float64, error) {
-	units := make([]workUnit, len(groups))
-	for i, gr := range groups {
-		units[i] = newUnit(gr.Subgraph, gr.Roots, g.Weighted(), false)
-	}
-	if _, overflow := drainUnits(units, par.Workers(workers), g, Options{}); overflow {
+// sweepGroups cuts groups of d's sub-graphs into units, drains them with p
+// workers and returns each group's contribution under its sub-graph's local
+// ids, its units' slices summed in unit order, or graph.ErrPathCountOverflow.
+// It fills opt.Breakdown's BC phase when that is set.
+func sweepGroups(d *decompose.Decomposition, groups []RootGroup, p int, opt Options) ([][]float64, error) {
+	start := time.Now()
+	units := buildUnits(d, groups, opt)
+	traversed, overflow := drainUnits(units, p, d.G, opt)
+	if overflow {
 		return nil, graph.ErrPathCountOverflow
 	}
-	out := make([][]float64, len(units))
-	for i := range units {
-		out[i] = units[i].local
+	contribs := make([][]float64, len(groups))
+	for _, u := range units {
+		sum := contribs[u.group]
+		if sum == nil {
+			contribs[u.group] = u.local
+			continue
+		}
+		for l, x := range u.local {
+			sum[l] += x
+		}
 	}
-	return out, nil
+	if opt.Breakdown != nil {
+		fillBreakdown(opt.Breakdown, d, units, time.Since(start), traversed)
+	}
+	return contribs, nil
+}
+
+// SweepRoots sweeps each group's roots of its sub-graph — a sub-graph of d —
+// as every exact computation does, with up to workers workers (<= 0:
+// GOMAXPROCS), and returns each group's contribution under its sub-graph's
+// local ids, or graph.ErrPathCountOverflow. A group holding a sub-graph's
+// whole root list gets that sub-graph's contribution to Compute, bit for bit.
+// internal/approx's pivot sampler is the caller.
+func SweepRoots(d *decompose.Decomposition, groups []RootGroup, workers int) ([][]float64, error) {
+	return sweepGroups(d, groups, par.Workers(workers), Options{})
 }
 
 // flushLocal adds a sub-graph's local BC scores into the global array
@@ -230,7 +226,7 @@ func fillBreakdown(bd *Breakdown, d *decompose.Decomposition, units []workUnit, 
 	var roots int64
 	for i := range units {
 		allDur += units[i].dur
-		if units[i].top {
+		if units[i].sg.ID == d.TopIndex {
 			topDur += units[i].dur
 		}
 		roots += int64(len(units[i].roots))

@@ -53,9 +53,44 @@ func TestSchedulerWorkerSweepMatchesBrandes(t *testing.T) {
 	}
 }
 
+// TestComputeBitIdenticalAcrossWorkers pins what a split that ignores the
+// worker count buys: Compute returns the same bits at workers 1, 2, 4 and 8
+// on all nine families, unweighted and weighted, under a root budget and with
+// lanes forced onto every unit. The worker-sweep test above holds the scores
+// to Brandes; this one holds the worker counts to each other.
+func TestComputeBitIdenticalAcrossWorkers(t *testing.T) {
+	for name, g := range schedFamilies() {
+		for _, c := range []struct {
+			label string
+			g     *graph.Graph
+			opt   Options
+		}{
+			{"unweighted", g, Options{Threshold: 8}},
+			{"weighted", gen.WithRandomWeights(g, 4, 9), Options{Threshold: 8}},
+			{"budget", g, Options{Threshold: 8, RootBudget: 70}},
+			{"lanes forced", g, Options{Threshold: 8, RootEngine: EngineMSBFS}},
+		} {
+			var want []float64
+			for _, p := range []int{1, 2, 4, 8} {
+				opt := c.opt
+				opt.Workers = p
+				got, err := Compute(c.g, opt)
+				if err != nil {
+					t.Fatalf("%s %s p=%d: %v", name, c.label, p, err)
+				}
+				if want == nil {
+					want = got
+					continue
+				}
+				bcBitsEqual(t, fmt.Sprintf("%s %s p=1 vs p=%d", name, c.label, p), want, got)
+			}
+		}
+	}
+}
+
 // TestSchedulerStaticDynamicEquivalent cross-checks the two unit
-// granularities against each other at several worker counts, and pins what
-// whole-sub-graph units buy: SchedulerStatic's unit list does not depend on
+// granularities against each other at several worker counts, and pins that
+// SchedulerStatic's whole-sub-graph units, like the split, do not depend on
 // the worker count, so its scores are bit-identical at 1 and 8 workers.
 func TestSchedulerStaticDynamicEquivalent(t *testing.T) {
 	for name, g := range schedFamilies() {
@@ -168,7 +203,8 @@ func decomposeAt8(t *testing.T, g *graph.Graph) *decompose.Decomposition {
 // bottom-up (every level pushes to its parents, nothing is taped — on the
 // lattice too, which is past hybridMinVerts but too sparse for the rule to
 // sweep anything but top-down) and the edge-volume rule produce the same bits,
-// which are Compute's. The forced runs
+// which are Compute's with every sub-graph one unit (SchedulerStatic), the
+// schedule sweepForced runs. The forced runs
 // must really differ — no bottom-up level and no push in the one, both in the
 // other — and the sub-graphs that push must include articulation-point roots
 // and γ seeds, the terms that fold in after the pushed sums, and both layouts:
@@ -180,7 +216,7 @@ func TestHybridSweepBitNeutral(t *testing.T) {
 	var apRoots, gammaSeeds int
 	layouts := map[bool]int{}
 	for name, g := range hybridFixtures() {
-		ref, err := Compute(g, Options{Workers: 1, Threshold: 8})
+		ref, err := Compute(g, Options{Workers: 1, Threshold: 8, Scheduler: SchedulerStatic})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -360,17 +396,18 @@ func TestHybridGate(t *testing.T) {
 	}
 }
 
-// TestUnitsSplitEvenly pins buildUnits' chunking on inputs shaped like three of
+// TestUnitsSplitEvenly pins buildUnits' split on inputs shaped like three of
 // the benchmark's, with their root budgets: the road lattice and the directed
 // community graph at the benchmark's sizes, and a smaller R-MAT under the same
-// 128-root budget, whose top sub-graph gets two lane words of roots. Each
+// 128-root budget, whose top sub-graph gets two lane words of roots. The unit
+// boundaries are a pure function of (decomposition, budget): the worker count
+// in the options and the kernel the units will take do not move them. Each
 // sub-graph's units tile its (budgeted) root list in order; a split sub-graph
-// has a multiple of p units unless its lane words cap the count; every unit
+// has an even number of units unless its lane words cap the count; every unit
 // but the last is a whole number of lane words, and their word counts differ
-// by at most one, the last no longer than the longest; the boundaries are a
-// pure function of (decomposition, p, budget) — the kernel the units will take
-// does not move them. The lattice's and the community graph's tops are split
-// at every p, and the budgeted R-MAT top keeps its two one-word units.
+// by at most one, the last no longer than the longest. The lattice's and the
+// community graph's tops are split, and the budgeted R-MAT top keeps its two
+// one-word units.
 func TestUnitsSplitEvenly(t *testing.T) {
 	for name, fx := range map[string]struct {
 		g      *graph.Graph
@@ -386,67 +423,73 @@ func TestUnitsSplitEvenly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		totalRoots := d.TotalRoots()
-		for _, p := range []int{2, 3, 4} {
-			units := buildUnits(d, p, true, false, fx.budget)
-			again := buildUnits(d, p, true, true, fx.budget)
+		groups := rootGroups(d, fx.budget)
+		units := buildUnits(d, groups, Options{RootBudget: fx.budget})
+		for _, opt := range []Options{
+			{Workers: 1, RootBudget: fx.budget},
+			{Workers: 2, RootBudget: fx.budget},
+			{Workers: 3, RootBudget: fx.budget},
+			{Workers: 8, RootBudget: fx.budget, RootEngine: EngineMSBFS},
+		} {
+			again := buildUnits(d, groups, opt)
 			if len(again) != len(units) {
-				t.Fatalf("%s p=%d: %d units, %d with lanes forced", name, p, len(units), len(again))
+				t.Fatalf("%s %+v: %d units, %d under the default options", name, opt, len(again), len(units))
 			}
 			for i := range units {
 				if units[i].sg != again[i].sg || &units[i].roots[0] != &again[i].roots[0] || len(units[i].roots) != len(again[i].roots) {
-					t.Fatalf("%s p=%d: unit %d is %+v, %+v with lanes forced", name, p, i, units[i], again[i])
+					t.Fatalf("%s %+v: unit %d is %+v, %+v under the default options", name, opt, i, again[i], units[i])
 				}
 			}
-			bySg := map[int][]workUnit{}
-			for _, u := range units {
-				bySg[u.sg.ID] = append(bySg[u.sg.ID], u)
+		}
+		totalRoots := d.TotalRoots()
+		bySg := map[int][]workUnit{}
+		for _, u := range units {
+			bySg[u.sg.ID] = append(bySg[u.sg.ID], u)
+		}
+		for i, sg := range d.Subgraphs {
+			nr := rootPrefix(len(sg.Roots), totalRoots, fx.budget)
+			us := bySg[i]
+			if nr == 0 {
+				if len(us) != 0 {
+					t.Fatalf("%s: sub-graph %d has no roots to sweep and %d units", name, i, len(us))
+				}
+				continue
 			}
-			for i, sg := range d.Subgraphs {
-				nr := rootPrefix(len(sg.Roots), totalRoots, fx.budget)
-				us := bySg[i]
-				if nr == 0 {
-					if len(us) != 0 {
-						t.Fatalf("%s p=%d: sub-graph %d has no roots to sweep and %d units", name, p, i, len(us))
-					}
+			words := (nr + ws.LaneWidth - 1) / ws.LaneWidth
+			if len(us) > 1 && len(us)%2 != 0 && len(us) != words {
+				t.Fatalf("%s: sub-graph %d (%d lane words) is split in %d units", name, i, words, len(us))
+			}
+			lo, minW, maxW := 0, words, 0
+			for k, u := range us {
+				if len(u.roots) == 0 || &u.roots[0] != &sg.Roots[lo] {
+					t.Fatalf("%s: sub-graph %d unit %d has %d roots, want them to start at root %d", name, i, k, len(u.roots), lo)
+				}
+				lo += len(u.roots)
+				if k == len(us)-1 {
 					continue
 				}
-				words := (nr + ws.LaneWidth - 1) / ws.LaneWidth
-				if len(us) > 1 && len(us)%p != 0 && len(us) != words {
-					t.Fatalf("%s p=%d: sub-graph %d (%d lane words) is split in %d units", name, p, i, words, len(us))
+				if len(u.roots)%ws.LaneWidth != 0 {
+					t.Fatalf("%s: sub-graph %d unit %d of %d roots is not whole lane words", name, i, k, len(u.roots))
 				}
-				lo, minW, maxW := 0, words, 0
-				for k, u := range us {
-					if len(u.roots) == 0 || &u.roots[0] != &sg.Roots[lo] {
-						t.Fatalf("%s p=%d: sub-graph %d unit %d has %d roots, want them to start at root %d", name, p, i, k, len(u.roots), lo)
-					}
-					lo += len(u.roots)
-					if k == len(us)-1 {
-						continue
-					}
-					if len(u.roots)%ws.LaneWidth != 0 {
-						t.Fatalf("%s p=%d: sub-graph %d unit %d of %d roots is not whole lane words", name, p, i, k, len(u.roots))
-					}
-					w := len(u.roots) / ws.LaneWidth
-					minW, maxW = min(minW, w), max(maxW, w)
-				}
-				if lo != nr {
-					t.Fatalf("%s p=%d: sub-graph %d units end at %d of %d roots", name, p, i, lo, nr)
-				}
-				last := us[len(us)-1]
-				if lastW := (len(last.roots) + ws.LaneWidth - 1) / ws.LaneWidth; len(us) > 1 && (maxW-minW > 1 || lastW > maxW) {
-					t.Fatalf("%s p=%d: sub-graph %d chunks of %d–%d lane words and a last one of %d", name, p, i, minW, maxW, lastW)
-				}
+				w := len(u.roots) / ws.LaneWidth
+				minW, maxW = min(minW, w), max(maxW, w)
 			}
-			top := bySg[d.TopIndex]
-			switch {
-			case name == "scale" && len(top) != 2:
-				t.Fatalf("scale p=%d: the budgeted top sub-graph has %d units, want its 2 lane words", p, len(top))
-			case name != "scale" && (len(top) < 2 || len(top)%p != 0):
-				t.Fatalf("%s p=%d: top sub-graph in %d units, want a multiple of p", name, p, len(top))
+			if lo != nr {
+				t.Fatalf("%s: sub-graph %d units end at %d of %d roots", name, i, lo, nr)
 			}
-			t.Logf("%s p=%d: top sub-graph in %d units, %d units in all", name, p, len(top), len(units))
+			last := us[len(us)-1]
+			if lastW := (len(last.roots) + ws.LaneWidth - 1) / ws.LaneWidth; len(us) > 1 && (maxW-minW > 1 || lastW > maxW) {
+				t.Fatalf("%s: sub-graph %d chunks of %d–%d lane words and a last one of %d", name, i, minW, maxW, lastW)
+			}
 		}
+		top := bySg[d.TopIndex]
+		switch {
+		case name == "scale" && len(top) != 2:
+			t.Fatalf("scale: the budgeted top sub-graph has %d units, want its 2 lane words", len(top))
+		case name != "scale" && (len(top) < 2 || len(top)%2 != 0):
+			t.Fatalf("%s: top sub-graph in %d units, want an even number of at least 2", name, len(top))
+		}
+		t.Logf("%s: top sub-graph in %d units, %d units in all", name, len(top), len(units))
 	}
 }
 

@@ -92,7 +92,7 @@ func (e *Entry) stopMutations(drop bool) {
 }
 
 // mutWorker is the entry's single mutation-applying goroutine: it drains the
-// bounded queue in batches of up to MutationBatch ops, so a burst of N
+// bounded queue in batches of up to limits.mutationBatch ops, so a burst of N
 // mutations costs one WAL fsync and ONE published epoch per batch instead of
 // N rebuilds. Confining WAL and engine writes to one goroutine also removes
 // any mutator-vs-mutator locking.

@@ -26,7 +26,7 @@ package server
 // the engine refuses as a whole (a path-count overflow, a decomposition
 // error) is truncated back out of the log before it is answered.
 //
-// Snapshots compact the WAL: after Config.SnapshotEvery records the worker
+// Snapshots compact the WAL: after limits.snapshotEvery records the worker
 // rewrites snapshot.bin (write-temp + rename) and truncates the log, so
 // recovery cost is bounded by one snapshot load plus a short tail.
 
