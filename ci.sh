@@ -88,7 +88,10 @@
 #      registry bounds other than defaultLimits; bcd ranks an epoch once, in
 #      one slot per entry (no per-K top-K cache or ranking scratch pool), and
 #      the drain has no small-graph serial cutoff and one non-test caller
-#      (sweepGroups: Compute, Incremental and SweepRoots share one split)
+#      (sweepGroups: Compute, Incremental and SweepRoots share one split);
+#      an edit splices its next graph from the last (graph.Splice): neither
+#      the incremental engine nor WAL replay lists edges or calls
+#      graph.NewFromEdges
 #  10. durability smoke: race-built bcd is killed with SIGKILL mid-life and
 #      must recover its graph from snapshot+WAL with bit-exact top-K; then a
 #      posted path outside -load-root (absolute, or ../) must be a 4xx and a
@@ -230,7 +233,7 @@ echo "==> msbfs gate: batched engine bit-match, rule / forced lanes / budget 0, 
 # included — leaves the workspace clean.
 run_named 'TestKernelMatchesBrandes|TestKernelBatchWidthBitInvariant|TestKernelDeclinesInexactSigma|TestKernelInexactFullBatchComesBackClean' \
     -race -count=1 ./internal/msbfs
-run_named 'TestMSBFSEngineBitMatchesScalar|TestMSBFSEngineDeterministic|TestDrainWorkerCountBitNeutral|TestComputeBitIdenticalAcrossWorkers|TestFirstEpochEqualsCompute|TestHybridSweepBitNeutral|TestDirectionSwitchNeverScansMore|TestHybridGate|TestKernelRuleBoundary|TestLaneMemoryBounded|TestLaneKernelBitMatchesScalarAtScale|TestLaneBatchesMixAPRoots' \
+run_named 'TestMSBFSEngineBitMatchesScalar|TestMSBFSEngineDeterministic|TestDrainWorkerCountBitNeutral|TestComputeBitIdenticalAcrossWorkers|TestFirstEpochEqualsCompute|TestHybridSweepBitNeutral|TestDirectionSwitchNeverScansMore|TestHybridGate|TestKernelRuleBoundary|TestLaneMemoryBounded|TestLaneRegrowthStaysInBudget|TestLaneKernelBitMatchesScalarAtScale|TestLaneBatchesMixAPRoots' \
     -race -count=1 ./internal/core
 # Both layouts a sub-graph can have go through those gates: the R-MATs' and the
 # big community graph's tops are relabelled (hubs first, then breadth-first,
@@ -242,7 +245,7 @@ run_named 'TestEpochReusesUntouchedContributions|TestCensusNamesTheLayout' \
 # The layers above core have no kernel to choose and serve either kernel's
 # bits: a load spec that still sends "engine" is a 400, a data directory whose
 # meta.json still carries one recovers bit-identical to a fresh engine.
-run_named 'TestEngineBitMatch|TestEngineExactBudgetBitMatch|TestLoadEngineBitMatchAndEcho|TestMutateEngineBitMatch|TestRecoverIgnoresLegacyEngineField|TestErrorPaths|TestGrowLanes|TestGrowTape' \
+run_named 'TestEngineBitMatch|TestEngineExactBudgetBitMatch|TestLoadEngineBitMatchAndEcho|TestMutateEngineBitMatch|TestRecoverIgnoresLegacyEngineField|TestErrorPaths|TestGrowLanes|TestGrowLanesHeadroom|TestPoolTrim|TestGrowTape' \
     -race -count=1 ./internal/approx ./internal/server ./internal/ws
 # A hostile load spec fails alone: an inline n outside [0, 2³¹] is a 400 at
 # Load, before any build is queued, a build that panics anyway fails its own
@@ -485,6 +488,14 @@ drain_calls=$(grep -rn 'drainUnits(' --include='*.go' . | grep -v '_test\.go:' |
 if [ "$drain_calls" -gt 1 ]; then
     grep -rn 'drainUnits(' --include='*.go' . | grep -v '_test\.go:' | grep -v 'func drainUnits(' >&2
     echo "ci.sh: non-test code calls drainUnits from $drain_calls places; sweepGroups is the one caller, so every sweep shares one unit split" >&2
+    exit 1
+fi
+
+# An edit allocates what it changes: ApplyBatch and WAL replay splice the next
+# CSR from the last (graph.Splice) and hand a first epoch the caller's graph,
+# so neither lists a graph's edges nor sorts an edge list back into a CSR.
+if grep -nE '\.Edges\(\)|graph\.NewFromEdges' internal/core/incremental.go internal/server/wal.go; then
+    echo "ci.sh: the incremental engine or WAL replay builds a graph from an edge list; an edit is graph.Splice of the last graph" >&2
     exit 1
 fi
 

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/decompose"
 	"repro/internal/gen"
+	"repro/internal/graph"
 )
 
 // Allocation gates for the pooled sweep-workspace arena: once a workspace is
@@ -113,6 +114,62 @@ func TestEngineWarmAllocs(t *testing.T) {
 		if allocs != 0 {
 			t.Fatalf("scale %v (n=%d) direction %d: a warm unit allocates %.1f/op, want 0",
 				c.scale, sg.NumVerts(), c.force, allocs)
+		}
+	}
+}
+
+// BenchmarkServeEdit is one edit cycle of bench's serve workload (its graph,
+// with seed 1): an insert that unfolds a γ-folded leaf of the top sub-graph
+// into its swept graph, then the removal that folds it back. Both are local
+// edits that re-sweep the top; B/op is all that the two allocate
+// (EXPERIMENTS.md "Workspace arena and serving" has readings).
+func BenchmarkServeEdit(b *testing.B) {
+	g := gen.SocialLike(gen.SocialParams{N: 2000, AvgDeg: 10, Communities: 134,
+		TopShare: 0.46, LeafFrac: 0.53, Seed: 1})
+	inc, err := NewIncremental(g, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var top *decompose.Subgraph
+	for _, sg := range inc.Snapshot().Decomposition.Subgraphs {
+		if top == nil || len(sg.Roots) > len(top.Roots) {
+			top = sg
+		}
+	}
+	swept := make([]bool, top.NumVerts())
+	for _, r := range top.Roots {
+		swept[r] = true
+	}
+	var leaf, to graph.V = -1, -1
+	for l, v := range top.Verts {
+		if !swept[l] && leaf < 0 {
+			leaf = v
+		}
+	}
+	for _, r := range top.Roots {
+		if v := top.Verts[r]; !g.HasArc(leaf, v) && to < 0 {
+			to = v
+		}
+	}
+	if leaf < 0 || to < 0 {
+		b.Fatal("the top sub-graph has no folded leaf")
+	}
+	if err := inc.InsertEdge(leaf, to); err != nil {
+		b.Fatal(err)
+	}
+	if d := inc.Snapshot().Decomposition; len(d.Subgraphs[d.TopIndex].Roots) != len(top.Roots)+1 {
+		b.Fatalf("the insert left the top sweeping %d vertices, want %d", len(d.Subgraphs[d.TopIndex].Roots), len(top.Roots)+1)
+	}
+	if err := inc.RemoveEdge(leaf, to); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := inc.InsertEdge(leaf, to); err != nil {
+			b.Fatal(err)
+		}
+		if err := inc.RemoveEdge(leaf, to); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -50,18 +50,6 @@ const (
 	SchedulerStatic
 )
 
-// String returns the scheduler name used in benchmark record keys.
-func (s Scheduler) String() string {
-	switch s {
-	case SchedulerDynamic:
-		return "dynamic"
-	case SchedulerStatic:
-		return "static"
-	default:
-		return fmt.Sprintf("scheduler(%d)", int(s))
-	}
-}
-
 // Options configures Compute.
 type Options struct {
 	// Workers bounds goroutine parallelism; <= 0 means GOMAXPROCS.

@@ -189,6 +189,7 @@ func (e *engine) runRoots(sg *decompose.Subgraph, roots []int32, directed bool) 
 		return
 	}
 	if sg != e.inexact && useLanes(sg, len(roots), false, e.forceLanes) {
+		e.ws.GrowLanes(sg.NumVerts(), len(sg.Roots), laneBudget)
 		for len(roots) > 0 {
 			n := min(ws.LaneWidth, len(roots))
 			traversed, exact := e.kernel.Run(sg, roots[:n], directed, e.ws)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -44,9 +43,7 @@ import (
 //
 // Unweighted graphs only.
 type Incremental struct {
-	opt      Options
-	directed bool
-	n        int
+	opt Options
 
 	// mu serializes mutators. Readers never take it — they load cur.
 	mu  sync.Mutex
@@ -93,11 +90,14 @@ func (s Snapshot) BC() []float64 {
 // immutable (it belongs to a published epoch); callers must not modify it.
 func (s Snapshot) BCView() []float64 { return s.bc }
 
-// NewIncremental decomposes g and computes the initial scores on every core.
-// Threshold and DisableGamma apply; Workers, Scheduler, RootBudget and
-// Breakdown have no meaning for an engine whose epochs are exact and untimed
-// and pick their own workers, and setting any of them is an error. Every sweep
-// takes the kernel the rule gives it, which is bit-invisible in the scores.
+// NewIncremental decomposes g and computes the initial scores on every core,
+// then trims the sweep pool to one workspace, which is what every later epoch
+// sweeps on. g itself is the first epoch's graph, not a copy: a *graph.Graph
+// is immutable. Threshold and DisableGamma apply; Workers, Scheduler,
+// RootBudget and Breakdown have no meaning for an engine whose epochs are
+// exact and untimed and pick their own workers, and setting any of them is an
+// error. Every sweep takes the kernel the rule gives it, which is
+// bit-invisible in the scores.
 func NewIncremental(g *graph.Graph, opt Options) (*Incremental, error) {
 	if g.Weighted() {
 		return nil, fmt.Errorf("core: incremental BC supports unweighted graphs only")
@@ -108,12 +108,13 @@ func NewIncremental(g *graph.Graph, opt Options) (*Incremental, error) {
 	if err := validateEngine(false, opt.RootEngine); err != nil {
 		return nil, err
 	}
-	inc := &Incremental{opt: opt, directed: g.Directed(), n: g.NumVertices()}
-	first, err := inc.build(nil, g.Edges())
+	inc := &Incremental{opt: opt}
+	first, err := inc.build(nil, g)
 	if err != nil {
 		return nil, err
 	}
 	inc.publish(first)
+	sweepPool.Trim(1)
 	return inc, nil
 }
 
@@ -142,21 +143,20 @@ func (inc *Incremental) LocalUpdates() int { return int(inc.localUpdates.Load())
 // publish makes next the current epoch. Directed graphs get their transpose
 // materialized first so no reader ever triggers the lazy build concurrently.
 func (inc *Incremental) publish(next *epochState) {
-	if inc.directed {
+	if next.g.Directed() {
 		next.g.EnsureTranspose()
 	}
 	inc.cur.Store(next)
 }
 
-// build makes the epoch after prev (nil for the first) over edges: a fresh
+// build makes the epoch after prev (nil for the first) over g: a fresh
 // decomposition, prev's contribution for every sub-graph prev has an equal of
 // and Compute's sweep (sweepGroups) for the rest, and the scores as their sum
 // in sub-graph order. A first epoch drains on every core; a later one on one
 // worker, which leaves the other cores to the readers (a parallel re-sweep cost
 // bcd more in read latency than it saved). Caller holds mu (or is the
 // constructor).
-func (inc *Incremental) build(prev *epochState, edges []graph.Edge) (*epochState, error) {
-	g := graph.NewFromEdges(inc.n, edges, inc.directed)
+func (inc *Incremental) build(prev *epochState, g *graph.Graph) (*epochState, error) {
 	d, err := decompose.Decompose(g, decompose.Options{
 		Threshold:    inc.opt.Threshold,
 		DisableGamma: inc.opt.DisableGamma,
@@ -168,9 +168,9 @@ func (inc *Incremental) build(prev *epochState, edges []graph.Edge) (*epochState
 		g:       g,
 		d:       d,
 		target:  splitTarget(d, 0),
-		sgOf:    make([][]int32, inc.n),
+		sgOf:    make([][]int32, g.NumVertices()),
 		contrib: make([][]float64, len(d.Subgraphs)),
-		bc:      make([]float64, inc.n),
+		bc:      make([]float64, g.NumVertices()),
 	}
 	workers := par.Workers(0)
 	if prev != nil {
@@ -236,17 +236,17 @@ type EdgeOp struct {
 	U, V graph.V
 }
 
-// StageEdits applies ops in order to g's edge list: the one edit semantics
-// of ApplyBatch and of bcd's write-ahead-log replay. Each op is judged against
-// g with the batch's earlier ops staged in, so an insert-then-remove sequence
+// StageEdits judges ops in order against g: the one edit semantics of
+// ApplyBatch and of bcd's write-ahead-log replay. Each op is judged against g
+// with the batch's earlier ops staged in, so an insert-then-remove sequence
 // behaves exactly as it would applied one at a time. An op that is a
 // self-loop, has an endpoint outside g, inserts a present edge or removes an
 // absent one is skipped and reported at its index in errs; the others all
-// apply. edges is the edit's result: g's edge list less the staged removals,
-// plus the staged insertions, unsorted (graph.NewFromEdges sorts); it is nil
-// when no op applies. It costs one pass over g's edges plus a row search per
-// op.
-func StageEdits(g *graph.Graph, ops []EdgeOp) (edges []graph.Edge, errs []error) {
+// apply. add and del are the staged set, what g.Splice makes the edit's
+// result from: the edges the ops leave present that g lacks and those they
+// leave absent that g has, in no order (an insert-then-remove pair is in
+// neither). It costs a row search per op.
+func StageEdits(g *graph.Graph, ops []EdgeOp) (add, del []graph.Edge, errs []error) {
 	n, directed := g.NumVertices(), g.Directed()
 	type arcKey struct{ u, v graph.V }
 	norm := func(u, v graph.V) arcKey {
@@ -277,20 +277,17 @@ func StageEdits(g *graph.Graph, ops []EdgeOp) (edges []graph.Edge, errs []error)
 			staged[norm(op.U, op.V)] = op.Add
 		}
 	}
-	if len(staged) == 0 {
-		return nil, errs
-	}
-	// Edges lists an undirected edge once, with From < To: its norm.
-	edges = slices.DeleteFunc(g.Edges(), func(e graph.Edge) bool {
-		p, ok := staged[arcKey{e.From, e.To}]
-		return ok && !p
-	})
 	for k, p := range staged {
-		if p && !g.HasArc(k.u, k.v) {
-			edges = append(edges, graph.Edge{From: k.u, To: k.v})
+		if p == g.HasArc(k.u, k.v) {
+			continue // an insert-then-remove pair, or a remove-then-put-back
+		}
+		if e := (graph.Edge{From: k.u, To: k.v}); p {
+			add = append(add, e)
+		} else {
+			del = append(del, e)
 		}
 	}
-	return edges, errs
+	return add, del, errs
 }
 
 // InsertEdge adds the edge (u,v) — the arc u->v for directed graphs — and
@@ -323,7 +320,7 @@ func (inc *Incremental) ApplyBatch(ops []EdgeOp) ([]error, error) {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
 	prev := inc.cur.Load()
-	edges, errs := StageEdits(prev.g, ops)
+	add, del, errs := StageEdits(prev.g, ops)
 	// structural classifies the batch by what its edits are (see Incremental).
 	valid, structural := 0, false
 	for i, op := range ops {
@@ -335,7 +332,7 @@ func (inc *Incremental) ApplyBatch(ops []EdgeOp) ([]error, error) {
 	if valid == 0 {
 		return errs, nil
 	}
-	next, err := inc.build(prev, edges)
+	next, err := inc.build(prev, prev.g.Splice(add, del))
 	if err != nil {
 		return errs, err
 	}

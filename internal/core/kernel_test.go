@@ -218,6 +218,45 @@ func TestLaneMemoryBounded(t *testing.T) {
 	}
 }
 
+// TestLaneRegrowthStaysInBudget: a workspace's lane records, regrown with an
+// eighth of headroom along a ladder of sub-graphs whose swept counts climb to
+// what laneBudget fits, never weigh more than the budget — the headroom is
+// cut to it — and a forced lane run past the budget is sized exactly. Every
+// rung is a lane sweep (bfsRoot examined nothing).
+func TestLaneRegrowthStaysInBudget(t *testing.T) {
+	fits := laneBudget / ws.LaneBytesPerVert
+	run := func(e *engine, k int) int {
+		sg := oneBlock(t, k)
+		e.ensure(sg)
+		e.runRoots(sg, sg.Roots[:ws.LaneWidth], false)
+		clear(e.ws.BC)
+		if err := checkClean(e.ws); err != nil || e.examined != 0 {
+			t.Fatalf("%d swept: %v; bfsRoot examined %d arcs", k, err, e.examined)
+		}
+		b := e.ws.Bytes()
+		if slots := b.Lanes - 8*int64(len(e.ws.LaneSeen)+len(e.ws.LaneFront)); !e.forceLanes && slots > int64(laneBudget) {
+			t.Fatalf("%d swept: %d B of lane records, budget %d", k, slots, laneBudget)
+		}
+		return len(e.ws.LaneRec) / ws.LaneWidth
+	}
+	e := &engine{ws: new(ws.Sweep)}
+	for _, c := range []struct{ swept, held int }{
+		{600, 600},   // first: exact
+		{610, 675},   // 600 + 600/8
+		{700, 759},   // 675 + 675/8
+		{760, fits},  // 759 + 759/8 passes the budget: cut to it
+		{fits, fits}, // fits
+	} {
+		if got := run(e, c.swept); got != c.held {
+			t.Fatalf("%d swept: lane arrays for %d, want %d", c.swept, got, c.held)
+		}
+	}
+	e.forceLanes = true
+	if got := run(e, fits+100); got != fits+100 {
+		t.Fatalf("forced run of %d swept: lane arrays for %d, want exactly that", fits+100, got)
+	}
+}
+
 // TestLaneKernelBitMatchesScalarAtScale settles the bit-identity contract at
 // the sizes where the kernel rule makes it load-bearing: an R-MAT of 4,096
 // vertices swept from every root, one of 131,072 vertices under a RootBudget,

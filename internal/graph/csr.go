@@ -83,6 +83,73 @@ func NewFromCSR(n int, offs []int64, adj []V, directed bool) (*Graph, error) {
 	return &Graph{n: n, directed: directed, offs: offs, adj: adj}, nil
 }
 
+// Splice returns g with the edges of add inserted and those of del removed
+// (both arcs of each if g is undirected), built from g's CSR without an edge
+// list: untouched rows are copied a run at a time, and each touched row is
+// merged with its sorted edits. The result is NewFromEdges' on g's edges less
+// del plus add (a present insert or an absent removal changes nothing, a
+// self-loop is dropped, an arc in both lists is removed), in O(n + m + k log k)
+// for k edits. g must be unweighted; with no edits it is returned as it is.
+func (g *Graph) Splice(add, del []Edge) *Graph {
+	if len(add)+len(del) == 0 {
+		return g
+	}
+	if g.wts != nil {
+		panic("graph: Splice of a weighted graph")
+	}
+	type arc struct {
+		u, v V
+		add  bool
+	}
+	var arcs []arc
+	for i, e := range slices.Concat(add, del) {
+		if e.From < 0 || int(e.From) >= g.n || e.To < 0 || int(e.To) >= g.n {
+			panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", e.From, e.To, g.n))
+		}
+		arcs = append(arcs, arc{e.From, e.To, i < len(add)})
+		if !g.directed {
+			arcs = append(arcs, arc{e.To, e.From, i < len(add)})
+		}
+	}
+	slices.SortFunc(arcs, func(a, b arc) int { return cmp.Or(cmp.Compare(a.u, b.u), cmp.Compare(a.v, b.v)) })
+	offs := make([]int64, g.n+1)
+	adj := make([]V, 0, len(g.adj)+2*len(add))
+	done := 0 // rows below done are written, and offs up to done
+	copyRows := func(to int) {
+		shift := int64(len(adj)) - g.offs[done]
+		adj = append(adj, g.adj[g.offs[done]:g.offs[to]]...)
+		for x := done + 1; x <= to; x++ {
+			offs[x] = g.offs[x] + shift
+		}
+		done = to
+	}
+	for i := 0; i < len(arcs); {
+		u := arcs[i].u
+		copyRows(int(u))
+		row := g.Out(u)
+		for i < len(arcs) && arcs[i].u == u {
+			v := arcs[i].v
+			at, keep := slices.BinarySearch(row, v)
+			adj, row = append(adj, row[:at]...), row[at:]
+			if keep {
+				row = row[1:]
+			}
+			removed := false
+			for ; i < len(arcs) && arcs[i].u == u && arcs[i].v == v; i++ {
+				keep, removed = keep || arcs[i].add, removed || !arcs[i].add
+			}
+			if keep && !removed && v != u {
+				adj = append(adj, v)
+			}
+		}
+		adj = append(adj, row...)
+		offs[u+1] = int64(len(adj))
+		done = int(u) + 1
+	}
+	copyRows(g.n)
+	return &Graph{n: g.n, directed: g.directed, offs: offs, adj: adj}
+}
+
 // NewFromCSRUnsorted adopts a raw CSR whose rows may be unsorted and contain
 // duplicates and self-loops, canonicalizing in place (sort, dedup, self-loop
 // drop) before adoption. It is the finishing step of gen.BuildCSR: parallel

@@ -323,3 +323,72 @@ func TestMirrorCheckMatchesOracle(t *testing.T) {
 		t.Fatal("no seed produced the consumed-row case")
 	}
 }
+
+// TestSpliceMatchesNewFromEdges: Splice's CSR is, offset for offset and arc
+// for arc, NewFromEdges' on g's edges less del plus add, over random graphs
+// with isolated vertices, both kinds, and edit lists that hold present
+// inserts, absent removals, self-loops, repeats and arcs in both lists.
+func TestSpliceMatchesNewFromEdges(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for trial := range 400 {
+		directed := trial%2 == 1
+		n := 1 + r.Intn(24)
+		var es []Edge
+		for range r.Intn(3 * n) {
+			es = append(es, Edge{V(r.Intn(n)), V(r.Intn(n))})
+		}
+		g := NewFromEdges(n, es, directed)
+		var add, del []Edge
+		for range r.Intn(8) {
+			add = append(add, Edge{V(r.Intn(n)), V(r.Intn(n))})
+		}
+		for range r.Intn(8) {
+			if ge := g.Edges(); len(ge) > 0 && r.Intn(3) > 0 {
+				del = append(del, ge[r.Intn(len(ge))])
+			} else {
+				del = append(del, Edge{V(r.Intn(n)), V(r.Intn(n))})
+			}
+		}
+		if len(add) > 0 && r.Intn(4) == 0 {
+			del = append(del, add[0]) // in both lists: removed
+		}
+		key := func(e Edge) Edge {
+			if !directed && e.From > e.To {
+				e.From, e.To = e.To, e.From
+			}
+			return e
+		}
+		gone := map[Edge]bool{}
+		for _, e := range del {
+			gone[key(e)] = true
+		}
+		var want []Edge
+		for _, e := range append(g.Edges(), add...) {
+			if !gone[key(e)] {
+				want = append(want, e)
+			}
+		}
+		w, got := NewFromEdges(n, want, directed), g.Splice(add, del)
+		if !slices.Equal(got.offs, w.offs) || !slices.Equal(got.adj, w.adj) || got.directed != directed {
+			t.Fatalf("trial %d (n=%d directed=%v) add %v del %v:\n got offs %v adj %v\nwant offs %v adj %v",
+				trial, n, directed, add, del, got.offs, got.adj, w.offs, w.adj)
+		}
+		if _, err := NewFromCSR(n, got.offs, got.adj, directed); err != nil {
+			t.Fatalf("trial %d: spliced CSR is not canonical: %v", trial, err)
+		}
+	}
+	g := NewFromEdges(3, []Edge{{0, 1}}, false)
+	if g.Splice(nil, nil) != g {
+		t.Fatal("an empty splice copied the graph")
+	}
+	for _, es := range [][]Edge{{{0, 3}}, {{-1, 0}}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Splice of out-of-range edge %v did not panic", es)
+				}
+			}()
+			g.Splice(es, nil)
+		}()
+	}
+}

@@ -137,9 +137,10 @@ func (k *Kernel) grow(d int) *level {
 // is as it was and the count is 0: the batch did not happen, and the caller
 // owes these roots a scalar sweep.
 //
-// The scratch s is grown with the lane arrays on demand — to sg's swept
-// size, not to s's capacity — and returned to its clean-slot state before Run
-// returns, so the caller's pooled-sweep discipline is unchanged.
+// The scratch s must hold sg's lane arrays (ws.Sweep.GrowLanes with sg's
+// swept size; the caller's kernel rule owns the budget they are grown under),
+// and is returned to its clean-slot state before Run returns, so the caller's
+// pooled-sweep discipline is unchanged.
 func (k *Kernel) Run(sg *decompose.Subgraph, roots []int32, directed bool, s *ws.Sweep) (traversed int64, exact bool) {
 	if len(roots) == 0 {
 		return 0, true
@@ -147,7 +148,6 @@ func (k *Kernel) Run(sg *decompose.Subgraph, roots []int32, directed bool, s *ws
 	if len(roots) > LaneWidth {
 		panic("msbfs: batch exceeds LaneWidth roots")
 	}
-	s.GrowLanes(sg.NumVerts(), len(sg.Roots))
 	if k.slotOf != sg {
 		if cap(k.slot) < sg.NumVerts() {
 			k.slot = make([]int32, sg.NumVerts())

@@ -57,6 +57,7 @@ func runBatched(t *testing.T, g *graph.Graph, width int) []float64 {
 	var sw ws.Sweep
 	directed := g.Directed()
 	for _, sg := range d.Subgraphs {
+		sw.GrowLanes(sg.NumVerts(), len(sg.Roots), 0)
 		for lo := 0; lo < len(sg.Roots); lo += width {
 			hi := lo + width
 			if hi > len(sg.Roots) {
@@ -144,6 +145,8 @@ func TestKernelDuplicateRoots(t *testing.T) {
 			continue
 		}
 		r := sg.Roots[0]
+		once.GrowLanes(sg.NumVerts(), len(sg.Roots), 0)
+		twice.GrowLanes(sg.NumVerts(), len(sg.Roots), 0)
 		k.Run(sg, []int32{r}, false, &once)
 		k.Run(sg, []int32{r}, false, &once)
 		k.Run(sg, []int32{r, r}, false, &twice)
@@ -173,6 +176,7 @@ func TestKernelTraversedMetric(t *testing.T) {
 	sg := d.Subgraphs[0]
 	var k msbfs.Kernel
 	var sw ws.Sweep
+	sw.GrowLanes(sg.NumVerts(), len(sg.Roots), 0)
 	traversed, exact := k.Run(sg, sg.Roots, false, &sw)
 	// Every root visits all 8 vertices, each of out-degree 7.
 	want := int64(len(sg.Roots)) * 8 * 7
@@ -246,6 +250,7 @@ func TestKernelDeclinesInexactSigma(t *testing.T) {
 			t.Fatalf("%d layers: %d sub-graphs", c.layers, len(d.Subgraphs))
 		}
 		sg := d.Subgraphs[0]
+		sw.GrowLanes(sg.NumVerts(), len(sg.Roots), 0)
 		traversed, exact := k.Run(sg, sg.Roots[:8], false, &sw)
 		if exact != c.exact || exact != (traversed > 0) {
 			t.Fatalf("%d layers: exact %v, traversed %d", c.layers, exact, traversed)
@@ -304,6 +309,7 @@ func TestKernelInexactFullBatchComesBackClean(t *testing.T) {
 		if arts == 0 || arts == len(roots) {
 			t.Fatalf("%d layers: %d of %d roots are articulation points, want some of each", c.layers, arts, len(roots))
 		}
+		sw.GrowLanes(sg.NumVerts(), len(sg.Roots), 0)
 		traversed, exact := k.Run(sg, roots, true, &sw)
 		if exact != c.exact || exact != (traversed > 0) {
 			t.Fatalf("%d layers: exact %v, traversed %d", c.layers, exact, traversed)

@@ -398,26 +398,37 @@ func TestDecodeWALTornTail(t *testing.T) {
 // semantics (core.StageEdits), so a script replayed onto a graph gives, bit
 // for bit, the graph ApplyBatch leaves, whether the script is one batch or
 // one op at a time, and skips the same ops. The script holds every kind of op
-// the engine refuses, an insert-then-remove and an edge removed then put back.
+// the engine refuses, an insert-then-remove and an edge removed then put back,
+// and removes the one edge of two vertices, which the graph keeps isolated
+// beside the one it started with. The replayed graph (graph.Splice's, from the
+// base) is the script's final edge set as NewFromEdges builds it, row by row,
+// which with equal arc counts is offset by offset too (internal/graph's
+// TestSpliceMatchesNewFromEdges compares the two CSRs' arrays themselves).
 func TestReplayMatchesApplyBatch(t *testing.T) {
 	for _, directed := range []bool{false, true} {
-		base := graph.NewFromEdges(6, []graph.Edge{
-			{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 3}, {From: 3, To: 4}, {From: 4, To: 0},
+		base := graph.NewFromEdges(8, []graph.Edge{
+			{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 3}, {From: 3, To: 4}, {From: 4, To: 0}, {From: 6, To: 7},
 		}, directed)
 		script := []core.EdgeOp{
 			{Add: true, U: 1, V: 0},  // duplicate of 0-1 undirected, a new arc directed
 			{Add: true, U: 0, V: 1},  // duplicate either way
 			{Add: false, U: 2, V: 4}, // absent
 			{Add: true, U: 3, V: 3},  // self-loop
-			{Add: true, U: 5, V: 6},  // out of range
+			{Add: true, U: 5, V: 8},  // out of range
 			{Add: true, U: 2, V: 5},  // insert ...
 			{Add: false, U: 2, V: 5}, // ... then remove
 			{Add: false, U: 3, V: 4}, // remove ...
 			{Add: true, U: 3, V: 4},  // ... then put back
 			{Add: true, U: 1, V: 5},
 			{Add: false, U: 4, V: 0},
+			{Add: false, U: 6, V: 7}, // 6 and 7 left isolated, as 5 was
 		}
 		replayed := replayOps(base, script)
+		final := []graph.Edge{{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 3}, {From: 3, To: 4}, {From: 1, To: 5}}
+		if directed {
+			final = append(final, graph.Edge{From: 1, To: 0})
+		}
+		fresh := graph.NewFromEdges(8, final, directed)
 
 		batch, err := core.NewIncremental(base, core.Options{})
 		if err != nil {
@@ -453,7 +464,10 @@ func TestReplayMatchesApplyBatch(t *testing.T) {
 		if skipped != want {
 			t.Fatalf("directed=%v: ApplyBatch skipped %d ops, want %d: %v", directed, skipped, want, errs)
 		}
-		for name, g := range map[string]*graph.Graph{"batch": batch.Graph(), "one at a time": single.Graph()} {
+		for name, g := range map[string]*graph.Graph{"NewFromEdges": fresh, "batch": batch.Graph(), "one at a time": single.Graph()} {
+			if g.NumArcs() != replayed.NumArcs() {
+				t.Fatalf("directed=%v %s: %d arcs, replay has %d", directed, name, g.NumArcs(), replayed.NumArcs())
+			}
 			if g.Directed() != replayed.Directed() || g.NumVertices() != replayed.NumVertices() {
 				t.Fatalf("directed=%v %s: shape differs from the replay", directed, name)
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"log"
 	"math"
@@ -12,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -20,7 +22,9 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/ws"
 )
 
 // lifecycleEdges is the lifecycle test graph: two 4-cycles sharing the
@@ -617,6 +621,47 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if _, ok := values[`bcd_ws_bytes{layer="lanes"}`]; !ok {
 		t.Fatalf("no lanes series\n%s", text)
+	}
+}
+
+// TestOneWorkspaceAfterLoad: a load's first epoch drains on every core, and
+// the sweep pool then keeps one workspace, which is all a later epoch sweeps
+// on. Loaded at GOMAXPROCS(2) and edited twice inside its top sub-graph,
+// bench's serve graph leaves /metrics showing one workspace, whose lane
+// arrays hold one top's lane state — its records, with at most an eighth of
+// headroom, and its mask words — not two. Not parallel: it sets GOMAXPROCS
+// and reads the process-wide pool.
+func TestOneWorkspaceAfterLoad(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	ts, reg := newTestServer(t)
+	g := gen.SocialLike(gen.SocialParams{N: 2000, AvgDeg: 10, Communities: 134,
+		TopShare: 0.46, LeafFrac: 0.53, Seed: 1})
+	spec := LoadSpec{Name: "w", N: g.NumVertices()}
+	for _, e := range g.Edges() {
+		spec.Edges = append(spec.Edges, [2]int32{e.From, e.To})
+	}
+	loadAndWait(t, ts.URL, spec)
+	d := reg.Get("w").inc.Snapshot().Decomposition
+	top := d.Subgraphs[d.TopIndex]
+	u, v := top.Verts[top.Roots[0]], graph.V(-1)
+	for _, r := range top.Roots[1:] {
+		if w := top.Verts[r]; v < 0 && !g.HasArc(u, w) {
+			v = w
+		}
+	}
+	edge := fmt.Sprintf("%s/v1/graphs/w/edges?from=%d&to=%d", ts.URL, u, v)
+	var mut MutationResult
+	if do(t, "POST", ts.URL+"/v1/graphs/w/edges", edgeRequest{From: u, To: v}, &mut); mut.Result != "local" {
+		t.Fatalf("insert %d-%d inside the top: %+v", u, v, mut)
+	}
+	if code := do(t, "DELETE", edge, nil, nil); code != http.StatusOK {
+		t.Fatalf("removal: %d", code)
+	}
+	values := scrapeMetrics(t, ts.URL)
+	one := float64(ws.LaneBytesPerVert*len(top.Roots) + 16*top.NumVerts())
+	if size, lanes := values[`bcd_ws_pool_size`], values[`bcd_ws_bytes{layer="lanes"}`]; size != 1 || lanes < one || lanes > one*9/8 {
+		t.Fatalf("after a load and two edits: %v workspaces holding %v B of lanes; one top (%d swept of %d) holds %v B",
+			size, lanes, len(top.Roots), top.NumVerts(), one)
 	}
 }
 

@@ -287,17 +287,15 @@ func loadDurable(dir string) (recoveredState, error) {
 }
 
 // replayOps applies WAL records to g with ApplyBatch's edit semantics
-// (core.StageEdits) and rebuilds the graph once at the final state.
+// (core.StageEdits) and splices the final state from g once (graph.Splice),
+// g itself when no record changes it.
 // Inapplicable ops (duplicate insert, absent removal, out-of-range endpoint)
 // are skipped: they are either records the engine rejected after logging, or
 // records already compacted into the snapshot by a crash between snapshot
 // rename and WAL truncate.
 func replayOps(g *graph.Graph, ops []core.EdgeOp) *graph.Graph {
-	edges, _ := core.StageEdits(g, ops)
-	if edges == nil {
-		return g
-	}
-	return graph.NewFromEdges(g.NumVertices(), edges, g.Directed())
+	add, del, _ := core.StageEdits(g, ops)
+	return g.Splice(add, del)
 }
 
 // initDurable creates the entry's durable directory, writes the

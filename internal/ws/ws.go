@@ -12,11 +12,13 @@
 // local vertex id, and LaneWidth σ/δ record and BC slots per *swept* vertex —
 // indexed by the vertex's rank in the sub-graph's root list, not by its id, so
 // the arrays are as large as the sub-graph a lane sweep last walked and never
-// as large as the biggest sub-graph the workspace has seen. A Pool hands
-// Sweeps out to workers (Get) and takes them back (Put), so steady-state
-// computation performs zero per-sweep heap allocation: the arena grows to the
-// high-water mark once and is reused by every engine, request and worker
-// thereafter.
+// as large as the biggest sub-graph the workspace has seen (and regrown with an
+// eighth of headroom, within the caller's budget). A Pool hands Sweeps out to
+// workers (Get) and takes them back (Put), so steady-state computation
+// performs zero per-sweep heap allocation: the arena grows to the high-water
+// mark once and is reused by every engine, request and worker thereafter.
+// Trim drops the free sweeps past the largest few: core.Incremental keeps one
+// after its first epoch, as every later epoch sweeps on one worker.
 // The tape (GrowTape) is where a forward BFS writes down the DAG arcs it finds
 // for its own backward pass (core.bfsRoot), sized like the lanes by the
 // sub-graph that uses it and not by its capacity — one slot per swept arc, reserved
@@ -70,6 +72,7 @@
 package ws
 
 import (
+	"slices"
 	"sync"
 	"unsafe"
 
@@ -190,18 +193,23 @@ func (s *Sweep) growWeighted() {
 // GrowLanes is Grow plus the lane-parallel MS-BFS arrays for a sub-graph of n
 // local ids of which swept are in the swept graph: the mask words cover the
 // ids, LaneRec and LaneBC LaneWidth slots per swept vertex — LaneBytesPerVert
-// per swept vertex in all, whatever the capacity is. Fresh allocations are zero,
-// which is exactly the lane invariants, so — as with Grow — a grown region is
-// indistinguishable from a sparsely reset one.
-func (s *Sweep) GrowLanes(n, swept int) {
+// per swept vertex, whatever the capacity is. A first allocation is exact; a
+// regrowth takes an eighth more than it held, cut to budget bytes but never
+// below swept (a forced run past the budget is exact). Fresh allocations are
+// zero, which is exactly the lane invariants, so — as with Grow — a grown
+// region is indistinguishable from a sparsely reset one.
+func (s *Sweep) GrowLanes(n, swept, budget int) {
 	s.Grow(n)
 	if len(s.LaneSeen) < n {
 		s.LaneSeen = make([]uint64, n)
 		s.LaneFront = make([]uint64, n)
 	}
-	if slots := swept * LaneWidth; len(s.LaneRec) < slots {
-		s.LaneRec = make([]Record, slots)
-		s.LaneBC = make([]float64, slots)
+	if held := len(s.LaneRec) / LaneWidth; held < swept {
+		if held > 0 {
+			swept = max(swept, min(held+held/8, budget/LaneBytesPerVert))
+		}
+		s.LaneRec = make([]Record, swept*LaneWidth)
+		s.LaneBC = make([]float64, swept*LaneWidth)
 	}
 }
 
@@ -293,6 +301,26 @@ func (p *Pool) Put(s *Sweep) {
 	p.bytes.Tape += b.Tape - s.held.Tape
 	s.held = b
 	p.mu.Unlock()
+}
+
+// Trim discards the free sweeps beyond the keep (≥ 0) largest, for the
+// collector to reclaim, and takes them out of the gauges. Checked-out sweeps
+// are not the pool's to drop: they come back by Put, whatever Trim did.
+func (p *Pool) Trim(keep int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.free) <= keep {
+		return
+	}
+	slices.SortFunc(p.free, func(a, b *Sweep) int { return b.capV - a.capV })
+	for _, s := range p.free[keep:] {
+		p.bytes.Base -= s.held.Base
+		p.bytes.Lanes -= s.held.Lanes
+		p.bytes.Tape -= s.held.Tape
+	}
+	p.size -= len(p.free) - keep
+	clear(p.free[keep:])
+	p.free = p.free[:keep]
 }
 
 // Stats reports the pool gauges: size is the number of sweeps the pool has

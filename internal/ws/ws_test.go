@@ -82,7 +82,7 @@ func TestGrowLanes(t *testing.T) {
 		t.Fatalf("LaneBytesPerVert = %d, want %d: a lane slot is a 32-byte Record and a BC slot", LaneBytesPerVert, LaneWidth*40)
 	}
 	var s Sweep
-	s.GrowLanes(8, 5)
+	s.GrowLanes(8, 5, 0)
 	if len(s.LaneSeen) != 8 || len(s.LaneFront) != 8 {
 		t.Fatalf("mask words sized %d/%d, want one per id (8)", len(s.LaneSeen), len(s.LaneFront))
 	}
@@ -104,22 +104,22 @@ func TestGrowLanes(t *testing.T) {
 	// A smaller request keeps what is there; a larger one grows each part on
 	// its own.
 	rec := &s.LaneRec[0]
-	s.GrowLanes(6, 3)
+	s.GrowLanes(6, 3, 0)
 	if &s.LaneRec[0] != rec || s.Cap() != 64 {
 		t.Fatal("a request within the current size reallocated")
 	}
-	s.GrowLanes(100, 5)
+	s.GrowLanes(100, 5, 0)
 	if len(s.LaneSeen) != 100 || len(s.LaneRec) != 5*LaneWidth || s.Cap() != 100 {
 		t.Fatalf("id growth: masks %d, slots %d, cap %d", len(s.LaneSeen), len(s.LaneRec), s.Cap())
 	}
-	s.GrowLanes(10, 9)
+	s.GrowLanes(10, 9, 0)
 	if len(s.LaneSeen) != 100 || len(s.LaneRec) != 9*LaneWidth || len(s.LaneBC) != 9*LaneWidth {
 		t.Fatalf("swept growth: masks %d, slots %d/%d", len(s.LaneSeen), len(s.LaneRec), len(s.LaneBC))
 	}
 	// A big scalar workspace does not drag lane arrays behind it.
 	var u Sweep
 	u.Grow(100000)
-	u.GrowLanes(10, 4)
+	u.GrowLanes(10, 4, 0)
 	if len(u.LaneRec) != 4*LaneWidth || len(u.LaneSeen) != 10 {
 		t.Fatalf("lanes sized by Cap(): slots %d, masks %d", len(u.LaneRec), len(u.LaneSeen))
 	}
@@ -147,6 +147,34 @@ func TestGrowLanes(t *testing.T) {
 	}
 }
 
+// TestGrowLanesHeadroom: a first lane layer is sized exactly; one that must
+// grow takes an eighth more swept vertices than it held, as far as the budget
+// reaches, and never fewer than it was asked for — so a request past the
+// budget (a forced lane run) is sized exactly.
+func TestGrowLanesHeadroom(t *testing.T) {
+	budget := 100 * LaneBytesPerVert
+	var s Sweep
+	for _, c := range []struct{ swept, want int }{
+		{64, 64},   // first: exact
+		{60, 64},   // fits
+		{65, 72},   // 64 + 64/8
+		{73, 81},   // 72 + 72/8
+		{95, 95},   // the request beats the headroom
+		{96, 100},  // 95 + 95/8, cut to the budget's 100
+		{100, 100}, // fits
+		{130, 130}, // past the budget: exact
+		{131, 131}, // and so on past it
+	} {
+		s.GrowLanes(10, c.swept, budget)
+		if got := len(s.LaneRec) / LaneWidth; got != c.want || len(s.LaneBC) != len(s.LaneRec) {
+			t.Fatalf("GrowLanes(%d swept): %d/%d slots, want %d swept vertices", c.swept, len(s.LaneRec), len(s.LaneBC), c.want)
+		}
+	}
+	if err := s.CheckClean(); err != nil {
+		t.Fatalf("regrown lanes dirty: %v", err)
+	}
+}
+
 // TestGrowTape pins the tape's sizing — one slot per swept arc, one position
 // per swept vertex and one past it, neither following Cap() — and that Bytes
 // counts it, and every other layer, as its own.
@@ -170,7 +198,7 @@ func TestGrowTape(t *testing.T) {
 	if &s.Tape[0] != tape || len(s.TapePos) != 31 {
 		t.Fatalf("regrown tape: same slots %v, %d positions", &s.Tape[0] == tape, len(s.TapePos))
 	}
-	s.GrowLanes(8, 5)
+	s.GrowLanes(8, 5, 0)
 	if b := s.Bytes(); b.Lanes != 8*2*8+5*int64(LaneBytesPerVert) || b.Tape != 4*50+8*31 || b.Base != base {
 		t.Fatalf("laned sweep weighs %+v", b)
 	}
@@ -195,7 +223,7 @@ func TestPoolBytes(t *testing.T) {
 	if got := p.Bytes(); got != a.Bytes() {
 		t.Fatalf("pool weighs %+v, its one returned sweep %+v", got, a.Bytes())
 	}
-	b.GrowLanes(10, 4)
+	b.GrowLanes(10, 4, 0)
 	p.Put(b)
 	a = p.Get(1000) // regrown while out: counted at its old size until it is back
 	want := Bytes{Base: a.held.Base + b.Bytes().Base, Lanes: b.Bytes().Lanes, Tape: a.Bytes().Tape}
@@ -206,6 +234,42 @@ func TestPoolBytes(t *testing.T) {
 	want.Base = a.Bytes().Base + b.Bytes().Base
 	if got := p.Bytes(); got != want {
 		t.Fatalf("pool weighs %+v after the regrown sweep returned, want %+v", got, want)
+	}
+}
+
+// TestPoolTrim: Trim keeps the largest free sweeps and takes the others out of
+// the size and byte gauges; a sweep that is checked out is not touched, and
+// counts from its Put on as any other.
+func TestPoolTrim(t *testing.T) {
+	var p Pool
+	a, b, c := p.Get(10), p.Get(300), p.Get(20)
+	c.GrowLanes(20, 8, 0)
+	p.Put(a)
+	p.Put(b)
+	p.Trim(1)
+	if size, inUse := p.Stats(); size != 2 || inUse != 1 {
+		t.Fatalf("after Trim(1) with one sweep out: size %d, in use %d, want 2/1", size, inUse)
+	}
+	if got := p.Bytes(); got != b.Bytes() {
+		t.Fatalf("pool weighs %+v, the sweep it kept %+v", got, b.Bytes())
+	}
+	if got := p.Get(0); got != b {
+		t.Fatal("Trim(1) did not keep the largest free sweep")
+	} else {
+		p.Put(got)
+	}
+	p.Put(c)
+	want := Bytes{Base: b.Bytes().Base + c.Bytes().Base, Lanes: c.Bytes().Lanes}
+	if got := p.Bytes(); got != want {
+		t.Fatalf("pool weighs %+v after the checked-out sweep returned, want %+v", got, want)
+	}
+	p.Trim(5) // more than there are: nothing to drop
+	if size, _ := p.Stats(); size != 2 {
+		t.Fatalf("Trim(5) of 2 sweeps left %d", size)
+	}
+	p.Trim(0)
+	if size, inUse := p.Stats(); size != 0 || inUse != 0 || p.Bytes() != (Bytes{}) {
+		t.Fatalf("Trim(0) left size %d, in use %d, %+v", size, inUse, p.Bytes())
 	}
 }
 
@@ -256,9 +320,10 @@ func TestPoolReuse(t *testing.T) {
 	p.Put(nil) // no-op
 }
 
-// TestPoolRace hammers checkout/return from 8 goroutines; run under -race
-// (ci.sh does) this pins the pool's synchronization and that no two
-// goroutines ever share a checked-out sweep.
+// TestPoolRace hammers checkout/return, and Trim beside it, from 8
+// goroutines; run under -race (ci.sh does) this pins the pool's
+// synchronization, that no two goroutines ever share a checked-out sweep, and
+// that the gauges Trim adjusts add up once every sweep is back.
 func TestPoolRace(t *testing.T) {
 	var p Pool
 	const goroutines = 8
@@ -283,6 +348,9 @@ func TestPoolRace(t *testing.T) {
 					s.Dist[v] = -1
 				}
 				p.Put(s)
+				if i%16 == g {
+					p.Trim(1)
+				}
 			}
 		}(g)
 	}
@@ -298,6 +366,10 @@ func TestPoolRace(t *testing.T) {
 		t.Fatalf("pooled sweep dirty after race test: %v", err)
 	}
 	p.Put(s)
+	p.Trim(0)
+	if size, _ := p.Stats(); size != 0 || p.Bytes() != (Bytes{}) {
+		t.Fatalf("Trim(0) of an idle pool left %d sweeps weighing %+v", size, p.Bytes())
+	}
 }
 
 // BenchmarkPoolCheckout measures the warm Get/Put cycle plus a touched-slot
