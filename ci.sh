@@ -91,7 +91,9 @@
 #      (sweepGroups: Compute, Incremental and SweepRoots share one split);
 #      an edit splices its next graph from the last (graph.Splice): neither
 #      the incremental engine nor WAL replay lists edges or calls
-#      graph.NewFromEdges
+#      graph.NewFromEdges; vertex membership has one owner: no non-test code
+#      names bcc's VertexBlocks or BlockVerts, and core, server and closeness
+#      name no sgOf or incsOf map and call no Subgraph.LocalID
 #  10. durability smoke: race-built bcd is killed with SIGKILL mid-life and
 #      must recover its graph from snapshot+WAL with bit-exact top-K; then a
 #      posted path outside -load-root (absolute, or ../) must be a 4xx and a
@@ -496,6 +498,16 @@ fi
 # so neither lists a graph's edges nor sorts an edge list back into a CSR.
 if grep -nE '\.Edges\(\)|graph\.NewFromEdges' internal/core/incremental.go internal/server/wal.go; then
     echo "ci.sh: the incremental engine or WAL replay builds a graph from an edge list; an edit is graph.Splice of the last graph" >&2
+    exit 1
+fi
+
+# Vertex membership has one owner: bcc keeps blocks and their inverse flat
+# (Result.Block, Result.Blocks), and the decomposition says which sub-graphs
+# hold a vertex (Decomposition.SubgraphsOf), so the incremental engine, bcd's
+# vertex read and closeness build no vertex -> sub-graph map of their own.
+if grep -rnwE 'VertexBlocks|BlockVerts' --include='*.go' . | grep -v '_test\.go:' ||
+    grep -rnE '\b(sgOf|incsOf)\b|\.LocalID\(' --include='*.go' internal/core internal/server internal/closeness | grep -v '_test\.go:'; then
+    echo "ci.sh: bcc's [][] membership fields or a rebuilt vertex -> sub-graph map (sgOf, incsOf, a LocalID scan) is back; read bcc.Result.Blocks and Decomposition.SubgraphsOf" >&2
     exit 1
 fi
 

@@ -14,9 +14,13 @@
 // so the vertex sets determine the edge partition (Result.EdgeBlock), and
 // the search needs a vertex stack only: its state is a handful of
 // vertex-sized arrays whatever the edge count.
+// Membership is two flat lists with offsets, blocks' vertices and vertices'
+// blocks, read through Result.Block and Result.Blocks.
 package bcc
 
 import (
+	"slices"
+
 	"repro/internal/graph"
 )
 
@@ -25,16 +29,30 @@ import (
 type Result struct {
 	// IsArticulation[v] reports whether removing v disconnects its component.
 	IsArticulation []bool
-	// BlockVerts[b] lists the distinct vertices of block b. Blocks are
+	// Block b's vertices are members[blockEnd[b]:blockEnd[b+1]]; blocks are
 	// numbered in the order the depth-first search completes them.
-	BlockVerts [][]graph.V
-	// VertexBlocks[v] lists the blocks containing v in increasing block id
-	// (several iff v is an articulation point; empty iff v is isolated).
-	VertexBlocks [][]int32
+	members  []graph.V
+	blockEnd []int32
+	// Vertex v's blocks are blockIDs[vertEnd[v]:vertEnd[v+1]], ascending.
+	vertEnd  []int32
+	blockIDs []int32
 }
 
 // NumBlocks returns the number of biconnected components.
-func (r *Result) NumBlocks() int { return len(r.BlockVerts) }
+func (r *Result) NumBlocks() int { return len(r.blockEnd) - 1 }
+
+// Block returns the distinct vertices of block b, read-only and capped.
+func (r *Result) Block(b int32) []graph.V {
+	lo, hi := r.blockEnd[b], r.blockEnd[b+1]
+	return r.members[lo:hi:hi]
+}
+
+// Blocks returns the blocks containing v in increasing block id, read-only
+// and capped: several iff v is an articulation point, none iff v is isolated.
+func (r *Result) Blocks(v graph.V) []int32 {
+	lo, hi := r.vertEnd[v], r.vertEnd[v+1]
+	return r.blockIDs[lo:hi:hi]
+}
 
 // ArticulationPoints returns the sorted list of articulation points.
 func (r *Result) ArticulationPoints() []graph.V {
@@ -54,8 +72,7 @@ func (r *Result) ArticulationPoints() []graph.V {
 // block its ancestor joins last — so the answer is the smaller of the two
 // endpoints' last block ids, in O(1).
 func (r *Result) EdgeBlock(u, w graph.V) int32 {
-	bu, bw := r.VertexBlocks[u], r.VertexBlocks[w]
-	return min(bu[len(bu)-1], bw[len(bw)-1])
+	return min(r.blockIDs[r.vertEnd[u+1]-1], r.blockIDs[r.vertEnd[w+1]-1])
 }
 
 type frame struct {
@@ -69,18 +86,15 @@ type frame struct {
 //
 // The search keeps a stack of discovered vertices: when a child u finishes
 // with low[u] >= disc[p], everything from u to the top of that stack plus p
-// is one block. Block and membership lists are carved from two flat arrays
-// (every non-root vertex is popped once, so they hold at most n + #blocks
-// entries), which keeps the allocation count independent of the graph.
+// is one block. The block lists and their inverse are flat arrays (every
+// non-root vertex is popped once, so each holds at most n + #blocks entries),
+// which keeps the allocation count independent of the graph.
 func Find(g *graph.Graph) *Result {
 	und := g.Undirected()
 	n := und.NumVertices()
 	res := &Result{IsArticulation: make([]bool, n)}
-	disc := make([]int32, n)
+	disc := slices.Repeat([]int32{-1}, n)
 	low := make([]int32, n)
-	for i := range disc {
-		disc[i] = -1
-	}
 	var timer int32
 	var stack []frame
 	var vstack []graph.V   // discovered vertices not yet assigned to a block
@@ -91,7 +105,6 @@ func Find(g *graph.Graph) *Result {
 		if disc[r] != -1 {
 			continue
 		}
-		rootChildren := 0
 		stack = append(stack[:0], frame{u: r, parent: -1})
 		vstack = vstack[:0]
 		disc[r] = timer
@@ -106,9 +119,6 @@ func Find(g *graph.Graph) *Result {
 				v := adj[f.iter]
 				f.iter++
 				if disc[v] == -1 {
-					if u == r {
-						rootChildren++
-					}
 					vstack = append(vstack, v)
 					disc[v] = timer
 					low[v] = timer
@@ -140,38 +150,35 @@ func Find(g *graph.Graph) *Result {
 				members = append(append(members, vstack[i:]...), p)
 				blockEnd = append(blockEnd, int32(len(members)))
 				vstack = vstack[:i]
-				if p != r {
-					res.IsArticulation[p] = true
-				}
 			}
-		}
-		if rootChildren > 1 {
-			res.IsArticulation[r] = true
 		}
 	}
 
-	// Carve the per-block and per-vertex lists out of members and ids; the
-	// slices are capped so a caller's append cannot reach the next segment.
-	// Blocks are visited in id order, so every VertexBlocks list ascends.
-	count := make([]int32, n) // number of blocks containing each vertex
+	// Invert members. Until the ids are written vertEnd[v+1] is where v's
+	// next one goes: its start once the counts are summed, its end once it is
+	// full. Blocks are visited in id order, so every vertex's ids ascend. A
+	// vertex is an articulation point iff it lies in several blocks.
+	vertEnd := make([]int32, n+1)
 	for _, v := range members {
-		count[v]++
+		vertEnd[v+1]++
 	}
-	res.VertexBlocks = make([][]int32, n)
-	ids := make([]int32, len(members))
-	at := int32(0)
-	for v, c := range count {
-		res.VertexBlocks[v] = ids[at : at : at+c]
+	var at int32
+	for v := 1; v <= n; v++ {
+		c := vertEnd[v]
+		vertEnd[v] = at
 		at += c
 	}
-	res.BlockVerts = make([][]graph.V, len(blockEnd)-1)
-	for b := range res.BlockVerts {
-		lo, hi := blockEnd[b], blockEnd[b+1]
-		res.BlockVerts[b] = members[lo:hi:hi]
-		for _, v := range members[lo:hi] {
-			res.VertexBlocks[v] = append(res.VertexBlocks[v], int32(b))
+	ids := make([]int32, len(members))
+	for b := 0; b+1 < len(blockEnd); b++ {
+		for _, v := range members[blockEnd[b]:blockEnd[b+1]] {
+			ids[vertEnd[v+1]] = int32(b)
+			vertEnd[v+1]++
 		}
 	}
+	for v := range res.IsArticulation {
+		res.IsArticulation[v] = vertEnd[v+1]-vertEnd[v] > 1
+	}
+	res.members, res.blockEnd, res.vertEnd, res.blockIDs = members, blockEnd, vertEnd, ids
 	return res
 }
 
@@ -179,12 +186,7 @@ func Find(g *graph.Graph) *Result {
 // (Figure 2): it returns the number of articulation points and the number of
 // degree-1 vertices of the undirected view.
 func CountArticulationPoints(g *graph.Graph) (aps, degree1 int) {
-	res := Find(g)
-	for _, is := range res.IsArticulation {
-		if is {
-			aps++
-		}
-	}
+	aps = len(Find(g).ArticulationPoints())
 	und := g.Undirected()
 	for v := 0; v < und.NumVertices(); v++ {
 		if und.OutDegree(graph.V(v)) == 1 {

@@ -1,6 +1,7 @@
 package bcc
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -62,8 +63,9 @@ func apSet(g *graph.Graph) map[graph.V]bool {
 // undirected view, from the vertex form alone and against brute-force
 // oracles that never run a DFS low-link:
 //
-//   - VertexBlocks is the ascending inverse of BlockVerts, and a vertex lies
-//     in several blocks iff it is an articulation point;
+//   - Blocks is the ascending inverse of Block (v ∈ Block(b) exactly when
+//     b ∈ Blocks(v)), and a vertex lies in several blocks iff it is an
+//     articulation point;
 //   - two blocks share at most one vertex, and every edge's endpoints share
 //     exactly one block, which EdgeBlock names;
 //   - every block is an edge or induces a connected sub-graph that stays
@@ -81,7 +83,8 @@ func checkBlocks(t *testing.T, g *graph.Graph, res *Result) {
 	member := make([]map[graph.V]bool, nb)
 	seenIn := make([][]int32, n)
 	sizeSum := 0
-	for b, verts := range res.BlockVerts {
+	for b := int32(0); int(b) < nb; b++ {
+		verts := res.Block(b)
 		if len(verts) < 2 {
 			t.Fatalf("block %d has %d vertices", b, len(verts))
 		}
@@ -91,18 +94,19 @@ func checkBlocks(t *testing.T, g *graph.Graph, res *Result) {
 				t.Fatalf("block %d lists vertex %d twice", b, v)
 			}
 			member[b][v] = true
-			seenIn[v] = append(seenIn[v], int32(b))
+			seenIn[v] = append(seenIn[v], b)
 		}
 		sizeSum += len(verts) - 1
 	}
 	incidences, aps := 0, 0
 	for v := 0; v < n; v++ {
-		if len(seenIn[v]) != len(res.VertexBlocks[v]) {
-			t.Fatalf("vertex %d: VertexBlocks %v, BlockVerts say %v", v, res.VertexBlocks[v], seenIn[v])
+		blocks := res.Blocks(graph.V(v))
+		if len(seenIn[v]) != len(blocks) {
+			t.Fatalf("vertex %d: Blocks %v, Block says %v", v, blocks, seenIn[v])
 		}
 		for i, b := range seenIn[v] {
-			if res.VertexBlocks[v][i] != b {
-				t.Fatalf("vertex %d: VertexBlocks %v, want ascending %v", v, res.VertexBlocks[v], seenIn[v])
+			if blocks[i] != b {
+				t.Fatalf("vertex %d: Blocks %v, want ascending %v", v, blocks, seenIn[v])
 			}
 		}
 		if (len(seenIn[v]) > 1) != res.IsArticulation[v] {
@@ -175,7 +179,8 @@ func checkBlocks(t *testing.T, g *graph.Graph, res *Result) {
 		}
 		return comps
 	}
-	for b, verts := range res.BlockVerts {
+	for b := int32(0); int(b) < nb; b++ {
+		verts := res.Block(b)
 		if len(verts) == 2 {
 			if !und.HasArc(verts[0], verts[1]) {
 				t.Fatalf("2-vertex block %d %v is not an edge", b, verts)
@@ -253,7 +258,7 @@ func TestCycleNoAPs(t *testing.T) {
 	if res.NumBlocks() != 1 {
 		t.Fatalf("cycle blocks = %d, want 1", res.NumBlocks())
 	}
-	if len(res.BlockVerts[0]) != 12 {
+	if len(res.Block(0)) != 12 {
 		t.Fatal("cycle block contents wrong")
 	}
 	checkBlocks(t, gen.Cycle(12), res)
@@ -268,10 +273,10 @@ func TestStarHubOnly(t *testing.T) {
 	if res.NumBlocks() != 7 {
 		t.Fatalf("star blocks = %d, want 7", res.NumBlocks())
 	}
-	if len(res.VertexBlocks[0]) != 7 {
-		t.Fatalf("hub in %d blocks, want 7", len(res.VertexBlocks[0]))
+	if len(res.Blocks(0)) != 7 {
+		t.Fatalf("hub in %d blocks, want 7", len(res.Blocks(0)))
 	}
-	if len(res.VertexBlocks[3]) != 1 {
+	if len(res.Blocks(3)) != 1 {
 		t.Fatal("leaf should be in exactly one block")
 	}
 }
@@ -308,7 +313,7 @@ func TestDisconnected(t *testing.T) {
 	if len(res.ArticulationPoints()) != 0 {
 		t.Fatal("no APs expected")
 	}
-	if len(res.VertexBlocks[6]) != 0 {
+	if len(res.Blocks(6)) != 0 {
 		t.Fatal("isolated vertex should be in no block")
 	}
 }
@@ -321,31 +326,57 @@ func TestEdgesPartitioned(t *testing.T) {
 	checkBlocks(t, g, Find(g))
 }
 
+// TestVertexBlocksConsistency checks the two flat membership lists against
+// each other by brute force: v ∈ Block(b) exactly when b ∈ Blocks(v), every
+// Blocks(v) ascends, several blocks mean an articulation point, and appending
+// to a returned list never writes into the next vertex's or block's.
 func TestVertexBlocksConsistency(t *testing.T) {
-	g := gen.Caveman(5, 4, false)
-	res := Find(g)
-	for v := 0; v < g.NumVertices(); v++ {
-		inBlocks := map[int32]bool{}
-		for b, verts := range res.BlockVerts {
-			for _, u := range verts {
-				if u == graph.V(v) {
-					inBlocks[int32(b)] = true
+	for _, g := range []*graph.Graph{
+		gen.Caveman(5, 4, false),
+		graph.NewFromEdges(9, []graph.Edge{{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 0}, {From: 2, To: 3}, {From: 5, To: 6}}, false),
+		gen.ErdosRenyi(40, 50, true, 9),
+	} {
+		res := Find(g)
+		for v := graph.V(0); int(v) < g.NumVertices(); v++ {
+			inBlocks := map[int32]bool{}
+			for b := int32(0); int(b) < res.NumBlocks(); b++ {
+				for _, u := range res.Block(b) {
+					if u == v {
+						inBlocks[b] = true
+					}
 				}
 			}
-		}
-		if len(inBlocks) != len(res.VertexBlocks[v]) {
-			t.Fatalf("vertex %d: VertexBlocks len %d, actual %d", v, len(res.VertexBlocks[v]), len(inBlocks))
-		}
-		for _, b := range res.VertexBlocks[v] {
-			if !inBlocks[b] {
-				t.Fatalf("vertex %d: stale block id %d", v, b)
+			blocks := res.Blocks(v)
+			if len(inBlocks) != len(blocks) {
+				t.Fatalf("vertex %d: Blocks len %d, actual %d", v, len(blocks), len(inBlocks))
+			}
+			for i, b := range blocks {
+				if !inBlocks[b] {
+					t.Fatalf("vertex %d: stale block id %d", v, b)
+				}
+				if i > 0 && blocks[i-1] >= b {
+					t.Fatalf("vertex %d: Blocks %v not ascending", v, blocks)
+				}
+			}
+			if (len(blocks) > 1) != res.IsArticulation[v] {
+				t.Fatalf("vertex %d: blocks=%d articulation=%v", v, len(blocks), res.IsArticulation[v])
 			}
 		}
-		// A vertex in >1 block must be an articulation point and vice versa
-		// (within a connected graph).
-		if (len(res.VertexBlocks[v]) > 1) != res.IsArticulation[v] {
-			t.Fatalf("vertex %d: blocks=%d articulation=%v", v, len(res.VertexBlocks[v]), res.IsArticulation[v])
+		for v := graph.V(0); int(v)+1 < g.NumVertices(); v++ {
+			next := slices.Clone(res.Blocks(v + 1))
+			_ = append(res.Blocks(v), -7)
+			if !slices.Equal(res.Blocks(v+1), next) {
+				t.Fatalf("appending to Blocks(%d) rewrote Blocks(%d): %v, was %v", v, v+1, res.Blocks(v+1), next)
+			}
 		}
+		for b := int32(0); int(b)+1 < res.NumBlocks(); b++ {
+			next := slices.Clone(res.Block(b + 1))
+			_ = append(res.Block(b), -7)
+			if !slices.Equal(res.Block(b+1), next) {
+				t.Fatalf("appending to Block(%d) rewrote Block(%d)", b, b+1)
+			}
+		}
+		checkBlocks(t, g, res)
 	}
 }
 
@@ -403,9 +434,9 @@ func TestBlockVertsSortedStable(t *testing.T) {
 	if a.NumBlocks() != b.NumBlocks() {
 		t.Fatal("nondeterministic block count")
 	}
-	for i := range a.BlockVerts {
-		av := append([]graph.V{}, a.BlockVerts[i]...)
-		bv := append([]graph.V{}, b.BlockVerts[i]...)
+	for i := int32(0); int(i) < a.NumBlocks(); i++ {
+		av := append([]graph.V{}, a.Block(i)...)
+		bv := append([]graph.V{}, b.Block(i)...)
 		sort.Slice(av, func(x, y int) bool { return av[x] < av[y] })
 		sort.Slice(bv, func(x, y int) bool { return bv[x] < bv[y] })
 		if len(av) != len(bv) {

@@ -129,11 +129,7 @@ func Decomposed(g *graph.Graph, opt Options) (*Result, error) {
 	// precomputed cross terms. The (sub-graph, root) items are spread over
 	// the workers, so the top sub-graph fans out too; each farness is one
 	// item's sum in a fixed order, so no score depends on the worker count.
-	// A shared AP is assembled only in the first sub-graph that holds it.
-	owner := make([]int32, n)
-	for i := range owner {
-		owner[i] = -1
-	}
+	// A shared AP is assembled only in the first sub-graph SubgraphsOf lists.
 	type cross struct {
 		la    int32
 		alpha float64
@@ -142,11 +138,6 @@ func Decomposed(g *graph.Graph, opt Options) (*Result, error) {
 	crosses := make([][]cross, len(d.Subgraphs))
 	var items []item
 	for si, sg := range d.Subgraphs {
-		for _, v := range sg.Verts {
-			if owner[v] < 0 {
-				owner[v] = int32(si)
-			}
-		}
 		// For each boundary AP a: its beyond-count α and beyond-distance-sum S.
 		for _, la := range sg.Arts {
 			crosses[si] = append(crosses[si], cross{
@@ -156,7 +147,7 @@ func Decomposed(g *graph.Graph, opt Options) (*Result, error) {
 			})
 		}
 		for k, ls := range sg.Roots {
-			if owner[sg.Verts[ls]] == int32(si) {
+			if d.SubgraphsOf(sg.Verts[ls])[0] == int32(si) {
 				items = append(items, item{int32(si), int32(k)})
 			}
 		}
@@ -186,17 +177,15 @@ func Decomposed(g *graph.Graph, opt Options) (*Result, error) {
 		sc.sparseReset()
 	})
 
-	// γ-folded leaves: farness(u) = farness(s) + n_c − 2.
+	// γ-folded leaves: farness(u) = farness(s) + n_c − 2, s the vertex u was
+	// folded into.
 	for _, sg := range d.Subgraphs {
-		inRoots := make(map[int32]bool, len(sg.Roots))
-		for _, l := range sg.Roots {
-			inRoots[l] = true
-		}
 		for l, v := range sg.Verts {
-			if inRoots[int32(l)] {
+			into := sg.FoldedInto(int32(l))
+			if into < 0 {
 				continue
 			}
-			s := g.Out(v)[0] // single neighbour by construction
+			s := sg.Verts[into]
 			res.Farness[v] = res.Farness[s] + float64(compSize[labels[v]]-2)
 			res.Reach[v] = compSize[labels[v]] - 1
 		}

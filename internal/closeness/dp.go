@@ -1,6 +1,8 @@
 package closeness
 
 import (
+	"sort"
+
 	"repro/internal/decompose"
 	"repro/internal/graph"
 	"repro/internal/par"
@@ -20,17 +22,10 @@ type distDP struct {
 	// per sub-graph, parallel to sg.Arts: W_j(a) and dist_j(a, b) tables.
 	w      [][]float64
 	distAP [][][]int32
-	// incidences of each boundary AP: (sub-graph index, position in Arts).
-	incsOf map[graph.V][]incRef
 	// e[si][k] = E(a→SG_si) for a = Arts[k].
 	e [][]float64
 	// done[si][k] marks computed entries.
 	done [][]bool
-}
-
-type incRef struct {
-	si int
-	k  int // index into Subgraphs[si].Arts
 }
 
 // buildDistanceDP precomputes the per-sub-graph AP distance tables (one BFS
@@ -40,7 +35,6 @@ func buildDistanceDP(d *decompose.Decomposition, workers int) *distDP {
 		d:      d,
 		w:      make([][]float64, len(d.Subgraphs)),
 		distAP: make([][][]int32, len(d.Subgraphs)),
-		incsOf: map[graph.V][]incRef{},
 		e:      make([][]float64, len(d.Subgraphs)),
 		done:   make([][]bool, len(d.Subgraphs)),
 	}
@@ -49,9 +43,6 @@ func buildDistanceDP(d *decompose.Decomposition, workers int) *distDP {
 		dp.distAP[si] = make([][]int32, len(sg.Arts))
 		dp.e[si] = make([]float64, len(sg.Arts))
 		dp.done[si] = make([]bool, len(sg.Arts))
-		for k, la := range sg.Arts {
-			dp.incsOf[sg.Verts[la]] = append(dp.incsOf[sg.Verts[la]], incRef{si, k})
-		}
 	}
 
 	// Per-AP BFS tables, one (sub-graph, AP) item at a time.
@@ -108,12 +99,13 @@ func (dp *distDP) resolve() {
 					if k2 == f.k {
 						continue
 					}
-					for _, inc := range dp.incsOf[sg.Verts[sg.Arts[k2]]] {
-						if inc.si == f.si {
+					b := sg.Verts[sg.Arts[k2]]
+					for _, sj := range dp.d.SubgraphsOf(b) {
+						if sj == int32(f.si) {
 							continue
 						}
-						if !dp.done[inc.si][inc.k] {
-							stack = append(stack, frame{inc.si, inc.k})
+						if k := dp.artIndex(sj, b); !dp.done[sj][k] {
+							stack = append(stack, frame{int(sj), k})
 							ready = false
 						}
 					}
@@ -146,10 +138,18 @@ func (dp *distDP) resolve() {
 // from SG_j} dist(b, t). Callers guarantee the inputs are resolved.
 func (dp *distDP) sBeyond(si int, b graph.V) float64 {
 	var s float64
-	for _, inc := range dp.incsOf[b] {
-		if inc.si != si {
-			s += dp.e[inc.si][inc.k]
+	for _, sj := range dp.d.SubgraphsOf(b) {
+		if sj != int32(si) {
+			s += dp.e[sj][dp.artIndex(sj, b)]
 		}
 	}
 	return s
+}
+
+// artIndex returns the position of boundary AP b in sub-graph si's Arts,
+// which is in global-id order under either layout.
+func (dp *distDP) artIndex(si int32, b graph.V) int {
+	sg := dp.d.Subgraphs[si]
+	k, _ := sort.Find(len(sg.Arts), func(k int) int { return int(b) - int(sg.Verts[sg.Arts[k]]) })
+	return k
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -23,7 +24,9 @@ import (
 // what an edit can move, so an edit inside a sub-graph costs O(|SGi|·|E_SGi|)
 // plus the sub-graphs whose α/β it shifts, a block fusion or split costs the
 // sub-graphs it makes, and every epoch's scores are bit-identical to Compute's
-// and NewIncremental's on the same edge set.
+// and NewIncremental's on the same edge set. An epoch keeps no vertex index:
+// which sub-graphs hold a vertex, to find a sub-graph's equal or to classify
+// an edit, is its decomposition's SubgraphsOf.
 //
 // FullRebuilds and LocalUpdates describe the edits, not the work: a batch
 // counts as a rebuild when some applied op's endpoints shared no sub-graph of
@@ -61,7 +64,6 @@ type epochState struct {
 	g       *graph.Graph
 	d       *decompose.Decomposition
 	target  int64       // d's split target (splitTarget)
-	sgOf    [][]int32   // vertex -> sub-graph indices
 	contrib [][]float64 // per-sub-graph local BC contributions
 	bc      []float64
 }
@@ -168,7 +170,6 @@ func (inc *Incremental) build(prev *epochState, g *graph.Graph) (*epochState, er
 		g:       g,
 		d:       d,
 		target:  splitTarget(d, 0),
-		sgOf:    make([][]int32, g.NumVertices()),
 		contrib: make([][]float64, len(d.Subgraphs)),
 		bc:      make([]float64, g.NumVertices()),
 	}
@@ -179,9 +180,6 @@ func (inc *Incremental) build(prev *epochState, g *graph.Graph) (*epochState, er
 	}
 	var groups []RootGroup
 	for si, sg := range d.Subgraphs {
-		for _, v := range sg.Verts {
-			next.sgOf[v] = append(next.sgOf[v], int32(si))
-		}
 		if next.contrib[si] = prev.contribution(sg, chunkCount(sg, len(sg.Roots), next.target)); next.contrib[si] == nil {
 			groups = append(groups, RootGroup{Subgraph: sg, Roots: sg.Roots})
 		}
@@ -202,12 +200,12 @@ func (inc *Incremental) build(prev *epochState, g *graph.Graph) (*epochState, er
 // contribution returns what the sub-graph of e equal to sg and cut into n units
 // contributes, nil if e is nil or has none: the units set the sum's bits as
 // much as the sub-graph does. An equal sub-graph has sg's vertices, so it is
-// one of those that hold sg's first.
+// one of those e's decomposition says hold sg's first (SubgraphsOf).
 func (e *epochState) contribution(sg *decompose.Subgraph, n int) []float64 {
 	if e == nil {
 		return nil
 	}
-	for _, si := range e.sgOf[sg.Verts[0]] {
+	for _, si := range e.d.SubgraphsOf(sg.Verts[0]) {
 		if old := e.d.Subgraphs[si]; old.SweepEqual(sg) && chunkCount(old, len(old.Roots), e.target) == n {
 			return e.contrib[si]
 		}
@@ -215,15 +213,13 @@ func (e *epochState) contribution(sg *decompose.Subgraph, n int) []float64 {
 	return nil
 }
 
-// commonSubgraph returns the sub-graph index containing both endpoints, or
-// -1 (two sub-graphs never share more than one vertex, so the intersection
-// has at most one element).
-func commonSubgraph(sgOf [][]int32, u, v graph.V) int {
-	for _, a := range sgOf[u] {
-		for _, b := range sgOf[v] {
-			if a == b {
-				return int(a)
-			}
+// commonSubgraph returns the index of the sub-graph of d holding both
+// endpoints, or -1 (two sub-graphs never share more than one vertex, so the
+// intersection has at most one element).
+func commonSubgraph(d *decompose.Decomposition, u, v graph.V) int {
+	for _, a := range d.SubgraphsOf(u) {
+		if slices.Contains(d.SubgraphsOf(v), a) {
+			return int(a)
 		}
 	}
 	return -1
@@ -326,7 +322,7 @@ func (inc *Incremental) ApplyBatch(ops []EdgeOp) ([]error, error) {
 	for i, op := range ops {
 		if errs[i] == nil {
 			valid++
-			structural = structural || commonSubgraph(prev.sgOf, op.U, op.V) < 0
+			structural = structural || commonSubgraph(prev.d, op.U, op.V) < 0
 		}
 	}
 	if valid == 0 {

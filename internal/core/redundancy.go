@@ -138,12 +138,8 @@ func maxI64(a, b int64) int64 {
 func removedVertices(d *decompose.Decomposition, n int) []bool {
 	removed := make([]bool, n)
 	for _, sg := range d.Subgraphs {
-		inRoots := make(map[int32]bool, len(sg.Roots))
-		for _, l := range sg.Roots {
-			inRoots[l] = true
-		}
 		for l, v := range sg.Verts {
-			if !inRoots[int32(l)] {
+			if sg.FoldedInto(int32(l)) >= 0 {
 				removed[v] = true
 			}
 		}

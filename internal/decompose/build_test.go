@@ -76,8 +76,8 @@ func oracleBuild(g *graph.Graph, threshold int) []oracleSub {
 	blockGroup, numGroups := mergeBlocks(g, res, threshold)
 	subs := make([]oracleSub, numGroups)
 	groupsOf := make([]map[int32]bool, g.NumVertices())
-	for b, verts := range res.BlockVerts {
-		for _, v := range verts {
+	for b := int32(0); int(b) < res.NumBlocks(); b++ {
+		for _, v := range res.Block(b) {
 			if groupsOf[v] == nil {
 				groupsOf[v] = map[int32]bool{}
 			}
@@ -107,8 +107,8 @@ func oracleBuild(g *graph.Graph, threshold int) []oracleSub {
 	for u := graph.V(0); int(u) < g.NumVertices(); u++ {
 		for i, w := range g.Out(u) {
 			common := int32(-1)
-			for _, bu := range res.VertexBlocks[u] {
-				for _, bw := range res.VertexBlocks[w] {
+			for _, bu := range res.Blocks(u) {
+				for _, bw := range res.Blocks(w) {
 					if bu == bw {
 						if common >= 0 {
 							panic(fmt.Sprintf("arc %d->%d lies in two blocks", u, w))

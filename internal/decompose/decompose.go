@@ -15,6 +15,9 @@
 // keep their local ids but none of their arcs is in the CSR (see
 // Subgraph.Out), because nothing a sweep computes at them is unknown.
 //
+// Decomposition.SubgraphsOf says which sub-graphs hold a vertex, from the one
+// int32 per vertex the partition classified it with, and allocates nothing.
+//
 // The order of a sub-graph's local ids is this package's choice, made for the
 // sweep's cache behaviour (relabel.go, DESIGN.md §4 "The sweep's vertex
 // order"): a sub-graph whose swept graph has a hub is laid out hubs first, the
@@ -150,6 +153,11 @@ func (s *Subgraph) NumArcs() int64 { return s.offs[len(s.Verts)] }
 // visit it.
 func (s *Subgraph) Out(l int32) []int32 { return s.adj[s.offs[l]:s.offs[l+1]] }
 
+// FoldedInto returns the local id of the neighbour a γ-folded vertex l was
+// folded into, the vertex whose DAG l's derives from; -1 when l is swept (one
+// of Roots).
+func (s *Subgraph) FoldedInto(l int32) int32 { return s.foldedInto[l] }
+
 // OutWeights returns the weights parallel to Out(l); nil for unweighted
 // decompositions.
 func (s *Subgraph) OutWeights(l int32) []float64 {
@@ -244,6 +252,32 @@ type Decomposition struct {
 
 	// forest is the sub-graph/AP incidence forest the α/β composition walks.
 	forest *forest
+	// member[v] is v's home sub-graph, isolated, or apMember(a) for v a
+	// boundary AP, node a of forest (buildSubgraphs' pass 1).
+	member []int32
+}
+
+// isolated marks a vertex in no block in Decomposition.member; AP node a is
+// stored below it as apMember(a), and apMember is its own inverse.
+const isolated = -1
+
+func apMember(a int32) int32 { return -2 - a }
+
+// SubgraphsOf returns the indices in Subgraphs of the sub-graphs holding v, in
+// no set order: none if v is isolated, one if its blocks all fell into one
+// sub-graph, else each one v joins as a boundary articulation point (paper
+// §3.1 property 4). The slice is read-only and capped; it allocates nothing.
+func (d *Decomposition) SubgraphsOf(v graph.V) []int32 {
+	switch m := d.member[v]; {
+	case m >= 0:
+		return d.member[v : v+1 : v+1] // the home's index
+	case m == isolated:
+		return nil
+	default:
+		f, a := d.forest, apMember(m)
+		lo, hi := f.apOff[a], f.apOff[a+1]
+		return f.apSG[lo:hi:hi]
+	}
 }
 
 // Decompose runs the full partition pipeline: FINDBCC, block-tree DFS with
@@ -290,7 +324,7 @@ func mergeBlocks(g *graph.Graph, res *bcc.Result, threshold int) (blockGroup []i
 	size := make([]int64, nb)
 	for b := 0; b < nb; b++ {
 		parent[b] = int32(b)
-		size[b] = int64(len(res.BlockVerts[b]))
+		size[b] = int64(len(res.Block(int32(b))))
 	}
 	var find func(int32) int32
 	find = func(x int32) int32 {
@@ -308,10 +342,7 @@ func mergeBlocks(g *graph.Graph, res *bcc.Result, threshold int) (blockGroup []i
 	// the true block-cut tree instead of the block clique around each AP
 	// (otherwise siblings chain under each other and the "father is the top
 	// block" merge rule of Algorithm 1 never fires).
-	apOwner := make([]int32, g.NumVertices())
-	for i := range apOwner {
-		apOwner[i] = -1
-	}
+	apOwner := slices.Repeat([]int32{-1}, g.NumVertices())
 	type frame struct {
 		block  int32
 		father int32 // block id we were discovered from, -1 at root
@@ -326,8 +357,8 @@ func mergeBlocks(g *graph.Graph, res *bcc.Result, threshold int) (blockGroup []i
 	}
 	sort.Slice(order, func(i, j int) bool {
 		a, b := order[i], order[j]
-		if len(res.BlockVerts[a]) != len(res.BlockVerts[b]) {
-			return len(res.BlockVerts[a]) > len(res.BlockVerts[b])
+		if la, lb := len(res.Block(a)), len(res.Block(b)); la != lb {
+			return la > lb
 		}
 		return a < b
 	})
@@ -342,7 +373,7 @@ func mergeBlocks(g *graph.Graph, res *bcc.Result, threshold int) (blockGroup []i
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
 			advanced := false
-			verts := res.BlockVerts[f.block]
+			verts := res.Block(f.block)
 			for f.ai < len(verts) {
 				v := verts[f.ai]
 				if apOwner[v] == -1 {
@@ -354,7 +385,7 @@ func mergeBlocks(g *graph.Graph, res *bcc.Result, threshold int) (blockGroup []i
 					f.bi = 0
 					continue
 				}
-				blocks := res.VertexBlocks[v]
+				blocks := res.Blocks(v)
 				for f.bi < len(blocks) {
 					nxt := blocks[f.bi]
 					f.bi++
@@ -398,10 +429,7 @@ func mergeBlocks(g *graph.Graph, res *bcc.Result, threshold int) (blockGroup []i
 	}
 	// Assign group ids to surviving roots, in order of each group's
 	// lowest-numbered block.
-	blockGroup = make([]int32, nb)
-	for i := range blockGroup {
-		blockGroup[i] = -1
-	}
+	blockGroup = slices.Repeat([]int32{-1}, nb)
 	for b := int32(0); int(b) < nb; b++ {
 		r := find(b)
 		if blockGroup[r] < 0 {

@@ -1,7 +1,9 @@
 package decompose
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -543,4 +545,76 @@ func TestSweepEqual(t *testing.T) {
 			t.Fatalf("sub-graphs that differ in %s compare equal", tc.field)
 		}
 	}
+}
+
+// TestSubgraphsOfMatchesScan holds the membership map to a scan of every
+// sub-graph's Verts: SubgraphsOf(v) lists exactly the sub-graphs that hold v,
+// each once; nil for an isolated vertex; several exactly when every holder
+// marks v IsArt; and appending to one vertex's list writes into no other's.
+func TestSubgraphsOfMatchesScan(t *testing.T) {
+	var isolated, shared int
+	for seed := int64(1); seed <= 8; seed++ {
+		for _, directed := range []bool{false, true} {
+			er := gen.ErdosRenyi(80, 90, directed, seed)
+			social := gen.SocialLike(gen.SocialParams{N: 300, AvgDeg: 4, Communities: 6,
+				TopShare: 0.4, LeafFrac: 0.3, Directed: directed, Seed: seed})
+			for _, src := range []*graph.Graph{er, social} {
+				// Five more vertices with no edge, so every graph has isolated ones.
+				g := graph.NewFromEdges(src.NumVertices()+5, src.Edges(), directed)
+				for _, th := range []int{1, 0, 1_000_000} {
+					for _, noGamma := range []bool{false, true} {
+						d := mustDecompose(t, g, Options{Threshold: th, DisableGamma: noGamma})
+						label := fmt.Sprintf("seed %d directed %v n %d threshold %d noGamma %v", seed, directed, g.NumVertices(), th, noGamma)
+						i, s := checkSubgraphsOf(t, label, d)
+						isolated += i
+						shared += s
+					}
+				}
+			}
+		}
+	}
+	if isolated == 0 || shared == 0 {
+		t.Fatalf("the inputs had %d isolated vertices and %d boundary APs; both must occur", isolated, shared)
+	}
+}
+
+// checkSubgraphsOf checks d.SubgraphsOf against a scan of d.Subgraphs and
+// returns how many isolated vertices and boundary APs it saw.
+func checkSubgraphsOf(t *testing.T, label string, d *Decomposition) (isolated, shared int) {
+	t.Helper()
+	n := d.G.NumVertices()
+	scan := make([][]int32, n)
+	for si, sg := range d.Subgraphs {
+		for _, v := range sg.Verts {
+			scan[v] = append(scan[v], int32(si))
+		}
+	}
+	for v := graph.V(0); int(v) < n; v++ {
+		_ = append(d.SubgraphsOf(v), -7)
+	}
+	for v := graph.V(0); int(v) < n; v++ {
+		got := d.SubgraphsOf(v)
+		if !slices.Equal(slices.Sorted(slices.Values(got)), scan[v]) {
+			t.Fatalf("%s: SubgraphsOf(%d) = %v, the sub-graphs holding it are %v", label, v, got, scan[v])
+		}
+		switch {
+		case len(got) == 0:
+			if got != nil || d.G.OutDegree(v)+d.G.InDegree(v) != 0 {
+				t.Fatalf("%s: vertex %d of degree %d held by no sub-graph (nil list %v)", label, v, d.G.OutDegree(v)+d.G.InDegree(v), got == nil)
+			}
+			isolated++
+		case len(got) > 1:
+			shared++
+		}
+		for _, si := range got {
+			sg := d.Subgraphs[si]
+			if sg.IsArt[sg.LocalID(v)] != (len(got) > 1) {
+				t.Fatalf("%s: vertex %d in %d sub-graphs, IsArt in sub-graph %d is %v", label, v, len(got), si, sg.IsArt[sg.LocalID(v)])
+			}
+		}
+	}
+	if shared != d.NumArticulation {
+		t.Fatalf("%s: %d vertices in several sub-graphs, NumArticulation %d", label, shared, d.NumArticulation)
+	}
+	return isolated, shared
 }

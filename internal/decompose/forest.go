@@ -15,9 +15,10 @@ type forest struct {
 	artOff []int32
 	incAP  []int32
 	// AP node a's incidences are apInc[apOff[a]:apOff[a+1]], one per
-	// sub-graph it joins.
+	// sub-graph it joins, and apSG lists those sub-graphs in the same places.
 	apOff []int32
 	apInc []int32
+	apSG  []int32
 	// order lists the sub-graphs that have a boundary AP so that each tree's
 	// root comes first and every other sub-graph after the one its parent AP
 	// was discovered from; parent maps a sub-graph to the incidence (one of
@@ -38,6 +39,7 @@ func newForest(artOff, apOff, apSG []int32) *forest {
 		incAP:  make([]int32, len(apSG)),
 		apOff:  apOff,
 		apInc:  make([]int32, len(apSG)),
+		apSG:   apSG,
 		order:  make([]int32, 0, numSG),
 		parent: make([]int32, numSG),
 	}

@@ -97,9 +97,9 @@ func TestRelabelIsIsomorphism(t *testing.T) {
 							if got := sg.LocalID(v); got != int32(l) {
 								t.Fatalf("%s: LocalID(Verts[%d]) = %d", sgLabel, l, got)
 							}
-							if sg.Relabelled() && sg.Folded(int32(l)) != (l >= len(sg.Roots)) {
+							if sg.Relabelled() && (sg.FoldedInto(int32(l)) >= 0) != (l >= len(sg.Roots)) {
 								t.Fatalf("%s: local id %d of %d swept: folded %v, so the folded ids are not the tail",
-									sgLabel, l, len(sg.Roots), sg.Folded(int32(l)))
+									sgLabel, l, len(sg.Roots), sg.FoldedInto(int32(l)) >= 0)
 							}
 						}
 						for v := graph.V(0); int(v) < g.NumVertices(); v++ {
@@ -200,7 +200,7 @@ func TestNoHubKeepsInputOrder(t *testing.T) {
 			for l, v := range sg.Verts {
 				var want []int32
 				for _, w := range g.Out(v) {
-					if lw := sg.LocalID(w); lw >= 0 && !sg.Folded(lw) && !sg.Folded(int32(l)) {
+					if lw := sg.LocalID(w); lw >= 0 && sg.FoldedInto(lw) < 0 && sg.FoldedInto(int32(l)) < 0 {
 						want = append(want, lw)
 					}
 				}

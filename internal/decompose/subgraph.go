@@ -27,13 +27,11 @@ import (
 // writeRows writes its swept rows once, under their final ids.
 func buildSubgraphs(d *Decomposition, g *graph.Graph, res *bcc.Result, blockGroup []int32, numGroups int, disableGamma bool) {
 	n := g.NumVertices()
-	const isolated, boundary = -1, -2
 
-	// Pass 1: classify the vertices and size the groups. A boundary AP gets
-	// one entry per group it joins, contiguous in apGroup: local[v] indexes
-	// apFirst, whose consecutive values bracket v's entries, until the last
-	// loop rewrites it. For every other vertex local[v] is its local id in its
-	// home group.
+	// Pass 1: classify the vertices and size the groups. home[v] is v's home
+	// group, isolated, or apMember(a) for boundary AP node a, which gets one
+	// entry per group it joins, contiguous in apGroup and bracketed by
+	// apFirst[a] and apFirst[a+1].
 	if g.Directed() {
 		g.EnsureTranspose()
 	}
@@ -44,12 +42,9 @@ func buildSubgraphs(d *Decomposition, g *graph.Graph, res *bcc.Result, blockGrou
 	var apGroup []int32
 	apFirst := []int32{0}
 	var apInArcs int64
-	lastAP := make([]int32, numGroups) // last boundary AP entered into each group
-	for i := range lastAP {
-		lastAP[i] = -1
-	}
+	lastAP := slices.Repeat([]int32{-1}, numGroups) // last boundary AP entered into each group
 	for v := 0; v < n; v++ {
-		blocks := res.VertexBlocks[v]
+		blocks := res.Blocks(graph.V(v))
 		if len(blocks) == 0 {
 			home[v] = isolated
 			continue
@@ -57,12 +52,12 @@ func buildSubgraphs(d *Decomposition, g *graph.Graph, res *bcc.Result, blockGrou
 		h := blockGroup[blocks[0]]
 		for _, b := range blocks[1:] {
 			if blockGroup[b] != h {
-				h = boundary
+				h = apMember(int32(len(apFirst) - 1))
 				break
 			}
 		}
 		home[v] = h
-		if h != boundary {
+		if h >= 0 {
 			vertOff[h+1]++
 			continue
 		}
@@ -74,7 +69,6 @@ func buildSubgraphs(d *Decomposition, g *graph.Graph, res *bcc.Result, blockGrou
 				artOff[gr+1]++
 			}
 		}
-		local[v] = int32(len(apFirst) - 1)
 		apFirst = append(apFirst, int32(len(apGroup)))
 		apInArcs += int64(g.InDegree(graph.V(v)))
 	}
@@ -84,6 +78,7 @@ func buildSubgraphs(d *Decomposition, g *graph.Graph, res *bcc.Result, blockGrou
 		artOff[gr+1] += artOff[gr]
 	}
 	d.forest = newForest(artOff, apFirst, apGroup)
+	d.member = home
 
 	verts := make([]graph.V, vertOff[numGroups])
 	arts := make([]int32, artOff[numGroups])
@@ -116,10 +111,11 @@ func buildSubgraphs(d *Decomposition, g *graph.Graph, res *bcc.Result, blockGrou
 	}
 	rowAt := make([]int64, numGroups) // the current AP's row size, then in-arc cursor, in each of its groups
 	for v := graph.V(0); int(v) < n; v++ {
-		switch h := home[v]; h {
-		case isolated:
-		case boundary:
-			lo, hi := apFirst[local[v]], apFirst[local[v]+1]
+		switch h := home[v]; {
+		case h == isolated:
+		case h < isolated:
+			a := apMember(h)
+			lo, hi := apFirst[a], apFirst[a+1]
 			for e := lo; e < hi; e++ {
 				gr := apGroup[e]
 				sg := subs[gr]
@@ -165,7 +161,7 @@ func buildSubgraphs(d *Decomposition, g *graph.Graph, res *bcc.Result, blockGrou
 	// Finish the groups one by one: fold the γ leaves (Theorem 3's
 	// total-redundancy elimination), choose the layout and write the swept
 	// rows. Home vertices' entries of local are input-layout ids from pass 2;
-	// each group overwrites its boundary APs' entries before reading them.
+	// each group writes its boundary APs' entries before reading them.
 	for _, sg := range subs {
 		for _, l := range sg.Arts {
 			local[sg.Verts[l]] = l
@@ -316,10 +312,7 @@ func foldsInto(g *graph.Graph, v graph.V) (graph.V, bool) {
 // into γ of its neighbour p when foldsInto says so (with an id tie-break so
 // mutually-qualifying pairs keep one root).
 func (s *Subgraph) fold(g *graph.Graph, disableGamma bool) {
-	s.foldedInto = make([]int32, len(s.Verts))
-	for l := range s.foldedInto {
-		s.foldedInto[l] = -1
-	}
+	s.foldedInto = slices.Repeat([]int32{-1}, len(s.Verts))
 	if !disableGamma {
 		for l, v := range s.Verts {
 			p, ok := foldsInto(g, v)

@@ -208,7 +208,7 @@ type VertexInfo struct {
 	OutDegree int  `json:"out_degree"`
 	InDegree  *int `json:"in_degree,omitempty"` // directed graphs only
 	// IsArticulation reports whether the vertex is a boundary articulation
-	// point of the cached decomposition.
+	// point of the epoch's decomposition: held by more than one sub-graph.
 	IsArticulation bool `json:"is_articulation"`
 }
 
@@ -242,13 +242,7 @@ func (e *Entry) Vertex(v int) (VertexInfo, error) {
 		in := g.InDegree(graph.V(v))
 		info.InDegree = &in
 	}
-	for _, sg := range snap.Decomposition.Subgraphs {
-		l := sg.LocalID(graph.V(v))
-		if l >= 0 && sg.IsArt[l] {
-			info.IsArticulation = true
-			break
-		}
-	}
+	info.IsArticulation = len(snap.Decomposition.SubgraphsOf(graph.V(v))) > 1
 	return info, nil
 }
 

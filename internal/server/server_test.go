@@ -203,6 +203,19 @@ func TestLifecycle(t *testing.T) {
 	assertBitIdentical(t, "after rebuild insert",
 		fetchScores(t, base, "life"), lifecycleGraph([][2]int32{{1, 3}, {9, 4}}, nil))
 
+	// Vertex 0 joins cycle A to the 0-7 leaf, a sub-graph of its own.
+	isArt := func(v int) bool {
+		t.Helper()
+		var info VertexInfo
+		if code := do(t, "GET", fmt.Sprintf("%s/v1/graphs/life/vertices/%d", base, v), nil, &info); code != http.StatusOK {
+			t.Fatalf("vertex %d returned %d", v, code)
+		}
+		return info.IsArticulation
+	}
+	if !isArt(0) {
+		t.Fatal("vertex 0, between cycle A and the 0-7 leaf, is not an articulation point")
+	}
+
 	// Step 3: remove the 0-7 leaf edge — a block-splitting removal that must
 	// stay local while other sub-graphs' α/β adjust.
 	if code := do(t, "DELETE", base+"/v1/graphs/life/edges?from=0&to=7", nil, &mut); code != http.StatusOK {
@@ -233,6 +246,13 @@ func TestLifecycle(t *testing.T) {
 	}
 	if v3.InDegree != nil {
 		t.Fatalf("undirected graph reported in-degree %d", *v3.InDegree)
+	}
+	// One sub-graph holds each of these, or none: 0 lost its leaf's
+	// sub-graph in step 3, 1 is inside cycle A, 7 and 11 are isolated.
+	for _, v := range []int{0, 1, 7, 11} {
+		if isArt(v) {
+			t.Fatalf("vertex %d reads is_articulation true", v)
+		}
 	}
 
 	// Top-K agrees with the full array.
