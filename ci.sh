@@ -23,7 +23,8 @@
 #      a drawn bit putting the epochs through the lane kernel) and 20 s of the
 #      Compute one (drawn bits add weights, a root budget and the estimator
 #      at full budget)
-#   5. allocation gates: warm pooled sweeps (core, brandes) and the bcd
+#   5. allocation gates: warm pooled sweeps (core, brandes), a warm lane
+#      batch (msbfs: its scratch is the workspace's) and the bcd
 #      top-K read of an already ranked epoch must be allocation-free, and the
 #      workspace pool
 #      must survive 8 concurrent checkouts under -race; the pre-sweep layer
@@ -32,9 +33,10 @@
 #      the α/β composition equal to the per-AP BFS, folded vertices out of
 #      every row and edits at them exact, sub-graph equality sensitive to
 #      every input of a sweep and an epoch reusing exactly the contributions
-#      whose inputs did not change, a relabelled sub-graph the reference build
-#      under its Verts map and one without a hub in input order, both written
-#      by one swept-CSR writer, and every edge list, weighted or not,
+#      whose inputs did not change, every sub-graph's swept vertices the
+#      local-id prefix (one without a hub in id order, a relabelled one the
+#      reference build under its Verts map), written by one swept-CSR writer,
+#      and every edge list, weighted or not,
 #      canonicalised by one routine);
 #      then a -benchmem benchmark smoke compile-and-run
 #   6. bcbench smokes on the smallest dataset: -table 2 and a tiny -engine
@@ -93,7 +95,9 @@
 #      the incremental engine nor WAL replay lists edges or calls
 #      graph.NewFromEdges; vertex membership has one owner: no non-test code
 #      names bcc's VertexBlocks or BlockVerts, and core, server and closeness
-#      name no sgOf or incsOf map and call no Subgraph.LocalID
+#      name no sgOf or incsOf map and call no Subgraph.LocalID; a sub-graph
+#      has one layout and the lane kernel no scratch: no non-test code names
+#      slotOf, mayFold or msbfs.Kernel
 #  10. durability smoke: race-built bcd is killed with SIGKILL mid-life and
 #      must recover its graph from snapshot+WAL with bit-exact top-K; then a
 #      posted path outside -load-root (absolute, or ../) must be a 4xx and a
@@ -237,11 +241,12 @@ run_named 'TestKernelMatchesBrandes|TestKernelBatchWidthBitInvariant|TestKernelD
     -race -count=1 ./internal/msbfs
 run_named 'TestMSBFSEngineBitMatchesScalar|TestMSBFSEngineDeterministic|TestDrainWorkerCountBitNeutral|TestComputeBitIdenticalAcrossWorkers|TestFirstEpochEqualsCompute|TestHybridSweepBitNeutral|TestDirectionSwitchNeverScansMore|TestHybridGate|TestKernelRuleBoundary|TestLaneMemoryBounded|TestLaneRegrowthStaysInBudget|TestLaneKernelBitMatchesScalarAtScale|TestLaneBatchesMixAPRoots' \
     -race -count=1 ./internal/core
-# Both layouts a sub-graph can have go through those gates: the R-MATs' and the
-# big community graph's tops are relabelled (hubs first, then breadth-first,
-# folded vertices last), the lattices' are in input order, and the two
-# fixtures fail if they stop being so. An epoch reuses a relabelled sub-graph's
-# contribution like any other, and the census says which layout it is and why.
+# Both orders a sub-graph's swept vertices can take go through those gates: the
+# R-MATs' and the big community graph's tops are relabelled (hubs first, then
+# breadth-first), the lattices' are in id order, folded vertices last in both,
+# and the two fixtures fail if they stop being so. An epoch reuses a relabelled
+# sub-graph's contribution like any other, and the census says which order it
+# is and why.
 run_named 'TestEpochReusesUntouchedContributions|TestCensusNamesTheLayout' \
     -race -count=1 ./internal/core
 # The layers above core have no kernel to choose and serve either kernel's
@@ -266,26 +271,26 @@ run_named 'TestMetricsCountEveryRegistryEvent|TestMetricsEndpoint|TestBCServesEx
     -race -count=1 ./internal/server
 
 echo "==> alloc gates: warm sweeps and the top-K hit path allocate zero"
-run_named 'TestEngineWarmAllocs|TestSerialSweepWarmAllocs|TestTopKCoalescedHitAllocs|TestPoolRace|TestPoolBytes' \
-    -count=1 ./internal/core ./internal/brandes ./internal/server ./internal/ws
+run_named 'TestEngineWarmAllocs|TestSerialSweepWarmAllocs|TestKernelScratchLivesInTheArena|TestTopKCoalescedHitAllocs|TestPoolRace|TestPoolBytes' \
+    -count=1 ./internal/core ./internal/brandes ./internal/msbfs ./internal/server ./internal/ws
 
 echo "==> pre-sweep gates: linear Decompose, builder and mirror check vs their oracles"
 # Everything between a graph file and the first sweep is O(n+m) with no
 # per-arc temporary: Decompose's allocation count has no term in arcs, the
-# sub-graph builder — one swept-CSR writer for both layouts — and the cursor
+# sub-graph builder — one swept-CSR writer, whatever the order — and the cursor
 # mirror check agree with the straightforward formulations kept in their test
 # files, and an edge list, shuffled with duplicates and self-loops, comes out
 # of the one canonicaliser as the edge set's sorted rows — a weighted one too,
 # each arc at the least weight of its parallel copies.
 run_named 'TestDecomposeAllocs|TestBuilderMatchesOracle|TestAdjacentBoundaryAPs|TestMirrorCheckMatchesOracle|TestEdgeListsCanonicalize' \
     -count=1 ./internal/decompose ./internal/graph
-# The sweep's vertex order: a sub-graph with a hub is the reference build under
-# its Verts map whatever order its local ids are in (rows ascending, folded ids
-# the tail, LocalID its inverse, two builds equal), the order is the one the
-# rule spells, and a sub-graph without a hub keeps the input layout — which the
-# writer fills with its folded vertices among the swept ones, so this gate, the
-# oracle above and the two below pin the writer on that layout too.
-run_named 'TestRelabelIsIsomorphism|TestRelabelOrder|TestNoHubKeepsInputOrder' \
+# The sweep's vertex order: every sub-graph's swept vertices are the local ids
+# [0, len(Roots)) and its folded ones the tail, with γ on or off, hub or none;
+# a sub-graph with a hub is the reference build under its Verts map whatever
+# order its local ids are in (rows ascending, LocalID its inverse, two builds
+# equal), the order is the one the rule spells, and a sub-graph without a hub
+# keeps id order in both runs, every row the input row relabelled.
+run_named 'TestRelabelIsIsomorphism|TestRelabelOrder|TestNoHubKeepsIdOrder|TestSweptVerticesArePrefix' \
     -count=1 ./internal/decompose
 # α/β is a composition along the sub-graph/AP forest: equal to the per-AP BFS
 # of the paper's definition on every build.
@@ -511,6 +516,15 @@ if grep -rnwE 'VertexBlocks|BlockVerts' --include='*.go' . | grep -v '_test\.go:
     exit 1
 fi
 
+# One sub-graph layout: the swept vertices are the local ids [0, len(Roots)),
+# so the swept-row writer has no fold test of its own (mayFold), the lane
+# kernel no id -> root-rank table (slotOf), and the kernel keeps no scratch
+# between batches: msbfs.Run works in the caller's ws.Sweep, no msbfs.Kernel.
+if grep -rnE '\b(slotOf|mayFold)\b|msbfs\.Kernel\b' --include='*.go' . | grep -v '_test\.go:'; then
+    echo "ci.sh: a second sub-graph layout (mayFold), a lane-slot rank table (slotOf) or a scratch-holding msbfs.Kernel is back; swept vertices are the local-id prefix" >&2
+    exit 1
+fi
+
 # Nor a second BC sampler or entry point beside approx.Estimate, nor the
 # at-scale harness beside bench's scale workload.
 if grep -rnwE 'SampledWith|PivotStrategy|ApproximateBCWith|ApproximateBCDecomposed|EstimateDecomposed|atScaleExperiment|runLoadProbe' --include='*.go' .; then
@@ -605,9 +619,9 @@ fi
 # Nor may an export that only tests call come back to non-test code: each
 # lives in its package's export_test.go or as a helper in the tests that use it.
 if grep -rnwE 'DegreeHistogram' --include='*.go' . ||
-    grep -rnE 'func \(s \*Sweep\) (CheckClean|Cap)\(|func \(g \*Graph\) (Transpose|UnitWeights)\(|func \(s \*Subgraph\) (Folded|Weighted|Directed)\(|func SerialSuccs\(|func \(inc \*Incremental\) Decomposition\(|func \(e \*Estimator\) Batches\(|func \(e \*Entry\) BC\(|func \(b \*Bag\[T\]\) Size\(|func \(g \*Gauge\) Add\(' --include='*.go' . |
+    grep -rnE 'func \(s \*Sweep\) (CheckClean|Cap)\(|func \(g \*Graph\) (Transpose|UnitWeights)\(|func \(s \*Subgraph\) (Folded|Weighted|Directed|LocalID)\(|func SerialSuccs\(|func \(inc \*Incremental\) Decomposition\(|func \(e \*Estimator\) Batches\(|func \(e \*Entry\) BC\(|func \(b \*Bag\[T\]\) Size\(|func \(g \*Gauge\) Add\(' --include='*.go' . |
     grep -v '_test\.go:'; then
-    echo "ci.sh: a test-only export (Sweep.CheckClean/Cap, DegreeHistogram, Graph.Transpose/UnitWeights, Subgraph.Folded/Weighted/Directed, SerialSuccs, Incremental.Decomposition, Estimator.Batches, Entry.BC, Bag.Size, Gauge.Add) is back in non-test code" >&2
+    echo "ci.sh: a test-only export (Sweep.CheckClean/Cap, DegreeHistogram, Graph.Transpose/UnitWeights, Subgraph.Folded/Weighted/Directed/LocalID, SerialSuccs, Incremental.Decomposition, Estimator.Batches, Entry.BC, Bag.Size, Gauge.Add) is back in non-test code" >&2
     exit 1
 fi
 # The paper's baselines run through one table, brandes.Baselines: no non-test

@@ -82,7 +82,7 @@ func renderText(w *os.File, g *graph.Graph, c metrics.GraphCensus) {
 		c.Decomposition.BoundaryAPs, c.Decomposition.Roots, c.Verts)
 	t := &metrics.Table{Title: "largest sub-graphs", Headers: []string{"rank", "verts", "swept arcs", "V share", "swept", "max deg", "mean deg", "local ids", "sweep", "kernel"}}
 	for i, sg := range c.Decomposition.Largest {
-		layout := "input order"
+		layout := "id order"
 		if sg.Relabelled {
 			layout = "hubs first"
 		}

@@ -53,7 +53,7 @@ func TestEngineBitMatch(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := make([]float64, s.sg.NumVerts())
+				want := make([]float64, len(s.sg.Roots))
 				for _, c := range contribs {
 					for l := range want {
 						want[l] += c[l]

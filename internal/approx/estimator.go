@@ -16,8 +16,8 @@ type subSampler struct {
 	// the root set. Presolved sub-graphs never allocate it.
 	perm []int32
 	next int
-	// sum accumulates ΣC over consumed roots (local ids); once done, it is
-	// the sub-graph's exact contribution.
+	// sum accumulates ΣC over consumed roots, one entry per swept local id
+	// (core.SweepRoots); once done, it is the sub-graph's exact contribution.
 	sum  []float64
 	done bool // every root consumed: contribution is exact
 }
@@ -79,7 +79,7 @@ func (e *estimator) rngShuffle(seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
 	var presolve []int
 	for i, sg := range e.d.Subgraphs {
-		s := &subSampler{sg: sg, sum: make([]float64, sg.NumVerts())}
+		s := &subSampler{sg: sg, sum: make([]float64, len(sg.Roots))}
 		e.subs = append(e.subs, s)
 		e.totalRoots += int64(len(sg.Roots))
 		if len(sg.Roots) <= presolveRoots {
@@ -185,10 +185,10 @@ func (e *estimator) refine(budget int) (int, error) {
 		s := e.subs[si]
 		a := len(groups[k].Roots)
 		scale := float64(s.rootCount()) / float64(a)
-		for l, v := range s.sg.Verts {
-			if c := contribs[k][l]; c != 0 {
+		for l, c := range contribs[k] {
+			if c != 0 {
 				s.sum[l] += c
-				bvec[v] += scale * c
+				bvec[s.sg.Verts[l]] += scale * c
 			}
 		}
 		s.next += a
@@ -298,16 +298,16 @@ func (e *estimator) estimate() []float64 {
 	for _, s := range e.subs {
 		switch {
 		case s.done:
-			for l, v := range s.sg.Verts {
-				if c := s.sum[l]; c != 0 {
-					out[v] += c
+			for l, c := range s.sum {
+				if c != 0 {
+					out[s.sg.Verts[l]] += c
 				}
 			}
 		case s.next > 0:
 			scale := float64(s.rootCount()) / float64(s.next)
-			for l, v := range s.sg.Verts {
-				if c := s.sum[l]; c != 0 {
-					out[v] += scale * c
+			for l, c := range s.sum {
+				if c != 0 {
+					out[s.sg.Verts[l]] += scale * c
 				}
 			}
 		}

@@ -86,9 +86,10 @@ type frame struct {
 //
 // The search keeps a stack of discovered vertices: when a child u finishes
 // with low[u] >= disc[p], everything from u to the top of that stack plus p
-// is one block. The block lists and their inverse are flat arrays (every
-// non-root vertex is popped once, so each holds at most n + #blocks entries),
-// which keeps the allocation count independent of the graph.
+// is one block. The block lists and their inverse are flat arrays, sized
+// before the search: every non-root vertex is popped once and every block
+// pops at least one, so there are at most n−1 blocks and fewer than 2n
+// members, and neither list's appends ever copy it.
 func Find(g *graph.Graph) *Result {
 	und := g.Undirected()
 	n := und.NumVertices()
@@ -97,9 +98,9 @@ func Find(g *graph.Graph) *Result {
 	low := make([]int32, n)
 	var timer int32
 	var stack []frame
-	var vstack []graph.V   // discovered vertices not yet assigned to a block
-	var members []graph.V  // block vertex lists, back to back
-	blockEnd := []int32{0} // block b is members[blockEnd[b]:blockEnd[b+1]]
+	var vstack []graph.V                    // discovered vertices not yet assigned to a block
+	members := make([]graph.V, 0, 2*n)      // block vertex lists, back to back
+	blockEnd := make([]int32, 1, max(n, 1)) // block b is members[blockEnd[b]:blockEnd[b+1]]
 
 	for r := graph.V(0); int(r) < n; r++ {
 		if disc[r] != -1 {

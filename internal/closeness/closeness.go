@@ -161,7 +161,7 @@ func Decomposed(g *graph.Graph, opt Options) (*Result, error) {
 		sc := scratches[w]
 		it := items[i]
 		sg := d.Subgraphs[it.si]
-		sc.ensure(sg.NumVerts())
+		sc.ensure(len(sg.Roots))
 		ls := sg.Roots[it.k]
 		far, _ := sc.bfsSums(sg, ls)
 		for _, c := range crosses[it.si] {
@@ -177,15 +177,12 @@ func Decomposed(g *graph.Graph, opt Options) (*Result, error) {
 		sc.sparseReset()
 	})
 
-	// γ-folded leaves: farness(u) = farness(s) + n_c − 2, s the vertex u was
-	// folded into.
+	// γ-folded leaves, the local ids past the swept ones: farness(u) =
+	// farness(s) + n_c − 2, s the vertex u was folded into.
 	for _, sg := range d.Subgraphs {
-		for l, v := range sg.Verts {
-			into := sg.FoldedInto(int32(l))
-			if into < 0 {
-				continue
-			}
-			s := sg.Verts[into]
+		ns := len(sg.Roots)
+		for l, v := range sg.Verts[ns:] {
+			s := sg.Verts[sg.FoldedInto(int32(ns+l))]
 			res.Farness[v] = res.Farness[s] + float64(compSize[labels[v]]-2)
 			res.Reach[v] = compSize[labels[v]] - 1
 		}

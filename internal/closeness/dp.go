@@ -61,7 +61,7 @@ func buildDistanceDP(d *decompose.Decomposition, workers int) *distDP {
 		sc := scratches[wk]
 		it := items[i]
 		sg := d.Subgraphs[it.si]
-		sc.ensure(sg.NumVerts())
+		sc.ensure(len(sg.Roots))
 		dp.w[it.si][it.k], _ = sc.bfsSums(sg, sg.Arts[it.k])
 		row := make([]int32, len(sg.Arts))
 		for k2, lb := range sg.Arts {
@@ -147,7 +147,7 @@ func (dp *distDP) sBeyond(si int, b graph.V) float64 {
 }
 
 // artIndex returns the position of boundary AP b in sub-graph si's Arts,
-// which is in global-id order under either layout.
+// which is in global-id order.
 func (dp *distDP) artIndex(si int32, b graph.V) int {
 	sg := dp.d.Subgraphs[si]
 	k, _ := sort.Find(len(sg.Arts), func(k int) int { return int(b) - int(sg.Verts[sg.Arts[k]]) })

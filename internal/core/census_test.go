@@ -41,7 +41,7 @@ func TestCensusNamesTheLayout(t *testing.T) {
 		t.Fatalf("R-MAT top: %+v; want the lane kernel for %d swept vertices", row, row.Swept)
 	}
 	if row := top("grid", gen.Grid2D(30, 30)); row.Relabelled || row.MaxDegree != 4 {
-		t.Fatalf("lattice top: %+v; want input order, largest degree 4", row)
+		t.Fatalf("lattice top: %+v; want id order, largest degree 4", row)
 	} else if row.Hybrid || row.Swept < hybridMinVerts {
 		t.Fatalf("lattice top: %+v; want a top-down sweep past hybridMinVerts, at %.1f arcs per swept vertex", row, row.MeanDegree)
 	} else if row.Lanes {

@@ -117,9 +117,8 @@ type engine struct {
 	hybrid     bool      // the ensured sub-graph takes direction-optimizing BFS sweeps
 	force      direction // tests only; the zero value is the edge-volume rule
 
-	kernel msbfs.Kernel // batched scratch
 	// inexact is the sub-graph whose last lane batch came back with a path
-	// count past 2⁵³ (msbfs.Kernel.Run), where the kernels' σ sums may round
+	// count past 2⁵³ (msbfs.Run), where the kernels' σ sums may round
 	// apart and the scalar one is the reference: its roots go one by one.
 	inexact *decompose.Subgraph
 	pq      wheap // Dijkstra heap
@@ -136,7 +135,8 @@ func newEngine(weighted bool, opt Options) *engine {
 }
 
 // ensure prepares the engine for sweeps over sg: scratch checked out of the
-// shared pool on first use and grown to sg's size (the clean-slot invariants
+// shared pool on first use and grown to sg's swept graph, the local ids
+// [0, len(sg.Roots)) every kernel indexes by (the clean-slot invariants
 // — dist == -1 everywhere, BC zero, visited clear — are guaranteed by the
 // pool and maintained by the kernels' sparse resets), and for BFS sweeps of
 // sub-graphs worth the direction-optimizing treatment (sweepsHybrid), the
@@ -147,7 +147,7 @@ func (e *engine) ensure(sg *decompose.Subgraph) {
 	if e.ws == nil {
 		e.ws = sweepPool.Get(0)
 	}
-	n := sg.NumVerts()
+	n := len(sg.Roots)
 	if e.weighted {
 		e.ws.GrowWeighted(n)
 		return
@@ -155,9 +155,9 @@ func (e *engine) ensure(sg *decompose.Subgraph) {
 	e.ws.Grow(n)
 	switch e.force {
 	case dirAuto:
-		e.hybrid = sweepsHybrid(len(sg.Roots), sg.NumArcs())
+		e.hybrid = sweepsHybrid(n, sg.NumArcs())
 	case dirBottomUp:
-		e.hybrid = len(sg.Roots) >= hybridMinVerts
+		e.hybrid = n >= hybridMinVerts
 	default:
 		e.hybrid = false
 	}
@@ -189,10 +189,10 @@ func (e *engine) runRoots(sg *decompose.Subgraph, roots []int32, directed bool) 
 		return
 	}
 	if sg != e.inexact && useLanes(sg, len(roots), false, e.forceLanes) {
-		e.ws.GrowLanes(sg.NumVerts(), len(sg.Roots), laneBudget)
+		e.ws.GrowLanes(len(sg.Roots), laneBudget)
 		for len(roots) > 0 {
 			n := min(ws.LaneWidth, len(roots))
-			traversed, exact := e.kernel.Run(sg, roots[:n], directed, e.ws)
+			traversed, exact := msbfs.Run(sg, roots[:n], directed, e.ws)
 			if !exact { // the batch added nothing: it and the rest are bfsRoot's
 				e.inexact = sg
 				break

@@ -231,7 +231,7 @@ func TestRunRootsBatchBitMatch(t *testing.T) {
 		}
 		var one, batch engine
 		for _, sg := range d.Subgraphs {
-			n := sg.NumVerts()
+			n := len(sg.Roots)
 			one.ensure(sg)
 			for i := range sg.Roots {
 				one.runRoots(sg, sg.Roots[i:i+1], g.Directed())

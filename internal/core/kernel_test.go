@@ -45,8 +45,8 @@ func sweepUnit(t *testing.T, sg *decompose.Subgraph, roots []int32, forced bool)
 	e := &engine{forceLanes: forced, force: dirTopDown}
 	e.ensure(sg)
 	e.runRoots(sg, roots, false)
-	bc = append(bc, e.ws.BC[:sg.NumVerts()]...)
-	clear(e.ws.BC[:sg.NumVerts()])
+	bc = append(bc, e.ws.BC[:len(sg.Roots)]...)
+	clear(e.ws.BC[:len(sg.Roots)])
 	if err := checkClean(e.ws); err != nil {
 		t.Fatal(err)
 	}
@@ -185,8 +185,9 @@ func TestLaneMemoryBounded(t *testing.T) {
 		t.Fatalf("pool after the run: %d sweeps, %d in use", size, inUse)
 	}
 	// What a workspace weighs is ws.Sweep.Bytes, the number bcd exports as
-	// bcd_ws_bytes; the budget is the σ/δ/BC slots', the two mask words per id
-	// ride on top. The pool's own total must be the sum.
+	// bcd_ws_bytes; the budget is the σ/δ/BC slots', the two mask words per
+	// swept vertex and the kernel's level lists ride on top. The pool's own
+	// total must be the sum.
 	var held []*ws.Sweep
 	var sum ws.Bytes
 	var lanes, bigCap int
@@ -195,7 +196,7 @@ func TestLaneMemoryBounded(t *testing.T) {
 		held = append(held, s)
 		b := s.Bytes()
 		sum.Base, sum.Lanes, sum.Tape = sum.Base+b.Base, sum.Lanes+b.Lanes, sum.Tape+b.Tape
-		if slots := b.Lanes - 8*int64(len(s.LaneSeen)+len(s.LaneFront)); slots > int64(laneBudget) {
+		if slots := int64(len(s.LaneRec) / ws.LaneWidth * ws.LaneBytesPerVert); slots > int64(laneBudget) {
 			t.Fatalf("pooled workspace of capacity %d holds %d B of lane arrays, budget %d", len(s.Dist), slots, laneBudget)
 		} else if slots > 0 {
 			lanes++
@@ -233,8 +234,7 @@ func TestLaneRegrowthStaysInBudget(t *testing.T) {
 		if err := checkClean(e.ws); err != nil || e.examined != 0 {
 			t.Fatalf("%d swept: %v; bfsRoot examined %d arcs", k, err, e.examined)
 		}
-		b := e.ws.Bytes()
-		if slots := b.Lanes - 8*int64(len(e.ws.LaneSeen)+len(e.ws.LaneFront)); !e.forceLanes && slots > int64(laneBudget) {
+		if slots := int64(len(e.ws.LaneRec) / ws.LaneWidth * ws.LaneBytesPerVert); !e.forceLanes && slots > int64(laneBudget) {
 			t.Fatalf("%d swept: %d B of lane records, budget %d", k, slots, laneBudget)
 		}
 		return len(e.ws.LaneRec) / ws.LaneWidth
@@ -267,9 +267,9 @@ func TestLaneRegrowthStaysInBudget(t *testing.T) {
 // pass 2^53 (10^60 and more), where σ sums stop being exact, and the lane
 // kernel now hands such batches back to the scalar one. The R-MATs' top
 // sub-graphs have hubs and are swept under the local ids decompose's relabel
-// chose, with Roots out of local-id order, the lattice's under input order:
-// the contract holds on both layouts, and the test fails if a fixture stops
-// being the layout it is here for.
+// chose, with Roots out of local-id order, the lattice's under id order:
+// the contract holds on both orders, and the test fails if a fixture stops
+// being the order it is here for.
 func TestLaneKernelBitMatchesScalarAtScale(t *testing.T) {
 	for _, c := range []struct {
 		name       string

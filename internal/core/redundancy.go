@@ -134,14 +134,13 @@ func maxI64(a, b int64) int64 {
 	return b
 }
 
-// removedVertices marks vertices folded out of the root set by γ.
+// removedVertices marks vertices folded out of the root set by γ: each
+// sub-graph's local ids past its swept ones.
 func removedVertices(d *decompose.Decomposition, n int) []bool {
 	removed := make([]bool, n)
 	for _, sg := range d.Subgraphs {
-		for l, v := range sg.Verts {
-			if sg.FoldedInto(int32(l)) >= 0 {
-				removed[v] = true
-			}
+		for _, v := range sg.Verts[len(sg.Roots):] {
+			removed[v] = true
 		}
 	}
 	return removed

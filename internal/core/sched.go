@@ -36,8 +36,9 @@ type workUnit struct {
 	roots []int32 // swept in order by one engine
 	group int     // index of the group the roots belong to
 	cost  int64
-	// local is what the roots contribute, indexed by sg's local ids; the
-	// drain leaves it in a fresh slice that nothing else refers to.
+	// local is what the roots contribute, indexed by sg's swept local ids
+	// [0, len(sg.Roots)) — a folded vertex's contribution is 0 — and left by
+	// the drain in a fresh slice that nothing else refers to.
 	local []float64
 	dur   time.Duration
 }
@@ -148,7 +149,7 @@ func drainUnits(units []workUnit, p int, g *graph.Graph, opt Options) (int64, bo
 		t0 := time.Now()
 		e.runRoots(u.sg, u.roots, directed)
 		u.dur = time.Since(t0)
-		loc := e.ws.BC[:u.sg.NumVerts()]
+		loc := e.ws.BC[:len(u.sg.Roots)]
 		u.local = slices.Clone(loc)
 		clear(loc)
 	})
@@ -171,8 +172,9 @@ type RootGroup struct {
 }
 
 // sweepGroups cuts groups of d's sub-graphs into units, drains them with p
-// workers and returns each group's contribution under its sub-graph's local
-// ids, its units' slices summed in unit order, or graph.ErrPathCountOverflow.
+// workers and returns each group's contribution under its sub-graph's swept
+// local ids, its units' slices summed in unit order, or
+// graph.ErrPathCountOverflow.
 // It fills opt.Breakdown's BC phase when that is set.
 func sweepGroups(d *decompose.Decomposition, groups []RootGroup, p int, opt Options) ([][]float64, error) {
 	start := time.Now()
@@ -200,19 +202,20 @@ func sweepGroups(d *decompose.Decomposition, groups []RootGroup, p int, opt Opti
 
 // SweepRoots sweeps each group's roots of its sub-graph — a sub-graph of d —
 // as every exact computation does, with up to workers workers (<= 0:
-// GOMAXPROCS), and returns each group's contribution under its sub-graph's
-// local ids, or graph.ErrPathCountOverflow. A group holding a sub-graph's
+// GOMAXPROCS), and returns each group's contribution, one score per swept
+// local id [0, len(Roots)) of its sub-graph (a folded vertex's would be 0),
+// or graph.ErrPathCountOverflow. A group holding a sub-graph's
 // whole root list gets that sub-graph's contribution to Compute, bit for bit.
 // internal/approx's pivot sampler is the caller.
 func SweepRoots(d *decompose.Decomposition, groups []RootGroup, workers int) ([][]float64, error) {
 	return sweepGroups(d, groups, par.Workers(workers), Options{})
 }
 
-// flushLocal adds a sub-graph's local BC scores into the global array
-// (single-threaded caller).
+// flushLocal adds a sub-graph's local BC scores, one per swept vertex, into
+// the global array (single-threaded caller).
 func flushLocal(bc []float64, sg *decompose.Subgraph, local []float64) {
-	for l, v := range sg.Verts {
-		bc[v] += local[l]
+	for l, x := range local {
+		bc[sg.Verts[l]] += x
 	}
 }
 

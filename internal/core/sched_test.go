@@ -171,7 +171,7 @@ func sweepForced(t *testing.T, d *decompose.Decomposition, force direction) ([]f
 			}
 			e.ensure(sg)
 			e.runRoots(sg, sg.Roots, d.G.Directed())
-			loc := e.ws.BC[:sg.NumVerts()]
+			loc := e.ws.BC[:len(sg.Roots)]
 			flushLocal(bc, sg, loc)
 			for l := range loc {
 				loc[l] = 0
@@ -207,10 +207,10 @@ func decomposeAt8(t *testing.T, g *graph.Graph) *decompose.Decomposition {
 // schedule sweepForced runs. The forced runs
 // must really differ — no bottom-up level and no push in the one, both in the
 // other — and the sub-graphs that push must include articulation-point roots
-// and γ seeds, the terms that fold in after the pushed sums, and both layouts:
+// and γ seeds, the terms that fold in after the pushed sums, and both orders:
 // the big community graph's top has a hub and is swept under the ids
 // decompose's relabel chose, the lattice's and the uniform random graph's
-// under input order, and the push adds a parent's terms in its pull's order on
+// under id order, and the push adds a parent's terms in its pull's order on
 // either because rows ascend on either.
 func TestHybridSweepBitNeutral(t *testing.T) {
 	var apRoots, gammaSeeds int
@@ -254,7 +254,7 @@ func TestHybridSweepBitNeutral(t *testing.T) {
 		}
 	}
 	if layouts[false] == 0 || layouts[true] == 0 {
-		t.Fatalf("%d pushing sub-graphs in input order and %d relabelled: one layout went untested", layouts[false], layouts[true])
+		t.Fatalf("%d pushing sub-graphs in id order and %d relabelled: one order went untested", layouts[false], layouts[true])
 	}
 	if apRoots == 0 || gammaSeeds == 0 {
 		t.Fatalf("pushing sub-graphs hold %d articulation-point roots and %d γ-seeded vertices: one case went untested", apRoots, gammaSeeds)
@@ -382,7 +382,11 @@ func TestHybridGate(t *testing.T) {
 			e.ensure(top)
 			e.runRoots(top, top.Roots, c.g.Directed())
 		})
-		built := top.SweptMask() != nil
+		built := func() bool { // In panics until EnsureIn has built the transpose
+			defer func() { _ = recover() }()
+			top.In(0)
+			return true
+		}()
 		if e.hybrid != c.hybrid || built != c.hybrid || (e.bottomUpLevels != 0) != c.hybrid {
 			t.Fatalf("%s (%.2f arcs per swept vertex): hybrid %v, transpose built %v, %d bottom-up levels; want hybrid %v",
 				c.name, mean, e.hybrid, built, e.bottomUpLevels, c.hybrid)

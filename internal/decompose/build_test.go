@@ -304,7 +304,7 @@ func matchOracle(t *testing.T, label string, g *graph.Graph, disableGamma bool, 
 	}
 }
 
-// TestBuilderMatchesOracle holds buildSubgraphs — the fold, both layouts and
+// TestBuilderMatchesOracle holds buildSubgraphs — the fold, the layout in both orders and
 // the one writer of their swept rows — to the reference builder through
 // matchOracle on every build of forEachBuild, some of whose sub-graphs are
 // relabelled and most not.
@@ -344,7 +344,7 @@ func TestBuilderMatchesOracle(t *testing.T) {
 		t.Fatal("no arc joined two boundary articulation points: that case went untested")
 	}
 	if layouts[false] == 0 || layouts[true] == 0 {
-		t.Fatalf("%d sub-graphs in the input layout and %d relabelled: one layout went untested", layouts[false], layouts[true])
+		t.Fatalf("%d sub-graphs in id order and %d relabelled: one order went untested", layouts[false], layouts[true])
 	}
 }
 

@@ -12,21 +12,22 @@
 //	            in the undirected case)
 //
 // What a finished Subgraph stores is its swept graph: the γ-folded vertices
-// keep their local ids but none of their arcs is in the CSR (see
-// Subgraph.Out), because nothing a sweep computes at them is unknown.
+// keep local ids, after every swept one, but none of their arcs is in the CSR
+// (see Subgraph.Out), because nothing a sweep computes at them is unknown.
 //
 // Decomposition.SubgraphsOf says which sub-graphs hold a vertex, from the one
 // int32 per vertex the partition classified it with, and allocates nothing.
 //
 // The order of a sub-graph's local ids is this package's choice, made for the
 // sweep's cache behaviour (relabel.go, DESIGN.md §4 "The sweep's vertex
-// order"): a sub-graph whose swept graph has a hub is laid out hubs first, the
-// rest breadth-first from them, folded vertices last; one without keeps the
-// input's order, local ids monotone in global ids. Either way one routine
+// order"). There is one shape: the swept vertices are the local ids
+// [0, len(Roots)) and the folded ones the rest, in global-id order, so a
+// sweep's per-vertex arrays end at len(Roots). The swept vertices are in
+// global-id order too, unless the swept graph has a hub: then they are laid
+// out hubs first, the rest breadth-first from them (Relabelled). One routine
 // writes the swept rows, once and under the final ids, so every row ascends;
 // Arts and Roots are in global-id order, and the layout is a function of the
-// sub-graph's own vertices and arcs. Nothing outside this package can tell
-// which it got except through Verts and Relabelled.
+// sub-graph's own vertices and arcs.
 //
 // Deviation from the paper, documented in DESIGN.md: disconnected inputs are
 // decomposed per connected component (each component gets its own top block)
@@ -93,9 +94,9 @@ type Timings struct {
 // local CSR over local vertex ids [0, len(Verts)).
 type Subgraph struct {
 	ID int
-	// Verts maps local id -> global id, ascending unless Relabelled. Boundary
-	// articulation points appear in every sub-graph they connect (paper §3.1
-	// property 4).
+	// Verts maps local id -> global id: the swept vertices, ascending unless
+	// Relabelled, then the folded ones, ascending. Boundary articulation
+	// points appear in every sub-graph they connect (paper §3.1 property 4).
 	Verts []graph.V
 	// Local CSR over the swept graph's out-arcs (see Out); wts is parallel to
 	// adj when the source graph is weighted (nil otherwise).
@@ -120,23 +121,22 @@ type Subgraph struct {
 	// from v.
 	Gamma []int32
 	// Roots lists the local ids in R_sgi (BFS roots after total-redundancy
-	// removal) — exactly the vertices of the swept graph, so len(Roots) and
-	// NumArcs are the size of one sweep; NumVerts stays the size of the id
-	// space. The list is in global-id order under either layout, so a prefix
-	// or a range of it names the same vertices.
+	// removal) — exactly the vertices of the swept graph, local ids
+	// [0, len(Roots)), so len(Roots) and NumArcs are the size of one sweep and
+	// of its per-vertex arrays; NumVerts stays the size of the id space. The
+	// list is in global-id order, so a prefix or a range of it names the same
+	// vertices whatever order the ids are in (0…len(Roots)−1 without a hub).
 	Roots []int32
 
 	directed   bool // whether the parent graph is directed
-	relabelled bool // local ids chosen by relabel, not handed out in global-id order
+	relabelled bool // swept vertices in hubOrder's order, not in global-id order
 
 	// Lazy transpose CSR for bottom-up sweeps; built by EnsureIn. For
 	// undirected parents the arc set is symmetric, so the in-CSR aliases the
-	// out-CSR instead of being materialized. swept marks the swept graph's
-	// vertices as a bitset over local ids, built with it.
+	// out-CSR instead of being materialized.
 	inOnce sync.Once
 	inOffs []int64
 	inAdj  []int32
-	swept  []uint64
 }
 
 // NumVerts returns the number of local vertices.
@@ -147,15 +147,15 @@ func (s *Subgraph) NumVerts() int { return len(s.Verts) }
 func (s *Subgraph) NumArcs() int64 { return s.offs[len(s.Verts)] }
 
 // Out returns the out-neighbors of local vertex l in the swept graph: the
-// sub-graph without its γ-folded vertices. A folded vertex keeps its local id
-// but has an empty row and occurs in no other row; what it would have added to
+// sub-graph without its γ-folded vertices. A folded vertex keeps its local id,
+// past len(Roots), but has an empty row and occurs in no other row; what it would have added to
 // a sweep is known in closed form (Gamma, DESIGN.md §1), so no kernel needs to
 // visit it.
 func (s *Subgraph) Out(l int32) []int32 { return s.adj[s.offs[l]:s.offs[l+1]] }
 
 // FoldedInto returns the local id of the neighbour a γ-folded vertex l was
-// folded into, the vertex whose DAG l's derives from; -1 when l is swept (one
-// of Roots).
+// folded into, the vertex whose DAG l's derives from; -1 when l is swept
+// (l < len(Roots)).
 func (s *Subgraph) FoldedInto(l int32) int32 { return s.foldedInto[l] }
 
 // OutWeights returns the weights parallel to Out(l); nil for unweighted
@@ -167,21 +167,17 @@ func (s *Subgraph) OutWeights(l int32) []float64 {
 	return s.wts[s.offs[l]:s.offs[l+1]]
 }
 
-// Relabelled reports whether the local ids are in the order relabel chooses
-// for a swept graph with a hub — hubs, then breadth-first, folded vertices
-// last — rather than in global-id order.
+// Relabelled reports whether the swept vertices' local ids are in the order
+// hubOrder chooses for a swept graph with a hub — hubs, then breadth-first —
+// rather than in global-id order. The folded vertices come last either way.
 func (s *Subgraph) Relabelled() bool { return s.relabelled }
 
 // EnsureIn builds what a bottom-up sweep level reads, if it is not present
-// yet: the in-arc (transpose) CSR, so that In can be called, and SweptMask.
-// For undirected parents the out-CSR is already symmetric and is aliased
-// instead of copied. Safe for concurrent callers.
+// yet: the in-arc (transpose) CSR, so that In can be called. For undirected
+// parents the out-CSR is already symmetric and is aliased instead of copied.
+// Safe for concurrent callers.
 func (s *Subgraph) EnsureIn() {
 	s.inOnce.Do(func() {
-		s.swept = make([]uint64, (len(s.Verts)+63)>>6)
-		for _, r := range s.Roots {
-			s.swept[r>>6] |= 1 << uint(r&63)
-		}
 		if !s.directed {
 			s.inOffs, s.inAdj = s.offs, s.adj
 			return
@@ -210,17 +206,12 @@ func (s *Subgraph) EnsureIn() {
 // EnsureIn must have been called first.
 func (s *Subgraph) In(l int32) []int32 { return s.inAdj[s.inOffs[l]:s.inOffs[l+1]] }
 
-// SweptMask returns the swept graph's vertices as a bitset over local ids:
-// the only vertices a bottom-up level can discover, so the only unvisited ones
-// it has to look at. EnsureIn must have been called first.
-func (s *Subgraph) SweptMask() []uint64 { return s.swept }
-
 // SweepEqual reports whether s and o are the same input to a sweep: the same
 // vertices under the same local ids, swept rows and weights, boundary APs with
 // the same α and β, the same γ and the same roots. A sweep reads nothing else
 // of a sub-graph, and Decompose builds all of it canonically — the local ids
 // in an order that is a function of the sub-graph's vertices and arcs alone
-// (input order, or relabel's with its ties by input id), every row ascending
+// (global-id order, or hubOrder's with its ties by input id), every row ascending
 // — so the same sub-graph in two decompositions is equal field by field and
 // has bit-identical contributions to BC; internal/core.Incremental reuses one
 // epoch's for the next on that ground.

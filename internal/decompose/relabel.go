@@ -13,8 +13,9 @@ import (
 // order is good when the input was laid out by someone — a row-major lattice —
 // and bad when ids are hashes of nothing, as an R-MAT's are: its hubs, which
 // every sweep touches at every level, lie scattered over the whole array.
-// hasHub tells the two apart from the sub-graph alone, and relabel lays the
-// second kind out for the cache.
+// hasHub tells the two apart from the sub-graph alone, and hubOrder lays the
+// second kind out for the cache. Either way layout puts the swept vertices
+// first: the swept graph is the local-id prefix [0, len(Roots)).
 
 // sweptDegrees turns offs[l+1] from row l's unswept size in the input layout
 // (buildSubgraphs, pass 2), once fold has run, into its size in the swept
@@ -47,78 +48,33 @@ func (s *Subgraph) hasHub() bool {
 	return isHub(most, arcs, len(s.Roots))
 }
 
-// relabel lays out a sub-graph with a hub: it chooses the local ids and moves
-// everything indexed by them, offs[l+1] — the swept out-degree of l — among
-// them. On entry s is in the input layout with no adjacency yet, and local
-// maps every vertex of s to its local id there; on return local maps them to
-// the new ids.
-//
-// The order: the hubs (isHub) by descending swept degree; then the rest of the
-// swept graph breadth-first from them, rows read in input order, restarting
-// at the first swept vertex not yet reached when a directed sub-graph leaves
-// some unreached; then the γ-folded vertices. Ties go by input id throughout,
-// so the layout is a function of the sub-graph alone and two builds of one
-// edge set are SweepEqual. The hubs share a few cache lines at the front, a
-// level's vertices lie near the levels next to it, and the folded vertices,
-// which no sweep visits, pad no line a sweep reads.
-//
-// What is a sequence of vertices rather than an index keeps its sequence and
-// has its values renamed: Arts, whose positions the α/β composition
-// addresses, and Roots, which stays in global-id order so that a root-budget
-// prefix, a scheduler's root range and approx's pivots name the same vertices
-// under either layout.
-func (s *Subgraph) relabel(g *graph.Graph, owner *apArcs, local []int32) {
+// layout gives s's local ids the one shape every sub-graph has: the swept
+// vertices are the ids [0, len(Roots)) — in global-id order, or in hubOrder's
+// when the swept graph has a hub — and the γ-folded ones the rest, in global-id
+// order. It moves everything indexed by local id, offs[l+1] (the swept
+// out-degree) among it; Arts and Roots keep their sequence with values renamed,
+// Roots in global-id order so that a root-budget prefix, a root range and
+// approx's pivots name the same vertices whatever the order. On entry s is in
+// the input layout with no adjacency yet, and local maps s's vertices to their
+// ids there; on return, to the final ids. scratch holds three ints per vertex
+// of s; the groups share it.
+func (s *Subgraph) layout(g *graph.Graph, owner *apArcs, local, scratch []int32) {
 	nl, ns := len(s.Verts), len(s.Roots)
-	group := int32(s.ID)
-	order := make([]int32, ns, nl) // new id -> input-layout id
-	perm := make([]int32, nl)      // and back
-	tmp := make([]int32, nl)       // swept degrees, then a copy of the array being moved
-
-	// While the order is being chosen a placed vertex's entry of local holds
-	// the complement of its new id and an unplaced one's its input-layout id
-	// still, so one load tells the search both whether and whom it found. The
-	// folded vertices' places are known beforehand, the hubs' once sorted.
-	var arcs int64
-	for l, v := range s.Verts {
+	order := scratch[:nl]       // new id -> input-layout id
+	perm := scratch[nl : 2*nl]  // and back
+	tmp := scratch[2*nl : 3*nl] // swept degrees, then a copy of the array being moved
+	folded := ns
+	for l, into := range s.foldedInto {
 		tmp[l] = int32(s.offs[l+1])
-		arcs += s.offs[l+1]
-		if s.foldedInto[l] >= 0 {
-			local[v] = ^int32(len(order))
-			order = append(order, int32(l))
+		if into >= 0 {
+			order[folded] = int32(l)
+			folded++
 		}
 	}
-	hubs := order[:0]
-	for _, l := range s.Roots {
-		if isHub(int64(tmp[l]), arcs, ns) {
-			hubs = append(hubs, l)
-		}
-	}
-	slices.SortStableFunc(hubs, func(a, b int32) int { return cmp.Compare(tmp[b], tmp[a]) })
-	for i, l := range hubs {
-		local[s.Verts[l]] = ^int32(i)
-	}
-	placed, restart := len(hubs), 0
-	for head := 0; placed < ns; head++ {
-		if head == placed {
-			for local[s.Verts[s.Roots[restart]]] < 0 {
-				restart++
-			}
-			order[placed] = s.Roots[restart]
-			local[s.Verts[order[placed]]] = ^int32(placed)
-			placed++
-		}
-		v := s.Verts[order[head]]
-		art := s.IsArt[order[head]]
-		for _, w := range g.Out(v) {
-			if art && owner.group(v, w) != group {
-				continue
-			}
-			if lw := local[w]; lw >= 0 {
-				order[placed] = lw
-				local[w] = ^int32(placed)
-				placed++
-			}
-		}
+	if s.relabelled {
+		s.hubOrder(g, owner, local, order, tmp)
+	} else {
+		copy(order, s.Roots)
 	}
 	for i, l := range order {
 		perm[l] = int32(i)
@@ -146,5 +102,62 @@ func (s *Subgraph) relabel(g *graph.Graph, owner *apArcs, local []int32) {
 	}
 	for k, l := range s.Roots {
 		s.Roots[k] = perm[l]
+	}
+}
+
+// hubOrder fills order[:len(Roots)] with a hub sub-graph's swept vertices,
+// by input-layout id (order[len(Roots):] holds the folded ones, deg the swept
+// degrees): the hubs (isHub) by descending swept degree, then the rest
+// breadth-first from them, rows read in input order, restarting at the first
+// unreached swept vertex when a directed sub-graph leaves some. Ties go by
+// input id, so the layout is a function of the sub-graph alone. The hubs share
+// a few cache lines, and a level's vertices lie near the levels next to it.
+func (s *Subgraph) hubOrder(g *graph.Graph, owner *apArcs, local, order, deg []int32) {
+	ns := len(s.Roots)
+	group := int32(s.ID)
+
+	// While the order is being chosen a placed vertex's entry of local holds
+	// the complement of its new id and an unplaced one's its input-layout id
+	// still, so one load tells the search both whether and whom it found. The
+	// folded vertices' places are known beforehand, the hubs' once sorted.
+	var arcs int64
+	for _, d := range deg {
+		arcs += int64(d)
+	}
+	for i, l := range order[ns:] {
+		local[s.Verts[l]] = ^int32(ns + i)
+	}
+	hubs := order[:0]
+	for _, l := range s.Roots {
+		if isHub(int64(deg[l]), arcs, ns) {
+			hubs = append(hubs, l)
+		}
+	}
+	slices.SortStableFunc(hubs, func(a, b int32) int { return cmp.Compare(deg[b], deg[a]) })
+	for i, l := range hubs {
+		local[s.Verts[l]] = ^int32(i)
+	}
+	placed, restart := len(hubs), 0
+	for head := 0; placed < ns; head++ {
+		if head == placed {
+			for local[s.Verts[s.Roots[restart]]] < 0 {
+				restart++
+			}
+			order[placed] = s.Roots[restart]
+			local[s.Verts[order[placed]]] = ^int32(placed)
+			placed++
+		}
+		v := s.Verts[order[head]]
+		art := s.IsArt[order[head]]
+		for _, w := range g.Out(v) {
+			if art && owner.group(v, w) != group {
+				continue
+			}
+			if lw := local[w]; lw >= 0 {
+				order[placed] = lw
+				local[w] = ^int32(placed)
+				placed++
+			}
+		}
 	}
 }

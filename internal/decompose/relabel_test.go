@@ -179,11 +179,14 @@ func TestRelabelOrder(t *testing.T) {
 	}
 }
 
-// TestNoHubKeepsInputOrder: a lattice, a ring and the road stand-in have no
-// hub, and their sub-graphs are built as they always were — Verts ascending,
-// every row the input row relabelled in place (less the folded vertices), so
-// already in the order a well-laid-out input chose.
-func TestNoHubKeepsInputOrder(t *testing.T) {
+// TestNoHubKeepsIdOrder: a lattice, a ring and the road stand-in have no hub,
+// and their sub-graphs keep global-id order within each of the two runs of
+// local ids — the swept vertices, then the folded ones — and every row is the
+// input row relabelled in place (less the folded vertices), so already in the
+// order a well-laid-out input chose. The road stand-in's spurs fold, so its
+// sub-graphs have folded vertices to move behind the swept ones.
+func TestNoHubKeepsIdOrder(t *testing.T) {
+	moved := 0
 	for name, g := range map[string]*graph.Graph{
 		"lattice": gen.Grid2D(40, 40),
 		"ring":    gen.Cycle(500),
@@ -194,8 +197,12 @@ func TestNoHubKeepsInputOrder(t *testing.T) {
 			if sg.Relabelled() {
 				t.Fatalf("%s sg %d: relabelled, but it has no hub", name, si)
 			}
+			ns := len(sg.Roots)
+			if !slices.IsSorted(sg.Verts[:ns]) || !slices.IsSorted(sg.Verts[ns:]) {
+				t.Fatalf("%s sg %d: the swept or the folded run of Verts is not ascending: %v", name, si, sg.Verts)
+			}
 			if !slices.IsSorted(sg.Verts) {
-				t.Fatalf("%s sg %d: Verts is not ascending: %v", name, si, sg.Verts)
+				moved++
 			}
 			for l, v := range sg.Verts {
 				var want []int32
@@ -209,5 +216,75 @@ func TestNoHubKeepsInputOrder(t *testing.T) {
 				}
 			}
 		}
+	}
+	if moved == 0 {
+		t.Fatal("no sub-graph had a folded vertex below a swept one: the reordering went untested")
+	}
+}
+
+// TestSweptVerticesArePrefix pins the one layout every sub-graph has, on
+// every build of forEachBuild and of the star-planted relabelShapes (whose
+// undirected hubs keep their leaves), with γ on and off: Roots is a
+// permutation of [0, len(Roots)), the folded vertices are exactly the ids from
+// len(Roots) on, no row names one, and without a hub both runs of Verts
+// ascend. The builds must include sub-graphs with and without a hub, directed
+// and undirected, with folded vertices and with none.
+func TestSweptVerticesArePrefix(t *testing.T) {
+	seen := map[string]int{}
+	check := func(label string, g *graph.Graph, threshold int, d *Decomposition) {
+		for _, gammaOff := range []bool{false, true} {
+			if gammaOff {
+				d = mustDecompose(t, g, Options{Threshold: threshold, DisableGamma: true})
+			}
+			for si, sg := range d.Subgraphs {
+				sgLabel := fmt.Sprintf("%s γ off %v sg %d", label, gammaOff, si)
+				ns := len(sg.Roots)
+				roots := slices.Sorted(slices.Values(sg.Roots))
+				for k, l := range roots {
+					if l != int32(k) {
+						t.Fatalf("%s: Roots %v is not a permutation of [0, %d)", sgLabel, sg.Roots, ns)
+					}
+				}
+				for l := int32(0); int(l) < sg.NumVerts(); l++ {
+					if folded := sg.FoldedInto(l) >= 0; folded != (int(l) >= ns) {
+						t.Fatalf("%s: local id %d of %d swept: folded %v", sgLabel, l, ns, folded)
+					}
+					for _, w := range sg.Out(l) {
+						if int(w) >= ns {
+							t.Fatalf("%s: row %d names %d, past the %d swept ids", sgLabel, l, w, ns)
+						}
+					}
+				}
+				if !sg.Relabelled() && (!slices.IsSorted(sg.Verts[:ns]) || !slices.IsSorted(sg.Verts[ns:])) {
+					t.Fatalf("%s: no hub, but Verts is not two ascending runs: %v", sgLabel, sg.Verts)
+				}
+				kind := fmt.Sprintf("hub %v directed %v γ off %v", sg.Relabelled(), g.Directed(), gammaOff)
+				seen[kind]++
+				if ns < sg.NumVerts() {
+					seen["folded"]++
+				} else {
+					seen["none folded"]++
+				}
+			}
+		}
+	}
+	forEachBuild(t, check)
+	for name, base := range relabelShapes() {
+		g := withStar(base, 3, 2)
+		for _, th := range []int{1, 8, 64} {
+			check(fmt.Sprintf("%s star threshold %d", name, th), g, th, mustDecompose(t, g, Options{Threshold: th}))
+		}
+	}
+	for _, hub := range []bool{false, true} {
+		for _, directed := range []bool{false, true} {
+			for _, gammaOff := range []bool{false, true} {
+				if kind := fmt.Sprintf("hub %v directed %v γ off %v", hub, directed, gammaOff); seen[kind] == 0 {
+					t.Fatalf("no sub-graph with %s: that case went untested (%v)", kind, seen)
+				}
+			}
+		}
+	}
+	if seen["folded"] == 0 || seen["none folded"] == 0 {
+		t.Fatalf("the builds lack sub-graphs with or without folded vertices: %v", seen)
 	}
 }

@@ -21,10 +21,11 @@ import (
 // its undirected edge's block (apArcs.group): for a home vertex that is the
 // whole row; a boundary AP's row is counted out, and its in-arcs dealt, arc by
 // arc through a group-indexed table, so pass 2 reads an AP's rows the same
-// few times however many groups it joins. Then each group keeps the input
-// layout, local ids monotone in global ids, or, when its swept graph has a hub
-// (hasHub), takes the layout relabel chooses for the cache; either way
-// writeRows writes its swept rows once, under their final ids.
+// few times however many groups it joins. Then each group takes its final
+// layout (relabel.go): the swept vertices are the local ids [0, len(Roots)) —
+// in global-id order, or, when the swept graph has a hub (hasHub), in the order
+// hubOrder chooses for the cache — and the folded vertices the rest; writeRows
+// writes the swept rows once, under their final ids.
 func buildSubgraphs(d *Decomposition, g *graph.Graph, res *bcc.Result, blockGroup []int32, numGroups int, disableGamma bool) {
 	n := g.NumVertices()
 
@@ -159,17 +160,28 @@ func buildSubgraphs(d *Decomposition, g *graph.Graph, res *bcc.Result, blockGrou
 	}
 
 	// Finish the groups one by one: fold the γ leaves (Theorem 3's
-	// total-redundancy elimination), choose the layout and write the swept
+	// total-redundancy elimination), lay out the local ids and write the swept
 	// rows. Home vertices' entries of local are input-layout ids from pass 2;
 	// each group writes its boundary APs' entries before reading them.
+	var most int32
+	for gr := 0; gr < numGroups; gr++ {
+		most = max(most, vertOff[gr+1]-vertOff[gr])
+	}
+	var scratch []int32 // layout's, shared by the groups, made when one needs it
 	for _, sg := range subs {
 		for _, l := range sg.Arts {
 			local[sg.Verts[l]] = l
 		}
-		sg.fold(g, disableGamma)
+		sg.fold(g, local, disableGamma)
 		sg.sweptDegrees()
-		if sg.relabelled = sg.hasHub(); sg.relabelled {
-			sg.relabel(g, owner, local)
+		sg.relabelled = sg.hasHub()
+		// Without a hub the input layout is final when no folded vertex lies
+		// below a swept one (Roots ascend in it).
+		if ns := len(sg.Roots); sg.relabelled || ns > 0 && sg.Roots[ns-1] != int32(ns-1) {
+			if scratch == nil {
+				scratch = make([]int32, 3*most)
+			}
+			sg.layout(g, owner, local, scratch)
 		}
 		sg.writeRows(g, owner, local)
 	}
@@ -202,7 +214,7 @@ func (o *apArcs) group(x, y graph.V) int32 {
 }
 
 // inArcs returns the positions in g.In(x) of the in-arcs of x, a boundary AP
-// of s, that belong to s. s.Arts is in global-id order under either layout.
+// of s, that belong to s. s.Arts is in global-id order.
 func (o *apArcs) inArcs(s *Subgraph, x graph.V) []int32 {
 	k, _ := sort.Find(len(s.Arts), func(k int) int { return int(x) - int(s.Verts[s.Arts[k]]) })
 	e := o.slotEntry[o.artOff[s.ID]+int32(k)]
@@ -216,11 +228,10 @@ func (o *apArcs) inArcs(s *Subgraph, x graph.V) []int32 {
 // an arc u->w; walking w in ascending local id over its in-arcs in g (an
 // undirected graph's in-arcs are its out-arcs) appends w to each such row in
 // ascending order. A boundary AP's in-arcs are the ones owner dealt to s, and
-// an arc from a folded vertex is in no row: relabel puts the folded vertices
-// last, where an id test finds them; in the input layout they lie among the
-// others, but only a vertex with γ > 0 has one among its in-arcs.
+// an arc from a folded vertex is in no row: the folded vertices are the ids
+// from len(Roots) on, where an id test finds them.
 func (s *Subgraph) writeRows(g *graph.Graph, owner *apArcs, local []int32) {
-	offs, foldedInto := s.offs, s.foldedInto
+	offs := s.offs
 	// Until the rows are written offs[l+1] is where row l's next arc goes:
 	// its start now, its end — row l+1's start — once it is full.
 	var arcs int64
@@ -234,14 +245,8 @@ func (s *Subgraph) writeRows(g *graph.Graph, owner *apArcs, local []int32) {
 	if g.Weighted() {
 		wts = make([]float64, arcs)
 	}
-	swept := int32(len(s.Verts)) // local ids from here on are folded
-	if s.relabelled {
-		swept = int32(len(s.Roots))
-	}
+	swept := int32(len(s.Roots)) // local ids from here on are folded
 	for w := int32(0); w < swept; w++ {
-		if foldedInto[w] >= 0 {
-			continue
-		}
 		x := s.Verts[w]
 		in := g.In(x)
 		var weights []float64
@@ -255,14 +260,13 @@ func (s *Subgraph) writeRows(g *graph.Graph, owner *apArcs, local []int32) {
 			mine = owner.inArcs(s, x)
 			n = len(mine)
 		}
-		mayFold := !s.relabelled && s.Gamma[w] > 0
 		for j := 0; j < n; j++ {
 			i := j
 			if art {
 				i = int(mine[j])
 			}
 			u := local[in[i]]
-			if u >= swept || mayFold && foldedInto[u] >= 0 {
+			if u >= swept {
 				continue // a folded leaf of x
 			}
 			pos := offs[u+1]
@@ -274,26 +278,6 @@ func (s *Subgraph) writeRows(g *graph.Graph, owner *apArcs, local []int32) {
 		}
 	}
 	s.adj, s.wts = adj, wts
-}
-
-// LocalID returns the local id of global vertex v in sg, or -1. In the input
-// layout Verts is ascending. A relabelled sub-graph keeps two ascending runs
-// to search instead: Roots lists the swept vertices in global-id order, and
-// the folded vertices are the tail of Verts, in global-id order too.
-func (s *Subgraph) LocalID(v graph.V) int32 {
-	if !s.relabelled {
-		if i, ok := slices.BinarySearch(s.Verts, v); ok {
-			return int32(i)
-		}
-		return -1
-	}
-	if i, ok := sort.Find(len(s.Roots), func(i int) int { return int(v) - int(s.Verts[s.Roots[i]]) }); ok {
-		return s.Roots[i]
-	}
-	if i, ok := slices.BinarySearch(s.Verts[len(s.Roots):], v); ok {
-		return int32(len(s.Roots) + i)
-	}
-	return -1
 }
 
 // foldsInto reports whether v's whole DAG derives from its one neighbour's,
@@ -308,10 +292,11 @@ func foldsInto(g *graph.Graph, v graph.V) (graph.V, bool) {
 
 // fold decides which vertices of s are γ-folded against g, whose rows it goes
 // by, and fills foldedInto, Gamma and Roots; s is still in the input layout,
-// whatever it ends in. A vertex u is removed from the root set and folded
-// into γ of its neighbour p when foldsInto says so (with an id tie-break so
-// mutually-qualifying pairs keep one root).
-func (s *Subgraph) fold(g *graph.Graph, disableGamma bool) {
+// which local maps s's vertices to. A vertex u is removed from the root set
+// and folded into γ of its neighbour p when foldsInto says so (with an id
+// tie-break so mutually-qualifying pairs keep one root). p shares u's one
+// block, so it is a vertex of s.
+func (s *Subgraph) fold(g *graph.Graph, local []int32, disableGamma bool) {
 	s.foldedInto = slices.Repeat([]int32{-1}, len(s.Verts))
 	if !disableGamma {
 		for l, v := range s.Verts {
@@ -322,10 +307,7 @@ func (s *Subgraph) fold(g *graph.Graph, disableGamma bool) {
 			if _, pToo := foldsInto(g, p); pToo && v < p {
 				continue // keep the smaller id as the surviving root
 			}
-			lp := s.LocalID(p)
-			if lp < 0 {
-				continue
-			}
+			lp := local[p]
 			s.foldedInto[l] = lp
 			s.Gamma[lp]++
 		}

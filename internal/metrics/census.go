@@ -31,9 +31,10 @@ type SubgraphCensus struct {
 	// Swept counts the vertices a sweep can visit (Verts less the γ-folded
 	// ones), MaxDegree and MeanDegree are the largest and the mean out-degree
 	// among them, over swept arcs. Relabelled says whether the sub-graph's
-	// local ids were laid out for the cache — hubs first, then breadth-first,
-	// folded vertices last — which decompose does exactly when MaxDegree is at
-	// least eight times MeanDegree; otherwise they are in input order. Hybrid
+	// swept vertices' local ids were laid out for the cache — hubs first, then
+	// breadth-first — which decompose does exactly when MaxDegree is at least
+	// eight times MeanDegree; otherwise they are in global-id order. The
+	// folded vertices' ids come after the swept ones' either way. Hybrid
 	// says whether the scalar BFS sweep of this sub-graph is
 	// direction-optimizing — which core decides from Swept (at least 256) and
 	// MeanDegree (at least 4) — rather than top-down on every level. Lanes says

@@ -17,12 +17,11 @@
 // ws arena, LaneWidth slots per vertex: ws.Sweep.LaneRec holds one ws.Record
 // per slot — σ and the three stored APGRE dependencies, packed as the scalar
 // engine packs a vertex's, because the backward step reads them together —
-// and ws.Sweep.LaneBC the per-root BC contribution the fold reads. Slots are
-// indexed by a vertex's rank in sg.Roots — the swept graph's vertices — so
-// they hold 64 × 40 B per vertex a sweep can reach and nothing for the
-// γ-folded ids (slot rank(v)·64+l belongs to lane l; Kernel.slot is the id →
-// rank table). The mask words stay indexed by id: the per-arc test below reads
-// them and pays no indirection.
+// and ws.Sweep.LaneBC the per-root BC contribution the fold reads. The swept
+// graph's vertices are the local ids [0, len(sg.Roots)) (internal/decompose),
+// so masks and slots are indexed by local id and cover only them: 64 × 40 B
+// of slots and two mask words per vertex a sweep can reach, nothing for the
+// γ-folded ids (slot v·64+l belongs to lane l of vertex v).
 // The forward σ-BFS processes one depth level of the whole batch at a time:
 // for each vertex u in the level's union frontier, each out-arc u→w is
 // examined once, and the lanes that step from u to w fall out of one word
@@ -63,11 +62,15 @@
 // # Memory and reset discipline
 //
 // Level masks are stored sparsely — per level, a list of (vertex, mask)
-// pairs in discovery order — so a batch costs O(visited incidences) extra
-// memory, not O(levels·|V|). One dense lane-mask scratch array (ws.LaneFront)
-// serves as the random-access view: the forward pass accumulates each next
-// level in it and converts to sparse form at the level barrier; the backward
-// pass replays each level's sparse list back into it while descending.
+// pairs in discovery order, the levels back to back in ws.Sweep.LaneVerts and
+// LaneMasks with their starts in ws.Sweep.Levels — so a batch costs
+// O(visited incidences) extra memory, not O(levels·|V|). One dense lane-mask
+// scratch array (ws.LaneFront) serves as the random-access view: the forward
+// pass accumulates each next level in it and converts to sparse form at the
+// level barrier; the backward pass replays each level's sparse list back into
+// it while descending. The vertices the batch touched are listed in
+// ws.Sweep.Order. So the arena owns every byte of scratch and Run keeps
+// nothing between batches: a warm workspace runs a batch without allocating.
 // All per-vertex state honours the arena's sparse-reset contract: the kernel
 // walks only the vertices the batch touched, and the per-lane δ fields and BC
 // slots need no reset at all because every visited (vertex, lane) slot is
@@ -88,43 +91,17 @@ const LaneWidth = ws.LaneWidth
 // count below it is an exact sum whatever order its parents were added in.
 const maxExactSigma = 1 << 53
 
-// level is one recorded BFS depth: the vertices some lane first reached at
-// this depth, in discovery order, with the lane masks parallel to them.
-type level struct {
-	verts []int32
-	masks []uint64
-}
-
-// Kernel runs bit-parallel multi-source APGRE sweeps over one sub-graph at a
-// time. It is single-threaded scratch, one per worker, reusable across
-// batches and sub-graphs of any size; the per-vertex numeric state lives in
-// the ws.Sweep passed to Run, so a pooled arena serves the kernel exactly as
-// it serves the scalar engines.
-type Kernel struct {
-	// Per-lane root metadata, filled at the start of every batch.
-	rootAt  [LaneWidth]int32
-	beta    [LaneWidth]float64
-	gamma   [LaneWidth]float64
-	artMask uint64 // lanes whose root is a boundary articulation point
-
-	levels  []level
-	touched []int32 // vertices reached by any lane this batch, in first-seen order
-	inexact bool    // some lane's path count reached maxExactSigma this batch
-
-	// slot[v] is v's rank in slotOf.Roots (its lane slots start at
-	// slot[v]·LaneWidth), rebuilt when Run meets another sub-graph. Entries of
-	// ids outside Roots are stale and never read: no sweep reaches them.
-	slot   []int32
-	slotOf *decompose.Subgraph
-}
-
-// grow returns the d-th level, extending the level list as needed. Callers
-// rely on Run's end-of-batch truncation for freshness.
-func (k *Kernel) grow(d int) *level {
-	for len(k.levels) <= d {
-		k.levels = append(k.levels, level{})
-	}
-	return &k.levels[d]
+// batch is one Run's per-lane root metadata and what the backward pass reads
+// besides the workspace. It lives on Run's stack.
+type batch struct {
+	sg       *decompose.Subgraph
+	s        *ws.Sweep
+	directed bool
+	rootAt   [LaneWidth]int32
+	beta     [LaneWidth]float64
+	gamma    [LaneWidth]float64
+	art      uint64 // lanes whose root is a boundary articulation point
+	inexact  bool   // some lane's path count reached maxExactSigma
 }
 
 // Run executes one batched multi-source sweep: forward σ-BFS from all roots
@@ -141,66 +118,53 @@ func (k *Kernel) grow(d int) *level {
 // swept size; the caller's kernel rule owns the budget they are grown under),
 // and is returned to its clean-slot state before Run returns, so the caller's
 // pooled-sweep discipline is unchanged.
-func (k *Kernel) Run(sg *decompose.Subgraph, roots []int32, directed bool, s *ws.Sweep) (traversed int64, exact bool) {
+func Run(sg *decompose.Subgraph, roots []int32, directed bool, s *ws.Sweep) (traversed int64, exact bool) {
 	if len(roots) == 0 {
 		return 0, true
 	}
 	if len(roots) > LaneWidth {
 		panic("msbfs: batch exceeds LaneWidth roots")
 	}
-	if k.slotOf != sg {
-		if cap(k.slot) < sg.NumVerts() {
-			k.slot = make([]int32, sg.NumVerts())
-		}
-		k.slot = k.slot[:sg.NumVerts()]
-		for rank, r := range sg.Roots {
-			k.slot[r] = int32(rank)
-		}
-		k.slotOf = sg
-	}
-	slot := k.slot
+	b := batch{sg: sg, s: s, directed: directed}
 	rec := s.LaneRec
 	seen := s.LaneSeen
 	dense := s.LaneFront
-
-	k.artMask = 0
 	for l, r := range roots {
-		k.rootAt[l] = r
-		k.beta[l] = sg.Beta[r]
-		k.gamma[l] = float64(sg.Gamma[r])
+		b.rootAt[l] = r
+		b.beta[l] = sg.Beta[r]
+		b.gamma[l] = float64(sg.Gamma[r])
 		if sg.IsArt[r] {
-			k.artMask |= 1 << uint(l)
+			b.art |= 1 << uint(l)
 		}
 	}
-	k.touched = k.touched[:0]
-	k.inexact = false
+	verts, masks := s.LaneVerts[:0], s.LaneMasks[:0]
+	levels := append(s.Levels[:0], ws.Level{})
+	touched := s.Order[:0]
 
 	// Depth 0: seed every root's lane. The dense scratch deduplicates
 	// repeated root vertices exactly as it deduplicates a level's frontier.
-	lv0 := k.grow(0)
 	for l, r := range roots {
 		if dense[r] == 0 {
-			lv0.verts = append(lv0.verts, r)
+			verts = append(verts, r)
 		}
 		dense[r] |= 1 << uint(l)
-		rec[int(slot[r])*LaneWidth+l].Sigma = 1
+		rec[int(r)*LaneWidth+l].Sigma = 1
 	}
-	for _, r := range lv0.verts {
+	for _, r := range verts {
 		m := dense[r]
-		lv0.masks = append(lv0.masks, m)
-		k.touched = append(k.touched, r)
+		masks = append(masks, m)
+		touched = append(touched, r)
 		seen[r] = m
 		dense[r] = 0
 	}
 
-	// Forward: one shared pass over the CSR per depth level of the batch.
-	last := 0
-	for d := 0; ; d++ {
-		curVerts, curMasks := k.levels[d].verts, k.levels[d].masks
-		nxt := k.grow(d + 1)
-		for i, u := range curVerts {
-			um := curMasks[i]
-			ub := int(slot[u]) * LaneWidth
+	// Forward: one shared pass over the CSR per depth level of the batch. The
+	// level being expanded is verts[lo:hi]; the next one is appended past it.
+	for lo := 0; ; {
+		hi := len(verts)
+		for i := lo; i < hi; i++ {
+			u, um := verts[i], masks[i]
+			ub := int(u) * LaneWidth
 			ru := rec[ub : ub+LaneWidth : ub+LaneWidth]
 			for _, w := range sg.Out(u) {
 				prop := um &^ seen[w]
@@ -208,10 +172,10 @@ func (k *Kernel) Run(sg *decompose.Subgraph, roots []int32, directed bool, s *ws
 					continue
 				}
 				if dense[w] == 0 {
-					nxt.verts = append(nxt.verts, w)
+					verts = append(verts, w)
 				}
 				dense[w] |= prop
-				wb := int(slot[w]) * LaneWidth
+				wb := int(w) * LaneWidth
 				rw := rec[wb : wb+LaneWidth : wb+LaneWidth]
 				if prop == ^uint64(0) {
 					// All 64 lanes step together: a straight-line block add.
@@ -228,22 +192,24 @@ func (k *Kernel) Run(sg *decompose.Subgraph, roots []int32, directed bool, s *ws
 		}
 		// Level barrier: freeze the next frontier into sparse form, publish
 		// its lanes to seen, and hand the dense scratch back clean.
-		for _, w := range nxt.verts {
+		for _, w := range verts[hi:] {
 			m := dense[w]
-			nxt.masks = append(nxt.masks, m)
+			masks = append(masks, m)
 			if seen[w] == 0 {
-				k.touched = append(k.touched, w)
+				touched = append(touched, w)
 			}
 			seen[w] |= m
 			dense[w] = 0
 		}
-		if len(nxt.verts) == 0 {
-			last = d
+		if len(verts) == hi {
 			break
 		}
+		levels = append(levels, ws.Level{Start: int32(hi)})
+		lo = hi
 	}
+	s.LaneVerts, s.LaneMasks, s.Levels, s.Order = verts, masks, levels, touched
 
-	k.backward(sg, directed, s, last)
+	b.backward()
 
 	// Fold finished per-lane contributions into the sub-graph accumulator in
 	// ascending lane (= root) order per vertex, count traversed arcs, and
@@ -252,12 +218,12 @@ func (k *Kernel) Run(sg *decompose.Subgraph, roots []int32, directed bool, s *ws
 	// and folds nothing.
 	bcLane := s.LaneBC
 	bc := s.BC
-	for _, v := range k.touched {
+	for _, v := range touched {
 		m := seen[v]
-		vb := int(slot[v]) * LaneWidth
+		vb := int(v) * LaneWidth
 		rv := rec[vb : vb+LaneWidth : vb+LaneWidth]
 		seen[v] = 0
-		if k.inexact {
+		if b.inexact {
 			for ; m != 0; m &= m - 1 {
 				rv[bits.TrailingZeros64(m)&(LaneWidth-1)].Sigma = 0
 			}
@@ -280,17 +246,13 @@ func (k *Kernel) Run(sg *decompose.Subgraph, roots []int32, directed bool, s *ws
 			}
 		}
 	}
-	for d := range k.levels {
-		k.levels[d].verts = k.levels[d].verts[:0]
-		k.levels[d].masks = k.levels[d].masks[:0]
-	}
-	return traversed, !k.inexact
+	return traversed, !b.inexact
 }
 
 // backward runs the four-dependency accumulation over the recorded levels,
 // deepest first. On entry the dense scratch is all zero (= the successor
-// masks of the empty level past last); while descending it always holds the
-// lane masks of level d+1 when level d is being processed.
+// masks of the empty level past the last); while descending it always holds
+// the lane masks of level d+1 when level d is being processed.
 //
 // A vertex's 64 slots are re-sliced to exactly LaneWidth records and lane
 // numbers masked to 0…63, so the compiler proves every per-lane index in
@@ -298,16 +260,21 @@ func (k *Kernel) Run(sg *decompose.Subgraph, roots []int32, directed bool, s *ws
 // root is not an articulation point (two sums) and once over those whose root
 // is (three): each lane still adds its terms in sg.Out order, so splitting the
 // lanes changes no lane's operands or their order.
-func (k *Kernel) backward(sg *decompose.Subgraph, directed bool, s *ws.Sweep, last int) {
+func (b *batch) backward() {
+	sg, s := b.sg, b.s
 	rec := s.LaneRec
 	dense := s.LaneFront
 	bcLane := s.LaneBC
-	art, slot := k.artMask, k.slot
-	for d := last; d >= 0; d-- {
-		lvVerts, lvMasks := k.levels[d].verts, k.levels[d].masks
+	verts, masks, levels := s.LaneVerts, s.LaneMasks, s.Levels
+	art := b.art
+	// Level d is verts[lo:hi], level d+1 verts[hi:next].
+	hi, next := len(verts), len(verts)
+	for d := len(levels) - 1; d >= 0; d-- {
+		lo := int(levels[d].Start)
+		lvVerts, lvMasks := verts[lo:hi], masks[lo:hi]
 		for i, v := range lvVerts {
 			vm := lvMasks[i]
-			vb := int(slot[v]) * LaneWidth
+			vb := int(v) * LaneWidth
 			rv := rec[vb : vb+LaneWidth : vb+LaneWidth]
 			// Zero this vertex's active accumulator slots; like the scalar
 			// engine's locals, they then collect successor terms in sg.Out
@@ -316,7 +283,7 @@ func (k *Kernel) backward(sg *decompose.Subgraph, directed bool, s *ws.Sweep, la
 			for m := vm; m != 0; m &= m - 1 {
 				x := &rv[bits.TrailingZeros64(m)&(LaneWidth-1)]
 				if x.Sigma >= maxExactSigma {
-					k.inexact = true
+					b.inexact = true
 				}
 				x.Di2i, x.Di2o, x.Do2o = 0, 0, 0
 			}
@@ -325,7 +292,7 @@ func (k *Kernel) backward(sg *decompose.Subgraph, directed bool, s *ws.Sweep, la
 				if sm == 0 {
 					continue
 				}
-				wb := int(slot[w]) * LaneWidth
+				wb := int(w) * LaneWidth
 				rw := rec[wb : wb+LaneWidth : wb+LaneWidth]
 				for m := sm &^ art; m != 0; m &= m - 1 {
 					l := bits.TrailingZeros64(m) & (LaneWidth - 1)
@@ -351,30 +318,30 @@ func (k *Kernel) backward(sg *decompose.Subgraph, directed bool, s *ws.Sweep, la
 				l := bits.TrailingZeros64(m) & (LaneWidth - 1)
 				x := &rv[l]
 				sIsArt := art&(1<<uint(l)) != 0
-				if !directed {
+				if !b.directed {
 					x.Di2i += gammaV // δ_i2i seed: v's folded leaves (core rootTerms.settle)
 				}
-				if v != k.rootAt[l] {
+				if v != b.rootAt[l] {
 					if isArtV {
 						x.Di2o += alphaV // δ_i2o seed (Eq. 4)
 						if sIsArt {
-							x.Do2o += k.beta[l] * alphaV // δ_o2o seed (Eq. 6)
+							x.Do2o += b.beta[l] * alphaV // δ_o2o seed (Eq. 6)
 						}
 					}
-					contrib := (1+k.gamma[l])*(x.Di2i+x.Di2o) + x.Do2o
+					contrib := (1+b.gamma[l])*(x.Di2i+x.Di2o) + x.Do2o
 					if sIsArt {
-						contrib += k.beta[l] * x.Di2i // δ_o2i = β(s)·δ_i2i (Eq. 5)
+						contrib += b.beta[l] * x.Di2i // δ_o2i = β(s)·δ_i2i (Eq. 5)
 					}
 					bv[l] = contrib
-				} else if k.gamma[l] > 0 {
+				} else if b.gamma[l] > 0 {
 					root := x.Di2i + x.Di2o
 					if sIsArt {
 						root += alphaV // see core rootTerms.settle
 					}
-					if !directed {
+					if !b.directed {
 						root-- // undirected folded-leaf correction (DESIGN.md §1)
 					}
-					bv[l] = k.gamma[l] * root
+					bv[l] = b.gamma[l] * root
 				} else {
 					// The scalar engine adds nothing for this root vertex;
 					// write the zero so the fold reads a defined slot.
@@ -384,17 +351,16 @@ func (k *Kernel) backward(sg *decompose.Subgraph, directed bool, s *ws.Sweep, la
 		}
 		// Roll the dense successor view down one level: drop level d+1's
 		// masks, publish level d's for the next iteration.
-		if d < last {
-			for _, w := range k.levels[d+1].verts {
-				dense[w] = 0
-			}
+		for _, w := range verts[hi:next] {
+			dense[w] = 0
 		}
 		for i, v := range lvVerts {
 			dense[v] = lvMasks[i]
 		}
+		hi, next = lo, hi
 	}
 	// Level 0's masks are still published; return the scratch clean.
-	for _, v := range k.levels[0].verts {
+	for _, v := range verts[hi:next] {
 		dense[v] = 0
 	}
 }

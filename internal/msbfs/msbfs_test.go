@@ -3,6 +3,7 @@ package msbfs_test
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/brandes"
@@ -53,21 +54,20 @@ func runBatched(t *testing.T, g *graph.Graph, width int) []float64 {
 		t.Fatalf("decompose: %v", err)
 	}
 	bc := make([]float64, g.NumVertices())
-	var k msbfs.Kernel
 	var sw ws.Sweep
 	directed := g.Directed()
 	for _, sg := range d.Subgraphs {
-		sw.GrowLanes(sg.NumVerts(), len(sg.Roots), 0)
+		sw.GrowLanes(len(sg.Roots), 0)
 		for lo := 0; lo < len(sg.Roots); lo += width {
 			hi := lo + width
 			if hi > len(sg.Roots) {
 				hi = len(sg.Roots)
 			}
-			if _, exact := k.Run(sg, sg.Roots[lo:hi], directed, &sw); !exact {
+			if _, exact := msbfs.Run(sg, sg.Roots[lo:hi], directed, &sw); !exact {
 				t.Fatalf("sub-graph %d: a path count reached 2^53 on a test family", sg.ID)
 			}
 		}
-		for l, v := range sg.Verts {
+		for l, v := range sg.Verts[:len(sg.Roots)] {
 			bc[v] += sw.BC[l]
 			sw.BC[l] = 0
 		}
@@ -138,19 +138,18 @@ func TestKernelDuplicateRoots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var k msbfs.Kernel
 	var once, twice ws.Sweep
 	for _, sg := range d.Subgraphs {
 		if len(sg.Roots) == 0 {
 			continue
 		}
 		r := sg.Roots[0]
-		once.GrowLanes(sg.NumVerts(), len(sg.Roots), 0)
-		twice.GrowLanes(sg.NumVerts(), len(sg.Roots), 0)
-		k.Run(sg, []int32{r}, false, &once)
-		k.Run(sg, []int32{r}, false, &once)
-		k.Run(sg, []int32{r, r}, false, &twice)
-		n := sg.NumVerts()
+		once.GrowLanes(len(sg.Roots), 0)
+		twice.GrowLanes(len(sg.Roots), 0)
+		msbfs.Run(sg, []int32{r}, false, &once)
+		msbfs.Run(sg, []int32{r}, false, &once)
+		msbfs.Run(sg, []int32{r, r}, false, &twice)
+		n := len(sg.Roots)
 		for l := 0; l < n; l++ {
 			if math.Float64bits(once.BC[l]) != math.Float64bits(twice.BC[l]) {
 				t.Fatalf("sg %d vertex %d: sequential %v, duplicate-lane batch %v",
@@ -174,16 +173,15 @@ func TestKernelTraversedMetric(t *testing.T) {
 		t.Fatalf("complete graph decomposed into %d sub-graphs", len(d.Subgraphs))
 	}
 	sg := d.Subgraphs[0]
-	var k msbfs.Kernel
 	var sw ws.Sweep
-	sw.GrowLanes(sg.NumVerts(), len(sg.Roots), 0)
-	traversed, exact := k.Run(sg, sg.Roots, false, &sw)
+	sw.GrowLanes(len(sg.Roots), 0)
+	traversed, exact := msbfs.Run(sg, sg.Roots, false, &sw)
 	// Every root visits all 8 vertices, each of out-degree 7.
 	want := int64(len(sg.Roots)) * 8 * 7
 	if traversed != want || !exact {
 		t.Fatalf("traversed = %d (exact %v), want %d", traversed, exact, want)
 	}
-	for l := range sw.BC[:sg.NumVerts()] {
+	for l := range sw.BC[:len(sg.Roots)] {
 		sw.BC[l] = 0
 	}
 	if err := checkClean(&sw); err != nil {
@@ -200,9 +198,8 @@ func TestKernelEmptyAndOversizedBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	sg := d.Subgraphs[0]
-	var k msbfs.Kernel
 	var sw ws.Sweep
-	if got, exact := k.Run(sg, nil, false, &sw); got != 0 || !exact {
+	if got, exact := msbfs.Run(sg, nil, false, &sw); got != 0 || !exact {
 		t.Fatalf("empty batch traversed %d arcs (exact %v)", got, exact)
 	}
 	defer func() {
@@ -210,7 +207,7 @@ func TestKernelEmptyAndOversizedBatch(t *testing.T) {
 			t.Fatal("oversized batch did not panic")
 		}
 	}()
-	k.Run(sg, make([]int32, msbfs.LaneWidth+1), false, &sw)
+	msbfs.Run(sg, make([]int32, msbfs.LaneWidth+1), false, &sw)
 }
 
 // layered is a chain of `layers` layers of `width` vertices, complete
@@ -232,11 +229,10 @@ func layered(layers, width int) *graph.Graph {
 // TestKernelDeclinesInexactSigma pins the edge of the bit-exactness argument:
 // a batch in which a path count reaches 2^53 — where three same-level parents
 // no longer sum to the same float64 in every order — reports itself inexact,
-// leaves s.BC untouched and the workspace clean, and the same kernel then
-// finishes an exact batch on the same scratch. 36 layers of 3 carry 3^34 ≈
+// leaves s.BC untouched and the workspace clean, and Run then finishes an
+// exact batch on the same scratch. 36 layers of 3 carry 3^34 ≈
 // 1.7·10^16 paths end to end; 30 layers stay under 2^53.
 func TestKernelDeclinesInexactSigma(t *testing.T) {
-	var k msbfs.Kernel
 	var sw ws.Sweep
 	for _, c := range []struct {
 		layers int
@@ -250,13 +246,13 @@ func TestKernelDeclinesInexactSigma(t *testing.T) {
 			t.Fatalf("%d layers: %d sub-graphs", c.layers, len(d.Subgraphs))
 		}
 		sg := d.Subgraphs[0]
-		sw.GrowLanes(sg.NumVerts(), len(sg.Roots), 0)
-		traversed, exact := k.Run(sg, sg.Roots[:8], false, &sw)
+		sw.GrowLanes(len(sg.Roots), 0)
+		traversed, exact := msbfs.Run(sg, sg.Roots[:8], false, &sw)
 		if exact != c.exact || exact != (traversed > 0) {
 			t.Fatalf("%d layers: exact %v, traversed %d", c.layers, exact, traversed)
 		}
 		touched := false
-		for l := range sw.BC[:sg.NumVerts()] {
+		for l := range sw.BC[:len(sg.Roots)] {
 			touched = touched || sw.BC[l] != 0
 			sw.BC[l] = 0
 		}
@@ -279,7 +275,6 @@ func TestKernelDeclinesInexactSigma(t *testing.T) {
 // ninth vertex: those vertices are articulation points and the cycles
 // sub-graphs of their own.
 func TestKernelInexactFullBatchComesBackClean(t *testing.T) {
-	var k msbfs.Kernel
 	var sw ws.Sweep
 	for _, c := range []struct {
 		layers int
@@ -309,13 +304,13 @@ func TestKernelInexactFullBatchComesBackClean(t *testing.T) {
 		if arts == 0 || arts == len(roots) {
 			t.Fatalf("%d layers: %d of %d roots are articulation points, want some of each", c.layers, arts, len(roots))
 		}
-		sw.GrowLanes(sg.NumVerts(), len(sg.Roots), 0)
-		traversed, exact := k.Run(sg, roots, true, &sw)
+		sw.GrowLanes(len(sg.Roots), 0)
+		traversed, exact := msbfs.Run(sg, roots, true, &sw)
 		if exact != c.exact || exact != (traversed > 0) {
 			t.Fatalf("%d layers: exact %v, traversed %d", c.layers, exact, traversed)
 		}
 		touched := false
-		for l := range sw.BC[:sg.NumVerts()] {
+		for l := range sw.BC[:len(sg.Roots)] {
 			touched = touched || sw.BC[l] != 0
 			sw.BC[l] = 0
 		}
@@ -324,6 +319,46 @@ func TestKernelInexactFullBatchComesBackClean(t *testing.T) {
 		}
 		if err := checkClean(&sw); err != nil {
 			t.Fatalf("%d layers: %v", c.layers, err)
+		}
+	}
+}
+
+// TestKernelScratchLivesInTheArena: the kernel keeps no scratch of its own —
+// its level lists and touched list are the workspace's — so once one batch
+// has grown them, another batch on the same workspace allocates nothing. The
+// batch is a full lane word over a community graph's top sub-graph, several
+// levels deep, with articulation-point roots among its lanes.
+func TestKernelScratchLivesInTheArena(t *testing.T) {
+	for _, directed := range []bool{false, true} {
+		g := gen.SocialLike(gen.SocialParams{N: 400, AvgDeg: 5, Communities: 6, TopShare: 0.5,
+			LeafFrac: 0.3, Directed: directed, Reciprocity: 0.5, Seed: 1})
+		d, err := decompose.Decompose(g, decompose.Options{Threshold: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sg := d.Subgraphs[d.TopIndex]
+		if len(sg.Arts) == 0 {
+			t.Fatalf("directed %v: the top sub-graph has no articulation point", directed)
+		}
+		arts := sg.Arts[:min(8, len(sg.Arts))]
+		roots := append(slices.Clone(arts), sg.Roots[:msbfs.LaneWidth-len(arts)]...)
+		var sw ws.Sweep
+		sw.GrowLanes(len(sg.Roots), 0)
+		run := func() {
+			if _, exact := msbfs.Run(sg, roots, directed, &sw); !exact {
+				t.Fatal("a path count reached 2^53")
+			}
+			clear(sw.BC[:len(sg.Roots)])
+		}
+		run()
+		if levels := len(sw.Levels); levels < 3 {
+			t.Fatalf("directed %v: the batch is %d levels deep; the fixture is too shallow", directed, levels)
+		}
+		if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+			t.Fatalf("directed %v: a warm batch allocated %.0f times", directed, allocs)
+		}
+		if err := checkClean(&sw); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -312,9 +312,9 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Fatalf("redundancy method = %q, want exact for a tiny graph", census.Redundancy.Method)
 	}
 	// The layout and what decided it: cycle B's four vertices are all swept,
-	// each of degree 2, so it has no hub and keeps input order.
+	// each of degree 2, so it has no hub and keeps id order.
 	if top := census.Decomposition.Largest[0]; top.Swept != 4 || top.MaxDegree != 2 || top.MeanDegree != 2 || top.Relabelled {
-		t.Fatalf("largest sub-graph = %+v, want 4 swept vertices of degree 2 in input order", top)
+		t.Fatalf("largest sub-graph = %+v, want 4 swept vertices of degree 2 in id order", top)
 	}
 	// How it is swept: cycle B is far too small for a direction-optimizing
 	// sweep or the lane kernel, so "hybrid" and "lanes" are left out; a
@@ -648,8 +648,9 @@ func TestMetricsEndpoint(t *testing.T) {
 // the sweep pool then keeps one workspace, which is all a later epoch sweeps
 // on. Loaded at GOMAXPROCS(2) and edited twice inside its top sub-graph,
 // bench's serve graph leaves /metrics showing one workspace, whose lane
-// arrays hold one top's lane state — its records, with at most an eighth of
-// headroom, and its mask words — not two. Not parallel: it sets GOMAXPROCS
+// arrays hold one top's lane state — its records and mask words, one set per
+// swept vertex, and the kernel's level lists, with at most an eighth on top —
+// not two. Not parallel: it sets GOMAXPROCS
 // and reads the process-wide pool.
 func TestOneWorkspaceAfterLoad(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
@@ -678,7 +679,7 @@ func TestOneWorkspaceAfterLoad(t *testing.T) {
 		t.Fatalf("removal: %d", code)
 	}
 	values := scrapeMetrics(t, ts.URL)
-	one := float64(ws.LaneBytesPerVert*len(top.Roots) + 16*top.NumVerts())
+	one := float64((ws.LaneBytesPerVert + 16) * len(top.Roots))
 	if size, lanes := values[`bcd_ws_pool_size`], values[`bcd_ws_bytes{layer="lanes"}`]; size != 1 || lanes < one || lanes > one*9/8 {
 		t.Fatalf("after a load and two edits: %v workspaces holding %v B of lanes; one top (%d swept of %d) holds %v B",
 			size, lanes, len(top.Roots), top.NumVerts(), one)

@@ -7,13 +7,16 @@
 // A Sweep bundles all per-vertex scratch one root sweep needs — distances,
 // the packed σ/δ records, a local BC accumulator, a visited bitset frontier
 // and the BFS queue/order ring — sized by the largest sub-graph it has seen.
-// The lane-widened layer (GrowLanes) adds what the bit-parallel multi-source
-// kernel (internal/msbfs) batches 64 roots over: one lane-mask word pair per
-// local vertex id, and LaneWidth σ/δ record and BC slots per *swept* vertex —
-// indexed by the vertex's rank in the sub-graph's root list, not by its id, so
-// the arrays are as large as the sub-graph a lane sweep last walked and never
-// as large as the biggest sub-graph the workspace has seen (and regrown with an
-// eighth of headroom, within the caller's budget). A Pool hands Sweeps out to
+// A sub-graph's swept vertices are its local ids [0, len(Roots))
+// (internal/decompose), so every array here is indexed by local id and sized
+// by the swept graph, never by the γ-folded ids past it. The lane-widened
+// layer (GrowLanes) adds what the bit-parallel multi-source kernel
+// (internal/msbfs) batches 64 roots over — a lane-mask word pair and LaneWidth
+// σ/δ record and BC slots per swept vertex, as large as the sub-graph a lane
+// sweep last walked and never as large as the biggest sub-graph the workspace
+// has seen (regrown with an eighth of headroom, within the caller's budget) —
+// and the kernel's level lists, so the kernel itself keeps nothing between
+// batches. A Pool hands Sweeps out to
 // workers (Get) and takes them back (Put), so steady-state computation
 // performs zero per-sweep heap allocation: the arena grows to the high-water
 // mark once and is reused by every engine, request and worker thereafter.
@@ -67,8 +70,8 @@
 // of the successor's slot, one half line where four parallel arrays touched
 // four lines. Which vertices share a line is not decided here: slots are
 // indexed by a sub-graph's local ids, and internal/decompose chooses their
-// order for exactly these arrays (hubs first, then breadth-first, where the
-// input's own order is no layout).
+// order for exactly these arrays (the swept vertices first; among them hubs
+// first, then breadth-first, where the input's own order is no layout).
 package ws
 
 import (
@@ -86,10 +89,11 @@ type Record struct {
 	Sigma, Di2i, Di2o, Do2o float64
 }
 
-// Level is one BFS level of a direction-optimizing sweep, as the forward pass
-// leaves it for the backward pass: where the level starts in Order, and
+// Level is one BFS level as the forward pass leaves it for the backward pass:
+// for a direction-optimizing sweep where the level starts in Order, and
 // whether it was discovered bottom-up — in ascending vertex id, the order the
-// backward push relies on (core.bfsRoot).
+// backward push relies on (core.bfsRoot); for a lane batch where the level
+// starts in LaneVerts (internal/msbfs).
 type Level struct {
 	Start    int32
 	BottomUp bool
@@ -102,9 +106,9 @@ const LaneWidth = 64
 
 // Sweep is one checkout of per-vertex sweep scratch. Field slices other than
 // the tape and the Lane* ones have the sweep's capacity as their length — the
-// largest n it was grown to (Visited has at least that many bits); callers
-// index them by local vertex id. See the package comment for which fields
-// carry clean-slot invariants.
+// largest swept graph it was grown to (Visited has at least that many bits);
+// callers index them by local vertex id. See the package comment for which
+// fields carry clean-slot invariants.
 type Sweep struct {
 	capV     int
 	weighted bool
@@ -112,8 +116,8 @@ type Sweep struct {
 	Dist     []int32
 	Rec      []Record
 	BC       []float64
-	Order    []int32 // BFS queue / settled-order ring; doubles as the dirty list
-	Levels   []Level // level table of the current root's sweep; appended to, capacity kept across roots
+	Order    []int32 // BFS queue / settled-order ring / a lane batch's touched vertices; doubles as the dirty list
+	Levels   []Level // level table of the current sweep or lane batch; appended to, capacity kept across roots
 	Visited  *bitset.Bitset
 	FDist    []float64 // weighted distances; allocated by GrowWeighted
 	Done     []bool    // Dijkstra settled flags; allocated by GrowWeighted
@@ -128,27 +132,31 @@ type Sweep struct {
 
 	// Lane-parallel scratch for the MS-BFS batched kernel (allocated by
 	// GrowLanes, independent of the capacity): LaneSeen and LaneFront hold one
-	// lane-mask word per local vertex id — the per-arc test reads them, so it
-	// pays no indirection — and LaneRec and LaneBC hold LaneWidth slots per
-	// swept vertex (slot r*LaneWidth+l belongs to root lane l of the vertex of
-	// rank r in the sub-graph's root list). LaneRec is the scalar kernel's
-	// record per slot, for the same reason Rec is one: the backward step reads
-	// σ and the three δ of a (vertex, lane) together. LaneBC stays apart
-	// because the fold reads it, and nothing else, vertex by vertex.
-	// Invariants: every LaneRec[i].Sigma, LaneSeen and LaneFront are zero in
-	// the pool; the δ fields and LaneBC carry no invariant — the batched
-	// backward step assigns every visited (vertex, lane) slot exactly once per
-	// batch and the fold reads only visited slots.
+	// lane-mask word per swept vertex, and LaneRec and LaneBC LaneWidth slots
+	// per swept vertex (slot v*LaneWidth+l belongs to root lane l of local id
+	// v). LaneRec is the scalar kernel's record per slot, for the same reason
+	// Rec is one: the backward step reads σ and the three δ of a (vertex,
+	// lane) together. LaneBC stays apart because the fold reads it, and
+	// nothing else, vertex by vertex. LaneVerts and LaneMasks are a batch's
+	// levels back to back — the vertices some lane first reached at each
+	// depth, in discovery order, with their lane masks — and Levels says where
+	// each depth starts. Invariants: every LaneRec[i].Sigma, LaneSeen and
+	// LaneFront are zero in the pool; the δ fields and LaneBC carry no
+	// invariant — the batched backward step assigns every visited (vertex,
+	// lane) slot exactly once per batch and the fold reads only visited slots
+	// — and the level lists are plain scratch.
 	LaneRec   []Record
 	LaneBC    []float64
 	LaneSeen  []uint64
 	LaneFront []uint64
+	LaneVerts []int32
+	LaneMasks []uint64
 }
 
 // LaneBytesPerVert is the lane state GrowLanes holds per swept vertex: a
 // Record and a staged BC slot for each of the LaneWidth lanes (the two mask
-// words per local id come on top). Bytes counts the lane layer by it, and the
-// kernel rule's budget (internal/core) is read in it.
+// words and the level lists come on top). Bytes counts the lane layer by it,
+// and the kernel rule's budget (internal/core) is read in it.
 const LaneBytesPerVert = LaneWidth * (int(unsafe.Sizeof(Record{})) + 8)
 
 // Grow sizes the sweep for n local vertices, preserving every clean-slot
@@ -190,26 +198,24 @@ func (s *Sweep) growWeighted() {
 	s.Done = make([]bool, s.capV)
 }
 
-// GrowLanes is Grow plus the lane-parallel MS-BFS arrays for a sub-graph of n
-// local ids of which swept are in the swept graph: the mask words cover the
-// ids, LaneRec and LaneBC LaneWidth slots per swept vertex — LaneBytesPerVert
-// per swept vertex, whatever the capacity is. A first allocation is exact; a
-// regrowth takes an eighth more than it held, cut to budget bytes but never
-// below swept (a forced run past the budget is exact). Fresh allocations are
-// zero, which is exactly the lane invariants, so — as with Grow — a grown
-// region is indistinguishable from a sparsely reset one.
-func (s *Sweep) GrowLanes(n, swept, budget int) {
-	s.Grow(n)
-	if len(s.LaneSeen) < n {
-		s.LaneSeen = make([]uint64, n)
-		s.LaneFront = make([]uint64, n)
-	}
+// GrowLanes is Grow plus the lane-parallel MS-BFS arrays for a swept graph of
+// swept vertices: two mask words and LaneWidth slots per swept vertex —
+// LaneBytesPerVert of slots, whatever the capacity is. A first allocation is
+// exact; a regrowth takes an eighth more than it held, cut to budget bytes but
+// never below swept (a forced run past the budget is exact). Fresh allocations
+// are zero, which is exactly the lane invariants, so — as with Grow — a grown
+// region is indistinguishable from a sparsely reset one. The level lists grow
+// as a batch appends to them.
+func (s *Sweep) GrowLanes(swept, budget int) {
+	s.Grow(swept)
 	if held := len(s.LaneRec) / LaneWidth; held < swept {
 		if held > 0 {
 			swept = max(swept, min(held+held/8, budget/LaneBytesPerVert))
 		}
 		s.LaneRec = make([]Record, swept*LaneWidth)
 		s.LaneBC = make([]float64, swept*LaneWidth)
+		s.LaneSeen = make([]uint64, swept)
+		s.LaneFront = make([]uint64, swept)
 	}
 }
 
@@ -228,7 +234,7 @@ func (s *Sweep) GrowTape(arcs, swept int) {
 // Bytes is what a sweep's arrays weigh, by layer.
 type Bytes struct {
 	Base  int64 // what Grow and GrowWeighted size by the capacity, plus the Order and Levels rings
-	Lanes int64 // what GrowLanes sizes by a lane-swept sub-graph
+	Lanes int64 // what GrowLanes sizes by a lane-swept sub-graph, plus the lane level lists
 	Tape  int64 // what GrowTape sizes by a sub-graph swept one root at a time
 }
 
@@ -237,8 +243,9 @@ func (s *Sweep) Bytes() Bytes {
 	b := Bytes{
 		Base: int64(4*len(s.Dist)+8*len(s.BC)+4*cap(s.Order)+8*len(s.FDist)+len(s.Done)) +
 			int64(unsafe.Sizeof(Record{}))*int64(len(s.Rec)) + int64(unsafe.Sizeof(Level{}))*int64(cap(s.Levels)),
-		Lanes: int64(LaneBytesPerVert*(len(s.LaneRec)/LaneWidth) + 8*(len(s.LaneSeen)+len(s.LaneFront))),
-		Tape:  int64(4*len(s.Tape) + 8*len(s.TapePos)),
+		Lanes: int64(LaneBytesPerVert*(len(s.LaneRec)/LaneWidth) + 8*(len(s.LaneSeen)+len(s.LaneFront)) +
+			4*cap(s.LaneVerts) + 8*cap(s.LaneMasks)),
+		Tape: int64(4*len(s.Tape) + 8*len(s.TapePos)),
 	}
 	if s.Visited != nil {
 		b.Base += int64((s.Visited.Len() + 63) >> 6 << 3)

@@ -73,24 +73,29 @@ func TestGrowWeighted(t *testing.T) {
 	}
 }
 
-// TestGrowLanes pins the lane layer's sizing — mask words per local id, one
-// record and one BC slot per (swept vertex, lane), neither following Cap() —
-// its σ invariant, and its weight: LaneBytesPerVert (40 B per lane) per swept
-// vertex, the number the kernel rule's budget is read in.
+// TestGrowLanes pins the lane layer's sizing — two mask words, one record and
+// one BC slot per (swept vertex, lane), none of them following Cap() — its σ
+// invariant, and its weight: LaneBytesPerVert (40 B per lane) per swept
+// vertex, the number the kernel rule's budget is read in, with the mask words
+// and the kernel's level lists on top.
 func TestGrowLanes(t *testing.T) {
 	if LaneBytesPerVert != LaneWidth*40 {
 		t.Fatalf("LaneBytesPerVert = %d, want %d: a lane slot is a 32-byte Record and a BC slot", LaneBytesPerVert, LaneWidth*40)
 	}
 	var s Sweep
-	s.GrowLanes(8, 5, 0)
-	if len(s.LaneSeen) != 8 || len(s.LaneFront) != 8 {
-		t.Fatalf("mask words sized %d/%d, want one per id (8)", len(s.LaneSeen), len(s.LaneFront))
+	s.GrowLanes(5, 0)
+	if len(s.LaneSeen) != 5 || len(s.LaneFront) != 5 {
+		t.Fatalf("mask words sized %d/%d, want one per swept vertex (5)", len(s.LaneSeen), len(s.LaneFront))
 	}
 	if len(s.LaneRec) != 5*LaneWidth || len(s.LaneBC) != 5*LaneWidth {
 		t.Fatalf("slots sized %d/%d, want LaneWidth per swept vertex (%d)", len(s.LaneRec), len(s.LaneBC), 5*LaneWidth)
 	}
-	if b := s.Bytes(); b.Lanes != 5*LaneWidth*(32+8)+8*(8+8) {
+	if b := s.Bytes(); b.Lanes != 5*LaneWidth*(32+8)+8*(5+5) {
 		t.Fatalf("laned sweep weighs %+v", b)
+	}
+	s.LaneVerts, s.LaneMasks = make([]int32, 0, 10), make([]uint64, 0, 10)
+	if b := s.Bytes(); b.Lanes != 5*LaneWidth*(32+8)+8*(5+5)+10*(4+8) {
+		t.Fatalf("laned sweep with level lists for 10 weighs %+v", b)
 	}
 	if err := s.CheckClean(); err != nil {
 		t.Fatalf("laned sweep dirty: %v", err)
@@ -98,29 +103,29 @@ func TestGrowLanes(t *testing.T) {
 	// Plain Grow leaves the lane arrays alone: they belong to the sub-graph a
 	// lane sweep walked, not to the workspace's high-water mark.
 	s.Grow(64)
-	if len(s.LaneRec) != 5*LaneWidth || len(s.LaneSeen) != 8 {
+	if len(s.LaneRec) != 5*LaneWidth || len(s.LaneSeen) != 5 {
 		t.Fatalf("Grow resized the lane arrays: %d/%d", len(s.LaneRec), len(s.LaneSeen))
 	}
-	// A smaller request keeps what is there; a larger one grows each part on
-	// its own.
+	// A smaller request keeps what is there; a larger one grows the lane
+	// arrays, and the capacity only past it.
 	rec := &s.LaneRec[0]
-	s.GrowLanes(6, 3, 0)
+	s.GrowLanes(3, 0)
 	if &s.LaneRec[0] != rec || s.Cap() != 64 {
 		t.Fatal("a request within the current size reallocated")
 	}
-	s.GrowLanes(100, 5, 0)
-	if len(s.LaneSeen) != 100 || len(s.LaneRec) != 5*LaneWidth || s.Cap() != 100 {
-		t.Fatalf("id growth: masks %d, slots %d, cap %d", len(s.LaneSeen), len(s.LaneRec), s.Cap())
+	s.GrowLanes(9, 0)
+	if len(s.LaneSeen) != 9 || len(s.LaneRec) != 9*LaneWidth || len(s.LaneBC) != 9*LaneWidth || s.Cap() != 64 {
+		t.Fatalf("swept growth: masks %d, slots %d/%d, cap %d", len(s.LaneSeen), len(s.LaneRec), len(s.LaneBC), s.Cap())
 	}
-	s.GrowLanes(10, 9, 0)
-	if len(s.LaneSeen) != 100 || len(s.LaneRec) != 9*LaneWidth || len(s.LaneBC) != 9*LaneWidth {
-		t.Fatalf("swept growth: masks %d, slots %d/%d", len(s.LaneSeen), len(s.LaneRec), len(s.LaneBC))
+	s.GrowLanes(100, 0)
+	if len(s.LaneSeen) != 100 || len(s.LaneRec) != 100*LaneWidth || s.Cap() != 100 {
+		t.Fatalf("growth past the capacity: masks %d, slots %d, cap %d", len(s.LaneSeen), len(s.LaneRec), s.Cap())
 	}
 	// A big scalar workspace does not drag lane arrays behind it.
 	var u Sweep
 	u.Grow(100000)
-	u.GrowLanes(10, 4, 0)
-	if len(u.LaneRec) != 4*LaneWidth || len(u.LaneSeen) != 10 {
+	u.GrowLanes(4, 0)
+	if len(u.LaneRec) != 4*LaneWidth || len(u.LaneSeen) != 4 {
 		t.Fatalf("lanes sized by Cap(): slots %d, masks %d", len(u.LaneRec), len(u.LaneSeen))
 	}
 	if err := u.CheckClean(); err != nil {
@@ -165,7 +170,7 @@ func TestGrowLanesHeadroom(t *testing.T) {
 		{130, 130}, // past the budget: exact
 		{131, 131}, // and so on past it
 	} {
-		s.GrowLanes(10, c.swept, budget)
+		s.GrowLanes(c.swept, budget)
 		if got := len(s.LaneRec) / LaneWidth; got != c.want || len(s.LaneBC) != len(s.LaneRec) {
 			t.Fatalf("GrowLanes(%d swept): %d/%d slots, want %d swept vertices", c.swept, len(s.LaneRec), len(s.LaneBC), c.want)
 		}
@@ -198,8 +203,8 @@ func TestGrowTape(t *testing.T) {
 	if &s.Tape[0] != tape || len(s.TapePos) != 31 {
 		t.Fatalf("regrown tape: same slots %v, %d positions", &s.Tape[0] == tape, len(s.TapePos))
 	}
-	s.GrowLanes(8, 5, 0)
-	if b := s.Bytes(); b.Lanes != 8*2*8+5*int64(LaneBytesPerVert) || b.Tape != 4*50+8*31 || b.Base != base {
+	s.GrowLanes(5, 0)
+	if b := s.Bytes(); b.Lanes != 5*2*8+5*int64(LaneBytesPerVert) || b.Tape != 4*50+8*31 || b.Base != base {
 		t.Fatalf("laned sweep weighs %+v", b)
 	}
 	if err := s.CheckClean(); err != nil {
@@ -223,7 +228,7 @@ func TestPoolBytes(t *testing.T) {
 	if got := p.Bytes(); got != a.Bytes() {
 		t.Fatalf("pool weighs %+v, its one returned sweep %+v", got, a.Bytes())
 	}
-	b.GrowLanes(10, 4, 0)
+	b.GrowLanes(4, 0)
 	p.Put(b)
 	a = p.Get(1000) // regrown while out: counted at its old size until it is back
 	want := Bytes{Base: a.held.Base + b.Bytes().Base, Lanes: b.Bytes().Lanes, Tape: a.Bytes().Tape}
@@ -243,7 +248,7 @@ func TestPoolBytes(t *testing.T) {
 func TestPoolTrim(t *testing.T) {
 	var p Pool
 	a, b, c := p.Get(10), p.Get(300), p.Get(20)
-	c.GrowLanes(20, 8, 0)
+	c.GrowLanes(8, 0)
 	p.Put(a)
 	p.Put(b)
 	p.Trim(1)
